@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-build bench-replay bench-induce bench-store bench-scan bench-agg bench-groupagg bench-reorg bench-serve
+.PHONY: build test vet race check bench bench-smoke bench-reorg bench-serve
 
 build:
 	$(GO) build ./...
@@ -20,55 +20,15 @@ race:
 
 check: build vet test race
 
-# Replay-speedup and paper-figure benchmarks.
-bench: bench-build bench-replay bench-induce bench-store bench-agg bench-groupagg bench-reorg bench-serve
-	$(GO) test -bench=. -benchmem -run=^$$ ./...
+# The repository's benchmark (BENCHMARK.json): four workloads, end-to-end
+# and per-layer metrics, result digests checked on every run.
+bench:
+	bash bench/run.sh
 
-# Construction/routing benchmarks with a JSON perf snapshot. Compares the
-# bitset-based qd-tree build against the retained seed implementation and
-# records the results in BENCH_build.json.
-bench-build:
-	$(GO) test -run='^$$' -bench='Build|AssignRecords|Optimize' -benchmem -count=1 \
-		./internal/qdtree ./internal/core | $(GO) run ./cmd/benchjson -out BENCH_build.json
-
-# Query-execution benchmarks with a JSON perf snapshot. Compares the
-# vectorized scan/join kernels against the retained scalar reference path
-# (and the parallel replay sweep) and records the results in
-# BENCH_replay.json.
-bench-replay:
-	$(GO) test -run='^$$' -bench='ExecuteWorkload|WorkloadReplay' -benchmem -count=1 \
-		. | $(GO) run ./cmd/benchjson -out BENCH_replay.json
-
-# Persistent segment store and compressed-scan benchmarks with a JSON perf
-# snapshot. Replays the SSB workload against the disk backend cold (0-byte
-# buffer pool, on both the compressed-domain and full-decode scan paths)
-# and warm (pool primed with the working set) next to the in-memory
-# backend, runs the selective-scan microbenchmark (predicate evaluation on
-# encoded pages + late materialization vs decode-everything), and records
-# the results in BENCH_store.json.
-bench-scan:
-	$(GO) test -run='^$$' -bench='ReplayDisk|CompressedScan' -benchmem -count=1 \
-		. ./internal/colstore | $(GO) run ./cmd/benchjson -out BENCH_store.json
-
-bench-store: bench-scan
-
-# Aggregation-pushdown benchmark with a JSON perf snapshot. Compares the
-# compressed-domain fold (packed FOR sums over survivor bitmaps) against
-# the materialize-then-fold fallback on a selective SUM, and records the
-# results in BENCH_agg.json. The acceptance bar is >=3x fewer ns/op and
-# >=10x fewer allocs/op for the compressed fold.
-bench-agg:
-	$(GO) test -run='^$$' -bench='CompressedAggregate' -benchmem -count=1 		./internal/colstore | $(GO) run ./cmd/benchjson -out BENCH_agg.json
-
-# Grouped-aggregation (GROUP BY) pushdown benchmark with a JSON perf
-# snapshot. Compares the compressed grouped fold (dictionary-slot scatter
-# over encoded pages) against the materialize-then-hash-fold fallback on a
-# selective dict-grouped SUM, and records the results in
-# BENCH_groupagg.json. The acceptance bar is >=2x fewer ns/op and fewer
-# allocs/op for the compressed grouped fold.
-bench-groupagg:
-	$(GO) test -run='^$$' -bench='CompressedGroupedAggregate' -benchmem -count=1 \
-		./internal/colstore | $(GO) run ./cmd/benchjson -out BENCH_groupagg.json
+# Compiles and runs the benchmark harness at toy scale. bench/ is a module
+# of its own, so the root build, vet and test targets do not reach it.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test ./...
 
 # Incremental-reorganization daemon benchmark with a JSON result snapshot.
 # Drives the reorgd daemon over the TPC-H 1-11 → 12-22 drift stream and
@@ -92,11 +52,3 @@ bench-serve:
 	$(GO) run ./cmd/mtobench -exp serve -store disk \
 		-datadir /tmp/mto-serve-segments -cache-mb 64 \
 		-serve-queries 1000000 -serve-benchjson BENCH_serve.json
-
-# Induced-predicate evaluation benchmarks with a JSON perf snapshot.
-# Compares the batched work-sharing evaluator against the retained scalar
-# reference on the TPC-H induction workload, plus the end-to-end Optimize
-# path that feeds through it, and records the results in BENCH_induce.json.
-bench-induce:
-	$(GO) test -run='^$$' -bench='InduceEvaluate|Optimize' -benchmem -count=1 \
-		./internal/induce ./internal/core | $(GO) run ./cmd/benchjson -out BENCH_induce.json

@@ -330,9 +330,8 @@ func BenchmarkExecuteWorkload(b *testing.B) {
 
 // BenchmarkReplayDisk measures full-workload replay against the persistent
 // columnar segment store in its interesting regimes — cold (0-byte buffer
-// pool, every block read comes from disk) on both the default
-// compressed-domain scan path and the full-decode path, and warm (pool
-// large enough to hold the working set after a priming replay) — next to
+// pool, every block read comes from disk) and warm (pool large enough to
+// hold the working set after a priming replay) — next to
 // the in-memory backend the other benchmarks use. All configurations
 // produce byte-identical Results; only the wall-clock differs, and the
 // warm-cache run is expected to stay within ~2× of mem.
@@ -340,22 +339,19 @@ func BenchmarkReplayDisk(b *testing.B) {
 	s := benchScale()
 	s.SF = 0.02
 	for _, cfg := range []struct {
-		name       string
-		store      string
-		cacheMB    int
-		prime      bool
-		compressed string
+		name    string
+		store   string
+		cacheMB int
+		prime   bool
 	}{
 		{name: "mem", store: "mem"},
 		{name: "disk-cold", store: "disk", cacheMB: 0},
-		{name: "disk-cold-decode", store: "disk", cacheMB: 0, compressed: "off"},
 		{name: "disk-warm", store: "disk", cacheMB: 256, prime: true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			bench := experiments.SSBBench(s)
 			bench.Store = cfg.store
 			bench.CacheMB = cfg.cacheMB
-			bench.Compressed = cfg.compressed
 			if cfg.store == "disk" {
 				bench.DataDir = b.TempDir()
 			}

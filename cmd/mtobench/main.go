@@ -83,10 +83,6 @@ func main() {
 		store       = flag.String("store", "mem", `block backend: "mem" (in-memory) or "disk" (persistent columnar segments; identical results)`)
 		datadir     = flag.String("datadir", "", `segment directory for -store=disk (default: a temp dir removed on exit)`)
 		cacheMB     = flag.Int("cache-mb", 64, "disk backend buffer-pool capacity in MiB of decoded block data (0 = no cache)")
-		compressed  = flag.String("compressed", "auto", `compressed-domain scan execution: "on", "auto" (fall back per table when a scan cannot compile), or "off" (always decode pages); results are identical either way`)
-		agg         = flag.String("agg", "on", `aggregate computation during replay: "on" (compute each query's aggregates, pushed into encoded pages where supported) or "off" (strip aggregates; block/fraction metrics are identical)`)
-		groupby     = flag.String("groupby", "on", `GROUP BY computation during replay: "on" (rollup templates fold per group, pushed into encoded pages where supported) or "off" (strip grouping, keep flat aggregates)`)
-		readahead   = flag.Bool("readahead", true, "async segment readahead into the buffer pool (disk backend with cache only)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	)
@@ -116,30 +112,6 @@ func main() {
 	scale.Parallel = *parallel
 	scale.Store = *store
 	scale.CacheMB = *cacheMB
-	switch *compressed {
-	case "on", "auto", "off":
-		scale.Compressed = *compressed
-	default:
-		fmt.Fprintf(os.Stderr, "mtobench: -compressed=%q (want on, auto, or off)\n", *compressed)
-		os.Exit(1)
-	}
-	scale.NoReadahead = !*readahead
-	switch *agg {
-	case "on":
-	case "off":
-		scale.NoAggregates = true
-	default:
-		fmt.Fprintf(os.Stderr, "mtobench: -agg=%q (want on or off)\n", *agg)
-		os.Exit(1)
-	}
-	switch *groupby {
-	case "on":
-	case "off":
-		scale.NoGroupBy = true
-	default:
-		fmt.Fprintf(os.Stderr, "mtobench: -groupby=%q (want on or off)\n", *groupby)
-		os.Exit(1)
-	}
 	if *store == "disk" {
 		scale.DataDir = *datadir
 		if scale.DataDir == "" {

@@ -19,8 +19,13 @@ import (
 // The split between metadata and data access mirrors a cloud warehouse:
 // NumBlocks, Zones, and TotalBlocks are served from in-memory metadata
 // (the segment footer, for the disk backend) and never touch block data,
-// so zone-map pruning of a block costs no page I/O; ReadBlock is the only
-// data access and is metered.
+// so zone-map pruning of a block costs no page I/O; ReadBlock and
+// Scan.ScanBlock are the only metered data accesses.
+//
+// Queries execute through CompileScan and CompileFold. The handles report,
+// per filter and per aggregate, what the backend evaluates itself
+// (Supported); the engine computes the rest over the base table, so how
+// much a backend pushes down changes wall-clock time, never Results.
 type Backend interface {
 	// Cost returns the backend's cost model.
 	Cost() CostModel
@@ -41,9 +46,9 @@ type Backend interface {
 	// I/O, preserving the paper's skipping semantics. Callers must not
 	// mutate the slice.
 	Zones(table string) []*zonemap.ZoneMap
-	// ReadBlock meters the read of one block and returns it. This is the
-	// only data access; the disk backend reads and decodes the block's
-	// pages through its buffer pool.
+	// ReadBlock meters the read of one block and returns it fully decoded;
+	// the disk backend reads and decodes the block's pages through its
+	// buffer pool.
 	ReadBlock(table string, id int) (*Block, error)
 	// RowToBlock returns the table's row index → block ID mapping, used
 	// by secondary-index pruning. It is an auxiliary-index read: neither
@@ -55,40 +60,39 @@ type Backend interface {
 	// TotalBlocks returns the number of blocks across the given tables
 	// (all tables when none specified). Metadata only.
 	TotalBlocks(tables ...string) int
+	// CompileScan compiles the filters for evaluation against the named
+	// table, translating literals into the stored representation once per
+	// (query, table). It returns nil when the table has no layout;
+	// otherwise Scan.Supported reports per filter whether the backend
+	// evaluates it.
+	CompileScan(table string, filters []predicate.Predicate) Scan
+	// CompileFold compiles the aggregates for per-block folding against
+	// the named table, keyed on group (zero = ungrouped). It returns nil
+	// when the table has no layout. Support is decided per aggregate, once
+	// per (query, table): a group column the backend cannot key dense
+	// slots on (missing, float, kind-mismatched against the dictionary, or
+	// wider than MaxGroupSlots) leaves every aggregate unsupported.
+	CompileFold(table string, group GroupKey, aggs []workload.Aggregate) Fold
 	// Stats returns a snapshot of the I/O and cache counters.
 	Stats() Stats
 }
 
-// CompressedScanner is the optional backend capability behind
-// compressed-domain execution: a backend that can evaluate predicates
-// directly on its encoded pages (dictionary codes, bit-packed words)
-// without decoding full column vectors. The engine type-asserts for it and
-// falls back to ReadBlock + decode when absent (the in-memory backend) or
-// when CompileScan declines.
-type CompressedScanner interface {
-	// CompileScan compiles the filters for compressed-domain evaluation
-	// against the named table, translating literals into the stored
-	// representation once per (query, table). It returns nil when the
-	// table has no stored layout; otherwise scan.Supported reports
-	// per-filter whether the compressed path covers it.
-	CompileScan(table string, filters []predicate.Predicate) CompressedScan
-}
-
-// CompressedScan is one query's compiled scan over one table. It is safe
-// for concurrent use by parallel workers.
-type CompressedScan interface {
+// Scan is one query's compiled scan over one table, pinned to the layout
+// current at compile time. It is safe for concurrent use by parallel
+// workers.
+type Scan interface {
 	// Supported reports, per filter (parallel to the CompileScan input),
 	// whether ScanBlock evaluates it. Unsupported filters keep their mask
-	// untouched; the caller must evaluate them via the decode path.
+	// untouched; the caller evaluates them over the base table.
 	Supported() []bool
 	// ScanBlock meters the read of block id — charging BlocksRead and
 	// RowsRead exactly like Backend.ReadBlock — evaluates every supported
-	// filter over the block's encoded pages, and ORs the matching rows
-	// into the corresponding global-row bitmap (mask[r>>6] bit r&63,
-	// indexed by table row ID). masks is parallel to the CompileScan
-	// filters; nil entries (and unsupported filters) are skipped. It
-	// returns the block's row IDs so the caller can track block
-	// membership without a second read.
+	// filter over the block, and ORs the matching rows into the
+	// corresponding global-row bitmap (mask[r>>6] bit r&63, indexed by
+	// table row ID). masks is parallel to the CompileScan filters; nil
+	// entries (and unsupported filters) are skipped. It returns the
+	// block's row IDs so the caller can track block membership without a
+	// second read.
 	ScanBlock(id int, masks [][]uint64) ([]int32, error)
 	// Prefetch queues background loads of the given blocks into the
 	// backend's cache (best-effort, bounded; the slice is copied). A
@@ -96,98 +100,58 @@ type CompressedScan interface {
 	Prefetch(ids []int)
 }
 
-// Prefetcher is the optional backend capability of queueing background
-// block loads for the decode path (Backend.ReadBlock). Best-effort: errors
-// surface on the demand read, not here.
-type Prefetcher interface {
-	Prefetch(table string, ids []int)
-}
-
-// CompressedAggregator is the optional backend capability behind
-// aggregation pushdown: a backend that can fold SUM/COUNT/MIN/MAX
-// aggregates directly over its encoded pages (packed FOR words, dictionary
-// codes, null bitmaps) without decoding column vectors. The engine
-// type-asserts for it and falls back to the materialized fold over the
-// base table when absent or when CompileAggregate declines an aggregate.
-type CompressedAggregator interface {
-	// CompileAggregate compiles the aggregates for compressed-domain
-	// folding against the named table, deciding support per aggregate once
-	// per (query, table, alias) — kind/operator fit, and for integer sums
-	// an overflow-safety bound derived from the segment's zone maps. It
-	// returns nil when the table has no stored layout.
-	CompileAggregate(table string, aggs []workload.Aggregate) CompressedAggregate
-}
-
-// CompressedAggregate is one query's compiled aggregate fold over one
-// table. It is safe for concurrent use.
-type CompressedAggregate interface {
-	// Supported reports, per aggregate (parallel to the CompileAggregate
-	// input), whether FoldBlock folds it. Unsupported aggregates must be
-	// computed by the caller via the materialized path.
-	Supported() []bool
-	// FoldBlock folds every supported aggregate with a non-nil state over
-	// block id's rows that are set in survivors — a global-row bitmap with
-	// the same indexing as CompressedScan masks (bit r of word r>>6 is
-	// table row r) — accumulating into states (parallel to the
-	// CompileAggregate input). Not metered: the scan that built survivors
-	// already charged the block read.
-	FoldBlock(id int, survivors []uint64, states []*AggState) error
-}
-
 // MaxGroupSlots bounds the dense per-slot accumulator arrays a grouped
-// compressed fold may allocate: slot 0 is the NULL group and slot c+1 is
-// dictionary code c, so a group column may have at most MaxGroupSlots-1
-// distinct values. Compilations over wider dictionaries are declined —
-// counted in Stats.GroupedFoldsDeclined — and the engine falls back to
-// sparse map accumulation over the materialized group column, which costs
-// memory proportional to the groups actually present instead of the
-// dictionary size.
+// fold may allocate: slot 0 is the NULL group and slot c+1 is dictionary
+// code c, so a group column may have at most MaxGroupSlots-1 distinct
+// values. Folds over wider dictionaries are declined — counted in
+// Stats.GroupedFoldsDeclined — and the caller accumulates sparsely over
+// the base table instead, which costs memory proportional to the groups
+// actually present rather than the dictionary size.
 const MaxGroupSlots = 1 << 14
 
-// CompressedGroupedAggregator is the optional backend capability behind
-// GROUP BY pushdown: a backend that can fold per-group aggregates keyed
-// on a group column's dictionary codes directly over its encoded pages.
-// The group key space is the engine's sorted-rank relation.ColumnDict
-// over the base table; the backend bridges its block-local dictionaries
-// into that space (the PR 7 sorted-rank contract), so per-block partial
-// group states from any backend merge into the same slot indexing.
-type CompressedGroupedAggregator interface {
-	CompressedAggregator
-	// CompileGroupedAggregate compiles the aggregates for a grouped
-	// compressed fold over the named table, keyed on groupCol's global
-	// dictionary dict. It returns nil when the table has no stored
-	// layout, when groupCol cannot key dense group slots (missing from
-	// the segment, float, or kind-mismatched against dict), or when
-	// dict.NumCodes()+1 exceeds MaxGroupSlots (counted in
-	// Stats.GroupedFoldsDeclined); the caller then computes every
-	// aggregate via materialized hash-fold. Otherwise Supported reports
-	// per-aggregate coverage under the same rules as CompileAggregate.
-	CompileGroupedAggregate(table, groupCol string, dict *relation.ColumnDict, aggs []workload.Aggregate) CompressedGroupedAggregate
+// GroupKey names a fold's grouping column together with its global
+// sorted-rank dictionary over the base table, which fixes the slot
+// indexing every backend folds into. The zero GroupKey is the ungrouped
+// fold: every survivor lands in the single slot 0.
+type GroupKey struct {
+	Column string
+	Dict   *relation.ColumnDict
 }
 
-// CompressedGroupedAggregate is one query's compiled grouped fold over
-// one table. It is safe for concurrent use; the GroupedStates passed to
-// FoldBlockGrouped are the caller's to serialize.
-type CompressedGroupedAggregate interface {
-	// Supported reports, per aggregate (parallel to the compile input),
-	// whether FoldBlockGrouped folds it. Unsupported aggregates must be
-	// computed by the caller via the materialized grouped fold.
+// Slots returns the number of accumulator slots a fold keyed on g writes:
+// one without a dictionary, otherwise the NULL slot plus one per
+// dictionary code.
+func (g GroupKey) Slots() int {
+	if g.Dict == nil {
+		return 1
+	}
+	return g.Dict.NumCodes() + 1
+}
+
+// Fold is one query's compiled aggregate fold over one table. It is safe
+// for concurrent use; the GroupedStates passed to FoldBlock are the
+// caller's to serialize.
+type Fold interface {
+	// Supported reports, per aggregate (parallel to the CompileFold
+	// input), whether FoldBlock folds it. The caller computes unsupported
+	// aggregates over the base table.
 	Supported() []bool
-	// FoldBlockGrouped folds block id's rows that are set in survivors
-	// (same global-row bitmap indexing as FoldBlock) into gs: every
-	// survivor increments gs.Rows at its group slot — group presence and
-	// COUNT(*) — and each supported aggregate with a non-nil gs.Aggs
+	// FoldBlock folds block id's rows that are set in survivors — a
+	// global-row bitmap with the same indexing as Scan masks — into gs:
+	// every survivor increments gs.Rows at its group slot (group presence
+	// and COUNT(*)), and each supported aggregate with a non-nil gs.Aggs
 	// entry accumulates into its per-slot states. Not metered: the scan
 	// that built survivors already charged the block read.
-	FoldBlockGrouped(id int, survivors []uint64, gs *GroupedStates) error
+	FoldBlock(id int, survivors []uint64, gs *GroupedStates) error
 }
 
-// GroupedStates is the accumulator of a grouped fold. Slot indexing is
-// fixed by the group column's global dictionary: slot 0 is the NULL
-// group, slot c+1 is dictionary code c (ascending value order, so
-// iterating slots yields the deterministic output order). Rows counts
-// survivors per slot regardless of any aggregate column's nulls; a group
-// exists in the output iff its Rows entry is non-zero. Aggs is parallel
+// GroupedStates is the accumulator of a fold. Slot indexing is fixed by
+// the GroupKey: an ungrouped fold has the single slot 0; a grouped one
+// has slot 0 for the NULL group and slot c+1 for dictionary code c
+// (ascending value order, so iterating slots yields the deterministic
+// output order). Rows counts survivors per slot regardless of any
+// aggregate column's nulls; a group exists in a grouped query's output
+// iff its Rows entry is non-zero. Aggs is parallel
 // to the compiled aggregate list; nil entries are skipped by the fold
 // (COUNT(*) reads Rows and needs no per-slot states).
 type GroupedStates struct {
@@ -207,16 +171,15 @@ func NewGroupedStates(slots int, want []bool) *GroupedStates {
 	return gs
 }
 
-// AggState is one aggregate's running fold, shared by the compressed and
-// materialized paths so a per-block compressed fold and a row-at-a-time
-// fold accumulate into the same representation. Count is the number of
-// non-null rows folded (the AVG denominator and the COUNT(col) result);
-// Rows counts survivors regardless of nulls (COUNT(*)). Sum must not be
+// AggState is one aggregate's running fold in one group slot, shared by
+// backend per-block folds and the engine's row-at-a-time fold so both
+// accumulate into the same representation. Count is the number of non-null
+// rows folded (the AVG denominator and the COUNT(col) result); COUNT(*) is
+// not per-aggregate state — it reads GroupedStates.Rows. Sum must not be
 // trusted unless the caller proved the total cannot overflow int64 or
 // performed checked additions. MinS/MaxS retain decoded strings.
 type AggState struct {
 	Count int64
-	Rows  int64
 	Sum   int64
 	MinI  int64
 	MaxI  int64

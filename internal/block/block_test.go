@@ -8,6 +8,7 @@ import (
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/value"
+	"mto/internal/workload"
 )
 
 func intTable(t *testing.T, n int) *relation.Table {
@@ -168,6 +169,77 @@ func TestStoreReadAccounting(t *testing.T) {
 	delta := s.Stats().Sub(Stats{BlocksRead: 1})
 	if delta.BlocksRead != 0 {
 		t.Error("Stats.Sub wrong")
+	}
+}
+
+// TestStoreScanHandleParity pins the in-memory backend's end of the
+// pushdown contract: ScanBlock meters and reports rows exactly like
+// ReadBlock and touches no mask, every filter and aggregate is declined,
+// and a table without a layout compiles to nil.
+func TestStoreScanHandleParity(t *testing.T) {
+	tab := intTable(t, 100)
+	tl, err := NewTableLayout(tab, [][]int32{seqRows(0, 100)}, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(DefaultCostModel())
+	if _, err := s.SetLayout("t", tl); err != nil {
+		t.Fatal(err)
+	}
+	filters := []predicate.Predicate{
+		predicate.NewComparison("x", predicate.Lt, value.Int(50)),
+		predicate.NewComparison("x", predicate.Ge, value.Int(50)),
+	}
+	scan := s.CompileScan("t", filters)
+	if scan == nil {
+		t.Fatal("CompileScan returned nil for an installed table")
+	}
+	if got := scan.Supported(); !reflect.DeepEqual(got, []bool{false, false}) {
+		t.Errorf("Supported = %v, want all false", got)
+	}
+	scan.Prefetch([]int{0, 1, 2, 3}) // no-op; must not meter
+	masks := [][]uint64{make([]uint64, 2), nil}
+	for id := 0; id < tl.NumBlocks(); id++ {
+		before := s.Stats()
+		rows, err := scan.ScanBlock(id, masks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaScan := s.Stats().Sub(before)
+		before = s.Stats()
+		b, err := s.ReadBlock("t", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaRead := s.Stats().Sub(before); viaScan != viaRead {
+			t.Errorf("block %d: ScanBlock metered %+v, ReadBlock %+v", id, viaScan, viaRead)
+		}
+		if !reflect.DeepEqual(rows, b.Rows) {
+			t.Errorf("block %d: ScanBlock rows differ from ReadBlock's", id)
+		}
+	}
+	if masks[0][0] != 0 || masks[0][1] != 0 {
+		t.Error("ScanBlock wrote a mask for an unsupported filter")
+	}
+	if _, err := scan.ScanBlock(99, masks); err == nil {
+		t.Error("out-of-range ScanBlock accepted")
+	}
+
+	aggs := []workload.Aggregate{
+		{Op: workload.AggCount, Alias: "t"},
+		{Op: workload.AggSum, Alias: "t", Column: "x"},
+	}
+	for _, group := range []GroupKey{{}, {Column: "x"}} {
+		fold := s.CompileFold("t", group, aggs)
+		if fold == nil {
+			t.Fatal("CompileFold returned nil for an installed table")
+		}
+		if got := fold.Supported(); !reflect.DeepEqual(got, []bool{false, false}) {
+			t.Errorf("group %+v: Supported = %v, want all declined", group, got)
+		}
+	}
+	if s.CompileScan("missing", filters) != nil || s.CompileFold("missing", GroupKey{}, aggs) != nil {
+		t.Error("compile against a table with no layout did not return nil")
 	}
 }
 

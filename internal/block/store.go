@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mto/internal/predicate"
+	"mto/internal/workload"
 	"mto/internal/zonemap"
 )
 
@@ -71,11 +73,10 @@ type Stats struct {
 	Prefetched    int64
 	ReadaheadHits int64
 
-	// GroupedFoldsDeclined counts grouped-aggregate compilations the
-	// disk backend declined because the group column's dictionary
-	// exceeded MaxGroupSlots — dense per-slot accumulators would blow
-	// memory, so the engine fell back to sparse map accumulation over
-	// materialized rows.
+	// GroupedFoldsDeclined counts grouped fold compilations the disk
+	// backend declined because the group column's dictionary exceeded
+	// MaxGroupSlots — dense per-slot accumulators would blow memory, so
+	// the engine accumulated into a sparse map over materialized rows.
 	GroupedFoldsDeclined int64
 }
 
@@ -252,6 +253,57 @@ func (s *Store) ReadBlock(table string, id int) (*Block, error) {
 	s.blocksRead.Add(1)
 	s.rowsRead.Add(int64(len(b.Rows)))
 	return b, nil
+}
+
+// memScan is the in-memory store's Scan. The store holds decoded base-table
+// rows, not encoded pages, so it evaluates no filter itself: every filter
+// is reported unsupported and the engine evaluates it over the base table.
+// ScanBlock only meters the read and reports block membership.
+type memScan struct {
+	store     *Store
+	table     string
+	supported []bool // all false
+}
+
+// CompileScan returns a scan that supports none of the filters, or nil when
+// the table has no layout.
+func (s *Store) CompileScan(table string, filters []predicate.Predicate) Scan {
+	if s.Layout(table) == nil {
+		return nil
+	}
+	return &memScan{store: s, table: table, supported: make([]bool, len(filters))}
+}
+
+func (m *memScan) Supported() []bool { return m.supported }
+
+// Prefetch is a no-op: every block is already resident.
+func (m *memScan) Prefetch([]int) {}
+
+// ScanBlock meters the read exactly like ReadBlock and returns the block's
+// row IDs; masks are left untouched.
+func (m *memScan) ScanBlock(id int, _ [][]uint64) ([]int32, error) {
+	b, err := m.store.ReadBlock(m.table, id)
+	if err != nil {
+		return nil, err
+	}
+	return b.Rows, nil
+}
+
+// declinedFold is a Fold that supports no aggregate; the engine folds them
+// all over the base table.
+type declinedFold []bool
+
+func (d declinedFold) Supported() []bool { return d }
+
+func (declinedFold) FoldBlock(int, []uint64, *GroupedStates) error { return nil }
+
+// CompileFold returns a fold that declines every aggregate, or nil when the
+// table has no layout.
+func (s *Store) CompileFold(table string, _ GroupKey, aggs []workload.Aggregate) Fold {
+	if s.Layout(table) == nil {
+		return nil
+	}
+	return make(declinedFold, len(aggs))
 }
 
 // TotalBlocks returns the number of blocks across the given tables (all

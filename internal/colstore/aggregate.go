@@ -26,17 +26,22 @@ import (
 // compile time and the engine folds them from the materialized vectors
 // instead.
 
-// TableAggregate is one query's compiled compressed aggregate fold over
-// one table, pinned to the segment generation current at compile time. It
-// is safe for concurrent use, but the per-spec AggStates passed to
-// FoldBlock are the caller's to serialize.
-type TableAggregate struct {
+// TableFold is one query's compiled fold over one table, pinned to the
+// segment generation current at compile time. It is safe for concurrent
+// use, but the GroupedStates passed to FoldBlock are the caller's to
+// serialize.
+type TableFold struct {
 	store     *Store
 	table     string
 	st        *tableState
 	aggs      []workload.Aggregate
 	supported []bool
 	cols      []int // segment column index per aggregate; -1 = COUNT(*)
+	// group is the fold's group key and gcol the segment column index of
+	// its column; gcol is -1 for the ungrouped fold, whose survivors all
+	// land in slot 0.
+	group block.GroupKey
+	gcol  int
 	// rowRuns lazily memoizes, per block, whether the block's rows are a
 	// word-aligned identity run [start, start+n) — every sequentially
 	// installed layout — so repeated folds localize the survivor bitmap by
@@ -46,62 +51,74 @@ type TableAggregate struct {
 	rowRuns []int32
 }
 
-var (
-	_ block.CompressedAggregator = (*Store)(nil)
-	_ block.CompressedAggregate  = (*TableAggregate)(nil)
-)
-
-// CompileAggregate implements block.CompressedAggregator: it decides, per
-// aggregate, whether the fold can run over encoded pages. COUNT always
-// can; MIN/MAX can for int and string columns; SUM/AVG only for int
-// columns whose zone maps prove no survivor subset can overflow int64.
-// Floats are never folded compressed — float addition is order-sensitive
-// and the materialized fold's ascending row order defines the result.
-// Returns nil when the table has no segment.
-func (s *Store) CompileAggregate(table string, aggs []workload.Aggregate) block.CompressedAggregate {
+// CompileFold implements block.Backend: it decides, per aggregate, whether
+// the fold can run over encoded pages. COUNT always can; MIN/MAX can for
+// int and string columns; SUM/AVG only for int columns whose zone maps
+// prove no survivor subset can overflow int64. Floats are never folded
+// compressed — float addition is order-sensitive and the materialized
+// fold's ascending row order defines the result. A grouped fold further
+// needs its group column in the segment with the same int/string kind as
+// the global dictionary, and the dictionary within block.MaxGroupSlots
+// dense slots (wider ones are counted in Stats.GroupedFoldsDeclined);
+// otherwise every aggregate is unsupported. Returns nil when the table has
+// no segment.
+func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.Aggregate) block.Fold {
 	st := s.state(table)
 	if st == nil {
 		return nil
 	}
 	seg := st.seg
-	colIdx := make(map[string]int, len(seg.cols))
-	for i, c := range seg.cols {
-		colIdx[c.name] = i
-	}
-	ta := &TableAggregate{
+	tf := &TableFold{
 		store:     s,
 		table:     table,
 		st:        st,
 		aggs:      append([]workload.Aggregate(nil), aggs...),
 		supported: make([]bool, len(aggs)),
 		cols:      make([]int, len(aggs)),
+		group:     group,
+		gcol:      -1,
 		rowRuns:   make([]int32, seg.NumBlocks()),
 	}
+	if group.Column != "" {
+		gi, ok := seg.colIndex(group.Column)
+		if !ok || group.Dict == nil {
+			return tf
+		}
+		if kind := seg.cols[gi].kind; kind != group.Dict.Kind ||
+			(kind != value.KindInt && kind != value.KindString) {
+			return tf
+		}
+		if group.Slots() > block.MaxGroupSlots {
+			s.groupedDeclined.Add(1)
+			return tf
+		}
+		tf.gcol = gi
+	}
 	for i, a := range aggs {
-		ta.cols[i] = -1
+		tf.cols[i] = -1
 		if a.Column == "" {
 			// COUNT(*): a pure survivor popcount, no page bytes at all.
-			ta.supported[i] = a.Op == workload.AggCount
+			tf.supported[i] = a.Op == workload.AggCount
 			continue
 		}
-		ci, ok := colIdx[a.Column]
+		ci, ok := seg.colIndex(a.Column)
 		if !ok {
 			continue
 		}
 		kind := seg.cols[ci].kind
 		switch a.Op {
 		case workload.AggCount:
-			ta.supported[i] = true
+			tf.supported[i] = true
 		case workload.AggSum, workload.AggAvg:
-			ta.supported[i] = kind == value.KindInt && sumFitsInt64(seg, a.Column)
+			tf.supported[i] = kind == value.KindInt && sumFitsInt64(seg, a.Column)
 		case workload.AggMin, workload.AggMax:
-			ta.supported[i] = kind == value.KindInt || kind == value.KindString
+			tf.supported[i] = kind == value.KindInt || kind == value.KindString
 		}
-		if ta.supported[i] {
-			ta.cols[i] = ci
+		if tf.supported[i] {
+			tf.cols[i] = ci
 		}
 	}
-	return ta
+	return tf
 }
 
 // sumFitsInt64 proves, from the segment footer's zone maps alone, that no
@@ -146,15 +163,16 @@ func absInt64(v int64) uint64 {
 	return uint64(v)
 }
 
-// Supported implements block.CompressedAggregate. Callers must not mutate
-// the returned slice.
-func (t *TableAggregate) Supported() []bool { return t.supported }
+// Supported implements block.Fold. Callers must not mutate the returned
+// slice.
+func (t *TableFold) Supported() []bool { return t.supported }
 
-// FoldBlock implements block.CompressedAggregate: it folds block id's
-// contribution to every supported aggregate with a non-nil state, reading
-// only the encoded pages the aggregates touch. survivors is the global-row
-// survivor bitmap; positions outside the block are ignored.
-func (t *TableAggregate) FoldBlock(id int, survivors []uint64, states []*block.AggState) error {
+// FoldBlock implements block.Fold: every survivor of block id bumps
+// gs.Rows at its group slot, and each supported aggregate with per-slot
+// states accumulates its contribution, reading only the encoded pages the
+// fold touches. survivors is the global-row survivor bitmap; positions
+// outside the block are ignored.
+func (t *TableFold) FoldBlock(id int, survivors []uint64, gs *block.GroupedStates) error {
 	seg := t.st.seg
 	if id < 0 || id >= seg.NumBlocks() {
 		return fmt.Errorf("colstore: %s has no block %d", t.table, id)
@@ -175,15 +193,27 @@ func (t *TableAggregate) FoldBlock(id int, survivors []uint64, states []*block.A
 	if pop == 0 {
 		return nil
 	}
+	if t.gcol < 0 {
+		return t.foldSingleGroup(eb, nrows, local, pop, 0, gs, sc)
+	}
+	return t.foldGroups(eb, nrows, local, pop, gs, sc)
+}
+
+// foldSingleGroup folds the masked survivors into one group slot with the
+// word-wide flat kernels (frame·popcount sums, zone MIN/MAX, fused null
+// clearing): the whole ungrouped fold, and the grouped fold's path for
+// blocks whose zone map proves a single group value.
+func (t *TableFold) foldSingleGroup(eb *EncodedBlock, nrows int, mask []uint64, pop, slot int, gs *block.GroupedStates, sc *scratch) error {
+	if pop == 0 {
+		return nil
+	}
+	gs.Rows[slot] += int64(pop)
 	for k := range t.aggs {
-		if states[k] == nil || !t.supported[k] {
+		// COUNT(*) reads gs.Rows and needs no per-slot state.
+		if !t.supported[k] || t.cols[k] < 0 || gs.Aggs[k] == nil {
 			continue
 		}
-		if t.cols[k] < 0 { // COUNT(*): survivors, nulls included
-			states[k].Rows += int64(pop)
-			continue
-		}
-		if err := t.foldColumn(k, eb, nrows, local, pop, states[k], sc); err != nil {
+		if err := t.foldColumn(k, eb, nrows, mask, pop, &gs.Aggs[k][slot], sc); err != nil {
 			return fmt.Errorf("colstore: aggregate %s.%s: %w", t.table, t.aggs[k].Column, err)
 		}
 	}
@@ -197,7 +227,7 @@ func (t *TableAggregate) FoldBlock(id int, survivors []uint64, states []*block.A
 // copying whole survivor words; arbitrary row permutations fall back to
 // per-row bits. The per-block shape is immutable (the state is pinned to a
 // segment generation), so the O(rows) detection runs once and is memoized.
-func (t *TableAggregate) localizeSurvivors(id int, eb *EncodedBlock, survivors []uint64, local []uint64) int {
+func (t *TableFold) localizeSurvivors(id int, eb *EncodedBlock, survivors []uint64, local []uint64) int {
 	nrows := len(eb.Block.Rows)
 	start := int(eb.Block.Rows[0])
 	run := atomic.LoadInt32(&t.rowRuns[id])
@@ -244,7 +274,7 @@ func (t *TableAggregate) localizeSurvivors(id int, eb *EncodedBlock, survivors [
 }
 
 // foldColumn folds one column-bearing aggregate over the block.
-func (t *TableAggregate) foldColumn(k int, eb *EncodedBlock, nrows int, local []uint64, pop int, st *block.AggState, sc *scratch) error {
+func (t *TableFold) foldColumn(k int, eb *EncodedBlock, nrows int, local []uint64, pop int, st *block.AggState, sc *scratch) error {
 	spec := t.aggs[k]
 	kind := t.st.seg.cols[t.cols[k]].kind
 	if spec.Op == workload.AggMin || spec.Op == workload.AggMax {
@@ -372,7 +402,7 @@ func foldExtremeStr(op workload.AggOp, v string, st *block.AggState) {
 
 // foldSumInt folds Σ col over the non-null survivor mask. FOR pages never
 // decode: Σ = frame·popcount + Σ packed codes at survivor positions,
-// accumulated in uint64 — exact mod 2^64, and CompileAggregate's zone
+// accumulated in uint64 — exact mod 2^64, and CompileFold's zone
 // bound proves the true sum fits int64, so the cast back loses nothing.
 // Sparse survivor sets random-access the packed codes instead of unpacking
 // the whole page. Delta and raw pages decode into pooled scratch.

@@ -49,20 +49,19 @@ func BenchmarkCompressedAggregate(b *testing.B) {
 
 	var wantSum int64
 	b.Run("compressed", func(b *testing.B) {
-		ca := s.CompileAggregate("sc", aggs)
+		ca := s.CompileFold("sc", block.GroupKey{}, aggs)
 		if ca == nil || !ca.Supported()[0] {
 			b.Fatal("SUM(i_for) did not compile to a compressed fold")
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var st block.AggState
-			states := []*block.AggState{&st}
+			gs := block.NewGroupedStates(1, ca.Supported())
 			for id := 0; id < nb; id++ {
-				if err := ca.FoldBlock(id, survivors, states); err != nil {
+				if err := ca.FoldBlock(id, survivors, gs); err != nil {
 					b.Fatal(err)
 				}
 			}
-			wantSum = st.Sum
+			wantSum = gs.Aggs[0][0].Sum
 		}
 		b.ReportMetric(float64(wantSum), "sum")
 	})

@@ -68,10 +68,10 @@ func survivorMasks(n int) map[string][]uint64 {
 }
 
 // referenceAgg folds one aggregate row-at-a-time from the base table — the
-// definition the compressed fold must reproduce exactly.
-func referenceAgg(t *testing.T, tab *relation.Table, a workload.Aggregate, survivors []uint64) block.AggState {
+// definition the compressed fold must reproduce exactly — and counts the
+// survivors (COUNT(*)).
+func referenceAgg(t *testing.T, tab *relation.Table, a workload.Aggregate, survivors []uint64) (rows int64, st block.AggState) {
 	t.Helper()
-	var st block.AggState
 	ci := -1
 	if a.Column != "" {
 		var ok bool
@@ -84,7 +84,7 @@ func referenceAgg(t *testing.T, tab *relation.Table, a workload.Aggregate, survi
 		if survivors[r>>6]>>(uint(r)&63)&1 == 0 {
 			continue
 		}
-		st.Rows++
+		rows++
 		if ci < 0 || tab.IsNullAt(r, ci) {
 			continue
 		}
@@ -97,20 +97,16 @@ func referenceAgg(t *testing.T, tab *relation.Table, a workload.Aggregate, survi
 			st.Count++
 		}
 	}
-	return st
+	return rows, st
 }
 
-// compareAgg checks the fields the aggregate's operator reads — the
+// compareAgg checks the fields the column aggregate's operator reads — the
 // compressed fold deliberately leaves the other fields untouched.
 func compareAgg(t *testing.T, label string, a workload.Aggregate, kind value.Kind, got, want *block.AggState) {
 	t.Helper()
 	switch a.Op {
 	case workload.AggCount:
-		if a.Column == "" {
-			if got.Rows != want.Rows {
-				t.Errorf("%s: Rows=%d want %d", label, got.Rows, want.Rows)
-			}
-		} else if got.Count != want.Count {
+		if got.Count != want.Count {
 			t.Errorf("%s: Count=%d want %d", label, got.Count, want.Count)
 		}
 	case workload.AggSum, workload.AggAvg:
@@ -143,8 +139,8 @@ func compareAgg(t *testing.T, label string, a workload.Aggregate, kind value.Kin
 }
 
 // TestCompressedAggregateMatchesReference is the per-encoding identity
-// gate for aggregation pushdown: every aggregate CompileAggregate accepts
-// must fold to exactly the row-at-a-time reference over the base table, on
+// gate for the ungrouped fold (CompileFold with the zero GroupKey, one
+// slot): every aggregate it accepts must fold to exactly the row-at-a-time reference over the base table, on
 // single-block and out-of-order multi-block layouts (exercising both the
 // word-copy and the permuted survivor localization), with and without a
 // cache, at every survivor selectivity.
@@ -167,9 +163,9 @@ func TestCompressedAggregateMatchesReference(t *testing.T) {
 		for _, cacheBytes := range []int64{0, 1 << 20} {
 			t.Run(fmt.Sprintf("%s-cache%d", name, cacheBytes), func(t *testing.T) {
 				s := newScanStore(t, tab, groups, cacheBytes)
-				ca := s.CompileAggregate("sc", aggs)
+				ca := s.CompileFold("sc", block.GroupKey{}, aggs)
 				if ca == nil {
-					t.Fatal("CompileAggregate returned nil for a stored table")
+					t.Fatal("CompileFold returned nil for a stored table")
 				}
 				sup := ca.Supported()
 				for i, a := range aggs {
@@ -178,14 +174,9 @@ func TestCompressedAggregateMatchesReference(t *testing.T) {
 					}
 				}
 				for mname, surv := range masks {
-					states := make([]*block.AggState, len(aggs))
-					for i := range aggs {
-						if sup[i] {
-							states[i] = &block.AggState{}
-						}
-					}
+					gs := block.NewGroupedStates(1, sup)
 					for id := 0; id < s.NumBlocks("sc"); id++ {
-						if err := ca.FoldBlock(id, surv, states); err != nil {
+						if err := ca.FoldBlock(id, surv, gs); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -193,8 +184,13 @@ func TestCompressedAggregateMatchesReference(t *testing.T) {
 						if !sup[i] {
 							continue
 						}
-						want := referenceAgg(t, tab, a, surv)
-						compareAgg(t, fmt.Sprintf("%s/%s", mname, a), a, kinds[a.Column], states[i], &want)
+						wantRows, want := referenceAgg(t, tab, a, surv)
+						if gs.Rows[0] != wantRows { // COUNT(*)
+							t.Errorf("%s/%s: Rows=%d want %d", mname, a, gs.Rows[0], wantRows)
+						}
+						if a.Column != "" {
+							compareAgg(t, fmt.Sprintf("%s/%s", mname, a), a, kinds[a.Column], &gs.Aggs[i][0], &want)
+						}
 					}
 				}
 			})
@@ -224,14 +220,14 @@ func TestCompressedAggregateOverflowGuard(t *testing.T) {
 		big[i] = math.MaxInt64 - 2000 + int64(rng.Intn(100))
 	}
 	s := newScanStore(t, mkTab(big), [][]int32{seq32(0, 64)}, 0)
-	if s.CompileAggregate("sc", sum).Supported()[0] {
+	if s.CompileFold("sc", block.GroupKey{}, sum).Supported()[0] {
 		t.Error("near-MaxInt64 FOR frame accepted for compressed SUM")
 	}
 
 	// MinInt64 itself: |min| needs the full uint64 range (absInt64's edge)
 	// and 2·2^63 overflows the product's high word.
 	s = newScanStore(t, mkTab([]int64{math.MinInt64, 0}), [][]int32{seq32(0, 2)}, 0)
-	if s.CompileAggregate("sc", sum).Supported()[0] {
+	if s.CompileFold("sc", block.GroupKey{}, sum).Supported()[0] {
 		t.Error("MinInt64 frame accepted for compressed SUM")
 	}
 
@@ -243,7 +239,7 @@ func TestCompressedAggregateOverflowGuard(t *testing.T) {
 		safe[i] = 1<<54 + int64(rng.Intn(100))
 	}
 	s = newScanStore(t, mkTab(safe), [][]int32{seq32(0, 64)}, 0)
-	ca := s.CompileAggregate("sc", sum)
+	ca := s.CompileFold("sc", block.GroupKey{}, sum)
 	if !ca.Supported()[0] {
 		t.Fatal("provably-safe 2^54 frame declined for compressed SUM")
 	}
@@ -265,12 +261,12 @@ func TestCompressedAggregateOverflowGuard(t *testing.T) {
 				want += safe[r]
 			}
 		}
-		st := &block.AggState{}
-		if err := ca.FoldBlock(0, surv, []*block.AggState{st}); err != nil {
+		gs := block.NewGroupedStates(1, ca.Supported())
+		if err := ca.FoldBlock(0, surv, gs); err != nil {
 			t.Fatal(err)
 		}
-		if st.Sum != want {
-			t.Errorf("%s: Sum=%d want %d", tc.name, st.Sum, want)
+		if got := gs.Aggs[0][0].Sum; got != want {
+			t.Errorf("%s: Sum=%d want %d", tc.name, got, want)
 		}
 	}
 }
@@ -290,7 +286,7 @@ func (seg *Segment) mustEncoded(t *testing.T, id int) [][]byte {
 // clearing — against a row-at-a-time fold on randomly generated single-
 // column pages, mirroring FuzzCompressedPredicate. Sums are compared mod
 // 2^64 (uint64 accumulation and wrapped int64 reference agree exactly),
-// so even distributions CompileAggregate would decline check out here.
+// so even distributions CompileFold would decline check out here.
 func FuzzCompressedAggregate(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(128))
 	f.Add(int64(2), uint8(1), uint8(0), uint8(3))

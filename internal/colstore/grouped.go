@@ -8,14 +8,13 @@ import (
 
 	"mto/internal/block"
 	"mto/internal/predicate"
-	"mto/internal/relation"
 	"mto/internal/value"
 	"mto/internal/workload"
 )
 
-// This file implements GROUP BY pushdown on the compressed aggregation
-// surface: per-group folds keyed on the group column's dictionary codes,
-// computed per block directly over encoded pages. The group key space is
+// This file implements the grouped half of TableFold: per-group folds
+// keyed on the group column's dictionary codes, computed per block directly
+// over encoded pages. The group key space is
 // the engine's global sorted-rank ColumnDict (slot 0 = NULL group, slot
 // c+1 = code c), so accumulation happens in dense per-slot arrays instead
 // of a hash map; block-local dictionaries bridge into the global one via
@@ -24,99 +23,24 @@ import (
 // (min == max on the group column — the common case under clustered MTO
 // layouts) short-circuit to the flat word-wide fold into that one slot;
 // everything else assigns per-row slots once and scatter-folds each
-// aggregate at survivor positions. Support rules per aggregate are
-// exactly CompileAggregate's; group dictionaries wider than
-// block.MaxGroupSlots decline the whole compilation (counted in
-// Stats.GroupedFoldsDeclined) so dense accumulators stay bounded.
+// aggregate at survivor positions. CompileFold decides support once for
+// both shapes; group dictionaries wider than block.MaxGroupSlots leave
+// every aggregate unsupported (counted in Stats.GroupedFoldsDeclined) so
+// dense accumulators stay bounded.
 
-// TableGroupedAggregate is one query's compiled grouped fold over one
-// table: the flat fold machinery (reused verbatim for single-group
-// blocks) plus the group column binding and its global dictionary. It is
-// safe for concurrent use; the GroupedStates passed to FoldBlockGrouped
-// are the caller's to serialize.
-type TableGroupedAggregate struct {
-	TableAggregate
-	dict  *relation.ColumnDict
-	gcol  int    // segment column index of the group column
-	gname string // group column name (zone-map lookups)
-}
-
-var (
-	_ block.CompressedGroupedAggregator = (*Store)(nil)
-	_ block.CompressedGroupedAggregate  = (*TableGroupedAggregate)(nil)
-)
-
-// CompileGroupedAggregate implements block.CompressedGroupedAggregator.
-// The group column must exist in the segment with the same int/string
-// kind as the caller's global dictionary, and the dictionary must fit
-// block.MaxGroupSlots dense slots — wider group columns are declined and
-// counted, and the engine falls back to sparse map accumulation.
-// Per-aggregate support follows CompileAggregate exactly.
-func (s *Store) CompileGroupedAggregate(table, groupCol string, dict *relation.ColumnDict, aggs []workload.Aggregate) block.CompressedGroupedAggregate {
-	st := s.state(table)
-	if st == nil || dict == nil {
-		return nil
-	}
-	seg := st.seg
-	gi := -1
-	for i, c := range seg.cols {
-		if c.name == groupCol {
-			gi = i
-			break
-		}
-	}
-	if gi < 0 {
-		return nil
-	}
-	if kind := seg.cols[gi].kind; kind != dict.Kind ||
-		(kind != value.KindInt && kind != value.KindString) {
-		return nil
-	}
-	if dict.NumCodes()+1 > block.MaxGroupSlots {
-		s.groupedDeclined.Add(1)
-		return nil
-	}
-	base, _ := s.CompileAggregate(table, aggs).(*TableAggregate)
-	if base == nil {
-		return nil
-	}
-	return &TableGroupedAggregate{TableAggregate: *base, dict: dict, gcol: gi, gname: groupCol}
-}
-
-// FoldBlockGrouped implements block.CompressedGroupedAggregate: every
-// survivor of block id bumps gs.Rows at its group slot, and each
-// supported aggregate with per-slot states accumulates its group
-// contributions, reading only encoded pages.
-func (t *TableGroupedAggregate) FoldBlockGrouped(id int, survivors []uint64, gs *block.GroupedStates) error {
-	seg := t.st.seg
-	if id < 0 || id >= seg.NumBlocks() {
-		return fmt.Errorf("colstore: %s has no block %d", t.table, id)
-	}
-	eb, err := t.store.encodedBlock(t.table, t.st, id)
-	if err != nil {
-		return err
-	}
-	nrows := len(eb.Block.Rows)
-	if nrows == 0 {
-		return nil
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	local := sc.grabMaskDirty((nrows + 63) / 64)
-	defer sc.releaseMask(local)
-	pop := t.localizeSurvivors(id, eb, survivors, local)
-	if pop == 0 {
-		return nil
-	}
+// foldGroups is the grouped body of FoldBlock: local holds the block's pop
+// localized survivors.
+func (t *TableFold) foldGroups(eb *EncodedBlock, nrows int, local []uint64, pop int, gs *block.GroupedStates, sc *scratch) error {
+	gname := t.group.Column
 	gpv, err := parsePage(eb.Cols[t.gcol], nrows)
 	if err != nil {
-		return fmt.Errorf("colstore: group column %s.%s: %w", t.table, t.gname, err)
+		return fmt.Errorf("colstore: group column %s.%s: %w", t.table, gname, err)
 	}
 	// Zone single-group short-circuits: an all-null block (iv.Empty) is
 	// one NULL group; a min==max block holds one non-null group value, so
 	// the grouped fold degenerates to the flat word-wide fold into that
 	// slot (split against the group page's null bitmap when it has one).
-	iv := eb.Block.Zone.Column(t.gname)
+	iv := eb.Block.Zone.Column(gname)
 	if iv.Empty {
 		return t.foldSingleGroup(eb, nrows, local, pop, 0, gs, sc)
 	}
@@ -143,7 +67,7 @@ func (t *TableGroupedAggregate) FoldBlockGrouped(id int, survivors []uint64, gs 
 	// scatter-fold every aggregate against the shared slot array.
 	slots := sc.grabSlots(nrows)
 	if err := t.groupSlots(gpv, nrows, local, slots, sc); err != nil {
-		return fmt.Errorf("colstore: group column %s.%s: %w", t.table, t.gname, err)
+		return fmt.Errorf("colstore: group column %s.%s: %w", t.table, gname, err)
 	}
 	for w, word := range local {
 		base := w << 6
@@ -152,11 +76,11 @@ func (t *TableGroupedAggregate) FoldBlockGrouped(id int, survivors []uint64, gs 
 		}
 	}
 	for k := range t.aggs {
-		if !t.supported[k] || k >= len(gs.Aggs) || gs.Aggs[k] == nil {
+		if !t.supported[k] || t.cols[k] < 0 || gs.Aggs[k] == nil {
 			continue
 		}
 		if err := t.foldColumnGrouped(k, eb, nrows, local, slots, gs.Aggs[k], sc); err != nil {
-			return fmt.Errorf("colstore: grouped aggregate %s.%s: %w", t.table, t.aggs[k].Column, err)
+			return fmt.Errorf("colstore: aggregate %s.%s: %w", t.table, t.aggs[k].Column, err)
 		}
 	}
 	return nil
@@ -167,8 +91,8 @@ func (t *TableGroupedAggregate) FoldBlockGrouped(id int, survivors []uint64, gs 
 // value is known to the global dictionary (it always is for segments
 // built from the dictionary's base table; unknown values fall through to
 // the general per-row path, which reports them as errors if actually hit).
-func (t *TableGroupedAggregate) singleZoneSlot(iv predicate.Interval) (int, bool) {
-	k := t.dict.Kind
+func (t *TableFold) singleZoneSlot(iv predicate.Interval) (int, bool) {
+	k := t.group.Dict.Kind
 	if iv.Min.Kind() != k || iv.Max.Kind() != k {
 		return 0, false
 	}
@@ -184,35 +108,11 @@ func (t *TableGroupedAggregate) singleZoneSlot(iv predicate.Interval) (int, bool
 	default:
 		return 0, false
 	}
-	lo, _, exists := t.dict.CodeRange(iv.Min)
+	lo, _, exists := t.group.Dict.CodeRange(iv.Min)
 	if !exists {
 		return 0, false
 	}
 	return int(lo) + 1, true
-}
-
-// foldSingleGroup folds the masked survivors flat into one group slot —
-// the zone short-circuit path, which reuses the word-wide flat kernels
-// (frame·popcount sums, zone MIN/MAX, fused null clearing) unchanged.
-func (t *TableGroupedAggregate) foldSingleGroup(eb *EncodedBlock, nrows int, mask []uint64, pop, slot int, gs *block.GroupedStates, sc *scratch) error {
-	if pop == 0 {
-		return nil
-	}
-	gs.Rows[slot] += int64(pop)
-	for k := range t.aggs {
-		if !t.supported[k] || k >= len(gs.Aggs) || gs.Aggs[k] == nil {
-			continue
-		}
-		st := &gs.Aggs[k][slot]
-		if t.cols[k] < 0 { // COUNT(*) with caller-provided per-slot states
-			st.Rows += int64(pop)
-			continue
-		}
-		if err := t.foldColumn(k, eb, nrows, mask, pop, st, sc); err != nil {
-			return fmt.Errorf("colstore: grouped aggregate %s.%s: %w", t.table, t.aggs[k].Column, err)
-		}
-	}
-	return nil
 }
 
 // groupSlots writes each survivor's global group slot (0 = NULL group,
@@ -221,8 +121,8 @@ func (t *TableGroupedAggregate) foldSingleGroup(eb *EncodedBlock, nrows int, mas
 // int and raw string pages decode into pooled scratch and rank values in
 // the global dictionary, memoizing the previous row's translation so
 // clustered runs cost one comparison per row.
-func (t *TableGroupedAggregate) groupSlots(gpv pageView, nrows int, local []uint64, slots []int32, sc *scratch) error {
-	d := t.dict
+func (t *TableFold) groupSlots(gpv pageView, nrows int, local []uint64, slots []int32, sc *scratch) error {
+	d := t.group.Dict
 	isNull := func(i int) bool { return gpv.nulls != nil && gpv.nulls[i>>3]>>(uint(i)&7)&1 == 1 }
 	switch gpv.enc {
 	case encStrDict:
@@ -427,17 +327,8 @@ func (t *TableGroupedAggregate) groupSlots(gpv pageView, nrows int, local []uint
 
 // foldColumnGrouped scatter-folds one aggregate over a multi-group block:
 // each non-null survivor accumulates into its slot's state.
-func (t *TableGroupedAggregate) foldColumnGrouped(k int, eb *EncodedBlock, nrows int, local []uint64, slots []int32, sts []block.AggState, sc *scratch) error {
+func (t *TableFold) foldColumnGrouped(k int, eb *EncodedBlock, nrows int, local []uint64, slots []int32, sts []block.AggState, sc *scratch) error {
 	spec := t.aggs[k]
-	if t.cols[k] < 0 { // COUNT(*) with caller-provided per-slot states
-		for w, word := range local {
-			base := w << 6
-			for ; word != 0; word &= word - 1 {
-				sts[slots[base+bits.TrailingZeros64(word)]].Rows++
-			}
-		}
-		return nil
-	}
 	kind := t.st.seg.cols[t.cols[k]].kind
 	pv, err := parsePage(eb.Cols[t.cols[k]], nrows)
 	if err != nil {

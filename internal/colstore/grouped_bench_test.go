@@ -19,7 +19,7 @@ import (
 //     convert the survivor bitmap to per-block selections, MaterializeRows
 //     the aggregate and group columns, hash each decoded row into a
 //     per-group accumulator map;
-//   - compressed: FoldBlockGrouped assigns per-survivor dictionary slots
+//   - compressed: FoldBlock assigns per-survivor dictionary slots
 //     (one sorted merge bridges each block dictionary into the global
 //     one) and scatter-folds packed FOR quantities into dense per-slot
 //     states, straight off the encoded pages.
@@ -58,7 +58,7 @@ func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 
 	var wantSums []int64
 	b.Run("compressed", func(b *testing.B) {
-		ga := s.CompileGroupedAggregate("lineitem", "l_returnflag", dict, aggs)
+		ga := s.CompileFold("lineitem", block.GroupKey{Column: "l_returnflag", Dict: dict}, aggs)
 		if ga == nil || !ga.Supported()[0] {
 			b.Fatal("grouped SUM(l_quantity) did not compile to a compressed fold")
 		}
@@ -67,7 +67,7 @@ func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gs = block.NewGroupedStates(slots, ga.Supported())
 			for id := 0; id < nb; id++ {
-				if err := ga.FoldBlockGrouped(id, survivors, gs); err != nil {
+				if err := ga.FoldBlock(id, survivors, gs); err != nil {
 					b.Fatal(err)
 				}
 			}

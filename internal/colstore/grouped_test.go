@@ -41,7 +41,6 @@ func referenceGrouped(t *testing.T, tab *relation.Table, dict *relation.ColumnDi
 		rows[slot]++
 		for i := range aggs {
 			st := &sts[i][slot]
-			st.Rows++
 			if cis[i] < 0 || tab.IsNullAt(r, cis[i]) {
 				continue
 			}
@@ -101,9 +100,9 @@ func TestCompressedGroupedAggregateMatchesReference(t *testing.T) {
 				s := newScanStore(t, tab, groups, cacheBytes)
 				for _, gcol := range groupCols {
 					dict := dicts[gcol]
-					ga := s.CompileGroupedAggregate("sc", gcol, dict, aggs)
+					ga := s.CompileFold("sc", block.GroupKey{Column: gcol, Dict: dict}, aggs)
 					if ga == nil {
-						t.Fatalf("CompileGroupedAggregate(%s) returned nil", gcol)
+						t.Fatalf("CompileFold(group %s) returned nil", gcol)
 					}
 					sup := ga.Supported()
 					for i, a := range aggs {
@@ -114,7 +113,7 @@ func TestCompressedGroupedAggregateMatchesReference(t *testing.T) {
 					for mname, surv := range masks {
 						gs := block.NewGroupedStates(dict.NumCodes()+1, sup)
 						for id := 0; id < s.NumBlocks("sc"); id++ {
-							if err := ga.FoldBlockGrouped(id, surv, gs); err != nil {
+							if err := ga.FoldBlock(id, surv, gs); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -126,7 +125,7 @@ func TestCompressedGroupedAggregateMatchesReference(t *testing.T) {
 							}
 						}
 						for i, a := range aggs {
-							if !sup[i] {
+							if !sup[i] || a.Column == "" { // COUNT(*) is gs.Rows, checked above
 								continue
 							}
 							for slot := range wantRows {
@@ -143,8 +142,8 @@ func TestCompressedGroupedAggregateMatchesReference(t *testing.T) {
 
 // TestGroupedAggregateHighCardinalityGuard pins the dense-slot cutover: a
 // group dictionary needing more than block.MaxGroupSlots slots declines
-// the whole grouped compilation (the engine then falls back to sparse map
-// accumulation) and bumps the store's GroupedFoldsDeclined counter, while
+// every aggregate of the grouped fold (the engine then accumulates into a
+// sparse map) and bumps the store's GroupedFoldsDeclined counter, while
 // one at exactly the limit compiles and folds.
 func TestGroupedAggregateHighCardinalityGuard(t *testing.T) {
 	aggs := []workload.Aggregate{{Op: workload.AggCount, Alias: "sc"}}
@@ -166,8 +165,15 @@ func TestGroupedAggregateHighCardinalityGuard(t *testing.T) {
 
 	// NumCodes+1 == MaxGroupSlots: compiles, folds, nothing declined.
 	s, dict := mkStore(block.MaxGroupSlots - 1)
-	ga := s.CompileGroupedAggregate("sc", "g", dict, aggs)
-	if ga == nil {
+	declined := func(s *Store, group block.GroupKey) bool {
+		f := s.CompileFold("sc", group, aggs)
+		if f == nil {
+			t.Fatal("CompileFold returned nil for a stored table")
+		}
+		return !f.Supported()[0]
+	}
+	ga := s.CompileFold("sc", block.GroupKey{Column: "g", Dict: dict}, aggs)
+	if !ga.Supported()[0] {
 		t.Fatal("at-limit dictionary declined")
 	}
 	surv := make([]uint64, (block.MaxGroupSlots+62)/64)
@@ -176,7 +182,7 @@ func TestGroupedAggregateHighCardinalityGuard(t *testing.T) {
 	}
 	gs := block.NewGroupedStates(dict.NumCodes()+1, ga.Supported())
 	for id := 0; id < s.NumBlocks("sc"); id++ {
-		if err := ga.FoldBlockGrouped(id, surv, gs); err != nil {
+		if err := ga.FoldBlock(id, surv, gs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +197,7 @@ func TestGroupedAggregateHighCardinalityGuard(t *testing.T) {
 	// One more distinct value: NumCodes+1 exceeds MaxGroupSlots → declined
 	// and counted.
 	s2, dict2 := mkStore(block.MaxGroupSlots)
-	if s2.CompileGroupedAggregate("sc", "g", dict2, aggs) != nil {
+	if !declined(s2, block.GroupKey{Column: "g", Dict: dict2}) {
 		t.Error("over-limit dictionary accepted")
 	}
 	if got := s2.Stats().GroupedFoldsDeclined; got != 1 {
@@ -199,14 +205,14 @@ func TestGroupedAggregateHighCardinalityGuard(t *testing.T) {
 	}
 	// Other decline reasons — missing column, kind mismatch, nil dict — do
 	// not touch the cardinality counter.
-	if s2.CompileGroupedAggregate("sc", "missing", dict2, aggs) != nil {
+	if !declined(s2, block.GroupKey{Column: "missing", Dict: dict2}) {
 		t.Error("missing group column accepted")
 	}
 	strDict := &relation.ColumnDict{Kind: value.KindString}
-	if s2.CompileGroupedAggregate("sc", "g", strDict, aggs) != nil {
+	if !declined(s2, block.GroupKey{Column: "g", Dict: strDict}) {
 		t.Error("kind-mismatched dictionary accepted")
 	}
-	if s2.CompileGroupedAggregate("sc", "g", nil, aggs) != nil {
+	if !declined(s2, block.GroupKey{Column: "g"}) {
 		t.Error("nil dictionary accepted")
 	}
 	if got := s2.Stats().GroupedFoldsDeclined; got != 1 {
@@ -218,7 +224,8 @@ func TestGroupedAggregateHighCardinalityGuard(t *testing.T) {
 // assignment per group-page encoding, the zone single-group short-circuit
 // and its null split, scatter sums/extremes, null clearing — against the
 // row-at-a-time per-slot reference on randomly generated two-column
-// tables, mirroring FuzzCompressedAggregate.
+// tables, mirroring FuzzCompressedAggregate, and then folds the same
+// aggregates ungrouped through the same CompileFold entry.
 func FuzzCompressedGroupedAggregate(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(128))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(0), uint8(3))
@@ -289,9 +296,9 @@ func FuzzCompressedGroupedAggregate(f *testing.F) {
 			groups = [][]int32{seq32(cut, n), seq32(0, cut)}
 		}
 		s := newScanStore(t, tab, groups, 0)
-		ga := s.CompileGroupedAggregate("sc", "g", dict, aggs)
+		ga := s.CompileFold("sc", block.GroupKey{Column: "g", Dict: dict}, aggs)
 		if ga == nil {
-			t.Fatal("CompileGroupedAggregate returned nil")
+			t.Fatal("CompileFold returned nil")
 		}
 		sup := ga.Supported()
 		if !sup[0] || !sup[1] {
@@ -308,7 +315,7 @@ func FuzzCompressedGroupedAggregate(f *testing.F) {
 		}
 		gs := block.NewGroupedStates(dict.NumCodes()+1, sup)
 		for id := 0; id < s.NumBlocks("sc"); id++ {
-			if err := ga.FoldBlockGrouped(id, surv, gs); err != nil {
+			if err := ga.FoldBlock(id, surv, gs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,11 +325,23 @@ func FuzzCompressedGroupedAggregate(f *testing.F) {
 				t.Fatalf("slot %d: Rows=%d want %d", slot, gs.Rows[slot], wantRows[slot])
 			}
 		}
-		for i, a := range aggs {
-			for slot := range wantRows {
-				compareAgg(t, fmt.Sprintf("%s slot %d", a, slot), a,
-					tab.Schema().Column(1).Type, &gs.Aggs[i][slot], &wantSts[i][slot])
+		for slot := range wantRows {
+			compareAgg(t, fmt.Sprintf("%s slot %d", aggs[1], slot), aggs[1],
+				kind, &gs.Aggs[1][slot], &wantSts[1][slot])
+		}
+		// The same aggregates ungrouped: the zero GroupKey folds every
+		// survivor into slot 0.
+		flat := s.CompileFold("sc", block.GroupKey{}, aggs)
+		fs := block.NewGroupedStates(1, flat.Supported())
+		for id := 0; id < s.NumBlocks("sc"); id++ {
+			if err := flat.FoldBlock(id, surv, fs); err != nil {
+				t.Fatal(err)
 			}
 		}
+		flatRows, flatWant := referenceAgg(t, tab, aggs[1], surv)
+		if fs.Rows[0] != flatRows {
+			t.Fatalf("ungrouped: Rows=%d want %d", fs.Rows[0], flatRows)
+		}
+		compareAgg(t, fmt.Sprintf("%s ungrouped", aggs[1]), aggs[1], kind, &fs.Aggs[1][0], &flatWant)
 	})
 }

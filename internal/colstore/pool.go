@@ -13,8 +13,8 @@ import (
 // (the leader counts the miss; the waiters count hits).
 //
 // Entries come in two forms, keyed separately: fully decoded blocks
-// (*BlockData, the decode path) and raw encoded pages (*EncodedBlock, the
-// compressed-scan path). Both live under the same byte budget.
+// (*BlockData, what ReadBlock returns) and raw encoded pages (*EncodedBlock,
+// what scans and folds run over). Both live under the same byte budget.
 //
 // Capacity is in bytes of cached block data, split evenly across shards.
 // A capacity of zero disables caching entirely — every Get runs (or waits

@@ -24,8 +24,8 @@ type prefetcher struct {
 	wg    sync.WaitGroup
 }
 
-// prefetchTask is one readahead request: load these blocks of the table
-// generation captured at enqueue time, in the given cache form. The
+// prefetchTask is one readahead request: load the encoded pages of these
+// blocks of the table generation captured at enqueue time. The
 // tableState pin (not a name lookup at drain time) means a segment swap
 // mid-flight reads from the still-open retired segment and inserts under
 // the dead generation's key, where the pool's generation floor refuses it.
@@ -33,7 +33,6 @@ type prefetchTask struct {
 	table string
 	st    *tableState
 	ids   []int
-	form  poolForm
 }
 
 const (

@@ -126,37 +126,53 @@ func waitStats(t *testing.T, s *Store, cond func(block.Stats) bool) block.Stats 
 	}
 }
 
+// scanOf compiles a filterless scan over the fixture table: the handle
+// whose Prefetch queues readahead and whose ScanBlock is the demand read
+// that consumes it.
+func scanOf(t *testing.T, s *Store) *TableScan {
+	t.Helper()
+	scan, _ := s.CompileScan("sc", nil).(*TableScan)
+	if scan == nil {
+		t.Fatal("CompileScan returned nil for a stored table")
+	}
+	return scan
+}
+
+// demandRead is the scan's demand read of block id's encoded pages.
+func demandRead(t *testing.T, scan *TableScan, id int) *EncodedBlock {
+	t.Helper()
+	eb, err := scan.store.encodedBlock(scan.table, scan.st, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eb
+}
+
 func TestStoreReadaheadIdentity(t *testing.T) {
 	tab := scanTable(t, 200)
 	groups := interleavedGroups(200, 4)
 
 	// Baseline: no prefetch, demand reads only.
-	plain := newScanStore(t, tab, groups, 1<<20)
-	want := make([]*BlockData, plain.NumBlocks("sc"))
+	plain := scanOf(t, newScanStore(t, tab, groups, 1<<20))
+	want := make([]*EncodedBlock, plain.st.seg.NumBlocks())
 	for id := range want {
-		bd, err := plain.ReadBlockData("sc", id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = bd
+		want[id] = demandRead(t, plain, id)
 	}
 
 	s := newScanStore(t, tab, groups, 1<<20)
+	scan := scanOf(t, s)
 	nb := s.NumBlocks("sc")
 	ids := make([]int, nb)
 	for i := range ids {
 		ids[i] = i
 	}
-	s.Prefetch("sc", ids)
+	scan.Prefetch(ids)
 	st := waitStats(t, s, func(st block.Stats) bool { return st.Prefetched >= int64(nb) })
 	if st.Prefetched != int64(nb) {
 		t.Fatalf("prefetched = %d, want %d", st.Prefetched, nb)
 	}
 	for id := 0; id < nb; id++ {
-		got, err := s.ReadBlockData("sc", id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := demandRead(t, scan, id)
 		if !reflect.DeepEqual(got.Cols, want[id].Cols) || !reflect.DeepEqual(got.Block.Rows, want[id].Block.Rows) {
 			t.Fatalf("block %d: prefetched data differs from demand read", id)
 		}
@@ -173,8 +189,7 @@ func TestStoreReadaheadIdentity(t *testing.T) {
 func TestStorePrefetchNoopWithoutCache(t *testing.T) {
 	tab := scanTable(t, 100)
 	s := newScanStore(t, tab, [][]int32{seqRows(100)}, 0)
-	s.Prefetch("sc", []int{0})
-	s.Prefetch("nosuch", []int{0})
+	scanOf(t, s).Prefetch([]int{0})
 	// cacheBytes == 0 means prefetch must not even start workers; give a
 	// moment for any (buggy) async load to land, then check nothing did.
 	time.Sleep(20 * time.Millisecond)
@@ -189,7 +204,7 @@ func TestStorePrefetchNoopWithoutCache(t *testing.T) {
 func TestStorePrefetchOutOfRangeIDs(t *testing.T) {
 	tab := scanTable(t, 100)
 	s := newScanStore(t, tab, [][]int32{seqRows(100)}, 1<<20)
-	s.Prefetch("sc", []int{-5, 0, 999})
+	scanOf(t, s).Prefetch([]int{-5, 0, 999})
 	st := waitStats(t, s, func(st block.Stats) bool { return st.Prefetched >= 1 })
 	if st.Prefetched != 1 {
 		t.Errorf("prefetched = %d, want 1 (out-of-range ids skipped)", st.Prefetched)
@@ -211,13 +226,10 @@ func TestStorePrefetchEvictionChurn(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	want := make([]*BlockData, nb)
+	scan := scanOf(t, s)
+	want := make([][]int32, nb)
 	for id := range want {
-		bd, err := s.ReadBlockData("sc", id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = bd
+		want[id] = demandRead(t, scan, id).Block.Rows
 	}
 
 	var wg sync.WaitGroup
@@ -226,7 +238,7 @@ func TestStorePrefetchEvictionChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				s.Prefetch("sc", ids)
+				scan.Prefetch(ids)
 			}
 		}()
 		wg.Add(1)
@@ -234,13 +246,13 @@ func TestStorePrefetchEvictionChurn(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				for id := 0; id < nb; id++ {
-					got, err := s.ReadBlockData("sc", (id+seed)%nb)
+					got, err := scan.ScanBlock((id+seed)%nb, nil)
 					if err != nil {
-						t.Errorf("ReadBlockData: %v", err)
+						t.Errorf("ScanBlock: %v", err)
 						return
 					}
-					if len(got.Block.Rows) != len(want[(id+seed)%nb].Block.Rows) {
-						t.Errorf("block %d: wrong row count under churn", (id+seed)%nb)
+					if !reflect.DeepEqual(got, want[(id+seed)%nb]) {
+						t.Errorf("block %d: wrong rows under churn", (id+seed)%nb)
 						return
 					}
 				}
@@ -273,14 +285,15 @@ func TestStoreCloseDuringPrefetch(t *testing.T) {
 		for i := range ids {
 			ids[i] = i
 		}
+		scan := scanOf(t, s)
 		for i := 0; i < 8; i++ {
-			s.Prefetch("sc", ids)
+			scan.Prefetch(ids)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		// Close is idempotent and prefetch after close is a silent no-op.
-		s.Prefetch("sc", ids)
+		scan.Prefetch(ids)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -299,12 +312,13 @@ func TestStorePrefetchAcrossSwap(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
+	old := scanOf(t, s) // pinned to the generation about to be retired
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			s.Prefetch("sc", ids)
+			old.Prefetch(ids)
 		}
 	}()
 	// Swap to a different layout while prefetches are in flight.
@@ -321,13 +335,14 @@ func TestStorePrefetchAcrossSwap(t *testing.T) {
 	if nb2 == nb {
 		t.Fatalf("fixture: swap did not change block count (%d)", nb)
 	}
+	fresh := scanOf(t, s)
 	for id := 0; id < nb2; id++ {
-		bd, err := s.ReadBlockData("sc", id)
+		rows, err := fresh.ScanBlock(id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(bd.Block.Rows) != 100 {
-			t.Fatalf("block %d: %d rows, want 100 (new generation)", id, len(bd.Block.Rows))
+		if len(rows) != 100 {
+			t.Fatalf("block %d: %d rows, want 100 (new generation)", id, len(rows))
 		}
 	}
 }

@@ -21,8 +21,9 @@ import (
 // never into retained vectors. Null rows are cleared from each leaf's mask
 // straight off the raw page null bitmap. The evaluation order and
 // semantics mirror predicate.CompileMask exactly — including AND/OR child
-// isolation and NOT IN null-literal handling — which is what makes the
-// compressed path's results byte-identical to the decode path's.
+// isolation and NOT IN null-literal handling — which is what makes a
+// filter's mask byte-identical whether the backend evaluates it here or
+// the engine evaluates it over the base table.
 
 // TableScan is one query's compiled compressed scan over one table,
 // pinned to the segment generation current at compile time. It is safe
@@ -36,13 +37,11 @@ type TableScan struct {
 	colIdx    map[string]int
 }
 
-var _ block.CompressedScan = (*TableScan)(nil)
-
-// CompileScan implements block.CompressedScanner: it compiles filters for
+// CompileScan implements block.Backend: it compiles filters for
 // compressed-domain evaluation against the table's current segment,
 // normalizing every literal once per (query, table). Returns nil when the
 // table has no segment.
-func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.CompressedScan {
+func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.Scan {
 	st := s.state(table)
 	if st == nil {
 		return nil
@@ -76,17 +75,25 @@ func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.C
 	return ts
 }
 
-// Supported implements block.CompressedScan. Callers must not mutate the
+// Supported implements block.Scan. Callers must not mutate the
 // returned slice.
 func (t *TableScan) Supported() []bool { return t.supported }
 
-// Prefetch implements block.CompressedScan: it queues background loads of
-// the blocks' encoded pages (best-effort; the slice is copied).
+// Prefetch implements block.Scan: it queues background loads of the
+// blocks' encoded pages. Best-effort and asynchronous; a no-op when the
+// store has no buffer pool to park the result in (readahead without a
+// cache would just read every block twice).
 func (t *TableScan) Prefetch(ids []int) {
-	t.store.prefetch(t.table, t.st, ids, formEncoded)
+	s := t.store
+	if s.cacheBytes <= 0 || len(ids) == 0 {
+		return
+	}
+	cp := make([]int, len(ids))
+	copy(cp, ids) // callers reuse their candidate slices
+	s.pf.enqueue(prefetchTask{table: t.table, st: t.st, ids: cp})
 }
 
-// ScanBlock implements block.CompressedScan. It meters the block read
+// ScanBlock implements block.Scan. It meters the block read
 // exactly like Backend.ReadBlock, fetches the encoded block through the
 // buffer pool, evaluates every supported filter with a non-nil mask over
 // the encoded pages, and ORs matching rows into the global-row masks.

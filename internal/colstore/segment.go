@@ -447,6 +447,17 @@ func (s *Segment) BlockRows(id int) int { return s.blocks[id].nrows }
 // slice, do not mutate). No page I/O is performed.
 func (s *Segment) Zones() []*zonemap.ZoneMap { return s.zones }
 
+// colIndex returns the index of the named column in the segment's schema
+// echo.
+func (s *Segment) colIndex(name string) (int, bool) {
+	for i, c := range s.cols {
+		if c.name == name {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
 // Close releases the file handle.
 func (s *Segment) Close() error { return s.f.Close() }
 

@@ -52,11 +52,7 @@ type Store struct {
 	groupedDeclined atomic.Int64
 }
 
-var (
-	_ block.Backend           = (*Store)(nil)
-	_ block.CompressedScanner = (*Store)(nil)
-	_ block.Prefetcher        = (*Store)(nil)
-)
+var _ block.Backend = (*Store)(nil)
 
 // tableState is one table's current segment plus its lazily built
 // row→block auxiliary index.
@@ -347,14 +343,8 @@ func (s *Store) MaterializeRows(table string, id int, sel []int32, cols []string
 	}
 	out := make([]ColumnData, len(cols))
 	for i, name := range cols {
-		ci := -1
-		for j, c := range st.seg.cols {
-			if c.name == name {
-				ci = j
-				break
-			}
-		}
-		if ci < 0 {
+		ci, ok := st.seg.colIndex(name)
+		if !ok {
 			return nil, fmt.Errorf("colstore: %s has no column %q", table, name)
 		}
 		cd, err := gatherColumn(eb.Cols[ci], st.seg.cols[ci].kind, len(eb.Block.Rows), sel)
@@ -366,47 +356,22 @@ func (s *Store) MaterializeRows(table string, id int, sel []int32, cols []string
 	return out, nil
 }
 
-// Prefetch implements block.Prefetcher: it queues background loads of the
-// table's blocks in decoded form (the ReadBlock path's representation).
-// Best-effort and asynchronous; a no-op when the store has no buffer pool
-// to park the result in (readahead without a cache would just read every
-// block twice).
-func (s *Store) Prefetch(table string, ids []int) {
-	s.prefetch(table, s.state(table), ids, formDecoded)
-}
-
-func (s *Store) prefetch(table string, st *tableState, ids []int, form poolForm) {
-	if s.cacheBytes <= 0 || st == nil || len(ids) == 0 {
-		return
-	}
-	cp := make([]int, len(ids))
-	copy(cp, ids) // callers reuse their candidate slices
-	s.pf.enqueue(prefetchTask{table: table, st: st, ids: cp, form: form})
-}
-
-// prefetchOne loads one block into the buffer pool on behalf of a
-// readahead worker. Errors are swallowed: failed loads are never cached,
-// and the demand read re-runs the load and surfaces the error.
+// prefetchOne loads one block's encoded pages into the buffer pool on
+// behalf of a readahead worker. Errors are swallowed: failed loads are
+// never cached, and the demand read re-runs the load and surfaces the
+// error.
 func (s *Store) prefetchOne(t prefetchTask, id int) {
 	if id < 0 || id >= t.st.seg.NumBlocks() {
 		return
 	}
-	k := poolKey{table: t.table, gen: t.st.gen, id: id, form: t.form}
+	k := poolKey{table: t.table, gen: t.st.gen, id: id, form: formEncoded}
 	s.pool.GetPrefetch(k, func() (any, int64, error) {
-		if t.form == formEncoded {
-			eb, err := t.st.seg.ReadBlockEncoded(id)
-			if err != nil {
-				return nil, 0, err
-			}
-			s.bytesRead.Add(eb.Bytes)
-			return eb, encSize(eb), nil
-		}
-		bd, err := t.st.seg.ReadBlock(id)
+		eb, err := t.st.seg.ReadBlockEncoded(id)
 		if err != nil {
 			return nil, 0, err
 		}
-		s.bytesRead.Add(bd.Bytes)
-		return bd, memSize(bd), nil
+		s.bytesRead.Add(eb.Bytes)
+		return eb, encSize(eb), nil
 	})
 }
 

@@ -14,25 +14,26 @@ import (
 )
 
 // This file computes query aggregates (workload.Query.Aggregates) over the
-// per-alias surviving row sets, after all filters and join semantics. Two
-// folds exist and must agree byte for byte:
+// per-alias surviving row sets, after all filters and join semantics.
+// Execute compiles one block.Fold per aliased table and lets Supported()
+// split the aggregates in two, which must agree byte for byte:
 //
-//   - the compressed fold: when the backend is a block.CompressedAggregator
-//     (the colstore segment store), supported aggregates fold per candidate
-//     block directly over encoded pages — no column decode, no survivor
-//     materialization. Integer SUM/COUNT/MIN/MAX are order-independent, so
-//     the per-block accumulation is exact regardless of block order;
-//   - the materialized fold: everything else (the in-memory backend, the
-//     reference path, aggregates the compressed compiler declined) iterates
-//     the survivor bitmap in ascending global row order over the base
-//     table's decoded vectors.
+//   - supported aggregates fold per candidate block inside the backend
+//     (the colstore segment store folds directly over encoded pages — no
+//     column decode, no survivor materialization) into dense per-slot
+//     states. Integer SUM/COUNT/MIN/MAX are order-independent, so the
+//     per-block accumulation is exact regardless of block order;
+//   - the materialized fold computes the rest — everything on the in-memory
+//     backend and the reference path, floats, overflow-risk sums — by
+//     iterating the survivor bitmap in ascending global row order over the
+//     base table's decoded vectors.
 //
-// Floats are never folded compressed: float addition is order-sensitive,
+// Floats are never folded by a backend: float addition is order-sensitive,
 // and the one float accumulation order that defines the result is the
 // materialized fold's ascending row order. Both execution paths use the
-// same fold code, so Results stay byte-identical across backends, scan
-// modes, and replay parallelism (parallel replay folds per query inside
-// Execute; RunWorkload only collects whole Results in input order).
+// same fold code, so Results stay byte-identical across backends and
+// replay parallelism (parallel replay folds per query inside Execute;
+// RunWorkload only collects whole Results in input order).
 
 // AggValue is one computed aggregate in a Result: the requested spec and
 // its SQL-semantics value — Null for SUM/MIN/MAX/AVG over an empty (or
@@ -200,15 +201,12 @@ func finalizeFloatAgg(spec workload.Aggregate, st *block.AggState, fsum, fmin, f
 	}
 }
 
-// finalizeAgg turns a fold state into the aggregate's SQL value. The
-// compressed and materialized int/string folds both land here, so the two
-// paths cannot diverge in the empty-set, all-null, or AVG-division rules.
+// finalizeAgg turns a fold state into the aggregate's SQL value. Backend
+// per-block folds and the materialized int/string folds both land here, so
+// they cannot diverge in the empty-set, all-null, or AVG-division rules.
 func finalizeAgg(spec workload.Aggregate, kind value.Kind, st *block.AggState) value.Value {
 	switch spec.Op {
-	case workload.AggCount:
-		if spec.Column == "" {
-			return value.Int(st.Rows)
-		}
+	case workload.AggCount: // COUNT(col); callers read COUNT(*) off the survivor count
 		return value.Int(st.Count)
 	case workload.AggMin:
 		if !st.Seen {
@@ -239,146 +237,167 @@ func finalizeAgg(spec workload.Aggregate, kind value.Kind, st *block.AggState) v
 	}
 }
 
-// foldAggregatesKernel computes q's aggregates for the vectorized path:
-// compressed per-block folds over each alias's candidate blocks where the
-// backend supports the shape, the materialized bitmap fold for the rest.
-func (e *Engine) foldAggregatesKernel(q *workload.Query, vecAliases map[string]*vecAlias,
-	tables map[string]*tableState) ([]AggValue, error) {
+// foldAggregates validates q's aggregates in declaration order — so
+// unsupported shapes fail before any fold, identically on both execution
+// paths — and computes them one aliased table at a time, in first-seen
+// order, through fold (a grouped query pins every aggregate to the
+// grouping alias, so it folds once).
+func (e *Engine) foldAggregates(q *workload.Query,
+	fold func(alias string, specs []workload.Aggregate) ([]AggValue, error)) ([]AggValue, error) {
 
 	if len(q.Aggregates) == 0 {
 		return nil, nil
 	}
-	// Validate every aggregate up front so unsupported shapes fail before
-	// any fold, identically to the reference path.
-	for _, spec := range q.Aggregates {
-		a := vecAliases[spec.Alias]
-		tbl := e.ds.Table(a.table)
-		if _, _, err := aggColumnKind(tbl, spec); err != nil {
-			return nil, err
-		}
-	}
-	if !q.GroupBy.IsZero() {
-		return e.foldGroupedKernel(q, vecAliases, tables)
-	}
-	out := make([]AggValue, len(q.Aggregates))
-	done := make([]bool, len(q.Aggregates))
-	if !e.opts.DecodeScan {
-		if ca, ok := e.store.(block.CompressedAggregator); ok {
-			if err := e.foldCompressed(q, vecAliases, tables, ca, out, done); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i, spec := range q.Aggregates {
-		if done[i] {
-			continue
-		}
-		a := vecAliases[spec.Alias]
-		v, err := foldAggregate(e.ds.Table(a.table), a.set, spec)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = AggValue{Spec: spec, Value: v}
-	}
-	return out, nil
-}
-
-// foldCompressed runs the per-alias compressed folds: aggregates are
-// grouped by alias (first-seen order), compiled once per (query, alias),
-// and each supported one folds over the alias table's candidate blocks —
-// exactly the blocks the scan read, which cover every set survivor bit.
-func (e *Engine) foldCompressed(q *workload.Query, vecAliases map[string]*vecAlias,
-	tables map[string]*tableState, ca block.CompressedAggregator, out []AggValue, done []bool) error {
-
 	var aliasOrder []string
 	byAlias := map[string][]int{}
 	for i, spec := range q.Aggregates {
+		if _, _, err := aggColumnKind(e.ds.Table(q.BaseTable(spec.Alias)), spec); err != nil {
+			return nil, err
+		}
 		if _, ok := byAlias[spec.Alias]; !ok {
 			aliasOrder = append(aliasOrder, spec.Alias)
 		}
 		byAlias[spec.Alias] = append(byAlias[spec.Alias], i)
 	}
+	out := make([]AggValue, len(q.Aggregates))
 	for _, alias := range aliasOrder {
 		idxs := byAlias[alias]
-		a := vecAliases[alias]
-		ts := tables[a.table]
 		specs := make([]workload.Aggregate, len(idxs))
 		for k, i := range idxs {
 			specs[k] = q.Aggregates[i]
 		}
-		agg := ca.CompileAggregate(a.table, specs)
-		if agg == nil {
-			continue
+		vals, err := fold(alias, specs)
+		if err != nil {
+			return nil, err
 		}
-		supported := agg.Supported()
-		states := make([]*block.AggState, len(idxs))
-		any := false
-		for k := range idxs {
-			if supported[k] {
-				states[k] = &block.AggState{}
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		for _, id := range ts.candidates {
-			if err := agg.FoldBlock(id, a.set, states); err != nil {
-				return err
-			}
-		}
-		tbl := e.ds.Table(a.table)
 		for k, i := range idxs {
-			if !supported[k] {
-				continue
-			}
-			_, kind, err := aggColumnKind(tbl, specs[k])
-			if err != nil {
-				return err
-			}
-			out[i] = AggValue{Spec: specs[k], Value: finalizeAgg(specs[k], kind, states[k])}
-			done[i] = true
+			out[i] = vals[k]
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// foldAlias computes specs, all over alias a, grouped by gb (zero =
+// ungrouped, the one-slot case): compile the fold against the backend,
+// fold the aggregates it supports per candidate block — exactly the blocks
+// the scan read, which cover every set survivor bit — into dense per-slot
+// states, finalize them, and compute the rest over the base table.
+func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
+	specs []workload.Aggregate) ([]AggValue, error) {
+
+	var group block.GroupKey
+	if !gb.IsZero() {
+		group = block.GroupKey{Column: gb.Column, Dict: e.dictFor(a.table, gb.Column)}
+	}
+	fold := e.store.CompileFold(a.table, group, specs)
+	if fold == nil {
+		return nil, errNoLayout(a.table)
+	}
+	supported := fold.Supported()
+	want := make([]bool, len(specs))
+	var resid []workload.Aggregate
+	for k, spec := range specs {
+		if !supported[k] {
+			resid = append(resid, spec)
+		} else if spec.Column != "" { // COUNT(*) reads GroupedStates.Rows
+			want[k] = true
+		}
+	}
+	tbl := e.ds.Table(a.table)
+	if len(resid) == len(specs) {
+		return e.foldMaterialized(a.table, tbl, a.set, gb, resid)
+	}
+	// Fold the candidate blocks first: the scan has just read them, so on a
+	// small buffer pool they are still resident; the residual fold reads no
+	// blocks and can wait.
+	gs := block.NewGroupedStates(group.Slots(), want)
+	for _, id := range candidates {
+		if err := fold.FoldBlock(id, a.set, gs); err != nil {
+			return nil, err
+		}
+	}
+	var rout []AggValue
+	if len(resid) > 0 {
+		var err error
+		if rout, err = e.foldMaterialized(a.table, tbl, a.set, gb, resid); err != nil {
+			return nil, err
+		}
+	}
+	// The ungrouped result is slot 0 whether or not it has survivors. A
+	// group exists iff it has survivors; ascending slot order is the
+	// deterministic output order (NULL first, then ascending values).
+	var live []int
+	if !gb.IsZero() {
+		for slot, rows := range gs.Rows {
+			if rows > 0 {
+				live = append(live, slot)
+			}
+		}
+	}
+	out := make([]AggValue, len(specs))
+	for k, spec := range specs {
+		if !supported[k] { // rout holds the residual values in specs order
+			out[k], rout = rout[0], rout[1:]
+			continue
+		}
+		_, kind, err := aggColumnKind(tbl, spec)
+		if err != nil {
+			return nil, err
+		}
+		slotValue := func(slot int) value.Value {
+			if spec.Column == "" {
+				return value.Int(gs.Rows[slot])
+			}
+			return finalizeAgg(spec, kind, &gs.Aggs[k][slot])
+		}
+		if gb.IsZero() {
+			out[k] = AggValue{Spec: spec, Value: slotValue(0)}
+			continue
+		}
+		av := AggValue{Spec: spec, Value: value.Null, GroupBy: gb, Groups: make([]GroupValue, 0, len(live))}
+		for _, slot := range live {
+			key := value.Null
+			if slot > 0 {
+				key = group.Dict.Value(int32(slot - 1))
+			}
+			av.Groups = append(av.Groups, GroupValue{Key: key, Value: slotValue(slot)})
+		}
+		out[k] = av
+	}
+	return out, nil
+}
+
+// foldMaterialized computes specs over the survivor set from the base
+// table's decoded vectors: the sparse hash fold when grouped, one bitmap
+// fold per aggregate otherwise.
+func (e *Engine) foldMaterialized(table string, tbl *relation.Table, set bitmap.Dense,
+	gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
+
+	if !gb.IsZero() {
+		return e.foldGroupedMaterialized(table, tbl, set, gb, specs)
+	}
+	out := make([]AggValue, len(specs))
+	for k, spec := range specs {
+		v, err := foldAggregate(tbl, set, spec)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = AggValue{Spec: spec, Value: v}
+	}
+	return out, nil
 }
 
 // foldAggregatesReference computes q's aggregates for the scalar reference
 // path: each alias's surviving row list becomes a bitmap so the shared
 // materialized fold sees the exact accumulation order the kernel path uses.
 func (e *Engine) foldAggregatesReference(q *workload.Query, aliasStates map[string]*aliasState) ([]AggValue, error) {
-	if len(q.Aggregates) == 0 {
-		return nil, nil
-	}
-	if !q.GroupBy.IsZero() {
-		// Validate() pins every aggregate to the grouping alias, so one
-		// survivor set covers the whole query.
-		as := aliasStates[q.GroupBy.Alias]
+	return e.foldAggregates(q, func(alias string, specs []workload.Aggregate) ([]AggValue, error) {
+		as := aliasStates[alias]
 		tbl := e.ds.Table(as.table)
 		set := bitmap.NewDense(tbl.NumRows())
 		for _, r := range as.rows {
 			set.Set(int(r))
 		}
-		return e.foldGroupedMaterialized(as.table, tbl, set, q.GroupBy, q.Aggregates)
-	}
-	out := make([]AggValue, len(q.Aggregates))
-	sets := map[string]bitmap.Dense{}
-	for i, spec := range q.Aggregates {
-		as := aliasStates[spec.Alias]
-		tbl := e.ds.Table(as.table)
-		set, ok := sets[spec.Alias]
-		if !ok {
-			set = bitmap.NewDense(tbl.NumRows())
-			for _, r := range as.rows {
-				set.Set(int(r))
-			}
-			sets[spec.Alias] = set
-		}
-		v, err := foldAggregate(tbl, set, spec)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = AggValue{Spec: spec, Value: v}
-	}
-	return out, nil
+		return e.foldMaterialized(as.table, tbl, set, q.GroupBy, specs)
+	})
 }

@@ -47,16 +47,6 @@ type Options struct {
 	// matching rows, regardless of clustering — the SI comparison of
 	// §6.3.1.
 	SecondaryIndexes map[string]string
-	// DecodeScan disables compressed-domain execution: scans read fully
-	// decoded blocks (Backend.ReadBlock) even when the backend supports
-	// evaluating predicates on encoded pages. Compressed execution is on
-	// by default and produces byte-identical Results; this switch exists
-	// for A/B benchmarking and identity tests.
-	DecodeScan bool
-	// NoReadahead disables async block prefetching on backends that
-	// support it. Readahead never changes Results — only wall-clock time
-	// and the Prefetched/ReadaheadHits counters.
-	NoReadahead bool
 }
 
 // DefaultOptions mirrors the plain simulation setting (no runtime extras).
@@ -105,9 +95,9 @@ type Result struct {
 	SurvivingRows map[string]int
 	// Aggregates holds the query's computed aggregates in declaration
 	// order (nil when the query requests none). Values are identical
-	// whichever fold produced them — compressed per-block folds over
-	// encoded pages or the materialized bitmap fold — and, like
-	// SurvivingRows, layout-invariant.
+	// whichever fold produced them — the backend's per-block fold or the
+	// materialized bitmap fold — and, like SurvivingRows,
+	// layout-invariant.
 	Aggregates []AggValue
 	// Seconds is the simulated end-to-end execution time.
 	Seconds float64
@@ -213,12 +203,19 @@ func (e *Engine) plan(q *workload.Query) (map[string]*tableState, []string, erro
 			return nil, nil, fmt.Errorf("engine: query %s touches unknown table %q", q.ID, base)
 		}
 		if e.store.NumBlocks(base) < 0 {
-			return nil, nil, fmt.Errorf("engine: no layout installed for %q", base)
+			return nil, nil, errNoLayout(base)
 		}
 		tables[base] = &tableState{table: base, candidates: ids, afterRouting: len(ids)}
 		order = append(order, base)
 	}
 	return tables, order, nil
+}
+
+// errNoLayout reports that the backend holds no layout for a table the
+// query needs — at plan time, or because the layout vanished before the
+// scan or fold compiled.
+func errNoLayout(table string) error {
+	return fmt.Errorf("engine: no layout installed for %q", table)
 }
 
 // matOrderOf returns the tables smallest-candidate-set-first, so semi-join

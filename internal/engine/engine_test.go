@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mto/internal/block"
@@ -328,6 +329,58 @@ func TestExecuteErrors(t *testing.T) {
 	invalid.Weight = -1
 	if _, err := e.Execute(invalid); err == nil {
 		t.Error("invalid query accepted")
+	}
+}
+
+// vanishingBackend answers plan-time metadata from the wrapped store but
+// finds no layout when the named compile step runs — a table whose layout
+// was dropped between plan and compile.
+type vanishingBackend struct {
+	block.Backend
+	noScan, noFold bool
+}
+
+func (b *vanishingBackend) CompileScan(table string, filters []predicate.Predicate) block.Scan {
+	if b.noScan {
+		return nil
+	}
+	return b.Backend.CompileScan(table, filters)
+}
+
+func (b *vanishingBackend) CompileFold(table string, group block.GroupKey, aggs []workload.Aggregate) block.Fold {
+	if b.noFold {
+		return nil
+	}
+	return b.Backend.CompileFold(table, group, aggs)
+}
+
+// TestVanishedLayoutFailsOneQuery: a nil CompileScan or CompileFold is a
+// clean per-query error, never a panic or a silently empty result.
+func TestVanishedLayoutFailsOneQuery(t *testing.T) {
+	ds := starDS(t, 10, 100, 6)
+	store, design := installBaseline(t, ds, 50)
+	scan := joinQuery("scan", 3)
+	flat := joinQuery("flat", 3).Aggregate(workload.AggSum, "fact", "v")
+	grouped := joinQuery("grouped", 3).Aggregate(workload.AggCount, "fact", "").GroupByCol("fact", "d")
+	for _, tc := range []struct {
+		name    string
+		backend *vanishingBackend
+		q       *workload.Query
+	}{
+		{"scan", &vanishingBackend{Backend: store, noScan: true}, scan},
+		{"flat-aggregate", &vanishingBackend{Backend: store, noFold: true}, flat},
+		{"group-by", &vanishingBackend{Backend: store, noFold: true}, grouped},
+	} {
+		e := New(tc.backend, design, ds, DefaultOptions())
+		_, err := e.Execute(tc.q)
+		if err == nil || !strings.HasPrefix(err.Error(), `engine: no layout installed for "`) {
+			t.Errorf("%s: err = %v, want engine: no layout installed", tc.name, err)
+		}
+	}
+	// The fold is compiled only for queries that aggregate.
+	e := New(&vanishingBackend{Backend: store, noFold: true}, design, ds, DefaultOptions())
+	if _, err := e.Execute(scan); err != nil {
+		t.Errorf("scan-only query on a fold-less backend: %v", err)
 	}
 }
 

@@ -13,27 +13,20 @@ import (
 	"mto/internal/workload"
 )
 
-// This file computes grouped aggregates (workload.Query.GroupBy): every
-// aggregate in the query folds per group of the grouping column instead of
-// once over the whole survivor set. As with flat aggregates, two folds
-// exist and must agree byte for byte:
-//
-//   - the compressed grouped fold: when the backend is a
-//     block.CompressedGroupedAggregator and the grouping column has a
-//     global dictionary, supported aggregates accumulate per block into
-//     dense per-slot state arrays keyed on dictionary codes (slot 0 =
-//     NULL group, slot c+1 = code c), reading only encoded pages;
-//   - the materialized grouped fold: everything else — the in-memory
-//     backend, the reference path, float group columns, aggregates the
-//     compressed compiler declined, and group dictionaries wider than
-//     block.MaxGroupSlots — hashes survivors into sparse per-group
-//     accumulators over the base table's decoded vectors.
+// This file holds the materialized half of grouped aggregation
+// (workload.Query.GroupBy): every aggregate folds per group of the grouping
+// column instead of once over the whole survivor set. foldAlias routes
+// here whatever the backend's fold declined — everything on the in-memory
+// backend and the reference path, float or dictionary-less group columns,
+// group dictionaries wider than block.MaxGroupSlots, floats and
+// overflow-risk sums — hashing survivors into sparse per-group
+// accumulators over the base table's decoded vectors.
 //
 // Group output order is deterministic everywhere: the NULL group first,
 // then groups ascending by value — which for dictionary slots is simply
 // ascending slot order, so the dense and sparse folds enumerate groups
-// identically and Results stay byte-identical across backends, scan
-// modes, and replay parallelism.
+// identically and Results stay byte-identical across backends and replay
+// parallelism.
 
 // GroupValue is one group's slice of a grouped aggregate: the group key
 // (Null for rows whose grouping value is null) and the aggregate folded
@@ -64,122 +57,10 @@ func newGroupAccum(nspecs int, hasFloat bool) *groupAccum {
 	return acc
 }
 
-// foldGroupedKernel computes q's grouped aggregates for the vectorized
-// path: the compressed per-block grouped fold when the backend and the
-// grouping column support it, the materialized hash fold otherwise.
-func (e *Engine) foldGroupedKernel(q *workload.Query, vecAliases map[string]*vecAlias,
-	tables map[string]*tableState) ([]AggValue, error) {
-
-	gb := q.GroupBy
-	a := vecAliases[gb.Alias]
-	if !e.opts.DecodeScan {
-		if cga, ok := e.store.(block.CompressedGroupedAggregator); ok {
-			if dict := e.dictFor(a.table, gb.Column); dict != nil {
-				out, err := e.foldGroupedCompressed(q, a, tables[a.table], dict, cga)
-				if err != nil {
-					return nil, err
-				}
-				if out != nil {
-					return out, nil
-				}
-			}
-		}
-	}
-	return e.foldGroupedMaterialized(a.table, e.ds.Table(a.table), a.set, gb, q.Aggregates)
-}
-
-// foldGroupedCompressed runs the dense dictionary-slot grouped fold over
-// the alias table's candidate blocks. It returns (nil, nil) when the
-// backend declines the whole compilation (missing/mismatched group
-// column, dictionary wider than block.MaxGroupSlots) or supports none of
-// the aggregates — the caller falls back to the materialized fold.
-// Individually declined aggregates (floats, overflow-risk sums) fold
-// materialized over the same survivor set and merge back by position.
-func (e *Engine) foldGroupedCompressed(q *workload.Query, a *vecAlias, ts *tableState,
-	dict *relation.ColumnDict, cga block.CompressedGroupedAggregator) ([]AggValue, error) {
-
-	specs := q.Aggregates
-	ga := cga.CompileGroupedAggregate(a.table, q.GroupBy.Column, dict, specs)
-	if ga == nil {
-		return nil, nil
-	}
-	supported := ga.Supported()
-	want := make([]bool, len(specs))
-	any := false
-	for k, spec := range specs {
-		if supported[k] {
-			any = true
-			if spec.Column != "" { // COUNT(*) reads GroupedStates.Rows
-				want[k] = true
-			}
-		}
-	}
-	if !any {
-		return nil, nil
-	}
-	gs := block.NewGroupedStates(dict.NumCodes()+1, want)
-	for _, id := range ts.candidates {
-		if err := ga.FoldBlockGrouped(id, a.set, gs); err != nil {
-			return nil, err
-		}
-	}
-	// A group exists iff it has survivors; ascending slot order is the
-	// deterministic output order (NULL first, then ascending values).
-	slots := make([]int, 0, 16)
-	for slot, rows := range gs.Rows {
-		if rows > 0 {
-			slots = append(slots, slot)
-		}
-	}
-	tbl := e.ds.Table(a.table)
-	out := make([]AggValue, len(specs))
-	var resid []int
-	for k, spec := range specs {
-		if !supported[k] {
-			resid = append(resid, k)
-			continue
-		}
-		_, kind, err := aggColumnKind(tbl, spec)
-		if err != nil {
-			return nil, err
-		}
-		av := AggValue{Spec: spec, Value: value.Null, GroupBy: q.GroupBy,
-			Groups: make([]GroupValue, 0, len(slots))}
-		for _, slot := range slots {
-			key := value.Null
-			if slot > 0 {
-				key = dict.Value(int32(slot - 1))
-			}
-			var v value.Value
-			if spec.Column == "" {
-				v = value.Int(gs.Rows[slot])
-			} else {
-				v = finalizeAgg(spec, kind, &gs.Aggs[k][slot])
-			}
-			av.Groups = append(av.Groups, GroupValue{Key: key, Value: v})
-		}
-		out[k] = av
-	}
-	if len(resid) > 0 {
-		residSpecs := make([]workload.Aggregate, len(resid))
-		for i, k := range resid {
-			residSpecs[i] = specs[k]
-		}
-		rout, err := e.foldGroupedMaterialized(a.table, tbl, a.set, q.GroupBy, residSpecs)
-		if err != nil {
-			return nil, err
-		}
-		for i, k := range resid {
-			out[k] = rout[i]
-		}
-	}
-	return out, nil
-}
-
 // foldGroupedMaterialized is the sparse hash grouped fold: survivors
 // accumulate into per-group states keyed on the grouping column's
-// dictionary code when one exists (so group enumeration order matches the
-// dense fold exactly), or on the boxed group value otherwise (float group
+// dictionary code when one exists (so group enumeration order matches
+// foldAlias's dense slots exactly), or on the boxed group value otherwise (float group
 // columns). Per-spec fold semantics — null skipping, checked int
 // overflow, ascending-row float accumulation order — are identical to the
 // flat materialized fold.
@@ -269,7 +150,7 @@ func (e *Engine) foldGroupedMaterialized(table string, tbl *relation.Table, set 
 	}
 
 	// Accumulate, then order groups: dictionary codes are ranks, so slot
-	// order is value order and matches the dense compressed fold; boxed
+	// order is value order and matches foldAlias's dense slots; boxed
 	// keys sort by value.Compare (Null first).
 	type orderedGroup struct {
 		key value.Value

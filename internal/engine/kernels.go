@@ -18,9 +18,10 @@ import (
 // whole columns and key sets per step instead of walking rows through
 // per-row closures:
 //
-//   - filter evaluation compiles to one dense bit mask per (alias, table)
-//     via predicate.FillMask, ANDed with the bitset of rows present in the
-//     candidate blocks;
+//   - filter evaluation yields one dense bit mask per (alias, table): the
+//     backend's compiled block.Scan fills it per candidate block for the
+//     filters it supports, and predicate.FillMask — ANDed with the bitset
+//     of rows present in the candidate blocks — for the rest;
 //   - join keys live as dictionary-code sets (relation.ColumnDict, cached
 //     on the Engine like the secondary-index state), so semantic reduction
 //     probes int32 codes instead of boxed value.Value map keys, and skips
@@ -214,36 +215,23 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 		ts.afterDiPs = len(ts.candidates)
 	}
 
-	// Compile compressed-domain scans (one per table; literals are
-	// translated into each table's encoding once per query), then queue
-	// readahead for the admitted candidate blocks. Runtime pruning below
-	// may still shrink the sets — prefetching a superset is harmless, it
-	// only warms the cache.
-	scans := map[string]block.CompressedScan{}
-	if !e.opts.DecodeScan {
-		if cs, ok := e.store.(block.CompressedScanner); ok {
-			for _, name := range order {
-				filters := make([]predicate.Predicate, len(byTable[name]))
-				for i, a := range byTable[name] {
-					filters[i] = a.filter
-				}
-				if scan := cs.CompileScan(name, filters); scan != nil {
-					scans[name] = scan
-				}
-			}
+	// Compile each table's scan (literals are translated into the stored
+	// representation once per query) and queue readahead for the admitted
+	// candidate blocks. Runtime pruning below may still shrink the sets —
+	// prefetching a superset is harmless, it only warms the cache.
+	scans := make(map[string]block.Scan, len(order))
+	for _, name := range order {
+		filters := make([]predicate.Predicate, len(byTable[name]))
+		for i, a := range byTable[name] {
+			filters[i] = a.filter
 		}
-	}
-	if !e.opts.NoReadahead {
-		for _, name := range order {
-			ts := tables[name]
-			if len(ts.candidates) == 0 {
-				continue
-			}
-			if scan := scans[name]; scan != nil {
-				scan.Prefetch(ts.candidates)
-			} else if pf, ok := e.store.(block.Prefetcher); ok {
-				pf.Prefetch(name, ts.candidates)
-			}
+		scan := e.store.CompileScan(name, filters)
+		if scan == nil {
+			return nil, errNoLayout(name)
+		}
+		scans[name] = scan
+		if ids := tables[name].candidates; len(ids) > 0 {
+			scan.Prefetch(ids)
 		}
 	}
 
@@ -266,7 +254,10 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 	}
 	// The aggregate folds consume the alias survivor masks, so the pooled
 	// masks are released only after folding.
-	aggs, err := e.foldAggregatesKernel(q, vecAliases, tables)
+	aggs, err := e.foldAggregates(q, func(alias string, specs []workload.Aggregate) ([]AggValue, error) {
+		a := vecAliases[alias]
+		return e.foldAlias(q.GroupBy, a, tables[a.table].candidates, specs)
+	})
 	for _, a := range vecAliases {
 		if a.setBuf != nil {
 			putDense(a.setBuf)
@@ -285,14 +276,12 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 // full-table mask ANDed with the bitset of rows present in the candidate
 // blocks (blocks hold arbitrary row subsets, so the two are independent).
 //
-// With a compiled compressed scan, candidate blocks are read in encoded
-// form and each supported filter is evaluated directly on the encoded
-// pages (ScanBlock ORs block-local survivors into the alias's dense mask
-// and meters the read identically to ReadBlock); filters the compressed
-// compiler rejected fall back to FillMask over the base table, exactly the
-// decode path's computation. Either way the alias masks come out
-// bit-identical.
-func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.CompressedScan) error {
+// ScanBlock meters each read, reports the block's rows, and ORs the
+// block-local survivors of every filter the backend supports into the
+// alias's mask; filters it does not support run as FillMask over the base
+// table, restricted to the rows of the blocks read. Either way the alias
+// masks come out bit-identical.
+func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan) error {
 	tbl := e.ds.Table(ts.table)
 	if tbl == nil {
 		return fmt.Errorf("engine: dataset missing table %q", ts.table)
@@ -301,53 +290,31 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Comp
 	inBuf := grabDense(n)
 	defer putDense(inBuf)
 	inBlocks := inBuf.dense()
-	if scan != nil {
-		supported := scan.Supported()
-		scanMasks := make([][]uint64, len(aliases))
-		for i, a := range aliases {
-			a.setBuf = grabDense(n)
-			a.set = a.setBuf.dense()
-			if supported[i] {
-				scanMasks[i] = a.set
-			}
+	supported := scan.Supported()
+	scanMasks := make([][]uint64, len(aliases))
+	for i, a := range aliases {
+		a.setBuf = grabDense(n)
+		a.set = a.setBuf.dense()
+		if supported[i] {
+			scanMasks[i] = a.set
 		}
-		for _, id := range ts.candidates {
-			rows, err := scan.ScanBlock(id, scanMasks)
-			if err != nil {
-				return err
-			}
-			ts.blocksRead++
-			ts.rowsRead += len(rows)
-			for _, r := range rows {
-				inBlocks.Set(int(r))
-			}
-		}
-		for i, a := range aliases {
-			if !supported[i] {
-				predicate.FillMask(a.filter, tbl, a.set)
-				a.set.And(inBlocks)
-			}
-			a.count = a.set.Count()
-		}
-		ts.read = true
-		return nil
 	}
 	for _, id := range ts.candidates {
-		b, err := e.store.ReadBlock(ts.table, id)
+		rows, err := scan.ScanBlock(id, scanMasks)
 		if err != nil {
 			return err
 		}
 		ts.blocksRead++
-		ts.rowsRead += b.NumRows()
-		for _, r := range b.Rows {
+		ts.rowsRead += len(rows)
+		for _, r := range rows {
 			inBlocks.Set(int(r))
 		}
 	}
-	for _, a := range aliases {
-		a.setBuf = grabDense(n)
-		a.set = a.setBuf.dense()
-		predicate.FillMask(a.filter, tbl, a.set)
-		a.set.And(inBlocks)
+	for i, a := range aliases {
+		if !supported[i] {
+			predicate.FillMask(a.filter, tbl, a.set)
+			a.set.And(inBlocks)
+		}
 		a.count = a.set.Count()
 	}
 	ts.read = true

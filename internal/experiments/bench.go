@@ -43,15 +43,6 @@ type Bench struct {
 	// CacheMB is the disk backend's buffer-pool capacity in MiB of decoded
 	// block data; 0 disables caching.
 	CacheMB int
-	// Compressed selects the scan path on backends that support
-	// compressed-domain execution: "" or "auto" or "on" evaluate predicates
-	// on encoded pages (the default; backends without the capability fall
-	// back to decoded scans automatically), "off" forces full-decode scans.
-	// Results are byte-identical either way.
-	Compressed string
-	// NoReadahead disables the disk backend's async block prefetching.
-	// Readahead never changes Results, only wall-clock time.
-	NoReadahead bool
 }
 
 // Scale configures how large the experiment datasets are. The paper runs
@@ -72,18 +63,6 @@ type Scale struct {
 	Store   string
 	DataDir string
 	CacheMB int
-	// Compressed/NoReadahead select the scan path; see Bench.
-	Compressed  string
-	NoReadahead bool
-	// NoAggregates strips every query's aggregate list before replay
-	// (mtobench -agg=off), isolating pure scan/filter cost from the
-	// aggregation-pushdown work. Block and fraction metrics are identical
-	// either way; only per-query Aggregates and fold time change.
-	NoAggregates bool
-	// NoGroupBy strips every query's GROUP BY clause before replay
-	// (mtobench -groupby=off), demoting rollup templates to their flat
-	// aggregates — isolating the grouped-fold cost from flat pushdown.
-	NoGroupBy bool
 }
 
 // DefaultScale is used by the CLI and benchmarks unless overridden.
@@ -101,77 +80,52 @@ func DefaultScale() Scale {
 // SSBBench builds the Star Schema Benchmark bundle (13 queries).
 func SSBBench(s Scale) *Bench {
 	return &Bench{
-		Name:        "SSB",
-		Dataset:     datagen.SSB(datagen.SSBConfig{ScaleFactor: s.SF, Seed: s.Seed}),
-		Workload:    maybeStripAggregates(datagen.SSBWorkload(s.Seed+1), s),
-		SortKeys:    datagen.SSBSortKeys(),
-		BlockSize:   s.BlockSizeSSB,
-		SampleRate:  0.25,
-		Seed:        s.Seed,
-		Parallel:    s.Parallel,
-		Store:       s.Store,
-		DataDir:     s.DataDir,
-		CacheMB:     s.CacheMB,
-		Compressed:  s.Compressed,
-		NoReadahead: s.NoReadahead,
+		Name:       "SSB",
+		Dataset:    datagen.SSB(datagen.SSBConfig{ScaleFactor: s.SF, Seed: s.Seed}),
+		Workload:   datagen.SSBWorkload(s.Seed + 1),
+		SortKeys:   datagen.SSBSortKeys(),
+		BlockSize:  s.BlockSizeSSB,
+		SampleRate: 0.25,
+		Seed:       s.Seed,
+		Parallel:   s.Parallel,
+		Store:      s.Store,
+		DataDir:    s.DataDir,
+		CacheMB:    s.CacheMB,
 	}
 }
 
 // TPCHBench builds the TPC-H bundle (22 templates × PerTemplate queries).
 func TPCHBench(s Scale) *Bench {
 	return &Bench{
-		Name:        "TPC-H",
-		Dataset:     datagen.TPCH(datagen.TPCHConfig{ScaleFactor: s.SF, Seed: s.Seed}),
-		Workload:    maybeStripAggregates(datagen.TPCHWorkload(s.PerTemplate, s.Seed+1), s),
-		SortKeys:    datagen.TPCHSortKeys(),
-		BlockSize:   s.BlockSizeH,
-		SampleRate:  0.25,
-		Seed:        s.Seed,
-		Parallel:    s.Parallel,
-		Store:       s.Store,
-		DataDir:     s.DataDir,
-		CacheMB:     s.CacheMB,
-		Compressed:  s.Compressed,
-		NoReadahead: s.NoReadahead,
+		Name:       "TPC-H",
+		Dataset:    datagen.TPCH(datagen.TPCHConfig{ScaleFactor: s.SF, Seed: s.Seed}),
+		Workload:   datagen.TPCHWorkload(s.PerTemplate, s.Seed+1),
+		SortKeys:   datagen.TPCHSortKeys(),
+		BlockSize:  s.BlockSizeH,
+		SampleRate: 0.25,
+		Seed:       s.Seed,
+		Parallel:   s.Parallel,
+		Store:      s.Store,
+		DataDir:    s.DataDir,
+		CacheMB:    s.CacheMB,
 	}
 }
 
 // TPCDSBench builds the TPC-DS-like bundle (46 templates × 1 query).
 func TPCDSBench(s Scale) *Bench {
 	return &Bench{
-		Name:        "TPC-DS",
-		Dataset:     datagen.TPCDS(datagen.TPCDSConfig{ScaleFactor: s.SF, Seed: s.Seed}),
-		Workload:    maybeStripAggregates(datagen.TPCDSWorkload(s.Seed+1), s),
-		SortKeys:    datagen.TPCDSSortKeys(),
-		BlockSize:   s.BlockSizeDS,
-		SampleRate:  0.25,
-		Seed:        s.Seed,
-		Parallel:    s.Parallel,
-		Store:       s.Store,
-		DataDir:     s.DataDir,
-		CacheMB:     s.CacheMB,
-		Compressed:  s.Compressed,
-		NoReadahead: s.NoReadahead,
+		Name:       "TPC-DS",
+		Dataset:    datagen.TPCDS(datagen.TPCDSConfig{ScaleFactor: s.SF, Seed: s.Seed}),
+		Workload:   datagen.TPCDSWorkload(s.Seed + 1),
+		SortKeys:   datagen.TPCDSSortKeys(),
+		BlockSize:  s.BlockSizeDS,
+		SampleRate: 0.25,
+		Seed:       s.Seed,
+		Parallel:   s.Parallel,
+		Store:      s.Store,
+		DataDir:    s.DataDir,
+		CacheMB:    s.CacheMB,
 	}
-}
-
-// maybeStripAggregates clears every query's aggregate list when the scale
-// asks for aggregate-free replay (mtobench -agg=off), and the GROUP BY
-// clause when it asks for flat-only aggregation (mtobench -groupby=off).
-// Stripping aggregates strips grouping too: a GROUP BY without aggregates
-// fails Validate.
-func maybeStripAggregates(w *workload.Workload, s Scale) *workload.Workload {
-	if s.NoAggregates {
-		for _, q := range w.Queries {
-			q.Aggregates = nil
-		}
-	}
-	if s.NoAggregates || s.NoGroupBy {
-		for _, q := range w.Queries {
-			q.GroupBy = workload.GroupBy{}
-		}
-	}
-	return w
 }
 
 // AllBenches returns the three evaluation bundles.

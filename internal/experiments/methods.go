@@ -214,11 +214,6 @@ func engineOptions(b *Bench, method string, cloudDW bool) engine.Options {
 		// keys to precise block positions at runtime (§6.3.1).
 		opts.SecondaryIndexes = secondaryIndexFor[b.Name]
 	}
-	// "on", "auto", and "" all select compressed-domain execution; the
-	// engine falls back to decoded scans by itself when the backend cannot
-	// compile compressed scans, which is exactly the "auto" semantics.
-	opts.DecodeScan = b.Compressed == "off"
-	opts.NoReadahead = b.NoReadahead
 	return opts
 }
 

@@ -37,9 +37,11 @@ func deployAndReplay(t *testing.T, b *Bench, method string, cloudDW bool) *RunRe
 // SSB and TPC-H against the persistent columnar store must produce exactly
 // the same Results as the in-memory backend — same blocks, fractions,
 // simulated seconds, and per-query metrics — at any cache size (including
-// a 0-byte cache, where every read decodes pages from disk), at any replay
-// parallelism, on both the compressed-domain and the full-decode scan
-// path, with readahead on or off.
+// a 0-byte cache, where every read fetches pages from disk and readahead
+// is off) and at any replay parallelism. The in-memory backend declines
+// every filter and aggregate, so the engine evaluates them over the base
+// table; the disk backend pushes them down onto encoded pages — the two
+// ends of the one engine path.
 func TestDiskBackendReplayIdentity(t *testing.T) {
 	s := testScale()
 	for _, mk := range []struct {
@@ -60,33 +62,25 @@ func TestDiskBackendReplayIdentity(t *testing.T) {
 			dir := t.TempDir()
 			want := replayWith(t, b, mk.method, mk.cloudDW, "mem", 0, 1, "")
 			configs := []struct {
-				name        string
-				store       string
-				cacheMB     int
-				parallel    int
-				compressed  string
-				noReadahead bool
+				name     string
+				store    string
+				cacheMB  int
+				parallel int
 			}{
 				{name: "mem-parallel", store: "mem", parallel: 0},
 				{name: "disk-nocache-seq", store: "disk", cacheMB: 0, parallel: 1},
 				{name: "disk-nocache-parallel", store: "disk", cacheMB: 0, parallel: 0},
 				{name: "disk-cached-seq", store: "disk", cacheMB: 64, parallel: 1},
 				{name: "disk-cached-parallel", store: "disk", cacheMB: 64, parallel: 0},
-				{name: "disk-nocache-seq-decode", store: "disk", cacheMB: 0, parallel: 1, compressed: "off"},
-				{name: "disk-cached-parallel-decode", store: "disk", cacheMB: 64, parallel: 0, compressed: "off"},
-				{name: "disk-cached-seq-noreadahead", store: "disk", cacheMB: 64, parallel: 1, noReadahead: true},
-				{name: "disk-cached-parallel-noreadahead", store: "disk", cacheMB: 64, parallel: 0, noReadahead: true},
 			}
 			for _, c := range configs {
 				b.Store, b.CacheMB, b.Parallel, b.DataDir = c.store, c.cacheMB, c.parallel, dir
-				b.Compressed, b.NoReadahead = c.compressed, c.noReadahead
 				got := deployAndReplay(t, b, mk.method, mk.cloudDW)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: results diverge from sequential mem replay\n got: %+v\nwant: %+v",
 						c.name, got, want)
 				}
 			}
-			b.Compressed, b.NoReadahead = "", false
 		})
 	}
 }

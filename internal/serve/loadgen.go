@@ -39,8 +39,10 @@ type LoadConfig struct {
 	VerifyEveryN int64
 }
 
-// LoadStats is the generator's outcome. Latency is client-observed
-// (submit-to-response, including queue wait).
+// LoadStats is the generator's outcome. Latency is client-observed,
+// including queue wait: submit-to-response in the closed loop, and in the
+// open loop from the instant the request was due, so a stall is charged to
+// every request that fell due during it.
 type LoadStats struct {
 	Queries   int64 `json:"queries"`
 	Cached    int64 `json:"cached"`
@@ -56,6 +58,10 @@ type LoadStats struct {
 	Seconds    float64        `json:"seconds"`
 	QPS        float64        `json:"qps"`
 	Latency    LatencySummary `json:"latency"`
+	// MaxLatenessUS is the furthest the open-loop generator fell behind its
+	// schedule: the longest gap between a request's due time and its send
+	// (0 in the closed loop).
+	MaxLatenessUS int64 `json:"max_lateness_us"`
 }
 
 // RunLoad drives cfg.Total submissions at the server and returns the
@@ -91,6 +97,7 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadStats, error)
 		verified  atomic.Int64
 		identical atomic.Int64
 		genSkew   atomic.Int64
+		maxLate   atomic.Int64 // ns
 	)
 	var interval time.Duration
 	if cfg.OpenRateQPS > 0 {
@@ -110,11 +117,16 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadStats, error)
 				if n > cfg.Total || ctx.Err() != nil {
 					return
 				}
+				due := next
 				if interval > 0 {
-					if d := time.Until(next); d > 0 {
+					if d := time.Until(due); d > 0 {
 						time.Sleep(d)
 					}
-					next = next.Add(interval)
+					late := int64(time.Since(due))
+					for cur := maxLate.Load(); late > cur && !maxLate.CompareAndSwap(cur, late); {
+						cur = maxLate.Load()
+					}
+					next = due.Add(interval)
 				}
 				tenant := tenants[rng.Intn(len(tenants))]
 				pool := cfg.Streams[tenant]
@@ -130,6 +142,9 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadStats, error)
 				}
 
 				t0 := time.Now()
+				if interval > 0 {
+					t0 = due
+				}
 				resp, err := s.Submit(ctx, tenant, q)
 				if err != nil {
 					switch {
@@ -188,5 +203,6 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (*LoadStats, error)
 		stats.QPS = float64(stats.Queries) / stats.Seconds
 	}
 	stats.Latency = hist.Summary()
+	stats.MaxLatenessUS = maxLate.Load() / int64(time.Microsecond)
 	return &stats, nil
 }

@@ -445,3 +445,52 @@ func TestRunLoad(t *testing.T) {
 		t.Errorf("latency count %d != queries %d", ls.Latency.Count, ls.Queries)
 	}
 }
+
+// slowBackend delays every scan compilation — one per query on the
+// single-table scenario — standing in for a stalled executor.
+type slowBackend struct {
+	block.Backend
+	delay time.Duration
+}
+
+func (b slowBackend) CompileScan(table string, filters []predicate.Predicate) block.Scan {
+	time.Sleep(b.delay)
+	return b.Backend.CompileScan(table, filters)
+}
+
+// TestRunLoadOpenLoopChargesBacklog: an open loop paced faster than the
+// server can answer must time each request from when it was due, so the
+// tail reflects the accumulated backlog rather than one service time, and
+// the generator's lateness is reported.
+func TestRunLoadOpenLoopChargesBacklog(t *testing.T) {
+	const (
+		delay = 10 * time.Millisecond
+		total = 30
+	)
+	cfg, shift := serveScenario(t, "alpha", 4, false)
+	cfg.Store = slowBackend{Backend: cfg.Store, delay: delay}
+	s := startServer(t, Config{Tenants: []TenantConfig{cfg}, Workers: 1, CacheEntries: -1})
+
+	ls, err := RunLoad(context.Background(), s, LoadConfig{
+		Streams:     map[string][]*workload.Query{"alpha": shift},
+		Total:       total,
+		Concurrency: 1,
+		OpenRateQPS: 1000, // due every 1ms, served every ≥10ms
+		Seed:        7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls.Queries != total || ls.Errors != 0 {
+		t.Fatalf("load stats off: %+v", ls)
+	}
+	// Request k is due at k·1ms and answered no earlier than (k+1)·10ms:
+	// the last one waits ≥ 270ms. Half of that is far above one delay.
+	backlog := (total / 2) * delay
+	if p99 := time.Duration(ls.Latency.P99) * time.Microsecond; p99 < backlog {
+		t.Errorf("open-loop p99 = %v, want ≥ %v (backlog charged to every due request)", p99, backlog)
+	}
+	if late := time.Duration(ls.MaxLatenessUS) * time.Microsecond; late < backlog {
+		t.Errorf("max lateness = %v, want ≥ %v", late, backlog)
+	}
+}

@@ -113,7 +113,8 @@ const (
 
 // Aggregate operators (Query.Aggregate). Aggregates ride along with a
 // query's filters: the engine computes them over the rows that survive,
-// and capable backends fold supported ones directly on encoded pages.
+// and the disk backend folds the ones it supports directly on encoded
+// pages.
 const (
 	AggSum   = workload.AggSum
 	AggCount = workload.AggCount
