@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -18,12 +19,13 @@ import (
 // (or code range — dictionaries are sorted) and compare raw codes;
 // FOR-packed int pages rebase the literal into the packed unsigned domain
 // and compare packed words; delta/raw pages decode into pooled scratch,
-// never into retained vectors. Null rows are cleared from each leaf's mask
-// straight off the raw page null bitmap. The evaluation order and
-// semantics mirror predicate.CompileMask exactly — including AND/OR child
-// isolation and NOT IN null-literal handling — which is what makes a
-// filter's mask byte-identical whether the backend evaluates it here or
-// the engine evaluates it over the base table.
+// never into retained vectors; a column-vs-column leaf decodes both of its
+// pages that way and compares them row by row. Null rows are cleared from
+// each leaf's mask straight off the raw page null bitmap. The evaluation
+// order and semantics mirror predicate.CompileMask exactly — including
+// AND/OR child isolation and NOT IN null-literal handling — which is what
+// makes a filter's mask byte-identical whether the backend evaluates it
+// here or the engine evaluates it over the base table.
 
 // TableScan is one query's compiled compressed scan over one table,
 // pinned to the segment generation current at compile time. It is safe
@@ -204,6 +206,8 @@ func (t *TableScan) eval(n predicate.ScanNode, eb *EncodedBlock, nrows int, out 
 		}
 		clearNullBits(pv.nulls, out)
 		return nil
+	case *predicate.ScanCmpCols:
+		return t.evalCmpCols(q, eb, nrows, out, sc)
 	case *predicate.ScanInInt:
 		pv, err := t.page(eb, q.Column, nrows)
 		if err != nil {
@@ -337,24 +341,169 @@ func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64
 
 // evalCmpFloat evaluates (col op lit) over a raw float page.
 func evalCmpFloat(pv pageView, op predicate.Op, lit float64, nrows int, out []uint64, sc *scratch) error {
+	vals, err := decodeFloatsScratch(pv, nrows, sc)
+	if err != nil {
+		return err
+	}
+	cmpFloat64s(vals, op, lit, out)
+	return nil
+}
+
+// decodeFloatsScratch decodes a float page body into pooled scratch.
+func decodeFloatsScratch(pv pageView, nrows int, sc *scratch) ([]float64, error) {
 	if pv.enc != encFloatRaw {
-		return fmt.Errorf("unknown float encoding 0x%02x", pv.enc)
+		return nil, fmt.Errorf("unknown float encoding 0x%02x", pv.enc)
 	}
 	r := &bufReader{buf: pv.body}
 	n := r.count(8)
 	if !r.checkCount(n, nrows) {
-		return r.err()
+		return nil, r.err()
 	}
 	data := r.bytes(8 * n)
 	if r.fail != nil {
-		return r.err()
+		return nil, r.err()
 	}
 	vals := sc.grabFloats(n)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 	}
-	cmpFloat64s(vals, op, lit, out)
+	return vals, nil
+}
+
+// evalCmpCols evaluates (left op right) over the two columns' pages of one
+// block: each side decodes into its own pooled scratch — ints and floats
+// as values, strings as byte ranges of the page body — and the rows are
+// compared element-wise by the kernel CompileMask runs over the base
+// table. NULL on either side never matches, so both null bitmaps are
+// cleared.
+func (t *TableScan) evalCmpCols(q *predicate.ScanCmpCols, eb *EncodedBlock, nrows int, out []uint64, sc *scratch) error {
+	lp, err := t.page(eb, q.Left, nrows)
+	if err != nil {
+		return err
+	}
+	rp, err := t.page(eb, q.Right, nrows)
+	if err != nil {
+		return err
+	}
+	rsc := getScratch() // the right side's buffers must outlive the left's
+	defer putScratch(rsc)
+	switch kind := encKind(lp.enc); {
+	case kind != encKind(rp.enc):
+		return t.pageErr(q.Right, fmt.Errorf("encoding 0x%02x does not pair with %s's 0x%02x", rp.enc, q.Left, lp.enc))
+	case kind == value.KindFloat:
+		l, err := decodeFloatsScratch(lp, nrows, sc)
+		if err != nil {
+			return t.pageErr(q.Left, err)
+		}
+		r, err := decodeFloatsScratch(rp, nrows, rsc)
+		if err != nil {
+			return t.pageErr(q.Right, err)
+		}
+		predicate.MaskCompareCols(l, r, q.Op, out)
+	case kind == value.KindString:
+		l, err := indexStrRows(lp, nrows, sc)
+		if err != nil {
+			return t.pageErr(q.Left, err)
+		}
+		r, err := indexStrRows(rp, nrows, rsc)
+		if err != nil {
+			return t.pageErr(q.Right, err)
+		}
+		for k := 0; k < nrows; k++ {
+			if opMatches(q.Op, bytes.Compare(l.row(k), r.row(k))) {
+				out[k>>6] |= 1 << (uint(k) & 63)
+			}
+		}
+	default: // int pages; an unknown encoding fails in the decoder
+		l, err := decodeIntsScratch(lp, nrows, sc)
+		if err != nil {
+			return t.pageErr(q.Left, err)
+		}
+		r, err := decodeIntsScratch(rp, nrows, rsc)
+		if err != nil {
+			return t.pageErr(q.Right, err)
+		}
+		predicate.MaskCompareCols(l, r, q.Op, out)
+	}
+	clearNullBits(lp.nulls, out)
+	clearNullBits(rp.nulls, out)
 	return nil
+}
+
+// encKind maps a page encoding to the column kind it stores (KindNull for
+// an unknown byte).
+func encKind(enc byte) value.Kind {
+	switch enc {
+	case encIntRaw, encIntFOR, encIntDelta:
+		return value.KindInt
+	case encFloatRaw:
+		return value.KindFloat
+	case encStrRaw, encStrDict:
+		return value.KindString
+	}
+	return value.KindNull
+}
+
+// strRows is a string page indexed for per-row access without
+// materializing a string: entry byte ranges into the page body — one per
+// row on a raw page, one per dictionary entry on a dict page, where codes
+// maps each row to its entry.
+type strRows struct {
+	body       []byte
+	offs, lens []int32
+	codes      []uint64 // nil on raw pages
+}
+
+func (s *strRows) row(k int) []byte {
+	if s.codes != nil {
+		k = int(s.codes[k])
+	}
+	return s.body[s.offs[k] : s.offs[k]+s.lens[k]]
+}
+
+// indexStrRows indexes a string page's nrows rows into pooled scratch.
+func indexStrRows(pv pageView, nrows int, sc *scratch) (strRows, error) {
+	r := &bufReader{buf: pv.body}
+	rows := strRows{body: pv.body}
+	var err error
+	switch pv.enc {
+	case encStrRaw:
+		n := r.count(1)
+		if !r.checkCount(n, nrows) {
+			return rows, r.err()
+		}
+		// Raw rows are laid out exactly like dictionary entries.
+		rows.offs, rows.lens, err = indexDict(r, n, sc)
+		return rows, err
+	case encStrDict:
+		n := r.count(0)
+		if !r.checkCount(n, nrows) {
+			return rows, r.err()
+		}
+		nd := r.count(1)
+		if r.fail != nil {
+			return rows, r.err()
+		}
+		if rows.offs, rows.lens, err = indexDict(r, nd, sc); err != nil {
+			return rows, err
+		}
+		width := int(r.u8())
+		if r.fail != nil {
+			return rows, r.err()
+		}
+		rows.codes = sc.grabWords(n)
+		if err := unpackBitsInto(rows.codes, r.buf[r.off:], width); err != nil {
+			return rows, err
+		}
+		for _, c := range rows.codes {
+			if c >= uint64(nd) {
+				return rows, fmt.Errorf("dictionary code %d out of range %d", c, nd)
+			}
+		}
+		return rows, nil
+	default:
+		return rows, fmt.Errorf("unknown string encoding 0x%02x", pv.enc)
+	}
 }
 
 // evalCmpStr evaluates (col op lit) over a string page. Dict pages

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mto/internal/block"
@@ -26,7 +27,12 @@ func scanTable(t testing.TB, n int) *relation.Table {
 		relation.Column{Name: "f", Type: value.KindFloat},
 		relation.Column{Name: "s_dict", Type: value.KindString},
 		relation.Column{Name: "s_raw", Type: value.KindString},
+		// Partners for the column-pair rows: a float and a dict string
+		// whose order against f / s_dict / s_raw varies row to row.
+		relation.Column{Name: "f2", Type: value.KindFloat},
+		relation.Column{Name: "s_mix", Type: value.KindString},
 	))
+	mixPool := []string{"a", "u0050-650", "v02", "v05", "zz"}
 	for i := 0; i < n; i++ {
 		vFor := value.Value(value.Int(int64(100 + (i*37)%300)))
 		if i%7 == 0 {
@@ -56,6 +62,14 @@ func scanTable(t testing.TB, n int) *relation.Table {
 		if i%9 == 0 {
 			vStr = value.Null
 		}
+		vF2 := value.Value(value.Float(float64((i*13)%200) * 0.25))
+		if i%4 == 0 {
+			vF2 = value.Null
+		}
+		vMix := value.Value(value.String(mixPool[(i*3)%len(mixPool)]))
+		if i%10 == 0 {
+			vMix = value.Null
+		}
 		tab.MustAppendRow(
 			vFor,
 			value.Int(int64(i)*1_000_003),
@@ -63,6 +77,8 @@ func scanTable(t testing.TB, n int) *relation.Table {
 			vF,
 			vDict,
 			vStr,
+			vF2,
+			vMix,
 		)
 	}
 	return tab
@@ -71,8 +87,11 @@ func scanTable(t testing.TB, n int) *relation.Table {
 // scanPredicates is the identity matrix: every operator × every column
 // (hence every encoding) × literals below / at the bottom of / inside
 // (existing and missing) / at the top of / above the page value domain,
-// plus IN / NOT IN (with and without null literals), LIKE shapes, and
-// nested AND/OR composition.
+// plus IN / NOT IN (with and without null literals), LIKE shapes, column
+// pairs (every operator × every pairing of int encodings — i_for and i_raw
+// carry nulls, i_delta none, so nulls fall on the left, the right, both
+// and neither — float/float, and dict/raw string pairings), and nested
+// AND/OR composition.
 func scanPredicates() []predicate.Predicate {
 	ops := []predicate.Op{predicate.Eq, predicate.Ne, predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge}
 	var preds []predicate.Predicate
@@ -102,6 +121,40 @@ func scanPredicates() []predicate.Predicate {
 			preds = append(preds, predicate.NewComparison("s_raw", op, value.String(lit)))
 		}
 	}
+	pair := func(l string, op predicate.Op, r string) predicate.Predicate {
+		return &predicate.ColumnComparison{Left: l, Op: op, Right: r}
+	}
+	intCols := []string{"i_for", "i_delta", "i_raw"}
+	strCols := []string{"s_dict", "s_raw", "s_mix"}
+	for _, op := range ops {
+		for _, l := range intCols {
+			for _, r := range intCols {
+				preds = append(preds, pair(l, op, r))
+			}
+		}
+		preds = append(preds, pair("f", op, "f2"), pair("f2", op, "f"), pair("f", op, "f"))
+		for _, l := range strCols {
+			for _, r := range strCols {
+				preds = append(preds, pair(l, op, r))
+			}
+		}
+	}
+	preds = append(preds,
+		pair("i_for", predicate.Lt, "missing"),
+		pair("missing", predicate.Ge, "s_dict"),
+		// Mixed kinds: refused by CompileScan and CompileMask alike.
+		pair("i_for", predicate.Lt, "f"),
+		pair("f", predicate.Eq, "i_delta"),
+		pair("s_dict", predicate.Ne, "i_for"),
+		predicate.NewAnd(
+			predicate.NewComparison("i_for", predicate.Gt, value.Int(150)),
+			pair("i_for", predicate.Lt, "i_delta"),
+		),
+		predicate.NewOr(
+			pair("s_dict", predicate.Le, "s_mix"),
+			predicate.NewAnd(pair("f", predicate.Gt, "f2"), predicate.NewLike("s_raw", "u01%")),
+		),
+	)
 	preds = append(preds,
 		predicate.NewIn("i_for", value.Int(100), value.Int(250), value.Int(211)),
 		predicate.NewNotIn("i_for", value.Int(100), value.Int(211)),
@@ -422,18 +475,27 @@ func FuzzCompressedPredicate(f *testing.F) {
 	f.Add(int64(3), int64(0), uint8(6), uint8(2))
 	f.Add(int64(4), int64(1<<40), uint8(7), uint8(0))
 	f.Add(int64(5), int64(42), uint8(2), uint8(2))
+	// c < d under AND / OR, and a bare pair, once per kind.
+	for k := uint8(0); k < 3; k++ {
+		f.Add(int64(6+k), int64(30), uint8(9), k)
+		f.Add(int64(9+k), int64(7), uint8(10), k)
+		f.Add(int64(12+k), int64(0), uint8(11+12*k), k)
+	}
 	f.Fuzz(func(t *testing.T, seed, rawLit int64, opRaw, kindRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(150)
 		kind := []value.Kind{value.KindInt, value.KindFloat, value.KindString}[int(kindRaw)%3]
-		tab := relation.NewTable(relation.MustSchema("fz", relation.Column{Name: "c", Type: kind}))
+		// d is c's partner for the column-pair shapes: same kind, its own
+		// distribution and null cadence.
+		tab := relation.NewTable(relation.MustSchema("fz",
+			relation.Column{Name: "c", Type: kind}, relation.Column{Name: "d", Type: kind}))
 		nullEvery := rng.Intn(6) // 0 = no nulls
 		dist := rng.Intn(4)
 		var strPool []string
 		for i := 0; i < 8; i++ {
 			strPool = append(strPool, fmt.Sprintf("k%c%d", 'a'+rng.Intn(4), rng.Intn(20)))
 		}
-		for i := 0; i < n; i++ {
+		gen := func(i, dist, nullEvery int) value.Value {
 			var v value.Value
 			switch kind {
 			case value.KindInt:
@@ -459,7 +521,11 @@ func FuzzCompressedPredicate(f *testing.F) {
 			if nullEvery > 0 && i%nullEvery == 0 {
 				v = value.Null
 			}
-			tab.MustAppendRow(v)
+			return v
+		}
+		dDist, dNullEvery := rng.Intn(4), rng.Intn(6)
+		for i := 0; i < n; i++ {
+			tab.MustAppendRow(gen(i, dist, nullEvery), gen(i, dDist, dNullEvery))
 		}
 		var lit value.Value
 		switch kind {
@@ -472,7 +538,14 @@ func FuzzCompressedPredicate(f *testing.F) {
 		}
 		ops := []predicate.Op{predicate.Eq, predicate.Ne, predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge}
 		var p predicate.Predicate
-		switch int(opRaw) % 9 {
+		cLtD := &predicate.ColumnComparison{Left: "c", Op: predicate.Lt, Right: "d"}
+		switch int(opRaw) % 12 {
+		case 9:
+			p = predicate.NewAnd(predicate.NewComparison("c", predicate.Ge, lit), cLtD)
+		case 10:
+			p = predicate.NewOr(predicate.NewComparison("d", predicate.Eq, lit), cLtD)
+		case 11:
+			p = &predicate.ColumnComparison{Left: "d", Op: ops[int(opRaw/12)%6], Right: "c"}
 		case 6:
 			p = predicate.NewIn("c", lit, value.Int(3))
 		case 7:
@@ -490,12 +563,12 @@ func FuzzCompressedPredicate(f *testing.F) {
 	})
 }
 
-// checkPageIdentity encodes tab's single column exactly as WriteSegment
-// would, evaluates p over the encoded page, and compares against FillMask.
+// checkPageIdentity encodes tab's columns exactly as WriteSegment would,
+// evaluates p over the encoded pages, and compares against FillMask.
 func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate) {
 	t.Helper()
 	n := tab.NumRows()
-	payload := encodeColumnPage(tab, 0)
+	ts, eb := pageScan(tab)
 	node, ok := predicate.CompileScan(p, func(col string) (value.Kind, bool) {
 		ci, found := tab.Schema().ColumnIndex(col)
 		if !found {
@@ -512,8 +585,6 @@ func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate)
 	if !ok {
 		return
 	}
-	ts := &TableScan{table: "fz", colIdx: map[string]int{tab.Schema().Column(0).Name: 0}}
-	eb := &EncodedBlock{Cols: [][]byte{payload}}
 	got := make([]uint64, nw)
 	sc := getScratch()
 	defer putScratch(sc)
@@ -522,6 +593,78 @@ func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: compressed mask differs\n got %x\nwant %x", p, got, want)
+	}
+}
+
+// pageScan encodes every column of tab as one block's pages and returns a
+// scan handle that evaluates over them.
+func pageScan(tab *relation.Table) (*TableScan, *EncodedBlock) {
+	ts := &TableScan{table: tab.Schema().Table(), colIdx: map[string]int{}}
+	eb := &EncodedBlock{}
+	for ci := 0; ci < tab.Schema().NumColumns(); ci++ {
+		ts.colIdx[tab.Schema().Column(ci).Name] = ci
+		eb.Cols = append(eb.Cols, encodeColumnPage(tab, ci))
+	}
+	return ts, eb
+}
+
+// TestScanCmpColsCorruptPage is the column-pair leaf's corruption case: a
+// right (or left) page truncated anywhere, or a dictionary code pointing
+// past its dictionary, must surface as a clean error naming the column —
+// the leaf indexes two pages row by row, so a short one must never be
+// reached into.
+func TestScanCmpColsCorruptPage(t *testing.T) {
+	tab := scanTable(t, 70)
+	ts, eb := pageScan(tab)
+	n := tab.NumRows()
+	sc := getScratch()
+	defer putScratch(sc)
+	eval := func(l, r string, cols [][]byte) error {
+		node := &predicate.ScanCmpCols{Left: l, Right: r, Op: predicate.Lt}
+		return ts.eval(node, &EncodedBlock{Cols: cols}, n, make([]uint64, (n+63)/64), sc)
+	}
+	pairs := [][2]string{
+		{"i_delta", "i_for"}, {"i_for", "i_delta"}, {"i_for", "i_raw"},
+		{"f", "f2"}, {"s_raw", "s_dict"}, {"s_dict", "s_raw"},
+	}
+	for _, pr := range pairs {
+		if err := eval(pr[0], pr[1], eb.Cols); err != nil {
+			t.Fatalf("%s < %s on pristine pages: %v", pr[0], pr[1], err)
+		}
+		for side, col := range pr {
+			ci := ts.colIdx[col]
+			for cut := 0; cut < len(eb.Cols[ci]); cut++ {
+				cols := append([][]byte(nil), eb.Cols...)
+				cols[ci] = eb.Cols[ci][:cut]
+				err := eval(pr[0], pr[1], cols)
+				if err == nil {
+					t.Fatalf("%s < %s: side %d truncated at %d/%d accepted", pr[0], pr[1], side, cut, len(eb.Cols[ci]))
+				}
+				if !strings.Contains(err.Error(), "sc."+col) {
+					t.Fatalf("%s < %s: side %d truncated at %d: error does not name the column: %v", pr[0], pr[1], side, cut, err)
+				}
+			}
+		}
+	}
+	// A one-entry dictionary whose packed codes reach entry 3.
+	w := &bufWriter{}
+	encodeNulls(w, nil, 4)
+	w.u8(encStrDict)
+	w.uvarint(4)
+	w.uvarint(1)
+	w.str("only")
+	w.u8(2)
+	w.bytes(packBits([]uint64{0, 3, 0, 0}, 2))
+	bad := &TableScan{table: "sc", colIdx: map[string]int{"l": 0, "r": 1}}
+	node := &predicate.ScanCmpCols{Left: "l", Right: "r", Op: predicate.Eq}
+	good := encodeColumnPage(scanTable(t, 4), 4) // s_dict
+	err := bad.eval(node, &EncodedBlock{Cols: [][]byte{good, w.buf}}, 4, make([]uint64, 1), sc)
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range dictionary code: %v", err)
+	}
+	// Pages of two different kinds never pair.
+	if err := eval("i_for", "f", eb.Cols); err == nil {
+		t.Fatal("int page paired with a float page")
 	}
 }
 

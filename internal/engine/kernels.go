@@ -20,8 +20,9 @@ import (
 //
 //   - filter evaluation yields one dense bit mask per (alias, table): the
 //     backend's compiled block.Scan fills it per candidate block for the
-//     filters it supports, and predicate.FillMask — ANDed with the bitset
-//     of rows present in the candidate blocks — for the rest;
+//     filters it supports; the rest run as predicate.CompileMask — ANDed
+//     with the bitset of rows present in the blocks read — or, for the few
+//     shapes that refuses too, row by row over the blocks read only;
 //   - join keys live as dictionary-code sets (relation.ColumnDict, cached
 //     on the Engine like the secondary-index state), so semantic reduction
 //     probes int32 codes instead of boxed value.Value map keys, and skips
@@ -272,33 +273,45 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 }
 
 // scanKernel meters the reads of the table's candidate blocks and computes
-// each alias's filtered row set as one dense bitset: the filter's
-// full-table mask ANDed with the bitset of rows present in the candidate
-// blocks (blocks hold arbitrary row subsets, so the two are independent).
+// each alias's filtered row set as one dense bitset.
 //
 // ScanBlock meters each read, reports the block's rows, and ORs the
 // block-local survivors of every filter the backend supports into the
-// alias's mask; filters it does not support run as FillMask over the base
-// table, restricted to the rows of the blocks read. Either way the alias
-// masks come out bit-identical.
+// alias's mask. A filter it refuses takes one of two routes, both costing
+// no more than the blocks read ask for: a shape CompileMask accepts is
+// evaluated in bulk over the base table and ANDed with the bitset of rows
+// present in the blocks read (blocks hold arbitrary row subsets, so the
+// two are independent); any other shape is compiled once into a per-row
+// evaluator and applied to the row IDs ScanBlock returned — it never sees a
+// row outside a block that was read. Whichever route runs, the alias masks
+// come out bit-identical.
 func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan) error {
 	tbl := e.ds.Table(ts.table)
 	if tbl == nil {
 		return fmt.Errorf("engine: dataset missing table %q", ts.table)
 	}
 	n := tbl.NumRows()
-	inBuf := grabDense(n)
-	defer putDense(inBuf)
-	inBlocks := inBuf.dense()
 	supported := scan.Supported()
 	scanMasks := make([][]uint64, len(aliases))
+	residual := make([]func(int) bool, len(aliases)) // per-row route, else nil
+	var inBlocks bitmap.Dense                        // bulk route only
 	for i, a := range aliases {
 		a.setBuf = grabDense(n)
 		a.set = a.setBuf.dense()
-		if supported[i] {
+		switch {
+		case supported[i]:
 			scanMasks[i] = a.set
+		case predicate.MaskSupported(a.filter, tbl):
+			if inBlocks == nil {
+				inBuf := grabDense(n)
+				defer putDense(inBuf)
+				inBlocks = inBuf.dense()
+			}
+		default:
+			residual[i] = predicate.Compile(a.filter, tbl)
 		}
 	}
+	residualRows := 0
 	for _, id := range ts.candidates {
 		rows, err := scan.ScanBlock(id, scanMasks)
 		if err != nil {
@@ -306,13 +319,30 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan
 		}
 		ts.blocksRead++
 		ts.rowsRead += len(rows)
-		for _, r := range rows {
-			inBlocks.Set(int(r))
+		if inBlocks != nil {
+			for _, r := range rows {
+				inBlocks.Set(int(r))
+			}
+		}
+		for i, match := range residual {
+			if match == nil {
+				continue
+			}
+			residualRows += len(rows)
+			set := aliases[i].set
+			for _, r := range rows {
+				if match(int(r)) {
+					set.Set(int(r))
+				}
+			}
 		}
 	}
+	if residualRows > 0 {
+		e.counters.residualFilterRows.Add(int64(residualRows))
+	}
 	for i, a := range aliases {
-		if !supported[i] {
-			predicate.FillMask(a.filter, tbl, a.set)
+		if !supported[i] && residual[i] == nil {
+			predicate.CompileMask(a.filter, tbl, a.set)
 			a.set.And(inBlocks)
 		}
 		a.count = a.set.Count()

@@ -20,6 +20,13 @@ type Stats struct {
 	BlocksRead  int64   `json:"blocks_read"`
 	RowsScanned int64   `json:"rows_scanned"`
 	SimSeconds  float64 `json:"sim_seconds"`
+	// ResidualFilterRows counts rows handed to the engine-side per-row
+	// filter evaluator: the rows of the blocks read, once per alias whose
+	// filter neither the backend's scan nor predicate.CompileMask accepts.
+	// Zero on a healthy deployment; growth means a predicate shape has
+	// fallen off the pushdown. Unlike the fields above it counts Execute's
+	// scans as they happen, failed executions included.
+	ResidualFilterRows int64 `json:"residual_filter_rows"`
 }
 
 // Sub returns s - o, for measuring deltas between snapshots.
@@ -30,6 +37,8 @@ func (s Stats) Sub(o Stats) Stats {
 		BlocksRead:  s.BlocksRead - o.BlocksRead,
 		RowsScanned: s.RowsScanned - o.RowsScanned,
 		SimSeconds:  s.SimSeconds - o.SimSeconds,
+
+		ResidualFilterRows: s.ResidualFilterRows - o.ResidualFilterRows,
 	}
 }
 
@@ -44,6 +53,8 @@ type engineCounters struct {
 	blocksRead  atomic.Int64
 	rowsScanned atomic.Int64
 	simSecBits  atomic.Uint64 // float64 bits, CAS-accumulated
+
+	residualFilterRows atomic.Int64 // bumped by scanKernel, not by note
 }
 
 // note records one execution's outcome.
@@ -80,5 +91,7 @@ func (e *Engine) StatsSnapshot() Stats {
 		BlocksRead:  e.counters.blocksRead.Load(),
 		RowsScanned: e.counters.rowsScanned.Load(),
 		SimSeconds:  math.Float64frombits(e.counters.simSecBits.Load()),
+
+		ResidualFilterRows: e.counters.residualFilterRows.Load(),
 	}
 }

@@ -12,12 +12,12 @@ import (
 // evaluate them directly against encoded column pages — comparing
 // dictionary codes or bit-packed words — without materializing values.
 //
-// CompileScan's support matrix is an exact mirror of CompileMask's: it
-// returns ok=false precisely when CompileMask would refuse (callers then
-// fall back to the decode-and-evaluate path), and the leaf semantics —
-// including null handling and NOT IN with a null literal — match
-// CompileMask bit for bit. Keeping the two in lockstep is what lets the
-// compressed scan path promise byte-identical results.
+// CompileScan's support matrix is CompileMask's — both ask supportedShape —
+// so it returns ok=false precisely when CompileMask would refuse (callers
+// then evaluate the filter themselves), and the leaf semantics — including
+// null handling and NOT IN with a null literal — match CompileMask bit for
+// bit. Keeping the two in lockstep is what lets the compressed scan path
+// promise byte-identical results.
 type ScanNode interface {
 	scanNode()
 }
@@ -57,6 +57,14 @@ type ScanCmpStr struct {
 	Lit    string
 }
 
+// ScanCmpCols compares two columns of one table that share a kind (int,
+// float or string): Left Op Right. A row with NULL on either side never
+// matches, and values order as value.Compare orders them.
+type ScanCmpCols struct {
+	Left, Right string
+	Op          Op
+}
+
 // ScanInInt is col [NOT] IN over an int column. Set holds the int-kind
 // literals; Sorted is the same values ascending and distinct, for
 // merge-joins against sorted page dictionaries. HasNullLit records a NULL
@@ -94,6 +102,7 @@ func (ScanConst) scanNode()     {}
 func (*ScanCmpInt) scanNode()   {}
 func (*ScanCmpFloat) scanNode() {}
 func (*ScanCmpStr) scanNode()   {}
+func (*ScanCmpCols) scanNode()  {}
 func (*ScanInInt) scanNode()    {}
 func (*ScanInStr) scanNode()    {}
 func (*ScanLike) scanNode()     {}
@@ -105,33 +114,45 @@ func (*ScanLike) scanNode()     {}
 // once per (query, table), so per-page evaluation only translates the
 // normalized literals into each page's code space.
 //
-// It reports ok=false exactly when CompileMask would: the caller must then
-// use the decode path for the whole predicate.
+// It reports ok=false exactly when CompileMask would — both ask
+// supportedShape — and the caller must then evaluate the whole predicate
+// itself.
 func CompileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) (ScanNode, bool) {
+	if !supportedShape(p, kindOf) {
+		return nil, false
+	}
+	return compileScan(p, kindOf), true
+}
+
+// compileScan builds the plan tree of a predicate supportedShape accepted.
+func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNode {
 	switch q := p.(type) {
 	case *Comparison:
 		kind, ok := kindOf(q.Column)
 		if !ok {
-			return ScanConst(false), true // no such column: matches nothing
-		}
-		if kind == value.KindInt && q.Value.Kind() == value.KindInt {
-			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int()}, true
-		}
-		if kind == value.KindFloat && !q.Value.IsNull() &&
-			(q.Value.Kind() == value.KindFloat || q.Value.Kind() == value.KindInt) {
-			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.AsFloat()}, true
-		}
-		if kind == value.KindString && q.Value.Kind() == value.KindString {
-			return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str()}, true
-		}
-		return nil, false
-	case *InList:
-		kind, ok := kindOf(q.Column)
-		if !ok {
-			return ScanConst(false), true
+			return ScanConst(false) // no such column: matches nothing
 		}
 		switch kind {
 		case value.KindInt:
+			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int()}
+		case value.KindFloat:
+			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.AsFloat()}
+		default:
+			return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str()}
+		}
+	case *ColumnComparison:
+		_, lok := kindOf(q.Left)
+		_, rok := kindOf(q.Right)
+		if !lok || !rok {
+			return ScanConst(false) // a missing side reads as NULL: matches nothing
+		}
+		return &ScanCmpCols{Left: q.Left, Right: q.Right, Op: q.Op}
+	case *InList:
+		kind, ok := kindOf(q.Column)
+		if !ok {
+			return ScanConst(false)
+		}
+		if kind == value.KindInt {
 			node := &ScanInInt{
 				Column: q.Column,
 				Set:    make(map[int64]struct{}, len(q.Values)),
@@ -150,62 +171,52 @@ func CompileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) (ScanN
 				node.Sorted = append(node.Sorted, v)
 			}
 			sort.Slice(node.Sorted, func(i, j int) bool { return node.Sorted[i] < node.Sorted[j] })
-			return node, true
-		case value.KindString:
-			node := &ScanInStr{
-				Column: q.Column,
-				Set:    make(map[string]struct{}, len(q.Values)),
-				Negate: q.Negate_,
-			}
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					node.HasNullLit = true
-				case v.Kind() == value.KindString:
-					node.Set[v.Str()] = struct{}{}
-				}
-			}
-			node.Sorted = make([]string, 0, len(node.Set))
-			for v := range node.Set {
-				node.Sorted = append(node.Sorted, v)
-			}
-			sort.Strings(node.Sorted)
-			return node, true
+			return node
 		}
-		return nil, false
+		node := &ScanInStr{
+			Column: q.Column,
+			Set:    make(map[string]struct{}, len(q.Values)),
+			Negate: q.Negate_,
+		}
+		for _, v := range q.Values {
+			switch {
+			case v.IsNull():
+				node.HasNullLit = true
+			case v.Kind() == value.KindString:
+				node.Set[v.Str()] = struct{}{}
+			}
+		}
+		node.Sorted = make([]string, 0, len(node.Set))
+		for v := range node.Set {
+			node.Sorted = append(node.Sorted, v)
+		}
+		sort.Strings(node.Sorted)
+		return node
 	case *Like:
 		kind, ok := kindOf(q.Column)
 		if !ok || kind != value.KindString {
-			return ScanConst(false), true // missing or non-string column: matches nothing
+			return ScanConst(false) // missing or non-string column: matches nothing
 		}
 		return &ScanLike{
 			Column:  q.Column,
 			Pattern: q.Pattern,
 			Match:   likeMatcher(q.Pattern),
 			Negate:  q.Negate_,
-		}, true
+		}
 	case *And:
 		node := &ScanAnd{Children: make([]ScanNode, len(q.Children))}
 		for i, c := range q.Children {
-			child, ok := CompileScan(c, kindOf)
-			if !ok {
-				return nil, false
-			}
-			node.Children[i] = child
+			node.Children[i] = compileScan(c, kindOf)
 		}
-		return node, true
+		return node
 	case *Or:
 		node := &ScanOr{Children: make([]ScanNode, len(q.Children))}
 		for i, c := range q.Children {
-			child, ok := CompileScan(c, kindOf)
-			if !ok {
-				return nil, false
-			}
-			node.Children[i] = child
+			node.Children[i] = compileScan(c, kindOf)
 		}
-		return node, true
+		return node
 	case Const:
-		return ScanConst(bool(q)), true
+		return ScanConst(bool(q))
 	}
-	return nil, false // ColumnComparison and anything unknown: decode path
+	panic("predicate: compileScan on a shape supportedShape refused")
 }

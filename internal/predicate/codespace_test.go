@@ -4,19 +4,8 @@ import (
 	"sort"
 	"testing"
 
-	"mto/internal/relation"
 	"mto/internal/value"
 )
-
-func kindOfTable(tab *relation.Table) func(string) (value.Kind, bool) {
-	return func(col string) (value.Kind, bool) {
-		ci, ok := tab.Schema().ColumnIndex(col)
-		if !ok {
-			return value.KindNull, false
-		}
-		return tab.Schema().Column(ci).Type, true
-	}
-}
 
 // TestCompileScanSupportMatchesCompileMask pins CompileScan's support
 // matrix to CompileMask's: the compressed path must accept exactly the
@@ -24,7 +13,7 @@ func kindOfTable(tab *relation.Table) func(string) (value.Kind, bool) {
 // same no matter which path runs.
 func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 	tab := testTable(t)
-	kindOf := kindOfTable(tab)
+	kindOf := tableKinds(tab)
 	preds := []Predicate{
 		// Supported comparisons, one per op and column kind.
 		NewComparison("x", Lt, value.Int(15)),
@@ -58,8 +47,18 @@ func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 		NewAnd(NewComparison("x", Gt, value.Int(5)), NewComparison("y", Eq, value.Int(10))),
 		NewOr(NewComparison("x", Eq, value.Int(5)), NewLike("s", "%e")),
 		NewAnd(NewComparison("x", Gt, value.Int(5)), NewComparison("x", Lt, value.Float(1.5))),
-		NewOr(NewComparison("x", Eq, value.Int(5)), &ColumnComparison{Left: "x", Op: Lt, Right: "y"}),
+		NewOr(NewComparison("x", Eq, value.Int(5)), NewIn("f", value.Float(1.5))),
+		// Column pairs: same kind pushed down, mixed kinds refused by both.
 		&ColumnComparison{Left: "x", Op: Lt, Right: "y"},
+		&ColumnComparison{Left: "f", Op: Ge, Right: "f"},
+		&ColumnComparison{Left: "s", Op: Ne, Right: "s"},
+		&ColumnComparison{Left: "x", Op: Eq, Right: "missing"},
+		&ColumnComparison{Left: "missing", Op: Eq, Right: "nope"},
+		&ColumnComparison{Left: "f", Op: Lt, Right: "x"},
+		&ColumnComparison{Left: "x", Op: Lt, Right: "f"},
+		&ColumnComparison{Left: "s", Op: Eq, Right: "x"},
+		NewOr(NewComparison("x", Eq, value.Int(5)), &ColumnComparison{Left: "x", Op: Lt, Right: "y"}),
+		NewAnd(NewComparison("x", Eq, value.Int(5)), &ColumnComparison{Left: "f", Op: Lt, Right: "x"}),
 		True(),
 		False(),
 	}
@@ -78,7 +77,7 @@ func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 // flags, matcher specialization, and missing-column collapse.
 func TestCompileScanNormalization(t *testing.T) {
 	tab := testTable(t)
-	kindOf := kindOfTable(tab)
+	kindOf := tableKinds(tab)
 
 	node, ok := CompileScan(NewNotIn("x", value.Int(9), value.Int(3), value.Int(9), value.Null, value.Float(7)), kindOf)
 	if !ok {
@@ -113,11 +112,18 @@ func TestCompileScanNormalization(t *testing.T) {
 		t.Error("LIKE matcher not specialized correctly")
 	}
 
+	node, ok = CompileScan(&ColumnComparison{Left: "x", Op: Le, Right: "y"}, kindOf)
+	if cc, isPair := node.(*ScanCmpCols); !ok || !isPair || *cc != (ScanCmpCols{Left: "x", Right: "y", Op: Le}) {
+		t.Errorf("x <= y compiled to %#v (ok=%v)", node, ok)
+	}
+
 	for _, p := range []Predicate{
 		NewComparison("missing", Lt, value.Int(1)),
 		NewIn("missing", value.Int(1)),
 		NewLike("missing", "a%"),
 		NewLike("x", "a%"),
+		&ColumnComparison{Left: "x", Op: Lt, Right: "missing"},
+		&ColumnComparison{Left: "missing", Op: Lt, Right: "f"},
 	} {
 		node, ok := CompileScan(p, kindOf)
 		if !ok {

@@ -87,6 +87,22 @@ func Compile(p Predicate, t *relation.Table) func(row int) bool {
 				}
 			}
 		}
+	case *ColumnComparison:
+		li, lok := t.Schema().ColumnIndex(q.Left)
+		ri, rok := t.Schema().ColumnIndex(q.Right)
+		if !lok || !rok {
+			return func(int) bool { return false }
+		}
+		if kind := t.Schema().Column(li).Type; kind == t.Schema().Column(ri).Type {
+			switch kind {
+			case value.KindInt:
+				return compileColPair(t, li, ri, t.Ints(li), t.Ints(ri), q.Op)
+			case value.KindFloat:
+				return compileColPair(t, li, ri, t.Floats(li), t.Floats(ri), q.Op)
+			case value.KindString:
+				return compileColPair(t, li, ri, t.Strings(li), t.Strings(ri), q.Op)
+			}
+		}
 	case *InList:
 		ci, ok := t.Schema().ColumnIndex(q.Column)
 		if !ok {
@@ -176,4 +192,23 @@ func Compile(p Predicate, t *relation.Table) func(row int) bool {
 	}
 	// Fallback: generic evaluation.
 	return func(row int) bool { return p.EvalRow(t, row) }
+}
+
+// compileColPair is the typed evaluator of a same-kind column pair: no
+// name lookup, no boxing. It orders like value.Compare — only < and > are
+// consulted — and NULL on either side never matches.
+func compileColPair[T int64 | float64 | string](t *relation.Table, li, ri int, l, r []T, op Op) func(int) bool {
+	return func(row int) bool {
+		if t.IsNullAt(row, li) || t.IsNullAt(row, ri) {
+			return false
+		}
+		cmp := 0
+		switch a, b := l[row], r[row]; {
+		case a < b:
+			cmp = -1
+		case a > b:
+			cmp = 1
+		}
+		return op.apply(cmp)
+	}
 }

@@ -8,43 +8,131 @@ import (
 // CompileMask evaluates p over every row of t at once, setting bit r of
 // mask (stored in mask[r>>6]) for each matching row. It covers the same
 // fast shapes as Compile — comparisons and IN lists over int, float, and
-// string columns, plus AND/OR over such children — but dispatches the
-// operator once outside the row loop, so bulk membership precompute runs a
-// tight per-type loop instead of a closure call per row. mask must be
-// zeroed and hold at least (t.NumRows()+63)/64 words.
+// string columns, same-kind column pairs, LIKE, plus AND/OR over such
+// children — but dispatches the operator once outside the row loop, so bulk
+// membership precompute runs a tight per-type loop instead of a closure
+// call per row. mask must be zeroed and hold at least (t.NumRows()+63)/64
+// words.
 //
-// It reports false, leaving mask untouched, when p needs the generic
-// per-row path (callers then fall back to Compile).
+// It reports false when p needs the generic per-row path (callers then
+// fall back to Compile). Support is decided by MaskSupported before any row
+// is touched, so a refusal costs nothing and leaves mask untouched.
 func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
-	n := t.NumRows()
+	if !MaskSupported(p, t) {
+		return false
+	}
+	fillSupported(p, t, mask)
+	return true
+}
+
+// MaskSupported reports whether CompileMask accepts p over t. It looks at
+// p's shape and t's schema only.
+func MaskSupported(p Predicate, t *relation.Table) bool {
+	return supportedShape(p, tableKinds(t))
+}
+
+// tableKinds adapts t's schema to the kindOf lookup supportedShape and
+// CompileScan take.
+func tableKinds(t *relation.Table) func(col string) (value.Kind, bool) {
+	return func(col string) (value.Kind, bool) {
+		ci, ok := t.Schema().ColumnIndex(col)
+		if !ok {
+			return value.KindNull, false
+		}
+		return t.Schema().Column(ci).Type, true
+	}
+}
+
+// supportedShape is the one support matrix CompileMask and CompileScan
+// share: a predicate is pushed down (as a bulk mask, or onto encoded pages)
+// exactly when every leaf compares like with like. Leaves over a missing
+// column match nothing and are supported. Refused: an int or string column
+// against a literal of another kind, any column against NULL, a float IN
+// list, and a column pair of two different kinds.
+func supportedShape(p Predicate, kindOf func(col string) (value.Kind, bool)) bool {
+	switch q := p.(type) {
+	case *Comparison:
+		kind, ok := kindOf(q.Column)
+		if !ok {
+			return true
+		}
+		switch lit := q.Value.Kind(); kind {
+		case value.KindInt:
+			return lit == value.KindInt
+		case value.KindFloat:
+			return lit == value.KindFloat || lit == value.KindInt
+		case value.KindString:
+			return lit == value.KindString
+		}
+		return false
+	case *ColumnComparison:
+		lk, lok := kindOf(q.Left)
+		rk, rok := kindOf(q.Right)
+		if !lok || !rok {
+			return true
+		}
+		return lk == rk && (lk == value.KindInt || lk == value.KindFloat || lk == value.KindString)
+	case *InList:
+		kind, ok := kindOf(q.Column)
+		return !ok || kind == value.KindInt || kind == value.KindString
+	case *Like, Const:
+		return true
+	case *And:
+		for _, c := range q.Children {
+			if !supportedShape(c, kindOf) {
+				return false
+			}
+		}
+		return true
+	case *Or:
+		for _, c := range q.Children {
+			if !supportedShape(c, kindOf) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// fillSupported is CompileMask's evaluator; p has passed MaskSupported.
+func fillSupported(p Predicate, t *relation.Table, mask []uint64) {
 	switch q := p.(type) {
 	case *Comparison:
 		ci, ok := t.Schema().ColumnIndex(q.Column)
 		if !ok {
-			return true // no such column: matches nothing, mask stays zero
+			return // no such column: matches nothing, mask stays zero
 		}
-		col := t.Schema().Column(ci)
-		if col.Type == value.KindInt && q.Value.Kind() == value.KindInt {
+		switch t.Schema().Column(ci).Type {
+		case value.KindInt:
 			maskCompare(t.Ints(ci), q.Op, q.Value.Int(), mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
-		}
-		if col.Type == value.KindFloat && !q.Value.IsNull() &&
-			(q.Value.Kind() == value.KindFloat || q.Value.Kind() == value.KindInt) {
+		case value.KindFloat:
 			maskCompare(t.Floats(ci), q.Op, q.Value.AsFloat(), mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
-		}
-		if col.Type == value.KindString && q.Value.Kind() == value.KindString {
+		case value.KindString:
 			maskCompare(t.Strings(ci), q.Op, q.Value.Str(), mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
 		}
-		return false
+		clearNulls(t.Nulls(ci), mask)
+	case *ColumnComparison:
+		li, lok := t.Schema().ColumnIndex(q.Left)
+		ri, rok := t.Schema().ColumnIndex(q.Right)
+		if !lok || !rok {
+			return // a missing side reads as NULL: matches nothing
+		}
+		switch t.Schema().Column(li).Type {
+		case value.KindInt:
+			MaskCompareCols(t.Ints(li), t.Ints(ri), q.Op, mask)
+		case value.KindFloat:
+			MaskCompareCols(t.Floats(li), t.Floats(ri), q.Op, mask)
+		case value.KindString:
+			MaskCompareCols(t.Strings(li), t.Strings(ri), q.Op, mask)
+		}
+		// NULL on either side never matches (EvalRow's rule).
+		clearNulls(t.Nulls(li), mask)
+		clearNulls(t.Nulls(ri), mask)
 	case *InList:
 		ci, ok := t.Schema().ColumnIndex(q.Column)
 		if !ok {
-			return true
+			return
 		}
 		switch t.Schema().Column(ci).Type {
 		case value.KindInt:
@@ -59,8 +147,6 @@ func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
 				}
 			}
 			maskInList(t.Ints(ci), set, q.Negate_, hasNullLit, mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
 		case value.KindString:
 			set := make(map[string]struct{}, len(q.Values))
 			hasNullLit := false
@@ -73,14 +159,12 @@ func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
 				}
 			}
 			maskInList(t.Strings(ci), set, q.Negate_, hasNullLit, mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
 		}
-		return false
+		clearNulls(t.Nulls(ci), mask)
 	case *Like:
 		ci, ok := t.Schema().ColumnIndex(q.Column)
 		if !ok || t.Schema().Column(ci).Type != value.KindString {
-			return true // missing or non-string column: LIKE matches nothing
+			return // missing or non-string column: LIKE matches nothing
 		}
 		match := likeMatcher(q.Pattern)
 		neg := q.Negate_
@@ -92,71 +176,45 @@ func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
 		// Null rows never match, not even NOT LIKE (SQL three-valued logic,
 		// mirroring EvalRow).
 		clearNulls(t.Nulls(ci), mask)
-		return true
 	case *And:
+		fillSupported(q.Children[0], t, mask)
 		scratch := make([]uint64, len(mask))
-		for i, c := range q.Children {
-			if i == 0 {
-				if !CompileMask(c, t, mask) {
-					return false
-				}
-				continue
-			}
+		for _, c := range q.Children[1:] {
 			for w := range scratch {
 				scratch[w] = 0
 			}
-			if !CompileMask(c, t, scratch) {
-				// Mask may hold partial conjunct state; reset before failing.
-				for w := range mask {
-					mask[w] = 0
-				}
-				return false
-			}
+			fillSupported(c, t, scratch)
 			for w := range mask {
 				mask[w] &= scratch[w]
 			}
 		}
-		return true
 	case *Or:
 		// Each child must be evaluated into a clean mask: children AND in
 		// conjuncts and clear null-row bits, and either would corrupt bits
 		// already accumulated by earlier disjuncts if they shared the mask.
+		fillSupported(q.Children[0], t, mask)
 		scratch := make([]uint64, len(mask))
-		for i, c := range q.Children {
-			if i == 0 {
-				if !CompileMask(c, t, mask) {
-					return false
-				}
-				continue
-			}
+		for _, c := range q.Children[1:] {
 			for w := range scratch {
 				scratch[w] = 0
 			}
-			if !CompileMask(c, t, scratch) {
-				for w := range mask {
-					mask[w] = 0
-				}
-				return false
-			}
+			fillSupported(c, t, scratch)
 			for w := range mask {
 				mask[w] |= scratch[w]
 			}
 		}
-		return true
 	case Const:
 		if bool(q) {
-			setAll(mask, n)
+			setAll(mask, t.NumRows())
 		}
-		return true
 	}
-	return false
 }
 
 // FillMask computes p's full-table match mask: bit r of mask is set iff
 // row r of t satisfies p. Fast shapes use CompileMask's branchless loops;
-// anything else (LIKE, column-column comparisons, float IN lists) falls
-// back to the compiled per-row evaluator, so every predicate is supported.
-// mask must be zeroed and hold at least (t.NumRows()+63)/64 words.
+// anything MaskSupported refuses falls back to the compiled per-row
+// evaluator, so every predicate is supported. mask must be zeroed and hold
+// at least (t.NumRows()+63)/64 words.
 func FillMask(p Predicate, t *relation.Table, mask []uint64) {
 	if CompileMask(p, t, mask) {
 		return
@@ -220,6 +278,64 @@ func maskCompare[T int64 | float64 | string](vals []T, op Op, lit T, mask []uint
 		for r, v := range vals {
 			var b uint64
 			if v >= lit {
+				b = 1
+			}
+			mask[r>>6] |= b << (uint(r) & 63)
+		}
+	}
+}
+
+// MaskCompareCols sets the bit of every row where (l[r] op rt[r]); rt must
+// be at least as long as l. Like value.Compare it consults only < and >, so
+// all three kinds share one body and a float NaN orders exactly as EvalRow
+// has it. The storage backend runs the same kernel over decoded pages.
+func MaskCompareCols[T int64 | float64 | string](l, rt []T, op Op, mask []uint64) {
+	rt = rt[:len(l)]
+	switch op {
+	case Eq:
+		for r, v := range l {
+			var b uint64
+			if !(v < rt[r]) && !(v > rt[r]) {
+				b = 1
+			}
+			mask[r>>6] |= b << (uint(r) & 63)
+		}
+	case Ne:
+		for r, v := range l {
+			var b uint64
+			if v < rt[r] || v > rt[r] {
+				b = 1
+			}
+			mask[r>>6] |= b << (uint(r) & 63)
+		}
+	case Lt:
+		for r, v := range l {
+			var b uint64
+			if v < rt[r] {
+				b = 1
+			}
+			mask[r>>6] |= b << (uint(r) & 63)
+		}
+	case Le:
+		for r, v := range l {
+			var b uint64
+			if !(v > rt[r]) {
+				b = 1
+			}
+			mask[r>>6] |= b << (uint(r) & 63)
+		}
+	case Gt:
+		for r, v := range l {
+			var b uint64
+			if v > rt[r] {
+				b = 1
+			}
+			mask[r>>6] |= b << (uint(r) & 63)
+		}
+	default: // Ge
+		for r, v := range l {
+			var b uint64
+			if !(v < rt[r]) {
 				b = 1
 			}
 			mask[r>>6] |= b << (uint(r) & 63)

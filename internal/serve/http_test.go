@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -88,13 +89,22 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	var st ServerStats
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
 	if st.Completed == 0 || st.Cache.Hits == 0 || len(st.Tenants) != 1 {
 		t.Errorf("stats not populated: %+v", st)
+	}
+	// Every template's filter is pushed down or bulk-masked, and the
+	// operator can see that: the off-pushdown row counter is exported.
+	if !bytes.Contains(body, []byte(`"residual_filter_rows":0`)) {
+		t.Errorf("stats lack the engine's residual_filter_rows: %s", body)
 	}
 
 	// Healthy while serving.
