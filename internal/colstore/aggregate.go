@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -24,7 +23,10 @@ import (
 // (like the compressed scan's fallback), so even they never allocate
 // retained vectors. Floats and overflow-risk integer sums are declined at
 // compile time and the engine folds them from the materialized vectors
-// instead.
+// instead. Every kernel here serves both fold shapes: nil slots is the
+// one-slot fold (the ungrouped fold, or a block proven to hold one group),
+// which keeps the word-wide forms; a slot per row (grouped.go resolves
+// them) scatters value by value.
 
 // TableFold is one query's compiled fold over one table, pinned to the
 // segment generation current at compile time. It is safe for concurrent
@@ -194,26 +196,40 @@ func (t *TableFold) FoldBlock(id int, survivors []uint64, gs *block.GroupedState
 		return nil
 	}
 	if t.gcol < 0 {
-		return t.foldSingleGroup(eb, nrows, local, pop, 0, gs, sc)
+		return t.foldRows(eb, nrows, local, pop, 0, nil, gs, sc)
 	}
 	return t.foldGroups(eb, nrows, local, pop, gs, sc)
 }
 
-// foldSingleGroup folds the masked survivors into one group slot with the
-// word-wide flat kernels (frame·popcount sums, zone MIN/MAX, fused null
-// clearing): the whole ungrouped fold, and the grouped fold's path for
-// blocks whose zone map proves a single group value.
-func (t *TableFold) foldSingleGroup(eb *EncodedBlock, nrows int, mask []uint64, pop, slot int, gs *block.GroupedStates, sc *scratch) error {
+// foldRows folds the mask's pop survivors into gs. With nil slots they all
+// land in the one group slot — the whole ungrouped fold, and the grouped
+// fold's path for blocks whose zone map proves a single group value — and
+// every aggregate takes its word-wide one-slot kernel; otherwise row i
+// lands in slots[i] and the aggregates scatter.
+func (t *TableFold) foldRows(eb *EncodedBlock, nrows int, mask []uint64, pop, slot int, slots []int32, gs *block.GroupedStates, sc *scratch) error {
 	if pop == 0 {
 		return nil
 	}
-	gs.Rows[slot] += int64(pop)
+	if slots == nil {
+		gs.Rows[slot] += int64(pop)
+	} else {
+		for w, word := range mask {
+			base := w << 6
+			for ; word != 0; word &= word - 1 {
+				gs.Rows[slots[base+bits.TrailingZeros64(word)]]++
+			}
+		}
+	}
 	for k := range t.aggs {
 		// COUNT(*) reads gs.Rows and needs no per-slot state.
 		if !t.supported[k] || t.cols[k] < 0 || gs.Aggs[k] == nil {
 			continue
 		}
-		if err := t.foldColumn(k, eb, nrows, mask, pop, &gs.Aggs[k][slot], sc); err != nil {
+		sts := gs.Aggs[k]
+		if slots == nil {
+			sts = sts[slot : slot+1]
+		}
+		if err := t.foldColumn(k, eb, nrows, mask, pop, slots, sts, sc); err != nil {
 			return fmt.Errorf("colstore: aggregate %s.%s: %w", t.table, t.aggs[k].Column, err)
 		}
 	}
@@ -273,28 +289,36 @@ func (t *TableFold) localizeSurvivors(id int, eb *EncodedBlock, survivors []uint
 	return pop
 }
 
-// foldColumn folds one column-bearing aggregate over the block.
-func (t *TableFold) foldColumn(k int, eb *EncodedBlock, nrows int, local []uint64, pop int, st *block.AggState, sc *scratch) error {
+// foldColumn folds one column-bearing aggregate over the block into sts:
+// the one state of a one-slot fold (nil slots), else one state per slot.
+func (t *TableFold) foldColumn(k int, eb *EncodedBlock, nrows int, local []uint64, pop int, slots []int32, sts []block.AggState, sc *scratch) error {
 	spec := t.aggs[k]
 	kind := t.st.seg.cols[t.cols[k]].kind
-	if spec.Op == workload.AggMin || spec.Op == workload.AggMax {
+	if slots == nil && (spec.Op == workload.AggMin || spec.Op == workload.AggMax) {
 		// Zone short-circuits: an all-null block contributes nothing, a
 		// block whose zone interval cannot beat the running extreme is
 		// skipped, and a fully-selected block's extreme IS the zone bound
 		// (zone min/max are the extreme non-null values, and nulls never
-		// win MIN/MAX). None of the three touches a page byte.
+		// win MIN/MAX). None of the three touches a page byte; none applies
+		// to a scatter, whose zone interval spans all groups.
 		iv := eb.Block.Zone.Column(spec.Column)
 		if iv.Empty {
 			return nil
 		}
-		if zoneSkipsMinMax(spec.Op, iv, kind, st) {
+		if zoneSkipsMinMax(spec.Op, iv, kind, &sts[0]) {
 			return nil
 		}
-		if pop == nrows && foldZoneMinMax(spec.Op, iv, kind, st) {
+		if pop == nrows && foldZoneMinMax(spec.Op, iv, kind, &sts[0]) {
 			return nil
 		}
 	}
-	pv, err := parsePage(eb.Cols[t.cols[k]], nrows)
+	return foldPage(eb.Cols[t.cols[k]], spec.Op, kind, nrows, local, pop, slots, sts, sc)
+}
+
+// foldPage folds one aggregate over one column page: parse, clear the
+// page's null rows from the survivors, then the op × kind kernel.
+func foldPage(payload []byte, op workload.AggOp, kind value.Kind, nrows int, local []uint64, pop int, slots []int32, sts []block.AggState, sc *scratch) error {
+	pv, err := parsePage(payload, nrows)
 	if err != nil {
 		return err
 	}
@@ -309,18 +333,35 @@ func (t *TableFold) foldColumn(k int, eb *EncodedBlock, nrows int, local []uint6
 			return nil
 		}
 	}
-	switch spec.Op {
+	switch op {
 	case workload.AggCount:
-		st.Count += int64(pop)
+		if slots == nil {
+			sts[0].Count += int64(pop)
+			return nil
+		}
+		for w, word := range masked {
+			base := w << 6
+			for ; word != 0; word &= word - 1 {
+				sts[slots[base+bits.TrailingZeros64(word)]].Count++
+			}
+		}
 		return nil
 	case workload.AggSum, workload.AggAvg:
-		return foldSumInt(pv, nrows, masked, pop, st, sc)
+		return foldSumInt(pv, nrows, masked, pop, slots, sts, sc)
 	default: // AggMin / AggMax
 		if kind == value.KindString {
-			return foldMinMaxStr(pv, spec.Op, nrows, masked, st, sc)
+			return foldMinMaxStr(pv, op, nrows, masked, pop, slots, sts, sc)
 		}
-		return foldMinMaxInt(pv, spec.Op, nrows, masked, st, sc)
+		return foldMinMaxInt(pv, op, nrows, masked, pop, slots, sts, sc)
 	}
+}
+
+// slotOf is row i's index into a fold's states: 0 for a one-slot fold.
+func slotOf(slots []int32, i int) int32 {
+	if slots == nil {
+		return 0
+	}
+	return slots[i]
 }
 
 // zoneSkipsMinMax reports whether the block zone interval proves the block
@@ -400,71 +441,58 @@ func foldExtremeStr(op workload.AggOp, v string, st *block.AggState) {
 	st.Seen = true
 }
 
-// foldSumInt folds Σ col over the non-null survivor mask. FOR pages never
-// decode: Σ = frame·popcount + Σ packed codes at survivor positions,
-// accumulated in uint64 — exact mod 2^64, and CompileFold's zone
-// bound proves the true sum fits int64, so the cast back loses nothing.
-// Sparse survivor sets random-access the packed codes instead of unpacking
-// the whole page. Delta and raw pages decode into pooled scratch.
-func foldSumInt(pv pageView, nrows int, masked []uint64, pop int, st *block.AggState, sc *scratch) error {
-	if pv.enc == encIntFOR {
-		r := &bufReader{buf: pv.body}
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return r.err()
+// foldExtremeBytes is foldExtremeStr over bytes aliasing a page: a string
+// materializes only when the extreme improves.
+func foldExtremeBytes(op workload.AggOp, b []byte, st *block.AggState) {
+	if op == workload.AggMin {
+		if !st.Seen || bytesCompareString(b, st.MinS) < 0 {
+			st.MinS = string(b)
 		}
-		min := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return r.err()
-		}
-		if width < 64 {
-			packed := r.buf[r.off:]
-			if need := (n*width + 7) / 8; len(packed) < need {
-				return fmt.Errorf("colstore: bit-packed payload truncated: have %d bytes, need %d", len(packed), need)
-			}
-			var csum uint64
-			if pop*4 < n {
-				// Random-access the packed codes at survivor positions.
-				// The extraction is unpackAt's word-load fast path
-				// inlined; only positions whose 8-byte load would run off
-				// the page take the byte-peeling call.
-				lut := uint64(1)<<width - 1
-				safe := (len(packed) - 8) << 3
-				for w, word := range masked {
-					base := w << 6
-					for ; word != 0; word &= word - 1 {
-						idx := base + bits.TrailingZeros64(word)
-						if bp := idx * width; bp <= safe {
-							csum += binary.LittleEndian.Uint64(packed[bp>>3:]) >> (bp & 7) & lut
-						} else {
-							csum += unpackAt(packed, idx, width)
-						}
-					}
-				}
-			} else {
-				codes := sc.grabWords(n)
-				if err := unpackBitsInto(codes, packed, width); err != nil {
-					return err
-				}
-				csum = sumCodes(codes, masked)
-			}
-			st.Sum += int64(uint64(min)*uint64(pop) + csum)
-			st.Count += int64(pop)
-			return nil
+	} else {
+		if !st.Seen || bytesCompareString(b, st.MaxS) > 0 {
+			st.MaxS = string(b)
 		}
 	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	st.Seen = true
+}
+
+// foldSumInt folds Σ col over the non-null survivor mask. A one-slot fold
+// in the packed domain never decodes: Σ = frame·popcount + Σ packed codes at
+// survivor positions, accumulated in uint64 — exact mod 2^64, and
+// CompileFold's zone bound proves the true sum (of any survivor subset,
+// hence of every group) fits int64, so the cast back loses nothing. Every
+// other shape adds value by value into the row's slot.
+func foldSumInt(pv pageView, nrows int, masked []uint64, pop int, slots []int32, sts []block.AggState, sc *scratch) error {
+	v, err := pv.ints(nrows, sc)
 	if err != nil {
 		return err
 	}
+	if slots == nil && v.packedDomain() {
+		var csum uint64
+		if v.sparse(pop) {
+			for w, word := range masked {
+				base := w << 6
+				for ; word != 0; word &= word - 1 {
+					csum += v.codeAt(base + bits.TrailingZeros64(word))
+				}
+			}
+		} else {
+			csum = sumCodes(v.unpack(sc), masked)
+		}
+		sts[0].Sum += int64(uint64(v.frame)*uint64(pop) + csum)
+		sts[0].Count += int64(pop)
+		return nil
+	}
+	vals := v.valuesFor(pop, sc)
 	for w, word := range masked {
 		base := w << 6
 		for ; word != 0; word &= word - 1 {
-			st.Sum += vals[base+bits.TrailingZeros64(word)]
+			i := base + bits.TrailingZeros64(word)
+			st := &sts[slotOf(slots, i)]
+			st.Sum += v.valueAt(vals, i)
+			st.Count++
 		}
 	}
-	st.Count += int64(pop)
 	return nil
 }
 
@@ -493,56 +521,54 @@ func sumCodes(codes []uint64, mask []uint64) uint64 {
 	return sum
 }
 
-// foldMinMaxInt folds MIN/MAX over an int page. FOR pages compare in the
-// packed unsigned domain (rebasing preserves order) and rebase the single
-// winning code; other encodings decode into pooled scratch.
-func foldMinMaxInt(pv pageView, op workload.AggOp, nrows int, masked []uint64, st *block.AggState, sc *scratch) error {
-	if pv.enc == encIntFOR {
-		r := &bufReader{buf: pv.body}
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		min := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return r.err()
-		}
-		if width < 64 {
-			codes := sc.grabWords(n)
-			if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-				return err
-			}
-			if bc, have := extremeCode(codes, masked, op == workload.AggMax); have {
-				foldExtremeInt(op, int64(bc+uint64(min)), st)
-			}
-			return nil
-		}
-	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+// foldMinMaxInt folds MIN/MAX over an int page, value by value into the
+// row's slot.
+func foldMinMaxInt(pv pageView, op workload.AggOp, nrows int, masked []uint64, pop int, slots []int32, sts []block.AggState, sc *scratch) error {
+	v, err := pv.ints(nrows, sc)
 	if err != nil {
 		return err
 	}
-	var best int64
-	have := false
-	wantMax := op == workload.AggMax
+	vals := v.valuesFor(pop, sc)
 	for w, word := range masked {
 		base := w << 6
 		for ; word != 0; word &= word - 1 {
-			v := vals[base+bits.TrailingZeros64(word)]
-			if !have || (wantMax && v > best) || (!wantMax && v < best) {
-				best, have = v, true
-			}
+			i := base + bits.TrailingZeros64(word)
+			foldExtremeInt(op, v.valueAt(vals, i), &sts[slotOf(slots, i)])
 		}
-	}
-	if have {
-		foldExtremeInt(op, best, st)
 	}
 	return nil
 }
 
-// extremeCode returns the extreme packed code at the mask's set positions.
-func extremeCode(codes []uint64, mask []uint64, wantMax bool) (uint64, bool) {
+// foldMinMaxStr folds MIN/MAX over a string page. Dictionary codes are
+// ranks in the sorted dictionary, so a one-slot fold's extreme code IS its
+// extreme value — zero string comparisons. Every other shape compares the
+// row's bytes in place against its slot's running extreme.
+func foldMinMaxStr(pv pageView, op workload.AggOp, nrows int, masked []uint64, pop int, slots []int32, sts []block.AggState, sc *scratch) error {
+	v, err := pv.strs(nrows, sc)
+	if err != nil {
+		return err
+	}
+	codes, err := v.codesAt(masked, pop, sc)
+	if err != nil {
+		return err
+	}
+	if slots == nil && codes != nil {
+		foldExtremeBytes(op, v.entry(int(extremeCode(codes, masked, op == workload.AggMax))), &sts[0])
+		return nil
+	}
+	for w, word := range masked {
+		base := w << 6
+		for ; word != 0; word &= word - 1 {
+			i := base + bits.TrailingZeros64(word)
+			foldExtremeBytes(op, v.row(codes, i), &sts[slotOf(slots, i)])
+		}
+	}
+	return nil
+}
+
+// extremeCode returns the extreme code at the set positions of a non-empty
+// mask.
+func extremeCode(codes []uint64, mask []uint64, wantMax bool) uint64 {
 	var best uint64
 	have := false
 	for w, word := range mask {
@@ -554,74 +580,7 @@ func extremeCode(codes []uint64, mask []uint64, wantMax bool) (uint64, bool) {
 			}
 		}
 	}
-	return best, have
-}
-
-// foldMinMaxStr folds MIN/MAX over a string page. Dictionary codes are
-// ranks in the sorted dictionary, so the extreme code IS the extreme
-// value — one string materializes per block, with zero comparisons. Raw
-// pages walk the entries and compare bytes in place.
-func foldMinMaxStr(pv pageView, op workload.AggOp, nrows int, masked []uint64, st *block.AggState, sc *scratch) error {
-	r := &bufReader{buf: pv.body}
-	switch pv.enc {
-	case encStrDict:
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		nd := r.count(1)
-		if r.fail != nil {
-			return r.err()
-		}
-		offs, lens, err := indexDict(r, nd, sc)
-		if err != nil {
-			return err
-		}
-		width := int(r.u8())
-		if r.fail != nil {
-			return r.err()
-		}
-		codes := sc.grabWords(n)
-		if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-			return err
-		}
-		bc, have := extremeCode(codes, masked, op == workload.AggMax)
-		if !have {
-			return nil
-		}
-		if bc >= uint64(nd) {
-			return fmt.Errorf("dictionary code %d out of range %d", bc, nd)
-		}
-		foldExtremeStr(op, string(pv.body[offs[bc]:offs[bc]+lens[bc]]), st)
-		return nil
-	case encStrRaw:
-		n := r.count(1)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		var best []byte
-		have := false
-		wantMax := op == workload.AggMax
-		for k := 0; k < n; k++ {
-			ln := r.count(1)
-			b := r.bytes(ln)
-			if r.fail != nil {
-				return r.err()
-			}
-			if masked[k>>6]>>(uint(k)&63)&1 == 0 {
-				continue
-			}
-			if !have || (wantMax && bytes.Compare(b, best) > 0) || (!wantMax && bytes.Compare(b, best) < 0) {
-				best, have = b, true
-			}
-		}
-		if have {
-			foldExtremeStr(op, string(best), st)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown string encoding 0x%02x", pv.enc)
-	}
+	return best
 }
 
 // clearNullsInto writes local &^ nulls into dst and returns dst's

@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"math/bits"
 	"testing"
 
 	"mto/internal/block"
@@ -13,15 +12,11 @@ import (
 // isolates the fold itself (the engine charges the block read to the scan
 // that produced the survivor bitmap, identically for both paths):
 //
-//   - materialize-fold: the pre-existing fallback — convert the survivor
-//     bitmap to per-block selections, MaterializeRows the aggregated
-//     column, fold the decoded vector row by row;
-//   - compressed: FoldBlock folds frame·popcount + Σ packed deltas at
+//   - compressed: FoldBlock folds frame·popcount + Σ packed codes at
 //     survivor positions straight off the encoded FOR page, allocating
-//     nothing in steady state.
-//
-// The acceptance bar is ≥3× fewer ns/op and ≥10× fewer allocs/op on this
-// selective FOR-packed SUM.
+//     nothing in steady state;
+//   - decode-fold: ReadBlockData's decoded vector, folded row by row at the
+//     survivor positions.
 func BenchmarkCompressedAggregate(b *testing.B) {
 	const nrows = 100_000
 	tab := scanTable(b, nrows)
@@ -66,36 +61,19 @@ func BenchmarkCompressedAggregate(b *testing.B) {
 		b.ReportMetric(float64(wantSum), "sum")
 	})
 
-	b.Run("materialize-fold", func(b *testing.B) {
+	b.Run("decode-fold", func(b *testing.B) {
 		b.ReportAllocs()
 		var sum int64
-		sel := make([]int32, 0, 4096)
 		for i := 0; i < b.N; i++ {
 			var st block.AggState
 			for id := 0; id < nb; id++ {
-				// Sequential layout: block id covers global rows
-				// [start, start+4096), whole mask words (4096 % 64 == 0).
-				start := id * 4096
-				w1 := start/64 + 64
-				if w1 > len(survivors) {
-					w1 = len(survivors)
-				}
-				sel = sel[:0]
-				for w := start / 64; w < w1; w++ {
-					for word := survivors[w]; word != 0; word &= word - 1 {
-						sel = append(sel, int32(w*64+bits.TrailingZeros64(word)-start))
-					}
-				}
-				if len(sel) == 0 {
-					continue
-				}
-				cols, err := s.MaterializeRows("sc", id, sel, []string{"i_for"})
+				bd, err := s.ReadBlockData("sc", id)
 				if err != nil {
 					b.Fatal(err)
 				}
-				c := &cols[0]
-				for k := range c.Ints {
-					if c.Nulls != nil && c.Nulls[k] {
+				c := &bd.Cols[0] // i_for
+				for k, r := range bd.Block.Rows {
+					if survivors[r>>6]>>(uint(r)&63)&1 == 0 || c.Nulls != nil && c.Nulls[k] {
 						continue
 					}
 					st.FoldInt(c.Ints[k])
@@ -105,7 +83,7 @@ func BenchmarkCompressedAggregate(b *testing.B) {
 		}
 		b.ReportMetric(float64(sum), "sum")
 		if wantSum != 0 && sum != wantSum {
-			b.Fatalf("materialized sum %d differs from compressed %d", sum, wantSum)
+			b.Fatalf("decoded sum %d differs from compressed %d", sum, wantSum)
 		}
 	})
 }

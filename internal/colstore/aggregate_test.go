@@ -329,7 +329,8 @@ func FuzzCompressedAggregate(f *testing.F) {
 			}
 			tab.MustAppendRow(v)
 		}
-		pv, err := parsePage(encodeColumnPage(tab, 0), n)
+		page := encodeColumnPage(tab, 0)
+		pv, err := parsePage(page, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,8 +341,8 @@ func FuzzCompressedAggregate(f *testing.F) {
 				mask[r>>6] |= 1 << (uint(r) & 63)
 			}
 		}
-		// Replicate foldColumn's null clearing, then drive the kernel the
-		// dispatcher would pick.
+		// Replicate foldPage's null clearing to pin the survivor count it
+		// must reach, then fold the page.
 		masked := mask
 		if pv.nulls != nil {
 			masked = append([]uint64(nil), mask...)
@@ -367,30 +368,25 @@ func FuzzCompressedAggregate(f *testing.F) {
 		}
 		sc := getScratch()
 		defer putScratch(sc)
-		var got block.AggState
 		op := []workload.AggOp{workload.AggSum, workload.AggMin, workload.AggMax}[int(opRaw)%3]
+		if op == workload.AggSum && kind != value.KindInt {
+			return
+		}
+		sts := make([]block.AggState, 1)
+		if err := foldPage(page, op, kind, n, mask, popcountMask(mask), nil, sts, sc); err != nil {
+			t.Fatal(err)
+		}
+		got := sts[0]
 		switch {
 		case op == workload.AggSum:
-			if kind != value.KindInt {
-				return
-			}
-			if err := foldSumInt(pv, n, masked, pop, &got, sc); err != nil {
-				t.Fatal(err)
-			}
 			if got.Sum != want.Sum || got.Count != want.Count {
 				t.Fatalf("sum: got Sum=%d Count=%d want Sum=%d Count=%d", got.Sum, got.Count, want.Sum, want.Count)
 			}
 		case kind == value.KindString:
-			if err := foldMinMaxStr(pv, op, n, masked, &got, sc); err != nil {
-				t.Fatal(err)
-			}
 			if !got.Seen || (op == workload.AggMin && got.MinS != want.MinS) || (op == workload.AggMax && got.MaxS != want.MaxS) {
 				t.Fatalf("%s: got %+v want MinS=%q MaxS=%q", op, got, want.MinS, want.MaxS)
 			}
 		default:
-			if err := foldMinMaxInt(pv, op, n, masked, &got, sc); err != nil {
-				t.Fatal(err)
-			}
 			if !got.Seen || (op == workload.AggMin && got.MinI != want.MinI) || (op == workload.AggMax && got.MaxI != want.MaxI) {
 				t.Fatalf("%s: got %+v want MinI=%d MaxI=%d", op, got, want.MinI, want.MaxI)
 			}

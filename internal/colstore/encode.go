@@ -11,11 +11,12 @@ import (
 )
 
 // This file holds the byte-level building blocks of the segment format:
-// a sticky-error binary reader/writer pair and the page encodings
-// (frame-of-reference bit-packing and delta bit-packing for integers,
-// dictionary coding for strings, raw fallbacks for both, raw IEEE bits
-// for floats). Encoding choices are deterministic functions of the data,
-// so a segment written twice from the same layout is byte-identical.
+// a sticky-error binary reader/writer pair, the bit packer, and the page
+// encoders (frame-of-reference bit-packing and delta bit-packing for
+// integers, dictionary coding for strings, raw fallbacks for both, raw
+// IEEE bits for floats); page.go reads the pages back. Encoding choices
+// are deterministic functions of the data, so a segment written twice
+// from the same layout is byte-identical.
 
 // bufWriter accumulates an encoded byte stream.
 type bufWriter struct {
@@ -194,37 +195,19 @@ func packBits(vals []uint64, width int) []byte {
 	return out
 }
 
-// unpackBits reverses packBits into count elements of the given width.
-func unpackBits(buf []byte, count, width int) ([]uint64, error) {
-	out := make([]uint64, count)
-	if err := unpackBitsInto(out, buf, width); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // unpackBitsInto reverses packBits into dst (len(dst) elements of the
-// given width), letting callers reuse scratch buffers. Widths up to 57
-// take a word-at-a-time fast path: each element's bits fit one unaligned
-// 8-byte load.
-func unpackBitsInto(dst []uint64, buf []byte, width int) error {
+// given width), letting callers reuse scratch buffers. The caller — the
+// page reader — has validated the width (0..64) and the payload length for
+// len(dst) elements. Widths up to 57 take a word-at-a-time fast path: each
+// element's bits fit one unaligned 8-byte load.
+func unpackBitsInto(dst []uint64, buf []byte, width int) {
 	count := len(dst)
-	if width < 0 || width > 64 {
-		return fmt.Errorf("colstore: bad bit width %d", width)
-	}
-	need := (count*width + 7) / 8
-	if len(buf) < need {
-		return fmt.Errorf("colstore: bit-packed payload truncated: have %d bytes, need %d", len(buf), need)
-	}
-	if width == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
 	// Byte-aligned widths are straight loads: no shifting or masking, and
 	// eight lanes per iteration keep the loop ahead of the generic path.
 	switch width {
+	case 0:
+		clear(dst)
+		return
 	case 8:
 		i := 0
 		for ; i+8 <= count; i += 8 {
@@ -236,7 +219,7 @@ func unpackBitsInto(dst []uint64, buf []byte, width int) error {
 		for ; i < count; i++ {
 			dst[i] = uint64(buf[i])
 		}
-		return nil
+		return
 	case 16:
 		i := 0
 		for ; i+8 <= count; i += 8 {
@@ -254,7 +237,7 @@ func unpackBitsInto(dst []uint64, buf []byte, width int) error {
 		for ; i < count; i++ {
 			dst[i] = uint64(binary.LittleEndian.Uint16(buf[i*2:]))
 		}
-		return nil
+		return
 	case 32:
 		i := 0
 		for ; i+8 <= count; i += 8 {
@@ -272,7 +255,12 @@ func unpackBitsInto(dst []uint64, buf []byte, width int) error {
 		for ; i < count; i++ {
 			dst[i] = uint64(binary.LittleEndian.Uint32(buf[i*4:]))
 		}
-		return nil
+		return
+	case 64:
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(buf[i*8:])
+		}
+		return
 	}
 	i := 0
 	if width <= 57 {
@@ -281,33 +269,19 @@ func unpackBitsInto(dst []uint64, buf []byte, width int) error {
 			bitPos := i * width
 			byteIdx := bitPos >> 3
 			if byteIdx+8 > len(buf) {
-				break // tail: fall through to the byte-wise loop
+				break // tail: the word load would run off the payload
 			}
 			dst[i] = binary.LittleEndian.Uint64(buf[byteIdx:]) >> (bitPos & 7) & mask
 		}
 	}
-	bitPos := i * width
 	for ; i < count; i++ {
-		var v uint64
-		for b := 0; b < width; {
-			byteIdx, bitIdx := bitPos>>3, bitPos&7
-			take := 8 - bitIdx
-			if take > width-b {
-				take = width - b
-			}
-			chunk := uint64(buf[byteIdx]>>bitIdx) & ((1 << take) - 1)
-			v |= chunk << b
-			b += take
-			bitPos += take
-		}
-		dst[i] = v
+		dst[i] = unpackAt(buf, i, width)
 	}
-	return nil
 }
 
-// unpackAt extracts the idx'th width-bit element of a packed payload
-// (random access, for gather-by-mask decoding). The caller must have
-// validated the payload length for the full element count.
+// unpackAt extracts the idx'th width-bit element of a packed payload by
+// random access. The caller must have validated the payload length for the
+// full element count.
 func unpackAt(buf []byte, idx, width int) uint64 {
 	if width == 0 {
 		return 0
@@ -416,95 +390,6 @@ func encodeInts(w *bufWriter, vals []int64) {
 	}
 }
 
-// checkCount validates a page's element count against the footer's row
-// count for the block, so corrupted counts error out before any
-// allocation sized by them.
-func (r *bufReader) checkCount(n, want int) bool {
-	if r.fail != nil {
-		return false
-	}
-	if n != want {
-		r.setErr(fmt.Sprintf("page holds %d values, footer says %d", n, want))
-		return false
-	}
-	return true
-}
-
-// decodeInts decodes an integer page body (after the enc byte); want is
-// the expected element count from the segment footer.
-func decodeInts(r *bufReader, enc byte, want int) []int64 {
-	switch enc {
-	case encIntRaw:
-		n := r.count(8)
-		if !r.checkCount(n, want) {
-			return nil
-		}
-		out := make([]int64, n)
-		for i := range out {
-			b := r.bytes(8)
-			if r.fail != nil {
-				return nil
-			}
-			out[i] = int64(binary.LittleEndian.Uint64(b))
-		}
-		return out
-	case encIntFOR:
-		n := r.count(0)
-		if !r.checkCount(n, want) {
-			return nil
-		}
-		min := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return nil
-		}
-		wb := getWordBuf(n)
-		defer putWordBuf(wb)
-		if err := unpackBitsInto(wb.w, r.buf[r.off:], width); err != nil {
-			r.setErr(err.Error())
-			return nil
-		}
-		r.off += (n*width + 7) / 8
-		out := make([]int64, n)
-		for i, p := range wb.w {
-			out[i] = int64(p + uint64(min))
-		}
-		return out
-	case encIntDelta:
-		n := r.count(0)
-		if !r.checkCount(n, want) {
-			return nil
-		}
-		if n == 0 {
-			return nil
-		}
-		first := r.varint()
-		minDelta := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return nil
-		}
-		wb := getWordBuf(n - 1)
-		defer putWordBuf(wb)
-		if err := unpackBitsInto(wb.w, r.buf[r.off:], width); err != nil {
-			r.setErr(err.Error())
-			return nil
-		}
-		r.off += ((n-1)*width + 7) / 8
-		out := make([]int64, n)
-		out[0] = first
-		cur := first
-		for i, p := range wb.w {
-			cur += int64(p + uint64(minDelta))
-			out[i+1] = cur
-		}
-		return out
-	default:
-		r.setErr(fmt.Sprintf("unknown int encoding 0x%02x", enc))
-		return nil
-	}
-}
-
 // encodeStrings appends the best string encoding of vals to w: dictionary
 // coding (sorted distinct values + bit-packed codes) unless every value is
 // distinct, where the dictionary is pure overhead and the raw fallback is
@@ -545,65 +430,6 @@ func encodeStrings(w *bufWriter, vals []string) {
 	w.bytes(packBits(codes, width))
 }
 
-// decodeStrings decodes a string page body (after the enc byte); want is
-// the expected element count from the segment footer.
-func decodeStrings(r *bufReader, enc byte, want int) []string {
-	switch enc {
-	case encStrRaw:
-		n := r.count(1)
-		if !r.checkCount(n, want) {
-			return nil
-		}
-		out := make([]string, n)
-		for i := range out {
-			out[i] = r.str()
-			if r.fail != nil {
-				return nil
-			}
-		}
-		return out
-	case encStrDict:
-		n := r.count(0)
-		if !r.checkCount(n, want) {
-			return nil
-		}
-		nd := r.count(1)
-		if r.fail != nil {
-			return nil
-		}
-		dict := make([]string, nd)
-		for i := range dict {
-			dict[i] = r.str()
-			if r.fail != nil {
-				return nil
-			}
-		}
-		width := int(r.u8())
-		if r.fail != nil {
-			return nil
-		}
-		wb := getWordBuf(n)
-		defer putWordBuf(wb)
-		if err := unpackBitsInto(wb.w, r.buf[r.off:], width); err != nil {
-			r.setErr(err.Error())
-			return nil
-		}
-		r.off += (n*width + 7) / 8
-		out := make([]string, n)
-		for i, c := range wb.w {
-			if c >= uint64(nd) {
-				r.setErr(fmt.Sprintf("dictionary code %d out of range %d", c, nd))
-				return nil
-			}
-			out[i] = dict[c]
-		}
-		return out
-	default:
-		r.setErr(fmt.Sprintf("unknown string encoding 0x%02x", enc))
-		return nil
-	}
-}
-
 // encodeFloats appends the raw float encoding of vals to w.
 func encodeFloats(w *bufWriter, vals []float64) {
 	w.u8(encFloatRaw)
@@ -611,27 +437,6 @@ func encodeFloats(w *bufWriter, vals []float64) {
 	for _, f := range vals {
 		w.f64(f)
 	}
-}
-
-// decodeFloats decodes a float page body (after the enc byte); want is
-// the expected element count from the segment footer.
-func decodeFloats(r *bufReader, enc byte, want int) []float64 {
-	if enc != encFloatRaw {
-		r.setErr(fmt.Sprintf("unknown float encoding 0x%02x", enc))
-		return nil
-	}
-	n := r.count(8)
-	if !r.checkCount(n, want) {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
-		if r.fail != nil {
-			return nil
-		}
-	}
-	return out
 }
 
 // encodeNulls appends the optional null-mask section preceding every
@@ -656,293 +461,4 @@ func encodeNulls(w *bufWriter, nulls []bool, n int) {
 		}
 	}
 	w.bytes(mask)
-}
-
-// gatherColumn decodes only rows sel (ascending local row indexes) of one
-// raw column page payload — the late-materialization path: after a
-// compressed-domain scan has built the survivor set, payload columns are
-// gathered for just the surviving rows instead of decoding the full page.
-// The returned vectors are parallel to sel; Nulls is nil when the page has
-// no null section.
-func gatherColumn(payload []byte, kind value.Kind, nrows int, sel []int32) (ColumnData, error) {
-	cd := ColumnData{Kind: kind}
-	for i, l := range sel {
-		if l < 0 || int(l) >= nrows || (i > 0 && l <= sel[i-1]) {
-			return cd, fmt.Errorf("colstore: gather selection not ascending within %d rows", nrows)
-		}
-	}
-	r := &bufReader{buf: payload}
-	var nulls []byte
-	switch r.u8() {
-	case 0:
-	case 1:
-		nulls = r.bytes((nrows + 7) / 8)
-	default:
-		r.setErr("bad null-mask flag")
-	}
-	enc := r.u8()
-	if r.fail != nil {
-		return cd, r.fail
-	}
-	if nulls != nil {
-		cd.Nulls = make([]bool, len(sel))
-		for i, l := range sel {
-			cd.Nulls[i] = nulls[l>>3]&(1<<(l&7)) != 0
-		}
-	}
-	switch kind {
-	case value.KindInt:
-		cd.Ints = make([]int64, len(sel))
-		gatherInts(r, enc, nrows, sel, cd.Ints)
-	case value.KindFloat:
-		cd.Floats = make([]float64, len(sel))
-		gatherFloats(r, enc, nrows, sel, cd.Floats)
-	default:
-		cd.Strs = make([]string, len(sel))
-		gatherStrings(r, enc, nrows, sel, cd.Strs)
-	}
-	return cd, r.err()
-}
-
-// gatherInts decodes elements sel of an int page body into out. Raw and
-// FOR pages are random access; delta pages walk the prefix sum once up to
-// the last selected row.
-func gatherInts(r *bufReader, enc byte, want int, sel []int32, out []int64) {
-	switch enc {
-	case encIntRaw:
-		n := r.count(8)
-		if !r.checkCount(n, want) {
-			return
-		}
-		data := r.bytes(8 * n)
-		if r.fail != nil {
-			return
-		}
-		for i, l := range sel {
-			out[i] = int64(binary.LittleEndian.Uint64(data[int(l)*8:]))
-		}
-	case encIntFOR:
-		n := r.count(0)
-		if !r.checkCount(n, want) {
-			return
-		}
-		min := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return
-		}
-		body := r.bytes((n*width + 7) / 8)
-		if r.fail != nil {
-			return
-		}
-		if width > 64 {
-			r.setErr(fmt.Sprintf("bad bit width %d", width))
-			return
-		}
-		// Byte-aligned widths gather with direct loads, eight rows per
-		// iteration; other widths random-access bit offsets.
-		switch width {
-		case 8:
-			i := 0
-			for ; i+8 <= len(sel); i += 8 {
-				s := sel[i : i+8 : i+8]
-				o := out[i : i+8 : i+8]
-				o[0] = int64(uint64(body[s[0]]) + uint64(min))
-				o[1] = int64(uint64(body[s[1]]) + uint64(min))
-				o[2] = int64(uint64(body[s[2]]) + uint64(min))
-				o[3] = int64(uint64(body[s[3]]) + uint64(min))
-				o[4] = int64(uint64(body[s[4]]) + uint64(min))
-				o[5] = int64(uint64(body[s[5]]) + uint64(min))
-				o[6] = int64(uint64(body[s[6]]) + uint64(min))
-				o[7] = int64(uint64(body[s[7]]) + uint64(min))
-			}
-			for ; i < len(sel); i++ {
-				out[i] = int64(uint64(body[sel[i]]) + uint64(min))
-			}
-		case 16:
-			i := 0
-			for ; i+8 <= len(sel); i += 8 {
-				s := sel[i : i+8 : i+8]
-				o := out[i : i+8 : i+8]
-				o[0] = int64(uint64(binary.LittleEndian.Uint16(body[s[0]*2:])) + uint64(min))
-				o[1] = int64(uint64(binary.LittleEndian.Uint16(body[s[1]*2:])) + uint64(min))
-				o[2] = int64(uint64(binary.LittleEndian.Uint16(body[s[2]*2:])) + uint64(min))
-				o[3] = int64(uint64(binary.LittleEndian.Uint16(body[s[3]*2:])) + uint64(min))
-				o[4] = int64(uint64(binary.LittleEndian.Uint16(body[s[4]*2:])) + uint64(min))
-				o[5] = int64(uint64(binary.LittleEndian.Uint16(body[s[5]*2:])) + uint64(min))
-				o[6] = int64(uint64(binary.LittleEndian.Uint16(body[s[6]*2:])) + uint64(min))
-				o[7] = int64(uint64(binary.LittleEndian.Uint16(body[s[7]*2:])) + uint64(min))
-			}
-			for ; i < len(sel); i++ {
-				out[i] = int64(uint64(binary.LittleEndian.Uint16(body[sel[i]*2:])) + uint64(min))
-			}
-		case 32:
-			i := 0
-			for ; i+8 <= len(sel); i += 8 {
-				s := sel[i : i+8 : i+8]
-				o := out[i : i+8 : i+8]
-				o[0] = int64(uint64(binary.LittleEndian.Uint32(body[s[0]*4:])) + uint64(min))
-				o[1] = int64(uint64(binary.LittleEndian.Uint32(body[s[1]*4:])) + uint64(min))
-				o[2] = int64(uint64(binary.LittleEndian.Uint32(body[s[2]*4:])) + uint64(min))
-				o[3] = int64(uint64(binary.LittleEndian.Uint32(body[s[3]*4:])) + uint64(min))
-				o[4] = int64(uint64(binary.LittleEndian.Uint32(body[s[4]*4:])) + uint64(min))
-				o[5] = int64(uint64(binary.LittleEndian.Uint32(body[s[5]*4:])) + uint64(min))
-				o[6] = int64(uint64(binary.LittleEndian.Uint32(body[s[6]*4:])) + uint64(min))
-				o[7] = int64(uint64(binary.LittleEndian.Uint32(body[s[7]*4:])) + uint64(min))
-			}
-			for ; i < len(sel); i++ {
-				out[i] = int64(uint64(binary.LittleEndian.Uint32(body[sel[i]*4:])) + uint64(min))
-			}
-		default:
-			for i, l := range sel {
-				out[i] = int64(unpackAt(body, int(l), width) + uint64(min))
-			}
-		}
-	case encIntDelta:
-		n := r.count(0)
-		if !r.checkCount(n, want) {
-			return
-		}
-		if n == 0 {
-			return
-		}
-		first := r.varint()
-		minDelta := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return
-		}
-		body := r.bytes(((n-1)*width + 7) / 8)
-		if r.fail != nil {
-			return
-		}
-		if width > 64 {
-			r.setErr(fmt.Sprintf("bad bit width %d", width))
-			return
-		}
-		j := 0
-		cur := first
-		if j < len(sel) && sel[j] == 0 {
-			out[j] = cur
-			j++
-		}
-		for k := 1; k < n && j < len(sel); k++ {
-			cur += int64(unpackAt(body, k-1, width) + uint64(minDelta))
-			if int32(k) == sel[j] {
-				out[j] = cur
-				j++
-			}
-		}
-	default:
-		r.setErr(fmt.Sprintf("unknown int encoding 0x%02x", enc))
-	}
-}
-
-// gatherFloats decodes elements sel of a float page body into out.
-func gatherFloats(r *bufReader, enc byte, want int, sel []int32, out []float64) {
-	if enc != encFloatRaw {
-		r.setErr(fmt.Sprintf("unknown float encoding 0x%02x", enc))
-		return
-	}
-	n := r.count(8)
-	if !r.checkCount(n, want) {
-		return
-	}
-	data := r.bytes(8 * n)
-	if r.fail != nil {
-		return
-	}
-	for i, l := range sel {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[int(l)*8:]))
-	}
-}
-
-// gatherStrings decodes elements sel of a string page body into out,
-// allocating strings only for the selected rows. Dict pages random-access
-// the packed codes; raw pages walk entries up to the last selected row.
-func gatherStrings(r *bufReader, enc byte, want int, sel []int32, out []string) {
-	switch enc {
-	case encStrRaw:
-		n := r.count(1)
-		if !r.checkCount(n, want) {
-			return
-		}
-		j := 0
-		for k := 0; k < n && j < len(sel); k++ {
-			ln := r.count(1)
-			b := r.bytes(ln)
-			if r.fail != nil {
-				return
-			}
-			if int32(k) == sel[j] {
-				out[j] = string(b)
-				j++
-			}
-		}
-	case encStrDict:
-		n := r.count(0)
-		if !r.checkCount(n, want) {
-			return
-		}
-		nd := r.count(1)
-		if r.fail != nil {
-			return
-		}
-		// Index the dictionary entries without materializing them.
-		offs := make([]int32, nd)
-		lens := make([]int32, nd)
-		dictBase := r.buf
-		for i := 0; i < nd; i++ {
-			ln := r.count(1)
-			start := r.off
-			r.bytes(ln)
-			if r.fail != nil {
-				return
-			}
-			offs[i], lens[i] = int32(start), int32(ln)
-		}
-		width := int(r.u8())
-		if r.fail != nil {
-			return
-		}
-		body := r.bytes((n*width + 7) / 8)
-		if r.fail != nil {
-			return
-		}
-		if width > 64 {
-			r.setErr(fmt.Sprintf("bad bit width %d", width))
-			return
-		}
-		for i, l := range sel {
-			c := unpackAt(body, int(l), width)
-			if c >= uint64(nd) {
-				r.setErr(fmt.Sprintf("dictionary code %d out of range %d", c, nd))
-				return
-			}
-			out[i] = string(dictBase[offs[c] : offs[c]+lens[c]])
-		}
-	default:
-		r.setErr(fmt.Sprintf("unknown string encoding 0x%02x", enc))
-	}
-}
-
-// decodeNulls reads the null-mask section; nil means no nulls.
-func decodeNulls(r *bufReader, n int) []bool {
-	switch r.u8() {
-	case 0:
-		return nil
-	case 1:
-		mask := r.bytes((n + 7) / 8)
-		if r.fail != nil {
-			return nil
-		}
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = mask[i>>3]&(1<<(i&7)) != 0
-		}
-		return out
-	default:
-		r.setErr("bad null-mask flag")
-		return nil
-	}
 }

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// mustBodyPage views an encoder's output, [enc][body], as a page.
+func mustBodyPage(t *testing.T, buf []byte) pageView {
+	t.Helper()
+	pv, err := bodyPage(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pv
+}
+
 func roundTripInts(t *testing.T, vals []int64, wantEnc byte) {
 	t.Helper()
 	w := &bufWriter{}
@@ -13,13 +23,9 @@ func roundTripInts(t *testing.T, vals []int64, wantEnc byte) {
 	if len(w.buf) == 0 || (wantEnc != 0 && w.buf[0] != wantEnc) {
 		t.Fatalf("enc = 0x%02x, want 0x%02x", w.buf[0], wantEnc)
 	}
-	r := &bufReader{buf: w.buf}
-	got := decodeInts(r, r.u8(), len(vals))
-	if r.err() != nil {
-		t.Fatalf("decode: %v", r.err())
-	}
-	if r.remaining() != 0 {
-		t.Fatalf("%d trailing bytes", r.remaining())
+	got, err := decodeInts(mustBodyPage(t, w.buf), len(vals), new(scratch))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if len(got) != len(vals) {
 		t.Fatalf("len = %d, want %d", len(got), len(vals))
@@ -59,10 +65,9 @@ func TestEncodeFloatsRoundTrip(t *testing.T) {
 	vals := []float64{0, -0.0, 1.5, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}
 	w := &bufWriter{}
 	encodeFloats(w, vals)
-	r := &bufReader{buf: w.buf}
-	got := decodeFloats(r, r.u8(), len(vals))
-	if r.err() != nil {
-		t.Fatal(r.err())
+	got, err := decodeFloats(mustBodyPage(t, w.buf), len(vals))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := range vals {
 		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
@@ -89,10 +94,9 @@ func TestEncodeStringsRoundTrip(t *testing.T) {
 		if len(c.vals) > 0 && w.buf[0] != c.wantEnc {
 			t.Fatalf("%q: enc = 0x%02x, want 0x%02x", c.vals, w.buf[0], c.wantEnc)
 		}
-		r := &bufReader{buf: w.buf}
-		got := decodeStrings(r, r.u8(), len(c.vals))
-		if r.err() != nil {
-			t.Fatalf("%q: %v", c.vals, r.err())
+		got, err := decodeStrings(mustBodyPage(t, w.buf), len(c.vals), new(scratch))
+		if err != nil {
+			t.Fatalf("%q: %v", c.vals, err)
 		}
 		if len(got) != len(c.vals) {
 			t.Fatalf("%q: len %d", c.vals, len(got))
@@ -116,38 +120,16 @@ func TestPackBitsRoundTrip(t *testing.T) {
 			vals[i] = v
 		}
 		packed := packBits(vals, width)
-		got, err := unpackBits(packed, len(vals), width)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
+		got := make([]uint64, len(vals))
+		unpackBitsInto(got, packed, width)
 		if !reflect.DeepEqual(got, vals) {
 			t.Fatalf("width %d: %v != %v", width, got, vals)
 		}
-	}
-	if _, err := unpackBits(nil, 10, 8); err == nil {
-		t.Error("truncated unpack accepted")
-	}
-	if _, err := unpackBits(nil, 1, 65); err == nil {
-		t.Error("width 65 accepted")
-	}
-}
-
-func TestDecodeRejectsCorruptCounts(t *testing.T) {
-	// A page claiming more elements than the footer's row count must fail
-	// before allocating.
-	w := &bufWriter{}
-	encodeInts(w, []int64{1, 2, 3})
-	r := &bufReader{buf: w.buf}
-	if decodeInts(r, r.u8(), 2) != nil || r.err() == nil {
-		t.Error("count mismatch accepted")
-	}
-	// An implausibly huge raw count fails against remaining bytes.
-	w2 := &bufWriter{}
-	w2.u8(encIntRaw)
-	w2.uvarint(1 << 40)
-	r2 := &bufReader{buf: w2.buf}
-	if decodeInts(r2, r2.u8(), 1<<40) != nil || r2.err() == nil {
-		t.Error("huge count accepted")
+		for i, want := range vals {
+			if c := unpackAt(packed, i, width); c != want {
+				t.Fatalf("width %d: unpackAt(%d) = %d, want %d", width, i, c, want)
+			}
+		}
 	}
 }
 
@@ -161,11 +143,12 @@ func TestNullMaskRoundTrip(t *testing.T) {
 	for _, nulls := range cases {
 		w := &bufWriter{}
 		encodeNulls(w, nulls, len(nulls))
-		r := &bufReader{buf: w.buf}
-		got := decodeNulls(r, len(nulls))
-		if r.err() != nil {
-			t.Fatal(r.err())
+		encodeInts(w, make([]int64, len(nulls)))
+		pv, err := parsePage(w.buf, len(nulls))
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := pv.nullFlags(len(nulls))
 		any := false
 		for _, b := range nulls {
 			any = any || b

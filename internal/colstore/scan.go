@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 
@@ -176,198 +175,105 @@ func (t *TableScan) eval(n predicate.ScanNode, eb *EncodedBlock, nrows int, out 
 			}
 		}
 		return nil
-	case *predicate.ScanCmpInt:
-		pv, err := t.page(eb, q.Column, nrows)
-		if err != nil {
-			return err
-		}
-		if err := evalCmpInt(pv, q.Op, q.Lit, nrows, out, sc); err != nil {
-			return t.pageErr(q.Column, err)
-		}
-		clearNullBits(pv.nulls, out)
-		return nil
-	case *predicate.ScanCmpFloat:
-		pv, err := t.page(eb, q.Column, nrows)
-		if err != nil {
-			return err
-		}
-		if err := evalCmpFloat(pv, q.Op, q.Lit, nrows, out, sc); err != nil {
-			return t.pageErr(q.Column, err)
-		}
-		clearNullBits(pv.nulls, out)
-		return nil
-	case *predicate.ScanCmpStr:
-		pv, err := t.page(eb, q.Column, nrows)
-		if err != nil {
-			return err
-		}
-		if err := evalCmpStr(pv, q.Op, q.Lit, nrows, out, sc); err != nil {
-			return t.pageErr(q.Column, err)
-		}
-		clearNullBits(pv.nulls, out)
-		return nil
 	case *predicate.ScanCmpCols:
 		return t.evalCmpCols(q, eb, nrows, out, sc)
+	case *predicate.ScanCmpInt:
+		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
+	case *predicate.ScanCmpFloat:
+		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
+	case *predicate.ScanCmpStr:
+		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
 	case *predicate.ScanInInt:
-		pv, err := t.page(eb, q.Column, nrows)
-		if err != nil {
-			return err
-		}
-		if err := evalInInt(pv, q, nrows, out, sc); err != nil {
-			return t.pageErr(q.Column, err)
-		}
-		clearNullBits(pv.nulls, out)
-		return nil
+		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
 	case *predicate.ScanInStr:
-		pv, err := t.page(eb, q.Column, nrows)
-		if err != nil {
-			return err
-		}
-		if err := evalInStr(pv, q, nrows, out, sc); err != nil {
-			return t.pageErr(q.Column, err)
-		}
-		clearNullBits(pv.nulls, out)
-		return nil
+		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
 	case *predicate.ScanLike:
-		pv, err := t.page(eb, q.Column, nrows)
-		if err != nil {
-			return err
-		}
-		if err := evalLike(pv, q, nrows, out, sc); err != nil {
-			return t.pageErr(q.Column, err)
-		}
-		clearNullBits(pv.nulls, out)
-		return nil
+		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
 	}
 	return fmt.Errorf("colstore: unknown scan node %T", n)
 }
 
-func (t *TableScan) page(eb *EncodedBlock, col string, nrows int) (pageView, error) {
+// evalLeaf evaluates a single-column leaf over col's page and clears the
+// page's null rows from out.
+func (t *TableScan) evalLeaf(n predicate.ScanNode, col string, eb *EncodedBlock, nrows int, out []uint64, sc *scratch) error {
 	pv, err := parsePage(eb.Cols[t.colIdx[col]], nrows)
-	if err != nil {
-		return pv, t.pageErr(col, err)
+	if err == nil {
+		switch q := n.(type) {
+		case *predicate.ScanCmpInt:
+			err = evalCmpInt(pv, q.Op, q.Lit, nrows, out, sc)
+		case *predicate.ScanCmpFloat:
+			err = evalCmpFloat(pv, q.Op, q.Lit, nrows, out, sc)
+		case *predicate.ScanCmpStr:
+			err = evalCmpStr(pv, q.Op, q.Lit, nrows, out, sc)
+		case *predicate.ScanInInt:
+			err = evalInInt(pv, q, nrows, out, sc)
+		case *predicate.ScanInStr:
+			err = evalInStr(pv, q, nrows, out, sc)
+		case *predicate.ScanLike:
+			err = evalLike(pv, q, nrows, out, sc)
+		}
 	}
-	return pv, nil
+	if err != nil {
+		return t.pageErr(col, err)
+	}
+	clearNullBits(pv.nulls, out)
+	return nil
 }
 
 func (t *TableScan) pageErr(col string, err error) error {
 	return fmt.Errorf("colstore: scan %s.%s: %w", t.table, col, err)
 }
 
-// pageView is a parsed column page: the raw null bitmap (nil when the
-// block has no nulls in the column), the encoding byte, and the encoded
-// body.
-type pageView struct {
-	nulls []byte
-	enc   byte
-	body  []byte
-}
-
-func parsePage(payload []byte, nrows int) (pageView, error) {
-	r := &bufReader{buf: payload}
-	var pv pageView
-	switch r.u8() {
-	case 0:
-	case 1:
-		pv.nulls = r.bytes((nrows + 7) / 8)
-	default:
-		r.setErr("bad null-mask flag")
-	}
-	pv.enc = r.u8()
-	if r.fail != nil {
-		return pv, r.fail
-	}
-	pv.body = r.buf[r.off:]
-	return pv, nil
-}
-
-// evalCmpInt evaluates (col op lit) over an int page. FOR pages with a
-// packable width rebase lit into the packed unsigned domain — classifying
-// it as below, inside, or above the page's value domain — and compare
-// packed words; other encodings decode into pooled scratch and compare.
+// evalCmpInt evaluates (col op lit) over an int page. Pages whose values
+// order like their codes rebase lit into the packed unsigned domain —
+// classifying it as below, inside, or above the page's value domain — and
+// compare packed words; other pages decode into pooled scratch and compare.
 func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64, sc *scratch) error {
-	if pv.enc == encIntFOR {
-		r := &bufReader{buf: pv.body}
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		min := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return r.err()
-		}
-		if width < 64 {
-			codes := sc.grabWords(n)
-			if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-				return err
-			}
-			switch {
-			case lit < min: // below the domain: only Ne/Gt/Ge can match
-				if op == predicate.Ne || op == predicate.Gt || op == predicate.Ge {
-					setAllBits(out, nrows)
-				}
-			case uint64(lit)-uint64(min) >= uint64(1)<<width: // above: only Ne/Lt/Le
-				if op == predicate.Ne || op == predicate.Lt || op == predicate.Le {
-					setAllBits(out, nrows)
-				}
-			default:
-				off := uint64(lit) - uint64(min)
-				switch op {
-				case predicate.Eq:
-					cmpPackedEq(codes, off, out)
-				case predicate.Ne:
-					cmpPackedNe(codes, off, out)
-				case predicate.Lt:
-					cmpPackedLt(codes, off, out)
-				case predicate.Le:
-					cmpPackedLt(codes, off+1, out)
-				case predicate.Gt:
-					cmpPackedGe(codes, off+1, out)
-				default: // Ge
-					cmpPackedGe(codes, off, out)
-				}
-			}
-			return nil
-		}
-	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	v, err := pv.ints(nrows, sc)
 	if err != nil {
 		return err
 	}
-	cmpInt64s(vals, op, lit, out)
+	if !v.packedDomain() {
+		cmpInt64s(v.values(sc), op, lit, out)
+		return nil
+	}
+	switch {
+	case lit < v.frame: // below the domain: only Ne/Gt/Ge can match
+		if op == predicate.Ne || op == predicate.Gt || op == predicate.Ge {
+			setAllBits(out, nrows)
+		}
+	case uint64(lit)-uint64(v.frame) >= uint64(1)<<uint(v.width): // above: only Ne/Lt/Le
+		if op == predicate.Ne || op == predicate.Lt || op == predicate.Le {
+			setAllBits(out, nrows)
+		}
+	default:
+		codes, off := v.unpack(sc), uint64(lit)-uint64(v.frame)
+		switch op {
+		case predicate.Eq:
+			cmpPackedEq(codes, off, out)
+		case predicate.Ne:
+			cmpPackedNe(codes, off, out)
+		case predicate.Lt:
+			cmpPackedLt(codes, off, out)
+		case predicate.Le:
+			cmpPackedLt(codes, off+1, out)
+		case predicate.Gt:
+			cmpPackedGe(codes, off+1, out)
+		default: // Ge
+			cmpPackedGe(codes, off, out)
+		}
+	}
 	return nil
 }
 
 // evalCmpFloat evaluates (col op lit) over a raw float page.
 func evalCmpFloat(pv pageView, op predicate.Op, lit float64, nrows int, out []uint64, sc *scratch) error {
-	vals, err := decodeFloatsScratch(pv, nrows, sc)
+	v, err := pv.floats(nrows)
 	if err != nil {
 		return err
 	}
-	cmpFloat64s(vals, op, lit, out)
+	cmpFloat64s(v.values(sc), op, lit, out)
 	return nil
-}
-
-// decodeFloatsScratch decodes a float page body into pooled scratch.
-func decodeFloatsScratch(pv pageView, nrows int, sc *scratch) ([]float64, error) {
-	if pv.enc != encFloatRaw {
-		return nil, fmt.Errorf("unknown float encoding 0x%02x", pv.enc)
-	}
-	r := &bufReader{buf: pv.body}
-	n := r.count(8)
-	if !r.checkCount(n, nrows) {
-		return nil, r.err()
-	}
-	data := r.bytes(8 * n)
-	if r.fail != nil {
-		return nil, r.err()
-	}
-	vals := sc.grabFloats(n)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return vals, nil
 }
 
 // evalCmpCols evaluates (left op right) over the two columns' pages of one
@@ -377,133 +283,57 @@ func decodeFloatsScratch(pv pageView, nrows int, sc *scratch) ([]float64, error)
 // table. NULL on either side never matches, so both null bitmaps are
 // cleared.
 func (t *TableScan) evalCmpCols(q *predicate.ScanCmpCols, eb *EncodedBlock, nrows int, out []uint64, sc *scratch) error {
-	lp, err := t.page(eb, q.Left, nrows)
+	lp, err := parsePage(eb.Cols[t.colIdx[q.Left]], nrows)
 	if err != nil {
-		return err
+		return t.pageErr(q.Left, err)
 	}
-	rp, err := t.page(eb, q.Right, nrows)
+	rp, err := parsePage(eb.Cols[t.colIdx[q.Right]], nrows)
 	if err != nil {
-		return err
+		return t.pageErr(q.Right, err)
 	}
-	rsc := getScratch() // the right side's buffers must outlive the left's
+	rsc := getScratch() // a view lives until the next parse on its scratch
 	defer putScratch(rsc)
 	switch kind := encKind(lp.enc); {
 	case kind != encKind(rp.enc):
 		return t.pageErr(q.Right, fmt.Errorf("encoding 0x%02x does not pair with %s's 0x%02x", rp.enc, q.Left, lp.enc))
 	case kind == value.KindFloat:
-		l, err := decodeFloatsScratch(lp, nrows, sc)
+		l, err := lp.floats(nrows)
 		if err != nil {
 			return t.pageErr(q.Left, err)
 		}
-		r, err := decodeFloatsScratch(rp, nrows, rsc)
+		r, err := rp.floats(nrows)
 		if err != nil {
 			return t.pageErr(q.Right, err)
 		}
-		predicate.MaskCompareCols(l, r, q.Op, out)
+		predicate.MaskCompareCols(l.values(sc), r.values(rsc), q.Op, out)
 	case kind == value.KindString:
-		l, err := indexStrRows(lp, nrows, sc)
+		l, lc, err := lp.strRows(nrows, sc)
 		if err != nil {
 			return t.pageErr(q.Left, err)
 		}
-		r, err := indexStrRows(rp, nrows, rsc)
+		r, rc, err := rp.strRows(nrows, rsc)
 		if err != nil {
 			return t.pageErr(q.Right, err)
 		}
 		for k := 0; k < nrows; k++ {
-			if opMatches(q.Op, bytes.Compare(l.row(k), r.row(k))) {
+			if opMatches(q.Op, bytes.Compare(l.row(lc, k), r.row(rc, k))) {
 				out[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
-	default: // int pages; an unknown encoding fails in the decoder
-		l, err := decodeIntsScratch(lp, nrows, sc)
+	default: // int pages; an unknown encoding fails in the parse
+		l, err := lp.ints(nrows, sc)
 		if err != nil {
 			return t.pageErr(q.Left, err)
 		}
-		r, err := decodeIntsScratch(rp, nrows, rsc)
+		r, err := rp.ints(nrows, rsc)
 		if err != nil {
 			return t.pageErr(q.Right, err)
 		}
-		predicate.MaskCompareCols(l, r, q.Op, out)
+		predicate.MaskCompareCols(l.values(sc), r.values(rsc), q.Op, out)
 	}
 	clearNullBits(lp.nulls, out)
 	clearNullBits(rp.nulls, out)
 	return nil
-}
-
-// encKind maps a page encoding to the column kind it stores (KindNull for
-// an unknown byte).
-func encKind(enc byte) value.Kind {
-	switch enc {
-	case encIntRaw, encIntFOR, encIntDelta:
-		return value.KindInt
-	case encFloatRaw:
-		return value.KindFloat
-	case encStrRaw, encStrDict:
-		return value.KindString
-	}
-	return value.KindNull
-}
-
-// strRows is a string page indexed for per-row access without
-// materializing a string: entry byte ranges into the page body — one per
-// row on a raw page, one per dictionary entry on a dict page, where codes
-// maps each row to its entry.
-type strRows struct {
-	body       []byte
-	offs, lens []int32
-	codes      []uint64 // nil on raw pages
-}
-
-func (s *strRows) row(k int) []byte {
-	if s.codes != nil {
-		k = int(s.codes[k])
-	}
-	return s.body[s.offs[k] : s.offs[k]+s.lens[k]]
-}
-
-// indexStrRows indexes a string page's nrows rows into pooled scratch.
-func indexStrRows(pv pageView, nrows int, sc *scratch) (strRows, error) {
-	r := &bufReader{buf: pv.body}
-	rows := strRows{body: pv.body}
-	var err error
-	switch pv.enc {
-	case encStrRaw:
-		n := r.count(1)
-		if !r.checkCount(n, nrows) {
-			return rows, r.err()
-		}
-		// Raw rows are laid out exactly like dictionary entries.
-		rows.offs, rows.lens, err = indexDict(r, n, sc)
-		return rows, err
-	case encStrDict:
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return rows, r.err()
-		}
-		nd := r.count(1)
-		if r.fail != nil {
-			return rows, r.err()
-		}
-		if rows.offs, rows.lens, err = indexDict(r, nd, sc); err != nil {
-			return rows, err
-		}
-		width := int(r.u8())
-		if r.fail != nil {
-			return rows, r.err()
-		}
-		rows.codes = sc.grabWords(n)
-		if err := unpackBitsInto(rows.codes, r.buf[r.off:], width); err != nil {
-			return rows, err
-		}
-		for _, c := range rows.codes {
-			if c >= uint64(nd) {
-				return rows, fmt.Errorf("dictionary code %d out of range %d", c, nd)
-			}
-		}
-		return rows, nil
-	default:
-		return rows, fmt.Errorf("unknown string encoding 0x%02x", pv.enc)
-	}
 }
 
 // evalCmpStr evaluates (col op lit) over a string page. Dict pages
@@ -511,78 +341,47 @@ func indexStrRows(pv pageView, nrows int, sc *scratch) (strRows, error) {
 // dictionary — without materializing a single string — and compare raw
 // codes; raw pages compare bytes in place.
 func evalCmpStr(pv pageView, op predicate.Op, lit string, nrows int, out []uint64, sc *scratch) error {
-	r := &bufReader{buf: pv.body}
-	switch pv.enc {
-	case encStrRaw:
-		n := r.count(1)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		for k := 0; k < n; k++ {
-			ln := r.count(1)
-			b := r.bytes(ln)
-			if r.fail != nil {
-				return r.err()
-			}
-			if opMatches(op, bytesCompareString(b, lit)) {
+	v, codes, err := pv.strRows(nrows, sc)
+	if err != nil {
+		return err
+	}
+	if codes == nil {
+		for k := 0; k < v.n; k++ {
+			if opMatches(op, bytesCompareString(v.entry(k), lit)) {
 				out[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
 		return nil
-	case encStrDict:
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		nd := r.count(1)
-		if r.fail != nil {
-			return r.err()
-		}
-		offs, lens, err := indexDict(r, nd, sc)
-		if err != nil {
-			return err
-		}
-		width := int(r.u8())
-		if r.fail != nil {
-			return r.err()
-		}
-		codes := sc.grabWords(n)
-		if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-			return err
-		}
-		entry := func(i int) []byte { return pv.body[offs[i] : offs[i]+lens[i]] }
-		lo := sort.Search(nd, func(i int) bool { return bytesCompareString(entry(i), lit) >= 0 })
-		exists := lo < nd && bytesCompareString(entry(lo), lit) == 0
-		hi := lo
-		if exists {
-			hi++
-		}
-		// Codes are ranks in the sorted dictionary, so value order is code
-		// order: v < lit ⇔ code < lo, v <= lit ⇔ code < hi, and so on.
-		switch op {
-		case predicate.Eq:
-			if exists {
-				cmpPackedEq(codes, uint64(lo), out)
-			}
-		case predicate.Ne:
-			if exists {
-				cmpPackedNe(codes, uint64(lo), out)
-			} else {
-				setAllBits(out, nrows)
-			}
-		case predicate.Lt:
-			cmpPackedLt(codes, uint64(lo), out)
-		case predicate.Le:
-			cmpPackedLt(codes, uint64(hi), out)
-		case predicate.Gt:
-			cmpPackedGe(codes, uint64(hi), out)
-		default: // Ge
-			cmpPackedGe(codes, uint64(lo), out)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown string encoding 0x%02x", pv.enc)
 	}
+	lo := sort.Search(v.nd, func(i int) bool { return bytesCompareString(v.entry(i), lit) >= 0 })
+	exists := lo < v.nd && bytesCompareString(v.entry(lo), lit) == 0
+	hi := lo
+	if exists {
+		hi++
+	}
+	// Codes are ranks in the sorted dictionary, so value order is code
+	// order: v < lit ⇔ code < lo, v <= lit ⇔ code < hi, and so on.
+	switch op {
+	case predicate.Eq:
+		if exists {
+			cmpPackedEq(codes, uint64(lo), out)
+		}
+	case predicate.Ne:
+		if exists {
+			cmpPackedNe(codes, uint64(lo), out)
+		} else {
+			setAllBits(out, nrows)
+		}
+	case predicate.Lt:
+		cmpPackedLt(codes, uint64(lo), out)
+	case predicate.Le:
+		cmpPackedLt(codes, uint64(hi), out)
+	case predicate.Gt:
+		cmpPackedGe(codes, uint64(hi), out)
+	default: // Ge
+		cmpPackedGe(codes, uint64(lo), out)
+	}
+	return nil
 }
 
 // evalInInt evaluates col [NOT] IN over an int page, decoding into pooled
@@ -592,14 +391,12 @@ func evalInInt(pv pageView, q *predicate.ScanInInt, nrows int, out []uint64, sc 
 	if q.Negate && q.HasNullLit {
 		return nil
 	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	v, err := pv.ints(nrows, sc)
 	if err != nil {
 		return err
 	}
-	neg := q.Negate
-	for i, v := range vals {
-		_, found := q.Set[v]
-		if found != neg {
+	for i, x := range v.values(sc) {
+		if _, found := q.Set[x]; found != q.Negate {
 			out[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
@@ -614,67 +411,30 @@ func evalInStr(pv pageView, q *predicate.ScanInStr, nrows int, out []uint64, sc 
 	if q.Negate && q.HasNullLit {
 		return nil
 	}
-	neg := q.Negate
-	r := &bufReader{buf: pv.body}
-	switch pv.enc {
-	case encStrRaw:
-		n := r.count(1)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		for k := 0; k < n; k++ {
-			ln := r.count(1)
-			b := r.bytes(ln)
-			if r.fail != nil {
-				return r.err()
-			}
-			_, found := q.Set[string(b)] // no alloc: map lookup special case
-			if found != neg {
+	v, codes, err := pv.strRows(nrows, sc)
+	if err != nil {
+		return err
+	}
+	if codes == nil {
+		for k := 0; k < v.n; k++ {
+			if _, found := q.Set[string(v.entry(k))]; found != q.Negate { // no alloc: map lookup special case
 				out[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
 		return nil
-	case encStrDict:
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		nd := r.count(1)
-		if r.fail != nil {
-			return r.err()
-		}
-		offs, lens, err := indexDict(r, nd, sc)
-		if err != nil {
-			return err
-		}
-		width := int(r.u8())
-		if r.fail != nil {
-			return r.err()
-		}
-		codes := sc.grabWords(n)
-		if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-			return err
-		}
-		member := sc.grabMember(nd)
-		di := 0
-		for _, lit := range q.Sorted {
-			for di < nd && bytesCompareString(pv.body[offs[di]:offs[di]+lens[di]], lit) < 0 {
-				di++
-			}
-			if di < nd && bytesCompareString(pv.body[offs[di]:offs[di]+lens[di]], lit) == 0 {
-				member[di>>6] |= 1 << (uint(di) & 63)
-			}
-		}
-		for i, c := range codes {
-			found := c < uint64(nd) && member[c>>6]&(1<<(c&63)) != 0
-			if found != neg {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown string encoding 0x%02x", pv.enc)
 	}
+	member := sc.grabMember(v.nd)
+	di := 0
+	for _, lit := range q.Sorted {
+		for di < v.nd && bytesCompareString(v.entry(di), lit) < 0 {
+			di++
+		}
+		if di < v.nd && bytesCompareString(v.entry(di), lit) == 0 {
+			member[di>>6] |= 1 << (uint(di) & 63)
+		}
+	}
+	probeMembers(codes, member, q.Negate, out)
+	return nil
 }
 
 // evalLike evaluates col [NOT] LIKE over a string page. Dict pages run the
@@ -682,148 +442,36 @@ func evalInStr(pv pageView, q *predicate.ScanInStr, nrows int, out []uint64, sc 
 // a bitset — then probe codes, so a block with d distinct values costs d
 // matcher calls instead of n.
 func evalLike(pv pageView, q *predicate.ScanLike, nrows int, out []uint64, sc *scratch) error {
-	neg := q.Negate
-	r := &bufReader{buf: pv.body}
-	switch pv.enc {
-	case encStrRaw:
-		n := r.count(1)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		for k := 0; k < n; k++ {
-			ln := r.count(1)
-			b := r.bytes(ln)
-			if r.fail != nil {
-				return r.err()
-			}
-			if q.Match(string(b)) != neg {
+	v, codes, err := pv.strRows(nrows, sc)
+	if err != nil {
+		return err
+	}
+	if codes == nil {
+		for k := 0; k < v.n; k++ {
+			if q.Match(string(v.entry(k))) != q.Negate {
 				out[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
 		return nil
-	case encStrDict:
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return r.err()
-		}
-		nd := r.count(1)
-		if r.fail != nil {
-			return r.err()
-		}
-		offs, lens, err := indexDict(r, nd, sc)
-		if err != nil {
-			return err
-		}
-		width := int(r.u8())
-		if r.fail != nil {
-			return r.err()
-		}
-		codes := sc.grabWords(n)
-		if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-			return err
-		}
-		member := sc.grabMember(nd)
-		for i := 0; i < nd; i++ {
-			if q.Match(string(pv.body[offs[i] : offs[i]+lens[i]])) {
-				member[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		for i, c := range codes {
-			m := c < uint64(nd) && member[c>>6]&(1<<(c&63)) != 0
-			if m != neg {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown string encoding 0x%02x", pv.enc)
 	}
+	member := sc.grabMember(v.nd)
+	for i := 0; i < v.nd; i++ {
+		if q.Match(string(v.entry(i))) {
+			member[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	probeMembers(codes, member, q.Negate, out)
+	return nil
 }
 
-// decodeIntsScratch decodes an int page body into pooled scratch (never a
-// retained vector).
-func decodeIntsScratch(pv pageView, nrows int, sc *scratch) ([]int64, error) {
-	r := &bufReader{buf: pv.body}
-	switch pv.enc {
-	case encIntRaw:
-		n := r.count(8)
-		if !r.checkCount(n, nrows) {
-			return nil, r.err()
+// probeMembers sets out's bit for every row whose (range-checked) code is
+// in the member bitset, or is not when neg.
+func probeMembers(codes, member []uint64, neg bool, out []uint64) {
+	for i, c := range codes {
+		if (member[c>>6]>>(c&63)&1 == 1) != neg {
+			out[i>>6] |= 1 << (uint(i) & 63)
 		}
-		data := r.bytes(8 * n)
-		if r.fail != nil {
-			return nil, r.err()
-		}
-		out := sc.grabInts(n)
-		for i := range out {
-			out[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
-		}
-		return out, nil
-	case encIntFOR:
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return nil, r.err()
-		}
-		min := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return nil, r.err()
-		}
-		codes := sc.grabWords(n)
-		if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-			return nil, err
-		}
-		out := sc.grabInts(n)
-		for i, c := range codes {
-			out[i] = int64(c + uint64(min))
-		}
-		return out, nil
-	case encIntDelta:
-		n := r.count(0)
-		if !r.checkCount(n, nrows) {
-			return nil, r.err()
-		}
-		if n == 0 {
-			return sc.grabInts(0), nil
-		}
-		first := r.varint()
-		minDelta := r.varint()
-		width := int(r.u8())
-		if r.fail != nil {
-			return nil, r.err()
-		}
-		deltas := sc.grabWords(n - 1)
-		if err := unpackBitsInto(deltas, r.buf[r.off:], width); err != nil {
-			return nil, err
-		}
-		out := sc.grabInts(n)
-		cur := first
-		out[0] = cur
-		for i, d := range deltas {
-			cur += int64(d + uint64(minDelta))
-			out[i+1] = cur
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unknown int encoding 0x%02x", pv.enc)
 	}
-}
-
-// indexDict records the byte offsets and lengths of a dict page's entries
-// relative to the page body, leaving r positioned after the dictionary.
-// No strings are materialized.
-func indexDict(r *bufReader, nd int, sc *scratch) ([]int32, []int32, error) {
-	offs, lens := sc.grabOffs(nd)
-	for i := 0; i < nd; i++ {
-		ln := r.count(1)
-		start := r.off
-		r.bytes(ln)
-		if r.fail != nil {
-			return nil, nil, r.err()
-		}
-		offs[i], lens[i] = int32(start), int32(ln)
-	}
-	return offs, lens, nil
 }
 
 // bytesCompareString is bytes.Compare against a string, avoiding the

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mto/internal/block"
@@ -311,160 +310,6 @@ func interleavedGroups(n, k int) [][]int32 {
 	return groups
 }
 
-// TestMaterializeRowsMatchesDecode pins the gather decoders (late
-// materialization) to the full-decode path: for random ascending
-// selections, MaterializeRows must return exactly the decoded vectors'
-// values and null flags at those positions.
-func TestMaterializeRowsMatchesDecode(t *testing.T) {
-	tab := scanTable(t, 150)
-	n := tab.NumRows()
-	s := newScanStore(t, tab, [][]int32{seq32(n/2, n), seq32(0, n/2)}, 1<<20)
-	cols := []string{"i_for", "i_delta", "i_raw", "f", "s_dict", "s_raw"}
-	rng := rand.New(rand.NewSource(7))
-	for id := 0; id < s.NumBlocks("sc"); id++ {
-		bd, err := s.ReadBlockData("sc", id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nrows := len(bd.Block.Rows)
-		for trial := 0; trial < 4; trial++ {
-			var sel []int32
-			switch trial {
-			case 0: // everything
-				sel = seq32(0, nrows)
-			case 1: // empty
-			default:
-				for i := 0; i < nrows; i++ {
-					if rng.Intn(3) == 0 {
-						sel = append(sel, int32(i))
-					}
-				}
-			}
-			got, err := s.MaterializeRows("sc", id, sel, cols)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c, name := range cols {
-				ci := -1
-				for j, cm := range s.state("sc").seg.cols {
-					if cm.name == name {
-						ci = j
-					}
-				}
-				full := bd.Cols[ci]
-				for k, r := range sel {
-					var want, have value.Value
-					switch full.Kind {
-					case value.KindInt:
-						want, have = value.Int(full.Ints[r]), value.Int(got[c].Ints[k])
-					case value.KindFloat:
-						want, have = value.Float(full.Floats[r]), value.Float(got[c].Floats[k])
-					default:
-						want, have = value.String(full.Strs[r]), value.String(got[c].Strs[k])
-					}
-					if !want.Equal(have) {
-						t.Fatalf("block %d %s sel[%d]=%d: got %v want %v", id, name, k, r, have, want)
-					}
-					wantNull := full.Nulls != nil && full.Nulls[r]
-					haveNull := got[c].Nulls != nil && got[c].Nulls[k]
-					if wantNull != haveNull {
-						t.Fatalf("block %d %s sel[%d]=%d: null %v want %v", id, name, k, r, haveNull, wantNull)
-					}
-				}
-			}
-		}
-		// Out-of-order and out-of-range selections are rejected.
-		if nrows >= 2 {
-			if _, err := s.MaterializeRows("sc", id, []int32{1, 0}, cols[:1]); err == nil {
-				t.Error("descending selection accepted")
-			}
-			if _, err := s.MaterializeRows("sc", id, []int32{int32(nrows)}, cols[:1]); err == nil {
-				t.Error("out-of-range selection accepted")
-			}
-		}
-	}
-}
-
-// TestBlockColumnDictBridge pins the dictionary bridge: a segment dict
-// page lifted into a relation.ColumnDict must agree with the decoded rows
-// value for value (nulls → -1), and its codes must translate
-// order-preservingly into the engine-side table dictionary.
-func TestBlockColumnDictBridge(t *testing.T) {
-	tab := scanTable(t, 120)
-	n := tab.NumRows()
-	s := newScanStore(t, tab, [][]int32{seq32(n/2, n), seq32(0, n/2)}, 1<<20)
-	tableDict, err := relation.BuildColumnDict(tab, "s_dict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.state("sc")
-	ci := -1
-	for j, cm := range st.seg.cols {
-		if cm.name == "s_dict" {
-			ci = j
-		}
-	}
-	for id := 0; id < st.seg.NumBlocks(); id++ {
-		eb, err := st.seg.ReadBlockEncoded(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bd, err := st.seg.ReadBlock(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blockDict, err := BlockColumnDict(eb.Cols[ci], len(eb.Block.Rows))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sorted + distinct: the rank contract both worlds share.
-		for i := 1; i < len(blockDict.Strs); i++ {
-			if blockDict.Strs[i-1] >= blockDict.Strs[i] {
-				t.Fatalf("block %d dict not sorted-distinct: %q >= %q", id, blockDict.Strs[i-1], blockDict.Strs[i])
-			}
-		}
-		xl := relation.TranslateCodes(blockDict, tableDict)
-		for k := range eb.Block.Rows {
-			isNull := bd.Cols[ci].Nulls != nil && bd.Cols[ci].Nulls[k]
-			code := blockDict.Codes[k]
-			if isNull {
-				if code != -1 {
-					t.Fatalf("block %d row %d: null row has code %d", id, k, code)
-				}
-				continue
-			}
-			if got := blockDict.Strs[code]; got != bd.Cols[ci].Strs[k] {
-				t.Fatalf("block %d row %d: dict value %q, decoded %q", id, k, got, bd.Cols[ci].Strs[k])
-			}
-			// Non-null row values exist in the table dictionary, so the
-			// translated code must land on the same value.
-			tc := xl[code]
-			if tc < 0 {
-				t.Fatalf("block %d row %d: value %q missing from table dict", id, k, blockDict.Strs[code])
-			}
-			if tableDict.Strs[tc] != blockDict.Strs[code] {
-				t.Fatalf("block %d row %d: translation changed value", id, k)
-			}
-		}
-		// CodeRange on the bridged dict obeys the shared sorted-dict
-		// contract for literals below, inside, and above the dictionary.
-		for _, lit := range []string{"", "v00", "v04", "v04x", "zzz"} {
-			lo, hi, exists := blockDict.CodeRange(value.String(lit))
-			for c, v := range blockDict.Strs {
-				if (v < lit) != (int32(c) < lo) || (v <= lit) != (int32(c) < hi) {
-					t.Fatalf("CodeRange(%q): lo=%d hi=%d wrong at code %d (%q)", lit, lo, hi, c, v)
-				}
-				if exists && int32(c) == lo && v != lit {
-					t.Fatalf("CodeRange(%q): exists but lo holds %q", lit, v)
-				}
-			}
-		}
-	}
-	if _, err := BlockColumnDict([]byte{0, encIntRaw, 0}, 0); err == nil {
-		t.Error("non-dict page accepted")
-	}
-}
-
 // FuzzCompressedPredicate cross-checks the compressed evaluator against
 // FillMask on randomly generated single-column pages: random value
 // distributions (forcing different encodings), random null cadences, and
@@ -606,66 +451,6 @@ func pageScan(tab *relation.Table) (*TableScan, *EncodedBlock) {
 		eb.Cols = append(eb.Cols, encodeColumnPage(tab, ci))
 	}
 	return ts, eb
-}
-
-// TestScanCmpColsCorruptPage is the column-pair leaf's corruption case: a
-// right (or left) page truncated anywhere, or a dictionary code pointing
-// past its dictionary, must surface as a clean error naming the column —
-// the leaf indexes two pages row by row, so a short one must never be
-// reached into.
-func TestScanCmpColsCorruptPage(t *testing.T) {
-	tab := scanTable(t, 70)
-	ts, eb := pageScan(tab)
-	n := tab.NumRows()
-	sc := getScratch()
-	defer putScratch(sc)
-	eval := func(l, r string, cols [][]byte) error {
-		node := &predicate.ScanCmpCols{Left: l, Right: r, Op: predicate.Lt}
-		return ts.eval(node, &EncodedBlock{Cols: cols}, n, make([]uint64, (n+63)/64), sc)
-	}
-	pairs := [][2]string{
-		{"i_delta", "i_for"}, {"i_for", "i_delta"}, {"i_for", "i_raw"},
-		{"f", "f2"}, {"s_raw", "s_dict"}, {"s_dict", "s_raw"},
-	}
-	for _, pr := range pairs {
-		if err := eval(pr[0], pr[1], eb.Cols); err != nil {
-			t.Fatalf("%s < %s on pristine pages: %v", pr[0], pr[1], err)
-		}
-		for side, col := range pr {
-			ci := ts.colIdx[col]
-			for cut := 0; cut < len(eb.Cols[ci]); cut++ {
-				cols := append([][]byte(nil), eb.Cols...)
-				cols[ci] = eb.Cols[ci][:cut]
-				err := eval(pr[0], pr[1], cols)
-				if err == nil {
-					t.Fatalf("%s < %s: side %d truncated at %d/%d accepted", pr[0], pr[1], side, cut, len(eb.Cols[ci]))
-				}
-				if !strings.Contains(err.Error(), "sc."+col) {
-					t.Fatalf("%s < %s: side %d truncated at %d: error does not name the column: %v", pr[0], pr[1], side, cut, err)
-				}
-			}
-		}
-	}
-	// A one-entry dictionary whose packed codes reach entry 3.
-	w := &bufWriter{}
-	encodeNulls(w, nil, 4)
-	w.u8(encStrDict)
-	w.uvarint(4)
-	w.uvarint(1)
-	w.str("only")
-	w.u8(2)
-	w.bytes(packBits([]uint64{0, 3, 0, 0}, 2))
-	bad := &TableScan{table: "sc", colIdx: map[string]int{"l": 0, "r": 1}}
-	node := &predicate.ScanCmpCols{Left: "l", Right: "r", Op: predicate.Eq}
-	good := encodeColumnPage(scanTable(t, 4), 4) // s_dict
-	err := bad.eval(node, &EncodedBlock{Cols: [][]byte{good, w.buf}}, 4, make([]uint64, 1), sc)
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("out-of-range dictionary code: %v", err)
-	}
-	// Pages of two different kinds never pair.
-	if err := eval("i_for", "f", eb.Cols); err == nil {
-		t.Fatal("int page paired with a float page")
-	}
 }
 
 // encodeColumnPage builds column ci's page payload exactly like

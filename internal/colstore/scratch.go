@@ -3,9 +3,9 @@ package colstore
 import "sync"
 
 // Reusable decode scratch (the hot-path allocation pass): page read
-// buffers, bit-unpack word buffers, and the compressed-scan evaluator's
-// working set are pooled so steady-state block reads allocate only their
-// retained outputs (typed vectors, strings), not their temporaries.
+// buffers and the page reader's working set are pooled so steady-state
+// block reads allocate only their retained outputs (typed vectors,
+// strings), not their temporaries.
 //
 // Nothing returned to callers may alias a pooled buffer: every decoder
 // copies into freshly allocated output slices before its scratch is
@@ -28,25 +28,10 @@ func (b *byteBuf) grow(n int) []byte {
 	return b.b
 }
 
-// wordBuf is a pooled []uint64 buffer for bit-unpacked values.
-type wordBuf struct{ w []uint64 }
-
-var wordBufPool = sync.Pool{New: func() any { return new(wordBuf) }}
-
-func getWordBuf(n int) *wordBuf {
-	wb := wordBufPool.Get().(*wordBuf)
-	if cap(wb.w) < n {
-		wb.w = make([]uint64, n)
-	}
-	wb.w = wb.w[:n]
-	return wb
-}
-
-func putWordBuf(wb *wordBuf) { wordBufPool.Put(wb) }
-
-// scratch is the compressed-scan evaluator's pooled working set: local row
-// masks (with a small free list for nested AND/OR evaluation), unpacked
-// code words, decoded int runs, and dictionary offset indexes.
+// scratch is the pooled working set of the page reader and the kernels
+// over it: local row masks (with a small free list for nested AND/OR
+// evaluation), unpacked code words, decoded int runs, dictionary offset
+// indexes, and the current int and string views themselves.
 type scratch struct {
 	free   [][]uint64 // local-mask free list
 	words  []uint64   // unpacked packed-domain values / dictionary codes
@@ -57,12 +42,19 @@ type scratch struct {
 	member []uint64   // dictionary-code membership bits (IN / LIKE)
 	slots  []int32    // per-row group slots (grouped folds)
 	lg     []int32    // block-local → global dictionary code translation
+	intv   intView    // the current int view (page.go)
+	strv   strView    // the current string view
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
-func putScratch(s *scratch) { scratchPool.Put(s) }
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch drops the views' references into page bytes before pooling s.
+func putScratch(s *scratch) {
+	s.intv, s.strv = intView{}, strView{}
+	scratchPool.Put(s)
+}
 
 // grabMask returns a zeroed nw-word mask, reusing a released one if
 // available.

@@ -92,11 +92,10 @@ type BlockData struct {
 
 // EncodedBlock is one block in wire form: the reconstructed block.Block
 // (row IDs decoded from page 0, zone map from the footer) plus the raw,
-// checksum-verified column page payloads, un-decoded. The compressed-scan
-// path evaluates predicates directly on these payloads and gathers only
-// surviving rows; the buffer pool caches this form far more densely than
-// decoded vectors. Payloads are immutable and shared — callers must not
-// mutate them.
+// checksum-verified column page payloads, un-decoded. Scans and folds
+// evaluate directly on these payloads; the buffer pool caches this form far
+// more densely than decoded vectors. Payloads are immutable and shared —
+// callers must not mutate them.
 type EncodedBlock struct {
 	Block *block.Block
 	Cols  [][]byte // column page payloads: [null section][enc u8][body]
@@ -517,22 +516,25 @@ func (s *Segment) ReadRowIDs(id int) ([]int32, int64, error) {
 }
 
 func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
-	r := &bufReader{buf: payload}
-	raw := decodeInts(r, r.u8(), s.blocks[id].nrows)
-	if r.fail == nil && r.remaining() != 0 {
-		r.setErr(fmt.Sprintf("%d trailing bytes", r.remaining()))
+	fail := func(err error) ([]int32, error) {
+		return nil, fmt.Errorf("colstore: segment %s: block %d: page 0 (row IDs): %w", filepath.Base(s.path), id, err)
 	}
-	if r.fail != nil {
-		return nil, fmt.Errorf("colstore: segment %s: block %d: page 0 (row IDs): %w",
-			filepath.Base(s.path), id, r.fail)
+	pv, err := bodyPage(payload)
+	if err != nil {
+		return fail(err)
 	}
-	rows := make([]int32, len(raw))
-	for i, v := range raw {
-		if v < 0 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("colstore: segment %s: block %d: page 0 (row IDs): row index %d out of range",
-				filepath.Base(s.path), id, v)
+	sc := getScratch()
+	defer putScratch(sc)
+	v, err := pv.ints(s.blocks[id].nrows, sc)
+	if err != nil {
+		return fail(err)
+	}
+	rows := make([]int32, v.n)
+	for i, r := range v.values(sc) {
+		if r < 0 || r > math.MaxInt32 {
+			return fail(fmt.Errorf("row index %d out of range", r))
 		}
-		rows[i] = int32(v)
+		rows[i] = int32(r)
 	}
 	return rows, nil
 }
@@ -567,24 +569,10 @@ func (s *Segment) ReadBlock(id int) (*BlockData, error) {
 			return nil, err
 		}
 		bd.Bytes += frameSize + pm.length
-		r := &bufReader{buf: payload}
-		cd := ColumnData{Kind: s.cols[ci].kind}
-		cd.Nulls = decodeNulls(r, nrows)
-		enc := r.u8()
-		switch cd.Kind {
-		case value.KindInt:
-			cd.Ints = decodeInts(r, enc, nrows)
-		case value.KindFloat:
-			cd.Floats = decodeFloats(r, enc, nrows)
-		default:
-			cd.Strs = decodeStrings(r, enc, nrows)
-		}
-		if r.fail == nil && r.remaining() != 0 {
-			r.setErr(fmt.Sprintf("%d trailing bytes", r.remaining()))
-		}
-		if r.fail != nil {
+		cd, err := decodeColumn(payload, s.cols[ci].kind, nrows)
+		if err != nil {
 			return nil, fmt.Errorf("colstore: segment %s: block %d: page %d (column %s): %w",
-				filepath.Base(s.path), id, 1+ci, s.cols[ci].name, r.fail)
+				filepath.Base(s.path), id, 1+ci, s.cols[ci].name, err)
 		}
 		bd.Cols[ci] = cd
 	}
@@ -595,11 +583,11 @@ func (s *Segment) ReadBlock(id int) (*BlockData, error) {
 // ReadBlockEncoded reads and checksums all of block id's pages without
 // decoding the column payloads: row IDs are decoded (the engine needs
 // block membership), columns stay in wire form for compressed-domain
-// evaluation or gather-by-mask materialization. The writer lays a block's
-// pages out contiguously, so the common case is one ReadAt over the whole
-// block span — a single I/O instead of one per page; footers describing
-// non-contiguous pages (never produced by WriteSegment, but the format
-// allows them) fall back to per-page reads.
+// evaluation. The writer lays a block's pages out contiguously, so the
+// common case is one ReadAt over the whole block span — a single I/O
+// instead of one per page; footers describing non-contiguous pages (never
+// produced by WriteSegment, but the format allows them) fall back to
+// per-page reads.
 func (s *Segment) ReadBlockEncoded(id int) (*EncodedBlock, error) {
 	if id < 0 || id >= len(s.blocks) {
 		return nil, fmt.Errorf("colstore: segment %s: no block %d", filepath.Base(s.path), id)

@@ -324,38 +324,6 @@ func (s *Store) encodedBlock(table string, st *tableState, id int) (*EncodedBloc
 	})
 }
 
-// MaterializeRows decodes only the selected rows of the named columns from
-// one block's encoded pages (late materialization: the compressed scan
-// finds survivors first, then gathers just their values). sel holds
-// strictly ascending block-local row positions. Not metered as a block
-// read — the scan that produced sel already metered the block.
-func (s *Store) MaterializeRows(table string, id int, sel []int32, cols []string) ([]ColumnData, error) {
-	st := s.state(table)
-	if st == nil {
-		return nil, fmt.Errorf("colstore: no segment for table %q", table)
-	}
-	if id < 0 || id >= st.seg.NumBlocks() {
-		return nil, fmt.Errorf("colstore: %s has no block %d", table, id)
-	}
-	eb, err := s.encodedBlock(table, st, id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ColumnData, len(cols))
-	for i, name := range cols {
-		ci, ok := st.seg.colIndex(name)
-		if !ok {
-			return nil, fmt.Errorf("colstore: %s has no column %q", table, name)
-		}
-		cd, err := gatherColumn(eb.Cols[ci], st.seg.cols[ci].kind, len(eb.Block.Rows), sel)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: gather %s.%s: %w", table, name, err)
-		}
-		out[i] = cd
-	}
-	return out, nil
-}
-
 // prefetchOne loads one block's encoded pages into the buffer pool on
 // behalf of a readahead worker. Errors are swallowed: failed loads are
 // never cached, and the demand read re-runs the load and surfaces the
