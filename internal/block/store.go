@@ -56,16 +56,18 @@ type Stats struct {
 	RowsRead      int64
 	RowsWritten   int64
 
-	// CacheHits/CacheMisses/CacheEvictions count buffer-pool events of
-	// the disk backend's block cache.
+	// CacheHits/CacheMisses count the disk backend's block visits that
+	// read nothing (every page they asked for was resident) and that ran
+	// a page load; CacheEvictions counts whole block entries evicted.
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
-	// BytesRead counts actual segment bytes read from disk (page and
-	// row-ID-page I/O on cache misses); zone-map pruning never adds to it.
+	// BytesRead counts the segment bytes of the pages actually read from
+	// disk (frame + payload of the row-ID page and of the column pages a
+	// visit named and the pool lacked); zone-map pruning never adds to it.
 	BytesRead int64
 
-	// Prefetched counts blocks loaded into the buffer pool by the disk
+	// Prefetched counts block loads (of the scan's pages) by the disk
 	// backend's readahead workers ahead of demand; ReadaheadHits counts
 	// demand reads that found (or joined the in-flight load of) a
 	// prefetched block. Neither affects the simulated BlocksRead

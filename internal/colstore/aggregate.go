@@ -44,6 +44,9 @@ type TableFold struct {
 	// land in slot 0.
 	group block.GroupKey
 	gcol  int
+	// touched lists, ascending, the segment columns a block visit reads:
+	// the supported aggregates' columns and the group column.
+	touched []int
 	// rowRuns lazily memoizes, per block, whether the block's rows are a
 	// word-aligned identity run [start, start+n) — every sequentially
 	// installed layout — so repeated folds localize the survivor bitmap by
@@ -96,6 +99,10 @@ func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.
 		}
 		tf.gcol = gi
 	}
+	reads := make([]bool, len(seg.cols))
+	if tf.gcol >= 0 {
+		reads[tf.gcol] = true
+	}
 	for i, a := range aggs {
 		tf.cols[i] = -1
 		if a.Column == "" {
@@ -117,9 +124,10 @@ func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.
 			tf.supported[i] = kind == value.KindInt || kind == value.KindString
 		}
 		if tf.supported[i] {
-			tf.cols[i] = ci
+			tf.cols[i], reads[ci] = ci, true
 		}
 	}
+	tf.touched = setColumns(reads)
 	return tf
 }
 
@@ -179,7 +187,7 @@ func (t *TableFold) FoldBlock(id int, survivors []uint64, gs *block.GroupedState
 	if id < 0 || id >= seg.NumBlocks() {
 		return fmt.Errorf("colstore: %s has no block %d", t.table, id)
 	}
-	eb, err := t.store.encodedBlock(t.table, t.st, id)
+	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched, false)
 	if err != nil {
 		return err
 	}

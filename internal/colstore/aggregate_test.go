@@ -271,10 +271,14 @@ func TestCompressedAggregateOverflowGuard(t *testing.T) {
 	}
 }
 
-// mustEncoded is a test helper: block id's encoded column payloads.
+// mustEncoded is a test helper: every column page payload of block id.
 func (seg *Segment) mustEncoded(t *testing.T, id int) [][]byte {
 	t.Helper()
-	eb, err := seg.ReadBlockEncoded(id)
+	all := make([]int, len(seg.cols))
+	for ci := range all {
+		all[ci] = ci
+	}
+	eb, _, err := seg.readPages(id, all, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

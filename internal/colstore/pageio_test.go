@@ -1,0 +1,405 @@
+package colstore
+
+import (
+	"fmt"
+	"os"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"mto/internal/block"
+	"mto/internal/predicate"
+	"mto/internal/relation"
+	"mto/internal/value"
+	"mto/internal/workload"
+)
+
+// This file pins the unit of segment I/O: a block visit reads the row-ID
+// page and the pages of the columns it names — each once, each verified
+// when it is read — and nothing else.
+
+// pageBytes sums, over the given blocks, the on-disk size (frame + payload,
+// from the footer) of the row-ID page when rowIDs is set and of the named
+// columns' pages.
+func pageBytes(s *Store, ids []int, rowIDs bool, cols ...string) int64 {
+	seg := s.state("sc").seg
+	var n int64
+	for _, id := range ids {
+		pages := seg.blocks[id].pages
+		if rowIDs {
+			n += frameSize + pages[0].length
+		}
+		for _, col := range cols {
+			ci, _ := seg.colIndex(col)
+			n += frameSize + pages[1+ci].length
+		}
+	}
+	return n
+}
+
+func allBlocks(s *Store) []int {
+	ids := make([]int, s.NumBlocks("sc"))
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// scanAll runs a one-filter scan over every block and returns its mask.
+func scanAll(t *testing.T, s *Store, n int, p predicate.Predicate) ([]uint64, error) {
+	t.Helper()
+	var filters []predicate.Predicate
+	masks := [][]uint64{}
+	if p != nil {
+		filters = []predicate.Predicate{p}
+		masks = [][]uint64{make([]uint64, (n+63)/64)}
+	}
+	scan := s.CompileScan("sc", filters)
+	if p != nil && !scan.Supported()[0] {
+		t.Fatalf("%s did not compile to a pushed-down scan", p)
+	}
+	for _, id := range allBlocks(s) {
+		if _, err := scan.ScanBlock(id, masks); err != nil {
+			return nil, err
+		}
+	}
+	if p == nil {
+		return nil, nil
+	}
+	return masks[0], nil
+}
+
+// foldAll folds every block's rows (all of them survive) into fresh states.
+func foldAll(s *Store, n int, group block.GroupKey, aggs []workload.Aggregate) (*block.GroupedStates, error) {
+	fold := s.CompileFold("sc", group, aggs)
+	surv := make([]uint64, (n+63)/64)
+	setAllBits(surv, n)
+	gs := block.NewGroupedStates(group.Slots(), fold.Supported())
+	for _, id := range allBlocks(s) {
+		if err := fold.FoldBlock(id, surv, gs); err != nil {
+			return nil, err
+		}
+	}
+	return gs, nil
+}
+
+func wantMask(tab *relation.Table, p predicate.Predicate) []uint64 {
+	want := make([]uint64, (tab.NumRows()+63)/64)
+	predicate.CompileMask(p, tab, want)
+	return want
+}
+
+func TestScanReadsOnlyTouchedPages(t *testing.T) {
+	const n = 200
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 4)
+	dict, err := relation.BuildColumnDict(tab, "s_dict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byDict := block.GroupKey{Column: "s_dict", Dict: dict}
+	oneCol := predicate.NewComparison("i_for", predicate.Gt, value.Int(150))
+	twoCols := predicate.NewAnd(oneCol, predicate.NewComparison("s_dict", predicate.Eq, value.String("v03")))
+	sumDelta := []workload.Aggregate{{Op: workload.AggSum, Alias: "sc", Column: "i_delta"}}
+
+	// step runs one visit of every block and checks what it read.
+	step := func(s *Store, name string, wantBytes, wantMisses int64, visit func() error) {
+		t.Helper()
+		before := s.Stats()
+		if err := visit(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d := s.Stats().Sub(before)
+		if d.BytesRead != wantBytes || d.CacheMisses != wantMisses {
+			t.Errorf("%s: read %d bytes in %d missed visits, want %d in %d", name, d.BytesRead, d.CacheMisses, wantBytes, wantMisses)
+		}
+	}
+	scanStep := func(s *Store, p predicate.Predicate) func() error {
+		return func() error {
+			got, err := scanAll(t, s, n, p)
+			if err == nil && p != nil && !reflect.DeepEqual(got, wantMask(tab, p)) {
+				t.Errorf("%s: mask differs from CompileMask", p)
+			}
+			return err
+		}
+	}
+	var wantFold *block.GroupedStates
+	foldStep := func(s *Store) func() error {
+		return func() error {
+			gs, err := foldAll(s, n, byDict, sumDelta)
+			if wantFold == nil {
+				wantFold = gs
+			} else if err == nil && !reflect.DeepEqual(gs, wantFold) {
+				t.Errorf("grouped fold differs between stores")
+			}
+			return err
+		}
+	}
+
+	s := newScanStore(t, tab, groups, 1<<20)
+	ids := allBlocks(s)
+	nb := int64(len(ids))
+	step(s, "one-column filter, cold", pageBytes(s, ids, true, "i_for"), nb, scanStep(s, oneCol))
+	step(s, "same scan again", 0, 0, scanStep(s, oneCol))
+	step(s, "one more column", pageBytes(s, ids, false, "s_dict"), nb, scanStep(s, twoCols))
+	step(s, "unfiltered alias over resident blocks", 0, 0, scanStep(s, nil))
+	step(s, "fold: group column resident, aggregate column not", pageBytes(s, ids, false, "i_delta"), nb, foldStep(s))
+	step(s, "same fold again", 0, 0, foldStep(s))
+	if _, bytes := s.pool.Resident(); bytes != nb*50*4+pageBytes(s, ids, false, "i_for", "s_dict", "i_delta")-3*nb*frameSize {
+		t.Errorf("pool charges %d bytes for the row IDs and three pages of each block", bytes)
+	}
+
+	cold := newScanStore(t, tab, groups, 1<<20)
+	step(cold, "unfiltered alias, cold", pageBytes(cold, ids, true), nb, scanStep(cold, nil))
+	cold = newScanStore(t, tab, groups, 1<<20)
+	step(cold, "fold, cold", pageBytes(cold, ids, true, "i_delta", "s_dict"), nb, foldStep(cold))
+
+	// No pool, and a pool smaller than one block's touched pages (50 row
+	// IDs alone are 200 bytes): every visit re-reads exactly its pages.
+	for _, capacity := range []int64{0, 64} {
+		s := newScanStore(t, tab, groups, capacity)
+		for round := 0; round < 2; round++ {
+			name := fmt.Sprintf("capacity %d, round %d", capacity, round)
+			step(s, name+": scan", pageBytes(s, ids, true, "i_for", "s_dict"), nb, scanStep(s, twoCols))
+			step(s, name+": fold", pageBytes(s, ids, true, "i_delta", "s_dict"), nb, foldStep(s))
+		}
+		if entries, _ := s.pool.Resident(); entries != 0 {
+			t.Errorf("capacity %d: %d entries resident", capacity, entries)
+		}
+	}
+}
+
+// TestCorruptUntouchedPage flips one byte in one column page of one block:
+// every scan and fold that does not read that page answers as over the
+// intact store, every one that reads it — and the whole-block ReadBlock —
+// fails with a checksum error naming the block and page, and the failed
+// loads leave nothing of the page behind in the pool.
+func TestCorruptUntouchedPage(t *testing.T) {
+	const (
+		n       = 200
+		badCol  = "s_dict"
+		badBlk  = 1
+		wantErr = "block 1: page 5: checksum mismatch"
+	)
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 4)
+	intact := newScanStore(t, tab, groups, 1<<20)
+	s := newScanStore(t, tab, groups, 1<<20)
+	seg := s.state("sc").seg
+	ci, _ := seg.colIndex(badCol)
+	f, err := os.OpenFile(seg.Path(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	at := seg.blocks[badBlk].pages[1+ci].off + frameSize + 3
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, reads bool, got interface{}, err error, want interface{}, wantE error) {
+		t.Helper()
+		switch {
+		case wantE != nil:
+			t.Fatalf("%s: intact store: %v", name, wantE)
+		case reads && (err == nil || !strings.Contains(err.Error(), wantErr)):
+			t.Errorf("%s: err = %v, want %q", name, err, wantErr)
+		case !reads && err != nil:
+			t.Errorf("%s does not read %s, yet: %v", name, badCol, err)
+		case !reads && !reflect.DeepEqual(got, want):
+			t.Errorf("%s: result differs from the intact store", name)
+		}
+	}
+	scans, failed := 0, 0
+	for _, p := range scanPredicates() {
+		names := map[string]bool{}
+		p.VisitColumns(func(c string) { names[c] = true })
+		if !s.CompileScan("sc", []predicate.Predicate{p}).Supported()[0] {
+			continue
+		}
+		reads := names[badCol]
+		got, err := scanAll(t, s, n, p)
+		want, wantE := scanAll(t, intact, n, p)
+		check(p.String(), reads, got, err, want, wantE)
+		scans++
+		if reads {
+			failed++
+		}
+	}
+	if failed == 0 || failed == scans {
+		t.Fatalf("fixture: %d of %d scans read %s", failed, scans, badCol)
+	}
+	for _, gcol := range []string{"", "i_for", badCol} {
+		var group block.GroupKey
+		if gcol != "" {
+			dict, err := relation.BuildColumnDict(tab, gcol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			group = block.GroupKey{Column: gcol, Dict: dict}
+		}
+		for _, a := range aggMatrix() {
+			if !wantSupported(a) {
+				continue
+			}
+			aggs := []workload.Aggregate{a}
+			got, err := foldAll(s, n, group, aggs)
+			want, wantE := foldAll(intact, n, group, aggs)
+			check(fmt.Sprintf("%s by %q", a, gcol), a.Column == badCol || gcol == badCol, got, err, want, wantE)
+		}
+	}
+	if _, err := scanAll(t, s, n, nil); err != nil {
+		t.Errorf("unfiltered scan: %v", err)
+	}
+
+	for id := range allBlocks(s) {
+		_, err := s.ReadBlock("sc", id)
+		if id != badBlk && err != nil {
+			t.Errorf("ReadBlock(%d): %v", id, err)
+		}
+		if id == badBlk && (err == nil || !strings.Contains(err.Error(), wantErr)) {
+			t.Errorf("ReadBlock(%d): err = %v, want %q", id, err, wantErr)
+		}
+	}
+	// The block's entry holds what the succeeding visits read, never the
+	// bad page, and no decoded form of the block exists.
+	eb, err := s.encodedBlock("sc", s.state("sc"), badBlk, nil, false)
+	if err != nil || eb.Cols[ci] != nil {
+		t.Errorf("corrupt page cached (err %v)", err)
+	}
+	before := s.Stats()
+	if _, err := s.ReadBlock("sc", badBlk); err == nil {
+		t.Error("second ReadBlock of the corrupt block succeeded")
+	}
+	if d := s.Stats().Sub(before); d.CacheMisses != 1 || d.CacheHits != 0 {
+		t.Errorf("failed decoded load was cached: %+v", d)
+	}
+}
+
+// TestConcurrentVisitsReadEachPageOnce: goroutines scanning and folding the
+// same blocks with different column subsets on a cold pool read each page
+// exactly once between them and answer as a sequential run does. Run with
+// -race.
+func TestConcurrentVisitsReadEachPageOnce(t *testing.T) {
+	const n = 400
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 8)
+	dict, err := relation.BuildColumnDict(tab, "s_dict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []predicate.Predicate{
+		predicate.NewComparison("i_for", predicate.Gt, value.Int(150)),
+		predicate.NewComparison("s_dict", predicate.Eq, value.String("v03")),
+		predicate.NewAnd(
+			predicate.NewComparison("i_for", predicate.Le, value.Int(300)),
+			predicate.NewLike("s_raw", "u01%"),
+		),
+		&predicate.ColumnComparison{Left: "f", Op: predicate.Lt, Right: "f2"},
+		nil,
+	}
+	folds := []struct {
+		group block.GroupKey
+		aggs  []workload.Aggregate
+	}{
+		{block.GroupKey{}, []workload.Aggregate{{Op: workload.AggSum, Alias: "sc", Column: "i_delta"}}},
+		{block.GroupKey{Column: "s_dict", Dict: dict}, []workload.Aggregate{{Op: workload.AggMin, Alias: "sc", Column: "i_raw"}}},
+		{block.GroupKey{Column: "s_dict", Dict: dict}, []workload.Aggregate{{Op: workload.AggMax, Alias: "sc", Column: "s_raw"}}},
+	}
+	touched := []string{"i_for", "s_dict", "s_raw", "f", "f2", "i_delta", "i_raw"}
+
+	run := func(s *Store, parallel bool) []interface{} {
+		out := make([]interface{}, len(preds)+len(folds))
+		var wg sync.WaitGroup
+		visit := func(i int, fn func() (interface{}, error)) {
+			wg.Add(1)
+			body := func() {
+				defer wg.Done()
+				got, err := fn()
+				if err != nil {
+					t.Error(err)
+				}
+				out[i] = got
+			}
+			if parallel {
+				go body()
+			} else {
+				body()
+			}
+		}
+		for i, p := range preds {
+			p := p
+			visit(i, func() (interface{}, error) { return scanAll(t, s, n, p) })
+		}
+		for i, f := range folds {
+			f := f
+			visit(len(preds)+i, func() (interface{}, error) { return foldAll(s, n, f.group, f.aggs) })
+		}
+		wg.Wait()
+		return out
+	}
+	want := run(newScanStore(t, tab, groups, 1<<20), false)
+	for round := 0; round < 5; round++ {
+		s := newScanStore(t, tab, groups, 1<<20)
+		got := run(s, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("concurrent result differs from the sequential one")
+		}
+		st := s.Stats()
+		if wantBytes := pageBytes(s, allBlocks(s), true, touched...); st.BytesRead != wantBytes {
+			t.Fatalf("BytesRead = %d, want %d (each distinct page once)", st.BytesRead, wantBytes)
+		}
+		if visits := int64(len(got) * s.NumBlocks("sc")); st.CacheHits+st.CacheMisses != visits {
+			t.Fatalf("hits + misses = %d + %d, want %d block visits", st.CacheHits, st.CacheMisses, visits)
+		}
+	}
+}
+
+// TestPrefetchBoundedByPool: a candidate list far larger than the pool
+// queues only what the pool can hold, so readahead does not evict its own
+// unread loads, and the scan answers the same.
+func TestPrefetchBoundedByPool(t *testing.T) {
+	const n = 5000
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 100)
+	p := predicate.NewComparison("i_for", predicate.Gt, value.Int(150))
+	filters := []predicate.Predicate{p}
+	probe := newScanStore(t, tab, groups, 0)
+	cols := probe.CompileScan("sc", filters).(*TableScan).touched
+	capacity := 8 * probe.state("sc").seg.pagesSize(0, cols)
+	fit, budget := int64(0), capacity // the longest candidate prefix the pool can hold
+	for id := 0; budget >= 0; id++ {
+		if budget -= probe.state("sc").seg.pagesSize(id, cols); budget >= 0 {
+			fit++
+		}
+	}
+
+	s := newScanStore(t, tab, groups, capacity)
+	scan := s.CompileScan("sc", filters)
+	scan.Prefetch(allBlocks(s))
+	st := waitStats(t, s, func(st block.Stats) bool { return st.Prefetched >= fit })
+	if fit < 7 || fit > 9 || st.Prefetched != fit {
+		t.Fatalf("prefetched %d blocks into a pool of %d, want %d", st.Prefetched, capacity, fit)
+	}
+	mask := [][]uint64{make([]uint64, (n+63)/64)}
+	for _, id := range allBlocks(s) {
+		if _, err := scan.ScanBlock(id, mask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(mask[0], wantMask(tab, p)) {
+		t.Error("scan after bounded readahead differs from CompileMask")
+	}
+	st = s.Stats()
+	// One shard can be handed more than its eighth of the pool; allow it
+	// to have evicted a couple of its own loads.
+	if unused := st.Prefetched - st.ReadaheadHits; unused > 2 {
+		t.Errorf("%d of %d readahead loads evicted unread", unused, st.Prefetched)
+	}
+}

@@ -9,22 +9,30 @@ import (
 
 // Pool is the sharded buffer pool in front of segment reads: a bounded
 // cache of blocks with per-shard LRU eviction and single-flight loading,
-// so N goroutines missing on the same block trigger exactly one disk read
-// (the leader counts the miss; the waiters count hits).
+// so N goroutines missing on the same block trigger exactly one disk read.
+// A visit counts one hit when it read nothing (resident, or served by the
+// load it waited on) and one miss when it ran a load itself.
 //
 // Entries come in two forms, keyed separately: fully decoded blocks
-// (*BlockData, what ReadBlock returns) and raw encoded pages (*EncodedBlock,
-// what scans and folds run over). Both live under the same byte budget.
+// (*BlockData, what ReadBlock returns) and encoded snapshots
+// (*EncodedBlock, what scans and folds run over). Both live under the same
+// byte budget. The block is the unit of lookup and eviction, the page the
+// unit of I/O: an encoded entry holds the pages some visit asked for, a
+// visit naming a column it lacks reads just that page and replaces the
+// entry with a wider snapshot (charging the size delta), and eviction drops
+// the whole entry.
 //
 // Capacity is in bytes of cached block data, split evenly across shards.
 // A capacity of zero disables caching entirely — every Get runs (or waits
 // on) a load — which is the cold-storage configuration the backend
-// identity tests replay under. Failed loads are never cached.
+// identity tests replay under. Failed loads are never cached, and a waiter
+// whose flight failed (or loaded other columns) runs its own load, so an
+// error only ever reaches a visit that asked for the page behind it.
 //
 // Prefetch loads (readahead workers) use the same single-flight machinery
 // but never block on an in-flight load, never count cache hits or misses,
-// and mark the entries they insert; a later demand read that consumes a
-// prefetched entry (or joins a prefetch-initiated load) counts one
+// and mark the entries they fill; a later demand read that consumes a
+// marked entry (or joins a prefetch-initiated load) counts one
 // ReadaheadHit.
 type Pool struct {
 	shards []poolShard
@@ -70,16 +78,25 @@ type poolShard struct {
 	minGen map[string]uint64
 }
 
+// cached is what the pool holds under a key.
+type cached interface {
+	// covers reports whether the value serves a visit to these segment
+	// columns without a read.
+	covers(cols []int) bool
+	// memSize is the in-memory footprint the byte budget is charged.
+	memSize() int64
+}
+
 type poolEntry struct {
 	key        poolKey
-	val        any
+	val        cached
 	size       int64
 	prefetched bool // inserted by readahead and not yet touched by a demand read
 }
 
 type poolCall struct {
 	done     chan struct{}
-	val      any
+	val      cached
 	err      error
 	prefetch bool // load initiated by a readahead worker
 	touched  bool // a demand read joined this prefetch load (guarded by shard mu)
@@ -121,9 +138,8 @@ func (p *Pool) shard(k poolKey) *poolShard {
 	return &p.shards[h.Sum32()%uint32(len(p.shards))]
 }
 
-// memSize estimates the decoded in-memory footprint of a block, the unit
-// the pool's byte budget is charged in.
-func memSize(bd *BlockData) int64 {
+// memSize estimates the decoded in-memory footprint of a block.
+func (bd *BlockData) memSize() int64 {
 	size := int64(len(bd.Block.Rows)) * 4
 	for _, c := range bd.Cols {
 		size += int64(len(c.Ints))*8 + int64(len(c.Floats))*8 + int64(len(c.Nulls))
@@ -134,42 +150,44 @@ func memSize(bd *BlockData) int64 {
 	return size
 }
 
-// encSize estimates the in-memory footprint of an encoded block: the raw
-// page payloads plus the decoded row IDs.
-func encSize(eb *EncodedBlock) int64 {
-	size := int64(len(eb.Block.Rows)) * 4
-	for _, c := range eb.Cols {
-		size += int64(len(c))
-	}
-	return size
-}
+func (bd *BlockData) covers([]int) bool { return true }
 
 // Get returns the cached decoded block for k, or runs load (at most once
-// across concurrent callers) and caches its result. Failed loads are not
-// cached and their error is returned to the leader and every waiter.
-// k.form must be formDecoded.
+// across concurrent callers) and caches its result. k.form must be
+// formDecoded.
 func (p *Pool) Get(k poolKey, load func() (*BlockData, error)) (*BlockData, error) {
-	v, err := p.acquire(k, false, func() (any, int64, error) {
+	v, err := p.acquire(k, nil, false, func(cached) (cached, error) {
 		bd, err := load()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return bd, memSize(bd), nil
+		return bd, nil
 	})
-	if err != nil || v == nil {
+	if err != nil {
 		return nil, err
 	}
 	return v.(*BlockData), nil
 }
 
-// GetEncoded is Get for the encoded-page form. k.form must be formEncoded.
-func (p *Pool) GetEncoded(k poolKey, load func() (*EncodedBlock, error)) (*EncodedBlock, error) {
-	v, err := p.acquire(k, false, func() (any, int64, error) {
-		eb, err := load()
+// GetPages returns k's encoded snapshot holding at least the pages of cols
+// (segment column indexes; the row IDs are always there). A resident
+// snapshot that has them all is returned as is; otherwise load runs with
+// the resident snapshot (nil when there is none) and must return one
+// extended by the missing pages, which replaces it. k.form must be
+// formEncoded.
+//
+// With prefetch it is the readahead variant: it returns (nil) immediately
+// when the block has a load in flight, never counts cache hits or misses,
+// and marks the entry it fills so the first demand read can be attributed
+// to readahead.
+func (p *Pool) GetPages(k poolKey, cols []int, prefetch bool, load func(prev *EncodedBlock) (*EncodedBlock, error)) (*EncodedBlock, error) {
+	v, err := p.acquire(k, cols, prefetch, func(prev cached) (cached, error) {
+		pe, _ := prev.(*EncodedBlock)
+		eb, err := load(pe)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return eb, encSize(eb), nil
+		return eb, nil
 	})
 	if err != nil || v == nil {
 		return nil, err
@@ -177,90 +195,100 @@ func (p *Pool) GetEncoded(k poolKey, load func() (*EncodedBlock, error)) (*Encod
 	return v.(*EncodedBlock), nil
 }
 
-// GetPrefetch is the readahead variant of Get/GetEncoded: it returns
-// immediately when the block is already cached or its load is in flight,
-// never counts cache hits or misses, and marks the entry it inserts so the
-// first demand read can be attributed to readahead. Load errors are
-// swallowed (never cached); the demand read re-surfaces them.
-func (p *Pool) GetPrefetch(k poolKey, load func() (any, int64, error)) {
-	p.acquire(k, true, load) //nolint:errcheck // best-effort by design
-}
-
-func (p *Pool) acquire(k poolKey, prefetch bool, load func() (any, int64, error)) (any, error) {
+// acquire serves one visit to k: the resident value when it covers cols,
+// else the result of load(resident value), run at most once at a time per
+// key. A prefetch visit returns nil when someone else is already loading.
+func (p *Pool) acquire(k poolKey, cols []int, prefetch bool, load func(prev cached) (cached, error)) (cached, error) {
 	sh := p.shard(k)
-	sh.mu.Lock()
-	if el, ok := sh.items[k]; ok {
-		ent := el.Value.(*poolEntry)
-		sh.lru.MoveToFront(el)
-		if !prefetch {
-			if ent.prefetched {
+	for {
+		sh.mu.Lock()
+		var prev cached
+		if el, ok := sh.items[k]; ok {
+			ent := el.Value.(*poolEntry)
+			sh.lru.MoveToFront(el)
+			if !prefetch && ent.prefetched {
 				ent.prefetched = false
 				p.readaheadHits.Add(1)
 			}
-			sh.mu.Unlock()
-			p.hits.Add(1)
-			return ent.val, nil
+			prev = ent.val
+			if prev.covers(cols) {
+				sh.mu.Unlock()
+				if !prefetch {
+					p.hits.Add(1)
+				}
+				return prev, nil
+			}
 		}
-		sh.mu.Unlock()
-		return ent.val, nil
-	}
-	if call, ok := sh.inflight[k]; ok {
-		if prefetch {
-			sh.mu.Unlock()
-			return nil, nil // someone is already loading it; readahead's job is done
-		}
-		joinedPrefetch := call.prefetch && !call.touched
-		if call.prefetch {
+		if call, ok := sh.inflight[k]; ok {
+			if prefetch {
+				sh.mu.Unlock()
+				return nil, nil // someone is already loading it; readahead's job is done
+			}
+			joinedPrefetch := call.prefetch && !call.touched
 			call.touched = true
+			sh.mu.Unlock()
+			<-call.done
+			if call.err == nil {
+				if joinedPrefetch {
+					p.readaheadHits.Add(1)
+				}
+				if call.val.covers(cols) {
+					p.hits.Add(1)
+					return call.val, nil
+				}
+			}
+			continue // that flight did not bring these pages: look again
+		}
+		call := &poolCall{done: make(chan struct{}), prefetch: prefetch}
+		sh.inflight[k] = call
+		sh.mu.Unlock()
+
+		if !prefetch {
+			p.misses.Add(1)
+		}
+		call.val, call.err = load(prev)
+
+		sh.mu.Lock()
+		delete(sh.inflight, k)
+		if call.err == nil {
+			if prefetch {
+				p.prefetched.Add(1)
+			}
+			if sh.capacity > 0 && k.gen >= sh.minGen[k.table] {
+				// A demand read that already joined this load consumed the
+				// readahead; only an untouched prefetch result is marked.
+				p.evictions.Add(sh.put(k, call.val, prefetch && !call.touched))
+			}
 		}
 		sh.mu.Unlock()
-		<-call.done
-		if call.err != nil {
-			p.misses.Add(1)
-			return nil, call.err
-		}
-		p.hits.Add(1)
-		if joinedPrefetch {
-			p.readaheadHits.Add(1)
-		}
-		return call.val, nil
+		close(call.done)
+		return call.val, call.err
 	}
-	call := &poolCall{done: make(chan struct{}), prefetch: prefetch}
-	sh.inflight[k] = call
-	sh.mu.Unlock()
+}
 
-	if !prefetch {
-		p.misses.Add(1)
-	}
-	var size int64
-	call.val, size, call.err = load()
-
-	sh.mu.Lock()
-	delete(sh.inflight, k)
-	if call.err == nil && prefetch {
-		p.prefetched.Add(1)
-	}
-	if call.err == nil && sh.capacity > 0 && k.gen >= sh.minGen[k.table] {
-		el := sh.lru.PushFront(&poolEntry{
-			key: k, val: call.val, size: size,
-			// A demand read that already joined this load consumed the
-			// readahead; only an untouched prefetch result stays marked.
-			prefetched: prefetch && !call.touched,
-		})
-		sh.items[k] = el
+// put caches val under k — replacing the narrower snapshot a load extended,
+// charged by the size delta — then evicts from the cold end down to
+// capacity, returning the number of entries evicted. Caller holds sh.mu.
+func (sh *poolShard) put(k poolKey, val cached, mark bool) (evicted int64) {
+	size := val.memSize()
+	if el, ok := sh.items[k]; ok {
+		ent := el.Value.(*poolEntry)
+		sh.bytes += size - ent.size
+		ent.val, ent.size, ent.prefetched = val, size, ent.prefetched || mark
+		sh.lru.MoveToFront(el)
+	} else {
+		sh.items[k] = sh.lru.PushFront(&poolEntry{key: k, val: val, size: size, prefetched: mark})
 		sh.bytes += size
-		for sh.bytes > sh.capacity && sh.lru.Len() > 0 {
-			oldest := sh.lru.Back()
-			ent := oldest.Value.(*poolEntry)
-			sh.lru.Remove(oldest)
-			delete(sh.items, ent.key)
-			sh.bytes -= ent.size
-			p.evictions.Add(1)
-		}
 	}
-	sh.mu.Unlock()
-	close(call.done)
-	return call.val, call.err
+	for sh.bytes > sh.capacity && sh.lru.Len() > 0 {
+		oldest := sh.lru.Back()
+		ent := oldest.Value.(*poolEntry)
+		sh.lru.Remove(oldest)
+		delete(sh.items, ent.key)
+		sh.bytes -= ent.size
+		evicted++
+	}
+	return evicted
 }
 
 // Invalidate drops every cached block of the named table (all generations

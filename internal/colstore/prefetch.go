@@ -24,14 +24,16 @@ type prefetcher struct {
 	wg    sync.WaitGroup
 }
 
-// prefetchTask is one readahead request: load the encoded pages of these
-// blocks of the table generation captured at enqueue time. The
+// prefetchTask is one readahead request: load the scan's column pages (and
+// the row IDs) of these blocks of the table generation captured at enqueue
+// time — the pages its demand reads will ask for and nothing else. The
 // tableState pin (not a name lookup at drain time) means a segment swap
 // mid-flight reads from the still-open retired segment and inserts under
 // the dead generation's key, where the pool's generation floor refuses it.
 type prefetchTask struct {
 	table string
 	st    *tableState
+	cols  []int
 	ids   []int
 }
 
@@ -84,7 +86,7 @@ func (p *prefetcher) worker() {
 					return
 				default:
 				}
-				p.store.prefetchOne(t, id)
+				p.store.encodedBlock(t.table, t.st, id, t.cols, true) //nolint:errcheck // best-effort by design
 			}
 		}
 	}

@@ -8,14 +8,39 @@ import (
 	"time"
 
 	"mto/internal/block"
+	"mto/internal/predicate"
+	"mto/internal/value"
 )
 
 // --- pool-level prefetch semantics (deterministic, synchronous) ---
 
+// fakePages is a page load over a three-column block of one row: prev plus
+// a 4-byte page for each of cols it lacks, so a snapshot's memSize is 4
+// (row IDs) + 4 per page held.
+func fakePages(prev *EncodedBlock, cols ...int) *EncodedBlock {
+	eb := &EncodedBlock{Block: &block.Block{Rows: make([]int32, 1)}, Cols: make([][]byte, 3), size: 4}
+	if prev != nil {
+		eb.Block, eb.size = prev.Block, prev.size
+		copy(eb.Cols, prev.Cols)
+	}
+	for _, ci := range cols {
+		if eb.Cols[ci] == nil {
+			eb.Cols[ci] = make([]byte, 4)
+			eb.size += 4
+		}
+	}
+	return eb
+}
+
+// loadCols is the loader a visit to cols passes the pool.
+func loadCols(cols ...int) func(*EncodedBlock) (*EncodedBlock, error) {
+	return func(prev *EncodedBlock) (*EncodedBlock, error) { return fakePages(prev, cols...), nil }
+}
+
 func TestPoolPrefetchCounters(t *testing.T) {
 	p := NewPool(1 << 20)
-	k := poolKey{table: "t", gen: 1, id: 0}
-	p.GetPrefetch(k, func() (any, int64, error) { return fakeBlock(1), 4, nil })
+	k := poolKey{table: "t", gen: 1, id: 0, form: formEncoded}
+	p.GetPages(k, []int{0}, true, loadCols(0))
 
 	if pf, ra := p.PrefetchCounters(); pf != 1 || ra != 0 {
 		t.Fatalf("after prefetch: prefetched/readaheadHits = %d/%d, want 1/0", pf, ra)
@@ -25,9 +50,12 @@ func TestPoolPrefetchCounters(t *testing.T) {
 	}
 
 	// First demand read consumes the readahead; the second is a plain hit.
-	load := func() (*BlockData, error) { t.Fatal("demand load ran despite prefetch"); return nil, nil }
-	p.Get(k, load)
-	p.Get(k, load)
+	load := func(*EncodedBlock) (*EncodedBlock, error) {
+		t.Fatal("demand load ran despite prefetch")
+		return nil, nil
+	}
+	p.GetPages(k, []int{0}, false, load)
+	p.GetPages(k, []int{0}, false, load)
 	if pf, ra := p.PrefetchCounters(); pf != 1 || ra != 1 {
 		t.Errorf("readahead hit counted %d times, want 1 (prefetched %d)", ra, pf)
 	}
@@ -35,17 +63,33 @@ func TestPoolPrefetchCounters(t *testing.T) {
 		t.Errorf("demand hits = %d, want 2", hits)
 	}
 
-	// Prefetching an already-cached block is a no-op on every counter.
-	p.GetPrefetch(k, func() (any, int64, error) { t.Fatal("reloaded cached block"); return nil, 0, nil })
+	// Prefetching already-resident pages is a no-op on every counter;
+	// prefetching one more column of the block loads just that page.
+	p.GetPages(k, []int{0}, true, load)
 	if pf, _ := p.PrefetchCounters(); pf != 1 {
-		t.Errorf("prefetch of cached block counted, prefetched = %d", pf)
+		t.Errorf("prefetch of cached pages counted, prefetched = %d", pf)
+	}
+	p.GetPages(k, []int{0, 2}, true, func(prev *EncodedBlock) (*EncodedBlock, error) {
+		if prev == nil || prev.Cols[0] == nil {
+			t.Error("widening prefetch was not handed the resident snapshot")
+		}
+		return fakePages(prev, 0, 2), nil
+	})
+	if _, bytes := p.Resident(); bytes != 12 {
+		t.Errorf("resident bytes = %d, want 12 (row IDs + two pages)", bytes)
+	}
+	p.GetPages(k, []int{2}, false, load)
+	if pf, ra := p.PrefetchCounters(); pf != 2 || ra != 2 {
+		t.Errorf("after widening prefetch: prefetched/readaheadHits = %d/%d, want 2/2", pf, ra)
 	}
 }
 
 func TestPoolPrefetchFailedLoadNotCached(t *testing.T) {
 	p := NewPool(1 << 20)
-	k := poolKey{table: "t", gen: 1, id: 0}
-	p.GetPrefetch(k, func() (any, int64, error) { return nil, 0, errors.New("disk gone") })
+	k := poolKey{table: "t", gen: 1, id: 0, form: formEncoded}
+	boom := errors.New("boom")
+	fail := func(*EncodedBlock) (*EncodedBlock, error) { return nil, boom }
+	p.GetPages(k, []int{1}, true, fail)
 
 	if pf, _ := p.PrefetchCounters(); pf != 0 {
 		t.Errorf("failed prefetch counted as prefetched (%d)", pf)
@@ -54,57 +98,82 @@ func TestPoolPrefetchFailedLoadNotCached(t *testing.T) {
 		t.Fatalf("failed prefetch cached: %d entries, %d bytes", entries, bytes)
 	}
 	// The demand read re-runs the load and surfaces its own result.
-	boom := errors.New("boom")
-	if _, err := p.Get(k, func() (*BlockData, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := p.GetPages(k, []int{1}, false, fail); !errors.Is(err, boom) {
 		t.Fatalf("demand err = %v, want boom", err)
 	}
-	bd, err := p.Get(k, func() (*BlockData, error) { return fakeBlock(1), nil })
-	if err != nil || bd == nil {
+	eb, err := p.GetPages(k, []int{1}, false, loadCols(1))
+	if err != nil || eb == nil {
 		t.Fatalf("recovery load: %v", err)
 	}
 	if _, ra := p.PrefetchCounters(); ra != 0 {
 		t.Errorf("demand loads after failed prefetch counted as readahead hits (%d)", ra)
 	}
+	// A failed widening leaves the resident snapshot as it was.
+	if _, err := p.GetPages(k, []int{1, 2}, false, fail); !errors.Is(err, boom) {
+		t.Fatalf("widening err = %v, want boom", err)
+	}
+	if eb, err := p.GetPages(k, []int{1}, false, fail); err != nil || eb.Cols[2] != nil {
+		t.Errorf("resident snapshot disturbed by a failed widening: %v", err)
+	}
 }
 
+// TestPoolDemandJoinsInflightPrefetch: a demand read of pages a readahead
+// load is bringing in joins it (one hit, one readahead hit, no read); a
+// demand read of another column waits the flight out, then reads only its
+// own page on top of what the flight cached.
 func TestPoolDemandJoinsInflightPrefetch(t *testing.T) {
 	p := NewPool(1 << 20)
-	k := poolKey{table: "t", gen: 1, id: 0}
+	k := poolKey{table: "t", gen: 1, id: 0, form: formEncoded}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p.GetPrefetch(k, func() (any, int64, error) {
+		p.GetPages(k, []int{0}, true, func(prev *EncodedBlock) (*EncodedBlock, error) {
 			close(started)
 			<-release
-			return fakeBlock(1), 4, nil
+			return fakePages(prev, 0), nil
 		})
 	}()
 	<-started
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		bd, err := p.Get(k, func() (*BlockData, error) {
+		eb, err := p.GetPages(k, []int{0}, false, func(*EncodedBlock) (*EncodedBlock, error) {
 			t.Error("demand load ran instead of joining the prefetch flight")
-			return fakeBlock(1), nil
+			return fakePages(nil, 0), nil
 		})
-		if err != nil || bd == nil {
-			t.Errorf("joined Get: %v", err)
+		if err != nil || eb == nil {
+			t.Errorf("joined GetPages: %v", err)
 		}
 	}()
-	// Give the demand Get a moment to register as a waiter, then release.
+	go func() {
+		defer wg.Done()
+		eb, err := p.GetPages(k, []int{1}, false, func(prev *EncodedBlock) (*EncodedBlock, error) {
+			if prev == nil || prev.Cols[0] == nil {
+				t.Error("load after the flight was not handed the flight's snapshot")
+			}
+			return fakePages(prev, 1), nil
+		})
+		if err != nil || eb.Cols[0] == nil || eb.Cols[1] == nil {
+			t.Errorf("widening GetPages: %v", err)
+		}
+	}()
+	// Give the demand reads a moment to register as waiters, then release.
 	time.Sleep(10 * time.Millisecond)
 	close(release)
 	wg.Wait()
 
 	if _, ra := p.PrefetchCounters(); ra != 1 {
-		t.Errorf("demand read joining a prefetch flight: readaheadHits = %d, want 1", ra)
+		t.Errorf("demand reads joining a prefetch flight: readaheadHits = %d, want 1", ra)
+	}
+	if hits, misses, _ := p.Counters(); hits != 1 || misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	// The joined demand read consumed the readahead; the cached entry must
-	// not be double-counted by the next Get.
-	p.Get(k, func() (*BlockData, error) { return fakeBlock(1), nil })
+	// not be double-counted by the next visit.
+	p.GetPages(k, []int{0, 1}, false, loadCols(0, 1))
 	if _, ra := p.PrefetchCounters(); ra != 1 {
 		t.Errorf("readahead hit double-counted (%d)", ra)
 	}
@@ -126,14 +195,29 @@ func waitStats(t *testing.T, s *Store, cond func(block.Stats) bool) block.Stats 
 	}
 }
 
-// scanOf compiles a filterless scan over the fixture table: the handle
-// whose Prefetch queues readahead and whose ScanBlock is the demand read
-// that consumes it.
-func scanOf(t *testing.T, s *Store) *TableScan {
+// scanOf compiles a scan over the fixture table that reads the named
+// columns' pages (i_for and s_dict when none are given): the handle whose
+// Prefetch queues readahead of those pages and whose ScanBlock is the
+// demand read that consumes it.
+func scanOf(t *testing.T, s *Store, cols ...string) *TableScan {
 	t.Helper()
-	scan, _ := s.CompileScan("sc", nil).(*TableScan)
-	if scan == nil {
-		t.Fatal("CompileScan returned nil for a stored table")
+	if len(cols) == 0 {
+		cols = []string{"i_for", "s_dict"}
+	}
+	var leaves []predicate.Predicate
+	for _, c := range cols {
+		switch c[0] {
+		case 'i':
+			leaves = append(leaves, predicate.NewComparison(c, predicate.Gt, value.Int(150)))
+		case 'f':
+			leaves = append(leaves, predicate.NewComparison(c, predicate.Lt, value.Float(20)))
+		default:
+			leaves = append(leaves, predicate.NewLike(c, "v0%"))
+		}
+	}
+	scan, _ := s.CompileScan("sc", []predicate.Predicate{predicate.NewAnd(leaves...)}).(*TableScan)
+	if scan == nil || len(scan.touched) != len(cols) {
+		t.Fatalf("CompileScan over %v: %+v", cols, scan)
 	}
 	return scan
 }
@@ -141,7 +225,7 @@ func scanOf(t *testing.T, s *Store) *TableScan {
 // demandRead is the scan's demand read of block id's encoded pages.
 func demandRead(t *testing.T, scan *TableScan, id int) *EncodedBlock {
 	t.Helper()
-	eb, err := scan.store.encodedBlock(scan.table, scan.st, id)
+	eb, err := scan.store.encodedBlock(scan.table, scan.st, id, scan.touched, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +310,17 @@ func TestStorePrefetchEvictionChurn(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	scan := scanOf(t, s)
-	want := make([][]int32, nb)
+	// Handles over different column subsets widen and re-read each other's
+	// entries as the pool churns.
+	scans := []*TableScan{scanOf(t, s), scanOf(t, s, "i_for"), scanOf(t, s, "s_raw", "f")}
+	want := make([]*EncodedBlock, nb)
 	for id := range want {
-		want[id] = demandRead(t, scan, id).Block.Rows
+		want[id] = demandRead(t, scanOf(t, s, "i_for", "s_dict", "s_raw", "f"), id)
 	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		scan := scans[g%len(scans)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -245,15 +332,22 @@ func TestStorePrefetchEvictionChurn(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				for id := 0; id < nb; id++ {
-					got, err := scan.ScanBlock((id+seed)%nb, nil)
+				for i := 0; i < nb; i++ {
+					id := (i + seed) % nb
+					got, err := scan.store.encodedBlock(scan.table, scan.st, id, scan.touched, false)
 					if err != nil {
-						t.Errorf("ScanBlock: %v", err)
+						t.Errorf("demand read: %v", err)
 						return
 					}
-					if !reflect.DeepEqual(got, want[(id+seed)%nb]) {
-						t.Errorf("block %d: wrong rows under churn", (id+seed)%nb)
+					if !reflect.DeepEqual(got.Block.Rows, want[id].Block.Rows) {
+						t.Errorf("block %d: wrong rows under churn", id)
 						return
+					}
+					for _, ci := range scan.touched {
+						if !reflect.DeepEqual(got.Cols[ci], want[id].Cols[ci]) {
+							t.Errorf("block %d column %d: wrong page under churn", id, ci)
+							return
+						}
 					}
 				}
 			}

@@ -36,6 +36,10 @@ type TableScan struct {
 	progs     []predicate.ScanNode // parallel to the CompileScan filters; nil = unsupported
 	supported []bool
 	colIdx    map[string]int
+	// touched lists, ascending, the segment columns the pushed-down
+	// filters name: the pages a block visit asks the pool for (none for an
+	// unfiltered scan, which needs the row IDs only).
+	touched []int
 }
 
 // CompileScan implements block.Backend: it compiles filters for
@@ -67,31 +71,61 @@ func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.S
 		supported: make([]bool, len(filters)),
 		colIdx:    colIdx,
 	}
+	reads := make([]bool, len(seg.cols))
 	for i, f := range filters {
 		if node, ok := predicate.CompileScan(f, kindOf); ok {
 			ts.progs[i] = node
 			ts.supported[i] = true
+			f.VisitColumns(func(col string) {
+				if ci, ok := colIdx[col]; ok {
+					reads[ci] = true
+				}
+			})
 		}
 	}
+	ts.touched = setColumns(reads)
 	return ts
+}
+
+// setColumns lists the set indexes of reads, ascending.
+func setColumns(reads []bool) []int {
+	var cols []int
+	for ci, r := range reads {
+		if r {
+			cols = append(cols, ci)
+		}
+	}
+	return cols
 }
 
 // Supported implements block.Scan. Callers must not mutate the
 // returned slice.
 func (t *TableScan) Supported() []bool { return t.supported }
 
-// Prefetch implements block.Scan: it queues background loads of the
-// blocks' encoded pages. Best-effort and asynchronous; a no-op when the
-// store has no buffer pool to park the result in (readahead without a
-// cache would just read every block twice).
+// Prefetch implements block.Scan: it queues background loads of the pages
+// this scan's block visits will ask for. Best-effort and asynchronous. The
+// queue stops where the pages' pool charge (footer metadata) reaches the
+// pool's capacity — readahead past that evicts its own unread loads — so
+// it is a no-op when the store has no buffer pool to park the result in.
 func (t *TableScan) Prefetch(ids []int) {
-	s := t.store
-	if s.cacheBytes <= 0 || len(ids) == 0 {
+	s, seg := t.store, t.st.seg
+	if s.cacheBytes <= 0 {
 		return
 	}
-	cp := make([]int, len(ids))
-	copy(cp, ids) // callers reuse their candidate slices
-	s.pf.enqueue(prefetchTask{table: t.table, st: t.st, ids: cp})
+	budget := s.cacheBytes
+	var cp []int // callers reuse their candidate slices
+	for _, id := range ids {
+		if id < 0 || id >= seg.NumBlocks() {
+			continue
+		}
+		if budget -= seg.pagesSize(id, t.touched); budget < 0 {
+			break
+		}
+		cp = append(cp, id)
+	}
+	if len(cp) > 0 {
+		s.pf.enqueue(prefetchTask{table: t.table, st: t.st, cols: t.touched, ids: cp})
+	}
 }
 
 // ScanBlock implements block.Scan. It meters the block read
@@ -105,7 +139,7 @@ func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
 	}
 	t.store.blocksRead.Add(1)
 	t.store.rowsRead.Add(int64(seg.BlockRows(id)))
-	eb, err := t.store.encodedBlock(t.table, t.st, id)
+	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched, false)
 	if err != nil {
 		return nil, err
 	}

@@ -288,12 +288,8 @@ func recordEncodings(t *testing.T, s *Store, seen map[byte]bool) {
 	t.Helper()
 	st := s.state("sc")
 	for id := 0; id < st.seg.NumBlocks(); id++ {
-		eb, err := st.seg.ReadBlockEncoded(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, payload := range eb.Cols {
-			pv, err := parsePage(payload, len(eb.Block.Rows))
+		for _, payload := range st.seg.mustEncoded(t, id) {
+			pv, err := parsePage(payload, st.seg.BlockRows(id))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,16 +90,28 @@ type BlockData struct {
 	Bytes int64
 }
 
-// EncodedBlock is one block in wire form: the reconstructed block.Block
-// (row IDs decoded from page 0, zone map from the footer) plus the raw,
-// checksum-verified column page payloads, un-decoded. Scans and folds
-// evaluate directly on these payloads; the buffer pool caches this form far
-// more densely than decoded vectors. Payloads are immutable and shared —
+// EncodedBlock is an immutable snapshot of one block in wire form: the
+// reconstructed block.Block (row IDs decoded from page 0, zone map from the
+// footer) plus the raw, checksum-verified payloads of the column pages some
+// visit has asked for so far. Scans and folds evaluate directly on these
+// payloads; the buffer pool caches this form far more densely than decoded
+// vectors. A wider snapshot shares the payloads of the one it extends —
 // callers must not mutate them.
 type EncodedBlock struct {
 	Block *block.Block
-	Cols  [][]byte // column page payloads: [null section][enc u8][body]
-	Bytes int64    // on-disk bytes read (frames + payloads)
+	Cols  [][]byte // per segment column: [null section][enc u8][body]; nil = page not read
+	size  int64    // decoded row IDs + payload bytes held
+}
+
+func (eb *EncodedBlock) memSize() int64 { return eb.size }
+
+func (eb *EncodedBlock) covers(cols []int) bool {
+	for _, ci := range cols {
+		if eb.Cols[ci] == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteSegment writes tl as a segment file at path, atomically: the
@@ -580,74 +592,48 @@ func (s *Segment) ReadBlock(id int) (*BlockData, error) {
 	return bd, nil
 }
 
-// ReadBlockEncoded reads and checksums all of block id's pages without
-// decoding the column payloads: row IDs are decoded (the engine needs
-// block membership), columns stay in wire form for compressed-domain
-// evaluation. The writer lays a block's pages out contiguously, so the
-// common case is one ReadAt over the whole block span — a single I/O
-// instead of one per page; footers describing non-contiguous pages (never
-// produced by WriteSegment, but the format allows them) fall back to
-// per-page reads.
-func (s *Segment) ReadBlockEncoded(id int) (*EncodedBlock, error) {
-	if id < 0 || id >= len(s.blocks) {
-		return nil, fmt.Errorf("colstore: segment %s: no block %d", filepath.Base(s.path), id)
-	}
-	bm := &s.blocks[id]
+// readPages returns prev extended by the pages of cols (segment column
+// indexes) it lacks, each read and checksummed on its own and left
+// un-decoded, plus the on-disk bytes read. A nil prev starts from the
+// row-ID page, which is decoded: the engine needs block membership.
+func (s *Segment) readPages(id int, cols []int, prev *EncodedBlock) (*EncodedBlock, int64, error) {
 	eb := &EncodedBlock{Cols: make([][]byte, len(s.cols))}
-	payloads := make([][]byte, len(bm.pages))
-
-	contiguous := true
-	next := bm.pages[0].off
-	for _, pm := range bm.pages {
-		if pm.off != next {
-			contiguous = false
-			break
-		}
-		next += frameSize + pm.length
-	}
-	if contiguous {
-		span := next - bm.pages[0].off
-		buf := make([]byte, span)
-		if _, err := s.f.ReadAt(buf, bm.pages[0].off); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("colstore: segment %s: block %d: truncated block read", filepath.Base(s.path), id)
-			}
-			return nil, fmt.Errorf("colstore: segment %s: block %d: %w", filepath.Base(s.path), id, err)
-		}
-		off := int64(0)
-		for pi, pm := range bm.pages {
-			frame := buf[off : off+frameSize]
-			payload := buf[off+frameSize : off+frameSize+pm.length]
-			if l := binary.LittleEndian.Uint32(frame[0:]); int64(l) != pm.length {
-				return nil, fmt.Errorf("colstore: segment %s: block %d: page %d: frame length %d disagrees with footer %d",
-					filepath.Base(s.path), id, pi, l, pm.length)
-			}
-			if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(frame[4:]) {
-				return nil, fmt.Errorf("colstore: segment %s: block %d: page %d: checksum mismatch",
-					filepath.Base(s.path), id, pi)
-			}
-			payloads[pi] = payload
-			off += frameSize + pm.length
-		}
-		eb.Bytes = span
+	var read int64
+	if prev != nil {
+		eb.Block, eb.size = prev.Block, prev.size
+		copy(eb.Cols, prev.Cols)
 	} else {
-		for pi := range bm.pages {
-			payload, n, err := s.readPage(id, pi)
-			if err != nil {
-				return nil, err
-			}
-			payloads[pi] = payload
-			eb.Bytes += n
+		rows, n, err := s.ReadRowIDs(id)
+		if err != nil {
+			return nil, 0, err
 		}
+		eb.Block = &block.Block{ID: id, Rows: rows, Zone: s.blocks[id].zone}
+		eb.size, read = int64(len(rows))*4, n
 	}
+	for _, ci := range cols {
+		if eb.Cols[ci] != nil {
+			continue
+		}
+		payload, n, err := s.readPage(id, 1+ci)
+		if err != nil {
+			return nil, 0, err
+		}
+		eb.Cols[ci] = payload
+		eb.size += int64(len(payload))
+		read += n
+	}
+	return eb, read, nil
+}
 
-	rows, err := s.decodeRowIDs(id, payloads[0])
-	if err != nil {
-		return nil, err
+// pagesSize is the memSize of a snapshot of block id holding exactly the
+// pages of cols, from the footer alone.
+func (s *Segment) pagesSize(id int, cols []int) int64 {
+	bm := &s.blocks[id]
+	size := int64(bm.nrows) * 4
+	for _, ci := range cols {
+		size += bm.pages[1+ci].length
 	}
-	copy(eb.Cols, payloads[1:])
-	eb.Block = &block.Block{ID: id, Rows: rows, Zone: bm.zone}
-	return eb, nil
+	return size
 }
 
 // ValidateAgainst cross-checks the footer's schema echo against the live

@@ -310,36 +310,21 @@ func (s *Store) ReadBlockData(table string, id int) (*BlockData, error) {
 	})
 }
 
-// encodedBlock returns block id of st's segment in wire form through the
-// buffer pool (encoded form), without simulated-I/O metering — the
-// compressed scan meters the block itself, matching ReadBlock.
-func (s *Store) encodedBlock(table string, st *tableState, id int) (*EncodedBlock, error) {
-	return s.pool.GetEncoded(poolKey{table: table, gen: st.gen, id: id, form: formEncoded}, func() (*EncodedBlock, error) {
-		eb, err := st.seg.ReadBlockEncoded(id)
+// encodedBlock returns block id of st's segment in wire form, holding at
+// least the pages of cols, through the buffer pool: the resident snapshot
+// when it has them, else one extended by the pages it lacks. Not metered —
+// the compressed scan meters the block itself, matching ReadBlock. With
+// prefetch it is a readahead worker's load (see Pool.GetPages): the error
+// is the caller's to drop, the demand read re-runs the load and surfaces it.
+func (s *Store) encodedBlock(table string, st *tableState, id int, cols []int, prefetch bool) (*EncodedBlock, error) {
+	k := poolKey{table: table, gen: st.gen, id: id, form: formEncoded}
+	return s.pool.GetPages(k, cols, prefetch, func(prev *EncodedBlock) (*EncodedBlock, error) {
+		eb, n, err := st.seg.readPages(id, cols, prev)
 		if err != nil {
 			return nil, err
 		}
-		s.bytesRead.Add(eb.Bytes)
+		s.bytesRead.Add(n)
 		return eb, nil
-	})
-}
-
-// prefetchOne loads one block's encoded pages into the buffer pool on
-// behalf of a readahead worker. Errors are swallowed: failed loads are
-// never cached, and the demand read re-runs the load and surfaces the
-// error.
-func (s *Store) prefetchOne(t prefetchTask, id int) {
-	if id < 0 || id >= t.st.seg.NumBlocks() {
-		return
-	}
-	k := poolKey{table: t.table, gen: t.st.gen, id: id, form: formEncoded}
-	s.pool.GetPrefetch(k, func() (any, int64, error) {
-		eb, err := t.st.seg.ReadBlockEncoded(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		s.bytesRead.Add(eb.Bytes)
-		return eb, encSize(eb), nil
 	})
 }
 
