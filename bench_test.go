@@ -332,7 +332,7 @@ func BenchmarkExecuteWorkload(b *testing.B) {
 // columnar segment store in its interesting regimes — cold (0-byte buffer
 // pool, every block read comes from disk) and warm (pool large enough to
 // hold the working set after a priming replay) — next to
-// the in-memory backend the other benchmarks use. All configurations
+// the held-in-memory segments the other benchmarks use. All configurations
 // produce byte-identical Results; only the wall-clock differs, and the
 // warm-cache run is expected to stay within ~2× of mem.
 func BenchmarkReplayDisk(b *testing.B) {

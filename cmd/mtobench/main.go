@@ -80,9 +80,9 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		bench       = flag.String("bench", "", "restrict to one bench (ssb, tpch, tpcds) where applicable")
 		parallel    = flag.Int("parallel", 0, "worker budget for workload replay AND the offline build/routing phases (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		store       = flag.String("store", "mem", `block backend: "mem" (in-memory) or "disk" (persistent columnar segments; identical results)`)
+		store       = flag.String("store", "mem", `where the columnar segments live: "mem" (held in memory) or "disk" (segment files; identical results)`)
 		datadir     = flag.String("datadir", "", `segment directory for -store=disk (default: a temp dir removed on exit)`)
-		cacheMB     = flag.Int("cache-mb", 64, "disk backend buffer-pool capacity in MiB of decoded block data (0 = no cache)")
+		cacheMB     = flag.Int("cache-mb", 64, "buffer-pool capacity for -store=disk in MiB of cached block data (0 = no cache)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	)

@@ -41,9 +41,9 @@ func main() {
 		perTemplate  = flag.Int("per-template", 8, "TPC-H queries per template")
 		seed         = flag.Int64("seed", 1, "random seed")
 		parallel     = flag.Int("parallel", 0, "worker budget for layout building (0 = GOMAXPROCS)")
-		store        = flag.String("store", "mem", `block backend: "mem" or "disk"`)
+		store        = flag.String("store", "mem", `where the columnar segments live: "mem" (held in memory) or "disk" (segment files)`)
 		datadir      = flag.String("datadir", "", "segment directory for -store=disk (default: a temp dir removed on exit)")
-		cacheMB      = flag.Int("cache-mb", 64, "disk backend buffer-pool capacity in MiB")
+		cacheMB      = flag.Int("cache-mb", 64, "buffer-pool capacity for -store=disk in MiB")
 		workers      = flag.Int("workers", 8, "query worker-pool size")
 		rate         = flag.Float64("rate", 0, "token-bucket admission rate in queries/sec (0 = unlimited)")
 		burst        = flag.Float64("burst", 0, "token-bucket burst (defaults to rate)")

@@ -10,17 +10,16 @@ import (
 )
 
 // Backend is the storage layer the execution engine and the layout
-// installer run against. Two implementations exist: the in-memory
-// simulated Store in this package ("mem"), and the persistent columnar
-// segment store with a buffer-pool cache in internal/colstore ("disk").
-// Both charge identical I/O accounting, so every experiment produces
-// byte-identical Results on either backend.
+// installer run against. internal/colstore's segment store is the one
+// production implementation — its segments live in files or in memory,
+// behind the same code; the interface is the seam a test wraps to inject
+// faults.
 //
 // The split between metadata and data access mirrors a cloud warehouse:
 // NumBlocks, Zones, and TotalBlocks are served from in-memory metadata
-// (the segment footer, for the disk backend) and never touch block data,
-// so zone-map pruning of a block costs no page I/O; ReadBlock and
-// Scan.ScanBlock are the only metered data accesses.
+// (the segment footers) and never touch block data, so zone-map pruning of
+// a block costs no page I/O; ReadBlock and Scan.ScanBlock are the only
+// metered data accesses.
 //
 // Queries execute through CompileScan and CompileFold. The handles report,
 // per filter and per aggregate, what the backend evaluates itself
@@ -29,31 +28,30 @@ import (
 type Backend interface {
 	// Cost returns the backend's cost model.
 	Cost() CostModel
-	// SetLayout installs (or replaces) a table's layout, metering the
-	// block writes, and returns the simulated write seconds. The disk
-	// backend additionally persists the layout as a columnar segment
-	// file, which can fail.
+	// SetLayout installs (or replaces) a table's layout as a new columnar
+	// segment, metering the block writes, and returns the simulated write
+	// seconds.
 	SetLayout(table string, tl *TableLayout) (float64, error)
 	// ReplaceBlocks swaps a subset of a table's blocks for new ones
-	// (partial reorganization); see Store.ReplaceBlocks.
+	// (partial reorganization): oldIDs are removed, newGroups are blocked
+	// at blockSize and appended, block IDs are renumbered
+	// (BuildReplacement). Returns the simulated write seconds.
 	ReplaceBlocks(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (float64, error)
 	// NumBlocks returns the named table's block count, or -1 when no
 	// layout is installed. Metadata only.
 	NumBlocks(table string) int
 	// Zones returns the per-block zone maps of the named table (indexed
 	// by block ID), or nil when no layout is installed. Metadata only —
-	// the disk backend serves it from the segment footer without page
-	// I/O, preserving the paper's skipping semantics. Callers must not
-	// mutate the slice.
+	// served from the segment footer without page I/O, preserving the
+	// paper's skipping semantics. Callers must not mutate the slice.
 	Zones(table string) []*zonemap.ZoneMap
-	// ReadBlock meters the read of one block and returns it fully decoded;
-	// the disk backend reads and decodes the block's pages through its
-	// buffer pool.
+	// ReadBlock meters the read of one block and returns it fully decoded,
+	// reading the block's pages through the buffer pool.
 	ReadBlock(table string, id int) (*Block, error)
 	// RowToBlock returns the table's row index → block ID mapping, used
-	// by secondary-index pruning. It is an auxiliary-index read: neither
-	// backend meters it as block I/O (the disk backend reads only the
-	// compact row-ID pages, counted in Stats.BytesRead).
+	// by secondary-index pruning. It is an auxiliary-index read, not
+	// metered as block I/O (only the compact row-ID pages are read,
+	// counted in Stats.BytesRead).
 	RowToBlock(table string) ([]int32, error)
 	// Tables returns the stored table names, sorted.
 	Tables() []string
@@ -214,44 +212,15 @@ func (s *AggState) FoldStr(v string) {
 	s.Seen = true
 }
 
-// WriteDelta is the accounting charged for one layout write. Both
-// backends derive it through the shared helpers below, so
-// Stats.BlocksWritten/RowsWritten and the simulated write seconds agree
-// exactly between mem and disk.
-type WriteDelta struct {
-	Blocks int64
-	Rows   int64
-}
-
-// Seconds converts the delta into simulated write time under cost.
-func (d WriteDelta) Seconds(cost CostModel) float64 {
-	return float64(d.Blocks) * cost.BlockWriteSeconds
-}
-
-// InstallDelta is the write accounting for installing tl wholesale
-// (SetLayout): every block and every row is written.
-func InstallDelta(tl *TableLayout) WriteDelta {
-	var d WriteDelta
-	d.Blocks = int64(len(tl.blocks))
-	for _, b := range tl.blocks {
-		d.Rows += int64(len(b.Rows))
-	}
-	return d
-}
-
 // BuildReplacement computes the layout replacing a subset of a table's
 // blocks (partial reorganization, §5.1.1) together with its write
 // accounting: kept blocks carry over unchanged (renumbered), newGroups
 // are chopped at blockSize and appended, and only the appended blocks and
-// rows are charged as written. blockRows holds the current layout's
-// per-block row sets indexed by block ID — the in-memory backend passes
-// its resident blocks, the disk backend the row-ID pages read back from
-// the current segment.
-//
-// Both backends route ReplaceBlocks through this helper so the write
-// costs are charged identically.
-func BuildReplacement(t *relation.Table, blockRows [][]int32, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (*TableLayout, WriteDelta, error) {
-	var delta WriteDelta
+// rows count as written (what Stats.BlocksWritten/RowsWritten and the
+// simulated write time are charged). blockRows holds the current layout's
+// per-block row sets indexed by block ID (the row-ID pages read back from
+// the current segment).
+func BuildReplacement(t *relation.Table, blockRows [][]int32, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (replaced *TableLayout, blocksWritten, rowsWritten int64, err error) {
 	var kept int
 	var keptRows int
 	var groups [][]int32
@@ -275,17 +244,22 @@ func BuildReplacement(t *relation.Table, blockRows [][]int32, oldIDs map[int]boo
 		}
 	}
 	if keptRows+newRows != t.NumRows() {
-		return nil, delta, fmt.Errorf("block: %s: replacement covers %d rows, table has %d",
+		return nil, 0, 0, fmt.Errorf("block: %s: replacement covers %d rows, table has %d",
 			t.Schema().Table(), keptRows+newRows, t.NumRows())
 	}
-	replaced, err := NewTableLayout(t, groups, maxGroupLen(groups))
+	maxLen := 1
+	for _, g := range groups {
+		if len(g) > maxLen {
+			maxLen = len(g)
+		}
+	}
+	replaced, err = NewTableLayout(t, groups, maxLen)
 	if err != nil {
-		return nil, delta, err
+		return nil, 0, 0, err
 	}
-	delta.Blocks = int64(replaced.NumBlocks() - kept)
-	if delta.Blocks < 0 {
-		delta.Blocks = 0
+	blocksWritten = int64(replaced.NumBlocks() - kept)
+	if blocksWritten < 0 {
+		blocksWritten = 0
 	}
-	delta.Rows = int64(newRows)
-	return replaced, delta, nil
+	return replaced, blocksWritten, int64(newRows), nil
 }

@@ -1,6 +1,6 @@
 // Package block models the blocked storage layer of a cloud analytics
 // service: each table's rows are assigned to large fixed-target-size blocks,
-// each block carries a zone map, and all reads/writes go through a Store
+// each block carries a zone map, and all reads/writes go through a Backend
 // that accounts for I/O — the quantity MTO minimizes. A block is the unit of
 // I/O (§1 of the paper); records inside a block are only reachable by
 // reading the whole block.
@@ -9,7 +9,6 @@ package block
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"mto/internal/relation"
 	"mto/internal/zonemap"
@@ -32,9 +31,6 @@ func (b *Block) NumRows() int { return len(b.Rows) }
 type TableLayout struct {
 	table  *relation.Table
 	blocks []*Block
-
-	zonesOnce sync.Once
-	zones     []*zonemap.ZoneMap
 }
 
 // NewTableLayout builds a layout from row groups: each group is split into
@@ -122,19 +118,6 @@ func (tl *TableLayout) Block(i int) *Block { return tl.blocks[i] }
 
 // Blocks returns all blocks (shared slice, do not mutate).
 func (tl *TableLayout) Blocks() []*Block { return tl.blocks }
-
-// Zones returns the per-block zone maps indexed by block ID (shared slice,
-// do not mutate). The slice is built once on first use; concurrent callers
-// are safe.
-func (tl *TableLayout) Zones() []*zonemap.ZoneMap {
-	tl.zonesOnce.Do(func() {
-		tl.zones = make([]*zonemap.ZoneMap, len(tl.blocks))
-		for i, b := range tl.blocks {
-			tl.zones[i] = b.Zone
-		}
-	})
-	return tl.zones
-}
 
 // Validate checks the layout invariant: every table row appears in exactly
 // one block. It is used by tests and after reorganizations.

@@ -8,7 +8,6 @@ import (
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/value"
-	"mto/internal/workload"
 )
 
 func intTable(t *testing.T, n int) *relation.Table {
@@ -121,132 +120,9 @@ func TestJitteredLayout(t *testing.T) {
 	}
 }
 
-func TestStoreReadAccounting(t *testing.T) {
-	tab := intTable(t, 100)
-	tl, err := NewTableLayout(tab, [][]int32{seqRows(0, 100)}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(DefaultCostModel())
-	writeSec, err := s.SetLayout("t", tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if writeSec <= 0 {
-		t.Error("SetLayout should cost write time")
-	}
-	if got := s.Stats(); got.BlocksWritten != 10 || got.RowsWritten != 100 {
-		t.Errorf("write stats = %+v", got)
-	}
-	b, err := s.ReadBlock("t", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ID != 3 || b.NumRows() != 10 {
-		t.Error("wrong block read")
-	}
-	if got := s.Stats(); got.BlocksRead != 1 || got.RowsRead != 10 {
-		t.Errorf("read stats = %+v", got)
-	}
-	if _, err := s.ReadBlock("t", 99); err == nil {
-		t.Error("out-of-range read accepted")
-	}
-	if _, err := s.ReadBlock("missing", 0); err == nil {
-		t.Error("missing table read accepted")
-	}
-	if s.Layout("t") != tl || s.Layout("missing") != nil {
-		t.Error("Layout lookup wrong")
-	}
-	if got := s.TotalBlocks(); got != 10 {
-		t.Errorf("TotalBlocks = %d", got)
-	}
-	if got := s.TotalBlocks("t", "missing"); got != 10 {
-		t.Errorf("TotalBlocks(named) = %d", got)
-	}
-	if names := s.Tables(); len(names) != 1 || names[0] != "t" {
-		t.Errorf("Tables = %v", names)
-	}
-	delta := s.Stats().Sub(Stats{BlocksRead: 1})
-	if delta.BlocksRead != 0 {
-		t.Error("Stats.Sub wrong")
-	}
-}
-
-// TestStoreScanHandleParity pins the in-memory backend's end of the
-// pushdown contract: ScanBlock meters and reports rows exactly like
-// ReadBlock and touches no mask, every filter and aggregate is declined,
-// and a table without a layout compiles to nil.
-func TestStoreScanHandleParity(t *testing.T) {
-	tab := intTable(t, 100)
-	tl, err := NewTableLayout(tab, [][]int32{seqRows(0, 100)}, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(DefaultCostModel())
-	if _, err := s.SetLayout("t", tl); err != nil {
-		t.Fatal(err)
-	}
-	filters := []predicate.Predicate{
-		predicate.NewComparison("x", predicate.Lt, value.Int(50)),
-		predicate.NewComparison("x", predicate.Ge, value.Int(50)),
-	}
-	scan := s.CompileScan("t", filters)
-	if scan == nil {
-		t.Fatal("CompileScan returned nil for an installed table")
-	}
-	if got := scan.Supported(); !reflect.DeepEqual(got, []bool{false, false}) {
-		t.Errorf("Supported = %v, want all false", got)
-	}
-	scan.Prefetch([]int{0, 1, 2, 3}) // no-op; must not meter
-	masks := [][]uint64{make([]uint64, 2), nil}
-	for id := 0; id < tl.NumBlocks(); id++ {
-		before := s.Stats()
-		rows, err := scan.ScanBlock(id, masks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaScan := s.Stats().Sub(before)
-		before = s.Stats()
-		b, err := s.ReadBlock("t", id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if viaRead := s.Stats().Sub(before); viaScan != viaRead {
-			t.Errorf("block %d: ScanBlock metered %+v, ReadBlock %+v", id, viaScan, viaRead)
-		}
-		if !reflect.DeepEqual(rows, b.Rows) {
-			t.Errorf("block %d: ScanBlock rows differ from ReadBlock's", id)
-		}
-	}
-	if masks[0][0] != 0 || masks[0][1] != 0 {
-		t.Error("ScanBlock wrote a mask for an unsupported filter")
-	}
-	if _, err := scan.ScanBlock(99, masks); err == nil {
-		t.Error("out-of-range ScanBlock accepted")
-	}
-
-	aggs := []workload.Aggregate{
-		{Op: workload.AggCount, Alias: "t"},
-		{Op: workload.AggSum, Alias: "t", Column: "x"},
-	}
-	for _, group := range []GroupKey{{}, {Column: "x"}} {
-		fold := s.CompileFold("t", group, aggs)
-		if fold == nil {
-			t.Fatal("CompileFold returned nil for an installed table")
-		}
-		if got := fold.Supported(); !reflect.DeepEqual(got, []bool{false, false}) {
-			t.Errorf("group %+v: Supported = %v, want all declined", group, got)
-		}
-	}
-	if s.CompileScan("missing", filters) != nil || s.CompileFold("missing", GroupKey{}, aggs) != nil {
-		t.Error("compile against a table with no layout did not return nil")
-	}
-}
-
 func TestStatsSubRoundTrip(t *testing.T) {
-	// Sub must cover every counter — including the cache fields only the
-	// disk backend populates — so experiment deltas never silently drop a
-	// dimension when a new counter is added.
+	// Sub must cover every counter, so experiment deltas never silently
+	// drop a dimension when a new one is added.
 	a := Stats{
 		BlocksRead: 10, BlocksWritten: 20, RowsRead: 30, RowsWritten: 40,
 		CacheHits: 50, CacheMisses: 60, CacheEvictions: 70, BytesRead: 80,
@@ -282,67 +158,10 @@ func TestStatsSubRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplaceBlocks(t *testing.T) {
-	tab := intTable(t, 100)
-	tl, err := NewTableLayout(tab, [][]int32{seqRows(0, 100)}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(DefaultCostModel())
-	if _, err := s.SetLayout("t", tl); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats()
-
-	// Reorganize blocks 0 and 1 (rows 0..19) into a new grouping.
-	newGroups := [][]int32{seqRows(10, 20), seqRows(0, 10)}
-	sec, err := s.ReplaceBlocks("t", map[int]bool{0: true, 1: true}, newGroups, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sec <= 0 {
-		t.Error("replacement should cost write time")
-	}
-	got := s.Layout("t")
-	if got.NumBlocks() != 10 {
-		t.Fatalf("NumBlocks after replace = %d", got.NumBlocks())
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().Sub(before).BlocksWritten != 2 {
-		t.Errorf("blocks written = %d, want 2", s.Stats().Sub(before).BlocksWritten)
-	}
-	// The new grouping is addressable and zone maps are correct: one of the
-	// replaced blocks should now cover exactly rows 10..19.
-	found := false
-	for _, b := range got.Blocks() {
-		iv := b.Zone.Column("x")
-		if !iv.Min.IsNull() && iv.Min.Int() == 10 && iv.Max.Int() == 19 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("replacement group not found in new layout")
-	}
-
-	// Error paths.
-	if _, err := s.ReplaceBlocks("missing", nil, nil, 10); err == nil {
-		t.Error("missing table accepted")
-	}
-	if _, err := s.ReplaceBlocks("t", map[int]bool{0: true}, nil, 10); err == nil {
-		t.Error("row-losing replacement accepted")
-	}
-}
-
 func TestCostModelDefaults(t *testing.T) {
 	cm := DefaultCostModel()
 	if cm.BlockWriteSeconds < 99*cm.BlockReadSeconds {
 		t.Errorf("write/read ratio should be ~100×: %g/%g", cm.BlockWriteSeconds, cm.BlockReadSeconds)
-	}
-	s := NewStore(cm)
-	if s.Cost() != cm {
-		t.Error("Cost() wrong")
 	}
 }
 

@@ -170,30 +170,39 @@ func TestScanReadsOnlyTouchedPages(t *testing.T) {
 	}
 }
 
-// TestCorruptUntouchedPage flips one byte in one column page of one block:
-// every scan and fold that does not read that page answers as over the
-// intact store, every one that reads it — and the whole-block ReadBlock —
-// fails with a checksum error naming the block and page, and the failed
-// loads leave nothing of the page behind in the pool.
+// TestCorruptUntouchedPage flips one byte in one column page of one block,
+// in the segment file or in the bytes a store keeps in memory: every scan
+// and fold that does not read that page answers as over the intact store,
+// every one that reads it — and the whole-block ReadBlock — fails with a
+// checksum error naming the block and page, and the failed loads leave
+// nothing of the page behind in the pool.
 func TestCorruptUntouchedPage(t *testing.T) {
-	const (
-		n       = 200
-		badCol  = "s_dict"
-		badBlk  = 1
-		wantErr = "block 1: page 5: checksum mismatch"
-	)
-	tab := scanTable(t, n)
-	groups := interleavedGroups(n, 4)
-	intact := newScanStore(t, tab, groups, 1<<20)
-	s := newScanStore(t, tab, groups, 1<<20)
-	seg := s.state("sc").seg
-	ci, _ := seg.colIndex(badCol)
-	f, err := os.OpenFile(seg.Path(), os.O_RDWR, 0)
+	for _, src := range []string{"file", "ram"} {
+		t.Run(src, func(t *testing.T) { corruptUntouchedPage(t, src) })
+	}
+}
+
+// flipPageByte damages one payload byte of block bi's page of column ci
+// where the segment's bytes live: in its file, or in the image it reads.
+func flipPageByte(t *testing.T, s *Store, bi, ci int) {
+	t.Helper()
+	st := s.state("sc")
+	at := st.seg.blocks[bi].pages[1+ci].off + frameSize + 3
+	if st.seg.Path() == "" {
+		image := segmentImage(t, st.seg)
+		image[at] ^= 0x40
+		seg, err := openSegmentBytes(st.seg.name, image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.seg = seg
+		return
+	}
+	f, err := os.OpenFile(st.seg.Path(), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	at := seg.blocks[badBlk].pages[1+ci].off + frameSize + 3
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], at); err != nil {
 		t.Fatal(err)
@@ -202,6 +211,21 @@ func TestCorruptUntouchedPage(t *testing.T) {
 	if _, err := f.WriteAt(b[:], at); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func corruptUntouchedPage(t *testing.T, src string) {
+	const (
+		n       = 200
+		badCol  = "s_dict"
+		badBlk  = 1
+		wantErr = "block 1: page 5: checksum mismatch"
+	)
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 4)
+	intact := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
+	s := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
+	ci, _ := s.state("sc").seg.colIndex(badCol)
+	flipPageByte(t, s, badBlk, ci)
 
 	check := func(name string, reads bool, got interface{}, err error, want interface{}, wantE error) {
 		t.Helper()

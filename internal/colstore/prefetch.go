@@ -11,10 +11,10 @@ import "sync"
 // errors for) anything readahead didn't get to.
 //
 // Workers start lazily on the first enqueue so stores that never prefetch
-// (in-memory experiments, cache-disabled configs) spawn no goroutines.
+// (cache-disabled configs) spawn no goroutines. They reach the store only
+// through the task in hand, so idle workers of a store nobody closed do not
+// keep its segments and pool reachable.
 type prefetcher struct {
-	store *Store
-
 	mu      sync.Mutex
 	started bool
 	stopped bool
@@ -28,9 +28,11 @@ type prefetcher struct {
 // the row IDs) of these blocks of the table generation captured at enqueue
 // time — the pages its demand reads will ask for and nothing else. The
 // tableState pin (not a name lookup at drain time) means a segment swap
-// mid-flight reads from the still-open retired segment and inserts under
-// the dead generation's key, where the pool's generation floor refuses it.
+// mid-flight reads from the superseded segment, which the pin keeps open,
+// and inserts under the dead generation's key, where the pool's generation
+// floor refuses it.
 type prefetchTask struct {
+	store *Store
 	table string
 	st    *tableState
 	cols  []int
@@ -42,9 +44,8 @@ const (
 	prefetchQueueCap = 64
 )
 
-func newPrefetcher(s *Store) *prefetcher {
+func newPrefetcher() *prefetcher {
 	return &prefetcher{
-		store: s,
 		queue: make(chan prefetchTask, prefetchQueueCap),
 		quit:  make(chan struct{}),
 	}
@@ -86,7 +87,7 @@ func (p *prefetcher) worker() {
 					return
 				default:
 				}
-				p.store.encodedBlock(t.table, t.st, id, t.cols, true) //nolint:errcheck // best-effort by design
+				t.store.encodedBlock(t.table, t.st, id, t.cols, true) //nolint:errcheck // best-effort by design
 			}
 		}
 	}

@@ -124,7 +124,7 @@ func (t *TableScan) Prefetch(ids []int) {
 		cp = append(cp, id)
 	}
 	if len(cp) > 0 {
-		s.pf.enqueue(prefetchTask{table: t.table, st: t.st, cols: t.touched, ids: cp})
+		s.pf.enqueue(prefetchTask{store: s, table: t.table, st: t.st, cols: t.touched, ids: cp})
 	}
 }
 

@@ -197,19 +197,20 @@ func scanPredicates() []predicate.Predicate {
 	return preds
 }
 
-// newScanStore writes tab's layout (grouped as given) into a fresh disk
-// store.
+// newScanStore writes tab's layout (grouped as given) into a fresh store
+// over segment files.
 func newScanStore(t *testing.T, tab *relation.Table, groups [][]int32, cacheBytes int64) *Store {
+	t.Helper()
+	return installScanTable(t, openByteSource(t, "file", cacheBytes), tab, groups)
+}
+
+// installScanTable installs tab's layout (grouped as given) into s.
+func installScanTable(t *testing.T, s *Store, tab *relation.Table, groups [][]int32) *Store {
 	t.Helper()
 	tl, err := block.NewTableLayout(tab, groups, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(t.TempDir(), cacheBytes, block.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
 	if _, err := s.SetLayout("sc", tl); err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
-// Package colstore implements the persistent columnar segment store
-// behind the "disk" block.Backend: one immutable segment file per table
-// layout, holding per-block column pages with lightweight encodings
-// (dictionary for strings, frame-of-reference / delta bit-packing for
-// ints, raw fallbacks) and a footer carrying per-block zone maps and page
-// offsets. Every page and the footer are crc32-checksummed. Reads go
-// through a sharded buffer pool (store.go / pool.go).
+// Package colstore implements the columnar segment store, the one
+// block.Backend: one immutable segment per table layout — a file under the
+// store's data directory, or the same bytes held in memory by a store
+// opened without one — holding per-block column pages with lightweight
+// encodings (dictionary for strings, frame-of-reference / delta
+// bit-packing for ints, raw fallbacks) and a footer carrying per-block
+// zone maps and page offsets. Every page and the footer are
+// crc32-checksummed. Reads go through a sharded buffer pool (store.go /
+// pool.go), whichever holds the bytes.
 //
-// File layout:
+// Segment layout:
 //
 //	[magic u32 "MTSG"][version u32]
 //	page … page                      one row-ID page + one page per column,
@@ -23,6 +25,7 @@ package colstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -132,11 +135,33 @@ func WriteSegment(path string, tl *block.TableLayout) (err error) {
 	}()
 
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	var head [8]byte
+	if err = encodeSegment(bw, tl); err != nil {
+		return fmt.Errorf("colstore: write segment %s: %w", path, err)
+	}
+	if err = bw.Flush(); err != nil {
+		return fmt.Errorf("colstore: write segment %s: %w", path, err)
+	}
+	if err = tmp.Sync(); err != nil {
+		return fmt.Errorf("colstore: sync segment %s: %w", path, err)
+	}
+	if err = tmp.Close(); err != nil {
+		return fmt.Errorf("colstore: close segment %s: %w", path, err)
+	}
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("colstore: install segment %s: %w", path, err)
+	}
+	return nil
+}
+
+// encodeSegment writes tl's segment image — header, pages, footer, trailer
+// — to dst. It is the one encoder: a file store hands it a temp file, a
+// store without a directory a buffer it keeps.
+func encodeSegment(dst io.Writer, tl *block.TableLayout) error {
+	var head [headerSize]byte
 	binary.LittleEndian.PutUint32(head[0:], segMagic)
 	binary.LittleEndian.PutUint32(head[4:], segVersion)
-	if _, err = bw.Write(head[:]); err != nil {
-		return fmt.Errorf("colstore: write segment %s: %w", path, err)
+	if _, err := dst.Write(head[:]); err != nil {
+		return err
 	}
 	off := int64(headerSize)
 
@@ -150,10 +175,10 @@ func WriteSegment(path string, tl *block.TableLayout) (err error) {
 		var frame [frameSize]byte
 		binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-		if _, werr := bw.Write(frame[:]); werr != nil {
+		if _, werr := dst.Write(frame[:]); werr != nil {
 			return pageMeta{}, werr
 		}
-		if _, werr := bw.Write(payload); werr != nil {
+		if _, werr := dst.Write(payload); werr != nil {
 			return pageMeta{}, werr
 		}
 		pm := pageMeta{off: off, length: int64(len(payload))}
@@ -172,7 +197,7 @@ func WriteSegment(path string, tl *block.TableLayout) (err error) {
 		encodeInts(w, rowids)
 		pm, werr := writePage(w.buf)
 		if werr != nil {
-			return fmt.Errorf("colstore: write segment %s: block %d: %w", path, bi, werr)
+			return fmt.Errorf("block %d: %w", bi, werr)
 		}
 		meta.pages = append(meta.pages, pm)
 
@@ -210,7 +235,7 @@ func WriteSegment(path string, tl *block.TableLayout) (err error) {
 			}
 			pm, werr := writePage(w.buf)
 			if werr != nil {
-				return fmt.Errorf("colstore: write segment %s: block %d: page %d: %w", path, bi, ci+1, werr)
+				return fmt.Errorf("block %d: page %d: %w", bi, ci+1, werr)
 			}
 			meta.pages = append(meta.pages, pm)
 		}
@@ -239,27 +264,15 @@ func WriteSegment(path string, tl *block.TableLayout) (err error) {
 			fw.uvarint(uint64(p.length))
 		}
 	}
-	if _, err = bw.Write(fw.buf); err != nil {
-		return fmt.Errorf("colstore: write segment %s: footer: %w", path, err)
+	if _, err := dst.Write(fw.buf); err != nil {
+		return fmt.Errorf("footer: %w", err)
 	}
 	var trailer [trailerSize]byte
 	binary.LittleEndian.PutUint32(trailer[0:], uint32(len(fw.buf)))
 	binary.LittleEndian.PutUint32(trailer[4:], crc32.ChecksumIEEE(fw.buf))
 	binary.LittleEndian.PutUint32(trailer[8:], segMagic)
-	if _, err = bw.Write(trailer[:]); err != nil {
-		return fmt.Errorf("colstore: write segment %s: trailer: %w", path, err)
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("colstore: write segment %s: %w", path, err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("colstore: sync segment %s: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("colstore: close segment %s: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("colstore: install segment %s: %w", path, err)
+	if _, err := dst.Write(trailer[:]); err != nil {
+		return fmt.Errorf("trailer: %w", err)
 	}
 	return nil
 }
@@ -299,12 +312,14 @@ func readInterval(r *bufReader) predicate.Interval {
 	}
 }
 
-// Segment is an open segment file: parsed footer metadata plus a file
-// handle for lazy page reads. A Segment is safe for concurrent reads
-// (pages are fetched with ReadAt).
+// Segment is an open segment: parsed footer metadata plus the io.ReaderAt
+// its pages are lazily read through — the segment file, or the encoder's
+// bytes when the store keeps them in memory. A Segment is safe for
+// concurrent reads.
 type Segment struct {
-	path      string
-	f         *os.File
+	path      string // "" when the bytes live in memory
+	name      string // for error messages
+	r         io.ReaderAt
 	table     string
 	totalRows int
 	cols      []colMeta
@@ -320,24 +335,31 @@ func OpenSegment(path string) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("colstore: open segment: %w", err)
 	}
-	s, err := loadSegment(path, f)
+	name := filepath.Base(path)
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("colstore: segment %s: stat: %w", name, err)
+	}
+	s, err := loadSegment(name, f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
+	s.path = path
 	return s, nil
 }
 
-func loadSegment(path string, f *os.File) (*Segment, error) {
-	name := filepath.Base(path)
+// openSegmentBytes opens a segment image held in memory, through the same
+// validation as a file.
+func openSegmentBytes(name string, image []byte) (*Segment, error) {
+	return loadSegment(name, bytes.NewReader(image), int64(len(image)))
+}
+
+func loadSegment(name string, f io.ReaderAt, size int64) (*Segment, error) {
 	fail := func(format string, args ...interface{}) error {
 		return fmt.Errorf("colstore: segment %s: "+format, append([]interface{}{name}, args...)...)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fail("stat: %w", err)
-	}
-	size := st.Size()
 	if size < headerSize+trailerSize {
 		return nil, fail("file too small (%d bytes)", size)
 	}
@@ -371,7 +393,7 @@ func loadSegment(path string, f *os.File) (*Segment, error) {
 		return nil, fail("footer checksum mismatch")
 	}
 
-	s := &Segment{path: path, f: f, pageEnd: footerOff}
+	s := &Segment{name: name, r: f, pageEnd: footerOff}
 	r := &bufReader{buf: footer}
 	s.table = r.str()
 	total := r.uvarint()
@@ -439,7 +461,7 @@ func loadSegment(path string, f *os.File) (*Segment, error) {
 	return s, nil
 }
 
-// Path returns the segment's file path.
+// Path returns the segment's file path, "" when it has none.
 func (s *Segment) Path() string { return s.path }
 
 // Table returns the table name recorded in the footer.
@@ -469,8 +491,21 @@ func (s *Segment) colIndex(name string) (int, bool) {
 	return -1, false
 }
 
-// Close releases the file handle.
-func (s *Segment) Close() error { return s.f.Close() }
+// unlink removes the segment's file, when it has one. Open handles keep
+// reading it until they are closed or collected.
+func (s *Segment) unlink() {
+	if s.path != "" {
+		os.Remove(s.path)
+	}
+}
+
+// Close releases the file handle, when there is one.
+func (s *Segment) Close() error {
+	if c, ok := s.r.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
 
 // readPage fetches and checksums one page's payload into a fresh buffer.
 // The returned count is the on-disk bytes read (frame + payload).
@@ -490,11 +525,11 @@ func (s *Segment) readPage(bi, pi int) ([]byte, int64, error) {
 // the next read.
 func (s *Segment) readPageBuf(bi, pi int, buf []byte) ([]byte, error) {
 	fail := func(format string, args ...interface{}) error {
-		prefix := fmt.Sprintf("colstore: segment %s: block %d: page %d: ", filepath.Base(s.path), bi, pi)
+		prefix := fmt.Sprintf("colstore: segment %s: block %d: page %d: ", s.name, bi, pi)
 		return fmt.Errorf(prefix+format, args...)
 	}
 	pm := s.blocks[bi].pages[pi]
-	if _, err := s.f.ReadAt(buf, pm.off); err != nil {
+	if _, err := s.r.ReadAt(buf, pm.off); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fail("truncated page read")
 		}
@@ -529,7 +564,7 @@ func (s *Segment) ReadRowIDs(id int) ([]int32, int64, error) {
 
 func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
 	fail := func(err error) ([]int32, error) {
-		return nil, fmt.Errorf("colstore: segment %s: block %d: page 0 (row IDs): %w", filepath.Base(s.path), id, err)
+		return nil, fmt.Errorf("colstore: segment %s: block %d: page 0 (row IDs): %w", s.name, id, err)
 	}
 	pv, err := bodyPage(payload)
 	if err != nil {
@@ -556,7 +591,7 @@ func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
 // footer) and the decoded column vectors.
 func (s *Segment) ReadBlock(id int) (*BlockData, error) {
 	if id < 0 || id >= len(s.blocks) {
-		return nil, fmt.Errorf("colstore: segment %s: no block %d", filepath.Base(s.path), id)
+		return nil, fmt.Errorf("colstore: segment %s: no block %d", s.name, id)
 	}
 	bd := &BlockData{Cols: make([]ColumnData, len(s.cols))}
 	// One pooled frame buffer serves every page read of the block: the
@@ -584,7 +619,7 @@ func (s *Segment) ReadBlock(id int) (*BlockData, error) {
 		cd, err := decodeColumn(payload, s.cols[ci].kind, nrows)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: segment %s: block %d: page %d (column %s): %w",
-				filepath.Base(s.path), id, 1+ci, s.cols[ci].name, err)
+				s.name, id, 1+ci, s.cols[ci].name, err)
 		}
 		bd.Cols[ci] = cd
 	}
@@ -641,17 +676,17 @@ func (s *Segment) pagesSize(id int, cols []int) int64 {
 func (s *Segment) ValidateAgainst(schema *relation.Schema) error {
 	if s.table != schema.Table() {
 		return fmt.Errorf("colstore: segment %s: holds table %q, want %q",
-			filepath.Base(s.path), s.table, schema.Table())
+			s.name, s.table, schema.Table())
 	}
 	if len(s.cols) != schema.NumColumns() {
 		return fmt.Errorf("colstore: segment %s: %d columns, schema has %d",
-			filepath.Base(s.path), len(s.cols), schema.NumColumns())
+			s.name, len(s.cols), schema.NumColumns())
 	}
 	for i, c := range s.cols {
 		sc := schema.Column(i)
 		if c.name != sc.Name || c.kind != sc.Type {
 			return fmt.Errorf("colstore: segment %s: column %d is %s %s, schema says %s %s",
-				filepath.Base(s.path), i, c.name, c.kind, sc.Name, sc.Type)
+				s.name, i, c.name, c.kind, sc.Name, sc.Type)
 		}
 	}
 	return nil

@@ -1,8 +1,10 @@
 package colstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,34 +17,38 @@ import (
 	"mto/internal/zonemap"
 )
 
-// Store is the persistent "disk" block.Backend: one segment file per
-// table layout under a data directory, read through a sharded buffer
-// pool. Metadata (block counts, zone maps) is served from the parsed
-// segment footers without page I/O; ReadBlock decodes pages on demand.
+// Store is the block.Backend: one segment per table layout, read through
+// a sharded buffer pool. Opened on a data directory (NewStore), segments
+// are files under it; opened without one (NewMemStore), each generation's
+// bytes stay in memory. The two differ only in who receives the encoder's
+// bytes and who supplies the io.ReaderAt the pages are read through: footer
+// parse, page framing and checksums, pool, readahead, kernels and metering
+// are the same code. Metadata (block counts, zone maps) is served from the
+// parsed segment footers without page I/O; ReadBlock decodes pages on
+// demand.
 //
-// I/O accounting is charged identically to the in-memory backend — every
-// ReadBlock meters one block and its rows whether it hits the cache or
-// not, and writes route through the shared block.InstallDelta /
-// block.BuildReplacement helpers — so experiments produce byte-identical
-// Results on either backend. The cache counters and BytesRead record the
-// real disk behavior on top.
+// Every block visit meters one block and its rows whether it hits the pool
+// or not; the cache counters and BytesRead record the real page traffic on
+// top.
 //
 // A Store is safe for concurrent use. Layout swaps (SetLayout,
-// ReplaceBlocks) write a new generation-numbered segment to a temp file,
-// rename it into place, swap the table's state under the lock, and then
-// invalidate the table's buffer-pool entries; the retired segment stays
-// open until Close so in-flight reads never hit a closed file.
+// ReplaceBlocks) encode a new generation-numbered segment (a file store
+// writes a temp file and renames it into place), swap the table's state
+// under the lock, and then invalidate the table's buffer-pool entries. The
+// superseded segment is unlinked and dropped at the swap: scans, folds and
+// prefetch tasks pin the tableState they compiled against, so in-flight
+// readers keep it readable, and its file handle or bytes are released with
+// the last of them.
 type Store struct {
-	dir        string
+	dir        string // "" keeps segment bytes in memory
 	cost       block.CostModel
 	pool       *Pool
 	cacheBytes int64
 	pf         *prefetcher
 
-	mu      sync.RWMutex
-	tables  map[string]*tableState
-	retired []*Segment
-	gen     uint64
+	mu     sync.RWMutex
+	tables map[string]*tableState
+	gen    uint64
 
 	blocksRead      atomic.Int64
 	blocksWritten   atomic.Int64
@@ -66,6 +72,28 @@ type tableState struct {
 	rowToBlockErr  error
 }
 
+// memPoolBytes sizes the pool of a store that keeps its segments in
+// memory: nothing is ever evicted.
+const memPoolBytes = math.MaxInt64
+
+func newStore(dir string, cacheBytes int64, cost block.CostModel) *Store {
+	return &Store{
+		dir:        dir,
+		cost:       cost,
+		pool:       NewPool(cacheBytes),
+		cacheBytes: cacheBytes,
+		pf:         newPrefetcher(),
+		tables:     make(map[string]*tableState),
+	}
+}
+
+// NewMemStore returns a store that keeps every segment generation's bytes
+// in memory instead of a data directory (the "mem" store of the CLIs and
+// mto.Config). Nothing outlives the process, so there is nothing to reopen.
+func NewMemStore(cost block.CostModel) *Store {
+	return newStore("", memPoolBytes, cost)
+}
+
 // NewStore opens (creating if needed) a segment store rooted at dir with
 // a decoded-block cache of cacheBytes. Existing segment files in dir are
 // reopened — the newest generation per table wins — but their base tables
@@ -75,14 +103,7 @@ func NewStore(dir string, cacheBytes int64, cost block.CostModel) (*Store, error
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("colstore: create data dir: %w", err)
 	}
-	s := &Store{
-		dir:        dir,
-		cost:       cost,
-		pool:       NewPool(cacheBytes),
-		cacheBytes: cacheBytes,
-		tables:     make(map[string]*tableState),
-	}
-	s.pf = newPrefetcher(s)
+	s := newStore(dir, cacheBytes, cost)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: read data dir: %w", err)
@@ -92,7 +113,8 @@ func NewStore(dir string, cacheBytes int64, cost block.CostModel) (*Store, error
 		if !ok {
 			continue
 		}
-		if prev, exists := s.tables[table]; exists && prev.gen >= gen {
+		prev := s.tables[table]
+		if prev != nil && prev.gen >= gen {
 			continue
 		}
 		seg, err := OpenSegment(filepath.Join(dir, e.Name()))
@@ -100,8 +122,8 @@ func NewStore(dir string, cacheBytes int64, cost block.CostModel) (*Store, error
 			s.Close()
 			return nil, err
 		}
-		if prev := s.tables[table]; prev != nil {
-			s.retired = append(s.retired, prev.seg)
+		if prev != nil {
+			prev.seg.Close() // superseded before anyone could read it
 		}
 		s.tables[table] = &tableState{seg: seg, gen: gen}
 		if gen > s.gen {
@@ -131,15 +153,15 @@ func parseSegmentName(name string) (table string, gen uint64, ok bool) {
 	return stem[:i], g, true
 }
 
-// Dir returns the store's data directory.
+// Dir returns the store's data directory, "" for a store that keeps its
+// segments in memory.
 func (s *Store) Dir() string { return s.dir }
 
 // Cost returns the store's cost model.
 func (s *Store) Cost() block.CostModel { return s.cost }
 
-// Close stops the readahead workers, then releases every open segment,
-// current and retired — in that order, so a prefetch load can never read
-// from a closed file.
+// Close stops the readahead workers, then releases the current segments —
+// in that order, so a prefetch load can never read from a closed file.
 func (s *Store) Close() error {
 	s.pf.shutdown()
 	s.mu.Lock()
@@ -148,59 +170,31 @@ func (s *Store) Close() error {
 	for _, st := range s.tables {
 		errs = append(errs, st.seg.Close())
 	}
-	for _, seg := range s.retired {
-		errs = append(errs, seg.Close())
-	}
 	s.tables = make(map[string]*tableState)
-	s.retired = nil
 	return errors.Join(errs...)
 }
 
-// SetLayout persists tl as a new segment file for table and makes it the
-// table's current layout, metering the block writes exactly like the
-// in-memory backend. The segment is written to a temp file and renamed,
-// so readers only ever see complete segments; the table's cached blocks
-// are invalidated after the swap.
+// SetLayout encodes tl as a new segment generation for table and makes it
+// the table's current layout, metering every block and row as written.
+// Replacing a layout is what physical reorganization does (§5.1.1); the
+// write cost of the new blocks is charged to the caller via the returned
+// seconds.
 func (s *Store) SetLayout(table string, tl *block.TableLayout) (float64, error) {
 	if strings.ContainsAny(table, "/\\") || table == "" {
 		return 0, fmt.Errorf("colstore: bad table name %q", table)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	gen := s.gen + 1
-	path := filepath.Join(s.dir, segmentName(table, gen))
-	if err := WriteSegment(path, tl); err != nil {
-		return 0, err
-	}
-	seg, err := OpenSegment(path)
-	if err != nil {
-		os.Remove(path)
-		return 0, err
-	}
-	if err := seg.ValidateAgainst(tl.Table().Schema()); err != nil {
-		seg.Close()
-		os.Remove(path)
-		return 0, err
-	}
-	s.gen = gen
-	if prev := s.tables[table]; prev != nil {
-		s.retired = append(s.retired, prev.seg)
-		os.Remove(prev.seg.Path())
-	}
-	s.tables[table] = &tableState{base: tl.Table(), seg: seg, gen: gen}
-	s.pool.InvalidateBelow(table, gen)
-	delta := block.InstallDelta(tl)
-	s.blocksWritten.Add(delta.Blocks)
-	s.rowsWritten.Add(delta.Rows)
-	return delta.Seconds(s.cost), nil
+	return s.installGeneration(table, tl, int64(tl.NumBlocks()), int64(tl.Table().NumRows()))
 }
 
 // ReplaceBlocks swaps a subset of a table's blocks for new ones (partial
-// reorganization): the surviving blocks' row sets are read back from the
-// current segment's row-ID pages, the replacement layout is built through
-// the shared block.BuildReplacement helper (so the write accounting
-// matches the in-memory backend exactly), and the result is persisted as
-// a new segment generation and swapped in atomically.
+// reorganization): oldIDs are removed, the surviving blocks' row sets are
+// read back from the current segment's row-ID pages and carried over
+// renumbered, newGroups are blocked at blockSize and appended
+// (block.BuildReplacement), and the result is encoded as a new segment
+// generation and swapped in atomically. Only the appended blocks and rows
+// are charged as written.
 func (s *Store) ReplaceBlocks(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -220,28 +214,61 @@ func (s *Store) ReplaceBlocks(table string, oldIDs map[int]bool, newGroups [][]i
 		s.bytesRead.Add(n)
 		blockRows[id] = rows
 	}
-	replaced, delta, err := block.BuildReplacement(st.base, blockRows, oldIDs, newGroups, blockSize)
+	replaced, blocks, rows, err := block.BuildReplacement(st.base, blockRows, oldIDs, newGroups, blockSize)
 	if err != nil {
 		return 0, err
 	}
+	return s.installGeneration(table, replaced, blocks, rows)
+}
+
+// installGeneration encodes tl as the next segment generation, validates
+// it, and swaps it in as table's current layout, so readers only ever see
+// complete segments. The superseded segment is unlinked and forgotten
+// (whoever is still reading it keeps it alive), its pool entries are
+// dropped, and the written blocks and rows are charged. Caller holds s.mu.
+func (s *Store) installGeneration(table string, tl *block.TableLayout, blocks, rows int64) (float64, error) {
 	gen := s.gen + 1
-	path := filepath.Join(s.dir, segmentName(table, gen))
-	if err := WriteSegment(path, replaced); err != nil {
+	seg, err := s.writeSegment(segmentName(table, gen), tl)
+	if err != nil {
 		return 0, err
+	}
+	if err := seg.ValidateAgainst(tl.Table().Schema()); err != nil {
+		seg.Close()
+		seg.unlink()
+		return 0, err
+	}
+	s.gen = gen
+	if prev := s.tables[table]; prev != nil {
+		prev.seg.unlink()
+	}
+	s.tables[table] = &tableState{base: tl.Table(), seg: seg, gen: gen}
+	s.pool.InvalidateBelow(table, gen)
+	s.blocksWritten.Add(blocks)
+	s.rowsWritten.Add(rows)
+	return float64(blocks) * s.cost.BlockWriteSeconds, nil
+}
+
+// writeSegment encodes tl and opens the result: a file under the data
+// directory (temp file, sync, rename), or a buffer the segment keeps when
+// the store has no directory. This and Segment.unlink are the only places
+// the two differ.
+func (s *Store) writeSegment(name string, tl *block.TableLayout) (*Segment, error) {
+	if s.dir == "" {
+		var image bytes.Buffer
+		if err := encodeSegment(&image, tl); err != nil {
+			return nil, fmt.Errorf("colstore: encode segment %s: %w", name, err)
+		}
+		return openSegmentBytes(name, image.Bytes())
+	}
+	path := filepath.Join(s.dir, name)
+	if err := WriteSegment(path, tl); err != nil {
+		return nil, err
 	}
 	seg, err := OpenSegment(path)
 	if err != nil {
 		os.Remove(path)
-		return 0, err
 	}
-	s.gen = gen
-	s.retired = append(s.retired, st.seg)
-	os.Remove(st.seg.Path())
-	s.tables[table] = &tableState{base: st.base, seg: seg, gen: gen}
-	s.pool.InvalidateBelow(table, gen)
-	s.blocksWritten.Add(delta.Blocks)
-	s.rowsWritten.Add(delta.Rows)
-	return delta.Seconds(s.cost), nil
+	return seg, err
 }
 
 func (s *Store) state(table string) *tableState {
@@ -272,9 +299,9 @@ func (s *Store) Zones(table string) []*zonemap.ZoneMap {
 }
 
 // ReadBlock meters the read of one block — identically on a cache hit or
-// miss, matching the in-memory backend — and returns it, decoding the
-// block's pages through the buffer pool on a miss. Concurrent misses on
-// the same block single-flight into one disk read.
+// miss — and returns it, decoding the block's pages through the buffer
+// pool on a miss. Concurrent misses on the same block single-flight into
+// one segment read.
 func (s *Store) ReadBlock(table string, id int) (*block.Block, error) {
 	st := s.state(table)
 	if st == nil {
@@ -411,10 +438,3 @@ func (s *Store) Stats() block.Stats {
 		GroupedFoldsDeclined: s.groupedDeclined.Load(),
 	}
 }
-
-// StatsSnapshot is Stats under the uniform copy-on-read name shared with
-// engine.Engine and block.Store, so the serving layer snapshots every
-// meter through one method name. Each counter is loaded atomically (the
-// pool counters under the pool's own mutex); the returned value is a
-// plain copy the caller owns.
-func (s *Store) StatsSnapshot() block.Stats { return s.Stats() }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/block/blocktest"
+	"mto/internal/colstore"
 	"mto/internal/engine"
 	"mto/internal/layout"
 	"mto/internal/predicate"
@@ -81,9 +83,9 @@ func totalBlocks(t *testing.T, eng *engine.Engine, w *workload.Workload) int {
 	return total
 }
 
-func install(t *testing.T, d *layout.Design) *block.Store {
+func install(t *testing.T, d *layout.Design) *colstore.Store {
 	t.Helper()
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +224,7 @@ func TestSampledOptimization(t *testing.T) {
 		t.Errorf("sampled layout too weak: %d vs %d", sampBlocks, fullBlocks)
 	}
 	// The sampled build must still route *all* records (on the full data).
-	if err := install(t, sd).Layout("fact").Validate(); err != nil {
-		t.Fatal(err)
-	}
+	blocktest.ReadLayout(t, install(t, sd), "fact")
 }
 
 func TestReorgAfterWorkloadShift(t *testing.T) {
@@ -293,9 +293,7 @@ func TestReorgAfterWorkloadShift(t *testing.T) {
 		t.Error("reorg cost missing")
 	}
 	// Layout still valid and performance improved on the new workload.
-	if err := store.Layout("fact").Validate(); err != nil {
-		t.Fatal(err)
-	}
+	blocktest.ReadLayout(t, store, "fact")
 	after := totalBlocks(t, engine.New(store, design, ds, engine.DefaultOptions()), shiftW)
 	t.Logf("shift workload blocks: before=%d after=%d", before, after)
 	if after >= before {
@@ -389,9 +387,7 @@ func TestApplyInsert(t *testing.T) {
 	if stats.CutsUpdated != 0 {
 		t.Errorf("fact inserts should not update cuts here, got %d", stats.CutsUpdated)
 	}
-	if err := store.Layout("fact").Validate(); err != nil {
-		t.Fatal(err)
-	}
+	blocktest.ReadLayout(t, store, "fact")
 	// Queries still benefit from the layout: blocks read stay below total.
 	eng := engine.New(store, design, partial, engine.DefaultOptions())
 	res, err := eng.Execute(w.Queries[0])

@@ -322,7 +322,7 @@ func (o *Optimizer) TableStats() map[string]qdtree.Stats {
 
 // BuildDesign routes every record of every table through its tree (§2.1.2)
 // and returns the resulting physical design; routing time is added to
-// Timings. Install the design into a block.Store to execute queries.
+// Timings. Install the design into a block.Backend to execute queries.
 func (o *Optimizer) BuildDesign() (*layout.Design, error) {
 	start := time.Now()
 	d := layout.NewDesign(o.Name(), o.opts.BlockSize)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mto/internal/block/blocktest"
 	"mto/internal/engine"
 	"mto/internal/workload"
 )
@@ -104,9 +105,7 @@ func TestLoadReflectsDataChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := install(t, design).Layout("dim").Validate(); err != nil {
-		t.Fatal(err)
-	}
+	blocktest.ReadLayout(t, install(t, design), "dim")
 }
 
 func TestLoadErrors(t *testing.T) {

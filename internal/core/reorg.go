@@ -521,8 +521,8 @@ func (o *Optimizer) ApplyReorg(plans map[string]*ReorgPlan, design *layout.Desig
 // backend's ReplaceBlocks primitive instead of a full per-table rewrite:
 // only the blocks under the chosen subtrees — plus the leftover rows of
 // blocks straddling a chosen/unchosen leaf boundary — are replaced, and
-// every untouched block keeps its identity (and, on the disk backend, its
-// buffer-pool pages) across the swap. This is the incremental daemon's
+// every untouched block keeps its identity (and its buffer-pool pages)
+// across the swap. This is the incremental daemon's
 // install path; physical writes are the appended replacement blocks only,
 // reported in ReorgStats.BlocksWritten.
 //

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/block/blocktest"
+	"mto/internal/colstore"
 	"mto/internal/engine"
 	"mto/internal/layout"
 	"mto/internal/predicate"
@@ -182,7 +184,7 @@ func (f *failingBackend) ReplaceBlocks(table string, oldIDs map[int]bool, newGro
 // shiftScenario builds the workload-shift reorg setting shared by the
 // failure and partial-apply tests: train on attr queries, then plan a
 // positive-reward reorg for grp queries on the fact table.
-func shiftScenario(t *testing.T, seed int64) (*Optimizer, *layout.Design, *block.Store, *relation.Dataset, *workload.Workload, map[string]*ReorgPlan) {
+func shiftScenario(t *testing.T, seed int64) (*Optimizer, *layout.Design, *colstore.Store, *relation.Dataset, *workload.Workload, map[string]*ReorgPlan) {
 	t.Helper()
 	ds := starDS(t, 1000, 50000, seed)
 	shiftW := workload.NewWorkload()
@@ -252,9 +254,7 @@ func TestApplyReorgFailingBackendNotTorn(t *testing.T) {
 			if d := store.Stats().Sub(beforeStats); d.BlocksWritten != 0 || d.RowsWritten != 0 {
 				t.Errorf("failed reorg wrote to the store: %+v", d)
 			}
-			if err := store.Layout("fact").Validate(); err != nil {
-				t.Fatalf("layout torn after failed reorg: %v", err)
-			}
+			blocktest.ReadLayout(t, store, "fact")
 			after := runAll(t, store, design, ds, shiftW)
 			if !reflect.DeepEqual(before, after) {
 				t.Error("query results changed after failed reorg")
@@ -273,9 +273,7 @@ func TestApplyReorgFailingBackendNotTorn(t *testing.T) {
 			if stats.RowsMoved == 0 || stats.BlocksWritten == 0 {
 				t.Errorf("recovery apply stats = %+v", stats)
 			}
-			if err := store.Layout("fact").Validate(); err != nil {
-				t.Fatal(err)
-			}
+			blocktest.ReadLayout(t, store, "fact")
 		})
 	}
 }
@@ -286,7 +284,7 @@ func TestApplyReorgFailingBackendNotTorn(t *testing.T) {
 // to d < 250. At a moderate revisit horizon (Q/W ≈ 3) re-optimizing only
 // the d < 250 half pays off while a root rewrite costs more blocks than it
 // recoups — exactly the regime partial installs are for.
-func rangeShiftScenario(t *testing.T, seed int64) (*Optimizer, *layout.Design, *block.Store, *relation.Dataset, *workload.Workload, map[string]*ReorgPlan) {
+func rangeShiftScenario(t *testing.T, seed int64) (*Optimizer, *layout.Design, *colstore.Store, *relation.Dataset, *workload.Workload, map[string]*ReorgPlan) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := relation.NewDataset()
@@ -361,9 +359,7 @@ func TestApplyReorgPartialMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := storeB.Layout("fact").Validate(); err != nil {
-		t.Fatalf("partial layout invalid: %v", err)
-	}
+	blocktest.ReadLayout(t, storeB, "fact")
 
 	// Same logical work, far less physical writing.
 	if statsA.RowsMoved != statsB.RowsMoved || statsA.BlocksRewritten != statsB.BlocksRewritten {
@@ -443,7 +439,5 @@ func TestTrimPlansToBudget(t *testing.T) {
 	if stats.BlocksWritten > budget {
 		t.Errorf("applied %d physical writes, budget %d", stats.BlocksWritten, budget)
 	}
-	if err := store.Layout("fact").Validate(); err != nil {
-		t.Fatal(err)
-	}
+	blocktest.ReadLayout(t, store, "fact")
 }

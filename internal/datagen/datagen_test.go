@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/colstore"
 	"mto/internal/engine"
 	"mto/internal/layout"
 	"mto/internal/relation"
@@ -67,7 +68,7 @@ func TestTPCHWorkloadValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}

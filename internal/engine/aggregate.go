@@ -23,15 +23,14 @@ import (
 //     column decode, no survivor materialization) into dense per-slot
 //     states. Integer SUM/COUNT/MIN/MAX are order-independent, so the
 //     per-block accumulation is exact regardless of block order;
-//   - the materialized fold computes the rest — everything on the in-memory
-//     backend and the reference path, floats, overflow-risk sums — by
-//     iterating the survivor bitmap in ascending global row order over the
+//   - the materialized fold computes the rest — floats, overflow-risk
+//     sums, everything on the reference path — by iterating the survivor bitmap in ascending global row order over the
 //     base table's decoded vectors.
 //
 // Floats are never folded by a backend: float addition is order-sensitive,
 // and the one float accumulation order that defines the result is the
 // materialized fold's ascending row order. Both execution paths use the
-// same fold code, so Results stay byte-identical across backends and
+// same fold code, so Results stay byte-identical across pushdown reach and
 // replay parallelism (parallel replay folds per query inside Execute;
 // RunWorkload only collects whole Results in input order).
 

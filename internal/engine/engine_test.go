@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/colstore"
 	"mto/internal/layout"
 	"mto/internal/predicate"
 	"mto/internal/relation"
@@ -45,13 +46,13 @@ func starDS(t *testing.T, dims, factRows int, seed int64) *relation.Dataset {
 	return ds
 }
 
-func installBaseline(t *testing.T, ds *relation.Dataset, blockSize int) (*block.Store, *layout.Design) {
+func installBaseline(t *testing.T, ds *relation.Dataset, blockSize int) (*colstore.Store, *layout.Design) {
 	t.Helper()
 	d, err := layout.SortKeyDesign(ds, layout.SortKeys{"fact": "d", "dim": "id"}, blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestZoneMapSkipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factBlocks := store.Layout("fact").NumBlocks()
+	factBlocks := store.NumBlocks("fact")
 	if res.PerTable["fact"].BlocksRead >= factBlocks/2 {
 		t.Errorf("zone maps failed: read %d of %d", res.PerTable["fact"].BlocksRead, factBlocks)
 	}
@@ -142,7 +143,7 @@ func TestSemiJoinReductionPrunesBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestDiPsPruneBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestResultLayoutInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := block.NewStore(block.DefaultCostModel())
+		store := colstore.NewMemStore(block.DefaultCostModel())
 		if _, err := d.Install(store, nil, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func TestJoinSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestSecondaryIndexPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +599,7 @@ func TestPruningStageAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,16 @@ import (
 // This file holds the materialized half of grouped aggregation
 // (workload.Query.GroupBy): every aggregate folds per group of the grouping
 // column instead of once over the whole survivor set. foldAlias routes
-// here whatever the backend's fold declined — everything on the in-memory
-// backend and the reference path, float or dictionary-less group columns,
-// group dictionaries wider than block.MaxGroupSlots, floats and
-// overflow-risk sums — hashing survivors into sparse per-group
+// here whatever the backend's fold declined — float or dictionary-less
+// group columns, group dictionaries wider than block.MaxGroupSlots, floats
+// and overflow-risk sums, everything on the reference path — hashing survivors into sparse per-group
 // accumulators over the base table's decoded vectors.
 //
 // Group output order is deterministic everywhere: the NULL group first,
 // then groups ascending by value — which for dictionary slots is simply
 // ascending slot order, so the dense and sparse folds enumerate groups
-// identically and Results stay byte-identical across backends and replay
-// parallelism.
+// identically and Results stay byte-identical across pushdown reach and
+// replay parallelism.
 
 // GroupValue is one group's slice of a grouped aggregate: the group key
 // (Null for rows whose grouping value is null) and the aggregate folded

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/colstore"
 	"mto/internal/layout"
 	"mto/internal/predicate"
 	"mto/internal/value"
@@ -74,7 +75,7 @@ func TestJoinVariantInvarianceAcrossLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := block.NewStore(block.DefaultCostModel())
+		store := colstore.NewMemStore(block.DefaultCostModel())
 		if _, err := d.Install(store, nil, 0); err != nil {
 			t.Fatal(err)
 		}

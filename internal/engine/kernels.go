@@ -20,9 +20,8 @@ import (
 //
 //   - filter evaluation yields one dense bit mask per (alias, table): the
 //     backend's compiled block.Scan fills it per candidate block for the
-//     filters it supports; the rest run as predicate.CompileMask — ANDed
-//     with the bitset of rows present in the blocks read — or, for the few
-//     shapes that refuses too, row by row over the blocks read only;
+//     filters it supports; the few shapes it refuses run row by row, over
+//     the rows of the blocks read only;
 //   - join keys live as dictionary-code sets (relation.ColumnDict, cached
 //     on the Engine like the secondary-index state), so semantic reduction
 //     probes int32 codes instead of boxed value.Value map keys, and skips
@@ -277,14 +276,10 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 //
 // ScanBlock meters each read, reports the block's rows, and ORs the
 // block-local survivors of every filter the backend supports into the
-// alias's mask. A filter it refuses takes one of two routes, both costing
-// no more than the blocks read ask for: a shape CompileMask accepts is
-// evaluated in bulk over the base table and ANDed with the bitset of rows
-// present in the blocks read (blocks hold arbitrary row subsets, so the
-// two are independent); any other shape is compiled once into a per-row
+// alias's mask. A filter it refuses is compiled once into a per-row
 // evaluator and applied to the row IDs ScanBlock returned — it never sees a
-// row outside a block that was read. Whichever route runs, the alias masks
-// come out bit-identical.
+// row outside a block that was read. Either route yields bit-identical
+// alias masks.
 func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan) error {
 	tbl := e.ds.Table(ts.table)
 	if tbl == nil {
@@ -294,20 +289,12 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan
 	supported := scan.Supported()
 	scanMasks := make([][]uint64, len(aliases))
 	residual := make([]func(int) bool, len(aliases)) // per-row route, else nil
-	var inBlocks bitmap.Dense                        // bulk route only
 	for i, a := range aliases {
 		a.setBuf = grabDense(n)
 		a.set = a.setBuf.dense()
-		switch {
-		case supported[i]:
+		if supported[i] {
 			scanMasks[i] = a.set
-		case predicate.MaskSupported(a.filter, tbl):
-			if inBlocks == nil {
-				inBuf := grabDense(n)
-				defer putDense(inBuf)
-				inBlocks = inBuf.dense()
-			}
-		default:
+		} else {
 			residual[i] = predicate.Compile(a.filter, tbl)
 		}
 	}
@@ -319,11 +306,6 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan
 		}
 		ts.blocksRead++
 		ts.rowsRead += len(rows)
-		if inBlocks != nil {
-			for _, r := range rows {
-				inBlocks.Set(int(r))
-			}
-		}
 		for i, match := range residual {
 			if match == nil {
 				continue
@@ -340,11 +322,7 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan
 	if residualRows > 0 {
 		e.counters.residualFilterRows.Add(int64(residualRows))
 	}
-	for i, a := range aliases {
-		if !supported[i] && residual[i] == nil {
-			predicate.CompileMask(a.filter, tbl, a.set)
-			a.set.And(inBlocks)
-		}
+	for _, a := range aliases {
 		a.count = a.set.Count()
 	}
 	ts.read = true

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/colstore"
 	"mto/internal/layout"
 	"mto/internal/predicate"
 	"mto/internal/relation"
@@ -16,7 +17,7 @@ import (
 // probesOf back-solves the join-probe count from the simulated Seconds of a
 // result executed with zero reducers (DefaultOptions): every other term of
 // the cost model is reconstructible from the per-table metrics.
-func probesOf(t *testing.T, store *block.Store, res *Result) int {
+func probesOf(t *testing.T, store *colstore.Store, res *Result) int {
 	t.Helper()
 	cost := store.Cost()
 	s := res.Seconds - cost.QueryOverheadSeconds
@@ -49,7 +50,7 @@ func TestFullOuterJoinProbesChargedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestKernelMatchesReferenceSecondaryIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -214,8 +214,7 @@ func (e *Engine) keyIndexFor(table, col string) *relation.KeyIndex {
 
 // blockOfFor returns the table's row → block ID mapping, building and
 // caching it on first use. The mapping is an auxiliary-index read served
-// by the backend (from the segment's row-ID pages, for the disk backend);
-// nil means the backend could not produce it, and secondary-index pruning
+// by the backend (from the segment's row-ID pages); nil means the backend could not produce it, and secondary-index pruning
 // degrades to not pruning.
 func (e *Engine) blockOfFor(table string) []int32 {
 	e.mu.Lock()

@@ -15,12 +15,16 @@ import (
 	"mto/internal/workload"
 )
 
+// The engine has two filter routes: pushed down into the backend's scan, or
+// row by row over the rows ScanBlock returned. The tests in this file pin
+// each to the filters it serves, wherever the segment's bytes live.
+
 // TestResidualFilterTouchesOnlyRowsRead is the proportionality property of
-// the engine-side filter fallback: a selective conjunct routes the query to
-// 1 of 20 blocks, a second conjunct of a shape neither the backend's scan
-// nor CompileMask accepts forces the whole filter onto the per-row
-// evaluator — which must then be handed exactly the rows of the block that
-// was read, not the table's, on both backends, with the Result unchanged.
+// the per-row route: a selective conjunct routes the query to 1 of 20
+// blocks, a second conjunct of a shape the backend's scan refuses forces
+// the whole filter onto the per-row evaluator — which must then be handed
+// exactly the rows of the block that was read, not the table's, with the
+// Result equal to ExecuteReference's.
 func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 	const rows, blockSize = 10000, 500
 	ds := relation.NewDataset()
@@ -46,23 +50,22 @@ func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 		"NULL literal":                predicate.NewOr(predicate.NewComparison("v", predicate.Eq, value.Null), predicate.NewLike("s", "b%")),
 		"mixed-kind column pair":      &predicate.ColumnComparison{Left: "f", Op: predicate.Lt, Right: "v"},
 	}
-	backends := map[string]func() block.Backend{
-		"mem": func() block.Backend { return block.NewStore(block.DefaultCostModel()) },
-		"disk": func() block.Backend {
-			s, err := colstore.NewStore(t.TempDir(), 8<<20, block.DefaultCostModel())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
+	stores := map[string]func() (*colstore.Store, error){
+		"RAM": func() (*colstore.Store, error) { return colstore.NewMemStore(block.DefaultCostModel()), nil },
+		"file": func() (*colstore.Store, error) {
+			return colstore.NewStore(t.TempDir(), 8<<20, block.DefaultCostModel())
 		},
 	}
-	for bname, newStore := range backends {
+	for bname, newStore := range stores {
 		design, err := layout.SortKeyDesign(ds, layout.SortKeys{"ev": "d"}, blockSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := newStore()
+		store, err := newStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
 		if _, err := design.Install(store, nil, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -102,13 +105,20 @@ func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 	}
 }
 
-// TestPushdownCoversBenchmarks pins the reach of the scan pushdown: on the
-// disk backend every SSB, TPC-H and TPC-DS template — including TPC-H's
-// column-vs-column Q4/Q12/Q21 — has all of its filters evaluated over
-// encoded pages, so not one row reaches the engine-side per-row evaluator.
+// TestPushdownCoversBenchmarks pins the reach of the pushed-down route:
+// every SSB, TPC-H and TPC-DS template — including TPC-H's column-vs-column
+// Q4/Q12/Q21 — has all of its filters evaluated over encoded pages, so not
+// one row reaches the per-row evaluator, on the default store (segments in
+// memory) and on segment files alike.
 func TestPushdownCoversBenchmarks(t *testing.T) {
+	for _, store := range []string{"mem", "disk"} {
+		t.Run(store, func(t *testing.T) { pushdownCoversBenchmarks(t, store) })
+	}
+}
+
+func pushdownCoversBenchmarks(t *testing.T, store string) {
 	s := identityScale()
-	s.Store, s.DataDir, s.CacheMB = "disk", t.TempDir(), 16
+	s.Store, s.DataDir, s.CacheMB = store, t.TempDir(), 16
 	for _, bench := range []*experiments.Bench{
 		experiments.SSBBench(s), experiments.TPCHBench(s), experiments.TPCDSBench(s),
 	} {
@@ -116,11 +126,7 @@ func TestPushdownCoversBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, ok := d.Store.(*colstore.Store)
-		if !ok {
-			t.Fatalf("%s: deployed on %T, want the disk backend", bench.Name, d.Store)
-		}
-		t.Cleanup(func() { cs.Close() })
+		t.Cleanup(func() { d.Store.(*colstore.Store).Close() })
 		e := engine.New(d.Store, d.Design, bench.Dataset, engine.CloudDWOptions())
 		pairs := 0
 		for _, q := range bench.Workload.Queries {

@@ -22,7 +22,7 @@ type Stats struct {
 	SimSeconds  float64 `json:"sim_seconds"`
 	// ResidualFilterRows counts rows handed to the engine-side per-row
 	// filter evaluator: the rows of the blocks read, once per alias whose
-	// filter neither the backend's scan nor predicate.CompileMask accepts.
+	// filter the backend's scan does not accept.
 	// Zero on a healthy deployment; growth means a predicate shape has
 	// fallen off the pushdown. Unlike the fields above it counts Execute's
 	// scans as they happen, failed executions included.

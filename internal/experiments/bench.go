@@ -34,14 +34,15 @@ type Bench struct {
 	// sorts). 0 selects GOMAXPROCS, 1 forces the sequential paths.
 	// Results and learned layouts are byte-identical at any setting.
 	Parallel int
-	// Store selects the deployments' block backend: "mem" (default) or
-	// "disk" (persistent columnar segments; Results are identical).
+	// Store selects where the deployments' columnar segments live: "mem"
+	// (default, held in memory) or "disk" (files under DataDir). It is one
+	// store and one read path either way; Results are identical.
 	Store string
 	// DataDir is the segment directory for Store "disk"; every deployment
 	// gets its own subdirectory.
 	DataDir string
-	// CacheMB is the disk backend's buffer-pool capacity in MiB of decoded
-	// block data; 0 disables caching.
+	// CacheMB is the buffer-pool capacity for Store "disk", in MiB of
+	// cached block data; 0 disables caching.
 	CacheMB int
 }
 
@@ -59,7 +60,7 @@ type Scale struct {
 	// workload replay and the offline build/routing phases
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Parallel int
-	// Store/DataDir/CacheMB select each Bench's block backend; see Bench.
+	// Store/DataDir/CacheMB select each Bench's segment store; see Bench.
 	Store   string
 	DataDir string
 	CacheMB int

@@ -32,13 +32,13 @@ const (
 // generation space.
 var deploySeq atomic.Int64
 
-// newBenchStore returns the bench's configured backend with the default
-// cost calibration: in-memory by default, or the persistent segment store
-// when b.Store is "disk" (each deployment gets its own subdirectory of
+// newBenchStore returns the bench's segment store with the default cost
+// calibration: segments held in memory by default, or as files when
+// b.Store is "disk" (each deployment gets its own subdirectory of
 // b.DataDir).
 func newBenchStore(b *Bench, method string) (block.Backend, error) {
 	if b == nil || b.Store == "" || b.Store == "mem" {
-		return block.NewStore(block.DefaultCostModel()), nil
+		return colstore.NewMemStore(block.DefaultCostModel()), nil
 	}
 	if b.Store != "disk" {
 		return nil, fmt.Errorf("experiments: unknown store %q (want \"mem\" or \"disk\")", b.Store)
@@ -243,8 +243,8 @@ type QueryMetric struct {
 	// Aggregates holds the query's computed aggregates rendered as
 	// "sum(lo.lo_revenue)=4099853" strings, in declaration order (nil when
 	// the query requests none). Like surviving rows they are a function of
-	// data and query only, so the disk-backend identity tests pin them
-	// byte-identical across backends, scan modes, caches, and parallelism.
+	// data and query only, so the replay identity tests pin them
+	// byte-identical across segment stores, caches, and parallelism.
 	Aggregates []string
 }
 

@@ -92,8 +92,7 @@ type ServeResult struct {
 	Load      *serve.LoadStats  `json:"load"`
 	Server    serve.ServerStats `json:"server"`
 	// CacheHitRate is result-cache hits over completed queries;
-	// BufferPoolHitRate aggregates the disk backends' block caches across
-	// tenants (0 when every tenant is memory-backed).
+	// BufferPoolHitRate aggregates the tenants' segment-store buffer pools.
 	CacheHitRate      float64 `json:"cache_hit_rate"`
 	BufferPoolHitRate float64 `json:"buffer_pool_hit_rate,omitempty"`
 	// GenerationSwaps counts layout swaps installed while the load ran;

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// replayWith deploys MTO on b with the given backend configuration and
+// replayWith deploys MTO on b with the given store configuration and
 // replays the workload, returning the result with the wall-clock offline
 // timings zeroed (they are measured, not simulated, so they legitimately
 // vary run to run — everything else must not).
@@ -33,15 +33,14 @@ func deployAndReplay(t *testing.T, b *Bench, method string, cloudDW bool) *RunRe
 	return res
 }
 
-// TestDiskBackendReplayIdentity is the backend-identity gate: replaying
-// SSB and TPC-H against the persistent columnar store must produce exactly
-// the same Results as the in-memory backend — same blocks, fractions,
-// simulated seconds, and per-query metrics — at any cache size (including
-// a 0-byte cache, where every read fetches pages from disk and readahead
-// is off) and at any replay parallelism. The in-memory backend declines
-// every filter and aggregate, so the engine evaluates them over the base
-// table; the disk backend pushes them down onto encoded pages — the two
-// ends of the one engine path.
+// TestDiskBackendReplayIdentity is the where-the-bytes-live matrix:
+// replaying SSB and TPC-H must produce exactly the same Results — same
+// blocks, fractions, simulated seconds, and per-query metrics — whether the
+// segments are held in RAM or in files, at any cache size in front of the
+// files (including a 0-byte cache, where every read fetches pages from
+// disk and readahead is off), and at any replay parallelism. It is one
+// store and one read path; only the io.ReaderAt under it and the pool's
+// residency differ.
 func TestDiskBackendReplayIdentity(t *testing.T) {
 	s := testScale()
 	for _, mk := range []struct {
@@ -54,7 +53,7 @@ func TestDiskBackendReplayIdentity(t *testing.T) {
 		{"tpch", TPCHBench, MethodMTO, false},
 		// The jittered-install Cloud DW mode consumes a shared rng during
 		// deployment; it must yield the same layout — and hence the same
-		// replay — on every backend too.
+		// replay — in every configuration too.
 		{"ssb-clouddw", SSBBench, MethodBaseline, true},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
@@ -67,17 +66,17 @@ func TestDiskBackendReplayIdentity(t *testing.T) {
 				cacheMB  int
 				parallel int
 			}{
-				{name: "mem-parallel", store: "mem", parallel: 0},
-				{name: "disk-nocache-seq", store: "disk", cacheMB: 0, parallel: 1},
-				{name: "disk-nocache-parallel", store: "disk", cacheMB: 0, parallel: 0},
-				{name: "disk-cached-seq", store: "disk", cacheMB: 64, parallel: 1},
-				{name: "disk-cached-parallel", store: "disk", cacheMB: 64, parallel: 0},
+				{name: "ram-parallel", store: "mem", parallel: 0},
+				{name: "file-nocache-seq", store: "disk", cacheMB: 0, parallel: 1},
+				{name: "file-nocache-parallel", store: "disk", cacheMB: 0, parallel: 0},
+				{name: "file-cached-seq", store: "disk", cacheMB: 64, parallel: 1},
+				{name: "file-cached-parallel", store: "disk", cacheMB: 64, parallel: 0},
 			}
 			for _, c := range configs {
 				b.Store, b.CacheMB, b.Parallel, b.DataDir = c.store, c.cacheMB, c.parallel, dir
 				got := deployAndReplay(t, b, mk.method, mk.cloudDW)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: results diverge from sequential mem replay\n got: %+v\nwant: %+v",
+					t.Errorf("%s: results diverge from the sequential RAM replay\n got: %+v\nwant: %+v",
 						c.name, got, want)
 				}
 			}

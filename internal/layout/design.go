@@ -151,8 +151,8 @@ func buildTableLayout(td *TableDesign, blockSize int, jitter *rand.Rand, minFill
 // InstallTable atomically replaces a single table's design in an already
 // installed Design: the new layout is staged and written to the store
 // first, and the design entry is only swapped in once the store accepted
-// it. On error the design (and, for backends with atomic SetLayout, the
-// store) is unchanged, so queries never observe a torn layout.
+// it. On error the design (and the store, whose SetLayout is atomic) is
+// unchanged, so queries never observe a torn layout.
 // Reorganization uses this to commit tables one at a time.
 func (d *Design) InstallTable(store block.Backend, t *relation.Table, groups [][]int32, route Router) (float64, error) {
 	if !d.installed {

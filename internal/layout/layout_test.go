@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/block/blocktest"
+	"mto/internal/colstore"
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/value"
@@ -26,8 +28,8 @@ func twoColDataset(t *testing.T, n int, seed int64) *relation.Dataset {
 	return ds
 }
 
-func skippableBlocks(tl *block.TableLayout, p predicate.Predicate) (skipped, total int) {
-	for _, b := range tl.Blocks() {
+func skippableBlocks(blocks []*block.Block, p predicate.Predicate) (skipped, total int) {
+	for _, b := range blocks {
 		total++
 		if !b.Zone.MaybeMatches(p) {
 			skipped++
@@ -42,14 +44,11 @@ func TestSortKeyDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	tl := store.Layout("T")
-	if err := tl.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	tl := blocktest.ReadLayout(t, store, "T")
 	// Sorted on x: a selective x filter skips most blocks via zone maps.
 	px := predicate.NewComparison("x", predicate.Lt, value.Int(100))
 	skipped, total := skippableBlocks(tl, px)
@@ -65,7 +64,7 @@ func TestSortKeyDesign(t *testing.T) {
 	// Routing: queries touching T read all blocks; others read none.
 	q := workload.NewQuery("q", workload.TableRef{Table: "T"})
 	ids, ok := d.BlocksFor(q, "T")
-	if !ok || len(ids) != tl.NumBlocks() {
+	if !ok || len(ids) != len(tl) {
 		t.Errorf("BlocksFor = %d blocks, ok=%v", len(ids), ok)
 	}
 	foreign := workload.NewQuery("f", workload.TableRef{Table: "Z"})
@@ -102,14 +101,11 @@ func TestZOrderDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	tl := store.Layout("T")
-	if err := tl.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	tl := blocktest.ReadLayout(t, store, "T")
 	// Z-order gives some skipping on BOTH columns.
 	px := predicate.NewComparison("x", predicate.Lt, value.Int(100))
 	py := predicate.NewComparison("y", predicate.Lt, value.Int(100))
@@ -123,12 +119,13 @@ func TestZOrderDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store2 := block.NewStore(block.DefaultCostModel())
+	store2 := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := sd.Install(store2, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	sortSkX, _ := skippableBlocks(store2.Layout("T"), px)
-	sortSkY, _ := skippableBlocks(store2.Layout("T"), py)
+	sorted := blocktest.ReadLayout(t, store2, "T")
+	sortSkX, _ := skippableBlocks(sorted, px)
+	sortSkY, _ := skippableBlocks(sorted, py)
 	if !(skY > sortSkY) {
 		t.Errorf("z-order y-skipping (%d) should beat sort-key (%d)", skY, sortSkY)
 	}
@@ -193,7 +190,7 @@ func TestDesignRoutedGroups(t *testing.T) {
 		}
 		return []int{0, 1}
 	})
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +228,11 @@ func TestInstallJitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, rand.New(rand.NewSource(1)), 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if store.Layout("T").NumBlocks() <= 10 {
+	if store.NumBlocks("T") <= 10 {
 		t.Error("jittered install should produce extra blocks")
 	}
 	// Group→block mapping still covers all blocks.
@@ -244,8 +241,8 @@ func TestInstallJitter(t *testing.T) {
 	for _, ids := range gb {
 		n += len(ids)
 	}
-	if n != store.Layout("T").NumBlocks() {
-		t.Errorf("mapping covers %d of %d blocks", n, store.Layout("T").NumBlocks())
+	if n != store.NumBlocks("T") {
+		t.Errorf("mapping covers %d of %d blocks", n, store.NumBlocks("T"))
 	}
 	// BlocksFor before Install panics.
 	fresh := NewDesign("x", 10)
@@ -270,7 +267,7 @@ func TestDesignClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := d.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +285,7 @@ func TestDesignClone(t *testing.T) {
 	rows := d.Table("T").Groups()[0]
 	half := len(rows) / 2
 	c.SetTable(ds.Table("T"), [][]int32{rows[:half], rows[half:]}, nil)
-	store2 := block.NewStore(block.DefaultCostModel())
+	store2 := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := c.Install(store2, nil, 0); err != nil {
 		t.Fatal(err)
 	}

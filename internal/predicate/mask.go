@@ -15,20 +15,15 @@ import (
 // words.
 //
 // It reports false when p needs the generic per-row path (callers then
-// fall back to Compile). Support is decided by MaskSupported before any row
-// is touched, so a refusal costs nothing and leaves mask untouched.
+// fall back to Compile). Support is decided from p's shape and t's schema
+// before any row is touched, so a refusal costs nothing and leaves mask
+// untouched.
 func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
-	if !MaskSupported(p, t) {
+	if !supportedShape(p, tableKinds(t)) {
 		return false
 	}
 	fillSupported(p, t, mask)
 	return true
-}
-
-// MaskSupported reports whether CompileMask accepts p over t. It looks at
-// p's shape and t's schema only.
-func MaskSupported(p Predicate, t *relation.Table) bool {
-	return supportedShape(p, tableKinds(t))
 }
 
 // tableKinds adapts t's schema to the kindOf lookup supportedShape and
@@ -95,7 +90,7 @@ func supportedShape(p Predicate, kindOf func(col string) (value.Kind, bool)) boo
 	return false
 }
 
-// fillSupported is CompileMask's evaluator; p has passed MaskSupported.
+// fillSupported is CompileMask's evaluator; p has passed supportedShape.
 func fillSupported(p Predicate, t *relation.Table, mask []uint64) {
 	switch q := p.(type) {
 	case *Comparison:
@@ -212,7 +207,7 @@ func fillSupported(p Predicate, t *relation.Table, mask []uint64) {
 
 // FillMask computes p's full-table match mask: bit r of mask is set iff
 // row r of t satisfies p. Fast shapes use CompileMask's branchless loops;
-// anything MaskSupported refuses falls back to the compiled per-row
+// anything CompileMask refuses falls back to the compiled per-row
 // evaluator, so every predicate is supported. mask must be zeroed and hold
 // at least (t.NumRows()+63)/64 words.
 func FillMask(p Predicate, t *relation.Table, mask []uint64) {

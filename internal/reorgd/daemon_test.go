@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/block/blocktest"
+	"mto/internal/colstore"
 	"mto/internal/core"
 	"mto/internal/engine"
 	"mto/internal/layout"
@@ -62,7 +64,7 @@ func TestBanditDeterministic(t *testing.T) {
 // daemonScenario builds a single-table dataset with a d-range-partitioned
 // layout and a shifted workload of v-range queries confined to d < 250 —
 // the same regime as the core partial-reorg tests, sized for fast cycles.
-func daemonScenario(t *testing.T, seed int64) (*core.Optimizer, *layout.Design, *block.Store, *relation.Dataset, []*workload.Query) {
+func daemonScenario(t *testing.T, seed int64) (*core.Optimizer, *layout.Design, *colstore.Store, *relation.Dataset, []*workload.Query) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := relation.NewDataset()
@@ -100,7 +102,7 @@ func daemonScenario(t *testing.T, seed int64) (*core.Optimizer, *layout.Design, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
 	if _, err := design.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +139,7 @@ func runDaemon(t *testing.T, seed int64, cfg Config, cycles int) ([]CycleStats, 
 			t.Fatal(err)
 		}
 		if cs.Action == "reorg" {
-			if err := store.Layout("fact").Validate(); err != nil {
-				t.Fatalf("cycle %d: layout invalid after install: %v", c, err)
-			}
+			blocktest.ReadLayout(t, store, "fact")
 			eng = engine.New(store, design, ds, engine.DefaultOptions())
 		}
 	}

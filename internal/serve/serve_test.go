@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mto/internal/block"
+	"mto/internal/colstore"
 	"mto/internal/core"
 	"mto/internal/predicate"
 	"mto/internal/relation"
@@ -70,7 +71,8 @@ func serveScenario(t testing.TB, name string, seed int64, withReorg bool) (Tenan
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := block.NewStore(block.DefaultCostModel())
+	store := colstore.NewMemStore(block.DefaultCostModel())
+	t.Cleanup(func() { store.Close() })
 	if _, err := design.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +365,11 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Errorf("post-shutdown submit: %v, want ErrShuttingDown", err)
 	}
 
-	// All workers and daemon loops must be gone.
+	// All workers and daemon loops must be gone — and, once its owner
+	// closes it, the store's readahead workers.
+	if err := cfg.Store.(*colstore.Store).Close(); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

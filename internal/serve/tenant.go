@@ -161,11 +161,6 @@ type TenantStats struct {
 	Reorgs     int          `json:"reorgs"`
 }
 
-// backendStatser is satisfied by both block.Store and colstore.Store.
-type backendStatser interface {
-	StatsSnapshot() block.Stats
-}
-
 func (t *tenant) stats() TenantStats {
 	t.mu.RLock()
 	eng := t.eng
@@ -177,10 +172,8 @@ func (t *tenant) stats() TenantStats {
 		Submitted:  t.submitted.Load(),
 		CacheHits:  t.hits.Load(),
 		Engine:     eng.StatsSnapshot(),
+		Store:      t.store.Stats(),
 		Templates:  len(t.queries),
-	}
-	if bs, ok := t.store.(backendStatser); ok {
-		ts.Store = bs.StatsSnapshot()
 	}
 	if t.daemon != nil {
 		for _, cs := range t.daemon.Trace() {

@@ -19,31 +19,58 @@ type ZoneMap struct {
 // Build computes the zone map for the given rows of t. Columns whose values
 // are all null in the block get an Empty interval, so any comparison over
 // them evaluates to false and the block is skippable for such filters.
+//
+// It runs at every layout install, once per block and column, so it sweeps
+// the table's typed vectors instead of boxing each cell into a value.Value.
 func Build(t *relation.Table, rows []int32) *ZoneMap {
 	schema := t.Schema()
 	zm := &ZoneMap{ranges: make(predicate.Ranges, schema.NumColumns()), rows: len(rows)}
 	for c := 0; c < schema.NumColumns(); c++ {
+		col := schema.Column(c)
 		var min, max value.Value
-		seen := false
-		for _, r := range rows {
-			v := t.Value(int(r), c)
-			if v.IsNull() {
-				continue
-			}
-			if !seen {
-				min, max, seen = v, v, true
-				continue
-			}
-			min, max = value.Min(min, v), value.Max(max, v)
+		var seen bool
+		switch col.Type {
+		case value.KindInt:
+			lo, hi, ok := minMax(t.Ints(c), t.Nulls(c), rows)
+			min, max, seen = value.Int(lo), value.Int(hi), ok
+		case value.KindFloat:
+			lo, hi, ok := minMax(t.Floats(c), t.Nulls(c), rows)
+			min, max, seen = value.Float(lo), value.Float(hi), ok
+		default:
+			lo, hi, ok := minMax(t.Strings(c), t.Nulls(c), rows)
+			min, max, seen = value.String(lo), value.String(hi), ok
 		}
-		name := schema.Column(c).Name
 		if !seen {
-			zm.ranges[name] = predicate.Interval{Empty: true}
+			zm.ranges[col.Name] = predicate.Interval{Empty: true}
 			continue
 		}
-		zm.ranges[name] = predicate.NewInterval(min, max, true, true)
+		zm.ranges[col.Name] = predicate.NewInterval(min, max, true, true)
 	}
 	return zm
+}
+
+// minMax returns the bounds of vals over the non-null rows, ok false when
+// there is none. Like value.Compare it consults only < and >, so a bound
+// moves exactly when the boxed comparison would move it (a NaN seen first
+// stays, a later one never enters; -0 and +0 tie).
+func minMax[T int64 | float64 | string](vals []T, nulls []bool, rows []int32) (min, max T, ok bool) {
+	for _, r := range rows {
+		if nulls != nil && nulls[r] {
+			continue
+		}
+		v := vals[r]
+		if !ok {
+			min, max, ok = v, v, true
+			continue
+		}
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	return min, max, ok
 }
 
 // FromRanges reconstructs a zone map from previously computed per-column

@@ -1,6 +1,8 @@
 package zonemap
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"mto/internal/predicate"
@@ -81,5 +83,100 @@ func TestEmptyBlock(t *testing.T) {
 	}
 	if zm.MaybeMatches(predicate.NewComparison("x", predicate.Eq, value.Int(10))) {
 		t.Error("empty block should always skip")
+	}
+}
+
+// buildBoxed is the cell-at-a-time Build the typed loops replaced, kept as
+// their reference: every interval must come out bit-equal.
+func buildBoxed(t *relation.Table, rows []int32) *ZoneMap {
+	schema := t.Schema()
+	zm := &ZoneMap{ranges: make(predicate.Ranges, schema.NumColumns()), rows: len(rows)}
+	for c := 0; c < schema.NumColumns(); c++ {
+		var min, max value.Value
+		seen := false
+		for _, r := range rows {
+			v := t.Value(int(r), c)
+			if v.IsNull() {
+				continue
+			}
+			if !seen {
+				min, max, seen = v, v, true
+				continue
+			}
+			min, max = value.Min(min, v), value.Max(max, v)
+		}
+		name := schema.Column(c).Name
+		if !seen {
+			zm.ranges[name] = predicate.Interval{Empty: true}
+			continue
+		}
+		zm.ranges[name] = predicate.NewInterval(min, max, true, true)
+	}
+	return zm
+}
+
+// sameBits compares two zone maps with floats by bit pattern, so NaN and
+// signed-zero bounds count as differences DeepEqual would blur or invent.
+func sameBits(a, b *ZoneMap) bool {
+	if a.rows != b.rows || len(a.ranges) != len(b.ranges) {
+		return false
+	}
+	same := func(x, y value.Value) bool {
+		if x.Kind() == value.KindFloat && y.Kind() == value.KindFloat {
+			return math.Float64bits(x.Float()) == math.Float64bits(y.Float())
+		}
+		return x == y
+	}
+	for name, ia := range a.ranges {
+		ib, ok := b.ranges[name]
+		if !ok || ia.Empty != ib.Empty || ia.MinInc != ib.MinInc || ia.MaxInc != ib.MaxInc ||
+			!same(ia.Min, ib.Min) || !same(ia.Max, ib.Max) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestBuildMatchesBoxedReference(t *testing.T) {
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := relation.NewTable(relation.MustSchema("t",
+			relation.Column{Name: "i", Type: value.KindInt},
+			relation.Column{Name: "f", Type: value.KindFloat},
+			relation.Column{Name: "s", Type: value.KindString},
+			relation.Column{Name: "dense", Type: value.KindInt},
+			relation.Column{Name: "allnull", Type: value.KindString},
+		))
+		n := 200 + rng.Intn(200)
+		for r := 0; r < n; r++ {
+			i := value.Value(value.Int(rng.Int63n(1000) - 500))
+			f := value.Value(value.Float(rng.NormFloat64()))
+			s := value.Value(value.String(string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))))
+			if rng.Intn(10) == 0 {
+				f = value.Float(specials[rng.Intn(len(specials))])
+			}
+			if rng.Intn(7) == 0 {
+				i = value.Null
+			}
+			if rng.Intn(7) == 0 {
+				f = value.Null
+			}
+			if rng.Intn(7) == 0 {
+				s = value.Null
+			}
+			tab.MustAppendRow(i, f, s, value.Int(rng.Int63()), value.Null)
+		}
+		perm := rng.Perm(n)
+		all := make([]int32, n)
+		for k, r := range perm {
+			all[k] = int32(r)
+		}
+		blocks := [][]int32{nil, all[:1], all[1:9], all[9 : n/2], all[n/2:], all}
+		for bi, rows := range blocks {
+			if got, want := Build(tab, rows), buildBoxed(tab, rows); !sameBits(got, want) {
+				t.Errorf("seed %d block %d (%d rows): typed %+v, boxed %+v", seed, bi, len(rows), got.ranges, want.ranges)
+			}
+		}
 	}
 }

@@ -113,7 +113,7 @@ const (
 
 // Aggregate operators (Query.Aggregate). Aggregates ride along with a
 // query's filters: the engine computes them over the rows that survive,
-// and the disk backend folds the ones it supports directly on encoded
+// and the segment store folds the ones it supports directly on encoded
 // pages.
 const (
 	AggSum   = workload.AggSum
@@ -177,26 +177,26 @@ type Config struct {
 	Parallelism int
 	// CostModel overrides the simulated I/O cost calibration.
 	CostModel *block.CostModel
-	// Store selects the storage backend: "mem" (default) keeps blocks in
-	// memory; "disk" persists each table layout as a columnar segment file
-	// under DataDir and reads blocks back through a buffer-pool cache.
-	// Both backends charge identical I/O accounting, so Results are
-	// byte-identical either way.
+	// Store selects where the columnar segments live: "mem" (default)
+	// keeps each table layout's encoded segment in memory; "disk" persists
+	// it as a segment file under DataDir and reads pages back through a
+	// buffer-pool cache. It is one store and one read path either way, so
+	// Results are byte-identical.
 	Store string
 	// DataDir is the segment directory for Store "disk". Required then.
 	DataDir string
-	// CacheMB is the disk backend's buffer-pool capacity in MiB of decoded
-	// block data. 0 disables caching (every read hits disk).
+	// CacheMB is the buffer-pool capacity for Store "disk", in MiB of
+	// cached block data. 0 disables caching (every read hits disk).
 	CacheMB int
 }
 
-// openBackend constructs the configured storage backend. Shadow backends
-// (for ReorganizeAsync) get their own segment subdirectory so the shadow
+// openStore constructs the configured segment store. Shadow stores (for
+// ReorganizeAsync) get their own segment subdirectory so the shadow
 // reorganization never disturbs the live segments until the swap.
-func openBackend(cfg Config, cost block.CostModel, shadow bool) (block.Backend, error) {
+func openStore(cfg Config, cost block.CostModel, shadow bool) (*colstore.Store, error) {
 	switch cfg.Store {
 	case "", "mem":
-		return block.NewStore(cost), nil
+		return colstore.NewMemStore(cost), nil
 	case "disk":
 		dir := cfg.DataDir
 		if dir == "" {
@@ -229,13 +229,13 @@ type System struct {
 	mu     sync.RWMutex
 	opt    *core.Optimizer
 	design *layout.Design
-	store  block.Backend
+	store  *colstore.Store
 	ds     *relation.Dataset
 	eng    *engine.Engine
 
-	// newShadow builds a fresh backend of the configured kind for the
+	// newShadow builds a fresh store of the configured kind for the
 	// §5.1.1 shadow-reorganization workflow.
-	newShadow func() (block.Backend, error)
+	newShadow func() (*colstore.Store, error)
 
 	reorgActive atomic.Bool
 }
@@ -254,6 +254,12 @@ func Open(ds *Dataset, w *Workload, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	return install(opt, ds, cfg)
+}
+
+// install routes ds through opt's layout into a freshly opened store of the
+// configured kind and wraps the result as a System.
+func install(opt *core.Optimizer, ds *Dataset, cfg Config) (*System, error) {
 	design, err := opt.BuildDesign()
 	if err != nil {
 		return nil, err
@@ -262,35 +268,26 @@ func Open(ds *Dataset, w *Workload, cfg Config) (*System, error) {
 	if cfg.CostModel != nil {
 		cost = *cfg.CostModel
 	}
-	store, err := openBackend(cfg, cost, false)
+	store, err := openStore(cfg, cost, false)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := design.Install(store, nil, 0); err != nil {
-		closeBackend(store)
+		store.Close()
 		return nil, err
 	}
 	s := &System{opt: opt, design: design, store: store, ds: ds,
-		newShadow: func() (block.Backend, error) { return openBackend(cfg, cost, true) }}
+		newShadow: func() (*colstore.Store, error) { return openStore(cfg, cost, true) }}
 	s.resetEngine()
 	return s, nil
 }
 
-// closeBackend releases a backend's resources when it holds any (the disk
-// backend's open segment files); the in-memory backend is a no-op.
-func closeBackend(b block.Backend) error {
-	if c, ok := b.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// Close releases the storage backend. Only needed with Store "disk",
-// where open segment files are held; safe to call on any System.
+// Close releases the storage backend: its readahead workers and, with
+// Store "disk", the open segment files.
 func (s *System) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return closeBackend(s.store)
+	return s.store.Close()
 }
 
 func (s *System) resetEngine() {
@@ -454,7 +451,7 @@ func (s *System) ReorganizeAsync(observed *Workload, opts ReorgOptions) (<-chan 
 		}
 		report, err := s.reorganizeLocked(shadowOpt, shadowDesign, shadowStore, observed, opts, false)
 		if err != nil {
-			closeBackend(shadowStore)
+			shadowStore.Close()
 			done <- AsyncReorg{Report: report, Err: err}
 			return
 		}
@@ -467,7 +464,7 @@ func (s *System) ReorganizeAsync(observed *Workload, opts ReorgOptions) (<-chan 
 		s.store = shadowStore
 		s.resetEngine()
 		s.mu.Unlock()
-		closeBackend(old)
+		old.Close()
 		done <- AsyncReorg{Report: report}
 	}()
 	return done, nil
@@ -516,26 +513,7 @@ func OpenSaved(r io.Reader, ds *Dataset, w *Workload, cfg Config) (*System, erro
 	if err != nil {
 		return nil, err
 	}
-	design, err := opt.BuildDesign()
-	if err != nil {
-		return nil, err
-	}
-	cost := block.DefaultCostModel()
-	if cfg.CostModel != nil {
-		cost = *cfg.CostModel
-	}
-	store, err := openBackend(cfg, cost, false)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := design.Install(store, nil, 0); err != nil {
-		closeBackend(store)
-		return nil, err
-	}
-	s := &System{opt: opt, design: design, store: store, ds: ds,
-		newShadow: func() (block.Backend, error) { return openBackend(cfg, cost, true) }}
-	s.resetEngine()
-	return s, nil
+	return install(opt, ds, cfg)
 }
 
 // ParseSQL parses one SQL SELECT statement into a Query. The supported
