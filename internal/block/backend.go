@@ -28,15 +28,14 @@ import (
 type Backend interface {
 	// Cost returns the backend's cost model.
 	Cost() CostModel
-	// SetLayout installs (or replaces) a table's layout as a new columnar
-	// segment, metering the block writes, and returns the simulated write
-	// seconds.
-	SetLayout(table string, tl *TableLayout) (float64, error)
-	// ReplaceBlocks swaps a subset of a table's blocks for new ones
-	// (partial reorganization): oldIDs are removed, newGroups are blocked
-	// at blockSize and appended, block IDs are renumbered
-	// (BuildReplacement). Returns the simulated write seconds.
-	ReplaceBlocks(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (float64, error)
+	// PrepareLayout stages tl as the table's next layout: encoded and
+	// validated as a new columnar segment that no reader can see yet.
+	PrepareLayout(table string, tl *TableLayout) (Prepared, error)
+	// PrepareReplace stages the swap of a subset of a table's blocks for
+	// new ones (partial reorganization): oldIDs are removed, newGroups are
+	// blocked at blockSize and appended, block IDs are renumbered
+	// (BuildReplacement).
+	PrepareReplace(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (Prepared, error)
 	// NumBlocks returns the named table's block count, or -1 when no
 	// layout is installed. Metadata only.
 	NumBlocks(table string) int
@@ -73,6 +72,30 @@ type Backend interface {
 	CompileFold(table string, group GroupKey, aggs []workload.Aggregate) Fold
 	// Stats returns a snapshot of the I/O and cache counters.
 	Stats() Stats
+}
+
+// Prepared is a layout change a Backend has staged: the work that takes time
+// — reading, encoding, validating — is done, beside running queries, and
+// Commit is the only way a table's layout changes. Not for concurrent use.
+type Prepared interface {
+	// Commit publishes the staged layout as the table's current one,
+	// metering its block writes, and returns the simulated write seconds.
+	// It refuses, changing nothing, when the table's layout changed after
+	// the prepare.
+	Commit() (float64, error)
+	// Abort discards the staged layout; a no-op after a successful Commit,
+	// so callers may defer it.
+	Abort()
+}
+
+// CommitNow commits a Prepare call's result on the spot — for installs
+// with no query to keep running beside them.
+func CommitNow(p Prepared, err error) (float64, error) {
+	if err != nil {
+		return 0, err
+	}
+	defer p.Abort()
+	return p.Commit()
 }
 
 // Scan is one query's compiled scan over one table, pinned to the layout
@@ -221,8 +244,7 @@ func (s *AggState) FoldStr(v string) {
 // per-block row sets indexed by block ID (the row-ID pages read back from
 // the current segment).
 func BuildReplacement(t *relation.Table, blockRows [][]int32, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (replaced *TableLayout, blocksWritten, rowsWritten int64, err error) {
-	var kept int
-	var keptRows int
+	kept, keptRows := 0, 0
 	var groups [][]int32
 	for id, rows := range blockRows {
 		if oldIDs[id] {
@@ -257,9 +279,5 @@ func BuildReplacement(t *relation.Table, blockRows [][]int32, oldIDs map[int]boo
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	blocksWritten = int64(replaced.NumBlocks() - kept)
-	if blocksWritten < 0 {
-		blocksWritten = 0
-	}
-	return replaced, blocksWritten, int64(newRows), nil
+	return replaced, int64(replaced.NumBlocks() - kept), int64(newRows), nil
 }

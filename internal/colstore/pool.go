@@ -291,35 +291,25 @@ func (sh *poolShard) put(k poolKey, val cached, mark bool) (evicted int64) {
 	return evicted
 }
 
-// Invalidate drops every cached block of the named table (all generations
-// and both forms). Entries are dropped, not evicted: the eviction counter
-// tracks capacity pressure only.
-func (p *Pool) Invalidate(table string) {
-	p.invalidate(table, func(gen uint64) bool { return true }, 0)
-}
-
-// InvalidateBelow drops every cached block of the named table whose
-// generation is below minGen and raises the table's caching floor, so a
-// load racing the generation swap cannot re-insert a superseded entry
-// afterwards. Segment swaps call this with the new generation: without the
-// floor, a Get that captured the old table state before the swap would
-// finish its disk read after Invalidate's sweep and park the dead
-// generation's block in the cache until LRU pressure evicts it.
+// InvalidateBelow drops every cached block of the named table (either form)
+// whose generation is below minGen and raises the table's caching floor, so
+// a load racing the generation swap cannot re-insert a superseded entry
+// afterwards. Committing a generation calls this with its number: without
+// the floor, a Get that captured the old table state before the swap would
+// finish its disk read after the sweep and park the dead generation's block
+// in the cache until LRU pressure evicts it. Entries are dropped, not
+// evicted: the eviction counter tracks capacity pressure only.
 func (p *Pool) InvalidateBelow(table string, minGen uint64) {
-	p.invalidate(table, func(gen uint64) bool { return gen < minGen }, minGen)
-}
-
-func (p *Pool) invalidate(table string, drop func(gen uint64) bool, floor uint64) {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		if floor > sh.minGen[table] {
-			sh.minGen[table] = floor
+		if minGen > sh.minGen[table] {
+			sh.minGen[table] = minGen
 		}
 		for el := sh.lru.Front(); el != nil; {
 			next := el.Next()
 			ent := el.Value.(*poolEntry)
-			if ent.key.table == table && drop(ent.key.gen) {
+			if ent.key.table == table && ent.key.gen < minGen {
 				sh.lru.Remove(el)
 				delete(sh.items, ent.key)
 				sh.bytes -= ent.size

@@ -186,7 +186,7 @@ func TestPoolInvalidate(t *testing.T) {
 		p.Get(poolKey{table: "a", gen: 1, id: id}, load)
 		p.Get(poolKey{table: "b", gen: 1, id: id}, load)
 	}
-	p.Invalidate("a")
+	p.InvalidateBelow("a", 2)
 	for id := 0; id < 4; id++ {
 		p.Get(poolKey{table: "a", gen: 1, id: id}, load) // reload
 		p.Get(poolKey{table: "b", gen: 1, id: id}, load) // still cached
@@ -195,6 +195,6 @@ func TestPoolInvalidate(t *testing.T) {
 		t.Errorf("loads = %d, want 12 (4 a + 4 b + 4 a reloads)", loads)
 	}
 	if _, _, evictions := p.Counters(); evictions != 0 {
-		t.Errorf("Invalidate must not count as eviction, got %d", evictions)
+		t.Errorf("InvalidateBelow must not count as eviction, got %d", evictions)
 	}
 }

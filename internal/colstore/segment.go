@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"mto/internal/block"
 	"mto/internal/predicate"
@@ -117,38 +118,31 @@ func (eb *EncodedBlock) covers(cols []int) bool {
 	return true
 }
 
-// WriteSegment writes tl as a segment file at path, atomically: the
-// segment is written to a temp file in the same directory and renamed
-// into place, so a crash mid-write never leaves a half-written segment
-// under path.
+// WriteSegment writes tl as a segment file at path and syncs it. A crash
+// mid-write leaves a partial file there, which is why a store writes under
+// a staged name and renames at commit (Segment.publish).
 func WriteSegment(path string, tl *block.TableLayout) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("colstore: write segment: %w", err)
 	}
 	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("colstore: close segment %s: %w", path, cerr)
+		}
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
+			os.Remove(path)
 		}
 	}()
-
-	bw := bufio.NewWriterSize(tmp, 1<<20)
+	bw := bufio.NewWriterSize(f, 1<<20)
 	if err = encodeSegment(bw, tl); err != nil {
 		return fmt.Errorf("colstore: write segment %s: %w", path, err)
 	}
 	if err = bw.Flush(); err != nil {
 		return fmt.Errorf("colstore: write segment %s: %w", path, err)
 	}
-	if err = tmp.Sync(); err != nil {
+	if err = f.Sync(); err != nil {
 		return fmt.Errorf("colstore: sync segment %s: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("colstore: close segment %s: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("colstore: install segment %s: %w", path, err)
 	}
 	return nil
 }
@@ -489,6 +483,19 @@ func (s *Segment) colIndex(name string) (int, bool) {
 		}
 	}
 	return -1, false
+}
+
+// publish gives a staged segment file its final name, the one NewStore
+// adopts. Open handles follow the file.
+func (s *Segment) publish() error {
+	final := strings.TrimSuffix(s.path, stagedSuffix)
+	if final == s.path {
+		return nil // held in memory: no file to rename
+	} else if err := os.Rename(s.path, final); err != nil {
+		return fmt.Errorf("colstore: install segment %s: %w", final, err)
+	}
+	s.path, s.name = final, filepath.Base(final)
+	return nil
 }
 
 // unlink removes the segment's file, when it has one. Open handles keep

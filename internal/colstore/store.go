@@ -31,14 +31,14 @@ import (
 // or not; the cache counters and BytesRead record the real page traffic on
 // top.
 //
-// A Store is safe for concurrent use. Layout swaps (SetLayout,
-// ReplaceBlocks) encode a new generation-numbered segment (a file store
-// writes a temp file and renames it into place), swap the table's state
-// under the lock, and then invalidate the table's buffer-pool entries. The
-// superseded segment is unlinked and dropped at the swap: scans, folds and
-// prefetch tasks pin the tableState they compiled against, so in-flight
-// readers keep it readable, and its file handle or bytes are released with
-// the last of them.
+// A Store is safe for concurrent use. A layout changes in two steps:
+// preparing encodes and validates a new generation-numbered segment beside
+// running reads (a file store writes it under a staged name that NewStore
+// does not adopt); committing takes the lock only to give the file its final
+// name, swap the table's state, unlink the superseded segment and invalidate
+// the table's buffer-pool entries. Scans, folds and prefetch tasks pin the
+// tableState they compiled against, so in-flight readers keep the superseded
+// segment readable; its file handle or bytes go with the last of them.
 type Store struct {
 	dir        string // "" keeps segment bytes in memory
 	cost       block.CostModel
@@ -48,7 +48,7 @@ type Store struct {
 
 	mu     sync.RWMutex
 	tables map[string]*tableState
-	gen    uint64
+	gen    atomic.Uint64 // last generation number handed to a prepare
 
 	blocksRead      atomic.Int64
 	blocksWritten   atomic.Int64
@@ -126,12 +126,16 @@ func NewStore(dir string, cacheBytes int64, cost block.CostModel) (*Store, error
 			prev.seg.Close() // superseded before anyone could read it
 		}
 		s.tables[table] = &tableState{seg: seg, gen: gen}
-		if gen > s.gen {
-			s.gen = gen
+		if gen > s.gen.Load() {
+			s.gen.Store(gen)
 		}
 	}
 	return s, nil
 }
+
+// stagedSuffix marks the file of a prepared generation; parseSegmentName
+// rejects it, so a reopened store adopts committed layouts only.
+const stagedSuffix = ".staged"
 
 func segmentName(table string, gen uint64) string {
 	return fmt.Sprintf("%s-%08d.seg", table, gen)
@@ -174,84 +178,119 @@ func (s *Store) Close() error {
 	return errors.Join(errs...)
 }
 
-// SetLayout encodes tl as a new segment generation for table and makes it
-// the table's current layout, metering every block and row as written.
-// Replacing a layout is what physical reorganization does (§5.1.1); the
-// write cost of the new blocks is charged to the caller via the returned
-// seconds.
+// SetLayout is PrepareLayout committed on the spot.
 func (s *Store) SetLayout(table string, tl *block.TableLayout) (float64, error) {
-	if strings.ContainsAny(table, "/\\") || table == "" {
-		return 0, fmt.Errorf("colstore: bad table name %q", table)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.installGeneration(table, tl, int64(tl.NumBlocks()), int64(tl.Table().NumRows()))
+	return block.CommitNow(s.PrepareLayout(table, tl))
 }
 
-// ReplaceBlocks swaps a subset of a table's blocks for new ones (partial
-// reorganization): oldIDs are removed, the surviving blocks' row sets are
-// read back from the current segment's row-ID pages and carried over
-// renumbered, newGroups are blocked at blockSize and appended
-// (block.BuildReplacement), and the result is encoded as a new segment
-// generation and swapped in atomically. Only the appended blocks and rows
-// are charged as written.
+// ReplaceBlocks is PrepareReplace committed on the spot.
 func (s *Store) ReplaceBlocks(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.tables[table]
-	if !ok {
-		return 0, fmt.Errorf("colstore: no segment for table %q", table)
+	return block.CommitNow(s.PrepareReplace(table, oldIDs, newGroups, blockSize))
+}
+
+// PrepareLayout stages tl as the table's next segment generation; every
+// block and row is charged as written at commit.
+func (s *Store) PrepareLayout(table string, tl *block.TableLayout) (block.Prepared, error) {
+	if strings.ContainsAny(table, "/\\") || table == "" {
+		return nil, fmt.Errorf("colstore: bad table name %q", table)
+	}
+	return s.prepare(table, s.state(table), tl, int64(tl.NumBlocks()), int64(tl.Table().NumRows()))
+}
+
+// PrepareReplace stages a partial reorganization: the surviving blocks' row
+// sets are read back from the current segment's row-ID pages and carried
+// over renumbered, newGroups are appended (block.BuildReplacement), and the
+// result is encoded as the next segment generation. Only the appended
+// blocks and rows are charged at commit.
+func (s *Store) PrepareReplace(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (block.Prepared, error) {
+	st := s.state(table)
+	if st == nil {
+		return nil, fmt.Errorf("colstore: no segment for table %q", table)
 	}
 	if st.base == nil {
-		return 0, fmt.Errorf("colstore: table %q reopened without a base table; SetLayout first", table)
+		return nil, fmt.Errorf("colstore: table %q reopened without a base table; SetLayout first", table)
 	}
 	blockRows := make([][]int32, st.seg.NumBlocks())
 	for id := range blockRows {
 		rows, n, err := st.seg.ReadRowIDs(id)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		s.bytesRead.Add(n)
 		blockRows[id] = rows
 	}
 	replaced, blocks, rows, err := block.BuildReplacement(st.base, blockRows, oldIDs, newGroups, blockSize)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return s.installGeneration(table, replaced, blocks, rows)
+	return s.prepare(table, st, replaced, blocks, rows)
 }
 
-// installGeneration encodes tl as the next segment generation, validates
-// it, and swaps it in as table's current layout, so readers only ever see
-// complete segments. The superseded segment is unlinked and forgotten
-// (whoever is still reading it keeps it alive), its pool entries are
-// dropped, and the written blocks and rows are charged. Caller holds s.mu.
-func (s *Store) installGeneration(table string, tl *block.TableLayout, blocks, rows int64) (float64, error) {
-	gen := s.gen + 1
+// prepared is a segment generation encoded and validated but not published.
+type prepared struct {
+	s            *Store
+	table        string
+	prev         *tableState // the table's state when the prepare began
+	next         *tableState // nil once committed or aborted
+	blocks, rows int64       // charged as written at commit
+}
+
+// prepare encodes and validates tl as the generation to succeed prev. It
+// holds no lock.
+func (s *Store) prepare(table string, prev *tableState, tl *block.TableLayout, blocks, rows int64) (block.Prepared, error) {
+	gen := s.gen.Add(1)
 	seg, err := s.writeSegment(segmentName(table, gen), tl)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
+	p := &prepared{s: s, table: table, prev: prev, blocks: blocks, rows: rows,
+		next: &tableState{base: tl.Table(), seg: seg, gen: gen}}
 	if err := seg.ValidateAgainst(tl.Table().Schema()); err != nil {
-		seg.Close()
-		seg.unlink()
+		p.Abort()
+		return nil, err
+	}
+	return p, nil
+}
+
+// Commit publishes the prepared generation — the one place a table's state
+// changes, so readers only ever see complete segments — unless the table
+// moved on since the prepare began. The superseded segment is unlinked and
+// forgotten (whoever is still reading it keeps it alive), its pool entries
+// are dropped, and the written blocks and rows are charged.
+func (p *prepared) Commit() (float64, error) {
+	s := p.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p.next == nil || s.tables[p.table] != p.prev {
+		return 0, fmt.Errorf("colstore: layout of %q changed since this one was prepared (or it was already committed or aborted)", p.table)
+	}
+	if err := p.next.seg.publish(); err != nil {
 		return 0, err
 	}
-	s.gen = gen
-	if prev := s.tables[table]; prev != nil {
-		prev.seg.unlink()
+	if p.prev != nil {
+		p.prev.seg.unlink()
 	}
-	s.tables[table] = &tableState{base: tl.Table(), seg: seg, gen: gen}
-	s.pool.InvalidateBelow(table, gen)
-	s.blocksWritten.Add(blocks)
-	s.rowsWritten.Add(rows)
-	return float64(blocks) * s.cost.BlockWriteSeconds, nil
+	s.tables[p.table] = p.next
+	s.pool.InvalidateBelow(p.table, p.next.gen)
+	s.blocksWritten.Add(p.blocks)
+	s.rowsWritten.Add(p.rows)
+	p.next = nil
+	return float64(p.blocks) * s.cost.BlockWriteSeconds, nil
+}
+
+// Abort closes and removes the unpublished segment.
+func (p *prepared) Abort() {
+	if p.next != nil {
+		p.next.seg.Close()
+		p.next.seg.unlink()
+		p.next = nil
+	}
 }
 
 // writeSegment encodes tl and opens the result: a file under the data
-// directory (temp file, sync, rename), or a buffer the segment keeps when
-// the store has no directory. This and Segment.unlink are the only places
-// the two differ.
+// directory, synced, under its staged name; or a buffer the segment keeps
+// when the store has no directory. This, Segment.publish and Segment.unlink
+// are the only places the two differ.
 func (s *Store) writeSegment(name string, tl *block.TableLayout) (*Segment, error) {
 	if s.dir == "" {
 		var image bytes.Buffer
@@ -260,7 +299,7 @@ func (s *Store) writeSegment(name string, tl *block.TableLayout) (*Segment, erro
 		}
 		return openSegmentBytes(name, image.Bytes())
 	}
-	path := filepath.Join(s.dir, name)
+	path := filepath.Join(s.dir, name+stagedSuffix)
 	if err := WriteSegment(path, tl); err != nil {
 		return nil, err
 	}

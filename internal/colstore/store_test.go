@@ -1,11 +1,13 @@
 package colstore
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mto/internal/block"
+	"mto/internal/block/blocktest"
 )
 
 // TestStoreDiskMatchesMem is the write-accounting and metadata regression
@@ -310,5 +312,106 @@ func TestStoreRejectsBadTableNames(t *testing.T) {
 		if _, err := s.SetLayout(name, tl); err == nil {
 			t.Errorf("table name %q accepted", name)
 		}
+	}
+}
+
+// TestStorePrepareCommitAbort pins the install protocol on a file store and
+// a memory store: a prepared generation is invisible — to readers, to the
+// write counters, to a store reopened on the directory — until Commit;
+// Commit refuses once the table moved on; Abort leaves no trace.
+func TestStorePrepareCommitAbort(t *testing.T) {
+	tab := mixedTable(t, 80)
+	tl := mixedLayout(t, tab)
+	b0, b1 := tl.Block(0).Rows, tl.Block(1).Rows
+	regroup := append(append([]int32(nil), b1...), b0...)
+	oldIDs := map[int]bool{0: true, 1: true}
+	for _, kind := range []string{"file", "mem"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := ""
+			s := NewMemStore(block.DefaultCostModel())
+			if kind == "file" {
+				var err error
+				dir = t.TempDir()
+				if s, err = NewStore(dir, 1<<20, block.DefaultCostModel()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer s.Close()
+			files := func() []string {
+				if dir == "" {
+					return nil
+				}
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+				return names
+			}
+			if _, err := s.SetLayout("mix", tl); err != nil {
+				t.Fatal(err)
+			}
+			installed, installedFiles := s.Stats(), files()
+			blocks := s.NumBlocks("mix")
+
+			// Two changes staged against the same generation.
+			first, err := s.PrepareReplace("mix", oldIDs, [][]int32{regroup}, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := s.PrepareLayout("mix", tl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := s.Stats(); w.BlocksWritten != installed.BlocksWritten || w.RowsWritten != installed.RowsWritten {
+				t.Errorf("prepare charged writes: %+v", w)
+			}
+			if s.NumBlocks("mix") != blocks {
+				t.Errorf("prepare changed the visible layout: %d blocks, was %d", s.NumBlocks("mix"), blocks)
+			}
+			if dir != "" {
+				if got := files(); len(got) != 3 {
+					t.Fatalf("files with two generations staged: %v", got)
+				}
+				re, err := NewStore(dir, 0, block.DefaultCostModel())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if re.NumBlocks("mix") != blocks || len(re.Tables()) != 1 {
+					t.Errorf("reopened store adopted a staged generation: tables %v, %d blocks", re.Tables(), re.NumBlocks("mix"))
+				}
+				re.Close()
+			}
+
+			// The first to commit wins; the other is refused and aborts clean.
+			sec, err := first.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.Abort() // no-op after a commit
+			after := s.Stats()
+			if want := float64(after.BlocksWritten-installed.BlocksWritten) * s.Cost().BlockWriteSeconds; sec != want || sec == 0 {
+				t.Errorf("commit charged %g s, counters say %g", sec, want)
+			}
+			blocktest.ReadLayout(t, s, "mix")
+			if _, err := first.Commit(); err == nil {
+				t.Error("second Commit of one prepared layout accepted")
+			}
+			if _, err := second.Commit(); err == nil || !strings.Contains(err.Error(), "changed since this one was prepared") {
+				t.Errorf("commit against a superseded generation: %v", err)
+			}
+			second.Abort()
+			second.Abort()
+			if w := s.Stats(); w.BlocksWritten != after.BlocksWritten || w.RowsWritten != after.RowsWritten {
+				t.Errorf("refused commit charged writes: %+v, was %+v", w, after)
+			}
+			if got := files(); len(got) != len(installedFiles) {
+				t.Errorf("files after commit + abort: %v, want one segment as in %v", got, installedFiles)
+			}
+			blocktest.ReadLayout(t, s, "mix")
+		})
 	}
 }

@@ -382,8 +382,7 @@ func sortRowsBy(tbl *relation.Table, rows []int32, col string) {
 
 // Clone returns an optimizer with structural copies of the qd-trees,
 // sharing the (immutable-during-reorganization) cuts, dataset, and
-// workload. Background reorganization (§5.1.1) plans and applies against a
-// clone while the original keeps serving queries, then swaps.
+// workload: what is planned or applied against it leaves o's trees alone.
 func (o *Optimizer) Clone() *Optimizer {
 	c := &Optimizer{
 		opts:    o.opts,

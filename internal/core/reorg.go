@@ -54,7 +54,8 @@ type subtreeChoice struct {
 	node    *qdtree.Node
 	newTree *qdtree.Tree
 	reward  float64
-	blocks  int
+	blocks  int // blocks under node
+	rows    int // records under node
 	// order is the node's BFS index in the tree, giving budget trimming a
 	// deterministic identity for tie-breaking.
 	order int
@@ -316,7 +317,7 @@ func (o *Optimizer) planTableReorg(table string, observed *workload.Workload,
 		if ni.computed && ni.reward > 0 {
 			self = dpResult{reward: ni.reward, choices: []subtreeChoice{{
 				node: n, newTree: ni.newTree, reward: ni.reward, blocks: ni.blocks,
-				order: orderOf[n],
+				rows: ni.rows, order: orderOf[n],
 			}}}
 		}
 		if n.IsLeaf() {
@@ -333,7 +334,7 @@ func (o *Optimizer) planTableReorg(table string, observed *workload.Workload,
 	plan.choices = best.choices
 	for _, c := range best.choices {
 		plan.BlocksToRewrite += c.blocks
-		plan.RowsToRewrite += info[c.node].rows
+		plan.RowsToRewrite += c.rows
 	}
 	plan.PlanSeconds = time.Since(start).Seconds()
 	return plan, nil
@@ -373,23 +374,23 @@ func blocksFor(rows, blockSize int) int {
 	return (rows + blockSize - 1) / blockSize
 }
 
-// ReorgStats summarizes an applied reorganization.
+// ReorgStats summarizes a committed reorganization.
 type ReorgStats struct {
 	// BlocksRewritten counts the blocks under the chosen subtrees — the
 	// paper's logical rewrite unit (§5.1.2's C(T)).
 	BlocksRewritten int
-	// BlocksWritten counts the physical block writes charged to the store:
-	// the whole table for a full install, only the appended replacement
-	// blocks for ApplyReorgPartial. This is the unit the daemon's
-	// per-cycle write budget bounds.
+	// BlocksWritten counts the block writes charged to the store: the whole
+	// table for a full install, only the appended replacement blocks for a
+	// partial one. The daemon's per-cycle write budget bounds this.
 	BlocksWritten int
 	// RowsMoved counts the records re-routed into new blocks.
 	RowsMoved int
 	// FracDataReorganized is RowsMoved over total dataset rows.
 	FracDataReorganized float64
-	// SimSeconds is the simulated wall-clock cost of the rewrite
-	// (BlocksRewritten × block write cost), per §5.1.1 performed off the
-	// query path on a shadow copy.
+	// SimSeconds is the simulated wall-clock cost of the rewrite, per
+	// §5.1.1 performed off the query path: BlocksRewritten × block write
+	// cost for a full rewrite, the store's charge for the appended blocks
+	// for a partial one.
 	SimSeconds float64
 }
 
@@ -439,224 +440,247 @@ func (o *Optimizer) routeChoices(tbl *relation.Table, oldGroups [][]int32, choic
 	for i, c := range choices {
 		rows := qdtree.CollectRows(qdtree.SubtreeLeaves(c.node), oldGroups)
 		sub := tbl.SelectRows(intsOf(rows))
-		subGroups := c.newTree.AssignRecordsParallel(sub, o.opts.Parallelism)
-		base := make([][]int32, len(subGroups))
-		for li, g := range subGroups {
-			bg := make([]int32, len(g))
+		routed[i] = c.newTree.AssignRecordsParallel(sub, o.opts.Parallelism)
+		for _, g := range routed[i] {
 			for j, r := range g {
-				bg[j] = rows[r]
+				g[j] = rows[r] // sub-table row → base-table row, in place
 			}
-			base[li] = bg
 		}
-		routed[i] = base
 	}
 	return routed
 }
 
-// ApplyReorg physically performs the planned reorganization (§5.1.1):
-// each chosen subtree is replaced by its re-optimized tree, the affected
-// records are re-routed, and the table's layout is re-installed in store.
-// Only blocks under chosen subtrees count as rewritten.
-//
-// Tables commit one at a time, and each commit is staged: the tree and
-// design mutate only after the store accepted the table's new layout. A
-// mid-apply backend failure therefore leaves every table either fully
-// reorganized or fully untouched — never torn — and the returned stats
-// cover exactly the committed tables. Tables without positive-reward
-// choices are skipped entirely (no store write); an all-empty plan set is
-// a free no-op.
+// ApplyReorg physically performs the planned reorganization (§5.1.1) as a
+// whole-table rewrite: each chosen subtree is replaced by its re-optimized
+// tree, the affected records are re-routed, and the table is re-packed into
+// full blocks. Only blocks under chosen subtrees count as rewritten.
 func (o *Optimizer) ApplyReorg(plans map[string]*ReorgPlan, design *layout.Design, store block.Backend) (ReorgStats, error) {
-	var stats ReorgStats
-	cost := store.Cost()
-	for _, name := range o.ds.TableNames() {
-		plan := plans[name]
-		if plan == nil || len(plan.choices) == 0 {
-			continue
-		}
-		tree := o.trees[name]
-		tbl := o.ds.Table(name)
-		oldGroups := design.Table(name).Groups()
-
-		// Stage: compute the post-commit groups without mutating anything.
-		routed := o.routeChoices(tbl, oldGroups, plan.choices)
-		slots := finalSlots(tree.Root, plan.choices)
-		groups := make([][]int32, len(slots))
-		for si, sl := range slots {
-			if sl.old != nil {
-				groups[si] = oldGroups[sl.old.LeafIndex]
-			} else {
-				groups[si] = routed[sl.choice][sl.leaf]
-			}
-		}
-		// Install: the route closure reads the tree lazily at query time,
-		// after the commit below has swapped the chosen subtrees in.
-		tr := tree
-		if _, err := design.InstallTable(store, tbl, groups, func(q *workload.Query) []int {
-			return tr.RouteQuery(q)
-		}); err != nil {
-			return stats, err
-		}
-		// Commit: swap the subtrees; leaf order now matches groups.
-		for _, c := range plan.choices {
-			tree.Replace(c.node, c.newTree.Root)
-		}
-		for i := range plan.choices {
-			rows := 0
-			for _, g := range routed[i] {
-				rows += len(g)
-			}
-			stats.RowsMoved += rows
-			stats.BlocksRewritten += blocksFor(rows, o.opts.BlockSize)
-		}
-		stats.BlocksWritten += store.NumBlocks(name)
-	}
-	if n := o.ds.NumRows(); n > 0 && stats.RowsMoved > 0 {
-		stats.FracDataReorganized = float64(stats.RowsMoved) / float64(n)
-	}
-	stats.SimSeconds = float64(stats.BlocksRewritten) * cost.BlockWriteSeconds
-	return stats, nil
+	return commitStaged(o.StageReorg(plans, design, store, false))
 }
 
-// ApplyReorgPartial performs the planned reorganization through the
-// backend's ReplaceBlocks primitive instead of a full per-table rewrite:
-// only the blocks under the chosen subtrees — plus the leftover rows of
-// blocks straddling a chosen/unchosen leaf boundary — are replaced, and
-// every untouched block keeps its identity (and its buffer-pool pages)
-// across the swap. This is the incremental daemon's
-// install path; physical writes are the appended replacement blocks only,
-// reported in ReorgStats.BlocksWritten.
-//
-// Like ApplyReorg, tables commit one at a time with stage-then-commit
-// semantics: ReplaceBlocks swaps a complete new generation atomically, and
-// the tree/design mutate only after it succeeds.
+// ApplyReorgPartial performs it through the backend's block replacement
+// instead: only the blocks under the chosen subtrees — plus the leftover
+// rows of blocks straddling a chosen/unchosen leaf boundary — are replaced,
+// and every untouched block keeps its rows (renumbered). This is the
+// incremental daemon's install path; the writes charged are the appended
+// replacement blocks only (ReorgStats.BlocksWritten). The store still
+// encodes a whole new segment generation and drops every pooled page of the
+// table at commit, untouched blocks included, until ROADMAP item 2(b).
 func (o *Optimizer) ApplyReorgPartial(plans map[string]*ReorgPlan, design *layout.Design, store block.Backend) (ReorgStats, error) {
-	var stats ReorgStats
-	blockSize := o.opts.BlockSize
+	return commitStaged(o.StageReorg(plans, design, store, true))
+}
+
+func commitStaged(s *StagedReorg, err error) (ReorgStats, error) {
+	if err != nil {
+		return ReorgStats{}, err
+	}
+	defer s.Abort()
+	err = s.Commit()
+	return s.Stats, err
+}
+
+// StagedReorg is a planned reorganization whose new layouts are prepared in
+// the store but not published: records routed, post-commit groups and block
+// numbering computed, segments encoded — with tree, design and store
+// untouched, so queries keep running beside it.
+type StagedReorg struct {
+	// Stats summarizes the tables Commit has published so far.
+	Stats ReorgStats
+
+	o       *Optimizer
+	design  *layout.Design
+	store   block.Backend
+	partial bool
+	tables  []stagedTable
+}
+
+// stagedTable is one table's share of a StagedReorg.
+type stagedTable struct {
+	tbl         *relation.Table
+	tree        *qdtree.Tree
+	choices     []subtreeChoice
+	groups      [][]int32 // post-commit leaf order
+	groupBlocks [][]int   // in the prepared layout's numbering
+	prepared    block.Prepared
+	stats       ReorgStats // this table's RowsMoved, BlocksRewritten, BlocksWritten
+}
+
+// StageReorg stages the plans' tables in dataset order — as block
+// replacements when partial, else as whole-table rewrites. Tables without
+// positive-reward choices are skipped entirely (an all-empty plan set
+// commits as a free no-op); a table that fails to stage aborts the ones
+// staged before it.
+func (o *Optimizer) StageReorg(plans map[string]*ReorgPlan, design *layout.Design, store block.Backend, partial bool) (*StagedReorg, error) {
+	s := &StagedReorg{o: o, design: design, store: store, partial: partial}
 	for _, name := range o.ds.TableNames() {
-		plan := plans[name]
-		if plan == nil || len(plan.choices) == 0 {
+		if plan := plans[name]; plan.Choices() > 0 {
+			st, err := s.stageTable(name, plan.choices)
+			if err != nil {
+				s.Abort()
+				return nil, err
+			}
+			s.tables = append(s.tables, st)
+		}
+	}
+	return s, nil
+}
+
+// stageTable computes one table's post-commit groups from the unmodified
+// tree and design and has the store prepare the matching layout.
+func (s *StagedReorg) stageTable(name string, choices []subtreeChoice) (stagedTable, error) {
+	o, blockSize := s.o, s.o.opts.BlockSize
+	st := stagedTable{tbl: o.ds.Table(name), tree: o.trees[name], choices: choices}
+	gb := s.design.GroupBlocks(name)
+	if gb == nil {
+		return st, fmt.Errorf("core: design not installed for table %q", name)
+	}
+	oldGroups := s.design.Table(name).Groups()
+	routed := o.routeChoices(st.tbl, oldGroups, choices)
+	for _, leaves := range routed {
+		rows := 0
+		for _, g := range leaves {
+			rows += len(g)
+		}
+		st.stats.RowsMoved += rows
+		st.stats.BlocksRewritten += blocksFor(rows, blockSize)
+	}
+	slots := finalSlots(st.tree.Root, choices)
+	st.groups = make([][]int32, len(slots))
+	for si, sl := range slots {
+		if sl.old != nil {
+			st.groups[si] = oldGroups[sl.old.LeafIndex]
+		} else {
+			st.groups[si] = routed[sl.choice][sl.leaf]
+		}
+	}
+	if !s.partial {
+		tl, groupBlocks, err := s.design.PackTable(st.tbl, st.groups)
+		if err != nil {
+			return st, err
+		}
+		st.groupBlocks, st.stats.BlocksWritten = groupBlocks, tl.NumBlocks()
+		st.prepared, err = s.store.PrepareLayout(name, tl)
+		return st, err
+	}
+
+	// Number the groups for a block replacement: kept blocks in ascending
+	// old-ID order (as BuildReplacement renumbers them), appended groups
+	// after them.
+	rowToBlock, err := s.store.RowToBlock(name)
+	if err != nil {
+		return st, err
+	}
+	oldIDs := retiredBlocks(choices, gb)
+	rank := make([]int, s.store.NumBlocks(name))
+	kept := 0
+	for id := range rank {
+		rank[id] = -1
+		if !oldIDs[id] {
+			rank[id] = kept
+			kept++
+		}
+	}
+	st.groupBlocks = make([][]int, len(slots))
+	var storeGroups [][]int32
+	next := kept
+	appendGroup := func(si int, g []int32) {
+		if len(g) == 0 {
+			return
+		}
+		storeGroups = append(storeGroups, g)
+		for nb := blocksFor(len(g), blockSize); nb > 0; nb-- {
+			st.groupBlocks[si] = append(st.groupBlocks[si], next)
+			next++
+		}
+	}
+	for si, sl := range slots {
+		if sl.old == nil {
+			appendGroup(si, st.groups[si])
 			continue
 		}
-		tree := o.trees[name]
-		tbl := o.ds.Table(name)
-		oldGroups := design.Table(name).Groups()
-		gb := design.GroupBlocks(name)
-		if gb == nil {
-			return stats, fmt.Errorf("core: design not installed for table %q", name)
+		for _, b := range gb[sl.old.LeafIndex] {
+			if rank[b] >= 0 {
+				st.groupBlocks[si] = append(st.groupBlocks[si], rank[b])
+			}
 		}
-		rowToBlock, err := store.RowToBlock(name)
+		// Rows of this surviving leaf that lived in a retired (straddling)
+		// block move into a fresh appended block.
+		var stray []int32
+		for _, r := range st.groups[si] {
+			if oldIDs[int(rowToBlock[r])] {
+				stray = append(stray, r)
+			}
+		}
+		appendGroup(si, stray)
+	}
+	st.stats.BlocksWritten = next - kept
+	st.prepared, err = s.store.PrepareReplace(name, oldIDs, storeGroups, blockSize)
+	return st, err
+}
+
+// retiredBlocks returns the blocks under the chosen subtrees, including any
+// that straddle a chosen/unchosen leaf boundary.
+func retiredBlocks(choices []subtreeChoice, gb [][]int) map[int]bool {
+	oldIDs := map[int]bool{}
+	for _, c := range choices {
+		for _, lf := range qdtree.SubtreeLeaves(c.node) {
+			for _, b := range gb[lf.LeafIndex] {
+				oldIDs[b] = true
+			}
+		}
+	}
+	return oldIDs
+}
+
+// Commit publishes the staged layouts — the one place a reorganization
+// mutates trees and design. Tables commit one at a time: the store swaps in
+// the prepared generation, the chosen subtrees are replaced (leaf order now
+// matches the staged groups) and the design is pointed at the new block
+// numbering. A table the store refuses stays, like every table after it,
+// exactly as before — never torn; Stats covers the tables before it.
+func (s *StagedReorg) Commit() error {
+	stats := &s.Stats
+	for i := range s.tables {
+		st := &s.tables[i]
+		sec, err := st.prepared.Commit()
 		if err != nil {
-			return stats, err
+			return err
 		}
-		numBlocks := store.NumBlocks(name)
-
-		// Blocks retired by the chosen subtrees. A block straddling a
-		// chosen/unchosen boundary is retired too; its surviving rows are
-		// re-appended as stray groups below.
-		oldIDs := map[int]bool{}
-		for _, c := range plan.choices {
-			for _, lf := range qdtree.SubtreeLeaves(c.node) {
-				for _, b := range gb[lf.LeafIndex] {
-					oldIDs[b] = true
-				}
-			}
+		for _, c := range st.choices {
+			st.tree.Replace(c.node, c.newTree.Root)
 		}
-		// Kept blocks are renumbered by BuildReplacement in ascending
-		// old-ID order; appended groups get sequential IDs after them.
-		rank := make([]int, numBlocks)
-		kept := 0
-		for id := 0; id < numBlocks; id++ {
-			if oldIDs[id] {
-				rank[id] = -1
-			} else {
-				rank[id] = kept
-				kept++
-			}
-		}
-
-		routed := o.routeChoices(tbl, oldGroups, plan.choices)
-		slots := finalSlots(tree.Root, plan.choices)
-		groups := make([][]int32, len(slots))
-		groupBlocks := make([][]int, len(slots))
-		var storeGroups [][]int32
-		next := kept
-		appendGroup := func(si int, g []int32) {
-			if len(g) == 0 {
-				return
-			}
-			storeGroups = append(storeGroups, g)
-			nb := blocksFor(len(g), blockSize)
-			for j := 0; j < nb; j++ {
-				groupBlocks[si] = append(groupBlocks[si], next+j)
-			}
-			next += nb
-		}
-		for si, sl := range slots {
-			if sl.old != nil {
-				g := oldGroups[sl.old.LeafIndex]
-				groups[si] = g
-				for _, b := range gb[sl.old.LeafIndex] {
-					if rank[b] >= 0 {
-						groupBlocks[si] = append(groupBlocks[si], rank[b])
-					}
-				}
-				// Rows of this surviving leaf that lived in a retired
-				// (straddling) block move into a fresh appended block.
-				var stray []int32
-				for _, r := range g {
-					if oldIDs[int(rowToBlock[r])] {
-						stray = append(stray, r)
-					}
-				}
-				appendGroup(si, stray)
-			} else {
-				g := routed[sl.choice][sl.leaf]
-				groups[si] = g
-				appendGroup(si, g)
-			}
-		}
-
-		sec, err := store.ReplaceBlocks(name, oldIDs, storeGroups, blockSize)
-		if err != nil {
-			return stats, err
-		}
-		// Commit: swap the subtrees, then point the design at the
-		// replacement numbering computed above.
-		for _, c := range plan.choices {
-			tree.Replace(c.node, c.newTree.Root)
-		}
-		tr := tree
-		if err := design.SetTableBlocks(tbl, groups, func(q *workload.Query) []int {
-			return tr.RouteQuery(q)
-		}, groupBlocks); err != nil {
-			return stats, err
-		}
-		for i := range plan.choices {
-			rows := 0
-			for _, g := range routed[i] {
-				rows += len(g)
-			}
-			stats.RowsMoved += rows
-			stats.BlocksRewritten += blocksFor(rows, blockSize)
-		}
-		stats.BlocksWritten += next - kept
+		tr := st.tree // the route closure reads the tree lazily at query time
+		route := func(q *workload.Query) []int { return tr.RouteQuery(q) }
+		s.design.SetTableBlocks(st.tbl, st.groups, route, st.groupBlocks)
+		stats.RowsMoved += st.stats.RowsMoved
+		stats.BlocksRewritten += st.stats.BlocksRewritten
+		stats.BlocksWritten += st.stats.BlocksWritten
 		stats.SimSeconds += sec
 	}
-	if n := o.ds.NumRows(); n > 0 && stats.RowsMoved > 0 {
+	if n := s.o.ds.NumRows(); n > 0 && stats.RowsMoved > 0 {
 		stats.FracDataReorganized = float64(stats.RowsMoved) / float64(n)
 	}
-	return stats, nil
+	if !s.partial {
+		// A rewrite is charged for the blocks under the chosen subtrees,
+		// not for the whole re-packed table the store wrote.
+		stats.SimSeconds = float64(stats.BlocksRewritten) * s.store.Cost().BlockWriteSeconds
+	}
+	return nil
 }
 
-// EstimateWrites returns the physical block writes ApplyReorgPartial would
-// charge for the plan's current choices: the chopped replacement groups
-// plus one stray group per surviving leaf that shares a block with a
-// chosen subtree. design and store must reflect the layout the plan was
-// computed against.
-func (o *Optimizer) EstimateWrites(plan *ReorgPlan, design *layout.Design, store block.Backend) (int, error) {
-	return o.estimateWrites(plan, plan.choices, design, store)
+// Abort discards the staged layouts Commit did not publish, so callers may
+// defer it.
+func (s *StagedReorg) Abort() {
+	for _, st := range s.tables {
+		st.prepared.Abort()
+	}
 }
 
+// estimateWrites returns the physical block writes a partial install of
+// the given choices of plan would charge: the chopped replacement groups
+// plus one stray group per surviving leaf that shares a block with a chosen
+// subtree. design and store must reflect the layout the plan was computed
+// against.
 func (o *Optimizer) estimateWrites(plan *ReorgPlan, choices []subtreeChoice, design *layout.Design, store block.Backend) (int, error) {
 	if len(choices) == 0 {
 		return 0, nil
@@ -671,15 +695,12 @@ func (o *Optimizer) estimateWrites(plan *ReorgPlan, choices []subtreeChoice, des
 		return 0, err
 	}
 	oldGroups := design.Table(name).Groups()
-	oldIDs := map[int]bool{}
+	oldIDs := retiredBlocks(choices, gb)
 	chosenLeaves := map[*qdtree.Node]bool{}
 	writes := 0
 	for _, c := range choices {
 		for _, lf := range qdtree.SubtreeLeaves(c.node) {
 			chosenLeaves[lf] = true
-			for _, b := range gb[lf.LeafIndex] {
-				oldIDs[b] = true
-			}
 		}
 		// Replacement leaves are built at sample rate 1, so SampleRows is
 		// the exact row count each leaf will hold.
@@ -704,7 +725,7 @@ func (o *Optimizer) estimateWrites(plan *ReorgPlan, choices []subtreeChoice, des
 }
 
 // TrimPlansToBudget drops the lowest-value subtree choices until the
-// estimated physical writes of an ApplyReorgPartial fit within budget
+// estimated physical writes of a partial install fit within budget
 // blocks. Choices are ranked greedily by reward per estimated write
 // (standalone), with deterministic tie-breaking on reward, table name, and
 // BFS order; a choice whose marginal cost no longer fits is skipped but
@@ -759,27 +780,20 @@ func (o *Optimizer) TrimPlansToBudget(plans map[string]*ReorgPlan, design *layou
 	})
 
 	selected := map[string][]int{} // table → chosen indexes
+	estimate := map[string]int{}   // table → estimated writes of selected
 	spent := 0
 	for _, c := range cands {
 		trial := append(append([]int(nil), selected[c.table]...), c.idx)
-		var choices []subtreeChoice
-		for _, i := range trial {
-			choices = append(choices, plans[c.table].choices[i])
-		}
-		cost, err := o.estimateWrites(plans[c.table], choices, design, store)
+		cost, err := o.estimateWrites(plans[c.table], choicesAt(plans[c.table], trial), design, store)
 		if err != nil {
 			return nil, err
 		}
-		prev, err := o.estimateWrites(plans[c.table], choicesAt(plans[c.table], selected[c.table]), design, store)
-		if err != nil {
-			return nil, err
-		}
-		marginal := cost - prev
+		marginal := cost - estimate[c.table]
 		if spent+marginal > budget {
 			continue
 		}
 		spent += marginal
-		selected[c.table] = trial
+		selected[c.table], estimate[c.table] = trial, cost
 	}
 
 	out := make(map[string]*ReorgPlan, len(plans))
@@ -806,13 +820,7 @@ func (o *Optimizer) TrimPlansToBudget(plans map[string]*ReorgPlan, design *layou
 			trimmed.choices = append(trimmed.choices, c)
 			trimmed.TotalReward += c.reward
 			trimmed.BlocksToRewrite += c.blocks
-		}
-		trimmed.RowsToRewrite = 0
-		groups := design.Table(name).Groups()
-		for _, c := range trimmed.choices {
-			for _, lf := range qdtree.SubtreeLeaves(c.node) {
-				trimmed.RowsToRewrite += len(groups[lf.LeafIndex])
-			}
+			trimmed.RowsToRewrite += c.rows
 		}
 		out[name] = trimmed
 	}

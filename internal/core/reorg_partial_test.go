@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mto/internal/block"
@@ -159,7 +161,8 @@ func TestApplyReorgEmptyNoOp(t *testing.T) {
 	}
 }
 
-// failingBackend wraps a Backend and fails layout writes for one table.
+// failingBackend wraps a Backend and fails the prepare of one table's
+// layout change.
 type failingBackend struct {
 	block.Backend
 	failTable string
@@ -167,18 +170,18 @@ type failingBackend struct {
 
 var errInjected = errors.New("injected backend failure")
 
-func (f *failingBackend) SetLayout(table string, tl *block.TableLayout) (float64, error) {
+func (f *failingBackend) PrepareLayout(table string, tl *block.TableLayout) (block.Prepared, error) {
 	if table == f.failTable {
-		return 0, errInjected
+		return nil, errInjected
 	}
-	return f.Backend.SetLayout(table, tl)
+	return f.Backend.PrepareLayout(table, tl)
 }
 
-func (f *failingBackend) ReplaceBlocks(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (float64, error) {
+func (f *failingBackend) PrepareReplace(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (block.Prepared, error) {
 	if table == f.failTable {
-		return 0, errInjected
+		return nil, errInjected
 	}
-	return f.Backend.ReplaceBlocks(table, oldIDs, newGroups, blockSize)
+	return f.Backend.PrepareReplace(table, oldIDs, newGroups, blockSize)
 }
 
 // shiftScenario builds the workload-shift reorg setting shared by the
@@ -230,50 +233,176 @@ func runAll(t *testing.T, store block.Backend, design *layout.Design, ds *relati
 	return out
 }
 
-// TestApplyReorgFailingBackendNotTorn injects a backend failure into the
-// layout write and asserts the query path observes no partial install: the
-// design, tree, and store are exactly as before the attempt, on both the
-// full and the partial apply path.
+// twoTableShiftScenario is shiftScenario over two fact tables and a file
+// store: the plan has choices for fact and for fact2, which stage in that
+// order.
+func twoTableShiftScenario(t *testing.T, seed int64) (*Optimizer, *layout.Design, *colstore.Store, *relation.Dataset, *workload.Workload, map[string]*ReorgPlan) {
+	t.Helper()
+	ds := twoFactDS(t, 500, 20000, seed)
+	shiftW := workload.NewWorkload()
+	for k := int64(0); k < 5; k++ {
+		for _, fact := range []string{"fact", "fact2"} {
+			q := workload.NewQuery("grp-"+fact+string(rune('0'+k)),
+				workload.TableRef{Table: "dim"},
+				workload.TableRef{Table: fact},
+			)
+			q.AddJoin("dim", "id", fact, "did")
+			q.Filter("dim", predicate.NewComparison("grp", predicate.Eq, value.Int(k)))
+			shiftW.Add(q)
+		}
+	}
+	mto, err := Optimize(ds, twoFactWorkload(10), Options{BlockSize: 1000, JoinInduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, err := mto.BuildDesign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := colstore.NewStore(t.TempDir(), 1<<20, block.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	if _, err := design.Install(store, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	plans, err := mto.PlanReorg(shiftW, ReorgConfig{Q: 10000, W: 100, Tables: []string{"fact", "fact2"}}, design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plans["fact"].Choices() == 0 || plans["fact2"].Choices() == 0 {
+		t.Fatal("scenario produced no reorg choices for one of the fact tables")
+	}
+	return mto, design, store, ds, shiftW, plans
+}
+
+// installedState is everything a reorganization that did not commit must
+// leave alone: trees, design, the store's write counters, block contents
+// and segment files, and what queries answer.
+type installedState struct {
+	Trees       map[string]string
+	Groups      map[string][][]int32
+	GroupBlocks map[string][][]int
+	BlockRows   map[string][][]int32
+	Files       []string
+	Written     [2]int64
+	Results     []*engine.Result
+}
+
+func captureState(t *testing.T, mto *Optimizer, design *layout.Design, store *colstore.Store, ds *relation.Dataset, w *workload.Workload) installedState {
+	t.Helper()
+	st := installedState{Trees: map[string]string{}, Groups: map[string][][]int32{},
+		GroupBlocks: map[string][][]int{}, BlockRows: map[string][][]int32{}}
+	for _, name := range ds.TableNames() {
+		st.Trees[name] = mto.Tree(name).Dump()
+		st.Groups[name] = design.Table(name).Groups()
+		st.GroupBlocks[name] = design.GroupBlocks(name)
+		for _, b := range blocktest.ReadLayout(t, store, name) {
+			st.BlockRows[name] = append(st.BlockRows[name], b.Rows)
+		}
+	}
+	entries, err := os.ReadDir(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		st.Files = append(st.Files, e.Name())
+	}
+	stats := store.Stats()
+	st.Written = [2]int64{stats.BlocksWritten, stats.RowsWritten}
+	st.Results = runAll(t, store, design, ds, w)
+	return st
+}
+
+// changed names the installedState fields that differ between a and b.
+func (a installedState) changed(b installedState) []string {
+	var out []string
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			out = append(out, va.Type().Field(i).Name)
+		}
+	}
+	return out
+}
+
+// TestApplyReorgFailingBackendNotTorn fails a two-table reorganization at
+// each point before it commits — the first table's prepare, the second's
+// (with the first already staged), and a commit the store refuses because
+// the table moved on after staging — and asserts nothing was installed:
+// trees, design, store and query results are exactly as before the attempt,
+// on both the full and the partial apply path.
 func TestApplyReorgFailingBackendNotTorn(t *testing.T) {
 	for _, mode := range []string{"full", "partial"} {
 		t.Run(mode, func(t *testing.T) {
-			mto, design, store, ds, shiftW, plans := shiftScenario(t, 4)
-			before := runAll(t, store, design, ds, shiftW)
-			beforeStats := store.Stats()
-			fb := &failingBackend{Backend: store, failTable: "fact"}
+			mto, design, store, ds, shiftW, plans := twoTableShiftScenario(t, 4)
+			apply := mto.ApplyReorg
+			if mode == "partial" {
+				apply = mto.ApplyReorgPartial
+			}
+			before := captureState(t, mto, design, store, ds, shiftW)
 
-			var err error
-			if mode == "full" {
-				_, err = mto.ApplyReorg(plans, design, fb)
-			} else {
-				_, err = mto.ApplyReorgPartial(plans, design, fb)
+			for _, failTable := range []string{"fact", "fact2"} {
+				_, err := apply(plans, design, &failingBackend{Backend: store, failTable: failTable})
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("%s prepare fails: err = %v, want injected failure", failTable, err)
+				}
+				if diff := before.changed(captureState(t, mto, design, store, ds, shiftW)); diff != nil {
+					t.Errorf("%s prepare fails: %v changed", failTable, diff)
+				}
 			}
-			if !errors.Is(err, errInjected) {
-				t.Fatalf("err = %v, want injected failure", err)
+
+			// Stage both tables, then re-install fact's current layout: the
+			// store must refuse the commit staged against its predecessor,
+			// and fact2 — staged, never committed — must vanish on Abort.
+			staged, err := mto.StageReorg(plans, design, store, mode == "partial")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if d := store.Stats().Sub(beforeStats); d.BlocksWritten != 0 || d.RowsWritten != 0 {
-				t.Errorf("failed reorg wrote to the store: %+v", d)
+			tl, _, err := design.PackTable(ds.Table("fact"), design.Table("fact").Groups())
+			if err != nil {
+				t.Fatal(err)
 			}
-			blocktest.ReadLayout(t, store, "fact")
-			after := runAll(t, store, design, ds, shiftW)
-			if !reflect.DeepEqual(before, after) {
-				t.Error("query results changed after failed reorg")
+			if _, err := store.SetLayout("fact", tl); err != nil {
+				t.Fatal(err)
+			}
+			moved := captureState(t, mto, design, store, ds, shiftW)
+			// Both staged segments are files by now, under names a reopened
+			// store does not adopt; they are what Abort has to remove.
+			committed := moved.Files[:0:0]
+			for _, f := range moved.Files {
+				if strings.HasSuffix(f, ".seg") {
+					committed = append(committed, f)
+				}
+			}
+			if len(moved.Files)-len(committed) != 2 {
+				t.Fatalf("files while two tables are staged: %v", moved.Files)
+			}
+			moved.Files = committed
+			if err := staged.Commit(); err == nil || staged.Stats != (ReorgStats{}) {
+				t.Fatalf("commit against a moved table: stats %+v, err %v", staged.Stats, err)
+			}
+			staged.Abort()
+			if diff := moved.changed(captureState(t, mto, design, store, ds, shiftW)); diff != nil {
+				t.Errorf("refused commit: %v changed", diff)
 			}
 
 			// The same plan still applies cleanly against the real store.
-			var stats ReorgStats
-			if mode == "full" {
-				stats, err = mto.ApplyReorg(plans, design, store)
-			} else {
-				stats, err = mto.ApplyReorgPartial(plans, design, store)
-			}
+			stats, err := apply(plans, design, store)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if stats.RowsMoved == 0 || stats.BlocksWritten == 0 {
 				t.Errorf("recovery apply stats = %+v", stats)
 			}
-			blocktest.ReadLayout(t, store, "fact")
+			after := captureState(t, mto, design, store, ds, shiftW)
+			if len(after.Files) != len(before.Files) {
+				t.Errorf("segment files after the apply: %v, want one per table as in %v", after.Files, before.Files)
+			}
+			if reflect.DeepEqual(before.Trees, after.Trees) || reflect.DeepEqual(before.BlockRows, after.BlockRows) {
+				t.Error("committed reorganization left trees or blocks unchanged")
+			}
 		})
 	}
 }
@@ -350,7 +479,7 @@ func TestApplyReorgPartialMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mtoB.EstimateWrites(plansB["fact"], designB, storeB)
+	est, err := mtoB.estimateWrites(plansB["fact"], plansB["fact"].choices, designB, storeB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +498,7 @@ func TestApplyReorgPartialMatchesFull(t *testing.T) {
 		t.Errorf("partial wrote %d blocks, full wrote %d — expected fewer", statsB.BlocksWritten, statsA.BlocksWritten)
 	}
 	if est != statsB.BlocksWritten {
-		t.Errorf("EstimateWrites = %d, actual physical writes = %d", est, statsB.BlocksWritten)
+		t.Errorf("estimateWrites = %d, actual physical writes = %d", est, statsB.BlocksWritten)
 	}
 	if d := storeB.Stats().Sub(wBefore); d.BlocksWritten != int64(statsB.BlocksWritten) {
 		t.Errorf("store charged %d block writes, stats report %d", d.BlocksWritten, statsB.BlocksWritten)
@@ -397,7 +526,7 @@ func TestApplyReorgPartialMatchesFull(t *testing.T) {
 func TestTrimPlansToBudget(t *testing.T) {
 	mto, design, store, _, _, plans := shiftScenario(t, 4)
 
-	full, err := mto.EstimateWrites(plans["fact"], design, store)
+	full, err := mto.estimateWrites(plans["fact"], plans["fact"].choices, design, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +549,7 @@ func TestTrimPlansToBudget(t *testing.T) {
 	}
 	est := 0
 	for name, plan := range trimmed {
-		e, err := mto.EstimateWrites(plan, design, store)
+		e, err := mto.estimateWrites(plan, plan.choices, design, store)
 		if err != nil {
 			t.Fatal(err)
 		}

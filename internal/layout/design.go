@@ -90,7 +90,7 @@ func (d *Design) Install(store block.Backend, jitter *rand.Rand, minFill float64
 		if err != nil {
 			return 0, fmt.Errorf("layout: install %s: %w", name, err)
 		}
-		sec, err := store.SetLayout(name, tl)
+		sec, err := block.CommitNow(store.PrepareLayout(name, tl))
 		if err != nil {
 			return 0, fmt.Errorf("layout: install %s: %w", name, err)
 		}
@@ -148,46 +148,20 @@ func buildTableLayout(td *TableDesign, blockSize int, jitter *rand.Rand, minFill
 	return tl, groupBlocks, nil
 }
 
-// InstallTable atomically replaces a single table's design in an already
-// installed Design: the new layout is staged and written to the store
-// first, and the design entry is only swapped in once the store accepted
-// it. On error the design (and the store, whose SetLayout is atomic) is
-// unchanged, so queries never observe a torn layout.
-// Reorganization uses this to commit tables one at a time.
-func (d *Design) InstallTable(store block.Backend, t *relation.Table, groups [][]int32, route Router) (float64, error) {
-	if !d.installed {
-		return 0, fmt.Errorf("layout: InstallTable on uninstalled design %q", d.Name)
-	}
-	name := t.Schema().Table()
-	td := &TableDesign{table: t, groups: groups, route: route}
-	tl, groupBlocks, err := buildTableLayout(td, d.BlockSize, nil, 0)
-	if err != nil {
-		return 0, fmt.Errorf("layout: install %s: %w", name, err)
-	}
-	sec, err := store.SetLayout(name, tl)
-	if err != nil {
-		return 0, fmt.Errorf("layout: install %s: %w", name, err)
-	}
-	td.groupBlocks = groupBlocks
-	d.tables[name] = td
-	return sec, nil
+// PackTable packs groups of t the way Install would — one BID-ordered
+// stream chopped into full blocks — and returns the layout with its group →
+// block mapping, touching neither the design nor a store.
+func (d *Design) PackTable(t *relation.Table, groups [][]int32) (*block.TableLayout, [][]int, error) {
+	return buildTableLayout(&TableDesign{table: t, groups: groups}, d.BlockSize, nil, 0)
 }
 
 // SetTableBlocks registers a table design whose blocks already exist in
-// the store — the partial-reorganization path, where ReplaceBlocks
-// materialized the new blocks directly. groupBlocks must map every group
-// to its block IDs in the store's post-replacement numbering. The design
-// stays installed.
-func (d *Design) SetTableBlocks(t *relation.Table, groups [][]int32, route Router, groupBlocks [][]int) error {
-	if !d.installed {
-		return fmt.Errorf("layout: SetTableBlocks on uninstalled design %q", d.Name)
-	}
-	if len(groupBlocks) != len(groups) {
-		return fmt.Errorf("layout: SetTableBlocks %s: %d groups but %d group→block entries",
-			t.Schema().Table(), len(groups), len(groupBlocks))
-	}
+// the store: reorganization calls it right after the store committed the
+// prepared layout, so it cannot fail. The design must be installed and
+// groupBlocks must map every group to its block IDs in the store's new
+// numbering; staging established both.
+func (d *Design) SetTableBlocks(t *relation.Table, groups [][]int32, route Router, groupBlocks [][]int) {
 	d.tables[t.Schema().Table()] = &TableDesign{table: t, groups: groups, route: route, groupBlocks: groupBlocks}
-	return nil
 }
 
 // BlocksFor returns the block IDs of the named table that q must read, or

@@ -163,6 +163,68 @@ func TestSelectRowsAndAppendTable(t *testing.T) {
 	}
 }
 
+// selectRowsBoxed is the row-at-a-time SelectRows the typed gather replaced,
+// kept as its reference.
+func selectRowsBoxed(t *Table, rows []int) *Table {
+	out := NewTable(t.schema)
+	for _, r := range rows {
+		out.MustAppendRow(t.Row(r)...)
+	}
+	return out
+}
+
+// TestSelectRowsMatchesBoxed: the typed gather builds the table the boxed
+// loop built — same values, same nulls, a null mask exactly when a selected
+// row is null — for every column kind, null density and index-list shape.
+func TestSelectRowsMatchesBoxed(t *testing.T) {
+	const n = 64
+	for _, nulls := range []string{"none", "sparse", "all"} {
+		tab := NewTable(testSchema(t))
+		for i := 0; i < n; i++ {
+			row := []value.Value{value.Int(int64(i * 3)), value.Float(float64(i) / 4), value.String(string(rune('a' + i%26)))}
+			for c := range row {
+				if nulls == "all" || (nulls == "sparse" && (i+c)%7 == 0) {
+					row[c] = value.Null
+				}
+			}
+			tab.MustAppendRow(row...)
+		}
+		lists := map[string][]int{
+			"nil":      nil,
+			"empty":    {},
+			"one":      {5},
+			"repeated": {3, 3, 0, 63, 3, 0},
+			"reversed": {63, 40, 21, 2},
+			"no-nulls": {1, 2, 3}, // rows the sparse pattern leaves whole in column 0
+			"every":    make([]int, n),
+		}
+		for i := range lists["every"] {
+			lists["every"][i] = i
+		}
+		for name, rows := range lists {
+			got, want := tab.SelectRows(rows), selectRowsBoxed(tab, rows)
+			if got.NumRows() != want.NumRows() || got.Schema() != want.Schema() {
+				t.Fatalf("%s/%s: %d rows, want %d", nulls, name, got.NumRows(), want.NumRows())
+			}
+			for c := 0; c < 3; c++ {
+				if (got.Nulls(c) == nil) != (want.Nulls(c) == nil) {
+					t.Errorf("%s/%s col %d: null mask present = %v, boxed = %v", nulls, name, c, got.Nulls(c) != nil, want.Nulls(c) != nil)
+				}
+				for r := 0; r < want.NumRows(); r++ {
+					if g, w := got.Value(r, c), want.Value(r, c); g != w {
+						t.Errorf("%s/%s (%d,%d): %v, want %v", nulls, name, r, c, g, w)
+					}
+				}
+			}
+			// The gathered table is an ordinary table: it takes appends.
+			got.MustAppendRow(value.Null, value.Float(1), value.String("z"))
+			if got.NumRows() != len(rows)+1 || !got.IsNullAt(len(rows), 0) || got.Value(len(rows), 2).Str() != "z" {
+				t.Errorf("%s/%s: append after gather broke the table", nulls, name)
+			}
+		}
+	}
+}
+
 func TestSample(t *testing.T) {
 	tab := NewTable(testSchema(t))
 	for i := 0; i < 10000; i++ {

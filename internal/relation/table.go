@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mto/internal/value"
 )
@@ -181,11 +182,28 @@ func (t *Table) Row(row int) []value.Value {
 	return out
 }
 
-// SelectRows returns a new table with the given row indexes, in order.
+// SelectRows returns a new table with the given row indexes, in order: a
+// typed gather, one allocation per column vector. A column keeps a null
+// mask only when a selected row is null.
 func (t *Table) SelectRows(rows []int) *Table {
-	out := NewTable(t.schema)
-	for _, r := range rows {
-		out.MustAppendRow(t.Row(r)...)
+	out := &Table{schema: t.schema, cols: make([]*columnVec, len(t.cols)), rows: len(rows)}
+	for ci, c := range t.cols {
+		out.cols[ci] = &columnVec{kind: c.kind, ints: gather(c.ints, rows), floats: gather(c.floats, rows), strs: gather(c.strs, rows)}
+		if nulls := gather(c.nulls, rows); slices.Contains(nulls, true) {
+			out.cols[ci].nulls = nulls
+		}
+	}
+	return out
+}
+
+// gather returns src at rows; a vector the column does not use stays nil.
+func gather[T any](src []T, rows []int) []T {
+	if src == nil {
+		return nil
+	}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = src[r]
 	}
 	return out
 }

@@ -42,9 +42,6 @@ func NewBandit(arms []string, epsilon float64, seed int64) *Bandit {
 	}
 }
 
-// Arms returns the arm names.
-func (b *Bandit) Arms() []string { return append([]string(nil), b.arms...) }
-
 // Name returns arm i's name.
 func (b *Bandit) Name(i int) string { return b.arms[i] }
 
@@ -84,17 +81,3 @@ func (b *Bandit) Update(i int, reward float64) {
 	b.sums[i] += reward
 	b.total++
 }
-
-// Means returns each arm's empirical mean reward (0 for unpulled arms).
-func (b *Bandit) Means() []float64 {
-	out := make([]float64, len(b.arms))
-	for i, n := range b.pulls {
-		if n > 0 {
-			out[i] = b.sums[i] / float64(n)
-		}
-	}
-	return out
-}
-
-// Pulls returns each arm's pull count.
-func (b *Bandit) Pulls() []int { return append([]int(nil), b.pulls...) }

@@ -68,16 +68,16 @@ type Config struct {
 	// Parallelism bounds record routing concurrency (0 = optimizer
 	// default).
 	Parallelism int
-	// InstallWrap, when set, wraps the ApplyReorgPartial call of a "reorg"
-	// cycle: Step invokes InstallWrap(install) and the wrapper decides when
-	// to call install(). A serving layer uses this to take its tenant
-	// write lock around the physical swap — and, inside the same critical
-	// section, bump its layout generation, rebuild engines caching the old
-	// layout, and invalidate generation-keyed caches — so queries never
-	// observe a half-installed layout. The wrapper must call install at
-	// most once and must return install's error (or its own); returning a
-	// non-nil error marks the cycle failed exactly as a direct install
-	// error would.
+	// InstallWrap, when set, wraps the commit of a "reorg" cycle. Step has
+	// already staged the reorganization (records routed, new segments
+	// encoded in the store, nothing published), so install() only swaps the
+	// prepared generations in and points trees and design at them. A
+	// serving layer takes its tenant write lock around it — and, inside the
+	// same critical section, bumps its layout generation, rebuilds engines
+	// caching the old layout, and invalidates generation-keyed caches — so
+	// queries never observe a half-installed layout. The wrapper must call
+	// install at most once and must return install's error (or its own); a
+	// non-nil error fails the cycle and discards what was staged.
 	InstallWrap func(install func() error) error
 }
 
@@ -152,8 +152,8 @@ type pendingEval struct {
 // a small inbox under their own mutex (so an executing query never blocks
 // behind a planning cycle) and are drained into the rolling log when the
 // next cycle starts. Step/Run serialize against each other and against
-// Trace through the daemon mutex; Log and Bandit expose internals and
-// remain single-goroutine (call them only while no Step can run).
+// Trace through the daemon mutex; Log exposes internals and remains
+// single-goroutine (call it only while no Step can run).
 type Daemon struct {
 	cfg    Config
 	mto    *core.Optimizer
@@ -162,7 +162,7 @@ type Daemon struct {
 
 	// obsMu guards inbox only. Observe's critical section is one append,
 	// so it stays cheap even while a Step holds mu through a multi-second
-	// plan+install. Never acquire mu while holding obsMu.
+	// plan, stage and commit. Never acquire mu while holding obsMu.
 	obsMu sync.Mutex
 	inbox []observation
 
@@ -240,10 +240,6 @@ func (d *Daemon) Trace() []CycleStats {
 	copy(out, d.trace)
 	return out
 }
-
-// Bandit exposes the layout-strategy bandit (read-only use, only while no
-// Step/Run cycle can be executing).
-func (d *Daemon) Bandit() *Bandit { return d.bandit }
 
 // staleness returns each observed table's staleness score: the relative
 // blocks-per-query increase of the short window over the long-horizon EWMA
@@ -358,7 +354,7 @@ func (d *Daemon) treeCuts(tables []string) map[string][]qdtree.Cut {
 
 // Step runs one daemon cycle: evaluate the previous install if one is
 // outstanding, score staleness, and — when warranted — plan, trim to
-// budget, and install a partial reorganization. The returned stats are
+// budget, stage a partial reorganization and commit it. The returned stats are
 // also appended to Trace. After a cycle whose Action is "reorg", engines
 // caching the old layout must be recreated.
 func (d *Daemon) Step() (CycleStats, error) {
@@ -467,23 +463,22 @@ func (d *Daemon) Step() (CycleStats, error) {
 	}
 	preAvg, _ := d.avgBlocks(sel, 0)
 
-	var stats core.ReorgStats
-	install := func() error {
-		var ierr error
-		stats, ierr = d.mto.ApplyReorgPartial(plans, d.design, d.store)
-		return ierr
+	staged, err := d.mto.StageReorg(plans, d.design, d.store, true)
+	if err != nil {
+		return cs, fmt.Errorf("reorgd: stage: %w", err)
 	}
-	if d.cfg.InstallWrap != nil {
-		err = d.cfg.InstallWrap(install)
+	defer staged.Abort() // no-op once committed
+	if wrap := d.cfg.InstallWrap; wrap != nil {
+		err = wrap(staged.Commit)
 	} else {
-		err = install()
+		err = staged.Commit()
 	}
 	if err != nil {
 		return cs, fmt.Errorf("reorgd: install: %w", err)
 	}
 	cs.Action = "reorg"
-	cs.BlocksWritten = stats.BlocksWritten
-	cs.RowsMoved = stats.RowsMoved
+	cs.BlocksWritten = staged.Stats.BlocksWritten
+	cs.RowsMoved = staged.Stats.RowsMoved
 	d.pending = &pendingEval{arm: arm, tables: sel, preAvg: preAvg, installSeq: d.log.Seq()}
 	d.lastActSeq = d.log.Seq()
 	return cs, nil

@@ -3,6 +3,7 @@ package reorgd
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -318,8 +319,18 @@ func TestDaemonInstallWrap(t *testing.T) {
 		t.Errorf("%d of %d installs wrote blocks inside the wrapper", installsInside, reorgs)
 	}
 
-	// A wrapper error must fail the cycle that tries to install.
-	mto2, design2, store2, ds2, shift2 := daemonScenario(t, 4)
+	// A wrapper error must fail the cycle that tries to install, and the
+	// segment the cycle had staged must go: a file store shows it.
+	mto2, design2, _, ds2, shift2 := daemonScenario(t, 4)
+	store2, err := colstore.NewStore(t.TempDir(), 1<<20, block.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if _, err := design2.Install(store2, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	installed := store2.Stats()
 	d2 := New(mto2, design2, store2, Config{Budget: 30, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100,
 		InstallWrap: func(func() error) error { return errWrap }})
 	eng2 := engine.New(store2, design2, ds2, engine.DefaultOptions())
@@ -341,6 +352,16 @@ func TestDaemonInstallWrap(t *testing.T) {
 	}
 	if !errors.Is(stepErr, errWrap) {
 		t.Errorf("wrapper error not propagated: %v", stepErr)
+	}
+	if w := store2.Stats(); w.BlocksWritten != installed.BlocksWritten || w.RowsWritten != installed.RowsWritten {
+		t.Errorf("failed cycle charged writes: %+v, installed %+v", w, installed)
+	}
+	entries, err := os.ReadDir(store2.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "fact-00000001.seg" {
+		t.Errorf("store directory after the failed cycle: %v, want the installed segment alone", entries)
 	}
 }
 

@@ -259,6 +259,9 @@ func TestCacheInvalidationAcrossSwap(t *testing.T) {
 	if got := s.Generation("alpha"); got != pre.Gen+1 {
 		t.Fatalf("generation = %d after swap, want %d", got, pre.Gen+1)
 	}
+	if ts := s.Stats().Tenants[0]; ts.SwapLockLastUS <= 0 || ts.SwapLockMaxUS < ts.SwapLockLastUS {
+		t.Errorf("install lock hold not recorded after a swap: last %g µs, max %g µs", ts.SwapLockLastUS, ts.SwapLockMaxUS)
+	}
 
 	post, err := s.Submit(ctx, "alpha", probe)
 	if err != nil {
@@ -296,6 +299,109 @@ func TestCacheInvalidationAcrossSwap(t *testing.T) {
 	}
 	if !postHit.Cached || !reflect.DeepEqual(postHit.Result, direct) {
 		t.Error("post-swap repeat not served identically from cache")
+	}
+}
+
+// gatedBackend holds every partial-reorganization prepare at a gate: it
+// announces the prepare on entered, then waits for release.
+type gatedBackend struct {
+	block.Backend
+	entered, release chan struct{}
+}
+
+func (b gatedBackend) PrepareReplace(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (block.Prepared, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Backend.PrepareReplace(table, oldIDs, newGroups, blockSize)
+}
+
+// TestQueriesServedWhileStaging: the tenant's write lock covers the commit
+// of a reorganization, not its staging. With the daemon's cycle held inside
+// the store's prepare, a query that misses the cache still executes and the
+// generation has not moved; once the prepare is released the cycle commits,
+// the generation is g+1 and the cached results of g are gone.
+func TestQueriesServedWhileStaging(t *testing.T) {
+	cfg, shift := serveScenario(t, "alpha", 4, true)
+	gate := gatedBackend{Backend: cfg.Store, entered: make(chan struct{}), release: make(chan struct{})}
+	cfg.Store = gate
+	s := startServer(t, Config{Tenants: []TenantConfig{cfg}, Workers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// Feed the daemon the shifted pool and step it until a cycle reaches
+	// the store's prepare.
+	type stepResult struct {
+		cs  reorgd.CycleStats
+		err error
+	}
+	stepDone := make(chan stepResult, 1)
+	staging := false
+	for cycle := 0; cycle < 8 && !staging; cycle++ {
+		for i := 0; i < 32; i++ {
+			if _, err := s.Submit(ctx, "alpha", shift[i%len(shift)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		go func() {
+			cs, err := s.StepTenant("alpha")
+			stepDone <- stepResult{cs, err}
+		}()
+		select {
+		case <-gate.entered:
+			staging = true
+		case r := <-stepDone:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+		}
+	}
+	if !staging {
+		t.Fatal("daemon never staged a reorganization")
+	}
+
+	gen := s.Generation("alpha")
+	hit, err := s.Submit(ctx, "alpha", shift[2])
+	if err != nil || !hit.Cached || hit.Gen != gen {
+		t.Fatalf("cached probe while staging: %+v, %v", hit, err)
+	}
+	fresh := s.Template("alpha", "d3") // never submitted: executes through the engine
+	miss, err := s.Submit(ctx, "alpha", fresh)
+	if err != nil {
+		t.Fatalf("query submitted while a reorganization is staged: %v", err)
+	}
+	if miss.Cached || miss.Gen != gen {
+		t.Errorf("query while staging: cached=%v gen=%d, want an execution at gen %d", miss.Cached, miss.Gen, gen)
+	}
+	if got := s.Generation("alpha"); got != gen {
+		t.Fatalf("generation moved to %d while the reorganization was only staged", got)
+	}
+
+	close(gate.release)
+	r := <-stepDone
+	if r.err != nil || r.cs.Action != "reorg" {
+		t.Fatalf("released cycle: %+v, %v", r.cs, r.err)
+	}
+	if got := s.Generation("alpha"); got != gen+1 {
+		t.Fatalf("generation = %d after the commit, want %d", got, gen+1)
+	}
+	for _, q := range []*workload.Query{shift[2], fresh} {
+		post, err := s.Submit(ctx, "alpha", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if post.Cached || post.Gen != gen+1 {
+			t.Errorf("%s after the commit: cached=%v gen=%d, want a fresh execution at gen %d", q.ID, post.Cached, post.Gen, gen+1)
+		}
+		direct, _, err := s.ExecuteDirect("alpha", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(post.Result, direct) {
+			t.Errorf("%s after the commit differs from direct execution", q.ID)
+		}
+		if q == fresh && !reflect.DeepEqual(post.Result.Aggregates, miss.Result.Aggregates) {
+			t.Errorf("%s: aggregates changed across the swap:\n%+v\n%+v", q.ID, miss.Result.Aggregates, post.Result.Aggregates)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mto/internal/block"
 	"mto/internal/core"
@@ -58,6 +59,8 @@ type tenant struct {
 
 	mu  sync.RWMutex
 	eng *engine.Engine
+	// How long installs held mu's write side: the last one, and the longest.
+	swapLockLast, swapLockMax time.Duration
 
 	gen       atomic.Uint64
 	swaps     atomic.Int64
@@ -115,17 +118,23 @@ func newTenant(cfg TenantConfig, onSwap func(tenant string, gen uint64)) (*tenan
 }
 
 // installSwap is the generation-swap critical section, invoked by the
-// daemon (via InstallWrap) with the physical install as a closure. Under
-// the tenant write lock — no query in flight — it installs the new layout,
-// bumps the generation, rebuilds the engine (whose routing and
+// daemon (via InstallWrap) with the commit of an already staged
+// reorganization: routing, encoding and validation ran beside the queries.
+// Under the tenant write lock — no query in flight — it swaps the new
+// layout in, bumps the generation, rebuilds the engine (whose routing and
 // row-placement caches describe the old layout), and invalidates the old
 // generation's cache entries. Queries admitted after the lock releases see
 // the new generation, a fresh engine, and an empty cache slice — never a
 // half-installed layout or a stale cached result.
-func (t *tenant) installSwap(install func() error, onSwap func(string, uint64)) error {
+func (t *tenant) installSwap(commit func() error, onSwap func(string, uint64)) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := install(); err != nil {
+	start := time.Now()
+	defer func() {
+		t.swapLockLast = time.Since(start)
+		t.swapLockMax = max(t.swapLockMax, t.swapLockLast)
+		t.mu.Unlock()
+	}()
+	if err := commit(); err != nil {
 		return err
 	}
 	gen := t.gen.Add(1)
@@ -149,31 +158,37 @@ func (t *tenant) normalizeOf(q *workload.Query) string {
 
 // TenantStats is one tenant's /stats entry.
 type TenantStats struct {
-	Name       string       `json:"name"`
-	Generation uint64       `json:"generation"`
-	Swaps      int64        `json:"generation_swaps"`
-	Submitted  int64        `json:"submitted"`
-	CacheHits  int64        `json:"cache_hits"`
-	Engine     engine.Stats `json:"engine"`
-	Store      block.Stats  `json:"store"`
-	Templates  int          `json:"templates"`
-	DaemonErr  string       `json:"daemon_error,omitempty"`
-	Reorgs     int          `json:"reorgs"`
+	Name       string `json:"name"`
+	Generation uint64 `json:"generation"`
+	Swaps      int64  `json:"generation_swaps"`
+	// How long the last install, and the longest, held the tenant's write
+	// lock: the stall a swap imposes on queries.
+	SwapLockLastUS float64      `json:"swap_lock_us_last"`
+	SwapLockMaxUS  float64      `json:"swap_lock_us_max"`
+	Submitted      int64        `json:"submitted"`
+	CacheHits      int64        `json:"cache_hits"`
+	Engine         engine.Stats `json:"engine"`
+	Store          block.Stats  `json:"store"`
+	Templates      int          `json:"templates"`
+	DaemonErr      string       `json:"daemon_error,omitempty"`
+	Reorgs         int          `json:"reorgs"`
 }
 
 func (t *tenant) stats() TenantStats {
 	t.mu.RLock()
-	eng := t.eng
+	eng, lockLast, lockMax := t.eng, t.swapLockLast, t.swapLockMax
 	t.mu.RUnlock()
 	ts := TenantStats{
-		Name:       t.name,
-		Generation: t.gen.Load(),
-		Swaps:      t.swaps.Load(),
-		Submitted:  t.submitted.Load(),
-		CacheHits:  t.hits.Load(),
-		Engine:     eng.StatsSnapshot(),
-		Store:      t.store.Stats(),
-		Templates:  len(t.queries),
+		Name:           t.name,
+		Generation:     t.gen.Load(),
+		Swaps:          t.swaps.Load(),
+		SwapLockLastUS: float64(lockLast) / float64(time.Microsecond),
+		SwapLockMaxUS:  float64(lockMax) / float64(time.Microsecond),
+		Submitted:      t.submitted.Load(),
+		CacheHits:      t.hits.Load(),
+		Engine:         eng.StatsSnapshot(),
+		Store:          t.store.Stats(),
+		Templates:      len(t.queries),
 	}
 	if t.daemon != nil {
 		for _, cs := range t.daemon.Trace() {

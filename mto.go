@@ -27,9 +27,7 @@ package mto
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync"
-	"sync/atomic"
 
 	"mto/internal/block"
 	"mto/internal/colstore"
@@ -190,29 +188,16 @@ type Config struct {
 	CacheMB int
 }
 
-// openStore constructs the configured segment store. Shadow stores (for
-// ReorganizeAsync) get their own segment subdirectory so the shadow
-// reorganization never disturbs the live segments until the swap.
-func openStore(cfg Config, cost block.CostModel, shadow bool) (*colstore.Store, error) {
+// openStore constructs the configured segment store.
+func openStore(cfg Config, cost block.CostModel) (*colstore.Store, error) {
 	switch cfg.Store {
 	case "", "mem":
 		return colstore.NewMemStore(cost), nil
 	case "disk":
-		dir := cfg.DataDir
-		if dir == "" {
+		if cfg.DataDir == "" {
 			return nil, fmt.Errorf(`mto: Store "disk" requires DataDir`)
 		}
-		if shadow {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, fmt.Errorf("mto: create data dir: %w", err)
-			}
-			var err error
-			dir, err = os.MkdirTemp(dir, "reorg-shadow-")
-			if err != nil {
-				return nil, fmt.Errorf("mto: create shadow dir: %w", err)
-			}
-		}
-		return colstore.NewStore(dir, int64(cfg.CacheMB)<<20, cost)
+		return colstore.NewStore(cfg.DataDir, int64(cfg.CacheMB)<<20, cost)
 	default:
 		return nil, fmt.Errorf("mto: unknown Store %q (want \"mem\" or \"disk\")", cfg.Store)
 	}
@@ -221,10 +206,10 @@ func openStore(cfg Config, cost block.CostModel, shadow bool) (*colstore.Store, 
 // System is a learned multi-table layout installed into a simulated block
 // store, ready to execute queries with block skipping.
 //
-// A System is safe for concurrent Execute calls. Mutating operations
-// (Reorganize, Insert) serialize with queries; ReorganizeAsync runs the
-// §5.1.1 shadow workflow — reorganizing a copy while queries keep hitting
-// the current layout, then swapping atomically.
+// A System is safe for concurrent Execute calls. A reorganization plans and
+// stages its new layout while queries keep hitting the current one and
+// takes the write lock only to swap it in (§5.1.1); Insert serializes with
+// queries. One mutation runs at a time.
 type System struct {
 	mu     sync.RWMutex
 	opt    *core.Optimizer
@@ -233,11 +218,9 @@ type System struct {
 	ds     *relation.Dataset
 	eng    *engine.Engine
 
-	// newShadow builds a fresh store of the configured kind for the
-	// §5.1.1 shadow-reorganization workflow.
-	newShadow func() (*colstore.Store, error)
-
-	reorgActive atomic.Bool
+	// reorgActive is set, under mu, from a reorganization's start to its
+	// commit: it stages against opt and design off the lock.
+	reorgActive bool
 }
 
 // Open learns the layout for ds under w and installs it.
@@ -268,7 +251,7 @@ func install(opt *core.Optimizer, ds *Dataset, cfg Config) (*System, error) {
 	if cfg.CostModel != nil {
 		cost = *cfg.CostModel
 	}
-	store, err := openStore(cfg, cost, false)
+	store, err := openStore(cfg, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -276,8 +259,7 @@ func install(opt *core.Optimizer, ds *Dataset, cfg Config) (*System, error) {
 		store.Close()
 		return nil, err
 	}
-	s := &System{opt: opt, design: design, store: store, ds: ds,
-		newShadow: func() (*colstore.Store, error) { return openStore(cfg, cost, true) }}
+	s := &System{opt: opt, design: design, store: store, ds: ds}
 	s.resetEngine()
 	return s, nil
 }
@@ -313,8 +295,8 @@ func (s *System) Execute(q *Query) (*Result, error) {
 // (parallelism 0 selects GOMAXPROCS, 1 runs sequentially). Per-query
 // results land in input order and every aggregate — including simulated
 // Seconds — is identical to a sequential replay; only wall-clock time
-// changes. Queries see one consistent layout: mutating operations
-// (Reorganize, Insert, a ReorganizeAsync swap) wait for the replay.
+// changes. Queries see one consistent layout: Insert and a
+// reorganization's swap wait for the replay.
 func (s *System) ExecuteWorkload(queries []*Query, parallelism int) (*WorkloadResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -377,45 +359,14 @@ type ReorgReport struct {
 }
 
 // Reorganize adapts the layout to an observed (shifted) workload: it plans
-// the max-reward set of qd-tree subtrees to rebuild (§5.1), applies the
-// plan, and reinstalls the affected blocks. A non-positive reward plan
-// leaves the layout untouched. Queries are blocked while it runs; use
-// ReorganizeAsync to keep serving them (§5.1.1).
+// the max-reward set of qd-tree subtrees to rebuild (§5.1), stages the new
+// layout beside the running queries, and swaps it in. A non-positive reward
+// plan leaves the layout untouched.
 func (s *System) Reorganize(observed *Workload, opts ReorgOptions) (ReorgReport, error) {
-	if s.reorgActive.Load() {
-		return ReorgReport{}, fmt.Errorf("mto: a background reorganization is in progress")
+	if err := s.beginReorg(); err != nil {
+		return ReorgReport{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reorganizeLocked(s.opt, s.design, s.store, observed, opts, true)
-}
-
-// reorganizeLocked runs plan+apply against the given state. When inPlace is
-// true the system's engine is rebuilt afterwards.
-func (s *System) reorganizeLocked(opt *core.Optimizer, design *layout.Design, store block.Backend,
-	observed *Workload, opts ReorgOptions, inPlace bool) (ReorgReport, error) {
-	var report ReorgReport
-	plans, err := opt.PlanReorg(observed, core.ReorgConfig{
-		Q: opts.ExpectedQueries,
-		W: opts.WriteReadRatio,
-	}, design)
-	if err != nil {
-		return report, err
-	}
-	for _, p := range plans {
-		report.PlanSeconds += p.PlanSeconds
-	}
-	stats, err := opt.ApplyReorg(plans, design, store)
-	if err != nil {
-		return report, err
-	}
-	report.FracDataReorganized = stats.FracDataReorganized
-	report.BlocksRewritten = stats.BlocksRewritten
-	report.SimWriteSeconds = stats.SimSeconds
-	if inPlace {
-		s.resetEngine()
-	}
-	return report, nil
+	return s.reorganize(observed, opts)
 }
 
 // AsyncReorg is delivered when a background reorganization finishes.
@@ -424,50 +375,63 @@ type AsyncReorg struct {
 	Err    error
 }
 
-// ReorganizeAsync performs the reorganization on a shadow copy of the
-// layout while queries continue against the current one, then swaps the
-// new layout in atomically (§5.1.1: "a separate process performs partial
-// reorganization using a partial copy of the data; after reorganization
-// completes, the new layout is swapped in"). At most one background
-// reorganization may run at a time, and Insert/Reorganize are rejected
-// while one is active (their effects would be lost at the swap).
+// ReorganizeAsync is Reorganize in a goroutine (§5.1.1: "a separate process
+// performs partial reorganization using a partial copy of the data; after
+// reorganization completes, the new layout is swapped in"). One
+// reorganization runs at a time, and Insert is rejected meanwhile (the
+// staged layout would not hold its rows).
 func (s *System) ReorganizeAsync(observed *Workload, opts ReorgOptions) (<-chan AsyncReorg, error) {
-	if !s.reorgActive.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("mto: a background reorganization is already in progress")
+	if err := s.beginReorg(); err != nil {
+		return nil, err
 	}
 	done := make(chan AsyncReorg, 1)
-	// Snapshot under the read lock; the shadow state shares only
-	// immutable pieces with the live one.
-	s.mu.RLock()
-	shadowOpt := s.opt.Clone()
-	shadowDesign := s.design.Clone()
-	s.mu.RUnlock()
 	go func() {
-		defer s.reorgActive.Store(false)
-		shadowStore, err := s.newShadow()
-		if err != nil {
-			done <- AsyncReorg{Err: err}
-			return
-		}
-		report, err := s.reorganizeLocked(shadowOpt, shadowDesign, shadowStore, observed, opts, false)
-		if err != nil {
-			shadowStore.Close()
-			done <- AsyncReorg{Report: report, Err: err}
-			return
-		}
-		// Swap the finished layout in. The swap excludes in-flight queries
-		// (they hold the read lock), so the retired backend can be closed.
-		s.mu.Lock()
-		old := s.store
-		s.opt = shadowOpt
-		s.design = shadowDesign
-		s.store = shadowStore
-		s.resetEngine()
-		s.mu.Unlock()
-		old.Close()
-		done <- AsyncReorg{Report: report}
+		report, err := s.reorganize(observed, opts)
+		done <- AsyncReorg{Report: report, Err: err}
 	}()
 	return done, nil
+}
+
+func (s *System) beginReorg() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.reorgActive {
+		return fmt.Errorf("mto: a reorganization is in progress")
+	}
+	s.reorgActive = true
+	return nil
+}
+
+// reorganize plans and stages against the live optimizer, design and store
+// — reads only, so queries run beside it — and holds the write lock for the
+// commit alone: the store's pointer swaps, the subtree replacements and the
+// engine rebuild. The caller has set reorgActive.
+func (s *System) reorganize(observed *Workload, opts ReorgOptions) (ReorgReport, error) {
+	var report ReorgReport
+	var staged *core.StagedReorg
+	plans, err := s.opt.PlanReorg(observed, core.ReorgConfig{
+		Q: opts.ExpectedQueries,
+		W: opts.WriteReadRatio,
+	}, s.design)
+	if err == nil {
+		for _, p := range plans {
+			report.PlanSeconds += p.PlanSeconds
+		}
+		staged, err = s.opt.StageReorg(plans, s.design, s.store, false)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reorgActive = false
+	if err != nil {
+		return report, err
+	}
+	defer staged.Abort()
+	err = staged.Commit()
+	s.resetEngine() // tables committed before a refusal changed too
+	report.FracDataReorganized = staged.Stats.FracDataReorganized
+	report.BlocksRewritten = staged.Stats.BlocksRewritten
+	report.SimWriteSeconds = staged.Stats.SimSeconds
+	return report, err
 }
 
 // InsertReport summarizes an absorbed insert (§5.2).
@@ -478,11 +442,11 @@ type InsertReport = core.ChangeStats
 // and the new records are routed to blocks. rows are the indexes of the
 // already-appended records.
 func (s *System) Insert(table string, rows []int) (InsertReport, error) {
-	if s.reorgActive.Load() {
-		return InsertReport{}, fmt.Errorf("mto: a background reorganization is in progress")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.reorgActive {
+		return InsertReport{}, fmt.Errorf("mto: a reorganization is in progress")
+	}
 	st, err := s.opt.ApplyInsert(table, rows, s.design, s.store)
 	if err != nil {
 		return st, err

@@ -1,6 +1,8 @@
 package mto
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -256,54 +258,121 @@ func TestParseSQLFacade(t *testing.T) {
 }
 
 func TestReorganizeAsync(t *testing.T) {
-	ds, w := buildDemo(t)
-	sys, err := Open(ds, w, Config{BlockSize: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shifted := NewWorkload()
-	for i := 0; i < 4; i++ {
-		q := NewQuery("amt"+string(rune('0'+i)), TableRef{Table: "fact"})
-		q.Filter("fact", Between("amount", Float(float64(i*250)), Float(float64(i*250+249))))
-		shifted.Add(q)
-	}
-	before, err := sys.Execute(shifted.Queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Queries keep being served against the old layout while the shadow
-	// reorganization runs; mutations are rejected.
-	if _, err := sys.Execute(w.Queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 10}); err == nil {
-		// The first reorg may already have finished; only fail when it is
-		// provably still active.
-		if sys.reorgActive.Load() {
-			t.Error("second concurrent background reorg accepted")
-		}
-	}
-	res := <-done
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Report.FracDataReorganized <= 0 {
-		t.Fatalf("report = %+v", res.Report)
-	}
-	after, err := sys.Execute(shifted.Queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.BlocksRead > before.BlocksRead {
-		t.Errorf("swap did not improve shifted query: %d → %d", before.BlocksRead, after.BlocksRead)
-	}
-	// Mutations work again after the swap.
-	if _, err := sys.Reorganize(shifted, ReorgOptions{ExpectedQueries: 10}); err != nil {
-		t.Fatal(err)
+	for _, store := range []string{"mem", "disk"} {
+		t.Run(store, func(t *testing.T) {
+			ds, w := buildDemo(t)
+			cfg := Config{BlockSize: 1000, Store: store}
+			if store == "disk" {
+				cfg.DataDir = t.TempDir()
+			}
+			sys, err := Open(ds, w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			// The shift touches only fact: dim is not in the plan.
+			shifted := NewWorkload()
+			for i := 0; i < 4; i++ {
+				q := NewQuery("amt"+string(rune('0'+i)), TableRef{Table: "fact"})
+				q.Filter("fact", Between("amount", Float(float64(i*250)), Float(float64(i*250+249))))
+				shifted.Add(q)
+			}
+			before, err := sys.Execute(shifted.Queries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			trained := make([]*Result, w.Len())
+			for i, q := range w.Queries {
+				if trained[i], err = sys.Execute(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// While a reorganization is active every other mutation is
+			// rejected. (Set by hand: how long a real one stays active is
+			// up to the scheduler.)
+			setActive := func(v bool) {
+				sys.mu.Lock()
+				sys.reorgActive = v
+				sys.mu.Unlock()
+			}
+			setActive(true)
+			if _, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 10}); err == nil {
+				t.Error("second concurrent reorganization accepted")
+			}
+			if _, err := sys.Reorganize(shifted, ReorgOptions{ExpectedQueries: 10}); err == nil {
+				t.Error("blocking reorganization accepted beside an active one")
+			}
+			if _, err := sys.Insert("fact", nil); err == nil {
+				t.Error("insert accepted during a reorganization")
+			}
+			setActive(false)
+
+			done, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 1e6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Queries are served while the new layout is planned and staged.
+			if _, err := sys.Execute(w.Queries[0]); err != nil {
+				t.Fatal(err)
+			}
+			res := <-done
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if res.Report.FracDataReorganized <= 0 {
+				t.Fatalf("report = %+v", res.Report)
+			}
+			after, err := sys.Execute(shifted.Queries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.BlocksRead > before.BlocksRead {
+				t.Errorf("swap did not improve shifted query: %d → %d", before.BlocksRead, after.BlocksRead)
+			}
+
+			// Tables the plan skipped are still there and still answer.
+			for i, q := range w.Queries {
+				got, err := sys.Execute(q)
+				if err != nil {
+					t.Fatalf("training query %s after the swap: %v", q.ID, err)
+				}
+				if !reflect.DeepEqual(got.SurvivingRows, trained[i].SurvivingRows) {
+					t.Errorf("training query %s: surviving rows %v, before the swap %v", q.ID, got.SurvivingRows, trained[i].SurvivingRows)
+				}
+			}
+			perTable := 0
+			for _, name := range ds.TableNames() {
+				n := sys.store.NumBlocks(name)
+				if n <= 0 {
+					t.Errorf("table %s has %d blocks after the swap", name, n)
+				}
+				perTable += n
+			}
+			if got := sys.TotalBlocks(); got != perTable {
+				t.Errorf("TotalBlocks = %d, tables sum to %d", got, perTable)
+			}
+			if store == "disk" {
+				entries, err := os.ReadDir(cfg.DataDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, e := range entries {
+					if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
+						t.Errorf("data dir holds %q: want segment files only", e.Name())
+					}
+					names = append(names, e.Name())
+				}
+				if len(names) != len(ds.TableNames()) {
+					t.Errorf("data dir holds %v: want one segment per table", names)
+				}
+			}
+
+			// Mutations work again after the swap.
+			if _, err := sys.Reorganize(shifted, ReorgOptions{ExpectedQueries: 10}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
