@@ -32,13 +32,6 @@ func (d Dense) Count() int {
 	return n
 }
 
-// And intersects d with o in place. o must span the same index range.
-func (d Dense) And(o Dense) {
-	for w := range d {
-		d[w] &= o[w]
-	}
-}
-
 // Clone returns a copy of d.
 func (d Dense) Clone() Dense {
 	out := make(Dense, len(d))

@@ -30,30 +30,6 @@ func TestDenseSetGetClear(t *testing.T) {
 	}
 }
 
-func TestDenseAnd(t *testing.T) {
-	a, b := NewDense(200), NewDense(200)
-	for i := 0; i < 200; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 200; i += 3 {
-		b.Set(i)
-	}
-	a.And(b)
-	want := 0
-	for i := 0; i < 200; i++ {
-		in := i%6 == 0
-		if in {
-			want++
-		}
-		if a.Get(i) != in {
-			t.Fatalf("bit %d = %v after And, want %v", i, a.Get(i), in)
-		}
-	}
-	if a.Count() != want {
-		t.Errorf("count = %d, want %d", a.Count(), want)
-	}
-}
-
 func TestDenseCloneAndForEach(t *testing.T) {
 	d := NewDense(100)
 	set := []int{3, 64, 99}

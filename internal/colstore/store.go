@@ -49,6 +49,7 @@ type Store struct {
 	mu     sync.RWMutex
 	tables map[string]*tableState
 	gen    atomic.Uint64 // last generation number handed to a prepare
+	closed atomic.Bool   // set by Close under mu: prepares and commits are refused
 
 	blocksRead      atomic.Int64
 	blocksWritten   atomic.Int64
@@ -98,7 +99,8 @@ func NewMemStore(cost block.CostModel) *Store {
 // a decoded-block cache of cacheBytes. Existing segment files in dir are
 // reopened — the newest generation per table wins — but their base tables
 // are unknown until SetLayout, so a freshly reopened store serves reads
-// and metadata only.
+// and metadata only. Staged files a crash left between prepare and commit
+// are removed.
 func NewStore(dir string, cacheBytes int64, cost block.CostModel) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("colstore: create data dir: %w", err)
@@ -109,6 +111,10 @@ func NewStore(dir string, cacheBytes int64, cost block.CostModel) (*Store, error
 		return nil, fmt.Errorf("colstore: read data dir: %w", err)
 	}
 	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), stagedSuffix) {
+			_ = os.Remove(filepath.Join(dir, e.Name())) // if it stays, it is still never adopted
+			continue
+		}
 		table, gen, ok := parseSegmentName(e.Name())
 		if !ok {
 			continue
@@ -132,6 +138,8 @@ func NewStore(dir string, cacheBytes int64, cost block.CostModel) (*Store, error
 	}
 	return s, nil
 }
+
+var errClosed = errors.New("colstore: store is closed")
 
 // stagedSuffix marks the file of a prepared generation; parseSegmentName
 // rejects it, so a reopened store adopts committed layouts only.
@@ -165,11 +173,13 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Cost() block.CostModel { return s.cost }
 
 // Close stops the readahead workers, then releases the current segments —
-// in that order, so a prefetch load can never read from a closed file.
+// in that order, so a prefetch load can never read from a closed file. A
+// closed store refuses every later prepare and commit.
 func (s *Store) Close() error {
 	s.pf.shutdown()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed.Store(true)
 	var errs []error
 	for _, st := range s.tables {
 		errs = append(errs, st.seg.Close())
@@ -238,6 +248,9 @@ type prepared struct {
 // prepare encodes and validates tl as the generation to succeed prev. It
 // holds no lock.
 func (s *Store) prepare(table string, prev *tableState, tl *block.TableLayout, blocks, rows int64) (block.Prepared, error) {
+	if s.closed.Load() {
+		return nil, errClosed
+	}
 	gen := s.gen.Add(1)
 	seg, err := s.writeSegment(segmentName(table, gen), tl)
 	if err != nil {
@@ -261,6 +274,9 @@ func (p *prepared) Commit() (float64, error) {
 	s := p.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return 0, errClosed
+	}
 	if p.next == nil || s.tables[p.table] != p.prev {
 		return 0, fmt.Errorf("colstore: layout of %q changed since this one was prepared (or it was already committed or aborted)", p.table)
 	}

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -376,7 +377,8 @@ func TestStorePrepareCommitAbort(t *testing.T) {
 				if got := files(); len(got) != 3 {
 					t.Fatalf("files with two generations staged: %v", got)
 				}
-				re, err := NewStore(dir, 0, block.DefaultCostModel())
+				// Reopened on a copy: reopening sweeps staged files.
+				re, err := NewStore(copyDir(t, dir), 0, block.DefaultCostModel())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -414,4 +416,132 @@ func TestStorePrepareCommitAbort(t *testing.T) {
 			blocktest.ReadLayout(t, s, "mix")
 		})
 	}
+}
+
+// copyDir copies the regular files of dir into a fresh temporary directory.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for _, name := range dirNames(t, dir) {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestStoreClosedRefusesCommit: once Close returns, neither a layout
+// prepared before it nor one prepared after it can be committed, and the
+// data directory keeps exactly the segments it had.
+func TestStoreClosedRefusesCommit(t *testing.T) {
+	tab := mixedTable(t, 80)
+	tl := mixedLayout(t, tab)
+	dir := t.TempDir()
+	s, err := NewStore(dir, 1<<20, block.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SetLayout("mix", tl); err != nil {
+		t.Fatal(err)
+	}
+	installed := dirNames(t, dir)
+	before, err := s.PrepareLayout("mix", tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := before.Commit(); err == nil {
+		t.Error("commit of a layout prepared before Close accepted")
+	}
+	before.Abort()
+	if after, err := s.PrepareLayout("mix", tl); err == nil {
+		if _, err := after.Commit(); err == nil {
+			t.Error("commit of a layout prepared after Close accepted")
+		}
+		after.Abort()
+	}
+	if _, err := s.SetLayout("other", tl); err == nil {
+		t.Error("SetLayout on a closed store accepted")
+	}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, installed) {
+		t.Errorf("data dir after Close: %v, want %v", got, installed)
+	}
+}
+
+// TestStoreSweepsOrphanStaged: a staged file a crash left between prepare
+// and commit is removed when the directory is reopened; the newest
+// committed generation is adopted and installs work on top of it.
+func TestStoreSweepsOrphanStaged(t *testing.T) {
+	tab := mixedTable(t, 80)
+	tl := mixedLayout(t, tab)
+	dir := t.TempDir()
+	s, err := NewStore(dir, 1<<20, block.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.SetLayout("mix", tl); err != nil {
+		t.Fatal(err)
+	}
+	gen1 := dirNames(t, dir)[0]
+	old, err := os.ReadFile(filepath.Join(dir, gen1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0, b1 := tl.Block(0).Rows, tl.Block(1).Rows
+	regroup := append(append([]int32(nil), b1...), b0...)
+	if _, err := s.ReplaceBlocks("mix", map[int]bool{0: true, 1: true}, [][]int32{regroup}, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	blocks := s.NumBlocks("mix")
+	if blocks == tl.NumBlocks() {
+		t.Fatal("generations not distinguishable by block count")
+	}
+	// A crash between prepare and commit leaves the staged file behind;
+	// put the superseded generation back beside the newest one.
+	if _, err := s.PrepareLayout("mix", tl); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, gen1), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	planted := dirNames(t, dir)
+	if len(planted) != 3 || !strings.HasSuffix(planted[2], ".seg"+stagedSuffix) {
+		t.Fatalf("planted directory: %v", planted)
+	}
+
+	re, err := NewStore(dir, 1<<20, block.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, planted[:2]) {
+		t.Errorf("directory after reopen: %v, want the committed generations %v", got, planted[:2])
+	}
+	if got := re.NumBlocks("mix"); got != blocks {
+		t.Errorf("reopened store serves %d blocks, want the newest generation's %d", got, blocks)
+	}
+	if _, err := re.SetLayout("mix", tl); err != nil {
+		t.Fatal(err)
+	}
+	blocktest.ReadLayout(t, re, "mix")
 }

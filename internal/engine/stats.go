@@ -42,6 +42,19 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
+// Add returns s + o, for summing the counters of several engines.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Queries:     s.Queries + o.Queries,
+		Errors:      s.Errors + o.Errors,
+		BlocksRead:  s.BlocksRead + o.BlocksRead,
+		RowsScanned: s.RowsScanned + o.RowsScanned,
+		SimSeconds:  s.SimSeconds + o.SimSeconds,
+
+		ResidualFilterRows: s.ResidualFilterRows + o.ResidualFilterRows,
+	}
+}
+
 // engineCounters is the engine's live counter set. Every field is an
 // atomic, so concurrent Execute calls (the parallel workload pool, the
 // serving layer's workers) update them without sharing the engine's cache

@@ -7,6 +7,7 @@ import (
 
 	"mto/internal/core"
 	"mto/internal/engine"
+	"mto/internal/live"
 	"mto/internal/reorgd"
 	"mto/internal/workload"
 )
@@ -55,11 +56,11 @@ func (rc ReorgScenario) withDefaults() ReorgScenario {
 // ReorgResult is the experiment outcome, serialized to BENCH_reorg.json.
 // All fields are deterministic at a fixed seed (no wall-clock).
 type ReorgResult struct {
-	Bench           string  `json:"bench"`
-	Cycles          int     `json:"cycles"`
-	QueriesPerCycle int     `json:"queries_per_cycle"`
-	Budget          int     `json:"budget"`
-	DaemonEnabled   bool    `json:"daemon_enabled"`
+	Bench           string `json:"bench"`
+	Cycles          int    `json:"cycles"`
+	QueriesPerCycle int    `json:"queries_per_cycle"`
+	Budget          int    `json:"budget"`
+	DaemonEnabled   bool   `json:"daemon_enabled"`
 	// StaleBlocksPerQuery is the shifted workload's mean blocks read on the
 	// never-reorganized layout; FullBlocksPerQuery after a full (q=∞)
 	// re-optimization; DaemonBlocksPerQuery after the daemon's budgeted
@@ -154,7 +155,8 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 	stream := workload.Drift(
 		[][]*workload.Query{setup.bench.Workload.Queries, setup.observed.Queries, setup.observed.Queries},
 		rc.Cycles*rc.QueriesPerCycle, rc.Seed+3)
-	d := reorgd.New(setup.opt, setup.deployment.Design, setup.deployment.Store, reorgd.Config{
+	in := live.New(setup.opt, setup.deployment.Design, setup.deployment.Store, setup.bench.Dataset, engine.DefaultOptions(), nil)
+	d := reorgd.New(in, reorgd.Config{
 		Budget:          rc.Budget,
 		Interval:        rc.Interval,
 		Window:          rc.QueriesPerCycle,
@@ -166,11 +168,10 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 		W:               rc.W,
 		Parallelism:     s.Parallel,
 	})
-	eng := engine.New(setup.deployment.Store, setup.deployment.Design, setup.bench.Dataset, engine.DefaultOptions())
 	for c := 0; c < rc.Cycles; c++ {
 		for i := 0; i < rc.QueriesPerCycle; i++ {
 			q := stream[c*rc.QueriesPerCycle+i]
-			r, err := eng.Execute(q)
+			r, err := in.Execute(q)
 			if err != nil {
 				return nil, err
 			}
@@ -180,13 +181,8 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 			}
 			d.Observe(q, tb)
 		}
-		cs, err := d.Step()
-		if err != nil {
+		if _, err := d.Step(); err != nil {
 			return nil, err
-		}
-		if cs.Action == "reorg" {
-			// Engines cache the layout; a new generation means a new engine.
-			eng = engine.New(setup.deployment.Store, setup.deployment.Design, setup.bench.Dataset, engine.DefaultOptions())
 		}
 	}
 	res.Trace = d.Trace()

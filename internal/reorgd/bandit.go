@@ -5,7 +5,10 @@
 // layout strategies are chosen by a seeded multi-armed bandit whose reward
 // is the observed blocks-read improvement after each install, so the
 // daemon learns which re-optimization recipe pays off for the workload at
-// hand (observe → propose → migrate → evaluate → learn).
+// hand (observe → propose → migrate → evaluate → learn). The daemon drives
+// one live.Instance: it stages each install beside the instance's queries
+// and commits it through Instance.Reorganize, which bumps the generation
+// and rebuilds the engine under the instance's write lock.
 package reorgd
 
 import (

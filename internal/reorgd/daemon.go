@@ -7,9 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"mto/internal/block"
 	"mto/internal/core"
-	"mto/internal/layout"
+	"mto/internal/live"
 	"mto/internal/qdtree"
 	"mto/internal/workload"
 )
@@ -68,17 +67,6 @@ type Config struct {
 	// Parallelism bounds record routing concurrency (0 = optimizer
 	// default).
 	Parallelism int
-	// InstallWrap, when set, wraps the commit of a "reorg" cycle. Step has
-	// already staged the reorganization (records routed, new segments
-	// encoded in the store, nothing published), so install() only swaps the
-	// prepared generations in and points trees and design at them. A
-	// serving layer takes its tenant write lock around it — and, inside the
-	// same critical section, bumps its layout generation, rebuilds engines
-	// caching the old layout, and invalidates generation-keyed caches — so
-	// queries never observe a half-installed layout. The wrapper must call
-	// install at most once and must return install's error (or its own); a
-	// non-nil error fails the cycle and discards what was staged.
-	InstallWrap func(install func() error) error
 }
 
 func (c Config) withDefaults() Config {
@@ -152,13 +140,11 @@ type pendingEval struct {
 // a small inbox under their own mutex (so an executing query never blocks
 // behind a planning cycle) and are drained into the rolling log when the
 // next cycle starts. Step/Run serialize against each other and against
-// Trace through the daemon mutex; Log exposes internals and remains
-// single-goroutine (call it only while no Step can run).
+// Trace through the daemon mutex.
 type Daemon struct {
-	cfg    Config
-	mto    *core.Optimizer
-	design *layout.Design
-	store  block.Backend
+	cfg  Config
+	live *live.Instance
+	mto  *core.Optimizer
 
 	// obsMu guards inbox only. Observe's critical section is one append,
 	// so it stays cheap even while a Step holds mu through a multi-second
@@ -183,15 +169,17 @@ type observation struct {
 	tableBlocks map[string]int
 }
 
-// New returns a daemon driving the given optimizer/design/store triple.
-// design must already be installed in store.
-func New(mto *core.Optimizer, design *layout.Design, store block.Backend, cfg Config) *Daemon {
+// New returns a daemon reorganizing the instance's layout: it plans
+// through the instance's optimizer and commits through its Reorganize, so
+// every install is a generation swap of the instance. The instance must
+// have an optimizer, and the daemon must be its only mutator: plans read
+// its trees and design outside the instance's lock.
+func New(in *live.Instance, cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
 	return &Daemon{
 		cfg:     cfg,
-		mto:     mto,
-		design:  design,
-		store:   store,
+		live:    in,
+		mto:     in.Optimizer(),
 		log:     workload.NewRollingLog(cfg.Window),
 		bandit:  NewBandit([]string{ArmWindowInduced, ArmWindowTree, ArmWindow}, cfg.Epsilon, cfg.Seed),
 		longAvg: map[string]float64{},
@@ -219,16 +207,6 @@ func (d *Daemon) drainInbox() {
 	for _, o := range batch {
 		d.log.Append(o.q, o.tableBlocks)
 	}
-}
-
-// Log drains pending observations and exposes the rolling query log.
-// Read-only, and only while no Step/Run cycle can be executing — the log
-// itself is not synchronized.
-func (d *Daemon) Log() *workload.RollingLog {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.drainInbox()
-	return d.log
 }
 
 // Trace returns a copy of the per-cycle stats so far. Safe to call
@@ -354,9 +332,9 @@ func (d *Daemon) treeCuts(tables []string) map[string][]qdtree.Cut {
 
 // Step runs one daemon cycle: evaluate the previous install if one is
 // outstanding, score staleness, and — when warranted — plan, trim to
-// budget, stage a partial reorganization and commit it. The returned stats are
-// also appended to Trace. After a cycle whose Action is "reorg", engines
-// caching the old layout must be recreated.
+// budget, stage a partial reorganization and commit it through the
+// instance, which swaps in the new generation and engine. The returned stats
+// are also appended to Trace.
 func (d *Daemon) Step() (CycleStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -432,14 +410,15 @@ func (d *Daemon) Step() (CycleStats, error) {
 		// without it).
 	}
 
-	plans, err := d.mto.PlanReorg(win, rc, d.design)
+	design, store := d.live.Design(), d.live.Store()
+	plans, err := d.mto.PlanReorg(win, rc, design)
 	if err != nil {
 		return cs, fmt.Errorf("reorgd: plan: %w", err)
 	}
 	for _, p := range plans {
 		cs.PlannedChoices += p.Choices()
 	}
-	plans, err = d.mto.TrimPlansToBudget(plans, d.design, d.store, d.cfg.Budget)
+	plans, err = d.mto.TrimPlansToBudget(plans, design, store, d.cfg.Budget)
 	if err != nil {
 		return cs, fmt.Errorf("reorgd: trim: %w", err)
 	}
@@ -463,18 +442,18 @@ func (d *Daemon) Step() (CycleStats, error) {
 	}
 	preAvg, _ := d.avgBlocks(sel, 0)
 
-	staged, err := d.mto.StageReorg(plans, d.design, d.store, true)
+	var staged *core.StagedReorg
+	err = d.live.Reorganize(func() (*core.StagedReorg, error) {
+		s, err := d.mto.StageReorg(plans, design, store, true)
+		staged = s
+		return s, err
+	})
 	if err != nil {
-		return cs, fmt.Errorf("reorgd: stage: %w", err)
-	}
-	defer staged.Abort() // no-op once committed
-	if wrap := d.cfg.InstallWrap; wrap != nil {
-		err = wrap(staged.Commit)
-	} else {
-		err = staged.Commit()
-	}
-	if err != nil {
-		return cs, fmt.Errorf("reorgd: install: %w", err)
+		step := "install"
+		if staged == nil {
+			step = "stage"
+		}
+		return cs, fmt.Errorf("reorgd: %s: %w", step, err)
 	}
 	cs.Action = "reorg"
 	cs.BlocksWritten = staged.Stats.BlocksWritten

@@ -13,7 +13,7 @@ import (
 	"mto/internal/colstore"
 	"mto/internal/core"
 	"mto/internal/engine"
-	"mto/internal/layout"
+	"mto/internal/live"
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/value"
@@ -65,7 +65,9 @@ func TestBanditDeterministic(t *testing.T) {
 // daemonScenario builds a single-table dataset with a d-range-partitioned
 // layout and a shifted workload of v-range queries confined to d < 250 —
 // the same regime as the core partial-reorg tests, sized for fast cycles.
-func daemonScenario(t *testing.T, seed int64) (*core.Optimizer, *layout.Design, *colstore.Store, *relation.Dataset, []*workload.Query) {
+// The layout is installed in store (a fresh mem store when nil) and served
+// by the returned instance.
+func daemonScenario(t *testing.T, seed int64, store block.Backend) (*live.Instance, []*workload.Query) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := relation.NewDataset()
@@ -103,45 +105,51 @@ func daemonScenario(t *testing.T, seed int64) (*core.Optimizer, *layout.Design, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := colstore.NewMemStore(block.DefaultCostModel())
+	if store == nil {
+		store = colstore.NewMemStore(block.DefaultCostModel())
+	}
 	if _, err := design.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	return mto, design, store, ds, shift
+	return live.New(mto, design, store, ds, engine.DefaultOptions(), nil), shift
 }
 
-// runDaemon drives cycles of 20 shifted queries each, recreating the
-// engine after every install, and returns the trace plus per-cycle mean
-// blocks read.
+// feed executes 20 shifted queries (from offset c*20) through the instance
+// and observes them, returning the mean blocks read.
+func feed(t *testing.T, in *live.Instance, d *Daemon, shift []*workload.Query, c int) float64 {
+	t.Helper()
+	blocks := 0
+	for i := 0; i < 20; i++ {
+		q := shift[(c*20+i)%len(shift)]
+		res, err := in.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := map[string]int{}
+		for name, ta := range res.PerTable {
+			tb[name] = ta.BlocksRead
+		}
+		d.Observe(q, tb)
+		blocks += res.BlocksRead
+	}
+	return float64(blocks) / 20
+}
+
+// runDaemon drives cycles of 20 shifted queries each and returns the trace
+// plus per-cycle mean blocks read.
 func runDaemon(t *testing.T, seed int64, cfg Config, cycles int) ([]CycleStats, []float64) {
 	t.Helper()
-	mto, design, store, ds, shift := daemonScenario(t, seed)
-	d := New(mto, design, store, cfg)
-	eng := engine.New(store, design, ds, engine.DefaultOptions())
+	in, shift := daemonScenario(t, seed, nil)
+	d := New(in, cfg)
 	var perCycle []float64
 	for c := 0; c < cycles; c++ {
-		blocks := 0
-		for i := 0; i < 20; i++ {
-			q := shift[(c*20+i)%len(shift)]
-			res, err := eng.Execute(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb := map[string]int{}
-			for name, ta := range res.PerTable {
-				tb[name] = ta.BlocksRead
-			}
-			d.Observe(q, tb)
-			blocks += res.BlocksRead
-		}
-		perCycle = append(perCycle, float64(blocks)/20)
+		perCycle = append(perCycle, feed(t, in, d, shift, c))
 		cs, err := d.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cs.Action == "reorg" {
-			blocktest.ReadLayout(t, store, "fact")
-			eng = engine.New(store, design, ds, engine.DefaultOptions())
+			blocktest.ReadLayout(t, in.Store(), "fact")
 		}
 	}
 	return d.Trace(), perCycle
@@ -206,8 +214,9 @@ func TestDaemonDeterministic(t *testing.T) {
 // TestDaemonIdleBelowThreshold: with too few observations the daemon must
 // not act at all.
 func TestDaemonIdle(t *testing.T) {
-	mto, design, store, _, shift := daemonScenario(t, 4)
-	d := New(mto, design, store, Config{MinCycleQueries: 50})
+	in, shift := daemonScenario(t, 4, nil)
+	store := in.Store()
+	d := New(in, Config{MinCycleQueries: 50})
 	for i := 0; i < 10; i++ {
 		d.Observe(shift[0], map[string]int{"fact": 5})
 	}
@@ -228,8 +237,8 @@ func TestDaemonIdle(t *testing.T) {
 // Step and Trace (the serving layer's access pattern; -race is the real
 // assertion) and checks no observation is lost.
 func TestDaemonConcurrentObserve(t *testing.T) {
-	mto, design, store, _, shift := daemonScenario(t, 4)
-	d := New(mto, design, store, Config{Budget: 15, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100})
+	in, shift := daemonScenario(t, 4, nil)
+	d := New(in, Config{Budget: 15, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100})
 
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
@@ -260,103 +269,62 @@ func TestDaemonConcurrentObserve(t *testing.T) {
 	if _, err := d.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Log().Seq(); got != workers*perWorker {
+	if got := d.log.Seq(); got != workers*perWorker { // the last Step drained the inbox
 		t.Fatalf("log saw %d observations, want %d", got, workers*perWorker)
 	}
 }
 
-// TestDaemonInstallWrap: a configured InstallWrap must gate every physical
-// install — called exactly once per "reorg" cycle, with the install
-// happening inside the wrapper's critical section.
+// TestDaemonInstallWrap: every install is one generation swap of the
+// daemon's instance — the generation moves once per "reorg" cycle and never
+// otherwise — and a commit the backend refuses fails the cycle, aborts the
+// staged segment and leaves the generation and the write counters as they
+// were.
 func TestDaemonInstallWrap(t *testing.T) {
-	mto, design, store, ds, shift := daemonScenario(t, 4)
-	var mu sync.Mutex // stands in for a tenant write lock
-	wraps, installsInside := 0, 0
-	cfg := Config{Budget: 30, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100,
-		InstallWrap: func(install func() error) error {
-			mu.Lock()
-			defer mu.Unlock()
-			wraps++
-			before := store.Stats().BlocksWritten
-			err := install()
-			if store.Stats().BlocksWritten > before {
-				installsInside++
-			}
-			return err
-		}}
-	d := New(mto, design, store, cfg)
-	eng := engine.New(store, design, ds, engine.DefaultOptions())
+	in, shift := daemonScenario(t, 4, nil)
+	d := New(in, Config{Budget: 30, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100})
 	reorgs := 0
 	for c := 0; c < 6; c++ {
-		for i := 0; i < 20; i++ {
-			q := shift[(c*20+i)%len(shift)]
-			res, err := eng.Execute(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb := map[string]int{}
-			for name, ta := range res.PerTable {
-				tb[name] = ta.BlocksRead
-			}
-			d.Observe(q, tb)
-		}
+		feed(t, in, d, shift, c)
 		cs, err := d.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cs.Action == "reorg" {
 			reorgs++
-			eng = engine.New(store, design, ds, engine.DefaultOptions())
+		}
+		if got := in.Generation(); got != uint64(reorgs) {
+			t.Fatalf("cycle %d (%s): generation %d after %d reorgs", c, cs.Action, got, reorgs)
 		}
 	}
 	if reorgs == 0 {
 		t.Fatal("daemon never reorganized")
 	}
-	if wraps != reorgs {
-		t.Errorf("InstallWrap called %d times for %d reorgs", wraps, reorgs)
-	}
-	if installsInside != reorgs {
-		t.Errorf("%d of %d installs wrote blocks inside the wrapper", installsInside, reorgs)
-	}
 
-	// A wrapper error must fail the cycle that tries to install, and the
+	// A refused commit must fail the cycle that tries to install, and the
 	// segment the cycle had staged must go: a file store shows it.
-	mto2, design2, _, ds2, shift2 := daemonScenario(t, 4)
-	store2, err := colstore.NewStore(t.TempDir(), 1<<20, block.DefaultCostModel())
+	store, err := colstore.NewStore(t.TempDir(), 1<<20, block.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store2.Close()
-	if _, err := design2.Install(store2, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	installed := store2.Stats()
-	d2 := New(mto2, design2, store2, Config{Budget: 30, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100,
-		InstallWrap: func(func() error) error { return errWrap }})
-	eng2 := engine.New(store2, design2, ds2, engine.DefaultOptions())
+	defer store.Close()
+	in2, shift2 := daemonScenario(t, 4, refusingBackend{store})
+	installed := store.Stats()
+	d2 := New(in2, Config{Budget: 30, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100})
 	var stepErr error
 	for c := 0; c < 6 && stepErr == nil; c++ {
-		for i := 0; i < 20; i++ {
-			q := shift2[(c*20+i)%len(shift2)]
-			res, err := eng2.Execute(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb := map[string]int{}
-			for name, ta := range res.PerTable {
-				tb[name] = ta.BlocksRead
-			}
-			d2.Observe(q, tb)
-		}
+		feed(t, in2, d2, shift2, c)
 		_, stepErr = d2.Step()
 	}
-	if !errors.Is(stepErr, errWrap) {
-		t.Errorf("wrapper error not propagated: %v", stepErr)
+	if !errors.Is(stepErr, errCommit) {
+		t.Errorf("commit error not propagated: %v", stepErr)
 	}
-	if w := store2.Stats(); w.BlocksWritten != installed.BlocksWritten || w.RowsWritten != installed.RowsWritten {
+	if g := in2.Generation(); g != 0 {
+		t.Errorf("generation %d after a refused commit, want 0", g)
+	}
+	if w := store.Stats(); w.BlocksWritten != installed.BlocksWritten || w.RowsWritten != installed.RowsWritten {
 		t.Errorf("failed cycle charged writes: %+v, installed %+v", w, installed)
 	}
-	entries, err := os.ReadDir(store2.Dir())
+	entries, err := os.ReadDir(store.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,4 +333,20 @@ func TestDaemonInstallWrap(t *testing.T) {
 	}
 }
 
-var errWrap = errors.New("wrap failed")
+var errCommit = errors.New("commit refused")
+
+// refusingBackend stages partial reorganizations normally but refuses to
+// commit them.
+type refusingBackend struct{ block.Backend }
+
+func (b refusingBackend) PrepareReplace(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (block.Prepared, error) {
+	p, err := b.Backend.PrepareReplace(table, oldIDs, newGroups, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	return refusedCommit{p}, nil
+}
+
+type refusedCommit struct{ block.Prepared }
+
+func (refusedCommit) Commit() (float64, error) { return 0, errCommit }

@@ -102,12 +102,11 @@ type Server struct {
 	reqWG    sync.WaitGroup // accepted (enqueued) requests
 	draining atomic.Bool
 
-	completed    atomic.Int64
-	errors       atomic.Int64
-	rejRate      atomic.Int64
-	rejQueue     atomic.Int64
-	rejShutdown  atomic.Int64
-	swapsApplied atomic.Int64
+	completed   atomic.Int64
+	errors      atomic.Int64
+	rejRate     atomic.Int64
+	rejQueue    atomic.Int64
+	rejShutdown atomic.Int64
 }
 
 // New builds a server over the configured tenants. Layouts must already be
@@ -135,17 +134,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheEntries > 0 {
 		s.cache = NewResultCache(cfg.CacheEntries)
 	}
-	onSwap := func(name string, gen uint64) {
-		s.swapsApplied.Add(1)
-		if s.cache != nil {
-			s.cache.InvalidateBelow(name, gen)
-		}
-	}
 	for _, tc := range cfg.Tenants {
 		if _, dup := s.tenants[tc.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant %q", tc.Name)
 		}
-		t, err := newTenant(tc, onSwap)
+		t, err := newTenant(tc, s.cache)
 		if err != nil {
 			return nil, err
 		}
@@ -291,12 +284,11 @@ func (s *Server) worker() {
 func (s *Server) execute(r *request) {
 	t := r.tenant
 	t.submitted.Add(1)
-	t.mu.RLock()
-	gen := t.gen.Load()
+	gen, eng := t.live.RLock()
 	norm := t.normalizeOf(r.q)
 	if s.cache != nil {
 		if res, ok := s.cache.Get(t.name, gen, norm, r.q); ok {
-			t.mu.RUnlock()
+			t.live.RUnlock()
 			t.hits.Add(1)
 			r.resp = Response{Result: res, Cached: true, Gen: gen}
 			s.completed.Add(1)
@@ -305,9 +297,9 @@ func (s *Server) execute(r *request) {
 			return
 		}
 	}
-	res, err := t.eng.Execute(r.q)
+	res, err := eng.Execute(r.q)
 	if err != nil {
-		t.mu.RUnlock()
+		t.live.RUnlock()
 		r.err = err
 		s.errors.Add(1)
 		return
@@ -315,7 +307,7 @@ func (s *Server) execute(r *request) {
 	if s.cache != nil {
 		s.cache.Put(t.name, gen, norm, res)
 	}
-	t.mu.RUnlock()
+	t.live.RUnlock()
 	r.resp = Response{Result: res, Gen: gen}
 	s.completed.Add(1)
 	s.observe(t, r.q, res)
@@ -347,11 +339,7 @@ func (s *Server) ExecuteDirect(tenant string, q *workload.Query) (*engine.Result
 	if t == nil {
 		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	gen := t.gen.Load()
-	res, err := engine.New(t.store, t.design, t.ds, t.opts).Execute(q)
-	return res, gen, err
+	return t.live.ExecuteFresh(q)
 }
 
 // Template resolves a tenant's registered query by ID (nil when absent).
@@ -409,7 +397,7 @@ func (s *Server) ReorgTrace(tenant string) []reorgd.CycleStats {
 // Generation returns the tenant's current layout generation.
 func (s *Server) Generation(tenant string) uint64 {
 	if t := s.tenants[tenant]; t != nil {
-		return t.gen.Load()
+		return t.live.Generation()
 	}
 	return 0
 }
@@ -438,13 +426,14 @@ func (s *Server) Stats() ServerStats {
 		RejectedQueue:    s.rejQueue.Load(),
 		RejectedShutdown: s.rejShutdown.Load(),
 		QueueDepth:       s.queue.depth(),
-		GenerationSwaps:  s.swapsApplied.Load(),
 	}
 	if s.cache != nil {
 		st.Cache = s.cache.Stats()
 	}
 	for _, name := range s.order {
-		st.Tenants = append(st.Tenants, s.tenants[name].stats())
+		ts := s.tenants[name].stats()
+		st.Tenants = append(st.Tenants, ts)
+		st.GenerationSwaps += ts.Swaps
 	}
 	return st
 }

@@ -300,6 +300,13 @@ func TestCacheInvalidationAcrossSwap(t *testing.T) {
 	if !postHit.Cached || !reflect.DeepEqual(postHit.Result, direct) {
 		t.Error("post-swap repeat not served identically from cache")
 	}
+
+	// The engine counters span the swap: every cache miss since start
+	// executed on one of the tenant's engines, the retired one included.
+	st := s.Stats()
+	if got, want := st.Tenants[0].Engine.Queries, st.Cache.Misses; got != want || st.Errors != 0 {
+		t.Errorf("engine.queries = %d after the swap, want %d cache-miss executions (errors %d)", got, want, st.Errors)
+	}
 }
 
 // gatedBackend holds every partial-reorganization prepare at a gate: it

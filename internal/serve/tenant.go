@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"mto/internal/core"
 	"mto/internal/engine"
 	"mto/internal/layout"
+	"mto/internal/live"
 	"mto/internal/relation"
 	"mto/internal/reorgd"
 	"mto/internal/workload"
@@ -27,9 +27,6 @@ type TenantConfig struct {
 	// Optimizer is required when Reorg is set (the daemon plans through
 	// it); otherwise optional.
 	Optimizer *core.Optimizer
-	// EngineOptions configures execution; the zero value selects
-	// engine.DefaultOptions.
-	EngineOptions *engine.Options
 	// Templates are the registered queries, addressable by their IDs.
 	Templates []*workload.Query
 	// Weight is the tenant's fair-queueing share (≤ 0 means 1).
@@ -37,60 +34,44 @@ type TenantConfig struct {
 	// Reorg, when non-nil, runs a reorgd daemon for this tenant: the
 	// server feeds it every executed query and the daemon installs
 	// budgeted partial reorganizations through the tenant's generation
-	// swap. The config's InstallWrap must be unset — the server owns it.
+	// swap.
 	Reorg *reorgd.Config
 }
 
-// tenant is the server's per-tenant state. mu is the generation lock:
-// queries execute under RLock, a reorg install (and the generation bump,
-// engine rebuild, and cache invalidation that must be atomic with it) runs
-// under Lock. gen is additionally atomic so stats readers can load it
-// without the lock.
+// tenant is the server's per-tenant state: the live layout (its generation
+// lock, generation counter and engine), the registered templates, and the
+// tenant's counters and daemon.
 type tenant struct {
 	name    string
 	weight  float64
-	ds      *relation.Dataset
-	design  *layout.Design
-	store   block.Backend
-	opts    engine.Options
+	live    *live.Instance
 	daemon  *reorgd.Daemon
 	queries map[string]*workload.Query
 	normKey map[*workload.Query]string // memoized Normalize of registered templates
 
-	mu  sync.RWMutex
-	eng *engine.Engine
-	// How long installs held mu's write side: the last one, and the longest.
-	swapLockLast, swapLockMax time.Duration
-
-	gen       atomic.Uint64
-	swaps     atomic.Int64
 	submitted atomic.Int64
 	hits      atomic.Int64
 	daemonErr atomic.Value // error from the daemon loop, if any
 }
 
-func newTenant(cfg TenantConfig, onSwap func(tenant string, gen uint64)) (*tenant, error) {
+// newTenant serves the tenant's layout with engine.DefaultOptions; each
+// generation swap drops the tenant's older entries from cache (if any).
+func newTenant(cfg TenantConfig, cache *ResultCache) (*tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: tenant with empty name")
 	}
 	if cfg.Dataset == nil || cfg.Design == nil || cfg.Store == nil {
 		return nil, fmt.Errorf("serve: tenant %q needs Dataset, Design, and Store", cfg.Name)
 	}
-	opts := engine.DefaultOptions()
-	if cfg.EngineOptions != nil {
-		opts = *cfg.EngineOptions
+	if cfg.Reorg != nil && cfg.Optimizer == nil {
+		return nil, fmt.Errorf("serve: tenant %q has Reorg but no Optimizer", cfg.Name)
 	}
 	t := &tenant{
 		name:    cfg.Name,
 		weight:  cfg.Weight,
-		ds:      cfg.Dataset,
-		design:  cfg.Design,
-		store:   cfg.Store,
-		opts:    opts,
 		queries: make(map[string]*workload.Query, len(cfg.Templates)),
 		normKey: make(map[*workload.Query]string, len(cfg.Templates)),
 	}
-	t.eng = engine.New(t.store, t.design, t.ds, t.opts)
 	for _, q := range cfg.Templates {
 		if q.ID == "" {
 			return nil, fmt.Errorf("serve: tenant %q has a template with empty ID", cfg.Name)
@@ -101,49 +82,15 @@ func newTenant(cfg TenantConfig, onSwap func(tenant string, gen uint64)) (*tenan
 		t.queries[q.ID] = q
 		t.normKey[q] = q.Normalize()
 	}
+	var onSwap func(gen uint64)
+	if cache != nil {
+		onSwap = func(gen uint64) { cache.InvalidateBelow(cfg.Name, gen) }
+	}
+	t.live = live.New(cfg.Optimizer, cfg.Design, cfg.Store, cfg.Dataset, engine.DefaultOptions(), onSwap)
 	if cfg.Reorg != nil {
-		if cfg.Optimizer == nil {
-			return nil, fmt.Errorf("serve: tenant %q has Reorg but no Optimizer", cfg.Name)
-		}
-		if cfg.Reorg.InstallWrap != nil {
-			return nil, fmt.Errorf("serve: tenant %q must leave Reorg.InstallWrap to the server", cfg.Name)
-		}
-		rc := *cfg.Reorg
-		rc.InstallWrap = func(install func() error) error {
-			return t.installSwap(install, onSwap)
-		}
-		t.daemon = reorgd.New(cfg.Optimizer, t.design, t.store, rc)
+		t.daemon = reorgd.New(t.live, *cfg.Reorg)
 	}
 	return t, nil
-}
-
-// installSwap is the generation-swap critical section, invoked by the
-// daemon (via InstallWrap) with the commit of an already staged
-// reorganization: routing, encoding and validation ran beside the queries.
-// Under the tenant write lock — no query in flight — it swaps the new
-// layout in, bumps the generation, rebuilds the engine (whose routing and
-// row-placement caches describe the old layout), and invalidates the old
-// generation's cache entries. Queries admitted after the lock releases see
-// the new generation, a fresh engine, and an empty cache slice — never a
-// half-installed layout or a stale cached result.
-func (t *tenant) installSwap(commit func() error, onSwap func(string, uint64)) error {
-	t.mu.Lock()
-	start := time.Now()
-	defer func() {
-		t.swapLockLast = time.Since(start)
-		t.swapLockMax = max(t.swapLockMax, t.swapLockLast)
-		t.mu.Unlock()
-	}()
-	if err := commit(); err != nil {
-		return err
-	}
-	gen := t.gen.Add(1)
-	t.swaps.Add(1)
-	t.eng = engine.New(t.store, t.design, t.ds, t.opts)
-	if onSwap != nil {
-		onSwap(t.name, gen)
-	}
-	return nil
 }
 
 // normalizeOf returns the query's cache key, memoized for registered
@@ -175,27 +122,19 @@ type TenantStats struct {
 }
 
 func (t *tenant) stats() TenantStats {
-	t.mu.RLock()
-	eng, lockLast, lockMax := t.eng, t.swapLockLast, t.swapLockMax
-	t.mu.RUnlock()
+	ls := t.live.Stats()
 	ts := TenantStats{
 		Name:           t.name,
-		Generation:     t.gen.Load(),
-		Swaps:          t.swaps.Load(),
-		SwapLockLastUS: float64(lockLast) / float64(time.Microsecond),
-		SwapLockMaxUS:  float64(lockMax) / float64(time.Microsecond),
+		Generation:     ls.Generation,
+		Swaps:          int64(ls.Generation),
+		SwapLockLastUS: float64(ls.SwapLockLast) / float64(time.Microsecond),
+		SwapLockMaxUS:  float64(ls.SwapLockMax) / float64(time.Microsecond),
 		Submitted:      t.submitted.Load(),
 		CacheHits:      t.hits.Load(),
-		Engine:         eng.StatsSnapshot(),
-		Store:          t.store.Stats(),
+		Engine:         ls.Engine,
+		Store:          t.live.Store().Stats(),
 		Templates:      len(t.queries),
-	}
-	if t.daemon != nil {
-		for _, cs := range t.daemon.Trace() {
-			if cs.Action == "reorg" {
-				ts.Reorgs++
-			}
-		}
+		Reorgs:         int(ls.Generation), // every generation is one daemon install
 	}
 	if err, ok := t.daemonErr.Load().(error); ok && err != nil {
 		ts.DaemonErr = err.Error()

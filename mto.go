@@ -27,13 +27,12 @@ package mto
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"mto/internal/block"
 	"mto/internal/colstore"
 	"mto/internal/core"
 	"mto/internal/engine"
-	"mto/internal/layout"
+	"mto/internal/live"
 	"mto/internal/predicate"
 	"mto/internal/qdtree"
 	"mto/internal/relation"
@@ -211,16 +210,7 @@ func openStore(cfg Config, cost block.CostModel) (*colstore.Store, error) {
 // takes the write lock only to swap it in (§5.1.1); Insert serializes with
 // queries. One mutation runs at a time.
 type System struct {
-	mu     sync.RWMutex
-	opt    *core.Optimizer
-	design *layout.Design
-	store  *colstore.Store
-	ds     *relation.Dataset
-	eng    *engine.Engine
-
-	// reorgActive is set, under mu, from a reorganization's start to its
-	// commit: it stages against opt and design off the lock.
-	reorgActive bool
+	in *live.Instance
 }
 
 // Open learns the layout for ds under w and installs it.
@@ -259,22 +249,12 @@ func install(opt *core.Optimizer, ds *Dataset, cfg Config) (*System, error) {
 		store.Close()
 		return nil, err
 	}
-	s := &System{opt: opt, design: design, store: store, ds: ds}
-	s.resetEngine()
-	return s, nil
+	return &System{live.New(opt, design, store, ds, engine.CloudDWOptions(), nil)}, nil
 }
 
 // Close releases the storage backend: its readahead workers and, with
 // Store "disk", the open segment files.
-func (s *System) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store.Close()
-}
-
-func (s *System) resetEngine() {
-	s.eng = engine.New(s.store, s.design, s.ds, engine.CloudDWOptions())
-}
+func (s *System) Close() error { return s.in.Close() }
 
 // Result is one query's execution outcome.
 type Result = engine.Result
@@ -285,11 +265,7 @@ type WorkloadResult = engine.WorkloadResult
 
 // Execute runs q against the layout, skipping blocks via the per-table
 // qd-trees and zone maps, and returns I/O metrics and simulated runtime.
-func (s *System) Execute(q *Query) (*Result, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.Execute(q)
-}
+func (s *System) Execute(q *Query) (*Result, error) { return s.in.Execute(q) }
 
 // ExecuteWorkload replays the queries over a bounded worker pool
 // (parallelism 0 selects GOMAXPROCS, 1 runs sequentially). Per-query
@@ -298,9 +274,7 @@ func (s *System) Execute(q *Query) (*Result, error) {
 // changes. Queries see one consistent layout: Insert and a
 // reorganization's swap wait for the replay.
 func (s *System) ExecuteWorkload(queries []*Query, parallelism int) (*WorkloadResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return engine.RunWorkload(s.eng, queries, engine.RunOptions{Parallelism: parallelism})
+	return s.in.ExecuteWorkload(queries, parallelism)
 }
 
 // Stats summarizes the learned qd-trees (cut counts, induction depths,
@@ -309,16 +283,16 @@ type Stats = qdtree.Stats
 
 // Stats returns aggregate tree statistics.
 func (s *System) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.opt.Stats()
+	s.in.RLock()
+	defer s.in.RUnlock()
+	return s.in.Optimizer().Stats()
 }
 
 // TreeDump renders one table's qd-tree as text.
 func (s *System) TreeDump(table string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.opt.Tree(table)
+	s.in.RLock()
+	defer s.in.RUnlock()
+	t := s.in.Optimizer().Tree(table)
 	if t == nil {
 		return "", fmt.Errorf("mto: no tree for table %q", table)
 	}
@@ -329,13 +303,13 @@ func (s *System) TreeDump(table string) (string, error) {
 type Timings = core.Timings
 
 // Timings returns the offline time breakdown.
-func (s *System) Timings() Timings { return s.opt.Timings() }
+func (s *System) Timings() Timings { return s.in.Optimizer().Timings() }
 
 // TotalBlocks returns the number of blocks across all tables.
-func (s *System) TotalBlocks() int { return s.store.TotalBlocks() }
+func (s *System) TotalBlocks() int { return s.in.Store().TotalBlocks() }
 
 // IOStats returns cumulative simulated I/O counters.
-func (s *System) IOStats() block.Stats { return s.store.Stats() }
+func (s *System) IOStats() block.Stats { return s.in.Store().Stats() }
 
 // ReorgOptions parameterizes the §5.1 reward function.
 type ReorgOptions struct {
@@ -363,10 +337,12 @@ type ReorgReport struct {
 // layout beside the running queries, and swaps it in. A non-positive reward
 // plan leaves the layout untouched.
 func (s *System) Reorganize(observed *Workload, opts ReorgOptions) (ReorgReport, error) {
-	if err := s.beginReorg(); err != nil {
+	done, err := s.ReorganizeAsync(observed, opts)
+	if err != nil {
 		return ReorgReport{}, err
 	}
-	return s.reorganize(observed, opts)
+	r := <-done
+	return r.Report, r.Err
 }
 
 // AsyncReorg is delivered when a background reorganization finishes.
@@ -379,59 +355,39 @@ type AsyncReorg struct {
 // performs partial reorganization using a partial copy of the data; after
 // reorganization completes, the new layout is swapped in"). One
 // reorganization runs at a time, and Insert is rejected meanwhile (the
-// staged layout would not hold its rows).
+// staged layout would not hold its rows). The plan and the whole-table
+// rewrite of its tables are staged against the live optimizer, design and
+// store — reads only, so queries run beside them — and the instance commits
+// them.
 func (s *System) ReorganizeAsync(observed *Workload, opts ReorgOptions) (<-chan AsyncReorg, error) {
-	if err := s.beginReorg(); err != nil {
+	run, err := s.in.Begin()
+	if err != nil {
 		return nil, err
 	}
 	done := make(chan AsyncReorg, 1)
 	go func() {
-		report, err := s.reorganize(observed, opts)
-		done <- AsyncReorg{Report: report, Err: err}
+		var r AsyncReorg
+		var staged *core.StagedReorg
+		r.Err = run(func() (*core.StagedReorg, error) {
+			opt, design := s.in.Optimizer(), s.in.Design()
+			plans, err := opt.PlanReorg(observed, core.ReorgConfig{Q: opts.ExpectedQueries, W: opts.WriteReadRatio}, design)
+			if err != nil {
+				return nil, err
+			}
+			for _, p := range plans {
+				r.Report.PlanSeconds += p.PlanSeconds
+			}
+			staged, err = opt.StageReorg(plans, design, s.in.Store(), false)
+			return staged, err
+		})
+		if staged != nil {
+			r.Report.FracDataReorganized = staged.Stats.FracDataReorganized
+			r.Report.BlocksRewritten = staged.Stats.BlocksRewritten
+			r.Report.SimWriteSeconds = staged.Stats.SimSeconds
+		}
+		done <- r
 	}()
 	return done, nil
-}
-
-func (s *System) beginReorg() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.reorgActive {
-		return fmt.Errorf("mto: a reorganization is in progress")
-	}
-	s.reorgActive = true
-	return nil
-}
-
-// reorganize plans and stages against the live optimizer, design and store
-// — reads only, so queries run beside it — and holds the write lock for the
-// commit alone: the store's pointer swaps, the subtree replacements and the
-// engine rebuild. The caller has set reorgActive.
-func (s *System) reorganize(observed *Workload, opts ReorgOptions) (ReorgReport, error) {
-	var report ReorgReport
-	var staged *core.StagedReorg
-	plans, err := s.opt.PlanReorg(observed, core.ReorgConfig{
-		Q: opts.ExpectedQueries,
-		W: opts.WriteReadRatio,
-	}, s.design)
-	if err == nil {
-		for _, p := range plans {
-			report.PlanSeconds += p.PlanSeconds
-		}
-		staged, err = s.opt.StageReorg(plans, s.design, s.store, false)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reorgActive = false
-	if err != nil {
-		return report, err
-	}
-	defer staged.Abort()
-	err = staged.Commit()
-	s.resetEngine() // tables committed before a refusal changed too
-	report.FracDataReorganized = staged.Stats.FracDataReorganized
-	report.BlocksRewritten = staged.Stats.BlocksRewritten
-	report.SimWriteSeconds = staged.Stats.SimSeconds
-	return report, err
 }
 
 // InsertReport summarizes an absorbed insert (§5.2).
@@ -442,30 +398,20 @@ type InsertReport = core.ChangeStats
 // and the new records are routed to blocks. rows are the indexes of the
 // already-appended records.
 func (s *System) Insert(table string, rows []int) (InsertReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.reorgActive {
-		return InsertReport{}, fmt.Errorf("mto: a reorganization is in progress")
-	}
-	st, err := s.opt.ApplyInsert(table, rows, s.design, s.store)
-	if err != nil {
-		return st, err
-	}
-	s.resetEngine()
-	return st, nil
+	return s.in.Insert(table, rows)
 }
 
 // Name reports "MTO" or "STO" depending on the configuration.
-func (s *System) Name() string { return s.opt.Name() }
+func (s *System) Name() string { return s.in.Optimizer().Name() }
 
 // SaveLayout writes the learned layout (per-table qd-trees and optimizer
 // options) to w as JSON. Literal join-induced key sets are not persisted —
 // they are rebuilt against the dataset on load, so a saved layout stays
 // valid across data changes.
 func (s *System) SaveLayout(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.opt.Save(w)
+	s.in.RLock()
+	defer s.in.RUnlock()
+	return s.in.Optimizer().Save(w)
 }
 
 // OpenSaved reconstructs a System from a layout previously written by

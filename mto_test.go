@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mto/internal/core"
 )
 
 // buildDemo creates a small star dataset and workload through the public
@@ -288,14 +290,12 @@ func TestReorganizeAsync(t *testing.T) {
 				}
 			}
 			// While a reorganization is active every other mutation is
-			// rejected. (Set by hand: how long a real one stays active is
-			// up to the scheduler.)
-			setActive := func(v bool) {
-				sys.mu.Lock()
-				sys.reorgActive = v
-				sys.mu.Unlock()
+			// rejected. (Claimed by hand and released with nothing staged:
+			// how long a real one stays active is up to the scheduler.)
+			run, err := sys.in.Begin()
+			if err != nil {
+				t.Fatal(err)
 			}
-			setActive(true)
 			if _, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 10}); err == nil {
 				t.Error("second concurrent reorganization accepted")
 			}
@@ -305,7 +305,9 @@ func TestReorganizeAsync(t *testing.T) {
 			if _, err := sys.Insert("fact", nil); err == nil {
 				t.Error("insert accepted during a reorganization")
 			}
-			setActive(false)
+			if err := run(func() (*core.StagedReorg, error) { return nil, nil }); err != nil {
+				t.Fatal(err)
+			}
 
 			done, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 1e6})
 			if err != nil {
@@ -342,7 +344,7 @@ func TestReorganizeAsync(t *testing.T) {
 			}
 			perTable := 0
 			for _, name := range ds.TableNames() {
-				n := sys.store.NumBlocks(name)
+				n := sys.in.Store().NumBlocks(name)
 				if n <= 0 {
 					t.Errorf("table %s has %d blocks after the swap", name, n)
 				}
