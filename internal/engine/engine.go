@@ -114,7 +114,7 @@ func (r *Result) FractionOfBlocks() float64 {
 // Engine executes queries against one installed design.
 //
 // An Engine is safe for concurrent Execute calls: all per-query state is
-// local to a call, and the lazily built secondary-index caches below are
+// local to a call, and the lazily built cross-query caches below are
 // guarded by mu. RunWorkload exploits this to replay workloads in parallel.
 type Engine struct {
 	store  block.Backend
@@ -122,18 +122,48 @@ type Engine struct {
 	ds     *relation.Dataset
 	opts   Options
 
-	// Lazily built cross-query caches. mu guards all four maps; entries
-	// are immutable once stored, so holders may read them after releasing
-	// the lock. keyIdx and dicts cache failed builds as nil entries so
-	// unindexable/unencodable columns are not retried on every query.
+	// Lazily built cross-query caches (see cached). mu guards the maps
+	// only — entries are built outside it and immutable once stored, so
+	// holders read them after releasing the lock. keyIdx, dicts and posts
+	// cache failed builds as nil entries so unindexable/unencodable
+	// columns are not retried on every query.
 	mu      sync.Mutex
-	keyIdx  map[string]*relation.KeyIndex
+	keyIdx  map[colKey]*relation.KeyIndex
 	blockOf map[string][]int32 // table → row → block ID
-	dicts   map[string]*relation.ColumnDict
-	xlate   map[string][]int32 // "tgt.col|src.col" → target code → source code
+	dicts   map[colKey]*relation.ColumnDict
+	xlate   map[xlateKey][]int32 // from slot → to slot (see translateSlots)
+	posts   map[colKey]*postings
 
 	// counters accumulates per-engine execution stats; see StatsSnapshot.
 	counters engineCounters
+}
+
+// colKey names one column of one base table.
+type colKey struct{ table, col string }
+
+// xlateKey names the slot translation from one column's dictionary into
+// another's.
+type xlateKey struct{ from, to colKey }
+
+// cached returns m[k], calling build outside the lock on a miss, so a slow
+// build (a whole-column sort) never stalls other queries' lookups.
+// Concurrent misses on one key may each build; the first entry stored wins
+// and every caller returns it.
+func cached[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, build func() V) V {
+	mu.Lock()
+	v, ok := m[k]
+	mu.Unlock()
+	if ok {
+		return v
+	}
+	v = build()
+	mu.Lock()
+	defer mu.Unlock()
+	if first, ok := m[k]; ok {
+		return first
+	}
+	m[k] = v
+	return v
 }
 
 // New returns an engine over the store/design pair.
@@ -146,10 +176,11 @@ func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts 
 	}
 	return &Engine{
 		store: store, design: design, ds: ds, opts: opts,
-		keyIdx:  map[string]*relation.KeyIndex{},
+		keyIdx:  map[colKey]*relation.KeyIndex{},
 		blockOf: map[string][]int32{},
-		dicts:   map[string]*relation.ColumnDict{},
-		xlate:   map[string][]int32{},
+		dicts:   map[colKey]*relation.ColumnDict{},
+		xlate:   map[xlateKey][]int32{},
+		posts:   map[colKey]*postings{},
 	}
 }
 

@@ -18,14 +18,16 @@ import (
 // column instead of once over the whole survivor set. foldAlias routes
 // here whatever the backend's fold declined — float or dictionary-less
 // group columns, group dictionaries wider than block.MaxGroupSlots, floats
-// and overflow-risk sums, everything on the reference path — hashing survivors into sparse per-group
-// accumulators over the base table's decoded vectors.
+// and overflow-risk sums, everything on the reference path — folding
+// survivors into per-group accumulators over the base table's decoded
+// vectors: one per dictionary slot, or hashed on the group value for
+// columns without a dictionary.
 //
 // Group output order is deterministic everywhere: the NULL group first,
 // then groups ascending by value — which for dictionary slots is simply
-// ascending slot order, so the dense and sparse folds enumerate groups
-// identically and Results stay byte-identical across pushdown reach and
-// replay parallelism.
+// ascending slot order, so the backend and materialized folds enumerate
+// groups identically and Results stay byte-identical across pushdown
+// reach and replay parallelism.
 
 // GroupValue is one group's slice of a grouped aggregate: the group key
 // (Null for rows whose grouping value is null) and the aggregate folded
@@ -56,11 +58,11 @@ func newGroupAccum(nspecs int, hasFloat bool) *groupAccum {
 	return acc
 }
 
-// foldGroupedMaterialized is the sparse hash grouped fold: survivors
-// accumulate into per-group states keyed on the grouping column's
-// dictionary code when one exists (so group enumeration order matches
-// foldAlias's dense slots exactly), or on the boxed group value otherwise (float group
-// columns). Per-spec fold semantics — null skipping, checked int
+// foldGroupedMaterialized is the materialized grouped fold: survivors
+// accumulate into per-group states indexed by the grouping column's
+// dictionary slot when one exists (so group enumeration order matches
+// foldAlias's dense slots exactly), or hashed on the boxed group value
+// otherwise (float group columns). Per-spec fold semantics — null skipping, checked int
 // overflow, ascending-row float accumulation order — are identical to the
 // flat materialized fold.
 func (e *Engine) foldGroupedMaterialized(table string, tbl *relation.Table, set bitmap.Dense,
@@ -157,7 +159,8 @@ func (e *Engine) foldGroupedMaterialized(table string, tbl *relation.Table, set 
 	}
 	var ordered []orderedGroup
 	if dict != nil {
-		accums := map[int32]*groupAccum{}
+		// One accumulator per dictionary slot, created on its first row.
+		accums := make([]*groupAccum, dict.NumCodes()+1)
 		for w := range set {
 			word := set[w]
 			for word != 0 {
@@ -174,18 +177,15 @@ func (e *Engine) foldGroupedMaterialized(table string, tbl *relation.Table, set 
 				}
 			}
 		}
-		slots := make([]int32, 0, len(accums))
-		for slot := range accums {
-			slots = append(slots, slot)
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		ordered = make([]orderedGroup, 0, len(slots))
-		for _, slot := range slots {
+		for slot, acc := range accums {
+			if acc == nil {
+				continue
+			}
 			key := value.Null
 			if slot > 0 {
-				key = dict.Value(slot - 1)
+				key = dict.Value(int32(slot - 1))
 			}
-			ordered = append(ordered, orderedGroup{key: key, acc: accums[slot]})
+			ordered = append(ordered, orderedGroup{key: key, acc: acc})
 		}
 	} else {
 		var gi []int64

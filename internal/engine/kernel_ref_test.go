@@ -12,6 +12,7 @@ import (
 
 	"mto/internal/engine"
 	"mto/internal/experiments"
+	"mto/internal/workload"
 )
 
 func identityScale() experiments.Scale {
@@ -34,12 +35,12 @@ func identityOptions() map[string]engine.Options {
 // TestKernelIdentityOnBenchmarks asserts, per query, that the vectorized
 // kernels return a Result byte-identical to the scalar reference path —
 // same PerTable metrics, same SurvivingRows, bit-identical simulated
-// Seconds — across the SSB and TPC-H workloads under every engine option
-// set the experiments use.
+// Seconds — across the SSB, TPC-H and TPC-DS workloads under every engine
+// option set the experiments use.
 func TestKernelIdentityOnBenchmarks(t *testing.T) {
 	s := identityScale()
 	for _, bench := range []*experiments.Bench{
-		experiments.SSBBench(s), experiments.TPCHBench(s),
+		experiments.SSBBench(s), experiments.TPCHBench(s), experiments.TPCDSBench(s),
 	} {
 		d, err := experiments.DeployMethod(bench, experiments.MethodBaseline, true)
 		if err != nil {
@@ -61,6 +62,50 @@ func TestKernelIdentityOnBenchmarks(t *testing.T) {
 						bench.Name, name, q.ID, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestScheduleMatchesFixpointOnBenchmarks asserts that the two-sweep
+// reduction of acyclic inner/semi join graphs leaves exactly the rows and
+// aggregates the fixpoint converges to, on every SSB, TPC-H and TPC-DS
+// template. The fixpoint runs the same query with one join edge repeated:
+// a second edge on one alias pair changes no answer but sends the query
+// down the fixpoint.
+func TestScheduleMatchesFixpointOnBenchmarks(t *testing.T) {
+	s := identityScale()
+	for _, bench := range []*experiments.Bench{
+		experiments.SSBBench(s), experiments.TPCHBench(s), experiments.TPCDSBench(s),
+	} {
+		d, err := experiments.DeployMethod(bench, experiments.MethodBaseline, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := engine.New(d.Store, d.Design, bench.Dataset, engine.DefaultOptions())
+		compared := 0
+		for _, q := range bench.Workload.Queries {
+			if len(q.Joins) == 0 {
+				continue
+			}
+			compared++
+			fix := *q
+			fix.Joins = append(append([]workload.Join(nil), q.Joins...), q.Joins[0])
+			got, err := e.Execute(q)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bench.Name, q.ID, err)
+			}
+			want, err := e.Execute(&fix)
+			if err != nil {
+				t.Fatalf("%s/%s (fixpoint): %v", bench.Name, q.ID, err)
+			}
+			if !reflect.DeepEqual(got.SurvivingRows, want.SurvivingRows) ||
+				!reflect.DeepEqual(got.Aggregates, want.Aggregates) {
+				t.Errorf("%s/%s: reduction diverges from the fixpoint:\n got %v %v\nwant %v %v",
+					bench.Name, q.ID, got.SurvivingRows, got.Aggregates, want.SurvivingRows, want.Aggregates)
+			}
+		}
+		if compared == 0 {
+			t.Errorf("%s: workload has no join queries", bench.Name)
 		}
 	}
 }

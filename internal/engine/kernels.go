@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
 
 	"mto/internal/bitmap"
 	"mto/internal/block"
@@ -22,10 +21,12 @@ import (
 //     backend's compiled block.Scan fills it per candidate block for the
 //     filters it supports; the few shapes it refuses run row by row, over
 //     the rows of the blocks read only;
-//   - join keys live as dictionary-code sets (relation.ColumnDict, cached
-//     on the Engine like the secondary-index state), so semantic reduction
-//     probes int32 codes instead of boxed value.Value map keys, and skips
-//     re-reducing a side whose inputs are provably unchanged;
+//   - join keys are dictionary codes (relation.ColumnDict, cached on the
+//     Engine like the secondary-index state), so semantic reduction runs
+//     each semijoin as a cost-chosen code kernel (semijoin.go) instead of
+//     probing boxed value.Value map keys, in two sweeps over an acyclic
+//     join graph (schedule.go), and otherwise skips re-reducing a side
+//     whose inputs are provably unchanged;
 //   - zone-map pruning compiles each filter's range evaluator once
 //     (predicate.CompileRanges) and sweeps all candidate blocks in one
 //     pass.
@@ -50,9 +51,11 @@ type vecAlias struct {
 
 // cachedKeys is a snapshot of one alias's distinct non-null join keys in
 // one column, in up to three interchangeable representations built
-// lazily: dictionary codes (for coded membership probes), sorted raw ints
+// lazily: dictionary codes (the source of the other two), sorted raw ints
 // (for zone-interval probes), and boxed values (for secondary-index
-// lookups and non-encodable columns).
+// lookups and non-encodable columns). Runtime block pruning and the boxed
+// semijoin route read it; the coded semijoin strategies read the alias's
+// rows directly.
 type cachedKeys struct {
 	version int
 	dict    *relation.ColumnDict // nil for non-encodable columns
@@ -65,10 +68,11 @@ type cachedKeys struct {
 // keysFor returns a's key snapshot for col, reusing the cached one while
 // a's row set is unchanged ("dirty alias" tracking: a clean version means
 // the expensive extraction can be skipped entirely).
-func (e *Engine) keysFor(a *vecAlias, tbl *relation.Table, col string) *cachedKeys {
+func (e *Engine) keysFor(a *vecAlias, col string) *cachedKeys {
 	if ck, ok := a.keys[col]; ok && ck.version == a.version {
 		return ck
 	}
+	tbl := e.ds.Table(a.table)
 	ck := &cachedKeys{version: a.version, dict: e.dictFor(a.table, col)}
 	if ck.dict != nil {
 		codes := ck.dict.Codes
@@ -135,35 +139,13 @@ func (ck *cachedKeys) valueKeys() []value.Value {
 // the column cannot be encoded (float or missing). Failures are cached
 // too, so unencodable columns are not retried on every query.
 func (e *Engine) dictFor(table, col string) *relation.ColumnDict {
-	cacheKey := table + "." + col
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d, ok := e.dicts[cacheKey]; ok {
+	return cached(&e.mu, e.dicts, colKey{table, col}, func() *relation.ColumnDict {
+		d, err := relation.BuildColumnDict(e.ds.Table(table), col)
+		if err != nil {
+			return nil
+		}
 		return d
-	}
-	d, err := relation.BuildColumnDict(e.ds.Table(table), col)
-	if err != nil {
-		d = nil
-	}
-	e.dicts[cacheKey] = d
-	return d
-}
-
-// xlateFor returns the cached code translation from the target column's
-// dictionary into the source column's, so target rows can probe source
-// key sets without boxing a single value.
-func (e *Engine) xlateFor(tgtTable, tgtCol string, tgt *relation.ColumnDict,
-	srcTable, srcCol string, src *relation.ColumnDict) []int32 {
-
-	cacheKey := tgtTable + "." + tgtCol + "|" + srcTable + "." + srcCol
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if xl, ok := e.xlate[cacheKey]; ok {
-		return xl
-	}
-	xl := relation.TranslateCodes(tgt, src)
-	e.xlate[cacheKey] = xl
-	return xl
+	})
 }
 
 // executeKernel stages a query through the vectorized kernels.
@@ -358,7 +340,7 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 			// No keys to reduce with (see runtimeBlockPrune).
 			continue
 		}
-		ck := e.keysFor(other, otherTbl, otherCol)
+		ck := e.keysFor(other, otherCol)
 		if e.opts.SecondaryIndexes[ts.table] == myCol {
 			if e.secondaryIndexPrune(ts, myCol, ck.boxedKeys()) {
 				reducers++
@@ -392,9 +374,35 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 	return reducers
 }
 
+// reduceKernel is semantic reduction over the vectorized alias state: the
+// schedule, pass structure and probe accounting of semanticReduce, with
+// every step run by the cost-chosen semijoin operator (semijoin.go).
+func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) int {
+	counts := make(map[string]int, len(aliases))
+	for name, a := range aliases {
+		counts[name] = a.count
+	}
+	steps, ok := sweepSchedule(q, counts)
+	if !ok {
+		return e.fixpointKernel(q, aliases)
+	}
+	probes := 0
+	for _, st := range steps {
+		j := q.Joins[st.join]
+		if !e.joinColumnsExist(q, j) {
+			continue
+		}
+		tgt, tgtCol, src, srcCol := st.sides(j)
+		s := semijoin{tgt: aliases[tgt], src: aliases[src], tgtCol: tgtCol, srcCol: srcCol}
+		probes += s.tgt.count
+		e.run(s, e.prepare(s, false))
+	}
+	return probes
+}
+
 // dirMemo records, per join direction, the (source, target) versions as of
-// the last time the target was reduced by the source's keys. Reduction is
-// idempotent, so while both versions are unchanged re-running the scan is
+// the last time the target was reduced by the source. Reduction is
+// idempotent, so while both versions are unchanged re-running the step is
 // provably a no-op and is skipped; the probe charges still accrue, keeping
 // the cost model identical to the reference path.
 type dirMemo struct {
@@ -402,64 +410,50 @@ type dirMemo struct {
 	valid          bool
 }
 
-// reduceKernel is the vectorized semantic-reduction fixpoint: identical
-// pass structure and probe accounting to semanticReduce, with row scans
-// running over coded bitsets and skipped when the direction's inputs are
-// unchanged.
-func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) int {
-	// memo[2i] covers reducing join i's left side by the right's keys;
+// fixpointKernel is the vectorized semantic-reduction fixpoint: identical
+// pass structure and probe accounting to semanticReduce's, with a
+// direction skipped when its inputs are unchanged.
+func (e *Engine) fixpointKernel(q *workload.Query, aliases map[string]*vecAlias) int {
+	// memo[2i] covers reducing join i's left side by its right side;
 	// memo[2i+1] the opposite direction.
 	memo := make([]dirMemo, 2*len(q.Joins))
 	probes := 0
 	for pass := 0; pass < e.opts.MaxReductionPasses; pass++ {
 		changed := false
 		for i, j := range q.Joins {
-			l, r := aliases[j.Left], aliases[j.Right]
-			lt, rt := e.ds.Table(l.table), e.ds.Table(r.table)
-			if !tableHasColumn(lt, j.LeftColumn) || !tableHasColumn(rt, j.RightColumn) {
+			if !e.joinColumnsExist(q, j) {
 				// A missing join column yields no key set; reducing by it
 				// would wrongly drop every row. Skip the edge (see
 				// semanticReduce).
 				continue
 			}
-			lByR, rByL := &memo[2*i], &memo[2*i+1]
+			l, r := aliases[j.Left], aliases[j.Right]
+			lByR := dirStep{s: semijoin{tgt: l, src: r, tgtCol: j.LeftColumn, srcCol: j.RightColumn}, m: &memo[2*i]}
+			rByL := dirStep{s: semijoin{tgt: r, src: l, tgtCol: j.RightColumn, srcCol: j.LeftColumn}, m: &memo[2*i+1]}
 			switch j.Type {
 			case workload.InnerJoin, workload.SemiJoin:
-				// Snapshot both key sets before either side shrinks,
-				// like the scalar path.
-				lk, lv := e.keysFor(l, lt, j.LeftColumn), l.version
-				rk, rv := e.keysFor(r, rt, j.RightColumn), r.version
+				// Each side reduces by the other as of the edge's start:
+				// capture both sources before either shrinks. l shrinks
+				// first, so rByL keeps a copy of l's rows if it walks them.
+				lByR.prepare(e, false)
+				rByL.prepare(e, true)
 				probes += l.count + r.count
-				if e.applyReduce(l, lt, j.LeftColumn, r.table, j.RightColumn, rk, rv, false, lByR) {
-					changed = true
-				}
-				if e.applyReduce(r, rt, j.RightColumn, l.table, j.LeftColumn, lk, lv, false, rByL) {
-					changed = true
-				}
+				changed = lByR.run(e) || changed
+				changed = rByL.run(e) || changed
 			case workload.LeftOuterJoin:
-				lk, lv := e.keysFor(l, lt, j.LeftColumn), l.version
 				probes += r.count
-				if e.applyReduce(r, rt, j.RightColumn, l.table, j.LeftColumn, lk, lv, false, rByL) {
-					changed = true
-				}
+				changed = rByL.prepare(e, false).run(e) || changed
 			case workload.RightOuterJoin:
-				rk, rv := e.keysFor(r, rt, j.RightColumn), r.version
 				probes += l.count
-				if e.applyReduce(l, lt, j.LeftColumn, r.table, j.RightColumn, rk, rv, false, lByR) {
-					changed = true
-				}
+				changed = lByR.prepare(e, false).run(e) || changed
 			case workload.LeftAntiSemiJoin:
-				rk, rv := e.keysFor(r, rt, j.RightColumn), r.version
+				lByR.s.anti = true
 				probes += l.count
-				if e.applyReduce(l, lt, j.LeftColumn, r.table, j.RightColumn, rk, rv, true, lByR) {
-					changed = true
-				}
+				changed = lByR.prepare(e, false).run(e) || changed
 			case workload.RightAntiSemiJoin:
-				lk, lv := e.keysFor(l, lt, j.LeftColumn), l.version
+				rByL.s.anti = true
 				probes += r.count
-				if e.applyReduce(r, rt, j.RightColumn, l.table, j.LeftColumn, lk, lv, true, rByL) {
-					changed = true
-				}
+				changed = rByL.prepare(e, false).run(e) || changed
 			case workload.FullOuterJoin:
 				// Both sides preserved: no reduction, and probes accrue
 				// once (see semanticReduce).
@@ -475,85 +469,31 @@ func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) i
 	return probes
 }
 
-// applyReduce keeps only tgt rows whose tgtCol key membership in the
-// source key set matches (anti keeps non-members), mirroring the scalar
-// reduceTo. srcVer is the source alias's version at key-snapshot time; the
-// scan is skipped when the memo proves both sides unchanged since the
-// direction last ran. Reports whether the row set shrank.
-func (e *Engine) applyReduce(tgt *vecAlias, tgtTbl *relation.Table, tgtCol, srcTable, srcCol string,
-	src *cachedKeys, srcVer int, anti bool, m *dirMemo) bool {
-
-	if m.valid && m.srcVer == srcVer && m.tgtVer == tgt.version {
-		return false
-	}
-	td := e.dictFor(tgt.table, tgtCol)
-	removed := false
-	if td != nil && src.dict != nil {
-		xl := e.xlateFor(tgt.table, tgtCol, td, srcTable, srcCol, src.dict)
-		removed = reduceCoded(tgt.set, td.Codes, xl, src.coded, anti)
-	} else {
-		removed = reduceBoxed(tgt.set, tgtTbl, tgtCol, src.boxedKeys(), anti)
-	}
-	if removed {
-		tgt.count = tgt.set.Count()
-		tgt.version++
-	}
-	*m = dirMemo{srcVer: srcVer, tgtVer: tgt.version, valid: true}
-	return removed
+// dirStep is one direction of a fixpoint edge with its memo.
+type dirStep struct {
+	s    semijoin
+	m    *dirMemo
+	src  semiSource
+	skip bool
 }
 
-// reduceCoded drops set rows whose membership — row code, translated into
-// the source dictionary, probed against the source code set — equals anti.
-// Null rows (code -1) are never members, matching the scalar reduceTo.
-func reduceCoded(set bitmap.Dense, codes, xl []int32, srcCodes bitmap.Dense, anti bool) bool {
-	removed := false
-	for w := range set {
-		word := set[w]
-		for word != 0 {
-			t := word & -word
-			r := w<<6 | bits.TrailingZeros64(word)
-			word ^= t
-			member := false
-			if c := codes[r]; c >= 0 {
-				if sc := xl[c]; sc >= 0 {
-					member = srcCodes.Get(int(sc))
-				}
-			}
-			if member == anti {
-				set[w] &^= t
-				removed = true
-			}
-		}
+// prepare captures the direction's source, or marks the direction skipped
+// when the memo proves it a no-op.
+func (d *dirStep) prepare(e *Engine, copyRows bool) *dirStep {
+	d.skip = d.m.valid && d.m.srcVer == d.s.src.version && d.m.tgtVer == d.s.tgt.version
+	if !d.skip {
+		d.src = e.prepare(d.s, copyRows)
 	}
-	return removed
+	return d
 }
 
-// reduceBoxed is the boxed fallback for non-encodable columns, with the
-// exact membership semantics of the scalar reduceTo.
-func reduceBoxed(set bitmap.Dense, tbl *relation.Table, col string,
-	keys map[value.Value]struct{}, anti bool) bool {
-
-	ci, ok := tbl.Schema().ColumnIndex(col)
-	if !ok {
+// run reduces the direction's target unless it was skipped, records the
+// memo, and reports whether the target shrank.
+func (d *dirStep) run(e *Engine) bool {
+	if d.skip {
 		return false
 	}
-	removed := false
-	for w := range set {
-		word := set[w]
-		for word != 0 {
-			t := word & -word
-			r := w<<6 | bits.TrailingZeros64(word)
-			word ^= t
-			v := tbl.Value(r, ci)
-			_, member := keys[v]
-			if v.IsNull() {
-				member = false
-			}
-			if member == anti {
-				set[w] &^= t
-				removed = true
-			}
-		}
-	}
+	removed := e.run(d.s, d.src)
+	*d.m = dirMemo{srcVer: d.src.version, tgtVer: d.s.tgt.version, valid: true}
 	return removed
 }

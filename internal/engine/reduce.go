@@ -198,36 +198,28 @@ func (e *Engine) runtimeBlockPrune(q *workload.Query, ts *tableState,
 // first use. nil means the column cannot be indexed; the failure is cached
 // too, so unindexable columns are not retried on every query.
 func (e *Engine) keyIndexFor(table, col string) *relation.KeyIndex {
-	cacheKey := table + "." + col
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ki, ok := e.keyIdx[cacheKey]; ok {
+	return cached(&e.mu, e.keyIdx, colKey{table, col}, func() *relation.KeyIndex {
+		ki, err := relation.BuildKeyIndex(e.ds.Table(table), col)
+		if err != nil {
+			return nil
+		}
 		return ki
-	}
-	ki, err := relation.BuildKeyIndex(e.ds.Table(table), col)
-	if err != nil {
-		ki = nil
-	}
-	e.keyIdx[cacheKey] = ki
-	return ki
+	})
 }
 
 // blockOfFor returns the table's row → block ID mapping, building and
 // caching it on first use. The mapping is an auxiliary-index read served
-// by the backend (from the segment's row-ID pages); nil means the backend could not produce it, and secondary-index pruning
-// degrades to not pruning.
+// by the backend (from the segment's row-ID pages); nil means the backend
+// could not produce it, and secondary-index pruning degrades to not
+// pruning.
 func (e *Engine) blockOfFor(table string) []int32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if m, ok := e.blockOf[table]; ok {
+	return cached(&e.mu, e.blockOf, table, func() []int32 {
+		m, err := e.store.RowToBlock(table)
+		if err != nil {
+			return nil
+		}
 		return m
-	}
-	m, err := e.store.RowToBlock(table)
-	if err != nil {
-		m = nil
-	}
-	e.blockOf[table] = m
-	return m
+	})
 }
 
 // secondaryIndexPrune keeps only candidate blocks that physically contain a
@@ -443,26 +435,60 @@ func hull(a, b predicate.Interval) predicate.Interval {
 	return out
 }
 
+// joinColumnsExist reports whether both of j's columns exist in their
+// aliases' base tables. A missing join column yields no key set; reducing
+// the other side by the resulting nil set would wrongly drop every row, so
+// reduction skips such an edge — like runtimeBlockPrune, there is nothing
+// to reduce with — and charges it no probes.
+func (e *Engine) joinColumnsExist(q *workload.Query, j workload.Join) bool {
+	return tableHasColumn(e.ds.Table(q.BaseTable(j.Left)), j.LeftColumn) &&
+		tableHasColumn(e.ds.Table(q.BaseTable(j.Right)), j.RightColumn)
+}
+
 // semanticReduce applies the query's join semantics to the filtered row
-// sets, iterating to a fixpoint: inner joins reduce both sides to matching
-// rows, one-sided outer joins reduce only the non-preserved side, semi
-// joins reduce both sides to matching rows, and anti-semi joins keep the
-// preserved side's rows without a match. Returns the number of tuple
+// sets: inner joins reduce both sides to matching rows, one-sided outer
+// joins reduce only the non-preserved side, semi joins reduce both sides
+// to matching rows, and anti-semi joins keep the preserved side's rows
+// without a match. A join graph sweepSchedule accepts is reduced in its
+// two sweeps, each step charged the target's rows as probes; any other
+// graph iterates the edges to a fixpoint. Returns the number of tuple
 // probes performed (for the cost model).
 func (e *Engine) semanticReduce(q *workload.Query, aliases map[string]*aliasState) int {
+	counts := make(map[string]int, len(aliases))
+	for name, as := range aliases {
+		counts[name] = len(as.rows)
+	}
+	steps, ok := sweepSchedule(q, counts)
+	if !ok {
+		return e.semanticFixpoint(q, aliases)
+	}
+	probes := 0
+	for _, st := range steps {
+		j := q.Joins[st.join]
+		if !e.joinColumnsExist(q, j) {
+			continue
+		}
+		tgt, tgtCol, src, srcCol := st.sides(j)
+		t, s := aliases[tgt], aliases[src]
+		probes += len(t.rows)
+		reduceTo(t, e.ds.Table(t.table), tgtCol, keysOf(e.ds.Table(s.table), s.rows, srcCol), false)
+	}
+	return probes
+}
+
+// semanticFixpoint iterates every edge's reduction until a pass changes
+// nothing (or MaxReductionPasses): the route for cyclic graphs and outer,
+// anti and full joins.
+func (e *Engine) semanticFixpoint(q *workload.Query, aliases map[string]*aliasState) int {
 	probes := 0
 	for pass := 0; pass < e.opts.MaxReductionPasses; pass++ {
 		changed := false
 		for _, j := range q.Joins {
-			l, r := aliases[j.Left], aliases[j.Right]
-			lt, rt := e.ds.Table(l.table), e.ds.Table(r.table)
-			if !tableHasColumn(lt, j.LeftColumn) || !tableHasColumn(rt, j.RightColumn) {
-				// A missing join column yields no key set; reducing the
-				// other side by the resulting nil set would wrongly drop
-				// every row. Skip the edge — like runtimeBlockPrune,
-				// there is nothing to reduce with.
+			if !e.joinColumnsExist(q, j) {
 				continue
 			}
+			l, r := aliases[j.Left], aliases[j.Right]
+			lt, rt := e.ds.Table(l.table), e.ds.Table(r.table)
 			switch j.Type {
 			case workload.InnerJoin, workload.SemiJoin:
 				lk := keysOf(lt, l.rows, j.LeftColumn)

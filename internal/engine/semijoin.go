@@ -1,0 +1,394 @@
+package engine
+
+import (
+	"math/bits"
+
+	"mto/internal/bitmap"
+	"mto/internal/relation"
+	"mto/internal/value"
+)
+
+// This file is the vectorized semijoin operator: keep the target alias's
+// rows whose join key has (anti: has no) equal key among the source
+// alias's rows. Both dictionaries present, it runs one of three physical
+// strategies, whichever the cost rule (chooseStrategy) expects to be
+// cheapest:
+//
+//   - probe: visit every target survivor and test its code against the
+//     source's keys;
+//   - target postings: for every source key, visit only the target rows
+//     holding it, through the target column's code → rows index;
+//   - source postings: for every target survivor, walk the source rows
+//     holding its key until one source survivor turns up. This never
+//     extracts the source's keys.
+//
+// The first two read the source's keys as a bitset over the target
+// dictionary's slots (slot = code + 1; slot 0, null or absent from the
+// target column, is never set), built straight from the source rows, so
+// key extraction and code translation are one pass, and both run without
+// a data-dependent branch per row. All three produce the same survivor
+// bitmap (pinned by the strategy equivalence tests). A column without a
+// dictionary (floats) takes the boxed route, and an empty side short-cuts
+// every strategy.
+
+// strategy is a semijoin's physical plan.
+type strategy uint8
+
+const (
+	probeTarget strategy = iota
+	targetPostings
+	sourcePostings
+	boxedProbe // a column without a dictionary: boxed value sets
+	emptySide  // either side has no rows: nothing to visit
+)
+
+// postings is a column's code → rows index in CSR form: the rows holding
+// code c are rows[start[c]:start[c+1]], ascending. Null rows are in no
+// list.
+type postings struct {
+	start []int32
+	rows  []int32
+}
+
+// buildPostings inverts d's row → code vector by a counting sort.
+func buildPostings(d *relation.ColumnDict) *postings {
+	n := d.NumCodes()
+	p := &postings{start: make([]int32, n+1)}
+	for _, c := range d.Codes {
+		if c >= 0 {
+			p.start[c+1]++
+		}
+	}
+	for c := 0; c < n; c++ {
+		p.start[c+1] += p.start[c]
+	}
+	p.rows = make([]int32, p.start[n])
+	next := append([]int32(nil), p.start[:n]...)
+	for r, c := range d.Codes {
+		if c >= 0 {
+			p.rows[next[c]] = int32(r)
+			next[c]++
+		}
+	}
+	return p
+}
+
+// of returns the rows holding code c.
+func (p *postings) of(c int32) []int32 { return p.rows[p.start[c]:p.start[c+1]] }
+
+// postingsFor returns the cached code → rows index of table.col, whose
+// dictionary is d.
+func (e *Engine) postingsFor(table, col string, d *relation.ColumnDict) *postings {
+	return cached(&e.mu, e.posts, colKey{table, col}, func() *postings { return buildPostings(d) })
+}
+
+// translateSlots maps each slot of dictionary from (code + 1; slot 0 is
+// null) to the slot of the equal value in dictionary to, 0 when to's
+// column never holds it.
+func translateSlots(from, to *relation.ColumnDict) []int32 {
+	xl := relation.TranslateCodes(from, to)
+	out := make([]int32, len(xl)+1)
+	for c, t := range xl {
+		out[c+1] = t + 1
+	}
+	return out
+}
+
+// xlateFor returns the cached slot translation from column from's
+// dictionary (fd) into column to's (td), so one side's codes index the
+// other's key sets or postings without boxing a single value.
+func (e *Engine) xlateFor(from colKey, fd *relation.ColumnDict, to colKey, td *relation.ColumnDict) []int32 {
+	return cached(&e.mu, e.xlate, xlateKey{from, to}, func() []int32 {
+		return translateSlots(fd, td)
+	})
+}
+
+// Costs of the strategies' unit steps in nanoseconds, fitted by least
+// squares to every semijoin step of the TPC-H, SSB and TPC-DS templates
+// at SF 0.05 (x86-64): a source row's key set in the slot bitset, a
+// target row probed, a target posting list opened and one of its rows
+// visited, a target row's source posting list located and one step of it
+// walked, and one bitset word swept. The fitted rule's choices cost
+// within 3 % of always picking the fastest strategy in hindsight.
+const (
+	costSlotRow    = 8.0
+	costProbeRow   = 3.2
+	costListOpen   = 5.0
+	costPostingRow = 3.0
+	costWalkRow    = 12.0
+	costWalkStep   = 0.5
+	costWord       = 1.5
+)
+
+// chooseStrategy returns the strategy expected to be cheapest for reducing
+// tgtCount target survivors (dictionary tgt) by srcCount source survivors
+// (dictionary src). Posting lengths are estimated as the column's rows
+// per distinct code, and a source-postings walk as ending at the first
+// survivor, which a uniformly spread source row set places every
+// rows/srcCount rows.
+func chooseStrategy(tgtCount, srcCount int, anti bool, tgt, src *relation.ColumnDict) strategy {
+	tRows, sRows := float64(len(tgt.Codes)), float64(len(src.Codes))
+	tWords := tRows / 64
+	tLen := tRows / float64(max(1, tgt.NumCodes()))
+	sLen := sRows / float64(max(1, src.NumCodes()))
+	srcKeys := float64(min(srcCount, src.NumCodes()))
+	// The slot bitset: zeroed, then filled from a sweep of the source set.
+	slots := costSlotRow*float64(srcCount) + costWord*(sRows+float64(tgt.NumCodes()))/64
+
+	how, best := probeTarget, slots+costProbeRow*float64(tgtCount)+costWord*tWords
+	// Target postings visit the matched target rows; unless anti, they
+	// also rebuild the target set from them.
+	rebuild := 2 * costWord * tWords
+	if anti {
+		rebuild = 0
+	}
+	if c := slots + srcKeys*(costListOpen+costPostingRow*tLen) + rebuild; c < best {
+		how, best = targetPostings, c
+	}
+	walk := min(sLen, sRows/float64(max(1, srcCount)))
+	if c := float64(tgtCount)*(costWalkRow+costWalkStep*walk) + costWord*tWords; c < best {
+		how = sourcePostings
+	}
+	return how
+}
+
+// semijoin is one directed semijoin: keep tgt's rows whose tgtCol key has
+// (anti: has no) equal key among src's rows in srcCol.
+type semijoin struct {
+	tgt, src       *vecAlias
+	tgtCol, srcCol string
+	anti           bool
+}
+
+// semiSource is what a semijoin's strategy reads of its source, captured
+// before anything runs: a fixpoint edge reduces both of its sides, each by
+// the other as of the edge's start.
+type semiSource struct {
+	how     strategy
+	version int
+	count   int
+	td, sd  *relation.ColumnDict // nil for a column without a dictionary
+	slots   *denseBuf            // probe, target postings: the source's keys as target slots
+	rows    *denseBuf            // source postings: a private copy of the source rows
+	keys    *cachedKeys          // boxed
+}
+
+// prepare chooses s's strategy and captures its source. copyRows asks for
+// a private copy of the source rows when source postings are chosen — the
+// caller is about to shrink the source before s runs.
+func (e *Engine) prepare(s semijoin, copyRows bool) semiSource {
+	if s.tgt.count == 0 || s.src.count == 0 {
+		return semiSource{how: emptySide, version: s.src.version, count: s.src.count}
+	}
+	td, sd := e.dictFor(s.tgt.table, s.tgtCol), e.dictFor(s.src.table, s.srcCol)
+	how := boxedProbe
+	if td != nil && sd != nil {
+		how = chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd)
+	}
+	return e.capture(s, how, td, sd, copyRows)
+}
+
+// capture records what strategy how reads of s's source (td and sd are
+// the target and source dictionaries).
+func (e *Engine) capture(s semijoin, how strategy, td, sd *relation.ColumnDict, copyRows bool) semiSource {
+	src := semiSource{how: how, version: s.src.version, count: s.src.count, td: td, sd: sd}
+	switch how {
+	case probeTarget, targetPostings:
+		inv := e.xlateFor(colKey{s.src.table, s.srcCol}, sd, colKey{s.tgt.table, s.tgtCol}, td)
+		src.slots = grabDense(td.NumCodes() + 1)
+		keySlots(src.slots.dense(), s.src.set, sd.Codes, inv)
+	case sourcePostings:
+		if copyRows {
+			src.rows = grabDense(len(sd.Codes))
+			copy(src.rows.w, s.src.set)
+		}
+	case boxedProbe:
+		src.keys = e.keysFor(s.src, s.srcCol)
+	}
+	return src
+}
+
+// run reduces s's target by its prepared source and reports whether the
+// target shrank. It releases what prepare pooled.
+func (e *Engine) run(s semijoin, src semiSource) bool {
+	t := s.tgt
+	var kept int
+	switch src.how {
+	case probeTarget:
+		kept = reduceProbe(t.set, src.td.Codes, src.slots.dense(), s.anti)
+		putDense(src.slots)
+	case targetPostings:
+		tp := e.postingsFor(t.table, s.tgtCol, src.td)
+		kept = reduceTargetPostings(t.set, t.count, tp, src.slots.dense(), s.anti)
+		putDense(src.slots)
+	case sourcePostings:
+		xl := e.xlateFor(colKey{t.table, s.tgtCol}, src.td, colKey{s.src.table, s.srcCol}, src.sd)
+		sp := e.postingsFor(s.src.table, s.srcCol, src.sd)
+		rows := s.src.set
+		if src.rows != nil {
+			rows = src.rows.dense()
+		}
+		kept = reduceSourcePostings(t.set, src.td.Codes, xl, sp, rows, s.anti)
+		if src.rows != nil {
+			putDense(src.rows)
+		}
+	case emptySide:
+		// An empty source matches no target row; an empty target has
+		// nothing to drop.
+		if src.count == 0 && !s.anti {
+			clear(t.set)
+		} else {
+			kept = t.count
+		}
+	default:
+		kept = reduceBoxed(t.set, t.count, e.ds.Table(t.table), s.tgtCol, src.keys.boxedKeys(), s.anti)
+	}
+	if kept == t.count {
+		return false
+	}
+	t.count = kept
+	t.version++
+	return true
+}
+
+// keySlots sets in slots (zeroed, one bit per target slot) the target slot
+// of every source row's key: codes is the source column's row → code
+// vector and inv its slot translation into the target dictionary.
+func keySlots(slots, rows bitmap.Dense, codes, inv []int32) {
+	for w, word := range rows {
+		base := w << 6
+		for ; word != 0; word &= word - 1 {
+			s := uint32(inv[codes[base|bits.TrailingZeros64(word)]+1])
+			slots[s>>6] |= 1 << (s & 63)
+		}
+	}
+	slots[0] &^= 1 // slot 0 collects nulls and keys the target never holds
+}
+
+// reduceProbe is the probe strategy: it keeps each set row whose slot
+// (code + 1) is in slots — anti: is not — and returns the rows kept.
+func reduceProbe(set bitmap.Dense, codes []int32, slots bitmap.Dense, anti bool) int {
+	kept := 0
+	for w, word := range set {
+		if word == 0 {
+			continue
+		}
+		base := w << 6
+		var hit uint64
+		for x := word; x != 0; x &= x - 1 {
+			tz := bits.TrailingZeros64(x)
+			s := uint32(codes[base|tz] + 1)
+			hit |= (slots[s>>6] >> (s & 63) & 1) << tz
+		}
+		if anti {
+			hit = word &^ hit
+		}
+		set[w] = hit
+		kept += bits.OnesCount64(hit)
+	}
+	return kept
+}
+
+// reduceTargetPostings is the target-postings strategy: for each slot in
+// slots it visits only the target rows holding that key (tp), so its cost
+// is the source's key count plus the target rows with those keys. count
+// is set's population; returns the rows kept.
+func reduceTargetPostings(set bitmap.Dense, count int, tp *postings, slots bitmap.Dense, anti bool) int {
+	if anti {
+		cleared := 0
+		for w, word := range slots {
+			for ; word != 0; word &= word - 1 {
+				for _, r := range tp.of(int32(w<<6|bits.TrailingZeros64(word)) - 1) {
+					old := set[r>>6]
+					set[r>>6] = old &^ (1 << (r & 63))
+					cleared += int(old >> (r & 63) & 1)
+				}
+			}
+		}
+		return count - cleared
+	}
+	// Keep the matched rows only: gather them into a fresh set, then swap
+	// it in.
+	keep := grabDense(len(set) << 6)
+	kw := keep.dense()
+	for w, word := range slots {
+		for ; word != 0; word &= word - 1 {
+			for _, r := range tp.of(int32(w<<6|bits.TrailingZeros64(word)) - 1) {
+				kw[r>>6] |= set[r>>6] & (1 << (r & 63))
+			}
+		}
+	}
+	kept := 0
+	for w, word := range kw {
+		set[w] = word
+		kept += bits.OnesCount64(word)
+	}
+	putDense(keep)
+	return kept
+}
+
+// reduceSourcePostings is the source-postings strategy: for each set row
+// it translates the row's slot into the source dictionary (xl) and walks
+// the source rows holding that key (sp) until one is in srcRows. Returns
+// the rows kept.
+func reduceSourcePostings(set bitmap.Dense, codes, xl []int32, sp *postings,
+	srcRows bitmap.Dense, anti bool) int {
+
+	kept := 0
+	for w, word := range set {
+		if word == 0 {
+			continue
+		}
+		base := w << 6
+		var hit uint64
+		for x := word; x != 0; x &= x - 1 {
+			tz := bits.TrailingZeros64(x)
+			if s := xl[codes[base|tz]+1]; s != 0 {
+				for _, r := range sp.of(s - 1) {
+					if srcRows.Get(int(r)) {
+						hit |= 1 << tz
+						break
+					}
+				}
+			}
+		}
+		if anti {
+			hit = word &^ hit
+		}
+		set[w] = hit
+		kept += bits.OnesCount64(hit)
+	}
+	return kept
+}
+
+// reduceBoxed is the boxed route for columns without a dictionary, with
+// the exact membership semantics of the scalar reduceTo. count is set's
+// population; returns the rows kept.
+func reduceBoxed(set bitmap.Dense, count int, tbl *relation.Table, col string,
+	keys map[value.Value]struct{}, anti bool) int {
+
+	ci, ok := tbl.Schema().ColumnIndex(col)
+	if !ok {
+		return count
+	}
+	kept := 0
+	for w := range set {
+		word := set[w]
+		for word != 0 {
+			t := word & -word
+			r := w<<6 | bits.TrailingZeros64(word)
+			word ^= t
+			v := tbl.Value(r, ci)
+			_, member := keys[v]
+			if v.IsNull() {
+				member = false
+			}
+			if member == anti {
+				set[w] &^= t
+			} else {
+				kept++
+			}
+		}
+	}
+	return kept
+}

@@ -1,0 +1,303 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"mto/internal/bitmap"
+	"mto/internal/datagen"
+	"mto/internal/relation"
+	"mto/internal/value"
+	"mto/internal/workload"
+)
+
+// keyTable builds a one-column int table; a nil entry is a null key.
+func keyTable(name string, keys []*int64) *relation.Table {
+	tbl := relation.NewTable(relation.MustSchema(name, relation.Column{Name: "k", Type: value.KindInt}))
+	for _, k := range keys {
+		if k == nil {
+			tbl.MustAppendRow(value.Null)
+		} else {
+			tbl.MustAppendRow(value.Int(*k))
+		}
+	}
+	return tbl
+}
+
+func keys(vs ...int64) []*int64 {
+	out := make([]*int64, len(vs))
+	for i := range vs {
+		out[i] = &vs[i]
+	}
+	return out
+}
+
+// semiCase is one semijoin input: two tables and the rows of each that
+// survive before the step.
+type semiCase struct {
+	name       string
+	tgt, src   []*int64
+	tgtR, srcR []int // surviving rows
+}
+
+// runStrategies reduces a fresh copy of the case's target by its source
+// under every strategy and returns the kept rows and removed flag of each,
+// plus the scalar reduceTo's answer.
+func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]bitmap.Dense, map[strategy]bool, bitmap.Dense) {
+	t.Helper()
+	ds := relation.NewDataset()
+	tt, st := keyTable("T", c.tgt), keyTable("S", c.src)
+	ds.MustAddTable(tt)
+	ds.MustAddTable(st)
+	e := New(nil, nil, ds, DefaultOptions())
+	td, sd := e.dictFor("T", "k"), e.dictFor("S", "k")
+	if td == nil || sd == nil {
+		t.Fatalf("%s: no dictionary", c.name)
+	}
+	alias := func(name string, n int, rows []int) *vecAlias {
+		a := &vecAlias{alias: name, table: name, set: bitmap.NewDense(n), keys: map[string]*cachedKeys{}}
+		for _, r := range rows {
+			a.set.Set(r)
+		}
+		a.count = a.set.Count()
+		return a
+	}
+	sets := map[strategy]bitmap.Dense{}
+	removed := map[strategy]bool{}
+	for _, how := range []strategy{probeTarget, targetPostings, sourcePostings, boxedProbe} {
+		s := semijoin{tgt: alias("T", len(c.tgt), c.tgtR), src: alias("S", len(c.src), c.srcR),
+			tgtCol: "k", srcCol: "k", anti: anti}
+		src := e.capture(s, how, td, sd, copyRows)
+		if copyRows {
+			// The fixpoint shrinks the source between capture and run;
+			// the step must still see the captured rows.
+			clear(s.src.set)
+			s.src.count, s.src.version = 0, s.src.version+1
+		}
+		removed[how] = e.run(s, src)
+		sets[how] = s.tgt.set
+		if got := s.tgt.set.Count(); got != s.tgt.count {
+			t.Errorf("%s/%d: count %d, set holds %d", c.name, how, s.tgt.count, got)
+		}
+	}
+	// The scalar path's answer.
+	as := &aliasState{table: "T"}
+	for _, r := range c.tgtR {
+		as.rows = append(as.rows, int32(r))
+	}
+	var srcRows []int32
+	for _, r := range c.srcR {
+		srcRows = append(srcRows, int32(r))
+	}
+	reduceTo(as, tt, "k", keysOf(st, srcRows, "k"), anti)
+	want := bitmap.NewDense(len(c.tgt))
+	for _, r := range as.rows {
+		want.Set(int(r))
+	}
+	return sets, removed, want
+}
+
+func allRows(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestStrategyEquivalence runs the probe, target-postings and
+// source-postings strategies (and the boxed route) directly on the same
+// inputs and requires identical survivor bitmaps and "removed" flags,
+// equal to the scalar reduceTo's.
+func TestStrategyEquivalence(t *testing.T) {
+	cases := []semiCase{
+		{name: "matching", tgt: keys(1, 2, 3, 4, 2), src: keys(2, 4, 9),
+			tgtR: allRows(5), srcR: allRows(3)},
+		{name: "nulls", tgt: []*int64{nil, keys(1)[0], nil, keys(3)[0]}, src: []*int64{nil, keys(1)[0], keys(3)[0]},
+			tgtR: allRows(4), srcR: []int{0, 1}},
+		{name: "absent-codes", tgt: keys(5, 6, 7), src: keys(1, 2, 6),
+			tgtR: allRows(3), srcR: allRows(3)},
+		{name: "empty-source", tgt: keys(1, 2, 3), src: keys(1, 2, 3),
+			tgtR: allRows(3), srcR: nil},
+		{name: "empty-target", tgt: keys(1, 2, 3), src: keys(1, 2, 3),
+			tgtR: nil, srcR: allRows(3)},
+		{name: "one-row", tgt: keys(7), src: keys(7),
+			tgtR: allRows(1), srcR: allRows(1)},
+		{name: "one-row-miss", tgt: keys(7), src: keys(8),
+			tgtR: allRows(1), srcR: allRows(1)},
+		{name: "source-survivor-late-in-list", tgt: keys(1, 2), src: keys(1, 1, 1, 2, 2, 1),
+			tgtR: allRows(2), srcR: []int{5}},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 60; i++ {
+		gen := func(n, domain int) []*int64 {
+			out := make([]*int64, n)
+			for r := range out {
+				if rng.Intn(8) > 0 {
+					v := int64(rng.Intn(domain))
+					out[r] = &v
+				}
+			}
+			return out
+		}
+		pick := func(n int) []int {
+			var rows []int
+			p := rng.Float64()
+			for r := 0; r < n; r++ {
+				if rng.Float64() < p {
+					rows = append(rows, r)
+				}
+			}
+			return rows
+		}
+		nt, ns := 1+rng.Intn(300), 1+rng.Intn(300)
+		c := semiCase{name: fmt.Sprintf("random-%d", i),
+			tgt: gen(nt, 1+rng.Intn(120)), src: gen(ns, 1+rng.Intn(120))}
+		c.tgtR, c.srcR = pick(nt), pick(ns)
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		for _, anti := range []bool{false, true} {
+			for _, copyRows := range []bool{false, true} {
+				sets, removed, want := runStrategies(t, c, anti, copyRows)
+				for how, set := range sets {
+					if !reflect.DeepEqual(set, want) {
+						t.Errorf("%s anti=%v copy=%v: strategy %d kept %v, want %v", c.name, anti, copyRows, how, set, want)
+					}
+					if removed[how] != removed[probeTarget] {
+						t.Errorf("%s anti=%v copy=%v: strategy %d removed=%v, probe removed=%v",
+							c.name, anti, copyRows, how, removed[how], removed[probeTarget])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPostingsInvertDictionary pins the code → rows index: every non-null
+// row sits in its code's list, lists are ascending, nulls are in none.
+func TestPostingsInvertDictionary(t *testing.T) {
+	tbl := keyTable("T", []*int64{keys(3)[0], nil, keys(1)[0], keys(3)[0], keys(2)[0], nil, keys(1)[0]})
+	d, err := relation.BuildColumnDict(tbl, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := buildPostings(d)
+	want := [][]int32{{2, 6}, {4}, {0, 3}} // codes of 1, 2, 3
+	for c, rows := range want {
+		if got := p.of(int32(c)); !reflect.DeepEqual(got, rows) {
+			t.Errorf("code %d: rows %v, want %v", c, got, rows)
+		}
+	}
+	if len(p.rows) != 5 {
+		t.Errorf("postings hold %d rows, want the 5 non-null ones", len(p.rows))
+	}
+}
+
+// scheduleQuery builds a query over the given aliases (each its own
+// table) and edges.
+func scheduleQuery(aliases []string, joins ...workload.Join) *workload.Query {
+	refs := make([]workload.TableRef, len(aliases))
+	for i, a := range aliases {
+		refs[i] = workload.TableRef{Table: a}
+	}
+	q := workload.NewQuery("sched", refs...)
+	for _, j := range joins {
+		q.AddTypedJoin(j)
+	}
+	return q
+}
+
+func edge(l, r string, typ workload.JoinType) workload.Join {
+	return workload.Join{Left: l, LeftColumn: "k", Right: r, RightColumn: "k", Type: typ}
+}
+
+// TestSweepScheduleClassification pins which join graphs get the two
+// sweeps: forests of inner/semi edges do; cycles, two edges on one alias
+// pair, an alias joined to itself and outer, anti or full edges keep the
+// fixpoint.
+func TestSweepScheduleClassification(t *testing.T) {
+	counts := map[string]int{"f": 1000, "a": 10, "b": 50, "c": 5, "d": 70, "x": 3, "y": 4}
+	sweeps := []struct {
+		name  string
+		q     *workload.Query
+		steps int
+	}{
+		{"no joins", scheduleQuery([]string{"f"}), 0},
+		{"star", scheduleQuery([]string{"f", "a", "b", "c"},
+			edge("a", "f", workload.InnerJoin), edge("f", "b", workload.InnerJoin),
+			edge("c", "f", workload.SemiJoin)), 6},
+		{"chain", scheduleQuery([]string{"a", "f", "b", "d"},
+			edge("a", "f", workload.InnerJoin), edge("b", "f", workload.InnerJoin),
+			edge("d", "b", workload.InnerJoin)), 6},
+		{"forest", scheduleQuery([]string{"f", "a", "x", "y"},
+			edge("a", "f", workload.InnerJoin), edge("x", "y", workload.SemiJoin)), 4},
+	}
+	for _, c := range sweeps {
+		steps, ok := sweepSchedule(c.q, counts)
+		if !ok || len(steps) != c.steps {
+			t.Errorf("%s: ok=%v steps=%d, want the sweep with %d steps", c.name, ok, len(steps), c.steps)
+		}
+	}
+
+	fixpoints := []struct {
+		name string
+		q    *workload.Query
+	}{
+		{"cycle", scheduleQuery([]string{"a", "b", "c"},
+			edge("a", "b", workload.InnerJoin), edge("b", "c", workload.InnerJoin),
+			edge("c", "a", workload.InnerJoin))},
+		{"two edges on one pair", scheduleQuery([]string{"a", "b"},
+			edge("a", "b", workload.InnerJoin), edge("b", "a", workload.InnerJoin))},
+		{"self edge", scheduleQuery([]string{"a", "b"},
+			edge("a", "a", workload.InnerJoin), edge("a", "b", workload.InnerJoin))},
+		{"unknown alias", scheduleQuery([]string{"a"}, edge("a", "zz", workload.InnerJoin))},
+	}
+	for _, typ := range []workload.JoinType{workload.LeftOuterJoin, workload.RightOuterJoin,
+		workload.FullOuterJoin, workload.LeftAntiSemiJoin, workload.RightAntiSemiJoin} {
+		fixpoints = append(fixpoints, struct {
+			name string
+			q    *workload.Query
+		}{typ.String(), scheduleQuery([]string{"f", "a", "b"},
+			edge("a", "f", workload.InnerJoin), edge("f", "b", typ))})
+	}
+	fixpoints = append(fixpoints, struct {
+		name string
+		q    *workload.Query
+	}{"tpch q5", datagen.TPCHQuery(5, rand.New(rand.NewSource(1)))})
+	for _, c := range fixpoints {
+		if steps, ok := sweepSchedule(c.q, counts); ok {
+			t.Errorf("%s: got the sweep (%d steps), want the fixpoint", c.name, len(steps))
+		}
+	}
+}
+
+// TestSweepScheduleOrder pins the step order on a rooted tree: the root
+// is the largest alias; bottom-up, each parent is reduced by its children
+// least-surviving first, after their own subtrees; top-down, each child
+// by its parent.
+func TestSweepScheduleOrder(t *testing.T) {
+	// f(1000) — a(10), f — b(50), b — d(70); c(5) hangs off a.
+	q := scheduleQuery([]string{"a", "b", "c", "d", "f"},
+		edge("a", "f", workload.InnerJoin), edge("f", "b", workload.InnerJoin),
+		edge("b", "d", workload.InnerJoin), edge("c", "a", workload.InnerJoin))
+	counts := map[string]int{"f": 1000, "a": 10, "b": 50, "c": 5, "d": 70}
+	steps, ok := sweepSchedule(q, counts)
+	if !ok {
+		t.Fatal("tree classified as needing the fixpoint")
+	}
+	var got []string
+	for _, st := range steps {
+		tgt, _, src, _ := st.sides(q.Joins[st.join])
+		got = append(got, tgt+"<"+src)
+	}
+	want := []string{
+		"a<c", "b<d", "f<a", "f<b", // bottom-up: subtrees first, then f by a (10) before b (50)
+		"a<f", "c<a", "b<f", "d<b", // top-down
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("steps %v, want %v", got, want)
+	}
+}
