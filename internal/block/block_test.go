@@ -127,16 +127,19 @@ func TestStatsSubRoundTrip(t *testing.T) {
 		BlocksRead: 10, BlocksWritten: 20, RowsRead: 30, RowsWritten: 40,
 		CacheHits: 50, CacheMisses: 60, CacheEvictions: 70, BytesRead: 80,
 		Prefetched: 90, ReadaheadHits: 100, GroupedFoldsDeclined: 110,
+		ScanLeaves: 120, ScanLeavesZoneDecided: 130, ScanPageDecodes: 140,
 	}
 	b := Stats{
 		BlocksRead: 1, BlocksWritten: 2, RowsRead: 3, RowsWritten: 4,
 		CacheHits: 5, CacheMisses: 6, CacheEvictions: 7, BytesRead: 8,
 		Prefetched: 9, ReadaheadHits: 10, GroupedFoldsDeclined: 11,
+		ScanLeaves: 12, ScanLeavesZoneDecided: 13, ScanPageDecodes: 14,
 	}
 	want := Stats{
 		BlocksRead: 9, BlocksWritten: 18, RowsRead: 27, RowsWritten: 36,
 		CacheHits: 45, CacheMisses: 54, CacheEvictions: 63, BytesRead: 72,
 		Prefetched: 81, ReadaheadHits: 90, GroupedFoldsDeclined: 99,
+		ScanLeaves: 108, ScanLeavesZoneDecided: 117, ScanPageDecodes: 126,
 	}
 	if got := a.Sub(b); got != want {
 		t.Errorf("Sub = %+v, want %+v", got, want)

@@ -69,6 +69,16 @@ type Stats struct {
 	// MaxGroupSlots — dense per-slot accumulators would blow memory, so
 	// the engine accumulated into a sparse map over materialized rows.
 	GroupedFoldsDeclined int64
+
+	// ScanLeaves counts the column leaves (comparisons, bands, IN, LIKE,
+	// column pairs) block visits evaluated; ScanLeavesZoneDecided those of
+	// them the block's zone map decided, which read no page body; and
+	// ScanPageDecodes the page bodies visits unpacked or decoded — at most
+	// one per touched column per visit, however many leaves and alias
+	// programs read it.
+	ScanLeaves            int64
+	ScanLeavesZoneDecided int64
+	ScanPageDecodes       int64
 }
 
 // Sub returns s - o, for measuring deltas between snapshots.
@@ -86,5 +96,9 @@ func (s Stats) Sub(o Stats) Stats {
 		ReadaheadHits:  s.ReadaheadHits - o.ReadaheadHits,
 
 		GroupedFoldsDeclined: s.GroupedFoldsDeclined - o.GroupedFoldsDeclined,
+
+		ScanLeaves:            s.ScanLeaves - o.ScanLeaves,
+		ScanLeavesZoneDecided: s.ScanLeavesZoneDecided - o.ScanLeavesZoneDecided,
+		ScanPageDecodes:       s.ScanPageDecodes - o.ScanPageDecodes,
 	}
 }

@@ -273,13 +273,6 @@ func (v floatView) decodeInto(out []float64) {
 	}
 }
 
-// values decodes every row into sc.
-func (v floatView) values(sc *scratch) []float64 {
-	out := sc.grabFloats(v.n)
-	v.decodeInto(out)
-	return out
-}
-
 // strView is a parsed string page: nd entries indexed as byte ranges of the
 // page body (in sc, no string materialized) — one per row on a raw page,
 // one per sorted dictionary entry on a dict page, whose packed codes map
@@ -370,16 +363,6 @@ func (v *strView) codes(sc *scratch) ([]uint64, error) {
 	return codes, nil
 }
 
-// strRows is strs followed by codes: every row of a string page, checked.
-func (pv pageView) strRows(nrows int, sc *scratch) (*strView, []uint64, error) {
-	v, err := pv.strs(nrows, sc)
-	if err != nil {
-		return nil, nil, err
-	}
-	codes, err := v.codes(sc)
-	return v, codes, err
-}
-
 // codesAt is codes for a reader of only the mask's pop set rows: a sparse
 // mask extracts and range-checks just those, leaving the other entries
 // undefined.
@@ -400,6 +383,107 @@ func (v *strView) codesAt(mask []uint64, pop int, sc *scratch) ([]uint64, error)
 		}
 	}
 	return codes, nil
+}
+
+// colSlot is one column page as a block visit reads it: parsed, with its
+// typed view validated, when a leaf first names the column, and its body
+// unpacked or decoded at most once, when a leaf first needs the rows. Its
+// own scratch holds the view and the decoded runs, so the slots of one
+// visit never share a buffer.
+type colSlot struct {
+	sc     scratch
+	opened bool
+	err    error // the parse's or the code check's, returned to every reader
+	pv     pageView
+	kind   value.Kind // encKind(pv.enc)
+	iv     *intView
+	sv     *strView
+	fv     floatView
+
+	// What a leaf has read off the body: codes (packed-domain int codes,
+	// checked dictionary codes, or none on a raw string page), values.
+	gotCodes, gotInts, gotFloats bool
+	codes                        []uint64
+	ints                         []int64
+	floats                       []float64
+}
+
+// open parses the page and its typed view, once per visit.
+func (s *colSlot) open(payload []byte, nrows int) error {
+	if s.opened {
+		return s.err
+	}
+	s.opened = true
+	if s.pv, s.err = parsePage(payload, nrows); s.err != nil {
+		return s.err
+	}
+	switch s.kind = encKind(s.pv.enc); s.kind {
+	case value.KindInt:
+		s.iv, s.err = s.pv.ints(nrows, &s.sc)
+	case value.KindFloat:
+		s.fv, s.err = s.pv.floats(nrows)
+	case value.KindString:
+		s.sv, s.err = s.pv.strs(nrows, &s.sc)
+	default:
+		s.err = fmt.Errorf("unknown encoding 0x%02x", s.pv.enc)
+	}
+	return s.err
+}
+
+// intCodes returns a random-access int page's codes (value = frame + code).
+func (s *colSlot) intCodes() []uint64 {
+	if !s.gotCodes {
+		s.gotCodes = true
+		s.codes = s.iv.unpack(&s.sc)
+	}
+	return s.codes
+}
+
+// intValues returns an int page's values, from its codes when a leaf
+// already unpacked them.
+func (s *colSlot) intValues() []int64 {
+	if !s.gotInts {
+		s.gotInts = true
+		if s.iv.delta {
+			s.ints = s.iv.values(&s.sc)
+		} else {
+			codes := s.intCodes()
+			s.ints = s.sc.grabInts(len(codes))
+			for i, c := range codes {
+				s.ints[i] = int64(c + uint64(s.iv.frame))
+			}
+		}
+	}
+	return s.ints
+}
+
+func (s *colSlot) floatValues() []float64 {
+	if !s.gotFloats {
+		s.gotFloats = true
+		s.floats = s.sc.grabFloats(s.fv.n)
+		s.fv.decodeInto(s.floats)
+	}
+	return s.floats
+}
+
+// strRows returns the string view and every row's checked dictionary
+// code, nil on a raw page whose rows are its entries.
+func (s *colSlot) strRows() (*strView, []uint64, error) {
+	if !s.gotCodes {
+		s.gotCodes = true
+		s.codes, s.err = s.sv.codes(&s.sc)
+	}
+	return s.sv, s.codes, s.err
+}
+
+// decoded reports whether a leaf read the body (Stats.ScanPageDecodes).
+func (s *colSlot) decoded() bool { return s.gotCodes || s.gotInts || s.gotFloats }
+
+// release drops the slot's references into page bytes, keeping its
+// buffers for the next visit.
+func (s *colSlot) release() {
+	s.sc.intv, s.sc.strv = intView{}, strView{}
+	*s = colSlot{sc: s.sc}
 }
 
 // decodeColumn fully decodes one column page into retained vectors: the
@@ -447,7 +531,11 @@ func decodeFloats(pv pageView, nrows int) ([]float64, error) {
 // decodeStrings materializes each entry once, so the rows of a dict page
 // share their dictionary entry's string.
 func decodeStrings(pv pageView, nrows int, sc *scratch) ([]string, error) {
-	v, codes, err := pv.strRows(nrows, sc)
+	v, err := pv.strs(nrows, sc)
+	if err != nil {
+		return nil, err
+	}
+	codes, err := v.codes(sc)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"mto/internal/relation"
 	"mto/internal/value"
 	"mto/internal/workload"
+	"mto/internal/zonemap"
 )
 
 // The page contract, checked by checkPage over one payload read as each
@@ -223,6 +224,10 @@ func (c *pageCheck) check(kind value.Kind, pv pageView, noNulls bool) bool {
 	// Scan leaves.
 	ts := &TableScan{table: "sc", colIdx: map[string]int{"mut": 0, "peer": 1}}
 	eb := &EncodedBlock{Cols: [][]byte{c.page, peer}}
+	if decoded { // the zone map of what decoded: leaves it settles are zone-decided
+		rows := seq32(0, nrows)
+		eb.Block = &block.Block{Rows: rows, Zone: zonemap.Build(tab, rows)}
+	}
 	kindOf := func(string) (value.Kind, bool) { return kind, true }
 	for _, p := range leafPredicates(kind) {
 		node, ok := predicate.CompileScan(p, kindOf)
@@ -232,7 +237,7 @@ func (c *pageCheck) check(kind value.Kind, pv pageView, noNulls bool) bool {
 		got := make([]uint64, nw)
 		name := fmt.Sprintf("scan %s", p)
 		if c.run(name, true, decoded, func() error {
-			err := ts.eval(node, eb, nrows, got, sc)
+			err := evalOnce(ts, node, eb, nrows, got, sc)
 			if _, pair := p.(*predicate.ColumnComparison); pair && err != nil && c.nameMut && !strings.Contains(err.Error(), "sc.mut") {
 				c.errorf("%s: error does not name the column: %v", name, err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -14,17 +15,19 @@ import (
 
 // This file implements compressed-domain predicate evaluation: filters
 // compiled by predicate.CompileScan run directly over a block's encoded
-// column pages. Dictionary-string pages translate the literal into a code
-// (or code range — dictionaries are sorted) and compare raw codes;
-// FOR-packed int pages rebase the literal into the packed unsigned domain
-// and compare packed words; delta/raw pages decode into pooled scratch,
-// never into retained vectors; a column-vs-column leaf decodes both of its
-// pages that way and compares them row by row. Null rows are cleared from
-// each leaf's mask straight off the raw page null bitmap. The evaluation
-// order and semantics mirror predicate.CompileMask exactly — including
-// AND/OR child isolation and NOT IN null-literal handling — which is what
-// makes a filter's mask byte-identical whether the backend evaluates it
-// here or the engine evaluates it over the base table.
+// column pages. A block visit reads each page through one column slot, so
+// a page is parsed once and its body decoded at most once however many
+// leaves and alias programs name it. A leaf the block's zone map decides
+// costs no decode at all; an undecided one compares codes where it can:
+// dictionary-string pages translate the literal into a code (or code range
+// — dictionaries are sorted), FOR-packed int pages rebase the literal into
+// the packed unsigned domain, and delta/raw pages compare decoded values
+// held in pooled scratch, never in retained vectors. Null rows are cleared
+// from each leaf's mask straight off the raw page null bitmap. The
+// semantics mirror predicate.CompileMask exactly — including NOT IN
+// null-literal handling — which is what makes a filter's mask
+// byte-identical whether the backend evaluates it here or the engine
+// evaluates it over the base table.
 
 // TableScan is one query's compiled compressed scan over one table,
 // pinned to the segment generation current at compile time. It is safe
@@ -131,7 +134,8 @@ func (t *TableScan) Prefetch(ids []int) {
 // ScanBlock implements block.Scan. It meters the block read
 // exactly like Backend.ReadBlock, fetches the encoded block through the
 // buffer pool, evaluates every supported filter with a non-nil mask over
-// the encoded pages, and ORs matching rows into the global-row masks.
+// the encoded pages in one visit, and ORs matching rows into the
+// global-row masks.
 func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
 	seg := t.st.seg
 	if id < 0 || id >= seg.NumBlocks() {
@@ -146,111 +150,259 @@ func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
 	nrows := len(eb.Block.Rows)
 	sc := getScratch()
 	defer putScratch(sc)
+	v := t.newVisit(eb, nrows, sc)
 	nw := (nrows + 63) / 64
 	for i, prog := range t.progs {
 		if prog == nil || i >= len(masks) || masks[i] == nil {
 			continue
 		}
 		local := sc.grabMask(nw)
-		err := t.eval(prog, eb, nrows, local, sc)
-		if err == nil {
+		if err = v.eval(prog, local); err == nil {
 			scatterMask(local, eb.Block.Rows, masks[i])
 		}
 		sc.releaseMask(local)
 		if err != nil {
-			return nil, err
+			break
 		}
+	}
+	decodes := v.release()
+	t.store.scanLeaves.Add(v.leaves)
+	t.store.scanDecided.Add(v.decided)
+	t.store.scanDecodes.Add(decodes)
+	if err != nil {
+		return nil, err
 	}
 	return eb.Block.Rows, nil
 }
 
-// eval evaluates one compiled node over the block's encoded pages into
-// out, a zeroed local mask of the block's rows.
-func (t *TableScan) eval(n predicate.ScanNode, eb *EncodedBlock, nrows int, out []uint64, sc *scratch) error {
+// visit is one block as a ScanBlock call reads it. Every leaf of every
+// alias program reads the block's pages through one slot per column, so a
+// page is parsed and decoded at most once per visit however many leaves
+// name it; and a leaf the block's zone map decides reads no page body.
+type visit struct {
+	t     *TableScan
+	eb    *EncodedBlock
+	nrows int
+	zone  predicate.Ranges // nil: the block has no zone map, nothing is decided
+	sc    *scratch
+	cols  []colSlot // per segment column
+
+	leaves, decided int64 // Stats.ScanLeaves / ScanLeavesZoneDecided
+}
+
+func (t *TableScan) newVisit(eb *EncodedBlock, nrows int, sc *scratch) visit {
+	v := visit{t: t, eb: eb, nrows: nrows, sc: sc, cols: sc.grabCols(len(eb.Cols))}
+	if eb.Block != nil && eb.Block.Zone != nil {
+		v.zone = eb.Block.Zone.Ranges()
+	}
+	return v
+}
+
+// release closes the visit's slots and returns how many page bodies it
+// read (Stats.ScanPageDecodes).
+func (v *visit) release() int64 {
+	var decodes int64
+	for i := range v.cols {
+		if v.cols[i].decoded() {
+			decodes++
+		}
+		if v.cols[i].opened {
+			v.cols[i].release()
+		}
+	}
+	return decodes
+}
+
+// eval evaluates one compiled node over the block into out, a zeroed local
+// mask of the block's rows.
+func (v *visit) eval(n predicate.ScanNode, out []uint64) error {
+	return v.evalTri(n, v.decide(n), out)
+}
+
+// decide is a node's zone decision on the block: a constant's own value,
+// a leaf's ZoneEval (TriMaybe when it has none, or the block no zone map),
+// TriMaybe for AND and OR.
+func (v *visit) decide(n predicate.ScanNode) predicate.Tri {
+	if c, ok := n.(predicate.ScanConst); ok {
+		if c {
+			return predicate.TriTrue
+		}
+		return predicate.TriFalse
+	}
+	if zone, _, _ := leafOf(n); zone != nil && v.zone != nil {
+		return zone(v.zone)
+	}
+	return predicate.TriMaybe
+}
+
+// evalTri is eval given the node's decision.
+func (v *visit) evalTri(n predicate.ScanNode, tri predicate.Tri, out []uint64) error {
 	switch q := n.(type) {
 	case predicate.ScanConst:
-		if bool(q) {
-			setAllBits(out, nrows)
+		if q {
+			setAllBits(out, v.nrows)
 		}
 		return nil
 	case *predicate.ScanAnd:
-		if err := t.eval(q.Children[0], eb, nrows, out, sc); err != nil {
-			return err
-		}
-		tmp := sc.grabMask(len(out))
-		defer sc.releaseMask(tmp)
-		for _, c := range q.Children[1:] {
-			for w := range tmp {
-				tmp[w] = 0
-			}
-			if err := t.eval(c, eb, nrows, tmp, sc); err != nil {
-				return err
-			}
-			for w := range out {
-				out[w] &= tmp[w]
-			}
-		}
-		return nil
+		return v.combine(q.Children, true, out)
 	case *predicate.ScanOr:
-		if err := t.eval(q.Children[0], eb, nrows, out, sc); err != nil {
-			return err
-		}
-		tmp := sc.grabMask(len(out))
-		defer sc.releaseMask(tmp)
-		for _, c := range q.Children[1:] {
-			for w := range tmp {
-				tmp[w] = 0
-			}
-			if err := t.eval(c, eb, nrows, tmp, sc); err != nil {
-				return err
-			}
-			for w := range out {
-				out[w] |= tmp[w]
-			}
-		}
-		return nil
-	case *predicate.ScanCmpCols:
-		return t.evalCmpCols(q, eb, nrows, out, sc)
-	case *predicate.ScanCmpInt:
-		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
-	case *predicate.ScanCmpFloat:
-		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
-	case *predicate.ScanCmpStr:
-		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
-	case *predicate.ScanInInt:
-		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
-	case *predicate.ScanInStr:
-		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
-	case *predicate.ScanLike:
-		return t.evalLeaf(q, q.Column, eb, nrows, out, sc)
+		return v.combine(q.Children, false, out)
 	}
-	return fmt.Errorf("colstore: unknown scan node %T", n)
+	return v.leaf(n, tri, out)
 }
 
-// evalLeaf evaluates a single-column leaf over col's page and clears the
-// page's null rows from out.
-func (t *TableScan) evalLeaf(n predicate.ScanNode, col string, eb *EncodedBlock, nrows int, out []uint64, sc *scratch) error {
-	pv, err := parsePage(eb.Cols[t.colIdx[col]], nrows)
-	if err == nil {
-		switch q := n.(type) {
-		case *predicate.ScanCmpInt:
-			err = evalCmpInt(pv, q.Op, q.Lit, nrows, out, sc)
-		case *predicate.ScanCmpFloat:
-			err = evalCmpFloat(pv, q.Op, q.Lit, nrows, out, sc)
-		case *predicate.ScanCmpStr:
-			err = evalCmpStr(pv, q.Op, q.Lit, nrows, out, sc)
-		case *predicate.ScanInInt:
-			err = evalInInt(pv, q, nrows, out, sc)
-		case *predicate.ScanInStr:
-			err = evalInStr(pv, q, nrows, out, sc)
-		case *predicate.ScanLike:
-			err = evalLike(pv, q, nrows, out, sc)
+// combine evaluates the AND (and) or the OR of kids into out. Decided
+// children run first — they read no page body, and one that empties an
+// AND's mask or fills an OR's spares the undecided ones their decode —
+// and evaluation stops as soon as no later child can change out.
+func (v *visit) combine(kids []predicate.ScanNode, and bool, out []uint64) error {
+	var buf [16]predicate.Tri
+	tris := buf[:0]
+	for _, c := range kids {
+		tris = append(tris, v.decide(c))
+	}
+	tmp := v.sc.grabMaskDirty(len(out))
+	defer v.sc.releaseMask(tmp)
+	first := true
+	for _, undecided := range [2]bool{false, true} {
+		for i, c := range kids {
+			if (tris[i] == predicate.TriMaybe) != undecided {
+				continue
+			}
+			dst := out
+			if !first {
+				clear(tmp)
+				dst = tmp
+			}
+			if err := v.evalTri(c, tris[i], dst); err != nil {
+				return err
+			}
+			if !first {
+				for w := range out {
+					if and {
+						out[w] &= tmp[w]
+					} else {
+						out[w] |= tmp[w]
+					}
+				}
+			}
+			first = false
+			if and && isEmpty(out) || !and && isFull(out, v.nrows) {
+				return nil
+			}
 		}
 	}
-	if err != nil {
-		return t.pageErr(col, err)
+	return nil
+}
+
+// leafOf is a column leaf's zone evaluator, the column it reads (a
+// pair's left one) and that column's kind (KindNull for a pair, whose two
+// pages need only agree); a nil zone and "" for AND, OR and constants.
+func leafOf(n predicate.ScanNode) (predicate.ZoneEval, string, value.Kind) {
+	switch q := n.(type) {
+	case *predicate.ScanCmpInt:
+		return q.Zone, q.Column, value.KindInt
+	case *predicate.ScanBand:
+		return q.Zone, q.Column, q.Lo.Kind()
+	case *predicate.ScanCmpFloat:
+		return nil, q.Column, value.KindFloat
+	case *predicate.ScanCmpStr:
+		return q.Zone, q.Column, value.KindString
+	case *predicate.ScanInInt:
+		return q.Zone, q.Column, value.KindInt
+	case *predicate.ScanInStr:
+		return q.Zone, q.Column, value.KindString
+	case *predicate.ScanLike:
+		return q.Zone, q.Column, value.KindString
+	case *predicate.ScanCmpCols:
+		return q.Zone, q.Left, value.KindNull
 	}
-	clearNullBits(pv.nulls, out)
+	return nil, "", value.KindNull
+}
+
+// col opens the named column's slot for a leaf reading kind (KindNull:
+// any), naming the column in any page error.
+func (v *visit) col(name string, kind value.Kind) (*colSlot, error) {
+	ci := v.t.colIdx[name]
+	s := &v.cols[ci]
+	err := s.open(v.eb.Cols[ci], v.nrows)
+	if err == nil && kind != value.KindNull && s.kind != kind {
+		err = fmt.Errorf("encoding 0x%02x is not a %s page", s.pv.enc, kind)
+	}
+	if err != nil {
+		return nil, v.t.pageErr(name, err)
+	}
+	return s, nil
+}
+
+// leaf evaluates one column leaf into out. A leaf the zone map decides
+// (tri) only validates its pages' views — counts, widths, payload lengths —
+// and matches every non-null row or none; an undecided one runs its kernel
+// over the slot's codes or values. Null rows are then cleared straight off
+// the pages' null bitmaps.
+func (v *visit) leaf(n predicate.ScanNode, tri predicate.Tri, out []uint64) error {
+	_, name, kind := leafOf(n)
+	if name == "" {
+		return fmt.Errorf("colstore: unknown scan node %T", n)
+	}
+	v.leaves++
+	l, err := v.col(name, kind)
+	if err != nil {
+		return err
+	}
+	var r *colSlot
+	if q, ok := n.(*predicate.ScanCmpCols); ok {
+		if r, err = v.col(q.Right, value.KindNull); err != nil {
+			return err
+		}
+		if l.kind != r.kind {
+			return v.t.pageErr(q.Right, fmt.Errorf("encoding 0x%02x does not pair with %s's 0x%02x", r.pv.enc, q.Left, l.pv.enc))
+		}
+	}
+	switch tri {
+	case predicate.TriTrue:
+		setAllBits(out, v.nrows)
+	case predicate.TriMaybe:
+		if err := v.kernel(n, l, r, out); err != nil {
+			return err
+		}
+	}
+	if tri != predicate.TriMaybe {
+		v.decided++
+	}
+	clearNullBits(l.pv.nulls, out)
+	if r != nil {
+		clearNullBits(r.pv.nulls, out)
+	}
+	return nil
+}
+
+// kernel runs an undecided leaf over its column slot (and a pair's right
+// one, r).
+func (v *visit) kernel(n predicate.ScanNode, s, r *colSlot, out []uint64) error {
+	var err error
+	switch q := n.(type) {
+	case *predicate.ScanCmpInt:
+		s.cmpInt(q.Op, q.Lit, v.nrows, out)
+	case *predicate.ScanBand:
+		err = s.band(q, v.nrows, out)
+	case *predicate.ScanCmpFloat:
+		predicate.MaskCompare(s.floatValues(), q.Op, q.Lit, out)
+	case *predicate.ScanCmpStr:
+		err = s.cmpStr(q.Op, q.Lit, v.nrows, out)
+	case *predicate.ScanInInt:
+		s.inInt(q, out)
+	case *predicate.ScanInStr:
+		err = s.inStr(q, out, v.sc)
+	case *predicate.ScanLike:
+		err = s.like(q, out, v.sc)
+	case *predicate.ScanCmpCols:
+		return v.cmpCols(q, s, r, out)
+	}
+	if err != nil {
+		_, name, _ := leafOf(n)
+		return v.t.pageErr(name, err)
+	}
 	return nil
 }
 
@@ -258,20 +410,15 @@ func (t *TableScan) pageErr(col string, err error) error {
 	return fmt.Errorf("colstore: scan %s.%s: %w", t.table, col, err)
 }
 
-// evalCmpInt evaluates (col op lit) over an int page. Pages whose values
+// cmpInt evaluates (col op lit) over an int page. Pages whose values
 // order like their codes rebase lit into the packed unsigned domain —
 // classifying it as below, inside, or above the page's value domain — and
-// compare packed words; other pages decode into pooled scratch and compare.
-func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64, sc *scratch) error {
-	v, err := pv.ints(nrows, sc)
-	if err != nil {
-		return err
-	}
-	if !v.packedDomain() {
-		cmpInt64s(v.values(sc), op, lit, out)
-		return nil
-	}
+// compare codes; other pages compare decoded values.
+func (s *colSlot) cmpInt(op predicate.Op, lit int64, nrows int, out []uint64) {
+	v := s.iv
 	switch {
+	case !v.packedDomain():
+		predicate.MaskCompare(s.intValues(), op, lit, out)
 	case lit < v.frame: // below the domain: only Ne/Gt/Ge can match
 		if op == predicate.Ne || op == predicate.Gt || op == predicate.Ge {
 			setAllBits(out, nrows)
@@ -281,101 +428,115 @@ func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64
 			setAllBits(out, nrows)
 		}
 	default:
-		codes, off := v.unpack(sc), uint64(lit)-uint64(v.frame)
-		switch op {
-		case predicate.Eq:
-			cmpPackedEq(codes, off, out)
-		case predicate.Ne:
-			cmpPackedNe(codes, off, out)
-		case predicate.Lt:
-			cmpPackedLt(codes, off, out)
-		case predicate.Le:
-			cmpPackedLt(codes, off+1, out)
-		case predicate.Gt:
-			cmpPackedGe(codes, off+1, out)
-		default: // Ge
-			cmpPackedGe(codes, off, out)
+		predicate.MaskCompare(s.intCodes(), op, uint64(lit)-uint64(v.frame), out)
+	}
+}
+
+// band evaluates lo ≤/< col ≤/< hi. Both bounds become one inclusive range
+// of codes (or values), and each row costs one unsigned subtract and
+// compare: c in [lo, hi] ⇔ c-lo ≤ hi-lo, wrapping. An int page rebases the
+// range into its code domain, clamped to it; a dict page turns it into a
+// code range by binary search over the sorted dictionary; a raw string
+// page compares the bytes against both bounds.
+func (s *colSlot) band(q *predicate.ScanBand, nrows int, out []uint64) error {
+	if s.kind == value.KindString {
+		return s.bandStr(q, out)
+	}
+	lo, hi := q.Lo.Int(), q.Hi.Int()
+	if !q.LoInc {
+		if lo == math.MaxInt64 {
+			return nil
+		}
+		lo++
+	}
+	if !q.HiInc {
+		if hi == math.MinInt64 {
+			return nil
+		}
+		hi--
+	}
+	v := s.iv
+	switch {
+	case lo > hi:
+	case !v.packedDomain():
+		cmpBand(s.intValues(), uint64(lo), uint64(hi), out)
+	case hi >= v.frame:
+		top := uint64(1)<<uint(v.width) - 1
+		cl, ch := uint64(0), min(uint64(hi)-uint64(v.frame), top)
+		if lo > v.frame {
+			cl = uint64(lo) - uint64(v.frame)
+		}
+		switch {
+		case cl > top:
+		case cl == 0 && ch == top:
+			setAllBits(out, nrows)
+		default:
+			cmpBand(s.intCodes(), cl, ch, out)
 		}
 	}
 	return nil
 }
 
-// evalCmpFloat evaluates (col op lit) over a raw float page.
-func evalCmpFloat(pv pageView, op predicate.Op, lit float64, nrows int, out []uint64, sc *scratch) error {
-	v, err := pv.floats(nrows)
+func (s *colSlot) bandStr(q *predicate.ScanBand, out []uint64) error {
+	v, codes, err := s.strRows()
 	if err != nil {
 		return err
 	}
-	cmpFloat64s(v.values(sc), op, lit, out)
+	lo, hi := q.Lo.Str(), q.Hi.Str()
+	if codes == nil {
+		for k := 0; k < v.n; k++ {
+			e := v.entry(k)
+			if c := bytesCompareString(e, lo); c > 0 || c == 0 && q.LoInc {
+				if c := bytesCompareString(e, hi); c < 0 || c == 0 && q.HiInc {
+					out[k>>6] |= 1 << (uint(k) & 63)
+				}
+			}
+		}
+		return nil
+	}
+	// The first entry above (or at, when inclusive) lo, and the first past
+	// hi: codes in [cl, chx) are the band's.
+	cl := sort.Search(v.nd, func(i int) bool { c := bytesCompareString(v.entry(i), lo); return c > 0 || c == 0 && q.LoInc })
+	chx := sort.Search(v.nd, func(i int) bool { c := bytesCompareString(v.entry(i), hi); return c > 0 || c == 0 && !q.HiInc })
+	if cl < chx {
+		cmpBand(codes, uint64(cl), uint64(chx-1), out)
+	}
 	return nil
 }
 
-// evalCmpCols evaluates (left op right) over the two columns' pages of one
-// block: each side decodes into its own pooled scratch — ints and floats
-// as values, strings as byte ranges of the page body — and the rows are
-// compared element-wise by the kernel CompileMask runs over the base
-// table. NULL on either side never matches, so both null bitmaps are
-// cleared.
-func (t *TableScan) evalCmpCols(q *predicate.ScanCmpCols, eb *EncodedBlock, nrows int, out []uint64, sc *scratch) error {
-	lp, err := parsePage(eb.Cols[t.colIdx[q.Left]], nrows)
-	if err != nil {
-		return t.pageErr(q.Left, err)
-	}
-	rp, err := parsePage(eb.Cols[t.colIdx[q.Right]], nrows)
-	if err != nil {
-		return t.pageErr(q.Right, err)
-	}
-	rsc := getScratch() // a view lives until the next parse on its scratch
-	defer putScratch(rsc)
-	switch kind := encKind(lp.enc); {
-	case kind != encKind(rp.enc):
-		return t.pageErr(q.Right, fmt.Errorf("encoding 0x%02x does not pair with %s's 0x%02x", rp.enc, q.Left, lp.enc))
-	case kind == value.KindFloat:
-		l, err := lp.floats(nrows)
+// cmpCols evaluates (left op right) over the two columns' slots: ints and
+// floats as values, strings as byte ranges of the page bodies, compared
+// row by row by the kernel CompileMask runs over the base table.
+func (v *visit) cmpCols(q *predicate.ScanCmpCols, l, r *colSlot, out []uint64) error {
+	switch l.kind {
+	case value.KindFloat:
+		predicate.MaskCompareCols(l.floatValues(), r.floatValues(), q.Op, out)
+	case value.KindString:
+		lv, lc, err := l.strRows()
 		if err != nil {
-			return t.pageErr(q.Left, err)
+			return v.t.pageErr(q.Left, err)
 		}
-		r, err := rp.floats(nrows)
+		rv, rc, err := r.strRows()
 		if err != nil {
-			return t.pageErr(q.Right, err)
+			return v.t.pageErr(q.Right, err)
 		}
-		predicate.MaskCompareCols(l.values(sc), r.values(rsc), q.Op, out)
-	case kind == value.KindString:
-		l, lc, err := lp.strRows(nrows, sc)
-		if err != nil {
-			return t.pageErr(q.Left, err)
-		}
-		r, rc, err := rp.strRows(nrows, rsc)
-		if err != nil {
-			return t.pageErr(q.Right, err)
-		}
-		for k := 0; k < nrows; k++ {
-			if opMatches(q.Op, bytes.Compare(l.row(lc, k), r.row(rc, k))) {
+		for k := 0; k < v.nrows; k++ {
+			if opMatches(q.Op, bytes.Compare(lv.row(lc, k), rv.row(rc, k))) {
 				out[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
-	default: // int pages; an unknown encoding fails in the parse
-		l, err := lp.ints(nrows, sc)
-		if err != nil {
-			return t.pageErr(q.Left, err)
-		}
-		r, err := rp.ints(nrows, rsc)
-		if err != nil {
-			return t.pageErr(q.Right, err)
-		}
-		predicate.MaskCompareCols(l.values(sc), r.values(rsc), q.Op, out)
+	default:
+		predicate.MaskCompareCols(l.intValues(), r.intValues(), q.Op, out)
 	}
-	clearNullBits(lp.nulls, out)
-	clearNullBits(rp.nulls, out)
 	return nil
 }
 
-// evalCmpStr evaluates (col op lit) over a string page. Dict pages
+// cmpStr evaluates (col op lit) over a string page. Dict pages
 // translate lit into a code bound via binary search over the sorted
 // dictionary — without materializing a single string — and compare raw
 // codes; raw pages compare bytes in place.
-func evalCmpStr(pv pageView, op predicate.Op, lit string, nrows int, out []uint64, sc *scratch) error {
-	v, codes, err := pv.strRows(nrows, sc)
+func (s *colSlot) cmpStr(op predicate.Op, lit string, nrows int, out []uint64) error {
+	v, codes, err := s.strRows()
 	if err != nil {
 		return err
 	}
@@ -396,56 +557,45 @@ func evalCmpStr(pv pageView, op predicate.Op, lit string, nrows int, out []uint6
 	// Codes are ranks in the sorted dictionary, so value order is code
 	// order: v < lit ⇔ code < lo, v <= lit ⇔ code < hi, and so on.
 	switch op {
-	case predicate.Eq:
+	case predicate.Eq, predicate.Ne:
 		if exists {
-			cmpPackedEq(codes, uint64(lo), out)
-		}
-	case predicate.Ne:
-		if exists {
-			cmpPackedNe(codes, uint64(lo), out)
-		} else {
+			predicate.MaskCompare(codes, op, uint64(lo), out)
+		} else if op == predicate.Ne {
 			setAllBits(out, nrows)
 		}
-	case predicate.Lt:
-		cmpPackedLt(codes, uint64(lo), out)
+	case predicate.Lt, predicate.Ge:
+		predicate.MaskCompare(codes, op, uint64(lo), out)
 	case predicate.Le:
-		cmpPackedLt(codes, uint64(hi), out)
-	case predicate.Gt:
-		cmpPackedGe(codes, uint64(hi), out)
-	default: // Ge
-		cmpPackedGe(codes, uint64(lo), out)
+		predicate.MaskCompare(codes, predicate.Lt, uint64(hi), out)
+	default: // Gt
+		predicate.MaskCompare(codes, predicate.Ge, uint64(hi), out)
 	}
 	return nil
 }
 
-// evalInInt evaluates col [NOT] IN over an int page, decoding into pooled
-// scratch and probing the precompiled set. Mirrors maskInList: NOT IN with
-// a null literal matches nothing.
-func evalInInt(pv pageView, q *predicate.ScanInInt, nrows int, out []uint64, sc *scratch) error {
+// inInt evaluates col [NOT] IN over an int page's values, probing the
+// precompiled set. Mirrors maskInList: NOT IN with a null literal matches
+// nothing.
+func (s *colSlot) inInt(q *predicate.ScanInInt, out []uint64) {
 	if q.Negate && q.HasNullLit {
-		return nil
+		return
 	}
-	v, err := pv.ints(nrows, sc)
-	if err != nil {
-		return err
-	}
-	for i, x := range v.values(sc) {
+	for i, x := range s.intValues() {
 		if _, found := q.Set[x]; found != q.Negate {
 			out[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return nil
 }
 
-// evalInStr evaluates col [NOT] IN over a string page. Dict pages merge
+// inStr evaluates col [NOT] IN over a string page. Dict pages merge
 // the sorted literal list against the sorted dictionary into a code
 // membership bitset (both sides sorted — a single linear merge, no string
 // materialization) and probe codes; raw pages probe the set per row.
-func evalInStr(pv pageView, q *predicate.ScanInStr, nrows int, out []uint64, sc *scratch) error {
+func (s *colSlot) inStr(q *predicate.ScanInStr, out []uint64, sc *scratch) error {
 	if q.Negate && q.HasNullLit {
 		return nil
 	}
-	v, codes, err := pv.strRows(nrows, sc)
+	v, codes, err := s.strRows()
 	if err != nil {
 		return err
 	}
@@ -471,12 +621,12 @@ func evalInStr(pv pageView, q *predicate.ScanInStr, nrows int, out []uint64, sc 
 	return nil
 }
 
-// evalLike evaluates col [NOT] LIKE over a string page. Dict pages run the
+// like evaluates col [NOT] LIKE over a string page. Dict pages run the
 // matcher once per dictionary entry — enumerating the matching codes into
 // a bitset — then probe codes, so a block with d distinct values costs d
 // matcher calls instead of n.
-func evalLike(pv pageView, q *predicate.ScanLike, nrows int, out []uint64, sc *scratch) error {
-	v, codes, err := pv.strRows(nrows, sc)
+func (s *colSlot) like(q *predicate.ScanLike, out []uint64, sc *scratch) error {
+	v, codes, err := s.strRows()
 	if err != nil {
 		return err
 	}
@@ -549,153 +699,16 @@ func opMatches(op predicate.Op, c int) bool {
 	}
 }
 
-// cmpPacked{Eq,Ne,Lt,Ge} are the packed-domain comparison kernels: tight
-// branchless loops over unpacked code words, mirroring maskCompare's
-// bool-to-bit pattern. Lt/Ge take an exclusive/inclusive bound, which is
-// enough to express all six operators (Le x ⇔ Lt x+1, Gt x ⇔ Ge x+1).
-func cmpPackedEq(vals []uint64, x uint64, out []uint64) {
+// cmpBand sets the rows whose code (or value, as two's-complement
+// words) lies in [lo, hi], lo ≤ hi as words.
+func cmpBand[T uint64 | int64](vals []T, lo, hi uint64, out []uint64) {
+	span := hi - lo
 	for i, v := range vals {
 		var b uint64
-		if v == x {
+		if uint64(v)-lo <= span {
 			b = 1
 		}
 		out[i>>6] |= b << (uint(i) & 63)
-	}
-}
-
-func cmpPackedNe(vals []uint64, x uint64, out []uint64) {
-	for i, v := range vals {
-		var b uint64
-		if v != x {
-			b = 1
-		}
-		out[i>>6] |= b << (uint(i) & 63)
-	}
-}
-
-func cmpPackedLt(vals []uint64, x uint64, out []uint64) {
-	for i, v := range vals {
-		var b uint64
-		if v < x {
-			b = 1
-		}
-		out[i>>6] |= b << (uint(i) & 63)
-	}
-}
-
-func cmpPackedGe(vals []uint64, x uint64, out []uint64) {
-	for i, v := range vals {
-		var b uint64
-		if v >= x {
-			b = 1
-		}
-		out[i>>6] |= b << (uint(i) & 63)
-	}
-}
-
-func cmpInt64s(vals []int64, op predicate.Op, lit int64, out []uint64) {
-	switch op {
-	case predicate.Eq:
-		for i, v := range vals {
-			var b uint64
-			if v == lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Ne:
-		for i, v := range vals {
-			var b uint64
-			if v != lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Lt:
-		for i, v := range vals {
-			var b uint64
-			if v < lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Le:
-		for i, v := range vals {
-			var b uint64
-			if v <= lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Gt:
-		for i, v := range vals {
-			var b uint64
-			if v > lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	default: // Ge
-		for i, v := range vals {
-			var b uint64
-			if v >= lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	}
-}
-
-func cmpFloat64s(vals []float64, op predicate.Op, lit float64, out []uint64) {
-	switch op {
-	case predicate.Eq:
-		for i, v := range vals {
-			var b uint64
-			if v == lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Ne:
-		for i, v := range vals {
-			var b uint64
-			if v != lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Lt:
-		for i, v := range vals {
-			var b uint64
-			if v < lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Le:
-		for i, v := range vals {
-			var b uint64
-			if v <= lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	case predicate.Gt:
-		for i, v := range vals {
-			var b uint64
-			if v > lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
-	default: // Ge
-		for i, v := range vals {
-			var b uint64
-			if v >= lit {
-				b = 1
-			}
-			out[i>>6] |= b << (uint(i) & 63)
-		}
 	}
 }
 
@@ -723,6 +736,26 @@ func setAllBits(mask []uint64, n int) {
 	if rem := n & 63; rem != 0 {
 		mask[n>>6] = (1 << uint(rem)) - 1
 	}
+}
+
+// isEmpty reports whether no bit of mask is set.
+func isEmpty(mask []uint64) bool {
+	for _, w := range mask {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// isFull reports whether bits [0, n) of mask are all set.
+func isFull(mask []uint64, n int) bool {
+	for w := 0; w < n>>6; w++ {
+		if mask[w] != ^uint64(0) {
+			return false
+		}
+	}
+	return n&63 == 0 || mask[n>>6] == 1<<uint(n&63)-1
 }
 
 // scatterMask ORs a block-local survivor mask into a global-row mask via

@@ -11,6 +11,7 @@ import (
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/value"
+	"mto/internal/zonemap"
 )
 
 // scanTable builds a table whose columns force every page encoding the
@@ -430,7 +431,7 @@ func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate)
 	got := make([]uint64, nw)
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := ts.eval(node, eb, n, got, sc); err != nil {
+	if err := evalOnce(ts, node, eb, n, got, sc); err != nil {
 		t.Fatalf("%s: eval: %v", p, err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -438,11 +439,19 @@ func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate)
 	}
 }
 
-// pageScan encodes every column of tab as one block's pages and returns a
-// scan handle that evaluates over them.
+// evalOnce evaluates node over eb's pages in a visit of its own.
+func evalOnce(ts *TableScan, node predicate.ScanNode, eb *EncodedBlock, nrows int, out []uint64, sc *scratch) error {
+	v := ts.newVisit(eb, nrows, sc)
+	defer v.release()
+	return v.eval(node, out)
+}
+
+// pageScan encodes every column of tab as one block's pages, with the zone
+// map of all its rows, and returns a scan handle that evaluates over them.
 func pageScan(tab *relation.Table) (*TableScan, *EncodedBlock) {
 	ts := &TableScan{table: tab.Schema().Table(), colIdx: map[string]int{}}
-	eb := &EncodedBlock{}
+	eb := &EncodedBlock{Block: &block.Block{Rows: seq32(0, tab.NumRows())}}
+	eb.Block.Zone = zonemap.Build(tab, eb.Block.Rows)
 	for ci := 0; ci < tab.Schema().NumColumns(); ci++ {
 		ts.colIdx[tab.Schema().Column(ci).Name] = ci
 		eb.Cols = append(eb.Cols, encodeColumnPage(tab, ci))

@@ -44,6 +44,7 @@ type scratch struct {
 	lg     []int32    // block-local → global dictionary code translation
 	intv   intView    // the current int view (page.go)
 	strv   strView    // the current string view
+	cols   []colSlot  // a block visit's column slots (scan.go)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -86,6 +87,14 @@ func (s *scratch) grabMaskDirty(nw int) []uint64 {
 		}
 	}
 	return make([]uint64, nw)
+}
+
+// grabCols returns n unopened column slots, reusing their buffers.
+func (s *scratch) grabCols(n int) []colSlot {
+	if cap(s.cols) < n {
+		s.cols = make([]colSlot, n)
+	}
+	return s.cols[:n]
 }
 
 // grabWords returns an n-word buffer (contents undefined).

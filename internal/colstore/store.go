@@ -57,6 +57,9 @@ type Store struct {
 	rowsWritten     atomic.Int64
 	bytesRead       atomic.Int64
 	groupedDeclined atomic.Int64
+	scanLeaves      atomic.Int64
+	scanDecided     atomic.Int64
+	scanDecodes     atomic.Int64
 }
 
 var _ block.Backend = (*Store)(nil)
@@ -491,5 +494,9 @@ func (s *Store) Stats() block.Stats {
 		ReadaheadHits:  raHits,
 
 		GroupedFoldsDeclined: s.groupedDeclined.Load(),
+
+		ScanLeaves:            s.scanLeaves.Load(),
+		ScanLeavesZoneDecided: s.scanDecided.Load(),
+		ScanPageDecodes:       s.scanDecodes.Load(),
 	}
 }

@@ -166,7 +166,6 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 		Seed:            rc.Seed,
 		Q:               rc.Q,
 		W:               rc.W,
-		Parallelism:     s.Parallel,
 	})
 	for c := 0; c < rc.Cycles; c++ {
 		for i := 0; i < rc.QueriesPerCycle; i++ {

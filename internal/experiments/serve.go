@@ -176,7 +176,6 @@ func NewServeDeployment(s Scale, sc ServeScenario) (*ServeDeployment, error) {
 					Seed:            sc.Seed,
 					Q:               500,
 					W:               100,
-					Parallelism:     s.Parallel,
 				},
 			},
 			{

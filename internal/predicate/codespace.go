@@ -11,6 +11,9 @@ import (
 // built and sorted, LIKE matchers specialized) so a storage engine can
 // evaluate them directly against encoded column pages — comparing
 // dictionary codes or bit-packed words — without materializing values.
+// Each column leaf also carries its ZoneEval, so a block's zone map can
+// decide it before any page is decoded, and two bounds on one column under
+// an AND compile to one ScanBand.
 //
 // CompileScan's support matrix is CompileMask's — both ask supportedShape —
 // so it returns ok=false precisely when CompileMask would refuse (callers
@@ -34,11 +37,22 @@ type ScanOr struct{ Children []ScanNode }
 // column behind it.
 type ScanConst bool
 
+// ZoneEval is a leaf's zone-map decision: CompileRanges of the predicate
+// the leaf was compiled from, so a block's zone map decides the leaf
+// exactly as EvalRanges decides that predicate. TriTrue means every
+// non-null row matches, TriFalse that none does. It is nil where a zone
+// decision could disagree with the row kernel: float columns (a NaN never
+// enters a zone map's bounds), IN lists with literals of another kind (the
+// zone compares int and float numerically, the kernel skips them), and NOT
+// IN with a NULL literal (which matches nothing).
+type ZoneEval func(Ranges) Tri
+
 // ScanCmpInt is an int-column comparison against an int literal.
 type ScanCmpInt struct {
 	Column string
 	Op     Op
 	Lit    int64
+	Zone   ZoneEval
 }
 
 // ScanCmpFloat is a float-column comparison; int literals arrive widened
@@ -55,6 +69,18 @@ type ScanCmpStr struct {
 	Column string
 	Op     Op
 	Lit    string
+	Zone   ZoneEval
+}
+
+// ScanBand is Lo ≤/< Column ≤/< Hi over an int or string column (Lo and
+// Hi are literals of that kind; LoInc / HiInc say whether each bound is
+// inclusive): a lower and an upper comparison on one column under one AND,
+// fused so a page compares each code against one range, not twice.
+type ScanBand struct {
+	Column       string
+	Lo, Hi       value.Value
+	LoInc, HiInc bool
+	Zone         ZoneEval
 }
 
 // ScanCmpCols compares two columns of one table that share a kind (int,
@@ -63,6 +89,7 @@ type ScanCmpStr struct {
 type ScanCmpCols struct {
 	Left, Right string
 	Op          Op
+	Zone        ZoneEval
 }
 
 // ScanInInt is col [NOT] IN over an int column. Set holds the int-kind
@@ -75,6 +102,7 @@ type ScanInInt struct {
 	Sorted     []int64
 	Negate     bool
 	HasNullLit bool
+	Zone       ZoneEval
 }
 
 // ScanInStr is col [NOT] IN over a string column.
@@ -84,6 +112,7 @@ type ScanInStr struct {
 	Sorted     []string
 	Negate     bool
 	HasNullLit bool
+	Zone       ZoneEval
 }
 
 // ScanLike is col [NOT] LIKE over a string column, with the matcher
@@ -94,6 +123,7 @@ type ScanLike struct {
 	Pattern string
 	Match   func(string) bool
 	Negate  bool
+	Zone    ZoneEval
 }
 
 func (*ScanAnd) scanNode()      {}
@@ -102,6 +132,7 @@ func (ScanConst) scanNode()     {}
 func (*ScanCmpInt) scanNode()   {}
 func (*ScanCmpFloat) scanNode() {}
 func (*ScanCmpStr) scanNode()   {}
+func (*ScanBand) scanNode()     {}
 func (*ScanCmpCols) scanNode()  {}
 func (*ScanInInt) scanNode()    {}
 func (*ScanInStr) scanNode()    {}
@@ -134,19 +165,23 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 		}
 		switch kind {
 		case value.KindInt:
-			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int()}
+			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int(), Zone: CompileRanges(q)}
 		case value.KindFloat:
 			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.AsFloat()}
 		default:
-			return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str()}
+			return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str(), Zone: CompileRanges(q)}
 		}
 	case *ColumnComparison:
-		_, lok := kindOf(q.Left)
+		kind, lok := kindOf(q.Left)
 		_, rok := kindOf(q.Right)
 		if !lok || !rok {
 			return ScanConst(false) // a missing side reads as NULL: matches nothing
 		}
-		return &ScanCmpCols{Left: q.Left, Right: q.Right, Op: q.Op}
+		node := &ScanCmpCols{Left: q.Left, Right: q.Right, Op: q.Op}
+		if kind != value.KindFloat {
+			node.Zone = CompileRanges(q)
+		}
+		return node
 	case *InList:
 		kind, ok := kindOf(q.Column)
 		if !ok {
@@ -171,6 +206,7 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 				node.Sorted = append(node.Sorted, v)
 			}
 			sort.Slice(node.Sorted, func(i, j int) bool { return node.Sorted[i] < node.Sorted[j] })
+			node.Zone = inListZone(q, kind)
 			return node
 		}
 		node := &ScanInStr{
@@ -191,6 +227,7 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 			node.Sorted = append(node.Sorted, v)
 		}
 		sort.Strings(node.Sorted)
+		node.Zone = inListZone(q, kind)
 		return node
 	case *Like:
 		kind, ok := kindOf(q.Column)
@@ -202,11 +239,24 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 			Pattern: q.Pattern,
 			Match:   likeMatcher(q.Pattern),
 			Negate:  q.Negate_,
+			Zone:    CompileRanges(q),
 		}
 	case *And:
-		node := &ScanAnd{Children: make([]ScanNode, len(q.Children))}
+		node := &ScanAnd{}
+		fused := make([]bool, len(q.Children))
 		for i, c := range q.Children {
-			node.Children[i] = compileScan(c, kindOf)
+			if fused[i] {
+				continue
+			}
+			if band, j := fuseBand(q.Children, i, fused, kindOf); band != nil {
+				fused[j] = true
+				node.Children = append(node.Children, band)
+				continue
+			}
+			node.Children = append(node.Children, compileScan(c, kindOf))
+		}
+		if len(node.Children) == 1 {
+			return node.Children[0]
 		}
 		return node
 	case *Or:
@@ -219,4 +269,45 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 		return ScanConst(bool(q))
 	}
 	panic("predicate: compileScan on a shape supportedShape refused")
+}
+
+// inListZone is an IN leaf's zone evaluator, nil (never decided) when a
+// literal of another kind would make EvalRanges disagree with the kernel,
+// or when NOT IN has a NULL literal.
+func inListZone(q *InList, kind value.Kind) ZoneEval {
+	for _, v := range q.Values {
+		if v.IsNull() && q.Negate_ || !v.IsNull() && v.Kind() != kind {
+			return nil
+		}
+	}
+	return CompileRanges(q)
+}
+
+// fuseBand pairs children[i], a lower (Gt/Ge) or upper (Lt/Le) bound on an
+// int or string column, with the first later unfused child bounding the
+// same column from the other side, returning the band and the partner's
+// index (nil when there is none). An AND of the two is the band whatever
+// order the conjunction lists them in.
+func fuseBand(children []Predicate, i int, fused []bool, kindOf func(col string) (value.Kind, bool)) (*ScanBand, int) {
+	lower := func(op Op) bool { return op == Gt || op == Ge }
+	a, ok := children[i].(*Comparison)
+	if !ok || a.Op == Eq || a.Op == Ne {
+		return nil, -1
+	}
+	if kind, ok := kindOf(a.Column); !ok || kind == value.KindFloat {
+		return nil, -1
+	}
+	for j := i + 1; j < len(children); j++ {
+		b, ok := children[j].(*Comparison)
+		if fused[j] || !ok || b.Column != a.Column || b.Op == Eq || b.Op == Ne || lower(b.Op) == lower(a.Op) {
+			continue
+		}
+		lo, hi := a, b
+		if !lower(a.Op) {
+			lo, hi = b, a
+		}
+		return &ScanBand{Column: a.Column, Lo: lo.Value, Hi: hi.Value, LoInc: lo.Op == Ge, HiInc: hi.Op == Le,
+			Zone: CompileRanges(&And{Children: []Predicate{lo, hi}})}, j
+	}
+	return nil, -1
 }

@@ -113,7 +113,7 @@ func TestCompileScanNormalization(t *testing.T) {
 	}
 
 	node, ok = CompileScan(&ColumnComparison{Left: "x", Op: Le, Right: "y"}, kindOf)
-	if cc, isPair := node.(*ScanCmpCols); !ok || !isPair || *cc != (ScanCmpCols{Left: "x", Right: "y", Op: Le}) {
+	if cc, isPair := node.(*ScanCmpCols); !ok || !isPair || cc.Left != "x" || cc.Right != "y" || cc.Op != Le {
 		t.Errorf("x <= y compiled to %#v (ok=%v)", node, ok)
 	}
 

@@ -100,11 +100,11 @@ func fillSupported(p Predicate, t *relation.Table, mask []uint64) {
 		}
 		switch t.Schema().Column(ci).Type {
 		case value.KindInt:
-			maskCompare(t.Ints(ci), q.Op, q.Value.Int(), mask)
+			MaskCompare(t.Ints(ci), q.Op, q.Value.Int(), mask)
 		case value.KindFloat:
-			maskCompare(t.Floats(ci), q.Op, q.Value.AsFloat(), mask)
+			MaskCompare(t.Floats(ci), q.Op, q.Value.AsFloat(), mask)
 		case value.KindString:
-			maskCompare(t.Strings(ci), q.Op, q.Value.Str(), mask)
+			MaskCompare(t.Strings(ci), q.Op, q.Value.Str(), mask)
 		}
 		clearNulls(t.Nulls(ci), mask)
 	case *ColumnComparison:
@@ -223,11 +223,12 @@ func FillMask(p Predicate, t *relation.Table, mask []uint64) {
 	}
 }
 
-// maskCompare sets the bit of every row whose value satisfies (v op lit).
+// MaskCompare sets the bit of every row whose value satisfies (v op lit).
 // The operator switch runs once; each arm is a tight branchless loop (the
 // bool-to-bit conversion compiles to a flag set, so ~50%-selective cuts pay
-// no branch mispredictions).
-func maskCompare[T int64 | float64 | string](vals []T, op Op, lit T, mask []uint64) {
+// no branch mispredictions). The storage backend runs the same kernel over
+// decoded pages and over packed codes, whose unsigned order is value order.
+func MaskCompare[T int64 | uint64 | float64 | string](vals []T, op Op, lit T, mask []uint64) {
 	switch op {
 	case Eq:
 		for r, v := range vals {

@@ -64,9 +64,6 @@ type Config struct {
 	// queries expected before the next shift, block write/read cost ratio
 	// W (defaults 1000 and 100).
 	Q, W float64
-	// Parallelism bounds record routing concurrency (0 = optimizer
-	// default).
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
