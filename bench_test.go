@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"mto/internal/bitmap"
 	"mto/internal/engine"
 	"mto/internal/experiments"
+	"mto/internal/workload"
 )
 
 // benchScale keeps each iteration around a second.
@@ -323,6 +325,48 @@ func BenchmarkExecuteWorkload(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(wr.Blocks), "workload-blocks")
+			}
+		})
+	}
+}
+
+// BenchmarkExecuteTemplate measures Execute per TPC-H template on a warm
+// engine over an already-deployed SF 0.02 layout: sub-benchmark qNN cycles
+// through that template's eight instances, so ns/op is one query of the
+// template and per-template speedups compare directly across commits.
+func BenchmarkExecuteTemplate(b *testing.B) {
+	s := benchScale()
+	s.SF = 0.02
+	s.PerTemplate = 8
+	bench := experiments.TPCHBench(s)
+	d, err := experiments.DeployMethod(bench, experiments.MethodBaseline, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(d.Store, d.Design, bench.Dataset, engine.CloudDWOptions())
+	byTemplate := map[string][]*workload.Query{}
+	var names []string
+	for _, q := range bench.Workload.Queries {
+		t, _, _ := strings.Cut(q.ID, "#")
+		name := fmt.Sprintf("q%02s", strings.TrimPrefix(t, "q"))
+		if byTemplate[name] == nil {
+			names = append(names, name)
+		}
+		byTemplate[name] = append(byTemplate[name], q)
+	}
+	for _, name := range names {
+		qs := byTemplate[name]
+		b.Run(name, func(b *testing.B) {
+			for _, q := range qs { // warm the engine's dictionary caches
+				if _, err := eng.Execute(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Execute(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

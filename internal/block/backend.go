@@ -125,9 +125,8 @@ type Scan interface {
 // fold may allocate: slot 0 is the NULL group and slot c+1 is dictionary
 // code c, so a group column may have at most MaxGroupSlots-1 distinct
 // values. Folds over wider dictionaries are declined — counted in
-// Stats.GroupedFoldsDeclined — and the caller accumulates sparsely over
-// the base table instead, which costs memory proportional to the groups
-// actually present rather than the dictionary size.
+// Stats.GroupedFoldsDeclined — and the caller folds over the base table
+// instead.
 const MaxGroupSlots = 1 << 14
 
 // GroupKey names a fold's grouping column together with its global
@@ -192,13 +191,14 @@ func NewGroupedStates(slots int, want []bool) *GroupedStates {
 	return gs
 }
 
-// AggState is one aggregate's running fold in one group slot, shared by
-// backend per-block folds and the engine's row-at-a-time fold so both
-// accumulate into the same representation. Count is the number of non-null
-// rows folded (the AVG denominator and the COUNT(col) result); COUNT(*) is
-// not per-aggregate state — it reads GroupedStates.Rows. Sum must not be
-// trusted unless the caller proved the total cannot overflow int64 or
-// performed checked additions. MinS/MaxS retain decoded strings.
+// AggState is one aggregate's running fold in one group slot: backend
+// per-block folds accumulate into it, the engine finalizes int and string
+// results from it on either fold route, and FoldInt / FoldStr are the
+// row-at-a-time fold of the tests' reference folds. Count is the number of
+// non-null rows folded (the AVG denominator and the COUNT(col) result);
+// COUNT(*) is not per-aggregate state — it reads GroupedStates.Rows. Sum
+// must not be trusted unless the caller proved the total cannot overflow
+// int64 or performed checked additions. MinS/MaxS retain decoded strings.
 type AggState struct {
 	Count int64
 	Sum   int64

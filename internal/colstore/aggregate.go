@@ -248,9 +248,10 @@ func (t *TableFold) foldRows(eb *EncodedBlock, nrows int, mask []uint64, pop, sl
 // local row positions, writing every word of local and returning its
 // popcount. A block whose rows are a word-aligned identity run
 // [start, start+n) — every sequentially-installed layout — localizes by
-// copying whole survivor words; arbitrary row permutations fall back to
-// per-row bits. The per-block shape is immutable (the state is pinned to a
-// segment generation), so the O(rows) detection runs once and is memoized.
+// copying whole survivor words; arbitrary row permutations gather per-row
+// bits into each local word. The per-block shape is immutable (the state
+// is pinned to a segment generation), so the O(rows) detection runs once
+// and is memoized.
 func (t *TableFold) localizeSurvivors(id int, eb *EncodedBlock, survivors []uint64, local []uint64) int {
 	nrows := len(eb.Block.Rows)
 	start := int(eb.Block.Rows[0])
@@ -285,14 +286,18 @@ func (t *TableFold) localizeSurvivors(id int, eb *EncodedBlock, survivors []uint
 		local[last] = v
 		pop += bits.OnesCount64(v)
 	} else {
-		for i := range local {
-			local[i] = 0
+		// Each local word shifts in its rows' bits, last row first, in a
+		// register and is stored once.
+		for w := range local {
+			rows := eb.Block.Rows[w<<6 : min(w<<6+64, nrows)]
+			var word uint64
+			for i := len(rows) - 1; i >= 0; i-- {
+				r := uint32(rows[i])
+				word = word<<1 | survivors[r>>6]>>(r&63)&1
+			}
+			local[w] = word
+			pop += bits.OnesCount64(word)
 		}
-		for i, r := range eb.Block.Rows {
-			bit := survivors[r>>6] >> (uint(r) & 63) & 1
-			local[i>>6] |= bit << (uint(i) & 63)
-		}
-		pop = popcountMask(local)
 	}
 	return pop
 }
@@ -615,13 +620,4 @@ func clearNullsInto(dst, local []uint64, nulls []byte) int {
 		pop += bits.OnesCount64(v)
 	}
 	return pop
-}
-
-// popcountMask counts the set bits of a mask, one OnesCount64 per word.
-func popcountMask(m []uint64) int {
-	c := 0
-	for _, w := range m {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }

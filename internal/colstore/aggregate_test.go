@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -396,4 +397,13 @@ func FuzzCompressedAggregate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// popcountMask counts the set bits of a mask, one OnesCount64 per word.
+func popcountMask(m []uint64) int {
+	c := 0
+	for _, w := range m {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"strings"
 
 	"mto/internal/bitmap"
@@ -15,23 +13,25 @@ import (
 
 // This file computes query aggregates (workload.Query.Aggregates) over the
 // per-alias surviving row sets, after all filters and join semantics.
-// Execute compiles one block.Fold per aliased table and lets Supported()
-// split the aggregates in two, which must agree byte for byte:
+// Execute compiles one block.Fold per aliased table and folds each alias
+// in exactly one of two ways, which agree byte for byte:
 //
-//   - supported aggregates fold per candidate block inside the backend
-//     (the colstore segment store folds directly over encoded pages — no
-//     column decode, no survivor materialization) into dense per-slot
-//     states. Integer SUM/COUNT/MIN/MAX are order-independent, so the
+//   - when the fold's Supported() accepts every aggregate of the alias,
+//     the backend folds them per candidate block (the colstore segment
+//     store folds directly over encoded pages — no column decode, no
+//     survivor materialization) into dense per-slot states. Integer
+//     SUM/COUNT/MIN/MAX and string MIN/MAX are order-independent, and the
+//     backend only takes sums whose zone maps prove no overflow, so the
 //     per-block accumulation is exact regardless of block order;
-//   - the materialized fold computes the rest — floats, overflow-risk
-//     sums, everything on the reference path — by iterating the survivor bitmap in ascending global row order over the
-//     base table's decoded vectors.
+//   - otherwise the row-order pass (grouped.go) folds all of them —
+//     floats, overflow-risk sums, everything on the reference path — in
+//     ascending global row order over the base table's decoded vectors.
 //
 // Floats are never folded by a backend: float addition is order-sensitive,
 // and the one float accumulation order that defines the result is the
-// materialized fold's ascending row order. Both execution paths use the
-// same fold code, so Results stay byte-identical across pushdown reach and
-// replay parallelism (parallel replay folds per query inside Execute;
+// row-order pass's. Both execution paths use the same fold code, so
+// Results stay byte-identical across pushdown reach and replay
+// parallelism (parallel replay folds per query inside Execute;
 // RunWorkload only collects whole Results in input order).
 
 // AggValue is one computed aggregate in a Result: the requested spec and
@@ -39,12 +39,13 @@ import (
 // all-null) survivor set, a count of 0 for COUNT. For grouped queries
 // (Query.GroupBy set) Value is Null and Groups carries the per-group
 // values instead, sorted by group key: the NULL group first, then
-// ascending values — a deterministic order shared by every fold path.
+// ascending values, a float NaN group last — a deterministic order shared
+// by every fold path.
 type AggValue struct {
 	Spec    workload.Aggregate
 	Value   value.Value
 	GroupBy workload.GroupBy // zero for flat aggregates
-	Groups  []GroupValue     // per-group values, NULL group first then ascending keys
+	Groups  []GroupValue     // per-group values, NULL group first then ascending keys, NaN last
 }
 
 // String renders "sum(lo.lo_revenue)=4099853" for flat aggregates and
@@ -94,115 +95,10 @@ func aggColumnKind(tbl *relation.Table, spec workload.Aggregate) (ci int, kind v
 	return ci, kind, nil
 }
 
-// foldAggregate computes spec over the rows of tbl set in the survivor
-// bitmap — the materialized fold. Iteration is ascending global row order,
-// which is the defining accumulation order for float results. Integer sums
-// use checked addition and error out deterministically on overflow.
-func foldAggregate(tbl *relation.Table, set bitmap.Dense, spec workload.Aggregate) (value.Value, error) {
-	ci, kind, err := aggColumnKind(tbl, spec)
-	if err != nil {
-		return value.Null, err
-	}
-	if ci < 0 { // COUNT(*): surviving rows, nulls included
-		return value.Int(int64(set.Count())), nil
-	}
-	nulls := tbl.Nulls(ci)
-	var st block.AggState
-	switch kind {
-	case value.KindInt:
-		ints := tbl.Ints(ci)
-		for w := range set {
-			word := set[w]
-			for word != 0 {
-				r := w<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				v := ints[r]
-				if spec.Op == workload.AggSum || spec.Op == workload.AggAvg {
-					if (v > 0 && st.Sum > math.MaxInt64-v) || (v < 0 && st.Sum < math.MinInt64-v) {
-						return value.Null, fmt.Errorf("engine: aggregate %s: int64 sum overflow", spec)
-					}
-				}
-				st.FoldInt(v)
-			}
-		}
-		return finalizeAgg(spec, kind, &st), nil
-	case value.KindFloat:
-		floats := tbl.Floats(ci)
-		var fsum, fmin, fmax float64
-		for w := range set {
-			word := set[w]
-			for word != 0 {
-				r := w<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				v := floats[r]
-				fsum += v
-				if !st.Seen || v < fmin {
-					fmin = v
-				}
-				if !st.Seen || v > fmax {
-					fmax = v
-				}
-				st.Seen = true
-				st.Count++
-			}
-		}
-		return finalizeFloatAgg(spec, &st, fsum, fmin, fmax), nil
-	default: // strings
-		strs := tbl.Strings(ci)
-		for w := range set {
-			word := set[w]
-			for word != 0 {
-				r := w<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				if nulls != nil && nulls[r] {
-					continue
-				}
-				st.FoldStr(strs[r])
-			}
-		}
-		return finalizeAgg(spec, kind, &st), nil
-	}
-}
-
-// finalizeFloatAgg turns a float fold's state and scratch into the
-// aggregate's SQL value. The flat and grouped materialized folds both
-// land here, so float empty-set and AVG-division rules cannot diverge.
-func finalizeFloatAgg(spec workload.Aggregate, st *block.AggState, fsum, fmin, fmax float64) value.Value {
-	switch spec.Op {
-	case workload.AggCount:
-		return value.Int(st.Count)
-	case workload.AggMin:
-		if !st.Seen {
-			return value.Null
-		}
-		return value.Float(fmin)
-	case workload.AggMax:
-		if !st.Seen {
-			return value.Null
-		}
-		return value.Float(fmax)
-	case workload.AggAvg:
-		if st.Count == 0 {
-			return value.Null
-		}
-		return value.Float(fsum / float64(st.Count))
-	default: // AggSum
-		if st.Count == 0 {
-			return value.Null
-		}
-		return value.Float(fsum)
-	}
-}
-
 // finalizeAgg turns a fold state into the aggregate's SQL value. Backend
-// per-block folds and the materialized int/string folds both land here, so
-// they cannot diverge in the empty-set, all-null, or AVG-division rules.
+// per-block folds and the row-order pass's int/string states both land
+// here, so they cannot diverge in the empty-set, all-null, or AVG-division
+// rules.
 func finalizeAgg(spec workload.Aggregate, kind value.Kind, st *block.AggState) value.Value {
 	switch spec.Op {
 	case workload.AggCount: // COUNT(col); callers read COUNT(*) off the survivor count
@@ -277,10 +173,11 @@ func (e *Engine) foldAggregates(q *workload.Query,
 }
 
 // foldAlias computes specs, all over alias a, grouped by gb (zero =
-// ungrouped, the one-slot case): compile the fold against the backend,
-// fold the aggregates it supports per candidate block — exactly the blocks
-// the scan read, which cover every set survivor bit — into dense per-slot
-// states, finalize them, and compute the rest over the base table.
+// ungrouped, the one-slot case): compile the fold against the backend;
+// if it supports every aggregate, fold them per candidate block — exactly
+// the blocks the scan read, which cover every set survivor bit — into
+// dense per-slot states and finalize those, else fold all of them in the
+// row-order pass over the base table.
 func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 	specs []workload.Aggregate) ([]AggValue, error) {
 
@@ -292,103 +189,34 @@ func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 	if fold == nil {
 		return nil, errNoLayout(a.table)
 	}
-	supported := fold.Supported()
-	want := make([]bool, len(specs))
-	var resid []workload.Aggregate
-	for k, spec := range specs {
-		if !supported[k] {
-			resid = append(resid, spec)
-		} else if spec.Column != "" { // COUNT(*) reads GroupedStates.Rows
-			want[k] = true
-		}
-	}
 	tbl := e.ds.Table(a.table)
-	if len(resid) == len(specs) {
-		return e.foldMaterialized(a.table, tbl, a.set, gb, resid)
+	want := make([]bool, len(specs))
+	for k, ok := range fold.Supported() {
+		if !ok {
+			e.counters.materializedFoldRows.Add(int64(a.count))
+			return e.foldMaterialized(a.table, tbl, a.set, gb, specs)
+		}
+		want[k] = specs[k].Column != "" // COUNT(*) reads GroupedStates.Rows
 	}
-	// Fold the candidate blocks first: the scan has just read them, so on a
-	// small buffer pool they are still resident; the residual fold reads no
-	// blocks and can wait.
 	gs := block.NewGroupedStates(group.Slots(), want)
 	for _, id := range candidates {
 		if err := fold.FoldBlock(id, a.set, gs); err != nil {
 			return nil, err
 		}
 	}
-	var rout []AggValue
-	if len(resid) > 0 {
-		var err error
-		if rout, err = e.foldMaterialized(a.table, tbl, a.set, gb, resid); err != nil {
-			return nil, err
+	g := &slotter{rows: gs.Rows, dict: group.Dict} // a group exists iff it has survivors
+	return slotAggs(gb, specs, g.live(), g.key, func(k, slot int) value.Value {
+		if specs[k].Column == "" {
+			return value.Int(gs.Rows[slot])
 		}
-	}
-	// The ungrouped result is slot 0 whether or not it has survivors. A
-	// group exists iff it has survivors; ascending slot order is the
-	// deterministic output order (NULL first, then ascending values).
-	var live []int
-	if !gb.IsZero() {
-		for slot, rows := range gs.Rows {
-			if rows > 0 {
-				live = append(live, slot)
-			}
-		}
-	}
-	out := make([]AggValue, len(specs))
-	for k, spec := range specs {
-		if !supported[k] { // rout holds the residual values in specs order
-			out[k], rout = rout[0], rout[1:]
-			continue
-		}
-		_, kind, err := aggColumnKind(tbl, spec)
-		if err != nil {
-			return nil, err
-		}
-		slotValue := func(slot int) value.Value {
-			if spec.Column == "" {
-				return value.Int(gs.Rows[slot])
-			}
-			return finalizeAgg(spec, kind, &gs.Aggs[k][slot])
-		}
-		if gb.IsZero() {
-			out[k] = AggValue{Spec: spec, Value: slotValue(0)}
-			continue
-		}
-		av := AggValue{Spec: spec, Value: value.Null, GroupBy: gb, Groups: make([]GroupValue, 0, len(live))}
-		for _, slot := range live {
-			key := value.Null
-			if slot > 0 {
-				key = group.Dict.Value(int32(slot - 1))
-			}
-			av.Groups = append(av.Groups, GroupValue{Key: key, Value: slotValue(slot)})
-		}
-		out[k] = av
-	}
-	return out, nil
-}
-
-// foldMaterialized computes specs over the survivor set from the base
-// table's decoded vectors: the sparse hash fold when grouped, one bitmap
-// fold per aggregate otherwise.
-func (e *Engine) foldMaterialized(table string, tbl *relation.Table, set bitmap.Dense,
-	gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
-
-	if !gb.IsZero() {
-		return e.foldGroupedMaterialized(table, tbl, set, gb, specs)
-	}
-	out := make([]AggValue, len(specs))
-	for k, spec := range specs {
-		v, err := foldAggregate(tbl, set, spec)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = AggValue{Spec: spec, Value: v}
-	}
-	return out, nil
+		_, kind, _ := aggColumnKind(tbl, specs[k]) // validated by foldAggregates
+		return finalizeAgg(specs[k], kind, &gs.Aggs[k][slot])
+	}), nil
 }
 
 // foldAggregatesReference computes q's aggregates for the scalar reference
 // path: each alias's surviving row list becomes a bitmap so the shared
-// materialized fold sees the exact accumulation order the kernel path uses.
+// row-order pass sees the exact accumulation order the kernel path uses.
 func (e *Engine) foldAggregatesReference(q *workload.Query, aliasStates map[string]*aliasState) ([]AggValue, error) {
 	return e.foldAggregates(q, func(alias string, specs []workload.Aggregate) ([]AggValue, error) {
 		as := aliasStates[alias]

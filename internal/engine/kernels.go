@@ -393,7 +393,7 @@ func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) i
 			continue
 		}
 		tgt, tgtCol, src, srcCol := st.sides(j)
-		s := semijoin{tgt: aliases[tgt], src: aliases[src], tgtCol: tgtCol, srcCol: srcCol}
+		s := semijoin{tgt: aliases[tgt], src: aliases[src], tgtCol: tgtCol, srcCol: srcCol, anti: st.anti}
 		probes += s.tgt.count
 		e.run(s, e.prepare(s, false))
 	}

@@ -450,9 +450,9 @@ func (e *Engine) joinColumnsExist(q *workload.Query, j workload.Join) bool {
 // joins reduce only the non-preserved side, semi joins reduce both sides
 // to matching rows, and anti-semi joins keep the preserved side's rows
 // without a match. A join graph sweepSchedule accepts is reduced in its
-// two sweeps, each step charged the target's rows as probes; any other
-// graph iterates the edges to a fixpoint. Returns the number of tuple
-// probes performed (for the cost model).
+// two sweeps and leaf one-sided steps, each step charged the target's rows
+// as probes; any other graph iterates the edges to a fixpoint. Returns the
+// number of tuple probes performed (for the cost model).
 func (e *Engine) semanticReduce(q *workload.Query, aliases map[string]*aliasState) int {
 	counts := make(map[string]int, len(aliases))
 	for name, as := range aliases {
@@ -471,14 +471,14 @@ func (e *Engine) semanticReduce(q *workload.Query, aliases map[string]*aliasStat
 		tgt, tgtCol, src, srcCol := st.sides(j)
 		t, s := aliases[tgt], aliases[src]
 		probes += len(t.rows)
-		reduceTo(t, e.ds.Table(t.table), tgtCol, keysOf(e.ds.Table(s.table), s.rows, srcCol), false)
+		reduceTo(t, e.ds.Table(t.table), tgtCol, keysOf(e.ds.Table(s.table), s.rows, srcCol), st.anti)
 	}
 	return probes
 }
 
 // semanticFixpoint iterates every edge's reduction until a pass changes
-// nothing (or MaxReductionPasses): the route for cyclic graphs and outer,
-// anti and full joins.
+// nothing (or MaxReductionPasses): the route for cyclic graphs, full outer
+// joins and one-sided edges whose non-preserved side has other edges.
 func (e *Engine) semanticFixpoint(q *workload.Query, aliases map[string]*aliasState) int {
 	probes := 0
 	for pass := 0; pass < e.opts.MaxReductionPasses; pass++ {

@@ -215,30 +215,70 @@ func edge(l, r string, typ workload.JoinType) workload.Join {
 }
 
 // TestSweepScheduleClassification pins which join graphs get the two
-// sweeps: forests of inner/semi edges do; cycles, two edges on one alias
-// pair, an alias joined to itself and outer, anti or full edges keep the
-// fixpoint.
+// sweeps: forests of inner/semi edges do, and so do anti and outer edges
+// whose non-preserved side is a leaf — an anti edge as a step in the
+// bottom-up sweep right after its preserved side's children reduce it, an
+// outer edge as a step after the sweeps. Cycles, two edges on one alias
+// pair, an alias joined to itself, full outer edges and one-sided edges
+// whose non-preserved side has another edge keep the fixpoint.
 func TestSweepScheduleClassification(t *testing.T) {
 	counts := map[string]int{"f": 1000, "a": 10, "b": 50, "c": 5, "d": 70, "x": 3, "y": 4}
+	tpch := func(n int) *workload.Query { return datagen.TPCHQuery(n, rand.New(rand.NewSource(1))) }
+	// order lists the steps as "target<source" when pinned.
 	sweeps := []struct {
 		name  string
 		q     *workload.Query
 		steps int
+		order []string
 	}{
-		{"no joins", scheduleQuery([]string{"f"}), 0},
+		{"no joins", scheduleQuery([]string{"f"}), 0, nil},
 		{"star", scheduleQuery([]string{"f", "a", "b", "c"},
 			edge("a", "f", workload.InnerJoin), edge("f", "b", workload.InnerJoin),
-			edge("c", "f", workload.SemiJoin)), 6},
+			edge("c", "f", workload.SemiJoin)), 6, nil},
 		{"chain", scheduleQuery([]string{"a", "f", "b", "d"},
 			edge("a", "f", workload.InnerJoin), edge("b", "f", workload.InnerJoin),
-			edge("d", "b", workload.InnerJoin)), 6},
+			edge("d", "b", workload.InnerJoin)), 6, nil},
 		{"forest", scheduleQuery([]string{"f", "a", "x", "y"},
-			edge("a", "f", workload.InnerJoin), edge("x", "y", workload.SemiJoin)), 4},
+			edge("a", "f", workload.InnerJoin), edge("x", "y", workload.SemiJoin)), 4, nil},
+		{"left anti leaf", scheduleQuery([]string{"f", "a", "b"},
+			edge("a", "f", workload.InnerJoin), edge("f", "b", workload.LeftAntiSemiJoin)),
+			3, []string{"f<a", "f<b", "a<f"}},
+		{"right anti leaf", scheduleQuery([]string{"f", "a", "b"},
+			edge("a", "f", workload.InnerJoin), edge("b", "f", workload.RightAntiSemiJoin)),
+			3, []string{"f<a", "f<b", "a<f"}},
+		{"anti leaf on a child", scheduleQuery([]string{"f", "a", "x"},
+			edge("a", "f", workload.InnerJoin), edge("a", "x", workload.LeftAntiSemiJoin)),
+			3, []string{"a<x", "f<a", "a<f"}},
+		{"left outer leaf", scheduleQuery([]string{"f", "a", "b"},
+			edge("a", "f", workload.InnerJoin), edge("f", "b", workload.LeftOuterJoin)),
+			3, []string{"f<a", "a<f", "b<f"}},
+		{"right outer leaf", scheduleQuery([]string{"f", "a", "b"},
+			edge("a", "f", workload.InnerJoin), edge("b", "f", workload.RightOuterJoin)),
+			3, []string{"f<a", "a<f", "b<f"}},
+		{"anti and outer leaves", scheduleQuery([]string{"f", "a", "b", "c"},
+			edge("f", "b", workload.LeftOuterJoin), edge("a", "f", workload.InnerJoin),
+			edge("f", "c", workload.LeftAntiSemiJoin)), 4, []string{"f<a", "f<c", "a<f", "b<f"}},
+		{"tpch q13", tpch(13), 1, []string{"orders<customer"}},
+		{"tpch q16", tpch(16), 3, nil},
+		{"tpch q21", tpch(21), 9, nil},
+		{"tpch q22", tpch(22), 1, []string{"customer<orders"}},
 	}
 	for _, c := range sweeps {
 		steps, ok := sweepSchedule(c.q, counts)
 		if !ok || len(steps) != c.steps {
 			t.Errorf("%s: ok=%v steps=%d, want the sweep with %d steps", c.name, ok, len(steps), c.steps)
+			continue
+		}
+		var got []string
+		for _, st := range steps {
+			tgt, _, src, _ := st.sides(c.q.Joins[st.join])
+			got = append(got, tgt+"<"+src)
+			if typ := c.q.Joins[st.join].Type; st.anti != (typ == workload.LeftAntiSemiJoin || typ == workload.RightAntiSemiJoin) {
+				t.Errorf("%s: step %s on a %s edge has anti=%v", c.name, got[len(got)-1], typ, st.anti)
+			}
+		}
+		if c.order != nil && !reflect.DeepEqual(got, c.order) {
+			t.Errorf("%s: steps %v, want %v", c.name, got, c.order)
 		}
 	}
 
@@ -253,20 +293,25 @@ func TestSweepScheduleClassification(t *testing.T) {
 			edge("a", "b", workload.InnerJoin), edge("b", "a", workload.InnerJoin))},
 		{"self edge", scheduleQuery([]string{"a", "b"},
 			edge("a", "a", workload.InnerJoin), edge("a", "b", workload.InnerJoin))},
+		{"anti self edge", scheduleQuery([]string{"a"}, edge("a", "a", workload.LeftAntiSemiJoin))},
 		{"unknown alias", scheduleQuery([]string{"a"}, edge("a", "zz", workload.InnerJoin))},
+		{"full outer", scheduleQuery([]string{"f", "a", "b"},
+			edge("a", "f", workload.InnerJoin), edge("f", "b", workload.FullOuterJoin))},
+		{"tpch q5", tpch(5)},
 	}
+	// The non-preserved side f of each one-sided edge also joins a.
 	for _, typ := range []workload.JoinType{workload.LeftOuterJoin, workload.RightOuterJoin,
-		workload.FullOuterJoin, workload.LeftAntiSemiJoin, workload.RightAntiSemiJoin} {
+		workload.LeftAntiSemiJoin, workload.RightAntiSemiJoin} {
+		l, r := "b", "f"
+		if typ == workload.RightOuterJoin || typ == workload.RightAntiSemiJoin {
+			l, r = r, l
+		}
 		fixpoints = append(fixpoints, struct {
 			name string
 			q    *workload.Query
-		}{typ.String(), scheduleQuery([]string{"f", "a", "b"},
-			edge("a", "f", workload.InnerJoin), edge("f", "b", typ))})
+		}{typ.String() + " on a non-leaf", scheduleQuery([]string{"f", "a", "b"},
+			edge("a", "f", workload.InnerJoin), edge(l, r, typ))})
 	}
-	fixpoints = append(fixpoints, struct {
-		name string
-		q    *workload.Query
-	}{"tpch q5", datagen.TPCHQuery(5, rand.New(rand.NewSource(1)))})
 	for _, c := range fixpoints {
 		if steps, ok := sweepSchedule(c.q, counts); ok {
 			t.Errorf("%s: got the sweep (%d steps), want the fixpoint", c.name, len(steps))

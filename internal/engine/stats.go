@@ -27,6 +27,11 @@ type Stats struct {
 	// fallen off the pushdown. Unlike the fields above it counts Execute's
 	// scans as they happen, failed executions included.
 	ResidualFilterRows int64 `json:"residual_filter_rows"`
+	// MaterializedFoldRows counts survivor rows Execute walks in the
+	// row-order fold pass (grouped.go), once per alias that pass folds:
+	// the aggregates the backend's fold does not take cost this many row
+	// visits. Like ResidualFilterRows it counts as it happens.
+	MaterializedFoldRows int64 `json:"materialized_fold_rows"`
 }
 
 // Sub returns s - o, for measuring deltas between snapshots.
@@ -38,7 +43,8 @@ func (s Stats) Sub(o Stats) Stats {
 		RowsScanned: s.RowsScanned - o.RowsScanned,
 		SimSeconds:  s.SimSeconds - o.SimSeconds,
 
-		ResidualFilterRows: s.ResidualFilterRows - o.ResidualFilterRows,
+		ResidualFilterRows:   s.ResidualFilterRows - o.ResidualFilterRows,
+		MaterializedFoldRows: s.MaterializedFoldRows - o.MaterializedFoldRows,
 	}
 }
 
@@ -51,7 +57,8 @@ func (s Stats) Add(o Stats) Stats {
 		RowsScanned: s.RowsScanned + o.RowsScanned,
 		SimSeconds:  s.SimSeconds + o.SimSeconds,
 
-		ResidualFilterRows: s.ResidualFilterRows + o.ResidualFilterRows,
+		ResidualFilterRows:   s.ResidualFilterRows + o.ResidualFilterRows,
+		MaterializedFoldRows: s.MaterializedFoldRows + o.MaterializedFoldRows,
 	}
 }
 
@@ -67,7 +74,8 @@ type engineCounters struct {
 	rowsScanned atomic.Int64
 	simSecBits  atomic.Uint64 // float64 bits, CAS-accumulated
 
-	residualFilterRows atomic.Int64 // bumped by scanKernel, not by note
+	residualFilterRows   atomic.Int64 // bumped by scanKernel, not by note
+	materializedFoldRows atomic.Int64 // bumped by foldAlias, not by note
 }
 
 // note records one execution's outcome.
@@ -105,6 +113,7 @@ func (e *Engine) StatsSnapshot() Stats {
 		RowsScanned: e.counters.rowsScanned.Load(),
 		SimSeconds:  math.Float64frombits(e.counters.simSecBits.Load()),
 
-		ResidualFilterRows: e.counters.residualFilterRows.Load(),
+		ResidualFilterRows:   e.counters.residualFilterRows.Load(),
+		MaterializedFoldRows: e.counters.materializedFoldRows.Load(),
 	}
 }
