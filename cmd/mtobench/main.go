@@ -379,6 +379,7 @@ func runExperiment(exp, bench string, s experiments.Scale) error {
 		if err != nil {
 			return err
 		}
+		defer res.Close()
 		fmt.Fprint(out, res.String())
 		if reorgFlags.benchJSON != "" {
 			data, err := json.MarshalIndent(res, "", "  ")

@@ -119,4 +119,7 @@ func main() {
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "mtoserve: done — %d completed, %d cache hits, %d generation swaps\n",
 		st.Completed, st.Cache.Hits, st.GenerationSwaps)
+	if err := dep.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "mtoserve: close:", err)
+	}
 }

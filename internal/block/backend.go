@@ -44,8 +44,9 @@ type Backend interface {
 	// served from the segment footer without page I/O, preserving the
 	// paper's skipping semantics. Callers must not mutate the slice.
 	Zones(table string) []*zonemap.ZoneMap
-	// ReadBlock meters the read of one block and returns it fully decoded,
-	// reading the block's pages through the buffer pool.
+	// ReadBlock meters the read of one block and returns its row IDs and
+	// zone map; the segment store reads only the block's row-ID page for
+	// it, through its buffer pool.
 	ReadBlock(table string, id int) (*Block, error)
 	// RowToBlock returns the table's row index → block ID mapping, used
 	// by secondary-index pruning. It is an auxiliary-index read, not

@@ -18,8 +18,9 @@ import (
 //     (one sorted merge bridges each block dictionary into the global
 //     one) and scatter-folds packed FOR quantities into dense per-slot
 //     states, straight off the encoded pages;
-//   - decode-fold: ReadBlockData's decoded vectors, each survivor hashed
-//     into a per-group accumulator map.
+//   - decode-fold: the test-only full decoder's vectors (readBlockData,
+//     decoded once before timing), each survivor hashed into a per-group
+//     accumulator map.
 func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 	tab := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 0.05, Seed: 1}).Table("lineitem")
 	nrows := tab.NumRows()
@@ -76,15 +77,13 @@ func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 	b.Run("decode-fold", func(b *testing.B) {
 		qi, _ := tab.Schema().ColumnIndex("l_quantity")
 		gi, _ := tab.Schema().ColumnIndex("l_returnflag")
+		decoded := decodeAll(b, s, "lineitem")
 		b.ReportAllocs()
+		b.ResetTimer()
 		var sums map[string]int64
 		for i := 0; i < b.N; i++ {
 			sums = make(map[string]int64, slots)
-			for id := 0; id < nb; id++ {
-				bd, err := s.ReadBlockData("lineitem", id)
-				if err != nil {
-					b.Fatal(err)
-				}
+			for _, bd := range decoded {
 				q, g := &bd.Cols[qi], &bd.Cols[gi]
 				for k, r := range bd.Block.Rows {
 					if survivors[r>>6]>>(uint(r)&63)&1 == 0 || q.Nulls != nil && q.Nulls[k] {

@@ -61,19 +61,6 @@ func (pv pageView) isNull(i int) bool {
 	return pv.nulls != nil && pv.nulls[i>>3]>>(uint(i)&7)&1 == 1
 }
 
-// nullFlags expands the null bitmap into one flag per row; nil means no
-// nulls.
-func (pv pageView) nullFlags(nrows int) []bool {
-	if pv.nulls == nil {
-		return nil
-	}
-	out := make([]bool, nrows)
-	for i := range out {
-		out[i] = pv.isNull(i)
-	}
-	return out
-}
-
 // encKind maps a page encoding to the column kind it stores (KindNull for
 // an unknown byte).
 func encKind(enc byte) value.Kind {
@@ -484,71 +471,4 @@ func (s *colSlot) decoded() bool { return s.gotCodes || s.gotInts || s.gotFloats
 func (s *colSlot) release() {
 	s.sc.intv, s.sc.strv = intView{}, strView{}
 	*s = colSlot{sc: s.sc}
-}
-
-// decodeColumn fully decodes one column page into retained vectors: the
-// decoder behind Segment.ReadBlock.
-func decodeColumn(payload []byte, kind value.Kind, nrows int) (ColumnData, error) {
-	cd := ColumnData{Kind: kind}
-	pv, err := parsePage(payload, nrows)
-	if err != nil {
-		return cd, err
-	}
-	cd.Nulls = pv.nullFlags(nrows)
-	sc := getScratch()
-	defer putScratch(sc)
-	switch kind {
-	case value.KindInt:
-		cd.Ints, err = decodeInts(pv, nrows, sc)
-	case value.KindFloat:
-		cd.Floats, err = decodeFloats(pv, nrows)
-	default:
-		cd.Strs, err = decodeStrings(pv, nrows, sc)
-	}
-	return cd, err
-}
-
-func decodeInts(pv pageView, nrows int, sc *scratch) ([]int64, error) {
-	v, err := pv.ints(nrows, sc)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, v.n)
-	v.decodeInto(out, sc)
-	return out, nil
-}
-
-func decodeFloats(pv pageView, nrows int) ([]float64, error) {
-	v, err := pv.floats(nrows)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, v.n)
-	v.decodeInto(out)
-	return out, nil
-}
-
-// decodeStrings materializes each entry once, so the rows of a dict page
-// share their dictionary entry's string.
-func decodeStrings(pv pageView, nrows int, sc *scratch) ([]string, error) {
-	v, err := pv.strs(nrows, sc)
-	if err != nil {
-		return nil, err
-	}
-	codes, err := v.codes(sc)
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]string, v.nd)
-	for i := range entries {
-		entries[i] = string(v.entry(i))
-	}
-	if codes == nil {
-		return entries, nil
-	}
-	out := make([]string, v.n)
-	for i, c := range codes {
-		out[i] = entries[c]
-	}
-	return out, nil
 }

@@ -74,13 +74,13 @@ var peers = map[value.Kind]*peer{}
 type peer struct {
 	nrows int
 	page  []byte
-	cd    ColumnData
+	cd    columnData
 }
 
 // peerPage is a well-formed page of the given kind and its decoded column,
 // the partner of the page under test in column-pair leaves; its rows
 // repeat, so strings dictionary-code.
-func peerPage(t *testing.T, kind value.Kind, nrows int) ([]byte, *ColumnData) {
+func peerPage(t *testing.T, kind value.Kind, nrows int) ([]byte, *columnData) {
 	if p := peers[kind]; p != nil && p.nrows == nrows {
 		return p.page, &p.cd
 	}
@@ -123,7 +123,7 @@ func encodePeer(kind value.Kind, nrows int) []byte {
 	return w.buf
 }
 
-func rowValue(cd *ColumnData, k int) value.Value {
+func rowValue(cd *columnData, k int) value.Value {
 	switch {
 	case cd.Nulls != nil && cd.Nulls[k]:
 		return value.Null
@@ -199,7 +199,7 @@ func (c *pageCheck) check(kind value.Kind, pv pageView, noNulls bool) bool {
 	nw := (nrows + 63) / 64
 
 	// The full decoder, and the oracle's table over what it decoded.
-	var cd ColumnData
+	var cd columnData
 	decoded := c.run("full decode", true, true, func() (err error) {
 		cd, err = decodeColumn(c.page, kind, nrows)
 		return err

@@ -170,24 +170,131 @@ func TestScanReadsOnlyTouchedPages(t *testing.T) {
 	}
 }
 
-// TestCorruptUntouchedPage flips one byte in one column page of one block,
-// in the segment file or in the bytes a store keeps in memory: every scan
-// and fold that does not read that page answers as over the intact store,
-// every one that reads it — and the whole-block ReadBlock — fails with a
-// checksum error naming the block and page, and the failed loads leave
-// nothing of the page behind in the pool.
-func TestCorruptUntouchedPage(t *testing.T) {
-	for _, src := range []string{"file", "ram"} {
-		t.Run(src, func(t *testing.T) { corruptUntouchedPage(t, src) })
+// TestReadBlockSharesScanEntry: ReadBlock reads the row-ID page through
+// the block's one pool entry. After a scan of the block it reads nothing
+// (one hit); before one, it leaves the scan only its column's page to read.
+func TestReadBlockSharesScanEntry(t *testing.T) {
+	const n = 200
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 4)
+	p := predicate.NewComparison("i_for", predicate.Gt, value.Int(150))
+	eachByteSource(t, 1<<20, func(t *testing.T, s *Store) {
+		installScanTable(t, s, tab, groups)
+		scan := s.CompileScan("sc", []predicate.Predicate{p})
+		masks := [][]uint64{make([]uint64, (n+63)/64)}
+		scanBlock := func(id int) func() error {
+			return func() error { _, err := scan.ScanBlock(id, masks); return err }
+		}
+		readBlock := func(id int) func() error {
+			return func() error { _, err := s.ReadBlock("sc", id); return err }
+		}
+		step := func(name string, wantHits, wantMisses, wantBytes int64, visit func() error) {
+			t.Helper()
+			before := s.Stats()
+			if err := visit(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			d := s.Stats().Sub(before)
+			if d.CacheHits != wantHits || d.CacheMisses != wantMisses || d.BytesRead != wantBytes {
+				t.Errorf("%s: %d hits, %d misses, %d bytes read; want %d, %d, %d",
+					name, d.CacheHits, d.CacheMisses, d.BytesRead, wantHits, wantMisses, wantBytes)
+			}
+		}
+		step("scan of block 0, cold", 0, 1, pageBytes(s, []int{0}, true, "i_for"), scanBlock(0))
+		step("ReadBlock(0) after the scan", 1, 0, 0, readBlock(0))
+		step("ReadBlock(1), cold", 0, 1, pageBytes(s, []int{1}, true), readBlock(1))
+		step("scan of block 1 after ReadBlock", 0, 1, pageBytes(s, []int{1}, false, "i_for"), scanBlock(1))
+		step("ReadBlock(1) after both", 1, 0, 0, readBlock(1))
+		if entries, _ := s.pool.Resident(); entries != 2 {
+			t.Errorf("%d pool entries for two blocks", entries)
+		}
+	})
+}
+
+// TestPoolSmallerThanOneBlock: a pool too small for any block's row IDs
+// caches nothing and changes no answer. Every scan and fold matches an
+// ample-pool store, the pool never holds more than its capacity, and every
+// block visit is a miss.
+func TestPoolSmallerThanOneBlock(t *testing.T) {
+	const n = 200
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 4)
+	ample := newScanStore(t, tab, groups, 1<<30)
+	capacity := int64(n) * 4 // what the pool charges for all rows' IDs
+	for _, g := range groups {
+		capacity = min(capacity, int64(len(g))*4-1)
+	}
+	s := newScanStore(t, tab, groups, capacity)
+	nb := int64(s.NumBlocks("sc"))
+
+	step := func(name string, visit func(s *Store) (interface{}, error)) {
+		t.Helper()
+		before := s.Stats()
+		got, err := visit(s)
+		want, wantE := visit(ample)
+		if err != nil || wantE != nil {
+			t.Fatalf("%s: %v / ample pool: %v", name, err, wantE)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: differs from the ample-pool store", name)
+		}
+		d := s.Stats().Sub(before)
+		if d.CacheHits != 0 || d.CacheMisses != nb {
+			t.Errorf("%s: %d hits, %d misses over %d block visits", name, d.CacheHits, d.CacheMisses, nb)
+		}
+		if _, bytes := s.pool.Resident(); bytes > capacity {
+			t.Errorf("%s: pool holds %d bytes, capacity %d", name, bytes, capacity)
+		}
+	}
+	for _, p := range append(scanPredicates(), nil) {
+		if p != nil && !s.CompileScan("sc", []predicate.Predicate{p}).Supported()[0] {
+			continue
+		}
+		step(fmt.Sprint("scan ", p), func(s *Store) (interface{}, error) { return scanAll(t, s, n, p) })
+	}
+	for _, group := range foldGroups(t, tab, "i_for", "s_dict") {
+		for _, a := range aggMatrix() {
+			if !wantSupported(a) {
+				continue
+			}
+			aggs := []workload.Aggregate{a}
+			step(fmt.Sprintf("%s by %q", a, group.Column), func(s *Store) (interface{}, error) {
+				return foldAll(s, n, group, aggs)
+			})
+		}
+	}
+	if entries, bytes := s.pool.Resident(); entries != 0 || bytes != 0 {
+		t.Errorf("%d entries, %d bytes resident in a pool of %d bytes", entries, bytes, capacity)
 	}
 }
 
-// flipPageByte damages one payload byte of block bi's page of column ci
-// where the segment's bytes live: in its file, or in the image it reads.
-func flipPageByte(t *testing.T, s *Store, bi, ci int) {
+// TestCorruptUntouchedPage flips one byte in one page of one block, in the
+// segment file or in the bytes a store keeps in memory, and demands that
+// only the visits that read that page fail, with a checksum error naming
+// the block and page, and that the failed loads leave nothing of the page
+// behind in the pool.
+//
+// A column page: every scan and fold that does not read it, and every
+// ReadBlock (which reads only the row-ID page), answers as over the intact
+// store. The row-ID page: every scan, fold and ReadBlock of that block
+// fails, every other block answers as over the intact store, and nothing
+// of the block stays cached.
+func TestCorruptUntouchedPage(t *testing.T) {
+	for _, src := range []string{"file", "ram"} {
+		t.Run(src, func(t *testing.T) {
+			corruptUntouchedPage(t, src)
+			corruptRowIDPage(t, src)
+		})
+	}
+}
+
+// flipPageByte damages one payload byte of block bi's page pi (0 = row
+// IDs, 1+ci = column ci) where the segment's bytes live: in its file, or in
+// the image it reads.
+func flipPageByte(t *testing.T, s *Store, bi, pi int) {
 	t.Helper()
 	st := s.state("sc")
-	at := st.seg.blocks[bi].pages[1+ci].off + frameSize + 3
+	at := st.seg.blocks[bi].pages[pi].off + frameSize + 3
 	if st.seg.Path() == "" {
 		image := segmentImage(t, st.seg)
 		image[at] ^= 0x40
@@ -213,6 +320,35 @@ func flipPageByte(t *testing.T, s *Store, bi, ci int) {
 	}
 }
 
+// residentEntry returns the pool's entry for block id of the store's
+// current "sc" generation, if it holds one.
+func residentEntry(s *Store, id int) (*EncodedBlock, bool) {
+	k := poolKey{table: "sc", gen: s.state("sc").gen, id: id}
+	sh := s.pool.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.items[k]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*poolEntry).val, true
+}
+
+// foldGroups is the ungrouped fold and one dictionary-grouped fold per
+// named column of tab.
+func foldGroups(t *testing.T, tab *relation.Table, cols ...string) []block.GroupKey {
+	t.Helper()
+	groups := []block.GroupKey{{}}
+	for _, col := range cols {
+		dict, err := relation.BuildColumnDict(tab, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, block.GroupKey{Column: col, Dict: dict})
+	}
+	return groups
+}
+
 func corruptUntouchedPage(t *testing.T, src string) {
 	const (
 		n       = 200
@@ -225,7 +361,7 @@ func corruptUntouchedPage(t *testing.T, src string) {
 	intact := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
 	s := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
 	ci, _ := s.state("sc").seg.colIndex(badCol)
-	flipPageByte(t, s, badBlk, ci)
+	flipPageByte(t, s, badBlk, 1+ci)
 
 	check := func(name string, reads bool, got interface{}, err error, want interface{}, wantE error) {
 		t.Helper()
@@ -259,15 +395,7 @@ func corruptUntouchedPage(t *testing.T, src string) {
 	if failed == 0 || failed == scans {
 		t.Fatalf("fixture: %d of %d scans read %s", failed, scans, badCol)
 	}
-	for _, gcol := range []string{"", "i_for", badCol} {
-		var group block.GroupKey
-		if gcol != "" {
-			dict, err := relation.BuildColumnDict(tab, gcol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			group = block.GroupKey{Column: gcol, Dict: dict}
-		}
+	for _, group := range foldGroups(t, tab, "i_for", badCol) {
 		for _, a := range aggMatrix() {
 			if !wantSupported(a) {
 				continue
@@ -275,34 +403,94 @@ func corruptUntouchedPage(t *testing.T, src string) {
 			aggs := []workload.Aggregate{a}
 			got, err := foldAll(s, n, group, aggs)
 			want, wantE := foldAll(intact, n, group, aggs)
-			check(fmt.Sprintf("%s by %q", a, gcol), a.Column == badCol || gcol == badCol, got, err, want, wantE)
+			check(fmt.Sprintf("%s by %q", a, group.Column), a.Column == badCol || group.Column == badCol, got, err, want, wantE)
 		}
 	}
 	if _, err := scanAll(t, s, n, nil); err != nil {
 		t.Errorf("unfiltered scan: %v", err)
 	}
-
 	for id := range allBlocks(s) {
-		_, err := s.ReadBlock("sc", id)
-		if id != badBlk && err != nil {
-			t.Errorf("ReadBlock(%d): %v", id, err)
-		}
-		if id == badBlk && (err == nil || !strings.Contains(err.Error(), wantErr)) {
-			t.Errorf("ReadBlock(%d): err = %v, want %q", id, err, wantErr)
-		}
+		got, err := s.ReadBlock("sc", id)
+		want, wantE := intact.ReadBlock("sc", id)
+		check(fmt.Sprintf("ReadBlock(%d)", id), false, got, err, want, wantE)
 	}
 	// The block's entry holds what the succeeding visits read, never the
-	// bad page, and no decoded form of the block exists.
-	eb, err := s.encodedBlock("sc", s.state("sc"), badBlk, nil, false)
-	if err != nil || eb.Cols[ci] != nil {
-		t.Errorf("corrupt page cached (err %v)", err)
+	// bad page.
+	if eb, ok := residentEntry(s, badBlk); !ok || eb.Cols[ci] != nil {
+		t.Errorf("block %d: resident %v, corrupt page cached %v", badBlk, ok, ok && eb.Cols[ci] != nil)
 	}
-	before := s.Stats()
-	if _, err := s.ReadBlock("sc", badBlk); err == nil {
-		t.Error("second ReadBlock of the corrupt block succeeded")
+}
+
+func corruptRowIDPage(t *testing.T, src string) {
+	const (
+		n       = 200
+		badBlk  = 2
+		wantErr = "block 2: page 0: checksum mismatch"
+	)
+	tab := scanTable(t, n)
+	groups := interleavedGroups(n, 4)
+	intact := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
+	s := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
+	flipPageByte(t, s, badBlk, 0)
+	nw := (n + 63) / 64
+
+	// visit runs one visit of block id on the damaged store and on the
+	// intact one: the damaged block must fail, any other answer alike.
+	visit := func(name string, id int, run func(s *Store) (interface{}, error)) {
+		t.Helper()
+		got, err := run(s)
+		want, wantE := run(intact)
+		switch {
+		case wantE != nil:
+			t.Fatalf("%s, block %d: intact store: %v", name, id, wantE)
+		case id == badBlk && (err == nil || !strings.Contains(err.Error(), wantErr)):
+			t.Errorf("%s, block %d: err = %v, want %q", name, id, err, wantErr)
+		case id != badBlk && err != nil:
+			t.Errorf("%s, block %d: %v", name, id, err)
+		case id != badBlk && !reflect.DeepEqual(got, want):
+			t.Errorf("%s, block %d: differs from the intact store", name, id)
+		}
 	}
-	if d := s.Stats().Sub(before); d.CacheMisses != 1 || d.CacheHits != 0 {
-		t.Errorf("failed decoded load was cached: %+v", d)
+	preds := append(scanPredicates(), nil)
+	for _, p := range preds {
+		var filters []predicate.Predicate
+		if p != nil {
+			filters = []predicate.Predicate{p}
+		}
+		scans := map[*Store]block.Scan{s: s.CompileScan("sc", filters), intact: intact.CompileScan("sc", filters)}
+		for _, id := range allBlocks(s) {
+			visit(fmt.Sprint("scan ", p), id, func(st *Store) (interface{}, error) {
+				masks := [][]uint64{make([]uint64, nw)}
+				rows, err := scans[st].ScanBlock(id, masks)
+				return []interface{}{rows, masks}, err
+			})
+		}
+	}
+	for _, group := range foldGroups(t, tab, "i_for", "s_dict") {
+		for _, a := range aggMatrix() {
+			if !wantSupported(a) {
+				continue
+			}
+			aggs := []workload.Aggregate{a}
+			folds := map[*Store]block.Fold{s: s.CompileFold("sc", group, aggs), intact: intact.CompileFold("sc", group, aggs)}
+			surv := make([]uint64, nw)
+			setAllBits(surv, n)
+			for _, id := range allBlocks(s) {
+				visit(fmt.Sprintf("%s by %q", a, group.Column), id, func(st *Store) (interface{}, error) {
+					gs := block.NewGroupedStates(group.Slots(), folds[st].Supported())
+					err := folds[st].FoldBlock(id, surv, gs)
+					return gs, err
+				})
+			}
+		}
+	}
+	for _, id := range allBlocks(s) {
+		visit("ReadBlock", id, func(st *Store) (interface{}, error) { return st.ReadBlock("sc", id) })
+	}
+	for _, id := range allBlocks(s) {
+		if _, ok := residentEntry(s, id); ok == (id == badBlk) {
+			t.Errorf("block %d: resident = %v after every visit", id, ok)
+		}
 	}
 }
 

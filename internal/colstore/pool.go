@@ -13,17 +13,15 @@ import (
 // A visit counts one hit when it read nothing (resident, or served by the
 // load it waited on) and one miss when it ran a load itself.
 //
-// Entries come in two forms, keyed separately: fully decoded blocks
-// (*BlockData, what ReadBlock returns) and encoded snapshots
-// (*EncodedBlock, what scans and folds run over). Both live under the same
-// byte budget. The block is the unit of lookup and eviction, the page the
-// unit of I/O: an encoded entry holds the pages some visit asked for, a
-// visit naming a column it lacks reads just that page and replaces the
-// entry with a wider snapshot (charging the size delta), and eviction drops
-// the whole entry.
+// An entry is an encoded snapshot of one block (*EncodedBlock): the
+// decoded row IDs plus the pages some visit asked for. The block is the
+// unit of lookup and eviction, the page the unit of I/O: a visit naming a
+// column the entry lacks reads just that page and replaces the entry with a
+// wider snapshot (charging the size delta), and eviction drops the whole
+// entry.
 //
 // Capacity is in bytes of cached block data, split evenly across shards.
-// A capacity of zero disables caching entirely — every Get runs (or waits
+// A capacity of zero disables caching entirely — every visit runs (or waits
 // on) a load — which is the cold-storage configuration the backend
 // identity tests replay under. Failed loads are never cached, and a waiter
 // whose flight failed (or loaded other columns) runs its own load, so an
@@ -45,14 +43,6 @@ type Pool struct {
 	readaheadHits atomic.Int64
 }
 
-// poolForm distinguishes the two cacheable representations of a block.
-type poolForm uint8
-
-const (
-	formDecoded poolForm = iota // *BlockData
-	formEncoded                 // *EncodedBlock
-)
-
 // poolKey identifies one cached block. The segment generation is part of
 // the key so a load racing with a segment swap can only ever insert under
 // its own (now unreachable) generation, never serve stale data for the
@@ -61,7 +51,6 @@ type poolKey struct {
 	table string
 	gen   uint64
 	id    int
-	form  poolForm
 }
 
 type poolShard struct {
@@ -78,25 +67,16 @@ type poolShard struct {
 	minGen map[string]uint64
 }
 
-// cached is what the pool holds under a key.
-type cached interface {
-	// covers reports whether the value serves a visit to these segment
-	// columns without a read.
-	covers(cols []int) bool
-	// memSize is the in-memory footprint the byte budget is charged.
-	memSize() int64
-}
-
 type poolEntry struct {
 	key        poolKey
-	val        cached
+	val        *EncodedBlock
 	size       int64
 	prefetched bool // inserted by readahead and not yet touched by a demand read
 }
 
 type poolCall struct {
 	done     chan struct{}
-	val      cached
+	val      *EncodedBlock
 	err      error
 	prefetch bool // load initiated by a readahead worker
 	touched  bool // a demand read joined this prefetch load (guarded by shard mu)
@@ -138,71 +118,22 @@ func (p *Pool) shard(k poolKey) *poolShard {
 	return &p.shards[h.Sum32()%uint32(len(p.shards))]
 }
 
-// memSize estimates the decoded in-memory footprint of a block.
-func (bd *BlockData) memSize() int64 {
-	size := int64(len(bd.Block.Rows)) * 4
-	for _, c := range bd.Cols {
-		size += int64(len(c.Ints))*8 + int64(len(c.Floats))*8 + int64(len(c.Nulls))
-		for _, s := range c.Strs {
-			size += int64(len(s)) + 16
-		}
-	}
-	return size
-}
-
-func (bd *BlockData) covers([]int) bool { return true }
-
-// Get returns the cached decoded block for k, or runs load (at most once
-// across concurrent callers) and caches its result. k.form must be
-// formDecoded.
-func (p *Pool) Get(k poolKey, load func() (*BlockData, error)) (*BlockData, error) {
-	v, err := p.acquire(k, nil, false, func(cached) (cached, error) {
-		bd, err := load()
-		if err != nil {
-			return nil, err
-		}
-		return bd, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*BlockData), nil
-}
-
 // GetPages returns k's encoded snapshot holding at least the pages of cols
 // (segment column indexes; the row IDs are always there). A resident
 // snapshot that has them all is returned as is; otherwise load runs with
 // the resident snapshot (nil when there is none) and must return one
-// extended by the missing pages, which replaces it. k.form must be
-// formEncoded.
+// extended by the missing pages, which replaces it. Concurrent visits to
+// one block single-flight: at most one load of a key runs at a time.
 //
 // With prefetch it is the readahead variant: it returns (nil) immediately
 // when the block has a load in flight, never counts cache hits or misses,
 // and marks the entry it fills so the first demand read can be attributed
 // to readahead.
 func (p *Pool) GetPages(k poolKey, cols []int, prefetch bool, load func(prev *EncodedBlock) (*EncodedBlock, error)) (*EncodedBlock, error) {
-	v, err := p.acquire(k, cols, prefetch, func(prev cached) (cached, error) {
-		pe, _ := prev.(*EncodedBlock)
-		eb, err := load(pe)
-		if err != nil {
-			return nil, err
-		}
-		return eb, nil
-	})
-	if err != nil || v == nil {
-		return nil, err
-	}
-	return v.(*EncodedBlock), nil
-}
-
-// acquire serves one visit to k: the resident value when it covers cols,
-// else the result of load(resident value), run at most once at a time per
-// key. A prefetch visit returns nil when someone else is already loading.
-func (p *Pool) acquire(k poolKey, cols []int, prefetch bool, load func(prev cached) (cached, error)) (cached, error) {
 	sh := p.shard(k)
 	for {
 		sh.mu.Lock()
-		var prev cached
+		var prev *EncodedBlock
 		if el, ok := sh.items[k]; ok {
 			ent := el.Value.(*poolEntry)
 			sh.lru.MoveToFront(el)
@@ -269,8 +200,8 @@ func (p *Pool) acquire(k poolKey, cols []int, prefetch bool, load func(prev cach
 // put caches val under k — replacing the narrower snapshot a load extended,
 // charged by the size delta — then evicts from the cold end down to
 // capacity, returning the number of entries evicted. Caller holds sh.mu.
-func (sh *poolShard) put(k poolKey, val cached, mark bool) (evicted int64) {
-	size := val.memSize()
+func (sh *poolShard) put(k poolKey, val *EncodedBlock, mark bool) (evicted int64) {
+	size := val.size
 	if el, ok := sh.items[k]; ok {
 		ent := el.Value.(*poolEntry)
 		sh.bytes += size - ent.size
@@ -291,14 +222,15 @@ func (sh *poolShard) put(k poolKey, val cached, mark bool) (evicted int64) {
 	return evicted
 }
 
-// InvalidateBelow drops every cached block of the named table (either form)
-// whose generation is below minGen and raises the table's caching floor, so
-// a load racing the generation swap cannot re-insert a superseded entry
+// InvalidateBelow drops every cached block of the named table whose
+// generation is below minGen and raises the table's caching floor, so a
+// load racing the generation swap cannot re-insert a superseded entry
 // afterwards. Committing a generation calls this with its number: without
-// the floor, a Get that captured the old table state before the swap would
-// finish its disk read after the sweep and park the dead generation's block
-// in the cache until LRU pressure evicts it. Entries are dropped, not
-// evicted: the eviction counter tracks capacity pressure only.
+// the floor, a visit that captured the old table state before the swap
+// would finish its disk read after the sweep and park the dead
+// generation's block in the cache until LRU pressure evicts it. Entries
+// are dropped, not evicted: the eviction counter tracks capacity pressure
+// only.
 func (p *Pool) InvalidateBelow(table string, minGen uint64) {
 	for i := range p.shards {
 		sh := &p.shards[i]

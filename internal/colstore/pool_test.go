@@ -10,19 +10,24 @@ import (
 	"mto/internal/block"
 )
 
-// fakeBlock builds a BlockData whose memSize is exactly 4*nrows bytes
-// (row IDs only, no columns).
-func fakeBlock(nrows int) *BlockData {
-	return &BlockData{Block: &block.Block{Rows: make([]int32, nrows)}}
+// fakeBlock builds a snapshot of an nrows-row block holding no column
+// pages, which the pool charges exactly 4*nrows bytes.
+func fakeBlock(nrows int) *EncodedBlock {
+	return &EncodedBlock{Block: &block.Block{Rows: make([]int32, nrows)}, size: 4 * int64(nrows)}
+}
+
+// get is a demand visit to k's row IDs alone, loaded by load.
+func get(p *Pool, k poolKey, load func() (*EncodedBlock, error)) (*EncodedBlock, error) {
+	return p.GetPages(k, nil, false, func(*EncodedBlock) (*EncodedBlock, error) { return load() })
 }
 
 func TestPoolZeroCapacityNeverCaches(t *testing.T) {
 	p := NewPool(0)
 	loads := 0
-	load := func() (*BlockData, error) { loads++; return fakeBlock(1), nil }
+	load := func() (*EncodedBlock, error) { loads++; return fakeBlock(1), nil }
 	k := poolKey{table: "t", gen: 1, id: 0}
 	for i := 0; i < 3; i++ {
-		if _, err := p.Get(k, load); err != nil {
+		if _, err := get(p, k, load); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,17 +44,17 @@ func TestPoolHitAndEviction(t *testing.T) {
 	// Capacity below 8 bytes collapses to one shard of 7 bytes: a one-row
 	// block is 4 bytes, so the second insert evicts the first.
 	p := NewPool(7)
-	load := func() (*BlockData, error) { return fakeBlock(1), nil }
+	load := func() (*EncodedBlock, error) { return fakeBlock(1), nil }
 	k0 := poolKey{table: "t", gen: 1, id: 0}
 	k1 := poolKey{table: "t", gen: 1, id: 1}
 
-	p.Get(k0, load) // miss, cached
-	p.Get(k0, load) // hit
-	p.Get(k1, load) // miss; evicts k0
+	get(p, k0, load) // miss, cached
+	get(p, k0, load) // hit
+	get(p, k1, load) // miss; evicts k0
 	if _, _, evictions := p.Counters(); evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", evictions)
 	}
-	p.Get(k0, load) // miss again (was evicted); evicts k1
+	get(p, k0, load) // miss again (was evicted); evicts k1
 	hits, misses, _ := p.Counters()
 	if hits != 1 || misses != 3 {
 		t.Errorf("hits/misses = %d/%d, want 1/3", hits, misses)
@@ -59,7 +64,7 @@ func TestPoolHitAndEviction(t *testing.T) {
 func TestPoolSingleflight(t *testing.T) {
 	p := NewPool(1 << 20)
 	var loads atomic.Int64
-	load := func() (*BlockData, error) {
+	load := func() (*EncodedBlock, error) {
 		loads.Add(1)
 		time.Sleep(20 * time.Millisecond)
 		return fakeBlock(1), nil
@@ -71,7 +76,7 @@ func TestPoolSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if bd, err := p.Get(k, load); err != nil || bd == nil {
+			if bd, err := get(p, k, load); err != nil || bd == nil {
 				t.Errorf("Get: %v", err)
 			}
 		}()
@@ -90,22 +95,22 @@ func TestPoolFailedLoadNotCached(t *testing.T) {
 	p := NewPool(1 << 20)
 	boom := errors.New("boom")
 	loads := 0
-	load := func() (*BlockData, error) { loads++; return nil, boom }
+	load := func() (*EncodedBlock, error) { loads++; return nil, boom }
 	k := poolKey{table: "t", gen: 1, id: 0}
-	if _, err := p.Get(k, load); !errors.Is(err, boom) {
+	if _, err := get(p, k, load); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := p.Get(k, load); !errors.Is(err, boom) {
+	if _, err := get(p, k, load); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if loads != 2 {
 		t.Errorf("loads = %d, want 2 (errors never cached)", loads)
 	}
 	// A later successful load replaces the error.
-	if _, err := p.Get(k, func() (*BlockData, error) { return fakeBlock(1), nil }); err != nil {
+	if _, err := get(p, k, func() (*EncodedBlock, error) { return fakeBlock(1), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Get(k, load); err != nil {
+	if _, err := get(p, k, load); err != nil {
 		t.Errorf("cached success not served: %v", err)
 	}
 }
@@ -119,7 +124,7 @@ func TestPoolInvalidateBelowRefusesStaleInsert(t *testing.T) {
 	p := NewPool(1 << 20)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	gated := func() (*BlockData, error) {
+	gated := func() (*EncodedBlock, error) {
 		close(started)
 		<-release
 		return fakeBlock(1), nil
@@ -127,7 +132,7 @@ func TestPoolInvalidateBelowRefusesStaleInsert(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := p.Get(poolKey{table: "t", gen: 1, id: 0}, gated); err != nil {
+		if _, err := get(p, poolKey{table: "t", gen: 1, id: 0}, gated); err != nil {
 			t.Errorf("gated Get: %v", err)
 		}
 	}()
@@ -143,10 +148,10 @@ func TestPoolInvalidateBelowRefusesStaleInsert(t *testing.T) {
 	// old generation reloads (and is again refused), the new generation
 	// caches normally.
 	loads := 0
-	load := func() (*BlockData, error) { loads++; return fakeBlock(1), nil }
-	p.Get(poolKey{table: "t", gen: 1, id: 0}, load)
-	p.Get(poolKey{table: "t", gen: 2, id: 0}, load)
-	p.Get(poolKey{table: "t", gen: 2, id: 0}, load) // hit
+	load := func() (*EncodedBlock, error) { loads++; return fakeBlock(1), nil }
+	get(p, poolKey{table: "t", gen: 1, id: 0}, load)
+	get(p, poolKey{table: "t", gen: 2, id: 0}, load)
+	get(p, poolKey{table: "t", gen: 2, id: 0}, load) // hit
 	if loads != 2 {
 		t.Errorf("loads = %d, want 2 (stale gen uncacheable, current gen cached)", loads)
 	}
@@ -161,14 +166,14 @@ func TestPoolInvalidateBelowRefusesStaleInsert(t *testing.T) {
 func TestPoolInvalidateBelowKeepsCurrentGeneration(t *testing.T) {
 	p := NewPool(1 << 20)
 	loads := 0
-	load := func() (*BlockData, error) { loads++; return fakeBlock(1), nil }
+	load := func() (*EncodedBlock, error) { loads++; return fakeBlock(1), nil }
 	for id := 0; id < 3; id++ {
-		p.Get(poolKey{table: "t", gen: 1, id: id}, load)
-		p.Get(poolKey{table: "t", gen: 2, id: id}, load)
+		get(p, poolKey{table: "t", gen: 1, id: id}, load)
+		get(p, poolKey{table: "t", gen: 2, id: id}, load)
 	}
 	p.InvalidateBelow("t", 2)
 	for id := 0; id < 3; id++ {
-		p.Get(poolKey{table: "t", gen: 2, id: id}, load) // still cached
+		get(p, poolKey{table: "t", gen: 2, id: id}, load) // still cached
 	}
 	if loads != 6 {
 		t.Errorf("loads = %d, want 6 (generation 2 survives the floor)", loads)
@@ -181,15 +186,15 @@ func TestPoolInvalidateBelowKeepsCurrentGeneration(t *testing.T) {
 func TestPoolInvalidate(t *testing.T) {
 	p := NewPool(1 << 20)
 	loads := 0
-	load := func() (*BlockData, error) { loads++; return fakeBlock(1), nil }
+	load := func() (*EncodedBlock, error) { loads++; return fakeBlock(1), nil }
 	for id := 0; id < 4; id++ {
-		p.Get(poolKey{table: "a", gen: 1, id: id}, load)
-		p.Get(poolKey{table: "b", gen: 1, id: id}, load)
+		get(p, poolKey{table: "a", gen: 1, id: id}, load)
+		get(p, poolKey{table: "b", gen: 1, id: id}, load)
 	}
 	p.InvalidateBelow("a", 2)
 	for id := 0; id < 4; id++ {
-		p.Get(poolKey{table: "a", gen: 1, id: id}, load) // reload
-		p.Get(poolKey{table: "b", gen: 1, id: id}, load) // still cached
+		get(p, poolKey{table: "a", gen: 1, id: id}, load) // reload
+		get(p, poolKey{table: "b", gen: 1, id: id}, load) // still cached
 	}
 	if loads != 12 {
 		t.Errorf("loads = %d, want 12 (4 a + 4 b + 4 a reloads)", loads)

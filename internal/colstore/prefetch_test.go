@@ -15,7 +15,7 @@ import (
 // --- pool-level prefetch semantics (deterministic, synchronous) ---
 
 // fakePages is a page load over a three-column block of one row: prev plus
-// a 4-byte page for each of cols it lacks, so a snapshot's memSize is 4
+// a 4-byte page for each of cols it lacks, so a snapshot's size is 4
 // (row IDs) + 4 per page held.
 func fakePages(prev *EncodedBlock, cols ...int) *EncodedBlock {
 	eb := &EncodedBlock{Block: &block.Block{Rows: make([]int32, 1)}, Cols: make([][]byte, 3), size: 4}
@@ -39,7 +39,7 @@ func loadCols(cols ...int) func(*EncodedBlock) (*EncodedBlock, error) {
 
 func TestPoolPrefetchCounters(t *testing.T) {
 	p := NewPool(1 << 20)
-	k := poolKey{table: "t", gen: 1, id: 0, form: formEncoded}
+	k := poolKey{table: "t", gen: 1, id: 0}
 	p.GetPages(k, []int{0}, true, loadCols(0))
 
 	if pf, ra := p.PrefetchCounters(); pf != 1 || ra != 0 {
@@ -86,7 +86,7 @@ func TestPoolPrefetchCounters(t *testing.T) {
 
 func TestPoolPrefetchFailedLoadNotCached(t *testing.T) {
 	p := NewPool(1 << 20)
-	k := poolKey{table: "t", gen: 1, id: 0, form: formEncoded}
+	k := poolKey{table: "t", gen: 1, id: 0}
 	boom := errors.New("boom")
 	fail := func(*EncodedBlock) (*EncodedBlock, error) { return nil, boom }
 	p.GetPages(k, []int{1}, true, fail)
@@ -123,7 +123,7 @@ func TestPoolPrefetchFailedLoadNotCached(t *testing.T) {
 // own page on top of what the flight cached.
 func TestPoolDemandJoinsInflightPrefetch(t *testing.T) {
 	p := NewPool(1 << 20)
-	k := poolKey{table: "t", gen: 1, id: 0, form: formEncoded}
+	k := poolKey{table: "t", gen: 1, id: 0}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup

@@ -17,8 +17,9 @@ import (
 //
 //   - compressed: ScanBlock evaluates the predicate directly on the encoded
 //     pages (dict code ranges, FOR-rebased literals) into a survivor mask;
-//   - full-decode: ReadBlockData decodes every column of every block, then
-//     the predicate is evaluated over the decoded vectors.
+//   - full-decode: the test-only full decoder (readBlockData) reads and
+//     decodes every column of every block, then the predicate is evaluated
+//     over the decoded vectors.
 //
 // The workload is the paper's motivating shape — a highly selective
 // conjunctive filter touching 2 of 6 columns.
@@ -67,12 +68,13 @@ func BenchmarkCompressedScan(b *testing.B) {
 	})
 
 	b.Run("full-decode", func(b *testing.B) {
+		seg := s.state("sc").seg
 		b.ReportAllocs()
 		survivors := 0
 		for i := 0; i < b.N; i++ {
 			survivors = 0
 			for id := 0; id < nb; id++ {
-				bd, err := s.ReadBlockData("sc", id)
+				bd, err := readBlockData(seg, id)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,31 +2,13 @@ package colstore
 
 import "sync"
 
-// Reusable decode scratch (the hot-path allocation pass): page read
-// buffers and the page reader's working set are pooled so steady-state
-// block reads allocate only their retained outputs (typed vectors,
-// strings), not their temporaries.
+// Reusable decode scratch (the hot-path allocation pass): the page
+// reader's working set is pooled so steady-state block visits allocate
+// only their retained outputs, not their temporaries.
 //
 // Nothing returned to callers may alias a pooled buffer: every decoder
 // copies into freshly allocated output slices before its scratch is
 // released.
-
-// byteBuf is a pooled page read buffer.
-type byteBuf struct{ b []byte }
-
-var byteBufPool = sync.Pool{New: func() any { return new(byteBuf) }}
-
-func getByteBuf() *byteBuf  { return byteBufPool.Get().(*byteBuf) }
-func putByteBuf(b *byteBuf) { byteBufPool.Put(b) }
-
-// grow returns b.b resized to n bytes, reusing capacity.
-func (b *byteBuf) grow(n int) []byte {
-	if cap(b.b) < n {
-		b.b = make([]byte, n)
-	}
-	b.b = b.b[:n]
-	return b.b
-}
 
 // scratch is the pooled working set of the page reader and the kernels
 // over it: local row masks (with a small free list for nested AND/OR

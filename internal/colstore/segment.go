@@ -19,8 +19,8 @@
 //	[footerLen u32][footerCRC u32][magic u32]
 //
 // Zone maps live only in the footer, so pruning a block costs no page
-// I/O; block data is reconstructed lazily, one block at a time, by
-// Segment.ReadBlock.
+// I/O; a block visit reads its row-ID page and the pages of the columns
+// it names, each on its own (Segment.readPages).
 package colstore
 
 import (
@@ -74,41 +74,19 @@ type blockMeta struct {
 	pages []pageMeta // pages[0] = row IDs, pages[1+i] = column i
 }
 
-// ColumnData is one decoded column page: the typed vector for the block's
-// rows plus an optional null mask (nil when the block has no nulls in the
-// column).
-type ColumnData struct {
-	Kind   value.Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Nulls  []bool
-}
-
-// BlockData is one fully decoded block: the reconstructed block.Block
-// (row IDs + footer zone map) plus the decoded column vectors and the
-// number of on-disk bytes read to materialize it.
-type BlockData struct {
-	Block *block.Block
-	Cols  []ColumnData
-	Bytes int64
-}
-
 // EncodedBlock is an immutable snapshot of one block in wire form: the
 // reconstructed block.Block (row IDs decoded from page 0, zone map from the
 // footer) plus the raw, checksum-verified payloads of the column pages some
 // visit has asked for so far. Scans and folds evaluate directly on these
-// payloads; the buffer pool caches this form far more densely than decoded
-// vectors. A wider snapshot shares the payloads of the one it extends —
-// callers must not mutate them.
+// payloads; it is the one form the buffer pool caches. A wider snapshot
+// shares the payloads of the one it extends — callers must not mutate them.
 type EncodedBlock struct {
 	Block *block.Block
 	Cols  [][]byte // per segment column: [null section][enc u8][body]; nil = page not read
-	size  int64    // decoded row IDs + payload bytes held
+	size  int64    // decoded row IDs + payload bytes held: what the pool charges
 }
 
-func (eb *EncodedBlock) memSize() int64 { return eb.size }
-
+// covers reports whether the snapshot holds the pages of cols.
 func (eb *EncodedBlock) covers(cols []int) bool {
 	for _, ci := range cols {
 		if eb.Cols[ci] == nil {
@@ -517,48 +495,32 @@ func (s *Segment) Close() error {
 // readPage fetches and checksums one page's payload into a fresh buffer.
 // The returned count is the on-disk bytes read (frame + payload).
 func (s *Segment) readPage(bi, pi int) ([]byte, int64, error) {
+	fail := func(format string, args ...interface{}) ([]byte, int64, error) {
+		prefix := fmt.Sprintf("colstore: segment %s: block %d: page %d: ", s.name, bi, pi)
+		return nil, 0, fmt.Errorf(prefix+format, args...)
+	}
 	pm := s.blocks[bi].pages[pi]
 	buf := make([]byte, frameSize+pm.length)
-	payload, err := s.readPageBuf(bi, pi, buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return payload, frameSize + pm.length, nil
-}
-
-// readPageBuf fetches and checksums one page's payload into buf, which
-// must hold frameSize+length bytes. The returned payload aliases buf, so
-// callers reusing a scratch buffer must copy everything they retain before
-// the next read.
-func (s *Segment) readPageBuf(bi, pi int, buf []byte) ([]byte, error) {
-	fail := func(format string, args ...interface{}) error {
-		prefix := fmt.Sprintf("colstore: segment %s: block %d: page %d: ", s.name, bi, pi)
-		return fmt.Errorf(prefix+format, args...)
-	}
-	pm := s.blocks[bi].pages[pi]
 	if _, err := s.r.ReadAt(buf, pm.off); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fail("truncated page read")
+			return fail("truncated page read")
 		}
-		return nil, fail("%w", err)
+		return fail("%w", err)
 	}
 	if l := binary.LittleEndian.Uint32(buf[0:]); int64(l) != pm.length {
-		return nil, fail("frame length %d disagrees with footer %d", l, pm.length)
+		return fail("frame length %d disagrees with footer %d", l, pm.length)
 	}
 	payload := buf[frameSize:]
 	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(buf[4:]) {
-		return nil, fail("checksum mismatch")
+		return fail("checksum mismatch")
 	}
-	return payload, nil
+	return payload, int64(len(buf)), nil
 }
 
 // ReadRowIDs reads and decodes only block id's row-ID page, returning the
 // row indexes and the on-disk bytes read.
 func (s *Segment) ReadRowIDs(id int) ([]int32, int64, error) {
-	pm := s.blocks[id].pages[0]
-	bb := getByteBuf()
-	defer putByteBuf(bb)
-	payload, err := s.readPageBuf(id, 0, bb.grow(int(frameSize+pm.length)))
+	payload, n, err := s.readPage(id, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -566,7 +528,7 @@ func (s *Segment) ReadRowIDs(id int) ([]int32, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return rows, frameSize + pm.length, nil
+	return rows, n, nil
 }
 
 func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
@@ -591,47 +553,6 @@ func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
 		rows[i] = int32(r)
 	}
 	return rows, nil
-}
-
-// ReadBlock reads, checksums, and decodes all of block id's pages,
-// reconstructing the block.Block (row IDs from page 0, zone map from the
-// footer) and the decoded column vectors.
-func (s *Segment) ReadBlock(id int) (*BlockData, error) {
-	if id < 0 || id >= len(s.blocks) {
-		return nil, fmt.Errorf("colstore: segment %s: no block %d", s.name, id)
-	}
-	bd := &BlockData{Cols: make([]ColumnData, len(s.cols))}
-	// One pooled frame buffer serves every page read of the block: the
-	// decoders copy all retained data out of the payload, so reuse is safe.
-	bb := getByteBuf()
-	defer putByteBuf(bb)
-	pm := s.blocks[id].pages[0]
-	payload, err := s.readPageBuf(id, 0, bb.grow(int(frameSize+pm.length)))
-	if err != nil {
-		return nil, err
-	}
-	bd.Bytes += frameSize + pm.length
-	rows, err := s.decodeRowIDs(id, payload)
-	if err != nil {
-		return nil, err
-	}
-	nrows := s.blocks[id].nrows
-	for ci := range s.cols {
-		pm := s.blocks[id].pages[1+ci]
-		payload, err := s.readPageBuf(id, 1+ci, bb.grow(int(frameSize+pm.length)))
-		if err != nil {
-			return nil, err
-		}
-		bd.Bytes += frameSize + pm.length
-		cd, err := decodeColumn(payload, s.cols[ci].kind, nrows)
-		if err != nil {
-			return nil, fmt.Errorf("colstore: segment %s: block %d: page %d (column %s): %w",
-				s.name, id, 1+ci, s.cols[ci].name, err)
-		}
-		bd.Cols[ci] = cd
-	}
-	bd.Block = &block.Block{ID: id, Rows: rows, Zone: s.blocks[id].zone}
-	return bd, nil
 }
 
 // readPages returns prev extended by the pages of cols (segment column
@@ -667,7 +588,7 @@ func (s *Segment) readPages(id int, cols []int, prev *EncodedBlock) (*EncodedBlo
 	return eb, read, nil
 }
 
-// pagesSize is the memSize of a snapshot of block id holding exactly the
+// pagesSize is the size of a snapshot of block id holding exactly the
 // pages of cols, from the footer alone.
 func (s *Segment) pagesSize(id int, cols []int) int64 {
 	bm := &s.blocks[id]

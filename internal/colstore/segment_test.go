@@ -124,7 +124,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if n <= 0 || !reflect.DeepEqual(rows, want.Rows) {
 			t.Fatalf("block %d: row IDs differ", id)
 		}
-		bd, err := seg.ReadBlock(id)
+		bd, err := readBlockData(seg, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestSegmentEdgeCases(t *testing.T) {
 	if seg.NumBlocks() != 1 || seg.BlockRows(0) != 1 {
 		t.Fatalf("single-row segment: blocks=%d", seg.NumBlocks())
 	}
-	bd, err := seg.ReadBlock(0)
+	bd, err := readBlockData(seg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func tryBytes(t *testing.T, data []byte) error {
 		if _, _, err := seg.ReadRowIDs(id); err != nil {
 			return err
 		}
-		if _, err := seg.ReadBlock(id); err != nil {
+		if _, err := readBlockData(seg, id); err != nil {
 			return err
 		}
 	}
@@ -293,7 +293,7 @@ func FuzzOpenSegment(f *testing.F) {
 		defer seg.Close()
 		for id := 0; id < seg.NumBlocks(); id++ {
 			seg.ReadRowIDs(id)
-			seg.ReadBlock(id)
+			readBlockData(seg, id)
 		}
 	})
 }

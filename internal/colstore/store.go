@@ -24,8 +24,8 @@ import (
 // bytes and who supplies the io.ReaderAt the pages are read through: footer
 // parse, page framing and checksums, pool, readahead, kernels and metering
 // are the same code. Metadata (block counts, zone maps) is served from the
-// parsed segment footers without page I/O; ReadBlock decodes pages on
-// demand.
+// parsed segment footers without page I/O; a block visit reads its row-ID
+// page and the pages of the columns it names.
 //
 // Every block visit meters one block and its rows whether it hits the pool
 // or not; the cache counters and BytesRead record the real page traffic on
@@ -99,7 +99,7 @@ func NewMemStore(cost block.CostModel) *Store {
 }
 
 // NewStore opens (creating if needed) a segment store rooted at dir with
-// a decoded-block cache of cacheBytes. Existing segment files in dir are
+// a buffer pool of cacheBytes. Existing segment files in dir are
 // reopened — the newest generation per table wins — but their base tables
 // are unknown until SetLayout, so a freshly reopened store serves reads
 // and metadata only. Staged files a crash left between prepare and commit
@@ -357,9 +357,10 @@ func (s *Store) Zones(table string) []*zonemap.ZoneMap {
 }
 
 // ReadBlock meters the read of one block — identically on a cache hit or
-// miss — and returns it, decoding the block's pages through the buffer
-// pool on a miss. Concurrent misses on the same block single-flight into
-// one segment read.
+// miss — and returns its row IDs and zone map. It reads the row-ID page
+// through the same pool entry as a scan of the block, so a ReadBlock after
+// a scan reads nothing and a scan after a ReadBlock reads only its columns'
+// pages.
 func (s *Store) ReadBlock(table string, id int) (*block.Block, error) {
 	st := s.state(table)
 	if st == nil {
@@ -370,39 +371,22 @@ func (s *Store) ReadBlock(table string, id int) (*block.Block, error) {
 	}
 	s.blocksRead.Add(1)
 	s.rowsRead.Add(int64(st.seg.BlockRows(id)))
-	bd, err := s.ReadBlockData(table, id)
+	eb, err := s.encodedBlock(table, st, id, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	return bd.Block, nil
-}
-
-// ReadBlockData is ReadBlock without the simulated-I/O metering,
-// returning the decoded column vectors as well. It is the raw cache-or-
-// load path; ReadBlock layers the accounting on top.
-func (s *Store) ReadBlockData(table string, id int) (*BlockData, error) {
-	st := s.state(table)
-	if st == nil {
-		return nil, fmt.Errorf("colstore: no segment for table %q", table)
-	}
-	return s.pool.Get(poolKey{table: table, gen: st.gen, id: id}, func() (*BlockData, error) {
-		bd, err := st.seg.ReadBlock(id)
-		if err != nil {
-			return nil, err
-		}
-		s.bytesRead.Add(bd.Bytes)
-		return bd, nil
-	})
+	return eb.Block, nil
 }
 
 // encodedBlock returns block id of st's segment in wire form, holding at
 // least the pages of cols, through the buffer pool: the resident snapshot
 // when it has them, else one extended by the pages it lacks. Not metered —
-// the compressed scan meters the block itself, matching ReadBlock. With
-// prefetch it is a readahead worker's load (see Pool.GetPages): the error
-// is the caller's to drop, the demand read re-runs the load and surfaces it.
+// ReadBlock and ScanBlock meter the block themselves, and a fold is charged
+// to the scan that produced its survivors. With prefetch it is a readahead
+// worker's load (see Pool.GetPages): the error is the caller's to drop, the
+// demand read re-runs the load and surfaces it.
 func (s *Store) encodedBlock(table string, st *tableState, id int, cols []int, prefetch bool) (*EncodedBlock, error) {
-	k := poolKey{table: table, gen: st.gen, id: id, form: formEncoded}
+	k := poolKey{table: table, gen: st.gen, id: id}
 	return s.pool.GetPages(k, cols, prefetch, func(prev *EncodedBlock) (*EncodedBlock, error) {
 		eb, n, err := st.seg.readPages(id, cols, prev)
 		if err != nil {

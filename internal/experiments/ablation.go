@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mto/internal/core"
-	"mto/internal/engine"
 )
 
 // AblationRow compares MTO against one disabled design choice.
@@ -36,7 +35,7 @@ func Ablations(b *Bench) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	// Tuned Z-order reference (not an MTO variant; no induced cuts).
-	zres, _, err := RunMethod(b, MethodZOrder, false)
+	zres, err := RunMethod(b, MethodZOrder, false)
 	if err != nil {
 		return nil, err
 	}
@@ -62,15 +61,7 @@ func Ablations(b *Bench) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		store, err := newBenchStore(b, v.name)
-		if err != nil {
-			return nil, err
-		}
-		d := &Deployment{Method: v.name, Design: design, Optimizer: opt, Store: store}
-		if _, err := design.Install(d.Store, nil, 0); err != nil {
-			return nil, err
-		}
-		res, err := run(b, d, engine.DefaultOptions())
+		res, err := runDesign(b, v.name, design, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -102,6 +93,7 @@ func ReorgPruningAblation(s Scale) ([]ReorgPruningRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer setup.deployment.Close()
 		plans, err := setup.opt.PlanReorg(setup.observed,
 			core.ReorgConfig{Q: math.Inf(1), W: 100, DisablePruning: disable},
 			setup.deployment.Design)

@@ -31,6 +31,7 @@ func Fig10a(benches []*Bench) ([]Fig10aRow, error) {
 				if err != nil {
 					return nil, err
 				}
+				defer d.Close()
 				deployments[m] = d
 			}
 			res, err := run(b, d, engineOptions(b, m, false))
@@ -72,7 +73,7 @@ func Fig10bc(benches []*Bench) ([]Fig10bcRow, error) {
 	for _, b := range benches {
 		var baseFrac, baseSec float64
 		for _, m := range methods {
-			res, _, err := RunMethod(b, m, true)
+			res, err := RunMethod(b, m, true)
 			if err != nil {
 				return nil, err
 			}

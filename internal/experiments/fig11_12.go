@@ -19,7 +19,7 @@ type Fig11Row struct {
 func Fig11(b *Bench) ([]Fig11Row, error) {
 	results := map[string]*RunResult{}
 	for _, m := range []string{MethodBaseline, MethodSTO, MethodMTO} {
-		res, _, err := RunMethod(b, m, true)
+		res, err := RunMethod(b, m, true)
 		if err != nil {
 			return nil, err
 		}
@@ -80,6 +80,7 @@ func Fig12(b *Bench) ([]Fig12Row, error) {
 			if err != nil {
 				return nil, err
 			}
+			defer d.Close()
 			deployments[m] = d
 		}
 		res, err := run(b, d, engineOptions(b, m, false))

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mto/internal/core"
-	"mto/internal/engine"
-)
+import "mto/internal/core"
 
 // Fig13aRow is one point of Fig. 13a: optimizing TPC-H at one sample rate
 // with one method, reporting optimization time, the blocks the layout
@@ -48,15 +45,7 @@ func Fig13a(b *Bench, rates []float64) ([]Fig13aRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			store, err := newBenchStore(b, v.name)
-			if err != nil {
-				return nil, err
-			}
-			d := &Deployment{Method: v.name, Design: design, Optimizer: opt, Store: store}
-			if _, err := design.Install(d.Store, nil, 0); err != nil {
-				return nil, err
-			}
-			res, err := run(b, d, engine.DefaultOptions())
+			res, err := runDesign(b, v.name, design, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -116,7 +105,7 @@ type Fig13bRow struct {
 // (which has no offline step and so is one flat line).
 func Fig13b(b *Bench, rates []float64) ([]Fig13bRow, error) {
 	var rows []Fig13bRow
-	baseRes, _, err := RunMethod(b, MethodBaseline, true)
+	baseRes, err := RunMethod(b, MethodBaseline, true)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +114,7 @@ func Fig13b(b *Bench, rates []float64) ([]Fig13bRow, error) {
 		for _, m := range []string{MethodMTO, MethodSTO} {
 			saved := b.SampleRate
 			b.SampleRate = rate
-			res, _, err := RunMethod(b, m, true)
+			res, err := RunMethod(b, m, true)
 			b.SampleRate = saved
 			if err != nil {
 				return nil, err

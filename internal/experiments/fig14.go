@@ -58,7 +58,7 @@ func Fig14a(s Scale) ([]Fig14aRow, error) {
 	observed := datagen.TPCHWorkloadTemplates(12, 22, s.PerTemplate, s.Seed+2)
 	shiftedBench := *b
 	shiftedBench.Workload = observed
-	baseRes, _, err := RunMethod(&shiftedBench, MethodBaseline, true)
+	baseRes, err := RunMethod(&shiftedBench, MethodBaseline, true)
 	if err != nil {
 		return nil, err
 	}
@@ -83,6 +83,7 @@ func Fig14a(s Scale) ([]Fig14aRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer setup.deployment.Close()
 		row := Fig14aRow{Scenario: sc.name}
 		if sc.q > 0 {
 			plans, err := setup.opt.PlanReorg(setup.observed, core.ReorgConfig{Q: sc.q, W: 100}, setup.deployment.Design)
@@ -142,7 +143,7 @@ func Fig14b(s Scale) ([]Fig14bRow, error) {
 		SortKeys: datagen.TPCHSortKeys(), BlockSize: s.BlockSizeH,
 		SampleRate: 0.25, Seed: s.Seed,
 	}
-	baseRes, _, err := RunMethod(fullBench, MethodBaseline, true)
+	baseRes, err := RunMethod(fullBench, MethodBaseline, true)
 	if err != nil {
 		return nil, err
 	}
@@ -168,6 +169,7 @@ func Fig14b(s Scale) ([]Fig14bRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer d.Close()
 		// Insert the removed records: orders first (referential
 		// integrity), then lineitem.
 		row := Fig14bRow{Scenario: "MTO after insert"}

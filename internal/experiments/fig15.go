@@ -21,7 +21,7 @@ func Fig15a(s Scale, perTemplateSteps []int) ([]Fig15aRow, error) {
 		b := TPCHBench(sc)
 		var baseAvg float64
 		for _, m := range []string{MethodBaseline, MethodSTO, MethodMTO} {
-			res, _, err := RunMethod(b, m, false)
+			res, err := RunMethod(b, m, false)
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +64,7 @@ func Fig15b(s Scale, sfs []float64) ([]Fig15bRow, error) {
 		b.Workload = datagen.TPCHWorkload(s.PerTemplate, s.Seed+1)
 		var base int
 		for _, m := range []string{MethodBaseline, MethodSTO, MethodMTO} {
-			res, _, err := RunMethod(b, m, false)
+			res, err := RunMethod(b, m, false)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -62,6 +63,15 @@ type Deployment struct {
 	RoutingSeconds  float64
 }
 
+// Close releases the deployment's store: a disk store's segment files and
+// its readahead workers. The deployment answers no query afterwards.
+func (d *Deployment) Close() error {
+	if c, ok := d.Store.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
+
 // cloudDW controls whether Install emulates Cloud DW's non-uniform blocks.
 type installMode int
 
@@ -104,12 +114,17 @@ func DrainTimings() []BuildTiming {
 // deploy builds and installs the named method's layout for the bench.
 // b.Parallel bounds the offline worker budget (qd-tree build, record
 // routing, per-table sorts) exactly as it bounds replay.
-func deploy(b *Bench, method string, mode installMode) (*Deployment, error) {
+func deploy(b *Bench, method string, mode installMode) (_ *Deployment, err error) {
 	store, err := newBenchStore(b, method)
 	if err != nil {
 		return nil, err
 	}
 	d := &Deployment{Method: method, Store: store}
+	defer func() {
+		if err != nil {
+			d.Close()
+		}
+	}()
 	switch method {
 	case MethodBaseline, MethodBaselineDiPs, MethodBaselineSI:
 		d.Design, err = layout.SortKeyDesignParallel(b.Dataset, b.SortKeys, b.BlockSize, b.Parallel)
@@ -298,17 +313,29 @@ func Replay(b *Bench, d *Deployment, cloudDW bool) (*RunResult, error) {
 	return run(b, d, engineOptions(b, d.Method, cloudDW))
 }
 
-// RunMethod deploys and executes one method on a bench: the workhorse for
-// Fig. 10-style comparisons. cloudDW selects the jittered-install,
-// semi-join-reduction execution mode of §6.1.2.
-func RunMethod(b *Bench, method string, cloudDW bool) (*RunResult, *Deployment, error) {
+// RunMethod deploys and executes one method on a bench, then closes the
+// deployment: the workhorse for Fig. 10-style comparisons. cloudDW selects
+// the jittered-install, semi-join-reduction execution mode of §6.1.2.
+func RunMethod(b *Bench, method string, cloudDW bool) (*RunResult, error) {
 	d, err := DeployMethod(b, method, cloudDW)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := run(b, d, engineOptions(b, method, cloudDW))
+	defer d.Close()
+	return run(b, d, engineOptions(b, method, cloudDW))
+}
+
+// runDesign installs design on a fresh bench store, replays the workload
+// against it with the default engine options, and closes the store.
+func runDesign(b *Bench, name string, design *layout.Design, opt *core.Optimizer) (*RunResult, error) {
+	store, err := newBenchStore(b, name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return res, d, nil
+	d := &Deployment{Method: name, Design: design, Optimizer: opt, Store: store}
+	defer d.Close()
+	if _, err := design.Install(d.Store, nil, 0); err != nil {
+		return nil, err
+	}
+	return run(b, d, engine.DefaultOptions())
 }

@@ -79,7 +79,8 @@ type ReorgResult struct {
 	// Trace is the daemon's per-cycle record.
 	Trace []reorgd.CycleStats `json:"trace,omitempty"`
 
-	// Final daemon-run state, for identity checks (not serialized).
+	// Final daemon-run state, for identity checks (not serialized); Close
+	// releases it.
 	deployment *Deployment
 	bench      *Bench
 	observed   *workload.Workload
@@ -100,7 +101,7 @@ func blocksPerQuery(d *Deployment, b *Bench, w *workload.Workload, parallel int)
 // 1–11 face templates 12–22 — one left stale, one fully re-optimized
 // (q = ∞), and one driven by the reorgd daemon over a seeded drift stream
 // under the per-cycle write budget.
-func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
+func ReorgDaemon(s Scale, rc ReorgScenario) (_ *ReorgResult, err error) {
 	rc = rc.withDefaults()
 	res := &ReorgResult{
 		Bench:           "TPC-H shift 1-11 → 12-22",
@@ -109,12 +110,18 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 		Budget:          rc.Budget,
 		DaemonEnabled:   rc.Daemon,
 	}
+	defer func() {
+		if err != nil {
+			res.Close()
+		}
+	}()
 
 	// Stale: never reorganized.
 	stale, err := newShiftSetup(s)
 	if err != nil {
 		return nil, err
 	}
+	defer stale.deployment.Close()
 	res.StaleBlocksPerQuery, err = blocksPerQuery(stale.deployment, stale.bench, stale.observed, s.Parallel)
 	if err != nil {
 		return nil, err
@@ -125,6 +132,7 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer full.deployment.Close()
 	plans, err := full.opt.PlanReorg(full.observed, core.ReorgConfig{Q: math.Inf(1), W: rc.W}, full.deployment.Design)
 	if err != nil {
 		return nil, err
@@ -150,6 +158,7 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.deployment, res.bench, res.observed = setup.deployment, setup.bench, setup.observed
 	// The third phase repeats the shifted pool so the stream settles into
 	// it for the last third instead of only reaching it at the final query.
 	stream := workload.Drift(
@@ -185,7 +194,6 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 		}
 	}
 	res.Trace = d.Trace()
-	res.deployment, res.bench, res.observed = setup.deployment, setup.bench, setup.observed
 	for _, cs := range res.Trace {
 		res.TotalWrites += cs.BlocksWritten
 		if cs.BlocksWritten > res.MaxCycleWrites {
@@ -209,6 +217,14 @@ func ReorgDaemon(s Scale, rc ReorgScenario) (*ReorgResult, error) {
 		res.Recovery = math.Max(0, math.Min(1, res.Recovery))
 	}
 	return res, nil
+}
+
+// Close releases the daemon run's deployment, when the result holds one.
+func (r *ReorgResult) Close() error {
+	if r.deployment == nil {
+		return nil
+	}
+	return r.deployment.Close()
 }
 
 // PrintReorg renders the experiment result for the CLI.

@@ -51,6 +51,7 @@ func TestReorgDaemonRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer res.Close()
 	t.Logf("stale %.2f full %.2f daemon %.2f recovery %.2f (writes max %d total %d, full %d)",
 		res.StaleBlocksPerQuery, res.FullBlocksPerQuery, res.DaemonBlocksPerQuery,
 		res.Recovery, res.MaxCycleWrites, res.TotalWrites, res.FullWrites)
@@ -82,10 +83,12 @@ func TestReorgDaemonDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r1.Close()
 	r2, err := ReorgDaemon(testScale(), reorgScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r2.Close()
 	j1, err := json.Marshal(r1)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +111,7 @@ func TestReorgDaemonOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer res.Close()
 	if res.DaemonEnabled || len(res.Trace) != 0 || res.TotalWrites != 0 {
 		t.Errorf("daemon-off result carries daemon fields: %+v", res)
 	}
@@ -127,12 +131,14 @@ func TestReorgDaemonIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stale.deployment.Close()
 	engStale := engine.New(stale.deployment.Store, stale.deployment.Design, stale.bench.Dataset, engine.DefaultOptions())
 
 	res, err := ReorgDaemon(s, reorgScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer res.Close()
 	if res.deployment == nil {
 		t.Fatal("daemon result carries no deployment")
 	}
@@ -141,6 +147,7 @@ func TestReorgDaemonIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer direct.deployment.Close()
 	plans, err := direct.opt.PlanReorg(direct.observed, core.ReorgConfig{Q: 500, W: 100}, direct.deployment.Design)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -110,29 +111,49 @@ type ServeResult struct {
 type ServeDeployment struct {
 	Server  *serve.Server
 	Streams map[string][]*workload.Query
+
+	deployments []*Deployment
+}
+
+// Close releases the tenants' stores; shut the server down first.
+func (d *ServeDeployment) Close() error {
+	var errs []error
+	for _, dep := range d.deployments {
+		errs = append(errs, dep.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // NewServeDeployment builds the three-tenant server: SSB and TPC-DS on
 // MTO layouts over their full workloads, TPC-H trained on templates 1–11
 // with a live reorg daemon while its traffic stream drifts into 12–22.
 // The server is not started.
-func NewServeDeployment(s Scale, sc ServeScenario) (*ServeDeployment, error) {
+func NewServeDeployment(s Scale, sc ServeScenario) (_ *ServeDeployment, err error) {
 	sc = sc.withDefaults()
+	dep := &ServeDeployment{}
+	defer func() {
+		if err != nil {
+			dep.Close()
+		}
+	}()
 
 	ssb := SSBBench(s)
 	dssb, err := DeployMethod(ssb, MethodMTO, false)
 	if err != nil {
 		return nil, err
 	}
+	dep.deployments = append(dep.deployments, dssb)
 	shift, err := newShiftSetup(s)
 	if err != nil {
 		return nil, err
 	}
+	dep.deployments = append(dep.deployments, shift.deployment)
 	tds := TPCDSBench(s)
 	dtds, err := DeployMethod(tds, MethodMTO, false)
 	if err != nil {
 		return nil, err
 	}
+	dep.deployments = append(dep.deployments, dtds)
 
 	// TPC-H clients may submit both trained and shifted templates; the
 	// drift stream below moves the traffic mix from the former to the
@@ -144,7 +165,7 @@ func NewServeDeployment(s Scale, sc ServeScenario) (*ServeDeployment, error) {
 		[][]*workload.Query{shift.bench.Workload.Queries, shift.observed.Queries, shift.observed.Queries},
 		sc.StreamLen, sc.Seed+3)
 
-	srv, err := serve.New(serve.Config{
+	dep.Server, err = serve.New(serve.Config{
 		Workers:      sc.Workers,
 		Rate:         sc.Rate,
 		Burst:        sc.Burst,
@@ -188,14 +209,12 @@ func NewServeDeployment(s Scale, sc ServeScenario) (*ServeDeployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ServeDeployment{
-		Server: srv,
-		Streams: map[string][]*workload.Query{
-			"ssb":   ssb.Workload.Queries,
-			"tpch":  stream,
-			"tpcds": tds.Workload.Queries,
-		},
-	}, nil
+	dep.Streams = map[string][]*workload.Query{
+		"ssb":   ssb.Workload.Queries,
+		"tpch":  stream,
+		"tpcds": tds.Workload.Queries,
+	}
+	return dep, nil
 }
 
 // Serve builds the three-tenant server, drives the load, and collects the
@@ -211,6 +230,7 @@ func Serve(s Scale, sc ServeScenario) (*ServeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer dep.Close()
 	srv := dep.Server
 	srv.Start()
 
@@ -303,8 +323,8 @@ func (r *ServeResult) String() string {
 		r.Load.Verified, r.Load.Identical, r.Load.GenSkew, r.IdentityOK)
 	s += fmt.Sprintf("  live reorg:   %d generation swaps during load\n", r.GenerationSwaps)
 	for _, ts := range r.Server.Tenants {
-		s += fmt.Sprintf("    %-6s gen=%d swaps=%d submitted=%d cache-hits=%d templates=%d\n",
-			ts.Name, ts.Generation, ts.Swaps, ts.Submitted, ts.CacheHits, ts.Templates)
+		s += fmt.Sprintf("    %-6s gen=%d submitted=%d cache-hits=%d templates=%d\n",
+			ts.Name, ts.Generation, ts.Submitted, ts.CacheHits, ts.Templates)
 		if ts.DaemonErr != "" {
 			s += fmt.Sprintf("    %-6s daemon error: %s\n", ts.Name, ts.DaemonErr)
 		}

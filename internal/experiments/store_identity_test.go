@@ -1,8 +1,10 @@
 package experiments
 
 import (
-	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -22,9 +24,7 @@ func deployAndReplay(t *testing.T, b *Bench, method string, cloudDW bool) *RunRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := d.Store.(io.Closer); ok {
-		defer c.Close()
-	}
+	defer d.Close()
 	res, err := Replay(b, d, cloudDW)
 	if err != nil {
 		t.Fatal(err)
@@ -81,5 +81,33 @@ func TestDiskBackendReplayIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHarnessClosesDiskStores: a harness closes every deployment it builds
+// and drops, so a run over disk stores leaves no segment file of its data
+// directory open.
+func TestHarnessClosesDiskStores(t *testing.T) {
+	const fdDir = "/proc/self/fd"
+	if _, err := os.ReadDir(fdDir); err != nil {
+		t.Skipf("no %s: %v", fdDir, err)
+	}
+	b := SSBBench(testScale())
+	b.Store, b.DataDir, b.CacheMB = "disk", t.TempDir(), 1
+	if _, err := Fig10a([]*Bench{b}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig10bc([]*Bench{b}); err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir(fdDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join(fdDir, fd.Name()))
+		if err == nil && strings.HasPrefix(target, b.DataDir) {
+			t.Errorf("fd %s still open on %s", fd.Name(), target)
+		}
 	}
 }

@@ -21,10 +21,11 @@ type Table2Row struct {
 func Table2(benches []*Bench) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, b := range benches {
-		_, d, err := RunMethod(b, MethodMTO, false)
+		d, err := deploy(b, MethodMTO, installUniform)
 		if err != nil {
 			return nil, err
 		}
+		d.Close()
 		st := d.Optimizer.Stats()
 		rows = append(rows, Table2Row{
 			Bench:             b.Name,
@@ -57,6 +58,7 @@ func Table3(benches []*Bench) ([]Table3Row, error) {
 			if err != nil {
 				return nil, err
 			}
+			d.Close()
 			rows = append(rows, Table3Row{
 				Bench:           b.Name,
 				Method:          m,
@@ -87,7 +89,7 @@ func Table4(benches []*Bench) ([]Table4Row, error) {
 	for _, b := range benches {
 		results := map[string]*RunResult{}
 		for _, m := range []string{MethodBaseline, MethodSTO, MethodMTO} {
-			res, _, err := RunMethod(b, m, true)
+			res, err := RunMethod(b, m, true)
 			if err != nil {
 				return nil, err
 			}

@@ -433,7 +433,7 @@ func (s *Server) Stats() ServerStats {
 	for _, name := range s.order {
 		ts := s.tenants[name].stats()
 		st.Tenants = append(st.Tenants, ts)
-		st.GenerationSwaps += ts.Swaps
+		st.GenerationSwaps += int64(ts.Generation)
 	}
 	return st
 }

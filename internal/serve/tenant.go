@@ -105,9 +105,10 @@ func (t *tenant) normalizeOf(q *workload.Query) string {
 
 // TenantStats is one tenant's /stats entry.
 type TenantStats struct {
-	Name       string `json:"name"`
+	Name string `json:"name"`
+	// Generation counts the layout swaps installed since the tenant
+	// started.
 	Generation uint64 `json:"generation"`
-	Swaps      int64  `json:"generation_swaps"`
 	// How long the last install, and the longest, held the tenant's write
 	// lock: the stall a swap imposes on queries.
 	SwapLockLastUS float64      `json:"swap_lock_us_last"`
@@ -118,7 +119,6 @@ type TenantStats struct {
 	Store          block.Stats  `json:"store"`
 	Templates      int          `json:"templates"`
 	DaemonErr      string       `json:"daemon_error,omitempty"`
-	Reorgs         int          `json:"reorgs"`
 }
 
 func (t *tenant) stats() TenantStats {
@@ -126,7 +126,6 @@ func (t *tenant) stats() TenantStats {
 	ts := TenantStats{
 		Name:           t.name,
 		Generation:     ls.Generation,
-		Swaps:          int64(ls.Generation),
 		SwapLockLastUS: float64(ls.SwapLockLast) / float64(time.Microsecond),
 		SwapLockMaxUS:  float64(ls.SwapLockMax) / float64(time.Microsecond),
 		Submitted:      t.submitted.Load(),
@@ -134,7 +133,6 @@ func (t *tenant) stats() TenantStats {
 		Engine:         ls.Engine,
 		Store:          t.live.Store().Stats(),
 		Templates:      len(t.queries),
-		Reorgs:         int(ls.Generation), // every generation is one daemon install
 	}
 	if err, ok := t.daemonErr.Load().(error); ok && err != nil {
 		ts.DaemonErr = err.Error()
