@@ -1,21 +1,23 @@
 // Command mtobench regenerates the tables and figures of "Instance-
 // Optimized Data Layouts for Cloud Analytics Workloads" (SIGMOD 2021) at
 // laptop scale. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records paper-vs-measured outcomes.
+// reports; EXPERIMENTS.md records paper-vs-measured outcomes. The system
+// benchmark (throughput, latency, the reorg daemon under load) is
+// `bash bench/run.sh`, not this command.
 //
 // Usage:
 //
-//	mtobench -exp fig10a [-sf 0.02] [-per-template 8] [-seed 1] [-parallel N]
-//	mtobench -exp reorg -daemon [-reorg-budget 80] [-benchjson BENCH_reorg.json]
-//	mtobench -exp serve [-serve-queries 1000000] [-serve-benchjson BENCH_serve.json]
+//	mtobench -exp fig10a [-bench ssb|tpch|tpcds] [-sf 0.02] [-per-template 8] [-seed 1] [-parallel N] [-csv DIR]
 //	mtobench -exp all
 //
-// Experiments: fig10a fig10bc fig11 fig12 fig13a fig13b fig14a fig14b
-// fig15a fig15b table2 table3 table4 table5 ablations reorg serve all
+// Experiments: fig10a fig10bc table2 fig11 fig12 table3 fig13a fig13b
+// table4 fig14a table5 fig14b fig15a fig15b ablations all. fig12, fig13a,
+// fig13b, fig14a, table5, fig14b, fig15a and fig15b run on TPC-H only: with
+// -bench naming another bench they fail, and -exp all skips them.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,86 +26,39 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"mto/internal/experiments"
 )
 
-// csvDir, when set, receives one <experiment>.csv per harness run.
-var csvDir string
-
-// reorgFlags holds the -exp reorg daemon knobs (see internal/reorgd).
-var reorgFlags struct {
-	daemon    bool
-	budget    int
-	cycles    int
-	queries   int
-	epsilon   float64
-	interval  time.Duration
-	benchJSON string
-}
-
-// serveFlags holds the -exp serve knobs (see internal/serve).
-var serveFlags struct {
-	queries     int64
-	concurrency int
-	workers     int
-	rateQPS     float64
-	verifyEvery int64
-	interval    time.Duration
-	budget      int
-	cacheSize   int
-	benchJSON   string
-}
-
-// saveCSV writes rows for one experiment when -csv is set.
-func saveCSV(name string, rows interface{}) error {
-	if csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return experiments.WriteRowsCSV(f, rows)
-}
-
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "mtobench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs the experiment they name. It returns only after
+// its deferred cleanup (the -store disk temp directory, the CPU profile)
+// has run, so main's exit never skips it.
+func run(args []string, out io.Writer) (err error) {
+	fs := flag.NewFlagSet("mtobench", flag.ContinueOnError)
 	var (
-		exp         = flag.String("exp", "all", "experiment id (fig10a, table2, ..., all)")
-		sf          = flag.Float64("sf", 0.02, "scale factor for the generated datasets")
-		perTemplate = flag.Int("per-template", 8, "TPC-H queries per template")
-		seed        = flag.Int64("seed", 1, "random seed")
-		bench       = flag.String("bench", "", "restrict to one bench (ssb, tpch, tpcds) where applicable")
-		parallel    = flag.Int("parallel", 0, "worker budget for workload replay AND the offline build/routing phases (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		store       = flag.String("store", "mem", `where the columnar segments live: "mem" (held in memory) or "disk" (segment files; identical results)`)
-		datadir     = flag.String("datadir", "", `segment directory for -store=disk (default: a temp dir removed on exit)`)
-		cacheMB     = flag.Int("cache-mb", 64, "buffer-pool capacity for -store=disk in MiB of cached block data (0 = no cache)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile  = flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
+		exp         = fs.String("exp", "all", "experiment id (fig10a, table2, ..., all)")
+		sf          = fs.Float64("sf", 0.02, "scale factor for the generated datasets")
+		perTemplate = fs.Int("per-template", 8, "TPC-H queries per template")
+		seed        = fs.Int64("seed", 1, "random seed")
+		bench       = fs.String("bench", "", "restrict to one bench (ssb, tpch, tpcds); TPC-H-only experiments fail for another bench, and -exp all skips them")
+		parallel    = fs.Int("parallel", 0, "worker budget for workload replay AND the offline build/routing phases (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+		store       = fs.String("store", "mem", `where the columnar segments live: "mem" (held in memory) or "disk" (segment files; identical results)`)
+		datadir     = fs.String("datadir", "", `segment directory for -store=disk (default: a temp dir removed on exit)`)
+		cacheMB     = fs.Int("cache-mb", 64, "buffer-pool capacity for -store=disk in MiB of cached block data (0 = no cache)")
+		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprofile  = fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
+		csvDir      = fs.String("csv", "", "also write each experiment's rows as CSV into this directory")
 	)
-	flag.StringVar(&csvDir, "csv", "", "also write each experiment's rows as CSV into this directory")
-	flag.BoolVar(&reorgFlags.daemon, "daemon", false, "enable the incremental reorganization daemon in -exp reorg (off = stale-vs-full baseline only)")
-	flag.IntVar(&reorgFlags.budget, "reorg-budget", 80, "per-cycle block-write budget for the reorg daemon (0 = unlimited)")
-	flag.IntVar(&reorgFlags.cycles, "reorg-cycles", 8, "number of daemon cycles in -exp reorg")
-	flag.IntVar(&reorgFlags.queries, "reorg-queries", 22, "drift-stream queries executed per daemon cycle")
-	flag.Float64Var(&reorgFlags.epsilon, "reorg-epsilon", 0, "bandit exploration rate (0 = UCB1, >0 = seeded epsilon-greedy)")
-	flag.DurationVar(&reorgFlags.interval, "reorg-interval", time.Second, "cycle interval for a live daemon Run (the bench drives cycles explicitly)")
-	flag.StringVar(&reorgFlags.benchJSON, "benchjson", "", "write the -exp reorg result as JSON to this file (e.g. BENCH_reorg.json)")
-	flag.Int64Var(&serveFlags.queries, "serve-queries", 1_000_000, "total submissions in -exp serve")
-	flag.IntVar(&serveFlags.concurrency, "serve-concurrency", 8, "load-generator client count in -exp serve")
-	flag.IntVar(&serveFlags.workers, "serve-workers", 8, "server worker-pool size in -exp serve")
-	flag.Float64Var(&serveFlags.rateQPS, "serve-rate", 0, "open-loop target QPS in -exp serve (0 = closed loop, full speed)")
-	flag.Int64Var(&serveFlags.verifyEvery, "serve-verify-every", 1000, "verify every Nth served query against direct execution in -exp serve (0 = off)")
-	flag.DurationVar(&serveFlags.interval, "serve-reorg-interval", 25*time.Millisecond, "TPC-H tenant's background daemon cycle period in -exp serve")
-	flag.IntVar(&serveFlags.budget, "serve-reorg-budget", 80, "per-cycle block-write budget for the live daemon in -exp serve")
-	flag.IntVar(&serveFlags.cacheSize, "serve-cache-entries", 4096, "result-cache capacity in -exp serve (negative disables)")
-	flag.StringVar(&serveFlags.benchJSON, "serve-benchjson", "", "write the -exp serve result as JSON to this file (e.g. BENCH_serve.json)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	scale := experiments.DefaultScale()
 	scale.SF = *sf
@@ -117,8 +72,7 @@ func main() {
 		if scale.DataDir == "" {
 			dir, err := os.MkdirTemp("", "mtobench-segments-")
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mtobench:", err)
-				os.Exit(1)
+				return err
 			}
 			defer os.RemoveAll(dir)
 			scale.DataDir = dir
@@ -128,38 +82,223 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mtobench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mtobench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	err := runExperiment(*exp, *bench, scale)
+	r := &runner{scale: scale, csvDir: *csvDir, out: out}
+	if *bench != "" {
+		if r.bench, err = experiments.BenchName(*bench); err != nil {
+			return err
+		}
+	}
+	err = r.runNamed(*exp)
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)
 		if merr != nil {
-			fmt.Fprintln(os.Stderr, "mtobench:", merr)
-			os.Exit(1)
+			return errors.Join(err, merr)
 		}
 		runtime.GC()
-		if merr := pprof.WriteHeapProfile(f); merr != nil {
-			fmt.Fprintln(os.Stderr, "mtobench:", merr)
-			os.Exit(1)
-		}
-		f.Close()
+		return errors.Join(err, pprof.WriteHeapProfile(f), f.Close())
 	}
+	return err
+}
+
+// experiment is one row of the table below: a paper figure or table.
+type experiment struct {
+	name string
+	// tpchOnly marks the experiments defined on TPC-H alone; the others
+	// run on every bench, or on the one -bench names.
+	tpchOnly bool
+	run      func(r *runner) error
+}
+
+// table lists the experiments in the order -exp all runs them.
+var table = []experiment{
+	{name: "fig10a", run: onBenches("fig10a", experiments.Fig10a, experiments.PrintFig10a)},
+	{name: "fig10bc", run: onBenches("fig10bc", experiments.Fig10bc, experiments.PrintFig10bc)},
+	{name: "table2", run: onBenches("table2", experiments.Table2, experiments.PrintTable2)},
+	{name: "fig11", run: perBench("fig11", experiments.Fig11, experiments.PrintFig11)},
+	{name: "fig12", tpchOnly: true, run: onTPCH("fig12", experiments.Fig12, experiments.PrintFig12)},
+	{name: "table3", run: onBenches("table3", experiments.Table3, experiments.PrintTable3)},
+	{name: "fig13a", tpchOnly: true, run: onTPCH("fig13a", withRates(experiments.Fig13a), experiments.PrintFig13a)},
+	{name: "fig13b", tpchOnly: true, run: onTPCH("fig13b", withRates(experiments.Fig13b), experiments.PrintFig13b)},
+	{name: "table4", run: onBenches("table4", experiments.Table4, experiments.PrintTable4)},
+	{name: "fig14a", tpchOnly: true, run: onScale("fig14a", experiments.Fig14a, experiments.PrintFig14a)},
+	{name: "table5", tpchOnly: true, run: onScale("table5", func(s experiments.Scale) ([]experiments.Table5Row, error) {
+		return experiments.Table5(s, []float64{100, 200, 500, 1000, math.Inf(1)})
+	}, experiments.PrintTable5)},
+	{name: "fig14b", tpchOnly: true, run: onScale("fig14b", experiments.Fig14b, experiments.PrintFig14b)},
+	{name: "fig15a", tpchOnly: true, run: onScale("fig15a", func(s experiments.Scale) ([]experiments.Fig15aRow, error) {
+		return experiments.Fig15a(s, []int{1, 2, 4, 8, 16})
+	}, experiments.PrintFig15a)},
+	{name: "fig15b", tpchOnly: true, run: onScale("fig15b", func(s experiments.Scale) ([]experiments.Fig15bRow, error) {
+		return experiments.Fig15b(s, []float64{0.005, 0.01, 0.02, 0.05})
+	}, experiments.PrintFig15b)},
+	{name: "ablations", run: ablations},
+}
+
+// runner carries the flags every experiment shares.
+type runner struct {
+	scale  experiments.Scale
+	bench  string // -bench as a Bench.Name; "" = every bench
+	csvDir string
+	out    io.Writer
+}
+
+// runNamed runs one experiment, or with "all" every experiment the -bench
+// restriction admits.
+func (r *runner) runNamed(name string) error {
+	if name == "all" {
+		for _, e := range table {
+			if e.tpchOnly && !r.admitsTPCH() {
+				fmt.Fprintf(r.out, "%s: skipped, runs on TPC-H only (-bench %s)\n", e.name, r.bench)
+				continue
+			}
+			if err := r.runOne(e); err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
+			}
+		}
+		return nil
+	}
+	for _, e := range table {
+		if e.name != name {
+			continue
+		}
+		if e.tpchOnly && !r.admitsTPCH() {
+			return fmt.Errorf("%s runs on TPC-H only, not -bench %s", name, r.bench)
+		}
+		return r.runOne(e)
+	}
+	return fmt.Errorf("unknown experiment %q", name)
+}
+
+func (r *runner) runOne(e experiment) error {
+	if err := e.run(r); err != nil {
+		return err
+	}
+	printTimings(r.out)
+	return nil
+}
+
+// admitsTPCH reports whether -bench leaves TPC-H in.
+func (r *runner) admitsTPCH() bool { return r.bench == "" || r.bench == "TPC-H" }
+
+func (r *runner) benches() ([]*experiments.Bench, error) {
+	if r.bench == "" {
+		return experiments.AllBenches(r.scale), nil
+	}
+	b, err := experiments.BenchByName(r.bench, r.scale)
 	if err != nil {
-		if *cpuprofile != "" {
-			pprof.StopCPUProfile() // flush before the hard exit below
-		}
-		fmt.Fprintln(os.Stderr, "mtobench:", err)
-		os.Exit(1)
+		return nil, err
 	}
+	return []*experiments.Bench{b}, nil
+}
+
+// emit prints rows and, when -csv is set, writes them to <csv>.csv.
+func emit[R any](r *runner, csv string, rows []R, print func(io.Writer, []R)) error {
+	print(r.out, rows)
+	if r.csvDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(r.csvDir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(r.csvDir, csv+".csv"))
+	if err != nil {
+		return err
+	}
+	if err := experiments.WriteRowsCSV(f, rows); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// onBenches runs f once over the selected benches.
+func onBenches[R any](csv string, f func([]*experiments.Bench) ([]R, error), print func(io.Writer, []R)) func(*runner) error {
+	return func(r *runner) error {
+		benches, err := r.benches()
+		if err != nil {
+			return err
+		}
+		rows, err := f(benches)
+		if err != nil {
+			return err
+		}
+		return emit(r, csv, rows, print)
+	}
+}
+
+// perBench runs f on each selected bench, one table and <csv>-<bench>.csv
+// per bench.
+func perBench[R any](csv string, f func(*experiments.Bench) ([]R, error), print func(io.Writer, []R)) func(*runner) error {
+	return func(r *runner) error {
+		benches, err := r.benches()
+		if err != nil {
+			return err
+		}
+		for _, b := range benches {
+			rows, err := f(b)
+			if err != nil {
+				return err
+			}
+			if err := emit(r, csv+"-"+b.Name, rows, print); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// onTPCH runs f on the TPC-H bench.
+func onTPCH[R any](csv string, f func(*experiments.Bench) ([]R, error), print func(io.Writer, []R)) func(*runner) error {
+	return func(r *runner) error {
+		b, err := experiments.BenchByName("tpch", r.scale)
+		if err != nil {
+			return err
+		}
+		rows, err := f(b)
+		if err != nil {
+			return err
+		}
+		return emit(r, csv, rows, print)
+	}
+}
+
+// onScale runs f, which builds its own TPC-H setups from the scale.
+func onScale[R any](csv string, f func(experiments.Scale) ([]R, error), print func(io.Writer, []R)) func(*runner) error {
+	return func(r *runner) error {
+		rows, err := f(r.scale)
+		if err != nil {
+			return err
+		}
+		return emit(r, csv, rows, print)
+	}
+}
+
+// withRates binds Fig. 13's optimizer sampling rates.
+func withRates[R any](f func(*experiments.Bench, []float64) ([]R, error)) func(*experiments.Bench) ([]R, error) {
+	return func(b *experiments.Bench) ([]R, error) {
+		return f(b, []float64{1, 0.5, 0.25, 0.1, 0.05})
+	}
+}
+
+// ablations runs the per-bench design ablations, then, when TPC-H is
+// selected, the reorganization-pruning ablation.
+func ablations(r *runner) error {
+	if err := perBench("ablations", experiments.Ablations, experiments.PrintAblations)(r); err != nil {
+		return err
+	}
+	if !r.admitsTPCH() {
+		return nil
+	}
+	return onScale("reorg-pruning", experiments.ReorgPruningAblation, experiments.PrintReorgPruning)(r)
 }
 
 // printTimings prints the Timings breakdown (Table 3's OptimizeSeconds /
@@ -175,272 +314,4 @@ func printTimings(out io.Writer) {
 			t.Bench, t.Method, t.OptimizeSeconds, t.RoutingSeconds)
 	}
 	fmt.Fprintln(out)
-}
-
-func benchesFor(name string, s experiments.Scale) ([]*experiments.Bench, error) {
-	if name == "" {
-		return experiments.AllBenches(s), nil
-	}
-	b, err := experiments.BenchByName(name, s)
-	if err != nil {
-		return nil, err
-	}
-	return []*experiments.Bench{b}, nil
-}
-
-func runExperiment(exp, bench string, s experiments.Scale) error {
-	out := os.Stdout
-	switch exp {
-	case "all":
-		for _, e := range []string{
-			"fig10a", "fig10bc", "table2", "fig11", "fig12", "table3",
-			"fig13a", "fig13b", "table4", "fig14a", "table5", "fig14b",
-			"fig15a", "fig15b", "ablations",
-		} {
-			if err := runExperiment(e, bench, s); err != nil {
-				return fmt.Errorf("%s: %w", e, err)
-			}
-		}
-		return nil
-	case "fig10a":
-		benches, err := benchesFor(bench, s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig10a(benches)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig10a(out, rows)
-		if err := saveCSV("fig10a", rows); err != nil {
-			return err
-		}
-	case "fig10bc":
-		benches, err := benchesFor(bench, s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig10bc(benches)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig10bc(out, rows)
-		if err := saveCSV("fig10bc", rows); err != nil {
-			return err
-		}
-	case "table2":
-		benches, err := benchesFor(bench, s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Table2(benches)
-		if err != nil {
-			return err
-		}
-		experiments.PrintTable2(out, rows)
-		if err := saveCSV("table2", rows); err != nil {
-			return err
-		}
-	case "fig11":
-		benches, err := benchesFor(bench, s)
-		if err != nil {
-			return err
-		}
-		for _, b := range benches {
-			rows, err := experiments.Fig11(b)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFig11(out, rows)
-			if err := saveCSV("fig11-"+b.Name, rows); err != nil {
-				return err
-			}
-		}
-	case "fig12":
-		b, err := experiments.BenchByName("tpch", s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig12(b)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig12(out, rows)
-		if err := saveCSV("fig12", rows); err != nil {
-			return err
-		}
-	case "table3":
-		benches, err := benchesFor(bench, s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Table3(benches)
-		if err != nil {
-			return err
-		}
-		experiments.PrintTable3(out, rows)
-		if err := saveCSV("table3", rows); err != nil {
-			return err
-		}
-	case "fig13a":
-		b, err := experiments.BenchByName("tpch", s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig13a(b, []float64{1, 0.5, 0.25, 0.1, 0.05})
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig13a(out, rows)
-		if err := saveCSV("fig13a", rows); err != nil {
-			return err
-		}
-	case "fig13b":
-		b, err := experiments.BenchByName("tpch", s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Fig13b(b, []float64{1, 0.5, 0.25, 0.1, 0.05})
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig13b(out, rows)
-		if err := saveCSV("fig13b", rows); err != nil {
-			return err
-		}
-	case "table4":
-		benches, err := benchesFor(bench, s)
-		if err != nil {
-			return err
-		}
-		rows, err := experiments.Table4(benches)
-		if err != nil {
-			return err
-		}
-		experiments.PrintTable4(out, rows)
-		if err := saveCSV("table4", rows); err != nil {
-			return err
-		}
-	case "fig14a":
-		rows, err := experiments.Fig14a(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig14a(out, rows)
-		if err := saveCSV("fig14a", rows); err != nil {
-			return err
-		}
-	case "table5":
-		rows, err := experiments.Table5(s, []float64{100, 200, 500, 1000, math.Inf(1)})
-		if err != nil {
-			return err
-		}
-		experiments.PrintTable5(out, rows)
-		if err := saveCSV("table5", rows); err != nil {
-			return err
-		}
-	case "fig14b":
-		rows, err := experiments.Fig14b(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig14b(out, rows)
-		if err := saveCSV("fig14b", rows); err != nil {
-			return err
-		}
-	case "fig15a":
-		rows, err := experiments.Fig15a(s, []int{1, 2, 4, 8, 16})
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig15a(out, rows)
-		if err := saveCSV("fig15a", rows); err != nil {
-			return err
-		}
-	case "fig15b":
-		rows, err := experiments.Fig15b(s, []float64{0.005, 0.01, 0.02, 0.05})
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig15b(out, rows)
-		if err := saveCSV("fig15b", rows); err != nil {
-			return err
-		}
-	case "reorg":
-		res, err := experiments.ReorgDaemon(s, experiments.ReorgScenario{
-			Cycles:          reorgFlags.cycles,
-			QueriesPerCycle: reorgFlags.queries,
-			Budget:          reorgFlags.budget,
-			Epsilon:         reorgFlags.epsilon,
-			Seed:            s.Seed,
-			Interval:        reorgFlags.interval,
-			Daemon:          reorgFlags.daemon,
-		})
-		if err != nil {
-			return err
-		}
-		defer res.Close()
-		fmt.Fprint(out, res.String())
-		if reorgFlags.benchJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(reorgFlags.benchJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
-	case "serve":
-		res, err := experiments.Serve(s, experiments.ServeScenario{
-			Queries:      serveFlags.queries,
-			Concurrency:  serveFlags.concurrency,
-			Workers:      serveFlags.workers,
-			OpenRateQPS:  serveFlags.rateQPS,
-			VerifyEveryN: serveFlags.verifyEvery,
-			Seed:         s.Seed,
-			CacheEntries: serveFlags.cacheSize,
-			Budget:       serveFlags.budget,
-			Interval:     serveFlags.interval,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, res.String())
-		if serveFlags.benchJSON != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(serveFlags.benchJSON, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
-	case "ablations":
-		benches, err := benchesFor(bench, s)
-		if err != nil {
-			return err
-		}
-		for _, b := range benches {
-			rows, err := experiments.Ablations(b)
-			if err != nil {
-				return err
-			}
-			experiments.PrintAblations(out, rows)
-			if err := saveCSV("ablations-"+b.Name, rows); err != nil {
-				return err
-			}
-		}
-		prows, err := experiments.ReorgPruningAblation(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintReorgPruning(out, prows)
-		if err := saveCSV("reorg-pruning", prows); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	printTimings(out)
-	return nil
 }

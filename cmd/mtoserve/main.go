@@ -35,6 +35,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "mtoserve:", err)
+		os.Exit(1)
+	}
+}
+
+// run builds the tenants and serves until a signal or a listen error. It
+// returns only after its deferred cleanup (the -store disk temp directory,
+// the tenants' stores) has run, so main's exit never skips it.
+func run() error {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		sf           = flag.Float64("sf", 0.02, "scale factor for the generated datasets")
@@ -65,8 +75,7 @@ func main() {
 		if scale.DataDir == "" {
 			dir, err := os.MkdirTemp("", "mtoserve-segments-")
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mtoserve:", err)
-				os.Exit(1)
+				return err
 			}
 			defer os.RemoveAll(dir)
 			scale.DataDir = dir
@@ -84,9 +93,13 @@ func main() {
 		Seed:         *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mtoserve:", err)
-		os.Exit(1)
+		return err
 	}
+	defer func() {
+		if cerr := dep.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "mtoserve: close:", cerr)
+		}
+	}()
 	srv := dep.Server
 	srv.Start()
 	for _, name := range srv.Tenants() {
@@ -100,10 +113,9 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	var serveErr error
 	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "mtoserve:", err)
-		os.Exit(1)
+	case serveErr = <-errc:
 	case <-ctx.Done():
 	}
 
@@ -113,13 +125,14 @@ func main() {
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "mtoserve: drain:", err)
 	}
+	if serveErr != nil {
+		return serveErr
+	}
 	if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "mtoserve: http:", err)
 	}
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "mtoserve: done — %d completed, %d cache hits, %d generation swaps\n",
 		st.Completed, st.Cache.Hits, st.GenerationSwaps)
-	if err := dep.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "mtoserve: close:", err)
-	}
+	return nil
 }

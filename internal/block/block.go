@@ -41,28 +41,7 @@ func NewTableLayout(t *relation.Table, groups [][]int32, blockSize int) (*TableL
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("block: non-positive block size %d", blockSize)
 	}
-	tl := &TableLayout{table: t}
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-		for off := 0; off < len(g); off += blockSize {
-			end := off + blockSize
-			if end > len(g) {
-				end = len(g)
-			}
-			rows := g[off:end:end]
-			tl.blocks = append(tl.blocks, &Block{
-				ID:   len(tl.blocks),
-				Rows: rows,
-				Zone: zonemap.Build(t, rows),
-			})
-		}
-	}
-	if total != t.NumRows() {
-		return nil, fmt.Errorf("block: %s: groups cover %d rows, table has %d",
-			t.Schema().Table(), total, t.NumRows())
-	}
-	return tl, nil
+	return chop(t, groups, func() int { return blockSize })
 }
 
 // NewJitteredTableLayout is NewTableLayout with non-uniform block capacities
@@ -76,21 +55,21 @@ func NewJitteredTableLayout(t *relation.Table, groups [][]int32, blockSize int, 
 	if minFill <= 0 || minFill > 1 {
 		return nil, fmt.Errorf("block: minFill %g out of (0, 1]", minFill)
 	}
+	return chop(t, groups, func() int {
+		capFrac := minFill + rng.Float64()*(1-minFill)
+		return max(int(capFrac*float64(blockSize)), 1)
+	})
+}
+
+// chop splits each group into blocks in order, asking capacity for each
+// block's row limit as the block starts.
+func chop(t *relation.Table, groups [][]int32, capacity func() int) (*TableLayout, error) {
 	tl := &TableLayout{table: t}
 	total := 0
 	for _, g := range groups {
 		total += len(g)
-		off := 0
-		for off < len(g) {
-			capFrac := minFill + rng.Float64()*(1-minFill)
-			capRows := int(capFrac * float64(blockSize))
-			if capRows < 1 {
-				capRows = 1
-			}
-			end := off + capRows
-			if end > len(g) {
-				end = len(g)
-			}
+		for off := 0; off < len(g); {
+			end := min(off+capacity(), len(g))
 			rows := g[off:end:end]
 			tl.blocks = append(tl.blocks, &Block{
 				ID:   len(tl.blocks),

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"mto/internal/induce"
 	"mto/internal/joingraph"
 	"mto/internal/qdtree"
 	"mto/internal/relation"
@@ -119,17 +118,8 @@ func Load(r io.Reader, ds *relation.Dataset, w *workload.Workload) (*Optimizer, 
 		}
 	}
 	// Rebuild literal cuts against the current data (step 1c on load).
-	done := map[*induce.Predicate]bool{}
-	for _, tree := range o.trees {
-		for _, ic := range tree.InducedCuts() {
-			if done[ic.Ind] {
-				continue
-			}
-			done[ic.Ind] = true
-			if err := ic.Ind.Evaluate(ds); err != nil {
-				return nil, err
-			}
-		}
+	if err := o.reevaluateInducedCuts(); err != nil {
+		return nil, err
 	}
 	return o, nil
 }

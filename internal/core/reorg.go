@@ -108,12 +108,8 @@ func (o *Optimizer) PlanReorg(observed *workload.Workload, cfg ReorgConfig, desi
 	var inducedByTable map[string][]*induce.Predicate
 	if o.opts.JoinInduction && !cfg.DisableInduction {
 		inducedByTable = induce.FromWorkload(observed, o.unique, o.opts.MaxInductionDepth)
-		for _, ips := range inducedByTable {
-			for _, ip := range ips {
-				if err := ip.Evaluate(o.ds); err != nil {
-					return nil, err
-				}
-			}
+		if err := induce.EvaluateAll(o.ds, flattenInduced(inducedByTable), o.opts.Parallelism); err != nil {
+			return nil, err
 		}
 	}
 	plans := map[string]*ReorgPlan{}

@@ -37,10 +37,6 @@ type Options struct {
 	// DiPs enables data-induced predicates: plan-time block pruning from
 	// zone-map-derived range sets pushed across joins (§3.1.1, §6.1.3).
 	DiPs bool
-	// RangeSetSize bounds the number of ranges in a diP (paper uses 20).
-	RangeSetSize int
-	// MaxReductionPasses caps the semantic reduction fixpoint.
-	MaxReductionPasses int
 	// SecondaryIndexes maps table → join column carrying a secondary
 	// index. When join keys for that column arrive from a materialized
 	// neighbor, the engine reads only the blocks physically containing
@@ -49,17 +45,18 @@ type Options struct {
 	SecondaryIndexes map[string]string
 }
 
+const (
+	// rangeSetSize bounds the number of ranges in a diP (the paper uses 20).
+	rangeSetSize = 20
+	// maxReductionPasses caps the diP and semantic reduction fixpoints.
+	maxReductionPasses = 8
+)
+
 // DefaultOptions mirrors the plain simulation setting (no runtime extras).
-func DefaultOptions() Options {
-	return Options{RangeSetSize: 20, MaxReductionPasses: 8}
-}
+func DefaultOptions() Options { return Options{} }
 
 // CloudDWOptions mirrors the commercial service: semi-join reduction on.
-func CloudDWOptions() Options {
-	o := DefaultOptions()
-	o.SemiJoinReduction = true
-	return o
-}
+func CloudDWOptions() Options { return Options{SemiJoinReduction: true} }
 
 // TableAccess reports the I/O for one base table of one query, with the
 // per-stage pruning breakdown: how many candidate blocks survived layout
@@ -168,12 +165,6 @@ func cached[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, build func() V)
 
 // New returns an engine over the store/design pair.
 func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts Options) *Engine {
-	if opts.RangeSetSize <= 0 {
-		opts.RangeSetSize = 20
-	}
-	if opts.MaxReductionPasses <= 0 {
-		opts.MaxReductionPasses = 8
-	}
 	return &Engine{
 		store: store, design: design, ds: ds, opts: opts,
 		keyIdx:  map[colKey]*relation.KeyIndex{},

@@ -538,8 +538,7 @@ func TestUnknownJoinColumnIsNoOp(t *testing.T) {
 	}
 	for _, opts := range []Options{
 		CloudDWOptions(),
-		{SemiJoinReduction: false, SecondaryIndexes: map[string]string{"fact": "did"},
-			RangeSetSize: 20, MaxReductionPasses: 8},
+		{SemiJoinReduction: false, SecondaryIndexes: map[string]string{"fact": "did"}},
 	} {
 		pruned, err := New(store, design, ds, opts).Execute(q)
 		if err != nil {

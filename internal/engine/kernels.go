@@ -418,7 +418,7 @@ func (e *Engine) fixpointKernel(q *workload.Query, aliases map[string]*vecAlias)
 	// memo[2i+1] the opposite direction.
 	memo := make([]dirMemo, 2*len(q.Joins))
 	probes := 0
-	for pass := 0; pass < e.opts.MaxReductionPasses; pass++ {
+	for pass := 0; pass < maxReductionPasses; pass++ {
 		changed := false
 		for i, j := range q.Joins {
 			if !e.joinColumnsExist(q, j) {

@@ -258,12 +258,12 @@ func aliasOnTable(q *workload.Query, alias, table string) bool {
 
 // applyDiPs prunes candidate blocks at plan time using data-induced
 // predicates [22]: the zone intervals of one side's candidate blocks on the
-// join column are merged into a range set of at most RangeSetSize ranges
+// join column are merged into a range set of at most rangeSetSize ranges
 // and pushed to the other side, whose blocks are dropped when their join
 // column cannot intersect any range. Passes repeat until a fixpoint (or the
 // pass cap) since pruning one table can enable pruning another.
 func (e *Engine) applyDiPs(q *workload.Query, tables map[string]*tableState) {
-	for pass := 0; pass < e.opts.MaxReductionPasses; pass++ {
+	for pass := 0; pass < maxReductionPasses; pass++ {
 		changed := false
 		for _, j := range q.Joins {
 			rByL, lByR := prunableDirections(j.Type)
@@ -298,7 +298,7 @@ func (e *Engine) dipPrune(q *workload.Query, tables map[string]*tableState,
 			intervals = append(intervals, iv)
 		}
 	}
-	ranges := mergeRanges(intervals, e.opts.RangeSetSize)
+	ranges := mergeRanges(intervals, rangeSetSize)
 	if ranges == nil {
 		// No candidate source blocks: the diP is empty and every target
 		// block is prunable (for inner-style edges the join yields
@@ -477,11 +477,11 @@ func (e *Engine) semanticReduce(q *workload.Query, aliases map[string]*aliasStat
 }
 
 // semanticFixpoint iterates every edge's reduction until a pass changes
-// nothing (or MaxReductionPasses): the route for cyclic graphs, full outer
+// nothing (or maxReductionPasses): the route for cyclic graphs, full outer
 // joins and one-sided edges whose non-preserved side has other edges.
 func (e *Engine) semanticFixpoint(q *workload.Query, aliases map[string]*aliasState) int {
 	probes := 0
-	for pass := 0; pass < e.opts.MaxReductionPasses; pass++ {
+	for pass := 0; pass < maxReductionPasses; pass++ {
 		changed := false
 		for _, j := range q.Joins {
 			if !e.joinColumnsExist(q, j) {

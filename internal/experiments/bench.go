@@ -134,16 +134,33 @@ func AllBenches(s Scale) []*Bench {
 	return []*Bench{SSBBench(s), TPCHBench(s), TPCDSBench(s)}
 }
 
-// BenchByName resolves "ssb", "tpch", or "tpcds".
-func BenchByName(name string, s Scale) (*Bench, error) {
+// BenchName resolves "ssb", "tpch" or "tpcds" (or a Bench.Name spelling)
+// to the Name of the bench BenchByName builds, without building it.
+func BenchName(name string) (string, error) {
 	switch name {
 	case "ssb", "SSB":
-		return SSBBench(s), nil
+		return "SSB", nil
 	case "tpch", "TPC-H", "tpc-h":
-		return TPCHBench(s), nil
+		return "TPC-H", nil
 	case "tpcds", "TPC-DS", "tpc-ds":
-		return TPCDSBench(s), nil
+		return "TPC-DS", nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown bench %q (want ssb, tpch, or tpcds)", name)
+		return "", fmt.Errorf("experiments: unknown bench %q (want ssb, tpch, or tpcds)", name)
+	}
+}
+
+// BenchByName builds the bench BenchName resolves name to.
+func BenchByName(name string, s Scale) (*Bench, error) {
+	canon, err := BenchName(name)
+	if err != nil {
+		return nil, err
+	}
+	switch canon {
+	case "SSB":
+		return SSBBench(s), nil
+	case "TPC-H":
+		return TPCHBench(s), nil
+	default:
+		return TPCDSBench(s), nil
 	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // EvaluateAll materializes the literal form of every predicate in preds over
-// ds, producing stages identical to calling (*Predicate).Evaluate on each —
-// at any parallelism — but batched (§3.2.1 step 1c at scale):
+// ds (§3.2.1 step 1c), producing stages identical to running each
+// predicate's semi-join chain row by row (the tests' scalar oracle) — at any
+// parallelism — but batched:
 //
 //   - Scan sharing: predicates are grouped by (source table, source cut);
 //     each distinct cut is compiled once via predicate.FillMask and its

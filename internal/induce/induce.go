@@ -12,7 +12,7 @@ import (
 
 // Predicate is a join-induced predicate on a target table (§4.1). The
 // logical form is "target.col IN (SELECT ... chain of semi joins ... WHERE
-// sourceCut)"; Evaluate materializes the literal form. Qd-trees store both:
+// sourceCut)"; EvaluateAll materializes the literal form. Qd-trees store both:
 // the logical form routes queries, the literal form routes records.
 type Predicate struct {
 	// Path is the induction path from the source table to the target.
@@ -64,71 +64,6 @@ func checkJoinColumnKind(t *relation.Table, ci int) error {
 		return fmt.Errorf("induce: unsupported %s join column %s.%s",
 			kind, t.Schema().Table(), t.Schema().Column(ci).Name)
 	}
-	return nil
-}
-
-// Evaluate materializes the literal cut by running the semi-join chain over
-// ds (§3.2.1 step 1c). It may be called again after data changes to rebuild
-// from scratch; prefer ApplyInsert/ApplyDelete for incremental maintenance.
-//
-// This is the scalar reference implementation; EvaluateAll is the batched
-// production path and must stay byte-identical to it. On error the
-// predicate is left unchanged (a previously evaluated literal stays valid),
-// never half-materialized.
-func (p *Predicate) Evaluate(ds *relation.Dataset) error {
-	hops := p.Path.Hops
-	stages := make([]*keySet, len(hops))
-
-	src := ds.Table(p.Path.Source())
-	if src == nil {
-		return fmt.Errorf("induce: missing source table %q", p.Path.Source())
-	}
-	stage0 := newKeySet()
-	ci, ok := src.Schema().ColumnIndex(hops[0].FromColumn)
-	if !ok {
-		return fmt.Errorf("induce: %s has no column %q", p.Path.Source(), hops[0].FromColumn)
-	}
-	if err := checkJoinColumnKind(src, ci); err != nil {
-		return err
-	}
-	match := predicate.Compile(p.SourceCut, src)
-	for r := 0; r < src.NumRows(); r++ {
-		if match(r) {
-			stage0.add(src.Value(r, ci))
-		}
-	}
-	stage0.optimize()
-	stages[0] = stage0
-
-	for i := 1; i < len(hops); i++ {
-		tbl := ds.Table(hops[i].FromTable)
-		if tbl == nil {
-			return fmt.Errorf("induce: missing table %q", hops[i].FromTable)
-		}
-		inCol, ok := tbl.Schema().ColumnIndex(hops[i-1].ToColumn)
-		if !ok {
-			return fmt.Errorf("induce: %s has no column %q", hops[i].FromTable, hops[i-1].ToColumn)
-		}
-		outCol, ok := tbl.Schema().ColumnIndex(hops[i].FromColumn)
-		if !ok {
-			return fmt.Errorf("induce: %s has no column %q", hops[i].FromTable, hops[i].FromColumn)
-		}
-		if err := checkJoinColumnKind(tbl, inCol); err != nil {
-			return err
-		}
-		if err := checkJoinColumnKind(tbl, outCol); err != nil {
-			return err
-		}
-		prev, next := stages[i-1], newKeySet()
-		for r := 0; r < tbl.NumRows(); r++ {
-			if prev.contains(tbl.Value(r, inCol)) {
-				next.add(tbl.Value(r, outCol))
-			}
-		}
-		next.optimize()
-		stages[i] = next
-	}
-	p.stages = stages
 	return nil
 }
 

@@ -20,7 +20,7 @@ import (
 // KeyIndex supports as well. add/remove/contains silently drop every other
 // kind (null never matches an equijoin, so dropping nulls is the correct
 // semi-join semantics); columns whose declared kind is unsupported (e.g.
-// float join keys) are rejected with an error at Evaluate/ApplyInsert/
+// float join keys) are rejected with an error at EvaluateAll/ApplyInsert/
 // ApplyDelete time, before any silent drop could produce an always-empty —
 // and therefore wrong — literal cut.
 type keySet struct {

@@ -50,7 +50,7 @@ func fixtureFor(t testing.TB, ds *relation.Dataset, w *workload.Workload, table 
 		cuts = append(cuts, NewSimpleCut(p))
 	}
 	for _, ip := range induce.FromWorkload(w, unique, 4)[table] {
-		if err := ip.Evaluate(ds); err != nil {
+		if err := induce.EvaluateAll(ds, []*induce.Predicate{ip}, 1); err != nil {
 			t.Fatal(err)
 		}
 		cuts = append(cuts, NewInducedCut(ip))

@@ -106,7 +106,8 @@ func cutToJSON(c Cut) (*jsonCut, error) {
 }
 
 // UnmarshalTree decodes a tree. Join-induced cuts come back unevaluated;
-// call EvaluateInducedCuts (or core's loader) before routing records.
+// evaluate them with induce.EvaluateAll (as core's loader does) before
+// routing records.
 func UnmarshalTree(data []byte) (*Tree, error) {
 	var jt jsonTree
 	if err := json.Unmarshal(data, &jt); err != nil {

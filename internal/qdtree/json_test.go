@@ -37,7 +37,7 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 	byTarget := induce.FromWorkload(w, unique, 4)
 	var cuts []Cut
 	for _, ip := range byTarget["fact"] {
-		if err := ip.Evaluate(ds); err != nil {
+		if err := induce.EvaluateAll(ds, []*induce.Predicate{ip}, 1); err != nil {
 			t.Fatal(err)
 		}
 		cuts = append(cuts, NewInducedCut(ip))
@@ -72,7 +72,7 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 		if ic.Ind.Evaluated() {
 			t.Fatal("literal cuts should not be persisted")
 		}
-		if err := ic.Ind.Evaluate(ds); err != nil {
+		if err := induce.EvaluateAll(ds, []*induce.Predicate{ic.Ind}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

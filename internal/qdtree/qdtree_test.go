@@ -208,7 +208,7 @@ func TestInducedCutBuildAndRoute(t *testing.T) {
 	byTarget := induce.FromWorkload(w, unique, 4)
 	var cuts []Cut
 	for _, ip := range byTarget["fact"] {
-		if err := ip.Evaluate(ds); err != nil {
+		if err := induce.EvaluateAll(ds, []*induce.Predicate{ip}, 1); err != nil {
 			t.Fatal(err)
 		}
 		cuts = append(cuts, NewInducedCut(ip))
@@ -303,7 +303,7 @@ func TestCardinalityAdjustedBuild(t *testing.T) {
 	byTarget := induce.FromWorkload(w, unique, 4)
 	var cuts []Cut
 	for _, ip := range byTarget["fact"] {
-		if err := ip.Evaluate(sample); err != nil {
+		if err := induce.EvaluateAll(sample, []*induce.Predicate{ip}, 1); err != nil {
 			t.Fatal(err)
 		}
 		cuts = append(cuts, NewInducedCut(ip))
@@ -454,7 +454,7 @@ func TestInducedCutRoutingNegationOnly(t *testing.T) {
 	unique := func(tbl, col string) bool { return tbl == "dim" && col == "id" }
 	byTarget := induce.FromWorkload(w, unique, 4)
 	ip := byTarget["fact"][0]
-	if err := ip.Evaluate(ds); err != nil {
+	if err := induce.EvaluateAll(ds, []*induce.Predicate{ip}, 1); err != nil {
 		t.Fatal(err)
 	}
 	cut := NewInducedCut(ip)

@@ -14,6 +14,7 @@ import (
 	"mto/internal/block"
 	"mto/internal/colstore"
 	"mto/internal/core"
+	"mto/internal/engine"
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/reorgd"
@@ -532,84 +533,115 @@ func TestUnknownTenantAndQuery(t *testing.T) {
 	}
 }
 
-// TestRunLoad drives the in-process load generator with identity sampling:
-// every verified pair must be identical, the cache must get hits, and the
-// issue count must match.
-func TestRunLoad(t *testing.T) {
-	cfgA, shiftA := serveScenario(t, "alpha", 4, false)
-	cfgB, shiftB := serveScenario(t, "beta", 9, false)
-	s := startServer(t, Config{Tenants: []TenantConfig{cfgA, cfgB}, Workers: 4})
+// TestServedEqualsDirectAcrossDaemonSwap: the tenant's daemon installs a
+// reorganization while four submitters keep the tenant busy. Every response
+// served before, during and after the swap, hit or miss, equals a direct
+// execution at the generation the response reports.
+func TestServedEqualsDirectAcrossDaemonSwap(t *testing.T) {
+	cfg, shift := serveScenario(t, "alpha", 4, true)
+	s := startServer(t, Config{Tenants: []TenantConfig{cfg}, Workers: 4})
+	ctx := context.Background()
 
-	ls, err := RunLoad(context.Background(), s, LoadConfig{
-		Streams:      map[string][]*workload.Query{"alpha": shiftA, "beta": shiftB},
-		Total:        400,
-		Concurrency:  8,
-		Seed:         7,
-		VerifyEveryN: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// direct[gen][id] is each shifted template executed directly at gen.
+	direct := map[uint64]map[string]*engine.Result{}
+	snapshot := func() uint64 {
+		gen := s.Generation("alpha")
+		byID := map[string]*engine.Result{}
+		for _, q := range shift {
+			res, g, err := s.ExecuteDirect("alpha", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g != gen {
+				t.Fatal("generation moved while executing directly")
+			}
+			byID[q.ID] = res
+		}
+		direct[gen] = byID
+		return gen
 	}
-	if ls.Queries != 400 || ls.Errors != 0 || ls.Rejected != 0 {
-		t.Fatalf("load stats off: %+v", ls)
-	}
-	if ls.Cached == 0 {
-		t.Error("no cache hits under repeated template load")
-	}
-	if ls.Verified == 0 || ls.Identical != ls.Verified || len(ls.Mismatches) > 0 {
-		t.Errorf("identity sampling failed: verified=%d identical=%d mismatches=%v",
-			ls.Verified, ls.Identical, ls.Mismatches)
-	}
-	if ls.Latency.Count != ls.Queries {
-		t.Errorf("latency count %d != queries %d", ls.Latency.Count, ls.Queries)
-	}
-}
+	g0 := snapshot()
 
-// slowBackend delays every scan compilation — one per query on the
-// single-table scenario — standing in for a stalled executor.
-type slowBackend struct {
-	block.Backend
-	delay time.Duration
-}
-
-func (b slowBackend) CompileScan(table string, filters []predicate.Predicate) block.Scan {
-	time.Sleep(b.delay)
-	return b.Backend.CompileScan(table, filters)
-}
-
-// TestRunLoadOpenLoopChargesBacklog: an open loop paced faster than the
-// server can answer must time each request from when it was due, so the
-// tail reflects the accumulated backlog rather than one service time, and
-// the generator's lateness is reported.
-func TestRunLoadOpenLoopChargesBacklog(t *testing.T) {
-	const (
-		delay = 10 * time.Millisecond
-		total = 30
+	type served struct {
+		id   string
+		resp Response
+	}
+	var (
+		mu        sync.Mutex
+		responses []served
+		total     atomic.Int64
+		later     atomic.Int64 // responses at a generation past g0
+		stop      atomic.Bool
+		wg        sync.WaitGroup
 	)
-	cfg, shift := serveScenario(t, "alpha", 4, false)
-	cfg.Store = slowBackend{Backend: cfg.Store, delay: delay}
-	s := startServer(t, Config{Tenants: []TenantConfig{cfg}, Workers: 1, CacheEntries: -1})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; !stop.Load(); i++ {
+				q := shift[i%len(shift)]
+				resp, err := s.Submit(ctx, "alpha", q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				responses = append(responses, served{q.ID, resp})
+				mu.Unlock()
+				if resp.Gen != g0 {
+					later.Add(1)
+				}
+				total.Add(1)
+			}
+		}(w)
+	}
+	// waitFor spins until cond holds or the submitters have stalled.
+	waitFor := func(cond func() bool) {
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	swapped := false
+	for cycle := 0; cycle < 8 && !swapped; cycle++ {
+		// A cycle plans only after MinCycleQueries new observations.
+		seen := total.Load()
+		waitFor(func() bool { return total.Load() >= seen+32 })
+		cs, err := s.StepTenant("alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		swapped = cs.Action == "reorg"
+	}
+	if swapped {
+		waitFor(func() bool { return later.Load() >= 64 })
+	}
+	stop.Store(true)
+	wg.Wait()
+	if !swapped {
+		t.Fatal("daemon never installed a reorganization")
+	}
+	if g1 := snapshot(); g1 != g0+1 {
+		t.Fatalf("generation = %d after one swap, want %d", g1, g0+1)
+	}
 
-	ls, err := RunLoad(context.Background(), s, LoadConfig{
-		Streams:     map[string][]*workload.Query{"alpha": shift},
-		Total:       total,
-		Concurrency: 1,
-		OpenRateQPS: 1000, // due every 1ms, served every ≥10ms
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
+	perGen := map[uint64]int{}
+	for _, sv := range responses {
+		want, ok := direct[sv.resp.Gen][sv.id]
+		if !ok {
+			t.Fatalf("%s served at generation %d, want %d or %d", sv.id, sv.resp.Gen, g0, g0+1)
+		}
+		if !reflect.DeepEqual(sv.resp.Result, want) {
+			t.Errorf("%s at generation %d (cached %v): served result differs from direct:\n%+v\n%+v",
+				sv.id, sv.resp.Gen, sv.resp.Cached, sv.resp.Result, want)
+		}
+		perGen[sv.resp.Gen]++
 	}
-	if ls.Queries != total || ls.Errors != 0 {
-		t.Fatalf("load stats off: %+v", ls)
+	if perGen[g0] == 0 || perGen[g0+1] == 0 {
+		t.Errorf("responses per generation %v: the swap did not land between submissions", perGen)
 	}
-	// Request k is due at k·1ms and answered no earlier than (k+1)·10ms:
-	// the last one waits ≥ 270ms. Half of that is far above one delay.
-	backlog := (total / 2) * delay
-	if p99 := time.Duration(ls.Latency.P99) * time.Microsecond; p99 < backlog {
-		t.Errorf("open-loop p99 = %v, want ≥ %v (backlog charged to every due request)", p99, backlog)
-	}
-	if late := time.Duration(ls.MaxLatenessUS) * time.Microsecond; late < backlog {
-		t.Errorf("max lateness = %v, want ≥ %v", late, backlog)
+	st := s.Stats()
+	if st.Errors != 0 || st.Tenants[0].DaemonErr != "" {
+		t.Errorf("errors %d, daemon error %q", st.Errors, st.Tenants[0].DaemonErr)
 	}
 }
