@@ -632,7 +632,7 @@ func (s *colSlot) like(q *predicate.ScanLike, out []uint64, sc *scratch) error {
 	}
 	if codes == nil {
 		for k := 0; k < v.n; k++ {
-			if q.Match(string(v.entry(k))) != q.Negate {
+			if q.Match(v.entry(k)) != q.Negate {
 				out[k>>6] |= 1 << (uint(k) & 63)
 			}
 		}
@@ -640,7 +640,7 @@ func (s *colSlot) like(q *predicate.ScanLike, out []uint64, sc *scratch) error {
 	}
 	member := sc.grabMember(v.nd)
 	for i := 0; i < v.nd; i++ {
-		if q.Match(string(v.entry(i))) {
+		if q.Match(v.entry(i)) {
 			member[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mto/internal/block"
@@ -475,4 +476,52 @@ func encodeColumnPage(tab *relation.Table, ci int) []byte {
 		encodeStrings(w, tab.Strings(ci))
 	}
 	return w.buf
+}
+
+// TestRawLikeAllocatesNothing: LIKE over a raw string page matches each
+// row's bytes in place, with no string per row, and agrees with the
+// string matcher the bulk mask path uses.
+func TestRawLikeAllocatesNothing(t *testing.T) {
+	const n = 300
+	tab := relation.NewTable(relation.MustSchema("lk", relation.Column{Name: "s", Type: value.KindString}))
+	for i := 0; i < n; i++ {
+		tab.MustAppendRow(value.String(fmt.Sprintf("item-%03d-%s", i, string(rune('a'+i%26)))))
+	}
+	page := encodeColumnPage(tab, 0)
+	kindOf := func(string) (value.Kind, bool) { return value.KindString, true }
+	for _, pattern := range []string{"item-01%", "%-q", "%-2%", "item-123-t", "item-_4%", "%1\\_%"} {
+		like := predicate.NewLike("s", pattern)
+		node, ok := predicate.CompileScan(like, kindOf)
+		if !ok {
+			t.Fatalf("%q refused", pattern)
+		}
+		lk := node.(*predicate.ScanLike)
+		var s colSlot
+		if err := s.open(page, n); err != nil {
+			t.Fatal(err)
+		}
+		if _, codes, err := s.strRows(); err != nil || codes != nil {
+			t.Fatalf("page is not raw (codes %v, err %v)", codes != nil, err)
+		}
+		var sc scratch
+		out := make([]uint64, (n+63)/64)
+		if err := s.like(lk, out, &sc); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, len(out))
+		if !predicate.CompileMask(like, tab, want) {
+			t.Fatalf("%q: mask path refused", pattern)
+		}
+		if !slices.Equal(out, want) {
+			t.Errorf("%q: raw-page LIKE %x, string matcher %x", pattern, out, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			clear(out)
+			if err := s.like(lk, out, &sc); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%q: %v allocations per raw-page LIKE", pattern, allocs)
+		}
+	}
 }

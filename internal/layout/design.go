@@ -10,6 +10,7 @@ package layout
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mto/internal/block"
@@ -30,6 +31,36 @@ type TableDesign struct {
 
 	// set by Install:
 	groupBlocks [][]int // group index → block IDs
+	allBlocks   []int   // every block ID once, in group order
+}
+
+// setGroupBlocks records the group → block mapping and every block once.
+func (td *TableDesign) setGroupBlocks(groupBlocks [][]int) {
+	var all blockUnion
+	for _, ids := range groupBlocks {
+		all.add(ids)
+	}
+	td.groupBlocks, td.allBlocks = groupBlocks, all.ids
+}
+
+// blockUnion collects block IDs, each once, in first-seen order. Groups are
+// consecutive block runs, so over ascending groups an ID is new exactly when
+// it exceeds the last; any other order scans ids.
+type blockUnion struct {
+	ids      []int
+	unsorted bool
+}
+
+func (u *blockUnion) add(ids []int) {
+	for _, id := range ids {
+		if n := len(u.ids); u.unsorted || (n > 0 && id <= u.ids[n-1]) {
+			if slices.Contains(u.ids, id) {
+				continue
+			}
+			u.unsorted = true
+		}
+		u.ids = append(u.ids, id)
+	}
 }
 
 // Groups returns the row groups (shared, do not mutate).
@@ -94,7 +125,7 @@ func (d *Design) Install(store block.Backend, jitter *rand.Rand, minFill float64
 		if err != nil {
 			return 0, fmt.Errorf("layout: install %s: %w", name, err)
 		}
-		td.groupBlocks = groupBlocks
+		td.setGroupBlocks(groupBlocks)
 		total += sec
 	}
 	d.installed = true
@@ -161,12 +192,14 @@ func (d *Design) PackTable(t *relation.Table, groups [][]int32) (*block.TableLay
 // groupBlocks must map every group to its block IDs in the store's new
 // numbering; staging established both.
 func (d *Design) SetTableBlocks(t *relation.Table, groups [][]int32, route Router, groupBlocks [][]int) {
-	d.tables[t.Schema().Table()] = &TableDesign{table: t, groups: groups, route: route, groupBlocks: groupBlocks}
+	td := &TableDesign{table: t, groups: groups, route: route}
+	td.setGroupBlocks(groupBlocks)
+	d.tables[t.Schema().Table()] = td
 }
 
 // BlocksFor returns the block IDs of the named table that q must read, or
-// (nil, false) when the query does not touch the table at all. Install must
-// have been called.
+// (nil, false) when the query does not touch the table at all. The caller
+// owns the returned slice. Install must have been called.
 func (d *Design) BlocksFor(q *workload.Query, table string) ([]int, bool) {
 	td := d.tables[table]
 	if td == nil || !q.TouchesTable(table) {
@@ -176,32 +209,15 @@ func (d *Design) BlocksFor(q *workload.Query, table string) ([]int, bool) {
 		panic("layout: BlocksFor before Install")
 	}
 	if td.route == nil {
-		seen := map[int]bool{}
-		var all []int
-		for _, ids := range td.groupBlocks {
-			for _, id := range ids {
-				if !seen[id] {
-					seen[id] = true
-					all = append(all, id)
-				}
-			}
-		}
-		return all, true
+		return slices.Clone(td.allBlocks), true
 	}
-	seen := map[int]bool{}
-	var out []int
+	var out blockUnion
 	for _, gi := range td.route(q) {
-		if gi < 0 || gi >= len(td.groupBlocks) {
-			continue
-		}
-		for _, id := range td.groupBlocks[gi] {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
+		if gi >= 0 && gi < len(td.groupBlocks) {
+			out.add(td.groupBlocks[gi])
 		}
 	}
-	return out, true
+	return out.ids, true
 }
 
 // GroupBlocks exposes the group → block-ID mapping for one table (after
@@ -225,6 +241,7 @@ func (d *Design) Clone() *Design {
 			groups:      td.groups,
 			route:       td.route,
 			groupBlocks: td.groupBlocks,
+			allBlocks:   td.allBlocks,
 		}
 	}
 	out.installed = d.installed

@@ -2,6 +2,8 @@ package layout
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"mto/internal/block"
@@ -294,5 +296,53 @@ func TestDesignClone(t *testing.T) {
 	}
 	if got, _ := d.BlocksFor(q, "T"); len(got) != len(a) {
 		t.Error("original routing changed after clone mutation")
+	}
+}
+
+// TestBlockUnionMatchesMapDedup pins BlocksFor's union to the map-based
+// dedup it replaced: same IDs in the same first-seen order, for groups
+// routed in ascending, descending, shuffled and repeated order.
+func TestBlockUnionMatchesMapDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		// Consecutive block runs; a group may share its first block with
+		// the previous group's last, as Install's packing does.
+		groupBlocks := make([][]int, 1+rng.Intn(12))
+		next := 0
+		for gi := range groupBlocks {
+			if gi > 0 && rng.Intn(2) == 0 {
+				next-- // straddling block
+			}
+			for k := rng.Intn(4); k >= 0; k-- {
+				groupBlocks[gi] = append(groupBlocks[gi], next)
+				next++
+			}
+		}
+		route := rng.Perm(len(groupBlocks))
+		switch trial % 4 {
+		case 0:
+			sort.Ints(route)
+		case 1:
+			sort.Sort(sort.Reverse(sort.IntSlice(route)))
+		case 2:
+			route = append(route, route[:len(route)/2]...)
+		}
+		seen := map[int]bool{}
+		var want []int
+		for _, gi := range route {
+			for _, id := range groupBlocks[gi] {
+				if !seen[id] {
+					seen[id] = true
+					want = append(want, id)
+				}
+			}
+		}
+		var got blockUnion
+		for _, gi := range route {
+			got.add(groupBlocks[gi])
+		}
+		if !slices.Equal(got.ids, want) {
+			t.Fatalf("groups %v routed %v: union %v, want %v", groupBlocks, route, got.ids, want)
+		}
 	}
 }

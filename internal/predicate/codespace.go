@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"sort"
+	"unsafe"
 
 	"mto/internal/value"
 )
@@ -117,11 +118,11 @@ type ScanInStr struct {
 
 // ScanLike is col [NOT] LIKE over a string column, with the matcher
 // specialized once at compile time (exact/prefix/suffix/substring shapes
-// avoid the recursive wildcard walk).
+// avoid the recursive wildcard walk); Match reads bytes in place, keeping none.
 type ScanLike struct {
 	Column  string
 	Pattern string
-	Match   func(string) bool
+	Match   func([]byte) bool
 	Negate  bool
 	Zone    ZoneEval
 }
@@ -234,10 +235,11 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 		if !ok || kind != value.KindString {
 			return ScanConst(false) // missing or non-string column: matches nothing
 		}
+		match := likeMatcher(q.Pattern)
 		return &ScanLike{
 			Column:  q.Column,
 			Pattern: q.Pattern,
-			Match:   likeMatcher(q.Pattern),
+			Match:   func(b []byte) bool { return match(unsafe.String(unsafe.SliceData(b), len(b))) },
 			Negate:  q.Negate_,
 			Zone:    CompileRanges(q),
 		}

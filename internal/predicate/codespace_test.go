@@ -108,7 +108,7 @@ func TestCompileScanNormalization(t *testing.T) {
 		t.Fatal("LIKE refused")
 	}
 	lk := node.(*ScanLike)
-	if !lk.Match("apple") || lk.Match("pear") {
+	if !lk.Match([]byte("apple")) || lk.Match([]byte("pear")) {
 		t.Error("LIKE matcher not specialized correctly")
 	}
 

@@ -122,10 +122,20 @@ func TestLikeMatch(t *testing.T) {
 		{"a\\%b", "axb", false},
 		{"%promo%", "PROMO BRUSHED", false}, // case-sensitive
 		{"%PROMO%", "PROMO BRUSHED", true},
+		{"%%", "", true},
+		{"%ED", "PROMO BRUSHED", true},
+		{"PROMO BRUSHED", "PROMO BRUSHED", true},
+		{"PROMO BRUSHED", "PROMO BRUSHE", false},
 	}
 	for _, c := range cases {
 		if got := likeMatch(c.pattern, c.s); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pattern, c.s, got, c.want)
+		}
+		// The shape-specialized matcher that scans run over raw bytes agrees
+		// with the general walk.
+		node, _ := CompileScan(NewLike("s", c.pattern), func(string) (value.Kind, bool) { return value.KindString, true })
+		if got := node.(*ScanLike).Match([]byte(c.s)); got != c.want {
+			t.Errorf("ScanLike(%q).Match(%q) = %v, want %v", c.pattern, c.s, got, c.want)
 		}
 	}
 }

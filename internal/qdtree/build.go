@@ -111,9 +111,13 @@ func Build(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config) (*
 		return tree, nil
 	}
 
-	b := newBuilder(cuts, cfg)
+	b := newBuilder(queries, cuts, cfg)
 	b.precomputeMatches(tbl)
-	tree.Root = b.split(fullRowSet(n), queries, predicate.Ranges{}, map[string]bool{}, 1, est, nil)
+	all := make([]int32, len(queries))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	tree.Root = b.split(fullRowSet(n), all, predicate.Ranges{}, map[string]bool{}, 1, est, nil)
 	tree.Reindex()
 	return tree, nil
 }
@@ -122,18 +126,41 @@ type builder struct {
 	cuts    []Cut
 	matches []bitset // per-cut row membership over the build table
 	cfg     Config
+
+	// Routing inputs, prepared once per build; node query lists index queries.
+	queries []BuildQuery
+	filters []func(predicate.Ranges) predicate.Tri // per query, compiled
+	induced []*inducedDecisions                    // per cut; nil for simple cuts
+	paths   pathTable
+
 	// spare holds the worker tokens beyond the calling goroutine. Scoring
 	// fan-out and subtree recursion acquire tokens non-blockingly, so the
 	// build never exceeds its budget and never deadlocks on itself.
 	spare chan struct{}
 }
 
-func newBuilder(cuts []Cut, cfg Config) *builder {
+// inducedDecisions is one induced cut's routing of every build query,
+// filled by the first worker that scores the cut.
+type inducedDecisions struct {
+	route  inducedRoute
+	once   sync.Once
+	routes []routeBits // per build query
+}
+
+func newBuilder(queries []BuildQuery, cuts []Cut, cfg Config) *builder {
 	p := cfg.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	b := &builder{cuts: cuts, cfg: cfg}
+	b := &builder{cuts: cuts, cfg: cfg, queries: queries, induced: make([]*inducedDecisions, len(cuts))}
+	for _, bq := range queries {
+		b.filters = append(b.filters, predicate.CompileRanges(bq.Filter))
+	}
+	for i, c := range cuts {
+		if ind := c.induced(); ind != nil {
+			b.induced[i] = &inducedDecisions{route: newInducedRoute(ind, &b.paths)}
+		}
+	}
 	if p > 1 {
 		b.spare = make(chan struct{}, p-1)
 		for i := 0; i < p-1; i++ {
@@ -159,12 +186,6 @@ func (b *builder) release() { b.spare <- struct{}{} }
 // in one bulk pass, reporting false to fall back to CompileRecord.
 type maskCompiler interface {
 	CompileMask(t *relation.Table, mask []uint64) bool
-}
-
-// routePreparer is an optional Cut fast path: bind a node region once and
-// route many queries against it without re-refining the region per query.
-type routePreparer interface {
-	PrepareRoute(region predicate.Ranges) func(rc *RouteContext) (left, right bool)
 }
 
 // precomputeMatches evaluates every candidate's membership bitset over the
@@ -219,15 +240,6 @@ func (b *builder) precomputeMatches(tbl *relation.Table) {
 	}
 }
 
-// Route decisions of the winning cut are cached during scoring, so the
-// query partition in split never re-evaluates cut.Route.
-type routeBits uint8
-
-const (
-	routeLeft  routeBits = 1
-	routeRight routeBits = 2
-)
-
 // candidate is one cut's scoring outcome at a node.
 type candidate struct {
 	idx    int
@@ -235,7 +247,7 @@ type candidate struct {
 	countL int
 	estL   float64
 	kNew   float64
-	routes []routeBits // per build query, the cut's Route decisions
+	routes []routeBits // per node query, the cut's routing decisions
 }
 
 // better reports whether c should replace cur: higher score wins, ties
@@ -254,7 +266,7 @@ func better(c, cur *candidate) bool {
 // split builds the subtree for the given row set. k is the accumulated CA
 // divisor product s^{|joins on yes-path|}; est is the node's full-data
 // cardinality estimate.
-func (b *builder) split(rows *rowSet, queries []BuildQuery, region predicate.Ranges,
+func (b *builder) split(rows *rowSet, queries []int32, region predicate.Ranges,
 	pathJoins map[string]bool, k float64, est float64, parent *Node) *Node {
 
 	node := &Node{
@@ -281,7 +293,7 @@ func (b *builder) split(rows *rowSet, queries []BuildQuery, region predicate.Ran
 	leftRows, rightRows := rows.partition(b.matches[best.idx])
 
 	// Partition queries by the routing decisions cached from scoring.
-	var leftQs, rightQs []BuildQuery
+	var leftQs, rightQs []int32
 	for qi, lr := range best.routes {
 		if lr&routeLeft != 0 {
 			leftQs = append(leftQs, queries[qi])
@@ -329,7 +341,7 @@ func (b *builder) split(rows *rowSet, queries []BuildQuery, region predicate.Ran
 // bestCut scores every candidate at a node — fanning cuts across any spare
 // workers — and returns the deterministic argmax, or nil when no cut yields
 // a valid, positively scoring split.
-func (b *builder) bestCut(rows *rowSet, queries []BuildQuery, region predicate.Ranges,
+func (b *builder) bestCut(rows *rowSet, queries []int32, region predicate.Ranges,
 	pathJoins map[string]bool, k, est float64) *candidate {
 
 	s := b.cfg.SampleRate
@@ -363,27 +375,30 @@ func (b *builder) bestCut(rows *rowSet, queries []BuildQuery, region predicate.R
 		if estL < float64(b.cfg.BlockSize) || estR < float64(b.cfg.BlockSize) {
 			return nil // children must each fill at least one block
 		}
-		route := func(rc *RouteContext) (bool, bool) { return cut.Route(rc, region) }
-		if rp, ok := cut.(routePreparer); ok {
-			route = rp.PrepareRoute(region)
+		var route func(qi int32) routeBits
+		if d := b.induced[i]; d != nil {
+			d.once.Do(func() {
+				d.routes = make([]routeBits, len(b.queries))
+				for qi, bq := range b.queries {
+					d.routes[qi] = (&queryRoutes{q: bq.Query}).decide(&d.route, b.paths)
+				}
+			})
+			route = func(qi int32) routeBits { return d.routes[qi] }
+		} else {
+			sr := newSimpleRoute(cut.LeftRanges(region), cut.RightRanges(region))
+			route = func(qi int32) routeBits { return sr.route(b.filters[qi]) }
 		}
 		score := 0.0
-		for qi := range queries {
-			bq := &queries[qi]
-			rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter}
-			l, r := route(&rc)
-			var lr routeBits
-			if l {
-				lr |= routeLeft
-			} else {
-				score += bq.Weight * estL
+		for j, qi := range queries {
+			lr := route(qi)
+			w := b.queries[qi].Weight
+			if lr&routeLeft == 0 {
+				score += w * estL
 			}
-			if r {
-				lr |= routeRight
-			} else {
-				score += bq.Weight * estR
+			if lr&routeRight == 0 {
+				score += w * estR
 			}
-			scratch[qi] = lr
+			scratch[j] = lr
 		}
 		if score <= 0 {
 			return nil // a cut no query skips on cannot win

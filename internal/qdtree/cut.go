@@ -8,20 +8,9 @@ package qdtree
 
 import (
 	"mto/internal/induce"
-	"mto/internal/joingraph"
 	"mto/internal/predicate"
 	"mto/internal/relation"
-	"mto/internal/workload"
 )
-
-// RouteContext carries one query's view of the table being routed. A query
-// referencing the table through several aliases (self join) is routed once
-// per alias and the block sets are unioned.
-type RouteContext struct {
-	Query  *workload.Query
-	Alias  string
-	Filter predicate.Predicate // the query's filter on this alias
-}
 
 // Cut is a node split criterion. Two implementations exist: SimpleCut (a
 // filter predicate over the table) and InducedCut (a join-induced predicate,
@@ -30,9 +19,6 @@ type Cut interface {
 	// CompileRecord returns a fast matcher deciding, for each row of t,
 	// whether the record routes to the left ("yes") child.
 	CompileRecord(t *relation.Table) func(row int) bool
-	// Route decides which children a query must visit. region is the
-	// node's accumulated per-column constraint region.
-	Route(rc *RouteContext, region predicate.Ranges) (left, right bool)
 	// LeftRanges / RightRanges refine the node region for each child.
 	LeftRanges(region predicate.Ranges) predicate.Ranges
 	RightRanges(region predicate.Ranges) predicate.Ranges
@@ -51,6 +37,8 @@ type Cut interface {
 	// MemBytes estimates the cut's in-memory footprint.
 	MemBytes() int
 	String() string
+	// induced returns a join-induced cut's predicate, nil for a simple cut.
+	induced() *induce.Predicate
 }
 
 // SimpleCut is a cut over the table's own columns.
@@ -73,30 +61,6 @@ func (c *SimpleCut) CompileMask(t *relation.Table, mask []uint64) bool {
 	return predicate.CompileMask(c.Pred, t, mask)
 }
 
-// Route implements Cut: a child is visited unless the query's filter is
-// provably unsatisfiable within the child's region.
-func (c *SimpleCut) Route(rc *RouteContext, region predicate.Ranges) (bool, bool) {
-	l := c.LeftRanges(region)
-	r := c.RightRanges(region)
-	left := !l.HasEmpty() && rc.Filter.EvalRanges(l) != predicate.TriFalse
-	right := !r.HasEmpty() && rc.Filter.EvalRanges(r) != predicate.TriFalse
-	return left, right
-}
-
-// PrepareRoute binds the node region once and returns a router over it, so
-// candidate scoring can route every query against the same refined child
-// regions instead of re-deriving them per query. The returned router gives
-// exactly Route's answers.
-func (c *SimpleCut) PrepareRoute(region predicate.Ranges) func(rc *RouteContext) (left, right bool) {
-	l, r := c.LeftRanges(region), c.RightRanges(region)
-	lEmpty, rEmpty := l.HasEmpty(), r.HasEmpty()
-	return func(rc *RouteContext) (bool, bool) {
-		left := !lEmpty && rc.Filter.EvalRanges(l) != predicate.TriFalse
-		right := !rEmpty && rc.Filter.EvalRanges(r) != predicate.TriFalse
-		return left, right
-	}
-}
-
 // LeftRanges implements Cut.
 func (c *SimpleCut) LeftRanges(region predicate.Ranges) predicate.Ranges {
 	return region.Refine(predicate.RangesOf(c.Pred))
@@ -106,6 +70,8 @@ func (c *SimpleCut) LeftRanges(region predicate.Ranges) predicate.Ranges {
 func (c *SimpleCut) RightRanges(region predicate.Ranges) predicate.Ranges {
 	return region.Refine(predicate.RangesOf(c.Pred.Negate()))
 }
+
+func (c *SimpleCut) induced() *induce.Predicate { return nil }
 
 // JoinKeys implements Cut.
 func (c *SimpleCut) JoinKeys() []string { return nil }
@@ -140,44 +106,6 @@ func (c *InducedCut) CompileRecord(t *relation.Table) func(row int) bool {
 	return c.Ind.CompileRow(t)
 }
 
-// Route implements Cut per §4.1.2: if the query's join graph does not share
-// the cut's induction path, route to both children. Otherwise route left iff
-// the query's filters on the source table intersect the source cut, and
-// independently right iff they intersect its negation.
-func (c *InducedCut) Route(rc *RouteContext, _ predicate.Ranges) (bool, bool) {
-	sources, ok := joingraph.MatchPath(rc.Query, c.Ind.Path)
-	if !ok {
-		return true, true
-	}
-	neg := c.Ind.SourceCut.Negate()
-	left, right := false, false
-	for _, srcAlias := range sources {
-		f := rc.Query.FilterOn(srcAlias)
-		if predicatesIntersect(f, c.Ind.SourceCut) {
-			left = true
-		}
-		if predicatesIntersect(f, neg) {
-			right = true
-		}
-		if left && right {
-			break
-		}
-	}
-	return left, right
-}
-
-// predicatesIntersect conservatively decides whether two predicates over
-// the same table can hold simultaneously: it is false only when provably
-// disjoint (checked in both directions through range extraction).
-func predicatesIntersect(a, b predicate.Predicate) bool {
-	ra, rb := predicate.RangesOf(a), predicate.RangesOf(b)
-	if ra.Refine(rb).HasEmpty() {
-		return false
-	}
-	return a.EvalRanges(rb) != predicate.TriFalse &&
-		b.EvalRanges(ra) != predicate.TriFalse
-}
-
 // LeftRanges implements Cut: induced cuts do not constrain the target
 // table's own columns (they constrain join membership), so the region is
 // unchanged.
@@ -185,6 +113,8 @@ func (c *InducedCut) LeftRanges(region predicate.Ranges) predicate.Ranges { retu
 
 // RightRanges implements Cut.
 func (c *InducedCut) RightRanges(region predicate.Ranges) predicate.Ranges { return region }
+
+func (c *InducedCut) induced() *induce.Predicate { return c.Ind }
 
 // JoinKeys implements Cut.
 func (c *InducedCut) JoinKeys() []string { return c.Ind.Path.JoinKeys() }

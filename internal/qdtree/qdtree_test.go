@@ -425,21 +425,21 @@ func TestSimpleCutRouting(t *testing.T) {
 	// A query filtering x > 200 only needs the right (negation) side.
 	q := singleTableQuery("q", predicate.NewComparison("x", predicate.Gt, value.Int(200)))
 	rc := RouteContext{Query: q, Alias: "T", Filter: q.FilterOn("T")}
-	l, r := cut.Route(&rc, region)
+	l, r := oracleRoute(cut, &rc, region)
 	if l || !r {
 		t.Errorf("Route = %v,%v, want false,true", l, r)
 	}
 	// A query filtering x < 50 only needs the left side.
 	q2 := singleTableQuery("q2", predicate.NewComparison("x", predicate.Lt, value.Int(50)))
 	rc2 := RouteContext{Query: q2, Alias: "T", Filter: q2.FilterOn("T")}
-	l, r = cut.Route(&rc2, region)
+	l, r = oracleRoute(cut, &rc2, region)
 	if !l || r {
 		t.Errorf("Route = %v,%v, want true,false", l, r)
 	}
 	// Unfiltered queries need both.
 	q3 := workload.NewQuery("q3", workload.TableRef{Table: "T"})
 	rc3 := RouteContext{Query: q3, Alias: "T", Filter: q3.FilterOn("T")}
-	l, r = cut.Route(&rc3, region)
+	l, r = oracleRoute(cut, &rc3, region)
 	if !l || !r {
 		t.Errorf("Route = %v,%v, want true,true", l, r)
 	}
@@ -462,14 +462,14 @@ func TestInducedCutRoutingNegationOnly(t *testing.T) {
 	// Query with the join and source filter attr=1: only left.
 	q := starQuery("same", 1)
 	rc := RouteContext{Query: q, Alias: "fact", Filter: q.FilterOn("fact")}
-	l, r := cut.Route(&rc, predicate.Ranges{})
+	l, r := oracleRoute(cut, &rc, predicate.Ranges{})
 	if !l || r {
 		t.Errorf("matching source filter: Route = %v,%v", l, r)
 	}
 	// Query with the join and source filter attr=2 (disjoint): only right.
 	q2 := starQuery("other", 2)
 	rc2 := RouteContext{Query: q2, Alias: "fact", Filter: q2.FilterOn("fact")}
-	l, r = cut.Route(&rc2, predicate.Ranges{})
+	l, r = oracleRoute(cut, &rc2, predicate.Ranges{})
 	if l || !r {
 		t.Errorf("disjoint source filter: Route = %v,%v", l, r)
 	}
@@ -480,14 +480,14 @@ func TestInducedCutRoutingNegationOnly(t *testing.T) {
 	)
 	q3.AddJoin("dim", "id", "fact", "did")
 	rc3 := RouteContext{Query: q3, Alias: "fact", Filter: q3.FilterOn("fact")}
-	l, r = cut.Route(&rc3, predicate.Ranges{})
+	l, r = oracleRoute(cut, &rc3, predicate.Ranges{})
 	if !l || !r {
 		t.Errorf("unfiltered source: Route = %v,%v", l, r)
 	}
 	// Query without the join: both.
 	q4 := workload.NewQuery("nojoin", workload.TableRef{Table: "fact"})
 	rc4 := RouteContext{Query: q4, Alias: "fact", Filter: q4.FilterOn("fact")}
-	l, r = cut.Route(&rc4, predicate.Ranges{})
+	l, r = oracleRoute(cut, &rc4, predicate.Ranges{})
 	if !l || !r {
 		t.Errorf("joinless query: Route = %v,%v", l, r)
 	}
@@ -500,7 +500,7 @@ func TestInducedCutRoutingNegationOnly(t *testing.T) {
 	q5.AddJoin("dim", "id", "fact", "did")
 	q5.Filter("dim", predicate.NewComparison("attr", predicate.Le, value.Int(1)))
 	rc5 := RouteContext{Query: q5, Alias: "fact", Filter: q5.FilterOn("fact")}
-	l, r = cut.Route(&rc5, predicate.Ranges{})
+	l, r = oracleRoute(cut, &rc5, predicate.Ranges{})
 	if !l || !r {
 		t.Errorf("overlapping source filter: Route = %v,%v", l, r)
 	}

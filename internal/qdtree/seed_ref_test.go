@@ -7,9 +7,9 @@ import (
 
 // seedBuild is the pre-bitset greedy build kept verbatim as a reference:
 // boolean membership matrix, explicit row-id slices, sequential scoring, and
-// a second Route pass when partitioning queries. The identity tests pin the
-// rewritten Build to this implementation, and BenchmarkBuildSeed measures
-// the speedup against it.
+// a second routing pass (through the oracle router) when partitioning
+// queries. The identity tests pin the rewritten Build to this
+// implementation, and BenchmarkBuildSeed measures the speedup against it.
 func seedBuild(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config) (*Tree, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func (b *seedBuilder) split(rows []int32, queries []BuildQuery, region predicate
 		for qi := range queries {
 			bq := &queries[qi]
 			rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter}
-			l, r := cut.Route(&rc, region)
+			l, r := oracleRoute(cut, &rc, region)
 			if !l {
 				score += bq.Weight * estL
 			}
@@ -134,7 +134,7 @@ func (b *seedBuilder) split(rows []int32, queries []BuildQuery, region predicate
 	for qi := range queries {
 		bq := queries[qi]
 		rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter}
-		l, r := cut.Route(&rc, region)
+		l, r := oracleRoute(cut, &rc, region)
 		if l {
 			leftQs = append(leftQs, bq)
 		}

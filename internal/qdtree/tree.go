@@ -3,6 +3,7 @@ package qdtree
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"mto/internal/predicate"
 )
@@ -41,6 +42,7 @@ type Tree struct {
 	BlockSize int
 
 	leaves []*Node
+	router atomic.Pointer[router] // prepared query routing; reset by Reindex
 }
 
 // Leaves returns the leaf nodes in left-to-right order. The slice is
@@ -58,6 +60,7 @@ func (t *Tree) NumLeaves() int { return len(t.Leaves()) }
 // Reindex recomputes leaf order and indexes after a structural change
 // (subtree replacement during reorganization).
 func (t *Tree) Reindex() {
+	t.router.Store(nil)
 	t.leaves = t.leaves[:0]
 	var walk func(n *Node)
 	walk = func(n *Node) {
