@@ -21,10 +21,10 @@ import (
 // a block costs no page I/O; ReadBlock and Scan.ScanBlock are the only
 // metered data accesses.
 //
-// Queries execute through CompileScan and CompileFold. The handles report,
-// per filter and per aggregate, what the backend evaluates itself
-// (Supported); the engine computes the rest over the base table, so how
-// much a backend pushes down changes wall-clock time, never Results.
+// Queries execute through CompileScan and CompileFold. A scan evaluates
+// every filter; a fold reports per aggregate what the backend folds itself
+// (Fold.Supported), and the engine folds the rest over the base table, so
+// how much a backend pushes down changes wall-clock time, never Results.
 type Backend interface {
 	// Cost returns the backend's cost model.
 	Cost() CostModel
@@ -60,9 +60,8 @@ type Backend interface {
 	TotalBlocks(tables ...string) int
 	// CompileScan compiles the filters for evaluation against the named
 	// table, translating literals into the stored representation once per
-	// (query, table). It returns nil when the table has no layout;
-	// otherwise Scan.Supported reports per filter whether the backend
-	// evaluates it.
+	// (query, table). It takes every filter, and returns nil when the
+	// table has no layout.
 	CompileScan(table string, filters []predicate.Predicate) Scan
 	// CompileFold compiles the aggregates for per-block folding against
 	// the named table, keyed on group (zero = ungrouped). It returns nil
@@ -103,18 +102,13 @@ func CommitNow(p Prepared, err error) (float64, error) {
 // current at compile time. It is safe for concurrent use by parallel
 // workers.
 type Scan interface {
-	// Supported reports, per filter (parallel to the CompileScan input),
-	// whether ScanBlock evaluates it. Unsupported filters keep their mask
-	// untouched; the caller evaluates them over the base table.
-	Supported() []bool
 	// ScanBlock meters the read of block id — charging BlocksRead and
-	// RowsRead exactly like Backend.ReadBlock — evaluates every supported
-	// filter over the block, and ORs the matching rows into the
-	// corresponding global-row bitmap (mask[r>>6] bit r&63, indexed by
-	// table row ID). masks is parallel to the CompileScan filters; nil
-	// entries (and unsupported filters) are skipped. It returns the
-	// block's row IDs so the caller can track block membership without a
-	// second read.
+	// RowsRead exactly like Backend.ReadBlock — evaluates every filter
+	// over the block, and ORs the matching rows into the corresponding
+	// global-row bitmap (mask[r>>6] bit r&63, indexed by table row ID).
+	// masks is parallel to the CompileScan filters; nil entries are
+	// skipped. It returns the block's row IDs so the caller can track
+	// block membership without a second read.
 	ScanBlock(id int, masks [][]uint64) ([]int32, error)
 	// Prefetch queues background loads of the given blocks into the
 	// backend's cache (best-effort, bounded; the slice is copied). A

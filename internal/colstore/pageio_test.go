@@ -56,9 +56,6 @@ func scanAll(t *testing.T, s *Store, n int, p predicate.Predicate) ([]uint64, er
 		masks = [][]uint64{make([]uint64, (n+63)/64)}
 	}
 	scan := s.CompileScan("sc", filters)
-	if p != nil && !scan.Supported()[0] {
-		t.Fatalf("%s did not compile to a pushed-down scan", p)
-	}
 	for _, id := range allBlocks(s) {
 		if _, err := scan.ScanBlock(id, masks); err != nil {
 			return nil, err
@@ -86,7 +83,7 @@ func foldAll(s *Store, n int, group block.GroupKey, aggs []workload.Aggregate) (
 
 func wantMask(tab *relation.Table, p predicate.Predicate) []uint64 {
 	want := make([]uint64, (tab.NumRows()+63)/64)
-	predicate.CompileMask(p, tab, want)
+	predicate.FillMask(p, tab, want)
 	return want
 }
 
@@ -119,7 +116,7 @@ func TestScanReadsOnlyTouchedPages(t *testing.T) {
 		return func() error {
 			got, err := scanAll(t, s, n, p)
 			if err == nil && p != nil && !reflect.DeepEqual(got, wantMask(tab, p)) {
-				t.Errorf("%s: mask differs from CompileMask", p)
+				t.Errorf("%s: mask differs from FillMask", p)
 			}
 			return err
 		}
@@ -247,9 +244,6 @@ func TestPoolSmallerThanOneBlock(t *testing.T) {
 		}
 	}
 	for _, p := range append(scanPredicates(), nil) {
-		if p != nil && !s.CompileScan("sc", []predicate.Predicate{p}).Supported()[0] {
-			continue
-		}
 		step(fmt.Sprint("scan ", p), func(s *Store) (interface{}, error) { return scanAll(t, s, n, p) })
 	}
 	for _, group := range foldGroups(t, tab, "i_for", "s_dict") {
@@ -380,9 +374,6 @@ func corruptUntouchedPage(t *testing.T, src string) {
 	for _, p := range scanPredicates() {
 		names := map[string]bool{}
 		p.VisitColumns(func(c string) { names[c] = true })
-		if !s.CompileScan("sc", []predicate.Predicate{p}).Supported()[0] {
-			continue
-		}
 		reads := names[badCol]
 		got, err := scanAll(t, s, n, p)
 		want, wantE := scanAll(t, intact, n, p)
@@ -606,7 +597,7 @@ func TestPrefetchBoundedByPool(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(mask[0], wantMask(tab, p)) {
-		t.Error("scan after bounded readahead differs from CompileMask")
+		t.Error("scan after bounded readahead differs from FillMask")
 	}
 	st = s.Stats()
 	// One shard can be handed more than its eighth of the pool; allow it

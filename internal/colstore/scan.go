@@ -24,21 +24,20 @@ import (
 // the packed unsigned domain, and delta/raw pages compare decoded values
 // held in pooled scratch, never in retained vectors. Null rows are cleared
 // from each leaf's mask straight off the raw page null bitmap. The
-// semantics mirror predicate.CompileMask exactly — including NOT IN
-// null-literal handling — which is what makes a filter's mask
-// byte-identical whether the backend evaluates it here or the engine
-// evaluates it over the base table.
+// semantics mirror predicate.FillMask exactly — both run normalized
+// predicates through the same kernels — which is what makes a filter's
+// mask byte-identical whether the backend evaluates it here or the
+// reference engine evaluates it over the base table.
 
 // TableScan is one query's compiled compressed scan over one table,
 // pinned to the segment generation current at compile time. It is safe
 // for concurrent use by parallel scan workers.
 type TableScan struct {
-	store     *Store
-	table     string
-	st        *tableState
-	progs     []predicate.ScanNode // parallel to the CompileScan filters; nil = unsupported
-	supported []bool
-	colIdx    map[string]int
+	store  *Store
+	table  string
+	st     *tableState
+	progs  []predicate.ScanNode // parallel to the CompileScan filters
+	colIdx map[string]int
 	// touched lists, ascending, the segment columns the pushed-down
 	// filters name: the pages a block visit asks the pool for (none for an
 	// unfiltered scan, which needs the row IDs only).
@@ -67,24 +66,20 @@ func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.S
 		return seg.cols[ci].kind, true
 	}
 	ts := &TableScan{
-		store:     s,
-		table:     table,
-		st:        st,
-		progs:     make([]predicate.ScanNode, len(filters)),
-		supported: make([]bool, len(filters)),
-		colIdx:    colIdx,
+		store:  s,
+		table:  table,
+		st:     st,
+		progs:  make([]predicate.ScanNode, len(filters)),
+		colIdx: colIdx,
 	}
 	reads := make([]bool, len(seg.cols))
 	for i, f := range filters {
-		if node, ok := predicate.CompileScan(f, kindOf); ok {
-			ts.progs[i] = node
-			ts.supported[i] = true
-			f.VisitColumns(func(col string) {
-				if ci, ok := colIdx[col]; ok {
-					reads[ci] = true
-				}
-			})
-		}
+		ts.progs[i] = predicate.CompileScan(f, kindOf)
+		f.VisitColumns(func(col string) {
+			if ci, ok := colIdx[col]; ok {
+				reads[ci] = true
+			}
+		})
 	}
 	ts.touched = setColumns(reads)
 	return ts
@@ -100,10 +95,6 @@ func setColumns(reads []bool) []int {
 	}
 	return cols
 }
-
-// Supported implements block.Scan. Callers must not mutate the
-// returned slice.
-func (t *TableScan) Supported() []bool { return t.supported }
 
 // Prefetch implements block.Scan: it queues background loads of the pages
 // this scan's block visits will ask for. Best-effort and asynchronous. The
@@ -133,8 +124,8 @@ func (t *TableScan) Prefetch(ids []int) {
 
 // ScanBlock implements block.Scan. It meters the block read
 // exactly like Backend.ReadBlock, fetches the encoded block through the
-// buffer pool, evaluates every supported filter with a non-nil mask over
-// the encoded pages in one visit, and ORs matching rows into the
+// buffer pool, evaluates every filter with a non-nil mask over the
+// encoded pages in one visit, and ORs matching rows into the
 // global-row masks.
 func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
 	seg := t.st.seg
@@ -153,7 +144,7 @@ func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
 	v := t.newVisit(eb, nrows, sc)
 	nw := (nrows + 63) / 64
 	for i, prog := range t.progs {
-		if prog == nil || i >= len(masks) || masks[i] == nil {
+		if i >= len(masks) || masks[i] == nil {
 			continue
 		}
 		local := sc.grabMask(nw)
@@ -296,8 +287,8 @@ func (v *visit) combine(kids []predicate.ScanNode, and bool, out []uint64) error
 }
 
 // leafOf is a column leaf's zone evaluator, the column it reads (a
-// pair's left one) and that column's kind (KindNull for a pair, whose two
-// pages need only agree); a nil zone and "" for AND, OR and constants.
+// pair's left one) and that column's kind; a nil zone and "" for AND, OR
+// and constants.
 func leafOf(n predicate.ScanNode) (predicate.ZoneEval, string, value.Kind) {
 	switch q := n.(type) {
 	case *predicate.ScanCmpInt:
@@ -315,18 +306,18 @@ func leafOf(n predicate.ScanNode) (predicate.ZoneEval, string, value.Kind) {
 	case *predicate.ScanLike:
 		return q.Zone, q.Column, value.KindString
 	case *predicate.ScanCmpCols:
-		return q.Zone, q.Left, value.KindNull
+		return q.Zone, q.Left, q.LeftKind
 	}
 	return nil, "", value.KindNull
 }
 
-// col opens the named column's slot for a leaf reading kind (KindNull:
-// any), naming the column in any page error.
+// col opens the named column's slot for a leaf reading kind, naming the
+// column in any page error.
 func (v *visit) col(name string, kind value.Kind) (*colSlot, error) {
 	ci := v.t.colIdx[name]
 	s := &v.cols[ci]
 	err := s.open(v.eb.Cols[ci], v.nrows)
-	if err == nil && kind != value.KindNull && s.kind != kind {
+	if err == nil && s.kind != kind {
 		err = fmt.Errorf("encoding 0x%02x is not a %s page", s.pv.enc, kind)
 	}
 	if err != nil {
@@ -352,11 +343,8 @@ func (v *visit) leaf(n predicate.ScanNode, tri predicate.Tri, out []uint64) erro
 	}
 	var r *colSlot
 	if q, ok := n.(*predicate.ScanCmpCols); ok {
-		if r, err = v.col(q.Right, value.KindNull); err != nil {
+		if r, err = v.col(q.Right, q.RightKind); err != nil {
 			return err
-		}
-		if l.kind != r.kind {
-			return v.t.pageErr(q.Right, fmt.Errorf("encoding 0x%02x does not pair with %s's 0x%02x", r.pv.enc, q.Left, l.pv.enc))
 		}
 	}
 	switch tri {
@@ -506,12 +494,16 @@ func (s *colSlot) bandStr(q *predicate.ScanBand, out []uint64) error {
 
 // cmpCols evaluates (left op right) over the two columns' slots: ints and
 // floats as values, strings as byte ranges of the page bodies, compared
-// row by row by the kernel CompileMask runs over the base table.
+// row by row by the kernels FillMask runs over the base table.
 func (v *visit) cmpCols(q *predicate.ScanCmpCols, l, r *colSlot, out []uint64) error {
-	switch l.kind {
-	case value.KindFloat:
+	switch {
+	case l.kind == value.KindFloat && r.kind == value.KindFloat:
 		predicate.MaskCompareCols(l.floatValues(), r.floatValues(), q.Op, out)
-	case value.KindString:
+	case l.kind == value.KindInt && r.kind == value.KindFloat:
+		predicate.MaskCompareIntFloat(l.intValues(), r.floatValues(), q.Op, out)
+	case l.kind == value.KindFloat:
+		predicate.MaskCompareIntFloat(r.intValues(), l.floatValues(), q.Op.Mirror(), out)
+	case l.kind == value.KindString:
 		lv, lc, err := l.strRows()
 		if err != nil {
 			return v.t.pageErr(q.Left, err)
@@ -574,12 +566,8 @@ func (s *colSlot) cmpStr(op predicate.Op, lit string, nrows int, out []uint64) e
 }
 
 // inInt evaluates col [NOT] IN over an int page's values, probing the
-// precompiled set. Mirrors maskInList: NOT IN with a null literal matches
-// nothing.
+// precompiled set.
 func (s *colSlot) inInt(q *predicate.ScanInInt, out []uint64) {
-	if q.Negate && q.HasNullLit {
-		return
-	}
 	for i, x := range s.intValues() {
 		if _, found := q.Set[x]; found != q.Negate {
 			out[i>>6] |= 1 << (uint(i) & 63)
@@ -592,9 +580,6 @@ func (s *colSlot) inInt(q *predicate.ScanInInt, out []uint64) {
 // membership bitset (both sides sorted — a single linear merge, no string
 // materialization) and probe codes; raw pages probe the set per row.
 func (s *colSlot) inStr(q *predicate.ScanInStr, out []uint64, sc *scratch) error {
-	if q.Negate && q.HasNullLit {
-		return nil
-	}
 	v, codes, err := s.strRows()
 	if err != nil {
 		return err

@@ -143,7 +143,8 @@ func scanPredicates() []predicate.Predicate {
 	preds = append(preds,
 		pair("i_for", predicate.Lt, "missing"),
 		pair("missing", predicate.Ge, "s_dict"),
-		// Mixed kinds: refused by CompileScan and CompileMask alike.
+		// Mixed kinds: an int and a float compare exactly, a string and a
+		// number never.
 		pair("i_for", predicate.Lt, "f"),
 		pair("f", predicate.Eq, "i_delta"),
 		pair("s_dict", predicate.Ne, "i_for"),
@@ -242,38 +243,22 @@ func TestCompressedScanMatchesFillMask(t *testing.T) {
 				s := newScanStore(t, tab, groups, cacheBytes)
 				recordEncodings(t, s, seenEnc)
 				scan := s.CompileScan("sc", preds).(*TableScan)
-				supported := scan.Supported()
 				masks := make([][]uint64, len(preds))
 				nw := (n + 63) / 64
 				for i := range masks {
-					if supported[i] {
-						masks[i] = make([]uint64, nw)
-					}
+					masks[i] = make([]uint64, nw)
 				}
 				for id := 0; id < s.NumBlocks("sc"); id++ {
 					if _, err := scan.ScanBlock(id, masks); err != nil {
 						t.Fatal(err)
 					}
 				}
-				unsupported := 0
 				for i, p := range preds {
 					want := make([]uint64, nw)
-					wantOK := predicate.CompileMask(p, tab, want)
-					if supported[i] != wantOK {
-						t.Errorf("%s: CompileScan support %v, CompileMask support %v", p, supported[i], wantOK)
-						continue
-					}
-					if !supported[i] {
-						unsupported++
-						continue
-					}
+					predicate.FillMask(p, tab, want)
 					if !reflect.DeepEqual(masks[i], want) {
 						t.Errorf("%s: compressed mask differs from FillMask\n got %x\nwant %x", p, masks[i], want)
 					}
-				}
-				// The matrix must actually exercise the compressed path.
-				if supportedCount := len(preds) - unsupported; supportedCount < len(preds)*3/4 {
-					t.Fatalf("only %d/%d predicates compiled to compressed scans", supportedCount, len(preds))
 				}
 			})
 		}
@@ -310,9 +295,11 @@ func interleavedGroups(n, k int) [][]int32 {
 }
 
 // FuzzCompressedPredicate cross-checks the compressed evaluator against
-// FillMask on randomly generated single-column pages: random value
-// distributions (forcing different encodings), random null cadences, and
-// random operators/literals.
+// FillMask on randomly generated pages: random value distributions
+// (forcing different encodings), random null cadences, NaN and ±Inf
+// floats, and random operators against literals of the column's kind, of
+// the other numeric kind, NULL, NaN or ±Inf, IN lists over floats, and
+// column pairs of one kind or of an int and a float.
 func FuzzCompressedPredicate(f *testing.F) {
 	f.Add(int64(1), int64(150), uint8(0), uint8(0))
 	f.Add(int64(2), int64(-7), uint8(3), uint8(1))
@@ -325,21 +312,32 @@ func FuzzCompressedPredicate(f *testing.F) {
 		f.Add(int64(9+k), int64(7), uint8(10), k)
 		f.Add(int64(12+k), int64(0), uint8(11+12*k), k)
 	}
+	// Float IN lists and mixed int/float literals and pairs.
+	f.Add(int64(15), int64(3), uint8(6), uint8(1))
+	f.Add(int64(16), int64(5), uint8(7), uint8(1))
+	f.Add(int64(17), int64(9), uint8(11), uint8(0))
+	f.Add(int64(18), int64(1<<53+1), uint8(4), uint8(1))
 	f.Fuzz(func(t *testing.T, seed, rawLit int64, opRaw, kindRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(150)
 		kind := []value.Kind{value.KindInt, value.KindFloat, value.KindString}[int(kindRaw)%3]
-		// d is c's partner for the column-pair shapes: same kind, its own
-		// distribution and null cadence.
+		// d is c's partner for the column-pair shapes: its own
+		// distribution and null cadence, and sometimes the other numeric
+		// kind.
+		dKind := kind
+		if kind != value.KindString && rng.Intn(3) == 0 {
+			dKind = value.KindInt + value.KindFloat - kind
+		}
 		tab := relation.NewTable(relation.MustSchema("fz",
-			relation.Column{Name: "c", Type: kind}, relation.Column{Name: "d", Type: kind}))
+			relation.Column{Name: "c", Type: kind}, relation.Column{Name: "d", Type: dKind}))
 		nullEvery := rng.Intn(6) // 0 = no nulls
 		dist := rng.Intn(4)
 		var strPool []string
 		for i := 0; i < 8; i++ {
 			strPool = append(strPool, fmt.Sprintf("k%c%d", 'a'+rng.Intn(4), rng.Intn(20)))
 		}
-		gen := func(i, dist, nullEvery int) value.Value {
+		specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		gen := func(kind value.Kind, i, dist, nullEvery int) value.Value {
 			var v value.Value
 			switch kind {
 			case value.KindInt:
@@ -359,6 +357,9 @@ func FuzzCompressedPredicate(f *testing.F) {
 				}
 			case value.KindFloat:
 				v = value.Float(float64(rng.Intn(40)) * 0.5)
+				if dist == 3 && rng.Intn(4) == 0 {
+					v = value.Float(specials[rng.Intn(len(specials))])
+				}
 			default:
 				v = value.String(strPool[rng.Intn(len(strPool))])
 			}
@@ -369,13 +370,22 @@ func FuzzCompressedPredicate(f *testing.F) {
 		}
 		dDist, dNullEvery := rng.Intn(4), rng.Intn(6)
 		for i := 0; i < n; i++ {
-			tab.MustAppendRow(gen(i, dist, nullEvery), gen(i, dDist, dNullEvery))
+			tab.MustAppendRow(gen(kind, i, dist, nullEvery), gen(dKind, i, dDist, dNullEvery))
 		}
 		var lit value.Value
-		switch kind {
-		case value.KindInt:
+		switch shape := rng.Intn(8); {
+		case shape == 0:
+			lit = value.Null
+		case shape == 1 && kind != value.KindString: // the other numeric kind
+			lit = value.Float(float64(rawLit) * 0.5)
+			if kind == value.KindFloat {
+				lit = value.Int(rawLit)
+			}
+		case shape == 2 && kind == value.KindFloat:
+			lit = value.Float(specials[int(uint64(rawLit)%3)])
+		case kind == value.KindInt:
 			lit = value.Int(rawLit)
-		case value.KindFloat:
+		case kind == value.KindFloat:
 			lit = value.Float(float64(rawLit) * 0.5)
 		default:
 			lit = value.String(strPool[int(uint64(rawLit)%uint64(len(strPool)))])
@@ -391,9 +401,9 @@ func FuzzCompressedPredicate(f *testing.F) {
 		case 11:
 			p = &predicate.ColumnComparison{Left: "d", Op: ops[int(opRaw/12)%6], Right: "c"}
 		case 6:
-			p = predicate.NewIn("c", lit, value.Int(3))
+			p = predicate.NewIn("c", lit, value.Int(3), value.Float(2.5))
 		case 7:
-			p = predicate.NewNotIn("c", lit)
+			p = predicate.NewNotIn("c", lit, value.Float(4))
 		case 8:
 			if kind == value.KindString {
 				p = predicate.NewLike("c", "k_%")
@@ -413,7 +423,7 @@ func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate)
 	t.Helper()
 	n := tab.NumRows()
 	ts, eb := pageScan(tab)
-	node, ok := predicate.CompileScan(p, func(col string) (value.Kind, bool) {
+	node := predicate.CompileScan(p, func(col string) (value.Kind, bool) {
 		ci, found := tab.Schema().ColumnIndex(col)
 		if !found {
 			return value.KindNull, false
@@ -422,13 +432,7 @@ func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate)
 	})
 	nw := (n + 63) / 64
 	want := make([]uint64, nw)
-	wantOK := predicate.CompileMask(p, tab, want)
-	if ok != wantOK {
-		t.Fatalf("%s: CompileScan support %v, CompileMask support %v", p, ok, wantOK)
-	}
-	if !ok {
-		return
-	}
+	predicate.FillMask(p, tab, want)
 	got := make([]uint64, nw)
 	sc := getScratch()
 	defer putScratch(sc)
@@ -491,11 +495,7 @@ func TestRawLikeAllocatesNothing(t *testing.T) {
 	kindOf := func(string) (value.Kind, bool) { return value.KindString, true }
 	for _, pattern := range []string{"item-01%", "%-q", "%-2%", "item-123-t", "item-_4%", "%1\\_%"} {
 		like := predicate.NewLike("s", pattern)
-		node, ok := predicate.CompileScan(like, kindOf)
-		if !ok {
-			t.Fatalf("%q refused", pattern)
-		}
-		lk := node.(*predicate.ScanLike)
+		lk := predicate.CompileScan(like, kindOf).(*predicate.ScanLike)
 		var s colSlot
 		if err := s.open(page, n); err != nil {
 			t.Fatal(err)
@@ -509,9 +509,7 @@ func TestRawLikeAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]uint64, len(out))
-		if !predicate.CompileMask(like, tab, want) {
-			t.Fatalf("%q: mask path refused", pattern)
-		}
+		predicate.FillMask(like, tab, want)
 		if !slices.Equal(out, want) {
 			t.Errorf("%q: raw-page LIKE %x, string matcher %x", pattern, out, want)
 		}

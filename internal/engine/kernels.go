@@ -17,10 +17,8 @@ import (
 // whole columns and key sets per step instead of walking rows through
 // per-row closures:
 //
-//   - filter evaluation yields one dense bit mask per (alias, table): the
-//     backend's compiled block.Scan fills it per candidate block for the
-//     filters it supports; the few shapes it refuses run row by row, over
-//     the rows of the blocks read only;
+//   - filter evaluation yields one dense bit mask per (alias, table),
+//     filled per candidate block by the backend's compiled block.Scan;
 //   - join keys are dictionary codes (relation.ColumnDict, cached on the
 //     Engine like the secondary-index state), so semantic reduction runs
 //     each semijoin as a cost-chosen code kernel (semijoin.go) instead of
@@ -254,55 +252,28 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 }
 
 // scanKernel meters the reads of the table's candidate blocks and computes
-// each alias's filtered row set as one dense bitset.
-//
-// ScanBlock meters each read, reports the block's rows, and ORs the
-// block-local survivors of every filter the backend supports into the
-// alias's mask. A filter it refuses is compiled once into a per-row
-// evaluator and applied to the row IDs ScanBlock returned — it never sees a
-// row outside a block that was read. Either route yields bit-identical
-// alias masks.
+// each alias's filtered row set as one dense bitset: ScanBlock meters each
+// read, reports the block's rows, and ORs the block-local survivors of
+// every alias's filter into the alias's mask.
 func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan) error {
 	tbl := e.ds.Table(ts.table)
 	if tbl == nil {
 		return fmt.Errorf("engine: dataset missing table %q", ts.table)
 	}
 	n := tbl.NumRows()
-	supported := scan.Supported()
-	scanMasks := make([][]uint64, len(aliases))
-	residual := make([]func(int) bool, len(aliases)) // per-row route, else nil
+	masks := make([][]uint64, len(aliases))
 	for i, a := range aliases {
 		a.setBuf = grabDense(n)
 		a.set = a.setBuf.dense()
-		if supported[i] {
-			scanMasks[i] = a.set
-		} else {
-			residual[i] = predicate.Compile(a.filter, tbl)
-		}
+		masks[i] = a.set
 	}
-	residualRows := 0
 	for _, id := range ts.candidates {
-		rows, err := scan.ScanBlock(id, scanMasks)
+		rows, err := scan.ScanBlock(id, masks)
 		if err != nil {
 			return err
 		}
 		ts.blocksRead++
 		ts.rowsRead += len(rows)
-		for i, match := range residual {
-			if match == nil {
-				continue
-			}
-			residualRows += len(rows)
-			set := aliases[i].set
-			for _, r := range rows {
-				if match(int(r)) {
-					set.Set(int(r))
-				}
-			}
-		}
-	}
-	if residualRows > 0 {
-		e.counters.residualFilterRows.Add(int64(residualRows))
 	}
 	for _, a := range aliases {
 		a.count = a.set.Count()

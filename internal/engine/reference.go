@@ -7,10 +7,10 @@ import (
 	"mto/internal/workload"
 )
 
-// ExecuteReference runs q through the retained scalar execution path: the
-// predicate tree walks each row through a compiled closure, zone maps are
-// probed block by block, and join-key sets are boxed value maps rebuilt
-// every reduction pass. It exists as the correctness oracle for the
+// ExecuteReference runs q through the retained scalar execution path:
+// filters run over the base table (predicate.FillRows on each block's
+// rows) instead of encoded pages, zone maps are probed block by block, and
+// join-key sets are boxed value maps rebuilt every reduction pass. It exists as the correctness oracle for the
 // vectorized kernels behind Execute — the identity tests assert the two
 // return byte-identical Results over whole workloads — and as the baseline
 // for the replay benchmark's speedup measurement.
@@ -40,10 +40,14 @@ func (e *Engine) executeReference(q *workload.Query) (*Result, error) {
 	for _, name := range order {
 		ts := tables[name]
 		zones := e.store.Zones(name)
+		fns := make([]func(predicate.Ranges) predicate.Tri, len(byTable[name]))
+		for i, as := range byTable[name] {
+			fns[i] = predicate.CompileRanges(as.filter)
+		}
 		kept := ts.candidates[:0]
 		for _, id := range ts.candidates {
-			for _, as := range byTable[name] {
-				if zones[id].MaybeMatches(as.filter) {
+			for _, fn := range fns {
+				if fn(zones[id].Ranges()) != predicate.TriFalse {
 					kept = append(kept, id)
 					break
 				}
@@ -89,16 +93,12 @@ func (e *Engine) executeReference(q *workload.Query) (*Result, error) {
 }
 
 // readAndFilter meters the reads of the table's candidate blocks and
-// computes each alias's filtered row set, one compiled-closure call per
-// row.
+// computes each alias's filtered row set over the base table rows of each
+// block read.
 func (e *Engine) readAndFilter(ts *tableState, aliases []*aliasState) error {
 	tbl := e.ds.Table(ts.table)
 	if tbl == nil {
 		return fmt.Errorf("engine: dataset missing table %q", ts.table)
-	}
-	matchers := make([]func(int) bool, len(aliases))
-	for i, as := range aliases {
-		matchers[i] = predicate.Compile(as.filter, tbl)
 	}
 	for _, id := range ts.candidates {
 		b, err := e.store.ReadBlock(ts.table, id)
@@ -107,9 +107,11 @@ func (e *Engine) readAndFilter(ts *tableState, aliases []*aliasState) error {
 		}
 		ts.blocksRead++
 		ts.rowsRead += b.NumRows()
-		for i, as := range aliases {
-			for _, r := range b.Rows {
-				if matchers[i](int(r)) {
+		for _, as := range aliases {
+			mask := make([]uint64, (len(b.Rows)+63)/64)
+			predicate.FillRows(as.filter, tbl, b.Rows, mask)
+			for k, r := range b.Rows {
+				if mask[k>>6]>>(uint(k)&63)&1 == 1 {
 					as.rows = append(as.rows, r)
 				}
 			}

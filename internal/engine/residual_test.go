@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -15,16 +17,18 @@ import (
 	"mto/internal/workload"
 )
 
-// The engine has two filter routes: pushed down into the backend's scan, or
-// row by row over the rows ScanBlock returned. The tests in this file pin
-// each to the filters it serves, wherever the segment's bytes live.
+// The engine has one filter route: every filter is pushed down into the
+// backend's scan, whatever its shape, and the reference path evaluates the
+// same filters over the base table. The tests in this file pin the two
+// together on the shapes predicate normalization rewrites, wherever the
+// segment's bytes live.
 
-// TestResidualFilterTouchesOnlyRowsRead is the proportionality property of
-// the per-row route: a selective conjunct routes the query to 1 of 20
-// blocks, a second conjunct of a shape the backend's scan refuses forces
-// the whole filter onto the per-row evaluator — which must then be handed
-// exactly the rows of the block that was read, not the table's, with the
-// Result equal to ExecuteReference's.
+// TestResidualFilterTouchesOnlyRowsRead is the engine row of the oracle
+// shape table (predicate's TestRefusedShapesMatchOracle): a selective
+// conjunct routes the query to 1 of 20 blocks, a second conjunct of a
+// shape normalization rewrites must then be evaluated over exactly that
+// block, with the Result equal to ExecuteReference's and the survivors
+// FillMask's.
 func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 	const rows, blockSize = 10000, 500
 	ds := relation.NewDataset()
@@ -33,22 +37,34 @@ func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 		relation.Column{Name: "v", Type: value.KindInt},
 		relation.Column{Name: "f", Type: value.KindFloat},
 		relation.Column{Name: "s", Type: value.KindString},
+		relation.Column{Name: "b", Type: value.KindInt},
 	))
 	for i := 0; i < rows; i++ {
 		f := value.Value(value.Float(float64(i%40) * 0.5))
-		if i%13 == 0 {
+		switch {
+		case i%13 == 0:
 			f = value.Null
+		case i%17 == 0:
+			f = value.Float(math.NaN())
+		case i%19 == 0:
+			f = value.Float(math.Inf(1 - 2*(i%2)))
 		}
 		ev.MustAppendRow(value.Int(int64(i/blockSize)), value.Int(int64(i*7%23)), f,
-			value.String(string(rune('a'+i%5))))
+			value.String(string(rune('a'+i%5))), value.Int(1<<53-2+int64(i%5)))
 	}
 	ds.MustAddTable(ev)
 
-	refused := map[string]predicate.Predicate{
+	shapes := map[string]predicate.Predicate{
 		"int column vs float literal": predicate.NewComparison("v", predicate.Lt, value.Float(11.5)),
 		"float IN list":               predicate.NewIn("f", value.Float(1.5), value.Float(7)),
 		"NULL literal":                predicate.NewOr(predicate.NewComparison("v", predicate.Eq, value.Null), predicate.NewLike("s", "b%")),
 		"mixed-kind column pair":      &predicate.ColumnComparison{Left: "f", Op: predicate.Lt, Right: "v"},
+		"v IN (3.0)":                  predicate.NewIn("v", value.Float(3)),
+		"v NOT IN (3.0)":              predicate.NewNotIn("v", value.Float(3)),
+		"NaN literal":                 predicate.NewOr(predicate.NewComparison("f", predicate.Ne, value.Float(math.NaN())), predicate.NewComparison("v", predicate.Eq, value.Int(4))),
+		"NaN and Inf rows":            predicate.NewComparison("f", predicate.Ne, value.Float(2)),
+		"int column near 2^53":        predicate.NewComparison("b", predicate.Gt, value.Float(1<<53)),
+		"string vs int literal":       predicate.NewOr(predicate.NewComparison("s", predicate.Eq, value.Int(5)), predicate.NewComparison("v", predicate.Gt, value.Int(11))),
 	}
 	stores := map[string]func() (*colstore.Store, error){
 		"RAM": func() (*colstore.Store, error) { return colstore.NewMemStore(block.DefaultCostModel()), nil },
@@ -70,13 +86,10 @@ func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := engine.New(store, design, ds, engine.DefaultOptions())
-		for shape, p := range refused {
+		for shape, p := range shapes {
 			q := workload.NewQuery("residual", workload.TableRef{Table: "ev"})
 			q.Filter("ev", predicate.NewComparison("d", predicate.Eq, value.Int(7)))
 			q.Filter("ev", p)
-			if sup := store.CompileScan("ev", []predicate.Predicate{q.FilterOn("ev")}).Supported(); sup[0] {
-				t.Fatalf("%s/%s: backend accepted the filter; the test no longer forces the residual route", bname, shape)
-			}
 			before := e.StatsSnapshot()
 			got, err := e.Execute(q)
 			if err != nil {
@@ -86,10 +99,6 @@ func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 			if st.BlocksRead != 1 || st.RowsScanned != blockSize {
 				t.Fatalf("%s/%s: read %d blocks / %d rows, want 1 / %d", bname, shape, st.BlocksRead, st.RowsScanned, blockSize)
 			}
-			if st.ResidualFilterRows != st.RowsScanned {
-				t.Errorf("%s/%s: per-row evaluator saw %d rows, blocks read hold %d (table: %d)",
-					bname, shape, st.ResidualFilterRows, st.RowsScanned, rows)
-			}
 			want, err := e.ExecuteReference(q)
 			if err != nil {
 				t.Fatalf("%s/%s: reference: %v", bname, shape, err)
@@ -97,19 +106,81 @@ func TestResidualFilterTouchesOnlyRowsRead(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s/%s: kernel diverges from reference:\n got %+v\nwant %+v", bname, shape, got, want)
 			}
-			if got.SurvivingRows["ev"] == 0 || got.SurvivingRows["ev"] == blockSize {
-				t.Errorf("%s/%s: %d survivors of %d: the residual conjunct does not discriminate",
-					bname, shape, got.SurvivingRows["ev"], blockSize)
+			if n := maskCount(q.FilterOn("ev"), ev); got.SurvivingRows["ev"] != n {
+				t.Errorf("%s/%s: %d survivors, FillMask finds %d", bname, shape, got.SurvivingRows["ev"], n)
 			}
 		}
 	}
 }
 
-// TestPushdownCoversBenchmarks pins the reach of the pushed-down route:
-// every SSB, TPC-H and TPC-DS template — including TPC-H's column-vs-column
-// Q4/Q12/Q21 — has all of its filters evaluated over encoded pages, so not
-// one row reaches the per-row evaluator, on the default store (segments in
-// memory) and on segment files alike.
+// maskCount is the number of rows of t p matches, by FillMask.
+func maskCount(p predicate.Predicate, t *relation.Table) int {
+	mask := make([]uint64, (t.NumRows()+63)/64)
+	predicate.FillMask(p, t, mask)
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// TestNaNRowsSurviveZoneMaps: every tenth f is NaN, and the first row of
+// every block. A NaN must not become a zone-map bound — it would make
+// every block look empty of matches — and matches no comparison, "<>"
+// included, in Execute, in ExecuteReference and in FillMask alike.
+func TestNaNRowsSurviveZoneMaps(t *testing.T) {
+	ds := relation.NewDataset()
+	ev := relation.NewTable(relation.MustSchema("ev",
+		relation.Column{Name: "d", Type: value.KindInt},
+		relation.Column{Name: "f", Type: value.KindFloat},
+	))
+	for i := 0; i < 100; i++ {
+		f := value.Float(float64(i) * 0.05)
+		if i%10 == 0 {
+			f = value.Float(math.NaN())
+		}
+		ev.MustAppendRow(value.Int(int64(i)), f)
+	}
+	ds.MustAddTable(ev)
+	design, err := layout.SortKeyDesign(ds, layout.SortKeys{"ev": "d"}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := colstore.NewMemStore(block.DefaultCostModel())
+	t.Cleanup(func() { store.Close() })
+	if _, err := design.Install(store, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(store, design, ds, engine.DefaultOptions())
+	for _, p := range []predicate.Predicate{
+		predicate.NewComparison("f", predicate.Gt, value.Int(3)),
+		predicate.NewComparison("f", predicate.Ne, value.Int(1)),
+		predicate.NewComparison("f", predicate.Lt, value.Float(1.5)),
+	} {
+		q := workload.NewQuery("nan", workload.TableRef{Table: "ev"})
+		q.Filter("ev", p)
+		got, err := e.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.ExecuteReference(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: kernel diverges from reference:\n got %+v\nwant %+v", p, got, want)
+		}
+		if n := maskCount(p, ev); got.SurvivingRows["ev"] != n || n == 0 {
+			t.Errorf("%s: %d survivors, FillMask finds %d", p, got.SurvivingRows["ev"], n)
+		}
+	}
+}
+
+// TestPushdownCoversBenchmarks runs every SSB, TPC-H and TPC-DS template —
+// including TPC-H's column-vs-column Q4/Q12/Q21 — over encoded pages, on
+// the default store (segments in memory) and on segment files alike. Every
+// filter is pushed down by construction now; the test keeps the workloads'
+// column pairs in view.
 func TestPushdownCoversBenchmarks(t *testing.T) {
 	for _, store := range []string{"mem", "disk"} {
 		t.Run(store, func(t *testing.T) { pushdownCoversBenchmarks(t, store) })
@@ -135,16 +206,10 @@ func pushdownCoversBenchmarks(t *testing.T, store string) {
 				if hasColumnPair(f) {
 					pairs++
 				}
-				if sup := d.Store.CompileScan(q.BaseTable(alias), []predicate.Predicate{f}).Supported(); !sup[0] {
-					t.Errorf("%s/%s: filter on %s not pushed down: %s", bench.Name, q.ID, alias, f)
-				}
 			}
 			if _, err := e.Execute(q); err != nil {
 				t.Fatalf("%s/%s: %v", bench.Name, q.ID, err)
 			}
-		}
-		if n := e.StatsSnapshot().ResidualFilterRows; n != 0 {
-			t.Errorf("%s: %d rows fell off the pushdown", bench.Name, n)
 		}
 		if bench.Name == "TPC-H" && pairs == 0 {
 			t.Errorf("%s: no column-vs-column filter in the workload", bench.Name)

@@ -20,17 +20,11 @@ type Stats struct {
 	BlocksRead  int64   `json:"blocks_read"`
 	RowsScanned int64   `json:"rows_scanned"`
 	SimSeconds  float64 `json:"sim_seconds"`
-	// ResidualFilterRows counts rows handed to the engine-side per-row
-	// filter evaluator: the rows of the blocks read, once per alias whose
-	// filter the backend's scan does not accept.
-	// Zero on a healthy deployment; growth means a predicate shape has
-	// fallen off the pushdown. Unlike the fields above it counts Execute's
-	// scans as they happen, failed executions included.
-	ResidualFilterRows int64 `json:"residual_filter_rows"`
 	// MaterializedFoldRows counts survivor rows Execute walks in the
 	// row-order fold pass (grouped.go), once per alias that pass folds:
 	// the aggregates the backend's fold does not take cost this many row
-	// visits. Like ResidualFilterRows it counts as it happens.
+	// visits. Unlike the fields above it counts as it happens, failed
+	// executions included.
 	MaterializedFoldRows int64 `json:"materialized_fold_rows"`
 }
 
@@ -43,7 +37,6 @@ func (s Stats) Sub(o Stats) Stats {
 		RowsScanned: s.RowsScanned - o.RowsScanned,
 		SimSeconds:  s.SimSeconds - o.SimSeconds,
 
-		ResidualFilterRows:   s.ResidualFilterRows - o.ResidualFilterRows,
 		MaterializedFoldRows: s.MaterializedFoldRows - o.MaterializedFoldRows,
 	}
 }
@@ -57,7 +50,6 @@ func (s Stats) Add(o Stats) Stats {
 		RowsScanned: s.RowsScanned + o.RowsScanned,
 		SimSeconds:  s.SimSeconds + o.SimSeconds,
 
-		ResidualFilterRows:   s.ResidualFilterRows + o.ResidualFilterRows,
 		MaterializedFoldRows: s.MaterializedFoldRows + o.MaterializedFoldRows,
 	}
 }
@@ -74,7 +66,6 @@ type engineCounters struct {
 	rowsScanned atomic.Int64
 	simSecBits  atomic.Uint64 // float64 bits, CAS-accumulated
 
-	residualFilterRows   atomic.Int64 // bumped by scanKernel, not by note
 	materializedFoldRows atomic.Int64 // bumped by foldAlias, not by note
 }
 
@@ -113,7 +104,6 @@ func (e *Engine) StatsSnapshot() Stats {
 		RowsScanned: e.counters.rowsScanned.Load(),
 		SimSeconds:  math.Float64frombits(e.counters.simSecBits.Load()),
 
-		ResidualFilterRows:   e.counters.residualFilterRows.Load(),
 		MaterializedFoldRows: e.counters.materializedFoldRows.Load(),
 	}
 }

@@ -248,17 +248,18 @@ func (n *stageNode) runHop(ds *relation.Dataset) {
 		return
 	}
 	mask := make([]uint64, (t.NumRows()+63)>>6)
-	fillProbeMask(t, inCi, n.parent.set, mask)
+	fillProbeMask(t, inCi, nil, n.parent.set, mask)
 	projectMask(t, mask, outCi, n.set)
 	n.set.optimize()
 }
 
-// fillProbeMask sets bit r for every row of t whose ci value is a member of
-// prev — the vectorized semi-join probe. Null rows never match.
-func fillProbeMask(t *relation.Table, ci int, prev *keySet, mask []uint64) {
+// fillProbeMask sets bit k for every rows[k] (every row of t when rows is
+// nil) whose ci value is a member of prev — the vectorized semi-join
+// probe. Null rows never match.
+func fillProbeMask(t *relation.Table, ci int, rows []int32, prev *keySet, mask []uint64) {
 	switch t.Schema().Column(ci).Type {
 	case value.KindInt:
-		vals := t.Ints(ci)
+		vals := relation.Gather(t.Ints(ci), rows)
 		// Snapshot the compressed set as a flat bitset when it is small
 		// relative to the probe, turning each membership test from two
 		// binary searches into one bit load. Out-of-range keys (negative or
@@ -286,7 +287,7 @@ func fillProbeMask(t *relation.Table, ci int, prev *keySet, mask []uint64) {
 			mask[r>>6] |= b << (uint(r) & 63)
 		}
 	case value.KindString:
-		for r, v := range t.Strings(ci) {
+		for r, v := range relation.Gather(t.Strings(ci), rows) {
 			var b uint64
 			if prev.containsStr(v) {
 				b = 1
@@ -294,7 +295,7 @@ func fillProbeMask(t *relation.Table, ci int, prev *keySet, mask []uint64) {
 			mask[r>>6] |= b << (uint(r) & 63)
 		}
 	}
-	for r, isNull := range t.Nulls(ci) {
+	for r, isNull := range relation.Gather(t.Nulls(ci), rows) {
 		if isNull {
 			mask[r>>6] &^= 1 << (uint(r) & 63)
 		}

@@ -28,9 +28,10 @@ func (p *Predicate) Evaluate(ds *relation.Dataset) error {
 	if err := checkJoinColumnKind(src, ci); err != nil {
 		return err
 	}
-	match := predicate.Compile(p.SourceCut, src)
+	match := make([]uint64, (src.NumRows()+63)/64)
+	predicate.FillMask(p.SourceCut, src, match)
 	for r := 0; r < src.NumRows(); r++ {
-		if match(r) {
+		if match[r>>6]>>(uint(r)&63)&1 == 1 {
 			stage0.add(src.Value(r, ci))
 		}
 	}
@@ -67,4 +68,15 @@ func (p *Predicate) Evaluate(ds *relation.Dataset) error {
 	}
 	p.stages = stages
 	return nil
+}
+
+// MatchesRow reports whether the target-table row satisfies the literal cut
+// (record routing, §4.1.2), one boxed lookup: the oracle FillMask must
+// agree with. t must be the target table.
+func (p *Predicate) MatchesRow(t *relation.Table, row int) bool {
+	ci, ok := t.Schema().ColumnIndex(p.TargetColumn())
+	if !ok {
+		return false
+	}
+	return p.literal().contains(t.Value(row, ci))
 }

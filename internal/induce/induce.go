@@ -75,33 +75,14 @@ func (p *Predicate) literal() *keySet {
 	return p.stages[len(p.stages)-1]
 }
 
-// MatchesRow reports whether the target-table row satisfies the literal cut
-// (record routing, §4.1.2). t must be the target table.
-func (p *Predicate) MatchesRow(t *relation.Table, row int) bool {
-	ci, ok := t.Schema().ColumnIndex(p.TargetColumn())
-	if !ok {
-		return false
-	}
-	return p.literal().contains(t.Value(row, ci))
-}
-
-// CompileRow returns a fast bound row matcher for the target table.
-func (p *Predicate) CompileRow(t *relation.Table) func(row int) bool {
-	ci, ok := t.Schema().ColumnIndex(p.TargetColumn())
-	if !ok {
-		return func(int) bool { return false }
-	}
+// FillMask sets bit k of mask for every rows[k] (every row of t when rows
+// is nil) whose target join column holds a key of the literal cut: record
+// routing, §4.1.2. t must be the target table; NULL keys never match.
+func (p *Predicate) FillMask(t *relation.Table, rows []int32, mask []uint64) {
 	lit := p.literal()
-	if t.Schema().Column(ci).Type == value.KindInt {
-		ints := t.Ints(ci)
-		return func(row int) bool {
-			if t.IsNullAt(row, ci) {
-				return false
-			}
-			return lit.containsInt(ints[row])
-		}
+	if ci, ok := t.Schema().ColumnIndex(p.TargetColumn()); ok {
+		fillProbeMask(t, ci, rows, lit, mask)
 	}
-	return func(row int) bool { return lit.contains(t.Value(row, ci)) }
 }
 
 // LiteralSize returns the cardinality of the literal cut.
@@ -240,10 +221,20 @@ func (p *Predicate) applyChangeStage(tbl *relation.Table, table string, stage in
 	if err := checkJoinColumnKind(tbl, outCol); err != nil {
 		return err
 	}
-	var qualifies func(row int) bool
+	for _, r := range rows {
+		if r < 0 || r >= tbl.NumRows() {
+			return fmt.Errorf("induce: row %d out of range for %s", r, table)
+		}
+	}
+	var qualifies func(k, row int) bool
 	if stage == 0 {
-		match := predicate.Compile(p.SourceCut, tbl)
-		qualifies = match
+		rows32 := make([]int32, len(rows))
+		for k, r := range rows {
+			rows32[k] = int32(r)
+		}
+		match := make([]uint64, (len(rows)+63)/64)
+		predicate.FillRows(p.SourceCut, tbl, rows32, match)
+		qualifies = func(k, _ int) bool { return match[k>>6]>>(uint(k)&63)&1 == 1 }
 	} else {
 		inCol, ok := tbl.Schema().ColumnIndex(hops[stage-1].ToColumn)
 		if !ok {
@@ -253,14 +244,11 @@ func (p *Predicate) applyChangeStage(tbl *relation.Table, table string, stage in
 			return err
 		}
 		prev := p.stages[stage-1]
-		qualifies = func(row int) bool { return prev.contains(tbl.Value(row, inCol)) }
+		qualifies = func(_, row int) bool { return prev.contains(tbl.Value(row, inCol)) }
 	}
 	set := p.mutableStage(stage)
-	for _, r := range rows {
-		if r < 0 || r >= tbl.NumRows() {
-			return fmt.Errorf("induce: row %d out of range for %s", r, table)
-		}
-		if !qualifies(r) {
+	for k, r := range rows {
+		if !qualifies(k, r) {
 			continue
 		}
 		if insert {

@@ -77,15 +77,25 @@ func TestEvaluateChain(t *testing.T) {
 	}
 	// Rows of A whose bkey is in the set match.
 	a := ds.Table("A")
-	fast := ip.CompileRow(a)
+	all := make([]uint64, (a.NumRows()+63)/64)
+	ip.FillMask(a, nil, all)
+	rev := make([]int32, a.NumRows()) // the row-list form, rows reversed
+	for k := range rev {
+		rev[k] = int32(a.NumRows() - 1 - k)
+	}
+	list := make([]uint64, (a.NumRows()+63)/64)
+	ip.FillMask(a, rev, list)
 	for r := 0; r < a.NumRows(); r++ {
 		bkey := a.ValueByName(r, "bkey").Int()
 		want := wantB[bkey]
 		if got := ip.MatchesRow(a, r); got != want {
 			t.Errorf("row %d (bkey=%d) MatchesRow = %v, want %v", r, bkey, got, want)
 		}
-		if got := fast(r); got != want {
-			t.Errorf("row %d CompileRow = %v, want %v", r, got, want)
+		if got := all[r>>6]>>(uint(r)&63)&1 == 1; got != want {
+			t.Errorf("row %d FillMask = %v, want %v", r, got, want)
+		}
+		if k := a.NumRows() - 1 - r; list[k>>6]>>(uint(k)&63)&1 == 1 != want {
+			t.Errorf("row %d FillMask over a row list = %v, want %v", r, !want, want)
 		}
 	}
 	if ip.Target() != "A" || ip.TargetColumn() != "bkey" || ip.Depth() != 2 {

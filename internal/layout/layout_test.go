@@ -33,7 +33,7 @@ func twoColDataset(t *testing.T, n int, seed int64) *relation.Dataset {
 func skippableBlocks(blocks []*block.Block, p predicate.Predicate) (skipped, total int) {
 	for _, b := range blocks {
 		total++
-		if !b.Zone.MaybeMatches(p) {
+		if predicate.CompileRanges(p)(b.Zone.Ranges()) == predicate.TriFalse {
 			skipped++
 		}
 	}

@@ -1,7 +1,7 @@
 package predicate
 
 import (
-	"sort"
+	"slices"
 	"unsafe"
 
 	"mto/internal/value"
@@ -16,12 +16,11 @@ import (
 // decide it before any page is decoded, and two bounds on one column under
 // an AND compile to one ScanBand.
 //
-// CompileScan's support matrix is CompileMask's — both ask supportedShape —
-// so it returns ok=false precisely when CompileMask would refuse (callers
-// then evaluate the filter themselves), and the leaf semantics — including
-// null handling and NOT IN with a null literal — match CompileMask bit for
-// bit. Keeping the two in lockstep is what lets the compressed scan path
-// promise byte-identical results.
+// CompileScan normalizes the predicate exactly as FillMask does, so it
+// takes every filter, and each leaf's semantics — null and NaN handling
+// included — match FillMask's kernels bit for bit. Keeping the two in
+// lockstep is what lets the compressed scan path promise byte-identical
+// results.
 type ScanNode interface {
 	scanNode()
 }
@@ -32,20 +31,17 @@ type ScanAnd struct{ Children []ScanNode }
 // ScanOr matches rows matched by at least one child.
 type ScanOr struct{ Children []ScanNode }
 
-// ScanConst matches every row (true) or no row (false). Missing-column
-// leaves compile to ScanConst(false): they match nothing, like
-// CompileMask's zero mask. It never touches a null bitmap — there is no
-// column behind it.
+// ScanConst matches every row (true) or no row (false). Leaves normalize
+// turns into Const(false) — a missing column, a NULL, NaN or other-kind
+// literal — compile to ScanConst(false). It never touches a null bitmap —
+// there is no column behind it.
 type ScanConst bool
 
-// ZoneEval is a leaf's zone-map decision: CompileRanges of the predicate
-// the leaf was compiled from, so a block's zone map decides the leaf
-// exactly as EvalRanges decides that predicate. TriTrue means every
-// non-null row matches, TriFalse that none does. It is nil where a zone
-// decision could disagree with the row kernel: float columns (a NaN never
-// enters a zone map's bounds), IN lists with literals of another kind (the
-// zone compares int and float numerically, the kernel skips them), and NOT
-// IN with a NULL literal (which matches nothing).
+// ZoneEval is a leaf's zone-map decision: CompileRanges of the normalized
+// predicate the leaf was compiled from. TriTrue means every non-null row
+// matches, TriFalse that none does. It is nil on leaves over a float
+// column: a zone map's bounds leave NaN rows out, so its TriTrue would
+// claim rows that match nothing.
 type ZoneEval func(Ranges) Tri
 
 // ScanCmpInt is an int-column comparison against an int literal.
@@ -56,8 +52,8 @@ type ScanCmpInt struct {
 	Zone   ZoneEval
 }
 
-// ScanCmpFloat is a float-column comparison; int literals arrive widened
-// via AsFloat, mirroring CompileMask.
+// ScanCmpFloat is a float-column comparison against a float literal that
+// is not NaN; normalize has made an int literal its exact float bound.
 type ScanCmpFloat struct {
 	Column string
 	Op     Op
@@ -84,36 +80,35 @@ type ScanBand struct {
 	Zone         ZoneEval
 }
 
-// ScanCmpCols compares two columns of one table that share a kind (int,
-// float or string): Left Op Right. A row with NULL on either side never
-// matches, and values order as value.Compare orders them.
+// ScanCmpCols compares two columns of one table: Left Op Right, of one
+// kind (int, float or string) or an int and a float, compared exactly. A
+// row with NULL or NaN on either side never matches. LeftKind and
+// RightKind are the columns' kinds.
 type ScanCmpCols struct {
-	Left, Right string
-	Op          Op
-	Zone        ZoneEval
+	Left, Right         string
+	LeftKind, RightKind value.Kind
+	Op                  Op
+	Zone                ZoneEval
 }
 
-// ScanInInt is col [NOT] IN over an int column. Set holds the int-kind
-// literals; Sorted is the same values ascending and distinct, for
-// merge-joins against sorted page dictionaries. HasNullLit records a NULL
-// literal: NOT IN with a NULL literal matches nothing.
+// ScanInInt is col [NOT] IN over an int column. Set holds the literals;
+// Sorted is the same values ascending and distinct, for merge-joins
+// against sorted page dictionaries.
 type ScanInInt struct {
-	Column     string
-	Set        map[int64]struct{}
-	Sorted     []int64
-	Negate     bool
-	HasNullLit bool
-	Zone       ZoneEval
+	Column string
+	Set    map[int64]struct{}
+	Sorted []int64
+	Negate bool
+	Zone   ZoneEval
 }
 
 // ScanInStr is col [NOT] IN over a string column.
 type ScanInStr struct {
-	Column     string
-	Set        map[string]struct{}
-	Sorted     []string
-	Negate     bool
-	HasNullLit bool
-	Zone       ZoneEval
+	Column string
+	Set    map[string]struct{}
+	Sorted []string
+	Negate bool
+	Zone   ZoneEval
 }
 
 // ScanLike is col [NOT] LIKE over a string column, with the matcher
@@ -141,100 +136,44 @@ func (*ScanLike) scanNode()     {}
 
 // CompileScan compiles p for compressed-domain evaluation against a table
 // whose column kinds are reported by kindOf (missing columns return
-// ok=false from kindOf). All literal normalization — kind checks, IN-set
+// ok=false from kindOf). All literal work — normalization, IN-set
 // construction and sorting, LIKE matcher specialization — happens here,
 // once per (query, table), so per-page evaluation only translates the
 // normalized literals into each page's code space.
-//
-// It reports ok=false exactly when CompileMask would — both ask
-// supportedShape — and the caller must then evaluate the whole predicate
-// itself.
-func CompileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) (ScanNode, bool) {
-	if !supportedShape(p, kindOf) {
-		return nil, false
-	}
-	return compileScan(p, kindOf), true
+func CompileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNode {
+	return compileScan(normalize(p, kindOf), kindOf)
 }
 
-// compileScan builds the plan tree of a predicate supportedShape accepted.
+// compileScan builds the plan tree of a normalized predicate.
 func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNode {
 	switch q := p.(type) {
 	case *Comparison:
-		kind, ok := kindOf(q.Column)
-		if !ok {
-			return ScanConst(false) // no such column: matches nothing
-		}
-		switch kind {
+		switch kind, _ := kindOf(q.Column); kind {
 		case value.KindInt:
 			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int(), Zone: CompileRanges(q)}
 		case value.KindFloat:
-			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.AsFloat()}
+			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.Float()}
 		default:
 			return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str(), Zone: CompileRanges(q)}
 		}
 	case *ColumnComparison:
-		kind, lok := kindOf(q.Left)
-		_, rok := kindOf(q.Right)
-		if !lok || !rok {
-			return ScanConst(false) // a missing side reads as NULL: matches nothing
-		}
-		node := &ScanCmpCols{Left: q.Left, Right: q.Right, Op: q.Op}
-		if kind != value.KindFloat {
+		lk, _ := kindOf(q.Left)
+		rk, _ := kindOf(q.Right)
+		node := &ScanCmpCols{Left: q.Left, Right: q.Right, LeftKind: lk, RightKind: rk, Op: q.Op}
+		if lk != value.KindFloat && rk != value.KindFloat {
 			node.Zone = CompileRanges(q)
 		}
 		return node
 	case *InList:
-		kind, ok := kindOf(q.Column)
-		if !ok {
-			return ScanConst(false)
-		}
-		if kind == value.KindInt {
-			node := &ScanInInt{
-				Column: q.Column,
-				Set:    make(map[int64]struct{}, len(q.Values)),
-				Negate: q.Negate_,
-			}
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					node.HasNullLit = true
-				case v.Kind() == value.KindInt:
-					node.Set[v.Int()] = struct{}{}
-				}
-			}
-			node.Sorted = make([]int64, 0, len(node.Set))
-			for v := range node.Set {
-				node.Sorted = append(node.Sorted, v)
-			}
-			sort.Slice(node.Sorted, func(i, j int) bool { return node.Sorted[i] < node.Sorted[j] })
-			node.Zone = inListZone(q, kind)
+		if kind, _ := kindOf(q.Column); kind == value.KindInt {
+			node := &ScanInInt{Column: q.Column, Set: intSet(q.Values), Negate: q.Negate_, Zone: CompileRanges(q)}
+			node.Sorted = sortedKeys(node.Set)
 			return node
 		}
-		node := &ScanInStr{
-			Column: q.Column,
-			Set:    make(map[string]struct{}, len(q.Values)),
-			Negate: q.Negate_,
-		}
-		for _, v := range q.Values {
-			switch {
-			case v.IsNull():
-				node.HasNullLit = true
-			case v.Kind() == value.KindString:
-				node.Set[v.Str()] = struct{}{}
-			}
-		}
-		node.Sorted = make([]string, 0, len(node.Set))
-		for v := range node.Set {
-			node.Sorted = append(node.Sorted, v)
-		}
-		sort.Strings(node.Sorted)
-		node.Zone = inListZone(q, kind)
+		node := &ScanInStr{Column: q.Column, Set: strSet(q.Values), Negate: q.Negate_, Zone: CompileRanges(q)}
+		node.Sorted = sortedKeys(node.Set)
 		return node
 	case *Like:
-		kind, ok := kindOf(q.Column)
-		if !ok || kind != value.KindString {
-			return ScanConst(false) // missing or non-string column: matches nothing
-		}
 		match := likeMatcher(q.Pattern)
 		return &ScanLike{
 			Column:  q.Column,
@@ -267,22 +206,18 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 			node.Children[i] = compileScan(c, kindOf)
 		}
 		return node
-	case Const:
-		return ScanConst(bool(q))
 	}
-	panic("predicate: compileScan on a shape supportedShape refused")
+	return ScanConst(p.(Const))
 }
 
-// inListZone is an IN leaf's zone evaluator, nil (never decided) when a
-// literal of another kind would make EvalRanges disagree with the kernel,
-// or when NOT IN has a NULL literal.
-func inListZone(q *InList, kind value.Kind) ZoneEval {
-	for _, v := range q.Values {
-		if v.IsNull() && q.Negate_ || !v.IsNull() && v.Kind() != kind {
-			return nil
-		}
+// sortedKeys returns a set's members ascending.
+func sortedKeys[T int64 | string](set map[T]struct{}) []T {
+	out := make([]T, 0, len(set))
+	for v := range set {
+		out = append(out, v)
 	}
-	return CompileRanges(q)
+	slices.Sort(out)
+	return out
 }
 
 // fuseBand pairs children[i], a lower (Gt/Ge) or upper (Lt/Le) bound on an

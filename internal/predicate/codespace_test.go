@@ -1,16 +1,20 @@
 package predicate
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"mto/internal/value"
 )
 
-// TestCompileScanSupportMatchesCompileMask pins CompileScan's support
-// matrix to CompileMask's: the compressed path must accept exactly the
-// shapes the mask path accepts, so the engine's fallback decision is the
-// same no matter which path runs.
+// TestCompileScanSupportMatchesCompileMask pins CompileScan's reach to
+// FillMask's: both take every shape, kind mismatches and NULL literals
+// included, and every leaf of the compiled plan reads its column as the
+// column's kind. (The plan's answers are checked against the oracle over
+// encoded pages in shapes_test.go.)
 func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 	tab := testTable(t)
 	kindOf := tableKinds(tab)
@@ -63,58 +67,85 @@ func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 		False(),
 	}
 	for _, p := range preds {
-		mask := make([]uint64, (tab.NumRows()+63)/64)
-		maskOK := CompileMask(p, tab, mask)
-		_, scanOK := CompileScan(p, kindOf)
-		if maskOK != scanOK {
-			t.Errorf("%s: CompileMask supported=%v but CompileScan supported=%v", p, maskOK, scanOK)
+		if err := scanKinds(CompileScan(p, kindOf), kindOf); err != "" {
+			t.Errorf("%s: %s", p, err)
 		}
+		evalAll(t, p, tab)
 	}
 }
 
+// scanKinds checks that every leaf of a compiled plan reads its columns
+// as their kinds, returning what is wrong or "".
+func scanKinds(n ScanNode, kindOf func(string) (value.Kind, bool)) string {
+	is := func(col string, want value.Kind) bool { k, ok := kindOf(col); return ok && k == want }
+	ok := true
+	switch q := n.(type) {
+	case *ScanAnd:
+		for _, c := range q.Children {
+			if err := scanKinds(c, kindOf); err != "" {
+				return err
+			}
+		}
+	case *ScanOr:
+		for _, c := range q.Children {
+			if err := scanKinds(c, kindOf); err != "" {
+				return err
+			}
+		}
+	case *ScanCmpInt:
+		ok = is(q.Column, value.KindInt)
+	case *ScanCmpFloat:
+		ok = is(q.Column, value.KindFloat) && q.Lit == q.Lit
+	case *ScanCmpStr:
+		ok = is(q.Column, value.KindString)
+	case *ScanBand:
+		ok = is(q.Column, q.Lo.Kind()) && q.Lo.Kind() == q.Hi.Kind()
+	case *ScanCmpCols:
+		ok = is(q.Left, q.LeftKind) && is(q.Right, q.RightKind) && comparableKinds(q.LeftKind, q.RightKind)
+	case *ScanInInt:
+		ok = is(q.Column, value.KindInt)
+	case *ScanInStr:
+		ok = is(q.Column, value.KindString)
+	case *ScanLike:
+		ok = is(q.Column, value.KindString)
+	}
+	if !ok {
+		return fmt.Sprintf("leaf %#v misreads its column", n)
+	}
+	return ""
+}
+
 // TestCompileScanNormalization checks the literal pre-processing the
-// storage engine relies on: sorted distinct IN lists, null-literal
-// flags, matcher specialization, and missing-column collapse.
+// storage engine relies on: sorted distinct IN lists with integral float
+// literals as ints, NULL-poisoned NOT IN, matcher specialization, and
+// missing-column collapse.
 func TestCompileScanNormalization(t *testing.T) {
 	tab := testTable(t)
 	kindOf := tableKinds(tab)
 
-	node, ok := CompileScan(NewNotIn("x", value.Int(9), value.Int(3), value.Int(9), value.Null, value.Float(7)), kindOf)
-	if !ok {
-		t.Fatal("int NOT IN refused")
-	}
+	node := CompileScan(NewNotIn("x", value.Int(9), value.Int(3), value.Int(9), value.Float(7), value.Float(7.5)), kindOf)
 	in := node.(*ScanInInt)
-	if !in.Negate || !in.HasNullLit {
-		t.Errorf("NOT IN flags: negate=%v hasNullLit=%v", in.Negate, in.HasNullLit)
+	if !in.Negate {
+		t.Error("NOT IN lost its negation")
 	}
-	if want := []int64{3, 9}; len(in.Sorted) != 2 || in.Sorted[0] != want[0] || in.Sorted[1] != want[1] {
+	if want := []int64{3, 7, 9}; !slices.Equal(in.Sorted, want) {
 		t.Errorf("sorted int lits = %v, want %v", in.Sorted, want)
 	}
-	if _, found := in.Set[7]; found {
-		t.Error("float literal leaked into int IN set")
-	}
 
-	node, ok = CompileScan(NewIn("s", value.String("pear"), value.String("fig"), value.String("pear")), kindOf)
-	if !ok {
-		t.Fatal("string IN refused")
-	}
+	node = CompileScan(NewIn("s", value.String("pear"), value.String("fig"), value.String("pear")), kindOf)
 	ins := node.(*ScanInStr)
 	if !sort.StringsAreSorted(ins.Sorted) || len(ins.Sorted) != 2 {
 		t.Errorf("string lits not sorted-distinct: %v", ins.Sorted)
 	}
 
-	node, ok = CompileScan(NewLike("s", "ap%"), kindOf)
-	if !ok {
-		t.Fatal("LIKE refused")
-	}
-	lk := node.(*ScanLike)
+	lk := CompileScan(NewLike("s", "ap%"), kindOf).(*ScanLike)
 	if !lk.Match([]byte("apple")) || lk.Match([]byte("pear")) {
 		t.Error("LIKE matcher not specialized correctly")
 	}
 
-	node, ok = CompileScan(&ColumnComparison{Left: "x", Op: Le, Right: "y"}, kindOf)
-	if cc, isPair := node.(*ScanCmpCols); !ok || !isPair || cc.Left != "x" || cc.Right != "y" || cc.Op != Le {
-		t.Errorf("x <= y compiled to %#v (ok=%v)", node, ok)
+	node = CompileScan(&ColumnComparison{Left: "x", Op: Le, Right: "y"}, kindOf)
+	if cc, isPair := node.(*ScanCmpCols); !isPair || cc.Left != "x" || cc.Right != "y" || cc.Op != Le {
+		t.Errorf("x <= y compiled to %#v", node)
 	}
 
 	for _, p := range []Predicate{
@@ -124,11 +155,13 @@ func TestCompileScanNormalization(t *testing.T) {
 		NewLike("x", "a%"),
 		&ColumnComparison{Left: "x", Op: Lt, Right: "missing"},
 		&ColumnComparison{Left: "missing", Op: Lt, Right: "f"},
+		&ColumnComparison{Left: "s", Op: Lt, Right: "f"},
+		NewNotIn("x", value.Int(5), value.Null),
+		NewNotIn("s", value.String("a"), value.Float(math.NaN())),
+		NewComparison("f", Ne, value.Float(math.NaN())),
+		NewComparison("x", Eq, value.String("five")),
 	} {
-		node, ok := CompileScan(p, kindOf)
-		if !ok {
-			t.Fatalf("%s: refused", p)
-		}
+		node := CompileScan(p, kindOf)
 		if c, isConst := node.(ScanConst); !isConst || bool(c) {
 			t.Errorf("%s: want ScanConst(false), got %#v", p, node)
 		}

@@ -49,7 +49,7 @@ func likeMatchAt(p, s string) bool {
 // likeMatcher compiles pattern into a specialized matcher for the common
 // wildcard shapes — exact, 'lit%', '%lit', and '%lit%' — which reduce to
 // equality, prefix, suffix, and substring tests over the raw bytes. Other
-// shapes fall back to the general recursive matcher. Bulk scans (CompileMask)
+// shapes fall back to the general recursive matcher. Bulk scans (FillMask)
 // pay the shape analysis once instead of re-walking the pattern per row.
 func likeMatcher(pattern string) func(string) bool {
 	if !strings.ContainsAny(pattern, "_\\") {

@@ -5,28 +5,26 @@ import (
 	"mto/internal/value"
 )
 
-// CompileMask evaluates p over every row of t at once, setting bit r of
-// mask (stored in mask[r>>6]) for each matching row. It covers the same
-// fast shapes as Compile — comparisons and IN lists over int, float, and
-// string columns, same-kind column pairs, LIKE, plus AND/OR over such
-// children — but dispatches the operator once outside the row loop, so bulk
-// membership precompute runs a tight per-type loop instead of a closure
-// call per row. mask must be zeroed and hold at least (t.NumRows()+63)/64
-// words.
-//
-// It reports false when p needs the generic per-row path (callers then
-// fall back to Compile). Support is decided from p's shape and t's schema
-// before any row is touched, so a refusal costs nothing and leaves mask
-// untouched.
-func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
-	if !supportedShape(p, tableKinds(t)) {
-		return false
-	}
-	fillSupported(p, t, mask)
-	return true
+// FillMask computes p's full-table match mask: bit r of mask is set iff
+// row r of t satisfies p. It is total: p is normalized against t's schema
+// once, and every normalized shape runs as a tight per-type loop with the
+// operator dispatched outside it. mask must be zeroed and hold at least
+// (t.NumRows()+63)/64 words.
+func FillMask(p Predicate, t *relation.Table, mask []uint64) {
+	fill(normalize(p, tableKinds(t)), t, nil, mask)
 }
 
-// tableKinds adapts t's schema to the kindOf lookup supportedShape and
+// FillRows is FillMask over a row list: bit k of mask is set iff row
+// rows[k] of t satisfies p. Each leaf gathers its column's values at rows
+// and runs FillMask's kernel over them. mask must be zeroed and hold at
+// least (len(rows)+63)/64 words.
+func FillRows(p Predicate, t *relation.Table, rows []int32, mask []uint64) {
+	if len(rows) > 0 {
+		fill(normalize(p, tableKinds(t)), t, rows, mask)
+	}
+}
+
+// tableKinds adapts t's schema to the kindOf lookup normalize and
 // CompileScan take.
 func tableKinds(t *relation.Table) func(col string) (value.Kind, bool) {
 	return func(col string) (value.Kind, bool) {
@@ -38,196 +36,101 @@ func tableKinds(t *relation.Table) func(col string) (value.Kind, bool) {
 	}
 }
 
-// supportedShape is the one support matrix CompileMask and CompileScan
-// share: a predicate is pushed down (as a bulk mask, or onto encoded pages)
-// exactly when every leaf compares like with like. Leaves over a missing
-// column match nothing and are supported. Refused: an int or string column
-// against a literal of another kind, any column against NULL, a float IN
-// list, and a column pair of two different kinds.
-func supportedShape(p Predicate, kindOf func(col string) (value.Kind, bool)) bool {
+// fill evaluates a normalized predicate over rows of t (every row when
+// rows is nil) into mask, bit k for the k-th row.
+func fill(p Predicate, t *relation.Table, rows []int32, mask []uint64) {
+	col := func(name string) int { ci, _ := t.Schema().ColumnIndex(name); return ci }
 	switch q := p.(type) {
 	case *Comparison:
-		kind, ok := kindOf(q.Column)
-		if !ok {
-			return true
-		}
-		switch lit := q.Value.Kind(); kind {
-		case value.KindInt:
-			return lit == value.KindInt
-		case value.KindFloat:
-			return lit == value.KindFloat || lit == value.KindInt
-		case value.KindString:
-			return lit == value.KindString
-		}
-		return false
-	case *ColumnComparison:
-		lk, lok := kindOf(q.Left)
-		rk, rok := kindOf(q.Right)
-		if !lok || !rok {
-			return true
-		}
-		return lk == rk && (lk == value.KindInt || lk == value.KindFloat || lk == value.KindString)
-	case *InList:
-		kind, ok := kindOf(q.Column)
-		return !ok || kind == value.KindInt || kind == value.KindString
-	case *Like, Const:
-		return true
-	case *And:
-		for _, c := range q.Children {
-			if !supportedShape(c, kindOf) {
-				return false
-			}
-		}
-		return true
-	case *Or:
-		for _, c := range q.Children {
-			if !supportedShape(c, kindOf) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// fillSupported is CompileMask's evaluator; p has passed supportedShape.
-func fillSupported(p Predicate, t *relation.Table, mask []uint64) {
-	switch q := p.(type) {
-	case *Comparison:
-		ci, ok := t.Schema().ColumnIndex(q.Column)
-		if !ok {
-			return // no such column: matches nothing, mask stays zero
-		}
+		ci := col(q.Column)
 		switch t.Schema().Column(ci).Type {
 		case value.KindInt:
-			MaskCompare(t.Ints(ci), q.Op, q.Value.Int(), mask)
+			MaskCompare(relation.Gather(t.Ints(ci), rows), q.Op, q.Value.Int(), mask)
 		case value.KindFloat:
-			MaskCompare(t.Floats(ci), q.Op, q.Value.AsFloat(), mask)
-		case value.KindString:
-			MaskCompare(t.Strings(ci), q.Op, q.Value.Str(), mask)
+			MaskCompare(relation.Gather(t.Floats(ci), rows), q.Op, q.Value.Float(), mask)
+		default:
+			MaskCompare(relation.Gather(t.Strings(ci), rows), q.Op, q.Value.Str(), mask)
 		}
-		clearNulls(t.Nulls(ci), mask)
+		clearNulls(relation.Gather(t.Nulls(ci), rows), mask)
 	case *ColumnComparison:
-		li, lok := t.Schema().ColumnIndex(q.Left)
-		ri, rok := t.Schema().ColumnIndex(q.Right)
-		if !lok || !rok {
-			return // a missing side reads as NULL: matches nothing
+		li, ri := col(q.Left), col(q.Right)
+		lk, rk := t.Schema().Column(li).Type, t.Schema().Column(ri).Type
+		switch {
+		case lk == value.KindInt && rk == value.KindInt:
+			MaskCompareCols(relation.Gather(t.Ints(li), rows), relation.Gather(t.Ints(ri), rows), q.Op, mask)
+		case lk == value.KindFloat && rk == value.KindFloat:
+			MaskCompareCols(relation.Gather(t.Floats(li), rows), relation.Gather(t.Floats(ri), rows), q.Op, mask)
+		case lk == value.KindString:
+			MaskCompareCols(relation.Gather(t.Strings(li), rows), relation.Gather(t.Strings(ri), rows), q.Op, mask)
+		case lk == value.KindInt:
+			MaskCompareIntFloat(relation.Gather(t.Ints(li), rows), relation.Gather(t.Floats(ri), rows), q.Op, mask)
+		default:
+			MaskCompareIntFloat(relation.Gather(t.Ints(ri), rows), relation.Gather(t.Floats(li), rows), q.Op.Mirror(), mask)
 		}
-		switch t.Schema().Column(li).Type {
-		case value.KindInt:
-			MaskCompareCols(t.Ints(li), t.Ints(ri), q.Op, mask)
-		case value.KindFloat:
-			MaskCompareCols(t.Floats(li), t.Floats(ri), q.Op, mask)
-		case value.KindString:
-			MaskCompareCols(t.Strings(li), t.Strings(ri), q.Op, mask)
-		}
-		// NULL on either side never matches (EvalRow's rule).
-		clearNulls(t.Nulls(li), mask)
-		clearNulls(t.Nulls(ri), mask)
+		clearNulls(relation.Gather(t.Nulls(li), rows), mask)
+		clearNulls(relation.Gather(t.Nulls(ri), rows), mask)
 	case *InList:
-		ci, ok := t.Schema().ColumnIndex(q.Column)
-		if !ok {
-			return
+		ci := col(q.Column)
+		if t.Schema().Column(ci).Type == value.KindInt {
+			maskInList(relation.Gather(t.Ints(ci), rows), intSet(q.Values), q.Negate_, mask)
+		} else {
+			maskInList(relation.Gather(t.Strings(ci), rows), strSet(q.Values), q.Negate_, mask)
 		}
-		switch t.Schema().Column(ci).Type {
-		case value.KindInt:
-			set := make(map[int64]struct{}, len(q.Values))
-			hasNullLit := false
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					hasNullLit = true
-				case v.Kind() == value.KindInt:
-					set[v.Int()] = struct{}{}
-				}
-			}
-			maskInList(t.Ints(ci), set, q.Negate_, hasNullLit, mask)
-		case value.KindString:
-			set := make(map[string]struct{}, len(q.Values))
-			hasNullLit := false
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					hasNullLit = true
-				case v.Kind() == value.KindString:
-					set[v.Str()] = struct{}{}
-				}
-			}
-			maskInList(t.Strings(ci), set, q.Negate_, hasNullLit, mask)
-		}
-		clearNulls(t.Nulls(ci), mask)
+		clearNulls(relation.Gather(t.Nulls(ci), rows), mask)
 	case *Like:
-		ci, ok := t.Schema().ColumnIndex(q.Column)
-		if !ok || t.Schema().Column(ci).Type != value.KindString {
-			return // missing or non-string column: LIKE matches nothing
-		}
+		ci := col(q.Column)
 		match := likeMatcher(q.Pattern)
-		neg := q.Negate_
-		for r, s := range t.Strings(ci) {
-			if match(s) != neg {
+		for r, s := range relation.Gather(t.Strings(ci), rows) {
+			if match(s) != q.Negate_ {
 				mask[r>>6] |= 1 << (uint(r) & 63)
 			}
 		}
-		// Null rows never match, not even NOT LIKE (SQL three-valued logic,
-		// mirroring EvalRow).
-		clearNulls(t.Nulls(ci), mask)
-	case *And:
-		fillSupported(q.Children[0], t, mask)
+		// Null rows never match, not even NOT LIKE.
+		clearNulls(relation.Gather(t.Nulls(ci), rows), mask)
+	case *And, *Or:
+		// Each child after the first is evaluated into a clean scratch
+		// mask: children AND in conjuncts and clear null-row bits, and
+		// either would corrupt the bits accumulated so far.
+		kids, and := childrenOf(q)
+		fill(kids[0], t, rows, mask)
 		scratch := make([]uint64, len(mask))
-		for _, c := range q.Children[1:] {
-			for w := range scratch {
-				scratch[w] = 0
-			}
-			fillSupported(c, t, scratch)
+		for _, c := range kids[1:] {
+			clear(scratch)
+			fill(c, t, rows, scratch)
 			for w := range mask {
-				mask[w] &= scratch[w]
-			}
-		}
-	case *Or:
-		// Each child must be evaluated into a clean mask: children AND in
-		// conjuncts and clear null-row bits, and either would corrupt bits
-		// already accumulated by earlier disjuncts if they shared the mask.
-		fillSupported(q.Children[0], t, mask)
-		scratch := make([]uint64, len(mask))
-		for _, c := range q.Children[1:] {
-			for w := range scratch {
-				scratch[w] = 0
-			}
-			fillSupported(c, t, scratch)
-			for w := range mask {
-				mask[w] |= scratch[w]
+				if and {
+					mask[w] &= scratch[w]
+				} else {
+					mask[w] |= scratch[w]
+				}
 			}
 		}
 	case Const:
 		if bool(q) {
-			setAll(mask, t.NumRows())
+			n := len(rows)
+			if rows == nil {
+				n = t.NumRows()
+			}
+			setAll(mask, n)
 		}
 	}
 }
 
-// FillMask computes p's full-table match mask: bit r of mask is set iff
-// row r of t satisfies p. Fast shapes use CompileMask's branchless loops;
-// anything CompileMask refuses falls back to the compiled per-row
-// evaluator, so every predicate is supported. mask must be zeroed and hold
-// at least (t.NumRows()+63)/64 words.
-func FillMask(p Predicate, t *relation.Table, mask []uint64) {
-	if CompileMask(p, t, mask) {
-		return
+// childrenOf returns an And's or an Or's children, and whether it is the
+// And. An empty And or Or never reaches fill: normalize folds them.
+func childrenOf(p Predicate) ([]Predicate, bool) {
+	if a, ok := p.(*And); ok {
+		return a.Children, true
 	}
-	fn := Compile(p, t)
-	n := t.NumRows()
-	for r := 0; r < n; r++ {
-		if fn(r) {
-			mask[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
+	return p.(*Or).Children, false
 }
 
 // MaskCompare sets the bit of every row whose value satisfies (v op lit).
 // The operator switch runs once; each arm is a tight branchless loop (the
 // bool-to-bit conversion compiles to a flag set, so ~50%-selective cuts pay
-// no branch mispredictions). The storage backend runs the same kernel over
-// decoded pages and over packed codes, whose unsigned order is value order.
+// no branch mispredictions). "<>" is "<" or ">", so a NaN matches no
+// operator. The storage backend runs the same kernel over decoded pages
+// and over packed codes, whose unsigned order is value order.
 func MaskCompare[T int64 | uint64 | float64 | string](vals []T, op Op, lit T, mask []uint64) {
 	switch op {
 	case Eq:
@@ -241,7 +144,7 @@ func MaskCompare[T int64 | uint64 | float64 | string](vals []T, op Op, lit T, ma
 	case Ne:
 		for r, v := range vals {
 			var b uint64
-			if v != lit {
+			if v < lit || v > lit {
 				b = 1
 			}
 			mask[r>>6] |= b << (uint(r) & 63)
@@ -282,16 +185,16 @@ func MaskCompare[T int64 | uint64 | float64 | string](vals []T, op Op, lit T, ma
 }
 
 // MaskCompareCols sets the bit of every row where (l[r] op rt[r]); rt must
-// be at least as long as l. Like value.Compare it consults only < and >, so
-// all three kinds share one body and a float NaN orders exactly as EvalRow
-// has it. The storage backend runs the same kernel over decoded pages.
+// be at least as long as l. Like MaskCompare, "<>" is "<" or ">", so a NaN
+// on either side matches no operator. The storage backend runs the same
+// kernel over decoded pages.
 func MaskCompareCols[T int64 | float64 | string](l, rt []T, op Op, mask []uint64) {
 	rt = rt[:len(l)]
 	switch op {
 	case Eq:
 		for r, v := range l {
 			var b uint64
-			if !(v < rt[r]) && !(v > rt[r]) {
+			if v == rt[r] {
 				b = 1
 			}
 			mask[r>>6] |= b << (uint(r) & 63)
@@ -315,7 +218,7 @@ func MaskCompareCols[T int64 | float64 | string](l, rt []T, op Op, mask []uint64
 	case Le:
 		for r, v := range l {
 			var b uint64
-			if !(v > rt[r]) {
+			if v <= rt[r] {
 				b = 1
 			}
 			mask[r>>6] |= b << (uint(r) & 63)
@@ -331,7 +234,7 @@ func MaskCompareCols[T int64 | float64 | string](l, rt []T, op Op, mask []uint64
 	default: // Ge
 		for r, v := range l {
 			var b uint64
-			if !(v < rt[r]) {
+			if v >= rt[r] {
 				b = 1
 			}
 			mask[r>>6] |= b << (uint(r) & 63)
@@ -339,12 +242,21 @@ func MaskCompareCols[T int64 | float64 | string](l, rt []T, op Op, mask []uint64
 	}
 }
 
-// maskInList mirrors Compile's IN semantics: NOT IN with a null literal
-// matches nothing.
-func maskInList[T int64 | string](vals []T, set map[T]struct{}, neg, hasNullLit bool, mask []uint64) {
-	if neg && hasNullLit {
-		return
+// MaskCompareIntFloat sets the bit of every row where (l[r] op rt[r]) for
+// an int and a float column, compared exactly (value.CompareIntFloat); a
+// NaN matches no operator. rt must be at least as long as l.
+func MaskCompareIntFloat(l []int64, rt []float64, op Op, mask []uint64) {
+	rt = rt[:len(l)]
+	for r, v := range l {
+		if f := rt[r]; f == f && op.apply(value.CompareIntFloat(v, f)) {
+			mask[r>>6] |= 1 << (uint(r) & 63)
+		}
 	}
+}
+
+// maskInList sets the bit of every row whose value is in set, or is not
+// when neg.
+func maskInList[T int64 | string](vals []T, set map[T]struct{}, neg bool, mask []uint64) {
 	if neg {
 		for r, v := range vals {
 			if _, found := set[v]; !found {
@@ -358,6 +270,23 @@ func maskInList[T int64 | string](vals []T, set map[T]struct{}, neg, hasNullLit 
 			mask[r>>6] |= 1 << (uint(r) & 63)
 		}
 	}
+}
+
+// intSet and strSet are the literal sets of a normalized InList.
+func intSet(vals []value.Value) map[int64]struct{} {
+	set := make(map[int64]struct{}, len(vals))
+	for _, v := range vals {
+		set[v.Int()] = struct{}{}
+	}
+	return set
+}
+
+func strSet(vals []value.Value) map[string]struct{} {
+	set := make(map[string]struct{}, len(vals))
+	for _, v := range vals {
+		set[v.Str()] = struct{}{}
+	}
+	return set
 }
 
 // clearNulls clears the bits of null rows (nulls never match a predicate).

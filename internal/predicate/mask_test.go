@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,23 +9,8 @@ import (
 	"mto/internal/value"
 )
 
-// maskRows runs CompileMask and decodes the bitmask into per-row booleans.
-func maskRows(t *testing.T, p Predicate, tab *relation.Table) ([]bool, bool) {
-	t.Helper()
-	n := tab.NumRows()
-	mask := make([]uint64, (n+63)/64)
-	if !CompileMask(p, tab, mask) {
-		return nil, false
-	}
-	out := make([]bool, n)
-	for r := 0; r < n; r++ {
-		out[r] = mask[r>>6]&(1<<(uint(r)&63)) != 0
-	}
-	return out, true
-}
-
-// TestCompileMaskMatchesCompile pins the bulk path to the per-row compiled
-// path on every supported predicate shape, including null rows.
+// TestCompileMaskMatchesCompile pins FillMask and FillRows to the scalar
+// oracle on every predicate shape, including null rows.
 func TestCompileMaskMatchesCompile(t *testing.T) {
 	tab := testTable(t)
 	preds := []Predicate{
@@ -73,34 +59,8 @@ func TestCompileMaskMatchesCompile(t *testing.T) {
 			&ColumnComparison{Left: "y", Op: op, Right: "x"})
 	}
 	for _, p := range preds {
-		got, ok := maskRows(t, p, tab)
-		if !ok {
-			t.Errorf("%s: CompileMask refused a supported shape", p)
-			continue
-		}
-		fn := Compile(p, tab)
-		for r := 0; r < tab.NumRows(); r++ {
-			if want := fn(r); got[r] != want {
-				t.Errorf("%s: row %d mask=%v compile=%v", p, r, got[r], want)
-			}
-			// EvalRow panics on a missing column; Compile's "matches
-			// nothing" is the contract there.
-			if hasColumns(p, tab) {
-				if want := p.EvalRow(tab, r); got[r] != want {
-					t.Errorf("%s: row %d mask=%v EvalRow=%v", p, r, got[r], want)
-				}
-			}
-		}
+		evalAll(t, p, tab)
 	}
-}
-
-func hasColumns(p Predicate, tab *relation.Table) bool {
-	for _, c := range Columns(p) {
-		if _, ok := tab.Schema().ColumnIndex(c); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 var allOps = []Op{Eq, Ne, Lt, Le, Gt, Ge}
@@ -129,59 +89,90 @@ func TestCompileMaskOrChildIsolation(t *testing.T) {
 				NewAnd(NewComparison("y", Eq, value.Int(10)), NewComparison("s", Eq, value.String("banana"))))),
 	}
 	for _, p := range preds {
-		got, ok := maskRows(t, p, tab)
-		if !ok {
-			t.Errorf("%s: CompileMask refused a supported shape", p)
-			continue
-		}
-		for r := 0; r < tab.NumRows(); r++ {
-			if want := p.EvalRow(tab, r); got[r] != want {
-				t.Errorf("%s: row %d mask=%v EvalRow=%v", p, r, got[r], want)
-			}
-		}
+		evalAll(t, p, tab)
 	}
 }
 
-// TestCompileMaskFallback verifies unsupported shapes refuse cleanly and
-// leave the mask untouched — the refusal is decided from the shape alone,
-// before a supported sibling is evaluated — and that FillMask still answers
-// them through the per-row evaluator.
+// TestCompileMaskFallback covers the shapes normalize rewrites: a float IN
+// list, an int column against a float literal, mixed-kind pairs, NULL
+// literals, and AND/OR over them. Each comes out in the shapes the kernels
+// run, and FillMask answers as the oracle does.
 func TestCompileMaskFallback(t *testing.T) {
 	tab := testTable(t)
 	floatIn := NewIn("f", value.Float(1.5))
 	intVsFloat := NewComparison("x", Lt, value.Float(15.5))
 	mixedPair := &ColumnComparison{Left: "f", Op: Lt, Right: "x"}
-	unsupported := []Predicate{
+	refused := []Predicate{
 		floatIn,
+		NewNotIn("f", value.Float(1.5)),
 		intVsFloat,
 		mixedPair,
 		&ColumnComparison{Left: "s", Op: Eq, Right: "x"},
 		NewComparison("x", Eq, value.Null),
+		NewIn("x", value.Float(5), value.Float(15.5), value.String("a")),
+		NewNotIn("x", value.Float(5), value.Float(15.5)),
 		NewAnd(NewComparison("x", Gt, value.Int(5)), floatIn),
 		NewOr(NewComparison("x", Gt, value.Int(5)), intVsFloat),
 		NewOr(NewIn("s", value.String("apple")), NewAnd(NewLike("s", "b%"), mixedPair)),
 	}
-	for _, p := range unsupported {
-		mask := make([]uint64, 1)
-		if CompileMask(p, tab, mask) {
-			t.Errorf("%s: expected fallback", p)
+	for _, p := range refused {
+		if err := kernelShape(normalize(p, tableKinds(tab)), tableKinds(tab)); err != "" {
+			t.Errorf("%s: normalized form %s", p, err)
 		}
-		if mask[0] != 0 {
-			t.Errorf("%s: fallback left mask dirty: %x", p, mask[0])
-		}
-		FillMask(p, tab, mask)
-		for r := 0; r < tab.NumRows(); r++ {
-			if got, want := mask[0]&(1<<uint(r)) != 0, p.EvalRow(tab, r); got != want {
-				t.Errorf("%s: row %d FillMask=%v EvalRow=%v", p, r, got, want)
-			}
-		}
+		evalAll(t, p, tab)
 	}
 }
 
-// TestCompileMaskLargeRandom cross-checks the branchless word loops against
-// Compile and EvalRow on a table spanning several mask words with
-// interspersed nulls: literal comparisons, and every operator over an int,
-// a float and a string column pair with nulls on either side or both.
+// kernelShape checks normalize's contract: every leaf is one the kernels
+// run. It returns what is wrong, or "".
+func kernelShape(p Predicate, kindOf func(string) (value.Kind, bool)) string {
+	switch q := p.(type) {
+	case *Comparison:
+		if k, ok := kindOf(q.Column); !ok || q.Value.Kind() != k || isNaN(q.Value) {
+			return "holds " + q.String()
+		}
+	case *ColumnComparison:
+		lk, lok := kindOf(q.Left)
+		rk, rok := kindOf(q.Right)
+		if !lok || !rok || !comparableKinds(lk, rk) {
+			return "holds " + q.String()
+		}
+	case *InList:
+		k, ok := kindOf(q.Column)
+		if !ok || k == value.KindFloat {
+			return "holds " + q.String()
+		}
+		for _, v := range q.Values {
+			if v.Kind() != k {
+				return "holds " + q.String()
+			}
+		}
+	case *Like:
+		if k, ok := kindOf(q.Column); !ok || k != value.KindString {
+			return "holds " + q.String()
+		}
+	case *And:
+		for _, c := range q.Children {
+			if err := kernelShape(c, kindOf); err != "" {
+				return err
+			}
+		}
+	case *Or:
+		for _, c := range q.Children {
+			if err := kernelShape(c, kindOf); err != "" {
+				return err
+			}
+		}
+	}
+	return ""
+}
+
+// TestCompileMaskLargeRandom cross-checks the branchless word loops
+// against the oracle on a table spanning several mask words with
+// interspersed nulls and NaNs: literal comparisons, and every operator
+// over an int, a float, a string and a mixed int/float column pair with
+// nulls or NaNs on either side or both. FillRows runs over a random
+// subset of the rows.
 func TestCompileMaskLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := relation.NewTable(relation.MustSchema("big",
@@ -199,12 +190,18 @@ func TestCompileMaskLargeRandom(t *testing.T) {
 		}
 		return v
 	}
+	float := func() value.Value {
+		if rng.Intn(12) == 0 {
+			return value.Float(math.NaN())
+		}
+		return orNull(value.Float(float64(rng.Intn(20)) * 0.5))
+	}
 	for i := 0; i < n; i++ {
 		tab.MustAppendRow(
 			orNull(value.Int(int64(rng.Intn(100)))),
 			orNull(value.Int(int64(rng.Intn(100)))),
-			orNull(value.Float(float64(rng.Intn(20))*0.5)),
-			orNull(value.Float(float64(rng.Intn(20))*0.5)),
+			float(),
+			float(),
 			orNull(value.String(string(rune('a'+rng.Intn(6))))),
 			orNull(value.String(string(rune('a'+rng.Intn(6))))),
 		)
@@ -213,25 +210,38 @@ func TestCompileMaskLargeRandom(t *testing.T) {
 		NewComparison("v", Lt, value.Int(50)),
 		NewComparison("v", Ge, value.Int(93)),
 		NewIn("v", value.Int(1), value.Int(2), value.Int(3)),
+		NewIn("f", value.Float(1.5), value.Int(3)),
+		NewNotIn("f", value.Float(1.5), value.Int(3)),
 	}
 	for _, op := range allOps {
 		preds = append(preds,
+			NewComparison("f", op, value.Float(4.5)),
+			NewComparison("v", op, value.Float(49.5)),
 			&ColumnComparison{Left: "v", Op: op, Right: "w"},
 			&ColumnComparison{Left: "f", Op: op, Right: "g"},
-			&ColumnComparison{Left: "s", Op: op, Right: "u"})
+			&ColumnComparison{Left: "s", Op: op, Right: "u"},
+			&ColumnComparison{Left: "v", Op: op, Right: "f"},
+			&ColumnComparison{Left: "g", Op: op, Right: "w"})
+	}
+	var rows []int32
+	for r := 0; r < n; r++ {
+		if rng.Intn(3) == 0 {
+			rows = append(rows, int32(r))
+		}
 	}
 	for _, p := range preds {
-		got, ok := maskRows(t, p, tab)
-		if !ok {
-			t.Fatalf("%s: refused", p)
-		}
-		fn := Compile(p, tab)
+		mask := make([]uint64, (n+63)/64)
+		FillMask(p, tab, mask)
 		for r := 0; r < n; r++ {
-			if want := fn(r); got[r] != want {
-				t.Fatalf("%s: row %d mask=%v compile=%v", p, r, got[r], want)
+			if got, want := bit(mask, r), evalRow(p, tab, r); got != want {
+				t.Fatalf("%s: row %d mask=%v oracle=%v", p, r, got, want)
 			}
-			if want := p.EvalRow(tab, r); got[r] != want {
-				t.Fatalf("%s: row %d mask=%v EvalRow=%v", p, r, got[r], want)
+		}
+		sub := make([]uint64, (len(rows)+63)/64)
+		FillRows(p, tab, rows, sub)
+		for k, r := range rows {
+			if got, want := bit(sub, k), evalRow(p, tab, int(r)); got != want {
+				t.Fatalf("%s: row %d FillRows=%v oracle=%v", p, r, got, want)
 			}
 		}
 	}

@@ -4,14 +4,19 @@
 // engine. It supports =, ≠, <, ≤, >, ≥, IN, NOT IN, LIKE, NOT LIKE,
 // column-vs-column comparison, and arbitrary AND/OR combinations (§4.1.1).
 //
-// A predicate can be evaluated three ways:
+// A predicate has one evaluator per domain, each normalizing it once
+// against the schema (normalize) so that none refuses a shape:
 //
-//   - EvalRow: exact evaluation against one table row (record routing).
-//   - EvalRanges: three-valued evaluation against a region described by
-//     per-column intervals — a zone map or a qd-tree node's region. The
-//     result is sound: TriFalse means no row in the region can satisfy the
-//     predicate, TriTrue means every row does.
-//   - Compile: a fast bound evaluator for hot routing loops.
+//   - rows: FillMask over a table, FillRows over a row list — record
+//     routing, qd-tree builds, induced-cut literals, the reference engine;
+//   - zones: CompileRanges, three-valued over a region of per-column
+//     intervals — a zone map or a qd-tree node's region. TriFalse means no
+//     row in the region can satisfy the predicate, TriTrue that every row
+//     whose columns are neither NULL nor NaN does;
+//   - codes: CompileScan, a plan a storage engine runs over encoded pages.
+//
+// All three share one rule: ints and floats compare numerically and
+// exactly, and a NULL or a NaN matches no comparison, "<>" included.
 package predicate
 
 import (
@@ -19,7 +24,6 @@ import (
 	"sort"
 	"strings"
 
-	"mto/internal/relation"
 	"mto/internal/value"
 )
 
@@ -74,7 +78,23 @@ func (o Op) negate() Op {
 	}
 }
 
-// compare applies o to an ordering result from value.Compare.
+// Mirror returns the operator with its operands swapped: a op b ⇔ b op' a.
+func (o Op) Mirror() Op {
+	switch o {
+	case Lt:
+		return Gt
+	case Le:
+		return Ge
+	case Gt:
+		return Lt
+	case Ge:
+		return Le
+	default: // Eq, Ne
+		return o
+	}
+}
+
+// apply applies o to an ordering result from value.Compare.
 func (o Op) apply(cmp int) bool {
 	switch o {
 	case Eq:
@@ -123,13 +143,10 @@ func triFromBool(b bool) Tri {
 
 // Predicate is a boolean filter over one table's rows.
 type Predicate interface {
-	// EvalRow evaluates the predicate against a row with SQL null
-	// semantics: comparisons involving NULL are false.
-	EvalRow(t *relation.Table, row int) bool
-	// EvalRanges evaluates conservatively against a per-column region.
-	EvalRanges(r Ranges) Tri
-	// Negate returns the logical complement (SQL two-valued: rows are
-	// either kept or filtered, so ¬ is exact for routing purposes).
+	// Negate returns the logical complement over well-typed rows: a NULL
+	// or NaN row matches neither p nor its negation (nor does any row
+	// against a NULL, NaN or other-kind literal). Regions stay sound
+	// regardless, since such a row matches no filter on that column.
 	Negate() Predicate
 	// VisitColumns calls fn for every referenced column name.
 	VisitColumns(fn func(string))
@@ -146,18 +163,6 @@ type Comparison struct {
 // NewComparison returns col op v.
 func NewComparison(col string, op Op, v value.Value) *Comparison {
 	return &Comparison{Column: col, Op: op, Value: v}
-}
-
-// EvalRow implements Predicate.
-func (c *Comparison) EvalRow(t *relation.Table, row int) bool {
-	v := t.ValueByName(row, c.Column)
-	if v.IsNull() || c.Value.IsNull() {
-		return false
-	}
-	if !v.Comparable(c.Value) {
-		return false
-	}
-	return c.Op.apply(v.Compare(c.Value))
 }
 
 // Negate implements Predicate.
@@ -179,16 +184,6 @@ type ColumnComparison struct {
 	Left  string
 	Op    Op
 	Right string
-}
-
-// EvalRow implements Predicate.
-func (c *ColumnComparison) EvalRow(t *relation.Table, row int) bool {
-	l := t.ValueByName(row, c.Left)
-	r := t.ValueByName(row, c.Right)
-	if l.IsNull() || r.IsNull() || !l.Comparable(r) {
-		return false
-	}
-	return c.Op.apply(l.Compare(r))
 }
 
 // Negate implements Predicate.
@@ -222,31 +217,6 @@ func NewIn(col string, vals ...value.Value) *InList {
 // NewNotIn returns col NOT IN (vals).
 func NewNotIn(col string, vals ...value.Value) *InList {
 	return &InList{Column: col, Values: vals, Negate_: true}
-}
-
-// EvalRow implements Predicate.
-func (p *InList) EvalRow(t *relation.Table, row int) bool {
-	v := t.ValueByName(row, p.Column)
-	if v.IsNull() {
-		return false
-	}
-	found := false
-	for _, lv := range p.Values {
-		if !lv.IsNull() && v.Comparable(lv) && v.Compare(lv) == 0 {
-			found = true
-			break
-		}
-	}
-	if p.Negate_ {
-		// SQL: x NOT IN (list with NULL) is never true.
-		for _, lv := range p.Values {
-			if lv.IsNull() {
-				return false
-			}
-		}
-		return !found
-	}
-	return found
 }
 
 // Negate implements Predicate.
@@ -286,19 +256,6 @@ func NewNotLike(col, pattern string) *Like {
 	return &Like{Column: col, Pattern: pattern, Negate_: true}
 }
 
-// EvalRow implements Predicate.
-func (p *Like) EvalRow(t *relation.Table, row int) bool {
-	v := t.ValueByName(row, p.Column)
-	if v.IsNull() || v.Kind() != value.KindString {
-		return false
-	}
-	m := likeMatch(p.Pattern, v.Str())
-	if p.Negate_ {
-		return !m
-	}
-	return m
-}
-
 // Negate implements Predicate.
 func (p *Like) Negate() Predicate {
 	return &Like{Column: p.Column, Pattern: p.Pattern, Negate_: !p.Negate_}
@@ -336,16 +293,6 @@ func NewAnd(ps ...Predicate) Predicate {
 		return flat[0]
 	}
 	return &And{Children: flat}
-}
-
-// EvalRow implements Predicate.
-func (a *And) EvalRow(t *relation.Table, row int) bool {
-	for _, c := range a.Children {
-		if !c.EvalRow(t, row) {
-			return false
-		}
-	}
-	return true
 }
 
 // Negate implements Predicate.
@@ -389,16 +336,6 @@ func NewOr(ps ...Predicate) Predicate {
 	return &Or{Children: flat}
 }
 
-// EvalRow implements Predicate.
-func (o *Or) EvalRow(t *relation.Table, row int) bool {
-	for _, c := range o.Children {
-		if c.EvalRow(t, row) {
-			return true
-		}
-	}
-	return false
-}
-
 // Negate implements Predicate.
 func (o *Or) Negate() Predicate {
 	neg := make([]Predicate, len(o.Children))
@@ -434,12 +371,6 @@ func True() Predicate { return Const(true) }
 
 // False returns the always-false predicate.
 func False() Predicate { return Const(false) }
-
-// EvalRow implements Predicate.
-func (c Const) EvalRow(*relation.Table, int) bool { return bool(c) }
-
-// EvalRanges implements Predicate.
-func (c Const) EvalRanges(Ranges) Tri { return triFromBool(bool(c)) }
 
 // Negate implements Predicate.
 func (c Const) Negate() Predicate { return Const(!c) }

@@ -26,19 +26,33 @@ func testTable(t *testing.T) *relation.Table {
 	return tab
 }
 
+// evalAll evaluates p on every row with the oracle, checking FillMask and
+// FillRows (over the rows in reverse) against it.
 func evalAll(t *testing.T, p Predicate, tab *relation.Table) []bool {
 	t.Helper()
-	out := make([]bool, tab.NumRows())
-	compiled := Compile(p, tab)
-	for r := 0; r < tab.NumRows(); r++ {
-		out[r] = p.EvalRow(tab, r)
-		if c := compiled(r); c != out[r] {
-			t.Errorf("%s: Compile disagrees with EvalRow at row %d: %v vs %v",
-				p, r, c, out[r])
+	n := tab.NumRows()
+	out := make([]bool, n)
+	mask := make([]uint64, (n+63)/64)
+	FillMask(p, tab, mask)
+	rev := make([]int32, n)
+	for k := range rev {
+		rev[k] = int32(n - 1 - k)
+	}
+	rmask := make([]uint64, (n+63)/64)
+	FillRows(p, tab, rev, rmask)
+	for r := 0; r < n; r++ {
+		out[r] = evalRow(p, tab, r)
+		if got := bit(mask, r); got != out[r] {
+			t.Errorf("%s: FillMask disagrees with the oracle at row %d: %v vs %v", p, r, got, out[r])
+		}
+		if got := bit(rmask, n-1-r); got != out[r] {
+			t.Errorf("%s: FillRows disagrees with the oracle at row %d: %v vs %v", p, r, got, out[r])
 		}
 	}
 	return out
 }
+
+func bit(mask []uint64, k int) bool { return mask[k>>6]>>(uint(k)&63)&1 == 1 }
 
 func wantRows(t *testing.T, p Predicate, tab *relation.Table, want ...bool) {
 	t.Helper()
@@ -61,10 +75,12 @@ func TestComparisonEval(t *testing.T) {
 	wantRows(t, NewComparison("f", Lt, value.Float(2.0)), tab, true, false, false, true)
 	wantRows(t, NewComparison("f", Gt, value.Int(2)), tab, false, true, false, false)
 	wantRows(t, NewComparison("s", Ge, value.String("b")), tab, false, true, false, false)
-	// Comparisons against NULL are always false.
+	// Comparisons against NULL are always false, "<>" included.
 	wantRows(t, NewComparison("x", Eq, value.Null), tab, false, false, false, false)
-	// Incomparable types are false.
+	wantRows(t, NewComparison("x", Ne, value.Null), tab, false, false, false, false)
+	// Incomparable types are false, "<>" included.
 	wantRows(t, NewComparison("s", Eq, value.Int(1)), tab, false, false, false, false)
+	wantRows(t, NewComparison("s", Ne, value.Int(1)), tab, false, false, false, false)
 }
 
 func TestColumnComparisonEval(t *testing.T) {
@@ -73,8 +89,11 @@ func TestColumnComparisonEval(t *testing.T) {
 	wantRows(t, &ColumnComparison{Left: "x", Op: Ge, Right: "y"}, tab, false, true, true, false)
 	wantRows(t, &ColumnComparison{Left: "x", Op: Eq, Right: "y"}, tab, false, false, false, false)
 	wantRows(t, &ColumnComparison{Left: "x", Op: Ne, Right: "y"}, tab, true, true, true, false)
-	// null operand → false
+	// null operand → false; an int and a float column compare numerically
 	wantRows(t, &ColumnComparison{Left: "f", Op: Lt, Right: "x"}, tab, true, true, false, false)
+	wantRows(t, &ColumnComparison{Left: "x", Op: Gt, Right: "f"}, tab, true, true, false, false)
+	// a string and a number never compare
+	wantRows(t, &ColumnComparison{Left: "s", Op: Ne, Right: "x"}, tab, false, false, false, false)
 }
 
 func TestInListEval(t *testing.T) {
@@ -133,7 +152,7 @@ func TestLikeMatch(t *testing.T) {
 		}
 		// The shape-specialized matcher that scans run over raw bytes agrees
 		// with the general walk.
-		node, _ := CompileScan(NewLike("s", c.pattern), func(string) (value.Kind, bool) { return value.KindString, true })
+		node := CompileScan(NewLike("s", c.pattern), func(string) (value.Kind, bool) { return value.KindString, true })
 		if got := node.(*ScanLike).Match([]byte(c.s)); got != c.want {
 			t.Errorf("ScanLike(%q).Match(%q) = %v, want %v", c.pattern, c.s, got, c.want)
 		}
@@ -201,7 +220,7 @@ func TestNegationIsComplement(t *testing.T) {
 	for _, p := range preds {
 		n := p.Negate()
 		for r := 0; r < tab.NumRows(); r++ {
-			pv, nv := p.EvalRow(tab, r), n.EvalRow(tab, r)
+			pv, nv := evalRow(p, tab, r), evalRow(n, tab, r)
 			// Rows with nulls in referenced columns fail both sides
 			// (SQL three-valued logic); otherwise exactly one holds.
 			if pv && nv {
@@ -272,21 +291,23 @@ func TestStrings(t *testing.T) {
 	}
 }
 
+// TestCompileEdgeCases covers the shapes normalize rewrites: each still
+// answers as the oracle does.
 func TestCompileEdgeCases(t *testing.T) {
 	tab := testTable(t)
-	// Missing column: compiled form returns false rather than panicking.
-	missing := Compile(NewComparison("nope", Eq, value.Int(1)), tab)
-	if missing(0) {
-		t.Error("compiled missing-column comparison returned true")
-	}
-	missingIn := Compile(NewIn("nope", value.Int(1)), tab)
-	if missingIn(0) {
-		t.Error("compiled missing-column IN returned true")
-	}
-	// Mixed-type comparison falls back to the generic path.
+	// Missing column: matches nothing rather than panicking.
+	wantRows(t, NewComparison("nope", Eq, value.Int(1)), tab, false, false, false, false)
+	wantRows(t, NewIn("nope", value.Int(1)), tab, false, false, false, false)
+	wantRows(t, NewNotIn("nope", value.Int(1)), tab, false, false, false, false)
+	// An int column against a float literal compares exactly.
 	wantRows(t, NewComparison("x", Lt, value.Float(10.5)), tab, true, false, false, false)
-	// Float IN falls back to the generic path.
+	wantRows(t, NewComparison("x", Ne, value.Float(15.5)), tab, true, true, true, false)
+	wantRows(t, NewIn("x", value.Float(15), value.Float(5.5)), tab, false, true, false, false)
+	// Float IN is an OR of "=".
 	wantRows(t, NewIn("f", value.Float(1.5)), tab, true, false, false, false)
-	// String IN with a NOT and a null literal.
+	wantRows(t, NewNotIn("f", value.Float(1.5), value.Int(2)), tab, false, true, false, true)
+	// String IN with a NOT and a null literal, or a literal of another kind.
 	wantRows(t, NewNotIn("s", value.String("apple"), value.Null), tab, false, false, false, false)
+	wantRows(t, NewNotIn("s", value.String("apple"), value.Int(3)), tab, false, false, false, false)
+	wantRows(t, NewIn("s", value.String("apple"), value.Int(3)), tab, true, false, false, false)
 }

@@ -182,240 +182,6 @@ func (r Ranges) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// --- EvalRanges implementations ---
-
-// EvalRanges implements Predicate.
-func (c *Comparison) EvalRanges(r Ranges) Tri {
-	iv := r.Get(c.Column)
-	if iv.Empty || c.Value.IsNull() {
-		return TriFalse
-	}
-	return compareIntervalToValue(iv, c.Op, c.Value)
-}
-
-// compareIntervalToValue evaluates (every x in iv) op v / (no x in iv) op v.
-func compareIntervalToValue(iv Interval, op Op, v value.Value) Tri {
-	// Positions of the interval relative to v.
-	// allBelow: every x < v; allAbove: every x > v; etc.
-	var allLt, allLe, allGt, allGe, mayEq bool
-	mayEq = iv.Contains(v)
-	if !iv.Max.IsNull() && iv.Max.Comparable(v) {
-		cmp := iv.Max.Compare(v)
-		allLt = cmp < 0 || (cmp == 0 && !iv.MaxInc)
-		allLe = cmp <= 0
-	}
-	if !iv.Min.IsNull() && iv.Min.Comparable(v) {
-		cmp := iv.Min.Compare(v)
-		allGt = cmp > 0 || (cmp == 0 && !iv.MinInc)
-		allGe = cmp >= 0
-	}
-	switch op {
-	case Eq:
-		if !mayEq {
-			return TriFalse
-		}
-		if iv.IsPoint() {
-			return TriTrue
-		}
-		return TriMaybe
-	case Ne:
-		if !mayEq {
-			return TriTrue
-		}
-		if iv.IsPoint() {
-			return TriFalse
-		}
-		return TriMaybe
-	case Lt:
-		if allLt {
-			return TriTrue
-		}
-		if allGe {
-			return TriFalse
-		}
-		return TriMaybe
-	case Le:
-		if allLe {
-			return TriTrue
-		}
-		if allGt {
-			return TriFalse
-		}
-		return TriMaybe
-	case Gt:
-		if allGt {
-			return TriTrue
-		}
-		if allLe {
-			return TriFalse
-		}
-		return TriMaybe
-	default: // Ge
-		if allGe {
-			return TriTrue
-		}
-		if allLt {
-			return TriFalse
-		}
-		return TriMaybe
-	}
-}
-
-// EvalRanges implements Predicate.
-func (c *ColumnComparison) EvalRanges(r Ranges) Tri {
-	l, rt := r.Get(c.Left), r.Get(c.Right)
-	if l.Empty || rt.Empty {
-		return TriFalse
-	}
-	// Compare the two intervals: if they are provably ordered we can decide.
-	var allLt, allLe, allGt, allGe bool
-	if !l.Max.IsNull() && !rt.Min.IsNull() && l.Max.Comparable(rt.Min) {
-		cmp := l.Max.Compare(rt.Min)
-		allLt = cmp < 0 || (cmp == 0 && !(l.MaxInc && rt.MinInc))
-		allLe = cmp <= 0
-	}
-	if !l.Min.IsNull() && !rt.Max.IsNull() && l.Min.Comparable(rt.Max) {
-		cmp := l.Min.Compare(rt.Max)
-		allGt = cmp > 0 || (cmp == 0 && !(l.MinInc && rt.MaxInc))
-		allGe = cmp >= 0
-	}
-	bothPoint := l.IsPoint() && rt.IsPoint()
-	switch c.Op {
-	case Eq:
-		if allLt || allGt {
-			return TriFalse
-		}
-		if bothPoint && l.Min.Compare(rt.Min) == 0 {
-			return TriTrue
-		}
-		return TriMaybe
-	case Ne:
-		if allLt || allGt {
-			return TriTrue
-		}
-		if bothPoint && l.Min.Compare(rt.Min) == 0 {
-			return TriFalse
-		}
-		return TriMaybe
-	case Lt:
-		if allLt {
-			return TriTrue
-		}
-		if allGe {
-			return TriFalse
-		}
-		return TriMaybe
-	case Le:
-		if allLe {
-			return TriTrue
-		}
-		if allGt {
-			return TriFalse
-		}
-		return TriMaybe
-	case Gt:
-		if allGt {
-			return TriTrue
-		}
-		if allLe {
-			return TriFalse
-		}
-		return TriMaybe
-	default: // Ge
-		if allGe {
-			return TriTrue
-		}
-		if allLt {
-			return TriFalse
-		}
-		return TriMaybe
-	}
-}
-
-// EvalRanges implements Predicate.
-func (p *InList) EvalRanges(r Ranges) Tri {
-	iv := r.Get(p.Column)
-	if iv.Empty {
-		return TriFalse
-	}
-	anyInside, allCover := false, false
-	for _, v := range p.Values {
-		if iv.Contains(v) {
-			anyInside = true
-			if iv.IsPoint() {
-				allCover = true
-			}
-		}
-	}
-	var res Tri
-	switch {
-	case allCover:
-		res = TriTrue
-	case anyInside:
-		res = TriMaybe
-	default:
-		res = TriFalse
-	}
-	if p.Negate_ {
-		switch res {
-		case TriTrue:
-			return TriFalse
-		case TriFalse:
-			return TriTrue
-		default:
-			return TriMaybe
-		}
-	}
-	return res
-}
-
-// EvalRanges implements Predicate.
-func (p *Like) EvalRanges(r Ranges) Tri {
-	iv := r.Get(p.Column)
-	if iv.Empty {
-		return TriFalse
-	}
-	if p.Negate_ {
-		return TriMaybe
-	}
-	// A literal prefix bounds the matching strings lexicographically.
-	if prefix, ok := likePrefix(p.Pattern); ok && prefix != "" {
-		pi := prefixInterval(prefix)
-		if iv.Intersect(pi).Empty {
-			return TriFalse
-		}
-	}
-	return TriMaybe
-}
-
-// EvalRanges implements Predicate.
-func (a *And) EvalRanges(r Ranges) Tri {
-	res := TriTrue
-	for _, c := range a.Children {
-		switch c.EvalRanges(r) {
-		case TriFalse:
-			return TriFalse
-		case TriMaybe:
-			res = TriMaybe
-		}
-	}
-	return res
-}
-
-// EvalRanges implements Predicate.
-func (o *Or) EvalRanges(r Ranges) Tri {
-	res := TriFalse
-	for _, c := range o.Children {
-		switch c.EvalRanges(r) {
-		case TriTrue:
-			return TriTrue
-		case TriMaybe:
-			res = TriMaybe
-		}
-	}
-	return res
-}
-
 // --- range extraction ---
 
 // RangesOf derives the per-column interval constraints implied by p. It is
@@ -432,8 +198,8 @@ func RangesOf(p Predicate) Ranges {
 func extractRanges(p Predicate, out Ranges) {
 	switch q := p.(type) {
 	case *Comparison:
-		if q.Value.IsNull() {
-			return
+		if q.Value.IsNull() || isNaN(q.Value) {
+			return // matches nothing: the unconstrained region is a superset
 		}
 		var iv Interval
 		switch q.Op {
@@ -458,12 +224,12 @@ func extractRanges(p Predicate, out Ranges) {
 		// Convex hull of the listed values.
 		lo, hi := q.Values[0], q.Values[0]
 		for _, v := range q.Values[1:] {
-			if v.IsNull() || !v.Comparable(lo) {
+			if v.IsNull() || isNaN(v) || !v.Comparable(lo) {
 				return
 			}
 			lo, hi = value.Min(lo, v), value.Max(hi, v)
 		}
-		if lo.IsNull() {
+		if lo.IsNull() || isNaN(lo) {
 			return
 		}
 		out[q.Column] = out.Get(q.Column).Intersect(NewInterval(lo, hi, true, true))

@@ -130,109 +130,109 @@ func TestEvalRangesComparison(t *testing.T) {
 		{NewComparison("unconstrained", Lt, value.Int(0)), TriMaybe},
 	}
 	for _, c := range cases {
-		if got := c.p.EvalRanges(zone); got != c.want {
+		if got := CompileRanges(c.p)(zone); got != c.want {
 			t.Errorf("%s over %v = %s, want %s", c.p, zone, got, c.want)
 		}
 	}
 	pointZone := Ranges{"x": Point(value.Int(7))}
-	if got := NewComparison("x", Eq, value.Int(7)).EvalRanges(pointZone); got != TriTrue {
+	if got := CompileRanges(NewComparison("x", Eq, value.Int(7)))(pointZone); got != TriTrue {
 		t.Errorf("Eq over point = %s", got)
 	}
-	if got := NewComparison("x", Ne, value.Int(7)).EvalRanges(pointZone); got != TriFalse {
+	if got := CompileRanges(NewComparison("x", Ne, value.Int(7)))(pointZone); got != TriFalse {
 		t.Errorf("Ne over point = %s", got)
 	}
 	empty := Ranges{"x": Interval{Empty: true}}
-	if got := NewComparison("x", Ne, value.Int(0)).EvalRanges(empty); got != TriFalse {
+	if got := CompileRanges(NewComparison("x", Ne, value.Int(0)))(empty); got != TriFalse {
 		t.Errorf("empty column should fail every comparison, got %s", got)
 	}
 }
 
 func TestEvalRangesColumnComparison(t *testing.T) {
 	p := &ColumnComparison{Left: "a", Op: Lt, Right: "b"}
-	if got := p.EvalRanges(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
+	if got := CompileRanges(p)(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
 		t.Errorf("disjoint ordered = %s", got)
 	}
-	if got := p.EvalRanges(Ranges{"a": iv(10, 20), "b": iv(0, 5)}); got != TriFalse {
+	if got := CompileRanges(p)(Ranges{"a": iv(10, 20), "b": iv(0, 5)}); got != TriFalse {
 		t.Errorf("reverse ordered = %s", got)
 	}
-	if got := p.EvalRanges(Ranges{"a": iv(0, 15), "b": iv(10, 20)}); got != TriMaybe {
+	if got := CompileRanges(p)(Ranges{"a": iv(0, 15), "b": iv(10, 20)}); got != TriMaybe {
 		t.Errorf("overlapping = %s", got)
 	}
 	eq := &ColumnComparison{Left: "a", Op: Eq, Right: "b"}
-	if got := eq.EvalRanges(Ranges{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriTrue {
+	if got := CompileRanges(eq)(Ranges{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriTrue {
 		t.Errorf("equal points = %s", got)
 	}
-	if got := eq.EvalRanges(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriFalse {
+	if got := CompileRanges(eq)(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriFalse {
 		t.Errorf("disjoint eq = %s", got)
 	}
 	ne := &ColumnComparison{Left: "a", Op: Ne, Right: "b"}
-	if got := ne.EvalRanges(Ranges{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriFalse {
+	if got := CompileRanges(ne)(Ranges{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriFalse {
 		t.Errorf("equal points ne = %s", got)
 	}
-	if got := ne.EvalRanges(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
+	if got := CompileRanges(ne)(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
 		t.Errorf("disjoint ne = %s", got)
 	}
 	ge := &ColumnComparison{Left: "a", Op: Ge, Right: "b"}
-	if got := ge.EvalRanges(Ranges{"a": iv(10, 20), "b": iv(0, 5)}); got != TriTrue {
+	if got := CompileRanges(ge)(Ranges{"a": iv(10, 20), "b": iv(0, 5)}); got != TriTrue {
 		t.Errorf("ge ordered = %s", got)
 	}
 	le := &ColumnComparison{Left: "a", Op: Le, Right: "b"}
-	if got := le.EvalRanges(Ranges{"a": iv(0, 5), "b": iv(5, 20)}); got != TriTrue {
+	if got := CompileRanges(le)(Ranges{"a": iv(0, 5), "b": iv(5, 20)}); got != TriTrue {
 		t.Errorf("le touching = %s", got)
 	}
-	if got := le.EvalRanges(Ranges{"a": Interval{Empty: true}}); got != TriFalse {
+	if got := CompileRanges(le)(Ranges{"a": Interval{Empty: true}}); got != TriFalse {
 		t.Errorf("empty operand = %s", got)
 	}
 	gt := &ColumnComparison{Left: "a", Op: Gt, Right: "b"}
-	if got := gt.EvalRanges(Ranges{"a": iv(0, 5), "b": iv(5, 20)}); got != TriFalse {
+	if got := CompileRanges(gt)(Ranges{"a": iv(0, 5), "b": iv(5, 20)}); got != TriFalse {
 		t.Errorf("gt impossible = %s", got)
 	}
 }
 
 func TestEvalRangesInList(t *testing.T) {
 	zone := Ranges{"x": iv(10, 20)}
-	if got := NewIn("x", value.Int(1), value.Int(2)).EvalRanges(zone); got != TriFalse {
+	if got := CompileRanges(NewIn("x", value.Int(1), value.Int(2)))(zone); got != TriFalse {
 		t.Errorf("IN all-outside = %s", got)
 	}
-	if got := NewIn("x", value.Int(1), value.Int(15)).EvalRanges(zone); got != TriMaybe {
+	if got := CompileRanges(NewIn("x", value.Int(1), value.Int(15)))(zone); got != TriMaybe {
 		t.Errorf("IN partial = %s", got)
 	}
-	if got := NewNotIn("x", value.Int(1)).EvalRanges(zone); got != TriTrue {
+	if got := CompileRanges(NewNotIn("x", value.Int(1)))(zone); got != TriTrue {
 		t.Errorf("NOT IN all-outside = %s", got)
 	}
-	if got := NewNotIn("x", value.Int(15)).EvalRanges(zone); got != TriMaybe {
+	if got := CompileRanges(NewNotIn("x", value.Int(15)))(zone); got != TriMaybe {
 		t.Errorf("NOT IN partial = %s", got)
 	}
 	point := Ranges{"x": Point(value.Int(15))}
-	if got := NewIn("x", value.Int(15)).EvalRanges(point); got != TriTrue {
+	if got := CompileRanges(NewIn("x", value.Int(15)))(point); got != TriTrue {
 		t.Errorf("IN covering point = %s", got)
 	}
-	if got := NewNotIn("x", value.Int(15)).EvalRanges(point); got != TriFalse {
+	if got := CompileRanges(NewNotIn("x", value.Int(15)))(point); got != TriFalse {
 		t.Errorf("NOT IN covering point = %s", got)
 	}
-	if got := NewIn("x").EvalRanges(zone); got != TriFalse {
+	if got := CompileRanges(NewIn("x"))(zone); got != TriFalse {
 		t.Errorf("empty IN = %s", got)
 	}
-	if got := NewIn("x", value.Int(1)).EvalRanges(Ranges{"x": Interval{Empty: true}}); got != TriFalse {
+	if got := CompileRanges(NewIn("x", value.Int(1)))(Ranges{"x": Interval{Empty: true}}); got != TriFalse {
 		t.Errorf("IN on empty column = %s", got)
 	}
 }
 
 func TestEvalRangesLike(t *testing.T) {
 	zone := Ranges{"s": NewInterval(value.String("m"), value.String("p"), true, true)}
-	if got := NewLike("s", "a%").EvalRanges(zone); got != TriFalse {
+	if got := CompileRanges(NewLike("s", "a%"))(zone); got != TriFalse {
 		t.Errorf("prefix outside zone = %s", got)
 	}
-	if got := NewLike("s", "n%").EvalRanges(zone); got != TriMaybe {
+	if got := CompileRanges(NewLike("s", "n%"))(zone); got != TriMaybe {
 		t.Errorf("prefix inside zone = %s", got)
 	}
-	if got := NewLike("s", "%x%").EvalRanges(zone); got != TriMaybe {
+	if got := CompileRanges(NewLike("s", "%x%"))(zone); got != TriMaybe {
 		t.Errorf("no-prefix pattern = %s", got)
 	}
-	if got := NewNotLike("s", "a%").EvalRanges(zone); got != TriMaybe {
+	if got := CompileRanges(NewNotLike("s", "a%"))(zone); got != TriMaybe {
 		t.Errorf("NOT LIKE = %s", got)
 	}
-	if got := NewLike("s", "a%").EvalRanges(Ranges{"s": Interval{Empty: true}}); got != TriFalse {
+	if got := CompileRanges(NewLike("s", "a%"))(Ranges{"s": Interval{Empty: true}}); got != TriFalse {
 		t.Errorf("LIKE on empty column = %s", got)
 	}
 }
@@ -243,38 +243,38 @@ func TestEvalRangesAndOr(t *testing.T) {
 		NewComparison("x", Gt, value.Int(5)),  // true
 		NewComparison("y", Lt, value.Int(10)), // true
 	)
-	if got := and.EvalRanges(zone); got != TriTrue {
+	if got := CompileRanges(and)(zone); got != TriTrue {
 		t.Errorf("And true = %s", got)
 	}
 	andF := NewAnd(NewComparison("x", Gt, value.Int(5)), NewComparison("y", Gt, value.Int(10)))
-	if got := andF.EvalRanges(zone); got != TriFalse {
+	if got := CompileRanges(andF)(zone); got != TriFalse {
 		t.Errorf("And false = %s", got)
 	}
 	andM := NewAnd(NewComparison("x", Gt, value.Int(15)), NewComparison("y", Lt, value.Int(10)))
-	if got := andM.EvalRanges(zone); got != TriMaybe {
+	if got := CompileRanges(andM)(zone); got != TriMaybe {
 		t.Errorf("And maybe = %s", got)
 	}
 	orT := NewOr(NewComparison("x", Gt, value.Int(100)), NewComparison("y", Lt, value.Int(10)))
-	if got := orT.EvalRanges(zone); got != TriTrue {
+	if got := CompileRanges(orT)(zone); got != TriTrue {
 		t.Errorf("Or true = %s", got)
 	}
 	orF := NewOr(NewComparison("x", Gt, value.Int(100)), NewComparison("y", Gt, value.Int(10)))
-	if got := orF.EvalRanges(zone); got != TriFalse {
+	if got := CompileRanges(orF)(zone); got != TriFalse {
 		t.Errorf("Or false = %s", got)
 	}
 	orM := NewOr(NewComparison("x", Gt, value.Int(15)), NewComparison("y", Gt, value.Int(10)))
-	if got := orM.EvalRanges(zone); got != TriMaybe {
+	if got := CompileRanges(orM)(zone); got != TriMaybe {
 		t.Errorf("Or maybe = %s", got)
 	}
 	// The disjunctive zone-map win: X<12 OR X>18 over [13,17] skips.
 	disj := NewOr(NewComparison("x", Lt, value.Int(12)), NewComparison("x", Gt, value.Int(18)))
-	if got := disj.EvalRanges(Ranges{"x": iv(13, 17)}); got != TriFalse {
+	if got := CompileRanges(disj)(Ranges{"x": iv(13, 17)}); got != TriFalse {
 		t.Errorf("disjunctive skip = %s", got)
 	}
-	if got := True().EvalRanges(zone); got != TriTrue {
+	if got := CompileRanges(True())(zone); got != TriTrue {
 		t.Errorf("const true = %s", got)
 	}
-	if got := False().EvalRanges(zone); got != TriFalse {
+	if got := CompileRanges(False())(zone); got != TriFalse {
 		t.Errorf("const false = %s", got)
 	}
 }
@@ -351,7 +351,7 @@ func TestPrefixIntervalAllFF(t *testing.T) {
 	}
 }
 
-// Property: EvalRanges is sound — if a row satisfies p, the zone map of any
+// Property: CompileRanges is sound — if a row satisfies p, the zone map of any
 // block containing that row cannot evaluate to TriFalse; if it reports
 // TriTrue, every row in the block satisfies p.
 func TestEvalRangesSoundness(t *testing.T) {
@@ -391,10 +391,10 @@ func TestEvalRangesSoundness(t *testing.T) {
 			&ColumnComparison{Left: "x", Op: Lt, Right: "y"},
 		}
 		for _, p := range preds {
-			tri := p.EvalRanges(zone)
+			tri := CompileRanges(p)(zone)
 			anyTrue, allTrue := false, true
 			for row := 0; row < tab.NumRows(); row++ {
-				if p.EvalRow(tab, row) {
+				if evalRow(p, tab, row) {
 					anyTrue = true
 				} else {
 					allTrue = false

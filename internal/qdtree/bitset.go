@@ -14,12 +14,6 @@ type bitset []uint64
 // newBitset returns a zeroed bitset able to hold rows [0, n).
 func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
 
-// set marks row i.
-func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// get reports whether row i is set.
-func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
 // count returns the number of set bits.
 func (b bitset) count() int {
 	n := 0

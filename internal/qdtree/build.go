@@ -182,30 +182,15 @@ func (b *builder) acquire() bool {
 
 func (b *builder) release() { b.spare <- struct{}{} }
 
-// maskCompiler is an optional Cut fast path: fill a zeroed per-row bitmask
-// in one bulk pass, reporting false to fall back to CompileRecord.
-type maskCompiler interface {
-	CompileMask(t *relation.Table, mask []uint64) bool
-}
-
 // precomputeMatches evaluates every candidate's membership bitset over the
-// build table, fanning cuts out across the worker budget. Cuts exposing the
-// bulk mask path fill their bitset in a single vectorized pass.
+// build table in one vectorized pass per cut, fanning cuts out across the
+// worker budget.
 func (b *builder) precomputeMatches(tbl *relation.Table) {
 	n := tbl.NumRows()
 	b.matches = make([]bitset, len(b.cuts))
 	one := func(i int) {
 		m := newBitset(n)
-		if mc, ok := b.cuts[i].(maskCompiler); ok && mc.CompileMask(tbl, m) {
-			b.matches[i] = m
-			return
-		}
-		fn := b.cuts[i].CompileRecord(tbl)
-		for r := 0; r < n; r++ {
-			if fn(r) {
-				m.set(r)
-			}
-		}
+		b.cuts[i].FillMask(tbl, nil, m)
 		b.matches[i] = m
 	}
 

@@ -169,16 +169,16 @@ func TestParallelAssignRecordsChunked(t *testing.T) {
 	}
 }
 
-// countingCut wraps a cut and counts CompileRecord calls, so tests can
-// assert the membership precompute was skipped entirely.
+// countingCut wraps a cut and counts FillMask calls, so tests can assert
+// the membership precompute was skipped entirely.
 type countingCut struct {
 	Cut
 	compiles atomic.Int64
 }
 
-func (c *countingCut) CompileRecord(tbl *relation.Table) func(int) bool {
+func (c *countingCut) FillMask(tbl *relation.Table, rows []int32, mask []uint64) {
 	c.compiles.Add(1)
-	return c.Cut.CompileRecord(tbl)
+	c.Cut.FillMask(tbl, rows, mask)
 }
 
 // TestNoPrecomputeWhenRootCannotSplit is the regression test for the
@@ -202,7 +202,7 @@ func TestNoPrecomputeWhenRootCannotSplit(t *testing.T) {
 		t.Fatalf("sub-two-block table split into %d leaves", tree.NumLeaves())
 	}
 	if got := cut.compiles.Load(); got != 0 {
-		t.Errorf("precompute ran %d CompileRecord calls for an unsplittable root", got)
+		t.Errorf("precompute ran %d FillMask calls for an unsplittable root", got)
 	}
 
 	// An empty training workload can never score a cut either.

@@ -16,9 +16,10 @@ import (
 // filter predicate over the table) and InducedCut (a join-induced predicate,
 // §4.1).
 type Cut interface {
-	// CompileRecord returns a fast matcher deciding, for each row of t,
-	// whether the record routes to the left ("yes") child.
-	CompileRecord(t *relation.Table) func(row int) bool
+	// FillMask sets bit k of mask (zeroed, (len(rows)+63)/64 words) when
+	// row rows[k] of t routes to the left ("yes") child; a nil rows means
+	// every row of t, bit r for row r.
+	FillMask(t *relation.Table, rows []int32, mask []uint64)
 	// LeftRanges / RightRanges refine the node region for each child.
 	LeftRanges(region predicate.Ranges) predicate.Ranges
 	RightRanges(region predicate.Ranges) predicate.Ranges
@@ -49,16 +50,13 @@ type SimpleCut struct {
 // NewSimpleCut wraps a predicate as a cut.
 func NewSimpleCut(p predicate.Predicate) *SimpleCut { return &SimpleCut{Pred: p} }
 
-// CompileRecord implements Cut.
-func (c *SimpleCut) CompileRecord(t *relation.Table) func(row int) bool {
-	return predicate.Compile(c.Pred, t)
-}
-
-// CompileMask is the bulk membership fast path (see maskCompiler): it fills
-// mask with the predicate's matches in one vectorized pass when the
-// predicate shape allows, instead of a closure call per row.
-func (c *SimpleCut) CompileMask(t *relation.Table, mask []uint64) bool {
-	return predicate.CompileMask(c.Pred, t, mask)
+// FillMask implements Cut.
+func (c *SimpleCut) FillMask(t *relation.Table, rows []int32, mask []uint64) {
+	if rows == nil {
+		predicate.FillMask(c.Pred, t, mask)
+	} else {
+		predicate.FillRows(c.Pred, t, rows, mask)
+	}
 }
 
 // LeftRanges implements Cut.
@@ -101,9 +99,9 @@ type InducedCut struct {
 // NewInducedCut wraps an induced predicate as a cut.
 func NewInducedCut(ip *induce.Predicate) *InducedCut { return &InducedCut{Ind: ip} }
 
-// CompileRecord implements Cut.
-func (c *InducedCut) CompileRecord(t *relation.Table) func(row int) bool {
-	return c.Ind.CompileRow(t)
+// FillMask implements Cut.
+func (c *InducedCut) FillMask(t *relation.Table, rows []int32, mask []uint64) {
+	c.Ind.FillMask(t, rows, mask)
 }
 
 // LeftRanges implements Cut: induced cuts do not constrain the target

@@ -66,13 +66,14 @@ func TestRoutingSoundnessProperty(t *testing.T) {
 		for _, li := range tree.RouteQuery(probe) {
 			visited[li] = true
 		}
-		match := predicate.Compile(probe.FilterOn("T"), tab)
+		match := newBitset(tab.NumRows())
+		predicate.FillMask(probe.FilterOn("T"), tab, match)
 		for li, g := range groups {
 			if visited[li] {
 				continue
 			}
 			for _, r := range g {
-				if match(int(r)) {
+				if match.get(int(r)) {
 					t.Logf("matching row %d in skipped leaf %d", r, li)
 					return false
 				}

@@ -12,39 +12,30 @@ import (
 	"mto/internal/workload"
 )
 
-// compiledNode is the tree compiled once against a table: per-node record
-// matchers bound to the table's column vectors. The matchers are read-only
-// closures, so one compiled tree routes row chunks concurrently.
-type compiledNode struct {
-	match       func(int) bool
-	left, right *compiledNode
-	leafIndex   int
-}
-
-func compileTree(n *Node, tbl *relation.Table) *compiledNode {
+// assign routes rows, ascending, through the subtree at n into the
+// per-leaf buckets (each leaf's rows stay ascending). A node evaluates its
+// cut over the rows reaching it in one mask pass and stably partitions
+// them in place, left rows first, through spare (at least len(rows)
+// long); a leaf's bucket is its window of rows.
+func assign(n *Node, tbl *relation.Table, rows, spare []int32, buckets [][]int32) {
+	if len(rows) == 0 {
+		return
+	}
 	if n.IsLeaf() {
-		return &compiledNode{leafIndex: n.LeafIndex}
+		buckets[n.LeafIndex] = rows[:len(rows):len(rows)]
+		return
 	}
-	return &compiledNode{
-		match: n.Cut.CompileRecord(tbl),
-		left:  compileTree(n.Left, tbl),
-		right: compileTree(n.Right, tbl),
+	mask := make([]uint64, (len(rows)+63)/64)
+	n.Cut.FillMask(tbl, rows, mask)
+	left, right := 0, 0
+	for k, r := range rows { // branchless: each row is written both ways
+		b := int(mask[k>>6] >> (uint(k) & 63) & 1)
+		rows[left], spare[right] = r, r // left <= k: row k is already read
+		left, right = left+b, right+1-b
 	}
-}
-
-// routeRange routes rows [lo, hi) into per-leaf buckets.
-func (root *compiledNode) routeRange(lo, hi int, buckets [][]int32) {
-	for r := lo; r < hi; r++ {
-		node := root
-		for node.match != nil {
-			if node.match(r) {
-				node = node.left
-			} else {
-				node = node.right
-			}
-		}
-		buckets[node.leafIndex] = append(buckets[node.leafIndex], int32(r))
-	}
+	copy(rows[left:], spare[:right])
+	assign(n.Left, tbl, rows[:left], spare, buckets)
+	assign(n.Right, tbl, rows[left:], spare, buckets)
 }
 
 // minRouteChunk is the smallest per-worker row range worth a goroutine.
@@ -60,46 +51,43 @@ func (t *Tree) AssignRecords(tbl *relation.Table) [][]int32 {
 }
 
 // AssignRecordsParallel is AssignRecords with an explicit worker budget:
-// the tree is compiled once, the table is cut into contiguous row chunks
-// routed concurrently, and per-chunk leaf buckets are concatenated in chunk
-// order — so the groups are byte-identical at any parallelism (<= 0 selects
+// the table is cut into contiguous row chunks routed concurrently, node by
+// node, and per-chunk leaf buckets are concatenated in chunk order — so
+// the groups are byte-identical at any parallelism (<= 0 selects
 // GOMAXPROCS, 1 routes sequentially on the caller).
 func (t *Tree) AssignRecordsParallel(tbl *relation.Table, parallelism int) [][]int32 {
 	leaves := t.Leaves()
-	root := compileTree(t.Root, tbl)
 	n := tbl.NumRows()
 
 	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if mw := n / minRouteChunk; workers > mw {
-		workers = mw
-	}
-	if workers <= 1 {
-		groups := make([][]int32, len(leaves))
-		root.routeRange(0, n, groups)
-		return groups
-	}
-
+	workers = max(1, min(workers, n/minRouteChunk))
 	chunk := (n + workers - 1) / workers
 	perChunk := make([][][]int32, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for c := 0; c < workers; c++ {
-		go func(c int) {
-			defer wg.Done()
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			buckets := make([][]int32, len(leaves))
-			root.routeRange(lo, hi, buckets)
-			perChunk[c] = buckets
-		}(c)
+	route := func(c int) {
+		lo, hi := min(c*chunk, n), min(c*chunk+chunk, n)
+		rows := make([]int32, hi-lo)
+		for k := range rows {
+			rows[k] = int32(lo + k)
+		}
+		perChunk[c] = make([][]int32, len(leaves))
+		assign(t.Root, tbl, rows, make([]int32, len(rows)), perChunk[c])
 	}
-	wg.Wait()
+	if workers == 1 {
+		route(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for c := 0; c < workers; c++ {
+			go func(c int) {
+				defer wg.Done()
+				route(c)
+			}(c)
+		}
+		wg.Wait()
+	}
 
 	// Merge per-chunk buckets in chunk order: chunks are ascending row
 	// ranges, so each group keeps the sequential ascending order.
@@ -110,7 +98,7 @@ func (t *Tree) AssignRecordsParallel(tbl *relation.Table, parallelism int) [][]i
 			total += len(buckets[li])
 		}
 		if total == 0 {
-			continue // keep nil, as the sequential path would
+			continue // an empty leaf's group is nil
 		}
 		g := make([]int32, 0, total)
 		for _, buckets := range perChunk {

@@ -3,6 +3,7 @@ package qdtree
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -39,8 +40,8 @@ func oracleRoute(cut Cut, rc *RouteContext, region predicate.Ranges) (left, righ
 		// unsatisfiable within the child's region.
 		l := cut.LeftRanges(region)
 		r := cut.RightRanges(region)
-		left = !l.HasEmpty() && rc.Filter.EvalRanges(l) != predicate.TriFalse
-		right = !r.HasEmpty() && rc.Filter.EvalRanges(r) != predicate.TriFalse
+		left = !l.HasEmpty() && predicate.CompileRanges(rc.Filter)(l) != predicate.TriFalse
+		right = !r.HasEmpty() && predicate.CompileRanges(rc.Filter)(r) != predicate.TriFalse
 		return left, right
 	}
 	// §4.1.2: if the query's join graph does not share the cut's induction
@@ -75,8 +76,8 @@ func predicatesIntersect(a, b predicate.Predicate) bool {
 	if ra.Refine(rb).HasEmpty() {
 		return false
 	}
-	return a.EvalRanges(rb) != predicate.TriFalse &&
-		b.EvalRanges(ra) != predicate.TriFalse
+	return predicate.CompileRanges(a)(rb) != predicate.TriFalse &&
+		predicate.CompileRanges(b)(ra) != predicate.TriFalse
 }
 
 // oracleRouteQuery is RouteQuery through oracleRoute.
@@ -208,6 +209,10 @@ func TestPreparedRouteMatchesOracle(t *testing.T) {
 		for _, tree := range rb.trees {
 			induced += tree.Stats().InducedCuts
 			selfJoins += checkRoutes(t, rb.name+" as built", tree, rb.queries)
+			tbl := rb.ds.Table(tree.Table)
+			if got, want := tree.AssignRecords(tbl), oracleAssign(tree, tbl); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: AssignRecords differs from routing each row alone", rb.name, tree.Table)
+			}
 
 			data, err := json.Marshal(tree)
 			if err != nil {
@@ -252,6 +257,35 @@ func TestPreparedRouteMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// oracleAssign routes every row of tbl alone from the root, reading each
+// cut's full-table mask: the per-row walk AssignRecords' node-by-node
+// partitioning must reproduce, group for group.
+func oracleAssign(tree *Tree, tbl *relation.Table) [][]int32 {
+	masks := map[*Node]bitset{}
+	for _, n := range tree.Nodes() {
+		if !n.IsLeaf() {
+			masks[n] = newBitset(tbl.NumRows())
+			n.Cut.FillMask(tbl, nil, masks[n])
+		}
+	}
+	groups := make([][]int32, tree.NumLeaves())
+	for r := 0; r < tbl.NumRows(); r++ {
+		n := tree.Root
+		for !n.IsLeaf() {
+			if masks[n].get(r) {
+				n = n.Left
+			} else {
+				n = n.Right
+			}
+		}
+		groups[n.LeafIndex] = append(groups[n.LeafIndex], int32(r))
+	}
+	return groups
+}
+
+// get reports whether row i is set.
+func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // cutsOf returns the distinct cuts of tree in pre-order.
 func cutsOf(tree *Tree) []Cut {

@@ -21,10 +21,11 @@ func seedBuild(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config
 
 	matches := make([][]bool, len(cuts))
 	for i, c := range cuts {
-		fn := c.CompileRecord(tbl)
+		bits := newBitset(tbl.NumRows())
+		c.FillMask(tbl, nil, bits)
 		m := make([]bool, tbl.NumRows())
 		for r := range m {
-			m[r] = fn(r)
+			m[r] = bits.get(r)
 		}
 		matches[i] = m
 	}

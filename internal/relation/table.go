@@ -173,6 +173,20 @@ func (t *Table) IsNullAt(row, col int) bool {
 // has no nulls. Callers must not mutate it.
 func (t *Table) Nulls(col int) []bool { return t.cols[col].nulls }
 
+// Gather returns a column vector's values at rows, in rows' order — or
+// vals itself when rows is nil (every row). A nil vals (a null mask of a
+// column without nulls) stays nil.
+func Gather[T any](vals []T, rows []int32) []T {
+	if rows == nil || vals == nil {
+		return vals
+	}
+	out := make([]T, len(rows))
+	for k, r := range rows {
+		out[k] = vals[r]
+	}
+	return out
+}
+
 // Row materializes one row as values; convenient but allocates.
 func (t *Table) Row(row int) []value.Value {
 	out := make([]value.Value, len(t.cols))

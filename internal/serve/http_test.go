@@ -101,10 +101,10 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if st.Completed == 0 || st.Cache.Hits == 0 || len(st.Tenants) != 1 {
 		t.Errorf("stats not populated: %+v", st)
 	}
-	// Every template's filter is pushed down or bulk-masked, and the
-	// operator can see that: the off-pushdown row counter is exported.
-	if !bytes.Contains(body, []byte(`"residual_filter_rows":0`)) {
-		t.Errorf("stats lack the engine's residual_filter_rows: %s", body)
+	// The operator sees each tenant's engine counters, the row-order
+	// fold pass's row count among them.
+	if !bytes.Contains(body, []byte(`"materialized_fold_rows":`)) {
+		t.Errorf("stats lack the engine's materialized_fold_rows: %s", body)
 	}
 
 	// Healthy while serving.

@@ -9,6 +9,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -140,7 +141,7 @@ func (v Value) Comparable(o Value) bool {
 func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Compare returns -1, 0, or +1 ordering v against o. Null sorts first.
-// Mixed int/float compares numerically. It panics on incomparable kinds
+// Mixed int/float compares numerically and exactly (CompareIntFloat). It panics on incomparable kinds
 // (e.g. string vs int), which indicates a schema error upstream.
 func (v Value) Compare(o Value) int {
 	switch {
@@ -161,10 +162,31 @@ func (v Value) Compare(o Value) int {
 			return cmpOrdered(v.s, o.s)
 		}
 	}
-	if v.numeric() && o.numeric() {
-		return cmpOrdered(v.AsFloat(), o.AsFloat())
+	switch {
+	case v.kind == KindInt && o.kind == KindFloat:
+		return CompareIntFloat(v.i, o.f)
+	case v.kind == KindFloat && o.kind == KindInt:
+		return -CompareIntFloat(o.i, v.f)
 	}
 	panic(fmt.Sprintf("value: compare %s vs %s", v.kind, o.kind))
+}
+
+// CompareIntFloat orders i against f exactly: converting i to float64
+// would round it above 2^53. A NaN f compares as 0, as cmpOrdered has it.
+func CompareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := math.Trunc(f) // in [-2^63, 2^63): converts exactly
+	if c := cmpOrdered(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpOrdered(t, f) // i is t: f's fraction decides
 }
 
 func cmpOrdered[T int64 | float64 | string](a, b T) int {

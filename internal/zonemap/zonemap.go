@@ -1,7 +1,8 @@
 // Package zonemap implements per-block zone maps: the min/max (per column)
 // metadata cloud warehouses keep in memory to skip blocks during query
-// execution (Fig. 1 of the paper). A zone map is evaluated against a query
-// predicate with three-valued logic; TriFalse means the block can be skipped.
+// execution (Fig. 1 of the paper). predicate.CompileRanges evaluates a
+// query predicate against a zone map's Ranges with three-valued logic;
+// TriFalse means the block can be skipped.
 package zonemap
 
 import (
@@ -16,9 +17,10 @@ type ZoneMap struct {
 	rows   int
 }
 
-// Build computes the zone map for the given rows of t. Columns whose values
-// are all null in the block get an Empty interval, so any comparison over
-// them evaluates to false and the block is skippable for such filters.
+// Build computes the zone map for the given rows of t. The bounds leave
+// NULL and NaN out — neither matches any filter — so a column whose values
+// are all NULL or NaN in the block gets an Empty interval, any comparison
+// over it evaluates to false and the block is skippable for such filters.
 //
 // It runs at every layout install, once per block and column, so it sweeps
 // the table's typed vectors instead of boxing each cell into a value.Value.
@@ -49,16 +51,16 @@ func Build(t *relation.Table, rows []int32) *ZoneMap {
 	return zm
 }
 
-// minMax returns the bounds of vals over the non-null rows, ok false when
-// there is none. Like value.Compare it consults only < and >, so a bound
-// moves exactly when the boxed comparison would move it (a NaN seen first
-// stays, a later one never enters; -0 and +0 tie).
+// minMax returns the bounds of vals over the rows neither NULL nor NaN,
+// ok false when there is none. Like value.Compare it consults only < and
+// >, so a bound moves exactly when the boxed comparison would move it (-0
+// and +0 tie).
 func minMax[T int64 | float64 | string](vals []T, nulls []bool, rows []int32) (min, max T, ok bool) {
 	for _, r := range rows {
-		if nulls != nil && nulls[r] {
+		v := vals[r]
+		if nulls != nil && nulls[r] || v != v { // v != v: NaN
 			continue
 		}
-		v := vals[r]
 		if !ok {
 			min, max, ok = v, v, true
 			continue
@@ -88,14 +90,3 @@ func (z *ZoneMap) Ranges() predicate.Ranges { return z.ranges }
 
 // Column returns the interval for one column.
 func (z *ZoneMap) Column(name string) predicate.Interval { return z.ranges.Get(name) }
-
-// MaybeMatches reports whether any row in the block could satisfy p.
-// A false result is a proof the block can be skipped.
-func (z *ZoneMap) MaybeMatches(p predicate.Predicate) bool {
-	return p.EvalRanges(z.ranges) != predicate.TriFalse
-}
-
-// AllMatch reports whether every row in the block provably satisfies p.
-func (z *ZoneMap) AllMatch(p predicate.Predicate) bool {
-	return p.EvalRanges(z.ranges) == predicate.TriTrue
-}

@@ -46,28 +46,33 @@ func TestBuildRanges(t *testing.T) {
 	}
 }
 
+// decide evaluates p against zm as the engine's zone pruning does.
+func decide(zm *ZoneMap, p predicate.Predicate) predicate.Tri {
+	return predicate.CompileRanges(p)(zm.Ranges())
+}
+
 func TestSkipping(t *testing.T) {
 	tab := buildTable(t)
 	zm := Build(tab, []int32{0, 1, 2}) // x in [10,20]
-	if zm.MaybeMatches(predicate.NewComparison("x", predicate.Gt, value.Int(50))) {
+	if decide(zm, predicate.NewComparison("x", predicate.Gt, value.Int(50))) != predicate.TriFalse {
 		t.Error("should skip x > 50")
 	}
-	if !zm.MaybeMatches(predicate.NewComparison("x", predicate.Gt, value.Int(15))) {
+	if decide(zm, predicate.NewComparison("x", predicate.Gt, value.Int(15))) == predicate.TriFalse {
 		t.Error("should not skip x > 15")
 	}
-	if !zm.AllMatch(predicate.NewComparison("x", predicate.Le, value.Int(20))) {
+	if decide(zm, predicate.NewComparison("x", predicate.Le, value.Int(20))) != predicate.TriTrue {
 		t.Error("x <= 20 covers the whole block")
 	}
-	if zm.AllMatch(predicate.NewComparison("x", predicate.Le, value.Int(15))) {
+	if decide(zm, predicate.NewComparison("x", predicate.Le, value.Int(15))) == predicate.TriTrue {
 		t.Error("x <= 15 does not cover the whole block")
 	}
 	// Filters on the all-null column always skip.
-	if zm.MaybeMatches(predicate.NewComparison("n", predicate.Gt, value.Float(0))) {
+	if decide(zm, predicate.NewComparison("n", predicate.Gt, value.Float(0))) != predicate.TriFalse {
 		t.Error("all-null column filter should skip the block")
 	}
 	// A different slice of rows has a different zone.
 	zm2 := Build(tab, []int32{3})
-	if !zm2.MaybeMatches(predicate.NewComparison("n", predicate.Gt, value.Float(0))) {
+	if decide(zm2, predicate.NewComparison("n", predicate.Gt, value.Float(0))) == predicate.TriFalse {
 		t.Error("non-null block should not skip")
 	}
 	if !zm2.Column("x").IsPoint() {
@@ -81,8 +86,38 @@ func TestEmptyBlock(t *testing.T) {
 	if zm.NumRows() != 0 {
 		t.Error("empty block rows")
 	}
-	if zm.MaybeMatches(predicate.NewComparison("x", predicate.Eq, value.Int(10))) {
+	if decide(zm, predicate.NewComparison("x", predicate.Eq, value.Int(10))) != predicate.TriFalse {
 		t.Error("empty block should always skip")
+	}
+}
+
+// TestNaNNeverBounds: a NaN, like a NULL, matches no filter, so it never
+// enters a bound — not even as the block's first value — and a column of
+// only NaN and NULL gets the Empty interval.
+func TestNaNNeverBounds(t *testing.T) {
+	nan := value.Float(math.NaN())
+	tab := relation.NewTable(relation.MustSchema("t",
+		relation.Column{Name: "f", Type: value.KindFloat},
+		relation.Column{Name: "g", Type: value.KindFloat},
+	))
+	tab.MustAppendRow(nan, nan)
+	tab.MustAppendRow(value.Float(2), value.Null)
+	tab.MustAppendRow(nan, nan)
+	tab.MustAppendRow(value.Float(-1), value.Null)
+	tab.MustAppendRow(value.Float(math.Inf(1)), nan)
+	zm := Build(tab, []int32{0, 1, 2, 3, 4})
+	f := zm.Column("f")
+	if f.Empty || f.Min.Float() != -1 || !math.IsInf(f.Max.Float(), 1) || !f.MinInc || !f.MaxInc {
+		t.Errorf("f zone = %v, want [-1, +Inf]", f)
+	}
+	if g := zm.Column("g"); !g.Empty {
+		t.Errorf("NaN-and-NULL column zone = %v, want empty", g)
+	}
+	if f := Build(tab, []int32{0, 2}).Column("f"); !f.Empty {
+		t.Errorf("all-NaN zone = %v, want empty", f)
+	}
+	if decide(zm, predicate.NewComparison("g", predicate.Ne, value.Float(1))) != predicate.TriFalse {
+		t.Error("<> over a NaN-and-NULL column should skip the block")
 	}
 }
 
@@ -96,7 +131,7 @@ func buildBoxed(t *relation.Table, rows []int32) *ZoneMap {
 		seen := false
 		for _, r := range rows {
 			v := t.Value(int(r), c)
-			if v.IsNull() {
+			if v.IsNull() || v.Kind() == value.KindFloat && math.IsNaN(v.Float()) {
 				continue
 			}
 			if !seen {
