@@ -75,14 +75,32 @@ func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.S
 	reads := make([]bool, len(seg.cols))
 	for i, f := range filters {
 		ts.progs[i] = predicate.CompileScan(f, kindOf)
-		f.VisitColumns(func(col string) {
-			if ci, ok := colIdx[col]; ok {
-				reads[ci] = true
-			}
-		})
+		markReads(ts.progs[i], colIdx, reads)
 	}
 	ts.touched = setColumns(reads)
 	return ts
+}
+
+// markReads sets in reads the columns the leaves of the compiled program
+// n read. Normalization has already turned a leaf that can match nothing
+// (a NULL, NaN or other-kind literal, a missing column) into a constant,
+// which reads no page.
+func markReads(n predicate.ScanNode, colIdx map[string]int, reads []bool) {
+	switch q := n.(type) {
+	case *predicate.ScanAnd:
+		for _, c := range q.Children {
+			markReads(c, colIdx, reads)
+		}
+	case *predicate.ScanOr:
+		for _, c := range q.Children {
+			markReads(c, colIdx, reads)
+		}
+	case *predicate.ScanCmpCols:
+		reads[colIdx[q.Right]] = true
+	}
+	if _, name, _ := leafOf(n); name != "" {
+		reads[colIdx[name]] = true
+	}
 }
 
 // setColumns lists the set indexes of reads, ascending.

@@ -35,14 +35,14 @@ func TestTPCHShape(t *testing.T) {
 	// correlation of §6.3.1).
 	orders := ds.Table("orders")
 	// Referential integrity: every lineitem joins an order.
-	ki, err := relation.BuildKeyIndex(orders, "o_orderkey")
+	orderKeys, err := relation.BuildColumnDict(orders, "o_orderkey")
 	if err != nil {
 		t.Fatal(err)
 	}
 	line := ds.Table("lineitem")
 	ok := line.Schema().MustColumnIndex("l_orderkey")
 	for r := 0; r < line.NumRows(); r += 97 {
-		if ki.LookupInt(line.Value(r, ok).Int()) == nil {
+		if _, _, exists := orderKeys.CodeRange(line.Value(r, ok)); !exists {
 			t.Fatalf("lineitem row %d references missing order", r)
 		}
 	}

@@ -183,7 +183,7 @@ func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 
 	var group block.GroupKey
 	if !gb.IsZero() {
-		group = block.GroupKey{Column: gb.Column, Dict: e.dictFor(a.table, gb.Column)}
+		group = block.GroupKey{Column: gb.Column, Dict: e.groupDictFor(a.table, gb.Column)}
 	}
 	fold := e.store.CompileFold(a.table, group, specs)
 	if fold == nil {

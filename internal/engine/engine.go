@@ -121,11 +121,10 @@ type Engine struct {
 
 	// Lazily built cross-query caches (see cached). mu guards the maps
 	// only — entries are built outside it and immutable once stored, so
-	// holders read them after releasing the lock. keyIdx, dicts and posts
-	// cache failed builds as nil entries so unindexable/unencodable
-	// columns are not retried on every query.
+	// holders read them after releasing the lock. dicts and blockOf cache
+	// failed builds as nil entries so a missing column or an unmappable
+	// table is not retried on every query.
 	mu      sync.Mutex
-	keyIdx  map[colKey]*relation.KeyIndex
 	blockOf map[string][]int32 // table → row → block ID
 	dicts   map[colKey]*relation.ColumnDict
 	xlate   map[xlateKey][]int32 // from slot → to slot (see translateSlots)
@@ -167,7 +166,6 @@ func cached[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, build func() V)
 func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts Options) *Engine {
 	return &Engine{
 		store: store, design: design, ds: ds, opts: opts,
-		keyIdx:  map[colKey]*relation.KeyIndex{},
 		blockOf: map[string][]int32{},
 		dicts:   map[colKey]*relation.ColumnDict{},
 		xlate:   map[xlateKey][]int32{},

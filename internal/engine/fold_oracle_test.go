@@ -202,7 +202,7 @@ func oracleFoldGrouped(e *Engine, table string, tbl *relation.Table, set bitmap.
 	}
 	gkind := tbl.Schema().Column(gci).Type
 	gnulls := tbl.Nulls(gci)
-	dict := e.dictFor(table, gb.Column)
+	dict := e.groupDictFor(table, gb.Column)
 
 	// Per-spec column accessors, resolved once.
 	type colAccess struct {

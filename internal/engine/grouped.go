@@ -59,7 +59,7 @@ func (e *Engine) newSlotter(table string, tbl *relation.Table, gb workload.Group
 	if gb.IsZero() {
 		return &slotter{rows: make([]int64, 1)}, nil
 	}
-	if dict := e.dictFor(table, gb.Column); dict != nil {
+	if dict := e.groupDictFor(table, gb.Column); dict != nil {
 		return &slotter{rows: make([]int64, dict.NumCodes()+1), dict: dict}, nil
 	}
 	gci, ok := tbl.Schema().ColumnIndex(gb.Column)
@@ -67,7 +67,7 @@ func (e *Engine) newSlotter(table string, tbl *relation.Table, gb workload.Group
 		return nil, fmt.Errorf("engine: group by %s: table %q has no column %q",
 			gb, tbl.Schema().Table(), gb.Column)
 	}
-	// Only float columns lack a dictionary.
+	// A float group column gets no group dictionary (groupDictFor).
 	return &slotter{rows: make([]int64, 1), flt: tbl.Floats(gci), nulls: tbl.Nulls(gci),
 		keys: make([]float64, 1), slot: map[float64]int32{}}, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"mto/internal/bitmap"
 	"mto/internal/block"
@@ -47,95 +48,43 @@ type vecAlias struct {
 	keys    map[string]*cachedKeys
 }
 
-// cachedKeys is a snapshot of one alias's distinct non-null join keys in
-// one column, in up to three interchangeable representations built
-// lazily: dictionary codes (the source of the other two), sorted raw ints
-// (for zone-interval probes), and boxed values (for secondary-index
-// lookups and non-encodable columns). Runtime block pruning and the boxed
-// semijoin route read it; the coded semijoin strategies read the alias's
-// rows directly.
+// cachedKeys is a snapshot of one alias's distinct join keys in one
+// column: the codes of the column's dictionary that the alias's rows hold
+// (NULL and NaN rows hold none), ascending. Codes are ranks, so ascending
+// codes are ascending values. Runtime block pruning reads it; the semijoin
+// strategies read the alias's rows directly.
 type cachedKeys struct {
 	version int
-	dict    *relation.ColumnDict // nil for non-encodable columns
-	coded   bitmap.Dense         // set of dict codes; nil when dict is nil
-	boxed   map[value.Value]struct{}
-	ints    []int64       // sorted ascending; int dicts only
-	vals    []value.Value // sorted ascending, single kind
+	dict    *relation.ColumnDict
+	codes   []int32
 }
 
 // keysFor returns a's key snapshot for col, reusing the cached one while
 // a's row set is unchanged ("dirty alias" tracking: a clean version means
-// the expensive extraction can be skipped entirely).
+// the expensive extraction can be skipped entirely). col must be a column
+// of a's table.
 func (e *Engine) keysFor(a *vecAlias, col string) *cachedKeys {
 	if ck, ok := a.keys[col]; ok && ck.version == a.version {
 		return ck
 	}
-	tbl := e.ds.Table(a.table)
-	ck := &cachedKeys{version: a.version, dict: e.dictFor(a.table, col)}
-	if ck.dict != nil {
-		codes := ck.dict.Codes
-		ck.coded = bitmap.NewDense(ck.dict.NumCodes())
-		a.set.ForEach(func(r int) {
-			if c := codes[r]; c >= 0 {
-				ck.coded.Set(int(c))
-			}
-		})
-	} else {
-		// Non-encodable column (float keys, or a column this table does
-		// not have): fall back to boxing the values directly.
-		ck.boxed = map[value.Value]struct{}{}
-		if ci, ok := tbl.Schema().ColumnIndex(col); ok {
-			a.set.ForEach(func(r int) {
-				if v := tbl.Value(r, ci); !v.IsNull() {
-					ck.boxed[v] = struct{}{}
-				}
-			})
+	d := e.dictFor(a.table, col)
+	buf := grabDense(d.NumCodes())
+	present := buf.dense()
+	a.set.ForEach(func(r int) {
+		if c := d.Codes[r]; c >= 0 {
+			present.Set(int(c))
 		}
-	}
+	})
+	ck := &cachedKeys{version: a.version, dict: d, codes: make([]int32, 0, present.Count())}
+	present.ForEach(func(c int) { ck.codes = append(ck.codes, int32(c)) })
+	putDense(buf)
 	a.keys[col] = ck
 	return ck
 }
 
-// boxedKeys returns the keys as a value set (the scalar keysOf shape).
-func (ck *cachedKeys) boxedKeys() map[value.Value]struct{} {
-	if ck.boxed == nil {
-		ck.boxed = make(map[value.Value]struct{}, ck.coded.Count())
-		ck.coded.ForEach(func(c int) { ck.boxed[ck.dict.Value(int32(c))] = struct{}{} })
-	}
-	return ck.boxed
-}
-
-// intKeys returns the sorted raw int keys; ok is false for non-int key
-// sets.
-func (ck *cachedKeys) intKeys() (keys []int64, ok bool) {
-	if ck.dict == nil || ck.dict.Kind != value.KindInt {
-		return nil, false
-	}
-	if ck.ints == nil {
-		ck.ints = make([]int64, 0, ck.coded.Count())
-		ck.coded.ForEach(func(c int) { ck.ints = append(ck.ints, ck.dict.Ints[c]) })
-	}
-	return ck.ints, true
-}
-
-// valueKeys returns the keys as a sorted boxed slice (the sortedKeys
-// shape). Dictionary codes are ranks, so ascending code order is already
-// ascending value order.
-func (ck *cachedKeys) valueKeys() []value.Value {
-	if ck.vals == nil {
-		if ck.dict != nil {
-			ck.vals = make([]value.Value, 0, ck.coded.Count())
-			ck.coded.ForEach(func(c int) { ck.vals = append(ck.vals, ck.dict.Value(int32(c))) })
-		} else {
-			ck.vals = sortedKeys(ck.boxed)
-		}
-	}
-	return ck.vals
-}
-
 // dictFor returns the cached dictionary encoding of table.col, nil when
-// the column cannot be encoded (float or missing). Failures are cached
-// too, so unencodable columns are not retried on every query.
+// the table has no such column. The failure is cached too, so a missing
+// column is not retried on every query.
 func (e *Engine) dictFor(table, col string) *relation.ColumnDict {
 	return cached(&e.mu, e.dicts, colKey{table, col}, func() *relation.ColumnDict {
 		d, err := relation.BuildColumnDict(e.ds.Table(table), col)
@@ -144,6 +93,18 @@ func (e *Engine) dictFor(table, col string) *relation.ColumnDict {
 		}
 		return d
 	})
+}
+
+// groupDictFor is dictFor for a GROUP BY column: nil for a float column,
+// whose groups are slotted by first sight instead. A join dictionary
+// gives NaN rows no code and ±0 one code labelled +0, while a float group
+// keeps NaN as its own group and the first survivor's signed zero as the
+// label.
+func (e *Engine) groupDictFor(table, col string) *relation.ColumnDict {
+	if d := e.dictFor(table, col); d != nil && d.Kind != value.KindFloat {
+		return d
+	}
+	return nil
 }
 
 // executeKernel stages a query through the vectorized kernels.
@@ -283,9 +244,10 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan
 }
 
 // blockPruneKernel is runtimeBlockPrune over vectorized alias state: the
-// materialized side's key set comes from the per-column cache, and int
-// keys probe zone intervals through a primitive binary search instead of
-// boxed comparisons.
+// materialized side's key set is its cached key codes, which probe each
+// zone interval in code space (anyCodeInInterval) and, under a secondary
+// index, name the target rows through the target column's postings
+// (indexPrune).
 func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 	aliases map[string]*vecAlias, tables map[string]*tableState) int {
 
@@ -313,7 +275,7 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 		}
 		ck := e.keysFor(other, otherCol)
 		if e.opts.SecondaryIndexes[ts.table] == myCol {
-			if e.secondaryIndexPrune(ts, myCol, ck.boxedKeys()) {
+			if e.indexPrune(ts, myCol, colKey{other.table, otherCol}, ck) {
 				reducers++
 			}
 			continue
@@ -325,24 +287,63 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 		}
 		reducers++
 		zones := e.store.Zones(ts.table)
-		ints, isInt := ck.intKeys()
 		kept := ts.candidates[:0]
 		for _, id := range ts.candidates {
-			iv := zones[id].Column(myCol)
-			hit, handled := false, false
-			if isInt {
-				hit, handled = anyIntKeyInInterval(ints, iv)
-			}
-			if !handled {
-				hit = anyKeyInInterval(ck.valueKeys(), iv)
-			}
-			if hit {
+			if anyCodeInInterval(ck.dict, ck.codes, zones[id].Column(myCol)) {
 				kept = append(kept, id)
 			}
 		}
 		ts.candidates = kept
 	}
 	return reducers
+}
+
+// anyCodeInInterval is anyKeyInInterval over a key set held as codes of
+// d, ascending: it binary-searches the keys' values for the first one
+// above iv's lower bound (value.Compare orders int keys against float
+// bounds exactly, as the boxed probe does) and reports whether that key
+// is within the upper bound. Bounds the keys' kind cannot be compared
+// with keep the block.
+func anyCodeInInterval(d *relation.ColumnDict, codes []int32, iv predicate.Interval) bool {
+	if iv.Empty || len(codes) == 0 {
+		return false
+	}
+	if k := d.Value(codes[0]); !k.Comparable(iv.Min) || !k.Comparable(iv.Max) {
+		return true
+	}
+	i := 0
+	if !iv.Min.IsNull() {
+		i = sort.Search(len(codes), func(i int) bool {
+			c := d.Value(codes[i]).Compare(iv.Min)
+			return c > 0 || c == 0 && iv.MinInc
+		})
+	}
+	return i < len(codes) && iv.Contains(d.Value(codes[i]))
+}
+
+// indexPrune is secondaryIndexPrune in code space: the source keys' codes
+// translate into slots of the target column's dictionary, whose postings
+// name the rows holding them, whose blocks are kept. Reports whether the
+// index probe ran (false when the table has no such column or the backend
+// cannot map rows to blocks).
+func (e *Engine) indexPrune(ts *tableState, col string, src colKey, ck *cachedKeys) bool {
+	td := e.dictFor(ts.table, col)
+	blockOf := e.blockOfFor(ts.table)
+	if td == nil || blockOf == nil {
+		return false
+	}
+	xl := e.xlateFor(src, ck.dict, colKey{ts.table, col}, td)
+	tp := e.postingsFor(ts.table, col, td)
+	needed := map[int32]bool{}
+	for _, c := range ck.codes {
+		if s := xl[c+1]; s != 0 {
+			for _, r := range tp.of(s - 1) {
+				needed[blockOf[r]] = true
+			}
+		}
+	}
+	keepBlocks(ts, needed)
+	return true
 }
 
 // reduceKernel is semantic reduction over the vectorized alias state: the

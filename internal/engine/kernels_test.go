@@ -192,48 +192,65 @@ func TestAnyKeyInIntervalMixedKinds(t *testing.T) {
 	}
 }
 
-// TestAnyIntKeyInInterval pins the primitive fast path to the generic probe:
-// handled int/unbounded bounds agree with anyKeyInInterval, and non-int
-// bounds hand off to the fallback.
-func TestAnyIntKeyInInterval(t *testing.T) {
-	keys := []int64{5, 10, 20}
-	boxed := []value.Value{value.Int(5), value.Int(10), value.Int(20)}
-	ivs := []predicate.Interval{
-		predicate.NewInterval(value.Int(8), value.Int(12), true, true),
-		predicate.NewInterval(value.Int(11), value.Int(19), true, true),
-		predicate.NewInterval(value.Int(10), value.Int(20), false, false),
-		predicate.NewInterval(value.Int(20), value.Null, false, true),
-		predicate.NewInterval(value.Null, value.Int(5), true, false),
-		predicate.Unbounded(),
-		{Empty: true},
+// TestAnyCodeInInterval pins the code-space zone probe to the boxed one:
+// for int, float and string key sets, every subset of keys (the empty one
+// included) against int, float and string bounds — empty, unbounded,
+// half-open, open and closed — anyCodeInInterval answers what
+// anyKeyInInterval answers on the same keys boxed.
+func TestAnyCodeInInterval(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	columns := map[string][]value.Value{
+		"int":    {value.Int(-7), value.Int(0), value.Int(5), value.Int(10), value.Int(20), value.Int(1 << 60)},
+		"float":  {value.Float(-inf), value.Float(-2.5), value.Float(negZero), value.Float(5), value.Float(10.5), value.Float(inf), value.Float(math.NaN()), value.Null},
+		"string": {value.String(""), value.String("b"), value.String("m"), value.String("z")},
 	}
-	for _, iv := range ivs {
-		hit, handled := anyIntKeyInInterval(keys, iv)
-		if !handled {
-			t.Errorf("%v: int bounds must be handled", iv)
-			continue
+	bounds := []value.Value{value.Null,
+		value.Int(-8), value.Int(0), value.Int(5), value.Int(10), value.Int(11), value.Int(1 << 60), value.Int(1<<60 + 1),
+		value.Float(-inf), value.Float(-2.5), value.Float(negZero), value.Float(0), value.Float(4.999),
+		value.Float(5), value.Float(10.5), value.Float(1 << 60), value.Float(inf),
+		value.String("a"), value.String("b"), value.String("n"), value.String("zz"),
+	}
+	var ivs []predicate.Interval
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			for _, inc := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+				ivs = append(ivs, predicate.NewInterval(lo, hi, inc[0], inc[1]))
+			}
 		}
-		if want := anyKeyInInterval(boxed, iv); hit != want {
-			t.Errorf("%v: fast path = %v, generic = %v", iv, hit, want)
+	}
+	ivs = append(ivs, predicate.Unbounded(), predicate.Interval{Empty: true})
+	for name, vals := range columns {
+		tbl := relation.NewTable(relation.MustSchema(name, relation.Column{Name: "k", Type: vals[0].Kind()}))
+		for _, v := range vals {
+			tbl.MustAppendRow(v)
 		}
-	}
-	if hit, handled := anyIntKeyInInterval(nil, predicate.Unbounded()); hit || !handled {
-		t.Errorf("empty keys: hit=%v handled=%v, want false/true", hit, handled)
-	}
-	// Non-int bounds defer to the generic (boxed) probe.
-	for _, iv := range []predicate.Interval{
-		predicate.NewInterval(value.Float(1.5), value.Float(9.5), true, true),
-		predicate.NewInterval(value.String("a"), value.String("z"), true, true),
-	} {
-		if _, handled := anyIntKeyInInterval(keys, iv); handled {
-			t.Errorf("%v: non-int bounds must not be handled by the fast path", iv)
+		d, err := relation.BuildColumnDict(tbl, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.NumCodes()
+		for subset := 0; subset < 1<<n; subset++ {
+			var codes []int32
+			boxed := map[value.Value]struct{}{}
+			for c := 0; c < n; c++ {
+				if subset>>c&1 == 1 {
+					codes = append(codes, int32(c))
+					boxed[d.Value(int32(c))] = struct{}{}
+				}
+			}
+			keys := sortedKeys(boxed)
+			for _, iv := range ivs {
+				if got, want := anyCodeInInterval(d, codes, iv), anyKeyInInterval(keys, iv); got != want {
+					t.Errorf("%s keys %v, %v: code probe %v, boxed probe %v", name, keys, iv, got, want)
+				}
+			}
 		}
 	}
 }
 
 // TestKernelMatchesReferenceSecondaryIndex pins the kernel to the scalar
-// path under secondary-index pruning, where key sets flow into KeyIndex
-// lookups instead of zone probes.
+// path under secondary-index pruning, where key sets flow into the target
+// column's postings instead of zone probes.
 func TestKernelMatchesReferenceSecondaryIndex(t *testing.T) {
 	ds := starDS(t, 1000, 20000, 13)
 	d, err := layout.SortKeyDesign(ds, layout.SortKeys{"fact": "v", "dim": "id"}, 500)

@@ -18,8 +18,9 @@ func prunableDirections(t workload.JoinType) (rightByLeft, leftByRight bool) {
 	return t.CanInduceLeftToRight(), t.CanInduceRightToLeft()
 }
 
-// keysOf collects the distinct non-null join-key values of the alias's
-// surviving rows in the named column.
+// keysOf collects the distinct join-key values of the alias's surviving
+// rows in the named column. NULL and NaN are left out: neither matches an
+// equijoin (and a NaN map key never matches a lookup anyway).
 func keysOf(tbl *relation.Table, rows []int32, col string) map[value.Value]struct{} {
 	ci, ok := tbl.Schema().ColumnIndex(col)
 	if !ok {
@@ -27,8 +28,7 @@ func keysOf(tbl *relation.Table, rows []int32, col string) map[value.Value]struc
 	}
 	out := make(map[value.Value]struct{}, len(rows))
 	for _, r := range rows {
-		v := tbl.Value(int(r), ci)
-		if !v.IsNull() {
+		if v := tbl.Value(int(r), ci); !v.IsNull() && !v.IsNaN() {
 			out[v] = struct{}{}
 		}
 	}
@@ -96,39 +96,6 @@ func groupInInterval(keys []value.Value, iv predicate.Interval) bool {
 	return iv.Contains(keys[lo])
 }
 
-// anyIntKeyInInterval is anyKeyInInterval specialized to sorted raw int64
-// keys — the common case for join columns, probed without boxing. handled
-// is false when a bound has a non-int kind; callers then fall back to the
-// generic boxed probe, which resolves numeric cross-kind comparisons and
-// conservative keeps exactly like the scalar path.
-func anyIntKeyInInterval(keys []int64, iv predicate.Interval) (hit, handled bool) {
-	if iv.Empty {
-		return false, true
-	}
-	if (!iv.Min.IsNull() && iv.Min.Kind() != value.KindInt) ||
-		(!iv.Max.IsNull() && iv.Max.Kind() != value.KindInt) {
-		return false, false
-	}
-	if len(keys) == 0 {
-		return false, true
-	}
-	lo := 0
-	if !iv.Min.IsNull() {
-		min := iv.Min.Int()
-		lo = sort.Search(len(keys), func(i int) bool {
-			return keys[i] > min || (keys[i] == min && iv.MinInc)
-		})
-	}
-	if lo >= len(keys) {
-		return false, true
-	}
-	if iv.Max.IsNull() {
-		return true, true
-	}
-	max := iv.Max.Int()
-	return keys[lo] < max || (keys[lo] == max && iv.MaxInc), true
-}
-
 // tableHasColumn reports whether t's schema holds col.
 func tableHasColumn(t *relation.Table, col string) bool {
 	_, ok := t.Schema().ColumnIndex(col)
@@ -194,19 +161,6 @@ func (e *Engine) runtimeBlockPrune(q *workload.Query, ts *tableState,
 	return reducers
 }
 
-// keyIndexFor returns the table.col key index, building and caching it on
-// first use. nil means the column cannot be indexed; the failure is cached
-// too, so unindexable columns are not retried on every query.
-func (e *Engine) keyIndexFor(table, col string) *relation.KeyIndex {
-	return cached(&e.mu, e.keyIdx, colKey{table, col}, func() *relation.KeyIndex {
-		ki, err := relation.BuildKeyIndex(e.ds.Table(table), col)
-		if err != nil {
-			return nil
-		}
-		return ki
-	})
-}
-
 // blockOfFor returns the table's row → block ID mapping, building and
 // caching it on first use. The mapping is an auxiliary-index read served
 // by the backend (from the segment's row-ID pages); nil means the backend
@@ -224,24 +178,30 @@ func (e *Engine) blockOfFor(table string) []int32 {
 
 // secondaryIndexPrune keeps only candidate blocks that physically contain a
 // row whose indexed column matches one of the keys. Unlike zone-interval
-// pruning, it works without any clustering of the join column. Reports
-// whether an index probe ran (false for unindexable column types, where no
-// reducer is built and nothing is pruned).
+// pruning, it works without any clustering of the join column. This is the
+// scalar form: it checks every row of the table against the boxed key set.
+// Reports whether the probe ran (false when the table has no such column
+// or the backend cannot map rows to blocks: no reducer is built and
+// nothing is pruned).
 func (e *Engine) secondaryIndexPrune(ts *tableState, col string, keys map[value.Value]struct{}) bool {
-	ki := e.keyIndexFor(ts.table, col)
-	if ki == nil {
-		return false
-	}
+	tbl := e.ds.Table(ts.table)
+	ci, ok := tbl.Schema().ColumnIndex(col)
 	blockOf := e.blockOfFor(ts.table)
-	if blockOf == nil {
+	if !ok || blockOf == nil {
 		return false
 	}
 	needed := map[int32]bool{}
-	for k := range keys {
-		for _, r := range ki.Lookup(k) {
+	for r := 0; r < tbl.NumRows(); r++ {
+		if _, hit := keys[tbl.Value(r, ci)]; hit {
 			needed[blockOf[r]] = true
 		}
 	}
+	keepBlocks(ts, needed)
+	return true
+}
+
+// keepBlocks keeps the candidate blocks of ts that needed names.
+func keepBlocks(ts *tableState, needed map[int32]bool) {
 	kept := ts.candidates[:0]
 	for _, id := range ts.candidates {
 		if needed[int32(id)] {
@@ -249,7 +209,6 @@ func (e *Engine) secondaryIndexPrune(ts *tableState, col string, keys map[value.
 		}
 	}
 	ts.candidates = kept
-	return true
 }
 
 func aliasOnTable(q *workload.Query, alias, table string) bool {

@@ -5,14 +5,13 @@ import (
 
 	"mto/internal/bitmap"
 	"mto/internal/relation"
-	"mto/internal/value"
 )
 
 // This file is the vectorized semijoin operator: keep the target alias's
 // rows whose join key has (anti: has no) equal key among the source
-// alias's rows. Both dictionaries present, it runs one of three physical
-// strategies, whichever the cost rule (chooseStrategy) expects to be
-// cheapest:
+// alias's rows. It runs one of three physical strategies over the two
+// columns' dictionaries, whichever the cost rule (chooseStrategy) expects
+// to be cheapest:
 //
 //   - probe: visit every target survivor and test its code against the
 //     source's keys;
@@ -23,13 +22,13 @@ import (
 //     extracts the source's keys.
 //
 // The first two read the source's keys as a bitset over the target
-// dictionary's slots (slot = code + 1; slot 0, null or absent from the
-// target column, is never set), built straight from the source rows, so
+// dictionary's slots (slot = code + 1; slot 0, NULL, NaN or absent from
+// the target column, is never set), built straight from the source rows, so
 // key extraction and code translation are one pass, and both run without
 // a data-dependent branch per row. All three produce the same survivor
-// bitmap (pinned by the strategy equivalence tests). A column without a
-// dictionary (floats) takes the boxed route, and an empty side short-cuts
-// every strategy.
+// bitmap (pinned by the strategy equivalence tests). Every join column
+// has a dictionary (relation.ColumnDict encodes int, float and string
+// columns). An empty side short-cuts every strategy.
 
 // strategy is a semijoin's physical plan.
 type strategy uint8
@@ -38,8 +37,7 @@ const (
 	probeTarget strategy = iota
 	targetPostings
 	sourcePostings
-	boxedProbe // a column without a dictionary: boxed value sets
-	emptySide  // either side has no rows: nothing to visit
+	emptySide // either side has no rows: nothing to visit
 )
 
 // postings is a column's code → rows index in CSR form: the rows holding
@@ -167,25 +165,21 @@ type semiSource struct {
 	how     strategy
 	version int
 	count   int
-	td, sd  *relation.ColumnDict // nil for a column without a dictionary
-	slots   *denseBuf            // probe, target postings: the source's keys as target slots
-	rows    *denseBuf            // source postings: a private copy of the source rows
-	keys    *cachedKeys          // boxed
+	td, sd  *relation.ColumnDict
+	slots   *denseBuf // probe, target postings: the source's keys as target slots
+	rows    *denseBuf // source postings: a private copy of the source rows
 }
 
 // prepare chooses s's strategy and captures its source. copyRows asks for
 // a private copy of the source rows when source postings are chosen — the
-// caller is about to shrink the source before s runs.
+// caller is about to shrink the source before s runs. Both join columns
+// must exist (joinColumnsExist).
 func (e *Engine) prepare(s semijoin, copyRows bool) semiSource {
 	if s.tgt.count == 0 || s.src.count == 0 {
 		return semiSource{how: emptySide, version: s.src.version, count: s.src.count}
 	}
 	td, sd := e.dictFor(s.tgt.table, s.tgtCol), e.dictFor(s.src.table, s.srcCol)
-	how := boxedProbe
-	if td != nil && sd != nil {
-		how = chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd)
-	}
-	return e.capture(s, how, td, sd, copyRows)
+	return e.capture(s, chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd), td, sd, copyRows)
 }
 
 // capture records what strategy how reads of s's source (td and sd are
@@ -202,8 +196,6 @@ func (e *Engine) capture(s semijoin, how strategy, td, sd *relation.ColumnDict, 
 			src.rows = grabDense(len(sd.Codes))
 			copy(src.rows.w, s.src.set)
 		}
-	case boxedProbe:
-		src.keys = e.keysFor(s.src, s.srcCol)
 	}
 	return src
 }
@@ -240,8 +232,6 @@ func (e *Engine) run(s semijoin, src semiSource) bool {
 		} else {
 			kept = t.count
 		}
-	default:
-		kept = reduceBoxed(t.set, t.count, e.ds.Table(t.table), s.tgtCol, src.keys.boxedKeys(), s.anti)
 	}
 	if kept == t.count {
 		return false
@@ -357,38 +347,6 @@ func reduceSourcePostings(set bitmap.Dense, codes, xl []int32, sp *postings,
 		}
 		set[w] = hit
 		kept += bits.OnesCount64(hit)
-	}
-	return kept
-}
-
-// reduceBoxed is the boxed route for columns without a dictionary, with
-// the exact membership semantics of the scalar reduceTo. count is set's
-// population; returns the rows kept.
-func reduceBoxed(set bitmap.Dense, count int, tbl *relation.Table, col string,
-	keys map[value.Value]struct{}, anti bool) int {
-
-	ci, ok := tbl.Schema().ColumnIndex(col)
-	if !ok {
-		return count
-	}
-	kept := 0
-	for w := range set {
-		word := set[w]
-		for word != 0 {
-			t := word & -word
-			r := w<<6 | bits.TrailingZeros64(word)
-			word ^= t
-			v := tbl.Value(r, ci)
-			_, member := keys[v]
-			if v.IsNull() {
-				member = false
-			}
-			if member == anti {
-				set[w] &^= t
-			} else {
-				kept++
-			}
-		}
 	}
 	return kept
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,23 +14,35 @@ import (
 	"mto/internal/workload"
 )
 
-// keyTable builds a one-column int table; a nil entry is a null key.
-func keyTable(name string, keys []*int64) *relation.Table {
-	tbl := relation.NewTable(relation.MustSchema(name, relation.Column{Name: "k", Type: value.KindInt}))
+// keyTable builds a one-column table "k" of keys; value.Null is a null
+// key. The column is a float column when any key is a float, an int
+// column otherwise.
+func keyTable(name string, keys []value.Value) *relation.Table {
+	kind := value.KindInt
 	for _, k := range keys {
-		if k == nil {
-			tbl.MustAppendRow(value.Null)
-		} else {
-			tbl.MustAppendRow(value.Int(*k))
+		if k.Kind() == value.KindFloat {
+			kind = value.KindFloat
 		}
+	}
+	tbl := relation.NewTable(relation.MustSchema(name, relation.Column{Name: "k", Type: kind}))
+	for _, k := range keys {
+		tbl.MustAppendRow(k)
 	}
 	return tbl
 }
 
-func keys(vs ...int64) []*int64 {
-	out := make([]*int64, len(vs))
-	for i := range vs {
-		out[i] = &vs[i]
+func keys(vs ...int64) []value.Value {
+	out := make([]value.Value, len(vs))
+	for i, v := range vs {
+		out[i] = value.Int(v)
+	}
+	return out
+}
+
+func floatKeys(vs ...float64) []value.Value {
+	out := make([]value.Value, len(vs))
+	for i, v := range vs {
+		out[i] = value.Float(v)
 	}
 	return out
 }
@@ -38,13 +51,13 @@ func keys(vs ...int64) []*int64 {
 // survive before the step.
 type semiCase struct {
 	name       string
-	tgt, src   []*int64
+	tgt, src   []value.Value
 	tgtR, srcR []int // surviving rows
 }
 
 // runStrategies reduces a fresh copy of the case's target by its source
-// under every strategy and returns the kept rows and removed flag of each,
-// plus the scalar reduceTo's answer.
+// under each of the three strategies and returns the kept rows and removed
+// flag of each, plus the scalar reduceTo's answer.
 func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]bitmap.Dense, map[strategy]bool, bitmap.Dense) {
 	t.Helper()
 	ds := relation.NewDataset()
@@ -66,7 +79,7 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 	}
 	sets := map[strategy]bitmap.Dense{}
 	removed := map[strategy]bool{}
-	for _, how := range []strategy{probeTarget, targetPostings, sourcePostings, boxedProbe} {
+	for _, how := range []strategy{probeTarget, targetPostings, sourcePostings} {
 		s := semijoin{tgt: alias("T", len(c.tgt), c.tgtR), src: alias("S", len(c.src), c.srcR),
 			tgtCol: "k", srcCol: "k", anti: anti}
 		src := e.capture(s, how, td, sd, copyRows)
@@ -108,14 +121,17 @@ func allRows(n int) []int {
 }
 
 // TestStrategyEquivalence runs the probe, target-postings and
-// source-postings strategies (and the boxed route) directly on the same
-// inputs and requires identical survivor bitmaps and "removed" flags,
-// equal to the scalar reduceTo's.
+// source-postings strategies directly on the same inputs and requires
+// identical survivor bitmaps and "removed" flags, equal to the scalar
+// reduceTo's, over int keys, float keys (NULL, NaN, ±0, ±Inf, duplicates)
+// and int keys against float keys.
 func TestStrategyEquivalence(t *testing.T) {
+	null, nan, inf := value.Null, value.Float(math.NaN()), math.Inf(1)
 	cases := []semiCase{
 		{name: "matching", tgt: keys(1, 2, 3, 4, 2), src: keys(2, 4, 9),
 			tgtR: allRows(5), srcR: allRows(3)},
-		{name: "nulls", tgt: []*int64{nil, keys(1)[0], nil, keys(3)[0]}, src: []*int64{nil, keys(1)[0], keys(3)[0]},
+		{name: "nulls", tgt: []value.Value{null, value.Int(1), null, value.Int(3)},
+			src:  []value.Value{null, value.Int(1), value.Int(3)},
 			tgtR: allRows(4), srcR: []int{0, 1}},
 		{name: "absent-codes", tgt: keys(5, 6, 7), src: keys(1, 2, 6),
 			tgtR: allRows(3), srcR: allRows(3)},
@@ -129,16 +145,42 @@ func TestStrategyEquivalence(t *testing.T) {
 			tgtR: allRows(1), srcR: allRows(1)},
 		{name: "source-survivor-late-in-list", tgt: keys(1, 2), src: keys(1, 1, 1, 2, 2, 1),
 			tgtR: allRows(2), srcR: []int{5}},
+		{name: "float-matching", tgt: floatKeys(0.5, 1.5, 2.5, 1.5), src: floatKeys(1.5, 3.5),
+			tgtR: allRows(4), srcR: allRows(2)},
+		{name: "float-specials", tgt: append(floatKeys(math.Copysign(0, -1), 0, inf, -inf, 2), nan, null),
+			src:  append(floatKeys(0, inf, 7), nan, null),
+			tgtR: allRows(7), srcR: allRows(5)},
+		{name: "float-signed-zero-source", tgt: floatKeys(0, 1), src: floatKeys(math.Copysign(0, -1)),
+			tgtR: allRows(2), srcR: allRows(1)},
+		{name: "float-nan-only-source", tgt: append(floatKeys(1), nan), src: []value.Value{nan, nan},
+			tgtR: allRows(2), srcR: allRows(2)},
+		{name: "int-target-float-source", tgt: keys(1, 2, 3), src: floatKeys(1, 2, 3),
+			tgtR: allRows(3), srcR: allRows(3)},
+		{name: "float-target-int-source", tgt: floatKeys(1, 2.5, 3), src: keys(1, 3),
+			tgtR: allRows(3), srcR: allRows(2)},
 	}
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 60; i++ {
-		gen := func(n, domain int) []*int64 {
-			out := make([]*int64, n)
+	specials := []value.Value{null, nan, value.Float(math.Copysign(0, -1)), value.Float(0),
+		value.Float(inf), value.Float(-inf)}
+	for i := 0; i < 180; i++ {
+		kind := i % 3 // int, float, or float with specials
+		gen := func(n, domain int) []value.Value {
+			out := make([]value.Value, n)
 			for r := range out {
-				if rng.Intn(8) > 0 {
-					v := int64(rng.Intn(domain))
-					out[r] = &v
+				v := rng.Intn(domain)
+				switch {
+				case rng.Intn(8) == 0:
+					out[r] = null
+				case kind == 0:
+					out[r] = value.Int(int64(v))
+				case kind == 2 && rng.Intn(4) == 0:
+					out[r] = specials[rng.Intn(len(specials))]
+				default:
+					out[r] = value.Float(float64(v) / 2)
 				}
+			}
+			if kind == 2 {
+				out[0] = nan // the column is a float column even when every draw is NULL
 			}
 			return out
 		}
@@ -179,7 +221,7 @@ func TestStrategyEquivalence(t *testing.T) {
 // TestPostingsInvertDictionary pins the code → rows index: every non-null
 // row sits in its code's list, lists are ascending, nulls are in none.
 func TestPostingsInvertDictionary(t *testing.T) {
-	tbl := keyTable("T", []*int64{keys(3)[0], nil, keys(1)[0], keys(3)[0], keys(2)[0], nil, keys(1)[0]})
+	tbl := keyTable("T", []value.Value{value.Int(3), value.Null, value.Int(1), value.Int(3), value.Int(2), value.Null, value.Int(1)})
 	d, err := relation.BuildColumnDict(tbl, "k")
 	if err != nil {
 		t.Fatal(err)

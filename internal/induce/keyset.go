@@ -16,10 +16,11 @@ import (
 // §4.1.2); integers outside that range spill to a map, and string keys use
 // a map.
 //
-// Kind contract: join keys are ints or strings — the only kinds the engine's
-// KeyIndex supports as well. add/remove/contains silently drop every other
-// kind (null never matches an equijoin, so dropping nulls is the correct
-// semi-join semantics); columns whose declared kind is unsupported (e.g.
+// Kind contract: join keys are ints or strings (the engine's join
+// dictionaries also take floats; this set does not yet).
+// add/remove/contains silently drop every other kind (null never matches
+// an equijoin, so dropping nulls is the correct semi-join semantics);
+// columns whose declared kind is unsupported (e.g.
 // float join keys) are rejected with an error at EvaluateAll/ApplyInsert/
 // ApplyDelete time, before any silent drop could produce an always-empty —
 // and therefore wrong — literal cut.

@@ -17,7 +17,7 @@ func CompileRanges(p Predicate) func(Ranges) Tri {
 	switch q := p.(type) {
 	case *Comparison:
 		col, op, v := q.Column, q.Op, q.Value
-		if v.IsNull() || isNaN(v) {
+		if v.IsNull() || v.IsNaN() {
 			return constTri(TriFalse)
 		}
 		return func(r Ranges) Tri { return compareIntervalToValue(r.Get(col), op, v) }
@@ -91,7 +91,7 @@ func constTri(t Tri) func(Ranges) Tri { return func(Ranges) Tri { return t } }
 func compileInList(q *InList) func(Ranges) Tri {
 	lits := make([]value.Value, 0, len(q.Values))
 	for _, v := range q.Values {
-		if v.IsNull() || isNaN(v) {
+		if v.IsNull() || v.IsNaN() {
 			if q.Negate_ {
 				return constTri(TriFalse)
 			}

@@ -128,7 +128,7 @@ func TestCompileMaskFallback(t *testing.T) {
 func kernelShape(p Predicate, kindOf func(string) (value.Kind, bool)) string {
 	switch q := p.(type) {
 	case *Comparison:
-		if k, ok := kindOf(q.Column); !ok || q.Value.Kind() != k || isNaN(q.Value) {
+		if k, ok := kindOf(q.Column); !ok || q.Value.Kind() != k || q.Value.IsNaN() {
 			return "holds " + q.String()
 		}
 	case *ColumnComparison:

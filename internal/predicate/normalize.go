@@ -95,17 +95,15 @@ func comparableKinds(a, b value.Kind) bool {
 func normalizeComparison(q *Comparison, kind value.Kind) Predicate {
 	lit := q.Value
 	switch {
-	case lit.Kind() == kind && kind != value.KindNull && !isNaN(lit):
+	case lit.Kind() == kind && kind != value.KindNull && !lit.IsNaN():
 		return q
-	case kind == value.KindInt && lit.Kind() == value.KindFloat && !isNaN(lit):
+	case kind == value.KindInt && lit.Kind() == value.KindFloat && !lit.IsNaN():
 		return intVsFloat(q.Column, q.Op, lit.Float())
 	case kind == value.KindFloat && lit.Kind() == value.KindInt:
 		return floatVsInt(q.Column, q.Op, lit.Int())
 	}
 	return False() // NULL, NaN, or a kind that never orders against the column
 }
-
-func isNaN(v value.Value) bool { return v.Kind() == value.KindFloat && math.IsNaN(v.Float()) }
 
 // notNull matches every non-null (and, over a float column, non-NaN) row.
 func notNull(col string, kind value.Kind) Predicate {
@@ -227,7 +225,7 @@ func inLiteral(v value.Value, kind value.Kind) (lit value.Value, keep, poison bo
 	switch {
 	case v.Kind() == kind:
 		return v, true, false
-	case kind == value.KindInt && v.Kind() == value.KindFloat && !isNaN(v):
+	case kind == value.KindInt && v.Kind() == value.KindFloat && !v.IsNaN():
 		i, ok := exactInt(v.Float())
 		return value.Int(i), ok, false
 	}

@@ -30,7 +30,7 @@ func evalRow(p Predicate, t *relation.Table, row int) bool {
 			return false
 		}
 		// x NOT IN (...) is x <> every literal, and x itself ordered.
-		if v.IsNull() || isNaN(v) {
+		if v.IsNull() || v.IsNaN() {
 			return false
 		}
 		for _, l := range q.Values {
@@ -73,7 +73,7 @@ func cell(t *relation.Table, row int, col string) value.Value {
 
 // compareValues is the filter rule for one comparison.
 func compareValues(a value.Value, op Op, b value.Value) bool {
-	if a.IsNull() || b.IsNull() || isNaN(a) || isNaN(b) || !a.Comparable(b) {
+	if a.IsNull() || b.IsNull() || a.IsNaN() || b.IsNaN() || !a.Comparable(b) {
 		return false
 	}
 	return op.apply(a.Compare(b))
@@ -85,7 +85,7 @@ func compareValues(a value.Value, op Op, b value.Value) bool {
 func evalRanges(p Predicate, r Ranges) Tri {
 	switch q := p.(type) {
 	case *Comparison:
-		if q.Value.IsNull() || isNaN(q.Value) {
+		if q.Value.IsNull() || q.Value.IsNaN() {
 			return TriFalse
 		}
 		return compareIntervalToValue(r.Get(q.Column), q.Op, q.Value)

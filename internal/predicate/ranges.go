@@ -198,7 +198,7 @@ func RangesOf(p Predicate) Ranges {
 func extractRanges(p Predicate, out Ranges) {
 	switch q := p.(type) {
 	case *Comparison:
-		if q.Value.IsNull() || isNaN(q.Value) {
+		if q.Value.IsNull() || q.Value.IsNaN() {
 			return // matches nothing: the unconstrained region is a superset
 		}
 		var iv Interval
@@ -224,12 +224,12 @@ func extractRanges(p Predicate, out Ranges) {
 		// Convex hull of the listed values.
 		lo, hi := q.Values[0], q.Values[0]
 		for _, v := range q.Values[1:] {
-			if v.IsNull() || isNaN(v) || !v.Comparable(lo) {
+			if v.IsNull() || v.IsNaN() || !v.Comparable(lo) {
 				return
 			}
 			lo, hi = value.Min(lo, v), value.Max(hi, v)
 		}
-		if lo.IsNull() || isNaN(lo) {
+		if lo.IsNull() || lo.IsNaN() {
 			return
 		}
 		out[q.Column] = out.Get(q.Column).Intersect(NewInterval(lo, hi, true, true))

@@ -3,9 +3,6 @@ package relation
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-
-	"mto/internal/value"
 )
 
 // Dataset is a named collection of tables — the unit MTO optimizes.
@@ -62,88 +59,4 @@ func (d *Dataset) Sample(rate float64, keepAllBelow int, rng *rand.Rand) (*Datas
 		mapping[name] = rows
 	}
 	return out, mapping
-}
-
-// KeyIndex is a hash index from join-column value to row indexes, used by
-// semi-join evaluation when computing literal join-induced cuts and by the
-// engine's hash joins.
-type KeyIndex struct {
-	ints map[int64][]int32
-	strs map[string][]int32
-}
-
-// BuildKeyIndex indexes the named column of t. Null keys are skipped, which
-// matches equijoin semantics (null never matches).
-func BuildKeyIndex(t *Table, col string) (*KeyIndex, error) {
-	ci, ok := t.Schema().ColumnIndex(col)
-	if !ok {
-		return nil, fmt.Errorf("relation: %s has no column %q", t.Schema().Table(), col)
-	}
-	idx := &KeyIndex{}
-	switch t.Schema().Column(ci).Type {
-	case value.KindInt:
-		idx.ints = make(map[int64][]int32, t.NumRows())
-		vals := t.Ints(ci)
-		for r, v := range vals {
-			if t.IsNullAt(r, ci) {
-				continue
-			}
-			idx.ints[v] = append(idx.ints[v], int32(r))
-		}
-	case value.KindString:
-		idx.strs = make(map[string][]int32, t.NumRows())
-		vals := t.Strings(ci)
-		for r, v := range vals {
-			if t.IsNullAt(r, ci) {
-				continue
-			}
-			idx.strs[v] = append(idx.strs[v], int32(r))
-		}
-	default:
-		return nil, fmt.Errorf("relation: key index on %s column %s.%s",
-			t.Schema().Column(ci).Type, t.Schema().Table(), col)
-	}
-	return idx, nil
-}
-
-// Lookup returns the rows whose key equals v (nil for no match or null).
-func (k *KeyIndex) Lookup(v value.Value) []int32 {
-	if v.IsNull() {
-		return nil
-	}
-	switch {
-	case k.ints != nil && v.Kind() == value.KindInt:
-		return k.ints[v.Int()]
-	case k.strs != nil && v.Kind() == value.KindString:
-		return k.strs[v.Str()]
-	default:
-		return nil
-	}
-}
-
-// LookupInt is Lookup specialized for int keys (hot path).
-func (k *KeyIndex) LookupInt(v int64) []int32 {
-	if k.ints == nil {
-		return nil
-	}
-	return k.ints[v]
-}
-
-// DistinctKeys returns the number of distinct non-null keys.
-func (k *KeyIndex) DistinctKeys() int {
-	if k.ints != nil {
-		return len(k.ints)
-	}
-	return len(k.strs)
-}
-
-// SortedIntKeys returns the distinct int64 keys in ascending order; it is
-// used by tests and debugging output.
-func (k *KeyIndex) SortedIntKeys() []int64 {
-	out := make([]int64, 0, len(k.ints))
-	for v := range k.ints {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,24 +1,29 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mto/internal/value"
 )
 
 // ColumnDict is a sorted dictionary encoding of one column: every row maps
 // to the rank of its value among the column's distinct values (-1 for null
-// rows). Join-key kernels probe int32 codes instead of boxed value.Value
-// map keys, and because codes are ranks, iterating a code set in ascending
-// order yields the values in sorted order — exactly what zone-interval
-// pruning wants. Like KeyIndex, only int and string columns are supported
-// (float join keys fall back to the boxed path).
+// rows). It is the engine's one join-key representation: kernels probe
+// int32 codes instead of boxed value.Value map keys, and because codes are
+// ranks, iterating a code set in ascending order yields the values in
+// sorted order — exactly what zone-interval pruning wants.
+//
+// Int, float and string columns are encoded. A float column follows
+// equijoin semantics: NaN rows get code -1 like NULL rows (NaN equals
+// nothing), and -0 and +0 share the code of +0 (they compare equal).
 type ColumnDict struct {
 	Kind  value.Kind
-	Codes []int32  // row → code; -1 for null rows
-	Ints  []int64  // code → value, ascending (int columns)
-	Strs  []string // code → value, ascending (string columns)
+	Codes []int32   // row → code; -1 for null (and NaN) rows
+	Ints  []int64   // code → value, ascending (int columns)
+	Flts  []float64 // code → value, ascending (float columns)
+	Strs  []string  // code → value, ascending (string columns)
 }
 
 // BuildColumnDict dictionary-encodes the named column of t.
@@ -28,73 +33,68 @@ func BuildColumnDict(t *Table, col string) (*ColumnDict, error) {
 		return nil, fmt.Errorf("relation: %s: no column %q", t.Schema().Table(), col)
 	}
 	kind := t.Schema().Column(ci).Type
-	d := &ColumnDict{Kind: kind, Codes: make([]int32, t.NumRows())}
+	d := &ColumnDict{Kind: kind}
 	nulls := t.Nulls(ci)
 	switch kind {
 	case value.KindInt:
-		vals := t.Ints(ci)
-		distinct := make([]int64, 0, len(vals))
-		for r, v := range vals {
-			if nulls == nil || !nulls[r] {
-				distinct = append(distinct, v)
+		d.Ints, d.Codes = encode(t.Ints(ci), nulls)
+	case value.KindFloat:
+		d.Flts, d.Codes = encode(t.Floats(ci), nulls)
+		for i, v := range d.Flts {
+			if v == 0 {
+				d.Flts[i] = 0 // -0 and +0 share a code; +0 labels it
 			}
-		}
-		sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-		distinct = dedupSorted(distinct)
-		d.Ints = distinct
-		for r, v := range vals {
-			if nulls != nil && nulls[r] {
-				d.Codes[r] = -1
-				continue
-			}
-			d.Codes[r] = int32(sort.Search(len(distinct), func(i int) bool { return distinct[i] >= v }))
 		}
 	case value.KindString:
-		vals := t.Strings(ci)
-		distinct := make([]string, 0, len(vals))
-		for r, v := range vals {
-			if nulls == nil || !nulls[r] {
-				distinct = append(distinct, v)
-			}
-		}
-		sort.Strings(distinct)
-		distinct = dedupSorted(distinct)
-		d.Strs = distinct
-		for r, v := range vals {
-			if nulls != nil && nulls[r] {
-				d.Codes[r] = -1
-				continue
-			}
-			d.Codes[r] = int32(sort.SearchStrings(distinct, v))
-		}
+		d.Strs, d.Codes = encode(t.Strings(ci), nulls)
 	default:
 		return nil, fmt.Errorf("relation: cannot dictionary-encode %s column %q", kind, col)
 	}
 	return d, nil
 }
 
-func dedupSorted[T comparable](s []T) []T {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
+// encode sorts and ranks vals: distinct holds the values of the rows
+// neither null nor NaN (v != v), ascending and deduplicated, and codes maps
+// every row to its value's rank in distinct (-1 for the others).
+func encode[T cmp.Ordered](vals []T, nulls []bool) (distinct []T, codes []int32) {
+	codes = make([]int32, len(vals))
+	distinct = make([]T, 0, len(vals))
+	for r, v := range vals {
+		if nulls != nil && nulls[r] || v != v {
+			codes[r] = -1
+			continue
+		}
+		distinct = append(distinct, v)
+	}
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	for r, v := range vals {
+		if codes[r] == 0 { // a row with a value, still unranked
+			i, _ := slices.BinarySearch(distinct, v)
+			codes[r] = int32(i)
 		}
 	}
-	return out
+	return distinct, codes
 }
 
-// NumCodes returns the number of distinct non-null values.
+// NumCodes returns the number of distinct values with a code.
 func (d *ColumnDict) NumCodes() int {
-	if d.Kind == value.KindInt {
+	switch d.Kind {
+	case value.KindInt:
 		return len(d.Ints)
+	case value.KindFloat:
+		return len(d.Flts)
 	}
 	return len(d.Strs)
 }
 
 // Value boxes the value behind a code.
 func (d *ColumnDict) Value(code int32) value.Value {
-	if d.Kind == value.KindInt {
+	switch d.Kind {
+	case value.KindInt:
 		return value.Int(d.Ints[code])
+	case value.KindFloat:
+		return value.Float(d.Flts[code])
 	}
 	return value.String(d.Strs[code])
 }
@@ -106,7 +106,8 @@ func (d *ColumnDict) Value(code int32) value.Value {
 // ranks in the sorted value list, every comparison predicate on values
 // becomes a code probe: v' < v ⇔ code < lo, v' ≤ v ⇔ code < hi,
 // v' = v ⇔ exists ∧ code == lo, v' ≥ v ⇔ code ≥ lo, v' > v ⇔ code ≥ hi.
-// A literal of a different kind is below every value (lo = hi = 0).
+// A literal of a different kind, or a NaN literal, is below every value
+// (lo = hi = 0).
 //
 // This is the same sorted-dict contract colstore's compressed scan applies
 // to segment dictionary pages — one representation shared by the engine's
@@ -114,18 +115,19 @@ func (d *ColumnDict) Value(code int32) value.Value {
 // literal once per dictionary, and codes translate order-preservingly
 // between the two worlds via TranslateCodes (see DESIGN.md).
 func (d *ColumnDict) CodeRange(v value.Value) (lo, hi int32, exists bool) {
+	var l int
 	switch {
-	case d.Kind == value.KindInt && v.Kind() == value.KindInt:
-		x := v.Int()
-		l := sort.Search(len(d.Ints), func(i int) bool { return d.Ints[i] >= x })
-		exists = l < len(d.Ints) && d.Ints[l] == x
-		lo = int32(l)
-	case d.Kind == value.KindString && v.Kind() == value.KindString:
-		x := v.Str()
-		l := sort.SearchStrings(d.Strs, x)
-		exists = l < len(d.Strs) && d.Strs[l] == x
-		lo = int32(l)
+	case d.Kind != v.Kind():
+	case d.Kind == value.KindInt:
+		l, exists = slices.BinarySearch(d.Ints, v.Int())
+	case d.Kind == value.KindFloat:
+		if x := v.Float(); x == x {
+			l, exists = slices.BinarySearch(d.Flts, x)
+		}
+	case d.Kind == value.KindString:
+		l, exists = slices.BinarySearch(d.Strs, v.Str())
 	}
+	lo = int32(l)
 	hi = lo
 	if exists {
 		hi++
@@ -136,9 +138,9 @@ func (d *ColumnDict) CodeRange(v value.Value) (lo, hi int32, exists bool) {
 // TranslateCodes returns, for every code of from, the code of the equal
 // value in to, or -1 when to's column never holds it. Dictionaries of
 // different kinds translate to all -1: join-key membership uses exact
-// value identity (the boxed path's map keys compare by kind and payload),
-// so an int key never matches a string or float column. Both value lists
-// are sorted, so the translation is a single merge.
+// value identity (the scalar path's boxed map keys compare by kind and
+// payload), so an int key never matches a string or float column. Both
+// value lists are sorted, so the translation is a single merge.
 func TranslateCodes(from, to *ColumnDict) []int32 {
 	out := make([]int32, from.NumCodes())
 	for i := range out {
@@ -147,15 +149,18 @@ func TranslateCodes(from, to *ColumnDict) []int32 {
 	if from.Kind != to.Kind {
 		return out
 	}
-	if from.Kind == value.KindInt {
+	switch from.Kind {
+	case value.KindInt:
 		mergeCodes(from.Ints, to.Ints, out)
-	} else {
+	case value.KindFloat:
+		mergeCodes(from.Flts, to.Flts, out)
+	default:
 		mergeCodes(from.Strs, to.Strs, out)
 	}
 	return out
 }
 
-func mergeCodes[T int64 | string](from, to []T, out []int32) {
+func mergeCodes[T cmp.Ordered](from, to []T, out []int32) {
 	j := 0
 	for i, v := range from {
 		for j < len(to) && to[j] < v {

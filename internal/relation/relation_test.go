@@ -294,59 +294,3 @@ func TestDataset(t *testing.T) {
 		t.Error("mapping mismatch")
 	}
 }
-
-func TestKeyIndex(t *testing.T) {
-	tab := NewTable(MustSchema("t",
-		Column{Name: "k", Type: value.KindInt},
-		Column{Name: "s", Type: value.KindString},
-		Column{Name: "f", Type: value.KindFloat},
-	))
-	tab.MustAppendRow(value.Int(1), value.String("a"), value.Float(0))
-	tab.MustAppendRow(value.Int(2), value.String("b"), value.Float(0))
-	tab.MustAppendRow(value.Int(1), value.Null, value.Float(0))
-	tab.MustAppendRow(value.Null, value.String("a"), value.Float(0))
-
-	ki, err := BuildKeyIndex(tab, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := ki.Lookup(value.Int(1)); len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
-		t.Errorf("Lookup(1) = %v", rows)
-	}
-	if rows := ki.LookupInt(2); len(rows) != 1 || rows[0] != 1 {
-		t.Errorf("LookupInt(2) = %v", rows)
-	}
-	if ki.Lookup(value.Null) != nil {
-		t.Error("null lookup should be empty")
-	}
-	if ki.Lookup(value.String("a")) != nil {
-		t.Error("mistyped lookup should be empty")
-	}
-	if ki.DistinctKeys() != 2 {
-		t.Errorf("DistinctKeys = %d", ki.DistinctKeys())
-	}
-	if keys := ki.SortedIntKeys(); len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
-		t.Errorf("SortedIntKeys = %v", keys)
-	}
-
-	si, err := BuildKeyIndex(tab, "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := si.Lookup(value.String("a")); len(rows) != 2 {
-		t.Errorf("string Lookup = %v", rows)
-	}
-	if si.LookupInt(1) != nil {
-		t.Error("LookupInt on string index should be nil")
-	}
-	if si.DistinctKeys() != 2 {
-		t.Error("string DistinctKeys wrong")
-	}
-
-	if _, err := BuildKeyIndex(tab, "missing"); err == nil {
-		t.Error("index on missing column accepted")
-	}
-	if _, err := BuildKeyIndex(tab, "f"); err == nil {
-		t.Error("index on float column accepted")
-	}
-}

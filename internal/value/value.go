@@ -92,6 +92,9 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is the null scalar.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
+// IsNaN reports whether v is a float NaN.
+func (v Value) IsNaN() bool { return v.kind == KindFloat && v.f != v.f }
+
 // Int returns the integer payload; it panics if v is not an int.
 func (v Value) Int() int64 {
 	if v.kind != KindInt {
