@@ -49,9 +49,10 @@ type Backend interface {
 	// it, through its buffer pool.
 	ReadBlock(table string, id int) (*Block, error)
 	// RowToBlock returns the table's row index → block ID mapping, used
-	// by secondary-index pruning. It is an auxiliary-index read, not
-	// metered as block I/O (only the compact row-ID pages are read,
-	// counted in Stats.BytesRead).
+	// by the reference path's secondary-index pruning and by
+	// reorganization planning. It is an auxiliary-index read, not metered
+	// as block I/O (at most the compact row-ID pages are read, counted in
+	// Stats.BytesRead).
 	RowToBlock(table string) ([]int32, error)
 	// Tables returns the stored table names, sorted.
 	Tables() []string
@@ -101,15 +102,25 @@ func CommitNow(p Prepared, err error) (float64, error) {
 // Scan is one query's compiled scan over one table, pinned to the layout
 // current at compile time. It is safe for concurrent use by parallel
 // workers.
+//
+// Survivor sets are bitmaps over that layout's positions (RowOrder): a
+// block's masks are its own words of each set, so a scan writes them in
+// place and never scatters a row into base-row order.
 type Scan interface {
+	// RowOrder returns the position geometry of the layout the scan is
+	// pinned to — built once per layout, never per query. Masks handed to
+	// ScanBlock and survivors handed to the same layout's Fold.FoldBlock
+	// are laid out by it.
+	RowOrder() (*RowOrder, error)
 	// ScanBlock meters the read of block id — charging BlocksRead and
-	// RowsRead exactly like Backend.ReadBlock — evaluates every filter
-	// over the block, and ORs the matching rows into the corresponding
-	// global-row bitmap (mask[r>>6] bit r&63, indexed by table row ID).
-	// masks is parallel to the CompileScan filters; nil entries are
-	// skipped. It returns the block's row IDs so the caller can track
-	// block membership without a second read.
-	ScanBlock(id int, masks [][]uint64) ([]int32, error)
+	// RowsRead exactly like Backend.ReadBlock — and evaluates every
+	// filter over the block into the corresponding mask: bit i of
+	// masks[f] is set iff the block's i-th row matches filter f. Each
+	// non-nil mask is the caller's zeroed RowOrder.Block sub-slice of a
+	// position set, ⌈rows/64⌉ words; no bit at or beyond the block's row
+	// count is ever set. masks is parallel to the CompileScan filters; nil
+	// entries are skipped. It returns the block's row count.
+	ScanBlock(id int, masks [][]uint64) (int, error)
 	// Prefetch queues background loads of the given blocks into the
 	// backend's cache (best-effort, bounded; the slice is copied). A
 	// subsequent ScanBlock overlaps with or joins the in-flight load.
@@ -151,13 +162,15 @@ type Fold interface {
 	// input), whether FoldBlock folds it. The caller computes unsupported
 	// aggregates over the base table.
 	Supported() []bool
-	// FoldBlock folds block id's rows that are set in survivors — a
-	// global-row bitmap with the same indexing as Scan masks — into gs:
-	// every survivor increments gs.Rows at its group slot (group presence
-	// and COUNT(*)), and each supported aggregate with a non-nil gs.Aggs
-	// entry accumulates into its per-slot states. Not metered: the scan
-	// that built survivors already charged the block read.
-	FoldBlock(id int, survivors []uint64, gs *GroupedStates) error
+	// FoldBlock folds block id's rows that are set in local — the block's
+	// own words of a position set (RowOrder.Block), bit i for its i-th
+	// row, exactly as ScanBlock filled them — into gs: every survivor
+	// increments gs.Rows at its group slot (group presence and COUNT(*)),
+	// and each supported aggregate with a non-nil gs.Aggs entry
+	// accumulates into its per-slot states. local is only read. Not
+	// metered: the scan that built the survivors already charged the
+	// block read.
+	FoldBlock(id int, local []uint64, gs *GroupedStates) error
 }
 
 // GroupedStates is the accumulator of a fold. Slot indexing is fixed by

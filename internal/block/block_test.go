@@ -186,3 +186,44 @@ func TestZoneSkipIntegration(t *testing.T) {
 		t.Errorf("matched %d blocks, want 2", matched)
 	}
 }
+
+// TestRowOrderGeometry: each block starts on a word boundary and owns
+// ⌈rows/64⌉ words, positions map to the block's rows in order and padding
+// to -1, and every word knows its block.
+func TestRowOrderGeometry(t *testing.T) {
+	seq := func(lo, n int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(lo + i)
+		}
+		return out
+	}
+	blocks := [][]int32{seq(100, 1), seq(0, 64), seq(200, 65), seq(64, 36)}
+	o := NewRowOrder(blocks)
+	if want := []int{0, 1, 2, 4, 5}; !reflect.DeepEqual(o.WordStart, want) {
+		t.Fatalf("WordStart = %v, want %v", o.WordStart, want)
+	}
+	if o.Words() != 5 || len(o.Rows) != 5*64 {
+		t.Fatalf("%d words, %d positions", o.Words(), len(o.Rows))
+	}
+	set := make([]uint64, o.Words())
+	for b, rows := range blocks {
+		words := o.Block(set, b)
+		if len(words) != (len(rows)+63)/64 || cap(words) != len(words) {
+			t.Errorf("block %d: %d words (cap %d) for %d rows", b, len(words), cap(words), len(rows))
+		}
+		base := o.WordStart[b] << 6
+		for k := 0; k < len(words)*64; k++ {
+			want := int32(-1)
+			if k < len(rows) {
+				want = rows[k]
+			}
+			if got := o.Rows[base+k]; got != want {
+				t.Errorf("block %d position %d: row %d, want %d", b, k, got, want)
+			}
+			if got := o.BlockOf(base + k); got != b {
+				t.Errorf("position %d: block %d, want %d", base+k, got, b)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"mto/internal/block"
 	"mto/internal/predicate"
@@ -47,13 +46,6 @@ type TableFold struct {
 	// touched lists, ascending, the segment columns a block visit reads:
 	// the supported aggregates' columns and the group column.
 	touched []int
-	// rowRuns lazily memoizes, per block, whether the block's rows are a
-	// word-aligned identity run [start, start+n) — every sequentially
-	// installed layout — so repeated folds localize the survivor bitmap by
-	// copying whole words instead of re-walking the row array. 0 =
-	// unknown, 1 = identity run, -1 = general permutation. Accessed
-	// atomically (concurrent folds race to store the same value).
-	rowRuns []int32
 }
 
 // CompileFold implements block.Backend: it decides, per aggregate, whether
@@ -82,7 +74,6 @@ func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.
 		cols:      make([]int, len(aggs)),
 		group:     group,
 		gcol:      -1,
-		rowRuns:   make([]int32, seg.NumBlocks()),
 	}
 	if group.Column != "" {
 		gi, ok := seg.colIndex(group.Column)
@@ -180,29 +171,30 @@ func (t *TableFold) Supported() []bool { return t.supported }
 // FoldBlock implements block.Fold: every survivor of block id bumps
 // gs.Rows at its group slot, and each supported aggregate with per-slot
 // states accumulates its contribution, reading only the encoded pages the
-// fold touches. survivors is the global-row survivor bitmap; positions
-// outside the block are ignored.
-func (t *TableFold) FoldBlock(id int, survivors []uint64, gs *block.GroupedStates) error {
+// fold touches. local is the block's words of the position set, read in
+// place.
+func (t *TableFold) FoldBlock(id int, local []uint64, gs *block.GroupedStates) error {
 	seg := t.st.seg
 	if id < 0 || id >= seg.NumBlocks() {
 		return fmt.Errorf("colstore: %s has no block %d", t.table, id)
+	}
+	nrows := seg.BlockRows(id)
+	if len(local) != (nrows+63)/64 {
+		return fmt.Errorf("colstore: %s block %d: survivors of %d words for %d rows", t.table, id, len(local), nrows)
+	}
+	pop := 0
+	for _, w := range local {
+		pop += bits.OnesCount64(w)
+	}
+	if pop == 0 {
+		return nil
 	}
 	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched, false)
 	if err != nil {
 		return err
 	}
-	nrows := len(eb.Block.Rows)
-	if nrows == 0 {
-		return nil
-	}
 	sc := getScratch()
 	defer putScratch(sc)
-	local := sc.grabMaskDirty((nrows + 63) / 64)
-	defer sc.releaseMask(local)
-	pop := t.localizeSurvivors(id, eb, survivors, local)
-	if pop == 0 {
-		return nil
-	}
 	if t.gcol < 0 {
 		return t.foldRows(eb, nrows, local, pop, 0, nil, gs, sc)
 	}
@@ -242,64 +234,6 @@ func (t *TableFold) foldRows(eb *EncodedBlock, nrows int, mask []uint64, pop, sl
 		}
 	}
 	return nil
-}
-
-// localizeSurvivors projects the global survivor bitmap onto the block's
-// local row positions, writing every word of local and returning its
-// popcount. A block whose rows are a word-aligned identity run
-// [start, start+n) — every sequentially-installed layout — localizes by
-// copying whole survivor words; arbitrary row permutations gather per-row
-// bits into each local word. The per-block shape is immutable (the state
-// is pinned to a segment generation), so the O(rows) detection runs once
-// and is memoized.
-func (t *TableFold) localizeSurvivors(id int, eb *EncodedBlock, survivors []uint64, local []uint64) int {
-	nrows := len(eb.Block.Rows)
-	start := int(eb.Block.Rows[0])
-	run := atomic.LoadInt32(&t.rowRuns[id])
-	if run == 0 {
-		run = 1
-		if start&63 != 0 {
-			run = -1
-		} else {
-			for i, r := range eb.Block.Rows {
-				if int(r) != start+i {
-					run = -1
-					break
-				}
-			}
-		}
-		atomic.StoreInt32(&t.rowRuns[id], run)
-	}
-	pop := 0
-	if run == 1 {
-		src := survivors[start>>6:]
-		last := len(local) - 1
-		for w := 0; w < last; w++ {
-			v := src[w]
-			local[w] = v
-			pop += bits.OnesCount64(v)
-		}
-		v := src[last]
-		if tail := nrows & 63; tail != 0 {
-			v &= 1<<uint(tail) - 1
-		}
-		local[last] = v
-		pop += bits.OnesCount64(v)
-	} else {
-		// Each local word shifts in its rows' bits, last row first, in a
-		// register and is stored once.
-		for w := range local {
-			rows := eb.Block.Rows[w<<6 : min(w<<6+64, nrows)]
-			var word uint64
-			for i := len(rows) - 1; i >= 0; i-- {
-				r := uint32(rows[i])
-				word = word<<1 | survivors[r>>6]>>(r&63)&1
-			}
-			local[w] = word
-			pop += bits.OnesCount64(word)
-		}
-	}
-	return pop
 }
 
 // foldColumn folds one column-bearing aggregate over the block into sts:

@@ -43,7 +43,7 @@ func wantSupported(a workload.Aggregate) bool {
 	}
 }
 
-// survivorMasks builds global-row survivor bitmaps at the selectivities
+// survivorMasks builds base-row survivor bitmaps at the selectivities
 // that pick different fold kernels: full blocks (zone-only MIN/MAX, whole-
 // word sums), empty, sparse (random-access packed reads), and dense.
 func survivorMasks(n int) map[string][]uint64 {
@@ -177,7 +177,7 @@ func TestCompressedAggregateMatchesReference(t *testing.T) {
 				for mname, surv := range masks {
 					gs := block.NewGroupedStates(1, sup)
 					for id := 0; id < s.NumBlocks("sc"); id++ {
-						if err := ca.FoldBlock(id, surv, gs); err != nil {
+						if err := foldRowMask(ca, id, surv, gs); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -263,7 +263,7 @@ func TestCompressedAggregateOverflowGuard(t *testing.T) {
 			}
 		}
 		gs := block.NewGroupedStates(1, ca.Supported())
-		if err := ca.FoldBlock(0, surv, gs); err != nil {
+		if err := foldRowMask(ca, 0, surv, gs); err != nil {
 			t.Fatal(err)
 		}
 		if got := gs.Aggs[0][0].Sum; got != want {

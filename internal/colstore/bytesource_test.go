@@ -125,7 +125,8 @@ func TestStoreReadAccounting(t *testing.T) {
 }
 
 // TestStoreScanHandleParity pins the scan handle's end of the pushdown
-// contract: ScanBlock meters and reports rows exactly like ReadBlock, fills
+// contract: ScanBlock meters and reports rows exactly like ReadBlock (whose
+// rows the scan's RowOrder lays out), fills
 // the mask of every filter — an int column against a float literal too —
 // and skips a nil one, Prefetch meters nothing, and a table without a
 // layout compiles to nil.
@@ -149,7 +150,7 @@ func TestStoreScanHandleParity(t *testing.T) {
 		masks := [][]uint64{make([]uint64, 2), make([]uint64, 2), nil}
 		for id := 0; id < tl.NumBlocks(); id++ {
 			before := s.Stats()
-			rows, err := scan.ScanBlock(id, masks)
+			rows, err := scanRowMasks(scan, id, masks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,8 +163,12 @@ func TestStoreScanHandleParity(t *testing.T) {
 			if viaRead := blocktest.SimulatedIO(s.Stats().Sub(before)); viaScan != viaRead {
 				t.Errorf("block %d: ScanBlock metered %+v, ReadBlock %+v", id, viaScan, viaRead)
 			}
-			if !reflect.DeepEqual(rows, b.Rows) || !reflect.DeepEqual(rows, tl.Block(id).Rows) {
-				t.Errorf("block %d: ScanBlock rows differ from ReadBlock's", id)
+			order, err := scan.RowOrder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := order.Rows[order.WordStart[id]<<6:][:rows]; !reflect.DeepEqual(got, b.Rows) || !reflect.DeepEqual(got, tl.Block(id).Rows) {
+				t.Errorf("block %d: ScanBlock's %d rows laid out as %v, ReadBlock's are %v", id, rows, got, b.Rows)
 			}
 		}
 		if want := []uint64{1<<50 - 1, 0}; !reflect.DeepEqual(masks[0], want) {
@@ -172,7 +177,7 @@ func TestStoreScanHandleParity(t *testing.T) {
 		if want := []uint64{^uint64(1<<50 - 1), 1<<36 - 1}; !reflect.DeepEqual(masks[1], want) {
 			t.Errorf("x >= 49.5 mask = %x, want %x", masks[1], want)
 		}
-		if _, err := scan.ScanBlock(99, masks); err == nil {
+		if _, err := scanRowMasks(scan, 99, masks); err == nil {
 			t.Error("out-of-range ScanBlock accepted")
 		}
 
@@ -452,7 +457,7 @@ func TestSupersededSegmentsReleased(t *testing.T) {
 	// The pre-swap scan still answers, from the unlinked generation.
 	mask := [][]uint64{make([]uint64, (n+63)/64)}
 	for id := 0; id < 4; id++ {
-		if _, err := old.ScanBlock(id, mask); err != nil {
+		if _, err := scanRowMasks(old, id, mask); err != nil {
 			t.Fatalf("scan compiled before the swaps: block %d: %v", id, err)
 		}
 	}

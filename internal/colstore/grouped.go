@@ -27,7 +27,7 @@ import (
 // accumulators stay bounded.
 
 // foldGroups is the grouped body of FoldBlock: local holds the block's pop
-// localized survivors.
+// survivors.
 func (t *TableFold) foldGroups(eb *EncodedBlock, nrows int, local []uint64, pop int, gs *block.GroupedStates, sc *scratch) error {
 	gname := t.group.Column
 	gpv, err := parsePage(eb.Cols[t.gcol], nrows)

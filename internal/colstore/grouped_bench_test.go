@@ -57,12 +57,15 @@ func BenchmarkCompressedGroupedAggregate(b *testing.B) {
 		if ga == nil || !ga.Supported()[0] {
 			b.Fatal("grouped SUM(l_quantity) did not compile to a compressed fold")
 		}
+		order := mustRowOrder(b, s, "lineitem")
+		set := positionSet(order, survivors)
 		b.ReportAllocs()
+		b.ResetTimer()
 		var gs *block.GroupedStates
 		for i := 0; i < b.N; i++ {
 			gs = block.NewGroupedStates(slots, ga.Supported())
 			for id := 0; id < nb; id++ {
-				if err := ga.FoldBlock(id, survivors, gs); err != nil {
+				if err := ga.FoldBlock(id, order.Block(set, id), gs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -113,7 +113,7 @@ func TestCompressedGroupedAggregateMatchesReference(t *testing.T) {
 					for mname, surv := range masks {
 						gs := block.NewGroupedStates(dict.NumCodes()+1, sup)
 						for id := 0; id < s.NumBlocks("sc"); id++ {
-							if err := ga.FoldBlock(id, surv, gs); err != nil {
+							if err := foldRowMask(ga, id, surv, gs); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -182,7 +182,7 @@ func TestGroupedAggregateHighCardinalityGuard(t *testing.T) {
 	}
 	gs := block.NewGroupedStates(dict.NumCodes()+1, ga.Supported())
 	for id := 0; id < s.NumBlocks("sc"); id++ {
-		if err := ga.FoldBlock(id, surv, gs); err != nil {
+		if err := foldRowMask(ga, id, surv, gs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func FuzzCompressedGroupedAggregate(f *testing.F) {
 		}
 		gs := block.NewGroupedStates(dict.NumCodes()+1, sup)
 		for id := 0; id < s.NumBlocks("sc"); id++ {
-			if err := ga.FoldBlock(id, surv, gs); err != nil {
+			if err := foldRowMask(ga, id, surv, gs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -334,7 +334,7 @@ func FuzzCompressedGroupedAggregate(f *testing.F) {
 		flat := s.CompileFold("sc", block.GroupKey{}, aggs)
 		fs := block.NewGroupedStates(1, flat.Supported())
 		for id := 0; id < s.NumBlocks("sc"); id++ {
-			if err := flat.FoldBlock(id, surv, fs); err != nil {
+			if err := foldRowMask(flat, id, surv, fs); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -58,7 +58,7 @@ func scanAll(t *testing.T, s *Store, n int, p predicate.Predicate) ([]uint64, er
 	}
 	scan := s.CompileScan("sc", filters)
 	for _, id := range allBlocks(s) {
-		if _, err := scan.ScanBlock(id, masks); err != nil {
+		if _, err := scanRowMasks(scan, id, masks); err != nil {
 			return nil, err
 		}
 	}
@@ -75,7 +75,7 @@ func foldAll(s *Store, n int, group block.GroupKey, aggs []workload.Aggregate) (
 	setAllBits(surv, n)
 	gs := block.NewGroupedStates(group.Slots(), fold.Supported())
 	for _, id := range allBlocks(s) {
-		if err := fold.FoldBlock(id, surv, gs); err != nil {
+		if err := foldRowMask(fold, id, surv, gs); err != nil {
 			return nil, err
 		}
 	}
@@ -211,7 +211,7 @@ func TestReadBlockSharesScanEntry(t *testing.T) {
 		scan := s.CompileScan("sc", []predicate.Predicate{p})
 		masks := [][]uint64{make([]uint64, (n+63)/64)}
 		scanBlock := func(id int) func() error {
-			return func() error { _, err := scan.ScanBlock(id, masks); return err }
+			return func() error { _, err := scanRowMasks(scan, id, masks); return err }
 		}
 		readBlock := func(id int) func() error {
 			return func() error { _, err := s.ReadBlock("sc", id); return err }
@@ -484,7 +484,7 @@ func corruptRowIDPage(t *testing.T, src string) {
 		for _, id := range allBlocks(s) {
 			visit(fmt.Sprint("scan ", p), id, func(st *Store) (interface{}, error) {
 				masks := [][]uint64{make([]uint64, nw)}
-				rows, err := scans[st].ScanBlock(id, masks)
+				rows, err := scanRowMasks(scans[st], id, masks)
 				return []interface{}{rows, masks}, err
 			})
 		}
@@ -501,7 +501,7 @@ func corruptRowIDPage(t *testing.T, src string) {
 			for _, id := range allBlocks(s) {
 				visit(fmt.Sprintf("%s by %q", a, group.Column), id, func(st *Store) (interface{}, error) {
 					gs := block.NewGroupedStates(group.Slots(), folds[st].Supported())
-					err := folds[st].FoldBlock(id, surv, gs)
+					err := foldRowMask(folds[st], id, surv, gs)
 					return gs, err
 				})
 			}
@@ -624,7 +624,7 @@ func TestPrefetchBoundedByPool(t *testing.T) {
 	}
 	mask := [][]uint64{make([]uint64, (n+63)/64)}
 	for _, id := range allBlocks(s) {
-		if _, err := scan.ScanBlock(id, mask); err != nil {
+		if _, err := scanRowMasks(scan, id, mask); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -435,8 +435,8 @@ func TestStorePrefetchAcrossSwap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != 100 {
-			t.Fatalf("block %d: %d rows, want 100 (new generation)", id, len(rows))
+		if rows != 100 {
+			t.Fatalf("block %d: %d rows, want 100 (new generation)", id, rows)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"mto/internal/block"
@@ -140,37 +139,34 @@ func (t *TableScan) Prefetch(ids []int) {
 	}
 }
 
-// ScanBlock implements block.Scan. It meters the block read
-// exactly like Backend.ReadBlock, fetches the encoded block through the
-// buffer pool, evaluates every filter with a non-nil mask over the
-// encoded pages in one visit, and ORs matching rows into the
-// global-row masks.
-func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
+// RowOrder implements block.Scan: the position geometry of the segment
+// generation the scan is pinned to.
+func (t *TableScan) RowOrder() (*block.RowOrder, error) { return t.store.rowOrder(t.st) }
+
+// ScanBlock implements block.Scan. It meters the block read exactly like
+// Backend.ReadBlock, fetches the encoded block through the buffer pool, and
+// evaluates every filter with a non-nil mask over the encoded pages in one
+// visit, straight into that mask: the caller's words of the block.
+func (t *TableScan) ScanBlock(id int, masks [][]uint64) (int, error) {
 	seg := t.st.seg
 	if id < 0 || id >= seg.NumBlocks() {
-		return nil, fmt.Errorf("colstore: %s has no block %d", t.table, id)
+		return 0, fmt.Errorf("colstore: %s has no block %d", t.table, id)
 	}
 	t.store.blocksRead.Add(1)
 	t.store.rowsRead.Add(int64(seg.BlockRows(id)))
 	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched, false)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	nrows := len(eb.Block.Rows)
 	sc := getScratch()
 	defer putScratch(sc)
 	v := t.newVisit(eb, nrows, sc)
-	nw := (nrows + 63) / 64
 	for i, prog := range t.progs {
 		if i >= len(masks) || masks[i] == nil {
 			continue
 		}
-		local := sc.grabMask(nw)
-		if err = v.eval(prog, local); err == nil {
-			scatterMask(local, eb.Block.Rows, masks[i])
-		}
-		sc.releaseMask(local)
-		if err != nil {
+		if err = v.eval(prog, masks[i]); err != nil {
 			break
 		}
 	}
@@ -179,9 +175,9 @@ func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
 	t.store.scanDecided.Add(v.decided)
 	t.store.scanDecodes.Add(decodes)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return eb.Block.Rows, nil
+	return nrows, nil
 }
 
 // visit is one block as a ScanBlock call reads it. Every leaf of every
@@ -759,18 +755,4 @@ func isFull(mask []uint64, n int) bool {
 		}
 	}
 	return n&63 == 0 || mask[n>>6] == 1<<uint(n&63)-1
-}
-
-// scatterMask ORs a block-local survivor mask into a global-row mask via
-// the block's row IDs.
-func scatterMask(local []uint64, rows []int32, global []uint64) {
-	for w, word := range local {
-		base := w << 6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			r := rows[base+b]
-			global[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
 }

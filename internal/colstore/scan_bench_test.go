@@ -52,17 +52,23 @@ func BenchmarkCompressedScan(b *testing.B) {
 		if scan == nil {
 			b.Fatal("no scan for an installed table")
 		}
+		order, err := scan.RowOrder()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
-		masks := [][]uint64{make([]uint64, (nrows+63)/64)}
+		set := make([]uint64, order.Words())
+		masks := make([][]uint64, 1)
 		survivors := 0
 		for i := 0; i < b.N; i++ {
-			clear(masks[0])
+			clear(set)
 			for id := 0; id < nb; id++ {
+				masks[0] = order.Block(set, id)
 				if _, err := scan.ScanBlock(id, masks); err != nil {
 					b.Fatal(err)
 				}
 			}
-			survivors = popcountMask(masks[0])
+			survivors = popcountMask(set)
 		}
 		b.ReportMetric(float64(survivors), "survivor-rows")
 	})
@@ -122,13 +128,22 @@ func BenchmarkScanBlock(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("q%d", template), func(b *testing.B) {
 			scan := s.CompileScan("lineitem", filters)
-			masks := make([][]uint64, len(filters))
-			for i := range masks {
-				masks[i] = make([]uint64, (tab.NumRows()+63)/64)
+			order, err := scan.RowOrder()
+			if err != nil {
+				b.Fatal(err)
 			}
+			sets := make([][]uint64, len(filters))
+			for i := range sets {
+				sets[i] = make([]uint64, order.Words())
+			}
+			masks := make([][]uint64, len(filters))
 			before := s.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				for f := range masks {
+					masks[f] = order.Block(sets[f], i%nb)
+					clear(masks[f])
+				}
 				if _, err := scan.ScanBlock(i%nb, masks); err != nil {
 					b.Fatal(err)
 				}

@@ -223,8 +223,8 @@ func installScanTable(t *testing.T, s *Store, tab *relation.Table, groups [][]in
 // TestCompressedScanMatchesFillMask is the per-encoding identity gate:
 // every predicate the compressed compiler accepts must produce exactly
 // FillMask's bits when evaluated over encoded pages, on a single-block
-// layout and on out-of-order multi-block layouts (exercising the
-// global-row scatter), with and without a cache.
+// layout and on out-of-order multi-block layouts (whose positions differ
+// from base rows), with and without a cache.
 func TestCompressedScanMatchesFillMask(t *testing.T) {
 	tab := scanTable(t, 200)
 	n := tab.NumRows()
@@ -249,7 +249,7 @@ func TestCompressedScanMatchesFillMask(t *testing.T) {
 					masks[i] = make([]uint64, nw)
 				}
 				for id := 0; id < s.NumBlocks("sc"); id++ {
-					if _, err := scan.ScanBlock(id, masks); err != nil {
+					if _, err := scanRowMasks(scan, id, masks); err != nil {
 						t.Fatal(err)
 					}
 				}

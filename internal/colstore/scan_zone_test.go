@@ -268,7 +268,7 @@ func TestScanDecodesPageOncePerVisit(t *testing.T) {
 				masks[i] = make([]uint64, (n+63)/64)
 			}
 			before := s.Stats()
-			if _, err := scan.ScanBlock(0, masks); err != nil {
+			if _, err := scanRowMasks(scan, 0, masks); err != nil {
 				t.Fatal(err)
 			}
 			d := s.Stats().Sub(before)

@@ -39,27 +39,11 @@ func putScratch(s *scratch) {
 	scratchPool.Put(s)
 }
 
-// grabMask returns a zeroed nw-word mask, reusing a released one if
-// available.
-func (s *scratch) grabMask(nw int) []uint64 {
-	if n := len(s.free); n > 0 {
-		m := s.free[n-1]
-		s.free = s.free[:n-1]
-		if cap(m) >= nw {
-			m = m[:nw]
-			for i := range m {
-				m[i] = 0
-			}
-			return m
-		}
-	}
-	return make([]uint64, nw)
-}
-
 func (s *scratch) releaseMask(m []uint64) { s.free = append(s.free, m) }
 
-// grabMaskDirty is grabMask without the wipe, for callers that overwrite
-// every word before reading any.
+// grabMaskDirty returns an nw-word mask, reusing a released one if
+// available, without wiping it: for callers that overwrite every word
+// before reading any.
 func (s *scratch) grabMaskDirty(nw int) []uint64 {
 	if n := len(s.free); n > 0 {
 		m := s.free[n-1]

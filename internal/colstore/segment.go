@@ -558,7 +558,8 @@ func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
 // readPages returns prev extended by the pages of cols (segment column
 // indexes) it lacks, each read and checksummed on its own and left
 // un-decoded, plus the on-disk bytes read. A nil prev starts from the
-// row-ID page, which is decoded: the engine needs block membership.
+// row-ID page, which is decoded for ReadBlock (scans and folds use only
+// the footer's row count).
 func (s *Segment) readPages(id int, cols []int, prev *EncodedBlock) (*EncodedBlock, int64, error) {
 	eb := &EncodedBlock{Cols: make([][]byte, len(s.cols))}
 	var read int64

@@ -64,8 +64,8 @@ type Store struct {
 
 var _ block.Backend = (*Store)(nil)
 
-// tableState is one table's current segment plus its lazily built
-// row→block auxiliary index.
+// tableState is one table's current segment plus its position geometry
+// and the row→block auxiliary index derived from it.
 type tableState struct {
 	base *relation.Table
 	seg  *Segment
@@ -74,6 +74,13 @@ type tableState struct {
 	rowToBlockOnce sync.Once
 	rowToBlock     []int32
 	rowToBlockErr  error
+
+	// order is the generation's block.RowOrder: set by the prepare that
+	// staged it, from the layout's rows, or built on first use from the
+	// row-ID pages of a reopened segment.
+	orderOnce sync.Once
+	order     *block.RowOrder
+	orderErr  error
 }
 
 // memPoolBytes sizes the pool of a store that keeps its segments in
@@ -259,8 +266,12 @@ func (s *Store) prepare(table string, prev *tableState, tl *block.TableLayout, b
 	if err != nil {
 		return nil, err
 	}
+	blockRows := make([][]int32, tl.NumBlocks())
+	for id, b := range tl.Blocks() {
+		blockRows[id] = b.Rows
+	}
 	p := &prepared{s: s, table: table, prev: prev, blocks: blocks, rows: rows,
-		next: &tableState{base: tl.Table(), seg: seg, gen: gen}}
+		next: &tableState{base: tl.Table(), seg: seg, gen: gen, order: block.NewRowOrder(blockRows)}}
 	if err := seg.ValidateAgainst(tl.Table().Schema()); err != nil {
 		p.Abort()
 		return nil, err
@@ -398,36 +409,60 @@ func (s *Store) encodedBlock(table string, st *tableState, id int, cols []int, p
 }
 
 // RowToBlock returns the table's row index → block ID mapping, built
-// lazily (once per segment generation) from the segment's row-ID pages.
-// As an auxiliary-index read it is not metered as block I/O; only the
-// row-ID page bytes land in Stats.BytesRead. Callers must not mutate the
-// returned slice.
+// lazily (once per segment generation) from its RowOrder. As an
+// auxiliary-index read it is not metered as block I/O; a reopened
+// segment's row-ID pages, read once for the RowOrder, land in
+// Stats.BytesRead. Callers must not mutate the returned slice.
 func (s *Store) RowToBlock(table string) ([]int32, error) {
 	st := s.state(table)
 	if st == nil {
 		return nil, fmt.Errorf("colstore: no segment for table %q", table)
 	}
 	st.rowToBlockOnce.Do(func() {
+		order, err := s.rowOrder(st)
+		if err != nil {
+			st.rowToBlockErr = err
+			return
+		}
 		m := make([]int32, st.seg.TotalRows())
-		for id := 0; id < st.seg.NumBlocks(); id++ {
-			rows, n, err := st.seg.ReadRowIDs(id)
-			if err != nil {
-				st.rowToBlockErr = err
-				return
-			}
-			s.bytesRead.Add(n)
-			for _, r := range rows {
-				if int(r) >= len(m) {
-					st.rowToBlockErr = fmt.Errorf("colstore: segment %s: block %d row index %d beyond table size %d",
-						filepath.Base(st.seg.Path()), id, r, len(m))
-					return
-				}
-				m[r] = int32(id)
+		for p, r := range order.Rows {
+			if r >= 0 {
+				m[r] = int32(order.BlockOf(p))
 			}
 		}
 		st.rowToBlock = m
 	})
 	return st.rowToBlock, st.rowToBlockErr
+}
+
+// rowOrder returns st's position geometry: the one its prepare built, or
+// for a reopened segment one built once from the row-ID pages, which land
+// in Stats.BytesRead like RowToBlock's.
+func (s *Store) rowOrder(st *tableState) (*block.RowOrder, error) {
+	st.orderOnce.Do(func() {
+		if st.order != nil {
+			return
+		}
+		blockRows := make([][]int32, st.seg.NumBlocks())
+		for id := range blockRows {
+			rows, n, err := st.seg.ReadRowIDs(id)
+			if err != nil {
+				st.orderErr = err
+				return
+			}
+			s.bytesRead.Add(n)
+			for _, r := range rows {
+				if int(r) >= st.seg.TotalRows() {
+					st.orderErr = fmt.Errorf("colstore: segment %s: block %d row index %d beyond table size %d",
+						filepath.Base(st.seg.Path()), id, r, st.seg.TotalRows())
+					return
+				}
+			}
+			blockRows[id] = rows
+		}
+		st.order = block.NewRowOrder(blockRows)
+	})
+	return st.order, st.orderErr
 }
 
 // Tables returns the stored table names, sorted.

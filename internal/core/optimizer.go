@@ -344,9 +344,9 @@ func (o *Optimizer) BuildDesign() (*layout.Design, error) {
 			defer wg.Done()
 			tbl := o.ds.Table(name)
 			groups := tree.AssignRecordsParallel(tbl, o.opts.Parallelism)
-			if col := o.opts.LeafOrderKeys[name]; col != "" {
+			if ci, ok := tbl.Schema().ColumnIndex(o.opts.LeafOrderKeys[name]); ok {
 				for _, g := range groups {
-					sortRowsBy(tbl, g, col)
+					layout.SortRows(tbl, g, ci)
 				}
 			}
 			mu.Lock()
@@ -366,18 +366,6 @@ func (o *Optimizer) BuildDesign() (*layout.Design, error) {
 	}
 	o.timings.RoutingSeconds += time.Since(start).Seconds()
 	return d, nil
-}
-
-// sortRowsBy stably orders the row indexes by the named column; unknown
-// columns leave the order unchanged.
-func sortRowsBy(tbl *relation.Table, rows []int32, col string) {
-	ci, ok := tbl.Schema().ColumnIndex(col)
-	if !ok {
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return tbl.Value(int(rows[i]), ci).Less(tbl.Value(int(rows[j]), ci))
-	})
 }
 
 // Clone returns an optimizer with structural copies of the qd-trees,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -569,4 +570,63 @@ func TestTrimPlansToBudget(t *testing.T) {
 		t.Errorf("applied %d physical writes, budget %d", stats.BlocksWritten, budget)
 	}
 	blocktest.ReadLayout(t, store, "fact")
+}
+
+// TestKernelMatchesReferenceAfterPartialReorg: after ApplyReorgPartial the
+// fact table's blocks are kept blocks beside appended leaf chunks, most of
+// them with row counts that are not a multiple of 64, so survivor sets
+// carry padding between blocks. Execute must still equal
+// ExecuteReference, joins, aggregates and grouping included, under every
+// option set.
+func TestKernelMatchesReferenceAfterPartialReorg(t *testing.T) {
+	mto, design, store, ds, shiftW, plans := shiftScenario(t, 6)
+	if _, err := mto.ApplyReorgPartial(plans, design, store); err != nil {
+		t.Fatal(err)
+	}
+	blocks := blocktest.ReadLayout(t, store, "fact")
+	ragged := 0
+	for _, b := range blocks {
+		if len(b.Rows)%64 != 0 {
+			ragged++
+		}
+	}
+	if len(blocks) < 2 || ragged < 2 {
+		t.Fatalf("fixture: %d fact blocks, %d with a partial last word", len(blocks), ragged)
+	}
+	queries := append([]*workload.Query(nil), shiftW.Queries...)
+	queries = append(queries, attrWorkload(4).Queries...)
+	for k := int64(0); k < 3; k++ {
+		q := attrQuery(fmt.Sprintf("agg%d", k), k)
+		q.Filter("fact", predicate.NewComparison("v", predicate.Lt, value.Int(500+k*100)))
+		q.Aggregate(workload.AggSum, "fact", "v")
+		q.Aggregate(workload.AggAvg, "fact", "v")
+		q.Aggregate(workload.AggMin, "fact", "d")
+		q.Aggregate(workload.AggCount, "fact", "")
+		queries = append(queries, q)
+		g := attrQuery(fmt.Sprintf("grp%d", k), k)
+		g.Aggregate(workload.AggSum, "fact", "v")
+		g.Aggregate(workload.AggMax, "fact", "fid")
+		g.GroupByCol("fact", "d")
+		queries = append(queries, g)
+	}
+	si := engine.DefaultOptions()
+	si.SecondaryIndexes = map[string]string{"fact": "did"}
+	for name, opts := range map[string]engine.Options{
+		"default": engine.DefaultOptions(), "clouddw": engine.CloudDWOptions(), "si": si,
+	} {
+		eng := engine.New(store, design, ds, opts)
+		for _, q := range queries {
+			got, err := eng.Execute(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, q.ID, err)
+			}
+			want, err := eng.ExecuteReference(q)
+			if err != nil {
+				t.Fatalf("%s %s: reference: %v", name, q.ID, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: kernel diverges from reference:\n got %+v\nwant %+v", name, q.ID, got, want)
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"mto/internal/bitmap"
@@ -175,9 +176,10 @@ func (e *Engine) foldAggregates(q *workload.Query,
 // foldAlias computes specs, all over alias a, grouped by gb (zero =
 // ungrouped, the one-slot case): compile the fold against the backend;
 // if it supports every aggregate, fold them per candidate block — exactly
-// the blocks the scan read, which cover every set survivor bit — into
-// dense per-slot states and finalize those, else fold all of them in the
-// row-order pass over the base table.
+// the blocks the scan read, which cover every set survivor bit — handing
+// each block its own words of a's position set, into dense per-slot
+// states and finalize those, else map the survivors back to base rows and
+// fold all of them in the row-order pass over the base table.
 func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 	specs []workload.Aggregate) ([]AggValue, error) {
 
@@ -194,13 +196,16 @@ func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 	for k, ok := range fold.Supported() {
 		if !ok {
 			e.counters.materializedFoldRows.Add(int64(a.count))
-			return e.foldMaterialized(a.table, tbl, a.set, gb, specs)
+			rows := grabDense(tbl.NumRows())
+			defer putDense(rows)
+			baseRows(a.set, a.order, rows.dense())
+			return e.foldMaterialized(a.table, tbl, rows.dense(), gb, specs)
 		}
 		want[k] = specs[k].Column != "" // COUNT(*) reads GroupedStates.Rows
 	}
 	gs := block.NewGroupedStates(group.Slots(), want)
 	for _, id := range candidates {
-		if err := fold.FoldBlock(id, a.set, gs); err != nil {
+		if err := fold.FoldBlock(id, a.order.Block(a.set, id), gs); err != nil {
 			return nil, err
 		}
 	}
@@ -212,6 +217,17 @@ func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 		_, kind, _ := aggColumnKind(tbl, specs[k]) // validated by foldAggregates
 		return finalizeAgg(specs[k], kind, &gs.Aggs[k][slot])
 	}), nil
+}
+
+// baseRows sets in rows (zeroed, over the base table) the base row of
+// every position set in set, so the row-order pass folds in base-row
+// order whatever the layout.
+func baseRows(set bitmap.Dense, order *block.RowOrder, rows bitmap.Dense) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			rows.Set(int(order.Rows[w<<6|bits.TrailingZeros64(word)]))
+		}
+	}
 }
 
 // foldAggregatesReference computes q's aggregates for the scalar reference

@@ -123,12 +123,15 @@ type Engine struct {
 	// only — entries are built outside it and immutable once stored, so
 	// holders read them after releasing the lock. dicts and blockOf cache
 	// failed builds as nil entries so a missing column or an unmappable
-	// table is not retried on every query.
+	// table is not retried on every query. dicts and xlate depend on the
+	// dataset only; codes and posts are laid out by one block.RowOrder,
+	// and a scan pinned to another layout replaces them (cachedOn).
 	mu      sync.Mutex
-	blockOf map[string][]int32 // table → row → block ID
+	blockOf map[string][]int32 // table → row → block ID (reference path)
 	dicts   map[colKey]*relation.ColumnDict
-	xlate   map[xlateKey][]int32 // from slot → to slot (see translateSlots)
-	posts   map[colKey]*postings
+	xlate   map[xlateKey][]int32           // from slot → to slot (see translateSlots)
+	codes   map[colKey]onLayout[[]int32]   // position → dictionary code
+	posts   map[colKey]onLayout[*postings] // code → positions
 
 	// counters accumulates per-engine execution stats; see StatsSnapshot.
 	counters engineCounters
@@ -142,24 +145,38 @@ type colKey struct{ table, col string }
 type xlateKey struct{ from, to colKey }
 
 // cached returns m[k], calling build outside the lock on a miss, so a slow
-// build (a whole-column sort) never stalls other queries' lookups.
-// Concurrent misses on one key may each build; the first entry stored wins
-// and every caller returns it.
-func cached[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, build func() V) V {
+// build (a whole-column sort) never stalls other queries' lookups. An
+// entry fresh rejects is a miss too, and the rebuilt one replaces it (nil
+// fresh accepts every entry). Concurrent misses on one key may each build;
+// the first fresh entry stored wins and every caller returns it.
+func cached[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, fresh func(V) bool, build func() V) V {
 	mu.Lock()
 	v, ok := m[k]
 	mu.Unlock()
-	if ok {
+	if ok && (fresh == nil || fresh(v)) {
 		return v
 	}
 	v = build()
 	mu.Lock()
 	defer mu.Unlock()
-	if first, ok := m[k]; ok {
+	if first, ok := m[k]; ok && (fresh == nil || fresh(first)) {
 		return first
 	}
 	m[k] = v
 	return v
+}
+
+// onLayout is a cache entry laid out by one block.RowOrder, fresh only for
+// scans of that layout.
+type onLayout[V any] struct {
+	order *block.RowOrder
+	v     V
+}
+
+// cachedOn is cached for entries laid out by order.
+func cachedOn[V any](mu *sync.Mutex, m map[colKey]onLayout[V], k colKey, order *block.RowOrder, build func() V) V {
+	return cached(mu, m, k, func(e onLayout[V]) bool { return e.order == order },
+		func() onLayout[V] { return onLayout[V]{order: order, v: build()} }).v
 }
 
 // New returns an engine over the store/design pair.
@@ -169,7 +186,8 @@ func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts 
 		blockOf: map[string][]int32{},
 		dicts:   map[colKey]*relation.ColumnDict{},
 		xlate:   map[xlateKey][]int32{},
-		posts:   map[colKey]*postings{},
+		codes:   map[colKey]onLayout[[]int32]{},
+		posts:   map[colKey]onLayout[*postings]{},
 	}
 }
 
@@ -193,6 +211,7 @@ type tableState struct {
 	blocksRead int
 
 	afterRouting, afterZoneMap, afterDiPs int
+	order                                 *block.RowOrder // the kernel path's scan geometry
 }
 
 // Execute runs q and returns its metrics via the vectorized kernels.

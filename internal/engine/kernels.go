@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mto/internal/bitmap"
 	"mto/internal/block"
@@ -18,8 +18,10 @@ import (
 // whole columns and key sets per step instead of walking rows through
 // per-row closures:
 //
-//   - filter evaluation yields one dense bit mask per (alias, table),
-//     filled per candidate block by the backend's compiled block.Scan;
+//   - filter evaluation yields one dense bit mask per (alias, table) over
+//     the layout's positions (block.RowOrder: block by block, each block
+//     word-aligned), each block's words filled in place by the backend's
+//     compiled block.Scan;
 //   - join keys are dictionary codes (relation.ColumnDict, cached on the
 //     Engine like the secondary-index state), so semantic reduction runs
 //     each semijoin as a cost-chosen code kernel (semijoin.go) instead of
@@ -34,13 +36,15 @@ import (
 // byte-identical Results across whole workloads.
 
 // vecAlias tracks one table reference in the vectorized path: surviving
-// rows live in a dense bitset over the base table, and join-key sets
-// derived from them are cached per column, invalidated by a version
-// counter that bumps whenever the row set shrinks.
+// rows live in a dense bitset over the positions of the scanned layout
+// (order), and join-key sets derived from them are cached per column,
+// invalidated by a version counter that bumps whenever the row set
+// shrinks.
 type vecAlias struct {
 	alias   string
 	table   string
 	filter  predicate.Predicate
+	order   *block.RowOrder
 	set     bitmap.Dense
 	setBuf  *denseBuf // pooled backing of set, released after the query
 	count   int
@@ -68,10 +72,11 @@ func (e *Engine) keysFor(a *vecAlias, col string) *cachedKeys {
 		return ck
 	}
 	d := e.dictFor(a.table, col)
+	codes := e.codesFor(a.table, col, a.order)
 	buf := grabDense(d.NumCodes())
 	present := buf.dense()
-	a.set.ForEach(func(r int) {
-		if c := d.Codes[r]; c >= 0 {
+	a.set.ForEach(func(p int) {
+		if c := codes[p]; c >= 0 {
 			present.Set(int(c))
 		}
 	})
@@ -86,12 +91,29 @@ func (e *Engine) keysFor(a *vecAlias, col string) *cachedKeys {
 // the table has no such column. The failure is cached too, so a missing
 // column is not retried on every query.
 func (e *Engine) dictFor(table, col string) *relation.ColumnDict {
-	return cached(&e.mu, e.dicts, colKey{table, col}, func() *relation.ColumnDict {
+	return cached(&e.mu, e.dicts, colKey{table, col}, nil, func() *relation.ColumnDict {
 		d, err := relation.BuildColumnDict(e.ds.Table(table), col)
 		if err != nil {
 			return nil
 		}
 		return d
+	})
+}
+
+// codesFor returns the dictionary codes of table.col laid out by order's
+// positions: -1 at NULL and NaN rows and at padding. It is cached per
+// layout.
+func (e *Engine) codesFor(table, col string, order *block.RowOrder) []int32 {
+	return cachedOn(&e.mu, e.codes, colKey{table, col}, order, func() []int32 {
+		codes := e.dictFor(table, col).Codes
+		out := make([]int32, len(order.Rows))
+		for p, r := range order.Rows {
+			out[p] = -1
+			if r >= 0 {
+				out[p] = codes[r]
+			}
+		}
+		return out
 	})
 }
 
@@ -170,6 +192,9 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 		if scan == nil {
 			return nil, errNoLayout(name)
 		}
+		if tables[name].order, err = scan.RowOrder(); err != nil {
+			return nil, err
+		}
 		scans[name] = scan
 		if ids := tables[name].candidates; len(ids) > 0 {
 			scan.Prefetch(ids)
@@ -213,28 +238,30 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 }
 
 // scanKernel meters the reads of the table's candidate blocks and computes
-// each alias's filtered row set as one dense bitset: ScanBlock meters each
-// read, reports the block's rows, and ORs the block-local survivors of
-// every alias's filter into the alias's mask.
+// each alias's filtered row set as one dense bitset over the scan's
+// positions: ScanBlock meters each read, reports the block's row count,
+// and evaluates every alias's filter straight into the alias's words of
+// the block.
 func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan) error {
-	tbl := e.ds.Table(ts.table)
-	if tbl == nil {
+	if e.ds.Table(ts.table) == nil {
 		return fmt.Errorf("engine: dataset missing table %q", ts.table)
 	}
-	n := tbl.NumRows()
 	masks := make([][]uint64, len(aliases))
-	for i, a := range aliases {
-		a.setBuf = grabDense(n)
+	for _, a := range aliases {
+		a.order = ts.order
+		a.setBuf = grabDense(ts.order.Words() << 6)
 		a.set = a.setBuf.dense()
-		masks[i] = a.set
 	}
 	for _, id := range ts.candidates {
-		rows, err := scan.ScanBlock(id, masks)
+		for i, a := range aliases {
+			masks[i] = ts.order.Block(a.set, id)
+		}
+		n, err := scan.ScanBlock(id, masks)
 		if err != nil {
 			return err
 		}
 		ts.blocksRead++
-		ts.rowsRead += len(rows)
+		ts.rowsRead += n
 	}
 	for _, a := range aliases {
 		a.count = a.set.Count()
@@ -299,46 +326,41 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 }
 
 // anyCodeInInterval is anyKeyInInterval over a key set held as codes of
-// d, ascending: it binary-searches the keys' values for the first one
-// above iv's lower bound (value.Compare orders int keys against float
-// bounds exactly, as the boxed probe does) and reports whether that key
-// is within the upper bound. Bounds the keys' kind cannot be compared
-// with keep the block.
+// d, ascending. Codes are ranks, so iv is a code range [lo, hi): each
+// bound is ranked once in the dictionary (ColumnDict.Rank), and the keys
+// are binary-searched for the first code at or above lo. A bound the
+// keys' kind cannot be compared with keeps the block.
 func anyCodeInInterval(d *relation.ColumnDict, codes []int32, iv predicate.Interval) bool {
 	if iv.Empty || len(codes) == 0 {
 		return false
 	}
-	if k := d.Value(codes[0]); !k.Comparable(iv.Min) || !k.Comparable(iv.Max) {
-		return true
-	}
-	i := 0
+	lo, hi, ok := int32(0), int32(d.NumCodes()), true
 	if !iv.Min.IsNull() {
-		i = sort.Search(len(codes), func(i int) bool {
-			c := d.Value(codes[i]).Compare(iv.Min)
-			return c > 0 || c == 0 && iv.MinInc
-		})
+		lo, ok = d.Rank(iv.Min, iv.MinInc)
 	}
-	return i < len(codes) && iv.Contains(d.Value(codes[i]))
+	if !iv.Max.IsNull() && ok {
+		hi, ok = d.Rank(iv.Max, !iv.MaxInc)
+	}
+	i, _ := slices.BinarySearch(codes, lo)
+	return !ok || i < len(codes) && codes[i] < hi
 }
 
 // indexPrune is secondaryIndexPrune in code space: the source keys' codes
 // translate into slots of the target column's dictionary, whose postings
-// name the rows holding them, whose blocks are kept. Reports whether the
-// index probe ran (false when the table has no such column or the backend
-// cannot map rows to blocks).
+// name the positions holding them, whose blocks are kept. Reports whether
+// the index probe ran (false when the table has no such column).
 func (e *Engine) indexPrune(ts *tableState, col string, src colKey, ck *cachedKeys) bool {
 	td := e.dictFor(ts.table, col)
-	blockOf := e.blockOfFor(ts.table)
-	if td == nil || blockOf == nil {
+	if td == nil {
 		return false
 	}
 	xl := e.xlateFor(src, ck.dict, colKey{ts.table, col}, td)
-	tp := e.postingsFor(ts.table, col, td)
+	tp := e.postingsFor(ts.table, col, ts.order)
 	needed := map[int32]bool{}
 	for _, c := range ck.codes {
 		if s := xl[c+1]; s != 0 {
-			for _, r := range tp.of(s - 1) {
-				needed[blockOf[r]] = true
+			for _, p := range tp.of(s - 1) {
+				needed[int32(ts.order.BlockOf(int(p)))] = true
 			}
 		}
 	}

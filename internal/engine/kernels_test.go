@@ -194,7 +194,7 @@ func TestAnyKeyInIntervalMixedKinds(t *testing.T) {
 
 // TestAnyCodeInInterval pins the code-space zone probe to the boxed one:
 // for int, float and string key sets, every subset of keys (the empty one
-// included) against int, float and string bounds — empty, unbounded,
+// included) against int, float (NaN too) and string bounds — empty, unbounded,
 // half-open, open and closed — anyCodeInInterval answers what
 // anyKeyInInterval answers on the same keys boxed.
 func TestAnyCodeInInterval(t *testing.T) {
@@ -207,7 +207,7 @@ func TestAnyCodeInInterval(t *testing.T) {
 	bounds := []value.Value{value.Null,
 		value.Int(-8), value.Int(0), value.Int(5), value.Int(10), value.Int(11), value.Int(1 << 60), value.Int(1<<60 + 1),
 		value.Float(-inf), value.Float(-2.5), value.Float(negZero), value.Float(0), value.Float(4.999),
-		value.Float(5), value.Float(10.5), value.Float(1 << 60), value.Float(inf),
+		value.Float(5), value.Float(10.5), value.Float(1 << 60), value.Float(inf), value.Float(math.NaN()),
 		value.String("a"), value.String("b"), value.String("n"), value.String("zz"),
 	}
 	var ivs []predicate.Interval

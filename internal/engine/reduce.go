@@ -167,7 +167,7 @@ func (e *Engine) runtimeBlockPrune(q *workload.Query, ts *tableState,
 // could not produce it, and secondary-index pruning degrades to not
 // pruning.
 func (e *Engine) blockOfFor(table string) []int32 {
-	return cached(&e.mu, e.blockOf, table, func() []int32 {
+	return cached(&e.mu, e.blockOf, table, nil, func() []int32 {
 		m, err := e.store.RowToBlock(table)
 		if err != nil {
 			return nil

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"mto/internal/bitmap"
+	"mto/internal/block"
 	"mto/internal/relation"
 )
 
@@ -28,7 +29,9 @@ import (
 // a data-dependent branch per row. All three produce the same survivor
 // bitmap (pinned by the strategy equivalence tests). Every join column
 // has a dictionary (relation.ColumnDict encodes int, float and string
-// columns). An empty side short-cuts every strategy.
+// columns). An empty side short-cuts every strategy. Row sets, postings
+// and the code vectors the strategies read are all laid out by the
+// positions of the scanned layout (block.RowOrder), cached per layout.
 
 // strategy is a semijoin's physical plan.
 type strategy uint8
@@ -40,19 +43,19 @@ const (
 	emptySide // either side has no rows: nothing to visit
 )
 
-// postings is a column's code → rows index in CSR form: the rows holding
-// code c are rows[start[c]:start[c+1]], ascending. Null rows are in no
-// list.
+// postings is a column's code → positions index in CSR form: the
+// positions holding code c are pos[start[c]:start[c+1]], ascending. Null
+// rows and padding are in no list.
 type postings struct {
 	start []int32
-	rows  []int32
+	pos   []int32
 }
 
-// buildPostings inverts d's row → code vector by a counting sort.
-func buildPostings(d *relation.ColumnDict) *postings {
-	n := d.NumCodes()
+// buildPostings inverts a position → code vector over n codes by a
+// counting sort.
+func buildPostings(codes []int32, n int) *postings {
 	p := &postings{start: make([]int32, n+1)}
-	for _, c := range d.Codes {
+	for _, c := range codes {
 		if c >= 0 {
 			p.start[c+1]++
 		}
@@ -60,24 +63,26 @@ func buildPostings(d *relation.ColumnDict) *postings {
 	for c := 0; c < n; c++ {
 		p.start[c+1] += p.start[c]
 	}
-	p.rows = make([]int32, p.start[n])
+	p.pos = make([]int32, p.start[n])
 	next := append([]int32(nil), p.start[:n]...)
-	for r, c := range d.Codes {
+	for i, c := range codes {
 		if c >= 0 {
-			p.rows[next[c]] = int32(r)
+			p.pos[next[c]] = int32(i)
 			next[c]++
 		}
 	}
 	return p
 }
 
-// of returns the rows holding code c.
-func (p *postings) of(c int32) []int32 { return p.rows[p.start[c]:p.start[c+1]] }
+// of returns the positions holding code c.
+func (p *postings) of(c int32) []int32 { return p.pos[p.start[c]:p.start[c+1]] }
 
-// postingsFor returns the cached code → rows index of table.col, whose
-// dictionary is d.
-func (e *Engine) postingsFor(table, col string, d *relation.ColumnDict) *postings {
-	return cached(&e.mu, e.posts, colKey{table, col}, func() *postings { return buildPostings(d) })
+// postingsFor returns the code → positions index of table.col laid out
+// by order, cached per layout.
+func (e *Engine) postingsFor(table, col string, order *block.RowOrder) *postings {
+	return cachedOn(&e.mu, e.posts, colKey{table, col}, order, func() *postings {
+		return buildPostings(e.codesFor(table, col, order), e.dictFor(table, col).NumCodes())
+	})
 }
 
 // translateSlots maps each slot of dictionary from (code + 1; slot 0 is
@@ -96,7 +101,7 @@ func translateSlots(from, to *relation.ColumnDict) []int32 {
 // dictionary (fd) into column to's (td), so one side's codes index the
 // other's key sets or postings without boxing a single value.
 func (e *Engine) xlateFor(from colKey, fd *relation.ColumnDict, to colKey, td *relation.ColumnDict) []int32 {
-	return cached(&e.mu, e.xlate, xlateKey{from, to}, func() []int32 {
+	return cached(&e.mu, e.xlate, xlateKey{from, to}, nil, func() []int32 {
 		return translateSlots(fd, td)
 	})
 }
@@ -190,10 +195,10 @@ func (e *Engine) capture(s semijoin, how strategy, td, sd *relation.ColumnDict, 
 	case probeTarget, targetPostings:
 		inv := e.xlateFor(colKey{s.src.table, s.srcCol}, sd, colKey{s.tgt.table, s.tgtCol}, td)
 		src.slots = grabDense(td.NumCodes() + 1)
-		keySlots(src.slots.dense(), s.src.set, sd.Codes, inv)
+		keySlots(src.slots.dense(), s.src.set, e.codesFor(s.src.table, s.srcCol, s.src.order), inv)
 	case sourcePostings:
 		if copyRows {
-			src.rows = grabDense(len(sd.Codes))
+			src.rows = grabDense(len(s.src.set) << 6)
 			copy(src.rows.w, s.src.set)
 		}
 	}
@@ -207,20 +212,20 @@ func (e *Engine) run(s semijoin, src semiSource) bool {
 	var kept int
 	switch src.how {
 	case probeTarget:
-		kept = reduceProbe(t.set, src.td.Codes, src.slots.dense(), s.anti)
+		kept = reduceProbe(t.set, e.codesFor(t.table, s.tgtCol, t.order), src.slots.dense(), s.anti)
 		putDense(src.slots)
 	case targetPostings:
-		tp := e.postingsFor(t.table, s.tgtCol, src.td)
+		tp := e.postingsFor(t.table, s.tgtCol, t.order)
 		kept = reduceTargetPostings(t.set, t.count, tp, src.slots.dense(), s.anti)
 		putDense(src.slots)
 	case sourcePostings:
 		xl := e.xlateFor(colKey{t.table, s.tgtCol}, src.td, colKey{s.src.table, s.srcCol}, src.sd)
-		sp := e.postingsFor(s.src.table, s.srcCol, src.sd)
+		sp := e.postingsFor(s.src.table, s.srcCol, s.src.order)
 		rows := s.src.set
 		if src.rows != nil {
 			rows = src.rows.dense()
 		}
-		kept = reduceSourcePostings(t.set, src.td.Codes, xl, sp, rows, s.anti)
+		kept = reduceSourcePostings(t.set, e.codesFor(t.table, s.tgtCol, t.order), xl, sp, rows, s.anti)
 		if src.rows != nil {
 			putDense(src.rows)
 		}
@@ -242,7 +247,7 @@ func (e *Engine) run(s semijoin, src semiSource) bool {
 }
 
 // keySlots sets in slots (zeroed, one bit per target slot) the target slot
-// of every source row's key: codes is the source column's row → code
+// of every source row's key: codes is the source column's position → code
 // vector and inv its slot translation into the target dictionary.
 func keySlots(slots, rows bitmap.Dense, codes, inv []int32) {
 	for w, word := range rows {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mto/internal/bitmap"
+	"mto/internal/block"
 	"mto/internal/datagen"
 	"mto/internal/relation"
 	"mto/internal/value"
@@ -69,10 +70,16 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 	if td == nil || sd == nil {
 		t.Fatalf("%s: no dictionary", c.name)
 	}
-	alias := func(name string, n int, rows []int) *vecAlias {
-		a := &vecAlias{alias: name, table: name, set: bitmap.NewDense(n), keys: map[string]*cachedKeys{}}
+	// Each side is laid out in blocks of a permuted row order, so
+	// positions differ from rows, and blocks end mid-word.
+	rng := rand.New(rand.NewSource(int64(len(c.tgt)*1000 + len(c.src))))
+	tOrder, sOrder := permutedOrder(len(c.tgt), rng), permutedOrder(len(c.src), rng)
+	alias := func(name string, order *block.RowOrder, rows []int) *vecAlias {
+		a := &vecAlias{alias: name, table: name, order: order, set: bitmap.NewDense(order.Words() << 6),
+			keys: map[string]*cachedKeys{}}
+		pos := positionsOf(order)
 		for _, r := range rows {
-			a.set.Set(r)
+			a.set.Set(pos[r])
 		}
 		a.count = a.set.Count()
 		return a
@@ -80,7 +87,7 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 	sets := map[strategy]bitmap.Dense{}
 	removed := map[strategy]bool{}
 	for _, how := range []strategy{probeTarget, targetPostings, sourcePostings} {
-		s := semijoin{tgt: alias("T", len(c.tgt), c.tgtR), src: alias("S", len(c.src), c.srcR),
+		s := semijoin{tgt: alias("T", tOrder, c.tgtR), src: alias("S", sOrder, c.srcR),
 			tgtCol: "k", srcCol: "k", anti: anti}
 		src := e.capture(s, how, td, sd, copyRows)
 		if copyRows {
@@ -90,7 +97,8 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 			s.src.count, s.src.version = 0, s.src.version+1
 		}
 		removed[how] = e.run(s, src)
-		sets[how] = s.tgt.set
+		sets[how] = bitmap.NewDense(len(c.tgt))
+		baseRows(s.tgt.set, tOrder, sets[how])
 		if got := s.tgt.set.Count(); got != s.tgt.count {
 			t.Errorf("%s/%d: count %d, set holds %d", c.name, how, s.tgt.count, got)
 		}
@@ -110,6 +118,33 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 		want.Set(int(r))
 	}
 	return sets, removed, want
+}
+
+// permutedOrder lays out n rows, shuffled, in blocks of 1 to 100 rows.
+func permutedOrder(n int, rng *rand.Rand) *block.RowOrder {
+	perm := rng.Perm(n)
+	var blocks [][]int32
+	for off := 0; off < n; {
+		end := min(off+1+rng.Intn(100), n)
+		var rows []int32
+		for _, r := range perm[off:end] {
+			rows = append(rows, int32(r))
+		}
+		blocks = append(blocks, rows)
+		off = end
+	}
+	return block.NewRowOrder(blocks)
+}
+
+// positionsOf inverts order: each row's position.
+func positionsOf(order *block.RowOrder) map[int]int {
+	pos := map[int]int{}
+	for p, r := range order.Rows {
+		if r >= 0 {
+			pos[int(r)] = p
+		}
+	}
+	return pos
 }
 
 func allRows(n int) []int {
@@ -226,15 +261,15 @@ func TestPostingsInvertDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := buildPostings(d)
+	p := buildPostings(d.Codes, d.NumCodes())
 	want := [][]int32{{2, 6}, {4}, {0, 3}} // codes of 1, 2, 3
 	for c, rows := range want {
 		if got := p.of(int32(c)); !reflect.DeepEqual(got, rows) {
 			t.Errorf("code %d: rows %v, want %v", c, got, rows)
 		}
 	}
-	if len(p.rows) != 5 {
-		t.Errorf("postings hold %d rows, want the 5 non-null ones", len(p.rows))
+	if len(p.pos) != 5 {
+		t.Errorf("postings hold %d rows, want the 5 non-null ones", len(p.pos))
 	}
 }
 

@@ -1,10 +1,13 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"mto/internal/relation"
+	"mto/internal/value"
 	"mto/internal/workload"
 )
 
@@ -43,7 +46,7 @@ func SortKeyDesignParallel(ds *relation.Dataset, keys SortKeys, blockSize, paral
 }
 
 // sortedRows returns t's row indexes ordered by the named column ("" keeps
-// insertion order). The sort is stable so repeated builds are identical.
+// insertion order; see SortRows).
 func sortedRows(t *relation.Table, col string) ([]int32, error) {
 	rows := make([]int32, t.NumRows())
 	for i := range rows {
@@ -56,10 +59,48 @@ func sortedRows(t *relation.Table, col string) ([]int32, error) {
 	if !ok {
 		return nil, fmt.Errorf("layout: %s has no sort column %q", t.Schema().Table(), col)
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return t.Value(int(rows[i]), ci).Less(t.Value(int(rows[j]), ci))
-	})
+	SortRows(t, rows, ci)
 	return rows, nil
+}
+
+// SortRows stably orders rows, indexes into t, by column ci: NULL first,
+// then ascending values, a float NaN after every number (±0 tie). The sort
+// is stable so repeated builds are identical, and it compares the
+// column's typed values, boxing none.
+func SortRows(t *relation.Table, rows []int32, ci int) {
+	nulls := t.Nulls(ci)
+	switch t.Schema().Column(ci).Type {
+	case value.KindInt:
+		sortRowsBy(rows, nulls, t.Ints(ci), cmp.Compare[int64])
+	case value.KindFloat:
+		sortRowsBy(rows, nulls, t.Floats(ci), compareNaNLast)
+	case value.KindString:
+		sortRowsBy(rows, nulls, t.Strings(ci), strings.Compare)
+	}
+}
+
+func sortRowsBy[T any](rows []int32, nulls []bool, vals []T, compare func(a, b T) int) {
+	slices.SortStableFunc(rows, func(a, b int32) int {
+		if nulls != nil && (nulls[a] || nulls[b]) {
+			return boolInt(!nulls[a]) - boolInt(!nulls[b])
+		}
+		return compare(vals[a], vals[b])
+	})
+}
+
+// compareNaNLast orders floats ascending with NaN after every number.
+func compareNaNLast(a, b float64) int {
+	if a != a || b != b {
+		return boolInt(a != a) - boolInt(b != b)
+	}
+	return cmp.Compare(a, b)
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SingleGroupRouter returns a Router that reads the whole table only when

@@ -11,7 +11,7 @@ import (
 // operator dispatched outside it. mask must be zeroed and hold at least
 // (t.NumRows()+63)/64 words.
 func FillMask(p Predicate, t *relation.Table, mask []uint64) {
-	fill(normalize(p, tableKinds(t)), t, nil, mask)
+	fill(normalize(p, tableKinds(t)), t, nil, mask, new(Gather))
 }
 
 // FillRows is FillMask over a row list: bit k of mask is set iff row
@@ -19,10 +19,62 @@ func FillMask(p Predicate, t *relation.Table, mask []uint64) {
 // and runs FillMask's kernel over them. mask must be zeroed and hold at
 // least (len(rows)+63)/64 words.
 func FillRows(p Predicate, t *relation.Table, rows []int32, mask []uint64) {
+	FillRowsInto(p, t, rows, mask, nil)
+}
+
+// FillRowsInto is FillRows gathering into g's buffers, which a caller
+// filling many row lists reuses from one call to the next (nil: fresh
+// buffers).
+func FillRowsInto(p Predicate, t *relation.Table, rows []int32, mask []uint64, g *Gather) {
+	if g == nil {
+		g = new(Gather)
+	}
 	if len(rows) > 0 {
-		fill(normalize(p, tableKinds(t)), t, rows, mask)
+		fill(normalize(p, tableKinds(t)), t, rows, mask, g)
 	}
 }
+
+// Gather holds the buffers a fill reuses: the column values a leaf
+// gathers at the rows (two per type, for a column pair) and the scratch
+// masks of AND and OR. The zero Gather is ready to use; it is not for
+// concurrent use.
+type Gather struct {
+	ints   [2][]int64
+	floats [2][]float64
+	strs   [2][]string
+	nulls  []bool
+	masks  [][]uint64 // released scratch masks
+}
+
+// at returns vals at rows in *buf, reallocated when too short; vals
+// itself when rows is nil.
+func at[T any](buf *[]T, vals []T, rows []int32) []T {
+	if rows == nil || vals == nil {
+		return vals
+	}
+	if cap(*buf) < len(rows) {
+		*buf = make([]T, len(rows))
+	}
+	out := (*buf)[:len(rows)]
+	for k, r := range rows {
+		out[k] = vals[r]
+	}
+	return out
+}
+
+// scratchMask returns a zeroed nw-word mask; release it with
+// releaseMask.
+func (g *Gather) scratchMask(nw int) []uint64 {
+	if n := len(g.masks); n > 0 && cap(g.masks[n-1]) >= nw {
+		m := g.masks[n-1][:nw]
+		g.masks = g.masks[:n-1]
+		clear(m)
+		return m
+	}
+	return make([]uint64, nw)
+}
+
+func (g *Gather) releaseMask(m []uint64) { g.masks = append(g.masks, m) }
 
 // tableKinds adapts t's schema to the kindOf lookup normalize and
 // CompileScan take.
@@ -38,65 +90,66 @@ func tableKinds(t *relation.Table) func(col string) (value.Kind, bool) {
 
 // fill evaluates a normalized predicate over rows of t (every row when
 // rows is nil) into mask, bit k for the k-th row.
-func fill(p Predicate, t *relation.Table, rows []int32, mask []uint64) {
+func fill(p Predicate, t *relation.Table, rows []int32, mask []uint64, g *Gather) {
 	col := func(name string) int { ci, _ := t.Schema().ColumnIndex(name); return ci }
 	switch q := p.(type) {
 	case *Comparison:
 		ci := col(q.Column)
 		switch t.Schema().Column(ci).Type {
 		case value.KindInt:
-			MaskCompare(relation.Gather(t.Ints(ci), rows), q.Op, q.Value.Int(), mask)
+			MaskCompare(at(&g.ints[0], t.Ints(ci), rows), q.Op, q.Value.Int(), mask)
 		case value.KindFloat:
-			MaskCompare(relation.Gather(t.Floats(ci), rows), q.Op, q.Value.Float(), mask)
+			MaskCompare(at(&g.floats[0], t.Floats(ci), rows), q.Op, q.Value.Float(), mask)
 		default:
-			MaskCompare(relation.Gather(t.Strings(ci), rows), q.Op, q.Value.Str(), mask)
+			MaskCompare(at(&g.strs[0], t.Strings(ci), rows), q.Op, q.Value.Str(), mask)
 		}
-		clearNulls(relation.Gather(t.Nulls(ci), rows), mask)
+		clearNulls(at(&g.nulls, t.Nulls(ci), rows), mask)
 	case *ColumnComparison:
 		li, ri := col(q.Left), col(q.Right)
 		lk, rk := t.Schema().Column(li).Type, t.Schema().Column(ri).Type
 		switch {
 		case lk == value.KindInt && rk == value.KindInt:
-			MaskCompareCols(relation.Gather(t.Ints(li), rows), relation.Gather(t.Ints(ri), rows), q.Op, mask)
+			MaskCompareCols(at(&g.ints[0], t.Ints(li), rows), at(&g.ints[1], t.Ints(ri), rows), q.Op, mask)
 		case lk == value.KindFloat && rk == value.KindFloat:
-			MaskCompareCols(relation.Gather(t.Floats(li), rows), relation.Gather(t.Floats(ri), rows), q.Op, mask)
+			MaskCompareCols(at(&g.floats[0], t.Floats(li), rows), at(&g.floats[1], t.Floats(ri), rows), q.Op, mask)
 		case lk == value.KindString:
-			MaskCompareCols(relation.Gather(t.Strings(li), rows), relation.Gather(t.Strings(ri), rows), q.Op, mask)
+			MaskCompareCols(at(&g.strs[0], t.Strings(li), rows), at(&g.strs[1], t.Strings(ri), rows), q.Op, mask)
 		case lk == value.KindInt:
-			MaskCompareIntFloat(relation.Gather(t.Ints(li), rows), relation.Gather(t.Floats(ri), rows), q.Op, mask)
+			MaskCompareIntFloat(at(&g.ints[0], t.Ints(li), rows), at(&g.floats[1], t.Floats(ri), rows), q.Op, mask)
 		default:
-			MaskCompareIntFloat(relation.Gather(t.Ints(ri), rows), relation.Gather(t.Floats(li), rows), q.Op.Mirror(), mask)
+			MaskCompareIntFloat(at(&g.ints[1], t.Ints(ri), rows), at(&g.floats[0], t.Floats(li), rows), q.Op.Mirror(), mask)
 		}
-		clearNulls(relation.Gather(t.Nulls(li), rows), mask)
-		clearNulls(relation.Gather(t.Nulls(ri), rows), mask)
+		clearNulls(at(&g.nulls, t.Nulls(li), rows), mask)
+		clearNulls(at(&g.nulls, t.Nulls(ri), rows), mask)
 	case *InList:
 		ci := col(q.Column)
 		if t.Schema().Column(ci).Type == value.KindInt {
-			maskInList(relation.Gather(t.Ints(ci), rows), intSet(q.Values), q.Negate_, mask)
+			maskInList(at(&g.ints[0], t.Ints(ci), rows), intSet(q.Values), q.Negate_, mask)
 		} else {
-			maskInList(relation.Gather(t.Strings(ci), rows), strSet(q.Values), q.Negate_, mask)
+			maskInList(at(&g.strs[0], t.Strings(ci), rows), strSet(q.Values), q.Negate_, mask)
 		}
-		clearNulls(relation.Gather(t.Nulls(ci), rows), mask)
+		clearNulls(at(&g.nulls, t.Nulls(ci), rows), mask)
 	case *Like:
 		ci := col(q.Column)
 		match := likeMatcher(q.Pattern)
-		for r, s := range relation.Gather(t.Strings(ci), rows) {
+		for r, s := range at(&g.strs[0], t.Strings(ci), rows) {
 			if match(s) != q.Negate_ {
 				mask[r>>6] |= 1 << (uint(r) & 63)
 			}
 		}
 		// Null rows never match, not even NOT LIKE.
-		clearNulls(relation.Gather(t.Nulls(ci), rows), mask)
+		clearNulls(at(&g.nulls, t.Nulls(ci), rows), mask)
 	case *And, *Or:
 		// Each child after the first is evaluated into a clean scratch
 		// mask: children AND in conjuncts and clear null-row bits, and
 		// either would corrupt the bits accumulated so far.
 		kids, and := childrenOf(q)
-		fill(kids[0], t, rows, mask)
-		scratch := make([]uint64, len(mask))
+		fill(kids[0], t, rows, mask, g)
+		scratch := g.scratchMask(len(mask))
+		defer g.releaseMask(scratch)
 		for _, c := range kids[1:] {
 			clear(scratch)
-			fill(c, t, rows, scratch)
+			fill(c, t, rows, scratch, g)
 			for w := range mask {
 				if and {
 					mask[w] &= scratch[w]

@@ -190,7 +190,7 @@ func (b *builder) precomputeMatches(tbl *relation.Table) {
 	b.matches = make([]bitset, len(b.cuts))
 	one := func(i int) {
 		m := newBitset(n)
-		b.cuts[i].FillMask(tbl, nil, m)
+		b.cuts[i].FillMask(tbl, nil, m, nil)
 		b.matches[i] = m
 	}
 

@@ -176,9 +176,9 @@ type countingCut struct {
 	compiles atomic.Int64
 }
 
-func (c *countingCut) FillMask(tbl *relation.Table, rows []int32, mask []uint64) {
+func (c *countingCut) FillMask(tbl *relation.Table, rows []int32, mask []uint64, g *predicate.Gather) {
 	c.compiles.Add(1)
-	c.Cut.FillMask(tbl, rows, mask)
+	c.Cut.FillMask(tbl, rows, mask, g)
 }
 
 // TestNoPrecomputeWhenRootCannotSplit is the regression test for the

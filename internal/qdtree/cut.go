@@ -18,8 +18,9 @@ import (
 type Cut interface {
 	// FillMask sets bit k of mask (zeroed, (len(rows)+63)/64 words) when
 	// row rows[k] of t routes to the left ("yes") child; a nil rows means
-	// every row of t, bit r for row r.
-	FillMask(t *relation.Table, rows []int32, mask []uint64)
+	// every row of t, bit r for row r. g, when not nil, lends the buffers
+	// a row list's values are gathered into.
+	FillMask(t *relation.Table, rows []int32, mask []uint64, g *predicate.Gather)
 	// LeftRanges / RightRanges refine the node region for each child.
 	LeftRanges(region predicate.Ranges) predicate.Ranges
 	RightRanges(region predicate.Ranges) predicate.Ranges
@@ -51,11 +52,11 @@ type SimpleCut struct {
 func NewSimpleCut(p predicate.Predicate) *SimpleCut { return &SimpleCut{Pred: p} }
 
 // FillMask implements Cut.
-func (c *SimpleCut) FillMask(t *relation.Table, rows []int32, mask []uint64) {
+func (c *SimpleCut) FillMask(t *relation.Table, rows []int32, mask []uint64, g *predicate.Gather) {
 	if rows == nil {
 		predicate.FillMask(c.Pred, t, mask)
 	} else {
-		predicate.FillRows(c.Pred, t, rows, mask)
+		predicate.FillRowsInto(c.Pred, t, rows, mask, g)
 	}
 }
 
@@ -100,7 +101,7 @@ type InducedCut struct {
 func NewInducedCut(ip *induce.Predicate) *InducedCut { return &InducedCut{Ind: ip} }
 
 // FillMask implements Cut.
-func (c *InducedCut) FillMask(t *relation.Table, rows []int32, mask []uint64) {
+func (c *InducedCut) FillMask(t *relation.Table, rows []int32, mask []uint64, _ *predicate.Gather) {
 	c.Ind.FillMask(t, rows, mask)
 }
 

@@ -15,27 +15,40 @@ import (
 // assign routes rows, ascending, through the subtree at n into the
 // per-leaf buckets (each leaf's rows stay ascending). A node evaluates its
 // cut over the rows reaching it in one mask pass and stably partitions
-// them in place, left rows first, through spare (at least len(rows)
-// long); a leaf's bucket is its window of rows.
-func assign(n *Node, tbl *relation.Table, rows, spare []int32, buckets [][]int32) {
+// them in place, left rows first; a leaf's bucket is its window of rows.
+// The worker's buffers are reused node after node.
+func (w *routeWorker) assign(n *Node, rows []int32) {
 	if len(rows) == 0 {
 		return
 	}
 	if n.IsLeaf() {
-		buckets[n.LeafIndex] = rows[:len(rows):len(rows)]
+		w.buckets[n.LeafIndex] = rows[:len(rows):len(rows)]
 		return
 	}
-	mask := make([]uint64, (len(rows)+63)/64)
-	n.Cut.FillMask(tbl, rows, mask)
+	mask := w.mask[:(len(rows)+63)/64]
+	clear(mask)
+	n.Cut.FillMask(w.tbl, rows, mask, &w.gather)
 	left, right := 0, 0
 	for k, r := range rows { // branchless: each row is written both ways
 		b := int(mask[k>>6] >> (uint(k) & 63) & 1)
-		rows[left], spare[right] = r, r // left <= k: row k is already read
+		rows[left], w.spare[right] = r, r // left <= k: row k is already read
 		left, right = left+b, right+1-b
 	}
-	copy(rows[left:], spare[:right])
-	assign(n.Left, tbl, rows[:left], spare, buckets)
-	assign(n.Right, tbl, rows[left:], spare, buckets)
+	copy(rows[left:], w.spare[:right])
+	w.assign(n.Left, rows[:left])
+	w.assign(n.Right, rows[left:])
+}
+
+// routeWorker is one record-routing worker's state: its leaf buckets and
+// the buffers every node it routes reuses, a partition spare and a cut
+// mask (both sized for the worker's whole row range) and the cut's gather
+// buffers.
+type routeWorker struct {
+	tbl     *relation.Table
+	buckets [][]int32
+	spare   []int32
+	mask    []uint64
+	gather  predicate.Gather
 }
 
 // minRouteChunk is the smallest per-worker row range worth a goroutine.
@@ -72,8 +85,10 @@ func (t *Tree) AssignRecordsParallel(tbl *relation.Table, parallelism int) [][]i
 		for k := range rows {
 			rows[k] = int32(lo + k)
 		}
-		perChunk[c] = make([][]int32, len(leaves))
-		assign(t.Root, tbl, rows, make([]int32, len(rows)), perChunk[c])
+		w := &routeWorker{tbl: tbl, buckets: make([][]int32, len(leaves)),
+			spare: make([]int32, len(rows)), mask: make([]uint64, (len(rows)+63)/64)}
+		w.assign(t.Root, rows)
+		perChunk[c] = w.buckets
 	}
 	if workers == 1 {
 		route(0)

@@ -266,7 +266,7 @@ func oracleAssign(tree *Tree, tbl *relation.Table) [][]int32 {
 	for _, n := range tree.Nodes() {
 		if !n.IsLeaf() {
 			masks[n] = newBitset(tbl.NumRows())
-			n.Cut.FillMask(tbl, nil, masks[n])
+			n.Cut.FillMask(tbl, nil, masks[n], nil)
 		}
 	}
 	groups := make([][]int32, tree.NumLeaves())

@@ -22,7 +22,7 @@ func seedBuild(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config
 	matches := make([][]bool, len(cuts))
 	for i, c := range cuts {
 		bits := newBitset(tbl.NumRows())
-		c.FillMask(tbl, nil, bits)
+		c.FillMask(tbl, nil, bits, nil)
 		m := make([]bool, tbl.NumRows())
 		for r := range m {
 			m[r] = bits.get(r)

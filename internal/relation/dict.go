@@ -135,6 +135,48 @@ func (d *ColumnDict) CodeRange(v value.Value) (lo, hi int32, exists bool) {
 	return lo, hi, exists
 }
 
+// Rank returns the first code whose value is above b — or at it, when
+// orEqual — comparing as value.Compare does: ints against floats exactly,
+// a NaN bound equal to every value. ok is false when b's kind cannot be
+// compared with d's.
+func (d *ColumnDict) Rank(b value.Value, orEqual bool) (code int32, ok bool) {
+	switch {
+	case d.Kind == value.KindInt && b.Kind() == value.KindInt:
+		return rankOrdered(d.Ints, b.Int(), orEqual), true
+	case d.Kind == value.KindFloat && b.Kind() == value.KindFloat && b.Float() == b.Float():
+		return rankOrdered(d.Flts, b.Float(), orEqual), true
+	case d.Kind == value.KindFloat && b.Kind() == value.KindFloat: // NaN
+		return rankBy(d.Flts, func(float64) int { return 0 }, orEqual), true
+	case d.Kind == value.KindString && b.Kind() == value.KindString:
+		return rankOrdered(d.Strs, b.Str(), orEqual), true
+	case d.Kind == value.KindInt && b.Kind() == value.KindFloat:
+		return rankBy(d.Ints, func(v int64) int { return value.CompareIntFloat(v, b.Float()) }, orEqual), true
+	case d.Kind == value.KindFloat && b.Kind() == value.KindInt:
+		return rankBy(d.Flts, func(v float64) int { return -value.CompareIntFloat(b.Int(), v) }, orEqual), true
+	}
+	return 0, false
+}
+
+// rankOrdered is Rank within one kind over distinct ascending values.
+func rankOrdered[T cmp.Ordered](vals []T, b T, orEqual bool) int32 {
+	i, found := slices.BinarySearch(vals, b)
+	if found && !orEqual {
+		i++
+	}
+	return int32(i)
+}
+
+// rankBy is Rank through compare, each value's order against the bound.
+func rankBy[T any](vals []T, compare func(T) int, orEqual bool) int32 {
+	i, _ := slices.BinarySearchFunc(vals, 0, func(v T, _ int) int {
+		if c := compare(v); c > 0 || c == 0 && orEqual {
+			return 1
+		}
+		return -1
+	})
+	return int32(i)
+}
+
 // TranslateCodes returns, for every code of from, the code of the equal
 // value in to, or -1 when to's column never holds it. Dictionaries of
 // different kinds translate to all -1: join-key membership uses exact
