@@ -372,6 +372,34 @@ func BenchmarkExecuteTemplate(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstQueryTPCH measures what a fresh engine pays before its
+// caches are warm — after every reorganization swap, insert or restart —
+// engine-only: one op runs each of the 22 TPC-H templates' first instance
+// once, each on a new engine.New over the same deployed MTO layout (SF
+// 0.02, DefaultOptions), so ns/op is the sum of the 22 first queries.
+func BenchmarkFirstQueryTPCH(b *testing.B) {
+	s := benchScale()
+	s.SF = 0.02
+	s.PerTemplate = 1
+	bench := experiments.TPCHBench(s)
+	d, err := experiments.DeployMethod(bench, experiments.MethodMTO, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		for _, q := range bench.Workload.Queries {
+			if _, err := engine.New(d.Store, d.Design, bench.Dataset, engine.DefaultOptions()).Execute(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run() // the store's pool and row orders are warm; only the engine is new
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkReplayDisk measures full-workload replay against the persistent
 // columnar segment store in its interesting regimes — cold (0-byte buffer
 // pool, every block read comes from disk) and warm (pool large enough to

@@ -52,8 +52,9 @@ type Stats struct {
 	CacheMisses    int64
 	CacheEvictions int64
 	// BytesRead counts the segment bytes of the pages actually read (frame
-	// + payload of the row-ID page and of the column pages a visit named
-	// and the pool lacked); zone-map pruning never adds to it.
+	// + payload of the column pages a visit named and the pool lacked, and
+	// of the row-ID pages ReadBlock reads); zone-map pruning never adds to
+	// it.
 	BytesRead int64
 
 	// Prefetched counts block loads (of the scan's pages) by the store's

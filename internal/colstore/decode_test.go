@@ -39,9 +39,9 @@ func readBlockData(s *Segment, id int) (*blockData, error) {
 	if id < 0 || id >= s.NumBlocks() {
 		return nil, fmt.Errorf("colstore: segment %s: no block %d", s.name, id)
 	}
-	all := make([]int, len(s.cols))
-	for ci := range all {
-		all[ci] = ci
+	all := []int{rowIDPage}
+	for ci := range s.cols {
+		all = append(all, ci)
 	}
 	eb, n, err := s.readPages(id, all, nil)
 	if err != nil {

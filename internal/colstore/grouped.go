@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mto/internal/block"
 	"mto/internal/predicate"
@@ -103,8 +104,9 @@ func (t *TableFold) singleZoneSlot(iv predicate.Interval) (int, bool) {
 // code+1 otherwise) into slots. Dict string pages translate the
 // block-local dictionary into the global one with a single sorted merge;
 // int and raw string pages rank each survivor's value in the global
-// dictionary, memoizing the previous row's translation so clustered runs
-// cost one comparison per row.
+// dictionary (ColumnDict.IntCode: arithmetic for an interval dictionary),
+// memoizing the previous row's translation so clustered runs cost one
+// comparison per row.
 func (t *TableFold) groupSlots(gpv pageView, nrows int, local []uint64, pop int, slots []int32, sc *scratch) error {
 	d := t.group.Dict
 	switch encKind(gpv.enc) {
@@ -129,11 +131,11 @@ func (t *TableFold) groupSlots(gpv pageView, nrows int, local []uint64, pop int,
 						continue
 					}
 					if b := v.entry(i); lastSlot < 0 || !bytes.Equal(b, lastB) {
-						g := strRank(d.Strs, b)
-						if g < 0 {
+						g, ok := slices.BinarySearchFunc(d.Strs, b, func(s string, b []byte) int { return -bytesCompareString(b, s) })
+						if !ok {
 							return fmt.Errorf("group value %q missing from the global group dictionary", string(b))
 						}
-						lastB, lastSlot = b, g+1
+						lastB, lastSlot = b, int32(g)+1
 					}
 					slots[i] = lastSlot
 				}
@@ -190,7 +192,7 @@ func (t *TableFold) groupSlots(gpv pageView, nrows int, local []uint64, pop int,
 					continue
 				}
 				if x := v.valueAt(vals, i); lastSlot < 0 || x != lastV {
-					g := intRank(d.Ints, x)
+					g := d.IntCode(x)
 					if g < 0 {
 						return fmt.Errorf("group value %d missing from the global group dictionary", x)
 					}
@@ -203,39 +205,4 @@ func (t *TableFold) groupSlots(gpv pageView, nrows int, local []uint64, pop int,
 	default:
 		return fmt.Errorf("unsupported group-column encoding 0x%02x", gpv.enc)
 	}
-}
-
-// intRank is the rank of v in a sorted distinct list, -1 when absent.
-func intRank(sorted []int64, v int64) int32 {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(sorted) && sorted[lo] == v {
-		return int32(lo)
-	}
-	return -1
-}
-
-// strRank is the rank of b in a sorted distinct string list, -1 when
-// absent, comparing bytes in place.
-func strRank(sorted []string, b []byte) int32 {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if bytesCompareString(b, sorted[mid]) > 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(sorted) && bytesCompareString(b, sorted[lo]) == 0 {
-		return int32(lo)
-	}
-	return -1
 }

@@ -37,7 +37,7 @@ func referenceGrouped(t *testing.T, tab *relation.Table, dict *relation.ColumnDi
 		if survivors[r>>6]>>(uint(r)&63)&1 == 0 {
 			continue
 		}
-		slot := dict.Codes[r] + 1 // -1 (null) → slot 0
+		slot := dict.Code(r) + 1 // -1 (null) → slot 0
 		rows[slot]++
 		for i := range aggs {
 			st := &sts[i][slot]

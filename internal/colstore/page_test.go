@@ -305,8 +305,8 @@ func (c *pageCheck) check(kind value.Kind, pv pageView, noNulls bool) bool {
 			return tf.groupSlots(pv, nrows, mask, popcountMask(mask), got, sc)
 		}) && comparable {
 			for r := 0; r < nrows; r++ {
-				if mask[r>>6]>>(uint(r)&63)&1 == 1 && got[r] != dict.Codes[r]+1 {
-					c.errorf("%s: row %d in slot %d, oracle says %d", name, r, got[r], dict.Codes[r]+1)
+				if mask[r>>6]>>(uint(r)&63)&1 == 1 && got[r] != dict.Code(r)+1 {
+					c.errorf("%s: row %d in slot %d, oracle says %d", name, r, got[r], dict.Code(r)+1)
 					break
 				}
 			}

@@ -68,6 +68,16 @@ func scanAll(t *testing.T, s *Store, n int, p predicate.Predicate) ([]uint64, er
 	return masks[0], nil
 }
 
+// scanReadsPages reports whether scanAll(p)'s block visits name a page,
+// that is whether they go through the pool.
+func scanReadsPages(s *Store, p predicate.Predicate) bool {
+	var filters []predicate.Predicate
+	if p != nil {
+		filters = []predicate.Predicate{p}
+	}
+	return len(s.CompileScan("sc", filters).(*TableScan).touched) > 0
+}
+
 // foldAll folds every block's rows (all of them survive) into fresh states.
 func foldAll(s *Store, n int, group block.GroupKey, aggs []workload.Aggregate) (*block.GroupedStates, error) {
 	fold := s.CompileFold("sc", group, aggs)
@@ -138,29 +148,30 @@ func TestScanReadsOnlyTouchedPages(t *testing.T) {
 	s := newScanStore(t, tab, groups, 1<<20)
 	ids := allBlocks(s)
 	nb := int64(len(ids))
-	step(s, "one-column filter, cold", pageBytes(s, ids, true, "i_for"), nb, scanStep(s, oneCol))
+	step(s, "one-column filter, cold", pageBytes(s, ids, false, "i_for"), nb, scanStep(s, oneCol))
 	step(s, "same scan again", 0, 0, scanStep(s, oneCol))
 	step(s, "one more column", pageBytes(s, ids, false, "s_dict"), nb, scanStep(s, twoCols))
 	step(s, "unfiltered alias over resident blocks", 0, 0, scanStep(s, nil))
 	step(s, "fold: group column resident, aggregate column not", pageBytes(s, ids, false, "i_delta"), nb, foldStep(s))
 	step(s, "same fold again", 0, 0, foldStep(s))
-	if _, bytes := s.pool.Resident(); bytes != nb*50*4+pageBytes(s, ids, false, "i_for", "s_dict", "i_delta")-3*nb*frameSize {
-		t.Errorf("pool charges %d bytes for the row IDs and three pages of each block", bytes)
+	if _, bytes := s.pool.Resident(); bytes != pageBytes(s, ids, false, "i_for", "s_dict", "i_delta")-3*nb*frameSize {
+		t.Errorf("pool charges %d bytes for three pages of each block", bytes)
 	}
 
 	cold := newScanStore(t, tab, groups, 1<<20)
-	step(cold, "unfiltered alias, cold", pageBytes(cold, ids, true), nb, scanStep(cold, nil))
+	step(cold, "unfiltered alias, cold", 0, 0, scanStep(cold, nil))
 	cold = newScanStore(t, tab, groups, 1<<20)
-	step(cold, "fold, cold", pageBytes(cold, ids, true, "i_delta", "s_dict"), nb, foldStep(cold))
+	step(cold, "fold, cold", pageBytes(cold, ids, false, "i_delta", "s_dict"), nb, foldStep(cold))
 
-	// No pool, and a pool smaller than one block's touched pages (50 row
-	// IDs alone are 200 bytes): every visit re-reads exactly its pages.
-	for _, capacity := range []int64{0, 64} {
+	// No pool, and a pool smaller than one block's touched pages (a fold's
+	// two pages hold at least 29 bytes): every visit re-reads exactly its
+	// pages.
+	for _, capacity := range []int64{0, 16} {
 		s := newScanStore(t, tab, groups, capacity)
 		for round := 0; round < 2; round++ {
 			name := fmt.Sprintf("capacity %d, round %d", capacity, round)
-			step(s, name+": scan", pageBytes(s, ids, true, "i_for", "s_dict"), nb, scanStep(s, twoCols))
-			step(s, name+": fold", pageBytes(s, ids, true, "i_delta", "s_dict"), nb, foldStep(s))
+			step(s, name+": scan", pageBytes(s, ids, false, "i_for", "s_dict"), nb, scanStep(s, twoCols))
+			step(s, name+": fold", pageBytes(s, ids, false, "i_delta", "s_dict"), nb, foldStep(s))
 		}
 		if entries, _ := s.pool.Resident(); entries != 0 {
 			t.Errorf("capacity %d: %d entries resident", capacity, entries)
@@ -170,8 +181,8 @@ func TestScanReadsOnlyTouchedPages(t *testing.T) {
 
 // TestConstFalseLeafReadsNoPage: a leaf normalization turns into
 // Const(false) — an int column against a string literal — loads no page
-// of its column: alone it reads the bytes a FALSE filter reads (the row
-// IDs), and under an OR it adds nothing to the other leaf's pages.
+// of its column: alone it reads the bytes a FALSE filter reads (none),
+// and under an OR it adds nothing to the other leaf's pages.
 func TestConstFalseLeafReadsNoPage(t *testing.T) {
 	const n = 200
 	tab := scanTable(t, n)
@@ -199,8 +210,10 @@ func TestConstFalseLeafReadsNoPage(t *testing.T) {
 }
 
 // TestReadBlockSharesScanEntry: ReadBlock reads the row-ID page through
-// the block's one pool entry. After a scan of the block it reads nothing
-// (one hit); before one, it leaves the scan only its column's page to read.
+// the block's one pool entry, and a scan never reads it. After a scan of
+// the block ReadBlock adds only the row-ID page to the entry; before one,
+// it leaves the scan only its column's page to read; once both ran, it
+// reads nothing (one hit).
 func TestReadBlockSharesScanEntry(t *testing.T) {
 	const n = 200
 	tab := scanTable(t, n)
@@ -228,8 +241,9 @@ func TestReadBlockSharesScanEntry(t *testing.T) {
 					name, d.CacheHits, d.CacheMisses, d.BytesRead, wantHits, wantMisses, wantBytes)
 			}
 		}
-		step("scan of block 0, cold", 0, 1, pageBytes(s, []int{0}, true, "i_for"), scanBlock(0))
-		step("ReadBlock(0) after the scan", 1, 0, 0, readBlock(0))
+		step("scan of block 0, cold", 0, 1, pageBytes(s, []int{0}, false, "i_for"), scanBlock(0))
+		step("ReadBlock(0) after the scan", 0, 1, pageBytes(s, []int{0}, true), readBlock(0))
+		step("scan of block 0 after ReadBlock", 1, 0, 0, scanBlock(0))
 		step("ReadBlock(1), cold", 0, 1, pageBytes(s, []int{1}, true), readBlock(1))
 		step("scan of block 1 after ReadBlock", 0, 1, pageBytes(s, []int{1}, false, "i_for"), scanBlock(1))
 		step("ReadBlock(1) after both", 1, 0, 0, readBlock(1))
@@ -239,23 +253,27 @@ func TestReadBlockSharesScanEntry(t *testing.T) {
 	})
 }
 
-// TestPoolSmallerThanOneBlock: a pool too small for any block's row IDs
-// caches nothing and changes no answer. Every scan and fold matches an
-// ample-pool store, the pool never holds more than its capacity, and every
-// block visit is a miss.
+// TestPoolSmallerThanOneBlock: a pool too small for any page caches none
+// and changes no answer. Every scan and fold matches an ample-pool store,
+// the pool never holds more than its capacity, and every block visit that
+// reads a page is a miss. A visit that reads none (an unfiltered scan, a
+// FALSE filter, an ungrouped COUNT(*)) skips the pool: no hit, no miss,
+// no byte read.
 func TestPoolSmallerThanOneBlock(t *testing.T) {
 	const n = 200
 	tab := scanTable(t, n)
 	groups := interleavedGroups(n, 4)
 	ample := newScanStore(t, tab, groups, 1<<30)
-	capacity := int64(n) * 4 // what the pool charges for all rows' IDs
-	for _, g := range groups {
-		capacity = min(capacity, int64(len(g))*4-1)
+	capacity := int64(n) * 4
+	for _, bm := range ample.state("sc").seg.blocks {
+		for _, pm := range bm.pages[1:] {
+			capacity = min(capacity, pm.length-1)
+		}
 	}
 	s := newScanStore(t, tab, groups, capacity)
 	nb := int64(s.NumBlocks("sc"))
 
-	step := func(name string, visit func(s *Store) (interface{}, error)) {
+	step := func(name string, empty bool, visit func(s *Store) (interface{}, error)) {
 		t.Helper()
 		before := s.Stats()
 		got, err := visit(s)
@@ -267,15 +285,20 @@ func TestPoolSmallerThanOneBlock(t *testing.T) {
 			t.Errorf("%s: differs from the ample-pool store", name)
 		}
 		d := s.Stats().Sub(before)
-		if d.CacheHits != 0 || d.CacheMisses != nb {
-			t.Errorf("%s: %d hits, %d misses over %d block visits", name, d.CacheHits, d.CacheMisses, nb)
+		wantMisses := nb
+		if empty {
+			wantMisses = 0
+		}
+		if d.CacheHits != 0 || d.CacheMisses != wantMisses || empty && d.BytesRead != 0 {
+			t.Errorf("%s: %d hits, %d misses, %d bytes over %d block visits", name, d.CacheHits, d.CacheMisses, d.BytesRead, nb)
 		}
 		if _, bytes := s.pool.Resident(); bytes > capacity {
 			t.Errorf("%s: pool holds %d bytes, capacity %d", name, bytes, capacity)
 		}
 	}
 	for _, p := range append(scanPredicates(), nil) {
-		step(fmt.Sprint("scan ", p), func(s *Store) (interface{}, error) { return scanAll(t, s, n, p) })
+		empty := !scanReadsPages(s, p)
+		step(fmt.Sprint("scan ", p), empty, func(s *Store) (interface{}, error) { return scanAll(t, s, n, p) })
 	}
 	for _, group := range foldGroups(t, tab, "i_for", "s_dict") {
 		for _, a := range aggMatrix() {
@@ -283,7 +306,8 @@ func TestPoolSmallerThanOneBlock(t *testing.T) {
 				continue
 			}
 			aggs := []workload.Aggregate{a}
-			step(fmt.Sprintf("%s by %q", a, group.Column), func(s *Store) (interface{}, error) {
+			empty := len(s.CompileFold("sc", group, aggs).(*TableFold).touched) == 0
+			step(fmt.Sprintf("%s by %q", a, group.Column), empty, func(s *Store) (interface{}, error) {
 				return foldAll(s, n, group, aggs)
 			})
 		}
@@ -301,9 +325,9 @@ func TestPoolSmallerThanOneBlock(t *testing.T) {
 //
 // A column page: every scan and fold that does not read it, and every
 // ReadBlock (which reads only the row-ID page), answers as over the intact
-// store. The row-ID page: every scan, fold and ReadBlock of that block
-// fails, every other block answers as over the intact store, and nothing
-// of the block stays cached.
+// store. The row-ID page: only ReadBlock of that block fails — scans and
+// folds never read the page — everything else answers as over the intact
+// store, and the block's entry never holds row IDs.
 func TestCorruptUntouchedPage(t *testing.T) {
 	for _, src := range []string{"file", "ram"} {
 		t.Run(src, func(t *testing.T) {
@@ -458,19 +482,21 @@ func corruptRowIDPage(t *testing.T, src string) {
 	nw := (n + 63) / 64
 
 	// visit runs one visit of block id on the damaged store and on the
-	// intact one: the damaged block must fail, any other answer alike.
+	// intact one: a visit that reads the damaged page must fail, any other
+	// answer alike.
 	visit := func(name string, id int, run func(s *Store) (interface{}, error)) {
 		t.Helper()
 		got, err := run(s)
 		want, wantE := run(intact)
+		bad := id == badBlk && name == "ReadBlock"
 		switch {
 		case wantE != nil:
 			t.Fatalf("%s, block %d: intact store: %v", name, id, wantE)
-		case id == badBlk && (err == nil || !strings.Contains(err.Error(), wantErr)):
+		case bad && (err == nil || !strings.Contains(err.Error(), wantErr)):
 			t.Errorf("%s, block %d: err = %v, want %q", name, id, err, wantErr)
-		case id != badBlk && err != nil:
+		case !bad && err != nil:
 			t.Errorf("%s, block %d: %v", name, id, err)
-		case id != badBlk && !reflect.DeepEqual(got, want):
+		case !bad && !reflect.DeepEqual(got, want):
 			t.Errorf("%s, block %d: differs from the intact store", name, id)
 		}
 	}
@@ -511,8 +537,8 @@ func corruptRowIDPage(t *testing.T, src string) {
 		visit("ReadBlock", id, func(st *Store) (interface{}, error) { return st.ReadBlock("sc", id) })
 	}
 	for _, id := range allBlocks(s) {
-		if _, ok := residentEntry(s, id); ok == (id == badBlk) {
-			t.Errorf("block %d: resident = %v after every visit", id, ok)
+		if eb, ok := residentEntry(s, id); !ok || (eb.Block.Rows == nil) != (id == badBlk) {
+			t.Errorf("block %d: resident = %v, row IDs cached = %v after every visit", id, ok, ok && eb.Block.Rows != nil)
 		}
 	}
 }
@@ -587,11 +613,17 @@ func TestConcurrentVisitsReadEachPageOnce(t *testing.T) {
 			t.Fatal("concurrent result differs from the sequential one")
 		}
 		st := s.Stats()
-		if wantBytes := pageBytes(s, allBlocks(s), true, touched...); st.BytesRead != wantBytes {
+		if wantBytes := pageBytes(s, allBlocks(s), false, touched...); st.BytesRead != wantBytes {
 			t.Fatalf("BytesRead = %d, want %d (each distinct page once)", st.BytesRead, wantBytes)
 		}
-		if visits := int64(len(got) * s.NumBlocks("sc")); st.CacheHits+st.CacheMisses != visits {
-			t.Fatalf("hits + misses = %d + %d, want %d block visits", st.CacheHits, st.CacheMisses, visits)
+		visits := int64(len(folds) * s.NumBlocks("sc"))
+		for _, p := range preds {
+			if scanReadsPages(s, p) {
+				visits += int64(s.NumBlocks("sc"))
+			}
+		}
+		if st.CacheHits+st.CacheMisses != visits {
+			t.Fatalf("hits + misses = %d + %d, want %d block visits that read a page", st.CacheHits, st.CacheMisses, visits)
 		}
 	}
 }

@@ -119,11 +119,11 @@ func (p *Pool) shard(k poolKey) *poolShard {
 }
 
 // GetPages returns k's encoded snapshot holding at least the pages of cols
-// (segment column indexes; the row IDs are always there). A resident
-// snapshot that has them all is returned as is; otherwise load runs with
-// the resident snapshot (nil when there is none) and must return one
-// extended by the missing pages, which replaces it. Concurrent visits to
-// one block single-flight: at most one load of a key runs at a time.
+// (segment column indexes, or rowIDPage). A resident snapshot that has
+// them all is returned as is; otherwise load runs with the resident
+// snapshot (nil when there is none) and must return one extended by the
+// missing pages, which replaces it. Concurrent visits to one block
+// single-flight: at most one load of a key runs at a time.
 //
 // With prefetch it is the readahead variant: it returns (nil) immediately
 // when the block has a load in flight, never counts cache hits or misses,

@@ -117,10 +117,11 @@ func setColumns(reads []bool) []int {
 // this scan's block visits will ask for. Best-effort and asynchronous. The
 // queue stops where the pages' pool charge (footer metadata) reaches the
 // pool's capacity — readahead past that evicts its own unread loads — so
-// it is a no-op when the store has no buffer pool to park the result in.
+// it is a no-op when the store has no buffer pool to park the result in,
+// or the visits read no page.
 func (t *TableScan) Prefetch(ids []int) {
 	s, seg := t.store, t.st.seg
-	if s.cacheBytes <= 0 {
+	if s.cacheBytes <= 0 || len(t.touched) == 0 {
 		return
 	}
 	budget := s.cacheBytes
@@ -158,7 +159,7 @@ func (t *TableScan) ScanBlock(id int, masks [][]uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	nrows := len(eb.Block.Rows)
+	nrows := seg.BlockRows(id)
 	sc := getScratch()
 	defer putScratch(sc)
 	v := t.newVisit(eb, nrows, sc)

@@ -19,8 +19,8 @@
 //	[footerLen u32][footerCRC u32][magic u32]
 //
 // Zone maps live only in the footer, so pruning a block costs no page
-// I/O; a block visit reads its row-ID page and the pages of the columns
-// it names, each on its own (Segment.readPages).
+// I/O; a block visit reads only the pages of the columns it names, each
+// on its own, and ReadBlock the row-ID page (Segment.readPages).
 package colstore
 
 import (
@@ -71,15 +71,17 @@ type pageMeta struct {
 type blockMeta struct {
 	nrows int
 	zone  *zonemap.ZoneMap
-	pages []pageMeta // pages[0] = row IDs, pages[1+i] = column i
+	pages []pageMeta    // pages[0] = row IDs, pages[1+i] = column i
+	bare  *EncodedBlock // the block with no page read: what a visit naming none gets
 }
 
 // EncodedBlock is an immutable snapshot of one block in wire form: the
-// reconstructed block.Block (row IDs decoded from page 0, zone map from the
-// footer) plus the raw, checksum-verified payloads of the column pages some
-// visit has asked for so far. Scans and folds evaluate directly on these
-// payloads; it is the one form the buffer pool caches. A wider snapshot
-// shares the payloads of the one it extends — callers must not mutate them.
+// reconstructed block.Block (zone map from the footer; row IDs decoded
+// from page 0 once ReadBlock asks) plus the raw, checksum-verified
+// payloads of the column pages some visit has asked for so far. Scans and
+// folds evaluate directly on these payloads; it is the one form the buffer
+// pool caches. A wider snapshot shares the payloads of the one it extends —
+// callers must not mutate them.
 type EncodedBlock struct {
 	Block *block.Block
 	Cols  [][]byte // per segment column: [null section][enc u8][body]; nil = page not read
@@ -89,7 +91,7 @@ type EncodedBlock struct {
 // covers reports whether the snapshot holds the pages of cols.
 func (eb *EncodedBlock) covers(cols []int) bool {
 	for _, ci := range cols {
-		if eb.Cols[ci] == nil {
+		if ci == rowIDPage && eb.Block.Rows == nil || ci != rowIDPage && eb.Cols[ci] == nil {
 			return false
 		}
 	}
@@ -399,6 +401,7 @@ func loadSegment(name string, f io.ReaderAt, size int64) (*Segment, error) {
 			ranges[s.cols[ci].name] = readInterval(r)
 		}
 		m.zone = zonemap.FromRanges(ranges, m.nrows)
+		m.bare = &EncodedBlock{Block: &block.Block{ID: bi, Zone: m.zone}}
 		npages := r.count(2)
 		if r.fail == nil && npages != 1+ncols {
 			r.setErr(fmt.Sprintf("block %d has %d pages, want %d", bi, npages, 1+ncols))
@@ -520,20 +523,12 @@ func (s *Segment) readPage(bi, pi int) ([]byte, int64, error) {
 // ReadRowIDs reads and decodes only block id's row-ID page, returning the
 // row indexes and the on-disk bytes read.
 func (s *Segment) ReadRowIDs(id int) ([]int32, int64, error) {
+	fail := func(err error) ([]int32, int64, error) {
+		return nil, 0, fmt.Errorf("colstore: segment %s: block %d: page 0 (row IDs): %w", s.name, id, err)
+	}
 	payload, n, err := s.readPage(id, 0)
 	if err != nil {
 		return nil, 0, err
-	}
-	rows, err := s.decodeRowIDs(id, payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rows, n, nil
-}
-
-func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
-	fail := func(err error) ([]int32, error) {
-		return nil, fmt.Errorf("colstore: segment %s: block %d: page 0 (row IDs): %w", s.name, id, err)
 	}
 	pv, err := bodyPage(payload)
 	if err != nil {
@@ -552,39 +547,39 @@ func (s *Segment) decodeRowIDs(id int, payload []byte) ([]int32, error) {
 		}
 		rows[i] = int32(r)
 	}
-	return rows, nil
+	return rows, n, nil
 }
 
+// rowIDPage names the row-ID page in a page list; only ReadBlock asks for it.
+const rowIDPage = -1
+
 // readPages returns prev extended by the pages of cols (segment column
-// indexes) it lacks, each read and checksummed on its own and left
-// un-decoded, plus the on-disk bytes read. A nil prev starts from the
-// row-ID page, which is decoded for ReadBlock (scans and folds use only
-// the footer's row count).
+// indexes, or rowIDPage) it lacks, each read and checksummed on its own
+// and left un-decoded but the row IDs, plus the on-disk bytes read.
 func (s *Segment) readPages(id int, cols []int, prev *EncodedBlock) (*EncodedBlock, int64, error) {
-	eb := &EncodedBlock{Cols: make([][]byte, len(s.cols))}
-	var read int64
-	if prev != nil {
-		eb.Block, eb.size = prev.Block, prev.size
-		copy(eb.Cols, prev.Cols)
-	} else {
-		rows, n, err := s.ReadRowIDs(id)
-		if err != nil {
-			return nil, 0, err
-		}
-		eb.Block = &block.Block{ID: id, Rows: rows, Zone: s.blocks[id].zone}
-		eb.size, read = int64(len(rows))*4, n
+	if prev == nil {
+		prev = s.blocks[id].bare
 	}
+	eb := &EncodedBlock{Block: prev.Block, Cols: make([][]byte, len(s.cols)), size: prev.size}
+	copy(eb.Cols, prev.Cols)
+	var read int64
 	for _, ci := range cols {
-		if eb.Cols[ci] != nil {
-			continue
+		switch {
+		case ci == rowIDPage && eb.Block.Rows == nil:
+			rows, n, err := s.ReadRowIDs(id)
+			if err != nil {
+				return nil, 0, err
+			}
+			eb.Block = &block.Block{ID: id, Rows: rows, Zone: eb.Block.Zone}
+			eb.size, read = eb.size+int64(len(rows))*4, read+n
+		case ci != rowIDPage && eb.Cols[ci] == nil:
+			payload, n, err := s.readPage(id, 1+ci)
+			if err != nil {
+				return nil, 0, err
+			}
+			eb.Cols[ci] = payload
+			eb.size, read = eb.size+int64(len(payload)), read+n
 		}
-		payload, n, err := s.readPage(id, 1+ci)
-		if err != nil {
-			return nil, 0, err
-		}
-		eb.Cols[ci] = payload
-		eb.size += int64(len(payload))
-		read += n
 	}
 	return eb, read, nil
 }
@@ -592,10 +587,9 @@ func (s *Segment) readPages(id int, cols []int, prev *EncodedBlock) (*EncodedBlo
 // pagesSize is the size of a snapshot of block id holding exactly the
 // pages of cols, from the footer alone.
 func (s *Segment) pagesSize(id int, cols []int) int64 {
-	bm := &s.blocks[id]
-	size := int64(bm.nrows) * 4
+	var size int64
 	for _, ci := range cols {
-		size += bm.pages[1+ci].length
+		size += s.blocks[id].pages[1+ci].length
 	}
 	return size
 }

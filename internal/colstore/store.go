@@ -382,7 +382,7 @@ func (s *Store) ReadBlock(table string, id int) (*block.Block, error) {
 	}
 	s.blocksRead.Add(1)
 	s.rowsRead.Add(int64(st.seg.BlockRows(id)))
-	eb, err := s.encodedBlock(table, st, id, nil, false)
+	eb, err := s.encodedBlock(table, st, id, []int{rowIDPage}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -397,6 +397,9 @@ func (s *Store) ReadBlock(table string, id int) (*block.Block, error) {
 // worker's load (see Pool.GetPages): the error is the caller's to drop, the
 // demand read re-runs the load and surfaces it.
 func (s *Store) encodedBlock(table string, st *tableState, id int, cols []int, prefetch bool) (*EncodedBlock, error) {
+	if len(cols) == 0 {
+		return st.seg.blocks[id].bare, nil // no page to read: skip the pool
+	}
 	k := poolKey{table: table, gen: st.gen, id: id}
 	return s.pool.GetPages(k, cols, prefetch, func(prev *EncodedBlock) (*EncodedBlock, error) {
 		eb, n, err := st.seg.readPages(id, cols, prev)

@@ -129,7 +129,7 @@ type Engine struct {
 	mu      sync.Mutex
 	blockOf map[string][]int32 // table → row → block ID (reference path)
 	dicts   map[colKey]*relation.ColumnDict
-	xlate   map[xlateKey][]int32           // from slot → to slot (see translateSlots)
+	xlate   map[xlateKey][]int32           // from slot → to code, unless a shift (see xlateFor)
 	codes   map[colKey]onLayout[[]int32]   // position → dictionary code
 	posts   map[colKey]onLayout[*postings] // code → positions
 

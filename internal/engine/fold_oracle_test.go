@@ -280,7 +280,7 @@ func oracleFoldGrouped(e *Engine, table string, tbl *relation.Table, set bitmap.
 			for word != 0 {
 				r := w<<6 | bits.TrailingZeros64(word)
 				word &= word - 1
-				slot := dict.Codes[r] + 1 // -1 (null) → slot 0
+				slot := dict.Code(r) + 1 // -1 (null) → slot 0
 				acc := accums[slot]
 				if acc == nil {
 					acc = newGroupAccum(len(specs), hasFloat)

@@ -77,9 +77,8 @@ func (e *Engine) newSlotter(table string, tbl *relation.Table, gb workload.Group
 func (g *slotter) assign(sel, slots []int32) {
 	switch {
 	case g.dict != nil:
-		codes := g.dict.Codes
 		for j, r := range sel {
-			s := codes[r] + 1 // -1 (null) → slot 0
+			s := g.dict.Code(int(r)) + 1 // -1 (null) → slot 0
 			slots[j] = s
 			g.rows[s]++
 		}

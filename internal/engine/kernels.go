@@ -105,12 +105,12 @@ func (e *Engine) dictFor(table, col string) *relation.ColumnDict {
 // layout.
 func (e *Engine) codesFor(table, col string, order *block.RowOrder) []int32 {
 	return cachedOn(&e.mu, e.codes, colKey{table, col}, order, func() []int32 {
-		codes := e.dictFor(table, col).Codes
+		d := e.dictFor(table, col)
 		out := make([]int32, len(order.Rows))
 		for p, r := range order.Rows {
 			out[p] = -1
 			if r >= 0 {
-				out[p] = codes[r]
+				out[p] = d.Code(int(r))
 			}
 		}
 		return out
@@ -358,7 +358,7 @@ func (e *Engine) indexPrune(ts *tableState, col string, src colKey, ck *cachedKe
 	tp := e.postingsFor(ts.table, col, ts.order)
 	needed := map[int32]bool{}
 	for _, c := range ck.codes {
-		if s := xl[c+1]; s != 0 {
+		if s := xl.slot(c); s != 0 {
 			for _, p := range tp.of(s - 1) {
 				needed[int32(ts.order.BlockOf(int(p)))] = true
 			}

@@ -85,25 +85,38 @@ func (e *Engine) postingsFor(table, col string, order *block.RowOrder) *postings
 	})
 }
 
-// translateSlots maps each slot of dictionary from (code + 1; slot 0 is
-// null) to the slot of the equal value in dictionary to, 0 when to's
-// column never holds it.
-func translateSlots(from, to *relation.ColumnDict) []int32 {
-	xl := relation.TranslateCodes(from, to)
-	out := make([]int32, len(xl)+1)
-	for c, t := range xl {
-		out[c+1] = t + 1
-	}
-	return out
+// slotMap maps a code of one dictionary to the slot (code + 1) of the
+// equal value in another, 0 for a null code or a value the other column
+// never holds: through an array indexed by slot, or, between two interval
+// dictionaries, by a shift (relation.IntervalShift) with no array at all.
+type slotMap struct {
+	arr      []int32 // from slot → to code (-1: none); nil for a shift
+	shift, n uint32  // code c maps to c + shift when that is below n
 }
 
-// xlateFor returns the cached slot translation from column from's
-// dictionary (fd) into column to's (td), so one side's codes index the
-// other's key sets or postings without boxing a single value.
-func (e *Engine) xlateFor(from colKey, fd *relation.ColumnDict, to colKey, td *relation.ColumnDict) []int32 {
-	return cached(&e.mu, e.xlate, xlateKey{from, to}, nil, func() []int32 {
-		return translateSlots(fd, td)
-	})
+// slot returns code c's slot. The form is loop-invariant, so a kernel's
+// branch on it is predicted on every row.
+func (m slotMap) slot(c int32) int32 {
+	if m.arr != nil {
+		return m.arr[c+1] + 1
+	}
+	if t := uint32(c) + m.shift; c >= 0 && t < m.n {
+		return int32(t) + 1
+	}
+	return 0
+}
+
+// xlateFor returns the slot translation from column from's dictionary (fd)
+// into column to's (td), so one side's codes index the other's key sets or
+// postings without boxing a single value. An array is built once and
+// cached; a shift needs none.
+func (e *Engine) xlateFor(from colKey, fd *relation.ColumnDict, to colKey, td *relation.ColumnDict) slotMap {
+	if shift, ok := relation.IntervalShift(fd, td); ok {
+		return slotMap{shift: uint32(shift), n: uint32(td.NumCodes())}
+	}
+	return slotMap{arr: cached(&e.mu, e.xlate, xlateKey{from, to}, nil, func() []int32 {
+		return append([]int32{-1}, relation.TranslateCodes(fd, td)...) // slot 0 is the null code
+	})}
 }
 
 // Costs of the strategies' unit steps in nanoseconds, fitted by least
@@ -111,32 +124,37 @@ func (e *Engine) xlateFor(from colKey, fd *relation.ColumnDict, to colKey, td *r
 // at SF 0.05 (x86-64): a source row's key set in the slot bitset, a
 // target row probed, a target posting list opened and one of its rows
 // visited, a target row's source posting list located and one step of it
-// walked, and one bitset word swept. The fitted rule's choices cost
-// within 3 % of always picking the fastest strategy in hindsight.
+// walked, and one bitset word swept; costShiftRow is costSlotRow when the
+// translation is a shift, not an array. The rule's choices cost within
+// 2–3 % of always picking the fastest strategy in hindsight.
 const (
 	costSlotRow    = 8.0
+	costShiftRow   = 3.0
 	costProbeRow   = 3.2
 	costListOpen   = 5.0
 	costPostingRow = 3.0
 	costWalkRow    = 12.0
-	costWalkStep   = 0.5
+	costWalkStep   = 0.2
 	costWord       = 1.5
 )
 
 // chooseStrategy returns the strategy expected to be cheapest for reducing
 // tgtCount target survivors (dictionary tgt) by srcCount source survivors
 // (dictionary src). Posting lengths are estimated as the column's rows
-// per distinct code, and a source-postings walk as ending at the first
-// survivor, which a uniformly spread source row set places every
-// rows/srcCount rows.
+// per distinct code, and a source-postings walk is charged its whole list:
+// a layout clusters the source survivors, so many lists hold none.
 func chooseStrategy(tgtCount, srcCount int, anti bool, tgt, src *relation.ColumnDict) strategy {
-	tRows, sRows := float64(len(tgt.Codes)), float64(len(src.Codes))
+	tRows, sRows := float64(tgt.NumRows()), float64(src.NumRows())
 	tWords := tRows / 64
 	tLen := tRows / float64(max(1, tgt.NumCodes()))
 	sLen := sRows / float64(max(1, src.NumCodes()))
 	srcKeys := float64(min(srcCount, src.NumCodes()))
 	// The slot bitset: zeroed, then filled from a sweep of the source set.
-	slots := costSlotRow*float64(srcCount) + costWord*(sRows+float64(tgt.NumCodes()))/64
+	slotRow := costSlotRow
+	if _, shifted := relation.IntervalShift(src, tgt); shifted {
+		slotRow = costShiftRow
+	}
+	slots := slotRow*float64(srcCount) + costWord*(sRows+float64(tgt.NumCodes()))/64
 
 	how, best := probeTarget, slots+costProbeRow*float64(tgtCount)+costWord*tWords
 	// Target postings visit the matched target rows; unless anti, they
@@ -148,8 +166,7 @@ func chooseStrategy(tgtCount, srcCount int, anti bool, tgt, src *relation.Column
 	if c := slots + srcKeys*(costListOpen+costPostingRow*tLen) + rebuild; c < best {
 		how, best = targetPostings, c
 	}
-	walk := min(sLen, sRows/float64(max(1, srcCount)))
-	if c := float64(tgtCount)*(costWalkRow+costWalkStep*walk) + costWord*tWords; c < best {
+	if c := float64(tgtCount)*(costWalkRow+costWalkStep*sLen) + costWord*tWords; c < best {
 		how = sourcePostings
 	}
 	return how
@@ -193,9 +210,9 @@ func (e *Engine) capture(s semijoin, how strategy, td, sd *relation.ColumnDict, 
 	src := semiSource{how: how, version: s.src.version, count: s.src.count, td: td, sd: sd}
 	switch how {
 	case probeTarget, targetPostings:
-		inv := e.xlateFor(colKey{s.src.table, s.srcCol}, sd, colKey{s.tgt.table, s.tgtCol}, td)
+		xl := e.xlateFor(colKey{s.src.table, s.srcCol}, sd, colKey{s.tgt.table, s.tgtCol}, td)
 		src.slots = grabDense(td.NumCodes() + 1)
-		keySlots(src.slots.dense(), s.src.set, e.codesFor(s.src.table, s.srcCol, s.src.order), inv)
+		keySlots(src.slots.dense(), s.src.set, e.codesFor(s.src.table, s.srcCol, s.src.order), xl)
 	case sourcePostings:
 		if copyRows {
 			src.rows = grabDense(len(s.src.set) << 6)
@@ -248,12 +265,12 @@ func (e *Engine) run(s semijoin, src semiSource) bool {
 
 // keySlots sets in slots (zeroed, one bit per target slot) the target slot
 // of every source row's key: codes is the source column's position → code
-// vector and inv its slot translation into the target dictionary.
-func keySlots(slots, rows bitmap.Dense, codes, inv []int32) {
+// vector and xl its slot translation into the target dictionary.
+func keySlots(slots, rows bitmap.Dense, codes []int32, xl slotMap) {
 	for w, word := range rows {
 		base := w << 6
 		for ; word != 0; word &= word - 1 {
-			s := uint32(inv[codes[base|bits.TrailingZeros64(word)]+1])
+			s := uint32(xl.slot(codes[base|bits.TrailingZeros64(word)]))
 			slots[s>>6] |= 1 << (s & 63)
 		}
 	}
@@ -326,7 +343,7 @@ func reduceTargetPostings(set bitmap.Dense, count int, tp *postings, slots bitma
 // it translates the row's slot into the source dictionary (xl) and walks
 // the source rows holding that key (sp) until one is in srcRows. Returns
 // the rows kept.
-func reduceSourcePostings(set bitmap.Dense, codes, xl []int32, sp *postings,
+func reduceSourcePostings(set bitmap.Dense, codes []int32, xl slotMap, sp *postings,
 	srcRows bitmap.Dense, anti bool) int {
 
 	kept := 0
@@ -338,7 +355,7 @@ func reduceSourcePostings(set bitmap.Dense, codes, xl []int32, sp *postings,
 		var hit uint64
 		for x := word; x != 0; x &= x - 1 {
 			tz := bits.TrailingZeros64(x)
-			if s := xl[codes[base|tz]+1]; s != 0 {
+			if s := xl.slot(codes[base|tz]); s != 0 {
 				for _, r := range sp.of(s - 1) {
 					if srcRows.Get(int(r)) {
 						hit |= 1 << tz

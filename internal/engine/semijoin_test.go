@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mto/internal/bitmap"
@@ -103,6 +104,10 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 			t.Errorf("%s/%d: count %d, set holds %d", c.name, how, s.tgt.count, got)
 		}
 	}
+	// Two interval dictionaries translate by a shift, never an array.
+	if _, shifted := relation.IntervalShift(sd, td); shifted != (len(e.xlate) == 0) {
+		t.Errorf("%s: shift %v, %d translation arrays cached", c.name, shifted, len(e.xlate))
+	}
 	// The scalar path's answer.
 	as := &aliasState{table: "T"}
 	for _, r := range c.tgtR {
@@ -158,8 +163,10 @@ func allRows(n int) []int {
 // TestStrategyEquivalence runs the probe, target-postings and
 // source-postings strategies directly on the same inputs and requires
 // identical survivor bitmaps and "removed" flags, equal to the scalar
-// reduceTo's, over int keys, float keys (NULL, NaN, ±0, ±Inf, duplicates)
-// and int keys against float keys.
+// reduceTo's, over int keys, float keys (NULL, NaN, ±0, ±Inf, duplicates),
+// int keys against float keys, and interval dictionaries (dense int keys)
+// whose translation is a nonzero shift, with source keys beyond the
+// target's range at either end or both.
 func TestStrategyEquivalence(t *testing.T) {
 	null, nan, inf := value.Null, value.Float(math.NaN()), math.Inf(1)
 	cases := []semiCase{
@@ -193,6 +200,18 @@ func TestStrategyEquivalence(t *testing.T) {
 			tgtR: allRows(3), srcR: allRows(3)},
 		{name: "float-target-int-source", tgt: floatKeys(1, 2.5, 3), src: keys(1, 3),
 			tgtR: allRows(3), srcR: allRows(2)},
+		{name: "interval-shift-up", tgt: keys(10, 11, 12, 13, 14), src: keys(13, 14, 15, 16),
+			tgtR: allRows(5), srcR: allRows(4)},
+		{name: "interval-shift-down", tgt: append(keys(10, 12, 11, 13), null), src: append(keys(7, 8, 9, 10, 11), null),
+			tgtR: allRows(5), srcR: allRows(6)},
+		{name: "interval-source-straddles", tgt: keys(10, 11, 12, 13), src: keys(8, 9, 10, 11, 12, 13, 14, 15),
+			tgtR: allRows(4), srcR: []int{0, 1, 3, 6, 7}},
+		{name: "interval-source-below", tgt: keys(10, 11, 12), src: keys(-3, -2, -1),
+			tgtR: allRows(3), srcR: allRows(3)},
+		{name: "interval-source-above", tgt: keys(10, 11, 12), src: keys(math.MaxInt64-1, math.MaxInt64),
+			tgtR: allRows(3), srcR: allRows(2)},
+		{name: "interval-far-apart", tgt: keys(math.MinInt64, math.MinInt64+1), src: keys(math.MaxInt64, math.MaxInt64-1),
+			tgtR: allRows(2), srcR: allRows(2)},
 	}
 	rng := rand.New(rand.NewSource(7))
 	specials := []value.Value{null, nan, value.Float(math.Copysign(0, -1)), value.Float(0),
@@ -235,7 +254,44 @@ func TestStrategyEquivalence(t *testing.T) {
 		c.tgtR, c.srcR = pick(nt), pick(ns)
 		cases = append(cases, c)
 	}
+	// Interval pairs: each side's keys fill a random range (nulls aside),
+	// the two ranges overlapping, nested or disjoint.
+	irng := rand.New(rand.NewSource(11))
+	interval := func(n int) []value.Value {
+		lo, span := int64(irng.Intn(200)-100), 1+irng.Intn(n)
+		out := make([]value.Value, n)
+		for r, p := range irng.Perm(n) {
+			out[r] = value.Int(lo + int64(p%span))
+			if p >= span && irng.Intn(6) == 0 {
+				out[r] = null
+			}
+		}
+		return out
+	}
+	for i := 0; i < 60; i++ {
+		nt, ns := 1+irng.Intn(200), 1+irng.Intn(200)
+		c := semiCase{name: fmt.Sprintf("random-interval-%d", i), tgt: interval(nt), src: interval(ns)}
+		for _, side := range []struct {
+			n    int
+			rows *[]int
+		}{{nt, &c.tgtR}, {ns, &c.srcR}} {
+			p := irng.Float64()
+			for r := 0; r < side.n; r++ {
+				if irng.Float64() < p {
+					*side.rows = append(*side.rows, r)
+				}
+			}
+		}
+		cases = append(cases, c)
+	}
 	for _, c := range cases {
+		if strings.HasPrefix(c.name, "interval") || strings.HasPrefix(c.name, "random-interval") {
+			td, _ := relation.BuildColumnDict(keyTable("T", c.tgt), "k")
+			sd, _ := relation.BuildColumnDict(keyTable("S", c.src), "k")
+			if _, ok := relation.IntervalShift(sd, td); !ok {
+				t.Fatalf("%s: not an interval pair", c.name)
+			}
+		}
 		for _, anti := range []bool{false, true} {
 			for _, copyRows := range []bool{false, true} {
 				sets, removed, want := runStrategies(t, c, anti, copyRows)
@@ -253,6 +309,46 @@ func TestStrategyEquivalence(t *testing.T) {
 	}
 }
 
+// TestIntervalPairCachesNoTranslation: between two interval dictionaries
+// xlateFor returns a shift and caches no array, in either direction; an
+// interval column against a sorted one gets a cached array. Either way a
+// code maps to the target slot of its value, and a null code, or a value
+// outside the target's range at either end, to slot 0.
+func TestIntervalPairCachesNoTranslation(t *testing.T) {
+	ds := relation.NewDataset()
+	ds.MustAddTable(keyTable("T", keys(10, 11, 12, 13)))                                // interval [10, 13]
+	ds.MustAddTable(keyTable("S", append(keys(9, 10, 11, 12, 13, 14, 12), value.Null))) // interval [9, 14]
+	ds.MustAddTable(keyTable("U", keys(9, 20, 13)))                                     // sorted
+	e := New(nil, nil, ds, DefaultOptions())
+	for _, c := range []struct {
+		from, to string
+		array    bool
+		slots    []int32 // per code of from, then for code -1 (null)
+	}{
+		{"S", "T", false, []int32{0, 1, 2, 3, 4, 0, 0}},
+		{"T", "S", false, []int32{2, 3, 4, 5, 0}},
+		{"U", "T", true, []int32{0, 4, 0, 0}},
+	} {
+		from, to := colKey{c.from, "k"}, colKey{c.to, "k"}
+		xl := e.xlateFor(from, e.dictFor(c.from, "k"), to, e.dictFor(c.to, "k"))
+		if _, cached := e.xlate[xlateKey{from, to}]; cached != c.array || (xl.arr != nil) != c.array {
+			t.Errorf("%s → %s: array cached %v, returned %v; want %v", c.from, c.to, cached, xl.arr != nil, c.array)
+		}
+		for i, want := range c.slots {
+			code := int32(i)
+			if i == len(c.slots)-1 {
+				code = -1
+			}
+			if got := xl.slot(code); got != want {
+				t.Errorf("%s → %s: code %d in slot %d, want %d", c.from, c.to, code, got, want)
+			}
+		}
+	}
+	if len(e.xlate) != 1 {
+		t.Errorf("%d translation arrays cached, want 1 (U → T)", len(e.xlate))
+	}
+}
+
 // TestPostingsInvertDictionary pins the code → rows index: every non-null
 // row sits in its code's list, lists are ascending, nulls are in none.
 func TestPostingsInvertDictionary(t *testing.T) {
@@ -261,7 +357,11 @@ func TestPostingsInvertDictionary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := buildPostings(d.Codes, d.NumCodes())
+	codes := make([]int32, d.NumRows())
+	for r := range codes {
+		codes[r] = d.Code(r)
+	}
+	p := buildPostings(codes, d.NumCodes())
 	want := [][]int32{{2, 6}, {4}, {0, 3}} // codes of 1, 2, 3
 	for c, rows := range want {
 		if got := p.of(int32(c)); !reflect.DeepEqual(got, rows) {
