@@ -198,8 +198,11 @@ func packBits(vals []uint64, width int) []byte {
 // unpackBitsInto reverses packBits into dst (len(dst) elements of the
 // given width), letting callers reuse scratch buffers. The caller — the
 // page reader — has validated the width (0..64) and the payload length for
-// len(dst) elements. Widths up to 57 take a word-at-a-time fast path: each
-// element's bits fit one unaligned 8-byte load.
+// len(dst) elements. Eight elements of width w fill exactly w bytes, so a
+// group of eight starts on a byte: widths below 8 unpack a group from one
+// 8-byte load, widths 9–15 from two (the group's first and last 8 bytes),
+// and widths up to 57 load each element's 8 bytes. Every shift count is
+// masked to 63, which spares each shift Go's guard for counts past 64.
 func unpackBitsInto(dst []uint64, buf []byte, width int) {
 	count := len(dst)
 	// Byte-aligned widths are straight loads: no shifting or masking, and
@@ -263,15 +266,46 @@ func unpackBitsInto(dst []uint64, buf []byte, width int) {
 		return
 	}
 	i := 0
+	mask, sw := uint64(1)<<uint(width)-1, uint(width)&63
+	switch {
+	case width < 8:
+		for off := 0; i+8 <= count && off+8 <= len(buf); i, off = i+8, off+width {
+			x := binary.LittleEndian.Uint64(buf[off:])
+			d := dst[i : i+8 : i+8]
+			d[0], x = x&mask, x>>sw
+			d[1], x = x&mask, x>>sw
+			d[2], x = x&mask, x>>sw
+			d[3], x = x&mask, x>>sw
+			d[4], x = x&mask, x>>sw
+			d[5], x = x&mask, x>>sw
+			d[6], x = x&mask, x>>sw
+			d[7] = x & mask
+		}
+	case width < 16:
+		// The group's last 8 bytes start at bit 8w-64 ≤ 4w: they hold
+		// elements 4–7 whole, and the first 8 bytes hold elements 0–3.
+		for off := 0; i+8 <= count && off+width <= len(buf); i, off = i+8, off+width {
+			x := binary.LittleEndian.Uint64(buf[off:])
+			y := binary.LittleEndian.Uint64(buf[off+width-8:]) >> (uint(64-4*width) & 63)
+			d := dst[i : i+8 : i+8]
+			d[0], x = x&mask, x>>sw
+			d[1], x = x&mask, x>>sw
+			d[2], x = x&mask, x>>sw
+			d[3] = x & mask
+			d[4], y = y&mask, y>>sw
+			d[5], y = y&mask, y>>sw
+			d[6], y = y&mask, y>>sw
+			d[7] = y & mask
+		}
+	}
 	if width <= 57 {
-		mask := uint64(1)<<width - 1
 		for ; i < count; i++ {
 			bitPos := i * width
 			byteIdx := bitPos >> 3
 			if byteIdx+8 > len(buf) {
 				break // tail: the word load would run off the payload
 			}
-			dst[i] = binary.LittleEndian.Uint64(buf[byteIdx:]) >> (bitPos & 7) & mask
+			dst[i] = binary.LittleEndian.Uint64(buf[byteIdx:]) >> (uint(bitPos) & 7) & mask
 		}
 	}
 	for ; i < count; i++ {

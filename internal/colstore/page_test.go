@@ -259,7 +259,7 @@ func (c *pageCheck) check(kind value.Kind, pv pageView, noNulls bool) bool {
 		slots[r] = int32(r % 4)
 	}
 	masks := map[string][]uint64{"all": make([]uint64, nw), "sparse": make([]uint64, nw)}
-	setAllBits(masks["all"], nrows)
+	predicate.SetAll(masks["all"], nrows)
 	for r := 0; r < nrows; r += 7 {
 		masks["sparse"][r>>6] |= 1 << (uint(r) & 63)
 	}

@@ -82,7 +82,7 @@ func scanReadsPages(s *Store, p predicate.Predicate) bool {
 func foldAll(s *Store, n int, group block.GroupKey, aggs []workload.Aggregate) (*block.GroupedStates, error) {
 	fold := s.CompileFold("sc", group, aggs)
 	surv := make([]uint64, (n+63)/64)
-	setAllBits(surv, n)
+	predicate.SetAll(surv, n)
 	gs := block.NewGroupedStates(group.Slots(), fold.Supported())
 	for _, id := range allBlocks(s) {
 		if err := foldRowMask(fold, id, surv, gs); err != nil {
@@ -523,7 +523,7 @@ func corruptRowIDPage(t *testing.T, src string) {
 			aggs := []workload.Aggregate{a}
 			folds := map[*Store]block.Fold{s: s.CompileFold("sc", group, aggs), intact: intact.CompileFold("sc", group, aggs)}
 			surv := make([]uint64, nw)
-			setAllBits(surv, n)
+			predicate.SetAll(surv, n)
 			for _, id := range allBlocks(s) {
 				visit(fmt.Sprintf("%s by %q", a, group.Column), id, func(st *Store) (interface{}, error) {
 					gs := block.NewGroupedStates(group.Slots(), folds[st].Supported())

@@ -246,7 +246,7 @@ func (v *visit) evalTri(n predicate.ScanNode, tri predicate.Tri, out []uint64) e
 	switch q := n.(type) {
 	case predicate.ScanConst:
 		if q {
-			setAllBits(out, v.nrows)
+			predicate.SetAll(out, v.nrows)
 		}
 		return nil
 	case *predicate.ScanAnd:
@@ -364,7 +364,7 @@ func (v *visit) leaf(n predicate.ScanNode, tri predicate.Tri, out []uint64) erro
 	}
 	switch tri {
 	case predicate.TriTrue:
-		setAllBits(out, v.nrows)
+		predicate.SetAll(out, v.nrows)
 	case predicate.TriMaybe:
 		if err := v.kernel(n, l, r, out); err != nil {
 			return err
@@ -394,7 +394,7 @@ func (v *visit) kernel(n predicate.ScanNode, s, r *colSlot, out []uint64) error 
 	case *predicate.ScanCmpStr:
 		err = s.cmpStr(q.Op, q.Lit, v.nrows, out)
 	case *predicate.ScanInInt:
-		s.inInt(q, out)
+		s.inInt(q, out, v.sc)
 	case *predicate.ScanInStr:
 		err = s.inStr(q, out, v.sc)
 	case *predicate.ScanLike:
@@ -424,15 +424,29 @@ func (s *colSlot) cmpInt(op predicate.Op, lit int64, nrows int, out []uint64) {
 		predicate.MaskCompare(s.intValues(), op, lit, out)
 	case lit < v.frame: // below the domain: only Ne/Gt/Ge can match
 		if op == predicate.Ne || op == predicate.Gt || op == predicate.Ge {
-			setAllBits(out, nrows)
+			predicate.SetAll(out, nrows)
 		}
 	case uint64(lit)-uint64(v.frame) >= uint64(1)<<uint(v.width): // above: only Ne/Lt/Le
 		if op == predicate.Ne || op == predicate.Lt || op == predicate.Le {
-			setAllBits(out, nrows)
+			predicate.SetAll(out, nrows)
 		}
 	default:
-		predicate.MaskCompare(s.intCodes(), op, uint64(lit)-uint64(v.frame), out)
+		codeBand(s.intCodes(), op, uint64(lit)-uint64(v.frame), out)
 	}
+}
+
+// codeBand runs (code op c) over unsigned codes as one MaskBand: = and ≠
+// are the band [c, c], ≤ and > are [0, c], < and ≥ are [c, max], and ≠, <
+// and > take its complement.
+func codeBand(codes []uint64, op predicate.Op, c uint64, out []uint64) {
+	lo, hi := c, c
+	switch op {
+	case predicate.Le, predicate.Gt:
+		lo = 0
+	case predicate.Lt, predicate.Ge:
+		hi = math.MaxUint64
+	}
+	predicate.MaskBand(codes, lo, hi, op == predicate.Ne || op == predicate.Lt || op == predicate.Gt, out)
 }
 
 // band evaluates lo ≤/< col ≤/< hi. Both bounds become one inclusive range
@@ -445,24 +459,12 @@ func (s *colSlot) band(q *predicate.ScanBand, nrows int, out []uint64) error {
 	if s.kind == value.KindString {
 		return s.bandStr(q, out)
 	}
-	lo, hi := q.Lo.Int(), q.Hi.Int()
-	if !q.LoInc {
-		if lo == math.MaxInt64 {
-			return nil
-		}
-		lo++
-	}
-	if !q.HiInc {
-		if hi == math.MinInt64 {
-			return nil
-		}
-		hi--
-	}
+	lo, hi, ok := q.Ints()
 	v := s.iv
 	switch {
-	case lo > hi:
+	case !ok:
 	case !v.packedDomain():
-		cmpBand(s.intValues(), uint64(lo), uint64(hi), out)
+		predicate.MaskBand(s.intValues(), uint64(lo), uint64(hi), false, out)
 	case hi >= v.frame:
 		top := uint64(1)<<uint(v.width) - 1
 		cl, ch := uint64(0), min(uint64(hi)-uint64(v.frame), top)
@@ -472,9 +474,9 @@ func (s *colSlot) band(q *predicate.ScanBand, nrows int, out []uint64) error {
 		switch {
 		case cl > top:
 		case cl == 0 && ch == top:
-			setAllBits(out, nrows)
+			predicate.SetAll(out, nrows)
 		default:
-			cmpBand(s.intCodes(), cl, ch, out)
+			predicate.MaskBand(s.intCodes(), cl, ch, false, out)
 		}
 	}
 	return nil
@@ -487,14 +489,11 @@ func (s *colSlot) bandStr(q *predicate.ScanBand, out []uint64) error {
 	}
 	lo, hi := q.Lo.Str(), q.Hi.Str()
 	if codes == nil {
-		for k := 0; k < v.n; k++ {
+		predicate.MaskRows(v.n, out, func(k int) bool {
 			e := v.entry(k)
-			if c := bytesCompareString(e, lo); c > 0 || c == 0 && q.LoInc {
-				if c := bytesCompareString(e, hi); c < 0 || c == 0 && q.HiInc {
-					out[k>>6] |= 1 << (uint(k) & 63)
-				}
-			}
-		}
+			lc, hc := bytesCompareString(e, lo), bytesCompareString(e, hi)
+			return (lc > 0 || lc == 0 && q.LoInc) && (hc < 0 || hc == 0 && q.HiInc)
+		})
 		return nil
 	}
 	// The first entry above (or at, when inclusive) lo, and the first past
@@ -502,7 +501,7 @@ func (s *colSlot) bandStr(q *predicate.ScanBand, out []uint64) error {
 	cl := sort.Search(v.nd, func(i int) bool { c := bytesCompareString(v.entry(i), lo); return c > 0 || c == 0 && q.LoInc })
 	chx := sort.Search(v.nd, func(i int) bool { c := bytesCompareString(v.entry(i), hi); return c > 0 || c == 0 && !q.HiInc })
 	if cl < chx {
-		cmpBand(codes, uint64(cl), uint64(chx-1), out)
+		predicate.MaskBand(codes, uint64(cl), uint64(chx-1), false, out)
 	}
 	return nil
 }
@@ -527,11 +526,7 @@ func (v *visit) cmpCols(q *predicate.ScanCmpCols, l, r *colSlot, out []uint64) e
 		if err != nil {
 			return v.t.pageErr(q.Right, err)
 		}
-		for k := 0; k < v.nrows; k++ {
-			if opMatches(q.Op, bytes.Compare(lv.row(lc, k), rv.row(rc, k))) {
-				out[k>>6] |= 1 << (uint(k) & 63)
-			}
-		}
+		predicate.MaskRows(v.nrows, out, func(k int) bool { return q.Op.Apply(bytes.Compare(lv.row(lc, k), rv.row(rc, k))) })
 	default:
 		predicate.MaskCompareCols(l.intValues(), r.intValues(), q.Op, out)
 	}
@@ -548,11 +543,7 @@ func (s *colSlot) cmpStr(op predicate.Op, lit string, nrows int, out []uint64) e
 		return err
 	}
 	if codes == nil {
-		for k := 0; k < v.n; k++ {
-			if opMatches(op, bytesCompareString(v.entry(k), lit)) {
-				out[k>>6] |= 1 << (uint(k) & 63)
-			}
-		}
+		predicate.MaskRows(v.n, out, func(k int) bool { return op.Apply(bytesCompareString(v.entry(k), lit)) })
 		return nil
 	}
 	lo := sort.Search(v.nd, func(i int) bool { return bytesCompareString(v.entry(i), lit) >= 0 })
@@ -565,29 +556,39 @@ func (s *colSlot) cmpStr(op predicate.Op, lit string, nrows int, out []uint64) e
 	// order: v < lit ⇔ code < lo, v <= lit ⇔ code < hi, and so on.
 	switch op {
 	case predicate.Eq, predicate.Ne:
-		if exists {
-			predicate.MaskCompare(codes, op, uint64(lo), out)
-		} else if op == predicate.Ne {
-			setAllBits(out, nrows)
+		if !exists {
+			if op == predicate.Ne {
+				predicate.SetAll(out, nrows)
+			}
+			return nil
 		}
-	case predicate.Lt, predicate.Ge:
-		predicate.MaskCompare(codes, op, uint64(lo), out)
 	case predicate.Le:
-		predicate.MaskCompare(codes, predicate.Lt, uint64(hi), out)
-	default: // Gt
-		predicate.MaskCompare(codes, predicate.Ge, uint64(hi), out)
+		op, lo = predicate.Lt, hi
+	case predicate.Gt:
+		op, lo = predicate.Ge, hi
 	}
+	codeBand(codes, op, uint64(lo), out)
 	return nil
 }
 
-// inInt evaluates col [NOT] IN over an int page's values, probing the
-// precompiled set.
-func (s *colSlot) inInt(q *predicate.ScanInInt, out []uint64) {
-	for i, x := range s.intValues() {
-		if _, found := q.Set[x]; found != q.Negate {
-			out[i>>6] |= 1 << (uint(i) & 63)
+// inInt evaluates col [NOT] IN over an int page. A packed page whose code
+// domain holds no more words of bits than the page has rows turns the
+// literals into a member set over its codes and probes codes, as inStr
+// does over a dictionary; delta and raw pages probe the set per value.
+func (s *colSlot) inInt(q *predicate.ScanInInt, out []uint64, sc *scratch) {
+	v := s.iv
+	if !v.packedDomain() || uint64(1)<<uint(v.width) > 64*uint64(v.n) {
+		vals := s.intValues()
+		predicate.MaskRows(len(vals), out, func(k int) bool { _, found := q.Set[vals[k]]; return found != q.Negate })
+		return
+	}
+	member := sc.grabMember(1 << uint(v.width))
+	for _, x := range q.Sorted {
+		if c := uint64(x) - uint64(v.frame); x >= v.frame && c <= v.mask {
+			member[c>>6] |= 1 << (c & 63)
 		}
 	}
+	predicate.MaskMembers(s.intCodes(), member, q.Negate, out)
 }
 
 // inStr evaluates col [NOT] IN over a string page. Dict pages merge
@@ -600,11 +601,10 @@ func (s *colSlot) inStr(q *predicate.ScanInStr, out []uint64, sc *scratch) error
 		return err
 	}
 	if codes == nil {
-		for k := 0; k < v.n; k++ {
-			if _, found := q.Set[string(v.entry(k))]; found != q.Negate { // no alloc: map lookup special case
-				out[k>>6] |= 1 << (uint(k) & 63)
-			}
-		}
+		predicate.MaskRows(v.n, out, func(k int) bool {
+			_, found := q.Set[string(v.entry(k))] // no alloc: map lookup special case
+			return found != q.Negate
+		})
 		return nil
 	}
 	member := sc.grabMember(v.nd)
@@ -617,7 +617,7 @@ func (s *colSlot) inStr(q *predicate.ScanInStr, out []uint64, sc *scratch) error
 			member[di>>6] |= 1 << (uint(di) & 63)
 		}
 	}
-	probeMembers(codes, member, q.Negate, out)
+	predicate.MaskMembers(codes, member, q.Negate, out)
 	return nil
 }
 
@@ -631,11 +631,7 @@ func (s *colSlot) like(q *predicate.ScanLike, out []uint64, sc *scratch) error {
 		return err
 	}
 	if codes == nil {
-		for k := 0; k < v.n; k++ {
-			if q.Match(v.entry(k)) != q.Negate {
-				out[k>>6] |= 1 << (uint(k) & 63)
-			}
-		}
+		predicate.MaskRows(v.n, out, func(k int) bool { return q.Match(v.entry(k)) != q.Negate })
 		return nil
 	}
 	member := sc.grabMember(v.nd)
@@ -644,18 +640,8 @@ func (s *colSlot) like(q *predicate.ScanLike, out []uint64, sc *scratch) error {
 			member[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	probeMembers(codes, member, q.Negate, out)
+	predicate.MaskMembers(codes, member, q.Negate, out)
 	return nil
-}
-
-// probeMembers sets out's bit for every row whose (range-checked) code is
-// in the member bitset, or is not when neg.
-func probeMembers(codes, member []uint64, neg bool, out []uint64) {
-	for i, c := range codes {
-		if (member[c>>6]>>(c&63)&1 == 1) != neg {
-			out[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
 }
 
 // bytesCompareString is bytes.Compare against a string, avoiding the
@@ -682,36 +668,6 @@ func bytesCompareString(b []byte, s string) int {
 	return 0
 }
 
-func opMatches(op predicate.Op, c int) bool {
-	switch op {
-	case predicate.Eq:
-		return c == 0
-	case predicate.Ne:
-		return c != 0
-	case predicate.Lt:
-		return c < 0
-	case predicate.Le:
-		return c <= 0
-	case predicate.Gt:
-		return c > 0
-	default: // Ge
-		return c >= 0
-	}
-}
-
-// cmpBand sets the rows whose code (or value, as two's-complement
-// words) lies in [lo, hi], lo ≤ hi as words.
-func cmpBand[T uint64 | int64](vals []T, lo, hi uint64, out []uint64) {
-	span := hi - lo
-	for i, v := range vals {
-		var b uint64
-		if uint64(v)-lo <= span {
-			b = 1
-		}
-		out[i>>6] |= b << (uint(i) & 63)
-	}
-}
-
 // clearNullBits clears null rows' bits straight off the raw page null
 // bitmap: both bitmaps are little-endian by row, so eight null-mask bytes
 // fold into one mask word.
@@ -725,16 +681,6 @@ func clearNullBits(nulls []byte, out []uint64) {
 	}
 	for bi := nw << 3; bi < len(nulls); bi++ {
 		out[bi>>3] &^= uint64(nulls[bi]) << ((bi & 7) * 8)
-	}
-}
-
-// setAllBits sets bits [0, n), leaving the last word's tail clear.
-func setAllBits(mask []uint64, n int) {
-	for w := 0; w < n>>6; w++ {
-		mask[w] = ^uint64(0)
-	}
-	if rem := n & 63; rem != 0 {
-		mask[n>>6] = (1 << uint(rem)) - 1
 	}
 }
 

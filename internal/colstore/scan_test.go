@@ -197,7 +197,63 @@ func scanPredicates() []predicate.Predicate {
 			predicate.NewLike("s_raw", "u001%"),
 		),
 	)
+	// ORs of int ranges on one column, which compile to the union of
+	// their intervals: overlapping, nested, adjacent (hi+1 == lo),
+	// disjoint, empty, exclusive, and at the int64 extremes.
+	rng := func(col string, loOp predicate.Op, lo int64, hiOp predicate.Op, hi int64) predicate.Predicate {
+		return predicate.NewAnd(predicate.NewComparison(col, loOp, value.Int(lo)), predicate.NewComparison(col, hiOp, value.Int(hi)))
+	}
+	ge, gt, le, lt := predicate.Ge, predicate.Gt, predicate.Le, predicate.Lt
+	const d = 1_000_003
+	preds = append(preds,
+		predicate.NewOr(rng("i_for", ge, 120, le, 200), rng("i_for", ge, 150, le, 250)),
+		predicate.NewOr(rng("i_for", ge, 120, le, 300), rng("i_for", ge, 150, le, 200)),
+		predicate.NewOr(rng("i_for", ge, 100, le, 150), rng("i_for", ge, 151, le, 170), rng("i_for", ge, 300, le, 310)),
+		predicate.NewOr(rng("i_for", ge, 100, le, 120), rng("i_for", ge, 390, le, 400)),
+		predicate.NewOr(rng("i_for", gt, 200, lt, 201), rng("i_for", ge, 300, le, 299)),
+		predicate.NewOr(rng("i_for", gt, 120, lt, 200), rng("i_for", gt, 199, lt, 260)),
+		predicate.NewOr(rng("i_for", ge, 250, le, 260), rng("i_for", ge, 0, le, 5), rng("i_for", gt, 261, lt, 263)),
+		predicate.NewOr(rng("i_delta", ge, 0, le, 3*d), rng("i_delta", ge, 2*d, le, 10*d), rng("i_delta", gt, 50*d, le, 60*d)),
+		predicate.NewOr(rng("i_raw", ge, math.MinInt64, le, math.MinInt64+5), rng("i_raw", gt, math.MaxInt64-10, le, math.MaxInt64)),
+		predicate.NewOr(rng("i_raw", ge, math.MinInt64, lt, 0), rng("i_raw", ge, 0, le, math.MaxInt64)),
+		predicate.NewOr(rng("i_raw", gt, math.MaxInt64, le, math.MaxInt64), rng("i_raw", ge, math.MinInt64, lt, math.MinInt64)),
+	)
 	return preds
+}
+
+// randomRanges is an OR of two to four ranges on the int column c, with
+// bounds near lit, in the fuzz data's range or at the int64 extremes,
+// each side inclusive or exclusive, and sometimes starting right after
+// the previous range ends: so they overlap, touch, lie apart or are
+// empty.
+func randomRanges(rng *rand.Rand, lit int64) predicate.Predicate {
+	bound := func() int64 {
+		switch rng.Intn(6) {
+		case 0:
+			return math.MinInt64 + int64(rng.Intn(2))
+		case 1:
+			return math.MaxInt64 - int64(rng.Intn(2))
+		case 2:
+			return lit + int64(rng.Intn(21)) - 10
+		}
+		return int64(rng.Intn(120)) - 10
+	}
+	ops := [2][2]predicate.Op{{predicate.Ge, predicate.Gt}, {predicate.Le, predicate.Lt}}
+	kids := make([]predicate.Predicate, 2+rng.Intn(3))
+	prevHi := bound()
+	for i := range kids {
+		lo, hi := bound(), bound()
+		if rng.Intn(3) == 0 && prevHi < math.MaxInt64 {
+			lo = prevHi + 1
+		}
+		if rng.Intn(4) > 0 && lo > hi {
+			lo, hi = hi, lo
+		}
+		prevHi = hi
+		kids[i] = predicate.NewAnd(predicate.NewComparison("c", ops[0][rng.Intn(2)], value.Int(lo)),
+			predicate.NewComparison("c", ops[1][rng.Intn(2)], value.Int(hi)))
+	}
+	return predicate.NewOr(kids...)
 }
 
 // newScanStore writes tab's layout (grouped as given) into a fresh store
@@ -298,8 +354,8 @@ func interleavedGroups(n, k int) [][]int32 {
 // FillMask on randomly generated pages: random value distributions
 // (forcing different encodings), random null cadences, NaN and ±Inf
 // floats, and random operators against literals of the column's kind, of
-// the other numeric kind, NULL, NaN or ±Inf, IN lists over floats, and
-// column pairs of one kind or of an int and a float.
+// the other numeric kind, NULL, NaN or ±Inf, IN lists over floats, column
+// pairs of one kind or of an int and a float, and ORs of int ranges.
 func FuzzCompressedPredicate(f *testing.F) {
 	f.Add(int64(1), int64(150), uint8(0), uint8(0))
 	f.Add(int64(2), int64(-7), uint8(3), uint8(1))
@@ -317,6 +373,10 @@ func FuzzCompressedPredicate(f *testing.F) {
 	f.Add(int64(16), int64(5), uint8(7), uint8(1))
 	f.Add(int64(17), int64(9), uint8(11), uint8(0))
 	f.Add(int64(18), int64(1<<53+1), uint8(4), uint8(1))
+	// Same-column ORs of int ranges.
+	for seed := int64(19); seed < 23; seed++ {
+		f.Add(seed, seed*7, uint8(8), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, seed, rawLit int64, opRaw, kindRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(150)
@@ -405,9 +465,12 @@ func FuzzCompressedPredicate(f *testing.F) {
 		case 7:
 			p = predicate.NewNotIn("c", lit, value.Float(4))
 		case 8:
-			if kind == value.KindString {
+			switch kind {
+			case value.KindString:
 				p = predicate.NewLike("c", "k_%")
-			} else {
+			case value.KindInt:
+				p = randomRanges(rng, rawLit)
+			default:
 				p = predicate.NewComparison("c", predicate.Ge, lit)
 			}
 		default:

@@ -1,6 +1,8 @@
 package predicate
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -78,6 +80,25 @@ type ScanBand struct {
 	Lo, Hi       value.Value
 	LoInc, HiInc bool
 	Zone         ZoneEval
+}
+
+// Ints is an int band's inclusive bounds; ok is false when no int lies
+// between them.
+func (b *ScanBand) Ints() (lo, hi int64, ok bool) {
+	lo, hi = b.Lo.Int(), b.Hi.Int()
+	if !b.LoInc {
+		if lo == math.MaxInt64 {
+			return 0, 0, false
+		}
+		lo++
+	}
+	if !b.HiInc {
+		if hi == math.MinInt64 {
+			return 0, 0, false
+		}
+		hi--
+	}
+	return lo, hi, lo <= hi
 }
 
 // ScanCmpCols compares two columns of one table: Left Op Right, of one
@@ -205,9 +226,56 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 		for i, c := range q.Children {
 			node.Children[i] = compileScan(c, kindOf)
 		}
+		if union := unionBands(node.Children); union != nil {
+			return union
+		}
 		return node
 	}
 	return ScanConst(p.(Const))
+}
+
+// unionBands compiles an OR of int bands on one column to the union of
+// their intervals, so a page scans the column once per disjoint range:
+// overlapping and adjacent (hi+1 == lo) bands merge into one. It returns
+// nil when kids are not all int bands on one column, or none holds an int.
+func unionBands(kids []ScanNode) ScanNode {
+	type span struct{ lo, hi int64 }
+	var spans []span
+	col := ""
+	for _, k := range kids {
+		b, ok := k.(*ScanBand)
+		if !ok || b.Lo.Kind() != value.KindInt || col != "" && b.Column != col {
+			return nil
+		}
+		col = b.Column
+		if lo, hi, ok := b.Ints(); ok {
+			spans = append(spans, span{lo, hi})
+		}
+	}
+	if len(spans) == 0 {
+		return nil
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	merged := spans[:1]
+	for _, s := range spans[1:] {
+		// s.lo > last.hi ≥ MinInt64 when the first test fails, so s.lo-1
+		// cannot wrap.
+		if last := &merged[len(merged)-1]; s.lo <= last.hi || s.lo-1 == last.hi {
+			last.hi = max(last.hi, s.hi)
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	out := &ScanOr{}
+	for _, s := range merged {
+		lo, hi := NewComparison(col, Ge, value.Int(s.lo)), NewComparison(col, Le, value.Int(s.hi))
+		out.Children = append(out.Children, &ScanBand{Column: col, Lo: lo.Value, Hi: hi.Value, LoInc: true, HiInc: true,
+			Zone: CompileRanges(&And{Children: []Predicate{lo, hi}})})
+	}
+	if len(out.Children) == 1 {
+		return out.Children[0]
+	}
+	return out
 }
 
 // sortedKeys returns a set's members ascending.

@@ -132,11 +132,8 @@ func fill(p Predicate, t *relation.Table, rows []int32, mask []uint64, g *Gather
 	case *Like:
 		ci := col(q.Column)
 		match := likeMatcher(q.Pattern)
-		for r, s := range at(&g.strs[0], t.Strings(ci), rows) {
-			if match(s) != q.Negate_ {
-				mask[r>>6] |= 1 << (uint(r) & 63)
-			}
-		}
+		strs := at(&g.strs[0], t.Strings(ci), rows)
+		MaskRows(len(strs), mask, func(r int) bool { return match(strs[r]) != q.Negate_ })
 		// Null rows never match, not even NOT LIKE.
 		clearNulls(at(&g.nulls, t.Nulls(ci), rows), mask)
 	case *And, *Or:
@@ -164,7 +161,7 @@ func fill(p Predicate, t *relation.Table, rows []int32, mask []uint64, g *Gather
 			if rows == nil {
 				n = t.NumRows()
 			}
-			setAll(mask, n)
+			SetAll(mask, n)
 		}
 	}
 }
@@ -178,120 +175,143 @@ func childrenOf(p Predicate) ([]Predicate, bool) {
 	return p.(*Or).Children, false
 }
 
+// The mask kernels build each 64-row word in a register and store it
+// once: row j of a chunk shifts in at the top, w = w>>1 | b<<63, so after
+// a chunk of k rows row 0 sits at bit 64-k and one shift by 64-k lands
+// every row on its own bit. The shift-in needs no variable shift count,
+// and the bool-to-bit conversion (oneIf) compiles to a flag set, so
+// ~50%-selective cuts pay no branch mispredictions.
+
+// oneIf is b as a 0/1 word, without a branch.
+func oneIf(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
+}
+
+// chunk is rows [base, base+64) of vals, shorter at the tail.
+func chunk[T any](vals []T, base int) []T { return vals[base:min(base+64, len(vals))] }
+
+// land ORs a chunk's register word w of k rows into the mask word at base.
+func land(mask []uint64, base, k int, w uint64) { mask[base>>6] |= w >> (uint(64-k) & 63) }
+
 // MaskCompare sets the bit of every row whose value satisfies (v op lit).
-// The operator switch runs once; each arm is a tight branchless loop (the
-// bool-to-bit conversion compiles to a flag set, so ~50%-selective cuts pay
-// no branch mispredictions). "<>" is "<" or ">", so a NaN matches no
-// operator. The storage backend runs the same kernel over decoded pages
-// and over packed codes, whose unsigned order is value order.
-func MaskCompare[T int64 | uint64 | float64 | string](vals []T, op Op, lit T, mask []uint64) {
-	switch op {
-	case Eq:
-		for r, v := range vals {
-			var b uint64
-			if v == lit {
-				b = 1
+// The operator switch runs once per 64 rows, each arm a tight loop. "<>"
+// is "<" or ">", so a NaN matches no operator.
+func MaskCompare[T int64 | float64 | string](vals []T, op Op, lit T, mask []uint64) {
+	for base := 0; base < len(vals); base += 64 {
+		c := chunk(vals, base)
+		var w uint64
+		switch op {
+		case Eq:
+			for _, v := range c {
+				w = w>>1 | oneIf(v == lit)<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	case Ne:
-		for r, v := range vals {
-			var b uint64
-			if v < lit || v > lit {
-				b = 1
+		case Ne:
+			for _, v := range c {
+				w = w>>1 | oneIf(v < lit || v > lit)<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	case Lt:
-		for r, v := range vals {
-			var b uint64
-			if v < lit {
-				b = 1
+		case Lt:
+			for _, v := range c {
+				w = w>>1 | oneIf(v < lit)<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	case Le:
-		for r, v := range vals {
-			var b uint64
-			if v <= lit {
-				b = 1
+		case Le:
+			for _, v := range c {
+				w = w>>1 | oneIf(v <= lit)<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	case Gt:
-		for r, v := range vals {
-			var b uint64
-			if v > lit {
-				b = 1
+		case Gt:
+			for _, v := range c {
+				w = w>>1 | oneIf(v > lit)<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	default: // Ge
-		for r, v := range vals {
-			var b uint64
-			if v >= lit {
-				b = 1
+		default: // Ge
+			for _, v := range c {
+				w = w>>1 | oneIf(v >= lit)<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
 		}
+		land(mask, base, len(c), w)
 	}
 }
 
 // MaskCompareCols sets the bit of every row where (l[r] op rt[r]); rt must
 // be at least as long as l. Like MaskCompare, "<>" is "<" or ">", so a NaN
-// on either side matches no operator. The storage backend runs the same
-// kernel over decoded pages.
+// on either side matches no operator. ">" and ">=" run as "<" and "<="
+// with the sides swapped.
 func MaskCompareCols[T int64 | float64 | string](l, rt []T, op Op, mask []uint64) {
-	rt = rt[:len(l)]
-	switch op {
-	case Eq:
-		for r, v := range l {
-			var b uint64
-			if v == rt[r] {
-				b = 1
+	if op == Gt || op == Ge {
+		l, rt, op = rt[:len(l)], l, op.Mirror()
+	}
+	for base := 0; base < len(l); base += 64 {
+		c := chunk(l, base)
+		r := rt[base : base+len(c)]
+		var w uint64
+		switch op {
+		case Eq:
+			for j, v := range c {
+				w = w>>1 | oneIf(v == r[j])<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	case Ne:
-		for r, v := range l {
-			var b uint64
-			if v < rt[r] || v > rt[r] {
-				b = 1
+		case Ne:
+			for j, v := range c {
+				w = w>>1 | oneIf(v < r[j] || v > r[j])<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	case Lt:
-		for r, v := range l {
-			var b uint64
-			if v < rt[r] {
-				b = 1
+		case Lt:
+			for j, v := range c {
+				w = w>>1 | oneIf(v < r[j])<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
-		}
-	case Le:
-		for r, v := range l {
-			var b uint64
-			if v <= rt[r] {
-				b = 1
+		default: // Le
+			for j, v := range c {
+				w = w>>1 | oneIf(v <= r[j])<<63
 			}
-			mask[r>>6] |= b << (uint(r) & 63)
 		}
-	case Gt:
-		for r, v := range l {
-			var b uint64
-			if v > rt[r] {
-				b = 1
-			}
-			mask[r>>6] |= b << (uint(r) & 63)
+		land(mask, base, len(c), w)
+	}
+}
+
+// MaskBand sets the bit of every row whose value, as a word, lies in
+// [lo, hi] (lo ≤ hi as words), or lies outside it when neg: each row
+// costs one subtract and one unsigned compare, v in [lo, hi] ⇔
+// v-lo ≤ hi-lo, wrapping. Over int64 values a signed range lo ≤ hi is a
+// band of their two's-complement words.
+func MaskBand[T int64 | uint64](vals []T, lo, hi uint64, neg bool, mask []uint64) {
+	span := hi - lo
+	flip := -oneIf(neg)
+	for base := 0; base < len(vals); base += 64 {
+		c := chunk(vals, base)
+		var w uint64
+		for _, v := range c {
+			w = w>>1 | oneIf(uint64(v)-lo <= span)<<63
 		}
-	default: // Ge
-		for r, v := range l {
-			var b uint64
-			if v >= rt[r] {
-				b = 1
-			}
-			mask[r>>6] |= b << (uint(r) & 63)
+		land(mask, base, len(c), w^flip)
+	}
+}
+
+// MaskMembers sets the bit of every row whose code is in the member
+// bitset, or is not when neg. Every code must index a bit of member.
+func MaskMembers(codes, member []uint64, neg bool, mask []uint64) {
+	flip := -oneIf(neg)
+	for base := 0; base < len(codes); base += 64 {
+		c := chunk(codes, base)
+		var w uint64
+		for _, v := range c {
+			w = w>>1 | member[v>>6]>>(v&63)<<63
 		}
+		land(mask, base, len(c), w^flip)
+	}
+}
+
+// MaskRows sets bit r of mask for every row r < n where match(r). It is
+// the register-word loop of the kernels whose per-row test costs more
+// than the call: string bytes, exact int/float comparisons, map probes,
+// LIKE matchers.
+func MaskRows(n int, mask []uint64, match func(r int) bool) {
+	for base := 0; base < n; base += 64 {
+		k := min(64, n-base)
+		var w uint64
+		for r := base; r < base+k; r++ {
+			w = w>>1 | oneIf(match(r))<<63
+		}
+		land(mask, base, k, w)
 	}
 }
 
@@ -300,29 +320,19 @@ func MaskCompareCols[T int64 | float64 | string](l, rt []T, op Op, mask []uint64
 // NaN matches no operator. rt must be at least as long as l.
 func MaskCompareIntFloat(l []int64, rt []float64, op Op, mask []uint64) {
 	rt = rt[:len(l)]
-	for r, v := range l {
-		if f := rt[r]; f == f && op.apply(value.CompareIntFloat(v, f)) {
-			mask[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
+	MaskRows(len(l), mask, func(r int) bool {
+		f := rt[r]
+		return f == f && op.Apply(value.CompareIntFloat(l[r], f))
+	})
 }
 
 // maskInList sets the bit of every row whose value is in set, or is not
 // when neg.
 func maskInList[T int64 | string](vals []T, set map[T]struct{}, neg bool, mask []uint64) {
-	if neg {
-		for r, v := range vals {
-			if _, found := set[v]; !found {
-				mask[r>>6] |= 1 << (uint(r) & 63)
-			}
-		}
-		return
-	}
-	for r, v := range vals {
-		if _, found := set[v]; found {
-			mask[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
+	MaskRows(len(vals), mask, func(r int) bool {
+		_, found := set[vals[r]]
+		return found != neg
+	})
 }
 
 // intSet and strSet are the literal sets of a normalized InList.
@@ -351,8 +361,8 @@ func clearNulls(nulls []bool, mask []uint64) {
 	}
 }
 
-// setAll sets bits [0, n), leaving the last word's tail clear.
-func setAll(mask []uint64, n int) {
+// SetAll sets bits [0, n) of mask, leaving the last word's tail clear.
+func SetAll(mask []uint64, n int) {
 	for w := 0; w < n>>6; w++ {
 		mask[w] = ^uint64(0)
 	}

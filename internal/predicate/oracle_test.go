@@ -76,7 +76,7 @@ func compareValues(a value.Value, op Op, b value.Value) bool {
 	if a.IsNull() || b.IsNull() || a.IsNaN() || b.IsNaN() || !a.Comparable(b) {
 		return false
 	}
-	return op.apply(a.Compare(b))
+	return op.Apply(a.Compare(b))
 }
 
 // evalRanges walks p over a region node by node: the decisions

@@ -94,8 +94,8 @@ func (o Op) Mirror() Op {
 	}
 }
 
-// apply applies o to an ordering result from value.Compare.
-func (o Op) apply(cmp int) bool {
+// Apply applies o to an ordering result (value.Compare, bytes.Compare).
+func (o Op) Apply(cmp int) bool {
 	switch o {
 	case Eq:
 		return cmp == 0
