@@ -123,13 +123,15 @@ type Engine struct {
 	// only — entries are built outside it and immutable once stored, so
 	// holders read them after releasing the lock. dicts and blockOf cache
 	// failed builds as nil entries so a missing column or an unmappable
-	// table is not retried on every query. dicts and xlate depend on the
-	// dataset only; codes and posts are laid out by one block.RowOrder,
-	// and a scan pinned to another layout replaces them (cachedOn).
+	// table is not retried on every query. dicts, xlate and cover depend
+	// on the dataset only; codes and posts are laid out by one
+	// block.RowOrder, and a scan pinned to another layout replaces them
+	// (cachedOn).
 	mu      sync.Mutex
 	blockOf map[string][]int32 // table → row → block ID (reference path)
 	dicts   map[colKey]*relation.ColumnDict
 	xlate   map[xlateKey][]int32           // from slot → to code, unless a shift (see xlateFor)
+	cover   map[xlateKey]bool              // from's values all in to, no null (see covers)
 	codes   map[colKey]onLayout[[]int32]   // position → dictionary code
 	posts   map[colKey]onLayout[*postings] // code → positions
 
@@ -186,6 +188,7 @@ func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts 
 		blockOf: map[string][]int32{},
 		dicts:   map[colKey]*relation.ColumnDict{},
 		xlate:   map[xlateKey][]int32{},
+		cover:   map[xlateKey]bool{},
 		codes:   map[colKey]onLayout[[]int32]{},
 		posts:   map[colKey]onLayout[*postings]{},
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 
 	"mto/internal/bitmap"
 	"mto/internal/block"
@@ -29,7 +30,9 @@ import (
 // a data-dependent branch per row. All three produce the same survivor
 // bitmap (pinned by the strategy equivalence tests). Every join column
 // has a dictionary (relation.ColumnDict encodes int, float and string
-// columns). An empty side short-cuts every strategy. Row sets, postings
+// columns). An empty side short-cuts every strategy, and so does a step
+// that cannot remove a row: an unreduced source whose column holds every
+// value of the target column (covers). Row sets, postings
 // and the code vectors the strategies read are all laid out by the
 // positions of the scanned layout (block.RowOrder), cached per layout.
 
@@ -40,7 +43,7 @@ const (
 	probeTarget strategy = iota
 	targetPostings
 	sourcePostings
-	emptySide // either side has no rows: nothing to visit
+	shortCut // either side is empty, or the source keeps every target row
 )
 
 // postings is a column's code → positions index in CSR form: the
@@ -119,6 +122,24 @@ func (e *Engine) xlateFor(from colKey, fd *relation.ColumnDict, to colKey, td *r
 	})}
 }
 
+// covers reports whether every row of column tgt holds a value column src
+// holds too, with no NULL or NaN row: then a source with all its rows
+// keeps every target row. Two interval dictionaries cover when tgt's
+// interval lies inside src's; otherwise no code of tgt translates to -1.
+// It depends on the dataset only, so it is cached per column pair.
+func (e *Engine) covers(tgt colKey, td *relation.ColumnDict, src colKey, sd *relation.ColumnDict) bool {
+	return cached(&e.mu, e.cover, xlateKey{tgt, src}, nil, func() bool {
+		if shift, ok := relation.IntervalShift(td, sd); ok {
+			if shift < 0 || int(shift)+td.NumCodes() > sd.NumCodes() {
+				return false
+			}
+		} else if slices.Contains(e.xlateFor(tgt, td, src, sd).arr[1:], -1) {
+			return false
+		}
+		return !td.HasNulls()
+	})
+}
+
 // Costs of the strategies' unit steps in nanoseconds, fitted by least
 // squares to every semijoin step of the TPC-H, SSB and TPC-DS templates
 // at SF 0.05 (x86-64): a source row's key set in the slot bitset, a
@@ -195,12 +216,18 @@ type semiSource struct {
 // prepare chooses s's strategy and captures its source. copyRows asks for
 // a private copy of the source rows when source postings are chosen — the
 // caller is about to shrink the source before s runs. Both join columns
-// must exist (joinColumnsExist).
+// must exist (joinColumnsExist). A step that cannot remove a row (covers)
+// visits none; its caller still charges its probes.
 func (e *Engine) prepare(s semijoin, copyRows bool) semiSource {
+	short := semiSource{how: shortCut, version: s.src.version, count: s.src.count}
 	if s.tgt.count == 0 || s.src.count == 0 {
-		return semiSource{how: emptySide, version: s.src.version, count: s.src.count}
+		return short
 	}
 	td, sd := e.dictFor(s.tgt.table, s.tgtCol), e.dictFor(s.src.table, s.srcCol)
+	if !s.anti && s.src.count == sd.NumRows() &&
+		e.covers(colKey{s.tgt.table, s.tgtCol}, td, colKey{s.src.table, s.srcCol}, sd) {
+		return short
+	}
 	return e.capture(s, chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd), td, sd, copyRows)
 }
 
@@ -246,9 +273,9 @@ func (e *Engine) run(s semijoin, src semiSource) bool {
 		if src.rows != nil {
 			putDense(src.rows)
 		}
-	case emptySide:
+	case shortCut:
 		// An empty source matches no target row; an empty target has
-		// nothing to drop.
+		// nothing to drop, and a covering source drops nothing.
 		if src.count == 0 && !s.anti {
 			clear(t.set)
 		} else {

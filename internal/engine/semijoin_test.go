@@ -75,20 +75,10 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 	// positions differ from rows, and blocks end mid-word.
 	rng := rand.New(rand.NewSource(int64(len(c.tgt)*1000 + len(c.src))))
 	tOrder, sOrder := permutedOrder(len(c.tgt), rng), permutedOrder(len(c.src), rng)
-	alias := func(name string, order *block.RowOrder, rows []int) *vecAlias {
-		a := &vecAlias{alias: name, table: name, order: order, set: bitmap.NewDense(order.Words() << 6),
-			keys: map[string]*cachedKeys{}}
-		pos := positionsOf(order)
-		for _, r := range rows {
-			a.set.Set(pos[r])
-		}
-		a.count = a.set.Count()
-		return a
-	}
 	sets := map[strategy]bitmap.Dense{}
 	removed := map[strategy]bool{}
 	for _, how := range []strategy{probeTarget, targetPostings, sourcePostings} {
-		s := semijoin{tgt: alias("T", tOrder, c.tgtR), src: alias("S", sOrder, c.srcR),
+		s := semijoin{tgt: testAlias("T", tOrder, c.tgtR), src: testAlias("S", sOrder, c.srcR),
 			tgtCol: "k", srcCol: "k", anti: anti}
 		src := e.capture(s, how, td, sd, copyRows)
 		if copyRows {
@@ -123,6 +113,19 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 		want.Set(int(r))
 	}
 	return sets, removed, want
+}
+
+// testAlias is an alias of table name laid out by order whose survivors
+// are rows.
+func testAlias(name string, order *block.RowOrder, rows []int) *vecAlias {
+	a := &vecAlias{alias: name, table: name, order: order, set: bitmap.NewDense(order.Words() << 6),
+		keys: map[string]*cachedKeys{}}
+	pos := positionsOf(order)
+	for _, r := range rows {
+		a.set.Set(pos[r])
+	}
+	a.count = a.set.Count()
+	return a
 }
 
 // permutedOrder lays out n rows, shuffled, in blocks of 1 to 100 rows.

@@ -81,28 +81,25 @@ func TestStatsSnapshotConcurrent(t *testing.T) {
 
 // TestReorderAggregates covers the cache-hit declaration-order restoration.
 func TestReorderAggregates(t *testing.T) {
-	mk := func(op workload.AggOp, alias, col string) AggValue {
-		return AggValue{Spec: workload.Aggregate{Op: op, Alias: alias, Column: col}}
+	spec := func(op workload.AggOp, alias, col string) workload.Aggregate {
+		return workload.Aggregate{Op: op, Alias: alias, Column: col}
 	}
-	cached := []AggValue{
-		mk(workload.AggCount, "lo", ""),
-		mk(workload.AggMin, "d", "k"),
-		mk(workload.AggSum, "lo", "rev"),
-	}
-	want := []string{"sum(lo.rev)", "count(lo.*)", "min(d.k)"}
+	count, minK, sum := spec(workload.AggCount, "lo", ""), spec(workload.AggMin, "d", "k"), spec(workload.AggSum, "lo", "rev")
+	cached := []AggValue{{Spec: count}, {Spec: minK}, {Spec: sum}}
+	want := []workload.Aggregate{sum, count, minK}
 	out, ok := ReorderAggregates(cached, want)
 	if !ok {
 		t.Fatal("reorder failed on matching sets")
 	}
 	for i, spec := range want {
-		if out[i].Spec.String() != spec {
-			t.Fatalf("position %d: got %s, want %s", i, out[i].Spec.String(), spec)
+		if out[i].Spec != spec {
+			t.Fatalf("position %d: got %s, want %s", i, out[i].Spec, spec)
 		}
 	}
-	if _, ok := ReorderAggregates(cached, []string{"sum(lo.rev)", "count(lo.*)"}); ok {
+	if _, ok := ReorderAggregates(cached, []workload.Aggregate{sum, count}); ok {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, ok := ReorderAggregates(cached, []string{"sum(lo.rev)", "count(lo.*)", "max(d.k)"}); ok {
+	if _, ok := ReorderAggregates(cached, []workload.Aggregate{sum, count, spec(workload.AggMax, "d", "k")}); ok {
 		t.Fatal("spec mismatch accepted")
 	}
 	out, ok = ReorderAggregates(nil, nil)

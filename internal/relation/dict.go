@@ -132,6 +132,14 @@ func (d *ColumnDict) Code(r int) int32 {
 	return int32(d.vals[r] - d.base)
 }
 
+// HasNulls reports whether some row has no code: a NULL or NaN row.
+func (d *ColumnDict) HasNulls() bool {
+	if d.span > 0 {
+		return slices.Contains(d.nulls, true)
+	}
+	return slices.Contains(d.Codes, -1)
+}
+
 // NumCodes returns the number of distinct values with a code.
 func (d *ColumnDict) NumCodes() int {
 	switch {

@@ -96,11 +96,7 @@ func (c *ResultCache) Get(tenant string, gen uint64, norm string, q *workload.Qu
 	out := copyResult(res)
 	out.Query = q.ID
 	if len(q.Aggregates) > 0 || len(out.Aggregates) > 0 {
-		specs := make([]string, len(q.Aggregates))
-		for i, a := range q.Aggregates {
-			specs[i] = a.String()
-		}
-		reordered, ok := engine.ReorderAggregates(out.Aggregates, specs)
+		reordered, ok := engine.ReorderAggregates(out.Aggregates, q.Aggregates)
 		if !ok {
 			c.misses.Add(1)
 			return nil, false

@@ -140,3 +140,22 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("eviction not counted")
 	}
 }
+
+// TestCacheHitAllocs pins the allocations of one hit on a two-aggregate
+// result: the deep copy (the result, its per-table map and entry, the
+// survivor map, the aggregate slice) and the aggregate reorder. Matching
+// specs renders none of them; rendering cost 20 allocations a hit.
+func TestCacheHitAllocs(t *testing.T) {
+	const maxAllocs = 9
+	c := NewResultCache(64)
+	c.Put("a", 1, "k", fakeResult("orig", 4))
+	q := reqQuery("other")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := c.Get("a", 1, "k", q); !ok {
+			t.Fatal("miss on present key")
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations per hit, want at most %d", allocs, maxAllocs)
+	}
+}

@@ -1,11 +1,17 @@
 // Package serve is the multi-tenant query-serving frontend over the MTO
 // engine: a long-running server hosting one installed layout per tenant,
-// with token-bucket admission control, weighted-fair queueing into a
-// bounded worker pool, a sharded result cache keyed on (tenant, layout
-// generation, normalized query), and live integration of the reorgd
-// daemon — each tenant's daemon consumes the server's query stream in the
-// background and installs budgeted partial reorganizations through an
-// atomic generation swap while queries keep draining.
+// with token-bucket admission control, a sharded result cache keyed on
+// (tenant, layout generation, normalized query), weighted-fair queueing of
+// cache misses into a bounded worker pool, and live integration of the
+// reorgd daemon — each tenant's daemon consumes the server's query stream
+// in the background and installs budgeted partial reorganizations through
+// an atomic generation swap while queries keep draining.
+//
+// A submission passes the drain check and the token bucket, then looks the
+// cache up once on the submitting goroutine. A hit is answered there and
+// then; only a miss is queued for a worker, which executes it and caches
+// the result. Workers, MaxQueue and the fair queue therefore bound and
+// order executions, never hits.
 //
 // The cache-key + invalidation contract: a query's cache key is its
 // workload.Query.Normalize rendering plus the tenant's layout generation.
@@ -45,15 +51,17 @@ var (
 // Config parameterizes a Server.
 type Config struct {
 	Tenants []TenantConfig
-	// Workers bounds concurrent query executions (default 4).
+	// Workers bounds concurrent query executions (default 4). Cache hits
+	// are answered on the submitting goroutine and take no worker.
 	Workers int
 	// Rate/Burst configure token-bucket admission (Rate ≤ 0 disables).
 	Rate, Burst float64
 	// CacheEntries caps the result cache (default 4096; negative disables
 	// caching entirely).
 	CacheEntries int
-	// MaxQueue rejects submissions once this many requests are queued
-	// (default 4096; negative disables the bound).
+	// MaxQueue rejects cache misses once this many are queued for a
+	// worker (default 4096; negative disables the bound). Hits never
+	// queue and are never rejected by it.
 	MaxQueue int
 }
 
@@ -67,16 +75,17 @@ type Response struct {
 	Gen uint64
 }
 
-// request is one queued submission.
+// request is one queued submission: a cache miss waiting for a worker.
 type request struct {
-	tenant     *tenant
-	q          *workload.Query
-	enqueuedAt time.Time
-	start      float64 // wfq virtual start tag
-	finish     float64 // wfq virtual finish tag
-	resp       Response
-	err        error
-	done       chan struct{}
+	tenant   *tenant
+	q        *workload.Query
+	norm     string    // q's cache key
+	admitted time.Time // when admission passed; latency runs from here
+	start    float64   // wfq virtual start tag
+	finish   float64   // wfq virtual finish tag
+	resp     Response
+	err      error
+	done     chan struct{}
 }
 
 // Server is the serving frontend. Create with New, launch with Start,
@@ -99,7 +108,7 @@ type Server struct {
 	// happens-before the Wait (a bare atomic flag would leave Add racing
 	// Wait at counter zero, which WaitGroup forbids).
 	drainMu  sync.RWMutex
-	reqWG    sync.WaitGroup // accepted (enqueued) requests
+	reqWG    sync.WaitGroup // admitted submissions not yet answered
 	draining atomic.Bool
 
 	completed   atomic.Int64
@@ -216,9 +225,10 @@ func (s *Server) SubmitID(ctx context.Context, tenant, id string) (Response, err
 	return s.Submit(ctx, tenant, q)
 }
 
-// Submit admits, queues, and executes one query for the tenant, blocking
-// until the result is ready (or ctx is done — the query still runs to
-// completion in the background; it was admitted).
+// Submit admits one query for the tenant and answers it. A result-cache
+// hit is answered here, on the caller's goroutine; only a miss is queued
+// for a worker, and Submit blocks until it executes (or ctx is done — the
+// query still runs to completion in the background; it was admitted).
 func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (Response, error) {
 	t := s.tenants[tenant]
 	if t == nil {
@@ -236,17 +246,33 @@ func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (
 	}
 	s.reqWG.Add(1)
 	s.drainMu.RUnlock()
-	if !s.bucket.Allow(time.Now()) {
+	now := time.Now()
+	if !s.bucket.Allow(now) {
 		s.reqWG.Done()
 		s.rejRate.Add(1)
 		return Response{}, ErrRateLimited
+	}
+	t.submitted.Add(1)
+	norm := t.normalizeOf(q)
+	if s.cache != nil {
+		// The one lookup of this submission. The generation read lock
+		// pins gen to the layout the entry was cached under.
+		gen, _ := t.live.RLock()
+		res, ok := s.cache.Get(t.name, gen, norm, q)
+		t.live.RUnlock()
+		if ok {
+			t.hits.Add(1)
+			s.record(t, q, res, now)
+			s.reqWG.Done()
+			return Response{Result: res, Cached: true, Gen: gen}, nil
+		}
 	}
 	if s.cfg.MaxQueue > 0 && s.queue.depth() >= s.cfg.MaxQueue {
 		s.reqWG.Done()
 		s.rejQueue.Add(1)
 		return Response{}, ErrOverloaded
 	}
-	r := &request{tenant: t, q: q, enqueuedAt: time.Now(), done: make(chan struct{})}
+	r := &request{tenant: t, q: q, norm: norm, admitted: now, done: make(chan struct{})}
 	if !s.queue.enqueue(tenant, r) {
 		s.reqWG.Done()
 		s.rejShutdown.Add(1)
@@ -275,28 +301,14 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one request under the tenant's generation read-lock: load
-// the generation, probe the cache, execute on a miss and populate the
-// cache under the same generation. The daemon observation happens after
-// the read-lock is released — the daemon's install path takes the write
-// lock, so observing under the read lock could deadlock a Step that is
-// already committed to installing.
+// execute runs one cache miss under the tenant's generation read lock and
+// caches the result under the generation it ran at. The daemon observation
+// happens after the read lock is released — the daemon's install path
+// takes the write lock, so observing under the read lock could deadlock a
+// Step that is already committed to installing.
 func (s *Server) execute(r *request) {
 	t := r.tenant
-	t.submitted.Add(1)
 	gen, eng := t.live.RLock()
-	norm := t.normalizeOf(r.q)
-	if s.cache != nil {
-		if res, ok := s.cache.Get(t.name, gen, norm, r.q); ok {
-			t.live.RUnlock()
-			t.hits.Add(1)
-			r.resp = Response{Result: res, Cached: true, Gen: gen}
-			s.completed.Add(1)
-			s.observe(t, r.q, res)
-			s.hist.RecordDuration(time.Since(r.enqueuedAt))
-			return
-		}
-	}
 	res, err := eng.Execute(r.q)
 	if err != nil {
 		t.live.RUnlock()
@@ -305,13 +317,19 @@ func (s *Server) execute(r *request) {
 		return
 	}
 	if s.cache != nil {
-		s.cache.Put(t.name, gen, norm, res)
+		s.cache.Put(t.name, gen, r.norm, res)
 	}
 	t.live.RUnlock()
 	r.resp = Response{Result: res, Gen: gen}
+	s.record(t, r.q, res, r.admitted)
+}
+
+// record counts one answered submission, feeds the daemon and records its
+// latency since admission.
+func (s *Server) record(t *tenant, q *workload.Query, res *engine.Result, admitted time.Time) {
 	s.completed.Add(1)
-	s.observe(t, r.q, res)
-	s.hist.RecordDuration(time.Since(r.enqueuedAt))
+	s.observe(t, q, res)
+	s.hist.RecordDuration(time.Since(admitted))
 }
 
 // observe feeds the tenant's daemon. Cache hits are observed too: the

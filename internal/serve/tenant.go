@@ -111,14 +111,17 @@ type TenantStats struct {
 	Generation uint64 `json:"generation"`
 	// How long the last install, and the longest, held the tenant's write
 	// lock: the stall a swap imposes on queries.
-	SwapLockLastUS float64      `json:"swap_lock_us_last"`
-	SwapLockMaxUS  float64      `json:"swap_lock_us_max"`
-	Submitted      int64        `json:"submitted"`
-	CacheHits      int64        `json:"cache_hits"`
-	Engine         engine.Stats `json:"engine"`
-	Store          block.Stats  `json:"store"`
-	Templates      int          `json:"templates"`
-	DaemonErr      string       `json:"daemon_error,omitempty"`
+	SwapLockLastUS float64 `json:"swap_lock_us_last"`
+	SwapLockMaxUS  float64 `json:"swap_lock_us_max"`
+	// Submitted counts submissions past admission (the drain check and
+	// the token bucket): every hit, and every miss, queued or refused by
+	// MaxQueue.
+	Submitted int64        `json:"submitted"`
+	CacheHits int64        `json:"cache_hits"`
+	Engine    engine.Stats `json:"engine"`
+	Store     block.Stats  `json:"store"`
+	Templates int          `json:"templates"`
+	DaemonErr string       `json:"daemon_error,omitempty"`
 }
 
 func (t *tenant) stats() TenantStats {
