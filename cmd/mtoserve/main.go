@@ -90,7 +90,6 @@ func run() error {
 		CacheEntries: *cacheEntries,
 		Budget:       *budget,
 		Interval:     *interval,
-		Seed:         *seed,
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,7 @@
 // Package bitmap implements a Roaring-style compressed bitmap over uint32
 // keys. MTO uses it to store the literal form of join-induced cuts — IN lists
-// over high-cardinality key columns — compactly (§4.1.2 of the paper), and the
-// simulated engine uses it for selection vectors and semi-join reduction.
+// over high-cardinality key columns — compactly (§4.1.2 of the paper). Dense
+// (dense.go) is the plain bitset the engine's row sets use.
 //
 // Values are partitioned into 2^16-value chunks by their high 16 bits. Each
 // chunk is one of three container types, mirroring the Roaring paper:
@@ -15,11 +15,9 @@
 package bitmap
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 )
 
 const (
@@ -192,24 +190,6 @@ func (b *Bitmap) FillDense(d Dense) {
 	}
 }
 
-// AddRange inserts every value in [lo, hi] inclusive.
-func (b *Bitmap) AddRange(lo, hi uint32) {
-	if hi < lo {
-		return
-	}
-	for v := uint64(lo); v <= uint64(hi); {
-		key := uint16(v >> 16)
-		chunkEnd := (v | (containerValues - 1))
-		end := chunkEnd
-		if uint64(hi) < end {
-			end = uint64(hi)
-		}
-		c := b.getOrCreate(key)
-		c.addRange(uint16(v), uint16(end))
-		v = end + 1
-	}
-}
-
 // Remove deletes v from the set if present.
 func (b *Bitmap) Remove(v uint32) {
 	key, low := uint16(v>>16), uint16(v)
@@ -244,9 +224,6 @@ func (b *Bitmap) Cardinality() int {
 	return n
 }
 
-// IsEmpty reports whether the set has no values.
-func (b *Bitmap) IsEmpty() bool { return b.Cardinality() == 0 }
-
 // Clone returns a deep copy of b.
 func (b *Bitmap) Clone() *Bitmap {
 	out := &Bitmap{
@@ -268,122 +245,6 @@ func (b *Bitmap) ForEach(fn func(uint32) bool) {
 			return
 		}
 	}
-}
-
-// ToSlice returns all values in ascending order.
-func (b *Bitmap) ToSlice() []uint32 {
-	out := make([]uint32, 0, b.Cardinality())
-	b.ForEach(func(v uint32) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
-}
-
-// And returns the intersection of a and b as a new bitmap.
-func And(a, b *Bitmap) *Bitmap {
-	out := New()
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			c := andContainers(a.containers[i], b.containers[j])
-			if c.card > 0 {
-				out.keys = append(out.keys, a.keys[i])
-				out.containers = append(out.containers, c)
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Or returns the union of a and b as a new bitmap.
-func Or(a, b *Bitmap) *Bitmap {
-	out := New()
-	i, j := 0, 0
-	for i < len(a.keys) || j < len(b.keys) {
-		switch {
-		case j >= len(b.keys) || (i < len(a.keys) && a.keys[i] < b.keys[j]):
-			out.keys = append(out.keys, a.keys[i])
-			out.containers = append(out.containers, a.containers[i].clone())
-			i++
-		case i >= len(a.keys) || a.keys[i] > b.keys[j]:
-			out.keys = append(out.keys, b.keys[j])
-			out.containers = append(out.containers, b.containers[j].clone())
-			j++
-		default:
-			out.keys = append(out.keys, a.keys[i])
-			out.containers = append(out.containers, orContainers(a.containers[i], b.containers[j]))
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// AndNot returns a \ b as a new bitmap.
-func AndNot(a, b *Bitmap) *Bitmap {
-	out := New()
-	j := 0
-	for i, key := range a.keys {
-		for j < len(b.keys) && b.keys[j] < key {
-			j++
-		}
-		if j < len(b.keys) && b.keys[j] == key {
-			c := andNotContainers(a.containers[i], b.containers[j])
-			if c.card > 0 {
-				out.keys = append(out.keys, key)
-				out.containers = append(out.containers, c)
-			}
-			continue
-		}
-		out.keys = append(out.keys, key)
-		out.containers = append(out.containers, a.containers[i].clone())
-	}
-	return out
-}
-
-// Intersects reports whether a and b share any value, without materializing
-// the intersection.
-func Intersects(a, b *Bitmap) bool {
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			if containersIntersect(a.containers[i], b.containers[j]) {
-				return true
-			}
-			i++
-			j++
-		}
-	}
-	return false
-}
-
-// Equal reports whether a and b contain exactly the same values.
-func Equal(a, b *Bitmap) bool {
-	if a.Cardinality() != b.Cardinality() {
-		return false
-	}
-	eq := true
-	a.ForEach(func(v uint32) bool {
-		if !b.Contains(v) {
-			eq = false
-			return false
-		}
-		return true
-	})
-	return eq
 }
 
 // Optimize converts each container to its smallest representation (array,
@@ -410,27 +271,6 @@ func (b *Bitmap) SizeBytes() int {
 		}
 	}
 	return n
-}
-
-// String renders a short human-readable summary.
-func (b *Bitmap) String() string {
-	card := b.Cardinality()
-	if card <= 16 {
-		var sb strings.Builder
-		sb.WriteByte('{')
-		first := true
-		b.ForEach(func(v uint32) bool {
-			if !first {
-				sb.WriteByte(' ')
-			}
-			first = false
-			fmt.Fprintf(&sb, "%d", v)
-			return true
-		})
-		sb.WriteByte('}')
-		return sb.String()
-	}
-	return fmt.Sprintf("bitmap(card=%d, containers=%d)", card, len(b.containers))
 }
 
 // --- container operations ---
@@ -505,29 +345,6 @@ func (c *container) add(v uint16) {
 		// Optimize; sparse post-optimize mutation converts back to bitmap.
 		c.toBitmap()
 		c.add(v)
-	}
-}
-
-func (c *container) addRange(lo, hi uint16) {
-	if int(hi)-int(lo)+1+c.card > arrayMaxCard {
-		c.toBitmap()
-	}
-	switch c.kind {
-	case kindArray:
-		for v := uint32(lo); v <= uint32(hi); v++ {
-			c.add(uint16(v))
-		}
-	case kindBitmap:
-		for v := uint32(lo); v <= uint32(hi); v++ {
-			w, m := v>>6, uint64(1)<<(v&63)
-			if c.words[w]&m == 0 {
-				c.words[w] |= m
-				c.card++
-			}
-		}
-	case kindRun:
-		c.toBitmap()
-		c.addRange(lo, hi)
 	}
 }
 
@@ -642,54 +459,4 @@ func (c *container) toRun() {
 		return true
 	})
 	c.kind, c.runs, c.array, c.words = kindRun, runs, nil, nil
-}
-
-func andContainers(a, b *container) *container {
-	// Iterate the smaller, probe the larger.
-	if b.card < a.card {
-		a, b = b, a
-	}
-	out := &container{kind: kindArray}
-	a.forEach(0, func(v uint32) bool {
-		if b.contains(uint16(v)) {
-			out.add(uint16(v))
-		}
-		return true
-	})
-	return out
-}
-
-func orContainers(a, b *container) *container {
-	out := a.clone()
-	b.forEach(0, func(v uint32) bool {
-		out.add(uint16(v))
-		return true
-	})
-	return out
-}
-
-func andNotContainers(a, b *container) *container {
-	out := &container{kind: kindArray}
-	a.forEach(0, func(v uint32) bool {
-		if !b.contains(uint16(v)) {
-			out.add(uint16(v))
-		}
-		return true
-	})
-	return out
-}
-
-func containersIntersect(a, b *container) bool {
-	if b.card < a.card {
-		a, b = b, a
-	}
-	found := false
-	a.forEach(0, func(v uint32) bool {
-		if b.contains(uint16(v)) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

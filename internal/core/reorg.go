@@ -30,11 +30,6 @@ type ReorgConfig struct {
 	// Tables restricts planning to the named tables (nil = every table).
 	// The incremental daemon plans only its top-staleness tables per cycle.
 	Tables []string
-	// DisableInduction skips join-induced candidate cuts even when the
-	// optimizer was built with induction. Induced cuts require a full
-	// evaluation pass over the dataset, so the daemon's cheap bandit arms
-	// turn them off and let the reward signal decide whether they pay.
-	DisableInduction bool
 	// ExtraCuts adds per-table candidate cuts beyond those extracted from
 	// the observed workload (e.g. the current tree's cuts, so a rebuild can
 	// retain splits that still discriminate). Duplicates of observed cuts
@@ -106,7 +101,7 @@ func (o *Optimizer) PlanReorg(observed *workload.Workload, cfg ReorgConfig, desi
 	// dataset (reorganization always runs on full records, §5.1.2).
 	simple := workload.SimplePredicates(observed)
 	var inducedByTable map[string][]*induce.Predicate
-	if o.opts.JoinInduction && !cfg.DisableInduction {
+	if o.opts.JoinInduction {
 		inducedByTable = induce.FromWorkload(observed, o.unique, o.opts.MaxInductionDepth)
 		if err := induce.EvaluateAll(o.ds, flattenInduced(inducedByTable), o.opts.Parallelism); err != nil {
 			return nil, err

@@ -586,7 +586,7 @@ func TestMergeRangesMixedKinds(t *testing.T) {
 	}
 
 	// Direct hull check: a's bound must not survive a non-comparable merge.
-	h := hull(ints(1, 10), strs("a", "z"))
+	h := predicate.Hull(ints(1, 10), strs("a", "z"))
 	if !h.Min.IsNull() || !h.Max.IsNull() {
 		t.Errorf("hull(int, string) = %v, want unbounded", h)
 	}

@@ -319,7 +319,7 @@ func mergeRanges(intervals []predicate.Interval, k int) []predicate.Interval {
 	for _, iv := range intervals[1:] {
 		last := &merged[len(merged)-1]
 		if overlapsOrTouches(*last, iv) {
-			*last = hull(*last, iv)
+			*last = predicate.Hull(*last, iv)
 		} else {
 			merged = append(merged, iv)
 		}
@@ -330,7 +330,7 @@ func mergeRanges(intervals []predicate.Interval, k int) []predicate.Interval {
 		next := make([]predicate.Interval, 0, (len(merged)+1)/2)
 		for i := 0; i < len(merged); i += 2 {
 			if i+1 < len(merged) {
-				next = append(next, hull(merged[i], merged[i+1]))
+				next = append(next, predicate.Hull(merged[i], merged[i+1]))
 			} else {
 				next = append(next, merged[i])
 			}
@@ -357,41 +357,13 @@ func boundsComparable(a, b predicate.Interval) bool {
 // overlapsOrTouches reports whether a and b can be unioned into one
 // contiguous interval. Intervals with non-comparable bounds (mixed value
 // kinds) are treated as disjoint here — Interval.Intersect would panic on
-// them — and only merge, conservatively, in the coalesce phase via hull.
+// them — and only merge, conservatively, in the coalesce phase via
+// predicate.Hull.
 func overlapsOrTouches(a, b predicate.Interval) bool {
 	if !boundsComparable(a, b) {
 		return false
 	}
 	return !a.Intersect(b).Empty || touching(a, b)
-}
-
-// hull returns an interval covering both a and b. Non-comparable bounds
-// (mixed value kinds) widen the merged side to unbounded: keeping either
-// bound could exclude values the other interval covers, and a diP built
-// from a too-narrow hull wrongly prunes blocks.
-func hull(a, b predicate.Interval) predicate.Interval {
-	out := a
-	switch {
-	case b.Min.IsNull():
-		out.Min, out.MinInc = value.Null, true
-	case out.Min.IsNull():
-		// keep unbounded
-	case !out.Min.Comparable(b.Min):
-		out.Min, out.MinInc = value.Null, true
-	case b.Min.Less(out.Min):
-		out.Min, out.MinInc = b.Min, b.MinInc
-	}
-	switch {
-	case b.Max.IsNull():
-		out.Max, out.MaxInc = value.Null, true
-	case out.Max.IsNull():
-		// keep unbounded
-	case !out.Max.Comparable(b.Max):
-		out.Max, out.MaxInc = value.Null, true
-	case out.Max.Less(b.Max):
-		out.Max, out.MaxInc = b.Max, b.MaxInc
-	}
-	return out
 }
 
 // joinColumnsExist reports whether both of j's columns exist in their

@@ -18,8 +18,6 @@ type ServeScenario struct {
 	Workers int
 	// Rate/Burst configure admission control (0 disables).
 	Rate, Burst float64
-	// Seed seeds the TPC-H tenant's daemon.
-	Seed int64
 	// CacheEntries caps the result cache (default 4096).
 	CacheEntries int
 	// Budget / Interval configure the TPC-H tenant's live daemon: blocks
@@ -127,7 +125,6 @@ func NewServeDeployment(s Scale, sc ServeScenario) (_ *ServeDeployment, err erro
 					Window:          64,
 					MinCycleQueries: 32,
 					TopK:            8,
-					Seed:            sc.Seed,
 					Q:               500,
 					W:               100,
 				},

@@ -262,7 +262,7 @@ func extractRanges(p Predicate, out Ranges) {
 					ok = false
 					break
 				}
-				hull = hullOf(hull, iv)
+				hull = Hull(hull, iv)
 			}
 			if ok {
 				out[col] = out.Get(col).Intersect(hull)
@@ -277,7 +277,11 @@ func extractRanges(p Predicate, out Ranges) {
 	// ColumnComparison contributes no single-column interval.
 }
 
-func hullOf(a, b Interval) Interval {
+// Hull returns the smallest interval covering both a and b. A side whose
+// bounds cannot be ordered against each other (NULL, or mixed value kinds)
+// is unbounded: keeping either bound could exclude values the other
+// interval covers.
+func Hull(a, b Interval) Interval {
 	if a.Empty {
 		return b
 	}

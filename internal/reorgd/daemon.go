@@ -1,3 +1,14 @@
+// Package reorgd implements the adaptive incremental reorganization
+// daemon: a long-running loop that watches a rolling query log, scores
+// qd-tree staleness per table, and each cycle re-optimizes only the
+// highest-scoring subtrees under a physical block-write budget (observe →
+// score → plan → migrate). Each planning cycle offers §5.1's reorganizer
+// one candidate set per table — the window's cuts, the join-induced cuts
+// and the current tree's cuts — and core.PlanReorg keeps the max-reward
+// subtrees from it. The daemon drives one live.Instance: it stages each
+// install beside the instance's queries and commits it through
+// Instance.Reorganize, which bumps the generation and rebuilds the engine
+// under the instance's write lock.
 package reorgd
 
 import (
@@ -11,26 +22,6 @@ import (
 	"mto/internal/live"
 	"mto/internal/qdtree"
 	"mto/internal/workload"
-)
-
-// Arm names. All three plan from the rolling window's observed workload;
-// they differ in which candidate cuts the rebuilt subtrees may use. The
-// bandit pulls unpulled arms in index order and is seeded with the richest
-// arm first: join-induced pruning is MTO's main lever, so losing it on the
-// very first install (before the reward signal exists) routinely makes the
-// layout worse than leaving it stale.
-//
-//   - "window": only cuts extracted from the window's own predicates —
-//     the cheapest arm.
-//   - "window+tree": additionally offers the current tree's cuts, so a
-//     rebuild can retain old splits that still discriminate.
-//   - "window+induced": allows join-induced candidate cuts (a full
-//     evaluation pass over the dataset; only effective when the optimizer
-//     was built with join induction).
-const (
-	ArmWindow        = "window"
-	ArmWindowTree    = "window+tree"
-	ArmWindowInduced = "window+induced"
 )
 
 // Config parameterizes the daemon. Zero values select the documented
@@ -55,10 +46,9 @@ type Config struct {
 	// Decay is the long-horizon EWMA decay for per-table blocks/query
 	// (default 0.8): long ← Decay·long + (1−Decay)·short each cycle.
 	Decay float64
-	// Epsilon > 0 switches the bandit from UCB1 to seeded epsilon-greedy.
-	Epsilon float64
-	// Seed seeds the bandit's randomness (epsilon-greedy only; UCB1 is
-	// fully deterministic regardless).
+	// Seed is ignored: the daemon has no randomness, so a trace is a
+	// function of its observations alone. It stays only because the
+	// benchmark harness (bench/workloads.go) still sets it.
 	Seed int64
 	// Q and W are the §5.1.2 reward horizon passed to PlanReorg: Q future
 	// queries expected before the next shift, block write/read cost ratio
@@ -102,15 +92,13 @@ type CycleStats struct {
 	// Seq is the query-log sequence number when the cycle ran.
 	Seq uint64 `json:"seq"`
 	// Action is what the cycle did: "idle" (too few new queries),
-	// "await-eval" (previous install not yet evaluated), "no-plan" (no
-	// table stale enough, or no positive-reward subtree), or "reorg".
+	// "no-plan" (no table stale enough, or no positive-reward subtree), or
+	// "reorg".
 	Action string `json:"action"`
 	// Scores is the per-table staleness at planning time.
 	Scores map[string]float64 `json:"scores,omitempty"`
 	// Tables lists the tables selected for re-optimization.
 	Tables []string `json:"tables,omitempty"`
-	// Arm is the bandit arm used for a "reorg" action.
-	Arm string `json:"arm,omitempty"`
 	// PlannedChoices counts subtree choices before budget trimming,
 	// InstalledChoices after; the difference is what the budget deferred.
 	PlannedChoices   int `json:"planned_choices,omitempty"`
@@ -118,18 +106,6 @@ type CycleStats struct {
 	// BlocksWritten / RowsMoved are the install's physical cost.
 	BlocksWritten int `json:"blocks_written,omitempty"`
 	RowsMoved     int `json:"rows_moved,omitempty"`
-	// Reward reports a previous install's evaluation resolved this cycle:
-	// the relative blocks-read improvement credited to RewardArm.
-	Reward    *float64 `json:"reward,omitempty"`
-	RewardArm string   `json:"reward_arm,omitempty"`
-}
-
-// pendingEval is an installed-but-not-yet-evaluated reorganization.
-type pendingEval struct {
-	arm        int
-	tables     map[string]bool
-	preAvg     float64
-	installSeq uint64
 }
 
 // Daemon is the incremental reorganizer. Observe is safe to call from any
@@ -152,9 +128,7 @@ type Daemon struct {
 	// mu guards everything below.
 	mu         sync.Mutex
 	log        *workload.RollingLog
-	bandit     *Bandit
 	longAvg    map[string]float64
-	pending    *pendingEval
 	lastActSeq uint64
 	cycle      int
 	trace      []CycleStats
@@ -178,7 +152,6 @@ func New(in *live.Instance, cfg Config) *Daemon {
 		live:    in,
 		mto:     in.Optimizer(),
 		log:     workload.NewRollingLog(cfg.Window),
-		bandit:  NewBandit([]string{ArmWindowInduced, ArmWindowTree, ArmWindow}, cfg.Epsilon, cfg.Seed),
 		longAvg: map[string]float64{},
 	}
 }
@@ -261,56 +234,8 @@ func (d *Daemon) staleness(win *workload.Workload) map[string]float64 {
 	return out
 }
 
-// avgBlocks returns the mean blocks read per execution, summed over the
-// given tables, across log entries with Seq ≥ minSeq that touch at least
-// one of them. ok is false when no such entry exists.
-func (d *Daemon) avgBlocks(tables map[string]bool, minSeq uint64) (float64, bool) {
-	sum, n := 0, 0
-	for _, e := range d.log.Window() {
-		if e.Seq < minSeq {
-			continue
-		}
-		touched := false
-		for t := range tables {
-			if b, ok := e.TableBlocks[t]; ok {
-				sum += b
-				touched = true
-			}
-		}
-		if touched {
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return float64(sum) / float64(n), true
-}
-
-// resolvePending evaluates the previous install once post-install
-// executions exist, feeding the relative improvement back to the bandit.
-func (d *Daemon) resolvePending(cs *CycleStats) bool {
-	p := d.pending
-	if p == nil {
-		return true
-	}
-	post, ok := d.avgBlocks(p.tables, p.installSeq)
-	if !ok {
-		return false
-	}
-	reward := 0.0
-	if p.preAvg > 0 {
-		reward = (p.preAvg - post) / p.preAvg
-	}
-	d.bandit.Update(p.arm, reward)
-	cs.Reward = &reward
-	cs.RewardArm = d.bandit.Name(p.arm)
-	d.pending = nil
-	return true
-}
-
 // treeCuts collects each selected table's current cuts as extra rebuild
-// candidates (the "window+tree" arm).
+// candidates, so a rebuild can keep old splits that still discriminate.
 func (d *Daemon) treeCuts(tables []string) map[string][]qdtree.Cut {
 	out := map[string][]qdtree.Cut{}
 	for _, t := range tables {
@@ -327,11 +252,10 @@ func (d *Daemon) treeCuts(tables []string) map[string][]qdtree.Cut {
 	return out
 }
 
-// Step runs one daemon cycle: evaluate the previous install if one is
-// outstanding, score staleness, and — when warranted — plan, trim to
-// budget, stage a partial reorganization and commit it through the
-// instance, which swaps in the new generation and engine. The returned stats
-// are also appended to Trace.
+// Step runs one daemon cycle: score staleness and — when warranted — plan,
+// trim to budget, stage a partial reorganization and commit it through the
+// instance, which swaps in the new generation and engine. The returned
+// stats are also appended to Trace.
 func (d *Daemon) Step() (CycleStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -342,10 +266,6 @@ func (d *Daemon) Step() (CycleStats, error) {
 	defer func() { d.trace = append(d.trace, cs) }()
 
 	if d.log.Seq()-d.lastActSeq < uint64(d.cfg.MinCycleQueries) {
-		return cs, nil
-	}
-	if !d.resolvePending(&cs) {
-		cs.Action = "await-eval"
 		return cs, nil
 	}
 
@@ -393,20 +313,10 @@ func (d *Daemon) Step() (CycleStats, error) {
 	}
 	cs.Tables = tables
 
-	arm := d.bandit.Pick()
-	cs.Arm = d.bandit.Name(arm)
-	rc := core.ReorgConfig{Q: d.cfg.Q, W: d.cfg.W, Tables: tables}
-	switch d.bandit.Name(arm) {
-	case ArmWindow:
-		rc.DisableInduction = true
-	case ArmWindowTree:
-		rc.DisableInduction = true
-		rc.ExtraCuts = d.treeCuts(tables)
-	case ArmWindowInduced:
-		// Induction stays enabled (no-op when the optimizer was built
-		// without it).
-	}
-
+	// One plan from every candidate: the window's cuts, the join-induced
+	// cuts (a no-op when the optimizer was built without induction) and
+	// the current trees' cuts. PlanReorg keeps the max-reward subtrees.
+	rc := core.ReorgConfig{Q: d.cfg.Q, W: d.cfg.W, Tables: tables, ExtraCuts: d.treeCuts(tables)}
 	design, store := d.live.Design(), d.live.Store()
 	plans, err := d.mto.PlanReorg(win, rc, design)
 	if err != nil {
@@ -425,19 +335,11 @@ func (d *Daemon) Step() (CycleStats, error) {
 	}
 	cs.InstalledChoices = chosen
 	if chosen == 0 {
-		// Nothing worth rewriting under this horizon/budget; credit the
-		// arm with zero so the bandit still learns, and stand down.
-		d.bandit.Update(arm, 0)
+		// Nothing worth rewriting under this horizon/budget; stand down.
 		cs.Action = "no-plan"
 		d.lastActSeq = d.log.Seq()
 		return cs, nil
 	}
-
-	sel := map[string]bool{}
-	for _, t := range tables {
-		sel[t] = true
-	}
-	preAvg, _ := d.avgBlocks(sel, 0)
 
 	var staged *core.StagedReorg
 	err = d.live.Reorganize(func() (*core.StagedReorg, error) {
@@ -455,7 +357,6 @@ func (d *Daemon) Step() (CycleStats, error) {
 	cs.Action = "reorg"
 	cs.BlocksWritten = staged.Stats.BlocksWritten
 	cs.RowsMoved = staged.Stats.RowsMoved
-	d.pending = &pendingEval{arm: arm, tables: sel, preAvg: preAvg, installSeq: d.log.Seq()}
 	d.lastActSeq = d.log.Seq()
 	return cs, nil
 }
