@@ -10,10 +10,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"mto/internal/bitmap"
+	"mto/internal/block"
+	"mto/internal/colstore"
+	"mto/internal/core"
+	"mto/internal/datagen"
 	"mto/internal/engine"
 	"mto/internal/experiments"
 	"mto/internal/workload"
@@ -398,6 +403,62 @@ func BenchmarkFirstQueryTPCH(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run()
 	}
+}
+
+// BenchmarkExecuteTPCHWarm is the engine alone under the tpch_warm
+// benchmark workload: MTO with DefaultOptions on TPC-H SF 0.05, learned
+// with the benchmark's Optimize options (block size 1000, sample rate
+// 0.25, join induction, the TPC-H sort keys as leaf order, seed 1) and
+// installed on a disk store whose pool holds everything. Twenty instances
+// of each template are executed once to warm the pool and the engine's
+// caches; each op then runs the 22 templates round-robin, one instance
+// each, and ms/query is the op's mean.
+func BenchmarkExecuteTPCHWarm(b *testing.B) {
+	ds := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 0.05, Seed: 1})
+	opt, err := core.Optimize(ds, datagen.TPCHWorkloadTemplates(1, datagen.NumTPCHTemplates, 8, 2), core.Options{
+		BlockSize:     1000,
+		SampleRate:    0.25,
+		JoinInduction: true,
+		LeafOrderKeys: map[string]string(datagen.TPCHSortKeys()),
+		Seed:          1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	design, err := opt.BuildDesign()
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := colstore.NewStore(b.TempDir(), 512<<20, block.DefaultCostModel())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := design.Install(store, nil, 0); err != nil {
+		b.Fatal(err)
+	}
+	const perTemplate = 20
+	rng := rand.New(rand.NewSource(3))
+	queries := make([][]*workload.Query, datagen.NumTPCHTemplates)
+	eng := engine.New(store, design, ds, engine.DefaultOptions())
+	for t := range queries {
+		for i := 0; i < perTemplate; i++ {
+			q := datagen.TPCHQuery(t+1, rng)
+			if _, err := eng.Execute(q); err != nil {
+				b.Fatal(err)
+			}
+			queries[t] = append(queries[t], q)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, qs := range queries {
+			if _, err := eng.Execute(qs[i%perTemplate]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*datagen.NumTPCHTemplates), "ms/query")
 }
 
 // BenchmarkReplayDisk measures full-workload replay against the persistent

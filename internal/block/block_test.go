@@ -49,8 +49,8 @@ func TestNewTableLayout(t *testing.T) {
 		t.Error("Table() wrong")
 	}
 	// Zone maps are attached and reflect contents.
-	z := tl.Block(0).Zone
-	if z.Column("x").Min.Int() != 0 || z.Column("x").Max.Int() != 24 {
+	x := tl.Block(0).Zone.Ranges().At(tab.Schema().MustColumnIndex("x"))
+	if x.Min.Int() != 0 || x.Max.Int() != 24 {
 		t.Error("block 0 zone wrong")
 	}
 	if len(tl.Blocks()) != 5 {
@@ -178,7 +178,7 @@ func TestZoneSkipIntegration(t *testing.T) {
 	p := predicate.NewComparison("x", predicate.Lt, value.Int(150))
 	matched := 0
 	for _, b := range tl.Blocks() {
-		if predicate.CompileRanges(p)(b.Zone.Ranges()) != predicate.TriFalse {
+		if predicate.CompileRanges(p, tab.Schema())(b.Zone.Ranges()) != predicate.TriFalse {
 			matched++
 		}
 	}

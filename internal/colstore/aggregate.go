@@ -76,11 +76,11 @@ func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.
 		gcol:      -1,
 	}
 	if group.Column != "" {
-		gi, ok := seg.colIndex(group.Column)
+		gi, ok := seg.schema.ColumnIndex(group.Column)
 		if !ok || group.Dict == nil {
 			return tf
 		}
-		if kind := seg.cols[gi].kind; kind != group.Dict.Kind ||
+		if kind := seg.schema.Column(gi).Type; kind != group.Dict.Kind ||
 			(kind != value.KindInt && kind != value.KindString) {
 			return tf
 		}
@@ -90,7 +90,7 @@ func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.
 		}
 		tf.gcol = gi
 	}
-	reads := make([]bool, len(seg.cols))
+	reads := make([]bool, seg.schema.NumColumns())
 	if tf.gcol >= 0 {
 		reads[tf.gcol] = true
 	}
@@ -101,16 +101,16 @@ func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.
 			tf.supported[i] = a.Op == workload.AggCount
 			continue
 		}
-		ci, ok := seg.colIndex(a.Column)
+		ci, ok := seg.schema.ColumnIndex(a.Column)
 		if !ok {
 			continue
 		}
-		kind := seg.cols[ci].kind
+		kind := seg.schema.Column(ci).Type
 		switch a.Op {
 		case workload.AggCount:
 			tf.supported[i] = true
 		case workload.AggSum, workload.AggAvg:
-			tf.supported[i] = kind == value.KindInt && sumFitsInt64(seg, a.Column)
+			tf.supported[i] = kind == value.KindInt && sumFitsInt64(seg, ci)
 		case workload.AggMin, workload.AggMax:
 			tf.supported[i] = kind == value.KindInt || kind == value.KindString
 		}
@@ -129,11 +129,11 @@ func (s *Store) CompileFold(table string, group block.GroupKey, aggs []workload.
 // survivor subset fits int64, so arithmetic mod 2^64 loses nothing), and
 // the engine's checked materialized fold can never overflow either — the
 // two folds cannot diverge.
-func sumFitsInt64(seg *Segment, col string) bool {
+func sumFitsInt64(seg *Segment, ci int) bool {
 	const bound = uint64(1) << 62
 	var total uint64
 	for b := range seg.blocks {
-		iv := seg.blocks[b].zone.Column(col)
+		iv := seg.blocks[b].zone.Ranges().At(ci)
 		if iv.Empty {
 			continue // every value in the block is null
 		}
@@ -240,7 +240,7 @@ func (t *TableFold) foldRows(eb *EncodedBlock, nrows int, mask []uint64, pop, sl
 // the one state of a one-slot fold (nil slots), else one state per slot.
 func (t *TableFold) foldColumn(k int, eb *EncodedBlock, nrows int, local []uint64, pop int, slots []int32, sts []block.AggState, sc *scratch) error {
 	spec := t.aggs[k]
-	kind := t.st.seg.cols[t.cols[k]].kind
+	kind := t.st.seg.schema.Column(t.cols[k]).Type
 	if slots == nil && (spec.Op == workload.AggMin || spec.Op == workload.AggMax) {
 		// Zone short-circuits: an all-null block contributes nothing, a
 		// block whose zone interval cannot beat the running extreme is
@@ -248,7 +248,7 @@ func (t *TableFold) foldColumn(k int, eb *EncodedBlock, nrows int, local []uint6
 		// (zone min/max are the extreme non-null values, and nulls never
 		// win MIN/MAX). None of the three touches a page byte; none applies
 		// to a scatter, whose zone interval spans all groups.
-		iv := eb.Block.Zone.Column(spec.Column)
+		iv := eb.Block.Zone.Ranges().At(t.cols[k])
 		if iv.Empty {
 			return nil
 		}
@@ -314,7 +314,7 @@ func slotOf(slots []int32, i int) int32 {
 // zoneSkipsMinMax reports whether the block zone interval proves the block
 // cannot improve the running extreme. Skipping never changes the result:
 // MIN/MAX folds are order-independent and monotone.
-func zoneSkipsMinMax(op workload.AggOp, iv predicate.Interval, kind value.Kind, st *block.AggState) bool {
+func zoneSkipsMinMax(op workload.AggOp, iv *predicate.Interval, kind value.Kind, st *block.AggState) bool {
 	if !st.Seen {
 		return false
 	}
@@ -333,7 +333,7 @@ func zoneSkipsMinMax(op workload.AggOp, iv predicate.Interval, kind value.Kind, 
 // foldZoneMinMax folds a fully-selected block's MIN/MAX straight from the
 // zone interval. Reports false (fold not performed) when the interval does
 // not carry a bound of the column's kind.
-func foldZoneMinMax(op workload.AggOp, iv predicate.Interval, kind value.Kind, st *block.AggState) bool {
+func foldZoneMinMax(op workload.AggOp, iv *predicate.Interval, kind value.Kind, st *block.AggState) bool {
 	if op == workload.AggMin {
 		if kind == value.KindString {
 			if iv.Min.Kind() != value.KindString {

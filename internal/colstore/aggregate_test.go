@@ -275,7 +275,7 @@ func TestCompressedAggregateOverflowGuard(t *testing.T) {
 // mustEncoded is a test helper: every column page payload of block id.
 func (seg *Segment) mustEncoded(t *testing.T, id int) [][]byte {
 	t.Helper()
-	all := make([]int, len(seg.cols))
+	all := make([]int, seg.schema.NumColumns())
 	for ci := range all {
 		all[ci] = ci
 	}

@@ -237,7 +237,7 @@ func TestReplaceBlocks(t *testing.T) {
 			if !reflect.DeepEqual(b.Rows, want) {
 				t.Errorf("block %d holds rows %v, want %v", id, b.Rows, want)
 			}
-			iv := b.Zone.Column("x")
+			iv := b.Zone.Ranges().At(0) // x
 			if iv.Min.Int() != int64(want[0]) || iv.Max.Int() != int64(want[9]) {
 				t.Errorf("block %d zone = %v", id, iv)
 			}
@@ -271,7 +271,7 @@ func TestStoreZoneSkip(t *testing.T) {
 		p := predicate.NewComparison("x", predicate.Lt, value.Int(150))
 		matched := 0
 		for _, z := range s.Zones("t") {
-			if predicate.CompileRanges(p)(z.Ranges()) != predicate.TriFalse {
+			if predicate.CompileRanges(p, intTable(t, 1).Schema())(z.Ranges()) != predicate.TriFalse {
 				matched++
 			}
 		}

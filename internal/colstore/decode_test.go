@@ -40,19 +40,19 @@ func readBlockData(s *Segment, id int) (*blockData, error) {
 		return nil, fmt.Errorf("colstore: segment %s: no block %d", s.name, id)
 	}
 	all := []int{rowIDPage}
-	for ci := range s.cols {
+	for ci := range s.schema.NumColumns() {
 		all = append(all, ci)
 	}
 	eb, n, err := s.readPages(id, all, nil)
 	if err != nil {
 		return nil, err
 	}
-	bd := &blockData{Block: eb.Block, Cols: make([]columnData, len(s.cols)), Bytes: n}
+	bd := &blockData{Block: eb.Block, Cols: make([]columnData, s.schema.NumColumns()), Bytes: n}
 	for ci, payload := range eb.Cols {
-		cd, err := decodeColumn(payload, s.cols[ci].kind, s.blocks[id].nrows)
+		cd, err := decodeColumn(payload, s.schema.Column(ci).Type, s.blocks[id].nrows)
 		if err != nil {
 			return nil, fmt.Errorf("colstore: segment %s: block %d: page %d (column %s): %w",
-				s.name, id, 1+ci, s.cols[ci].name, err)
+				s.name, id, 1+ci, s.schema.Column(ci).Name, err)
 		}
 		bd.Cols[ci] = cd
 	}

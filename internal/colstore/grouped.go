@@ -39,7 +39,7 @@ func (t *TableFold) foldGroups(eb *EncodedBlock, nrows int, local []uint64, pop 
 	// one NULL group; a min==max block holds one non-null group value, so
 	// the grouped fold degenerates to the one-slot fold into that slot
 	// (split against the group page's null bitmap when it has one).
-	iv := eb.Block.Zone.Column(gname)
+	iv := eb.Block.Zone.Ranges().At(t.gcol)
 	if iv.Empty {
 		return t.foldRows(eb, nrows, local, pop, 0, nil, gs, sc)
 	}
@@ -76,7 +76,7 @@ func (t *TableFold) foldGroups(eb *EncodedBlock, nrows int, local []uint64, pop 
 // value is known to the global dictionary (it always is for segments
 // built from the dictionary's base table; unknown values fall through to
 // the general per-row path, which reports them as errors if actually hit).
-func (t *TableFold) singleZoneSlot(iv predicate.Interval) (int, bool) {
+func (t *TableFold) singleZoneSlot(iv *predicate.Interval) (int, bool) {
 	k := t.group.Dict.Kind
 	if iv.Min.Kind() != k || iv.Max.Kind() != k {
 		return 0, false

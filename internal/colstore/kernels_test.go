@@ -94,7 +94,6 @@ func TestLeafKernelsAtWordBoundaries(t *testing.T) {
 // probe (IN). ns/row is per row of the page.
 func BenchmarkLeafKernels(b *testing.B) {
 	const n = 1000
-	kindOf := func(string) (value.Kind, bool) { return value.KindInt, true }
 	for _, width := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16} {
 		rng := rand.New(rand.NewSource(int64(width)))
 		tab := relation.NewTable(relation.MustSchema("lk", relation.Column{Name: "c", Type: value.KindInt}))
@@ -112,7 +111,7 @@ func BenchmarkLeafKernels(b *testing.B) {
 			"in": predicate.NewIn("c", value.Int(0), value.Int(top/3), value.Int(top/2), value.Int(top)),
 		}
 		for _, name := range []string{"band", "in"} {
-			node := predicate.CompileScan(leaves[name], kindOf)
+			node := predicate.CompileScan(leaves[name], tab.Schema())
 			b.Run(fmt.Sprintf("w%d/%s", width, name), func(b *testing.B) {
 				sc := getScratch()
 				defer putScratch(sc)

@@ -378,7 +378,13 @@ func (v *strView) codesAt(mask []uint64, pop int, sc *scratch) ([]uint64, error)
 // own scratch holds the view and the decoded runs, so the slots of one
 // visit never share a buffer.
 type colSlot struct {
-	sc     scratch
+	sc scratch
+	slotRead
+}
+
+// slotRead is what a colSlot has read of its page, all of it dropped by
+// release.
+type slotRead struct {
 	opened bool
 	err    error // the parse's or the code check's, returned to every reader
 	pv     pageView
@@ -467,8 +473,9 @@ func (s *colSlot) strRows() (*strView, []uint64, error) {
 func (s *colSlot) decoded() bool { return s.gotCodes || s.gotInts || s.gotFloats }
 
 // release drops the slot's references into page bytes, keeping its
-// buffers for the next visit.
+// buffers for the next visit. It clears slotRead alone: assigning a fresh
+// colSlot would copy the embedded scratch out and back.
 func (s *colSlot) release() {
 	s.sc.intv, s.sc.strv = intView{}, strView{}
-	*s = colSlot{sc: s.sc}
+	s.slotRead = slotRead{}
 }

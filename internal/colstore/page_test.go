@@ -222,15 +222,14 @@ func (c *pageCheck) check(kind value.Kind, pv pageView, noNulls bool) bool {
 		}
 	}
 	// Scan leaves.
-	ts := &TableScan{table: "sc", colIdx: map[string]int{"mut": 0, "peer": 1}}
+	ts := &TableScan{table: "sc", schema: tab.Schema()}
 	eb := &EncodedBlock{Cols: [][]byte{c.page, peer}}
 	if decoded { // the zone map of what decoded: leaves it settles are zone-decided
 		rows := seq32(0, nrows)
 		eb.Block = &block.Block{Rows: rows, Zone: zonemap.Build(tab, rows)}
 	}
-	kindOf := func(string) (value.Kind, bool) { return kind, true }
 	for _, p := range leafPredicates(kind) {
-		node := predicate.CompileScan(p, kindOf)
+		node := predicate.CompileScan(p, tab.Schema())
 		got := make([]uint64, nw)
 		name := fmt.Sprintf("scan %s", p)
 		if c.run(name, true, decoded, func() error {

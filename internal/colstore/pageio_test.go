@@ -32,7 +32,7 @@ func pageBytes(s *Store, ids []int, rowIDs bool, cols ...string) int64 {
 			n += frameSize + pages[0].length
 		}
 		for _, col := range cols {
-			ci, _ := seg.colIndex(col)
+			ci, _ := seg.schema.ColumnIndex(col)
 			n += frameSize + pages[1+ci].length
 		}
 	}
@@ -409,7 +409,7 @@ func corruptUntouchedPage(t *testing.T, src string) {
 	groups := interleavedGroups(n, 4)
 	intact := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
 	s := installScanTable(t, openByteSource(t, src, 1<<20), tab, groups)
-	ci, _ := s.state("sc").seg.colIndex(badCol)
+	ci, _ := s.state("sc").seg.schema.ColumnIndex(badCol)
 	flipPageByte(t, s, badBlk, 1+ci)
 
 	check := func(name string, reads bool, got interface{}, err error, want interface{}, wantE error) {

@@ -9,7 +9,9 @@ import (
 
 	"mto/internal/block"
 	"mto/internal/predicate"
+	"mto/internal/relation"
 	"mto/internal/value"
+	"mto/internal/zonemap"
 )
 
 // This file implements compressed-domain predicate evaluation: filters
@@ -36,7 +38,7 @@ type TableScan struct {
 	table  string
 	st     *tableState
 	progs  []predicate.ScanNode // parallel to the CompileScan filters
-	colIdx map[string]int
+	schema *relation.Schema     // the segment's: every leaf holds its column's ordinal
 	// touched lists, ascending, the segment columns the pushed-down
 	// filters name: the pages a block visit asks the pool for (none for an
 	// unfiltered scan, which needs the row IDs only).
@@ -45,36 +47,26 @@ type TableScan struct {
 
 // CompileScan implements block.Backend: it compiles filters for
 // compressed-domain evaluation against the table's current segment,
-// normalizing every literal once per (query, table). Returns nil when the
-// table has no segment.
+// normalizing every literal and binding every leaf to its column's
+// ordinal in the segment's schema once per (query, table). Returns nil
+// when the table has no segment.
 func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.Scan {
 	st := s.state(table)
 	if st == nil {
 		return nil
 	}
 	seg := st.seg
-	colIdx := make(map[string]int, len(seg.cols))
-	for i, c := range seg.cols {
-		colIdx[c.name] = i
-	}
-	kindOf := func(col string) (value.Kind, bool) {
-		ci, ok := colIdx[col]
-		if !ok {
-			return value.KindNull, false
-		}
-		return seg.cols[ci].kind, true
-	}
 	ts := &TableScan{
 		store:  s,
 		table:  table,
 		st:     st,
 		progs:  make([]predicate.ScanNode, len(filters)),
-		colIdx: colIdx,
+		schema: seg.schema,
 	}
-	reads := make([]bool, len(seg.cols))
+	reads := make([]bool, seg.schema.NumColumns())
 	for i, f := range filters {
-		ts.progs[i] = predicate.CompileScan(f, kindOf)
-		markReads(ts.progs[i], colIdx, reads)
+		ts.progs[i] = predicate.CompileScan(f, seg.schema)
+		markReads(ts.progs[i], reads)
 	}
 	ts.touched = setColumns(reads)
 	return ts
@@ -84,21 +76,21 @@ func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.S
 // n read. Normalization has already turned a leaf that can match nothing
 // (a NULL, NaN or other-kind literal, a missing column) into a constant,
 // which reads no page.
-func markReads(n predicate.ScanNode, colIdx map[string]int, reads []bool) {
+func markReads(n predicate.ScanNode, reads []bool) {
 	switch q := n.(type) {
 	case *predicate.ScanAnd:
 		for _, c := range q.Children {
-			markReads(c, colIdx, reads)
+			markReads(c, reads)
 		}
 	case *predicate.ScanOr:
 		for _, c := range q.Children {
-			markReads(c, colIdx, reads)
+			markReads(c, reads)
 		}
 	case *predicate.ScanCmpCols:
-		reads[colIdx[q.Right]] = true
+		reads[q.Right] = true
 	}
-	if _, name, _ := leafOf(n); name != "" {
-		reads[colIdx[name]] = true
+	if _, ord, _ := leafOf(n); ord >= 0 {
+		reads[ord] = true
 	}
 }
 
@@ -189,7 +181,7 @@ type visit struct {
 	t     *TableScan
 	eb    *EncodedBlock
 	nrows int
-	zone  predicate.Ranges // nil: the block has no zone map, nothing is decided
+	zone  *zonemap.ZoneMap // nil: the block has no zone map, nothing is decided
 	sc    *scratch
 	cols  []colSlot // per segment column
 
@@ -199,7 +191,7 @@ type visit struct {
 func (t *TableScan) newVisit(eb *EncodedBlock, nrows int, sc *scratch) visit {
 	v := visit{t: t, eb: eb, nrows: nrows, sc: sc, cols: sc.grabCols(len(eb.Cols))}
 	if eb.Block != nil && eb.Block.Zone != nil {
-		v.zone = eb.Block.Zone.Ranges()
+		v.zone = eb.Block.Zone
 	}
 	return v
 }
@@ -236,7 +228,7 @@ func (v *visit) decide(n predicate.ScanNode) predicate.Tri {
 		return predicate.TriFalse
 	}
 	if zone, _, _ := leafOf(n); zone != nil && v.zone != nil {
-		return zone(v.zone)
+		return zone(v.zone.Ranges())
 	}
 	return predicate.TriMaybe
 }
@@ -301,42 +293,41 @@ func (v *visit) combine(kids []predicate.ScanNode, and bool, out []uint64) error
 	return nil
 }
 
-// leafOf is a column leaf's zone evaluator, the column it reads (a
-// pair's left one) and that column's kind; a nil zone and "" for AND, OR
-// and constants.
-func leafOf(n predicate.ScanNode) (predicate.ZoneEval, string, value.Kind) {
+// leafOf is a column leaf's zone evaluator, the ordinal of the column it
+// reads (a pair's left one) and that column's kind; a nil zone and -1 for
+// AND, OR and constants.
+func leafOf(n predicate.ScanNode) (predicate.ZoneEval, int, value.Kind) {
 	switch q := n.(type) {
 	case *predicate.ScanCmpInt:
-		return q.Zone, q.Column, value.KindInt
+		return q.Zone, q.Col, value.KindInt
 	case *predicate.ScanBand:
-		return q.Zone, q.Column, q.Lo.Kind()
+		return q.Zone, q.Col, q.Lo.Kind()
 	case *predicate.ScanCmpFloat:
-		return nil, q.Column, value.KindFloat
+		return nil, q.Col, value.KindFloat
 	case *predicate.ScanCmpStr:
-		return q.Zone, q.Column, value.KindString
+		return q.Zone, q.Col, value.KindString
 	case *predicate.ScanInInt:
-		return q.Zone, q.Column, value.KindInt
+		return q.Zone, q.Col, value.KindInt
 	case *predicate.ScanInStr:
-		return q.Zone, q.Column, value.KindString
+		return q.Zone, q.Col, value.KindString
 	case *predicate.ScanLike:
-		return q.Zone, q.Column, value.KindString
+		return q.Zone, q.Col, value.KindString
 	case *predicate.ScanCmpCols:
 		return q.Zone, q.Left, q.LeftKind
 	}
-	return nil, "", value.KindNull
+	return nil, -1, value.KindNull
 }
 
-// col opens the named column's slot for a leaf reading kind, naming the
-// column in any page error.
-func (v *visit) col(name string, kind value.Kind) (*colSlot, error) {
-	ci := v.t.colIdx[name]
+// col opens the slot of the column of ordinal ci for a leaf reading kind,
+// naming the column in any page error.
+func (v *visit) col(ci int, kind value.Kind) (*colSlot, error) {
 	s := &v.cols[ci]
 	err := s.open(v.eb.Cols[ci], v.nrows)
 	if err == nil && s.kind != kind {
 		err = fmt.Errorf("encoding 0x%02x is not a %s page", s.pv.enc, kind)
 	}
 	if err != nil {
-		return nil, v.t.pageErr(name, err)
+		return nil, v.t.pageErr(ci, err)
 	}
 	return s, nil
 }
@@ -347,12 +338,12 @@ func (v *visit) col(name string, kind value.Kind) (*colSlot, error) {
 // over the slot's codes or values. Null rows are then cleared straight off
 // the pages' null bitmaps.
 func (v *visit) leaf(n predicate.ScanNode, tri predicate.Tri, out []uint64) error {
-	_, name, kind := leafOf(n)
-	if name == "" {
+	_, ord, kind := leafOf(n)
+	if ord < 0 {
 		return fmt.Errorf("colstore: unknown scan node %T", n)
 	}
 	v.leaves++
-	l, err := v.col(name, kind)
+	l, err := v.col(ord, kind)
 	if err != nil {
 		return err
 	}
@@ -403,14 +394,15 @@ func (v *visit) kernel(n predicate.ScanNode, s, r *colSlot, out []uint64) error 
 		return v.cmpCols(q, s, r, out)
 	}
 	if err != nil {
-		_, name, _ := leafOf(n)
-		return v.t.pageErr(name, err)
+		_, ord, _ := leafOf(n)
+		return v.t.pageErr(ord, err)
 	}
 	return nil
 }
 
-func (t *TableScan) pageErr(col string, err error) error {
-	return fmt.Errorf("colstore: scan %s.%s: %w", t.table, col, err)
+// pageErr names the column of ordinal ci in a page error.
+func (t *TableScan) pageErr(ci int, err error) error {
+	return fmt.Errorf("colstore: scan %s.%s: %w", t.table, t.schema.Column(ci).Name, err)
 }
 
 // cmpInt evaluates (col op lit) over an int page. Pages whose values

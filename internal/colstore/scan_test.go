@@ -486,13 +486,7 @@ func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate)
 	t.Helper()
 	n := tab.NumRows()
 	ts, eb := pageScan(tab)
-	node := predicate.CompileScan(p, func(col string) (value.Kind, bool) {
-		ci, found := tab.Schema().ColumnIndex(col)
-		if !found {
-			return value.KindNull, false
-		}
-		return tab.Schema().Column(ci).Type, true
-	})
+	node := predicate.CompileScan(p, tab.Schema())
 	nw := (n + 63) / 64
 	want := make([]uint64, nw)
 	predicate.FillMask(p, tab, want)
@@ -517,11 +511,10 @@ func evalOnce(ts *TableScan, node predicate.ScanNode, eb *EncodedBlock, nrows in
 // pageScan encodes every column of tab as one block's pages, with the zone
 // map of all its rows, and returns a scan handle that evaluates over them.
 func pageScan(tab *relation.Table) (*TableScan, *EncodedBlock) {
-	ts := &TableScan{table: tab.Schema().Table(), colIdx: map[string]int{}}
+	ts := &TableScan{table: tab.Schema().Table(), schema: tab.Schema()}
 	eb := &EncodedBlock{Block: &block.Block{Rows: seq32(0, tab.NumRows())}}
 	eb.Block.Zone = zonemap.Build(tab, eb.Block.Rows)
 	for ci := 0; ci < tab.Schema().NumColumns(); ci++ {
-		ts.colIdx[tab.Schema().Column(ci).Name] = ci
 		eb.Cols = append(eb.Cols, encodeColumnPage(tab, ci))
 	}
 	return ts, eb
@@ -555,10 +548,9 @@ func TestRawLikeAllocatesNothing(t *testing.T) {
 		tab.MustAppendRow(value.String(fmt.Sprintf("item-%03d-%s", i, string(rune('a'+i%26)))))
 	}
 	page := encodeColumnPage(tab, 0)
-	kindOf := func(string) (value.Kind, bool) { return value.KindString, true }
 	for _, pattern := range []string{"item-01%", "%-q", "%-2%", "item-123-t", "item-_4%", "%1\\_%"} {
 		like := predicate.NewLike("s", pattern)
-		lk := predicate.CompileScan(like, kindOf).(*predicate.ScanLike)
+		lk := predicate.CompileScan(like, tab.Schema()).(*predicate.ScanLike)
 		var s colSlot
 		if err := s.open(page, n); err != nil {
 			t.Fatal(err)

@@ -110,7 +110,7 @@ func zoneBlock(t *testing.T, zc zoneColumn, null func(int) bool, n int) (*relati
 	}
 	rows := seq32(0, n)
 	eb := &EncodedBlock{Block: &block.Block{Rows: rows, Zone: zonemap.Build(tab, rows)}, Cols: [][]byte{w.buf}}
-	return tab, &TableScan{table: "zt", colIdx: map[string]int{"c": 0}}, eb
+	return tab, &TableScan{table: "zt", schema: tab.Schema()}, eb
 }
 
 // zoneLiterals are literals below, at the bottom of, inside, at the top of
@@ -182,10 +182,9 @@ func TestZoneDecidedLeaves(t *testing.T) {
 	for _, zc := range zoneColumns {
 		for _, nc := range zoneNulls {
 			tab, ts, eb := zoneBlock(t, zc, nc.null, n)
-			kindOf := func(string) (value.Kind, bool) { return zc.kind, true }
 			seen := map[predicate.Op]map[predicate.Tri]bool{}
 			for _, p := range zonePredicates(zc, zoneLiterals(zc, n)) {
-				node := predicate.CompileScan(p, kindOf)
+				node := predicate.CompileScan(p, tab.Schema())
 				want := make([]uint64, (n+63)/64)
 				predicate.FillMask(p, tab, want)
 				sc := getScratch()

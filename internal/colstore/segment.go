@@ -55,12 +55,6 @@ const (
 	maxBlockRows = 1 << 24
 )
 
-// colMeta echoes one schema column in the footer.
-type colMeta struct {
-	name string
-	kind value.Kind
-}
-
 // pageMeta locates one page's payload inside the file.
 type pageMeta struct {
 	off    int64
@@ -230,7 +224,7 @@ func encodeSegment(dst io.Writer, tl *block.TableLayout) error {
 		fw.uvarint(uint64(m.nrows))
 		ranges := m.zone.Ranges()
 		for ci := 0; ci < ncols; ci++ {
-			writeInterval(fw, ranges.Get(schema.Column(ci).Name))
+			writeInterval(fw, *ranges.At(ci))
 		}
 		fw.uvarint(uint64(len(m.pages)))
 		for _, p := range m.pages {
@@ -296,7 +290,7 @@ type Segment struct {
 	r         io.ReaderAt
 	table     string
 	totalRows int
-	cols      []colMeta
+	schema    *relation.Schema // the footer's schema echo
 	blocks    []blockMeta
 	zones     []*zonemap.ZoneMap
 	pageEnd   int64 // first byte past the page region
@@ -376,11 +370,17 @@ func loadSegment(name string, f io.ReaderAt, size int64) (*Segment, error) {
 	}
 	s.totalRows = int(total)
 	ncols := r.count(2)
-	s.cols = make([]colMeta, ncols)
-	for i := range s.cols {
-		s.cols[i] = colMeta{name: r.str(), kind: value.Kind(r.u8())}
-		if r.fail == nil && (s.cols[i].kind < value.KindInt || s.cols[i].kind > value.KindString) {
-			r.setErr(fmt.Sprintf("column %d has bad kind %d", i, s.cols[i].kind))
+	cols := make([]relation.Column, ncols)
+	for i := range cols {
+		cols[i] = relation.Column{Name: r.str(), Type: value.Kind(r.u8())}
+		if r.fail == nil && (cols[i].Type < value.KindInt || cols[i].Type > value.KindString) {
+			r.setErr(fmt.Sprintf("column %d has bad kind %d", i, cols[i].Type))
+		}
+	}
+	if r.fail == nil {
+		var err error
+		if s.schema, err = relation.NewSchema(s.table, cols...); err != nil {
+			r.setErr(err.Error())
 		}
 	}
 	nblocks := r.count(2)
@@ -396,11 +396,11 @@ func loadSegment(name string, f io.ReaderAt, size int64) (*Segment, error) {
 		}
 		m.nrows = int(nrows)
 		rowSum += m.nrows
-		ranges := make(predicate.Ranges, ncols)
-		for ci := 0; ci < ncols; ci++ {
-			ranges[s.cols[ci].name] = readInterval(r)
+		ivs := make([]predicate.Interval, ncols)
+		for ci := range ivs {
+			ivs[ci] = readInterval(r)
 		}
-		m.zone = zonemap.FromRanges(ranges, m.nrows)
+		m.zone = zonemap.FromRanges(predicate.NewRanges(ivs), m.nrows)
 		m.bare = &EncodedBlock{Block: &block.Block{ID: bi, Zone: m.zone}}
 		npages := r.count(2)
 		if r.fail == nil && npages != 1+ncols {
@@ -454,17 +454,6 @@ func (s *Segment) BlockRows(id int) int { return s.blocks[id].nrows }
 // Zones returns the per-block zone maps parsed from the footer (shared
 // slice, do not mutate). No page I/O is performed.
 func (s *Segment) Zones() []*zonemap.ZoneMap { return s.zones }
-
-// colIndex returns the index of the named column in the segment's schema
-// echo.
-func (s *Segment) colIndex(name string) (int, bool) {
-	for i, c := range s.cols {
-		if c.name == name {
-			return i, true
-		}
-	}
-	return -1, false
-}
 
 // publish gives a staged segment file its final name, the one NewStore
 // adopts. Open handles follow the file.
@@ -560,7 +549,7 @@ func (s *Segment) readPages(id int, cols []int, prev *EncodedBlock) (*EncodedBlo
 	if prev == nil {
 		prev = s.blocks[id].bare
 	}
-	eb := &EncodedBlock{Block: prev.Block, Cols: make([][]byte, len(s.cols)), size: prev.size}
+	eb := &EncodedBlock{Block: prev.Block, Cols: make([][]byte, s.schema.NumColumns()), size: prev.size}
 	copy(eb.Cols, prev.Cols)
 	var read int64
 	for _, ci := range cols {
@@ -601,15 +590,15 @@ func (s *Segment) ValidateAgainst(schema *relation.Schema) error {
 		return fmt.Errorf("colstore: segment %s: holds table %q, want %q",
 			s.name, s.table, schema.Table())
 	}
-	if len(s.cols) != schema.NumColumns() {
+	if n := s.schema.NumColumns(); n != schema.NumColumns() {
 		return fmt.Errorf("colstore: segment %s: %d columns, schema has %d",
-			s.name, len(s.cols), schema.NumColumns())
+			s.name, n, schema.NumColumns())
 	}
-	for i, c := range s.cols {
-		sc := schema.Column(i)
-		if c.name != sc.Name || c.kind != sc.Type {
+	for i := range schema.NumColumns() {
+		c, sc := s.schema.Column(i), schema.Column(i)
+		if c.Name != sc.Name || c.Type != sc.Type {
 			return fmt.Errorf("colstore: segment %s: column %d is %s %s, schema says %s %s",
-				s.name, i, c.name, c.kind, sc.Name, sc.Type)
+				s.name, i, c.Name, c.Type, sc.Name, sc.Type)
 		}
 	}
 	return nil

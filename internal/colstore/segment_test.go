@@ -104,7 +104,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(seg.Zones(), layoutZones(tl)) {
 		t.Error("footer zone maps differ from in-memory zone maps")
 	}
-	if !seg.Zones()[0].Column("allnull").Empty {
+	if !seg.Zones()[0].Ranges().At(tab.Schema().MustColumnIndex("allnull")).Empty {
 		t.Error("all-NULL column should round-trip as an Empty interval")
 	}
 	if err := seg.ValidateAgainst(tab.Schema()); err != nil {

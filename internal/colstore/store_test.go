@@ -205,7 +205,7 @@ func TestStoreFooterOnlyPruning(t *testing.T) {
 	s.TotalBlocks()
 	s.Tables()
 	for _, z := range s.Zones("mix") {
-		z.Column("i") // full zone-map sweep, as block pruning does
+		z.Ranges().At(0) // full zone-map sweep, as block pruning does
 	}
 	if got := s.Stats().BytesRead; got != 0 {
 		t.Fatalf("BytesRead = %d after metadata-only access, want 0", got)

@@ -100,12 +100,9 @@ func Load(r io.Reader, ds *relation.Dataset, w *workload.Workload) (*Optimizer, 
 		o.unique = UniqueFromDataset(ds)
 	}
 	for _, raw := range doc.Trees {
-		tree, err := qdtree.UnmarshalTree(raw)
+		tree, err := qdtree.UnmarshalTree(raw, ds)
 		if err != nil {
 			return nil, err
-		}
-		if ds.Table(tree.Table) == nil {
-			return nil, fmt.Errorf("core: layout references unknown table %q", tree.Table)
 		}
 		if _, dup := o.trees[tree.Table]; dup {
 			return nil, fmt.Errorf("core: duplicate tree for table %q", tree.Table)

@@ -413,9 +413,11 @@ func TestMergeRanges(t *testing.T) {
 
 func TestAnyKeyInInterval(t *testing.T) {
 	keys := []value.Value{value.Int(5), value.Int(10), value.Int(20)}
-	iv := func(lo, hi int64, loInc, hiInc bool) predicate.Interval {
-		return predicate.NewInterval(value.Int(lo), value.Int(hi), loInc, hiInc)
+	iv := func(lo, hi int64, loInc, hiInc bool) *predicate.Interval {
+		v := predicate.NewInterval(value.Int(lo), value.Int(hi), loInc, hiInc)
+		return &v
 	}
+	unbounded, empty := predicate.Unbounded(), predicate.Interval{Empty: true}
 	if !anyKeyInInterval(keys, iv(8, 12, true, true)) {
 		t.Error("10 in [8,12]")
 	}
@@ -425,13 +427,13 @@ func TestAnyKeyInInterval(t *testing.T) {
 	if anyKeyInInterval(keys, iv(10, 20, false, false)) {
 		t.Error("exclusive (10,20) contains no key")
 	}
-	if !anyKeyInInterval(keys, predicate.Unbounded()) {
+	if !anyKeyInInterval(keys, &unbounded) {
 		t.Error("unbounded contains keys")
 	}
-	if anyKeyInInterval(nil, predicate.Unbounded()) {
+	if anyKeyInInterval(nil, &unbounded) {
 		t.Error("no keys → false")
 	}
-	if anyKeyInInterval(keys, predicate.Interval{Empty: true}) {
+	if anyKeyInInterval(keys, &empty) {
 		t.Error("empty interval → false")
 	}
 }

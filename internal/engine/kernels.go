@@ -138,36 +138,17 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 
 	vecAliases := map[string]*vecAlias{}
 	byTable := map[string][]*vecAlias{}
+	filters := map[string][]predicate.Predicate{} // parallel to byTable
 	for _, alias := range q.Aliases() {
 		base := q.BaseTable(alias)
 		a := &vecAlias{alias: alias, table: base, filter: q.FilterOn(alias),
 			keys: map[string]*cachedKeys{}}
 		vecAliases[alias] = a
 		byTable[base] = append(byTable[base], a)
+		filters[base] = append(filters[base], a.filter)
 	}
-
-	// Batch zone-map pruning: compile each filter's range evaluator once,
-	// then sweep all of the table's candidate blocks in one pass. A block
-	// survives if any alias's filter might match it.
 	for _, name := range order {
-		ts := tables[name]
-		zones := e.store.Zones(name)
-		fns := make([]func(predicate.Ranges) predicate.Tri, len(byTable[name]))
-		for i, a := range byTable[name] {
-			fns[i] = predicate.CompileRanges(a.filter)
-		}
-		kept := ts.candidates[:0]
-		for _, id := range ts.candidates {
-			rs := zones[id].Ranges()
-			for _, fn := range fns {
-				if fn(rs) != predicate.TriFalse {
-					kept = append(kept, id)
-					break
-				}
-			}
-		}
-		ts.candidates = kept
-		ts.afterZoneMap = len(kept)
+		e.zonePrune(tables[name], filters[name])
 	}
 
 	// diPs: plan-time pruning from zone-map range sets (§3.1.1).
@@ -184,11 +165,7 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 	// prefetching a superset is harmless, it only warms the cache.
 	scans := make(map[string]block.Scan, len(order))
 	for _, name := range order {
-		filters := make([]predicate.Predicate, len(byTable[name]))
-		for i, a := range byTable[name] {
-			filters[i] = a.filter
-		}
-		scan := e.store.CompileScan(name, filters)
+		scan := e.store.CompileScan(name, filters[name])
 		if scan == nil {
 			return nil, errNoLayout(name)
 		}
@@ -235,6 +212,29 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 	res := e.assemble(q, order, tables, surviving, joinProbes, reducers)
 	res.Aggregates = aggs
 	return res, nil
+}
+
+// zonePrune is batch zone-map pruning: each filter's zone evaluator is
+// compiled once, bound to the table's column ordinals, and every candidate
+// block swept through them in one pass. A block survives if any alias's
+// filter might match it.
+func (e *Engine) zonePrune(ts *tableState, filters []predicate.Predicate) {
+	schema, zones := e.ds.Table(ts.table).Schema(), e.store.Zones(ts.table)
+	fns := make([]predicate.ZoneEval, len(filters))
+	for i, f := range filters {
+		fns[i] = predicate.CompileRanges(f, schema)
+	}
+	kept := ts.candidates[:0]
+	for _, id := range ts.candidates {
+		rs := zones[id].Ranges()
+		for _, fn := range fns {
+			if fn(rs) != predicate.TriFalse {
+				kept = append(kept, id)
+				break
+			}
+		}
+	}
+	ts.candidates, ts.afterZoneMap = kept, len(kept)
 }
 
 // scanKernel meters the reads of the table's candidate blocks and computes
@@ -313,10 +313,10 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 			continue
 		}
 		reducers++
-		zones := e.store.Zones(ts.table)
+		zones, ord := e.store.Zones(ts.table), e.zoneOrd(ts.table, myCol)
 		kept := ts.candidates[:0]
 		for _, id := range ts.candidates {
-			if anyCodeInInterval(ck.dict, ck.codes, zones[id].Column(myCol)) {
+			if anyCodeInInterval(ck.dict, ck.codes, zones[id].Ranges().At(ord)) {
 				kept = append(kept, id)
 			}
 		}
@@ -330,7 +330,7 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 // bound is ranked once in the dictionary (ColumnDict.Rank), and the keys
 // are binary-searched for the first code at or above lo. A bound the
 // keys' kind cannot be compared with keeps the block.
-func anyCodeInInterval(d *relation.ColumnDict, codes []int32, iv predicate.Interval) bool {
+func anyCodeInInterval(d *relation.ColumnDict, codes []int32, iv *predicate.Interval) bool {
 	if iv.Empty || len(codes) == 0 {
 		return false
 	}

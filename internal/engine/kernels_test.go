@@ -165,8 +165,9 @@ func TestSortedKeysMixedKinds(t *testing.T) {
 // binary-search normally, non-comparable runs keep the block conservatively,
 // and nothing panics.
 func TestAnyKeyInIntervalMixedKinds(t *testing.T) {
-	ivInt := func(lo, hi int64) predicate.Interval {
-		return predicate.NewInterval(value.Int(lo), value.Int(hi), true, true)
+	ivInt := func(lo, hi int64) *predicate.Interval {
+		v := predicate.NewInterval(value.Int(lo), value.Int(hi), true, true)
+		return &v
 	}
 	mixed := sortedKeys(map[value.Value]struct{}{
 		value.Int(1): {}, value.Int(5): {}, value.Float(2.5): {}, value.String("m"): {},
@@ -183,11 +184,11 @@ func TestAnyKeyInIntervalMixedKinds(t *testing.T) {
 	}
 	// String-bounded interval vs int keys: not comparable, keep.
 	ivStr := predicate.NewInterval(value.String("a"), value.String("z"), true, true)
-	if !anyKeyInInterval(sortedKeys(map[value.Value]struct{}{value.Int(1): {}}), ivStr) {
+	if !anyKeyInInterval(sortedKeys(map[value.Value]struct{}{value.Int(1): {}}), &ivStr) {
 		t.Error("non-comparable probe must keep conservatively")
 	}
 	// The mixed set against the string interval: the string run decides.
-	if !anyKeyInInterval(mixed, ivStr) {
+	if !anyKeyInInterval(mixed, &ivStr) {
 		t.Error(`"m" in ["a","z"] missed`)
 	}
 }
@@ -239,7 +240,8 @@ func TestAnyCodeInInterval(t *testing.T) {
 				}
 			}
 			keys := sortedKeys(boxed)
-			for _, iv := range ivs {
+			for i := range ivs {
+				iv := &ivs[i]
 				if got, want := anyCodeInInterval(d, codes, iv), anyKeyInInterval(keys, iv); got != want {
 					t.Errorf("%s keys %v, %v: code probe %v, boxed probe %v", name, keys, iv, got, want)
 				}

@@ -58,7 +58,7 @@ func sortedKeys(set map[value.Value]struct{}) []value.Value {
 // in sortedKeys order (kind-first). Keys of a kind not comparable with
 // iv's bounds cannot be proven outside the interval, so they count as hits
 // — pruning must stay conservative rather than panic on mixed-kind data.
-func anyKeyInInterval(keys []value.Value, iv predicate.Interval) bool {
+func anyKeyInInterval(keys []value.Value, iv *predicate.Interval) bool {
 	if iv.Empty || len(keys) == 0 {
 		return false
 	}
@@ -76,7 +76,7 @@ func anyKeyInInterval(keys []value.Value, iv predicate.Interval) bool {
 }
 
 // groupInInterval probes one same-kind run of sorted keys against iv.
-func groupInInterval(keys []value.Value, iv predicate.Interval) bool {
+func groupInInterval(keys []value.Value, iv *predicate.Interval) bool {
 	if (!iv.Min.IsNull() && !keys[0].Comparable(iv.Min)) ||
 		(!iv.Max.IsNull() && !keys[0].Comparable(iv.Max)) {
 		// Non-comparable bounds cannot prove these keys miss: keep.
@@ -101,6 +101,10 @@ func tableHasColumn(t *relation.Table, col string) bool {
 	_, ok := t.Schema().ColumnIndex(col)
 	return ok
 }
+
+// zoneOrd is col's ordinal in table's schema, the index of its interval in
+// the table's zone maps: -1, unbounded, when there is no such column.
+func (e *Engine) zoneOrd(table, col string) int { return e.ds.Table(table).Schema().Ordinal(col) }
 
 // runtimeBlockPrune applies semi-join reduction at the block level before
 // ts is read: for every join edge connecting ts to an already-materialized
@@ -148,11 +152,10 @@ func (e *Engine) runtimeBlockPrune(q *workload.Query, ts *tableState,
 		}
 		keys := sortedKeys(keysOf(otherTbl, other.rows, otherCol))
 		reducers++
-		zones := e.store.Zones(ts.table)
+		zones, ord := e.store.Zones(ts.table), e.zoneOrd(ts.table, myCol)
 		kept := ts.candidates[:0]
 		for _, id := range ts.candidates {
-			iv := zones[id].Column(myCol)
-			if anyKeyInInterval(keys, iv) {
+			if anyKeyInInterval(keys, zones[id].Ranges().At(ord)) {
 				kept = append(kept, id)
 			}
 		}
@@ -249,12 +252,11 @@ func (e *Engine) dipPrune(q *workload.Query, tables map[string]*tableState,
 	if src == nil || dst == nil || src.table == dst.table {
 		return false
 	}
-	srcZones := e.store.Zones(src.table)
+	srcZones, srcOrd := e.store.Zones(src.table), e.zoneOrd(src.table, srcCol)
 	var intervals []predicate.Interval
 	for _, id := range src.candidates {
-		iv := srcZones[id].Column(srcCol)
-		if !iv.Empty {
-			intervals = append(intervals, iv)
+		if iv := srcZones[id].Ranges().At(srcOrd); !iv.Empty {
+			intervals = append(intervals, *iv)
 		}
 	}
 	ranges := mergeRanges(intervals, rangeSetSize)
@@ -268,16 +270,16 @@ func (e *Engine) dipPrune(q *workload.Query, tables map[string]*tableState,
 		dst.candidates = dst.candidates[:0]
 		return true
 	}
-	dstZones := e.store.Zones(dst.table)
+	dstZones, dstOrd := e.store.Zones(dst.table), e.zoneOrd(dst.table, dstCol)
 	kept := dst.candidates[:0]
 	pruned := false
 	for _, id := range dst.candidates {
-		iv := dstZones[id].Column(dstCol)
+		iv := dstZones[id].Ranges().At(dstOrd)
 		ok := false
-		for _, r := range ranges {
+		for i := range ranges {
 			// Non-comparable bounds cannot prove disjointness: keep the
 			// block rather than panic inside Intersect.
-			if !boundsComparable(iv, r) || !iv.Intersect(r).Empty {
+			if r := &ranges[i]; !boundsComparable(iv, r) || !iv.Intersect(*r).Empty {
 				ok = true
 				break
 			}
@@ -349,7 +351,7 @@ func touching(a, b predicate.Interval) bool {
 
 // boundsComparable reports whether every pair of bounds across a and b can
 // be ordered (Null bounds order against anything).
-func boundsComparable(a, b predicate.Interval) bool {
+func boundsComparable(a, b *predicate.Interval) bool {
 	return a.Min.Comparable(b.Min) && a.Min.Comparable(b.Max) &&
 		a.Max.Comparable(b.Min) && a.Max.Comparable(b.Max)
 }
@@ -360,7 +362,7 @@ func boundsComparable(a, b predicate.Interval) bool {
 // them — and only merge, conservatively, in the coalesce phase via
 // predicate.Hull.
 func overlapsOrTouches(a, b predicate.Interval) bool {
-	if !boundsComparable(a, b) {
+	if !boundsComparable(&a, &b) {
 		return false
 	}
 	return !a.Intersect(b).Empty || touching(a, b)

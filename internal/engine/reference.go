@@ -28,33 +28,16 @@ func (e *Engine) executeReference(q *workload.Query) (*Result, error) {
 
 	aliasStates := map[string]*aliasState{}
 	byTable := map[string][]*aliasState{}
+	filters := map[string][]predicate.Predicate{}
 	for _, alias := range q.Aliases() {
 		base := q.BaseTable(alias)
 		as := &aliasState{alias: alias, table: base, filter: q.FilterOn(alias)}
 		aliasStates[alias] = as
 		byTable[base] = append(byTable[base], as)
+		filters[base] = append(filters[base], as.filter)
 	}
-
-	// Zone-map skipping: a block survives if any alias's filter might
-	// match it.
 	for _, name := range order {
-		ts := tables[name]
-		zones := e.store.Zones(name)
-		fns := make([]func(predicate.Ranges) predicate.Tri, len(byTable[name]))
-		for i, as := range byTable[name] {
-			fns[i] = predicate.CompileRanges(as.filter)
-		}
-		kept := ts.candidates[:0]
-		for _, id := range ts.candidates {
-			for _, fn := range fns {
-				if fn(zones[id].Ranges()) != predicate.TriFalse {
-					kept = append(kept, id)
-					break
-				}
-			}
-		}
-		ts.candidates = kept
-		ts.afterZoneMap = len(kept)
+		e.zonePrune(tables[name], filters[name])
 	}
 
 	// diPs: plan-time pruning from zone-map range sets (§3.1.1).

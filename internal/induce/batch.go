@@ -73,6 +73,7 @@ func EvaluateAll(ds *relation.Dataset, preds []*Predicate, parallelism int) erro
 	// Publish: every predicate's stages point at its plan nodes' sets;
 	// sets referenced by more than one predicate become copy-on-write.
 	for pi, p := range preds {
+		p.Bind(ds)
 		nodes := plan.predNodes[pi]
 		p.stages = make([]*keySet, len(nodes))
 		for i, n := range nodes {

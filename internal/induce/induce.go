@@ -34,12 +34,30 @@ type Predicate struct {
 	// Hops[i].FromColumn. The literal cut is stages[depth-1], interpreted
 	// over the target's join column Hops[depth-1].ToColumn.
 	stages []*keySet
+
+	// source is the source table's schema, set by Bind: query routing
+	// binds the source cut's columns, and the query's filters on the
+	// source, to its ordinals.
+	source *relation.Schema
 }
 
 // New returns an unevaluated join-induced predicate.
 func New(path joingraph.Path, sourceCut predicate.Predicate) *Predicate {
 	return &Predicate{Path: path, SourceCut: sourceCut}
 }
+
+// Bind records the schema of the source table in ds (EvaluateAll binds
+// every predicate it evaluates).
+func (p *Predicate) Bind(ds *relation.Dataset) {
+	if t := ds.Table(p.Path.Source()); t != nil {
+		p.source = t.Schema()
+	}
+}
+
+// SourceSchema returns the schema Bind recorded, nil before: every column
+// of the source cut then reads as unbounded, and routing through the cut
+// visits both children.
+func (p *Predicate) SourceSchema() *relation.Schema { return p.source }
 
 // Target returns the base table the predicate filters.
 func (p *Predicate) Target() string { return p.Path.Target() }

@@ -12,6 +12,7 @@ package joingraph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mto/internal/workload"
@@ -198,8 +199,7 @@ func MatchPath(q *workload.Query, p Path) ([]string, bool) {
 		frontier = append(frontier, state{current: a, source: a})
 	}
 	for _, hop := range p.Hops {
-		var next []state
-		seen := map[state]bool{}
+		var next []state // a handful of aliases: a scan dedups it
 		for _, st := range frontier {
 			for _, ah := range legalHopsFrom(q, st.current, AllowAll) {
 				// Match tables and columns; the join type may differ
@@ -210,9 +210,7 @@ func MatchPath(q *workload.Query, p Path) ([]string, bool) {
 					ah.hop.ToTable != hop.ToTable || ah.hop.ToColumn != hop.ToColumn {
 					continue
 				}
-				ns := state{current: ah.toAlias, source: st.source}
-				if !seen[ns] {
-					seen[ns] = true
+				if ns := (state{current: ah.toAlias, source: st.source}); !slices.Contains(next, ns) {
 					next = append(next, ns)
 				}
 			}
@@ -222,11 +220,9 @@ func MatchPath(q *workload.Query, p Path) ([]string, bool) {
 			return nil, false
 		}
 	}
-	srcSet := map[string]bool{}
 	var sources []string
 	for _, st := range frontier {
-		if !srcSet[st.source] {
-			srcSet[st.source] = true
+		if !slices.Contains(sources, st.source) {
 			sources = append(sources, st.source)
 		}
 	}

@@ -45,7 +45,8 @@ func (td *TableDesign) setGroupBlocks(groupBlocks [][]int) {
 
 // blockUnion collects block IDs, each once, in first-seen order. Groups are
 // consecutive block runs, so over ascending groups an ID is new exactly when
-// it exceeds the last; any other order scans ids.
+// it exceeds the last, and one equal to the last is the block two groups
+// share; any other order scans ids.
 type blockUnion struct {
 	ids      []int
 	unsorted bool
@@ -53,7 +54,11 @@ type blockUnion struct {
 
 func (u *blockUnion) add(ids []int) {
 	for _, id := range ids {
-		if n := len(u.ids); u.unsorted || (n > 0 && id <= u.ids[n-1]) {
+		n := len(u.ids)
+		if n > 0 && id == u.ids[n-1] {
+			continue
+		}
+		if u.unsorted || (n > 0 && id < u.ids[n-1]) {
 			if slices.Contains(u.ids, id) {
 				continue
 			}
@@ -211,7 +216,7 @@ func (d *Design) BlocksFor(q *workload.Query, table string) ([]int, bool) {
 	if td.route == nil {
 		return slices.Clone(td.allBlocks), true
 	}
-	var out blockUnion
+	out := blockUnion{ids: make([]int, 0, len(td.allBlocks))}
 	for _, gi := range td.route(q) {
 		if gi >= 0 && gi < len(td.groupBlocks) {
 			out.add(td.groupBlocks[gi])

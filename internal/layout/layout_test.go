@@ -15,13 +15,16 @@ import (
 	"mto/internal/workload"
 )
 
+// twoColSchema is the schema of twoColDataset's table.
+var twoColSchema = relation.MustSchema("T",
+	relation.Column{Name: "x", Type: value.KindInt},
+	relation.Column{Name: "y", Type: value.KindInt},
+)
+
 func twoColDataset(t *testing.T, n int, seed int64) *relation.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	tab := relation.NewTable(relation.MustSchema("T",
-		relation.Column{Name: "x", Type: value.KindInt},
-		relation.Column{Name: "y", Type: value.KindInt},
-	))
+	tab := relation.NewTable(twoColSchema)
 	for i := 0; i < n; i++ {
 		tab.MustAppendRow(value.Int(int64(rng.Intn(1000))), value.Int(int64(rng.Intn(1000))))
 	}
@@ -33,7 +36,7 @@ func twoColDataset(t *testing.T, n int, seed int64) *relation.Dataset {
 func skippableBlocks(blocks []*block.Block, p predicate.Predicate) (skipped, total int) {
 	for _, b := range blocks {
 		total++
-		if predicate.CompileRanges(p)(b.Zone.Ranges()) == predicate.TriFalse {
+		if predicate.CompileRanges(p, twoColSchema)(b.Zone.Ranges()) == predicate.TriFalse {
 			skipped++
 		}
 	}

@@ -190,6 +190,10 @@ func (in *Instance) swap() {
 	}
 }
 
+// Closed reports whether Close has run: every later mutation is refused
+// with ErrClosed.
+func (in *Instance) Closed() bool { return in.closed.Load() }
+
 // Close refuses every later mutation, fails a reorganization staging
 // meanwhile at its commit, and closes the backend if it is an io.Closer.
 func (in *Instance) Close() error {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"mto/internal/relation"
 	"mto/internal/value"
 )
 
@@ -39,36 +40,39 @@ type ScanOr struct{ Children []ScanNode }
 // there is no column behind it.
 type ScanConst bool
 
-// ZoneEval is a leaf's zone-map decision: CompileRanges of the normalized
-// predicate the leaf was compiled from. TriTrue means every non-null row
-// matches, TriFalse that none does. It is nil on leaves over a float
+// ZoneEval is a compiled zone evaluator (CompileRanges): a predicate's
+// three-valued decision over a region. A scan leaf carries the one of the
+// normalized predicate it was compiled from; TriTrue means every non-null
+// row matches, TriFalse that none does. It is nil on leaves over a float
 // column: a zone map's bounds leave NaN rows out, so its TriTrue would
 // claim rows that match nothing.
 type ZoneEval func(Ranges) Tri
 
-// ScanCmpInt is an int-column comparison against an int literal.
+// ScanCmpInt is an int-column comparison against an int literal. Col,
+// here and on every column leaf, is the column's ordinal in the schema the
+// leaf was compiled against.
 type ScanCmpInt struct {
-	Column string
-	Op     Op
-	Lit    int64
-	Zone   ZoneEval
+	Col  int
+	Op   Op
+	Lit  int64
+	Zone ZoneEval
 }
 
 // ScanCmpFloat is a float-column comparison against a float literal that
 // is not NaN; normalize has made an int literal its exact float bound.
 type ScanCmpFloat struct {
-	Column string
-	Op     Op
-	Lit    float64
+	Col int
+	Op  Op
+	Lit float64
 }
 
 // ScanCmpStr is a string-column comparison against a string literal.
 // Sorted dictionary pages evaluate it as a code-range test.
 type ScanCmpStr struct {
-	Column string
-	Op     Op
-	Lit    string
-	Zone   ZoneEval
+	Col  int
+	Op   Op
+	Lit  string
+	Zone ZoneEval
 }
 
 // ScanBand is Lo ≤/< Column ≤/< Hi over an int or string column (Lo and
@@ -76,7 +80,7 @@ type ScanCmpStr struct {
 // inclusive): a lower and an upper comparison on one column under one AND,
 // fused so a page compares each code against one range, not twice.
 type ScanBand struct {
-	Column       string
+	Col          int
 	Lo, Hi       value.Value
 	LoInc, HiInc bool
 	Zone         ZoneEval
@@ -106,7 +110,7 @@ func (b *ScanBand) Ints() (lo, hi int64, ok bool) {
 // row with NULL or NaN on either side never matches. LeftKind and
 // RightKind are the columns' kinds.
 type ScanCmpCols struct {
-	Left, Right         string
+	Left, Right         int
 	LeftKind, RightKind value.Kind
 	Op                  Op
 	Zone                ZoneEval
@@ -116,7 +120,7 @@ type ScanCmpCols struct {
 // Sorted is the same values ascending and distinct, for merge-joins
 // against sorted page dictionaries.
 type ScanInInt struct {
-	Column string
+	Col    int
 	Set    map[int64]struct{}
 	Sorted []int64
 	Negate bool
@@ -125,7 +129,7 @@ type ScanInInt struct {
 
 // ScanInStr is col [NOT] IN over a string column.
 type ScanInStr struct {
-	Column string
+	Col    int
 	Set    map[string]struct{}
 	Sorted []string
 	Negate bool
@@ -136,7 +140,7 @@ type ScanInStr struct {
 // specialized once at compile time (exact/prefix/suffix/substring shapes
 // avoid the recursive wildcard walk); Match reads bytes in place, keeping none.
 type ScanLike struct {
-	Column  string
+	Col     int
 	Pattern string
 	Match   func([]byte) bool
 	Negate  bool
@@ -156,52 +160,54 @@ func (*ScanInStr) scanNode()    {}
 func (*ScanLike) scanNode()     {}
 
 // CompileScan compiles p for compressed-domain evaluation against a table
-// whose column kinds are reported by kindOf (missing columns return
-// ok=false from kindOf). All literal work — normalization, IN-set
-// construction and sorting, LIKE matcher specialization — happens here,
-// once per (query, table), so per-page evaluation only translates the
-// normalized literals into each page's code space.
-func CompileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNode {
-	return compileScan(normalize(p, kindOf), kindOf)
+// of schema s, each column leaf bound to its column's ordinal. All literal
+// work — normalization, IN-set construction and sorting, LIKE matcher
+// specialization — happens here, once per (query, table), so per-page
+// evaluation only translates the normalized literals into each page's
+// code space.
+func CompileScan(p Predicate, s *relation.Schema) ScanNode {
+	return compileScan(normalize(p, s), s)
 }
 
 // compileScan builds the plan tree of a normalized predicate.
-func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNode {
+func compileScan(p Predicate, s *relation.Schema) ScanNode {
 	switch q := p.(type) {
 	case *Comparison:
-		switch kind, _ := kindOf(q.Column); kind {
+		ord := s.Ordinal(q.Column)
+		switch kind, _ := s.Kind(q.Column); kind {
 		case value.KindInt:
-			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int(), Zone: CompileRanges(q)}
+			return &ScanCmpInt{Col: ord, Op: q.Op, Lit: q.Value.Int(), Zone: CompileRanges(q, s)}
 		case value.KindFloat:
-			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.Float()}
+			return &ScanCmpFloat{Col: ord, Op: q.Op, Lit: q.Value.Float()}
 		default:
-			return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str(), Zone: CompileRanges(q)}
+			return &ScanCmpStr{Col: ord, Op: q.Op, Lit: q.Value.Str(), Zone: CompileRanges(q, s)}
 		}
 	case *ColumnComparison:
-		lk, _ := kindOf(q.Left)
-		rk, _ := kindOf(q.Right)
-		node := &ScanCmpCols{Left: q.Left, Right: q.Right, LeftKind: lk, RightKind: rk, Op: q.Op}
+		lk, _ := s.Kind(q.Left)
+		rk, _ := s.Kind(q.Right)
+		node := &ScanCmpCols{Left: s.Ordinal(q.Left), Right: s.Ordinal(q.Right), LeftKind: lk, RightKind: rk, Op: q.Op}
 		if lk != value.KindFloat && rk != value.KindFloat {
-			node.Zone = CompileRanges(q)
+			node.Zone = CompileRanges(q, s)
 		}
 		return node
 	case *InList:
-		if kind, _ := kindOf(q.Column); kind == value.KindInt {
-			node := &ScanInInt{Column: q.Column, Set: intSet(q.Values), Negate: q.Negate_, Zone: CompileRanges(q)}
+		ord := s.Ordinal(q.Column)
+		if kind, _ := s.Kind(q.Column); kind == value.KindInt {
+			node := &ScanInInt{Col: ord, Set: intSet(q.Values), Negate: q.Negate_, Zone: CompileRanges(q, s)}
 			node.Sorted = sortedKeys(node.Set)
 			return node
 		}
-		node := &ScanInStr{Column: q.Column, Set: strSet(q.Values), Negate: q.Negate_, Zone: CompileRanges(q)}
+		node := &ScanInStr{Col: ord, Set: strSet(q.Values), Negate: q.Negate_, Zone: CompileRanges(q, s)}
 		node.Sorted = sortedKeys(node.Set)
 		return node
 	case *Like:
 		match := likeMatcher(q.Pattern)
 		return &ScanLike{
-			Column:  q.Column,
+			Col:     s.Ordinal(q.Column),
 			Pattern: q.Pattern,
 			Match:   func(b []byte) bool { return match(unsafe.String(unsafe.SliceData(b), len(b))) },
 			Negate:  q.Negate_,
-			Zone:    CompileRanges(q),
+			Zone:    CompileRanges(q, s),
 		}
 	case *And:
 		node := &ScanAnd{}
@@ -210,12 +216,12 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 			if fused[i] {
 				continue
 			}
-			if band, j := fuseBand(q.Children, i, fused, kindOf); band != nil {
+			if band, j := fuseBand(q.Children, i, fused, s); band != nil {
 				fused[j] = true
 				node.Children = append(node.Children, band)
 				continue
 			}
-			node.Children = append(node.Children, compileScan(c, kindOf))
+			node.Children = append(node.Children, compileScan(c, s))
 		}
 		if len(node.Children) == 1 {
 			return node.Children[0]
@@ -224,9 +230,9 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 	case *Or:
 		node := &ScanOr{Children: make([]ScanNode, len(q.Children))}
 		for i, c := range q.Children {
-			node.Children[i] = compileScan(c, kindOf)
+			node.Children[i] = compileScan(c, s)
 		}
-		if union := unionBands(node.Children); union != nil {
+		if union := unionBands(node.Children, s); union != nil {
 			return union
 		}
 		return node
@@ -238,16 +244,16 @@ func compileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNo
 // their intervals, so a page scans the column once per disjoint range:
 // overlapping and adjacent (hi+1 == lo) bands merge into one. It returns
 // nil when kids are not all int bands on one column, or none holds an int.
-func unionBands(kids []ScanNode) ScanNode {
+func unionBands(kids []ScanNode, s *relation.Schema) ScanNode {
 	type span struct{ lo, hi int64 }
 	var spans []span
-	col := ""
+	col := -1
 	for _, k := range kids {
 		b, ok := k.(*ScanBand)
-		if !ok || b.Lo.Kind() != value.KindInt || col != "" && b.Column != col {
+		if !ok || b.Lo.Kind() != value.KindInt || col >= 0 && b.Col != col {
 			return nil
 		}
-		col = b.Column
+		col = b.Col
 		if lo, hi, ok := b.Ints(); ok {
 			spans = append(spans, span{lo, hi})
 		}
@@ -257,20 +263,20 @@ func unionBands(kids []ScanNode) ScanNode {
 	}
 	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 	merged := spans[:1]
-	for _, s := range spans[1:] {
-		// s.lo > last.hi ≥ MinInt64 when the first test fails, so s.lo-1
+	for _, sp := range spans[1:] {
+		// sp.lo > last.hi ≥ MinInt64 when the first test fails, so sp.lo-1
 		// cannot wrap.
-		if last := &merged[len(merged)-1]; s.lo <= last.hi || s.lo-1 == last.hi {
-			last.hi = max(last.hi, s.hi)
+		if last := &merged[len(merged)-1]; sp.lo <= last.hi || sp.lo-1 == last.hi {
+			last.hi = max(last.hi, sp.hi)
 		} else {
-			merged = append(merged, s)
+			merged = append(merged, sp)
 		}
 	}
-	out := &ScanOr{}
-	for _, s := range merged {
-		lo, hi := NewComparison(col, Ge, value.Int(s.lo)), NewComparison(col, Le, value.Int(s.hi))
-		out.Children = append(out.Children, &ScanBand{Column: col, Lo: lo.Value, Hi: hi.Value, LoInc: true, HiInc: true,
-			Zone: CompileRanges(&And{Children: []Predicate{lo, hi}})})
+	out, name := &ScanOr{}, s.Column(col).Name
+	for _, sp := range merged {
+		lo, hi := NewComparison(name, Ge, value.Int(sp.lo)), NewComparison(name, Le, value.Int(sp.hi))
+		out.Children = append(out.Children, &ScanBand{Col: col, Lo: lo.Value, Hi: hi.Value, LoInc: true, HiInc: true,
+			Zone: CompileRanges(&And{Children: []Predicate{lo, hi}}, s)})
 	}
 	if len(out.Children) == 1 {
 		return out.Children[0]
@@ -293,13 +299,13 @@ func sortedKeys[T int64 | string](set map[T]struct{}) []T {
 // same column from the other side, returning the band and the partner's
 // index (nil when there is none). An AND of the two is the band whatever
 // order the conjunction lists them in.
-func fuseBand(children []Predicate, i int, fused []bool, kindOf func(col string) (value.Kind, bool)) (*ScanBand, int) {
+func fuseBand(children []Predicate, i int, fused []bool, s *relation.Schema) (*ScanBand, int) {
 	lower := func(op Op) bool { return op == Gt || op == Ge }
 	a, ok := children[i].(*Comparison)
 	if !ok || a.Op == Eq || a.Op == Ne {
 		return nil, -1
 	}
-	if kind, ok := kindOf(a.Column); !ok || kind == value.KindFloat {
+	if kind, ok := s.Kind(a.Column); !ok || kind == value.KindFloat {
 		return nil, -1
 	}
 	for j := i + 1; j < len(children); j++ {
@@ -311,8 +317,8 @@ func fuseBand(children []Predicate, i int, fused []bool, kindOf func(col string)
 		if !lower(a.Op) {
 			lo, hi = b, a
 		}
-		return &ScanBand{Column: a.Column, Lo: lo.Value, Hi: hi.Value, LoInc: lo.Op == Ge, HiInc: hi.Op == Le,
-			Zone: CompileRanges(&And{Children: []Predicate{lo, hi}})}, j
+		return &ScanBand{Col: s.Ordinal(a.Column), Lo: lo.Value, Hi: hi.Value, LoInc: lo.Op == Ge, HiInc: hi.Op == Le,
+			Zone: CompileRanges(&And{Children: []Predicate{lo, hi}}, s)}, j
 	}
 	return nil, -1
 }

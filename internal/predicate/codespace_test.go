@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"mto/internal/relation"
 	"mto/internal/value"
 )
 
@@ -17,7 +18,6 @@ import (
 // encoded pages in shapes_test.go.)
 func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 	tab := testTable(t)
-	kindOf := tableKinds(tab)
 	preds := []Predicate{
 		// Supported comparisons, one per op and column kind.
 		NewComparison("x", Lt, value.Int(15)),
@@ -67,7 +67,7 @@ func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 		False(),
 	}
 	for _, p := range preds {
-		if err := scanKinds(CompileScan(p, kindOf), kindOf); err != "" {
+		if err := scanKinds(CompileScan(p, tab.Schema()), tab.Schema()); err != "" {
 			t.Errorf("%s: %s", p, err)
 		}
 		evalAll(t, p, tab)
@@ -76,38 +76,38 @@ func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 
 // scanKinds checks that every leaf of a compiled plan reads its columns
 // as their kinds, returning what is wrong or "".
-func scanKinds(n ScanNode, kindOf func(string) (value.Kind, bool)) string {
-	is := func(col string, want value.Kind) bool { k, ok := kindOf(col); return ok && k == want }
+func scanKinds(n ScanNode, s *relation.Schema) string {
+	is := func(col int, want value.Kind) bool { return col >= 0 && s.Column(col).Type == want }
 	ok := true
 	switch q := n.(type) {
 	case *ScanAnd:
 		for _, c := range q.Children {
-			if err := scanKinds(c, kindOf); err != "" {
+			if err := scanKinds(c, s); err != "" {
 				return err
 			}
 		}
 	case *ScanOr:
 		for _, c := range q.Children {
-			if err := scanKinds(c, kindOf); err != "" {
+			if err := scanKinds(c, s); err != "" {
 				return err
 			}
 		}
 	case *ScanCmpInt:
-		ok = is(q.Column, value.KindInt)
+		ok = is(q.Col, value.KindInt)
 	case *ScanCmpFloat:
-		ok = is(q.Column, value.KindFloat) && q.Lit == q.Lit
+		ok = is(q.Col, value.KindFloat) && q.Lit == q.Lit
 	case *ScanCmpStr:
-		ok = is(q.Column, value.KindString)
+		ok = is(q.Col, value.KindString)
 	case *ScanBand:
-		ok = is(q.Column, q.Lo.Kind()) && q.Lo.Kind() == q.Hi.Kind()
+		ok = is(q.Col, q.Lo.Kind()) && q.Lo.Kind() == q.Hi.Kind()
 	case *ScanCmpCols:
 		ok = is(q.Left, q.LeftKind) && is(q.Right, q.RightKind) && comparableKinds(q.LeftKind, q.RightKind)
 	case *ScanInInt:
-		ok = is(q.Column, value.KindInt)
+		ok = is(q.Col, value.KindInt)
 	case *ScanInStr:
-		ok = is(q.Column, value.KindString)
+		ok = is(q.Col, value.KindString)
 	case *ScanLike:
-		ok = is(q.Column, value.KindString)
+		ok = is(q.Col, value.KindString)
 	}
 	if !ok {
 		return fmt.Sprintf("leaf %#v misreads its column", n)
@@ -121,9 +121,9 @@ func scanKinds(n ScanNode, kindOf func(string) (value.Kind, bool)) string {
 // missing-column collapse.
 func TestCompileScanNormalization(t *testing.T) {
 	tab := testTable(t)
-	kindOf := tableKinds(tab)
+	s := tab.Schema()
 
-	node := CompileScan(NewNotIn("x", value.Int(9), value.Int(3), value.Int(9), value.Float(7), value.Float(7.5)), kindOf)
+	node := CompileScan(NewNotIn("x", value.Int(9), value.Int(3), value.Int(9), value.Float(7), value.Float(7.5)), s)
 	in := node.(*ScanInInt)
 	if !in.Negate {
 		t.Error("NOT IN lost its negation")
@@ -132,19 +132,19 @@ func TestCompileScanNormalization(t *testing.T) {
 		t.Errorf("sorted int lits = %v, want %v", in.Sorted, want)
 	}
 
-	node = CompileScan(NewIn("s", value.String("pear"), value.String("fig"), value.String("pear")), kindOf)
+	node = CompileScan(NewIn("s", value.String("pear"), value.String("fig"), value.String("pear")), s)
 	ins := node.(*ScanInStr)
 	if !sort.StringsAreSorted(ins.Sorted) || len(ins.Sorted) != 2 {
 		t.Errorf("string lits not sorted-distinct: %v", ins.Sorted)
 	}
 
-	lk := CompileScan(NewLike("s", "ap%"), kindOf).(*ScanLike)
+	lk := CompileScan(NewLike("s", "ap%"), s).(*ScanLike)
 	if !lk.Match([]byte("apple")) || lk.Match([]byte("pear")) {
 		t.Error("LIKE matcher not specialized correctly")
 	}
 
-	node = CompileScan(&ColumnComparison{Left: "x", Op: Le, Right: "y"}, kindOf)
-	if cc, isPair := node.(*ScanCmpCols); !isPair || cc.Left != "x" || cc.Right != "y" || cc.Op != Le {
+	node = CompileScan(&ColumnComparison{Left: "x", Op: Le, Right: "y"}, s)
+	if cc, isPair := node.(*ScanCmpCols); !isPair || cc.Left != s.Ordinal("x") || cc.Right != s.Ordinal("y") || cc.Op != Le {
 		t.Errorf("x <= y compiled to %#v", node)
 	}
 
@@ -161,7 +161,7 @@ func TestCompileScanNormalization(t *testing.T) {
 		NewComparison("f", Ne, value.Float(math.NaN())),
 		NewComparison("x", Eq, value.String("five")),
 	} {
-		node := CompileScan(p, kindOf)
+		node := CompileScan(p, s)
 		if c, isConst := node.(ScanConst); !isConst || bool(c) {
 			t.Errorf("%s: want ScanConst(false), got %#v", p, node)
 		}

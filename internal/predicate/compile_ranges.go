@@ -1,46 +1,49 @@
 package predicate
 
-import "mto/internal/value"
+import (
+	"mto/internal/relation"
+	"mto/internal/value"
+)
 
 // CompileRanges binds p to a reusable zone evaluator: three-valued over a
-// region of per-column intervals, a zone map or a qd-tree node's region.
-// Literal work — NULL and NaN screening, LIKE prefix intervals — happens
-// here once, so batch zone pruning sweeps every candidate block through
-// the returned closure without re-walking p.
+// region (a zone map or a qd-tree node's) of a table of schema s. Each
+// leaf's column is resolved to its ordinal here, once — one s lacks reads
+// as unbounded — as is literal work (NULL and NaN screening, LIKE prefix
+// intervals), so batch zone pruning sweeps every candidate block through
+// the returned closure without re-walking p or looking a name up.
 //
-// The result is sound under the filter rule (see normalize), with no
-// schema needed: TriFalse means no row of the region matches p, TriTrue
-// that every row whose columns are neither NULL nor NaN does. A zone
-// map's bounds leave both out, which is why a region can be decided at
-// all.
-func CompileRanges(p Predicate) func(Ranges) Tri {
+// The result is sound under the filter rule (see normalize): TriFalse
+// means no row of the region matches p, TriTrue that every row whose
+// columns are neither NULL nor NaN does. A zone map's bounds leave both
+// out, which is why a region can be decided at all.
+func CompileRanges(p Predicate, s *relation.Schema) ZoneEval {
 	switch q := p.(type) {
 	case *Comparison:
-		col, op, v := q.Column, q.Op, q.Value
+		ord, op, v := s.Ordinal(q.Column), q.Op, q.Value
 		if v.IsNull() || v.IsNaN() {
 			return constTri(TriFalse)
 		}
-		return func(r Ranges) Tri { return compareIntervalToValue(r.Get(col), op, v) }
+		return func(r Ranges) Tri { return compareIntervalToValue(r.At(ord), op, v) }
 	case *ColumnComparison:
-		left, op, right := q.Left, q.Op, q.Right
-		return func(r Ranges) Tri { return compareIntervals(r.Get(left), op, r.Get(right)) }
+		left, op, right := s.Ordinal(q.Left), q.Op, s.Ordinal(q.Right)
+		return func(r Ranges) Tri { return compareIntervals(r.At(left), op, r.At(right)) }
 	case *InList:
-		return compileInList(q)
+		return compileInList(q, s)
 	case *Like:
-		col := q.Column
+		ord := s.Ordinal(q.Column)
 		pi := Unbounded()
 		if prefix, ok := likePrefix(q.Pattern); ok && prefix != "" && !q.Negate_ {
 			pi = prefixInterval(prefix) // matches lie in [prefix, successor)
 		}
 		return func(r Ranges) Tri {
-			iv := r.Get(col)
+			iv := r.At(ord)
 			if iv.Empty || orders(iv, value.String("")) && iv.Intersect(pi).Empty {
 				return TriFalse
 			}
 			return TriMaybe
 		}
 	case *And:
-		kids := compileAll(q.Children)
+		kids := compileAll(q.Children, s)
 		return func(r Ranges) Tri {
 			res := TriTrue
 			for _, k := range kids {
@@ -54,7 +57,7 @@ func CompileRanges(p Predicate) func(Ranges) Tri {
 			return res
 		}
 	case *Or:
-		kids := compileAll(q.Children)
+		kids := compileAll(q.Children, s)
 		return func(r Ranges) Tri {
 			res := TriFalse
 			for _, k := range kids {
@@ -73,22 +76,22 @@ func CompileRanges(p Predicate) func(Ranges) Tri {
 	panic("predicate: CompileRanges on an unknown predicate type")
 }
 
-func compileAll(ps []Predicate) []func(Ranges) Tri {
-	out := make([]func(Ranges) Tri, len(ps))
+func compileAll(ps []Predicate, s *relation.Schema) []ZoneEval {
+	out := make([]ZoneEval, len(ps))
 	for i, c := range ps {
-		out[i] = CompileRanges(c)
+		out[i] = CompileRanges(c, s)
 	}
 	return out
 }
 
-func constTri(t Tri) func(Ranges) Tri { return func(Ranges) Tri { return t } }
+func constTri(t Tri) ZoneEval { return func(Ranges) Tri { return t } }
 
 // compileInList decides x IN (...) as an OR of "=" over its literals and
 // NOT IN as an AND of "<>": a literal may lie in the interval (maybe), be
 // its only point (decides), or lie outside it. A NULL or NaN literal
 // equals nothing and differs from nothing, so it drops out of an IN and
 // empties a NOT IN.
-func compileInList(q *InList) func(Ranges) Tri {
+func compileInList(q *InList, s *relation.Schema) ZoneEval {
 	lits := make([]value.Value, 0, len(q.Values))
 	for _, v := range q.Values {
 		if v.IsNull() || v.IsNaN() {
@@ -99,9 +102,9 @@ func compileInList(q *InList) func(Ranges) Tri {
 		}
 		lits = append(lits, v)
 	}
-	col, neg := q.Column, q.Negate_
+	ord, neg := s.Ordinal(q.Column), q.Negate_
 	return func(r Ranges) Tri {
-		iv := r.Get(col)
+		iv := r.At(ord)
 		if iv.Empty {
 			return TriFalse
 		}
@@ -128,13 +131,13 @@ func compileInList(q *InList) func(Ranges) Tri {
 // orders against anything). Where it does not, the region's bounds come
 // from literals of another kind than v — a zone map of another kind of
 // column, or a qd-tree cut ill-typed for its column — and decide nothing.
-func orders(iv Interval, v value.Value) bool {
-	return (iv.Min.IsNull() || iv.Min.Comparable(v)) && (iv.Max.IsNull() || iv.Max.Comparable(v))
+func orders(iv *Interval, v value.Value) bool {
+	return iv.Min.Comparable(v) && iv.Max.Comparable(v) // a NULL bound is comparable
 }
 
 // compareIntervalToValue decides (x op v) for the x in iv; v is neither
 // NULL nor NaN.
-func compareIntervalToValue(iv Interval, op Op, v value.Value) Tri {
+func compareIntervalToValue(iv *Interval, op Op, v value.Value) Tri {
 	switch {
 	case iv.Empty:
 		return TriFalse
@@ -153,12 +156,11 @@ func compareIntervalToValue(iv Interval, op Op, v value.Value) Tri {
 		allGt = cmp > 0 || (cmp == 0 && !iv.MinInc)
 		allGe = cmp >= 0
 	}
-	point := iv.IsPoint()
-	return decide(op, allLt, allLe, allGt, allGe, point && allLe && allGe)
+	return decide(op, allLt, allLe, allGt, allGe, allLe && allGe && iv.IsPoint())
 }
 
 // compareIntervals decides (x op y) for x in l and y in r.
-func compareIntervals(l Interval, op Op, r Interval) Tri {
+func compareIntervals(l *Interval, op Op, r *Interval) Tri {
 	switch {
 	case l.Empty || r.Empty:
 		return TriFalse

@@ -9,7 +9,8 @@ import (
 
 // TestCompileRangesMatchesEvalRanges pins the compiled zone evaluator to
 // the oracle's node-by-node walk (evalRanges) decision for decision across
-// every node type and a grid of regions, ill-typed ones included: batch
+// every node type and a grid of regions, ill-typed ones included, and a
+// column ("z") the schema lacks: batch
 // zone pruning must keep/skip exactly the blocks the scalar per-block walk
 // would, and never panic.
 func TestCompileRangesMatchesEvalRanges(t *testing.T) {
@@ -26,13 +27,13 @@ func TestCompileRangesMatchesEvalRanges(t *testing.T) {
 		Point(value.Float(5)),
 		{Empty: true},
 	}
-	var regions []Ranges
-	regions = append(regions, nil, Ranges{})
+	regions := []byName{nil, {}}
 	for _, a := range ivs {
 		for _, b := range ivs {
-			regions = append(regions, Ranges{"x": a, "y": b})
+			regions = append(regions, byName{"x": a, "y": b})
 		}
 	}
+	s := nameSchema("x", "y")
 
 	preds := []Predicate{
 		NewComparison("x", Eq, value.Int(5)),
@@ -71,9 +72,9 @@ func TestCompileRangesMatchesEvalRanges(t *testing.T) {
 	}
 
 	for _, p := range preds {
-		compiled := CompileRanges(p)
+		compiled := CompileRanges(p, s)
 		for ri, r := range regions {
-			if got, want := compiled(r), evalRanges(p, r); got != want {
+			if got, want := compiled(bind(r, s)), evalRanges(p, r); got != want {
 				t.Errorf("%s over region %d (%v): compiled=%v oracle=%v", p, ri, r, got, want)
 			}
 		}

@@ -217,10 +217,10 @@ func holdsAt(p Predicate, x value.Value) bool {
 // decides and the OR does not, every int of the zone agrees.
 func TestOrOfBandsCompilesToUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	kindOf := func(string) (value.Kind, bool) { return value.KindInt, true }
+	s := nameSchema("x")
 	for i := 0; i < 2000; i++ {
 		p := randomIntBands(rng)
-		node := CompileScan(p, kindOf)
+		node := CompileScan(p, s)
 		var bands []*ScanBand
 		switch q := node.(type) {
 		case *ScanBand:
@@ -240,7 +240,7 @@ func TestOrOfBandsCompilesToUnion(t *testing.T) {
 		default:
 			t.Fatalf("%s compiled to %#v", p, node)
 		}
-		evalOr := CompileRanges(normalize(p, kindOf))
+		evalOr := CompileRanges(normalize(p, s), s)
 		holds := func(x int64) bool { return holdsAt(p, value.Int(x)) }
 		inUnion := func(x int64) bool {
 			for _, b := range bands {
@@ -274,7 +274,7 @@ func TestOrOfBandsCompilesToUnion(t *testing.T) {
 		for z := 0; z < 20; z++ {
 			zmin := int64(rng.Intn(50)) - 25
 			zmax := zmin + int64(rng.Intn(20))
-			zone := Ranges{"x": NewInterval(value.Int(zmin), value.Int(zmax), true, true)}
+			zone := NewRanges([]Interval{NewInterval(value.Int(zmin), value.Int(zmax), true, true)})
 			got := TriFalse
 			for _, b := range bands {
 				got = max(got, b.Zone(zone))

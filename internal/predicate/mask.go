@@ -11,7 +11,7 @@ import (
 // operator dispatched outside it. mask must be zeroed and hold at least
 // (t.NumRows()+63)/64 words.
 func FillMask(p Predicate, t *relation.Table, mask []uint64) {
-	fill(normalize(p, tableKinds(t)), t, nil, mask, new(Gather))
+	fill(normalize(p, t.Schema()), t, nil, mask, new(Gather))
 }
 
 // FillRows is FillMask over a row list: bit k of mask is set iff row
@@ -30,7 +30,7 @@ func FillRowsInto(p Predicate, t *relation.Table, rows []int32, mask []uint64, g
 		g = new(Gather)
 	}
 	if len(rows) > 0 {
-		fill(normalize(p, tableKinds(t)), t, rows, mask, g)
+		fill(normalize(p, t.Schema()), t, rows, mask, g)
 	}
 }
 
@@ -75,18 +75,6 @@ func (g *Gather) scratchMask(nw int) []uint64 {
 }
 
 func (g *Gather) releaseMask(m []uint64) { g.masks = append(g.masks, m) }
-
-// tableKinds adapts t's schema to the kindOf lookup normalize and
-// CompileScan take.
-func tableKinds(t *relation.Table) func(col string) (value.Kind, bool) {
-	return func(col string) (value.Kind, bool) {
-		ci, ok := t.Schema().ColumnIndex(col)
-		if !ok {
-			return value.KindNull, false
-		}
-		return t.Schema().Column(ci).Type, true
-	}
-}
 
 // fill evaluates a normalized predicate over rows of t (every row when
 // rows is nil) into mask, bit k for the k-th row.

@@ -116,7 +116,7 @@ func TestCompileMaskFallback(t *testing.T) {
 		NewOr(NewIn("s", value.String("apple")), NewAnd(NewLike("s", "b%"), mixedPair)),
 	}
 	for _, p := range refused {
-		if err := kernelShape(normalize(p, tableKinds(tab)), tableKinds(tab)); err != "" {
+		if err := kernelShape(normalize(p, tab.Schema()), tab.Schema().Kind); err != "" {
 			t.Errorf("%s: normalized form %s", p, err)
 		}
 		evalAll(t, p, tab)

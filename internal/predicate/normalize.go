@@ -3,10 +3,11 @@ package predicate
 import (
 	"math"
 
+	"mto/internal/relation"
 	"mto/internal/value"
 )
 
-// normalize rewrites p, against the column kinds kindOf reports, into the
+// normalize rewrites p, against the column kinds of schema s, into the
 // shapes the row and page kernels run, so neither ever refuses a filter.
 // Filters obey one rule: ints and floats compare numerically and exactly,
 // and NULL and NaN match no comparison — "<>" included — nor IN, NOT IN,
@@ -28,29 +29,29 @@ import (
 // A NOT IN some literal of which no value can differ from (NULL, NaN, or
 // another kind) matches nothing. Subtrees already in shape are returned
 // as they are.
-func normalize(p Predicate, kindOf func(col string) (value.Kind, bool)) Predicate {
+func normalize(p Predicate, s *relation.Schema) Predicate {
 	switch q := p.(type) {
 	case *Comparison:
-		kind, ok := kindOf(q.Column)
+		kind, ok := s.Kind(q.Column)
 		if !ok {
 			return False()
 		}
 		return normalizeComparison(q, kind)
 	case *ColumnComparison:
-		lk, lok := kindOf(q.Left)
-		rk, rok := kindOf(q.Right)
+		lk, lok := s.Kind(q.Left)
+		rk, rok := s.Kind(q.Right)
 		if !lok || !rok || !comparableKinds(lk, rk) {
 			return False()
 		}
 		return q
 	case *InList:
-		kind, ok := kindOf(q.Column)
+		kind, ok := s.Kind(q.Column)
 		if !ok {
 			return False()
 		}
 		return normalizeInList(q, kind)
 	case *Like:
-		if kind, ok := kindOf(q.Column); !ok || kind != value.KindString {
+		if kind, ok := s.Kind(q.Column); !ok || kind != value.KindString {
 			return False()
 		}
 		return q
@@ -58,7 +59,7 @@ func normalize(p Predicate, kindOf func(col string) (value.Kind, bool)) Predicat
 		if len(q.Children) == 0 {
 			return True()
 		}
-		if kids, changed := normalizeAll(q.Children, kindOf); changed {
+		if kids, changed := normalizeAll(q.Children, s); changed {
 			return &And{Children: kids}
 		}
 		return q
@@ -66,7 +67,7 @@ func normalize(p Predicate, kindOf func(col string) (value.Kind, bool)) Predicat
 		if len(q.Children) == 0 {
 			return False()
 		}
-		if kids, changed := normalizeAll(q.Children, kindOf); changed {
+		if kids, changed := normalizeAll(q.Children, s); changed {
 			return &Or{Children: kids}
 		}
 		return q
@@ -74,11 +75,11 @@ func normalize(p Predicate, kindOf func(col string) (value.Kind, bool)) Predicat
 	return p // Const
 }
 
-func normalizeAll(ps []Predicate, kindOf func(col string) (value.Kind, bool)) ([]Predicate, bool) {
+func normalizeAll(ps []Predicate, s *relation.Schema) ([]Predicate, bool) {
 	out := make([]Predicate, len(ps))
 	changed := false
 	for i, c := range ps {
-		out[i] = normalize(c, kindOf)
+		out[i] = normalize(c, s)
 		changed = changed || out[i] != c
 	}
 	return out, changed

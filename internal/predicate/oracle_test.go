@@ -79,18 +79,20 @@ func compareValues(a value.Value, op Op, b value.Value) bool {
 	return op.Apply(a.Compare(b))
 }
 
-// evalRanges walks p over a region node by node: the decisions
+// evalRanges walks p over a by-name region node by node: the decisions
 // CompileRanges must reproduce. An IN list is the OR of its "="
 // comparisons, a NOT IN the AND of its "<>" ones.
-func evalRanges(p Predicate, r Ranges) Tri {
+func evalRanges(p Predicate, r byName) Tri {
 	switch q := p.(type) {
 	case *Comparison:
 		if q.Value.IsNull() || q.Value.IsNaN() {
 			return TriFalse
 		}
-		return compareIntervalToValue(r.Get(q.Column), q.Op, q.Value)
+		iv := r.get(q.Column)
+		return compareIntervalToValue(&iv, q.Op, q.Value)
 	case *ColumnComparison:
-		return compareIntervals(r.Get(q.Left), q.Op, r.Get(q.Right))
+		l, rr := r.get(q.Left), r.get(q.Right)
+		return compareIntervals(&l, q.Op, &rr)
 	case *InList:
 		kids := make([]Predicate, len(q.Values))
 		for i, v := range q.Values {
@@ -100,7 +102,7 @@ func evalRanges(p Predicate, r Ranges) Tri {
 				kids[i] = &Comparison{Column: q.Column, Op: Eq, Value: v}
 			}
 		}
-		if r.Get(q.Column).Empty {
+		if r.get(q.Column).Empty {
 			return TriFalse
 		}
 		if q.Negate_ {
@@ -108,12 +110,12 @@ func evalRanges(p Predicate, r Ranges) Tri {
 		}
 		return evalRanges(&Or{Children: kids}, r)
 	case *Like:
-		iv := r.Get(q.Column)
+		iv := r.get(q.Column)
 		if iv.Empty {
 			return TriFalse
 		}
 		if prefix, ok := likePrefix(q.Pattern); ok && prefix != "" && !q.Negate_ &&
-			orders(iv, value.String("")) && iv.Intersect(prefixInterval(prefix)).Empty {
+			orders(&iv, value.String("")) && iv.Intersect(prefixInterval(prefix)).Empty {
 			return TriFalse
 		}
 		return TriMaybe

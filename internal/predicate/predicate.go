@@ -9,8 +9,8 @@
 //
 //   - rows: FillMask over a table, FillRows over a row list — record
 //     routing, qd-tree builds, induced-cut literals, the reference engine;
-//   - zones: CompileRanges, three-valued over a region of per-column
-//     intervals — a zone map or a qd-tree node's region. TriFalse means no
+//   - zones: CompileRanges, three-valued over a region of intervals by
+//     column ordinal — a zone map or a qd-tree node's region. TriFalse means no
 //     row in the region can satisfy the predicate, TriTrue that every row
 //     whose columns are neither NULL nor NaN does;
 //   - codes: CompileScan, a plan a storage engine runs over encoded pages.

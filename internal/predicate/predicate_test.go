@@ -152,7 +152,7 @@ func TestLikeMatch(t *testing.T) {
 		}
 		// The shape-specialized matcher that scans run over raw bytes agrees
 		// with the general walk.
-		node := CompileScan(NewLike("s", c.pattern), func(string) (value.Kind, bool) { return value.KindString, true })
+		node := CompileScan(NewLike("s", c.pattern), relation.MustSchema("t", relation.Column{Name: "s", Type: value.KindString}))
 		if got := node.(*ScanLike).Match([]byte(c.s)); got != c.want {
 			t.Errorf("ScanLike(%q).Match(%q) = %v, want %v", c.pattern, c.s, got, c.want)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mto/internal/relation"
 	"mto/internal/value"
 )
 
@@ -31,14 +32,17 @@ func NewInterval(min, max value.Value, minInc, maxInc bool) Interval {
 	return Interval{Min: min, Max: max, MinInc: minInc, MaxInc: maxInc}
 }
 
+// unbounded reports whether iv constrains nothing.
+func (iv *Interval) unbounded() bool { return !iv.Empty && iv.Min.IsNull() && iv.Max.IsNull() }
+
 // IsPoint reports whether the interval contains exactly one value.
-func (iv Interval) IsPoint() bool {
+func (iv *Interval) IsPoint() bool {
 	return !iv.Empty && !iv.Min.IsNull() && !iv.Max.IsNull() &&
 		iv.MinInc && iv.MaxInc && iv.Min.Compare(iv.Max) == 0
 }
 
 // Contains reports whether v lies within the interval.
-func (iv Interval) Contains(v value.Value) bool {
+func (iv *Interval) Contains(v value.Value) bool {
 	if iv.Empty || v.IsNull() {
 		return false
 	}
@@ -122,80 +126,101 @@ func (iv Interval) String() string {
 	return lo + ", " + hi
 }
 
-// Ranges maps column names to interval constraints. Columns not present are
-// unconstrained. The nil map is valid and fully unconstrained.
-type Ranges map[string]Interval
-
-// Get returns the column's interval, defaulting to unbounded.
-func (r Ranges) Get(col string) Interval {
-	if iv, ok := r[col]; ok {
-		return iv
-	}
-	return Unbounded()
+// Ranges is a region of one table: what is known about each column's
+// values, one interval per column ordinal of the table's schema. Each name
+// is resolved once, where the region is built (RangesOf, a zone map), so a
+// zone evaluator reads a column's interval by index. A column past the end
+// of the slice, or one the schema lacks, is unbounded; the zero Ranges is
+// the whole table. False marks a region no row lies in: a FALSE cut's side.
+type Ranges struct {
+	cols  []Interval
+	False bool
 }
 
-// Clone returns a copy of r.
-func (r Ranges) Clone() Ranges {
-	out := make(Ranges, len(r))
-	for k, v := range r {
-		out[k] = v
+// NewRanges returns the region with cols[i] on the column of ordinal i;
+// cols is adopted, not copied.
+func NewRanges(cols []Interval) Ranges { return Ranges{cols: cols} }
+
+// unconstrained is what At reads for a column the region does not constrain.
+var unconstrained = Unbounded()
+
+// At returns the interval of the column of ordinal ord, unbounded when ord
+// is negative or past the region's columns. It is shared: do not mutate.
+func (r Ranges) At(ord int) *Interval {
+	if uint(ord) < uint(len(r.cols)) {
+		return &r.cols[ord]
 	}
-	return out
+	return &unconstrained
+}
+
+// narrow intersects the interval of the column of ordinal ord with iv.
+func (r *Ranges) narrow(ord int, iv Interval) {
+	for len(r.cols) <= ord {
+		r.cols = append(r.cols, unconstrained)
+	}
+	r.cols[ord] = r.cols[ord].Intersect(iv)
 }
 
 // Refine returns r intersected with o (column-wise).
 func (r Ranges) Refine(o Ranges) Ranges {
-	out := r.Clone()
-	for col, iv := range o {
-		out[col] = out.Get(col).Intersect(iv)
+	out := Ranges{cols: make([]Interval, max(len(r.cols), len(o.cols))), False: r.False || o.False}
+	for i := range out.cols {
+		out.cols[i] = r.At(i).Intersect(*o.At(i))
 	}
 	return out
 }
 
-// HasEmpty reports whether any column's interval is provably empty, which
-// means the whole region holds no rows satisfying its constraints.
+// HasEmpty reports whether the region is FALSE or any column's interval
+// is provably empty: no row satisfying its constraints lies in it.
 func (r Ranges) HasEmpty() bool {
-	for _, iv := range r {
-		if iv.Empty {
+	for i := range r.cols {
+		if r.cols[i].Empty {
 			return true
 		}
 	}
-	return false
+	return r.False
 }
 
-// String renders the ranges sorted by column for deterministic output.
-func (r Ranges) String() string {
-	cols := make([]string, 0, len(r))
-	for c := range r {
-		cols = append(cols, c)
-	}
-	// insertion-sort — Ranges are tiny
-	for i := 1; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
+// Disjoint reports whether no row can lie in both r and o: either is
+// FALSE, or some column's intervals do not intersect.
+func (r Ranges) Disjoint(o Ranges) bool {
+	for i := range max(len(r.cols), len(o.cols)) {
+		if a, b := r.At(i), o.At(i); a.Empty || b.Empty || !a.unbounded() && !b.unbounded() && a.Intersect(*b).Empty {
+			return true
 		}
 	}
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprintf("%s∈%s", c, r[c])
+	return r.False || o.False
+}
+
+// String renders the constrained columns by ordinal, for debugging.
+func (r Ranges) String() string {
+	var parts []string
+	for i, iv := range r.cols {
+		if !iv.unbounded() {
+			parts = append(parts, fmt.Sprintf("#%d∈%s", i, iv))
+		}
+	}
+	if r.False {
+		parts = append(parts, "FALSE")
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
 // --- range extraction ---
 
-// RangesOf derives the per-column interval constraints implied by p. It is
-// conservative: the returned region is a superset of the rows satisfying p.
-// Qd-tree construction uses it to maintain each node's region: the "yes"
-// child refines the parent region with RangesOf(cut), the "no" child with
+// RangesOf derives the per-column interval constraints implied by p over a
+// table of schema s; a column s lacks stays unbounded. It is conservative:
+// the returned region is a superset of the rows satisfying p. Qd-tree
+// construction uses it to maintain each node's region: the "yes" child
+// refines the parent region with RangesOf(cut), the "no" child with
 // RangesOf(cut.Negate()).
-func RangesOf(p Predicate) Ranges {
-	out := Ranges{}
-	extractRanges(p, out)
+func RangesOf(p Predicate, s *relation.Schema) Ranges {
+	var out Ranges
+	extractRanges(p, s, &out)
 	return out
 }
 
-func extractRanges(p Predicate, out Ranges) {
+func extractRanges(p Predicate, s *relation.Schema, out *Ranges) {
 	switch q := p.(type) {
 	case *Comparison:
 		if q.Value.IsNull() || q.Value.IsNaN() {
@@ -216,9 +241,12 @@ func extractRanges(p Predicate, out Ranges) {
 		default: // Ne gives no interval constraint
 			return
 		}
-		out[q.Column] = out.Get(q.Column).Intersect(iv)
+		if ord := s.Ordinal(q.Column); ord >= 0 {
+			out.narrow(ord, iv)
+		}
 	case *InList:
-		if q.Negate_ || len(q.Values) == 0 {
+		ord := s.Ordinal(q.Column)
+		if q.Negate_ || len(q.Values) == 0 || ord < 0 {
 			return
 		}
 		// Convex hull of the listed values.
@@ -232,46 +260,41 @@ func extractRanges(p Predicate, out Ranges) {
 		if lo.IsNull() || lo.IsNaN() {
 			return
 		}
-		out[q.Column] = out.Get(q.Column).Intersect(NewInterval(lo, hi, true, true))
+		out.narrow(ord, NewInterval(lo, hi, true, true))
 	case *Like:
-		if q.Negate_ {
+		ord := s.Ordinal(q.Column)
+		if q.Negate_ || ord < 0 {
 			return
 		}
 		if prefix, ok := likePrefix(q.Pattern); ok && prefix != "" {
-			out[q.Column] = out.Get(q.Column).Intersect(prefixInterval(prefix))
+			out.narrow(ord, prefixInterval(prefix))
 		}
 	case *And:
 		for _, c := range q.Children {
-			extractRanges(c, out)
+			extractRanges(c, s, out)
 		}
 	case *Or:
 		// A column is constrained only if every branch constrains it;
-		// take the per-column hull.
+		// take the per-column hull (a branch that leaves it unbounded
+		// makes the hull unbounded). The OR is FALSE when every branch is.
 		if len(q.Children) == 0 {
 			return
 		}
-		branches := make([]Ranges, len(q.Children))
-		for i, c := range q.Children {
-			branches[i] = RangesOf(c)
-		}
-		for col := range branches[0] {
-			hull, ok := branches[0][col], true
-			for _, br := range branches[1:] {
-				iv, present := br[col]
-				if !present {
-					ok = false
-					break
-				}
-				hull = Hull(hull, iv)
-			}
-			if ok {
-				out[col] = out.Get(col).Intersect(hull)
+		hull := RangesOf(q.Children[0], s)
+		for _, c := range q.Children[1:] {
+			br := RangesOf(c, s)
+			hull.False = hull.False && br.False
+			for i := range hull.cols {
+				hull.cols[i] = Hull(hull.cols[i], *br.At(i))
 			}
 		}
+		for i := range hull.cols {
+			out.narrow(i, hull.cols[i])
+		}
+		out.False = out.False || hull.False
 	case Const:
 		if !bool(q) {
-			// FALSE constrains everything to empty; mark via sentinel column.
-			out["\x00false"] = Interval{Empty: true}
+			out.False = true
 		}
 	}
 	// ColumnComparison contributes no single-column interval.

@@ -78,37 +78,37 @@ func TestIntervalString(t *testing.T) {
 }
 
 func TestRangesOps(t *testing.T) {
-	r := Ranges{"x": iv(0, 10)}
-	if got := r.Get("x"); got.Min.Int() != 0 {
-		t.Error("Get wrong")
+	r := NewRanges([]Interval{iv(0, 10)})
+	if got := r.At(0); got.Min.Int() != 0 {
+		t.Error("At wrong")
 	}
-	if got := r.Get("other"); got.Min.IsNull() != true {
-		t.Error("missing column should be unbounded")
+	if !r.At(1).Min.IsNull() || !r.At(-1).Max.IsNull() {
+		t.Error("a column past the region, or unknown, should be unbounded")
 	}
-	c := r.Clone()
-	c["x"] = iv(5, 5)
-	if r["x"].Min.Int() != 0 {
-		t.Error("Clone aliases storage")
-	}
-	ref := r.Refine(Ranges{"x": iv(5, 20), "y": iv(1, 2)})
-	if ref["x"].Min.Int() != 5 || ref["x"].Max.Int() != 10 || ref["y"].Min.Int() != 1 {
+	ref := r.Refine(NewRanges([]Interval{iv(5, 20), iv(1, 2)}))
+	if ref.At(0).Min.Int() != 5 || ref.At(0).Max.Int() != 10 || ref.At(1).Min.Int() != 1 {
 		t.Errorf("Refine = %v", ref)
+	}
+	if r.At(0).Min.Int() != 0 {
+		t.Error("Refine aliases storage")
 	}
 	if r.HasEmpty() {
 		t.Error("HasEmpty on non-empty")
 	}
-	if !(Ranges{"x": Interval{Empty: true}}).HasEmpty() {
+	if !NewRanges([]Interval{Unbounded(), {Empty: true}}).HasEmpty() || !(Ranges{False: true}).HasEmpty() {
 		t.Error("HasEmpty missed empty")
 	}
-	_ = ref.String()
-	var nilRanges Ranges
-	if nilRanges.Get("x").Empty {
-		t.Error("nil Ranges should be unconstrained")
+	if got := ref.String(); got != "{#0∈[5, 10], #1∈[1, 2]}" {
+		t.Errorf("String = %q", got)
+	}
+	var zero Ranges
+	if zero.At(0).Empty || zero.HasEmpty() {
+		t.Error("the zero Ranges should be unconstrained")
 	}
 }
 
 func TestEvalRangesComparison(t *testing.T) {
-	zone := Ranges{"x": iv(10, 20)}
+	zone := byName{"x": iv(10, 20)}
 	cases := []struct {
 		p    Predicate
 		want Tri
@@ -130,151 +130,151 @@ func TestEvalRangesComparison(t *testing.T) {
 		{NewComparison("unconstrained", Lt, value.Int(0)), TriMaybe},
 	}
 	for _, c := range cases {
-		if got := CompileRanges(c.p)(zone); got != c.want {
+		if got := zoneTri(c.p, zone); got != c.want {
 			t.Errorf("%s over %v = %s, want %s", c.p, zone, got, c.want)
 		}
 	}
-	pointZone := Ranges{"x": Point(value.Int(7))}
-	if got := CompileRanges(NewComparison("x", Eq, value.Int(7)))(pointZone); got != TriTrue {
+	pointZone := byName{"x": Point(value.Int(7))}
+	if got := zoneTri(NewComparison("x", Eq, value.Int(7)), pointZone); got != TriTrue {
 		t.Errorf("Eq over point = %s", got)
 	}
-	if got := CompileRanges(NewComparison("x", Ne, value.Int(7)))(pointZone); got != TriFalse {
+	if got := zoneTri(NewComparison("x", Ne, value.Int(7)), pointZone); got != TriFalse {
 		t.Errorf("Ne over point = %s", got)
 	}
-	empty := Ranges{"x": Interval{Empty: true}}
-	if got := CompileRanges(NewComparison("x", Ne, value.Int(0)))(empty); got != TriFalse {
+	empty := byName{"x": Interval{Empty: true}}
+	if got := zoneTri(NewComparison("x", Ne, value.Int(0)), empty); got != TriFalse {
 		t.Errorf("empty column should fail every comparison, got %s", got)
 	}
 }
 
 func TestEvalRangesColumnComparison(t *testing.T) {
 	p := &ColumnComparison{Left: "a", Op: Lt, Right: "b"}
-	if got := CompileRanges(p)(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
+	if got := zoneTri(p, byName{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
 		t.Errorf("disjoint ordered = %s", got)
 	}
-	if got := CompileRanges(p)(Ranges{"a": iv(10, 20), "b": iv(0, 5)}); got != TriFalse {
+	if got := zoneTri(p, byName{"a": iv(10, 20), "b": iv(0, 5)}); got != TriFalse {
 		t.Errorf("reverse ordered = %s", got)
 	}
-	if got := CompileRanges(p)(Ranges{"a": iv(0, 15), "b": iv(10, 20)}); got != TriMaybe {
+	if got := zoneTri(p, byName{"a": iv(0, 15), "b": iv(10, 20)}); got != TriMaybe {
 		t.Errorf("overlapping = %s", got)
 	}
 	eq := &ColumnComparison{Left: "a", Op: Eq, Right: "b"}
-	if got := CompileRanges(eq)(Ranges{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriTrue {
+	if got := zoneTri(eq, byName{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriTrue {
 		t.Errorf("equal points = %s", got)
 	}
-	if got := CompileRanges(eq)(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriFalse {
+	if got := zoneTri(eq, byName{"a": iv(0, 5), "b": iv(10, 20)}); got != TriFalse {
 		t.Errorf("disjoint eq = %s", got)
 	}
 	ne := &ColumnComparison{Left: "a", Op: Ne, Right: "b"}
-	if got := CompileRanges(ne)(Ranges{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriFalse {
+	if got := zoneTri(ne, byName{"a": Point(value.Int(3)), "b": Point(value.Int(3))}); got != TriFalse {
 		t.Errorf("equal points ne = %s", got)
 	}
-	if got := CompileRanges(ne)(Ranges{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
+	if got := zoneTri(ne, byName{"a": iv(0, 5), "b": iv(10, 20)}); got != TriTrue {
 		t.Errorf("disjoint ne = %s", got)
 	}
 	ge := &ColumnComparison{Left: "a", Op: Ge, Right: "b"}
-	if got := CompileRanges(ge)(Ranges{"a": iv(10, 20), "b": iv(0, 5)}); got != TriTrue {
+	if got := zoneTri(ge, byName{"a": iv(10, 20), "b": iv(0, 5)}); got != TriTrue {
 		t.Errorf("ge ordered = %s", got)
 	}
 	le := &ColumnComparison{Left: "a", Op: Le, Right: "b"}
-	if got := CompileRanges(le)(Ranges{"a": iv(0, 5), "b": iv(5, 20)}); got != TriTrue {
+	if got := zoneTri(le, byName{"a": iv(0, 5), "b": iv(5, 20)}); got != TriTrue {
 		t.Errorf("le touching = %s", got)
 	}
-	if got := CompileRanges(le)(Ranges{"a": Interval{Empty: true}}); got != TriFalse {
+	if got := zoneTri(le, byName{"a": Interval{Empty: true}}); got != TriFalse {
 		t.Errorf("empty operand = %s", got)
 	}
 	gt := &ColumnComparison{Left: "a", Op: Gt, Right: "b"}
-	if got := CompileRanges(gt)(Ranges{"a": iv(0, 5), "b": iv(5, 20)}); got != TriFalse {
+	if got := zoneTri(gt, byName{"a": iv(0, 5), "b": iv(5, 20)}); got != TriFalse {
 		t.Errorf("gt impossible = %s", got)
 	}
 }
 
 func TestEvalRangesInList(t *testing.T) {
-	zone := Ranges{"x": iv(10, 20)}
-	if got := CompileRanges(NewIn("x", value.Int(1), value.Int(2)))(zone); got != TriFalse {
+	zone := byName{"x": iv(10, 20)}
+	if got := zoneTri(NewIn("x", value.Int(1), value.Int(2)), zone); got != TriFalse {
 		t.Errorf("IN all-outside = %s", got)
 	}
-	if got := CompileRanges(NewIn("x", value.Int(1), value.Int(15)))(zone); got != TriMaybe {
+	if got := zoneTri(NewIn("x", value.Int(1), value.Int(15)), zone); got != TriMaybe {
 		t.Errorf("IN partial = %s", got)
 	}
-	if got := CompileRanges(NewNotIn("x", value.Int(1)))(zone); got != TriTrue {
+	if got := zoneTri(NewNotIn("x", value.Int(1)), zone); got != TriTrue {
 		t.Errorf("NOT IN all-outside = %s", got)
 	}
-	if got := CompileRanges(NewNotIn("x", value.Int(15)))(zone); got != TriMaybe {
+	if got := zoneTri(NewNotIn("x", value.Int(15)), zone); got != TriMaybe {
 		t.Errorf("NOT IN partial = %s", got)
 	}
-	point := Ranges{"x": Point(value.Int(15))}
-	if got := CompileRanges(NewIn("x", value.Int(15)))(point); got != TriTrue {
+	point := byName{"x": Point(value.Int(15))}
+	if got := zoneTri(NewIn("x", value.Int(15)), point); got != TriTrue {
 		t.Errorf("IN covering point = %s", got)
 	}
-	if got := CompileRanges(NewNotIn("x", value.Int(15)))(point); got != TriFalse {
+	if got := zoneTri(NewNotIn("x", value.Int(15)), point); got != TriFalse {
 		t.Errorf("NOT IN covering point = %s", got)
 	}
-	if got := CompileRanges(NewIn("x"))(zone); got != TriFalse {
+	if got := zoneTri(NewIn("x"), zone); got != TriFalse {
 		t.Errorf("empty IN = %s", got)
 	}
-	if got := CompileRanges(NewIn("x", value.Int(1)))(Ranges{"x": Interval{Empty: true}}); got != TriFalse {
+	if got := zoneTri(NewIn("x", value.Int(1)), byName{"x": Interval{Empty: true}}); got != TriFalse {
 		t.Errorf("IN on empty column = %s", got)
 	}
 }
 
 func TestEvalRangesLike(t *testing.T) {
-	zone := Ranges{"s": NewInterval(value.String("m"), value.String("p"), true, true)}
-	if got := CompileRanges(NewLike("s", "a%"))(zone); got != TriFalse {
+	zone := byName{"s": NewInterval(value.String("m"), value.String("p"), true, true)}
+	if got := zoneTri(NewLike("s", "a%"), zone); got != TriFalse {
 		t.Errorf("prefix outside zone = %s", got)
 	}
-	if got := CompileRanges(NewLike("s", "n%"))(zone); got != TriMaybe {
+	if got := zoneTri(NewLike("s", "n%"), zone); got != TriMaybe {
 		t.Errorf("prefix inside zone = %s", got)
 	}
-	if got := CompileRanges(NewLike("s", "%x%"))(zone); got != TriMaybe {
+	if got := zoneTri(NewLike("s", "%x%"), zone); got != TriMaybe {
 		t.Errorf("no-prefix pattern = %s", got)
 	}
-	if got := CompileRanges(NewNotLike("s", "a%"))(zone); got != TriMaybe {
+	if got := zoneTri(NewNotLike("s", "a%"), zone); got != TriMaybe {
 		t.Errorf("NOT LIKE = %s", got)
 	}
-	if got := CompileRanges(NewLike("s", "a%"))(Ranges{"s": Interval{Empty: true}}); got != TriFalse {
+	if got := zoneTri(NewLike("s", "a%"), byName{"s": Interval{Empty: true}}); got != TriFalse {
 		t.Errorf("LIKE on empty column = %s", got)
 	}
 }
 
 func TestEvalRangesAndOr(t *testing.T) {
-	zone := Ranges{"x": iv(10, 20), "y": iv(0, 5)}
+	zone := byName{"x": iv(10, 20), "y": iv(0, 5)}
 	and := NewAnd(
 		NewComparison("x", Gt, value.Int(5)),  // true
 		NewComparison("y", Lt, value.Int(10)), // true
 	)
-	if got := CompileRanges(and)(zone); got != TriTrue {
+	if got := zoneTri(and, zone); got != TriTrue {
 		t.Errorf("And true = %s", got)
 	}
 	andF := NewAnd(NewComparison("x", Gt, value.Int(5)), NewComparison("y", Gt, value.Int(10)))
-	if got := CompileRanges(andF)(zone); got != TriFalse {
+	if got := zoneTri(andF, zone); got != TriFalse {
 		t.Errorf("And false = %s", got)
 	}
 	andM := NewAnd(NewComparison("x", Gt, value.Int(15)), NewComparison("y", Lt, value.Int(10)))
-	if got := CompileRanges(andM)(zone); got != TriMaybe {
+	if got := zoneTri(andM, zone); got != TriMaybe {
 		t.Errorf("And maybe = %s", got)
 	}
 	orT := NewOr(NewComparison("x", Gt, value.Int(100)), NewComparison("y", Lt, value.Int(10)))
-	if got := CompileRanges(orT)(zone); got != TriTrue {
+	if got := zoneTri(orT, zone); got != TriTrue {
 		t.Errorf("Or true = %s", got)
 	}
 	orF := NewOr(NewComparison("x", Gt, value.Int(100)), NewComparison("y", Gt, value.Int(10)))
-	if got := CompileRanges(orF)(zone); got != TriFalse {
+	if got := zoneTri(orF, zone); got != TriFalse {
 		t.Errorf("Or false = %s", got)
 	}
 	orM := NewOr(NewComparison("x", Gt, value.Int(15)), NewComparison("y", Gt, value.Int(10)))
-	if got := CompileRanges(orM)(zone); got != TriMaybe {
+	if got := zoneTri(orM, zone); got != TriMaybe {
 		t.Errorf("Or maybe = %s", got)
 	}
 	// The disjunctive zone-map win: X<12 OR X>18 over [13,17] skips.
 	disj := NewOr(NewComparison("x", Lt, value.Int(12)), NewComparison("x", Gt, value.Int(18)))
-	if got := CompileRanges(disj)(Ranges{"x": iv(13, 17)}); got != TriFalse {
+	if got := zoneTri(disj, byName{"x": iv(13, 17)}); got != TriFalse {
 		t.Errorf("disjunctive skip = %s", got)
 	}
-	if got := CompileRanges(True())(zone); got != TriTrue {
+	if got := zoneTri(True(), zone); got != TriTrue {
 		t.Errorf("const true = %s", got)
 	}
-	if got := CompileRanges(False())(zone); got != TriFalse {
+	if got := zoneTri(False(), zone); got != TriFalse {
 		t.Errorf("const false = %s", got)
 	}
 }
@@ -288,7 +288,9 @@ func TestRangesOf(t *testing.T) {
 		NewComparison("z", Ne, value.Int(5)),             // no constraint
 		&ColumnComparison{Left: "x", Op: Lt, Right: "y"}, // no constraint
 	)
-	r := RangesOf(p)
+	sch := nameSchema("x", "y", "s", "z")
+	rangesOf := func(p Predicate) byName { return unbind(RangesOf(p, sch), sch) }
+	r := rangesOf(p)
 	x := r["x"]
 	if x.Min.Int() != 10 || !x.MinInc || x.Max.Int() != 20 || x.MaxInc {
 		t.Errorf("x range = %v", x)
@@ -310,33 +312,33 @@ func TestRangesOf(t *testing.T) {
 		NewComparison("x", Eq, value.Int(1)),
 		NewAnd(NewComparison("x", Ge, value.Int(5)), NewComparison("x", Le, value.Int(9))),
 	)
-	ro := RangesOf(or)
+	ro := rangesOf(or)
 	if ro["x"].Min.Int() != 1 || ro["x"].Max.Int() != 9 {
 		t.Errorf("or hull = %v", ro["x"])
 	}
 	orMixed := NewOr(NewComparison("x", Eq, value.Int(1)), NewComparison("y", Eq, value.Int(2)))
-	if len(RangesOf(orMixed)) != 0 {
+	if len(rangesOf(orMixed)) != 0 {
 		t.Error("mixed-column OR should not constrain")
 	}
 
-	if !RangesOf(False()).HasEmpty() {
+	if !RangesOf(False(), sch).HasEmpty() {
 		t.Error("FALSE should produce an empty region")
 	}
-	if len(RangesOf(True())) != 0 {
+	if len(rangesOf(True())) != 0 {
 		t.Error("TRUE should not constrain")
 	}
 	// Negated IN/LIKE contribute nothing.
-	if len(RangesOf(NewNotIn("x", value.Int(1)))) != 0 {
+	if len(rangesOf(NewNotIn("x", value.Int(1)))) != 0 {
 		t.Error("NOT IN should not constrain")
 	}
-	if len(RangesOf(NewNotLike("s", "a%"))) != 0 {
+	if len(rangesOf(NewNotLike("s", "a%"))) != 0 {
 		t.Error("NOT LIKE should not constrain")
 	}
 	// IN with incomparable or null values contributes nothing.
-	if len(RangesOf(NewIn("x", value.Int(1), value.String("a")))) != 0 {
+	if len(rangesOf(NewIn("x", value.Int(1), value.String("a")))) != 0 {
 		t.Error("mixed IN should not constrain")
 	}
-	if len(RangesOf(NewIn("x", value.Null))) != 0 {
+	if len(rangesOf(NewIn("x", value.Null))) != 0 {
 		t.Error("null IN should not constrain")
 	}
 }
@@ -381,7 +383,7 @@ func TestEvalRangesSoundness(t *testing.T) {
 				maxY = y
 			}
 		}
-		zone := Ranges{"x": iv(minX, maxX), "y": iv(minY, maxY)}
+		zone := byName{"x": iv(minX, maxX), "y": iv(minY, maxY)}
 		preds := []Predicate{
 			NewComparison("x", Lt, value.Int(int64(a))),
 			NewComparison("y", Ge, value.Int(int64(b))),
@@ -391,7 +393,7 @@ func TestEvalRangesSoundness(t *testing.T) {
 			&ColumnComparison{Left: "x", Op: Lt, Right: "y"},
 		}
 		for _, p := range preds {
-			tri := CompileRanges(p)(zone)
+			tri := zoneTri(p, zone)
 			anyTrue, allTrue := false, true
 			for row := 0; row < tab.NumRows(); row++ {
 				if evalRow(p, tab, row) {

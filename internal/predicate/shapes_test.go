@@ -177,7 +177,7 @@ func TestRefusedShapesMatchOracle(t *testing.T) {
 				}
 			}
 		}
-		zone := predicate.CompileRanges(p)
+		zone := predicate.CompileRanges(p, tab.Schema())
 		for id, z := range stores["RAM"].Zones("sh") {
 			tri := zone(z.Ranges())
 			for _, r := range tl.Block(id).Rows {

@@ -98,7 +98,7 @@ func Build(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config) (*
 	if cfg.CASampleRate == 0 {
 		cfg.CASampleRate = cfg.SampleRate
 	}
-	tree := &Tree{Table: cfg.Table, BlockSize: cfg.BlockSize}
+	tree := &Tree{Table: cfg.Table, BlockSize: cfg.BlockSize, Schema: tbl.Schema()}
 
 	n := tbl.NumRows()
 	est := float64(n) / cfg.SampleRate
@@ -106,12 +106,12 @@ func Build(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config) (*
 	// cuts, or fewer than two blocks of data — needs no O(cuts × rows)
 	// membership precompute: return the single-leaf tree immediately.
 	if len(queries) == 0 || len(cuts) == 0 || n < 2 || est < 2*float64(cfg.BlockSize) {
-		tree.Root = &Node{LeafIndex: -1, SampleRows: n, EstRows: est, Region: predicate.Ranges{}}
+		tree.Root = &Node{LeafIndex: -1, SampleRows: n, EstRows: est}
 		tree.Reindex()
 		return tree, nil
 	}
 
-	b := newBuilder(queries, cuts, cfg)
+	b := newBuilder(tbl.Schema(), queries, cuts, cfg)
 	b.precomputeMatches(tbl)
 	all := make([]int32, len(queries))
 	for i := range all {
@@ -123,14 +123,15 @@ func Build(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config) (*
 }
 
 type builder struct {
+	schema  *relation.Schema // the table's: regions and filters bind to it
 	cuts    []Cut
 	matches []bitset // per-cut row membership over the build table
 	cfg     Config
 
 	// Routing inputs, prepared once per build; node query lists index queries.
 	queries []BuildQuery
-	filters []func(predicate.Ranges) predicate.Tri // per query, compiled
-	induced []*inducedDecisions                    // per cut; nil for simple cuts
+	filters []predicate.ZoneEval // per query, compiled
+	induced []*inducedDecisions  // per cut; nil for simple cuts
 	paths   pathTable
 
 	// spare holds the worker tokens beyond the calling goroutine. Scoring
@@ -147,14 +148,14 @@ type inducedDecisions struct {
 	routes []routeBits // per build query
 }
 
-func newBuilder(queries []BuildQuery, cuts []Cut, cfg Config) *builder {
+func newBuilder(schema *relation.Schema, queries []BuildQuery, cuts []Cut, cfg Config) *builder {
 	p := cfg.Parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	b := &builder{cuts: cuts, cfg: cfg, queries: queries, induced: make([]*inducedDecisions, len(cuts))}
+	b := &builder{schema: schema, cuts: cuts, cfg: cfg, queries: queries, induced: make([]*inducedDecisions, len(cuts))}
 	for _, bq := range queries {
-		b.filters = append(b.filters, predicate.CompileRanges(bq.Filter))
+		b.filters = append(b.filters, predicate.CompileRanges(bq.Filter, schema))
 	}
 	for i, c := range cuts {
 		if ind := c.induced(); ind != nil {
@@ -303,7 +304,7 @@ func (b *builder) split(rows *rowSet, queries []int32, region predicate.Ranges,
 		leftK = k * best.kNew
 	}
 
-	leftRegion, rightRegion := cut.LeftRanges(region), cut.RightRanges(region)
+	leftRegion, rightRegion := cut.LeftRanges(region, b.schema), cut.RightRanges(region, b.schema)
 	estR := est - best.estL
 	if b.acquire() {
 		var right *Node
@@ -370,7 +371,7 @@ func (b *builder) bestCut(rows *rowSet, queries []int32, region predicate.Ranges
 			})
 			route = func(qi int32) routeBits { return d.routes[qi] }
 		} else {
-			sr := newSimpleRoute(cut.LeftRanges(region), cut.RightRanges(region))
+			sr := newSimpleRoute(cut.LeftRanges(region, b.schema), cut.RightRanges(region, b.schema))
 			route = func(qi int32) routeBits { return sr.route(b.filters[qi]) }
 		}
 		score := 0.0

@@ -21,9 +21,10 @@ type Cut interface {
 	// every row of t, bit r for row r. g, when not nil, lends the buffers
 	// a row list's values are gathered into.
 	FillMask(t *relation.Table, rows []int32, mask []uint64, g *predicate.Gather)
-	// LeftRanges / RightRanges refine the node region for each child.
-	LeftRanges(region predicate.Ranges) predicate.Ranges
-	RightRanges(region predicate.Ranges) predicate.Ranges
+	// LeftRanges / RightRanges refine the node region, over a table of
+	// schema s, for each child.
+	LeftRanges(region predicate.Ranges, s *relation.Schema) predicate.Ranges
+	RightRanges(region predicate.Ranges, s *relation.Schema) predicate.Ranges
 	// JoinKeys identifies the joins the cut's induction path traverses
 	// (empty for simple cuts); cardinality adjustment de-duplicates on
 	// these (§4.2).
@@ -61,13 +62,13 @@ func (c *SimpleCut) FillMask(t *relation.Table, rows []int32, mask []uint64, g *
 }
 
 // LeftRanges implements Cut.
-func (c *SimpleCut) LeftRanges(region predicate.Ranges) predicate.Ranges {
-	return region.Refine(predicate.RangesOf(c.Pred))
+func (c *SimpleCut) LeftRanges(region predicate.Ranges, s *relation.Schema) predicate.Ranges {
+	return region.Refine(predicate.RangesOf(c.Pred, s))
 }
 
 // RightRanges implements Cut.
-func (c *SimpleCut) RightRanges(region predicate.Ranges) predicate.Ranges {
-	return region.Refine(predicate.RangesOf(c.Pred.Negate()))
+func (c *SimpleCut) RightRanges(region predicate.Ranges, s *relation.Schema) predicate.Ranges {
+	return region.Refine(predicate.RangesOf(c.Pred.Negate(), s))
 }
 
 func (c *SimpleCut) induced() *induce.Predicate { return nil }
@@ -108,10 +109,10 @@ func (c *InducedCut) FillMask(t *relation.Table, rows []int32, mask []uint64, _ 
 // LeftRanges implements Cut: induced cuts do not constrain the target
 // table's own columns (they constrain join membership), so the region is
 // unchanged.
-func (c *InducedCut) LeftRanges(region predicate.Ranges) predicate.Ranges { return region }
+func (*InducedCut) LeftRanges(r predicate.Ranges, _ *relation.Schema) predicate.Ranges { return r }
 
 // RightRanges implements Cut.
-func (c *InducedCut) RightRanges(region predicate.Ranges) predicate.Ranges { return region }
+func (*InducedCut) RightRanges(r predicate.Ranges, _ *relation.Schema) predicate.Ranges { return r }
 
 func (c *InducedCut) induced() *induce.Predicate { return c.Ind }
 

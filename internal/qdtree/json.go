@@ -7,6 +7,7 @@ import (
 	"mto/internal/induce"
 	"mto/internal/joingraph"
 	"mto/internal/predicate"
+	"mto/internal/relation"
 	"mto/internal/workload"
 )
 
@@ -105,10 +106,11 @@ func cutToJSON(c Cut) (*jsonCut, error) {
 	}
 }
 
-// UnmarshalTree decodes a tree. Join-induced cuts come back unevaluated;
-// evaluate them with induce.EvaluateAll (as core's loader does) before
-// routing records.
-func UnmarshalTree(data []byte) (*Tree, error) {
+// UnmarshalTree decodes a tree of a table of ds, binding its regions to
+// the table's schema and its join-induced cuts to their source tables'.
+// Join-induced cuts come back unevaluated; evaluate them with
+// induce.EvaluateAll (as core's loader does) before routing records.
+func UnmarshalTree(data []byte, ds *relation.Dataset) (*Tree, error) {
 	var jt jsonTree
 	if err := json.Unmarshal(data, &jt); err != nil {
 		return nil, err
@@ -116,23 +118,27 @@ func UnmarshalTree(data []byte) (*Tree, error) {
 	if jt.Table == "" || jt.Root == nil {
 		return nil, fmt.Errorf("qdtree: malformed tree document")
 	}
-	root, err := nodeFromJSON(jt.Root, nil)
+	tbl := ds.Table(jt.Table)
+	if tbl == nil {
+		return nil, fmt.Errorf("qdtree: tree of unknown table %q", jt.Table)
+	}
+	root, err := nodeFromJSON(jt.Root, nil, ds)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{Table: jt.Table, BlockSize: jt.BlockSize, Root: root}
-	rebuildRegions(t.Root, predicate.Ranges{})
+	t := &Tree{Table: jt.Table, Schema: tbl.Schema(), BlockSize: jt.BlockSize, Root: root}
+	rebuildRegions(t.Root, predicate.Ranges{}, t.Schema)
 	t.Reindex()
 	return t, nil
 }
 
-func nodeFromJSON(j *jsonNodeReal, parent *Node) (*Node, error) {
+func nodeFromJSON(j *jsonNodeReal, parent *Node, ds *relation.Dataset) (*Node, error) {
 	if j == nil {
 		return nil, nil
 	}
 	n := &Node{Parent: parent, LeafIndex: -1, SampleRows: j.SampleRows, EstRows: j.EstRows}
 	if j.Cut != nil {
-		c, err := cutFromJSON(j.Cut)
+		c, err := cutFromJSON(j.Cut, ds)
 		if err != nil {
 			return nil, err
 		}
@@ -140,11 +146,11 @@ func nodeFromJSON(j *jsonNodeReal, parent *Node) (*Node, error) {
 		if j.Left == nil || j.Right == nil {
 			return nil, fmt.Errorf("qdtree: inner node missing children")
 		}
-		l, err := nodeFromJSON(j.Left, n)
+		l, err := nodeFromJSON(j.Left, n, ds)
 		if err != nil {
 			return nil, err
 		}
-		r, err := nodeFromJSON(j.Right, n)
+		r, err := nodeFromJSON(j.Right, n, ds)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +159,7 @@ func nodeFromJSON(j *jsonNodeReal, parent *Node) (*Node, error) {
 	return n, nil
 }
 
-func cutFromJSON(j *jsonCut) (Cut, error) {
+func cutFromJSON(j *jsonCut, ds *relation.Dataset) (Cut, error) {
 	switch j.Kind {
 	case "simple":
 		p, err := predicate.UnmarshalJSONTree(j.Pred)
@@ -177,7 +183,9 @@ func cutFromJSON(j *jsonCut) (Cut, error) {
 				Type: workload.JoinType(h.JoinType),
 			}
 		}
-		return NewInducedCut(induce.New(joingraph.Path{Hops: hops}, src)), nil
+		ind := induce.New(joingraph.Path{Hops: hops}, src)
+		ind.Bind(ds)
+		return NewInducedCut(ind), nil
 	default:
 		return nil, fmt.Errorf("qdtree: unknown cut kind %q", j.Kind)
 	}
@@ -185,7 +193,7 @@ func cutFromJSON(j *jsonCut) (Cut, error) {
 
 // rebuildRegions recomputes each node's accumulated region from its
 // ancestors' simple cuts (regions are derived state, not persisted).
-func rebuildRegions(n *Node, region predicate.Ranges) {
+func rebuildRegions(n *Node, region predicate.Ranges, s *relation.Schema) {
 	if n == nil {
 		return
 	}
@@ -193,6 +201,6 @@ func rebuildRegions(n *Node, region predicate.Ranges) {
 	if n.IsLeaf() {
 		return
 	}
-	rebuildRegions(n.Left, n.Cut.LeftRanges(region))
-	rebuildRegions(n.Right, n.Cut.RightRanges(region))
+	rebuildRegions(n.Left, n.Cut.LeftRanges(region, s), s)
+	rebuildRegions(n.Right, n.Cut.RightRanges(region, s), s)
 }

@@ -6,6 +6,7 @@ import (
 
 	"mto/internal/induce"
 	"mto/internal/predicate"
+	"mto/internal/relation"
 	"mto/internal/value"
 	"mto/internal/workload"
 )
@@ -63,7 +64,7 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalTree(raw)
+	got, err := UnmarshalTree(raw, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,10 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalTreeErrors(t *testing.T) {
+	ds := relation.NewDataset()
+	ds.MustAddTable(relation.NewTable(relation.MustSchema("t", relation.Column{Name: "x", Type: value.KindInt})))
 	cases := []string{
+		`{"table":"u","root":{}}`, // a table ds lacks
 		`{`,
 		`{"version":1}`,
 		`{"table":"","root":{}}`,
@@ -122,7 +126,7 @@ func TestUnmarshalTreeErrors(t *testing.T) {
 		`{"table":"t","root":{"cut":{"kind":"simple","pred":{"t":"const","b":true}}}}`,
 	}
 	for _, c := range cases {
-		if _, err := UnmarshalTree([]byte(c)); err == nil {
+		if _, err := UnmarshalTree([]byte(c), ds); err == nil {
 			t.Errorf("accepted malformed document: %s", c)
 		}
 	}

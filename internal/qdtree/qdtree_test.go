@@ -423,24 +423,24 @@ func TestNodesBFSOrder(t *testing.T) {
 
 func TestSimpleCutRouting(t *testing.T) {
 	cut := NewSimpleCut(predicate.NewComparison("x", predicate.Lt, value.Int(100)))
-	region := predicate.Ranges{}
+	region, s := predicate.Ranges{}, singleTable(t, 1, 1).Schema()
 	// A query filtering x > 200 only needs the right (negation) side.
 	q := singleTableQuery("q", predicate.NewComparison("x", predicate.Gt, value.Int(200)))
-	rc := RouteContext{Query: q, Alias: "T", Filter: q.FilterOn("T")}
+	rc := RouteContext{Query: q, Alias: "T", Filter: q.FilterOn("T"), Schema: s}
 	l, r := oracleRoute(cut, &rc, region)
 	if l || !r {
 		t.Errorf("Route = %v,%v, want false,true", l, r)
 	}
 	// A query filtering x < 50 only needs the left side.
 	q2 := singleTableQuery("q2", predicate.NewComparison("x", predicate.Lt, value.Int(50)))
-	rc2 := RouteContext{Query: q2, Alias: "T", Filter: q2.FilterOn("T")}
+	rc2 := RouteContext{Query: q2, Alias: "T", Filter: q2.FilterOn("T"), Schema: s}
 	l, r = oracleRoute(cut, &rc2, region)
 	if !l || r {
 		t.Errorf("Route = %v,%v, want true,false", l, r)
 	}
 	// Unfiltered queries need both.
 	q3 := workload.NewQuery("q3", workload.TableRef{Table: "T"})
-	rc3 := RouteContext{Query: q3, Alias: "T", Filter: q3.FilterOn("T")}
+	rc3 := RouteContext{Query: q3, Alias: "T", Filter: q3.FilterOn("T"), Schema: s}
 	l, r = oracleRoute(cut, &rc3, region)
 	if !l || !r {
 		t.Errorf("Route = %v,%v, want true,true", l, r)
@@ -509,7 +509,8 @@ func TestInducedCutRoutingNegationOnly(t *testing.T) {
 	if cut.MemBytes() <= 0 || cut.InductionDepth() != 1 || !cut.IsInduced() {
 		t.Error("cosmetics wrong")
 	}
-	if got := cut.LeftRanges(predicate.Ranges{"v": predicate.Point(value.Int(1))}); len(got) != 1 {
+	region := predicate.NewRanges([]predicate.Interval{predicate.Point(value.Int(1))})
+	if got := cut.LeftRanges(region, nil); got.String() != region.String() {
 		t.Error("induced cuts must not alter regions")
 	}
 }

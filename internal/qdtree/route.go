@@ -137,7 +137,7 @@ func (t *Tree) RouteQuery(q *workload.Query) []int {
 	rt := t.prepared()
 	qr := &queryRoutes{q: q}
 	induced := make([]routeBits, len(rt.induced)) // memoized per query
-	var filter func(predicate.Ranges) predicate.Tri
+	var filter predicate.ZoneEval
 	var visit func(i int)
 	visit = func(i int) {
 		n := &rt.nodes[i]
@@ -160,7 +160,7 @@ func (t *Tree) RouteQuery(q *workload.Query) []int {
 		}
 	}
 	for _, alias := range aliases {
-		filter = predicate.CompileRanges(q.FilterOn(alias))
+		filter = predicate.CompileRanges(q.FilterOn(alias), t.Schema)
 		visit(len(rt.nodes) - 1) // the root
 	}
 	var out []int
@@ -173,7 +173,8 @@ func (t *Tree) RouteQuery(q *workload.Query) []int {
 }
 
 // router is a tree prepared for query routing after a Reindex: the nodes
-// in post-order, and each distinct induced cut prepared once.
+// in post-order (simple cuts with their child regions), and each distinct
+// induced cut prepared once.
 type router struct {
 	nodes   []routeNode
 	induced []inducedRoute
@@ -201,7 +202,7 @@ func (t *Tree) prepared() *router {
 		if !n.IsLeaf() {
 			rn.left, rn.right = add(n.Left), add(n.Right)
 			if ind := n.Cut.induced(); ind == nil {
-				rn.simple = newSimpleRoute(n.Cut.LeftRanges(n.Region), n.Cut.RightRanges(n.Region))
+				rn.simple = newSimpleRoute(n.Cut.LeftRanges(n.Region, t.Schema), n.Cut.RightRanges(n.Region, t.Schema))
 			} else if k, ok := induced[ind]; ok {
 				rn.induced = k
 			} else {
@@ -237,7 +238,7 @@ func newSimpleRoute(l, r predicate.Ranges) simpleRoute {
 	return simpleRoute{l: l, r: r, lEmpty: l.HasEmpty(), rEmpty: r.HasEmpty()}
 }
 
-func (s *simpleRoute) route(filter func(predicate.Ranges) predicate.Tri) (lr routeBits) {
+func (s *simpleRoute) route(filter predicate.ZoneEval) (lr routeBits) {
 	if !s.lEmpty && filter(s.l) != predicate.TriFalse {
 		lr |= routeLeft
 	}
@@ -250,36 +251,32 @@ func (s *simpleRoute) route(filter func(predicate.Ranges) predicate.Tri) (lr rou
 // zone is a predicate's range extraction and compiled zone evaluator.
 type zone struct {
 	ranges predicate.Ranges
-	eval   func(predicate.Ranges) predicate.Tri
+	eval   predicate.ZoneEval
 }
 
-func zoneOf(p predicate.Predicate) zone {
-	return zone{ranges: predicate.RangesOf(p), eval: predicate.CompileRanges(p)}
+func zoneOf(p predicate.Predicate, s *relation.Schema) zone {
+	return zone{ranges: predicate.RangesOf(p, s), eval: predicate.CompileRanges(p, s)}
 }
 
 // intersects reports whether a and b, over one table, can hold together:
 // false only when range extraction proves them disjoint, either way round.
 func (a zone) intersects(b zone) bool {
-	if a.ranges.HasEmpty() {
-		return false
-	}
-	for col, iv := range b.ranges {
-		if a.ranges.Get(col).Intersect(iv).Empty {
-			return false
-		}
-	}
-	return a.eval(b.ranges) != predicate.TriFalse && b.eval(a.ranges) != predicate.TriFalse
+	return !a.ranges.Disjoint(b.ranges) &&
+		a.eval(b.ranges) != predicate.TriFalse && b.eval(a.ranges) != predicate.TriFalse
 }
 
-// inducedRoute is an induced cut prepared for routing. Its answer ignores
-// the node (§4.1.2), so a query is routed through it once.
+// inducedRoute is an induced cut prepared for routing over its source's
+// schema. Its answer ignores the node (§4.1.2), so a query is routed
+// through it once.
 type inducedRoute struct {
 	path     int
+	source   *relation.Schema
 	cut, neg zone
 }
 
 func newInducedRoute(ind *induce.Predicate, paths *pathTable) inducedRoute {
-	return inducedRoute{paths.intern(ind.Path), zoneOf(ind.SourceCut), zoneOf(ind.SourceCut.Negate())}
+	s := ind.SourceSchema()
+	return inducedRoute{paths.intern(ind.Path), s, zoneOf(ind.SourceCut, s), zoneOf(ind.SourceCut.Negate(), s)}
 }
 
 // pathTable interns induction paths.
@@ -317,7 +314,7 @@ func (qr *queryRoutes) decide(ir *inducedRoute, paths pathTable) (lr routeBits) 
 		for _, a := range aliases {
 			f, ok := qr.filters[a]
 			if !ok {
-				f = zoneOf(qr.q.FilterOn(a))
+				f = zoneOf(qr.q.FilterOn(a), ir.source)
 				qr.filters[a] = f
 			}
 			src = append(src, f)

@@ -29,6 +29,7 @@ type RouteContext struct {
 	Query  *workload.Query
 	Alias  string
 	Filter predicate.Predicate // the query's filter on this alias
+	Schema *relation.Schema    // the routed table's
 }
 
 // oracleRoute decides which children of cut a query must visit; region is
@@ -38,10 +39,10 @@ func oracleRoute(cut Cut, rc *RouteContext, region predicate.Ranges) (left, righ
 	if ind == nil {
 		// A child is visited unless the query's filter is provably
 		// unsatisfiable within the child's region.
-		l := cut.LeftRanges(region)
-		r := cut.RightRanges(region)
-		left = !l.HasEmpty() && predicate.CompileRanges(rc.Filter)(l) != predicate.TriFalse
-		right = !r.HasEmpty() && predicate.CompileRanges(rc.Filter)(r) != predicate.TriFalse
+		l := cut.LeftRanges(region, rc.Schema)
+		r := cut.RightRanges(region, rc.Schema)
+		left = !l.HasEmpty() && predicate.CompileRanges(rc.Filter, rc.Schema)(l) != predicate.TriFalse
+		right = !r.HasEmpty() && predicate.CompileRanges(rc.Filter, rc.Schema)(r) != predicate.TriFalse
 		return left, right
 	}
 	// §4.1.2: if the query's join graph does not share the cut's induction
@@ -55,10 +56,10 @@ func oracleRoute(cut Cut, rc *RouteContext, region predicate.Ranges) (left, righ
 	neg := ind.SourceCut.Negate()
 	for _, srcAlias := range sources {
 		f := rc.Query.FilterOn(srcAlias)
-		if predicatesIntersect(f, ind.SourceCut) {
+		if predicatesIntersect(f, ind.SourceCut, ind.SourceSchema()) {
 			left = true
 		}
-		if predicatesIntersect(f, neg) {
+		if predicatesIntersect(f, neg, ind.SourceSchema()) {
 			right = true
 		}
 		if left && right {
@@ -69,22 +70,23 @@ func oracleRoute(cut Cut, rc *RouteContext, region predicate.Ranges) (left, righ
 }
 
 // predicatesIntersect conservatively decides whether two predicates over
-// the same table can hold simultaneously: it is false only when provably
-// disjoint (checked in both directions through range extraction).
-func predicatesIntersect(a, b predicate.Predicate) bool {
-	ra, rb := predicate.RangesOf(a), predicate.RangesOf(b)
+// the same table, of schema s, can hold simultaneously: it is false only
+// when provably disjoint (checked in both directions through range
+// extraction).
+func predicatesIntersect(a, b predicate.Predicate, s *relation.Schema) bool {
+	ra, rb := predicate.RangesOf(a, s), predicate.RangesOf(b, s)
 	if ra.Refine(rb).HasEmpty() {
 		return false
 	}
-	return predicate.CompileRanges(a)(rb) != predicate.TriFalse &&
-		predicate.CompileRanges(b)(ra) != predicate.TriFalse
+	return predicate.CompileRanges(a, s)(rb) != predicate.TriFalse &&
+		predicate.CompileRanges(b, s)(ra) != predicate.TriFalse
 }
 
 // oracleRouteQuery is RouteQuery through oracleRoute.
 func oracleRouteQuery(t *Tree, q *workload.Query) []int {
 	needed := make([]bool, len(t.Leaves()))
 	for _, alias := range q.AliasesOf(t.Table) {
-		rc := RouteContext{Query: q, Alias: alias, Filter: q.FilterOn(alias)}
+		rc := RouteContext{Query: q, Alias: alias, Filter: q.FilterOn(alias), Schema: t.Schema}
 		routeContext(t, &rc, needed)
 	}
 	var out []int
@@ -218,7 +220,7 @@ func TestPreparedRouteMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := UnmarshalTree(data)
+			back, err := UnmarshalTree(data, rb.ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,12 +389,13 @@ func BenchmarkRouteQuery(b *testing.B) {
 func TestPreparedRouteEmptyRegion(t *testing.T) {
 	lt := predicate.NewComparison("x", predicate.Lt, value.Int(100))
 	gt := predicate.NewComparison("x", predicate.Gt, value.Int(200))
-	root := &Node{Cut: NewSimpleCut(lt), Region: predicate.Ranges{}}
-	inner := &Node{Cut: NewSimpleCut(gt), Parent: root, Region: root.Cut.LeftRanges(root.Region)}
-	inner.Left = &Node{Parent: inner, Region: inner.Cut.LeftRanges(inner.Region)}
-	inner.Right = &Node{Parent: inner, Region: inner.Cut.RightRanges(inner.Region)}
-	root.Left, root.Right = inner, &Node{Parent: root, Region: root.Cut.RightRanges(root.Region)}
-	tree := &Tree{Table: "T", Root: root}
+	s := singleTable(t, 1, 1).Schema()
+	root := &Node{Cut: NewSimpleCut(lt)}
+	inner := &Node{Cut: NewSimpleCut(gt), Parent: root, Region: root.Cut.LeftRanges(root.Region, s)}
+	inner.Left = &Node{Parent: inner, Region: inner.Cut.LeftRanges(inner.Region, s)}
+	inner.Right = &Node{Parent: inner, Region: inner.Cut.RightRanges(inner.Region, s)}
+	root.Left, root.Right = inner, &Node{Parent: root, Region: root.Cut.RightRanges(root.Region, s)}
+	tree := &Tree{Table: "T", Schema: s, Root: root}
 	tree.Reindex()
 	for _, q := range []*workload.Query{
 		singleTableQuery("y", predicate.NewComparison("y", predicate.Lt, value.Int(5))),

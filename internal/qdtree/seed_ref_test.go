@@ -17,7 +17,7 @@ func seedBuild(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config
 	if cfg.CASampleRate == 0 {
 		cfg.CASampleRate = cfg.SampleRate
 	}
-	tree := &Tree{Table: cfg.Table, BlockSize: cfg.BlockSize}
+	tree := &Tree{Table: cfg.Table, BlockSize: cfg.BlockSize, Schema: tbl.Schema()}
 
 	matches := make([][]bool, len(cuts))
 	for i, c := range cuts {
@@ -34,7 +34,7 @@ func seedBuild(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	b := &seedBuilder{cuts: cuts, matches: matches, cfg: cfg}
+	b := &seedBuilder{schema: tbl.Schema(), cuts: cuts, matches: matches, cfg: cfg}
 	tree.Root = b.split(rows, queries, predicate.Ranges{}, map[string]bool{}, 1,
 		float64(len(rows))/cfg.SampleRate, nil)
 	tree.Reindex()
@@ -42,6 +42,7 @@ func seedBuild(tbl *relation.Table, queries []BuildQuery, cuts []Cut, cfg Config
 }
 
 type seedBuilder struct {
+	schema  *relation.Schema
 	cuts    []Cut
 	matches [][]bool
 	cfg     Config
@@ -99,7 +100,7 @@ func (b *seedBuilder) split(rows []int32, queries []BuildQuery, region predicate
 		score := 0.0
 		for qi := range queries {
 			bq := &queries[qi]
-			rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter}
+			rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter, Schema: b.schema}
 			l, r := oracleRoute(cut, &rc, region)
 			if !l {
 				score += bq.Weight * estL
@@ -134,7 +135,7 @@ func (b *seedBuilder) split(rows []int32, queries []BuildQuery, region predicate
 	var leftQs, rightQs []BuildQuery
 	for qi := range queries {
 		bq := queries[qi]
-		rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter}
+		rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter, Schema: b.schema}
 		l, r := oracleRoute(cut, &rc, region)
 		if l {
 			leftQs = append(leftQs, bq)
@@ -157,7 +158,7 @@ func (b *seedBuilder) split(rows []int32, queries []BuildQuery, region predicate
 		leftK = k * bestKNew
 	}
 
-	node.Left = b.split(leftRows, leftQs, cut.LeftRanges(region), leftJoins, leftK, bestEstL, node)
-	node.Right = b.split(rightRows, rightQs, cut.RightRanges(region), pathJoins, k, est-bestEstL, node)
+	node.Left = b.split(leftRows, leftQs, cut.LeftRanges(region, b.schema), leftJoins, leftK, bestEstL, node)
+	node.Right = b.split(rightRows, rightQs, cut.RightRanges(region, b.schema), pathJoins, k, est-bestEstL, node)
 	return node
 }

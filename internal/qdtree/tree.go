@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mto/internal/predicate"
+	"mto/internal/relation"
 )
 
 // Node is one qd-tree node. Inner nodes carry a Cut; leaves carry a leaf
@@ -26,7 +27,7 @@ type Node struct {
 	// covered (§4.2). Equal to SampleRows when built without sampling.
 	EstRows float64
 	// Region is the per-column constraint region accumulated from simple
-	// cuts on the path from the root.
+	// cuts on the path from the root, by column ordinal of Tree.Schema.
 	Region predicate.Ranges
 }
 
@@ -35,8 +36,9 @@ func (n *Node) IsLeaf() bool { return n.Cut == nil }
 
 // Tree is a qd-tree for one table.
 type Tree struct {
-	Table string
-	Root  *Node
+	Table  string
+	Schema *relation.Schema // the table's: regions and routed filters bind to its ordinals
+	Root   *Node
 	// BlockSize is the target rows per block the tree was built for (in
 	// full-data terms).
 	BlockSize int
@@ -220,7 +222,7 @@ func (t *Tree) Dump() string {
 // while cuts (immutable during routing and reorganization) are shared.
 // Background reorganization (§5.1.1) mutates a clone and swaps it in.
 func (t *Tree) Clone() *Tree {
-	out := &Tree{Table: t.Table, BlockSize: t.BlockSize}
+	out := &Tree{Table: t.Table, Schema: t.Schema, BlockSize: t.BlockSize}
 	var copyNode func(n *Node, parent *Node) *Node
 	copyNode = func(n *Node, parent *Node) *Node {
 		if n == nil {

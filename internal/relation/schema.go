@@ -74,6 +74,26 @@ func (s *Schema) ColumnIndex(name string) (int, bool) {
 	return i, ok
 }
 
+// Ordinal returns the index of the named column, -1 when s is nil or has
+// no such column.
+func (s *Schema) Ordinal(name string) int {
+	if s != nil {
+		if i, ok := s.byName[name]; ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// Kind returns the named column's kind; ok is false when s has no such
+// column.
+func (s *Schema) Kind(name string) (kind value.Kind, ok bool) {
+	if i := s.Ordinal(name); i >= 0 {
+		return s.cols[i].Type, true
+	}
+	return value.KindNull, false
+}
+
 // MustColumnIndex is ColumnIndex that panics if the column is missing.
 func (s *Schema) MustColumnIndex(name string) int {
 	i, ok := s.byName[name]

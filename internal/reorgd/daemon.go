@@ -255,7 +255,8 @@ func (d *Daemon) treeCuts(tables []string) map[string][]qdtree.Cut {
 // Step runs one daemon cycle: score staleness and — when warranted — plan,
 // trim to budget, stage a partial reorganization and commit it through the
 // instance, which swaps in the new generation and engine. The returned
-// stats are also appended to Trace.
+// stats are also appended to Trace. A cycle on a closed instance plans
+// nothing and returns an error wrapping live.ErrClosed.
 func (d *Daemon) Step() (CycleStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -264,6 +265,11 @@ func (d *Daemon) Step() (CycleStats, error) {
 	cs := CycleStats{Cycle: d.cycle, Seq: d.log.Seq(), Action: "idle"}
 	d.cycle++
 	defer func() { d.trace = append(d.trace, cs) }()
+
+	if d.live.Closed() {
+		// Its install would be refused: plan nothing.
+		return cs, fmt.Errorf("reorgd: %w", live.ErrClosed)
+	}
 
 	if d.log.Seq()-d.lastActSeq < uint64(d.cfg.MinCycleQueries) {
 		return cs, nil

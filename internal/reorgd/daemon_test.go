@@ -227,8 +227,8 @@ func TestDaemonRun(t *testing.T) {
 }
 
 // TestDaemonRunReturnsStepError: Run stops at the first cycle that fails
-// and returns its error — here a cycle planning over an instance (and its
-// store) closed after the queries were observed.
+// and returns its error — here a cycle over an instance (and its store)
+// closed after the queries were observed.
 func TestDaemonRunReturnsStepError(t *testing.T) {
 	in, shift := daemonScenario(t, 4, nil)
 	d := New(in, Config{Budget: 30, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100,
@@ -244,7 +244,7 @@ func TestDaemonRunReturnsStepError(t *testing.T) {
 	go func() { runErr <- d.Run(ctx) }()
 	select {
 	case err := <-runErr:
-		if err == nil || !strings.HasPrefix(err.Error(), "reorgd: ") {
+		if !errors.Is(err, live.ErrClosed) || !strings.HasPrefix(err.Error(), "reorgd: ") {
 			t.Errorf("Run = %v, want the failing cycle's error", err)
 		}
 	case <-time.After(time.Minute):
@@ -255,6 +255,36 @@ func TestDaemonRunReturnsStepError(t *testing.T) {
 	}
 	if g := in.Generation(); g != 0 {
 		t.Errorf("generation %d after a failed cycle, want 0", g)
+	}
+}
+
+// TestDaemonStepOnClosedInstance: a cycle over a closed instance returns
+// live.ErrClosed before it scores or plans, though the same window plans a
+// reorganization on the instance left open.
+func TestDaemonStepOnClosedInstance(t *testing.T) {
+	cfg := Config{Budget: 30, Window: 64, MinCycleQueries: 16, TopK: 1, Q: 300, W: 100}
+	open, shift := daemonScenario(t, 4, nil)
+	twin := New(open, cfg)
+	feed(t, open, twin, shift, 0)
+	if cs, err := twin.Step(); err != nil || cs.PlannedChoices == 0 {
+		t.Fatalf("open instance: %+v, %v; want a planned cycle", cs, err)
+	}
+
+	in, shift := daemonScenario(t, 4, nil)
+	d := New(in, cfg)
+	feed(t, in, d, shift, 0)
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := d.Step()
+	if !errors.Is(err, live.ErrClosed) {
+		t.Fatalf("Step on a closed instance = %v, want live.ErrClosed", err)
+	}
+	if cs.Scores != nil || cs.Tables != nil || cs.PlannedChoices != 0 || cs.Action != "idle" {
+		t.Errorf("closed cycle %+v scored or planned", cs)
+	}
+	if n, g := len(d.Trace()), in.Generation(); n != 1 || g != 0 {
+		t.Errorf("%d cycles traced, generation %d; want 1 and 0", n, g)
 	}
 }
 

@@ -94,6 +94,47 @@ func TestHitAnsweredWhileWorkersBusy(t *testing.T) {
 	}
 }
 
+// TestCancelledWaiterNeverExecutes: a miss queued behind the only worker
+// whose caller gives up before the worker frees is neither executed nor
+// cached, and still releases its slot, so the server drains.
+func TestCancelledWaiterNeverExecutes(t *testing.T) {
+	cfg, shift := serveScenario(t, "alpha", 4, false)
+	gate := newExecGate(cfg.Store)
+	cfg.Store = gate
+	s := startServer(t, Config{Tenants: []TenantConfig{cfg}, Workers: 1})
+	t.Cleanup(gate.open)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	held := holdWorker(t, gate, func() error { _, err := s.Submit(ctx, "alpha", shift[0]); return err })
+	waitCtx, giveUp := context.WithCancel(ctx)
+	queued := make(chan error, 1)
+	go func() { _, err := s.Submit(waitCtx, "alpha", shift[1]); queued <- err }()
+	for s.Stats().QueueDepth < 1 {
+		if ctx.Err() != nil {
+			t.Fatal("the second miss never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	giveUp()
+	if err := <-queued; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: %v, want context.Canceled", err)
+	}
+
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatalf("held miss: %v", err)
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("drain after a skipped request: %v", err)
+	}
+	st := s.Stats()
+	if q := st.Tenants[0].Engine.Queries; q != 1 || st.Cache.Entries != 1 || st.Completed != 1 {
+		t.Errorf("engine queries %d, cache entries %d, completed %d; want 1, 1, 1 (the held miss only)",
+			q, st.Cache.Entries, st.Completed)
+	}
+}
+
 // TestHitAdmission: a hit passes the same admission as a miss — an empty
 // token bucket rejects it with ErrRateLimited and a draining server with
 // ErrShuttingDown, and neither rejected submission reaches the cache.

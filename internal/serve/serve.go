@@ -77,6 +77,7 @@ type Response struct {
 
 // request is one queued submission: a cache miss waiting for a worker.
 type request struct {
+	ctx      context.Context // the submitter's: a worker skips the request once it is done
 	tenant   *tenant
 	q        *workload.Query
 	norm     string    // q's cache key
@@ -227,8 +228,9 @@ func (s *Server) SubmitID(ctx context.Context, tenant, id string) (Response, err
 
 // Submit admits one query for the tenant and answers it. A result-cache
 // hit is answered here, on the caller's goroutine; only a miss is queued
-// for a worker, and Submit blocks until it executes (or ctx is done — the
-// query still runs to completion in the background; it was admitted).
+// for a worker, and Submit blocks until it executes or ctx is done. A miss
+// whose ctx is done before a worker takes it is never executed or cached;
+// one a worker has begun runs to completion.
 func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (Response, error) {
 	t := s.tenants[tenant]
 	if t == nil {
@@ -272,7 +274,7 @@ func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (
 		s.rejQueue.Add(1)
 		return Response{}, ErrOverloaded
 	}
-	r := &request{tenant: t, q: q, norm: norm, admitted: now, done: make(chan struct{})}
+	r := &request{ctx: ctx, tenant: t, q: q, norm: norm, admitted: now, done: make(chan struct{})}
 	if !s.queue.enqueue(tenant, r) {
 		s.reqWG.Done()
 		s.rejShutdown.Add(1)
@@ -286,8 +288,8 @@ func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (
 	}
 }
 
-// worker is one pool goroutine: dequeue in weighted-fair order, execute,
-// answer the waiter.
+// worker is one pool goroutine: dequeue in weighted-fair order, execute
+// unless the waiter has given up, answer the waiter.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -295,7 +297,9 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.execute(r)
+		if r.err = r.ctx.Err(); r.err == nil {
+			s.execute(r)
+		}
 		close(r.done)
 		s.reqWG.Done()
 	}

@@ -1,8 +1,9 @@
 // Package zonemap implements per-block zone maps: the min/max (per column)
 // metadata cloud warehouses keep in memory to skip blocks during query
 // execution (Fig. 1 of the paper). predicate.CompileRanges evaluates a
-// query predicate against a zone map's Ranges with three-valued logic;
-// TriFalse means the block can be skipped.
+// query predicate against a zone map's Ranges — one interval per column
+// ordinal of the table's schema — with three-valued logic; TriFalse means
+// the block can be skipped.
 package zonemap
 
 import (
@@ -26,8 +27,8 @@ type ZoneMap struct {
 // the table's typed vectors instead of boxing each cell into a value.Value.
 func Build(t *relation.Table, rows []int32) *ZoneMap {
 	schema := t.Schema()
-	zm := &ZoneMap{ranges: make(predicate.Ranges, schema.NumColumns()), rows: len(rows)}
-	for c := 0; c < schema.NumColumns(); c++ {
+	cols := make([]predicate.Interval, schema.NumColumns())
+	for c := range cols {
 		col := schema.Column(c)
 		var min, max value.Value
 		var seen bool
@@ -43,12 +44,12 @@ func Build(t *relation.Table, rows []int32) *ZoneMap {
 			min, max, seen = value.String(lo), value.String(hi), ok
 		}
 		if !seen {
-			zm.ranges[col.Name] = predicate.Interval{Empty: true}
+			cols[c] = predicate.Interval{Empty: true}
 			continue
 		}
-		zm.ranges[col.Name] = predicate.NewInterval(min, max, true, true)
+		cols[c] = predicate.NewInterval(min, max, true, true)
 	}
-	return zm
+	return &ZoneMap{ranges: predicate.NewRanges(cols), rows: len(rows)}
 }
 
 // minMax returns the bounds of vals over the rows neither NULL nor NaN,
@@ -75,8 +76,8 @@ func minMax[T int64 | float64 | string](vals []T, nulls []bool, rows []int32) (m
 	return min, max, ok
 }
 
-// FromRanges reconstructs a zone map from previously computed per-column
-// intervals and a row count. It is used by the persistent segment store to
+// FromRanges reconstructs a zone map from previously computed intervals,
+// one per column ordinal, and a row count. It is used by the persistent segment store to
 // rebuild zone maps from a segment footer; ranges is adopted, not copied.
 func FromRanges(ranges predicate.Ranges, rows int) *ZoneMap {
 	return &ZoneMap{ranges: ranges, rows: rows}
@@ -85,8 +86,5 @@ func FromRanges(ranges predicate.Ranges, rows int) *ZoneMap {
 // NumRows returns the number of rows summarized.
 func (z *ZoneMap) NumRows() int { return z.rows }
 
-// Ranges exposes the per-column intervals (shared, do not mutate).
+// Ranges exposes the intervals by column ordinal (shared, do not mutate).
 func (z *ZoneMap) Ranges() predicate.Ranges { return z.ranges }
-
-// Column returns the interval for one column.
-func (z *ZoneMap) Column(name string) predicate.Interval { return z.ranges.Get(name) }

@@ -30,52 +30,57 @@ func TestBuildRanges(t *testing.T) {
 	if zm.NumRows() != 3 {
 		t.Errorf("NumRows = %d", zm.NumRows())
 	}
-	x := zm.Column("x")
+	x := column(zm, tab, "x")
 	if x.Min.Int() != 10 || x.Max.Int() != 20 {
 		t.Errorf("x zone = %v", x)
 	}
-	s := zm.Column("s")
+	s := column(zm, tab, "s")
 	if s.Min.Str() != "a" || s.Max.Str() != "z" {
 		t.Errorf("s zone = %v", s)
 	}
-	if !zm.Column("n").Empty {
+	if !column(zm, tab, "n").Empty {
 		t.Error("all-null column should have empty interval")
 	}
-	if len(zm.Ranges()) != 3 {
-		t.Errorf("Ranges has %d columns", len(zm.Ranges()))
+	if got := zm.Ranges().String(); got != `{#0∈[10, 20], #1∈["a", "z"], #2∈∅}` {
+		t.Errorf("Ranges = %s", got)
 	}
 }
 
+// column is the interval zm holds for tab's column name.
+func column(zm *ZoneMap, tab *relation.Table, name string) *predicate.Interval {
+	return zm.Ranges().At(tab.Schema().MustColumnIndex(name))
+}
+
 // decide evaluates p against zm as the engine's zone pruning does.
-func decide(zm *ZoneMap, p predicate.Predicate) predicate.Tri {
-	return predicate.CompileRanges(p)(zm.Ranges())
+func decide(zm *ZoneMap, tab *relation.Table, p predicate.Predicate) predicate.Tri {
+	return predicate.CompileRanges(p, tab.Schema())(zm.Ranges())
 }
 
 func TestSkipping(t *testing.T) {
 	tab := buildTable(t)
 	zm := Build(tab, []int32{0, 1, 2}) // x in [10,20]
-	if decide(zm, predicate.NewComparison("x", predicate.Gt, value.Int(50))) != predicate.TriFalse {
+	if decide(zm, tab, predicate.NewComparison("x", predicate.Gt, value.Int(50))) != predicate.TriFalse {
 		t.Error("should skip x > 50")
 	}
-	if decide(zm, predicate.NewComparison("x", predicate.Gt, value.Int(15))) == predicate.TriFalse {
+	if decide(zm, tab, predicate.NewComparison("x", predicate.Gt, value.Int(15))) == predicate.TriFalse {
 		t.Error("should not skip x > 15")
 	}
-	if decide(zm, predicate.NewComparison("x", predicate.Le, value.Int(20))) != predicate.TriTrue {
+	if decide(zm, tab, predicate.NewComparison("x", predicate.Le, value.Int(20))) != predicate.TriTrue {
 		t.Error("x <= 20 covers the whole block")
 	}
-	if decide(zm, predicate.NewComparison("x", predicate.Le, value.Int(15))) == predicate.TriTrue {
+	if decide(zm, tab, predicate.NewComparison("x", predicate.Le, value.Int(15))) == predicate.TriTrue {
 		t.Error("x <= 15 does not cover the whole block")
 	}
 	// Filters on the all-null column always skip.
-	if decide(zm, predicate.NewComparison("n", predicate.Gt, value.Float(0))) != predicate.TriFalse {
+	if decide(zm, tab, predicate.NewComparison("n", predicate.Gt, value.Float(0))) != predicate.TriFalse {
 		t.Error("all-null column filter should skip the block")
 	}
 	// A different slice of rows has a different zone.
 	zm2 := Build(tab, []int32{3})
-	if decide(zm2, predicate.NewComparison("n", predicate.Gt, value.Float(0))) == predicate.TriFalse {
+	if decide(zm2, tab, predicate.NewComparison("n", predicate.Gt, value.Float(0))) == predicate.TriFalse {
 		t.Error("non-null block should not skip")
 	}
-	if !zm2.Column("x").IsPoint() {
+	if !column(zm2, tab, "x").IsPoint() {
 		t.Error("single-row zone should be a point")
 	}
 }
@@ -86,7 +91,7 @@ func TestEmptyBlock(t *testing.T) {
 	if zm.NumRows() != 0 {
 		t.Error("empty block rows")
 	}
-	if decide(zm, predicate.NewComparison("x", predicate.Eq, value.Int(10))) != predicate.TriFalse {
+	if decide(zm, tab, predicate.NewComparison("x", predicate.Eq, value.Int(10))) != predicate.TriFalse {
 		t.Error("empty block should always skip")
 	}
 }
@@ -106,17 +111,17 @@ func TestNaNNeverBounds(t *testing.T) {
 	tab.MustAppendRow(value.Float(-1), value.Null)
 	tab.MustAppendRow(value.Float(math.Inf(1)), nan)
 	zm := Build(tab, []int32{0, 1, 2, 3, 4})
-	f := zm.Column("f")
+	f := column(zm, tab, "f")
 	if f.Empty || f.Min.Float() != -1 || !math.IsInf(f.Max.Float(), 1) || !f.MinInc || !f.MaxInc {
 		t.Errorf("f zone = %v, want [-1, +Inf]", f)
 	}
-	if g := zm.Column("g"); !g.Empty {
+	if g := column(zm, tab, "g"); !g.Empty {
 		t.Errorf("NaN-and-NULL column zone = %v, want empty", g)
 	}
-	if f := Build(tab, []int32{0, 2}).Column("f"); !f.Empty {
+	if f := column(Build(tab, []int32{0, 2}), tab, "f"); !f.Empty {
 		t.Errorf("all-NaN zone = %v, want empty", f)
 	}
-	if decide(zm, predicate.NewComparison("g", predicate.Ne, value.Float(1))) != predicate.TriFalse {
+	if decide(zm, tab, predicate.NewComparison("g", predicate.Ne, value.Float(1))) != predicate.TriFalse {
 		t.Error("<> over a NaN-and-NULL column should skip the block")
 	}
 }
@@ -125,8 +130,8 @@ func TestNaNNeverBounds(t *testing.T) {
 // their reference: every interval must come out bit-equal.
 func buildBoxed(t *relation.Table, rows []int32) *ZoneMap {
 	schema := t.Schema()
-	zm := &ZoneMap{ranges: make(predicate.Ranges, schema.NumColumns()), rows: len(rows)}
-	for c := 0; c < schema.NumColumns(); c++ {
+	cols := make([]predicate.Interval, schema.NumColumns())
+	for c := range cols {
 		var min, max value.Value
 		seen := false
 		for _, r := range rows {
@@ -140,20 +145,20 @@ func buildBoxed(t *relation.Table, rows []int32) *ZoneMap {
 			}
 			min, max = value.Min(min, v), value.Max(max, v)
 		}
-		name := schema.Column(c).Name
 		if !seen {
-			zm.ranges[name] = predicate.Interval{Empty: true}
+			cols[c] = predicate.Interval{Empty: true}
 			continue
 		}
-		zm.ranges[name] = predicate.NewInterval(min, max, true, true)
+		cols[c] = predicate.NewInterval(min, max, true, true)
 	}
-	return zm
+	return FromRanges(predicate.NewRanges(cols), len(rows))
 }
 
-// sameBits compares two zone maps with floats by bit pattern, so NaN and
-// signed-zero bounds count as differences DeepEqual would blur or invent.
-func sameBits(a, b *ZoneMap) bool {
-	if a.rows != b.rows || len(a.ranges) != len(b.ranges) {
+// sameBits compares two zone maps over ncols columns with floats by bit
+// pattern, so NaN and signed-zero bounds count as differences DeepEqual
+// would blur or invent.
+func sameBits(a, b *ZoneMap, ncols int) bool {
+	if a.rows != b.rows {
 		return false
 	}
 	same := func(x, y value.Value) bool {
@@ -162,9 +167,9 @@ func sameBits(a, b *ZoneMap) bool {
 		}
 		return x == y
 	}
-	for name, ia := range a.ranges {
-		ib, ok := b.ranges[name]
-		if !ok || ia.Empty != ib.Empty || ia.MinInc != ib.MinInc || ia.MaxInc != ib.MaxInc ||
+	for c := range ncols + 1 { // one past the last: both unbounded
+		ia, ib := a.ranges.At(c), b.ranges.At(c)
+		if ia.Empty != ib.Empty || ia.MinInc != ib.MinInc || ia.MaxInc != ib.MaxInc ||
 			!same(ia.Min, ib.Min) || !same(ia.Max, ib.Max) {
 			return false
 		}
@@ -209,7 +214,7 @@ func TestBuildMatchesBoxedReference(t *testing.T) {
 		}
 		blocks := [][]int32{nil, all[:1], all[1:9], all[9 : n/2], all[n/2:], all}
 		for bi, rows := range blocks {
-			if got, want := Build(tab, rows), buildBoxed(tab, rows); !sameBits(got, want) {
+			if got, want := Build(tab, rows), buildBoxed(tab, rows); !sameBits(got, want, tab.Schema().NumColumns()) {
 				t.Errorf("seed %d block %d (%d rows): typed %+v, boxed %+v", seed, bi, len(rows), got.ranges, want.ranges)
 			}
 		}
