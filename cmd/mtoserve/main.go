@@ -54,7 +54,7 @@ func run() error {
 		store        = flag.String("store", "mem", `where the columnar segments live: "mem" (held in memory) or "disk" (segment files)`)
 		datadir      = flag.String("datadir", "", "segment directory for -store=disk (default: a temp dir removed on exit)")
 		cacheMB      = flag.Int("cache-mb", 64, "buffer-pool capacity for -store=disk in MiB")
-		workers      = flag.Int("workers", 8, "query worker-pool size")
+		workers      = flag.Int("workers", 8, "execution slots: cache misses executing at once (hits take none)")
 		rate         = flag.Float64("rate", 0, "token-bucket admission rate in queries/sec (0 = unlimited)")
 		burst        = flag.Float64("burst", 0, "token-bucket burst (defaults to rate)")
 		cacheEntries = flag.Int("cache-entries", 4096, "result-cache capacity (negative disables)")

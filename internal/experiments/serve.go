@@ -14,33 +14,20 @@ import (
 // trained on templates 1–11 with a live reorg daemon that reorganizes as
 // its traffic drifts into 12–22.
 type ServeScenario struct {
-	// Workers is the server's executor pool (default 8).
+	// Workers is the server's number of execution slots (≤ 0: serve.New's
+	// default).
 	Workers int
-	// Rate/Burst configure admission control (0 disables).
+	// Rate/Burst configure admission control (Rate 0 disables; Burst 0
+	// means Rate).
 	Rate, Burst float64
-	// CacheEntries caps the result cache (default 4096).
+	// CacheEntries caps the result cache (0: serve.New's default; negative
+	// disables it).
 	CacheEntries int
 	// Budget / Interval configure the TPC-H tenant's live daemon: blocks
-	// written per cycle (default 80) and the background cycle period
-	// (default 25ms).
+	// written per cycle (0 means unlimited) and the background cycle
+	// period (0: the daemon's default, 1s).
 	Budget   int
 	Interval time.Duration
-}
-
-func (sc ServeScenario) withDefaults() ServeScenario {
-	if sc.Workers == 0 {
-		sc.Workers = 8
-	}
-	if sc.CacheEntries == 0 {
-		sc.CacheEntries = 4096
-	}
-	if sc.Budget == 0 {
-		sc.Budget = 80
-	}
-	if sc.Interval == 0 {
-		sc.Interval = 25 * time.Millisecond
-	}
-	return sc
 }
 
 // ServeDeployment is a ready three-tenant server over the deployments it
@@ -65,7 +52,6 @@ func (d *ServeDeployment) Close() error {
 // with a live reorg daemon, and its registry holding templates 1–22.
 // The server is not started.
 func NewServeDeployment(s Scale, sc ServeScenario) (_ *ServeDeployment, err error) {
-	sc = sc.withDefaults()
 	dep := &ServeDeployment{}
 	defer func() {
 		if err != nil {

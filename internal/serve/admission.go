@@ -17,12 +17,14 @@ type TokenBucket struct {
 }
 
 // NewTokenBucket returns a bucket refilling at rate tokens/second with the
-// given burst capacity (burst < 1 is raised to 1 so a conformant trickle is
-// never starved). rate <= 0 disables throttling.
+// given burst capacity. burst ≤ 0 means rate; a burst below 1 is raised to
+// 1 so a conformant trickle is never starved. rate <= 0 disables
+// throttling.
 func NewTokenBucket(rate, burst float64) *TokenBucket {
-	if burst < 1 {
-		burst = 1
+	if burst <= 0 {
+		burst = rate
 	}
+	burst = max(burst, 1)
 	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 

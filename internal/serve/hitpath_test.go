@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,6 +133,105 @@ func TestCancelledWaiterNeverExecutes(t *testing.T) {
 	if q := st.Tenants[0].Engine.Queries; q != 1 || st.Cache.Entries != 1 || st.Completed != 1 {
 		t.Errorf("engine queries %d, cache entries %d, completed %d; want 1, 1, 1 (the held miss only)",
 			q, st.Cache.Entries, st.Completed)
+	}
+}
+
+// execLog records which tenant each execution ran for, in execution
+// order.
+type execLog struct {
+	mu    sync.Mutex
+	names []string
+}
+
+// recordingBackend appends its tenant to the log at every scan compile:
+// once per execution of a one-table query.
+type recordingBackend struct {
+	block.Backend
+	tenant string
+	log    *execLog
+}
+
+func (b recordingBackend) CompileScan(table string, filters []predicate.Predicate) block.Scan {
+	b.log.mu.Lock()
+	b.log.names = append(b.log.names, b.tenant)
+	b.log.mu.Unlock()
+	return b.Backend.CompileScan(table, filters)
+}
+
+// TestSlotHandOffFollowsTags: with the only slot held, eight misses of a
+// weight-1 tenant and then eight of a weight-3 tenant wait for it. Each
+// released slot goes to the waiter with the smallest finish tag, so the
+// heavy tenant runs 6 of the first 8 — not 0 (the oldest caller first) or
+// 8 (the newest). Start launches no goroutine when no tenant has a daemon.
+func TestSlotHandOffFollowsTags(t *testing.T) {
+	log := &execLog{}
+	heavy, _ := serveScenario(t, "heavy", 4, false)
+	light, _ := serveScenario(t, "light", 9, false)
+	heavy.Weight, light.Weight = 3, 1
+	gate := newExecGate(recordingBackend{heavy.Store, "heavy", log})
+	heavy.Store = gate
+	light.Store = recordingBackend{light.Store, "light", log}
+	s, err := New(Config{Tenants: []TenantConfig{heavy, light}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	s.Start()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("Start without daemons launched %d goroutines", n-before)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	t.Cleanup(gate.open) // runs before the shutdown
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	done := []<-chan error{holdWorker(t, gate, func() error {
+		_, err := s.Submit(ctx, "heavy", heavy.Templates[0])
+		return err
+	})}
+	// Queue the waiters one at a time so their arrival order is fixed.
+	for i := 0; i < 16; i++ {
+		tenant, tc := "light", light
+		if i >= 8 {
+			tenant, tc = "heavy", heavy
+		}
+		q := tc.Templates[1+i%8]
+		errc := make(chan error, 1)
+		go func() { _, err := s.Submit(ctx, tenant, q); errc <- err }()
+		done = append(done, errc)
+		for s.Stats().QueueDepth < i+1 {
+			if ctx.Err() != nil {
+				t.Fatalf("waiter %d never queued", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	gate.open()
+	for _, errc := range done {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if len(log.names) != 17 {
+		t.Fatalf("%d executions recorded, want 17", len(log.names))
+	}
+	heavyFirst := 0
+	for _, name := range log.names[1:9] { // [0] is the held execution
+		if name == "heavy" {
+			heavyFirst++
+		}
+	}
+	if heavyFirst < 5 || heavyFirst > 7 {
+		t.Errorf("heavy tenant ran %d of the first 8 hand-offs, want 6 ± 1 (order %v)", heavyFirst, log.names[1:])
 	}
 }
 

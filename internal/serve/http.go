@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sort"
 
@@ -72,10 +73,28 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxQueryBody bounds a POST /query body: a tenant name and a template ID
+// fit in it many times over.
+const maxQueryBody = 64 << 10
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody))
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the request object")
+		}
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), code)
 		return
 	}
 	q := s.Template(req.Tenant, req.ID)

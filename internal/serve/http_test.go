@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -145,5 +146,50 @@ func TestHTTPDraining(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz = %d while draining, want 503", resp.StatusCode)
+	}
+}
+
+// TestHTTPMalformedInput: a /query request that is not exactly one JSON
+// QueryRequest within the body bound gets its 4xx and reaches neither the
+// engine nor the cache; a valid query is served afterwards.
+func TestHTTPMalformedInput(t *testing.T) {
+	cfg, _ := serveScenario(t, "alpha", 4, false)
+	s := startServer(t, Config{Tenants: []TenantConfig{cfg}, Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	huge := `{"tenant":"alpha","id":"` + strings.Repeat("x", 1<<20) + `"}`
+	for _, tc := range []struct {
+		name, method, body string
+		want               int
+	}{
+		{"empty body", http.MethodPost, "", http.StatusBadRequest},
+		{"not JSON", http.MethodPost, "tenant=alpha&id=d0", http.StatusBadRequest},
+		{"wrong field type", http.MethodPost, `{"tenant":1}`, http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, `{"tenant":"alpha","id":"d0"} garbage`, http.StatusBadRequest},
+		{"trailing object", http.MethodPost, `{"tenant":"alpha","id":"d0"}{"tenant":"alpha","id":"d1"}`, http.StatusBadRequest},
+		{"1 MiB body", http.MethodPost, huge, http.StatusRequestEntityTooLarge},
+		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(tc.method, hs.URL+"/query", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	st := s.Stats()
+	if st.Completed != 0 || st.Errors != 0 || st.Cache.Hits+st.Cache.Misses != 0 || st.Cache.Entries != 0 {
+		t.Errorf("malformed input reached the server: completed %d, errors %d, cache %+v",
+			st.Completed, st.Errors, st.Cache)
+	}
+	if code, _ := postQuery(t, hs.URL, QueryRequest{Tenant: "alpha", ID: "d0"}); code != http.StatusOK {
+		t.Errorf("valid query after malformed input: status %d", code)
 	}
 }

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
 )
 
-func mkReq() *request { return &request{done: make(chan struct{})} }
+func mkReq() *request { return &request{ready: make(chan struct{})} }
 
 // TestWFQWeights: with both tenants backlogged, dequeue order must track
 // the 3:1 weight ratio.
 func TestWFQWeights(t *testing.T) {
-	q := newWFQ()
+	q := newWFQ(0)
 	q.addTenant("heavy", 3)
 	q.addTenant("light", 1)
 	reqOf := map[*request]string{}
@@ -27,7 +30,7 @@ func TestWFQWeights(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r, ok := q.dequeue()
 		if !ok {
-			t.Fatal("queue closed unexpectedly")
+			t.Fatal("queue emptied unexpectedly")
 		}
 		if reqOf[r] == "heavy" {
 			heavy++
@@ -43,7 +46,7 @@ func TestWFQWeights(t *testing.T) {
 // TestWFQIdleTenantNoCredit: a tenant idle while another is served must
 // not accumulate priority for later (virtual-time clamp).
 func TestWFQIdleTenantNoCredit(t *testing.T) {
-	q := newWFQ()
+	q := newWFQ(0)
 	q.addTenant("a", 1)
 	q.addTenant("b", 1)
 	for i := 0; i < 50; i++ {
@@ -75,7 +78,7 @@ func TestWFQIdleTenantNoCredit(t *testing.T) {
 
 // TestWFQFIFOWithinTenant: one tenant's requests dequeue in enqueue order.
 func TestWFQFIFOWithinTenant(t *testing.T) {
-	q := newWFQ()
+	q := newWFQ(0)
 	q.addTenant("a", 1)
 	var rs []*request
 	for i := 0; i < 10; i++ {
@@ -91,20 +94,48 @@ func TestWFQFIFOWithinTenant(t *testing.T) {
 	}
 }
 
-// TestWFQCloseDrains: close lets queued requests drain, then dequeue
-// reports done; enqueue after close is refused.
-func TestWFQCloseDrains(t *testing.T) {
-	q := newWFQ()
+// TestWFQCancelledWaiterLeaves: a waiter whose ctx ends leaves the queue
+// and holds no slot, also when a release grants it the slot at the same
+// moment — the slot is passed on, never lost.
+func TestWFQCancelledWaiterLeaves(t *testing.T) {
+	q := newWFQ(1)
 	q.addTenant("a", 1)
-	q.enqueue("a", mkReq())
-	q.close()
-	if _, ok := q.dequeue(); !ok {
-		t.Fatal("queued request dropped at close")
-	}
-	if _, ok := q.dequeue(); ok {
-		t.Fatal("dequeue returned a request from an empty closed queue")
-	}
-	if q.enqueue("a", mkReq()) {
-		t.Fatal("enqueue accepted after close")
+	for i := 0; i < 300; i++ {
+		if err := q.acquire(context.Background(), "a"); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		got := make(chan error, 1)
+		go func() { got <- q.acquire(ctx, "a") }()
+		for q.depth() < 1 {
+			runtime.Gosched()
+		}
+		var err error
+		switch i % 3 {
+		case 0: // the waiter leaves before the slot frees
+			cancel()
+			err = <-got
+			q.release()
+		case 1: // ctx ends, then the slot is handed over
+			cancel()
+			q.release()
+			err = <-got
+		case 2: // the slot is handed over, then ctx ends
+			q.release()
+			cancel()
+			err = <-got
+		}
+		if err == nil {
+			q.release()
+		} else if !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter: %v", err)
+		}
+		q.mu.Lock()
+		free, pending := q.free, q.pending
+		q.mu.Unlock()
+		if free != 1 || pending != 0 {
+			t.Fatalf("round %d: %d free slots, %d waiting; want 1, 0", i, free, pending)
+		}
 	}
 }

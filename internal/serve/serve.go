@@ -1,17 +1,20 @@
 // Package serve is the multi-tenant query-serving frontend over the MTO
 // engine: a long-running server hosting one installed layout per tenant,
 // with token-bucket admission control, a sharded result cache keyed on
-// (tenant, layout generation, normalized query), weighted-fair queueing of
-// cache misses into a bounded worker pool, and live integration of the
-// reorgd daemon — each tenant's daemon consumes the server's query stream
-// in the background and installs budgeted partial reorganizations through
-// an atomic generation swap while queries keep draining.
+// (tenant, layout generation, normalized query), a bounded number of
+// execution slots handed out to cache misses in weighted-fair order, and
+// live integration of the reorgd daemon — each tenant's daemon consumes
+// the server's query stream in the background and installs budgeted
+// partial reorganizations through an atomic generation swap while queries
+// keep draining.
 //
-// A submission passes the drain check and the token bucket, then looks the
-// cache up once on the submitting goroutine. A hit is answered there and
-// then; only a miss is queued for a worker, which executes it and caches
-// the result. Workers, MaxQueue and the fair queue therefore bound and
-// order executions, never hits.
+// Every submission runs on its caller's goroutine. It passes the drain
+// check and the token bucket, then looks the cache up once. A hit is
+// answered there and then. A miss takes an execution slot — at once if one
+// is free and nobody waits, otherwise after waiting its turn in the fair
+// queue — executes, caches the result and hands the slot on. Workers,
+// MaxQueue and the fair queue therefore bound and order executions, never
+// hits.
 //
 // The cache-key + invalidation contract: a query's cache key is its
 // workload.Query.Normalize rendering plus the tenant's layout generation.
@@ -26,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,17 +55,18 @@ var (
 // Config parameterizes a Server.
 type Config struct {
 	Tenants []TenantConfig
-	// Workers bounds concurrent query executions (default 4). Cache hits
-	// are answered on the submitting goroutine and take no worker.
+	// Workers is the number of execution slots: how many cache misses
+	// execute at once (default 4). Cache hits take no slot.
 	Workers int
-	// Rate/Burst configure token-bucket admission (Rate ≤ 0 disables).
+	// Rate/Burst configure token-bucket admission (Rate ≤ 0 disables;
+	// Burst ≤ 0 means Rate, at least 1).
 	Rate, Burst float64
 	// CacheEntries caps the result cache (default 4096; negative disables
 	// caching entirely).
 	CacheEntries int
-	// MaxQueue rejects cache misses once this many are queued for a
-	// worker (default 4096; negative disables the bound). Hits never
-	// queue and are never rejected by it.
+	// MaxQueue rejects cache misses once this many callers are waiting
+	// for a slot (default 4096; negative disables the bound). Hits never
+	// wait and are never rejected by it.
 	MaxQueue int
 }
 
@@ -73,20 +78,6 @@ type Response struct {
 	// Gen is the tenant's layout generation the result was produced (or
 	// cached) under.
 	Gen uint64
-}
-
-// request is one queued submission: a cache miss waiting for a worker.
-type request struct {
-	ctx      context.Context // the submitter's: a worker skips the request once it is done
-	tenant   *tenant
-	q        *workload.Query
-	norm     string    // q's cache key
-	admitted time.Time // when admission passed; latency runs from here
-	start    float64   // wfq virtual start tag
-	finish   float64   // wfq virtual finish tag
-	resp     Response
-	err      error
-	done     chan struct{}
 }
 
 // Server is the serving frontend. Create with New, launch with Start,
@@ -101,7 +92,7 @@ type Server struct {
 	hist    *Histogram
 
 	cancel  context.CancelFunc
-	wg      sync.WaitGroup // workers + daemon loops
+	wg      sync.WaitGroup // daemon loops
 	started atomic.Bool
 	// drainMu serializes request registration against the drain flip:
 	// Submit registers in reqWG under the read lock, Shutdown sets
@@ -109,7 +100,7 @@ type Server struct {
 	// happens-before the Wait (a bare atomic flag would leave Add racing
 	// Wait at counter zero, which WaitGroup forbids).
 	drainMu  sync.RWMutex
-	reqWG    sync.WaitGroup // admitted submissions not yet answered
+	reqWG    sync.WaitGroup // admitted callers not yet answered
 	draining atomic.Bool
 
 	completed   atomic.Int64
@@ -138,7 +129,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		tenants: map[string]*tenant{},
 		bucket:  NewTokenBucket(cfg.Rate, cfg.Burst),
-		queue:   newWFQ(),
+		queue:   newWFQ(cfg.Workers),
 		hist:    NewHistogram(),
 	}
 	if cfg.CacheEntries > 0 {
@@ -159,38 +150,31 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the worker pool and each reorg-enabled tenant's daemon
-// loop. It returns immediately; Shutdown stops everything.
+// Start launches each reorg-enabled tenant's daemon loop. It returns
+// immediately; Shutdown stops the loops. Submissions need no Start.
 func (s *Server) Start() {
 	if s.started.Swap(true) {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	for _, name := range s.order {
-		t := s.tenants[name]
-		if t.daemon == nil {
-			continue
+	for _, t := range s.tenants {
+		if t.daemon != nil {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				if err := t.daemon.Run(ctx); err != nil {
+					t.daemonErr.Store(err)
+				}
+			}()
 		}
-		s.wg.Add(1)
-		go func(t *tenant) {
-			defer s.wg.Done()
-			if err := t.daemon.Run(ctx); err != nil {
-				t.daemonErr.Store(err)
-			}
-		}(t)
 	}
 }
 
 // Shutdown drains gracefully: new submissions are rejected with
-// ErrShuttingDown, every already-accepted query completes and its waiter
-// is answered, then the daemon loops and workers stop. Returns ctx.Err()
-// if the drain outlives ctx (the server is then left draining; a later
-// call may complete the stop).
+// ErrShuttingDown, every already-accepted caller is answered, then the
+// daemon loops stop. Returns ctx.Err() if the drain outlives ctx (the
+// server is then left draining; a later call may complete the stop).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
@@ -208,39 +192,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.cancel != nil {
 		s.cancel()
 	}
-	s.queue.close()
 	s.wg.Wait()
 	return nil
 }
 
 // SubmitID submits the tenant's registered template with the given ID.
 func (s *Server) SubmitID(ctx context.Context, tenant, id string) (Response, error) {
-	t := s.tenants[tenant]
-	if t == nil {
-		return Response{}, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
-	}
-	q := t.queries[id]
-	if q == nil {
+	q := s.Template(tenant, id)
+	if q == nil && s.tenants[tenant] != nil {
 		return Response{}, fmt.Errorf("%w: %q/%q", ErrUnknownQuery, tenant, id)
 	}
-	return s.Submit(ctx, tenant, q)
+	return s.Submit(ctx, tenant, q) // an unknown tenant fails there
 }
 
-// Submit admits one query for the tenant and answers it. A result-cache
-// hit is answered here, on the caller's goroutine; only a miss is queued
-// for a worker, and Submit blocks until it executes or ctx is done. A miss
-// whose ctx is done before a worker takes it is never executed or cached;
-// one a worker has begun runs to completion.
+// Submit admits one query for the tenant and answers it on the caller's
+// goroutine. A result-cache hit is answered at once; a miss executes once
+// it holds an execution slot, waiting for one in the fair queue if none is
+// free. A miss whose ctx is done before it gets a slot is never executed or
+// cached; one that has begun runs to completion.
 func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (Response, error) {
 	t := s.tenants[tenant]
 	if t == nil {
 		return Response{}, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
-	// Register under the read lock: Shutdown flips the flag under the
-	// write lock before waiting on reqWG, so it either happens after this
-	// Add (and waits for the request) or this check sees the flag (and
-	// rejects) — no Add can race the Wait.
-	s.drainMu.RLock()
+	s.drainMu.RLock() // orders the Add below against Shutdown; see drainMu
 	if s.draining.Load() {
 		s.drainMu.RUnlock()
 		s.rejShutdown.Add(1)
@@ -248,9 +223,9 @@ func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (
 	}
 	s.reqWG.Add(1)
 	s.drainMu.RUnlock()
+	defer s.reqWG.Done()
 	now := time.Now()
 	if !s.bucket.Allow(now) {
-		s.reqWG.Done()
 		s.rejRate.Add(1)
 		return Response{}, ErrRateLimited
 	}
@@ -265,44 +240,18 @@ func (s *Server) Submit(ctx context.Context, tenant string, q *workload.Query) (
 		if ok {
 			t.hits.Add(1)
 			s.record(t, q, res, now)
-			s.reqWG.Done()
 			return Response{Result: res, Cached: true, Gen: gen}, nil
 		}
 	}
 	if s.cfg.MaxQueue > 0 && s.queue.depth() >= s.cfg.MaxQueue {
-		s.reqWG.Done()
 		s.rejQueue.Add(1)
 		return Response{}, ErrOverloaded
 	}
-	r := &request{ctx: ctx, tenant: t, q: q, norm: norm, admitted: now, done: make(chan struct{})}
-	if !s.queue.enqueue(tenant, r) {
-		s.reqWG.Done()
-		s.rejShutdown.Add(1)
-		return Response{}, ErrShuttingDown
+	if err := s.queue.acquire(ctx, tenant); err != nil {
+		return Response{}, err
 	}
-	select {
-	case <-r.done:
-		return r.resp, r.err
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	}
-}
-
-// worker is one pool goroutine: dequeue in weighted-fair order, execute
-// unless the waiter has given up, answer the waiter.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		r, ok := s.queue.dequeue()
-		if !ok {
-			return
-		}
-		if r.err = r.ctx.Err(); r.err == nil {
-			s.execute(r)
-		}
-		close(r.done)
-		s.reqWG.Done()
-	}
+	defer s.queue.release()
+	return s.execute(t, q, norm, now)
 }
 
 // execute runs one cache miss under the tenant's generation read lock and
@@ -310,45 +259,37 @@ func (s *Server) worker() {
 // happens after the read lock is released — the daemon's install path
 // takes the write lock, so observing under the read lock could deadlock a
 // Step that is already committed to installing.
-func (s *Server) execute(r *request) {
-	t := r.tenant
+func (s *Server) execute(t *tenant, q *workload.Query, norm string, admitted time.Time) (Response, error) {
 	gen, eng := t.live.RLock()
-	res, err := eng.Execute(r.q)
+	res, err := eng.Execute(q)
 	if err != nil {
 		t.live.RUnlock()
-		r.err = err
 		s.errors.Add(1)
-		return
+		return Response{}, err
 	}
 	if s.cache != nil {
-		s.cache.Put(t.name, gen, r.norm, res)
+		s.cache.Put(t.name, gen, norm, res)
 	}
 	t.live.RUnlock()
-	r.resp = Response{Result: res, Gen: gen}
-	s.record(t, r.q, res, r.admitted)
+	s.record(t, q, res, admitted)
+	return Response{Result: res, Gen: gen}, nil
 }
 
-// record counts one answered submission, feeds the daemon and records its
-// latency since admission.
-func (s *Server) record(t *tenant, q *workload.Query, res *engine.Result, admitted time.Time) {
-	s.completed.Add(1)
-	s.observe(t, q, res)
-	s.hist.RecordDuration(time.Since(admitted))
-}
-
-// observe feeds the tenant's daemon. Cache hits are observed too: the
+// record counts one answered submission, feeds the tenant's daemon and
+// records its latency since admission. Cache hits feed the daemon too: the
 // recorded per-table blocks are what the current layout would read for
 // this query, which is exactly the staleness signal the daemon scores —
 // demand the cache absorbs is still demand the layout should serve well.
-func (s *Server) observe(t *tenant, q *workload.Query, res *engine.Result) {
-	if t.daemon == nil {
-		return
+func (s *Server) record(t *tenant, q *workload.Query, res *engine.Result, admitted time.Time) {
+	s.completed.Add(1)
+	if t.daemon != nil {
+		tb := make(map[string]int, len(res.PerTable))
+		for name, ta := range res.PerTable {
+			tb[name] = ta.BlocksRead
+		}
+		t.daemon.Observe(q, tb)
 	}
-	tb := make(map[string]int, len(res.PerTable))
-	for name, ta := range res.PerTable {
-		tb[name] = ta.BlocksRead
-	}
-	t.daemon.Observe(q, tb)
+	s.hist.RecordDuration(time.Since(admitted))
 }
 
 // ExecuteDirect runs q for the tenant outside the serving path — no
@@ -372,8 +313,8 @@ func (s *Server) Template(tenant, id string) *workload.Query {
 	return nil
 }
 
-// TemplateIDs lists a tenant's registered query IDs (sorted registration
-// is not preserved; callers sort if they need determinism).
+// TemplateIDs lists a tenant's registered query IDs in no particular
+// order; callers sort them if they need determinism.
 func (s *Server) TemplateIDs(tenant string) []string {
 	t := s.tenants[tenant]
 	if t == nil {
@@ -388,9 +329,7 @@ func (s *Server) TemplateIDs(tenant string) []string {
 
 // Tenants lists tenant names in registration order.
 func (s *Server) Tenants() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
+	return slices.Clone(s.order)
 }
 
 // StepTenant runs one reorg-daemon cycle for the tenant synchronously
@@ -459,6 +398,3 @@ func (s *Server) Stats() ServerStats {
 	}
 	return st
 }
-
-// Histogram exposes the server's latency histogram (read-only use).
-func (s *Server) Histogram() *Histogram { return s.hist }

@@ -43,7 +43,6 @@ type TenantConfig struct {
 // tenant's counters and daemon.
 type tenant struct {
 	name    string
-	weight  float64
 	live    *live.Instance
 	daemon  *reorgd.Daemon
 	queries map[string]*workload.Query
@@ -68,7 +67,6 @@ func newTenant(cfg TenantConfig, cache *ResultCache) (*tenant, error) {
 	}
 	t := &tenant{
 		name:    cfg.Name,
-		weight:  cfg.Weight,
 		queries: make(map[string]*workload.Query, len(cfg.Templates)),
 		normKey: make(map[*workload.Query]string, len(cfg.Templates)),
 	}
@@ -114,8 +112,8 @@ type TenantStats struct {
 	SwapLockLastUS float64 `json:"swap_lock_us_last"`
 	SwapLockMaxUS  float64 `json:"swap_lock_us_max"`
 	// Submitted counts submissions past admission (the drain check and
-	// the token bucket): every hit, and every miss, queued or refused by
-	// MaxQueue.
+	// the token bucket): every hit, and every miss — executed, refused by
+	// MaxQueue, or given up while waiting for a slot.
 	Submitted int64        `json:"submitted"`
 	CacheHits int64        `json:"cache_hits"`
 	Engine    engine.Stats `json:"engine"`
