@@ -25,8 +25,9 @@ import (
 //     backend only takes sums whose zone maps prove no overflow, so the
 //     per-block accumulation is exact regardless of block order;
 //   - otherwise the row-order pass (grouped.go) folds all of them —
-//     floats, overflow-risk sums, everything on the reference path — in
-//     ascending global row order over the base table's decoded vectors.
+//     floats, overflow-risk sums, everything on the reference path —
+//     over the base table's decoded vectors, each group's rows in
+//     ascending base-row order.
 //
 // Floats are never folded by a backend: float addition is order-sensitive,
 // and the one float accumulation order that defines the result is the
@@ -178,8 +179,8 @@ func (e *Engine) foldAggregates(q *workload.Query,
 // if it supports every aggregate, fold them per candidate block — exactly
 // the blocks the scan read, which cover every set survivor bit — handing
 // each block its own words of a's position set, into dense per-slot
-// states and finalize those, else map the survivors back to base rows and
-// fold all of them in the row-order pass over the base table.
+// states and finalize those, else fold all of them in the row-order pass
+// over the base table (foldPositions).
 func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 	specs []workload.Aggregate) ([]AggValue, error) {
 
@@ -196,10 +197,7 @@ func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 	for k, ok := range fold.Supported() {
 		if !ok {
 			e.counters.materializedFoldRows.Add(int64(a.count))
-			rows := grabDense(tbl.NumRows())
-			defer putDense(rows)
-			baseRows(a.set, a.order, rows.dense())
-			return e.foldMaterialized(a.table, tbl, rows.dense(), gb, specs)
+			return e.foldPositions(a.table, tbl, a.set, a.order, a.count, gb, specs)
 		}
 		want[k] = specs[k].Column != "" // COUNT(*) reads GroupedStates.Rows
 	}
@@ -220,7 +218,7 @@ func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 }
 
 // baseRows sets in rows (zeroed, over the base table) the base row of
-// every position set in set, so the row-order pass folds in base-row
+// every position set in set, so a sparse row-order pass folds in base-row
 // order whatever the layout.
 func baseRows(set bitmap.Dense, order *block.RowOrder, rows bitmap.Dense) {
 	for w, word := range set {

@@ -124,16 +124,17 @@ type Engine struct {
 	// holders read them after releasing the lock. dicts and blockOf cache
 	// failed builds as nil entries so a missing column or an unmappable
 	// table is not retried on every query. dicts, xlate and cover depend
-	// on the dataset only; codes and posts are laid out by one
+	// on the dataset only; codes, posts and groups are laid out by one
 	// block.RowOrder, and a scan pinned to another layout replaces them
 	// (cachedOn).
 	mu      sync.Mutex
 	blockOf map[string][]int32 // table → row → block ID (reference path)
 	dicts   map[colKey]*relation.ColumnDict
-	xlate   map[xlateKey][]int32           // from slot → to code, unless a shift (see xlateFor)
-	cover   map[xlateKey]bool              // from's values all in to, no null (see covers)
-	codes   map[colKey]onLayout[[]int32]   // position → dictionary code
-	posts   map[colKey]onLayout[*postings] // code → positions
+	xlate   map[xlateKey][]int32            // from slot → to code, unless a shift (see xlateFor)
+	cover   map[xlateKey]bool               // from's values all in to, no null (see covers)
+	codes   map[colKey]onLayout[[]int32]    // position → dictionary code
+	posts   map[colKey]onLayout[*postings]  // code → positions
+	groups  map[colKey]onLayout[*slotLists] // (window, group slot) → (position, base row)
 
 	// counters accumulates per-engine execution stats; see StatsSnapshot.
 	counters engineCounters
@@ -191,6 +192,7 @@ func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts 
 		cover:   map[xlateKey]bool{},
 		codes:   map[colKey]onLayout[[]int32]{},
 		posts:   map[colKey]onLayout[*postings]{},
+		groups:  map[colKey]onLayout[*slotLists]{},
 	}
 }
 

@@ -19,32 +19,43 @@ import (
 )
 
 // foldCase is one row-order fold test case: the table foldTable builds
-// from it, the survivor set and the group column.
+// from it, the survivor set, the layout the survivors are positions of
+// and the group column.
 type foldCase struct {
 	Seed     int64
 	Nulls    uint8 // 0 no nulls, 1 some, 2 every value null
 	Special  bool  // floats include NaN, ±0 and ±Inf
 	Empty    bool  // no survivors
+	Sparse   bool  // survivors below the dense cut (1/denseFoldDivisor of the rows)
 	Overflow bool  // int values large enough for sums to overflow
 	Group    uint8 // 0 ungrouped, 1 int dict, 2 string dict, 3 float (no dict)
+	Shuffle  bool  // layout blocks hold a permutation of the rows, not runs in row order
 }
 
 func (c foldCase) String() string {
-	return fmt.Sprintf("seed=%d nulls=%d special=%v empty=%v overflow=%v group=%d",
-		c.Seed, c.Nulls, c.Special, c.Empty, c.Overflow, c.Group)
+	return fmt.Sprintf("seed=%d nulls=%d special=%v empty=%v sparse=%v overflow=%v group=%d shuffle=%v",
+		c.Seed, c.Nulls, c.Special, c.Empty, c.Sparse, c.Overflow, c.Group, c.Shuffle)
 }
 
-// foldCases is the table: every null mode, float special, survivor shape,
-// int magnitude and group column.
+// foldCases is the table: every null mode, float special, survivor shape
+// and density, int magnitude, group column and layout.
 func foldCases() []foldCase {
 	var cases []foldCase
 	for nulls := uint8(0); nulls < 3; nulls++ {
 		for _, special := range []bool{false, true} {
 			for _, empty := range []bool{false, true} {
-				for _, overflow := range []bool{false, true} {
-					for group := uint8(0); group < 4; group++ {
-						cases = append(cases, foldCase{Seed: int64(len(cases)), Nulls: nulls,
-							Special: special, Empty: empty, Overflow: overflow, Group: group})
+				for _, sparse := range []bool{false, true} {
+					if empty && sparse {
+						continue
+					}
+					for _, overflow := range []bool{false, true} {
+						for group := uint8(0); group < 4; group++ {
+							for _, shuffle := range []bool{false, true} {
+								cases = append(cases, foldCase{Seed: int64(len(cases)), Nulls: nulls,
+									Special: special, Empty: empty, Sparse: sparse, Overflow: overflow,
+									Group: group, Shuffle: shuffle})
+							}
+						}
 					}
 				}
 			}
@@ -55,7 +66,8 @@ func foldCases() []foldCase {
 
 // foldTable builds table t(i, f, s, gi, gs, gf) for c: rows is a few
 // words, and the survivor set (all clear when c.Empty) has two full words
-// so the pass's word-run path runs.
+// so the pass's word-run path runs, or, when c.Sparse, about one row in
+// sixteen.
 func foldTable(c foldCase, rows int) (*relation.Dataset, *relation.Table, bitmap.Dense) {
 	rng := rand.New(rand.NewSource(c.Seed))
 	tbl := relation.NewTable(relation.MustSchema("t",
@@ -103,7 +115,15 @@ func foldTable(c foldCase, rows int) (*relation.Dataset, *relation.Table, bitmap
 	ds := relation.NewDataset()
 	ds.MustAddTable(tbl)
 	set := bitmap.NewDense(rows)
-	if !c.Empty {
+	switch {
+	case c.Empty:
+	case c.Sparse:
+		for r := 0; r < rows; r++ {
+			if rng.Intn(16) == 0 {
+				set.Set(r)
+			}
+		}
+	default:
 		for r := 0; r < rows; r++ {
 			if (r >= 64 && r < 192) || rng.Intn(10) < 7 {
 				set.Set(r)
@@ -111,6 +131,38 @@ func foldTable(c foldCase, rows int) (*relation.Dataset, *relation.Table, bitmap
 		}
 	}
 	return ds, tbl, set
+}
+
+// foldLayout lays out tbl's rows for c — runs of 100 rows in row order,
+// or a permutation in blocks of 1 to 100 rows — and returns the layout
+// and set's rows as positions of it.
+func foldLayout(c foldCase, tbl *relation.Table, set bitmap.Dense) (*block.RowOrder, bitmap.Dense) {
+	rng := rand.New(rand.NewSource(c.Seed))
+	rows := make([]int32, tbl.NumRows())
+	for r := range rows {
+		rows[r] = int32(r)
+	}
+	if c.Shuffle {
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	}
+	var blocks [][]int32
+	for off := 0; off < len(rows); {
+		n := 100
+		if c.Shuffle {
+			n = 1 + rng.Intn(100)
+		}
+		end := min(off+n, len(rows))
+		blocks = append(blocks, rows[off:end])
+		off = end
+	}
+	order := block.NewRowOrder(blocks)
+	pos := bitmap.NewDense(len(order.Rows))
+	for p, r := range order.Rows {
+		if r >= 0 && set.Get(int(r)) {
+			pos.Set(p)
+		}
+	}
+	return order, pos
 }
 
 // foldSpecs is every aggregate the engine accepts over t's i, f and s.
@@ -166,8 +218,11 @@ func exactAggs(avs []AggValue) []exactAgg {
 	return out
 }
 
-// checkFoldCase folds specs over c's table in the row-order pass and in
-// the oracle and requires bit-identical results, or the same error.
+// checkFoldCase folds specs over c's table in the row-order pass, from a
+// base-row set and from the same survivors as positions of c's layout,
+// and in the oracle, and requires bit-identical results, or the same
+// error. The positions take the layout's slot lists exactly when the
+// fold is grouped on a dictionary column at or above the dense cut.
 func checkFoldCase(t *testing.T, c foldCase, rows int, specs []workload.Aggregate) {
 	t.Helper()
 	ds, tbl, set := foldTable(c, rows)
@@ -176,20 +231,36 @@ func checkFoldCase(t *testing.T, c foldCase, rows int, specs []workload.Aggregat
 	if c.Group > 0 {
 		gb = workload.GroupBy{Alias: "t", Column: []string{"gi", "gs", "gf"}[c.Group-1]}
 	}
-	got, gotErr := e.foldMaterialized("t", tbl, set, gb, specs)
 	want, wantErr := oracleFold(e, "t", tbl, set, gb, specs)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("%s: error %v, oracle %v", c, gotErr, wantErr)
+	order, pos := foldLayout(c, tbl, set)
+	count := set.Count()
+	for _, src := range []struct {
+		name string
+		fold func() ([]AggValue, error)
+	}{
+		{"base rows", func() ([]AggValue, error) { return e.foldMaterialized("t", tbl, set, gb, specs) }},
+		{"positions", func() ([]AggValue, error) { return e.foldPositions("t", tbl, pos, order, count, gb, specs) }},
+	} {
+		got, gotErr := src.fold()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s, from %s: error %v, oracle %v", c, src.name, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(exactAggs(got), exactAggs(want)) {
+			t.Fatalf("%s, from %s: row-order pass diverges from the oracle:\n got %v\nwant %v", c, src.name, got, want)
+		}
 	}
-	if !reflect.DeepEqual(exactAggs(got), exactAggs(want)) {
-		t.Fatalf("%s: row-order pass diverges from the oracle:\n got %v\nwant %v", c, got, want)
+	dense := c.Group == 1 || c.Group == 2
+	dense = dense && count*denseFoldDivisor >= rows
+	if _, ok := e.groups[colKey{"t", gb.Column}]; ok != dense {
+		t.Fatalf("%s: %d of %d rows survive, slot lists read %v", c, count, rows, ok)
 	}
 }
 
-// TestMaterializedFoldMatchesOracle pins the row-order pass to the
-// row-at-a-time oracle bit for bit over kinds × ops × {no, some, all}
-// nulls × {NaN, ±0, ±Inf} floats × empty survivor sets × int overflow ×
-// group column {int dict, string dict, float without dict}.
+// TestMaterializedFoldMatchesOracle pins the row-order pass, from both
+// row sources, to the row-at-a-time oracle bit for bit over kinds × ops ×
+// {no, some, all} nulls × {NaN, ±0, ±Inf} floats × {dense, sparse, empty}
+// survivor sets × int overflow × group column {int dict, string dict,
+// float without dict} × layouts in row order or permuted.
 func TestMaterializedFoldMatchesOracle(t *testing.T) {
 	specs := foldSpecs()
 	for _, c := range foldCases() {
@@ -197,10 +268,23 @@ func TestMaterializedFoldMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestMaterializedFoldAcrossWindows runs grouped cases over tables of two
+// fold windows, so every slot's rows span segments and both row sources
+// must carry each slot's state from one window to the next.
+func TestMaterializedFoldAcrossWindows(t *testing.T) {
+	specs := foldSpecs()
+	for _, c := range foldCases() {
+		if c.Nulls == 1 && !c.Overflow && c.Group > 0 && !c.Empty {
+			checkFoldCase(t, c, 1<<foldWindowShift+300, specs)
+		}
+	}
+}
+
 // TestMaterializedFoldOverflowNamesFirstSpec pins the overflow rule: when
 // several integer sums overflow, the error names the first overflowing
-// aggregate in declaration order (the pass folds each aggregate's chunk
-// in turn, so it cannot tell which overflowed at an earlier row).
+// aggregate in declaration order (the pass folds run by run, each
+// aggregate over one slot's run in turn, so it cannot tell which
+// overflowed at an earlier row).
 func TestMaterializedFoldOverflowNamesFirstSpec(t *testing.T) {
 	c := foldCase{Seed: 1, Overflow: true, Group: 1}
 	specs := []workload.Aggregate{
@@ -226,12 +310,13 @@ func TestMaterializedFoldOverflowNamesFirstSpec(t *testing.T) {
 // the oracle.
 func FuzzMaterializedFold(f *testing.F) {
 	for _, c := range foldCases() {
-		f.Add(c.Seed, c.Nulls, c.Special, c.Empty, c.Overflow, c.Group, uint16(300))
+		f.Add(c.Seed, c.Nulls, c.Special, c.Empty, c.Sparse, c.Overflow, c.Group, c.Shuffle, uint16(300))
 	}
 	specs := foldSpecs()
-	f.Fuzz(func(t *testing.T, seed int64, nulls uint8, special, empty, overflow bool, group uint8, rows uint16) {
-		c := foldCase{Seed: seed, Nulls: nulls % 3, Special: special, Empty: empty,
-			Overflow: overflow, Group: group % 4}
+	f.Fuzz(func(t *testing.T, seed int64, nulls uint8, special, empty, sparse, overflow bool, group uint8,
+		shuffle bool, rows uint16) {
+		c := foldCase{Seed: seed, Nulls: nulls % 3, Special: special, Empty: empty, Sparse: sparse,
+			Overflow: overflow, Group: group % 4, Shuffle: shuffle}
 		checkFoldCase(t, c, int(rows%1024), specs)
 	})
 }
@@ -321,5 +406,101 @@ func TestQ1FoldsLineitemOnce(t *testing.T) {
 	}
 	if n := e.StatsSnapshot().Sub(before).MaterializedFoldRows; n != 0 {
 		t.Errorf("all-int rollup walked %d rows in the row-order pass, want 0", n)
+	}
+}
+
+// BenchmarkRowOrderFold times the row-order pass over TPC-H SF 0.05
+// lineitem, laid out by l_shipdate in blocks of 1 000 rows, from each row
+// source: "lists" filters the slot lists through the position set
+// (foldSlotLists), "decode" maps the survivors to base rows and slots
+// them (baseRows + foldMaterialized). "dense" is Q1's fold (l_shipdate ≤
+// 1998-09-02, four aggregates by l_returnflag, ~98 % of the rows);
+// "half", "quarter" and "eighth" fold Q1's aggregates over every second,
+// fourth and eighth base row of it; "sparse" is Q10's (l_returnflag = 'R'
+// in orders of one quarter, two aggregates by l_shipmode, ~2 %). ns/row
+// is per survivor; the slot lists are built before the timer starts.
+func BenchmarkRowOrderFold(b *testing.B) {
+	ds := datagen.TPCH(datagen.TPCHConfig{ScaleFactor: 0.05, Seed: 1})
+	d, err := layout.SortKeyDesign(ds, datagen.TPCHSortKeys(), 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := colstore.NewMemStore(block.DefaultCostModel())
+	if _, err := d.Install(store, nil, 0); err != nil {
+		b.Fatal(err)
+	}
+	order, err := store.CompileScan("lineitem", nil).RowOrder()
+	if err != nil {
+		b.Fatal(err)
+	}
+	li, orders := ds.Table("lineitem"), ds.Table("orders")
+	col := func(t *relation.Table, name string) int {
+		ci, ok := t.Schema().ColumnIndex(name)
+		if !ok {
+			b.Fatalf("no column %s", name)
+		}
+		return ci
+	}
+	ship, flag := li.Ints(col(li, "l_shipdate")), li.Strings(col(li, "l_returnflag"))
+	okey, odate := li.Ints(col(li, "l_orderkey")), orders.Ints(col(orders, "o_orderdate"))
+	q1Cut := value.MustDate("1998-09-02").Int()
+	q10From := value.MustDate("1993-10-01").Int()
+	agg := func(op workload.AggOp, c string) workload.Aggregate {
+		return workload.Aggregate{Op: op, Alias: "lineitem", Column: c}
+	}
+	q1 := []workload.Aggregate{
+		agg(workload.AggSum, "l_quantity"), agg(workload.AggSum, "l_extendedprice"),
+		agg(workload.AggAvg, "l_discount"), agg(workload.AggCount, "")}
+	for _, c := range []struct {
+		name  string
+		keep  func(r int) bool
+		gb    string
+		specs []workload.Aggregate
+	}{
+		{"dense", func(r int) bool { return ship[r] <= q1Cut }, "l_returnflag", q1},
+		{"half", func(r int) bool { return ship[r] <= q1Cut && r%2 == 0 }, "l_returnflag", q1},
+		{"quarter", func(r int) bool { return ship[r] <= q1Cut && r%4 == 0 }, "l_returnflag", q1},
+		{"eighth", func(r int) bool { return ship[r] <= q1Cut && r%8 == 0 }, "l_returnflag", q1},
+		{"sparse", func(r int) bool {
+			od := odate[okey[r]-1] // orders are generated in key order from 1
+			return flag[r] == "R" && od >= q10From && od <= q10From+90
+		}, "l_shipmode", []workload.Aggregate{
+			agg(workload.AggSum, "l_extendedprice"), agg(workload.AggMax, "l_shipmode")}},
+	} {
+		set := bitmap.NewDense(len(order.Rows))
+		count := 0
+		for p, r := range order.Rows {
+			if r >= 0 && c.keep(int(r)) {
+				set.Set(p)
+				count++
+			}
+		}
+		e := New(store, d, ds, DefaultOptions())
+		gb := workload.GroupBy{Alias: "lineitem", Column: c.gb}
+		e.slotListsFor("lineitem", c.gb, order)
+		for _, src := range []struct {
+			name string
+			fold func() ([]AggValue, error)
+		}{
+			{"lists", func() ([]AggValue, error) {
+				return e.foldSlotLists("lineitem", li, set, order, gb, c.specs)
+			}},
+			{"decode", func() ([]AggValue, error) {
+				rows := grabDense(li.NumRows())
+				defer putDense(rows)
+				baseRows(set, order, rows.dense())
+				return e.foldMaterialized("lineitem", li, rows.dense(), gb, c.specs)
+			}},
+		} {
+			b.Run(c.name+"/"+src.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := src.fold(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(count), "ns/row")
+				b.ReportMetric(float64(count)/float64(li.NumRows()), "survivor-frac")
+			})
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"mto/internal/bitmap"
 	"mto/internal/block"
@@ -14,15 +15,28 @@ import (
 )
 
 // This file holds the row-order fold: the one pass over an alias's
-// survivors, in ascending global row order over the base table's decoded
-// vectors, that computes all its aggregates when the backend's fold
-// declines any (floats, overflow-risk sums, float group columns, group
-// dictionaries wider than block.MaxGroupSlots), and every fold on the
-// reference path. It decodes the survivor bitmap a chunk at a time into a
-// selection vector (full words copy as runs), gives each survivor a slot —
-// 0 when ungrouped, a dictionary column's code+1 (NULL is 0), a float
-// group column's first-seen slot, every NaN sharing one — and feeds the
-// chunk to one typed loop per aggregate over per-slot arrays.
+// survivors, over the base table's decoded vectors, that computes all its
+// aggregates when the backend's fold declines any (floats, overflow-risk
+// sums, float group columns, group dictionaries wider than
+// block.MaxGroupSlots), and every fold on the reference path. Each
+// survivor has a slot — 0 when ungrouped, a dictionary column's code+1
+// (NULL is 0), a float group column's first-seen slot, every NaN sharing
+// one. The pass is slot-major: it gets each slot's survivors as ascending
+// base rows, and every aggregate folds a slot's run with one typed kernel
+// that keeps the slot's state in locals, so within a slot the fold order
+// is ascending base-row order, which defines float sums, and no row waits
+// on the store of the row before it. A grouped pass goes one window of
+// base rows at a time, every slot's run in the window before the next
+// window (foldWindows), so the window's column values stay in cache
+// across the slots.
+//
+// The rows come from one of two sources (foldPositions). A grouped fold
+// on a dictionary column with a dense survivor set filters the layout's
+// cached slot lists — each (window, slot) segment's (position, base row)
+// pairs — through the position set. Every other fold maps the survivors
+// to a base-row bitmap and decodes it (foldMaterialized): one chunk at a
+// time when ungrouped, else whole, slotted and grouped by segment with
+// buildPostings.
 //
 // Group output order is deterministic everywhere: the NULL group first,
 // then groups ascending by value, a float NaN group last (the PostgreSQL
@@ -38,9 +52,22 @@ type GroupValue struct {
 	Value value.Value
 }
 
-// foldChunkWords is how many survivor-bitmap words the row-order pass
-// decodes into one selection vector.
+// foldChunkWords is how many survivor-bitmap words an ungrouped fold
+// decodes into one run.
 const foldChunkWords = 16
+
+// foldRunRows bounds the run a slot's pairs filter into at once.
+const foldRunRows = 1024
+
+// denseFoldDivisor sets the dense cut: a grouped fold on a dictionary
+// column reads the layout's slot lists when its survivors are at least
+// 1/denseFoldDivisor of the table's rows. Walking the lists costs every
+// row of the table, decoding costs every survivor more. In
+// BenchmarkRowOrderFold (lineitem at SF 0.05, 2 vCPUs, medians of five
+// runs) lists take 1.77 ms and decode 2.86 ms at 25 % survivors, and 1.49
+// against 1.53 ms at 12 %: lists cost about 1.2 ms + 7.6 ns per survivor,
+// decode 0.2 ms + 36 ns, so they cross near 12 %.
+const denseFoldDivisor = 8
 
 // slotter assigns survivors their accumulator slots and counts the
 // survivors of each slot (COUNT(*) and group presence).
@@ -72,27 +99,21 @@ func (e *Engine) newSlotter(table string, tbl *relation.Table, gb workload.Group
 		keys: make([]float64, 1), slot: map[float64]int32{}}, nil
 }
 
-// assign writes each selected row's slot into slots (left all zero when
-// ungrouped) and counts it.
-func (g *slotter) assign(sel, slots []int32) {
-	switch {
-	case g.dict != nil:
-		for j, r := range sel {
-			s := g.dict.Code(int(r)) + 1 // -1 (null) → slot 0
-			slots[j] = s
-			g.rows[s]++
+// assign writes each row's slot into slots, opening float slots in the
+// order rows lists them.
+func (g *slotter) assign(rows, slots []int32) {
+	if g.dict != nil {
+		for j, r := range rows {
+			slots[j] = g.dict.Code(int(r)) + 1 // -1 (null) → slot 0
 		}
-	case g.flt != nil:
-		for j, r := range sel {
-			s := int32(0)
-			if g.nulls == nil || !g.nulls[r] {
-				s = g.floatSlot(g.flt[r])
-			}
-			slots[j] = s
-			g.rows[s]++
+		return
+	}
+	for j, r := range rows {
+		s := int32(0)
+		if g.nulls == nil || !g.nulls[r] {
+			s = g.floatSlot(g.flt[r])
 		}
-	default:
-		g.rows[0] += int64(len(sel))
+		slots[j] = s
 	}
 }
 
@@ -183,83 +204,92 @@ func (a *slotAcc) grow(n int) {
 
 func extend[T any](s []T, n int) []T { return append(s, make([]T, max(0, n-len(s)))...) }
 
-// fold runs the aggregate's typed loop over one chunk. COUNT(*) reads the
-// slotter's rows and an overflowed sum stops folding.
-func (a *slotAcc) fold(sel, slots []int32) {
+// foldRun folds rows, ascending base rows of slot s, with the aggregate's
+// typed run kernel: the slot's state is read once and written back once.
+// COUNT(*) reads the slotter's rows and an overflowed sum stops folding.
+func (a *slotAcc) foldRun(s int, rows []int32) {
 	switch {
 	case a.spec.Column == "" || a.overflow || (a.nulls == nil && a.spec.Op == workload.AggCount):
 	case a.spec.Op == workload.AggCount:
-		for j, r := range sel {
-			if !a.nulls[r] {
-				a.cnt[slots[j]]++
-			}
-		}
+		a.cnt[s] += countValid(rows, a.nulls)
 	case a.spec.Op == workload.AggMin || a.spec.Op == workload.AggMax:
 		max := a.spec.Op == workload.AggMax
 		switch a.kind {
 		case value.KindInt:
-			foldExtreme(sel, slots, a.ints, a.nulls, a.i, a.cnt, max)
+			a.i[s], a.cnt[s] = runExtreme(rows, a.ints, a.nulls, a.i[s], a.cnt[s], max)
 		case value.KindFloat:
-			foldExtreme(sel, slots, a.floats, a.nulls, a.f, a.cnt, max)
+			a.f[s], a.cnt[s] = runExtreme(rows, a.floats, a.nulls, a.f[s], a.cnt[s], max)
 		default:
-			foldExtreme(sel, slots, a.strs, a.nulls, a.s, a.cnt, max)
+			a.s[s], a.cnt[s] = runExtreme(rows, a.strs, a.nulls, a.s[s], a.cnt[s], max)
 		}
 	case a.kind == value.KindInt:
-		a.overflow = !foldIntSum(sel, slots, a.ints, a.nulls, a.i, a.cnt)
+		a.i[s], a.cnt[s], a.overflow = runIntSum(rows, a.ints, a.nulls, a.i[s], a.cnt[s])
 	default:
-		foldFloatSum(sel, slots, a.floats, a.nulls, a.f, a.cnt)
+		a.f[s], a.cnt[s] = runFloatSum(rows, a.floats, a.nulls, a.f[s], a.cnt[s])
 	}
 }
 
-// foldIntSum folds a checked int64 SUM, counting rows only around nulls;
-// false means a slot's sum overflowed.
-func foldIntSum(sel, slots []int32, vals []int64, nulls []bool, sum, cnt []int64) bool {
-	for j, r := range sel {
-		s, v := slots[j], vals[r]
+// countValid counts the rows whose value is not null.
+func countValid(rows []int32, nulls []bool) int64 {
+	var n int64
+	for _, r := range rows {
+		if !nulls[r] {
+			n++
+		}
+	}
+	return n
+}
+
+// runIntSum adds rows' values to sum, checked, counting rows only around
+// nulls; overflow reports that the sum overflowed.
+func runIntSum(rows []int32, vals []int64, nulls []bool, sum, cnt int64) (_, _ int64, overflow bool) {
+	for _, r := range rows {
 		if nulls != nil {
 			if nulls[r] {
 				continue
 			}
-			cnt[s]++
+			cnt++
 		}
-		t := sum[s] + v
-		if (sum[s]^t)&(v^t) < 0 { // both addends' signs differ from the result's
-			return false
+		v := vals[r]
+		t := sum + v
+		if (sum^t)&(v^t) < 0 { // both addends' signs differ from the result's
+			return sum, cnt, true
 		}
-		sum[s] = t
+		sum = t
 	}
-	return true
+	return sum, cnt, false
 }
 
-// foldFloatSum folds a float SUM, each slot in ascending row order,
+// runFloatSum adds rows' values to sum in the order rows lists them,
 // counting rows only around nulls.
-func foldFloatSum(sel, slots []int32, vals []float64, nulls []bool, sum []float64, cnt []int64) {
-	for j, r := range sel {
-		s := slots[j]
+func runFloatSum(rows []int32, vals []float64, nulls []bool, sum float64, cnt int64) (float64, int64) {
+	for _, r := range rows {
 		if nulls != nil {
 			if nulls[r] {
 				continue
 			}
-			cnt[s]++
+			cnt++
 		}
-		sum[s] += vals[r]
+		sum += vals[r]
 	}
+	return sum, cnt
 }
 
-// foldExtreme folds MIN (max false) or MAX into m: the first non-null row
-// of a slot sets it and a later one replaces it only when strictly better,
-// so a float NaN is kept only as a slot's first value.
-func foldExtreme[T cmp.Ordered](sel, slots []int32, vals []T, nulls []bool, m []T, cnt []int64, max bool) {
-	for j, r := range sel {
+// runExtreme folds MIN (max false) or MAX into m: a slot's first non-null
+// row (cnt 0) sets it and a later one replaces it only when strictly
+// better, so a float NaN is kept only as a slot's first value.
+func runExtreme[T cmp.Ordered](rows []int32, vals []T, nulls []bool, m T, cnt int64, max bool) (T, int64) {
+	for _, r := range rows {
 		if nulls != nil && nulls[r] {
 			continue
 		}
-		s, v := slots[j], vals[r]
-		if cnt[s] == 0 || (max && v > m[s]) || (!max && v < m[s]) {
-			m[s] = v
+		v := vals[r]
+		if cnt == 0 || (max && v > m) || (!max && v < m) {
+			m = v
 		}
-		cnt[s]++
+		cnt++
 	}
+	return m, cnt
 }
 
 // value finalizes slot's aggregate; rows is the slot's survivor count.
@@ -290,24 +320,30 @@ func (a *slotAcc) value(slot int, rows int64) value.Value {
 	}
 }
 
-// foldMaterialized computes specs over the survivors of set in the one
-// row-order pass, grouped by gb (zero = ungrouped, the one-slot case).
-// Integer sums are checked; when several overflow, the error names the
-// first in declaration order.
-func (e *Engine) foldMaterialized(table string, tbl *relation.Table, set bitmap.Dense,
-	gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
+// rowFold is one row-order pass: the slotter and one accumulator per
+// aggregate, fed one slot's run of ascending base rows at a time.
+type rowFold struct {
+	gb    workload.GroupBy
+	specs []workload.Aggregate
+	g     *slotter
+	accs  []slotAcc
+}
+
+// newRowFold returns the pass for specs over tbl grouped by gb.
+func (e *Engine) newRowFold(table string, tbl *relation.Table, gb workload.GroupBy,
+	specs []workload.Aggregate) (*rowFold, error) {
 
 	g, err := e.newSlotter(table, tbl, gb)
 	if err != nil {
 		return nil, err
 	}
-	accs := make([]slotAcc, len(specs))
+	f := &rowFold{gb: gb, specs: specs, g: g, accs: make([]slotAcc, len(specs))}
 	for k, spec := range specs {
 		ci, kind, err := aggColumnKind(tbl, spec)
 		if err != nil {
 			return nil, err
 		}
-		a := &accs[k]
+		a := &f.accs[k]
 		a.spec, a.kind = spec, kind
 		if ci >= 0 {
 			a.nulls = tbl.Nulls(ci)
@@ -321,41 +357,229 @@ func (e *Engine) foldMaterialized(table string, tbl *relation.Table, set bitmap.
 			}
 		}
 	}
-	var sel, slots [foldChunkWords * 64]int32
-	for w0 := 0; w0 < len(set); w0 += foldChunkWords {
-		n := 0
-		for w, word := range set[w0:min(w0+foldChunkWords, len(set))] {
-			base := int32((w0 + w) << 6)
-			if word == ^uint64(0) {
-				for j := range sel[n : n+64] {
-					sel[n+j] = base + int32(j)
-				}
-				n += 64
-				continue
-			}
-			for ; word != 0; word &= word - 1 {
-				sel[n] = base + int32(bits.TrailingZeros64(word))
-				n++
+	f.grow()
+	return f, nil
+}
+
+// grow sizes every accumulator to the slotter's slots.
+func (f *rowFold) grow() {
+	for k := range f.accs {
+		f.accs[k].grow(len(f.g.rows))
+	}
+}
+
+// run folds rows, ascending base rows of slot s that follow every row
+// already folded into s, into each aggregate.
+func (f *rowFold) run(s int32, rows []int32) {
+	f.g.rows[s] += int64(len(rows))
+	for k := range f.accs {
+		f.accs[k].foldRun(int(s), rows)
+	}
+}
+
+// result finalizes the pass. When several integer sums overflowed, the
+// error names the first in declaration order.
+func (f *rowFold) result() ([]AggValue, error) {
+	for k := range f.accs {
+		if f.accs[k].overflow {
+			return nil, fmt.Errorf("engine: aggregate %s: int64 sum overflow", f.specs[k])
+		}
+	}
+	return slotAggs(f.gb, f.specs, f.g.live(), f.g.key, func(k, slot int) value.Value {
+		return f.accs[k].value(slot, f.g.rows[slot])
+	}), nil
+}
+
+// foldMaterialized computes specs over the survivors of set, a bitmap over
+// tbl's base rows, in the row-order pass, grouped by gb (zero =
+// ungrouped). An ungrouped fold is slot 0's run, decoded a chunk at a
+// time; a grouped one decodes every survivor, slots each and groups them
+// by (window, slot) segment with buildPostings, which keeps each
+// segment's rows ascending.
+func (e *Engine) foldMaterialized(table string, tbl *relation.Table, set bitmap.Dense,
+	gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
+
+	f, err := e.newRowFold(table, tbl, gb, specs)
+	if err != nil {
+		return nil, err
+	}
+	if gb.IsZero() {
+		var sel [foldChunkWords * 64]int32
+		for w0 := 0; w0 < len(set); w0 += foldChunkWords {
+			if n := decodeRows(set[w0:min(w0+foldChunkWords, len(set))], w0, sel[:]); n > 0 {
+				f.run(0, sel[:n])
 			}
 		}
-		if n == 0 {
+		return f.result()
+	}
+	buf := foldBufs.Get().(*foldBuf)
+	defer foldBufs.Put(buf)
+	sel := resize(buf.sel, set.Count())
+	decodeRows(set, 0, sel)
+	slots := resize(buf.slots, len(sel))
+	f.g.assign(sel, slots)
+	f.grow()
+	g := len(f.g.rows)
+	shift, segs := foldWindows(tbl.NumRows(), g)
+	for j, r := range sel {
+		slots[j] += (r >> shift) * int32(g)
+	}
+	p := buildPostings(slots, segs, buf.pos)
+	for i, j := range p.pos {
+		p.pos[i] = sel[j]
+	}
+	buf.sel, buf.slots, buf.pos = sel, slots, p.pos
+	for seg := range segs {
+		if rows := p.of(int32(seg)); len(rows) > 0 {
+			f.run(int32(seg%g), rows)
+		}
+	}
+	return f.result()
+}
+
+// foldBuf is a grouped decode fold's scratch: the survivors, their
+// segments and the survivors grouped by segment.
+type foldBuf struct{ sel, slots, pos []int32 }
+
+var foldBufs = sync.Pool{New: func() any { return new(foldBuf) }}
+
+// resize returns s's storage, reallocated if it is short, as n elements
+// the caller overwrites.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// decodeRows writes the rows set in words, the set's words from w0 on, to
+// rows in ascending order (full words copy as runs) and returns how many.
+func decodeRows(words []uint64, w0 int, rows []int32) int {
+	n := 0
+	for w, word := range words {
+		base := int32((w0 + w) << 6)
+		if word == ^uint64(0) {
+			for j := range rows[n : n+64] {
+				rows[n+j] = base + int32(j)
+			}
+			n += 64
 			continue
 		}
-		g.assign(sel[:n], slots[:n])
-		for k := range accs {
-			accs[k].grow(len(g.rows))
-			accs[k].fold(sel[:n], slots[:n])
+		for ; word != 0; word &= word - 1 {
+			rows[n] = base + int32(bits.TrailingZeros64(word))
+			n++
 		}
 	}
-	for k := range accs {
-		accs[k].grow(len(g.rows))
-		if accs[k].overflow {
-			return nil, fmt.Errorf("engine: aggregate %s: int64 sum overflow", specs[k])
+	return n
+}
+
+// foldWindowShift sets the base-row window a grouped pass folds for every
+// slot before it moves on, so the window's rows of each aggregate's
+// column are still in cache when the next slot reads them. Folding each
+// slot over the whole table instead read lineitem's columns from memory
+// once per group: in the 22-template mix of BenchmarkExecuteTPCHWarm,
+// Q1's fold took 4.7 ms per query whole and 3.1–3.4 ms with windows of
+// 4 096 to 32 768 rows.
+const foldWindowShift = 14
+
+// foldWindows returns the window of a grouped pass over n rows in g
+// slots as a shift — 1<<foldWindowShift rows, doubled while the (window,
+// slot) segments would outnumber n/16 — and the number of segments.
+// Segment (r>>shift)·g + s holds slot s's rows r in one window, so
+// segment order keeps each slot's rows ascending.
+func foldWindows(n, g int) (shift, segs int) {
+	shift = foldWindowShift
+	for 1<<shift < n && (n>>shift+1)*g > n/16 {
+		shift++
+	}
+	return shift, max(1, (n+1<<shift-1)>>shift) * g
+}
+
+// slotLists is one dictionary column's rows grouped by (window, slot)
+// segment (foldWindows; a slot is code+1, NULL 0) over one layout:
+// segment seg holds pairs[start[seg]:start[seg+1]], ascending by base
+// row.
+type slotLists struct {
+	slots int
+	start []int32
+	pairs []posRow
+}
+
+// posRow is a row's layout position and base row.
+type posRow struct{ pos, row int32 }
+
+// slotListsFor returns table.col's slot lists laid out by order, cached
+// per layout.
+func (e *Engine) slotListsFor(table, col string, order *block.RowOrder) *slotLists {
+	return cachedOn(&e.mu, e.groups, colKey{table, col}, order, func() *slotLists {
+		d := e.dictFor(table, col)
+		n, g := e.ds.Table(table).NumRows(), d.NumCodes()+1
+		shift, segs := foldWindows(n, g)
+		posOf := make([]int32, n)
+		seg := make([]int32, n)
+		for r := range seg {
+			seg[r] = -1 // a row the layout does not hold is in no list
+		}
+		for p, r := range order.Rows {
+			if r >= 0 {
+				posOf[r], seg[r] = int32(p), (r>>shift)*int32(g)+d.Code(int(r))+1
+			}
+		}
+		p := buildPostings(seg, segs, nil)
+		l := &slotLists{slots: g, start: p.start, pairs: make([]posRow, len(p.pos))}
+		for i, r := range p.pos {
+			l.pairs[i] = posRow{posOf[r], r}
+		}
+		return l
+	})
+}
+
+// foldPositions computes specs over the survivors of set, count positions
+// of the layout order lays out, in the row-order pass. A grouped fold on
+// a dictionary column whose survivors are at least 1/denseFoldDivisor of
+// the table filters the layout's slot lists through set a run at a time;
+// every other fold maps the survivors back to base rows
+// (foldMaterialized).
+func (e *Engine) foldPositions(table string, tbl *relation.Table, set bitmap.Dense, order *block.RowOrder,
+	count int, gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
+
+	if gb.IsZero() || e.groupDictFor(table, gb.Column) == nil || count*denseFoldDivisor < tbl.NumRows() {
+		rows := grabDense(tbl.NumRows())
+		defer putDense(rows)
+		baseRows(set, order, rows.dense())
+		return e.foldMaterialized(table, tbl, rows.dense(), gb, specs)
+	}
+	return e.foldSlotLists(table, tbl, set, order, gb, specs)
+}
+
+// foldSlotLists is the dense row source: each segment's cached (position,
+// base row) pairs, filtered through the position set set a run at a time.
+func (e *Engine) foldSlotLists(table string, tbl *relation.Table, set bitmap.Dense, order *block.RowOrder,
+	gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
+
+	f, err := e.newRowFold(table, tbl, gb, specs)
+	if err != nil {
+		return nil, err
+	}
+	l := e.slotListsFor(table, gb.Column, order)
+	var run [foldRunRows]int32
+	for seg := 0; seg+1 < len(l.start); seg++ {
+		s := seg % l.slots
+		pairs := l.pairs[l.start[seg]:l.start[seg+1]]
+		for len(pairs) > 0 {
+			chunk := pairs[:min(len(pairs), foldRunRows)]
+			pairs = pairs[len(chunk):]
+			n := 0
+			for _, pr := range chunk {
+				run[n] = pr.row
+				n += int(set[pr.pos>>6] >> (pr.pos & 63) & 1)
+			}
+			if n > 0 {
+				f.run(int32(s), run[:n])
+			}
 		}
 	}
-	return slotAggs(gb, specs, g.live(), g.key, func(k, slot int) value.Value {
-		return accs[k].value(slot, g.rows[slot])
-	}), nil
+	return f.result()
 }
 
 // slotAggs assembles specs' AggValues from per-slot results: slot 0 when

@@ -133,17 +133,26 @@ func TestFloatFoldsIgnoreLayoutOrder(t *testing.T) {
 
 // TestReplacedLayoutRebuildsLayoutCaches: an engine whose table is given a
 // new layout under it — same block count, rows permuted — drops the
-// position-ordered codes and postings it cached for the old one and keeps
-// answering as the reference does.
+// position-ordered codes, postings and group slot lists it cached for the
+// old one and keeps answering as the reference does.
 func TestReplacedLayoutRebuildsLayoutCaches(t *testing.T) {
 	ds := starDS(t, 500, 20000, 3)
 	fact := ds.Table("fact")
 	store, d := installGroups(t, ds, nil, 1000)
 	si := CloudDWOptions()
 	si.SecondaryIndexes = map[string]string{"fact": "did"}
+	// fid's dictionary is wider than block.MaxGroupSlots, so the backend
+	// declines the fold, and 80 % of fact survives: the row-order pass
+	// reads fact.fid's slot lists.
+	dense := workload.NewQuery("dense", workload.TableRef{Table: "fact"})
+	dense.Filter("fact", predicate.NewComparison("v", predicate.Lt, value.Int(800)))
+	dense.Aggregate(workload.AggSum, "fact", "v")
+	dense.Aggregate(workload.AggMax, "fact", "d")
+	dense.GroupByCol("fact", "fid")
 	queries := []*workload.Query{
 		joinQuery("j1", 1),
 		joinQuery("j2", 4, predicate.NewComparison("v", predicate.Lt, value.Int(300))),
+		dense,
 	}
 	engines := map[string]*Engine{
 		"clouddw": New(store, d, ds, CloudDWOptions()),
@@ -168,6 +177,14 @@ func TestReplacedLayoutRebuildsLayoutCaches(t *testing.T) {
 		}
 	}
 	check("first layout")
+	old := map[string]*slotLists{}
+	for name, e := range engines {
+		ent, ok := e.groups[colKey{"fact", "fid"}]
+		if !ok {
+			t.Fatalf("%s: no fact.fid slot lists cached", name)
+		}
+		old[name] = ent.v
+	}
 
 	rng := rand.New(rand.NewSource(9))
 	perm := rng.Perm(fact.NumRows())
@@ -204,6 +221,12 @@ func TestReplacedLayoutRebuildsLayoutCaches(t *testing.T) {
 		}
 		if _, ok := e.codes[colKey{"fact", "did"}]; !ok {
 			t.Errorf("%s: no fact.did codes cached", name)
+		}
+		switch ent, ok := e.groups[colKey{"fact", "fid"}]; {
+		case !ok:
+			t.Errorf("%s: no fact.fid slot lists cached", name)
+		case ent.order != order || ent.v == old[name]:
+			t.Errorf("%s: fact.fid slot lists still laid out by the replaced layout", name)
 		}
 	}
 }

@@ -55,8 +55,8 @@ type postings struct {
 }
 
 // buildPostings inverts a position → code vector over n codes by a
-// counting sort.
-func buildPostings(codes []int32, n int) *postings {
+// counting sort, into pos's storage when it has the capacity.
+func buildPostings(codes []int32, n int, pos []int32) *postings {
 	p := &postings{start: make([]int32, n+1)}
 	for _, c := range codes {
 		if c >= 0 {
@@ -66,7 +66,7 @@ func buildPostings(codes []int32, n int) *postings {
 	for c := 0; c < n; c++ {
 		p.start[c+1] += p.start[c]
 	}
-	p.pos = make([]int32, p.start[n])
+	p.pos = resize(pos, int(p.start[n]))
 	next := append([]int32(nil), p.start[:n]...)
 	for i, c := range codes {
 		if c >= 0 {
@@ -84,7 +84,7 @@ func (p *postings) of(c int32) []int32 { return p.pos[p.start[c]:p.start[c+1]] }
 // by order, cached per layout.
 func (e *Engine) postingsFor(table, col string, order *block.RowOrder) *postings {
 	return cachedOn(&e.mu, e.posts, colKey{table, col}, order, func() *postings {
-		return buildPostings(e.codesFor(table, col, order), e.dictFor(table, col).NumCodes())
+		return buildPostings(e.codesFor(table, col, order), e.dictFor(table, col).NumCodes(), nil)
 	})
 }
 

@@ -364,7 +364,7 @@ func TestPostingsInvertDictionary(t *testing.T) {
 	for r := range codes {
 		codes[r] = d.Code(r)
 	}
-	p := buildPostings(codes, d.NumCodes())
+	p := buildPostings(codes, d.NumCodes(), nil)
 	want := [][]int32{{2, 6}, {4}, {0, 3}} // codes of 1, 2, 3
 	for c, rows := range want {
 		if got := p.of(int32(c)); !reflect.DeepEqual(got, rows) {
