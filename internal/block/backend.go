@@ -121,10 +121,6 @@ type Scan interface {
 	// count is ever set. masks is parallel to the CompileScan filters; nil
 	// entries are skipped. It returns the block's row count.
 	ScanBlock(id int, masks [][]uint64) (int, error)
-	// Prefetch queues background loads of the given blocks into the
-	// backend's cache (best-effort, bounded; the slice is copied). A
-	// subsequent ScanBlock overlaps with or joins the in-flight load.
-	Prefetch(ids []int)
 }
 
 // MaxGroupSlots bounds the dense per-slot accumulator arrays a grouped

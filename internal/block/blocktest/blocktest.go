@@ -50,8 +50,8 @@ func ReadLayout(t testing.TB, b block.Backend, table string) []*block.Block {
 }
 
 // SimulatedIO keeps the counters the cost model charges — the ones that
-// must not depend on pool warmth or worker timing, unlike the cache and
-// readahead counters beside them.
+// must not depend on pool warmth or worker timing, unlike the cache
+// counters beside them.
 func SimulatedIO(s block.Stats) block.Stats {
 	return block.Stats{BlocksRead: s.BlocksRead, BlocksWritten: s.BlocksWritten,
 		RowsRead: s.RowsRead, RowsWritten: s.RowsWritten}

@@ -57,18 +57,17 @@ type Stats struct {
 	// it.
 	BytesRead int64
 
-	// Prefetched counts block loads (of the scan's pages) by the store's
-	// readahead workers ahead of demand; ReadaheadHits counts demand reads
-	// that found (or joined the in-flight load of) a prefetched block.
-	// Neither affects the simulated BlocksRead accounting — readahead only
-	// overlaps real I/O with compute.
+	// Prefetched and ReadaheadHits are always zero: the store has no
+	// readahead, and a block visit loads its own pages. They stay until the
+	// benchmark harness stops reading them.
 	Prefetched    int64
 	ReadaheadHits int64
 
 	// GroupedFoldsDeclined counts grouped fold compilations the store
 	// declined because the group column's dictionary exceeded
-	// MaxGroupSlots — dense per-slot accumulators would blow memory, so
-	// the engine accumulated into a sparse map over materialized rows.
+	// MaxGroupSlots — the backend's per-block accumulator arrays would be
+	// too wide — so the engine's row-order pass folded the aggregate over
+	// the survivors, with one dense slot per dictionary code.
 	GroupedFoldsDeclined int64
 
 	// ScanLeaves counts the column leaves (comparisons, bands, IN, LIKE,

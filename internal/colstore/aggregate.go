@@ -189,7 +189,7 @@ func (t *TableFold) FoldBlock(id int, local []uint64, gs *block.GroupedStates) e
 	if pop == 0 {
 		return nil
 	}
-	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched, false)
+	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched)
 	if err != nil {
 		return err
 	}

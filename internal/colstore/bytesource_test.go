@@ -128,8 +128,7 @@ func TestStoreReadAccounting(t *testing.T) {
 // contract: ScanBlock meters and reports rows exactly like ReadBlock (whose
 // rows the scan's RowOrder lays out), fills
 // the mask of every filter — an int column against a float literal too —
-// and skips a nil one, Prefetch meters nothing, and a table without a
-// layout compiles to nil.
+// and skips a nil one, and a table without a layout compiles to nil.
 func TestStoreScanHandleParity(t *testing.T) {
 	eachByteSource(t, 1<<20, func(t *testing.T, s *Store) {
 		tl := installInts(t, s, 100, 30)
@@ -141,11 +140,6 @@ func TestStoreScanHandleParity(t *testing.T) {
 		scan := s.CompileScan("t", filters)
 		if scan == nil {
 			t.Fatal("CompileScan returned nil for an installed table")
-		}
-		before := s.Stats()
-		scan.Prefetch([]int{0, 1, 2, 3})
-		if d := blocktest.SimulatedIO(s.Stats().Sub(before)); d != (block.Stats{}) {
-			t.Errorf("Prefetch metered %+v", d)
 		}
 		masks := [][]uint64{make([]uint64, 2), make([]uint64, 2), nil}
 		for id := 0; id < tl.NumBlocks(); id++ {

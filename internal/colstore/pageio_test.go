@@ -628,45 +628,184 @@ func TestConcurrentVisitsReadEachPageOnce(t *testing.T) {
 	}
 }
 
-// TestPrefetchBoundedByPool: a candidate list far larger than the pool
-// queues only what the pool can hold, so readahead does not evict its own
-// unread loads, and the scan answers the same.
-func TestPrefetchBoundedByPool(t *testing.T) {
-	const n = 5000
-	tab := scanTable(t, n)
-	groups := interleavedGroups(n, 100)
-	p := predicate.NewComparison("i_for", predicate.Gt, value.Int(150))
-	filters := []predicate.Predicate{p}
-	probe := newScanStore(t, tab, groups, 0)
-	cols := probe.CompileScan("sc", filters).(*TableScan).touched
-	capacity := 8 * probe.state("sc").seg.pagesSize(0, cols)
-	fit, budget := int64(0), capacity // the longest candidate prefix the pool can hold
-	for id := 0; budget >= 0; id++ {
-		if budget -= probe.state("sc").seg.pagesSize(id, cols); budget >= 0 {
-			fit++
+// scanOf compiles a scan over the fixture table that reads the named
+// columns' pages (i_for and s_dict when none are given).
+func scanOf(t *testing.T, s *Store, cols ...string) *TableScan {
+	t.Helper()
+	if len(cols) == 0 {
+		cols = []string{"i_for", "s_dict"}
+	}
+	var leaves []predicate.Predicate
+	for _, c := range cols {
+		switch c[0] {
+		case 'i':
+			leaves = append(leaves, predicate.NewComparison(c, predicate.Gt, value.Int(150)))
+		case 'f':
+			leaves = append(leaves, predicate.NewComparison(c, predicate.Lt, value.Float(20)))
+		default:
+			leaves = append(leaves, predicate.NewLike(c, "v0%"))
 		}
 	}
-
-	s := newScanStore(t, tab, groups, capacity)
-	scan := s.CompileScan("sc", filters)
-	scan.Prefetch(allBlocks(s))
-	st := waitStats(t, s, func(st block.Stats) bool { return st.Prefetched >= fit })
-	if fit < 7 || fit > 9 || st.Prefetched != fit {
-		t.Fatalf("prefetched %d blocks into a pool of %d, want %d", st.Prefetched, capacity, fit)
+	scan, _ := s.CompileScan("sc", []predicate.Predicate{predicate.NewAnd(leaves...)}).(*TableScan)
+	if scan == nil || len(scan.touched) != len(cols) {
+		t.Fatalf("CompileScan over %v: %+v", cols, scan)
 	}
-	mask := [][]uint64{make([]uint64, (n+63)/64)}
-	for _, id := range allBlocks(s) {
-		if _, err := scanRowMasks(scan, id, mask); err != nil {
+	return scan
+}
+
+// demandRead is the scan's block visit's read of block id's encoded pages.
+func demandRead(t *testing.T, scan *TableScan, id int) (*EncodedBlock, error) {
+	t.Helper()
+	return scan.store.encodedBlock(scan.table, scan.st, id, scan.touched)
+}
+
+// samePages reports whether got holds want's row IDs and its pages of the
+// scan's columns.
+func samePages(scan *TableScan, got, want *EncodedBlock) bool {
+	if !reflect.DeepEqual(got.Block.Rows, want.Block.Rows) {
+		return false
+	}
+	for _, ci := range scan.touched {
+		if !reflect.DeepEqual(got.Cols[ci], want.Cols[ci]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStorePrefetchEvictionChurn hammers a pool far smaller than the
+// segment with concurrent block visits through handles over different
+// column subsets: every visit must return its block's rows and pages while
+// entries widen and evict under the shard locks, and nothing may deadlock.
+// Run with -race.
+func TestStorePrefetchEvictionChurn(t *testing.T) {
+	tab := scanTable(t, 400)
+	groups := interleavedGroups(400, 8)
+	// ~50-row blocks take a few KiB each; 4 KiB keeps only a block or two
+	// resident, so every round of visits evicts.
+	s := newScanStore(t, tab, groups, 4<<10)
+	nb := s.NumBlocks("sc")
+	all := scanOf(t, s, "i_for", "s_dict", "s_raw", "f")
+	want := make([]*EncodedBlock, nb)
+	for id := range want {
+		var err error
+		if want[id], err = demandRead(t, all, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(mask[0], wantMask(tab, p)) {
-		t.Error("scan after bounded readahead differs from FillMask")
+	// Handles over overlapping column subsets widen and re-read each
+	// other's entries as the pool churns.
+	scans := []*TableScan{scanOf(t, s), scanOf(t, s, "i_for"), scanOf(t, s, "s_raw", "f")}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(scan *TableScan, seed int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i := 0; i < nb; i++ {
+					id := (i + seed) % nb
+					got, err := demandRead(t, scan, id)
+					if err != nil {
+						t.Errorf("block %d: %v", id, err)
+						return
+					}
+					if !samePages(scan, got, want[id]) {
+						t.Errorf("block %d: wrong rows or pages under churn", id)
+						return
+					}
+				}
+			}
+		}(scans[g%len(scans)], g)
 	}
-	st = s.Stats()
-	// One shard can be handed more than its eighth of the pool; allow it
-	// to have evicted a couple of its own loads.
-	if unused := st.Prefetched - st.ReadaheadHits; unused > 2 {
-		t.Errorf("%d of %d readahead loads evicted unread", unused, st.Prefetched)
+	wg.Wait()
+	if st := s.Stats(); st.CacheEvictions == 0 {
+		t.Errorf("no eviction on a %d-byte pool: the fixture does not churn", 4<<10)
 	}
+}
+
+// TestStorePrefetchAcrossSwap: a handle pinned to the old generation keeps
+// reading its own pages while SetLayout swaps the segment, and the new
+// generation's visits only ever see new-generation pages: the pool's
+// generation floor refuses the old handle's loads after the swap.
+func TestStorePrefetchAcrossSwap(t *testing.T) {
+	tab := scanTable(t, 200)
+	s := newScanStore(t, tab, interleavedGroups(200, 4), 1<<20)
+	nb := s.NumBlocks("sc")
+	old := scanOf(t, s) // pinned to the generation about to be retired
+	want := make([]*EncodedBlock, nb)
+	for id := range want {
+		var err error
+		if want[id], err = demandRead(t, old, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swapped := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Read until one whole pass has started after the swap.
+		for after := false; !after; {
+			select {
+			case <-swapped:
+				after = true
+			default:
+			}
+			for id := 0; id < nb; id++ {
+				got, err := demandRead(t, old, id)
+				if err != nil {
+					t.Errorf("old generation, block %d: %v", id, err)
+					return
+				}
+				if !samePages(old, got, want[id]) {
+					t.Errorf("old generation, block %d: wrong rows or pages across the swap", id)
+					return
+				}
+			}
+		}
+	}()
+	tl2, err := block.NewTableLayout(tab, interleavedGroups(200, 2), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SetLayout("sc", tl2); err != nil {
+		t.Fatal(err)
+	}
+	close(swapped)
+	wg.Wait()
+
+	nb2 := s.NumBlocks("sc")
+	if nb2 == nb {
+		t.Fatalf("fixture: swap did not change block count (%d)", nb)
+	}
+	fresh := scanOf(t, s)
+	for id := 0; id < nb2; id++ {
+		rows, err := fresh.ScanBlock(id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != 100 {
+			t.Fatalf("block %d: %d rows, want 100 (new generation)", id, rows)
+		}
+	}
+	gen := s.state("sc").gen
+	for i := range s.pool.shards {
+		sh := &s.pool.shards[i]
+		sh.mu.Lock()
+		for k := range sh.items {
+			if k.gen != gen {
+				t.Errorf("pool holds %+v after the swap to generation %d", k, gen)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
+func seqRows(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }

@@ -26,21 +26,12 @@ import (
 // identity tests replay under. Failed loads are never cached, and a waiter
 // whose flight failed (or loaded other columns) runs its own load, so an
 // error only ever reaches a visit that asked for the page behind it.
-//
-// Prefetch loads (readahead workers) use the same single-flight machinery
-// but never block on an in-flight load, never count cache hits or misses,
-// and mark the entries they fill; a later demand read that consumes a
-// marked entry (or joins a prefetch-initiated load) counts one
-// ReadaheadHit.
 type Pool struct {
 	shards []poolShard
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-
-	prefetched    atomic.Int64
-	readaheadHits atomic.Int64
 }
 
 // poolKey identifies one cached block. The segment generation is part of
@@ -68,18 +59,15 @@ type poolShard struct {
 }
 
 type poolEntry struct {
-	key        poolKey
-	val        *EncodedBlock
-	size       int64
-	prefetched bool // inserted by readahead and not yet touched by a demand read
+	key  poolKey
+	val  *EncodedBlock
+	size int64
 }
 
 type poolCall struct {
-	done     chan struct{}
-	val      *EncodedBlock
-	err      error
-	prefetch bool // load initiated by a readahead worker
-	touched  bool // a demand read joined this prefetch load (guarded by shard mu)
+	done chan struct{}
+	val  *EncodedBlock
+	err  error
 }
 
 const defaultPoolShards = 8
@@ -124,72 +112,40 @@ func (p *Pool) shard(k poolKey) *poolShard {
 // snapshot (nil when there is none) and must return one extended by the
 // missing pages, which replaces it. Concurrent visits to one block
 // single-flight: at most one load of a key runs at a time.
-//
-// With prefetch it is the readahead variant: it returns (nil) immediately
-// when the block has a load in flight, never counts cache hits or misses,
-// and marks the entry it fills so the first demand read can be attributed
-// to readahead.
-func (p *Pool) GetPages(k poolKey, cols []int, prefetch bool, load func(prev *EncodedBlock) (*EncodedBlock, error)) (*EncodedBlock, error) {
+func (p *Pool) GetPages(k poolKey, cols []int, load func(prev *EncodedBlock) (*EncodedBlock, error)) (*EncodedBlock, error) {
 	sh := p.shard(k)
 	for {
 		sh.mu.Lock()
 		var prev *EncodedBlock
 		if el, ok := sh.items[k]; ok {
-			ent := el.Value.(*poolEntry)
 			sh.lru.MoveToFront(el)
-			if !prefetch && ent.prefetched {
-				ent.prefetched = false
-				p.readaheadHits.Add(1)
-			}
-			prev = ent.val
+			prev = el.Value.(*poolEntry).val
 			if prev.covers(cols) {
 				sh.mu.Unlock()
-				if !prefetch {
-					p.hits.Add(1)
-				}
+				p.hits.Add(1)
 				return prev, nil
 			}
 		}
 		if call, ok := sh.inflight[k]; ok {
-			if prefetch {
-				sh.mu.Unlock()
-				return nil, nil // someone is already loading it; readahead's job is done
-			}
-			joinedPrefetch := call.prefetch && !call.touched
-			call.touched = true
 			sh.mu.Unlock()
 			<-call.done
-			if call.err == nil {
-				if joinedPrefetch {
-					p.readaheadHits.Add(1)
-				}
-				if call.val.covers(cols) {
-					p.hits.Add(1)
-					return call.val, nil
-				}
+			if call.err == nil && call.val.covers(cols) {
+				p.hits.Add(1)
+				return call.val, nil
 			}
 			continue // that flight did not bring these pages: look again
 		}
-		call := &poolCall{done: make(chan struct{}), prefetch: prefetch}
+		call := &poolCall{done: make(chan struct{})}
 		sh.inflight[k] = call
 		sh.mu.Unlock()
 
-		if !prefetch {
-			p.misses.Add(1)
-		}
+		p.misses.Add(1)
 		call.val, call.err = load(prev)
 
 		sh.mu.Lock()
 		delete(sh.inflight, k)
-		if call.err == nil {
-			if prefetch {
-				p.prefetched.Add(1)
-			}
-			if sh.capacity > 0 && k.gen >= sh.minGen[k.table] {
-				// A demand read that already joined this load consumed the
-				// readahead; only an untouched prefetch result is marked.
-				p.evictions.Add(sh.put(k, call.val, prefetch && !call.touched))
-			}
+		if call.err == nil && sh.capacity > 0 && k.gen >= sh.minGen[k.table] {
+			p.evictions.Add(sh.put(k, call.val))
 		}
 		sh.mu.Unlock()
 		close(call.done)
@@ -200,15 +156,15 @@ func (p *Pool) GetPages(k poolKey, cols []int, prefetch bool, load func(prev *En
 // put caches val under k — replacing the narrower snapshot a load extended,
 // charged by the size delta — then evicts from the cold end down to
 // capacity, returning the number of entries evicted. Caller holds sh.mu.
-func (sh *poolShard) put(k poolKey, val *EncodedBlock, mark bool) (evicted int64) {
+func (sh *poolShard) put(k poolKey, val *EncodedBlock) (evicted int64) {
 	size := val.size
 	if el, ok := sh.items[k]; ok {
 		ent := el.Value.(*poolEntry)
 		sh.bytes += size - ent.size
-		ent.val, ent.size, ent.prefetched = val, size, ent.prefetched || mark
+		ent.val, ent.size = val, size
 		sh.lru.MoveToFront(el)
 	} else {
-		sh.items[k] = sh.lru.PushFront(&poolEntry{key: k, val: val, size: size, prefetched: mark})
+		sh.items[k] = sh.lru.PushFront(&poolEntry{key: k, val: val, size: size})
 		sh.bytes += size
 	}
 	for sh.bytes > sh.capacity && sh.lru.Len() > 0 {
@@ -268,10 +224,4 @@ func (p *Pool) Resident() (entries int, bytes int64) {
 // Counters returns the cumulative hit/miss/eviction counts.
 func (p *Pool) Counters() (hits, misses, evictions int64) {
 	return p.hits.Load(), p.misses.Load(), p.evictions.Load()
-}
-
-// PrefetchCounters returns the cumulative readahead counts: blocks loaded
-// by prefetch and demand reads served by readahead.
-func (p *Pool) PrefetchCounters() (prefetched, readaheadHits int64) {
-	return p.prefetched.Load(), p.readaheadHits.Load()
 }

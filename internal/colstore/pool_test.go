@@ -16,9 +16,32 @@ func fakeBlock(nrows int) *EncodedBlock {
 	return &EncodedBlock{Block: &block.Block{Rows: make([]int32, nrows)}, size: 4 * int64(nrows)}
 }
 
+// fakePages is a page load over a three-column block of one row: prev plus
+// a 4-byte page for each of cols it lacks, so a snapshot's size is 4
+// (row IDs) + 4 per page held.
+func fakePages(prev *EncodedBlock, cols ...int) *EncodedBlock {
+	eb := &EncodedBlock{Block: &block.Block{Rows: make([]int32, 1)}, Cols: make([][]byte, 3), size: 4}
+	if prev != nil {
+		eb.Block, eb.size = prev.Block, prev.size
+		copy(eb.Cols, prev.Cols)
+	}
+	for _, ci := range cols {
+		if eb.Cols[ci] == nil {
+			eb.Cols[ci] = make([]byte, 4)
+			eb.size += 4
+		}
+	}
+	return eb
+}
+
+// loadCols is the loader a visit to cols passes the pool.
+func loadCols(cols ...int) func(*EncodedBlock) (*EncodedBlock, error) {
+	return func(prev *EncodedBlock) (*EncodedBlock, error) { return fakePages(prev, cols...), nil }
+}
+
 // get is a demand visit to k's row IDs alone, loaded by load.
 func get(p *Pool, k poolKey, load func() (*EncodedBlock, error)) (*EncodedBlock, error) {
-	return p.GetPages(k, nil, false, func(*EncodedBlock) (*EncodedBlock, error) { return load() })
+	return p.GetPages(k, nil, func(*EncodedBlock) (*EncodedBlock, error) { return load() })
 }
 
 func TestPoolZeroCapacityNeverCaches(t *testing.T) {
@@ -201,5 +224,122 @@ func TestPoolInvalidate(t *testing.T) {
 	}
 	if _, _, evictions := p.Counters(); evictions != 0 {
 		t.Errorf("InvalidateBelow must not count as eviction, got %d", evictions)
+	}
+}
+
+// TestPoolWidensResidentSnapshot: a visit to a column the resident entry
+// lacks is handed that snapshot, reads only the missing page, and the entry
+// is recharged by the size delta.
+func TestPoolWidensResidentSnapshot(t *testing.T) {
+	p := NewPool(1 << 20)
+	k := poolKey{table: "t", gen: 1, id: 0}
+	if _, err := p.GetPages(k, []int{0}, loadCols(0)); err != nil {
+		t.Fatal(err)
+	}
+	eb, err := p.GetPages(k, []int{0, 2}, func(prev *EncodedBlock) (*EncodedBlock, error) {
+		if prev == nil || prev.Cols[0] == nil {
+			t.Error("widening load was not handed the resident snapshot")
+		}
+		return fakePages(prev, 2), nil
+	})
+	if err != nil || eb.Cols[0] == nil || eb.Cols[2] == nil {
+		t.Fatalf("widening GetPages: %v", err)
+	}
+	if entries, bytes := p.Resident(); entries != 1 || bytes != 12 {
+		t.Errorf("resident = %d entries, %d bytes, want 1, 12 (row IDs + two pages)", entries, bytes)
+	}
+	if _, err := p.GetPages(k, []int{2}, func(*EncodedBlock) (*EncodedBlock, error) {
+		t.Error("load ran for a page the widened snapshot holds")
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, _ := p.Counters(); hits != 1 || misses != 2 {
+		t.Errorf("hits/misses = %d/%d, want 1/2", hits, misses)
+	}
+}
+
+// TestPoolPrefetchFailedLoadNotCached: a failed load caches nothing, and a
+// failed widening leaves the resident snapshot as it was.
+func TestPoolPrefetchFailedLoadNotCached(t *testing.T) {
+	p := NewPool(1 << 20)
+	k := poolKey{table: "t", gen: 1, id: 0}
+	boom := errors.New("boom")
+	fail := func(*EncodedBlock) (*EncodedBlock, error) { return nil, boom }
+	if _, err := p.GetPages(k, []int{1}, fail); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if entries, bytes := p.Resident(); entries != 0 || bytes != 0 {
+		t.Fatalf("failed load cached: %d entries, %d bytes", entries, bytes)
+	}
+	if eb, err := p.GetPages(k, []int{1}, loadCols(1)); err != nil || eb == nil {
+		t.Fatalf("recovery load: %v", err)
+	}
+	if _, err := p.GetPages(k, []int{1, 2}, fail); !errors.Is(err, boom) {
+		t.Fatalf("widening err = %v, want boom", err)
+	}
+	if eb, err := p.GetPages(k, []int{1}, fail); err != nil || eb.Cols[1] == nil || eb.Cols[2] != nil {
+		t.Errorf("resident snapshot disturbed by a failed widening: %v", err)
+	}
+	if _, bytes := p.Resident(); bytes != 8 {
+		t.Errorf("resident bytes = %d, want 8 (row IDs + one page)", bytes)
+	}
+}
+
+// TestPoolDemandJoinsInflightPrefetch: a visit to the pages an in-flight load
+// is bringing in joins it (a hit, no load of its own); a visit to another
+// column waits the flight out, then reads only its own page on top of what
+// the flight cached.
+func TestPoolDemandJoinsInflightPrefetch(t *testing.T) {
+	p := NewPool(1 << 20)
+	k := poolKey{table: "t", gen: 1, id: 0}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := p.GetPages(k, []int{0}, func(prev *EncodedBlock) (*EncodedBlock, error) {
+			close(started)
+			<-release
+			return fakePages(prev, 0), nil
+		}); err != nil {
+			t.Errorf("gated GetPages: %v", err)
+		}
+	}()
+	<-started
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		eb, err := p.GetPages(k, []int{0}, func(*EncodedBlock) (*EncodedBlock, error) {
+			t.Error("load ran instead of joining the in-flight one")
+			return fakePages(nil, 0), nil
+		})
+		if err != nil || eb == nil || eb.Cols[0] == nil {
+			t.Errorf("joined GetPages: %v", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		eb, err := p.GetPages(k, []int{1}, func(prev *EncodedBlock) (*EncodedBlock, error) {
+			if prev == nil || prev.Cols[0] == nil {
+				t.Error("load after the flight was not handed the flight's snapshot")
+			}
+			return fakePages(prev, 1), nil
+		})
+		if err != nil || eb.Cols[0] == nil || eb.Cols[1] == nil {
+			t.Errorf("widening GetPages: %v", err)
+		}
+	}()
+	// Give the visits a moment to register as waiters, then release.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	if hits, misses, _ := p.Counters(); hits != 1 || misses != 2 {
+		t.Errorf("hits/misses = %d/%d, want 1/2 (one joined, two loads)", hits, misses)
+	}
+	if _, bytes := p.Resident(); bytes != 12 {
+		t.Errorf("resident bytes = %d, want 12 (row IDs + two pages)", bytes)
 	}
 }

@@ -105,33 +105,6 @@ func setColumns(reads []bool) []int {
 	return cols
 }
 
-// Prefetch implements block.Scan: it queues background loads of the pages
-// this scan's block visits will ask for. Best-effort and asynchronous. The
-// queue stops where the pages' pool charge (footer metadata) reaches the
-// pool's capacity — readahead past that evicts its own unread loads — so
-// it is a no-op when the store has no buffer pool to park the result in,
-// or the visits read no page.
-func (t *TableScan) Prefetch(ids []int) {
-	s, seg := t.store, t.st.seg
-	if s.cacheBytes <= 0 || len(t.touched) == 0 {
-		return
-	}
-	budget := s.cacheBytes
-	var cp []int // callers reuse their candidate slices
-	for _, id := range ids {
-		if id < 0 || id >= seg.NumBlocks() {
-			continue
-		}
-		if budget -= seg.pagesSize(id, t.touched); budget < 0 {
-			break
-		}
-		cp = append(cp, id)
-	}
-	if len(cp) > 0 {
-		s.pf.enqueue(prefetchTask{store: s, table: t.table, st: t.st, cols: t.touched, ids: cp})
-	}
-}
-
 // RowOrder implements block.Scan: the position geometry of the segment
 // generation the scan is pinned to.
 func (t *TableScan) RowOrder() (*block.RowOrder, error) { return t.store.rowOrder(t.st) }
@@ -147,7 +120,7 @@ func (t *TableScan) ScanBlock(id int, masks [][]uint64) (int, error) {
 	}
 	t.store.blocksRead.Add(1)
 	t.store.rowsRead.Add(int64(seg.BlockRows(id)))
-	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched, false)
+	eb, err := t.store.encodedBlock(t.table, t.st, id, t.touched)
 	if err != nil {
 		return 0, err
 	}

@@ -573,16 +573,6 @@ func (s *Segment) readPages(id int, cols []int, prev *EncodedBlock) (*EncodedBlo
 	return eb, read, nil
 }
 
-// pagesSize is the size of a snapshot of block id holding exactly the
-// pages of cols, from the footer alone.
-func (s *Segment) pagesSize(id int, cols []int) int64 {
-	var size int64
-	for _, ci := range cols {
-		size += s.blocks[id].pages[1+ci].length
-	}
-	return size
-}
-
 // ValidateAgainst cross-checks the footer's schema echo against the live
 // table schema, catching a segment opened for the wrong table shape.
 func (s *Segment) ValidateAgainst(schema *relation.Schema) error {

@@ -22,8 +22,8 @@ import (
 // are files under it; opened without one (NewMemStore), each generation's
 // bytes stay in memory. The two differ only in who receives the encoder's
 // bytes and who supplies the io.ReaderAt the pages are read through: footer
-// parse, page framing and checksums, pool, readahead, kernels and metering
-// are the same code. Metadata (block counts, zone maps) is served from the
+// parse, page framing and checksums, pool, kernels and metering are the
+// same code. Metadata (block counts, zone maps) is served from the
 // parsed segment footers without page I/O; a block visit reads its row-ID
 // page and the pages of the columns it names.
 //
@@ -36,15 +36,16 @@ import (
 // running reads (a file store writes it under a staged name that NewStore
 // does not adopt); committing takes the lock only to give the file its final
 // name, swap the table's state, unlink the superseded segment and invalidate
-// the table's buffer-pool entries. Scans, folds and prefetch tasks pin the
-// tableState they compiled against, so in-flight readers keep the superseded
-// segment readable; its file handle or bytes go with the last of them.
+// the table's buffer-pool entries. Scans and folds pin the tableState they
+// compiled against, so in-flight readers keep the superseded segment
+// readable; its file handle or bytes go with the last of them.
+//
+// A Store starts no goroutine: a page enters the pool only when a block
+// visit that names it loads it, on the visit's own goroutine.
 type Store struct {
-	dir        string // "" keeps segment bytes in memory
-	cost       block.CostModel
-	pool       *Pool
-	cacheBytes int64
-	pf         *prefetcher
+	dir  string // "" keeps segment bytes in memory
+	cost block.CostModel
+	pool *Pool
 
 	mu     sync.RWMutex
 	tables map[string]*tableState
@@ -89,12 +90,10 @@ const memPoolBytes = math.MaxInt64
 
 func newStore(dir string, cacheBytes int64, cost block.CostModel) *Store {
 	return &Store{
-		dir:        dir,
-		cost:       cost,
-		pool:       NewPool(cacheBytes),
-		cacheBytes: cacheBytes,
-		pf:         newPrefetcher(),
-		tables:     make(map[string]*tableState),
+		dir:    dir,
+		cost:   cost,
+		pool:   NewPool(cacheBytes),
+		tables: make(map[string]*tableState),
 	}
 }
 
@@ -182,11 +181,10 @@ func (s *Store) Dir() string { return s.dir }
 // Cost returns the store's cost model.
 func (s *Store) Cost() block.CostModel { return s.cost }
 
-// Close stops the readahead workers, then releases the current segments —
-// in that order, so a prefetch load can never read from a closed file. A
-// closed store refuses every later prepare and commit.
+// Close releases the current segments, so it comes after the last scan or
+// fold: their block visits read through the segments' handles. A closed
+// store refuses every later prepare and commit.
 func (s *Store) Close() error {
-	s.pf.shutdown()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed.Store(true)
@@ -382,7 +380,7 @@ func (s *Store) ReadBlock(table string, id int) (*block.Block, error) {
 	}
 	s.blocksRead.Add(1)
 	s.rowsRead.Add(int64(st.seg.BlockRows(id)))
-	eb, err := s.encodedBlock(table, st, id, []int{rowIDPage}, false)
+	eb, err := s.encodedBlock(table, st, id, []int{rowIDPage})
 	if err != nil {
 		return nil, err
 	}
@@ -393,15 +391,13 @@ func (s *Store) ReadBlock(table string, id int) (*block.Block, error) {
 // least the pages of cols, through the buffer pool: the resident snapshot
 // when it has them, else one extended by the pages it lacks. Not metered —
 // ReadBlock and ScanBlock meter the block themselves, and a fold is charged
-// to the scan that produced its survivors. With prefetch it is a readahead
-// worker's load (see Pool.GetPages): the error is the caller's to drop, the
-// demand read re-runs the load and surfaces it.
-func (s *Store) encodedBlock(table string, st *tableState, id int, cols []int, prefetch bool) (*EncodedBlock, error) {
+// to the scan that produced its survivors.
+func (s *Store) encodedBlock(table string, st *tableState, id int, cols []int) (*EncodedBlock, error) {
 	if len(cols) == 0 {
 		return st.seg.blocks[id].bare, nil // no page to read: skip the pool
 	}
 	k := poolKey{table: table, gen: st.gen, id: id}
-	return s.pool.GetPages(k, cols, prefetch, func(prev *EncodedBlock) (*EncodedBlock, error) {
+	return s.pool.GetPages(k, cols, func(prev *EncodedBlock) (*EncodedBlock, error) {
 		eb, n, err := st.seg.readPages(id, cols, prev)
 		if err != nil {
 			return nil, err
@@ -502,7 +498,6 @@ func (s *Store) TotalBlocks(tables ...string) int {
 // Stats returns a snapshot of the I/O and buffer-pool counters.
 func (s *Store) Stats() block.Stats {
 	hits, misses, evictions := s.pool.Counters()
-	prefetched, raHits := s.pool.PrefetchCounters()
 	return block.Stats{
 		BlocksRead:     s.blocksRead.Load(),
 		BlocksWritten:  s.blocksWritten.Load(),
@@ -512,8 +507,6 @@ func (s *Store) Stats() block.Stats {
 		CacheMisses:    misses,
 		CacheEvictions: evictions,
 		BytesRead:      s.bytesRead.Load(),
-		Prefetched:     prefetched,
-		ReadaheadHits:  raHits,
 
 		GroupedFoldsDeclined: s.groupedDeclined.Load(),
 

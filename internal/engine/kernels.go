@@ -160,9 +160,7 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 	}
 
 	// Compile each table's scan (literals are translated into the stored
-	// representation once per query) and queue readahead for the admitted
-	// candidate blocks. Runtime pruning below may still shrink the sets —
-	// prefetching a superset is harmless, it only warms the cache.
+	// representation once per query) and pin the layout it reads.
 	scans := make(map[string]block.Scan, len(order))
 	for _, name := range order {
 		scan := e.store.CompileScan(name, filters[name])
@@ -173,9 +171,6 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 			return nil, err
 		}
 		scans[name] = scan
-		if ids := tables[name].candidates; len(ids) > 0 {
-			scan.Prefetch(ids)
-		}
 	}
 
 	reducers := 0

@@ -63,8 +63,8 @@ type Deployment struct {
 	RoutingSeconds  float64
 }
 
-// Close releases the deployment's store: a disk store's segment files and
-// its readahead workers. The deployment answers no query afterwards.
+// Close releases the deployment's store: a disk store's segment files.
+// The deployment answers no query afterwards.
 func (d *Deployment) Close() error {
 	if c, ok := d.Store.(io.Closer); ok {
 		return c.Close()

@@ -38,9 +38,8 @@ func deployAndReplay(t *testing.T, b *Bench, method string, cloudDW bool) *RunRe
 // blocks, fractions, simulated seconds, and per-query metrics — whether the
 // segments are held in RAM or in files, at any cache size in front of the
 // files (including a 0-byte cache, where every read fetches pages from
-// disk and readahead is off), and at any replay parallelism. It is one
-// store and one read path; only the io.ReaderAt under it and the pool's
-// residency differ.
+// disk), and at any replay parallelism. It is one store and one read path;
+// only the io.ReaderAt under it and the pool's residency differ.
 func TestDiskBackendReplayIdentity(t *testing.T) {
 	s := testScale()
 	for _, mk := range []struct {

@@ -479,11 +479,8 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Errorf("post-shutdown submit: %v, want ErrShuttingDown", err)
 	}
 
-	// All workers and daemon loops must be gone — and, once its owner
-	// closes it, the store's readahead workers.
-	if err := cfg.Store.(*colstore.Store).Close(); err != nil {
-		t.Fatal(err)
-	}
+	// All daemon loops must be gone before the store is closed: executing
+	// queries starts no goroutine that outlives them, the store's included.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -491,6 +488,9 @@ func TestGracefulShutdown(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline {
 		buf := make([]byte, 1<<16)
 		t.Errorf("goroutines leaked: %d > baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+	if err := cfg.Store.(*colstore.Store).Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -252,8 +252,8 @@ func install(opt *core.Optimizer, ds *Dataset, cfg Config) (*System, error) {
 	return &System{live.New(opt, design, store, ds, engine.CloudDWOptions(), nil)}, nil
 }
 
-// Close releases the storage backend: its readahead workers and, with
-// Store "disk", the open segment files.
+// Close releases the storage backend: with Store "disk", the open segment
+// files.
 func (s *System) Close() error { return s.in.Close() }
 
 // Result is one query's execution outcome.
