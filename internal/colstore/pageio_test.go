@@ -673,12 +673,12 @@ func samePages(scan *TableScan, got, want *EncodedBlock) bool {
 	return true
 }
 
-// TestStorePrefetchEvictionChurn hammers a pool far smaller than the
+// TestStoreEvictionChurn hammers a pool far smaller than the
 // segment with concurrent block visits through handles over different
 // column subsets: every visit must return its block's rows and pages while
 // entries widen and evict under the shard locks, and nothing may deadlock.
 // Run with -race.
-func TestStorePrefetchEvictionChurn(t *testing.T) {
+func TestStoreEvictionChurn(t *testing.T) {
 	tab := scanTable(t, 400)
 	groups := interleavedGroups(400, 8)
 	// ~50-row blocks take a few KiB each; 4 KiB keeps only a block or two
@@ -724,11 +724,11 @@ func TestStorePrefetchEvictionChurn(t *testing.T) {
 	}
 }
 
-// TestStorePrefetchAcrossSwap: a handle pinned to the old generation keeps
+// TestStoreReadAcrossSwap: a handle pinned to the old generation keeps
 // reading its own pages while SetLayout swaps the segment, and the new
 // generation's visits only ever see new-generation pages: the pool's
 // generation floor refuses the old handle's loads after the swap.
-func TestStorePrefetchAcrossSwap(t *testing.T) {
+func TestStoreReadAcrossSwap(t *testing.T) {
 	tab := scanTable(t, 200)
 	s := newScanStore(t, tab, interleavedGroups(200, 4), 1<<20)
 	nb := s.NumBlocks("sc")

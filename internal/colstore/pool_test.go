@@ -259,9 +259,9 @@ func TestPoolWidensResidentSnapshot(t *testing.T) {
 	}
 }
 
-// TestPoolPrefetchFailedLoadNotCached: a failed load caches nothing, and a
+// TestPoolFailedPageLoadNotCached: a failed load caches nothing, and a
 // failed widening leaves the resident snapshot as it was.
-func TestPoolPrefetchFailedLoadNotCached(t *testing.T) {
+func TestPoolFailedPageLoadNotCached(t *testing.T) {
 	p := NewPool(1 << 20)
 	k := poolKey{table: "t", gen: 1, id: 0}
 	boom := errors.New("boom")
@@ -286,11 +286,11 @@ func TestPoolPrefetchFailedLoadNotCached(t *testing.T) {
 	}
 }
 
-// TestPoolDemandJoinsInflightPrefetch: a visit to the pages an in-flight load
+// TestPoolDemandJoinsInflightLoad: a visit to the pages an in-flight load
 // is bringing in joins it (a hit, no load of its own); a visit to another
 // column waits the flight out, then reads only its own page on top of what
 // the flight cached.
-func TestPoolDemandJoinsInflightPrefetch(t *testing.T) {
+func TestPoolDemandJoinsInflightLoad(t *testing.T) {
 	p := NewPool(1 << 20)
 	k := poolKey{table: "t", gen: 1, id: 0}
 	started := make(chan struct{})

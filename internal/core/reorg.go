@@ -594,15 +594,7 @@ func (s *StagedReorg) stageTable(name string, choices []subtreeChoice) (stagedTa
 				st.groupBlocks[si] = append(st.groupBlocks[si], rank[b])
 			}
 		}
-		// Rows of this surviving leaf that lived in a retired (straddling)
-		// block move into a fresh appended block.
-		var stray []int32
-		for _, r := range st.groups[si] {
-			if oldIDs[int(rowToBlock[r])] {
-				stray = append(stray, r)
-			}
-		}
-		appendGroup(si, stray)
+		appendGroup(si, strayRows(st.groups[si], oldIDs, rowToBlock))
 	}
 	st.stats.BlocksWritten = next - kept
 	st.prepared, err = s.store.PrepareReplace(name, oldIDs, storeGroups, blockSize)
@@ -687,32 +679,33 @@ func (o *Optimizer) estimateWrites(plan *ReorgPlan, choices []subtreeChoice, des
 	}
 	oldGroups := design.Table(name).Groups()
 	oldIDs := retiredBlocks(choices, gb)
-	chosenLeaves := map[*qdtree.Node]bool{}
 	writes := 0
 	for _, c := range choices {
-		for _, lf := range qdtree.SubtreeLeaves(c.node) {
-			chosenLeaves[lf] = true
-		}
 		// Replacement leaves are built at sample rate 1, so SampleRows is
 		// the exact row count each leaf will hold.
 		for _, lf := range c.newTree.Leaves() {
 			writes += blocksFor(lf.SampleRows, o.opts.BlockSize)
 		}
 	}
-	tree := o.trees[name]
-	for _, lf := range tree.Leaves() {
-		if chosenLeaves[lf] {
-			continue
+	for _, sl := range finalSlots(o.trees[name].Root, choices) {
+		if sl.old != nil {
+			writes += blocksFor(len(strayRows(oldGroups[sl.old.LeafIndex], oldIDs, rowToBlock)), o.opts.BlockSize)
 		}
-		stray := 0
-		for _, r := range oldGroups[lf.LeafIndex] {
-			if oldIDs[int(rowToBlock[r])] {
-				stray++
-			}
-		}
-		writes += blocksFor(stray, o.opts.BlockSize)
 	}
 	return writes, nil
+}
+
+// strayRows returns the rows of a surviving leaf's group that lived in a
+// retired (straddling) block: a partial install moves them into a fresh
+// appended block.
+func strayRows(group []int32, retired map[int]bool, rowToBlock []int32) []int32 {
+	var stray []int32
+	for _, r := range group {
+		if retired[int(rowToBlock[r])] {
+			stray = append(stray, r)
+		}
+	}
+	return stray
 }
 
 // TrimPlansToBudget drops the lowest-value subtree choices until the

@@ -107,7 +107,7 @@ func TestCoveringSourceShortCuts(t *testing.T) {
 		}
 		s := semijoin{tgt: testAlias("fact", fOrder, allRows(fact.NumRows())), src: testAlias("dim", dOrder, dRows),
 			tgtCol: c.factCol, srcCol: c.dCol, anti: c.anti}
-		src := e.prepare(s, false)
+		src := e.prepare(s)
 		if short := src.how == shortCut; short != c.short {
 			t.Errorf("%s: short-cut %v, want %v", c.name, short, c.short)
 		}

@@ -48,7 +48,8 @@ type Options struct {
 const (
 	// rangeSetSize bounds the number of ranges in a diP (the paper uses 20).
 	rangeSetSize = 20
-	// maxReductionPasses caps the diP and semantic reduction fixpoints.
+	// maxReductionPasses caps the diP passes and the passes of a repeated
+	// reduction schedule (sweepSchedule).
 	maxReductionPasses = 8
 )
 

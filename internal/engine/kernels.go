@@ -26,8 +26,8 @@ import (
 //     Engine like the secondary-index state), so semantic reduction runs
 //     each semijoin as a cost-chosen code kernel (semijoin.go) instead of
 //     probing boxed value.Value map keys, in two sweeps over an acyclic
-//     join graph (schedule.go), and otherwise skips re-reducing a side
-//     whose inputs are provably unchanged;
+//     join graph and otherwise in repeated passes (schedule.go) that skip
+//     re-reducing a side whose inputs are provably unchanged;
 //   - zone-map pruning compiles each filter's range evaluator once
 //     (predicate.CompileRanges) and sweeps all candidate blocks in one
 //     pass.
@@ -364,125 +364,26 @@ func (e *Engine) indexPrune(ts *tableState, col string, src colKey, ck *cachedKe
 }
 
 // reduceKernel is semantic reduction over the vectorized alias state: the
-// schedule, pass structure and probe accounting of semanticReduce, with
-// every step run by the cost-chosen semijoin operator (semijoin.go).
+// schedule, passes and probe accounting of semanticReduce (reduce), with
+// every step run by the cost-chosen semijoin operator (semijoin.go). A
+// repeated step whose source and target are unchanged since it last ran
+// is skipped: reduction is idempotent, so it would remove nothing.
 func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) int {
-	counts := make(map[string]int, len(aliases))
-	for name, a := range aliases {
-		counts[name] = a.count
+	type ran struct {
+		src, tgt int // the versions the step read and left
+		ok       bool
 	}
-	steps, ok := sweepSchedule(q, counts)
-	if !ok {
-		return e.fixpointKernel(q, aliases)
-	}
-	probes := 0
-	for _, st := range steps {
-		j := q.Joins[st.join]
-		if !e.joinColumnsExist(q, j) {
-			continue
-		}
-		tgt, tgtCol, src, srcCol := st.sides(j)
+	last := make([]ran, 2*len(q.Joins)) // by step; an edge has at most two
+	count := func(alias string) int { return aliases[alias].count }
+	return e.reduce(q, count, func(i int, st reduceStep) bool {
+		tgt, tgtCol, src, srcCol := st.sides(q.Joins[st.join])
 		s := semijoin{tgt: aliases[tgt], src: aliases[src], tgtCol: tgtCol, srcCol: srcCol, anti: st.anti}
-		probes += s.tgt.count
-		e.run(s, e.prepare(s, false))
-	}
-	return probes
-}
-
-// dirMemo records, per join direction, the (source, target) versions as of
-// the last time the target was reduced by the source. Reduction is
-// idempotent, so while both versions are unchanged re-running the step is
-// provably a no-op and is skipped; the probe charges still accrue, keeping
-// the cost model identical to the reference path.
-type dirMemo struct {
-	srcVer, tgtVer int
-	valid          bool
-}
-
-// fixpointKernel is the vectorized semantic-reduction fixpoint: identical
-// pass structure and probe accounting to semanticReduce's, with a
-// direction skipped when its inputs are unchanged.
-func (e *Engine) fixpointKernel(q *workload.Query, aliases map[string]*vecAlias) int {
-	// memo[2i] covers reducing join i's left side by its right side;
-	// memo[2i+1] the opposite direction.
-	memo := make([]dirMemo, 2*len(q.Joins))
-	probes := 0
-	for pass := 0; pass < maxReductionPasses; pass++ {
-		changed := false
-		for i, j := range q.Joins {
-			if !e.joinColumnsExist(q, j) {
-				// A missing join column yields no key set; reducing by it
-				// would wrongly drop every row. Skip the edge (see
-				// semanticReduce).
-				continue
-			}
-			l, r := aliases[j.Left], aliases[j.Right]
-			lByR := dirStep{s: semijoin{tgt: l, src: r, tgtCol: j.LeftColumn, srcCol: j.RightColumn}, m: &memo[2*i]}
-			rByL := dirStep{s: semijoin{tgt: r, src: l, tgtCol: j.RightColumn, srcCol: j.LeftColumn}, m: &memo[2*i+1]}
-			switch j.Type {
-			case workload.InnerJoin, workload.SemiJoin:
-				// Each side reduces by the other as of the edge's start:
-				// capture both sources before either shrinks. l shrinks
-				// first, so rByL keeps a copy of l's rows if it walks them.
-				lByR.prepare(e, false)
-				rByL.prepare(e, true)
-				probes += l.count + r.count
-				changed = lByR.run(e) || changed
-				changed = rByL.run(e) || changed
-			case workload.LeftOuterJoin:
-				probes += r.count
-				changed = rByL.prepare(e, false).run(e) || changed
-			case workload.RightOuterJoin:
-				probes += l.count
-				changed = lByR.prepare(e, false).run(e) || changed
-			case workload.LeftAntiSemiJoin:
-				lByR.s.anti = true
-				probes += l.count
-				changed = lByR.prepare(e, false).run(e) || changed
-			case workload.RightAntiSemiJoin:
-				rByL.s.anti = true
-				probes += r.count
-				changed = rByL.prepare(e, false).run(e) || changed
-			case workload.FullOuterJoin:
-				// Both sides preserved: no reduction, and probes accrue
-				// once (see semanticReduce).
-				if pass == 0 {
-					probes += l.count + r.count
-				}
-			}
+		if last[i] == (ran{s.src.version, s.tgt.version, true}) {
+			return false
 		}
-		if !changed {
-			break
-		}
-	}
-	return probes
-}
-
-// dirStep is one direction of a fixpoint edge with its memo.
-type dirStep struct {
-	s    semijoin
-	m    *dirMemo
-	src  semiSource
-	skip bool
-}
-
-// prepare captures the direction's source, or marks the direction skipped
-// when the memo proves it a no-op.
-func (d *dirStep) prepare(e *Engine, copyRows bool) *dirStep {
-	d.skip = d.m.valid && d.m.srcVer == d.s.src.version && d.m.tgtVer == d.s.tgt.version
-	if !d.skip {
-		d.src = e.prepare(d.s, copyRows)
-	}
-	return d
-}
-
-// run reduces the direction's target unless it was skipped, records the
-// memo, and reports whether the target shrank.
-func (d *dirStep) run(e *Engine) bool {
-	if d.skip {
-		return false
-	}
-	removed := e.run(d.s, d.src)
-	*d.m = dirMemo{srcVer: d.src.version, tgtVer: d.s.tgt.version, valid: true}
-	return removed
+		srcVer := s.src.version
+		shrank := e.run(s, e.prepare(s))
+		last[i] = ran{srcVer, s.tgt.version, true}
+		return shrank
+	})
 }

@@ -369,109 +369,25 @@ func overlapsOrTouches(a, b predicate.Interval) bool {
 }
 
 // joinColumnsExist reports whether both of j's columns exist in their
-// aliases' base tables. A missing join column yields no key set; reducing
-// the other side by the resulting nil set would wrongly drop every row, so
-// reduction skips such an edge — like runtimeBlockPrune, there is nothing
-// to reduce with — and charges it no probes.
+// aliases' base tables.
 func (e *Engine) joinColumnsExist(q *workload.Query, j workload.Join) bool {
 	return tableHasColumn(e.ds.Table(q.BaseTable(j.Left)), j.LeftColumn) &&
 		tableHasColumn(e.ds.Table(q.BaseTable(j.Right)), j.RightColumn)
 }
 
 // semanticReduce applies the query's join semantics to the filtered row
-// sets: inner joins reduce both sides to matching rows, one-sided outer
-// joins reduce only the non-preserved side, semi joins reduce both sides
-// to matching rows, and anti-semi joins keep the preserved side's rows
-// without a match. A join graph sweepSchedule accepts is reduced in its
-// two sweeps and leaf one-sided steps, each step charged the target's rows
-// as probes; any other graph iterates the edges to a fixpoint. Returns the
-// number of tuple probes performed (for the cost model).
+// sets: inner and semi joins reduce both sides to matching rows, one-sided
+// outer joins reduce only the non-preserved side, and anti-semi joins keep
+// the preserved side's rows without a match. It runs the reduction
+// schedule (reduce), each step over boxed key maps. Returns the number of
+// tuple probes performed (for the cost model).
 func (e *Engine) semanticReduce(q *workload.Query, aliases map[string]*aliasState) int {
-	counts := make(map[string]int, len(aliases))
-	for name, as := range aliases {
-		counts[name] = len(as.rows)
-	}
-	steps, ok := sweepSchedule(q, counts)
-	if !ok {
-		return e.semanticFixpoint(q, aliases)
-	}
-	probes := 0
-	for _, st := range steps {
-		j := q.Joins[st.join]
-		if !e.joinColumnsExist(q, j) {
-			continue
-		}
-		tgt, tgtCol, src, srcCol := st.sides(j)
+	count := func(alias string) int { return len(aliases[alias].rows) }
+	return e.reduce(q, count, func(_ int, st reduceStep) bool {
+		tgt, tgtCol, src, srcCol := st.sides(q.Joins[st.join])
 		t, s := aliases[tgt], aliases[src]
-		probes += len(t.rows)
-		reduceTo(t, e.ds.Table(t.table), tgtCol, keysOf(e.ds.Table(s.table), s.rows, srcCol), st.anti)
-	}
-	return probes
-}
-
-// semanticFixpoint iterates every edge's reduction until a pass changes
-// nothing (or maxReductionPasses): the route for cyclic graphs, full outer
-// joins and one-sided edges whose non-preserved side has other edges.
-func (e *Engine) semanticFixpoint(q *workload.Query, aliases map[string]*aliasState) int {
-	probes := 0
-	for pass := 0; pass < maxReductionPasses; pass++ {
-		changed := false
-		for _, j := range q.Joins {
-			if !e.joinColumnsExist(q, j) {
-				continue
-			}
-			l, r := aliases[j.Left], aliases[j.Right]
-			lt, rt := e.ds.Table(l.table), e.ds.Table(r.table)
-			switch j.Type {
-			case workload.InnerJoin, workload.SemiJoin:
-				lk := keysOf(lt, l.rows, j.LeftColumn)
-				rk := keysOf(rt, r.rows, j.RightColumn)
-				probes += len(l.rows) + len(r.rows)
-				if reduceTo(l, lt, j.LeftColumn, rk, false) {
-					changed = true
-				}
-				if reduceTo(r, rt, j.RightColumn, lk, false) {
-					changed = true
-				}
-			case workload.LeftOuterJoin:
-				lk := keysOf(lt, l.rows, j.LeftColumn)
-				probes += len(r.rows)
-				if reduceTo(r, rt, j.RightColumn, lk, false) {
-					changed = true
-				}
-			case workload.RightOuterJoin:
-				rk := keysOf(rt, r.rows, j.RightColumn)
-				probes += len(l.rows)
-				if reduceTo(l, lt, j.LeftColumn, rk, false) {
-					changed = true
-				}
-			case workload.LeftAntiSemiJoin:
-				rk := keysOf(rt, r.rows, j.RightColumn)
-				probes += len(l.rows)
-				if reduceTo(l, lt, j.LeftColumn, rk, true) {
-					changed = true
-				}
-			case workload.RightAntiSemiJoin:
-				lk := keysOf(lt, l.rows, j.LeftColumn)
-				probes += len(r.rows)
-				if reduceTo(r, rt, j.RightColumn, lk, true) {
-					changed = true
-				}
-			case workload.FullOuterJoin:
-				// Both sides preserved: no reduction. Probes accrue once
-				// — later fixpoint passes re-run only for other edges'
-				// benefit, and a pass that provably does nothing must not
-				// inflate the cost model.
-				if pass == 0 {
-					probes += len(l.rows) + len(r.rows)
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return probes
+		return reduceTo(t, e.ds.Table(t.table), tgtCol, keysOf(e.ds.Table(s.table), s.rows, srcCol), st.anti)
+	})
 }
 
 // reduceTo keeps only as.rows whose key membership in keys matches want

@@ -6,14 +6,31 @@ import (
 	"mto/internal/workload"
 )
 
-// reduceStep is one directed semijoin of the sweep schedule: reduce one
+// reduceStep is one directed semijoin of the reduction schedule: reduce one
 // side of join edge q.Joins[join] by the other side, keeping the rows
 // without a match when anti.
 type reduceStep struct {
 	join    int
 	tgtLeft bool // the target is the edge's left side
 	anti    bool
+	charge  charge
 }
+
+// charge names the rows a step is charged as join probes, counted as the
+// step starts.
+type charge uint8
+
+const (
+	chargeTarget charge = iota // the target's rows
+	// chargeEdge: an inner or semi edge's first step of a repeated pass
+	// charges both sides, so its second step (chargeNone) is charged as of
+	// the edge's start too: 2·|a| on a self edge a = a.
+	chargeEdge
+	chargeNone
+	// chargeOnce: a full outer edge reduces nothing and charges both sides
+	// on pass 0 only; later passes re-run for other edges' benefit.
+	chargeOnce
+)
 
 // sides returns the step's target and source aliases and their columns.
 func (s reduceStep) sides(j workload.Join) (tgt, tgtCol, src, srcCol string) {
@@ -23,21 +40,42 @@ func (s reduceStep) sides(j workload.Join) (tgt, tgtCol, src, srcCol string) {
 	return j.Right, j.RightColumn, j.Left, j.LeftColumn
 }
 
+// edgeSteps returns the directed steps of join edge k, whose type is typ:
+// an inner or semi edge reduces its left side by its right, then its right
+// by its left; a one-sided edge reduces the side it may drop rows of (an
+// anti edge its preserved side, an outer edge its non-preserved one); a
+// full outer edge reduces nothing.
+func edgeSteps(k int, typ workload.JoinType) []reduceStep {
+	switch typ {
+	case workload.InnerJoin, workload.SemiJoin:
+		return []reduceStep{{join: k, tgtLeft: true, charge: chargeEdge}, {join: k, charge: chargeNone}}
+	case workload.LeftOuterJoin:
+		return []reduceStep{{join: k}}
+	case workload.RightOuterJoin:
+		return []reduceStep{{join: k, tgtLeft: true}}
+	case workload.LeftAntiSemiJoin:
+		return []reduceStep{{join: k, tgtLeft: true, anti: true}}
+	case workload.RightAntiSemiJoin:
+		return []reduceStep{{join: k, anti: true}}
+	}
+	return []reduceStep{{join: k, charge: chargeOnce}}
+}
+
 // sweepSchedule returns the directed semijoins that fully reduce q's join
-// graph in two sweeps, or ok = false when the graph needs the fixpoint.
-// It is a function of the query and the post-scan alias counts only, so
-// Execute and ExecuteReference run the same steps and charge the same
-// probes.
+// graph, and whether they repeat: a pass of them runs again until nothing
+// shrinks or maxReductionPasses. It is a function of the query and the
+// post-scan alias counts only, so Execute and ExecuteReference run the
+// same steps and charge the same probes.
 //
-// The inner and semi edges must form a forest — no cycle, no two edges on
-// one alias pair, no edge from an alias to itself. Each tree is rooted at
-// its largest alias. The bottom-up sweep reduces each parent by its
-// children, least-surviving child first, after the children's own
-// subtrees; the top-down sweep then reduces each child by its parent.
-// Afterwards every edge is pairwise consistent, which leaves each alias
-// with exactly the rows the pairwise fixpoint converges to (the full
-// reducer of an acyclic join — the single forward and backward pass of
-// "Parachute", PAPERS.md) at one step per direction per edge.
+// When the inner and semi edges form a forest — no cycle, no two edges on
+// one alias pair, no edge from an alias to itself — two sweeps run once.
+// Each tree is rooted at its largest alias. The bottom-up sweep reduces
+// each parent by its children, least-surviving child first, after the
+// children's own subtrees; the top-down sweep then reduces each child by
+// its parent. Afterwards every edge is pairwise consistent, which leaves
+// each alias with exactly the rows the repeated pass converges to (the
+// full reducer of an acyclic join — the single forward and backward pass
+// of "Parachute", PAPERS.md) at one step per direction per edge.
 //
 // A one-sided edge joins the sweeps when its non-preserved side is a leaf,
 // an alias with no other edge, taking the one-sided steps of Parachute. An
@@ -46,9 +84,15 @@ func (s reduceStep) sides(j workload.Join) (tgt, tgtCol, src, srcCol string) {
 // bottom-up sweep right after the children reduce that side, while the
 // side is smallest and before it reduces anything. A left or right outer
 // edge reduces its non-preserved side after the sweeps, once its preserved
-// source is final. A one-sided edge on a non-leaf side, or a full outer
-// edge, keeps the fixpoint.
-func sweepSchedule(q *workload.Query, counts map[string]int) ([]reduceStep, bool) {
+// source is final.
+//
+// Every other graph — a cycle, a one-sided edge on a non-leaf side, a full
+// outer edge — repeats one pass of every edge's steps in declaration
+// order. An inner edge's second step reads the side its first step just
+// reduced, which keeps the rows a reduction of both sides by each other
+// as of the edge's start would keep: the keys of l ⋉ r are those of l
+// that r holds.
+func sweepSchedule(q *workload.Query, counts map[string]int) (steps []reduceStep, repeat bool) {
 	aliases := q.Aliases()
 	idx := make(map[string]int, len(aliases))
 	for i, a := range aliases {
@@ -59,7 +103,7 @@ func sweepSchedule(q *workload.Query, counts map[string]int) ([]reduceStep, bool
 		l, lok := idx[j.Left]
 		r, rok := idx[j.Right]
 		if !lok || !rok {
-			return nil, false
+			return repeatedPass(q), true
 		}
 		edges[l]++
 		edges[r]++
@@ -82,26 +126,27 @@ func sweepSchedule(q *workload.Query, counts map[string]int) ([]reduceStep, bool
 	anti := make([][]reduceStep, len(aliases)) // leaf anti steps by target
 	var post []reduceStep
 	for k, j := range q.Joins {
-		l, r := idx[j.Left], idx[j.Right]
-		switch {
-		case j.Type == workload.LeftAntiSemiJoin && edges[r] == 1:
-			anti[l] = append(anti[l], reduceStep{join: k, tgtLeft: true, anti: true})
+		if j.Type != workload.InnerJoin && j.Type != workload.SemiJoin {
+			st := edgeSteps(k, j.Type)
+			tgt, _, src, _ := st[0].sides(j)
+			leaf := tgt // the non-preserved side
+			if st[0].anti {
+				leaf = src
+			}
+			switch {
+			case st[0].charge == chargeOnce || edges[idx[leaf]] != 1:
+				return repeatedPass(q), true
+			case st[0].anti:
+				anti[idx[tgt]] = append(anti[idx[tgt]], st[0])
+			default:
+				post = append(post, st[0])
+			}
 			continue
-		case j.Type == workload.RightAntiSemiJoin && edges[l] == 1:
-			anti[r] = append(anti[r], reduceStep{join: k, anti: true})
-			continue
-		case j.Type == workload.LeftOuterJoin && edges[r] == 1:
-			post = append(post, reduceStep{join: k})
-			continue
-		case j.Type == workload.RightOuterJoin && edges[l] == 1:
-			post = append(post, reduceStep{join: k, tgtLeft: true})
-			continue
-		case j.Type != workload.InnerJoin && j.Type != workload.SemiJoin:
-			return nil, false
 		}
+		l, r := idx[j.Left], idx[j.Right]
 		lr, rr := find(l), find(r)
 		if lr == rr {
-			return nil, false
+			return repeatedPass(q), true
 		}
 		uf[lr] = rr
 		adj[l] = append(adj[l], arc{r, k})
@@ -145,5 +190,58 @@ func sweepSchedule(q *workload.Query, counts map[string]int) ([]reduceStep, bool
 			sweep(i, -1)
 		}
 	}
-	return append(append(up, down...), post...), true
+	return append(append(up, down...), post...), false
+}
+
+// repeatedPass returns every edge's steps in declaration order.
+func repeatedPass(q *workload.Query) []reduceStep {
+	var steps []reduceStep
+	for k, j := range q.Joins {
+		steps = append(steps, edgeSteps(k, j.Type)...)
+	}
+	return steps
+}
+
+// reduce runs q's reduction schedule, the one pass loop behind Execute and
+// ExecuteReference: count reads an alias's surviving rows, and run reduces
+// step i's target by its source, reporting whether the target shrank. A
+// step whose edge names a column its alias's table lacks is skipped and
+// charged nothing: there are no keys to reduce with, and reducing by a nil
+// key set would wrongly drop every row (see runtimeBlockPrune). Returns
+// the join probes charged (for the cost model).
+func (e *Engine) reduce(q *workload.Query, count func(alias string) int, run func(i int, st reduceStep) bool) int {
+	counts := make(map[string]int, len(q.Tables))
+	for _, a := range q.Aliases() {
+		counts[a] = count(a)
+	}
+	steps, repeat := sweepSchedule(q, counts)
+	probes := 0
+	for pass := 0; pass < maxReductionPasses; pass++ {
+		changed := false
+		for i, st := range steps {
+			j := q.Joins[st.join]
+			if !e.joinColumnsExist(q, j) {
+				continue
+			}
+			tgt, _, src, _ := st.sides(j)
+			switch st.charge {
+			case chargeTarget:
+				probes += count(tgt)
+			case chargeEdge:
+				probes += count(tgt) + count(src)
+			case chargeOnce:
+				if pass == 0 {
+					probes += count(tgt) + count(src)
+				}
+				continue
+			}
+			if run(i, st) {
+				changed = true
+			}
+		}
+		if !repeat || !changed {
+			break
+		}
+	}
+	return probes
 }

@@ -201,78 +201,49 @@ type semijoin struct {
 	anti           bool
 }
 
-// semiSource is what a semijoin's strategy reads of its source, captured
-// before anything runs: a fixpoint edge reduces both of its sides, each by
-// the other as of the edge's start.
-type semiSource struct {
-	how     strategy
-	version int
-	count   int
-	td, sd  *relation.ColumnDict
-	slots   *denseBuf // probe, target postings: the source's keys as target slots
-	rows    *denseBuf // source postings: a private copy of the source rows
+// semiPlan is a semijoin's strategy and the dictionaries of its target and
+// source columns (nil under shortCut).
+type semiPlan struct {
+	how    strategy
+	td, sd *relation.ColumnDict
 }
 
-// prepare chooses s's strategy and captures its source. copyRows asks for
-// a private copy of the source rows when source postings are chosen — the
-// caller is about to shrink the source before s runs. Both join columns
-// must exist (joinColumnsExist). A step that cannot remove a row (covers)
-// visits none; its caller still charges its probes.
-func (e *Engine) prepare(s semijoin, copyRows bool) semiSource {
-	short := semiSource{how: shortCut, version: s.src.version, count: s.src.count}
+// prepare chooses s's strategy. Both join columns must exist
+// (joinColumnsExist). A step that cannot remove a row (covers) visits
+// none; its caller still charges its probes.
+func (e *Engine) prepare(s semijoin) semiPlan {
 	if s.tgt.count == 0 || s.src.count == 0 {
-		return short
+		return semiPlan{how: shortCut}
 	}
 	td, sd := e.dictFor(s.tgt.table, s.tgtCol), e.dictFor(s.src.table, s.srcCol)
 	if !s.anti && s.src.count == sd.NumRows() &&
 		e.covers(colKey{s.tgt.table, s.tgtCol}, td, colKey{s.src.table, s.srcCol}, sd) {
-		return short
+		return semiPlan{how: shortCut}
 	}
-	return e.capture(s, chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd), td, sd, copyRows)
+	return semiPlan{chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd), td, sd}
 }
 
-// capture records what strategy how reads of s's source (td and sd are
-// the target and source dictionaries).
-func (e *Engine) capture(s semijoin, how strategy, td, sd *relation.ColumnDict, copyRows bool) semiSource {
-	src := semiSource{how: how, version: s.src.version, count: s.src.count, td: td, sd: sd}
-	switch how {
-	case probeTarget, targetPostings:
-		xl := e.xlateFor(colKey{s.src.table, s.srcCol}, sd, colKey{s.tgt.table, s.tgtCol}, td)
-		src.slots = grabDense(td.NumCodes() + 1)
-		keySlots(src.slots.dense(), s.src.set, e.codesFor(s.src.table, s.srcCol, s.src.order), xl)
-	case sourcePostings:
-		if copyRows {
-			src.rows = grabDense(len(s.src.set) << 6)
-			copy(src.rows.w, s.src.set)
-		}
-	}
-	return src
-}
-
-// run reduces s's target by its prepared source and reports whether the
-// target shrank. It releases what prepare pooled.
-func (e *Engine) run(s semijoin, src semiSource) bool {
-	t := s.tgt
+// run reduces s's target by its source under plan p and reports whether
+// the target shrank.
+func (e *Engine) run(s semijoin, p semiPlan) bool {
+	t, src := s.tgt, s.src
 	var kept int
-	switch src.how {
-	case probeTarget:
-		kept = reduceProbe(t.set, e.codesFor(t.table, s.tgtCol, t.order), src.slots.dense(), s.anti)
-		putDense(src.slots)
-	case targetPostings:
-		tp := e.postingsFor(t.table, s.tgtCol, t.order)
-		kept = reduceTargetPostings(t.set, t.count, tp, src.slots.dense(), s.anti)
-		putDense(src.slots)
+	switch p.how {
+	case probeTarget, targetPostings:
+		xl := e.xlateFor(colKey{src.table, s.srcCol}, p.sd, colKey{t.table, s.tgtCol}, p.td)
+		slots := grabDense(p.td.NumCodes() + 1)
+		keySlots(slots.dense(), src.set, e.codesFor(src.table, s.srcCol, src.order), xl)
+		if p.how == probeTarget {
+			kept = reduceProbe(t.set, e.codesFor(t.table, s.tgtCol, t.order), slots.dense(), s.anti)
+		} else {
+			tp := e.postingsFor(t.table, s.tgtCol, t.order)
+			kept = reduceTargetPostings(t.set, t.count, tp, slots.dense(), s.anti)
+		}
+		putDense(slots)
 	case sourcePostings:
-		xl := e.xlateFor(colKey{t.table, s.tgtCol}, src.td, colKey{s.src.table, s.srcCol}, src.sd)
-		sp := e.postingsFor(s.src.table, s.srcCol, s.src.order)
-		rows := s.src.set
-		if src.rows != nil {
-			rows = src.rows.dense()
-		}
-		kept = reduceSourcePostings(t.set, e.codesFor(t.table, s.tgtCol, t.order), xl, sp, rows, s.anti)
-		if src.rows != nil {
-			putDense(src.rows)
-		}
+		xl := e.xlateFor(colKey{t.table, s.tgtCol}, p.td, colKey{src.table, s.srcCol}, p.sd)
+		sp := e.postingsFor(src.table, s.srcCol, src.order)
+		kept = reduceSourcePostings(t.set, e.codesFor(t.table, s.tgtCol, t.order), xl, sp, src.set, s.anti)
 	case shortCut:
 		// An empty source matches no target row; an empty target has
 		// nothing to drop, and a covering source drops nothing.

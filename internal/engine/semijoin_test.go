@@ -60,7 +60,7 @@ type semiCase struct {
 // runStrategies reduces a fresh copy of the case's target by its source
 // under each of the three strategies and returns the kept rows and removed
 // flag of each, plus the scalar reduceTo's answer.
-func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]bitmap.Dense, map[strategy]bool, bitmap.Dense) {
+func runStrategies(t *testing.T, c semiCase, anti bool) (map[strategy]bitmap.Dense, map[strategy]bool, bitmap.Dense) {
 	t.Helper()
 	ds := relation.NewDataset()
 	tt, st := keyTable("T", c.tgt), keyTable("S", c.src)
@@ -80,14 +80,7 @@ func runStrategies(t *testing.T, c semiCase, anti, copyRows bool) (map[strategy]
 	for _, how := range []strategy{probeTarget, targetPostings, sourcePostings} {
 		s := semijoin{tgt: testAlias("T", tOrder, c.tgtR), src: testAlias("S", sOrder, c.srcR),
 			tgtCol: "k", srcCol: "k", anti: anti}
-		src := e.capture(s, how, td, sd, copyRows)
-		if copyRows {
-			// The fixpoint shrinks the source between capture and run;
-			// the step must still see the captured rows.
-			clear(s.src.set)
-			s.src.count, s.src.version = 0, s.src.version+1
-		}
-		removed[how] = e.run(s, src)
+		removed[how] = e.run(s, semiPlan{how, td, sd})
 		sets[how] = bitmap.NewDense(len(c.tgt))
 		baseRows(s.tgt.set, tOrder, sets[how])
 		if got := s.tgt.set.Count(); got != s.tgt.count {
@@ -296,16 +289,14 @@ func TestStrategyEquivalence(t *testing.T) {
 			}
 		}
 		for _, anti := range []bool{false, true} {
-			for _, copyRows := range []bool{false, true} {
-				sets, removed, want := runStrategies(t, c, anti, copyRows)
-				for how, set := range sets {
-					if !reflect.DeepEqual(set, want) {
-						t.Errorf("%s anti=%v copy=%v: strategy %d kept %v, want %v", c.name, anti, copyRows, how, set, want)
-					}
-					if removed[how] != removed[probeTarget] {
-						t.Errorf("%s anti=%v copy=%v: strategy %d removed=%v, probe removed=%v",
-							c.name, anti, copyRows, how, removed[how], removed[probeTarget])
-					}
+			sets, removed, want := runStrategies(t, c, anti)
+			for how, set := range sets {
+				if !reflect.DeepEqual(set, want) {
+					t.Errorf("%s anti=%v: strategy %d kept %v, want %v", c.name, anti, how, set, want)
+				}
+				if removed[how] != removed[probeTarget] {
+					t.Errorf("%s anti=%v: strategy %d removed=%v, probe removed=%v",
+						c.name, anti, how, removed[how], removed[probeTarget])
 				}
 			}
 		}
@@ -444,9 +435,9 @@ func TestSweepScheduleClassification(t *testing.T) {
 		{"tpch q22", tpch(22), 1, []string{"customer<orders"}},
 	}
 	for _, c := range sweeps {
-		steps, ok := sweepSchedule(c.q, counts)
-		if !ok || len(steps) != c.steps {
-			t.Errorf("%s: ok=%v steps=%d, want the sweep with %d steps", c.name, ok, len(steps), c.steps)
+		steps, repeat := sweepSchedule(c.q, counts)
+		if repeat || len(steps) != c.steps {
+			t.Errorf("%s: repeat=%v steps=%d, want the sweep with %d steps", c.name, repeat, len(steps), c.steps)
 			continue
 		}
 		var got []string
@@ -493,7 +484,7 @@ func TestSweepScheduleClassification(t *testing.T) {
 			edge("a", "f", workload.InnerJoin), edge(l, r, typ))})
 	}
 	for _, c := range fixpoints {
-		if steps, ok := sweepSchedule(c.q, counts); ok {
+		if steps, repeat := sweepSchedule(c.q, counts); !repeat {
 			t.Errorf("%s: got the sweep (%d steps), want the fixpoint", c.name, len(steps))
 		}
 	}
@@ -509,8 +500,8 @@ func TestSweepScheduleOrder(t *testing.T) {
 		edge("a", "f", workload.InnerJoin), edge("f", "b", workload.InnerJoin),
 		edge("b", "d", workload.InnerJoin), edge("c", "a", workload.InnerJoin))
 	counts := map[string]int{"f": 1000, "a": 10, "b": 50, "c": 5, "d": 70}
-	steps, ok := sweepSchedule(q, counts)
-	if !ok {
+	steps, repeat := sweepSchedule(q, counts)
+	if repeat {
 		t.Fatal("tree classified as needing the fixpoint")
 	}
 	var got []string
