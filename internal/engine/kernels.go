@@ -364,26 +364,31 @@ func (e *Engine) indexPrune(ts *tableState, col string, src colKey, ck *cachedKe
 }
 
 // reduceKernel is semantic reduction over the vectorized alias state: the
-// schedule, passes and probe accounting of semanticReduce (reduce), with
-// every step run by the cost-chosen semijoin operator (semijoin.go). A
-// repeated step whose source and target are unchanged since it last ran
-// is skipped: reduction is idempotent, so it would remove nothing.
+// schedule, passes and probe accounting of reduce, with every step run by
+// the cost-chosen semijoin operator (semijoin.go). On a repeated schedule,
+// a step whose source and target are unchanged since it last ran is
+// skipped: reduction is idempotent, so it would remove nothing.
 func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) int {
 	type ran struct {
 		src, tgt int // the versions the step read and left
 		ok       bool
 	}
-	last := make([]ran, 2*len(q.Joins)) // by step; an edge has at most two
+	var last []ran // by step, made on a repeated schedule's first step
 	count := func(alias string) int { return aliases[alias].count }
-	return e.reduce(q, count, func(i int, st reduceStep) bool {
+	return e.reduce(q, count, func(i int, st reduceStep, repeat bool) bool {
 		tgt, tgtCol, src, srcCol := st.sides(q.Joins[st.join])
 		s := semijoin{tgt: aliases[tgt], src: aliases[src], tgtCol: tgtCol, srcCol: srcCol, anti: st.anti}
-		if last[i] == (ran{s.src.version, s.tgt.version, true}) {
+		if repeat && last == nil {
+			last = make([]ran, 2*len(q.Joins)) // an edge has at most two steps
+		}
+		if last != nil && last[i] == (ran{s.src.version, s.tgt.version, true}) {
 			return false
 		}
 		srcVer := s.src.version
 		shrank := e.run(s, e.prepare(s))
-		last[i] = ran{srcVer, s.tgt.version, true}
+		if last != nil {
+			last[i] = ran{srcVer, s.tgt.version, true}
+		}
 		return shrank
 	})
 }

@@ -383,7 +383,7 @@ func (e *Engine) joinColumnsExist(q *workload.Query, j workload.Join) bool {
 // tuple probes performed (for the cost model).
 func (e *Engine) semanticReduce(q *workload.Query, aliases map[string]*aliasState) int {
 	count := func(alias string) int { return len(aliases[alias].rows) }
-	return e.reduce(q, count, func(_ int, st reduceStep) bool {
+	return e.reduce(q, count, func(_ int, st reduceStep, _ bool) bool {
 		tgt, tgtCol, src, srcCol := st.sides(q.Joins[st.join])
 		t, s := aliases[tgt], aliases[src]
 		return reduceTo(t, e.ds.Table(t.table), tgtCol, keysOf(e.ds.Table(s.table), s.rows, srcCol), st.anti)

@@ -69,8 +69,10 @@ var allJoinTypes = []workload.JoinType{workload.InnerJoin, workload.SemiJoin,
 	workload.LeftOuterJoin, workload.RightOuterJoin, workload.FullOuterJoin,
 	workload.LeftAntiSemiJoin, workload.RightAntiSemiJoin}
 
-// randomGraphDS builds tables t0..t2 of 1 to 30 rows with int columns k0
-// and k1 drawn from 0..5, a fifth of them NULL.
+// randomGraphDS builds tables t0..t2 of 1 to 200 rows with int columns k0
+// and k1 drawn from 0..5, a fifth of them NULL. Past 64 rows a survivor
+// set spans words, so a step that rewrites its target word by word while
+// reading its source (a self edge) is exercised across words.
 func randomGraphDS(rng *rand.Rand) *relation.Dataset {
 	ds := relation.NewDataset()
 	for i := 0; i < 3; i++ {
@@ -84,7 +86,7 @@ func randomGraphDS(rng *rand.Rand) *relation.Dataset {
 			}
 			return value.Int(int64(rng.Intn(6)))
 		}
-		for n := 1 + rng.Intn(30); n > 0; n-- {
+		for n := 1 + rng.Intn(200); n > 0; n-- {
 			tbl.MustAppendRow(key(), key())
 		}
 		ds.MustAddTable(tbl)
@@ -291,6 +293,44 @@ func TestScheduleSelfEdgeChargesEdgeStart(t *testing.T) {
 	for i, name := range []string{"oracle", "reference", "kernel"} {
 		if probes[i] != 2*3+2*1 || !reflect.DeepEqual(rows[i]["a"], []int32{0}) {
 			t.Errorf("%s: probes %d, rows %v; want 8, [0]", name, probes[i], rows[i]["a"])
+		}
+	}
+}
+
+// TestScheduleSelfEdgeReadsSourceAtStepStart pins an anti self edge
+// a.k0 ▷ a.k1 over three of 6 400 rows with distinct keys, a shape whose
+// cost picks source postings. The step must read its source as of its
+// start: row 0 drops (row 1 holds its k0 in k1), and row 2 drops because
+// row 0 holds its k0 in k1, wherever row 0 lies. A step that walked its
+// own target while rewriting it would keep row 2 whenever row 0 sits in
+// an earlier word.
+func TestScheduleSelfEdgeReadsSourceAtStepStart(t *testing.T) {
+	ds := relation.NewDataset()
+	tbl := relation.NewTable(relation.MustSchema("t",
+		relation.Column{Name: "k0", Type: value.KindInt},
+		relation.Column{Name: "k1", Type: value.KindInt},
+	))
+	tbl.MustAppendRow(value.Int(1), value.Int(2)) // row 0
+	tbl.MustAppendRow(value.Int(3), value.Int(1)) // row 1
+	tbl.MustAppendRow(value.Int(2), value.Int(4)) // row 2
+	for i := 3; i < 6400; i++ {
+		tbl.MustAppendRow(value.Int(int64(i+100)), value.Int(int64(i+100)))
+	}
+	ds.MustAddTable(tbl)
+	e := New(nil, nil, ds, DefaultOptions())
+	q := workload.NewQuery("self-anti", workload.TableRef{Table: "t", Alias: "a"})
+	q.AddTypedJoin(workload.Join{Left: "a", LeftColumn: "k0", Right: "a", RightColumn: "k1", Type: workload.LeftAntiSemiJoin})
+	a := &vecAlias{count: 3}
+	td, sd := e.dictFor("t", "k0"), e.dictFor("t", "k1")
+	if how := chooseStrategy(a.count, a.count, true, td, sd); how != sourcePostings {
+		t.Fatalf("strategy %v, want source postings", how)
+	}
+	for seed := int64(1); seed <= 16; seed++ {
+		rows, _ := reduceAll(t, e, q, map[string][]int32{"a": {0, 1, 2}}, rand.New(rand.NewSource(seed)))
+		for i, name := range []string{"oracle", "reference", "kernel"} {
+			if !reflect.DeepEqual(rows[i]["a"], []int32{1}) {
+				t.Errorf("seed %d: %s keeps %v, want [1]", seed, name, rows[i]["a"])
+			}
 		}
 	}
 }

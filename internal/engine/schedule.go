@@ -195,7 +195,7 @@ func sweepSchedule(q *workload.Query, counts map[string]int) (steps []reduceStep
 
 // repeatedPass returns every edge's steps in declaration order.
 func repeatedPass(q *workload.Query) []reduceStep {
-	var steps []reduceStep
+	steps := make([]reduceStep, 0, 2*len(q.Joins))
 	for k, j := range q.Joins {
 		steps = append(steps, edgeSteps(k, j.Type)...)
 	}
@@ -204,15 +204,15 @@ func repeatedPass(q *workload.Query) []reduceStep {
 
 // reduce runs q's reduction schedule, the one pass loop behind Execute and
 // ExecuteReference: count reads an alias's surviving rows, and run reduces
-// step i's target by its source, reporting whether the target shrank. A
-// step whose edge names a column its alias's table lacks is skipped and
-// charged nothing: there are no keys to reduce with, and reducing by a nil
-// key set would wrongly drop every row (see runtimeBlockPrune). Returns
-// the join probes charged (for the cost model).
-func (e *Engine) reduce(q *workload.Query, count func(alias string) int, run func(i int, st reduceStep) bool) int {
+// step i of the schedule (repeated or not) by its source, reporting whether
+// the target shrank. A step whose edge names a column its alias's table
+// lacks is skipped and charged nothing: there are no keys to reduce with,
+// and reducing by a nil key set would wrongly drop every row (see
+// runtimeBlockPrune). Returns the join probes charged (for the cost model).
+func (e *Engine) reduce(q *workload.Query, count func(alias string) int, run func(i int, st reduceStep, repeat bool) bool) int {
 	counts := make(map[string]int, len(q.Tables))
-	for _, a := range q.Aliases() {
-		counts[a] = count(a)
+	for _, r := range q.Tables {
+		counts[r.Name()] = count(r.Name())
 	}
 	steps, repeat := sweepSchedule(q, counts)
 	probes := 0
@@ -235,9 +235,7 @@ func (e *Engine) reduce(q *workload.Query, count func(alias string) int, run fun
 				}
 				continue
 			}
-			if run(i, st) {
-				changed = true
-			}
+			changed = run(i, st, repeat) || changed
 		}
 		if !repeat || !changed {
 			break

@@ -210,7 +210,9 @@ type semiPlan struct {
 
 // prepare chooses s's strategy. Both join columns must exist
 // (joinColumnsExist). A step that cannot remove a row (covers) visits
-// none; its caller still charges its probes.
+// none; its caller still charges its probes. A self edge's source is its
+// target, which source postings would walk while rewriting it, so it
+// probes: the probe reads its whole source into slots first.
 func (e *Engine) prepare(s semijoin) semiPlan {
 	if s.tgt.count == 0 || s.src.count == 0 {
 		return semiPlan{how: shortCut}
@@ -220,7 +222,11 @@ func (e *Engine) prepare(s semijoin) semiPlan {
 		e.covers(colKey{s.tgt.table, s.tgtCol}, td, colKey{s.src.table, s.srcCol}, sd) {
 		return semiPlan{how: shortCut}
 	}
-	return semiPlan{chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd), td, sd}
+	how := chooseStrategy(s.tgt.count, s.src.count, s.anti, td, sd)
+	if how == sourcePostings && s.tgt == s.src {
+		how = probeTarget
+	}
+	return semiPlan{how, td, sd}
 }
 
 // run reduces s's target by its source under plan p and reports whether

@@ -39,7 +39,7 @@ func (q *Query) Normalize() string {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(r.alias())
+		sb.WriteString(r.Name())
 		sb.WriteByte('=')
 		sb.WriteString(r.Table)
 	}

@@ -86,7 +86,9 @@ type TableRef struct {
 	Alias string // unique within the query; empty defaults to Table
 }
 
-func (r TableRef) alias() string {
+// Name is the name the query refers to r by: its alias, or its table when
+// it has none.
+func (r TableRef) Name() string {
 	if r.Alias != "" {
 		return r.Alias
 	}
@@ -265,7 +267,7 @@ func (q *Query) EffectiveWeight() float64 {
 // BaseTable returns the base table for an alias ("" if unknown).
 func (q *Query) BaseTable(alias string) string {
 	for _, r := range q.Tables {
-		if r.alias() == alias {
+		if r.Name() == alias {
 			return r.Table
 		}
 	}
@@ -276,7 +278,7 @@ func (q *Query) BaseTable(alias string) string {
 func (q *Query) Aliases() []string {
 	out := make([]string, len(q.Tables))
 	for i, r := range q.Tables {
-		out[i] = r.alias()
+		out[i] = r.Name()
 	}
 	return out
 }
@@ -286,7 +288,7 @@ func (q *Query) AliasesOf(table string) []string {
 	var out []string
 	for _, r := range q.Tables {
 		if r.Table == table {
-			out = append(out, r.alias())
+			out = append(out, r.Name())
 		}
 	}
 	return out
@@ -313,7 +315,7 @@ func (q *Query) Validate() error {
 		if r.Table == "" {
 			return fmt.Errorf("workload: %s: empty table name", q.ID)
 		}
-		a := r.alias()
+		a := r.Name()
 		if seen[a] {
 			return fmt.Errorf("workload: %s: duplicate alias %q", q.ID, a)
 		}
@@ -377,7 +379,7 @@ func (q *Query) String() string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(r.alias())
+		sb.WriteString(r.Name())
 	}
 	sb.WriteString(")")
 	for _, j := range q.Joins {
