@@ -71,8 +71,8 @@ var allJoinTypes = []workload.JoinType{workload.InnerJoin, workload.SemiJoin,
 
 // randomGraphDS builds tables t0..t2 of 1 to 200 rows with int columns k0
 // and k1 drawn from 0..5, a fifth of them NULL. Past 64 rows a survivor
-// set spans words, so a step that rewrites its target word by word while
-// reading its source (a self edge) is exercised across words.
+// set spans words, so the kernels, on self edges too, rewrite a target of
+// several words.
 func randomGraphDS(rng *rand.Rand) *relation.Dataset {
 	ds := relation.NewDataset()
 	for i := 0; i < 3; i++ {
@@ -320,9 +320,8 @@ func TestScheduleSelfEdgeReadsSourceAtStepStart(t *testing.T) {
 	e := New(nil, nil, ds, DefaultOptions())
 	q := workload.NewQuery("self-anti", workload.TableRef{Table: "t", Alias: "a"})
 	q.AddTypedJoin(workload.Join{Left: "a", LeftColumn: "k0", Right: "a", RightColumn: "k1", Type: workload.LeftAntiSemiJoin})
-	a := &vecAlias{count: 3}
 	td, sd := e.dictFor("t", "k0"), e.dictFor("t", "k1")
-	if how := chooseStrategy(a.count, a.count, true, td, sd); how != sourcePostings {
+	if how := chooseStrategy(3, 3, true, td, sd); how != sourcePostings {
 		t.Fatalf("strategy %v, want source postings", how)
 	}
 	for seed := int64(1); seed <= 16; seed++ {
