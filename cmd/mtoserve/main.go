@@ -62,6 +62,11 @@ func run() error {
 		interval     = flag.Duration("reorg-interval", time.Second, "background daemon cycle period")
 	)
 	flag.Parse()
+	if *interval <= 0 {
+		fmt.Fprintf(flag.CommandLine.Output(), "invalid value %q for flag -reorg-interval: must be positive\n", interval.String())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	scale := experiments.DefaultScale()
 	scale.SF = *sf

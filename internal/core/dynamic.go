@@ -8,7 +8,6 @@ import (
 	"mto/internal/block"
 	"mto/internal/induce"
 	"mto/internal/layout"
-	"mto/internal/workload"
 )
 
 // ChangeStats reports the work done absorbing a data change (§5.2).
@@ -114,10 +113,7 @@ func (o *Optimizer) ApplyInsert(table string, newRows []int, design *layout.Desi
 	stats.RowsRouted = len(newRows)
 	stats.BlocksWritten = touched
 
-	tr := tree
-	design.SetTable(tbl, newGroups, func(q *workload.Query) []int {
-		return tr.RouteQuery(q)
-	})
+	design.SetTable(tbl, newGroups, tree.Route)
 	if _, err := design.Install(store, nil, 0); err != nil {
 		return stats, err
 	}

@@ -360,9 +360,7 @@ func (o *Optimizer) BuildDesign() (*layout.Design, error) {
 	}
 	for i, name := range names {
 		tr := o.trees[name]
-		d.SetTable(o.ds.Table(name), allGroups[i], func(q *workload.Query) []int {
-			return tr.RouteQuery(q)
-		})
+		d.SetTable(o.ds.Table(name), allGroups[i], tr.Route)
 	}
 	o.timings.RoutingSeconds += time.Since(start).Seconds()
 	return d, nil

@@ -632,9 +632,7 @@ func (s *StagedReorg) Commit() error {
 		for _, c := range st.choices {
 			st.tree.Replace(c.node, c.newTree.Root)
 		}
-		tr := st.tree // the route closure reads the tree lazily at query time
-		route := func(q *workload.Query) []int { return tr.RouteQuery(q) }
-		s.design.SetTableBlocks(st.tbl, st.groups, route, st.groupBlocks)
+		s.design.SetTableBlocks(st.tbl, st.groups, st.tree.Route, st.groupBlocks)
 		stats.RowsMoved += st.stats.RowsMoved
 		stats.BlocksRewritten += st.stats.BlocksRewritten
 		stats.BlocksWritten += st.stats.BlocksWritten

@@ -7,7 +7,6 @@ import (
 
 	"mto/internal/bitmap"
 	"mto/internal/block"
-	"mto/internal/relation"
 	"mto/internal/value"
 	"mto/internal/workload"
 )
@@ -73,30 +72,6 @@ func (av AggValue) String() string {
 	return sb.String()
 }
 
-// aggColumnKind resolves spec's column in the alias's base table and
-// validates the operator/kind fit. ci is -1 for COUNT(*). Both execution
-// paths route through this, so unsupported shapes fail identically.
-func aggColumnKind(tbl *relation.Table, spec workload.Aggregate) (ci int, kind value.Kind, err error) {
-	if spec.Column == "" {
-		// Validate() already requires Op == AggCount for column-less
-		// aggregates.
-		return -1, value.KindNull, nil
-	}
-	ci, ok := tbl.Schema().ColumnIndex(spec.Column)
-	if !ok {
-		return 0, 0, fmt.Errorf("engine: aggregate %s: table %q has no column %q",
-			spec, tbl.Schema().Table(), spec.Column)
-	}
-	kind = tbl.Schema().Column(ci).Type
-	switch spec.Op {
-	case workload.AggSum, workload.AggAvg:
-		if kind != value.KindInt && kind != value.KindFloat {
-			return 0, 0, fmt.Errorf("engine: aggregate %s: %s over %s column", spec, spec.Op, kind)
-		}
-	}
-	return ci, kind, nil
-}
-
 // finalizeAgg turns a fold state into the aggregate's SQL value. Backend
 // per-block folds and the row-order pass's int/string states both land
 // here, so they cannot diverge in the empty-set, all-null, or AVG-division
@@ -134,72 +109,48 @@ func finalizeAgg(spec workload.Aggregate, kind value.Kind, st *block.AggState) v
 	}
 }
 
-// foldAggregates validates q's aggregates in declaration order — so
-// unsupported shapes fail before any fold, identically on both execution
-// paths — and computes them one aliased table at a time, in first-seen
-// order, through fold (a grouped query pins every aggregate to the
-// grouping alias, so it folds once).
-func (e *Engine) foldAggregates(q *workload.Query,
-	fold func(alias string, specs []workload.Aggregate) ([]AggValue, error)) ([]AggValue, error) {
-
-	if len(q.Aggregates) == 0 {
+// foldAggregates computes q's aggregates one aliased table at a time, in
+// first-aggregated order (bind grouped them), through fold, and returns
+// them in declaration order.
+func (e *Engine) foldAggregates(b *boundQuery, fold func(f *foldSpec) ([]AggValue, error)) ([]AggValue, error) {
+	if len(b.q.Aggregates) == 0 {
 		return nil, nil
 	}
-	var aliasOrder []string
-	byAlias := map[string][]int{}
-	for i, spec := range q.Aggregates {
-		if _, _, err := aggColumnKind(e.ds.Table(q.BaseTable(spec.Alias)), spec); err != nil {
-			return nil, err
-		}
-		if _, ok := byAlias[spec.Alias]; !ok {
-			aliasOrder = append(aliasOrder, spec.Alias)
-		}
-		byAlias[spec.Alias] = append(byAlias[spec.Alias], i)
-	}
-	out := make([]AggValue, len(q.Aggregates))
-	for _, alias := range aliasOrder {
-		idxs := byAlias[alias]
-		specs := make([]workload.Aggregate, len(idxs))
-		for k, i := range idxs {
-			specs[k] = q.Aggregates[i]
-		}
-		vals, err := fold(alias, specs)
+	out := make([]AggValue, len(b.q.Aggregates))
+	for _, f := range b.folds {
+		vals, err := fold(f)
 		if err != nil {
 			return nil, err
 		}
-		for k, i := range idxs {
+		for k, i := range f.at {
 			out[i] = vals[k]
 		}
 	}
 	return out, nil
 }
 
-// foldAlias computes specs, all over alias a, grouped by gb (zero =
-// ungrouped, the one-slot case): compile the fold against the backend;
-// if it supports every aggregate, fold them per candidate block — exactly
-// the blocks the scan read, which cover every set survivor bit — handing
-// each block its own words of a's position set, into dense per-slot
-// states and finalize those, else fold all of them in the row-order pass
-// over the base table (foldPositions).
-func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
-	specs []workload.Aggregate) ([]AggValue, error) {
-
+// foldAlias computes f's aggregates over alias a: compile the fold against
+// the backend; if it supports every aggregate, fold them per candidate
+// block — exactly the blocks the scan read, which cover every set survivor
+// bit — handing each block its own words of a's position set, into dense
+// per-slot states and finalize those, else fold all of them in the
+// row-order pass over the base table (foldPositions).
+func (e *Engine) foldAlias(f *foldSpec, a *vecAlias, candidates []int) ([]AggValue, error) {
 	var group block.GroupKey
-	if !gb.IsZero() {
-		group = block.GroupKey{Column: gb.Column, Dict: e.groupDictFor(a.table, gb.Column)}
+	if !f.group.IsZero() {
+		group = block.GroupKey{Column: f.group.Column, Dict: e.groupDictFor(f.table, f.group.Column)}
 	}
-	fold := e.store.CompileFold(a.table, group, specs)
+	fold := e.store.CompileFold(f.table, group, f.specs)
 	if fold == nil {
-		return nil, errNoLayout(a.table)
+		return nil, errNoLayout(f.table)
 	}
-	tbl := e.ds.Table(a.table)
-	want := make([]bool, len(specs))
+	want := make([]bool, len(f.specs))
 	for k, ok := range fold.Supported() {
 		if !ok {
 			e.counters.materializedFoldRows.Add(int64(a.count))
-			return e.foldPositions(a.table, tbl, a.set, a.order, a.count, gb, specs)
+			return e.foldPositions(f, a.set, a.order, a.count)
 		}
-		want[k] = specs[k].Column != "" // COUNT(*) reads GroupedStates.Rows
+		want[k] = f.specs[k].Column != "" // COUNT(*) reads GroupedStates.Rows
 	}
 	gs := block.NewGroupedStates(group.Slots(), want)
 	for _, id := range candidates {
@@ -208,12 +159,11 @@ func (e *Engine) foldAlias(gb workload.GroupBy, a *vecAlias, candidates []int,
 		}
 	}
 	g := &slotter{rows: gs.Rows, dict: group.Dict} // a group exists iff it has survivors
-	return slotAggs(gb, specs, g.live(), g.key, func(k, slot int) value.Value {
-		if specs[k].Column == "" {
+	return slotAggs(f.group, f.specs, g.live(), g.key, func(k, slot int) value.Value {
+		if f.specs[k].Column == "" {
 			return value.Int(gs.Rows[slot])
 		}
-		_, kind, _ := aggColumnKind(tbl, specs[k]) // validated by foldAggregates
-		return finalizeAgg(specs[k], kind, &gs.Aggs[k][slot])
+		return finalizeAgg(f.specs[k], f.cols[k].kind, &gs.Aggs[k][slot])
 	}), nil
 }
 
@@ -226,19 +176,4 @@ func baseRows(set bitmap.Dense, order *block.RowOrder, rows bitmap.Dense) {
 			rows.Set(int(order.Rows[w<<6|bits.TrailingZeros64(word)]))
 		}
 	}
-}
-
-// foldAggregatesReference computes q's aggregates for the scalar reference
-// path: each alias's surviving row list becomes a bitmap so the shared
-// row-order pass sees the exact accumulation order the kernel path uses.
-func (e *Engine) foldAggregatesReference(q *workload.Query, aliasStates map[string]*aliasState) ([]AggValue, error) {
-	return e.foldAggregates(q, func(alias string, specs []workload.Aggregate) ([]AggValue, error) {
-		as := aliasStates[alias]
-		tbl := e.ds.Table(as.table)
-		set := bitmap.NewDense(tbl.NumRows())
-		for _, r := range as.rows {
-			set.Set(int(r))
-		}
-		return e.foldMaterialized(as.table, tbl, set, q.GroupBy, specs)
-	})
 }

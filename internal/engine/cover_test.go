@@ -115,7 +115,7 @@ func TestCoveringSourceShortCuts(t *testing.T) {
 		got := bitmap.NewDense(fact.NumRows())
 		baseRows(s.tgt.set, fOrder, got)
 
-		as := &aliasState{table: "fact"}
+		as := &aliasState{}
 		for r := 0; r < fact.NumRows(); r++ {
 			as.rows = append(as.rows, int32(r))
 		}
@@ -123,7 +123,7 @@ func TestCoveringSourceShortCuts(t *testing.T) {
 		for _, r := range dRows {
 			srcRows = append(srcRows, int32(r))
 		}
-		reduceTo(as, fact, c.factCol, keysOf(dim, srcRows, c.dCol), c.anti)
+		reduceTo(as, fact, fact.Schema().MustColumnIndex(c.factCol), keysOf(dim, srcRows, dim.Schema().MustColumnIndex(c.dCol)), c.anti)
 		want := bitmap.NewDense(fact.NumRows())
 		for _, r := range as.rows {
 			want.Set(int(r))

@@ -17,6 +17,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,6 +26,7 @@ import (
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/workload"
+	"mto/internal/zonemap"
 )
 
 // Options toggles the execution-time features whose presence the paper's
@@ -197,21 +199,16 @@ func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts 
 	}
 }
 
-// aliasState tracks one table reference during scalar (reference)
-// execution.
-type aliasState struct {
-	alias  string
-	table  string
-	filter predicate.Predicate
-	rows   []int32 // surviving row indexes (after scan + filters)
-}
-
-// tableState tracks one base table's block set during execution. Both the
-// vectorized and the reference path stage candidates through it, so the
+// tableState is one base table of a query: its aliases and its block set
+// during execution. Both executors stage candidates through it, so the
 // per-stage accounting is computed identically.
 type tableState struct {
 	table      string
-	candidates []int // block IDs still scheduled for reading
+	tbl        *relation.Table
+	aliases    []*boundAlias         // the query's references to the table
+	filters    []predicate.Predicate // the aliases' filters
+	zones      []*zonemap.ZoneMap    // the layout's zone maps, pinned by prune
+	candidates []int                 // block IDs still scheduled for reading
 	read       bool
 	rowsRead   int
 	blocksRead int
@@ -224,41 +221,59 @@ type tableState struct {
 // ExecuteReference is the retained scalar path; the two produce identical
 // Results (pinned by the kernel identity tests).
 func (e *Engine) Execute(q *workload.Query) (*Result, error) {
-	res, err := e.executeKernel(q)
+	return e.execute(q, e.executeKernel)
+}
+
+// execute binds q, runs it through one executor and counts the outcome.
+func (e *Engine) execute(q *workload.Query, run func(*boundQuery) (*Result, error)) (*Result, error) {
+	b, err := e.bind(q)
+	var res *Result
+	if err == nil {
+		res, err = run(b)
+	}
 	e.counters.note(res, err)
 	return res, err
 }
 
-// plan validates q, groups its base tables in first-reference order, and
-// runs layout routing: each table's candidate set starts as the block IDs
-// the installed design's router returns.
-func (e *Engine) plan(q *workload.Query) (map[string]*tableState, []string, error) {
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	tables := map[string]*tableState{}
-	var order []string
-	for _, alias := range q.Aliases() {
-		base := q.BaseTable(alias)
-		if tables[base] != nil {
-			continue
-		}
-		ids, ok := e.design.BlocksFor(q, base)
+// prune is the stage both executors run before reading anything. Each
+// table's candidates start as the blocks the installed design routes the
+// query's zones to; its zone maps then skip the blocks no alias's filter
+// may match, sweeping every candidate through the aliases' zones in one
+// pass; and diPs, when on, drop blocks across joins.
+func (e *Engine) prune(b *boundQuery) error {
+	for _, ts := range b.tables {
+		ids, ok := e.design.BlocksFor(b.q, ts.table, b.zones)
 		if !ok {
-			return nil, nil, fmt.Errorf("engine: query %s touches unknown table %q", q.ID, base)
+			return fmt.Errorf("engine: query %s touches unknown table %q", b.q.ID, ts.table)
 		}
-		if e.store.NumBlocks(base) < 0 {
-			return nil, nil, errNoLayout(base)
+		if e.store.NumBlocks(ts.table) < 0 {
+			return errNoLayout(ts.table)
 		}
-		tables[base] = &tableState{table: base, candidates: ids, afterRouting: len(ids)}
-		order = append(order, base)
+		ts.candidates, ts.afterRouting, ts.zones = ids, len(ids), e.store.Zones(ts.table)
+		kept := ts.candidates[:0]
+		for _, id := range ts.candidates {
+			rs := ts.zones[id].Ranges()
+			for _, a := range ts.aliases {
+				if a.zone.Eval(rs) != predicate.TriFalse {
+					kept = append(kept, id)
+					break
+				}
+			}
+		}
+		ts.candidates, ts.afterZoneMap = kept, len(kept)
 	}
-	return tables, order, nil
+	if e.opts.DiPs {
+		e.applyDiPs(b)
+	}
+	for _, ts := range b.tables {
+		ts.afterDiPs = len(ts.candidates)
+	}
+	return nil
 }
 
 // errNoLayout reports that the backend holds no layout for a table the
-// query needs — at plan time, or because the layout vanished before the
-// scan or fold compiled.
+// query needs — when pruning starts, or because the layout vanished before
+// the scan or fold compiled.
 func errNoLayout(table string) error {
 	return fmt.Errorf("engine: no layout installed for %q", table)
 }
@@ -266,14 +281,14 @@ func errNoLayout(table string) error {
 // matOrderOf returns the tables smallest-candidate-set-first, so semi-join
 // reduction can use exact keys from already-read tables to prune later
 // ones.
-func matOrderOf(tables map[string]*tableState, order []string) []string {
-	matOrder := append([]string(nil), order...)
+func matOrderOf(b *boundQuery) []*tableState {
+	matOrder := slices.Clone(b.tables)
 	sort.Slice(matOrder, func(i, j int) bool {
-		a, b := tables[matOrder[i]], tables[matOrder[j]]
-		if len(a.candidates) != len(b.candidates) {
-			return len(a.candidates) < len(b.candidates)
+		x, y := matOrder[i], matOrder[j]
+		if len(x.candidates) != len(y.candidates) {
+			return len(x.candidates) < len(y.candidates)
 		}
-		return a.table < b.table
+		return x.table < y.table
 	})
 	return matOrder
 }
@@ -281,28 +296,29 @@ func matOrderOf(tables map[string]*tableState, order []string) []string {
 // assemble folds the staged table metrics and join accounting into a
 // Result. Both execution paths share it, so the floating-point additions
 // happen in the same order and the simulated Seconds agree bit for bit.
-func (e *Engine) assemble(q *workload.Query, order []string, tables map[string]*tableState,
-	surviving map[string]int, joinProbes, reducers int) *Result {
-
+func (e *Engine) assemble(b *boundQuery, count func(a *boundAlias) int, aggs []AggValue, joinProbes, reducers int) *Result {
 	cost := e.store.Cost()
 	res := &Result{
-		Query:         q.ID,
+		Query:         b.q.ID,
 		PerTable:      map[string]*TableAccess{},
-		SurvivingRows: surviving,
+		SurvivingRows: make(map[string]int, len(b.aliases)),
+		Aggregates:    aggs,
 		Seconds:       cost.QueryOverheadSeconds,
 	}
-	for _, name := range order {
-		ts := tables[name]
+	for _, a := range b.aliases {
+		res.SurvivingRows[a.name] = count(a)
+	}
+	for _, ts := range b.tables {
 		ta := &TableAccess{
-			Table:        name,
+			Table:        ts.table,
 			BlocksRead:   ts.blocksRead,
-			TotalBlocks:  e.store.TotalBlocks(name),
+			TotalBlocks:  e.store.TotalBlocks(ts.table),
 			RowsScanned:  ts.rowsRead,
 			AfterRouting: ts.afterRouting,
 			AfterZoneMap: ts.afterZoneMap,
 			AfterDiPs:    ts.afterDiPs,
 		}
-		res.PerTable[name] = ta
+		res.PerTable[ts.table] = ta
 		res.BlocksRead += ta.BlocksRead
 		res.TotalBlocks += ta.TotalBlocks
 		res.Seconds += float64(ta.BlocksRead)*cost.BlockReadSeconds +

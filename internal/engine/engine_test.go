@@ -502,7 +502,7 @@ func TestUnrelatedSINotCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SI on fact.v, but the join is on fact.did: runtimeBlockPrune runs
+	// SI on fact.v, but the join is on fact.did: blockPrune runs
 	// (the SI option enables it) yet builds nothing.
 	unrelated := DefaultOptions()
 	unrelated.SecondaryIndexes = map[string]string{"fact": "v"}

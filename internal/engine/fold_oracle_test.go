@@ -51,10 +51,11 @@ func oracleFold(e *Engine, table string, tbl *relation.Table, set bitmap.Dense,
 // which is the defining accumulation order for float results. Integer sums
 // use checked addition and error out deterministically on overflow.
 func oracleFoldFlat(tbl *relation.Table, set bitmap.Dense, spec workload.Aggregate) (value.Value, error) {
-	ci, kind, err := aggColumnKind(tbl, spec)
+	col, err := aggColumnKind(tbl, spec)
 	if err != nil {
 		return value.Null, err
 	}
+	ci, kind := col.ord, col.kind
 	if ci < 0 { // COUNT(*): surviving rows, nulls included
 		return value.Int(int64(set.Count())), nil
 	}
@@ -186,10 +187,11 @@ func oracleFoldGrouped(e *Engine, table string, tbl *relation.Table, set bitmap.
 	kinds := make([]value.Kind, len(specs))
 	hasFloat := false
 	for k, spec := range specs {
-		ci, kind, err := aggColumnKind(tbl, spec)
+		col, err := aggColumnKind(tbl, spec)
 		if err != nil {
 			return nil, err
 		}
+		ci, kind := col.ord, col.kind
 		cis[k], kinds[k] = ci, kind
 		if ci >= 0 && kind == value.KindFloat {
 			hasFloat = true

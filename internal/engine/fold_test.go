@@ -218,6 +218,23 @@ func exactAggs(avs []AggValue) []exactAgg {
 	return out
 }
 
+// foldSpecOf resolves specs over table of tbl, grouped by gb, as bind
+// does, with bind's error for a shape it refuses.
+func foldSpecOf(table string, tbl *relation.Table, gb workload.GroupBy, specs []workload.Aggregate) (*foldSpec, error) {
+	f := &foldSpec{table: table, tbl: tbl, specs: specs, group: gb}
+	for _, spec := range specs {
+		col, err := aggColumnKind(tbl, spec)
+		if err != nil {
+			return nil, err
+		}
+		f.cols = append(f.cols, col)
+	}
+	if !gb.IsZero() {
+		f.groupOrd = tbl.Schema().MustColumnIndex(gb.Column)
+	}
+	return f, nil
+}
+
 // checkFoldCase folds specs over c's table in the row-order pass, from a
 // base-row set and from the same survivors as positions of c's layout,
 // and in the oracle, and requires bit-identical results, or the same
@@ -238,8 +255,20 @@ func checkFoldCase(t *testing.T, c foldCase, rows int, specs []workload.Aggregat
 		name string
 		fold func() ([]AggValue, error)
 	}{
-		{"base rows", func() ([]AggValue, error) { return e.foldMaterialized("t", tbl, set, gb, specs) }},
-		{"positions", func() ([]AggValue, error) { return e.foldPositions("t", tbl, pos, order, count, gb, specs) }},
+		{"base rows", func() ([]AggValue, error) {
+			fs, err := foldSpecOf("t", tbl, gb, specs)
+			if err != nil {
+				return nil, err
+			}
+			return e.foldMaterialized(fs, set)
+		}},
+		{"positions", func() ([]AggValue, error) {
+			fs, err := foldSpecOf("t", tbl, gb, specs)
+			if err != nil {
+				return nil, err
+			}
+			return e.foldPositions(fs, pos, order, count)
+		}},
 	} {
 		got, gotErr := src.fold()
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -297,7 +326,11 @@ func TestMaterializedFoldOverflowNamesFirstSpec(t *testing.T) {
 	gb := workload.GroupBy{Alias: "t", Column: "gi"}
 	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}} {
 		ordered := []workload.Aggregate{specs[order[0]], specs[order[1]], specs[order[2]]}
-		_, err := e.foldMaterialized("t", tbl, set, gb, ordered)
+		fs, err := foldSpecOf("t", tbl, gb, ordered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.foldMaterialized(fs, set)
 		if want := ordered[1].String() + ": int64 sum overflow"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("specs %v: error %v, want one naming %s", ordered, err, ordered[1])
 		}
@@ -476,20 +509,23 @@ func BenchmarkRowOrderFold(b *testing.B) {
 			}
 		}
 		e := New(store, d, ds, DefaultOptions())
-		gb := workload.GroupBy{Alias: "lineitem", Column: c.gb}
+		fs, err := foldSpecOf("lineitem", li, workload.GroupBy{Alias: "lineitem", Column: c.gb}, c.specs)
+		if err != nil {
+			b.Fatal(err)
+		}
 		e.slotListsFor("lineitem", c.gb, order)
 		for _, src := range []struct {
 			name string
 			fold func() ([]AggValue, error)
 		}{
 			{"lists", func() ([]AggValue, error) {
-				return e.foldSlotLists("lineitem", li, set, order, gb, c.specs)
+				return e.foldSlotLists(fs, set, order)
 			}},
 			{"decode", func() ([]AggValue, error) {
 				rows := grabDense(li.NumRows())
 				defer putDense(rows)
 				baseRows(set, order, rows.dense())
-				return e.foldMaterialized("lineitem", li, rows.dense(), gb, c.specs)
+				return e.foldMaterialized(fs, rows.dense())
 			}},
 		} {
 			b.Run(c.name+"/"+src.name, func(b *testing.B) {

@@ -81,22 +81,17 @@ type slotter struct {
 	nan   int32 // the NaN group's slot, 0 until one is seen
 }
 
-// newSlotter returns the slotter for grouping table's tbl by gb.
-func (e *Engine) newSlotter(table string, tbl *relation.Table, gb workload.GroupBy) (*slotter, error) {
-	if gb.IsZero() {
-		return &slotter{rows: make([]int64, 1)}, nil
+// newSlotter returns the slotter for f's grouping.
+func (e *Engine) newSlotter(f *foldSpec) *slotter {
+	if f.group.IsZero() {
+		return &slotter{rows: make([]int64, 1)}
 	}
-	if dict := e.groupDictFor(table, gb.Column); dict != nil {
-		return &slotter{rows: make([]int64, dict.NumCodes()+1), dict: dict}, nil
-	}
-	gci, ok := tbl.Schema().ColumnIndex(gb.Column)
-	if !ok {
-		return nil, fmt.Errorf("engine: group by %s: table %q has no column %q",
-			gb, tbl.Schema().Table(), gb.Column)
+	if dict := e.groupDictFor(f.table, f.group.Column); dict != nil {
+		return &slotter{rows: make([]int64, dict.NumCodes()+1), dict: dict}
 	}
 	// A float group column gets no group dictionary (groupDictFor).
-	return &slotter{rows: make([]int64, 1), flt: tbl.Floats(gci), nulls: tbl.Nulls(gci),
-		keys: make([]float64, 1), slot: map[float64]int32{}}, nil
+	return &slotter{rows: make([]int64, 1), flt: f.tbl.Floats(f.groupOrd), nulls: f.tbl.Nulls(f.groupOrd),
+		keys: make([]float64, 1), slot: map[float64]int32{}}
 }
 
 // assign writes each row's slot into slots, opening float slots in the
@@ -329,20 +324,12 @@ type rowFold struct {
 	accs  []slotAcc
 }
 
-// newRowFold returns the pass for specs over tbl grouped by gb.
-func (e *Engine) newRowFold(table string, tbl *relation.Table, gb workload.GroupBy,
-	specs []workload.Aggregate) (*rowFold, error) {
-
-	g, err := e.newSlotter(table, tbl, gb)
-	if err != nil {
-		return nil, err
-	}
-	f := &rowFold{gb: gb, specs: specs, g: g, accs: make([]slotAcc, len(specs))}
-	for k, spec := range specs {
-		ci, kind, err := aggColumnKind(tbl, spec)
-		if err != nil {
-			return nil, err
-		}
+// newRowFold returns the pass for f's aggregates.
+func (e *Engine) newRowFold(fs *foldSpec) *rowFold {
+	tbl := fs.tbl
+	f := &rowFold{gb: fs.group, specs: fs.specs, g: e.newSlotter(fs), accs: make([]slotAcc, len(fs.specs))}
+	for k, spec := range fs.specs {
+		ci, kind := fs.cols[k].ord, fs.cols[k].kind
 		a := &f.accs[k]
 		a.spec, a.kind = spec, kind
 		if ci >= 0 {
@@ -358,7 +345,7 @@ func (e *Engine) newRowFold(table string, tbl *relation.Table, gb workload.Group
 		}
 	}
 	f.grow()
-	return f, nil
+	return f
 }
 
 // grow sizes every accumulator to the slotter's slots.
@@ -390,20 +377,14 @@ func (f *rowFold) result() ([]AggValue, error) {
 	}), nil
 }
 
-// foldMaterialized computes specs over the survivors of set, a bitmap over
-// tbl's base rows, in the row-order pass, grouped by gb (zero =
-// ungrouped). An ungrouped fold is slot 0's run, decoded a chunk at a
-// time; a grouped one decodes every survivor, slots each and groups them
-// by (window, slot) segment with buildPostings, which keeps each
-// segment's rows ascending.
-func (e *Engine) foldMaterialized(table string, tbl *relation.Table, set bitmap.Dense,
-	gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
-
-	f, err := e.newRowFold(table, tbl, gb, specs)
-	if err != nil {
-		return nil, err
-	}
-	if gb.IsZero() {
+// foldMaterialized computes fs's aggregates over the survivors of set, a
+// bitmap over the table's base rows, in the row-order pass. An ungrouped
+// fold is slot 0's run, decoded a chunk at a time; a grouped one decodes
+// every survivor, slots each and groups them by (window, slot) segment
+// with buildPostings, which keeps each segment's rows ascending.
+func (e *Engine) foldMaterialized(fs *foldSpec, set bitmap.Dense) ([]AggValue, error) {
+	f := e.newRowFold(fs)
+	if fs.group.IsZero() {
 		var sel [foldChunkWords * 64]int32
 		for w0 := 0; w0 < len(set); w0 += foldChunkWords {
 			if n := decodeRows(set[w0:min(w0+foldChunkWords, len(set))], w0, sel[:]); n > 0 {
@@ -420,7 +401,7 @@ func (e *Engine) foldMaterialized(table string, tbl *relation.Table, set bitmap.
 	f.g.assign(sel, slots)
 	f.grow()
 	g := len(f.g.rows)
-	shift, segs := foldWindows(tbl.NumRows(), g)
+	shift, segs := foldWindows(fs.tbl.NumRows(), g)
 	for j, r := range sel {
 		slots[j] += (r >> shift) * int32(g)
 	}
@@ -534,34 +515,28 @@ func (e *Engine) slotListsFor(table, col string, order *block.RowOrder) *slotLis
 	})
 }
 
-// foldPositions computes specs over the survivors of set, count positions
-// of the layout order lays out, in the row-order pass. A grouped fold on
-// a dictionary column whose survivors are at least 1/denseFoldDivisor of
-// the table filters the layout's slot lists through set a run at a time;
-// every other fold maps the survivors back to base rows
-// (foldMaterialized).
-func (e *Engine) foldPositions(table string, tbl *relation.Table, set bitmap.Dense, order *block.RowOrder,
-	count int, gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
-
-	if gb.IsZero() || e.groupDictFor(table, gb.Column) == nil || count*denseFoldDivisor < tbl.NumRows() {
-		rows := grabDense(tbl.NumRows())
+// foldPositions computes fs's aggregates over the survivors of set, count
+// positions of the layout order lays out, in the row-order pass. A grouped
+// fold on a dictionary column whose survivors are at least
+// 1/denseFoldDivisor of the table filters the layout's slot lists through
+// set a run at a time; every other fold maps the survivors back to base
+// rows (foldMaterialized).
+func (e *Engine) foldPositions(fs *foldSpec, set bitmap.Dense, order *block.RowOrder, count int) ([]AggValue, error) {
+	n := fs.tbl.NumRows()
+	if fs.group.IsZero() || e.groupDictFor(fs.table, fs.group.Column) == nil || count*denseFoldDivisor < n {
+		rows := grabDense(n)
 		defer putDense(rows)
 		baseRows(set, order, rows.dense())
-		return e.foldMaterialized(table, tbl, rows.dense(), gb, specs)
+		return e.foldMaterialized(fs, rows.dense())
 	}
-	return e.foldSlotLists(table, tbl, set, order, gb, specs)
+	return e.foldSlotLists(fs, set, order)
 }
 
 // foldSlotLists is the dense row source: each segment's cached (position,
 // base row) pairs, filtered through the position set set a run at a time.
-func (e *Engine) foldSlotLists(table string, tbl *relation.Table, set bitmap.Dense, order *block.RowOrder,
-	gb workload.GroupBy, specs []workload.Aggregate) ([]AggValue, error) {
-
-	f, err := e.newRowFold(table, tbl, gb, specs)
-	if err != nil {
-		return nil, err
-	}
-	l := e.slotListsFor(table, gb.Column, order)
+func (e *Engine) foldSlotLists(fs *foldSpec, set bitmap.Dense, order *block.RowOrder) ([]AggValue, error) {
+	f := e.newRowFold(fs)
+	l := e.slotListsFor(fs.table, fs.group.Column, order)
 	var run [foldRunRows]int32
 	for seg := 0; seg+1 < len(l.start); seg++ {
 		s := seg % l.slots

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 
 	"mto/internal/bitmap"
@@ -9,7 +8,6 @@ import (
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/value"
-	"mto/internal/workload"
 )
 
 // This file is the vectorized execution path behind Execute. It makes the
@@ -28,12 +26,13 @@ import (
 //     probing boxed value.Value map keys, in two sweeps over an acyclic
 //     join graph and otherwise in repeated passes (schedule.go) that skip
 //     re-reducing a side whose inputs are provably unchanged;
-//   - zone-map pruning compiles each filter's range evaluator once
-//     (predicate.CompileRanges) and sweeps all candidate blocks in one
-//     pass.
+//   - runtime block pruning probes zone intervals and secondary indexes
+//     with the key codes (cachedKeys), through the walk over the join
+//     edges both paths share (blockPrune).
 //
-// Every decision is pinned to the scalar path by identity tests asserting
-// byte-identical Results across whole workloads.
+// Both paths start from the bound query (bind) and the shared prune stage
+// (prune). Every decision is pinned to the scalar path by identity tests
+// asserting byte-identical Results across whole workloads.
 
 // vecAlias tracks one table reference in the vectorized path: surviving
 // rows live in a dense bitset over the positions of the scanned layout
@@ -41,9 +40,7 @@ import (
 // invalidated by a version counter that bumps whenever the row set
 // shrinks.
 type vecAlias struct {
-	alias   string
 	table   string
-	filter  predicate.Predicate
 	order   *block.RowOrder
 	set     bitmap.Dense
 	setBuf  *denseBuf // pooled backing of set, released after the query
@@ -53,12 +50,14 @@ type vecAlias struct {
 }
 
 // cachedKeys is a snapshot of one alias's distinct join keys in one
-// column: the codes of the column's dictionary that the alias's rows hold
-// (NULL and NaN rows hold none), ascending. Codes are ranks, so ascending
-// codes are ascending values. Runtime block pruning reads it; the semijoin
-// strategies read the alias's rows directly.
+// column, src: the codes of the column's dictionary that the alias's rows
+// hold (NULL and NaN rows hold none), ascending. Codes are ranks, so
+// ascending codes are ascending values. Runtime block pruning reads it (it
+// is the kernel path's keySet); the semijoin strategies read the alias's
+// rows directly.
 type cachedKeys struct {
 	version int
+	src     colKey
 	dict    *relation.ColumnDict
 	codes   []int32
 }
@@ -80,7 +79,7 @@ func (e *Engine) keysFor(a *vecAlias, col string) *cachedKeys {
 			present.Set(int(c))
 		}
 	})
-	ck := &cachedKeys{version: a.version, dict: d, codes: make([]int32, 0, present.Count())}
+	ck := &cachedKeys{version: a.version, src: colKey{a.table, col}, dict: d, codes: make([]int32, 0, present.Count())}
 	present.ForEach(func(c int) { ck.codes = append(ck.codes, int32(c)) })
 	putDense(buf)
 	a.keys[col] = ck
@@ -129,74 +128,51 @@ func (e *Engine) groupDictFor(table, col string) *relation.ColumnDict {
 	return nil
 }
 
-// executeKernel stages a query through the vectorized kernels.
-func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
-	tables, order, err := e.plan(q)
-	if err != nil {
+// executeKernel stages a bound query through the vectorized kernels.
+func (e *Engine) executeKernel(b *boundQuery) (*Result, error) {
+	if err := e.prune(b); err != nil {
 		return nil, err
 	}
-
-	vecAliases := map[string]*vecAlias{}
-	byTable := map[string][]*vecAlias{}
-	filters := map[string][]predicate.Predicate{} // parallel to byTable
-	for _, alias := range q.Aliases() {
-		base := q.BaseTable(alias)
-		a := &vecAlias{alias: alias, table: base, filter: q.FilterOn(alias),
-			keys: map[string]*cachedKeys{}}
-		vecAliases[alias] = a
-		byTable[base] = append(byTable[base], a)
-		filters[base] = append(filters[base], a.filter)
-	}
-	for _, name := range order {
-		e.zonePrune(tables[name], filters[name])
-	}
-
-	// diPs: plan-time pruning from zone-map range sets (§3.1.1).
-	if e.opts.DiPs {
-		e.applyDiPs(q, tables)
-	}
-	for _, ts := range tables {
-		ts.afterDiPs = len(ts.candidates)
+	vec := make([]*vecAlias, len(b.aliases))
+	for i, a := range b.aliases {
+		vec[i] = &vecAlias{table: a.ts.table, keys: map[string]*cachedKeys{}}
 	}
 
 	// Compile each table's scan (literals are translated into the stored
 	// representation once per query) and pin the layout it reads.
-	scans := make(map[string]block.Scan, len(order))
-	for _, name := range order {
-		scan := e.store.CompileScan(name, filters[name])
+	scans := make(map[*tableState]block.Scan, len(b.tables))
+	for _, ts := range b.tables {
+		scan := e.store.CompileScan(ts.table, ts.filters)
 		if scan == nil {
-			return nil, errNoLayout(name)
+			return nil, errNoLayout(ts.table)
 		}
-		if tables[name].order, err = scan.RowOrder(); err != nil {
+		var err error
+		if ts.order, err = scan.RowOrder(); err != nil {
 			return nil, err
 		}
-		scans[name] = scan
+		scans[ts] = scan
 	}
 
 	reducers := 0
-	for _, name := range matOrderOf(tables, order) {
-		ts := tables[name]
-		if e.opts.SemiJoinReduction || e.opts.SecondaryIndexes[name] != "" {
-			reducers += e.blockPruneKernel(q, ts, vecAliases, tables)
+	for _, ts := range matOrderOf(b) {
+		if e.opts.SemiJoinReduction || e.opts.SecondaryIndexes[ts.table] != "" {
+			reducers += e.blockPrune(b, ts, func(src edgeSide) keySet {
+				return e.keysFor(vec[src.alias.idx], src.col)
+			})
 		}
-		if err := e.scanKernel(ts, byTable[name], scans[name]); err != nil {
+		if err := e.scanKernel(ts, vec, scans[ts]); err != nil {
 			return nil, err
 		}
 	}
 
-	joinProbes := e.reduceKernel(q, vecAliases)
+	joinProbes := e.reduceKernel(b, vec)
 
-	surviving := make(map[string]int, len(vecAliases))
-	for alias, a := range vecAliases {
-		surviving[alias] = a.count
-	}
 	// The aggregate folds consume the alias survivor masks, so the pooled
 	// masks are released only after folding.
-	aggs, err := e.foldAggregates(q, func(alias string, specs []workload.Aggregate) ([]AggValue, error) {
-		a := vecAliases[alias]
-		return e.foldAlias(q.GroupBy, a, tables[a.table].candidates, specs)
+	aggs, err := e.foldAggregates(b, func(f *foldSpec) ([]AggValue, error) {
+		return e.foldAlias(f, vec[f.alias], b.aliases[f.alias].ts.candidates)
 	})
-	for _, a := range vecAliases {
+	for _, a := range vec {
 		if a.setBuf != nil {
 			putDense(a.setBuf)
 		}
@@ -204,32 +180,7 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := e.assemble(q, order, tables, surviving, joinProbes, reducers)
-	res.Aggregates = aggs
-	return res, nil
-}
-
-// zonePrune is batch zone-map pruning: each filter's zone evaluator is
-// compiled once, bound to the table's column ordinals, and every candidate
-// block swept through them in one pass. A block survives if any alias's
-// filter might match it.
-func (e *Engine) zonePrune(ts *tableState, filters []predicate.Predicate) {
-	schema, zones := e.ds.Table(ts.table).Schema(), e.store.Zones(ts.table)
-	fns := make([]predicate.ZoneEval, len(filters))
-	for i, f := range filters {
-		fns[i] = predicate.CompileRanges(f, schema)
-	}
-	kept := ts.candidates[:0]
-	for _, id := range ts.candidates {
-		rs := zones[id].Ranges()
-		for _, fn := range fns {
-			if fn(rs) != predicate.TriFalse {
-				kept = append(kept, id)
-				break
-			}
-		}
-	}
-	ts.candidates, ts.afterZoneMap = kept, len(kept)
+	return e.assemble(b, func(a *boundAlias) int { return vec[a.idx].count }, aggs, joinProbes, reducers), nil
 }
 
 // scanKernel meters the reads of the table's candidate blocks and computes
@@ -237,16 +188,16 @@ func (e *Engine) zonePrune(ts *tableState, filters []predicate.Predicate) {
 // positions: ScanBlock meters each read, reports the block's row count,
 // and evaluates every alias's filter straight into the alias's words of
 // the block.
-func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan) error {
-	if e.ds.Table(ts.table) == nil {
-		return fmt.Errorf("engine: dataset missing table %q", ts.table)
-	}
-	masks := make([][]uint64, len(aliases))
-	for _, a := range aliases {
+func (e *Engine) scanKernel(ts *tableState, vec []*vecAlias, scan block.Scan) error {
+	aliases := make([]*vecAlias, len(ts.aliases))
+	for i, ba := range ts.aliases {
+		a := vec[ba.idx]
 		a.order = ts.order
 		a.setBuf = grabDense(ts.order.Words() << 6)
 		a.set = a.setBuf.dense()
+		aliases[i] = a
 	}
+	masks := make([][]uint64, len(aliases))
 	for _, id := range ts.candidates {
 		for i, a := range aliases {
 			masks[i] = ts.order.Block(a.set, id)
@@ -265,59 +216,28 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Scan
 	return nil
 }
 
-// blockPruneKernel is runtimeBlockPrune over vectorized alias state: the
-// materialized side's key set is its cached key codes, which probe each
-// zone interval in code space (anyCodeInInterval) and, under a secondary
-// index, name the target rows through the target column's postings
-// (indexPrune).
-func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
-	aliases map[string]*vecAlias, tables map[string]*tableState) int {
+// inInterval probes the key codes against a zone interval
+// (anyCodeInInterval).
+func (ck *cachedKeys) inInterval(iv *predicate.Interval) bool {
+	return anyCodeInInterval(ck.dict, ck.codes, iv)
+}
 
-	reducers := 0
-	for _, j := range q.Joins {
-		var otherAlias, myCol, otherCol string
-		rByL, lByR := prunableDirections(j.Type)
-		switch {
-		case aliasOnTable(q, j.Right, ts.table) && rByL:
-			otherAlias, myCol, otherCol = j.Left, j.RightColumn, j.LeftColumn
-		case aliasOnTable(q, j.Left, ts.table) && lByR:
-			otherAlias, myCol, otherCol = j.Right, j.LeftColumn, j.RightColumn
-		default:
-			continue
-		}
-		other := aliases[otherAlias]
-		otherTS := tables[other.table]
-		if otherTS == nil || !otherTS.read || other.table == ts.table {
-			continue
-		}
-		otherTbl := e.ds.Table(other.table)
-		if !tableHasColumn(otherTbl, otherCol) {
-			// No keys to reduce with (see runtimeBlockPrune).
-			continue
-		}
-		ck := e.keysFor(other, otherCol)
-		if e.opts.SecondaryIndexes[ts.table] == myCol {
-			if e.indexPrune(ts, myCol, colKey{other.table, otherCol}, ck) {
-				reducers++
-			}
-			continue
-		}
-		if !e.opts.SemiJoinReduction {
-			// SI configured for a different column only: no reducer is
-			// built, so no setup time is charged.
-			continue
-		}
-		reducers++
-		zones, ord := e.store.Zones(ts.table), e.zoneOrd(ts.table, myCol)
-		kept := ts.candidates[:0]
-		for _, id := range ts.candidates {
-			if anyCodeInInterval(ck.dict, ck.codes, zones[id].Ranges().At(ord)) {
-				kept = append(kept, id)
+// indexed is the secondary-index probe in code space: the keys' codes
+// translate into slots of the target column's dictionary, whose postings
+// name the positions holding them, whose blocks it returns.
+func (ck *cachedKeys) indexed(e *Engine, ts *tableState, col edgeSide) (map[int32]bool, bool) {
+	td := e.dictFor(ts.table, col.col)
+	xl := e.xlateFor(ck.src, ck.dict, colKey{ts.table, col.col}, td)
+	tp := e.postingsFor(ts.table, col.col, ts.order)
+	blocks := map[int32]bool{}
+	for _, c := range ck.codes {
+		if s := xl.slot(c); s != 0 {
+			for _, p := range tp.of(s - 1) {
+				blocks[int32(ts.order.BlockOf(int(p)))] = true
 			}
 		}
-		ts.candidates = kept
 	}
-	return reducers
+	return blocks, true
 }
 
 // anyCodeInInterval is anyKeyInInterval over a key set held as codes of
@@ -340,46 +260,24 @@ func anyCodeInInterval(d *relation.ColumnDict, codes []int32, iv *predicate.Inte
 	return !ok || i < len(codes) && codes[i] < hi
 }
 
-// indexPrune is secondaryIndexPrune in code space: the source keys' codes
-// translate into slots of the target column's dictionary, whose postings
-// name the positions holding them, whose blocks are kept. Reports whether
-// the index probe ran (false when the table has no such column).
-func (e *Engine) indexPrune(ts *tableState, col string, src colKey, ck *cachedKeys) bool {
-	td := e.dictFor(ts.table, col)
-	if td == nil {
-		return false
-	}
-	xl := e.xlateFor(src, ck.dict, colKey{ts.table, col}, td)
-	tp := e.postingsFor(ts.table, col, ts.order)
-	needed := map[int32]bool{}
-	for _, c := range ck.codes {
-		if s := xl.slot(c); s != 0 {
-			for _, p := range tp.of(s - 1) {
-				needed[int32(ts.order.BlockOf(int(p)))] = true
-			}
-		}
-	}
-	keepBlocks(ts, needed)
-	return true
-}
-
 // reduceKernel is semantic reduction over the vectorized alias state: the
 // schedule, passes and probe accounting of reduce, with every step run by
 // the cost-chosen semijoin operator (semijoin.go). On a repeated schedule,
 // a step whose source and target are unchanged since it last ran is
 // skipped: reduction is idempotent, so it would remove nothing.
-func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) int {
+func (e *Engine) reduceKernel(b *boundQuery, vec []*vecAlias) int {
 	type ran struct {
 		src, tgt int // the versions the step read and left
 		ok       bool
 	}
 	var last []ran // by step, made on a repeated schedule's first step
-	count := func(alias string) int { return aliases[alias].count }
-	return e.reduce(q, count, func(i int, st reduceStep, repeat bool) bool {
-		tgt, tgtCol, src, srcCol := st.sides(q.Joins[st.join])
-		s := semijoin{tgt: aliases[tgt], src: aliases[src], tgtCol: tgtCol, srcCol: srcCol, anti: st.anti}
+	count := func(a *boundAlias) int { return vec[a.idx].count }
+	return e.reduce(b, count, func(i int, st reduceStep, repeat bool) bool {
+		ed := &b.edges[st.join]
+		tgt, src := ends(st, ed.left, ed.right)
+		s := semijoin{tgt: vec[tgt.alias.idx], src: vec[src.alias.idx], tgtCol: tgt.col, srcCol: src.col, anti: st.anti}
 		if repeat && last == nil {
-			last = make([]ran, 2*len(q.Joins)) // an edge has at most two steps
+			last = make([]ran, 2*len(b.edges)) // an edge has at most two steps
 		}
 		if last != nil && last[i] == (ran{s.src.version, s.tgt.version, true}) {
 			return false

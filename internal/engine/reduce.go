@@ -6,26 +6,12 @@ import (
 	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/value"
-	"mto/internal/workload"
 )
 
-// prunableDirections reports, for a join edge, whether blocks/rows of the
-// right side can be pruned using left-side information (and vice versa)
-// without changing the query result. The directions coincide with the
-// predicate-induction rules of §4.1.1: a side is prunable exactly when its
-// unmatched rows are irrelevant to the result.
-func prunableDirections(t workload.JoinType) (rightByLeft, leftByRight bool) {
-	return t.CanInduceLeftToRight(), t.CanInduceRightToLeft()
-}
-
 // keysOf collects the distinct join-key values of the alias's surviving
-// rows in the named column. NULL and NaN are left out: neither matches an
+// rows in column ci. NULL and NaN are left out: neither matches an
 // equijoin (and a NaN map key never matches a lookup anyway).
-func keysOf(tbl *relation.Table, rows []int32, col string) map[value.Value]struct{} {
-	ci, ok := tbl.Schema().ColumnIndex(col)
-	if !ok {
-		return nil
-	}
+func keysOf(tbl *relation.Table, rows []int32, ci int) map[value.Value]struct{} {
 	out := make(map[value.Value]struct{}, len(rows))
 	for _, r := range rows {
 		if v := tbl.Value(int(r), ci); !v.IsNull() && !v.IsNaN() {
@@ -96,66 +82,68 @@ func groupInInterval(keys []value.Value, iv *predicate.Interval) bool {
 	return iv.Contains(keys[lo])
 }
 
-// tableHasColumn reports whether t's schema holds col.
-func tableHasColumn(t *relation.Table, col string) bool {
-	_, ok := t.Schema().ColumnIndex(col)
-	return ok
+// keySet is one executor's form of a materialized side's join keys in one
+// column, which runtime block pruning (blockPrune) probes: the kernel
+// path's key codes (cachedKeys), the reference path's boxed values
+// (boxedKeys).
+type keySet interface {
+	// inInterval reports whether some key lies in iv, a zone's interval
+	// on the pruned table's join column.
+	inInterval(iv *predicate.Interval) bool
+	// indexed returns the blocks of ts holding a key in col, read through
+	// a secondary index; ok is false when the probe cannot run (no reducer
+	// is built, and nothing is pruned).
+	indexed(e *Engine, ts *tableState, col edgeSide) (blocks map[int32]bool, ok bool)
 }
 
-// zoneOrd is col's ordinal in table's schema, the index of its interval in
-// the table's zone maps: -1, unbounded, when there is no such column.
-func (e *Engine) zoneOrd(table, col string) int { return e.ds.Table(table).Schema().Ordinal(col) }
-
-// runtimeBlockPrune applies semi-join reduction at the block level before
-// ts is read: for every join edge connecting ts to an already-materialized
-// table (in a prunable direction), the materialized side's exact keys prune
-// ts's candidate blocks whose join-column zone interval contains no key.
-// Returns the number of reducers built (each costs setup time).
-func (e *Engine) runtimeBlockPrune(q *workload.Query, ts *tableState,
-	aliases map[string]*aliasState, tables map[string]*tableState) int {
-
+// blockPrune applies semi-join reduction at the block level before ts is
+// read: for every join edge connecting ts to an alias of another table
+// already read, in a direction ts may be pruned, the materialized side's
+// exact keys (keys) prune ts's candidate blocks whose join-column zone
+// interval holds no key, or, under a secondary index on the column, the
+// blocks holding no key. Returns the number of reducers built (each costs
+// setup time).
+func (e *Engine) blockPrune(b *boundQuery, ts *tableState, keys func(src edgeSide) keySet) int {
 	reducers := 0
-	for _, j := range q.Joins {
-		var otherAlias, myCol, otherCol string
-		rByL, lByR := prunableDirections(j.Type)
+	for i := range b.edges {
+		ed := &b.edges[i]
+		var mine, other edgeSide
 		switch {
-		case aliasOnTable(q, j.Right, ts.table) && rByL:
-			otherAlias, myCol, otherCol = j.Left, j.RightColumn, j.LeftColumn
-		case aliasOnTable(q, j.Left, ts.table) && lByR:
-			otherAlias, myCol, otherCol = j.Right, j.LeftColumn, j.RightColumn
+		case ed.right.alias.ts == ts && ed.rByL:
+			mine, other = ed.right, ed.left
+		case ed.left.alias.ts == ts && ed.lByR:
+			mine, other = ed.left, ed.right
 		default:
 			continue
 		}
-		other := aliases[otherAlias]
-		otherTS := tables[other.table]
-		if otherTS == nil || !otherTS.read || other.table == ts.table {
+		if ots := other.alias.ts; !ots.read || ots == ts || other.ord < 0 {
+			// A missing column on the materialized side leaves no keys to
+			// reduce with: an empty key set would prune every block.
 			continue
 		}
-		otherTbl := e.ds.Table(other.table)
-		if !tableHasColumn(otherTbl, otherCol) {
-			// The join column is missing from the materialized side's
-			// schema: there are no keys to reduce with. Skip the edge —
-			// treating the nil key set as "no keys survive" would wrongly
-			// prune every candidate block.
-			continue
-		}
-		if e.opts.SecondaryIndexes[ts.table] == myCol {
-			if e.secondaryIndexPrune(ts, myCol, keysOf(otherTbl, other.rows, otherCol)) {
-				reducers++
+		var keep func(id int) bool
+		switch {
+		case e.opts.SecondaryIndexes[ts.table] == mine.col:
+			if mine.ord < 0 {
+				continue
 			}
-			continue
-		}
-		if !e.opts.SemiJoinReduction {
+			blocks, ok := keys(other).indexed(e, ts, mine)
+			if !ok {
+				continue
+			}
+			keep = func(id int) bool { return blocks[int32(id)] }
+		case e.opts.SemiJoinReduction:
+			ks := keys(other)
+			keep = func(id int) bool { return ks.inInterval(ts.zones[id].Ranges().At(mine.ord)) }
+		default:
 			// SI configured for a different column only: no reducer is
 			// built, so no setup time is charged.
 			continue
 		}
-		keys := sortedKeys(keysOf(otherTbl, other.rows, otherCol))
 		reducers++
-		zones, ord := e.store.Zones(ts.table), e.zoneOrd(ts.table, myCol)
 		kept := ts.candidates[:0]
 		for _, id := range ts.candidates {
-			if anyKeyInInterval(keys, zones[id].Ranges().At(ord)) {
+			if keep(id) {
 				kept = append(kept, id)
 			}
 		}
@@ -164,75 +152,21 @@ func (e *Engine) runtimeBlockPrune(q *workload.Query, ts *tableState,
 	return reducers
 }
 
-// blockOfFor returns the table's row → block ID mapping, building and
-// caching it on first use. The mapping is an auxiliary-index read served
-// by the backend (from the segment's row-ID pages); nil means the backend
-// could not produce it, and secondary-index pruning degrades to not
-// pruning.
-func (e *Engine) blockOfFor(table string) []int32 {
-	return cached(&e.mu, e.blockOf, table, nil, func() []int32 {
-		m, err := e.store.RowToBlock(table)
-		if err != nil {
-			return nil
-		}
-		return m
-	})
-}
-
-// secondaryIndexPrune keeps only candidate blocks that physically contain a
-// row whose indexed column matches one of the keys. Unlike zone-interval
-// pruning, it works without any clustering of the join column. This is the
-// scalar form: it checks every row of the table against the boxed key set.
-// Reports whether the probe ran (false when the table has no such column
-// or the backend cannot map rows to blocks: no reducer is built and
-// nothing is pruned).
-func (e *Engine) secondaryIndexPrune(ts *tableState, col string, keys map[value.Value]struct{}) bool {
-	tbl := e.ds.Table(ts.table)
-	ci, ok := tbl.Schema().ColumnIndex(col)
-	blockOf := e.blockOfFor(ts.table)
-	if !ok || blockOf == nil {
-		return false
-	}
-	needed := map[int32]bool{}
-	for r := 0; r < tbl.NumRows(); r++ {
-		if _, hit := keys[tbl.Value(r, ci)]; hit {
-			needed[blockOf[r]] = true
-		}
-	}
-	keepBlocks(ts, needed)
-	return true
-}
-
-// keepBlocks keeps the candidate blocks of ts that needed names.
-func keepBlocks(ts *tableState, needed map[int32]bool) {
-	kept := ts.candidates[:0]
-	for _, id := range ts.candidates {
-		if needed[int32(id)] {
-			kept = append(kept, id)
-		}
-	}
-	ts.candidates = kept
-}
-
-func aliasOnTable(q *workload.Query, alias, table string) bool {
-	return q.BaseTable(alias) == table
-}
-
 // applyDiPs prunes candidate blocks at plan time using data-induced
 // predicates [22]: the zone intervals of one side's candidate blocks on the
 // join column are merged into a range set of at most rangeSetSize ranges
 // and pushed to the other side, whose blocks are dropped when their join
 // column cannot intersect any range. Passes repeat until a fixpoint (or the
 // pass cap) since pruning one table can enable pruning another.
-func (e *Engine) applyDiPs(q *workload.Query, tables map[string]*tableState) {
+func (e *Engine) applyDiPs(b *boundQuery) {
 	for pass := 0; pass < maxReductionPasses; pass++ {
 		changed := false
-		for _, j := range q.Joins {
-			rByL, lByR := prunableDirections(j.Type)
-			if rByL && e.dipPrune(q, tables, j.Left, j.LeftColumn, j.Right, j.RightColumn) {
+		for i := range b.edges {
+			ed := &b.edges[i]
+			if ed.rByL && dipPrune(ed.left, ed.right) {
 				changed = true
 			}
-			if lByR && e.dipPrune(q, tables, j.Right, j.RightColumn, j.Left, j.LeftColumn) {
+			if ed.lByR && dipPrune(ed.right, ed.left) {
 				changed = true
 			}
 		}
@@ -242,20 +176,16 @@ func (e *Engine) applyDiPs(q *workload.Query, tables map[string]*tableState) {
 	}
 }
 
-// dipPrune pushes a range set from the source alias's table to the target
-// alias's table; reports whether any block was pruned.
-func (e *Engine) dipPrune(q *workload.Query, tables map[string]*tableState,
-	srcAlias, srcCol, dstAlias, dstCol string) bool {
-
-	src := tables[q.BaseTable(srcAlias)]
-	dst := tables[q.BaseTable(dstAlias)]
-	if src == nil || dst == nil || src.table == dst.table {
+// dipPrune pushes a range set from the source side's table to the target
+// side's table; reports whether any block was pruned.
+func dipPrune(srcSide, dstSide edgeSide) bool {
+	src, dst := srcSide.alias.ts, dstSide.alias.ts
+	if src == dst {
 		return false
 	}
-	srcZones, srcOrd := e.store.Zones(src.table), e.zoneOrd(src.table, srcCol)
 	var intervals []predicate.Interval
 	for _, id := range src.candidates {
-		if iv := srcZones[id].Ranges().At(srcOrd); !iv.Empty {
+		if iv := src.zones[id].Ranges().At(srcSide.ord); !iv.Empty {
 			intervals = append(intervals, *iv)
 		}
 	}
@@ -270,11 +200,10 @@ func (e *Engine) dipPrune(q *workload.Query, tables map[string]*tableState,
 		dst.candidates = dst.candidates[:0]
 		return true
 	}
-	dstZones, dstOrd := e.store.Zones(dst.table), e.zoneOrd(dst.table, dstCol)
 	kept := dst.candidates[:0]
 	pruned := false
 	for _, id := range dst.candidates {
-		iv := dstZones[id].Ranges().At(dstOrd)
+		iv := dst.zones[id].Ranges().At(dstSide.ord)
 		ok := false
 		for i := range ranges {
 			// Non-comparable bounds cannot prove disjointness: keep the
@@ -368,37 +297,27 @@ func overlapsOrTouches(a, b predicate.Interval) bool {
 	return !a.Intersect(b).Empty || touching(a, b)
 }
 
-// joinColumnsExist reports whether both of j's columns exist in their
-// aliases' base tables.
-func (e *Engine) joinColumnsExist(q *workload.Query, j workload.Join) bool {
-	return tableHasColumn(e.ds.Table(q.BaseTable(j.Left)), j.LeftColumn) &&
-		tableHasColumn(e.ds.Table(q.BaseTable(j.Right)), j.RightColumn)
-}
-
 // semanticReduce applies the query's join semantics to the filtered row
 // sets: inner and semi joins reduce both sides to matching rows, one-sided
 // outer joins reduce only the non-preserved side, and anti-semi joins keep
 // the preserved side's rows without a match. It runs the reduction
 // schedule (reduce), each step over boxed key maps. Returns the number of
 // tuple probes performed (for the cost model).
-func (e *Engine) semanticReduce(q *workload.Query, aliases map[string]*aliasState) int {
-	count := func(alias string) int { return len(aliases[alias].rows) }
-	return e.reduce(q, count, func(_ int, st reduceStep, _ bool) bool {
-		tgt, tgtCol, src, srcCol := st.sides(q.Joins[st.join])
-		t, s := aliases[tgt], aliases[src]
-		return reduceTo(t, e.ds.Table(t.table), tgtCol, keysOf(e.ds.Table(s.table), s.rows, srcCol), st.anti)
+func (e *Engine) semanticReduce(b *boundQuery, aliases []*aliasState) int {
+	count := func(a *boundAlias) int { return len(aliases[a.idx].rows) }
+	return e.reduce(b, count, func(_ int, st reduceStep, _ bool) bool {
+		ed := &b.edges[st.join]
+		tgt, src := ends(st, ed.left, ed.right)
+		s := aliases[src.alias.idx]
+		return reduceTo(aliases[tgt.alias.idx], tgt.alias.ts.tbl, tgt.ord, keysOf(src.alias.ts.tbl, s.rows, src.ord), st.anti)
 	})
 }
 
-// reduceTo keeps only as.rows whose key membership in keys matches want
-// (want=false keeps members, i.e. matching rows; want=true keeps
-// non-members, i.e. anti-join survivors). Null keys never match, so they
-// survive only anti joins. Reports whether the row set shrank.
-func reduceTo(as *aliasState, tbl *relation.Table, col string, keys map[value.Value]struct{}, anti bool) bool {
-	ci, ok := tbl.Schema().ColumnIndex(col)
-	if !ok {
-		return false
-	}
+// reduceTo keeps only as.rows whose key in column ci has membership in keys
+// matching want (want=false keeps members, i.e. matching rows; want=true
+// keeps non-members, i.e. anti-join survivors). Null keys never match, so
+// they survive only anti joins. Reports whether the row set shrank.
+func reduceTo(as *aliasState, tbl *relation.Table, ci int, keys map[value.Value]struct{}, anti bool) bool {
 	kept := as.rows[:0]
 	for _, r := range as.rows {
 		v := tbl.Value(int(r), ci)

@@ -28,30 +28,32 @@ func fixpointOracle(e *Engine, q *workload.Query, aliases map[string]*aliasState
 	for pass := 0; pass < maxReductionPasses; pass++ {
 		changed := false
 		for _, j := range q.Joins {
-			if !e.joinColumnsExist(q, j) {
+			l, r := aliases[j.Left], aliases[j.Right]
+			lt, rt := e.ds.Table(q.BaseTable(j.Left)), e.ds.Table(q.BaseTable(j.Right))
+			lc, lok := lt.Schema().ColumnIndex(j.LeftColumn)
+			rc, rok := rt.Schema().ColumnIndex(j.RightColumn)
+			if !lok || !rok {
 				continue
 			}
-			l, r := aliases[j.Left], aliases[j.Right]
-			lt, rt := e.ds.Table(l.table), e.ds.Table(r.table)
 			switch j.Type {
 			case workload.InnerJoin, workload.SemiJoin:
-				lk := keysOf(lt, l.rows, j.LeftColumn)
-				rk := keysOf(rt, r.rows, j.RightColumn)
+				lk := keysOf(lt, l.rows, lc)
+				rk := keysOf(rt, r.rows, rc)
 				probes += len(l.rows) + len(r.rows)
-				changed = reduceTo(l, lt, j.LeftColumn, rk, false) || changed
-				changed = reduceTo(r, rt, j.RightColumn, lk, false) || changed
+				changed = reduceTo(l, lt, lc, rk, false) || changed
+				changed = reduceTo(r, rt, rc, lk, false) || changed
 			case workload.LeftOuterJoin:
 				probes += len(r.rows)
-				changed = reduceTo(r, rt, j.RightColumn, keysOf(lt, l.rows, j.LeftColumn), false) || changed
+				changed = reduceTo(r, rt, rc, keysOf(lt, l.rows, lc), false) || changed
 			case workload.RightOuterJoin:
 				probes += len(l.rows)
-				changed = reduceTo(l, lt, j.LeftColumn, keysOf(rt, r.rows, j.RightColumn), false) || changed
+				changed = reduceTo(l, lt, lc, keysOf(rt, r.rows, rc), false) || changed
 			case workload.LeftAntiSemiJoin:
 				probes += len(l.rows)
-				changed = reduceTo(l, lt, j.LeftColumn, keysOf(rt, r.rows, j.RightColumn), true) || changed
+				changed = reduceTo(l, lt, lc, keysOf(rt, r.rows, rc), true) || changed
 			case workload.RightAntiSemiJoin:
 				probes += len(r.rows)
-				changed = reduceTo(r, rt, j.RightColumn, keysOf(lt, l.rows, j.LeftColumn), true) || changed
+				changed = reduceTo(r, rt, rc, keysOf(lt, l.rows, lc), true) || changed
 			case workload.FullOuterJoin:
 				if pass == 0 {
 					probes += len(l.rows) + len(r.rows)
@@ -152,48 +154,51 @@ func filteredRows(ds *relation.Dataset, q *workload.Query) map[string][]int32 {
 // surviving base rows per alias, ascending, and its probes.
 func reduceAll(t *testing.T, e *Engine, q *workload.Query, start map[string][]int32, rng *rand.Rand) (rows [3]map[string][]int32, probes [3]int) {
 	t.Helper()
-	scalar := func() map[string]*aliasState {
-		out := map[string]*aliasState{}
-		for alias, rs := range start {
-			out[alias] = &aliasState{alias: alias, table: q.BaseTable(alias), rows: slices.Clone(rs)}
-		}
-		return out
+	b, err := e.resolve(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	collect := func(as map[string]*aliasState) map[string][]int32 {
+	oracle := map[string]*aliasState{}
+	ordered, ref := make([]*aliasState, len(b.aliases)), make([]*aliasState, len(b.aliases))
+	for _, a := range b.aliases {
+		ordered[a.idx] = &aliasState{rows: slices.Clone(start[a.name])}
+		ref[a.idx] = &aliasState{rows: slices.Clone(start[a.name])}
+		oracle[a.name] = ordered[a.idx]
+	}
+	collect := func(as []*aliasState) map[string][]int32 {
 		out := map[string][]int32{}
-		for alias, a := range as {
-			out[alias] = append([]int32{}, a.rows...)
-			slices.Sort(out[alias])
+		for _, a := range b.aliases {
+			out[a.name] = slices.Clone(as[a.idx].rows)
+			slices.Sort(out[a.name])
 		}
 		return out
 	}
-	oracle, ref := scalar(), scalar()
-	probes[0], probes[1] = fixpointOracle(e, q, oracle), e.semanticReduce(q, ref)
-	rows[0], rows[1] = collect(oracle), collect(ref)
+	probes[0], probes[1] = fixpointOracle(e, q, oracle), e.semanticReduce(b, ref)
+	rows[0], rows[1] = collect(ordered), collect(ref)
 
 	orders := map[string]*block.RowOrder{}
-	vec := map[string]*vecAlias{}
-	for alias, rs := range start {
-		table := q.BaseTable(alias)
+	vec := make([]*vecAlias, len(b.aliases))
+	for _, a := range b.aliases {
+		table := a.ts.table
 		if orders[table] == nil {
 			orders[table] = permutedOrder(e.ds.Table(table).NumRows(), rng)
 		}
-		ints := make([]int, len(rs))
-		for i, r := range rs {
+		ints := make([]int, len(start[a.name]))
+		for i, r := range start[a.name] {
 			ints[i] = int(r)
 		}
-		vec[alias] = testAlias(table, orders[table], ints)
-		vec[alias].alias = alias
+		vec[a.idx] = testAlias(table, orders[table], ints)
 	}
-	probes[2] = e.reduceKernel(q, vec)
+	probes[2] = e.reduceKernel(b, vec)
 	rows[2] = map[string][]int32{}
-	for alias, a := range vec {
+	for _, ba := range b.aliases {
+		a := vec[ba.idx]
 		set := bitmap.NewDense(e.ds.Table(a.table).NumRows())
 		baseRows(a.set, a.order, set)
-		rows[2][alias] = []int32{}
-		set.ForEach(func(r int) { rows[2][alias] = append(rows[2][alias], int32(r)) })
-		if a.count != len(rows[2][alias]) {
-			t.Errorf("%s: kernel alias %s counts %d rows, its set holds %d", q.ID, alias, a.count, len(rows[2][alias]))
+		rows[2][ba.name] = []int32{}
+		set.ForEach(func(r int) { rows[2][ba.name] = append(rows[2][ba.name], int32(r)) })
+		if a.count != len(rows[2][ba.name]) {
+			t.Errorf("%s: kernel alias %s counts %d rows, its set holds %d", q.ID, ba.name, a.count, len(rows[2][ba.name]))
 		}
 	}
 	return rows, probes

@@ -1,99 +1,85 @@
 package engine
 
 import (
-	"fmt"
-
+	"mto/internal/bitmap"
 	"mto/internal/predicate"
+	"mto/internal/value"
 	"mto/internal/workload"
 )
 
 // ExecuteReference runs q through the retained scalar execution path:
 // filters run over the base table (predicate.FillRows on each block's
-// rows) instead of encoded pages, zone maps are probed block by block, and
-// join-key sets are boxed value maps rebuilt every reduction pass. It exists as the correctness oracle for the
-// vectorized kernels behind Execute — the identity tests assert the two
-// return byte-identical Results over whole workloads — and as the baseline
-// for the replay benchmark's speedup measurement.
+// rows) instead of encoded pages, and join-key sets are boxed value maps
+// rebuilt every reduction pass. It binds the query and prunes blocks
+// through the stages Execute runs (bind, prune, blockPrune's walk), so it
+// is the correctness oracle for the vectorized kernels behind Execute —
+// the identity tests assert the two return byte-identical Results over
+// whole workloads — and the baseline for the replay benchmark's speedup
+// measurement.
 func (e *Engine) ExecuteReference(q *workload.Query) (*Result, error) {
-	res, err := e.executeReference(q)
-	e.counters.note(res, err)
-	return res, err
+	return e.execute(q, e.executeReference)
 }
 
-func (e *Engine) executeReference(q *workload.Query) (*Result, error) {
-	tables, order, err := e.plan(q)
-	if err != nil {
+// aliasState tracks one table reference during scalar (reference)
+// execution.
+type aliasState struct {
+	rows []int32 // surviving row indexes (after scan + filters)
+}
+
+func (e *Engine) executeReference(b *boundQuery) (*Result, error) {
+	if err := e.prune(b); err != nil {
 		return nil, err
 	}
-
-	aliasStates := map[string]*aliasState{}
-	byTable := map[string][]*aliasState{}
-	filters := map[string][]predicate.Predicate{}
-	for _, alias := range q.Aliases() {
-		base := q.BaseTable(alias)
-		as := &aliasState{alias: alias, table: base, filter: q.FilterOn(alias)}
-		aliasStates[alias] = as
-		byTable[base] = append(byTable[base], as)
-		filters[base] = append(filters[base], as.filter)
-	}
-	for _, name := range order {
-		e.zonePrune(tables[name], filters[name])
-	}
-
-	// diPs: plan-time pruning from zone-map range sets (§3.1.1).
-	if e.opts.DiPs {
-		e.applyDiPs(q, tables)
-	}
-	for _, ts := range tables {
-		ts.afterDiPs = len(ts.candidates)
+	aliases := make([]*aliasState, len(b.aliases))
+	for i := range aliases {
+		aliases[i] = &aliasState{}
 	}
 
 	reducers := 0
-	for _, name := range matOrderOf(tables, order) {
-		ts := tables[name]
-		if e.opts.SemiJoinReduction || e.opts.SecondaryIndexes[name] != "" {
-			reducers += e.runtimeBlockPrune(q, ts, aliasStates, tables)
+	for _, ts := range matOrderOf(b) {
+		if e.opts.SemiJoinReduction || e.opts.SecondaryIndexes[ts.table] != "" {
+			reducers += e.blockPrune(b, ts, func(src edgeSide) keySet {
+				return &boxedKeys{set: keysOf(src.alias.ts.tbl, aliases[src.alias.idx].rows, src.ord)}
+			})
 		}
-		if err := e.readAndFilter(ts, byTable[name]); err != nil {
+		if err := e.readAndFilter(ts, aliases); err != nil {
 			return nil, err
 		}
 	}
 
-	// Semantic reduction fixpoint: surviving rows per alias.
-	joinProbes := e.semanticReduce(q, aliasStates)
+	joinProbes := e.semanticReduce(b, aliases)
 
-	surviving := make(map[string]int, len(aliasStates))
-	for alias, as := range aliasStates {
-		surviving[alias] = len(as.rows)
-	}
-	aggs, err := e.foldAggregatesReference(q, aliasStates)
+	aggs, err := e.foldAggregates(b, func(f *foldSpec) ([]AggValue, error) {
+		// The survivor list becomes a bitmap so the shared row-order pass
+		// sees the exact accumulation order the kernel path uses.
+		set := bitmap.NewDense(f.tbl.NumRows())
+		for _, r := range aliases[f.alias].rows {
+			set.Set(int(r))
+		}
+		return e.foldMaterialized(f, set)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := e.assemble(q, order, tables, surviving, joinProbes, reducers)
-	res.Aggregates = aggs
-	return res, nil
+	return e.assemble(b, func(a *boundAlias) int { return len(aliases[a.idx].rows) }, aggs, joinProbes, reducers), nil
 }
 
 // readAndFilter meters the reads of the table's candidate blocks and
 // computes each alias's filtered row set over the base table rows of each
 // block read.
 func (e *Engine) readAndFilter(ts *tableState, aliases []*aliasState) error {
-	tbl := e.ds.Table(ts.table)
-	if tbl == nil {
-		return fmt.Errorf("engine: dataset missing table %q", ts.table)
-	}
 	for _, id := range ts.candidates {
-		b, err := e.store.ReadBlock(ts.table, id)
+		blk, err := e.store.ReadBlock(ts.table, id)
 		if err != nil {
 			return err
 		}
 		ts.blocksRead++
-		ts.rowsRead += b.NumRows()
-		for _, as := range aliases {
-			mask := make([]uint64, (len(b.Rows)+63)/64)
-			predicate.FillRows(as.filter, tbl, b.Rows, mask)
-			for k, r := range b.Rows {
+		ts.rowsRead += blk.NumRows()
+		for i, a := range ts.aliases {
+			as := aliases[a.idx]
+			mask := make([]uint64, (len(blk.Rows)+63)/64)
+			predicate.FillRows(ts.filters[i], ts.tbl, blk.Rows, mask)
+			for k, r := range blk.Rows {
 				if mask[k>>6]>>(uint(k)&63)&1 == 1 {
 					as.rows = append(as.rows, r)
 				}
@@ -102,4 +88,52 @@ func (e *Engine) readAndFilter(ts *tableState, aliases []*aliasState) error {
 	}
 	ts.read = true
 	return nil
+}
+
+// boxedKeys is the reference path's keySet: a materialized side's join
+// keys as boxed values, sorted for interval probes on first use.
+type boxedKeys struct {
+	set    map[value.Value]struct{}
+	sorted []value.Value
+}
+
+func (k *boxedKeys) inInterval(iv *predicate.Interval) bool {
+	if k.sorted == nil {
+		k.sorted = sortedKeys(k.set)
+	}
+	return anyKeyInInterval(k.sorted, iv)
+}
+
+// indexed returns the blocks that physically contain a row whose indexed
+// column matches one of the keys. Unlike zone-interval pruning, it works
+// without any clustering of the join column. This is the scalar form: it
+// checks every row of the table against the boxed key set. The probe
+// cannot run when the backend cannot map rows to blocks.
+func (k *boxedKeys) indexed(e *Engine, ts *tableState, col edgeSide) (map[int32]bool, bool) {
+	blockOf := e.blockOfFor(ts.table)
+	if blockOf == nil {
+		return nil, false
+	}
+	blocks := map[int32]bool{}
+	for r := 0; r < ts.tbl.NumRows(); r++ {
+		if _, hit := k.set[ts.tbl.Value(r, col.ord)]; hit {
+			blocks[blockOf[r]] = true
+		}
+	}
+	return blocks, true
+}
+
+// blockOfFor returns the table's row → block ID mapping, building and
+// caching it on first use. The mapping is an auxiliary-index read served
+// by the backend (from the segment's row-ID pages); nil means the backend
+// could not produce it, and secondary-index pruning degrades to not
+// pruning.
+func (e *Engine) blockOfFor(table string) []int32 {
+	return cached(&e.mu, e.blockOf, table, nil, func() []int32 {
+		m, err := e.store.RowToBlock(table)
+		if err != nil {
+			return nil
+		}
+		return m
+	})
 }

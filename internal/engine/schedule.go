@@ -32,12 +32,13 @@ const (
 	chargeOnce
 )
 
-// sides returns the step's target and source aliases and their columns.
-func (s reduceStep) sides(j workload.Join) (tgt, tgtCol, src, srcCol string) {
+// ends returns step s's target and source among its edge's left and
+// right ends: aliases, or bound sides (edgeSide).
+func ends[T any](s reduceStep, left, right T) (tgt, src T) {
 	if s.tgtLeft {
-		return j.Left, j.LeftColumn, j.Right, j.RightColumn
+		return left, right
 	}
-	return j.Right, j.RightColumn, j.Left, j.LeftColumn
+	return right, left
 }
 
 // edgeSteps returns the directed steps of join edge k, whose type is typ:
@@ -128,7 +129,7 @@ func sweepSchedule(q *workload.Query, counts map[string]int) (steps []reduceStep
 	for k, j := range q.Joins {
 		if j.Type != workload.InnerJoin && j.Type != workload.SemiJoin {
 			st := edgeSteps(k, j.Type)
-			tgt, _, src, _ := st[0].sides(j)
+			tgt, src := ends(st[0], j.Left, j.Right)
 			leaf := tgt // the non-preserved side
 			if st[0].anti {
 				leaf = src
@@ -202,36 +203,36 @@ func repeatedPass(q *workload.Query) []reduceStep {
 	return steps
 }
 
-// reduce runs q's reduction schedule, the one pass loop behind Execute and
-// ExecuteReference: count reads an alias's surviving rows, and run reduces
-// step i of the schedule (repeated or not) by its source, reporting whether
-// the target shrank. A step whose edge names a column its alias's table
-// lacks is skipped and charged nothing: there are no keys to reduce with,
-// and reducing by a nil key set would wrongly drop every row (see
-// runtimeBlockPrune). Returns the join probes charged (for the cost model).
-func (e *Engine) reduce(q *workload.Query, count func(alias string) int, run func(i int, st reduceStep, repeat bool) bool) int {
-	counts := make(map[string]int, len(q.Tables))
-	for _, r := range q.Tables {
-		counts[r.Name()] = count(r.Name())
+// reduce runs the bound query's reduction schedule, the one pass loop
+// behind Execute and ExecuteReference: count reads an alias's surviving
+// rows, and run reduces step i of the schedule (repeated or not) by its
+// source, reporting whether the target shrank. A step whose edge names a
+// column its alias's table lacks is skipped and charged nothing: there are
+// no keys to reduce with (see boundEdge). Returns the join probes charged
+// (for the cost model).
+func (e *Engine) reduce(b *boundQuery, count func(a *boundAlias) int, run func(i int, st reduceStep, repeat bool) bool) int {
+	counts := make(map[string]int, len(b.aliases))
+	for _, a := range b.aliases {
+		counts[a.name] = count(a)
 	}
-	steps, repeat := sweepSchedule(q, counts)
+	steps, repeat := sweepSchedule(b.q, counts)
 	probes := 0
 	for pass := 0; pass < maxReductionPasses; pass++ {
 		changed := false
 		for i, st := range steps {
-			j := q.Joins[st.join]
-			if !e.joinColumnsExist(q, j) {
+			ed := &b.edges[st.join]
+			if !ed.ok {
 				continue
 			}
-			tgt, _, src, _ := st.sides(j)
+			tgt, src := ends(st, ed.left, ed.right)
 			switch st.charge {
 			case chargeTarget:
-				probes += count(tgt)
+				probes += count(tgt.alias)
 			case chargeEdge:
-				probes += count(tgt) + count(src)
+				probes += count(tgt.alias) + count(src.alias)
 			case chargeOnce:
 				if pass == 0 {
-					probes += count(tgt) + count(src)
+					probes += count(tgt.alias) + count(src.alias)
 				}
 				continue
 			}

@@ -208,8 +208,8 @@ type semiPlan struct {
 	td, sd *relation.ColumnDict
 }
 
-// prepare chooses s's strategy. Both join columns must exist
-// (joinColumnsExist). A step that cannot remove a row (covers) visits
+// prepare chooses s's strategy. Both join columns must exist (the bound
+// edge is ok). A step that cannot remove a row (covers) visits
 // none; its caller still charges its probes. A self edge's source is its
 // target, which source postings would walk while rewriting it, so it
 // probes: the probe reads its whole source into slots first.

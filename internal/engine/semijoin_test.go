@@ -92,7 +92,7 @@ func runStrategies(t *testing.T, c semiCase, anti bool) (map[strategy]bitmap.Den
 		t.Errorf("%s: shift %v, %d translation arrays cached", c.name, shifted, len(e.xlate))
 	}
 	// The scalar path's answer.
-	as := &aliasState{table: "T"}
+	as := &aliasState{}
 	for _, r := range c.tgtR {
 		as.rows = append(as.rows, int32(r))
 	}
@@ -100,7 +100,7 @@ func runStrategies(t *testing.T, c semiCase, anti bool) (map[strategy]bitmap.Den
 	for _, r := range c.srcR {
 		srcRows = append(srcRows, int32(r))
 	}
-	reduceTo(as, tt, "k", keysOf(st, srcRows, "k"), anti)
+	reduceTo(as, tt, tt.Schema().MustColumnIndex("k"), keysOf(st, srcRows, st.Schema().MustColumnIndex("k")), anti)
 	want := bitmap.NewDense(len(c.tgt))
 	for _, r := range as.rows {
 		want.Set(int(r))
@@ -111,7 +111,7 @@ func runStrategies(t *testing.T, c semiCase, anti bool) (map[strategy]bitmap.Den
 // testAlias is an alias of table name laid out by order whose survivors
 // are rows.
 func testAlias(name string, order *block.RowOrder, rows []int) *vecAlias {
-	a := &vecAlias{alias: name, table: name, order: order, set: bitmap.NewDense(order.Words() << 6),
+	a := &vecAlias{table: name, order: order, set: bitmap.NewDense(order.Words() << 6),
 		keys: map[string]*cachedKeys{}}
 	pos := positionsOf(order)
 	for _, r := range rows {
@@ -442,7 +442,7 @@ func TestSweepScheduleClassification(t *testing.T) {
 		}
 		var got []string
 		for _, st := range steps {
-			tgt, _, src, _ := st.sides(c.q.Joins[st.join])
+			tgt, src := ends(st, c.q.Joins[st.join].Left, c.q.Joins[st.join].Right)
 			got = append(got, tgt+"<"+src)
 			if typ := c.q.Joins[st.join].Type; st.anti != (typ == workload.LeftAntiSemiJoin || typ == workload.RightAntiSemiJoin) {
 				t.Errorf("%s: step %s on a %s edge has anti=%v", c.name, got[len(got)-1], typ, st.anti)
@@ -506,7 +506,7 @@ func TestSweepScheduleOrder(t *testing.T) {
 	}
 	var got []string
 	for _, st := range steps {
-		tgt, _, src, _ := st.sides(q.Joins[st.join])
+		tgt, src := ends(st, q.Joins[st.join].Left, q.Joins[st.join].Right)
 		got = append(got, tgt+"<"+src)
 	}
 	want := []string{

@@ -14,14 +14,16 @@ import (
 	"sort"
 
 	"mto/internal/block"
+	"mto/internal/predicate"
 	"mto/internal/relation"
 	"mto/internal/workload"
 )
 
 // Router maps a query to the row-group indexes that must be read for one
-// table. A nil Router means every group is always needed (sort-based
-// layouts rely purely on zone maps for skipping).
-type Router func(q *workload.Query) []int
+// table, given each alias's filter prepared for region tests (zones, by
+// alias; see qdtree.Tree.Route). A nil Router means every group is always
+// needed (sort-based layouts rely purely on zone maps for skipping).
+type Router func(q *workload.Query, zones map[string]*predicate.Zone) []int
 
 // TableDesign is one table's physical design.
 type TableDesign struct {
@@ -202,10 +204,11 @@ func (d *Design) SetTableBlocks(t *relation.Table, groups [][]int32, route Route
 	d.tables[t.Schema().Table()] = td
 }
 
-// BlocksFor returns the block IDs of the named table that q must read, or
-// (nil, false) when the query does not touch the table at all. The caller
-// owns the returned slice. Install must have been called.
-func (d *Design) BlocksFor(q *workload.Query, table string) ([]int, bool) {
+// BlocksFor returns the block IDs of the named table that q, whose aliases'
+// zones the router reads, must read, or (nil, false) when the query does
+// not touch the table at all. The caller owns the returned slice. Install
+// must have been called.
+func (d *Design) BlocksFor(q *workload.Query, table string, zones map[string]*predicate.Zone) ([]int, bool) {
 	td := d.tables[table]
 	if td == nil || !q.TouchesTable(table) {
 		return nil, false
@@ -217,7 +220,7 @@ func (d *Design) BlocksFor(q *workload.Query, table string) ([]int, bool) {
 		return slices.Clone(td.allBlocks), true
 	}
 	out := blockUnion{ids: make([]int, 0, len(td.allBlocks))}
-	for _, gi := range td.route(q) {
+	for _, gi := range td.route(q, zones) {
 		if gi >= 0 && gi < len(td.groupBlocks) {
 			out.add(td.groupBlocks[gi])
 		}

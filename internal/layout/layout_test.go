@@ -68,15 +68,15 @@ func TestSortKeyDesign(t *testing.T) {
 	}
 	// Routing: queries touching T read all blocks; others read none.
 	q := workload.NewQuery("q", workload.TableRef{Table: "T"})
-	ids, ok := d.BlocksFor(q, "T")
+	ids, ok := d.BlocksFor(q, "T", nil)
 	if !ok || len(ids) != len(tl) {
 		t.Errorf("BlocksFor = %d blocks, ok=%v", len(ids), ok)
 	}
 	foreign := workload.NewQuery("f", workload.TableRef{Table: "Z"})
-	if _, ok := d.BlocksFor(foreign, "T"); ok {
+	if _, ok := d.BlocksFor(foreign, "T", nil); ok {
 		t.Error("foreign query should not touch T")
 	}
-	if _, ok := d.BlocksFor(q, "missing"); ok {
+	if _, ok := d.BlocksFor(q, "missing", nil); ok {
 		t.Error("missing table should not resolve")
 	}
 }
@@ -189,7 +189,7 @@ func TestDesignRoutedGroups(t *testing.T) {
 		g1 = append(g1, int32(i))
 	}
 	d := NewDesign("custom", 100)
-	d.SetTable(tab, [][]int32{g0, g1}, func(q *workload.Query) []int {
+	d.SetTable(tab, [][]int32{g0, g1}, func(q *workload.Query, _ map[string]*predicate.Zone) []int {
 		if len(q.Filters) > 0 {
 			return []int{0}
 		}
@@ -207,22 +207,22 @@ func TestDesignRoutedGroups(t *testing.T) {
 	}
 	filtered := workload.NewQuery("f", workload.TableRef{Table: "T"})
 	filtered.Filter("T", predicate.NewComparison("x", predicate.Lt, value.Int(1)))
-	ids, ok := d.BlocksFor(filtered, "T")
+	ids, ok := d.BlocksFor(filtered, "T", nil)
 	if !ok || len(ids) != 5 {
 		t.Errorf("routed BlocksFor = %v", ids)
 	}
 	unfiltered := workload.NewQuery("u", workload.TableRef{Table: "T"})
-	ids, _ = d.BlocksFor(unfiltered, "T")
+	ids, _ = d.BlocksFor(unfiltered, "T", nil)
 	if len(ids) != 10 {
 		t.Errorf("unrouted BlocksFor = %v", ids)
 	}
 	// Out-of-range group indexes from a router are ignored.
 	d2 := NewDesign("bad", 100)
-	d2.SetTable(tab, [][]int32{append(g0, g1...)}, func(q *workload.Query) []int { return []int{7} })
+	d2.SetTable(tab, [][]int32{append(g0, g1...)}, func(q *workload.Query, _ map[string]*predicate.Zone) []int { return []int{7} })
 	if _, err := d2.Install(store, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := d2.BlocksFor(unfiltered, "T"); len(ids) != 0 {
+	if ids, _ := d2.BlocksFor(unfiltered, "T", nil); len(ids) != 0 {
 		t.Errorf("out-of-range group gave blocks: %v", ids)
 	}
 }
@@ -251,7 +251,7 @@ func TestInstallJitter(t *testing.T) {
 	}
 	// BlocksFor before Install panics.
 	fresh := NewDesign("x", 10)
-	fresh.SetTable(ds.Table("T"), [][]int32{d.Table("T").Groups()[0]}, SingleGroupRouter())
+	fresh.SetTable(ds.Table("T"), [][]int32{d.Table("T").Groups()[0]}, func(*workload.Query, map[string]*predicate.Zone) []int { return []int{0} })
 	q := workload.NewQuery("q", workload.TableRef{Table: "T"})
 	func() {
 		defer func() {
@@ -259,7 +259,7 @@ func TestInstallJitter(t *testing.T) {
 				t.Error("BlocksFor before Install should panic")
 			}
 		}()
-		fresh.BlocksFor(q, "T")
+		fresh.BlocksFor(q, "T", nil)
 	}()
 	if len(fresh.Tables()) != 1 {
 		t.Error("Tables() wrong")
@@ -281,8 +281,8 @@ func TestDesignClone(t *testing.T) {
 		t.Error("metadata not cloned")
 	}
 	q := workload.NewQuery("q", workload.TableRef{Table: "T"})
-	a, _ := d.BlocksFor(q, "T")
-	b, _ := c.BlocksFor(q, "T")
+	a, _ := d.BlocksFor(q, "T", nil)
+	b, _ := c.BlocksFor(q, "T", nil)
 	if len(a) != len(b) {
 		t.Fatalf("clone routes differently: %d vs %d", len(a), len(b))
 	}
@@ -297,7 +297,7 @@ func TestDesignClone(t *testing.T) {
 	if got := len(d.Table("T").Groups()); got != 1 {
 		t.Errorf("original groups mutated: %d", got)
 	}
-	if got, _ := d.BlocksFor(q, "T"); len(got) != len(a) {
+	if got, _ := d.BlocksFor(q, "T", nil); len(got) != len(a) {
 		t.Error("original routing changed after clone mutation")
 	}
 }

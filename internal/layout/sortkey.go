@@ -8,7 +8,6 @@ import (
 
 	"mto/internal/relation"
 	"mto/internal/value"
-	"mto/internal/workload"
 )
 
 // SortKeys configures the user-tuned Baseline of §6.1.3: one sort column
@@ -101,11 +100,4 @@ func boolInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// SingleGroupRouter returns a Router that reads the whole table only when
-// the query touches it; sort-based designs use nil instead, but tests use
-// this to exercise explicit routing.
-func SingleGroupRouter() Router {
-	return func(q *workload.Query) []int { return []int{0} }
 }

@@ -208,3 +208,31 @@ func decide(op Op, allLt, allLe, allGt, allGe, same bool) Tri {
 	}
 	return TriMaybe
 }
+
+// Zone is a filter prepared once for region tests over tables of one
+// schema: Eval is its zone evaluator (CompileRanges), and Ranges its range
+// extraction (RangesOf), derived on first use. A query binds one Zone per
+// alias, and qd-tree routing, an induced cut's source test and zone-map
+// pruning all read it. Until Ranges has been called once, a Zone belongs
+// to one goroutine.
+type Zone struct {
+	Eval      ZoneEval
+	p         Predicate
+	s         *relation.Schema
+	ranges    Ranges
+	extracted bool
+}
+
+// NewZone compiles p's zone evaluator over schema s.
+func NewZone(p Predicate, s *relation.Schema) *Zone {
+	return &Zone{Eval: CompileRanges(p, s), p: p, s: s}
+}
+
+// Ranges returns the filter's range extraction, deriving it on the first
+// call.
+func (z *Zone) Ranges() Ranges {
+	if !z.extracted {
+		z.ranges, z.extracted = RangesOf(z.p, z.s), true
+	}
+	return z.ranges
+}

@@ -17,7 +17,6 @@ import (
 type BuildQuery struct {
 	Query  *workload.Query
 	Alias  string
-	Filter predicate.Predicate
 	Weight float64
 }
 
@@ -29,7 +28,6 @@ func BuildQueries(w *workload.Workload, table string) []BuildQuery {
 			out = append(out, BuildQuery{
 				Query:  q,
 				Alias:  alias,
-				Filter: q.FilterOn(alias),
 				Weight: q.EffectiveWeight(),
 			})
 		}
@@ -130,8 +128,9 @@ type builder struct {
 
 	// Routing inputs, prepared once per build; node query lists index queries.
 	queries []BuildQuery
-	filters []predicate.ZoneEval // per query, compiled
-	induced []*inducedDecisions  // per cut; nil for simple cuts
+	filters []predicate.ZoneEval         // per query, compiled
+	zones   []map[string]*predicate.Zone // per query: its aliases on induced cuts' sources
+	induced []*inducedDecisions          // per cut; nil for simple cuts
 	paths   pathTable
 
 	// spare holds the worker tokens beyond the calling goroutine. Scoring
@@ -154,13 +153,21 @@ func newBuilder(schema *relation.Schema, queries []BuildQuery, cuts []Cut, cfg C
 		p = runtime.GOMAXPROCS(0)
 	}
 	b := &builder{schema: schema, cuts: cuts, cfg: cfg, queries: queries, induced: make([]*inducedDecisions, len(cuts))}
-	for _, bq := range queries {
-		b.filters = append(b.filters, predicate.CompileRanges(bq.Filter, schema))
-	}
+	schemas := map[string]*relation.Schema{}
 	for i, c := range cuts {
 		if ind := c.induced(); ind != nil {
 			b.induced[i] = &inducedDecisions{route: newInducedRoute(ind, &b.paths)}
+			schemas[ind.Path.Source()] = ind.SourceSchema()
 		}
+	}
+	schemas[schema.Table()] = schema
+	for _, bq := range queries {
+		zones := zonesFor(bq.Query, schemas)
+		for _, z := range zones {
+			z.Ranges() // derived before scoring workers share it
+		}
+		b.zones = append(b.zones, zones)
+		b.filters = append(b.filters, zones[bq.Alias].Eval)
 	}
 	if p > 1 {
 		b.spare = make(chan struct{}, p-1)
@@ -366,7 +373,7 @@ func (b *builder) bestCut(rows *rowSet, queries []int32, region predicate.Ranges
 			d.once.Do(func() {
 				d.routes = make([]routeBits, len(b.queries))
 				for qi, bq := range b.queries {
-					d.routes[qi] = (&queryRoutes{q: bq.Query}).decide(&d.route, b.paths)
+					d.routes[qi] = (&queryRoutes{q: bq.Query, zones: b.zones[qi]}).decide(&d.route, b.paths)
 				}
 			})
 			route = func(qi int32) routeBits { return d.routes[qi] }

@@ -124,18 +124,22 @@ func (t *Tree) AssignRecordsParallel(tbl *relation.Table, parallelism int) [][]i
 	return groups
 }
 
-// RouteQuery returns the leaf indexes the query must access on this table
-// (§2.1.2, §3.2.2). Queries can be routed to multiple leaves; a query that
-// references the table through several aliases accesses the union. Queries
-// that do not touch the table access no leaves. Safe for concurrent use.
-func (t *Tree) RouteQuery(q *workload.Query) []int {
+// Route returns the leaf indexes the query must access on this table
+// (§2.1.2, §3.2.2). Each alias of the table walks the tree by its filter's
+// zone, zones[alias], and a query routed to several leaves accesses their
+// union; a query that does not touch the table accesses none. An induced
+// cut whose path the query's join graph contains reads the zones of the
+// path's source aliases, so zones must hold every alias of q on this
+// table and on each induced cut's source table. Safe for concurrent use
+// with distinct zones.
+func (t *Tree) Route(q *workload.Query, zones map[string]*predicate.Zone) []int {
 	aliases := q.AliasesOf(t.Table)
 	if len(aliases) == 0 {
 		return nil
 	}
 	needed := make([]bool, len(t.Leaves()))
 	rt := t.prepared()
-	qr := &queryRoutes{q: q}
+	qr := &queryRoutes{q: q, zones: zones}
 	induced := make([]routeBits, len(rt.induced)) // memoized per query
 	var filter predicate.ZoneEval
 	var visit func(i int)
@@ -160,7 +164,7 @@ func (t *Tree) RouteQuery(q *workload.Query) []int {
 		}
 	}
 	for _, alias := range aliases {
-		filter = predicate.CompileRanges(q.FilterOn(alias), t.Schema)
+		filter = zones[alias].Eval
 		visit(len(rt.nodes) - 1) // the root
 	}
 	var out []int
@@ -172,6 +176,28 @@ func (t *Tree) RouteQuery(q *workload.Query) []int {
 	return out
 }
 
+// RouteQuery is Route for callers that route without an engine (offline
+// planning, Fig. 13): it prepares the zones of q's aliases on this table
+// and on the induced cuts' source tables itself.
+func (t *Tree) RouteQuery(q *workload.Query) []int {
+	if !q.TouchesTable(t.Table) {
+		return nil
+	}
+	return t.Route(q, zonesFor(q, t.prepared().schemas))
+}
+
+// zonesFor prepares the zone of each alias of q whose table schemas holds,
+// over that table's schema.
+func zonesFor(q *workload.Query, schemas map[string]*relation.Schema) map[string]*predicate.Zone {
+	zones := map[string]*predicate.Zone{}
+	for _, a := range q.Aliases() {
+		if s, ok := schemas[q.BaseTable(a)]; ok {
+			zones[a] = predicate.NewZone(q.FilterOn(a), s)
+		}
+	}
+	return zones
+}
+
 // router is a tree prepared for query routing after a Reindex: the nodes
 // in post-order (simple cuts with their child regions), and each distinct
 // induced cut prepared once.
@@ -179,6 +205,7 @@ type router struct {
 	nodes   []routeNode
 	induced []inducedRoute
 	paths   pathTable
+	schemas map[string]*relation.Schema // by table: the tree's, and each induced source's
 }
 
 type routeNode struct {
@@ -194,7 +221,7 @@ func (t *Tree) prepared() *router {
 	if rt := t.router.Load(); rt != nil {
 		return rt
 	}
-	rt := &router{}
+	rt := &router{schemas: map[string]*relation.Schema{}}
 	induced := map[*induce.Predicate]int{}
 	var add func(n *Node) int // appends n's subtree in post-order
 	add = func(n *Node) int {
@@ -208,12 +235,14 @@ func (t *Tree) prepared() *router {
 			} else {
 				rn.induced, induced[ind] = len(rt.induced), len(rt.induced)
 				rt.induced = append(rt.induced, newInducedRoute(ind, &rt.paths))
+				rt.schemas[ind.Path.Source()] = ind.SourceSchema()
 			}
 		}
 		rt.nodes = append(rt.nodes, rn)
 		return len(rt.nodes) - 1
 	}
 	add(t.Root)
+	rt.schemas[t.Table] = t.Schema
 	t.router.Store(rt)
 	return rt
 }
@@ -248,21 +277,11 @@ func (s *simpleRoute) route(filter predicate.ZoneEval) (lr routeBits) {
 	return lr
 }
 
-// zone is a predicate's range extraction and compiled zone evaluator.
-type zone struct {
-	ranges predicate.Ranges
-	eval   predicate.ZoneEval
-}
-
-func zoneOf(p predicate.Predicate, s *relation.Schema) zone {
-	return zone{ranges: predicate.RangesOf(p, s), eval: predicate.CompileRanges(p, s)}
-}
-
 // intersects reports whether a and b, over one table, can hold together:
 // false only when range extraction proves them disjoint, either way round.
-func (a zone) intersects(b zone) bool {
-	return !a.ranges.Disjoint(b.ranges) &&
-		a.eval(b.ranges) != predicate.TriFalse && b.eval(a.ranges) != predicate.TriFalse
+func intersects(a, b *predicate.Zone) bool {
+	ra, rb := a.Ranges(), b.Ranges()
+	return !ra.Disjoint(rb) && a.Eval(rb) != predicate.TriFalse && b.Eval(ra) != predicate.TriFalse
 }
 
 // inducedRoute is an induced cut prepared for routing over its source's
@@ -270,13 +289,15 @@ func (a zone) intersects(b zone) bool {
 // through it once.
 type inducedRoute struct {
 	path     int
-	source   *relation.Schema
-	cut, neg zone
+	cut, neg *predicate.Zone
 }
 
 func newInducedRoute(ind *induce.Predicate, paths *pathTable) inducedRoute {
 	s := ind.SourceSchema()
-	return inducedRoute{paths.intern(ind.Path), s, zoneOf(ind.SourceCut, s), zoneOf(ind.SourceCut.Negate(), s)}
+	ir := inducedRoute{paths.intern(ind.Path), predicate.NewZone(ind.SourceCut, s), predicate.NewZone(ind.SourceCut.Negate(), s)}
+	ir.cut.Ranges() // derived before the router is shared
+	ir.neg.Ranges()
+	return ir
 }
 
 // pathTable interns induction paths.
@@ -292,12 +313,12 @@ func (pt *pathTable) intern(p joingraph.Path) int {
 	return len(*pt) - 1
 }
 
-// queryRoutes is one query's induced-cut state, filled lazily: each path
-// matched once, each source alias's filter prepared once.
+// queryRoutes is one query's induced-cut state: each path matched once,
+// lazily, to the zones of its source aliases.
 type queryRoutes struct {
 	q       *workload.Query
-	sources [][]zone // per path: nil until matched, empty when not contained
-	filters map[string]zone
+	zones   map[string]*predicate.Zone
+	sources [][]*predicate.Zone // per path: nil until matched, empty when not contained
 }
 
 // decide routes the query through an induced cut (§4.1.2): both children
@@ -305,19 +326,14 @@ type queryRoutes struct {
 // source alias's filter intersects the source cut, right iff its negation.
 func (qr *queryRoutes) decide(ir *inducedRoute, paths pathTable) (lr routeBits) {
 	if qr.sources == nil {
-		qr.sources, qr.filters = make([][]zone, len(paths)), map[string]zone{}
+		qr.sources = make([][]*predicate.Zone, len(paths))
 	}
 	src := qr.sources[ir.path]
 	if src == nil {
 		aliases, _ := joingraph.MatchPath(qr.q, paths[ir.path])
-		src = make([]zone, 0, len(aliases))
+		src = make([]*predicate.Zone, 0, len(aliases))
 		for _, a := range aliases {
-			f, ok := qr.filters[a]
-			if !ok {
-				f = zoneOf(qr.q.FilterOn(a), ir.source)
-				qr.filters[a] = f
-			}
-			src = append(src, f)
+			src = append(src, qr.zones[a])
 		}
 		qr.sources[ir.path] = src
 	}
@@ -325,10 +341,10 @@ func (qr *queryRoutes) decide(ir *inducedRoute, paths pathTable) (lr routeBits) 
 		return routeLeft | routeRight
 	}
 	for _, f := range src {
-		if f.intersects(ir.cut) {
+		if intersects(f, ir.cut) {
 			lr |= routeLeft
 		}
-		if f.intersects(ir.neg) {
+		if intersects(f, ir.neg) {
 			lr |= routeRight
 		}
 		if lr == routeLeft|routeRight {

@@ -100,7 +100,7 @@ func (b *seedBuilder) split(rows []int32, queries []BuildQuery, region predicate
 		score := 0.0
 		for qi := range queries {
 			bq := &queries[qi]
-			rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter, Schema: b.schema}
+			rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Query.FilterOn(bq.Alias), Schema: b.schema}
 			l, r := oracleRoute(cut, &rc, region)
 			if !l {
 				score += bq.Weight * estL
@@ -135,7 +135,7 @@ func (b *seedBuilder) split(rows []int32, queries []BuildQuery, region predicate
 	var leftQs, rightQs []BuildQuery
 	for qi := range queries {
 		bq := queries[qi]
-		rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Filter, Schema: b.schema}
+		rc := RouteContext{Query: bq.Query, Alias: bq.Alias, Filter: bq.Query.FilterOn(bq.Alias), Schema: b.schema}
 		l, r := oracleRoute(cut, &rc, region)
 		if l {
 			leftQs = append(leftQs, bq)

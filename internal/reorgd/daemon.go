@@ -31,7 +31,8 @@ type Config struct {
 	// plans are trimmed (whole subtree choices dropped, best
 	// reward-per-write first) to fit. 0 means unlimited.
 	Budget int
-	// Interval is Run's cycle period (default 1s; Step ignores it).
+	// Interval is Run's cycle period (default 1s, which a non-positive
+	// value also selects; Step ignores it).
 	Interval time.Duration
 	// Window is the rolling query-log capacity (default 256).
 	Window int
@@ -57,7 +58,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Interval == 0 {
+	if c.Interval <= 0 { // time.NewTicker panics on a non-positive period
 		c.Interval = time.Second
 	}
 	if c.Window == 0 {

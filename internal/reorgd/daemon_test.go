@@ -226,6 +226,24 @@ func TestDaemonRun(t *testing.T) {
 	}
 }
 
+// TestDaemonRunNonPositiveInterval: a zero or negative Interval selects
+// the default period, so Run waits on a ticker instead of panicking in
+// time.NewTicker, and returns nil once its context is done.
+func TestDaemonRunNonPositiveInterval(t *testing.T) {
+	in, _ := daemonScenario(t, 4, nil)
+	for _, iv := range []time.Duration{0, -time.Second} {
+		d := New(in, Config{Interval: iv})
+		if d.cfg.Interval != time.Second {
+			t.Errorf("Interval %v: period %v, want the 1s default", iv, d.cfg.Interval)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := d.Run(ctx); err != nil {
+			t.Errorf("Interval %v: Run = %v, want nil", iv, err)
+		}
+	}
+}
+
 // TestDaemonRunReturnsStepError: Run stops at the first cycle that fails
 // and returns its error — here a cycle over an instance (and its store)
 // closed after the queries were observed.
