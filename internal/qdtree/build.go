@@ -128,8 +128,8 @@ type builder struct {
 
 	// Routing inputs, prepared once per build; node query lists index queries.
 	queries []BuildQuery
-	filters []predicate.ZoneEval         // per query, compiled
-	zones   []map[string]*predicate.Zone // per query: its aliases on induced cuts' sources
+	filters []predicate.ZoneEval         // per query: its alias's zone evaluator
+	zones   []map[string]*predicate.Zone // per query: its aliases on this table and induced cuts' sources
 	induced []*inducedDecisions          // per cut; nil for simple cuts
 	paths   pathTable
 
