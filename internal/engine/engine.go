@@ -214,7 +214,8 @@ type tableState struct {
 	blocksRead int
 
 	afterRouting, afterZoneMap, afterDiPs int
-	order                                 *block.RowOrder // the kernel path's scan geometry
+	scan                                  block.Scan      // the kernel path's compiled scan
+	order                                 *block.RowOrder // its geometry
 }
 
 // Execute runs q and returns its metrics via the vectorized kernels.

@@ -329,12 +329,11 @@ func (e *Engine) newRowFold(fs *foldSpec) *rowFold {
 	tbl := fs.tbl
 	f := &rowFold{gb: fs.group, specs: fs.specs, g: e.newSlotter(fs), accs: make([]slotAcc, len(fs.specs))}
 	for k, spec := range fs.specs {
-		ci, kind := fs.cols[k].ord, fs.cols[k].kind
 		a := &f.accs[k]
-		a.spec, a.kind = spec, kind
-		if ci >= 0 {
+		a.spec, a.kind = spec, fs.cols[k].kind
+		if ci := fs.cols[k].ord; ci >= 0 {
 			a.nulls = tbl.Nulls(ci)
-			switch kind {
+			switch a.kind {
 			case value.KindInt:
 				a.ints = tbl.Ints(ci)
 			case value.KindFloat:

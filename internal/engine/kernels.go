@@ -140,17 +140,14 @@ func (e *Engine) executeKernel(b *boundQuery) (*Result, error) {
 
 	// Compile each table's scan (literals are translated into the stored
 	// representation once per query) and pin the layout it reads.
-	scans := make(map[*tableState]block.Scan, len(b.tables))
 	for _, ts := range b.tables {
-		scan := e.store.CompileScan(ts.table, ts.filters)
-		if scan == nil {
+		if ts.scan = e.store.CompileScan(ts.table, ts.filters); ts.scan == nil {
 			return nil, errNoLayout(ts.table)
 		}
 		var err error
-		if ts.order, err = scan.RowOrder(); err != nil {
+		if ts.order, err = ts.scan.RowOrder(); err != nil {
 			return nil, err
 		}
-		scans[ts] = scan
 	}
 
 	reducers := 0
@@ -160,7 +157,7 @@ func (e *Engine) executeKernel(b *boundQuery) (*Result, error) {
 				return e.keysFor(vec[src.alias.idx], src.col)
 			})
 		}
-		if err := e.scanKernel(ts, vec, scans[ts]); err != nil {
+		if err := e.scanKernel(ts, vec); err != nil {
 			return nil, err
 		}
 	}
@@ -188,7 +185,7 @@ func (e *Engine) executeKernel(b *boundQuery) (*Result, error) {
 // positions: ScanBlock meters each read, reports the block's row count,
 // and evaluates every alias's filter straight into the alias's words of
 // the block.
-func (e *Engine) scanKernel(ts *tableState, vec []*vecAlias, scan block.Scan) error {
+func (e *Engine) scanKernel(ts *tableState, vec []*vecAlias) error {
 	aliases := make([]*vecAlias, len(ts.aliases))
 	for i, ba := range ts.aliases {
 		a := vec[ba.idx]
@@ -202,7 +199,7 @@ func (e *Engine) scanKernel(ts *tableState, vec []*vecAlias, scan block.Scan) er
 		for i, a := range aliases {
 			masks[i] = ts.order.Block(a.set, id)
 		}
-		n, err := scan.ScanBlock(id, masks)
+		n, err := ts.scan.ScanBlock(id, masks)
 		if err != nil {
 			return err
 		}
