@@ -40,13 +40,14 @@ type tableWork struct {
 const workFile = "testdata/work.json"
 
 // TestGoldenWork executes every SSB, TPC-H and TPC-DS query of the
-// identity scale on an MTO layout (qd-tree routing with induced cuts),
+// identity scale on an MTO layout (qd-tree routing with induced cuts)
 // with DefaultOptions, with CloudDWOptions and with CloudDWOptions plus
-// diPs, in a fixed order on one store, and compares each query's work counters with
-// testdata/work.json. Counters are exact where wall clock is noise: a
-// change that moves staging, pruning, reduction charges or fold routes
-// shows here even when it moves Execute and ExecuteReference alike.
-// -update rewrites the file.
+// diPs, each option set in a fixed order on a freshly deployed store (so
+// a query's bytes read are the pages it is the first to load), and
+// compares each query's work counters with testdata/work.json. Counters
+// are exact where wall clock is noise: a change that moves staging,
+// pruning, reduction charges or fold routes shows here even when it moves
+// Execute and ExecuteReference alike. -update rewrites the file.
 func TestGoldenWork(t *testing.T) {
 	var rows []workRow
 	withDiPs := engine.CloudDWOptions()
@@ -55,14 +56,14 @@ func TestGoldenWork(t *testing.T) {
 	for _, bench := range []*experiments.Bench{
 		experiments.SSBBench(s), experiments.TPCHBench(s), experiments.TPCDSBench(s),
 	} {
-		d, err := experiments.DeployMethod(bench, experiments.MethodMTO, false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, o := range []struct {
 			name string
 			opts engine.Options
 		}{{"default", engine.DefaultOptions()}, {"cloudDW", engine.CloudDWOptions()}, {"cloudDW+diPs", withDiPs}} {
+			d, err := experiments.DeployMethod(bench, experiments.MethodMTO, false)
+			if err != nil {
+				t.Fatal(err)
+			}
 			e := engine.New(d.Store, d.Design, bench.Dataset, o.opts)
 			for _, q := range bench.Workload.Queries {
 				stats, store := e.StatsSnapshot(), d.Store.Stats()
@@ -83,9 +84,9 @@ func TestGoldenWork(t *testing.T) {
 				}
 				rows = append(rows, row)
 			}
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	got := encodeWork(t, rows)
