@@ -7,14 +7,14 @@ import (
 	"mto/internal/workload"
 )
 
-// ExecuteReference runs q through the retained scalar execution path:
-// filters run over the base table (predicate.FillRows on each block's
-// rows) instead of encoded pages, and join-key sets are boxed value maps
-// rebuilt every reduction pass. It binds the query and prunes blocks
-// through the stages Execute runs (bind, prune, blockPrune's walk), so it
-// is the correctness oracle for the vectorized kernels behind Execute —
-// the identity tests assert the two return byte-identical Results over
-// whole workloads — and the baseline for the replay benchmark's speedup
+// ExecuteReference runs q through the retained scalar execution path. It
+// shares bind, the prune stage and blockPrune's walk with Execute; what
+// it does its own way is what it checks: filters run over the base table
+// (predicate.FillRows on each block's rows) instead of encoded pages, and
+// join-key sets are boxed value maps rebuilt every reduction pass. It is
+// the correctness oracle for the vectorized kernels behind Execute — the
+// identity tests assert the two return byte-identical Results over whole
+// workloads — and the baseline for the replay benchmark's speedup
 // measurement.
 func (e *Engine) ExecuteReference(q *workload.Query) (*Result, error) {
 	return e.execute(q, e.executeReference)
