@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mto/internal/block"
@@ -20,104 +19,113 @@ type ChangeStats struct {
 	CutUpdateSeconds float64
 	// RowsRouted counts the inserted records assigned to blocks.
 	RowsRouted int
-	// BlocksWritten counts the blocks rewritten by the delta merge.
-	BlocksWritten int
-	// SimSeconds is the simulated cost of the block rewrites.
+	// BlocksWritten and RowsWritten are what the store wrote: each
+	// touched leaf's tail block, re-chopped with its stray rows and the
+	// leaf's new rows.
+	BlocksWritten, RowsWritten int
+	// SimSeconds is the store's simulated cost of those writes.
 	SimSeconds float64
 }
 
 // affectedCuts returns the distinct induced predicates across all trees
-// whose induction path contains the changed table. Trees are visited in
-// sorted table-name order so the update order (and hence which error
-// surfaces first, and the CutsUpdated interleaving) is deterministic.
+// whose induction path contains the changed table, in inducedCuts' order.
 func (o *Optimizer) affectedCuts(table string) []*induce.Predicate {
-	names := make([]string, 0, len(o.trees))
-	for name := range o.trees {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	seen := map[*induce.Predicate]bool{}
 	var out []*induce.Predicate
-	for _, name := range names {
-		for _, ic := range o.trees[name].InducedCuts() {
-			if !seen[ic.Ind] && ic.Ind.AffectedBy(table) {
-				seen[ic.Ind] = true
-				out = append(out, ic.Ind)
-			}
+	for _, ip := range o.inducedCuts() {
+		if ip.AffectedBy(table) {
+			out = append(out, ip)
 		}
 	}
 	return out
 }
 
-// ApplyInsert absorbs rows newly appended to the named table. Join-induced
-// cuts in other tables' trees that have the table on their induction path
-// are updated incrementally, by evaluating them only on the inserted
-// records (§5.2); the inserted records are then routed through the table's
-// own qd-tree and merged into the layout. Under referential integrity and
-// the unique-source restriction, no pre-existing record changes blocks —
-// ApplyInsert relies on that invariant and only rewrites blocks that
-// received new records.
-//
-// newRows are indexes into the (already-extended) base table; design must
-// be installed in store.
+// ApplyInsert absorbs rows newly appended to the named table: StageInsert
+// committed on the spot.
 func (o *Optimizer) ApplyInsert(table string, newRows []int, design *layout.Design, store block.Backend) (ChangeStats, error) {
-	var stats ChangeStats
-	tbl := o.ds.Table(table)
-	if tbl == nil {
-		return stats, fmt.Errorf("core: unknown table %q", table)
+	s, err := o.StageInsert(table, newRows, design, store)
+	if s == nil {
+		return ChangeStats{}, err
 	}
-	tree := o.trees[table]
-	td := design.Table(table)
-	if tree == nil || td == nil {
-		return stats, fmt.Errorf("core: table %q has no optimized layout", table)
-	}
-	// An empty insert is a no-op: nothing to route, no cut literals change,
-	// and no block is rewritten — skip the full re-install entirely.
-	if len(newRows) == 0 {
-		return stats, nil
-	}
+	_, err = commitStaged(s, nil)
+	return s.Insert, err
+}
 
-	// Update affected join-induced cuts in other tables' trees.
+// StageInsert stages the absorption of rows newly appended to the named
+// table (§5.2) as a block replacement of that one table. The new records
+// are routed through the table's qd-tree; the tail block of each leaf that
+// receives some is retired and rewritten with its stray rows and the
+// leaf's new rows, and every other block is kept. Commit then updates the
+// join-induced cuts that have the table on their induction path by
+// evaluating them on the new records only. Under referential integrity and
+// the unique-source restriction no pre-existing record changes leaves, so
+// only blocks that received new records are rewritten.
+//
+// newRows must be exactly the table's rows the layout does not hold yet,
+// each once; design must be installed in store. A nil StagedReorg with a
+// nil error means there is nothing to insert.
+func (o *Optimizer) StageInsert(table string, newRows []int, design *layout.Design, store block.Backend) (*StagedReorg, error) {
+	tbl, tree, gb := o.ds.Table(table), o.trees[table], design.GroupBlocks(table)
+	if tbl == nil || tree == nil || gb == nil {
+		return nil, fmt.Errorf("core: table %q has no installed optimized layout", table)
+	}
+	groups := design.Table(table).Groups()
+	held := 0
+	for _, g := range groups {
+		held += len(g)
+	}
+	if fresh := tbl.NumRows() - held; len(newRows) != fresh {
+		return nil, fmt.Errorf("core: insert into %q lists %d rows; the table has %d the layout does not hold", table, len(newRows), fresh)
+	}
+	seen := make([]bool, len(newRows))
+	for _, r := range newRows {
+		if r < held || r >= tbl.NumRows() || seen[r-held] {
+			return nil, fmt.Errorf("core: insert into %q: row %d is not a new row of the table, or is listed twice", table, r)
+		}
+		seen[r-held] = true
+	}
+	if len(newRows) == 0 {
+		return nil, nil
+	}
+	routed := tree.AssignRecordsParallel(tbl.SelectRows(newRows), o.opts.Parallelism)
+	if len(routed) != len(groups) {
+		return nil, fmt.Errorf("core: tree has %d leaves but design has %d groups", len(routed), len(groups))
+	}
+	st := stagedTable{tbl: tbl, tree: tree, groups: make([][]int32, len(groups)), inserted: newRows}
+	tails := map[int]bool{}
+	for li, g := range groups {
+		st.groups[li] = g
+		if len(routed[li]) == 0 {
+			continue
+		}
+		if ids := gb[li]; len(ids) > 0 {
+			tails[ids[len(ids)-1]] = true
+		}
+		grown := append(make([]int32, 0, len(g)+len(routed[li])), g...)
+		for _, r := range routed[li] {
+			grown = append(grown, int32(newRows[r]))
+		}
+		st.groups[li] = grown
+	}
+	s := &StagedReorg{o: o, design: design, store: store, partial: true}
+	if err := s.prepareReplace(table, &st, finalSlots(tree.Root, nil), tails, gb); err != nil {
+		return nil, err
+	}
+	s.tables = []stagedTable{st}
+	return s, nil
+}
+
+// updateCuts applies change to every join-induced cut the named table's
+// data change affects, timing the updates.
+func (o *Optimizer) updateCuts(table string, change func(*induce.Predicate) error) (ChangeStats, error) {
+	var stats ChangeStats
 	start := time.Now()
 	for _, ip := range o.affectedCuts(table) {
-		if err := ip.ApplyInsert(o.ds, table, newRows); err != nil {
+		if err := change(ip); err != nil {
 			return stats, err
 		}
 		stats.CutsUpdated++
 	}
 	stats.CutUpdateSeconds = time.Since(start).Seconds()
-
-	// Route the inserted records through the table's tree.
-	sub := tbl.SelectRows(newRows)
-	subGroups := tree.AssignRecordsParallel(sub, o.opts.Parallelism)
-	groups := td.Groups()
-	if len(subGroups) != len(groups) {
-		return stats, fmt.Errorf("core: tree has %d leaves but design has %d groups",
-			len(subGroups), len(groups))
-	}
-	newGroups := make([][]int32, len(groups))
-	touched := 0
-	for li := range groups {
-		newGroups[li] = groups[li]
-		if len(subGroups[li]) == 0 {
-			continue
-		}
-		touched++
-		appended := make([]int32, 0, len(groups[li])+len(subGroups[li]))
-		appended = append(appended, groups[li]...)
-		for _, r := range subGroups[li] {
-			appended = append(appended, int32(newRows[r]))
-		}
-		newGroups[li] = appended
-	}
-	stats.RowsRouted = len(newRows)
-	stats.BlocksWritten = touched
-
-	design.SetTable(tbl, newGroups, tree.Route)
-	if _, err := design.Install(store, nil, 0); err != nil {
-		return stats, err
-	}
-	stats.SimSeconds = float64(stats.BlocksWritten) * store.Cost().BlockWriteSeconds
 	return stats, nil
 }
 
@@ -128,14 +136,7 @@ func (o *Optimizer) ApplyInsert(table string, newRows []int, design *layout.Desi
 // this simulation does not model (§5.2: "the physical change itself is
 // handled transparently by the data analytics service").
 func (o *Optimizer) UpdateCutsForDelete(table string, rows []int) (ChangeStats, error) {
-	var stats ChangeStats
-	start := time.Now()
-	for _, ip := range o.affectedCuts(table) {
-		if err := ip.ApplyDelete(o.ds, table, rows); err != nil {
-			return stats, err
-		}
-		stats.CutsUpdated++
-	}
-	stats.CutUpdateSeconds = time.Since(start).Seconds()
-	return stats, nil
+	return o.updateCuts(table, func(ip *induce.Predicate) error {
+		return ip.ApplyDelete(o.ds, table, rows)
+	})
 }

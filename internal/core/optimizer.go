@@ -111,6 +111,15 @@ func UniqueFromDataset(ds *relation.Dataset) joingraph.UniqueFn {
 	}
 }
 
+// newOptimizer returns an optimizer over ds with no trees yet.
+func newOptimizer(ds *relation.Dataset, w *workload.Workload, opts Options) *Optimizer {
+	o := &Optimizer{opts: opts, ds: ds, w: w, trees: map[string]*qdtree.Tree{}, unique: UniqueFromDataset(ds)}
+	if opts.DisableUniqueRestriction {
+		o.unique = joingraph.AllowAll
+	}
+	return o
+}
+
 // Optimize learns the layout for ds under w (§3.2.1). The returned
 // Optimizer's induced cuts are already re-evaluated against the full
 // dataset, so records can be routed immediately.
@@ -122,12 +131,7 @@ func Optimize(ds *relation.Dataset, w *workload.Workload, opts Options) (*Optimi
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	o := &Optimizer{opts: opts, ds: ds, w: w, trees: map[string]*qdtree.Tree{}}
-	if opts.DisableUniqueRestriction {
-		o.unique = joingraph.AllowAll
-	} else {
-		o.unique = UniqueFromDataset(ds)
-	}
+	o := newOptimizer(ds, w, opts)
 
 	start := time.Now()
 	// Sample the dataset (§4.2).
@@ -172,13 +176,11 @@ func Optimize(ds *relation.Dataset, w *workload.Workload, opts Options) (*Optimi
 	// behind a semaphore sized by Parallelism, so the knob caps how many
 	// table builds run at once instead of fanning out one goroutine per
 	// table unconditionally.
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
+	names := ds.TableNames()
+	trees, errs := make([]*qdtree.Tree, len(names)), make([]error, len(names))
+	var wg sync.WaitGroup
 	sem := make(chan struct{}, effectiveParallelism(opts.Parallelism))
-	for _, name := range ds.TableNames() {
+	for i, name := range names {
 		var cuts []qdtree.Cut
 		for _, p := range simple[name] {
 			cuts = append(cuts, qdtree.NewSimpleCut(p))
@@ -194,10 +196,10 @@ func Optimize(ds *relation.Dataset, w *workload.Workload, opts Options) (*Optimi
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(name string, cuts []qdtree.Cut, rate float64) {
+		go func(i int, name string, cuts []qdtree.Cut, rate float64) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tree, err := qdtree.Build(buildDS.Table(name), qdtree.BuildQueries(w, name), cuts, qdtree.Config{
+			trees[i], errs[i] = qdtree.Build(buildDS.Table(name), qdtree.BuildQueries(w, name), cuts, qdtree.Config{
 				Table:        name,
 				BlockSize:    opts.BlockSize,
 				SampleRate:   rate,
@@ -205,17 +207,14 @@ func Optimize(ds *relation.Dataset, w *workload.Workload, opts Options) (*Optimi
 				DisableCA:    opts.DisableCA,
 				Parallelism:  opts.Parallelism,
 			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			o.trees[name] = tree
-		}(name, cuts, rate)
+		}(i, name, cuts, rate)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, name := range names {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		o.trees[name] = trees[i]
 	}
 	o.timings.OptimizeSeconds = time.Since(start).Seconds()
 
@@ -256,27 +255,32 @@ func flattenInduced(byTable map[string][]*induce.Predicate) []*induce.Predicate 
 }
 
 // reevaluateInducedCuts re-runs every chosen cut's semi-join chain on the
-// full dataset (they were evaluated on the sample during construction).
-// The chosen cuts are deduplicated across trees, then batch-evaluated with
-// shared scans and the same worker budget as the build.
+// full dataset (they were evaluated on the sample during construction),
+// batched with shared scans and the same worker budget as the build.
 func (o *Optimizer) reevaluateInducedCuts() error {
-	done := map[*induce.Predicate]bool{}
-	var preds []*induce.Predicate
+	return induce.EvaluateAll(o.ds, o.inducedCuts(), o.opts.Parallelism)
+}
+
+// inducedCuts returns the distinct join-induced predicates of every tree,
+// visiting trees in table-name order so updates run, and errors surface,
+// in a deterministic order.
+func (o *Optimizer) inducedCuts() []*induce.Predicate {
 	names := make([]string, 0, len(o.trees))
 	for name := range o.trees {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	seen := map[*induce.Predicate]bool{}
+	var out []*induce.Predicate
 	for _, name := range names {
 		for _, ic := range o.trees[name].InducedCuts() {
-			if done[ic.Ind] {
-				continue
+			if !seen[ic.Ind] {
+				seen[ic.Ind] = true
+				out = append(out, ic.Ind)
 			}
-			done[ic.Ind] = true
-			preds = append(preds, ic.Ind)
 		}
 	}
-	return induce.EvaluateAll(o.ds, preds, o.opts.Parallelism)
+	return out
 }
 
 // Tree returns the learned qd-tree for a table (nil if unknown).
@@ -328,11 +332,7 @@ func (o *Optimizer) BuildDesign() (*layout.Design, error) {
 	d := layout.NewDesign(o.Name(), o.opts.BlockSize)
 	names := o.ds.TableNames()
 	allGroups := make([][][]int32, len(names))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	var wg sync.WaitGroup
 	for i, name := range names {
 		tree := o.trees[name]
 		if tree == nil {
@@ -349,18 +349,12 @@ func (o *Optimizer) BuildDesign() (*layout.Design, error) {
 					layout.SortRows(tbl, g, ci)
 				}
 			}
-			mu.Lock()
 			allGroups[i] = groups
-			mu.Unlock()
 		}(i, name, tree)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	for i, name := range names {
-		tr := o.trees[name]
-		d.SetTable(o.ds.Table(name), allGroups[i], tr.Route)
+		d.SetTable(o.ds.Table(name), allGroups[i], o.trees[name].Route)
 	}
 	o.timings.RoutingSeconds += time.Since(start).Seconds()
 	return d, nil

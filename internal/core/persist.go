@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"mto/internal/joingraph"
 	"mto/internal/qdtree"
 	"mto/internal/relation"
 	"mto/internal/workload"
@@ -78,26 +77,16 @@ func Load(r io.Reader, ds *relation.Dataset, w *workload.Workload) (*Optimizer, 
 	if w == nil {
 		w = workload.NewWorkload()
 	}
-	o := &Optimizer{
-		opts: Options{
-			BlockSize:                doc.Options.BlockSize,
-			SampleRate:               doc.Options.SampleRate,
-			MaxInductionDepth:        doc.Options.MaxInductionDepth,
-			JoinInduction:            doc.Options.JoinInduction,
-			DisableUniqueRestriction: doc.Options.DisableUniqueRestriction,
-			LeafOrderKeys:            doc.Options.LeafOrderKeys,
-		}.withDefaults(),
-		ds:    ds,
-		w:     w,
-		trees: map[string]*qdtree.Tree{},
-	}
+	o := newOptimizer(ds, w, Options{
+		BlockSize:                doc.Options.BlockSize,
+		SampleRate:               doc.Options.SampleRate,
+		MaxInductionDepth:        doc.Options.MaxInductionDepth,
+		JoinInduction:            doc.Options.JoinInduction,
+		DisableUniqueRestriction: doc.Options.DisableUniqueRestriction,
+		LeafOrderKeys:            doc.Options.LeafOrderKeys,
+	}.withDefaults())
 	if err := o.opts.validate(); err != nil {
 		return nil, err
-	}
-	if o.opts.DisableUniqueRestriction {
-		o.unique = joingraph.AllowAll
-	} else {
-		o.unique = UniqueFromDataset(ds)
 	}
 	for _, raw := range doc.Trees {
 		tree, err := qdtree.UnmarshalTree(raw, ds)

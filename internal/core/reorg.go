@@ -331,23 +331,15 @@ func (o *Optimizer) planTableReorg(table string, observed *workload.Workload,
 	return plan, nil
 }
 
+// descendants returns every node below n.
 func descendants(n *qdtree.Node) []*qdtree.Node {
-	var out []*qdtree.Node
-	var walk func(m *qdtree.Node)
-	walk = func(m *qdtree.Node) {
-		if m == nil {
-			return
-		}
-		if m != n {
-			out = append(out, m)
-		}
-		if !m.IsLeaf() {
-			walk(m.Left)
-			walk(m.Right)
+	out := []*qdtree.Node{n}
+	for i := 0; i < len(out); i++ {
+		if m := out[i]; !m.IsLeaf() {
+			out = append(out, m.Left, m.Right)
 		}
 	}
-	walk(n)
-	return out
+	return out[1:]
 }
 
 func intsOf(rows []int32) []int {
@@ -456,7 +448,7 @@ func (o *Optimizer) ApplyReorg(plans map[string]*ReorgPlan, design *layout.Desig
 // incremental daemon's install path; the writes charged are the appended
 // replacement blocks only (ReorgStats.BlocksWritten). The store still
 // encodes a whole new segment generation and drops every pooled page of the
-// table at commit, untouched blocks included, until ROADMAP item 2(b).
+// table at commit, untouched blocks included (ROADMAP item 10(b)).
 func (o *Optimizer) ApplyReorgPartial(plans map[string]*ReorgPlan, design *layout.Design, store block.Backend) (ReorgStats, error) {
 	return commitStaged(o.StageReorg(plans, design, store, true))
 }
@@ -470,13 +462,16 @@ func commitStaged(s *StagedReorg, err error) (ReorgStats, error) {
 	return s.Stats, err
 }
 
-// StagedReorg is a planned reorganization whose new layouts are prepared in
-// the store but not published: records routed, post-commit groups and block
-// numbering computed, segments encoded — with tree, design and store
-// untouched, so queries keep running beside it.
+// StagedReorg is a planned reorganization, or an insert (StageInsert),
+// whose new layouts are prepared in the store but not published: records
+// routed, post-commit groups and block numbering computed, segments encoded
+// — with trees, cuts, design and store untouched, so queries keep running
+// beside it.
 type StagedReorg struct {
 	// Stats summarizes the tables Commit has published so far.
 	Stats ReorgStats
+	// Insert summarizes a staged insert once Commit has published it.
+	Insert ChangeStats
 
 	o       *Optimizer
 	design  *layout.Design
@@ -494,6 +489,8 @@ type stagedTable struct {
 	groupBlocks [][]int   // in the prepared layout's numbering
 	prepared    block.Prepared
 	stats       ReorgStats // this table's RowsMoved, BlocksRewritten, BlocksWritten
+	rowsWritten int        // rows a block replacement appends
+	inserted    []int      // an insert's new rows, whose cuts update at commit
 }
 
 // StageReorg stages the plans' tables in dataset order — as block
@@ -553,15 +550,20 @@ func (s *StagedReorg) stageTable(name string, choices []subtreeChoice) (stagedTa
 		st.prepared, err = s.store.PrepareLayout(name, tl)
 		return st, err
 	}
+	err := s.prepareReplace(name, &st, slots, retiredBlocks(choices, gb), gb)
+	return st, err
+}
 
-	// Number the groups for a block replacement: kept blocks in ascending
-	// old-ID order (as BuildReplacement renumbers them), appended groups
-	// after them.
+// prepareReplace has the store prepare st.groups as a block replacement
+// retiring oldIDs. It numbers the groups as BuildReplacement will: kept
+// blocks in ascending old-ID order, then in slot order each replacement
+// leaf's group and each surviving leaf's stray rows, appended.
+func (s *StagedReorg) prepareReplace(name string, st *stagedTable, slots []leafSlot, oldIDs map[int]bool, gb [][]int) error {
+	blockSize := s.o.opts.BlockSize
 	rowToBlock, err := s.store.RowToBlock(name)
 	if err != nil {
-		return st, err
+		return err
 	}
-	oldIDs := retiredBlocks(choices, gb)
 	rank := make([]int, s.store.NumBlocks(name))
 	kept := 0
 	for id := range rank {
@@ -579,6 +581,7 @@ func (s *StagedReorg) stageTable(name string, choices []subtreeChoice) (stagedTa
 			return
 		}
 		storeGroups = append(storeGroups, g)
+		st.rowsWritten += len(g)
 		for nb := blocksFor(len(g), blockSize); nb > 0; nb-- {
 			st.groupBlocks[si] = append(st.groupBlocks[si], next)
 			next++
@@ -598,7 +601,7 @@ func (s *StagedReorg) stageTable(name string, choices []subtreeChoice) (stagedTa
 	}
 	st.stats.BlocksWritten = next - kept
 	st.prepared, err = s.store.PrepareReplace(name, oldIDs, storeGroups, blockSize)
-	return st, err
+	return err
 }
 
 // retiredBlocks returns the blocks under the chosen subtrees, including any
@@ -615,12 +618,13 @@ func retiredBlocks(choices []subtreeChoice, gb [][]int) map[int]bool {
 	return oldIDs
 }
 
-// Commit publishes the staged layouts — the one place a reorganization
-// mutates trees and design. Tables commit one at a time: the store swaps in
-// the prepared generation, the chosen subtrees are replaced (leaf order now
-// matches the staged groups) and the design is pointed at the new block
-// numbering. A table the store refuses stays, like every table after it,
-// exactly as before — never torn; Stats covers the tables before it.
+// Commit publishes the staged layouts — the one place a reorganization or
+// an insert mutates trees, cuts and design. Tables commit one at a time:
+// the store swaps in the prepared generation, the chosen subtrees are
+// replaced (leaf order now matches the staged groups) or an insert's
+// join-induced cuts absorb its rows, and the design is pointed at the new
+// block numbering. A table the store refuses stays, like every table after
+// it, exactly as before — never torn; Stats covers the tables before it.
 func (s *StagedReorg) Commit() error {
 	stats := &s.Stats
 	for i := range s.tables {
@@ -632,11 +636,23 @@ func (s *StagedReorg) Commit() error {
 		for _, c := range st.choices {
 			st.tree.Replace(c.node, c.newTree.Root)
 		}
+		if st.inserted != nil {
+			// StageInsert checked the rows, so the updates cannot fail.
+			table := st.tbl.Schema().Table()
+			s.Insert, err = s.o.updateCuts(table, func(ip *induce.Predicate) error {
+				return ip.ApplyInsert(s.o.ds, table, st.inserted)
+			})
+			s.Insert.RowsRouted, s.Insert.RowsWritten = len(st.inserted), st.rowsWritten
+			s.Insert.BlocksWritten, s.Insert.SimSeconds = st.stats.BlocksWritten, sec
+		}
 		s.design.SetTableBlocks(st.tbl, st.groups, st.tree.Route, st.groupBlocks)
 		stats.RowsMoved += st.stats.RowsMoved
 		stats.BlocksRewritten += st.stats.BlocksRewritten
 		stats.BlocksWritten += st.stats.BlocksWritten
 		stats.SimSeconds += sec
+		if err != nil {
+			return err
+		}
 	}
 	if n := s.o.ds.NumRows(); n > 0 && stats.RowsMoved > 0 {
 		stats.FracDataReorganized = float64(stats.RowsMoved) / float64(n)
@@ -693,13 +709,13 @@ func (o *Optimizer) estimateWrites(plan *ReorgPlan, choices []subtreeChoice, des
 	return writes, nil
 }
 
-// strayRows returns the rows of a surviving leaf's group that lived in a
-// retired (straddling) block: a partial install moves them into a fresh
-// appended block.
+// strayRows returns the rows of a surviving leaf's group that a block
+// replacement appends: those that lived in a retired block, and those past
+// the end of rowToBlock, which no block holds yet (an insert's new rows).
 func strayRows(group []int32, retired map[int]bool, rowToBlock []int32) []int32 {
 	var stray []int32
 	for _, r := range group {
-		if retired[int(rowToBlock[r])] {
+		if int(r) >= len(rowToBlock) || retired[int(rowToBlock[r])] {
 			stray = append(stray, r)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -278,11 +279,13 @@ func twoTableShiftScenario(t *testing.T, seed int64) (*Optimizer, *layout.Design
 	return mto, design, store, ds, shiftW, plans
 }
 
-// installedState is everything a reorganization that did not commit must
-// leave alone: trees, design, the store's write counters, block contents
-// and segment files, and what queries answer.
+// installedState is everything a reorganization or an insert that did not
+// commit must leave alone: trees and their join-induced cut literals,
+// design, the store's write counters, block contents and segment files, and
+// what queries answer.
 type installedState struct {
 	Trees       map[string]string
+	Literals    map[string][]int
 	Groups      map[string][][]int32
 	GroupBlocks map[string][][]int
 	BlockRows   map[string][][]int32
@@ -293,10 +296,13 @@ type installedState struct {
 
 func captureState(t *testing.T, mto *Optimizer, design *layout.Design, store *colstore.Store, ds *relation.Dataset, w *workload.Workload) installedState {
 	t.Helper()
-	st := installedState{Trees: map[string]string{}, Groups: map[string][][]int32{},
+	st := installedState{Trees: map[string]string{}, Literals: map[string][]int{}, Groups: map[string][][]int32{},
 		GroupBlocks: map[string][][]int{}, BlockRows: map[string][][]int32{}}
 	for _, name := range ds.TableNames() {
 		st.Trees[name] = mto.Tree(name).Dump()
+		for _, ic := range mto.Tree(name).InducedCuts() {
+			st.Literals[name] = append(st.Literals[name], ic.Ind.LiteralSize())
+		}
 		st.Groups[name] = design.Table(name).Groups()
 		st.GroupBlocks[name] = design.GroupBlocks(name)
 		for _, b := range blocktest.ReadLayout(t, store, name) {
@@ -405,6 +411,152 @@ func TestApplyReorgFailingBackendNotTorn(t *testing.T) {
 				t.Error("committed reorganization left trees or blocks unchanged")
 			}
 		})
+	}
+}
+
+// insertScenario installs core's star fixture (12 000 fact rows, block
+// size 1000) in a file store and appends 50 fact rows and one dim row that
+// the layout does not hold yet; the dim row joins the attr = 0 cuts.
+func insertScenario(t *testing.T) (mto *Optimizer, design *layout.Design, store *colstore.Store, ds *relation.Dataset, w *workload.Workload, factRows, dimRows []int) {
+	t.Helper()
+	ds = starDS(t, 500, 12000, 12)
+	w = attrWorkload(10)
+	mto, err := Optimize(ds, w, Options{BlockSize: 1000, JoinInduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if design, err = mto.BuildDesign(); err != nil {
+		t.Fatal(err)
+	}
+	if store, err = colstore.NewStore(t.TempDir(), 1<<20, block.DefaultCostModel()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	if _, err := design.Install(store, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	fact, dim := ds.Table("fact"), ds.Table("dim")
+	for i := 0; i < 50; i++ {
+		n := fact.NumRows()
+		fact.MustAppendRow(value.Int(int64(n)), fact.Value(i*97, 1), fact.Value(i*97, 2), fact.Value(n-1, 3))
+		factRows = append(factRows, n)
+	}
+	dim.MustAppendRow(value.Int(int64(dim.NumRows())), value.Int(0), value.Int(0))
+	return mto, design, store, ds, w, factRows, []int{dim.NumRows() - 1}
+}
+
+// TestApplyInsertFailingBackendNotTorn fails an insert at each point before
+// it commits — fact's prepare, a commit the store refuses because fact
+// moved on after staging, and the prepare of a dim insert, whose commit
+// would update join-induced cuts — and asserts nothing was installed:
+// trees, cut literals, design, store and query results are exactly as
+// before the attempt. Then both inserts apply cleanly.
+func TestApplyInsertFailingBackendNotTorn(t *testing.T) {
+	mto, design, store, ds, w, factRows, dimRows := insertScenario(t)
+	before := captureState(t, mto, design, store, ds, w)
+	for _, c := range []struct {
+		table string
+		rows  []int
+	}{{"fact", factRows}, {"dim", dimRows}} {
+		_, err := mto.ApplyInsert(c.table, c.rows, design, &failingBackend{Backend: store, failTable: c.table})
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("%s prepare fails: err = %v, want injected failure", c.table, err)
+		}
+		if diff := before.changed(captureState(t, mto, design, store, ds, w)); diff != nil {
+			t.Errorf("%s prepare fails: %v changed", c.table, diff)
+		}
+	}
+
+	// Stage the fact insert, then commit the same insert staged a second
+	// time: the store must refuse the first, staged against fact's
+	// predecessor, and its segment must vanish on Abort.
+	staged, err := mto.StageInsert("fact", factRows, design, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mto.ApplyInsert("fact", factRows, design, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RowsRouted != len(factRows) || st.BlocksWritten == 0 {
+		t.Errorf("fact insert stats = %+v", st)
+	}
+	moved := captureState(t, mto, design, store, ds, w)
+	committed := moved.Files[:0:0]
+	for _, f := range moved.Files {
+		if strings.HasSuffix(f, ".seg") {
+			committed = append(committed, f)
+		}
+	}
+	if len(moved.Files)-len(committed) != 1 {
+		t.Fatalf("files while one insert is staged: %v", moved.Files)
+	}
+	moved.Files = committed
+	if err := staged.Commit(); err == nil || staged.Stats != (ReorgStats{}) || staged.Insert != (ChangeStats{}) {
+		t.Fatalf("commit against a moved table: stats %+v %+v, err %v", staged.Stats, staged.Insert, err)
+	}
+	staged.Abort()
+	if diff := moved.changed(captureState(t, mto, design, store, ds, w)); diff != nil {
+		t.Errorf("refused commit: %v changed", diff)
+	}
+
+	dst, err := mto.ApplyInsert("dim", dimRows, design, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := captureState(t, mto, design, store, ds, w)
+	if dst.CutsUpdated == 0 || reflect.DeepEqual(moved.Literals, after.Literals) {
+		t.Errorf("dim insert updated %d cuts; literals %v → %v", dst.CutsUpdated, moved.Literals, after.Literals)
+	}
+	if len(after.Files) != len(before.Files) {
+		t.Errorf("segment files after the inserts: %v, want one per table as in %v", after.Files, before.Files)
+	}
+}
+
+// TestApplyInsertWritesWhatStoreMeters: a 50-row fact insert reports the
+// blocks, rows and seconds the store charged, rewrites fewer rows than fact
+// holds, leaves dim's segment alone, and every fact row is found.
+func TestApplyInsertWritesWhatStoreMeters(t *testing.T) {
+	mto, design, store, ds, _, factRows, _ := insertScenario(t)
+	segs := func() []string {
+		names, err := os.ReadDir(store.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range names {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	filesBefore, statsBefore := segs(), store.Stats()
+	st, err := mto.ApplyInsert("fact", factRows, design, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := store.Stats().Sub(statsBefore)
+	if int64(st.BlocksWritten) != d.BlocksWritten || int64(st.RowsWritten) != d.RowsWritten ||
+		st.SimSeconds != float64(d.BlocksWritten)*store.Cost().BlockWriteSeconds {
+		t.Errorf("insert reports %+v, the store charged %d blocks / %d rows", st, d.BlocksWritten, d.RowsWritten)
+	}
+	if st.BlocksWritten == 0 || st.RowsWritten <= len(factRows) || st.RowsWritten >= ds.Table("fact").NumRows() {
+		t.Errorf("insert wrote %d blocks / %d rows; fact holds %d rows", st.BlocksWritten, st.RowsWritten, ds.Table("fact").NumRows())
+	}
+	filesAfter := segs()
+	for _, f := range filesBefore {
+		if strings.HasPrefix(f, "dim-") && !slices.Contains(filesAfter, f) {
+			t.Errorf("dim's segment %s moved: %v", f, filesAfter)
+		}
+	}
+	blocktest.ReadLayout(t, store, "fact")
+	eng := engine.New(store, design, ds, engine.DefaultOptions())
+	q := workload.NewQuery("all", workload.TableRef{Table: "fact"})
+	res, err := eng.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SurvivingRows["fact"] != ds.Table("fact").NumRows() {
+		t.Errorf("%d of %d fact rows found", res.SurvivingRows["fact"], ds.Table("fact").NumRows())
 	}
 }
 

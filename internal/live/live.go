@@ -1,8 +1,8 @@
 // Package live holds the layout that queries read while reorganizations
 // replace it (§5.1.1). mto.System, each serving tenant and the reorg daemon
 // query and install through an Instance: queries run under its read lock; a
-// reorganization stages off every lock and takes the write lock only to
-// commit, bump the generation and rebuild the engine.
+// reorganization or an insert stages off every lock and takes the write
+// lock only to commit, bump the generation and rebuild the engine.
 package live
 
 import (
@@ -44,10 +44,10 @@ type Instance struct {
 	retired           engine.Stats  // summed counters of the engines swaps replaced
 	lockLast, lockMax time.Duration // write-lock hold of the last and longest commit
 	gen               atomic.Uint64 // written under mu, loaded without it
-	// busy is the one mutation slot: a reorganization holds it from its
-	// claim to its commit (it stages against opt and design off the lock),
-	// an insert while it runs. closed is set under mu. Both are atomics so
-	// a claim never waits for the queries in flight.
+	// busy is the one mutation slot: a reorganization or an insert holds
+	// it from its claim to its commit (it stages against opt and design off
+	// the lock). closed is set under mu. Both are atomics so a claim never
+	// waits for the queries in flight.
 	busy, closed atomic.Bool
 }
 
@@ -65,7 +65,7 @@ func (in *Instance) newEngine() *engine.Engine {
 	return engine.New(in.store, in.design, in.ds, in.opts)
 }
 
-// Optimizer, Design and Store change only inside a commit or an insert:
+// Optimizer, Design and Store change only inside a commit:
 // read them under RLock or from the instance's one mutator.
 func (in *Instance) Optimizer() *core.Optimizer { return in.opt }
 func (in *Instance) Design() *layout.Design     { return in.design }
@@ -150,20 +150,20 @@ func (in *Instance) install(stage Stage) error {
 	return err
 }
 
-// Insert absorbs rows newly appended to the named base table (§5.2). It is
-// refused while a reorganization stages: the staged layout lacks them.
+// Insert absorbs rows newly appended to the named base table (§5.2): a
+// reorganization whose stage is core.StageInsert, so only its commit holds
+// the write lock. Like any reorganization it is refused with ErrBusy while
+// another mutation holds the slot.
 func (in *Instance) Insert(table string, rows []int) (core.ChangeStats, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if err := in.claim(); err != nil {
+	var staged *core.StagedReorg
+	err := in.Reorganize(func() (s *core.StagedReorg, err error) {
+		staged, err = in.opt.StageInsert(table, rows, in.design, in.store)
+		return staged, err
+	})
+	if err != nil || staged == nil {
 		return core.ChangeStats{}, err
 	}
-	defer in.busy.Store(false)
-	st, err := in.opt.ApplyInsert(table, rows, in.design, in.store)
-	if err == nil {
-		in.swap()
-	}
-	return st, err
+	return staged.Insert, nil
 }
 
 // claim takes the mutation slot.

@@ -339,3 +339,109 @@ func TestInsertSwapsGeneration(t *testing.T) {
 		t.Errorf("insert after Close: %v, want ErrClosed", err)
 	}
 }
+
+// gatedBackend runs hook before every block replacement it prepares: the
+// hook may hold the prepare at a gate, or fail it.
+type gatedBackend struct {
+	block.Backend
+	hook func() error
+}
+
+func (b gatedBackend) PrepareReplace(table string, oldIDs map[int]bool, newGroups [][]int32, blockSize int) (block.Prepared, error) {
+	if err := b.hook(); err != nil {
+		return nil, err
+	}
+	return b.Backend.PrepareReplace(table, oldIDs, newGroups, blockSize)
+}
+
+// TestFailedInsertKeepsGeneration: an insert whose rows are not exactly the
+// rows the layout lacks, or whose prepare fails, returns an error and
+// leaves the generation and every answer where they were; the same insert
+// then goes through.
+func TestFailedInsertKeepsGeneration(t *testing.T) {
+	var failing atomic.Bool
+	in, shift := shiftScenario(t, gatedBackend{colstore.NewMemStore(block.DefaultCostModel()), func() error {
+		if failing.Load() {
+			return errStage
+		}
+		return nil
+	}})
+	q := shift.Queries[0]
+	before, err := in.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := in.ds.Table("fact")
+	n := fact.NumRows()
+	fact.MustAppendRow(value.Int(int64(n)), value.Int(0), value.Int(0))
+	for _, rows := range [][]int{nil, {n - 1}, {n + 1}, {-1}, {n, n}, {0, n}} {
+		if _, err := in.Insert("fact", rows); err == nil {
+			t.Errorf("insert of rows %v accepted", rows)
+		}
+	}
+	failing.Store(true)
+	if _, err := in.Insert("fact", []int{n}); !errors.Is(err, errStage) {
+		t.Errorf("insert with a failing prepare: %v", err)
+	}
+	if g := in.Generation(); g != 0 {
+		t.Errorf("generation %d after failed inserts, want 0", g)
+	}
+	if res, err := in.Execute(q); err != nil || !reflect.DeepEqual(res, before) {
+		t.Errorf("answer after failed inserts: %v, %+v; want %+v", err, res, before)
+	}
+	failing.Store(false)
+	if _, err := in.Insert("fact", []int{n}); err != nil {
+		t.Fatal(err)
+	}
+	if g := in.Generation(); g != 1 {
+		t.Errorf("generation %d after the insert, want 1", g)
+	}
+}
+
+// TestQueriesServedWhileInsertStages: an insert holds the write lock for its
+// commit only. With the insert held inside the store's prepare, a query
+// completes at the old generation; once released, the insert commits, the
+// generation moves and the swap lock records the commit.
+func TestQueriesServedWhileInsertStages(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	in, shift := shiftScenario(t, gatedBackend{colstore.NewMemStore(block.DefaultCostModel()), func() error {
+		entered <- struct{}{}
+		<-release
+		return nil
+	}})
+	q := shift.Queries[0]
+	before, err := in.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := in.ds.Table("fact")
+	n := fact.NumRows()
+	fact.MustAppendRow(value.Int(int64(n)), value.Int(0), value.Int(0))
+	done := make(chan error, 1)
+	go func() {
+		_, err := in.Insert("fact", []int{n})
+		done <- err
+	}()
+	<-entered
+	res, err := in.Execute(q)
+	if err != nil || !reflect.DeepEqual(res, before) {
+		t.Errorf("query while the insert stages: %v, %+v; want %+v", err, res, before)
+	}
+	if st := in.Stats(); st.Generation != 0 || st.SwapLockLast != 0 {
+		t.Errorf("while the insert stages: %+v", st)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := in.Stats(); st.Generation != 1 || st.SwapLockLast <= 0 {
+		t.Errorf("after the insert: %+v", st)
+	}
+	after, err := in.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.SurvivingRows["fact"] != before.SurvivingRows["fact"]+1 {
+		t.Errorf("inserted row not found: %d → %d survivors", before.SurvivingRows["fact"], after.SurvivingRows["fact"])
+	}
+}

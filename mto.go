@@ -207,8 +207,9 @@ func openStore(cfg Config, cost block.CostModel) (*colstore.Store, error) {
 //
 // A System is safe for concurrent Execute calls. A reorganization plans and
 // stages its new layout while queries keep hitting the current one and
-// takes the write lock only to swap it in (§5.1.1); Insert serializes with
-// queries. One mutation runs at a time.
+// takes the write lock only to swap it in (§5.1.1). Insert does the same:
+// it stages the one table's new blocks beside the queries and commits by
+// the same swap. One mutation runs at a time.
 type System struct {
 	in *live.Instance
 }
@@ -393,10 +394,12 @@ func (s *System) ReorganizeAsync(observed *Workload, opts ReorgOptions) (<-chan 
 // InsertReport summarizes an absorbed insert (§5.2).
 type InsertReport = core.ChangeStats
 
-// Insert absorbs rows newly appended to the named base table: join-induced
-// cuts with the table on their induction path are updated incrementally,
-// and the new records are routed to blocks. rows are the indexes of the
-// already-appended records.
+// Insert absorbs rows newly appended to the named base table: the new
+// records are routed to blocks, and join-induced cuts with the table on
+// their induction path are updated incrementally. rows are the indexes of
+// the already-appended records, each listed once, and must be all the
+// rows the layout does not hold yet; anything else is an error that
+// changes nothing.
 func (s *System) Insert(table string, rows []int) (InsertReport, error) {
 	return s.in.Insert(table, rows)
 }

@@ -158,6 +158,33 @@ func TestInsertAPI(t *testing.T) {
 	}
 }
 
+// TestInsertRejectsBadRows: an insert must list exactly the rows the layout
+// does not hold yet, each once. Anything else is an error that changes
+// nothing: later queries give the pre-insert answers.
+func TestInsertRejectsBadRows(t *testing.T) {
+	ds, w := buildDemo(t)
+	sys, err := Open(ds, w, Config{BlockSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Execute(w.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range [][]int{{20000}, {-1}, {1 << 30}, {0, 1, 2}, {19999}} {
+		if _, err := sys.Insert("fact", rows); err == nil {
+			t.Errorf("insert of rows %v accepted", rows)
+		}
+		got, err := sys.Execute(w.Queries[0])
+		if err != nil {
+			t.Fatalf("query after the insert of rows %v: %v", rows, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query after the insert of rows %v: %+v, want %+v", rows, got, want)
+		}
+	}
+}
+
 func TestPredicateHelpers(t *testing.T) {
 	p := Between("x", Int(1), Int(5))
 	if p.String() != "(x >= 1) AND (x <= 5)" {
